@@ -122,13 +122,13 @@ def test_ablation_padding_wire_cost(benchmark):
     def measure():
         import json
 
-        from repro.crypto.envelope import b64, pad_item_list
+        from repro.crypto.envelope import EnvelopeCodec, pad_item_list
 
         padded_sizes = set()
         unpadded_sizes = set()
         for count in (1, 5, 20):
             items = [f"movie-{n}" for n in range(count)]
-            padded = [b64(encode_identifier(i)) for i in pad_item_list(items)]
+            padded = [EnvelopeCodec.wire_text(encode_identifier(i)) for i in pad_item_list(items)]
             padded_sizes.add(len(json.dumps(padded)))
             unpadded_sizes.add(len(json.dumps(items)))
         return padded_sizes, unpadded_sizes

@@ -19,6 +19,7 @@ from conftest import SEED
 
 from repro.client import PProxClient
 from repro.cluster.deployments import MICRO_CONFIGS
+from repro.context import SimContext
 from repro.crypto.provider import FastCryptoProvider
 from repro.experiments.runner import run_micro
 from repro.lrs.baselines import ItemKnnRecommender, PopularityRecommender
@@ -26,7 +27,6 @@ from repro.lrs.cco import CcoTrainer
 from repro.lrs.evaluation import evaluate_recommender, leave_latest_out_split
 from repro.lrs.stub import StubLrs, make_pseudonymous_payload
 from repro.proxy import PProxConfig, build_pprox
-from repro.proxy.costs import DEFAULT_COSTS
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
@@ -43,15 +43,14 @@ def _breakdown_at(rps: float, duration: float = 15.0):
     network = Network(loop=loop, rng=rng.stream("net"), record_flows=False)
     stub = StubLrs(loop=loop, rng=rng.stream("stub"))
     provider = FastCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
-    service = build_pprox(loop, network, rng, M6.pprox_config(),
-                          lrs_picker=lambda: stub, provider=provider)
+    ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider)
+    service = build_pprox(ctx, M6.pprox_config(), lrs_picker=lambda: stub)
     stub.items = make_pseudonymous_payload(
         provider, service.provisioner.layer_keys["IA"].symmetric_key
     )
     probe = BreakdownProbe()
     probe.attach(network)
-    client = PProxClient(loop=loop, network=network, provider=provider,
-                         service=service, costs=DEFAULT_COSTS, rng=rng.stream("c"))
+    client = PProxClient(ctx, service, rng=rng.stream("c"))
     injector = Injector(loop, rng.stream("inj"))
     injector.inject(rps, duration, lambda cb: client.get("user", on_complete=cb))
     loop.run()

@@ -19,14 +19,13 @@ Run:  python examples/breach_drill.py
 
 from __future__ import annotations
 
-from repro.client import PProxClient
+from repro.context import Deployment, SimContext
 from repro.crypto.keys import KeyFactory
 from repro.crypto.provider import RealCryptoProvider
 from repro.lrs import HarnessService
 from repro.privacy import Adversary, KnowledgeEngine
-from repro.proxy import DEFAULT_COSTS, PProxConfig, build_pprox
+from repro.proxy import PProxConfig
 from repro.sgx import BreachDetector, SideChannelAttack
-from repro.simnet import EventLoop, Network, RngRegistry
 
 TASTES = {
     "alice": ["thriller-1", "thriller-2", "docu-1"],
@@ -37,18 +36,18 @@ CATALOG = {item for items in TASTES.values() for item in items}
 
 
 def main() -> None:
-    rng = RngRegistry(seed=99)
-    loop = EventLoop()
-    network = Network(loop=loop, rng=rng.stream("net"))
+    ctx = SimContext.fresh(99, record_flows=True)
+    loop, network, rng = ctx.loop, ctx.network, ctx.rng
     harness = HarnessService(loop=loop, rng=rng.stream("lrs"), frontend_count=3)
     harness.engine.trainer.llr_threshold = 0.0
-    provider = RealCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
-    service = build_pprox(
-        loop, network, rng, PProxConfig(shuffle_size=3, shuffle_timeout=0.1),
-        lrs_picker=harness.pick_frontend, provider=provider,
+    provider = ctx.provider = RealCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
+    deployment = Deployment.build(
+        ctx=ctx,
+        config=PProxConfig(shuffle_size=3, shuffle_timeout=0.1),
+        lrs_picker=harness.pick_frontend,
     )
-    client = PProxClient(loop=loop, network=network, provider=provider,
-                         service=service, costs=DEFAULT_COSTS, rng=rng.stream("c"))
+    service = deployment.service
+    client = deployment.client(rng=rng.stream("c"))
 
     adversary = Adversary()
     adversary.attach(network)

@@ -12,13 +12,12 @@ Run:  python examples/capacity_planner.py
 
 from __future__ import annotations
 
-from repro.client import PProxClient
 from repro.cluster import ElasticScaler
 from repro.cluster.deployments import MICRO_CONFIGS
+from repro.context import Deployment, SimContext
 from repro.experiments.runner import run_micro
 from repro.lrs.stub import StubLrs, make_pseudonymous_payload
-from repro.proxy import DEFAULT_COSTS, PProxConfig, build_pprox
-from repro.simnet import EventLoop, Network, RngRegistry
+from repro.proxy import PProxConfig
 from repro.workload import Injector
 
 
@@ -48,20 +47,19 @@ def sweep_capacity() -> None:
 def autoscaler_demo() -> None:
     """Live elasticity: the scaler follows a traffic ramp."""
     print("elastic autoscaler following a traffic ramp")
-    rng = RngRegistry(seed=6)
-    loop = EventLoop()
-    network = Network(loop=loop, rng=rng.stream("net"), record_flows=False)
+    ctx = SimContext.fresh(6)
+    loop, rng = ctx.loop, ctx.rng
     stub = StubLrs(loop=loop, rng=rng.stream("stub"))
-    service = build_pprox(
-        loop, network, rng, PProxConfig(shuffle_size=10, shuffle_timeout=0.25),
+    deployment = Deployment.build(
+        ctx=ctx,
+        config=PProxConfig(shuffle_size=10, shuffle_timeout=0.25),
         lrs_picker=lambda: stub,
     )
+    service = deployment.service
     stub.items = make_pseudonymous_payload(
-        service.runtime.provider, service.provisioner.layer_keys["IA"].symmetric_key
+        ctx.provider, service.provisioner.layer_keys["IA"].symmetric_key
     )
-    client = PProxClient(loop=loop, network=network,
-                         provider=service.runtime.provider, service=service,
-                         costs=DEFAULT_COSTS, rng=rng.stream("client"))
+    client = deployment.client()
     scaler = ElasticScaler(loop=loop, service=service, interval=5.0,
                            low_rps=60.0, high_rps=220.0, max_instances=4)
     scaler.start()

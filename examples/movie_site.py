@@ -15,31 +15,27 @@ Run:  python examples/movie_site.py
 
 from __future__ import annotations
 
-from repro.client import DirectClient, PProxClient
+from repro.client import DirectClient
+from repro.context import Deployment, SimContext
 from repro.crypto.provider import FastCryptoProvider
 from repro.lrs import HarnessService
-from repro.proxy import DEFAULT_COSTS, PProxConfig, build_pprox
-from repro.simnet import EventLoop, Network, RngRegistry
+from repro.proxy import PProxConfig
 from repro.workload import ScenarioTimings, SyntheticMovieLens, TwoPhaseScenario
 
 
 def run_deployment(with_pprox: bool, seed: int = 42):
     """One full two-phase run; returns (scenario result, harness)."""
-    rng = RngRegistry(seed=seed)
-    loop = EventLoop()
-    network = Network(loop=loop, rng=rng.stream("net"), record_flows=False)
+    ctx = SimContext.fresh(seed)
+    loop, network, rng = ctx.loop, ctx.network, ctx.rng
     harness = HarnessService(loop=loop, rng=rng.stream("lrs"), frontend_count=3)
 
     if with_pprox:
-        provider = FastCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
-        service = build_pprox(
-            loop, network, rng, PProxConfig(shuffle_size=10, shuffle_timeout=0.25),
-            lrs_picker=harness.pick_frontend, provider=provider,
-        )
-        client = PProxClient(
-            loop=loop, network=network, provider=provider, service=service,
-            costs=DEFAULT_COSTS, rng=rng.stream("client"),
-        )
+        ctx.provider = FastCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
+        client = Deployment.build(
+            ctx=ctx,
+            config=PProxConfig(shuffle_size=10, shuffle_timeout=0.25),
+            lrs_picker=harness.pick_frontend,
+        ).client()
     else:
         client = DirectClient(loop=loop, network=network,
                               lrs_picker=harness.pick_frontend)

@@ -14,10 +14,11 @@ Run:  python examples/multi_tenant_raas.py
 from __future__ import annotations
 
 from repro.client import PProxClient
+from repro.context import SimContext
 from repro.crypto.keys import KeyFactory
 from repro.crypto.provider import FastCryptoProvider
 from repro.lrs import HarnessService
-from repro.proxy import DEFAULT_COSTS, PProxConfig
+from repro.proxy import PProxConfig
 from repro.simnet import EventLoop, Network, RngRegistry
 from repro.tenancy import TenantDirectory, build_multi_tenant_pprox, tenant_slot
 from repro.workload import Injector
@@ -47,10 +48,10 @@ def main() -> None:
     config = PProxConfig(shuffle_size=10, shuffle_timeout=0.5)
     service = build_multi_tenant_pprox(loop, network, rng, config, directory,
                                        provider=provider)
+    ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider)
     clients = {
         name: PProxClient(
-            loop=loop, network=network, provider=provider, service=service,
-            costs=DEFAULT_COSTS, rng=rng.stream(f"client-{name}"),
+            ctx, service, rng=rng.stream(f"client-{name}"),
             material=directory.record(name).client_material, tenant=name,
         )
         for name in TENANTS

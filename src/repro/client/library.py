@@ -16,9 +16,8 @@ LRS; it drives the unprotected baseline configurations (b1-b4).
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
 
 from repro.crypto.provider import CryptoProvider
 from repro.overload.deadline import stamp_deadline
@@ -27,13 +26,16 @@ from repro.proxy.config import PProxConfig
 from repro.proxy.costs import ProxyCostModel
 from repro.proxy.epochs import stamp_epoch
 from repro.proxy.layers import RETRYABLE_STATUS
-from repro.proxy.service import PProxService, _looks_like_context
-from repro.rest.codec import WireCodec, ship
-from repro.rest.messages import Request, Response, Verb, make_get, make_post, next_request_id
+from repro.proxy.service import PProxService
+from repro.rest.codec import ship
+from repro.rest.messages import Request, Response, Verb, make_get, make_post
 from repro.simnet.clock import EventLoop
 from repro.simnet.loadbalancer import BalancerError
 from repro.simnet.network import Network
 from repro.telemetry.types import TelemetryLike
+
+if TYPE_CHECKING:  # import cycle: repro.context hands out clients
+    from repro.context import SimContext
 
 __all__ = ["PProxClient", "DirectClient", "CompletedCall", "OUTCOME_CLASSES"]
 
@@ -64,18 +66,11 @@ class CompletedCall:
 class PProxClient:
     """User-side library instance bound to a PProx deployment.
 
-    Two construction forms are accepted.  Preferred::
-
-        PProxClient(ctx, service, request_timeout=0.5, ...)
-
-    with *ctx* a :class:`repro.context.SimContext` (the client draws
-    its provider, cost model, telemetry hub and a dedicated ``client``
-    RNG stream from it).  The legacy bundle ::
-
-        PProxClient(loop, network, provider, service, costs, rng, ...)
-
-    (positionally or by keyword) still works but emits
-    :class:`DeprecationWarning`.
+    ``PProxClient(ctx, service, request_timeout=0.5, ...)``: the client
+    draws its loop, network, provider, cost model, telemetry hub, wire
+    codec and request-id counter from *ctx*, a
+    :class:`repro.context.SimContext`, and (unless *rng* is given) its
+    backoff jitter from the context's ``client`` RNG stream.
     """
 
     loop: EventLoop
@@ -136,74 +131,16 @@ class PProxClient:
     #: Settled-call classification: ok / retried / hedged / failed.
     outcomes: Dict[str, int] = field(default_factory=dict)
 
-    _LEGACY_PARAMS = (
-        "loop", "network", "provider", "service", "costs", "rng",
-        "material", "tenant", "request_timeout", "max_retries", "telemetry",
-    )
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        first = args[0] if args else kwargs.get("ctx")
-        if first is not None and _looks_like_context(first):
-            merged: Dict[str, Any] = dict(zip(("ctx", "service"), args))
-            overlap = set(merged) & set(kwargs)
-            if overlap:
-                raise TypeError(f"PProxClient got multiple values for {sorted(overlap)}")
-            merged.update(kwargs)
-            ctx = merged.pop("ctx")
-            try:
-                service = merged.pop("service")
-            except KeyError:
-                raise TypeError("PProxClient(ctx, ...) requires a service") from None
-            provider = merged.pop("provider", None) or ctx.provider
-            if provider is None:
-                raise ValueError(
-                    "SimContext.provider is unset; set it on the context (or "
-                    "build through repro.context.Deployment, which resolves one)"
-                )
-            rng = merged.pop("rng", None) or ctx.rng.stream("client")
-            if "codec" not in merged and hasattr(ctx, "resolved_codec"):
-                merged["codec"] = ctx.resolved_codec()
-            if "id_source" not in merged:
-                merged["id_source"] = getattr(ctx, "next_request_id", None)
-            self._init_fields(
-                loop=ctx.loop,
-                network=ctx.network,
-                provider=provider,
-                service=service,
-                costs=merged.pop("costs", None) or ctx.costs,
-                rng=rng,
-                telemetry=merged.pop("telemetry", ctx.telemetry),
-                **merged,
-            )
-            return
-        warnings.warn(
-            "PProxClient(loop, network, provider, service, costs, rng, ...) is "
-            "deprecated; pass a repro.context.SimContext as the first argument "
-            "(or use repro.context.Deployment.client)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        legacy: Dict[str, Any] = dict(zip(self._LEGACY_PARAMS, args))
-        overlap = set(legacy) & set(kwargs)
-        if overlap:
-            raise TypeError(f"PProxClient got multiple values for {sorted(overlap)}")
-        legacy.update(kwargs)
-        self._init_fields(**legacy)
-
-    def _init_fields(
+    def __init__(
         self,
-        *,
-        loop: EventLoop,
-        network: Network,
-        provider: CryptoProvider,
+        ctx: "SimContext",
         service: PProxService,
-        costs: ProxyCostModel,
-        rng: random.Random,
+        *,
+        rng: Optional[random.Random] = None,
         material: Optional[protocol.ClientMaterial] = None,
         tenant: Optional[str] = None,
         request_timeout: Optional[float] = None,
         max_retries: int = 0,
-        telemetry: Optional[TelemetryLike] = None,
         backoff_base: float = 0.0,
         backoff_factor: float = 2.0,
         backoff_jitter: float = 0.0,
@@ -211,20 +148,23 @@ class PProxClient:
         deadline_budget: Optional[float] = None,
         epoch_ttl: Optional[float] = None,
         causal: Optional[Any] = None,
-        codec: Optional[WireCodec] = None,
-        id_source: Optional[Callable[[], int]] = None,
     ) -> None:
-        self.loop = loop
-        self.network = network
-        self.provider = provider
+        if ctx.provider is None:
+            raise ValueError(
+                "SimContext.provider is unset; set it on the context (or "
+                "build through repro.context.Deployment, which resolves one)"
+            )
+        self.loop = ctx.loop
+        self.network = ctx.network
+        self.provider = ctx.provider
         self.service = service
-        self.costs = costs
-        self.rng = rng
+        self.costs = ctx.costs
+        self.rng = rng if rng is not None else ctx.rng.stream("client")
         self.material = material
         self.tenant = tenant
         self.request_timeout = request_timeout
         self.max_retries = max_retries
-        self.telemetry = telemetry
+        self.telemetry = ctx.telemetry
         self.backoff_base = backoff_base
         self.backoff_factor = backoff_factor
         self.backoff_jitter = backoff_jitter
@@ -236,10 +176,10 @@ class PProxClient:
         #: only (the UA severs it at the shuffle boundary).
         self.causal = causal
         #: Wire codec shared with the service (``None``: legacy wire).
-        self.codec = codec
-        #: Request-id allocator; context-built clients draw from the
-        #: per-context counter, legacy ones from the process-wide one.
-        self.id_source = id_source
+        self.codec = ctx.resolved_codec()
+        #: Request-id allocator: the per-context counter, so same-seed
+        #: runs issue identical ids whatever else ran in the process.
+        self._next_id = ctx.next_request_id
         self.calls_started = 0
         self.calls_completed = 0
         self.retries_performed = 0
@@ -250,12 +190,6 @@ class PProxClient:
         #: (expires_at, material, epoch view) — set only with epoch_ttl.
         self._material_cache: Optional[tuple] = None
         self.outcomes = {outcome: 0 for outcome in OUTCOME_CLASSES}
-
-    def _next_id(self) -> int:
-        """Allocate a request id (context counter when available)."""
-        if self.id_source is not None:
-            return self.id_source()
-        return next_request_id()
 
     @property
     def config(self) -> PProxConfig:

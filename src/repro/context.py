@@ -8,8 +8,9 @@ simulation substrate once, and :class:`Deployment` is the keyword-only
 facade that assembles a service — and hands out clients, health
 monitors and fault controllers — from it.
 
-The old signatures still work (with :class:`DeprecationWarning`) and
-produce byte-identical deployments; see ``tests/test_context_api.py``.
+``build_pprox(ctx, config, lrs_picker)`` and ``PProxClient(ctx,
+service)`` take the same context, for callers that want one piece
+without the facade.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.crypto.provider import CryptoProvider, SimCryptoProvider
 from repro.overload.policy import OverloadPolicy
 from repro.proxy.config import PProxConfig
 from repro.proxy.costs import DEFAULT_COSTS, ProxyCostModel
-from repro.proxy.service import PProxService, build_service
+from repro.proxy.service import PProxService, build_pprox
 from repro.rest.codec import WireCodec, resolve_codec
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
@@ -156,29 +157,20 @@ class Deployment:
     ) -> "Deployment":
         """Assemble a service from *ctx* (keyword-only).
 
-        Equivalent to the legacy ``build_pprox(loop, network, rng,
-        config, lrs_picker, ...)`` call for the same inputs.  Pass an
-        :class:`repro.overload.OverloadPolicy` as *overload* to arm
-        the overload-protection subsystem on every proxy instance, and
-        a :class:`repro.rest.codec.WireCodec` (or ``"json"``/
+        Pass an :class:`repro.overload.OverloadPolicy` as *overload* to
+        arm the overload-protection subsystem on every proxy instance,
+        and a :class:`repro.rest.codec.WireCodec` (or ``"json"``/
         ``"binary"``) as *codec* to switch the protected hops to
         encoded wire frames (``None`` keeps the legacy object wire).
         """
-        provider = ctx.resolved_provider()
+        # Memoize provider and codec onto the context first, so the
+        # service and every client it hands out share one of each.
+        ctx.resolved_provider()
         if codec is not None:
             ctx.codec = codec
-        service = build_service(
-            loop=ctx.loop,
-            network=ctx.network,
-            rng=ctx.rng,
-            config=config,
-            lrs_picker=lrs_picker,
-            provider=provider,
-            costs=ctx.costs,
-            rsa_bits=rsa_bits,
-            telemetry=ctx.telemetry,
-            overload=overload,
-            codec=ctx.resolved_codec(),
+        ctx.resolved_codec()
+        service = build_pprox(
+            ctx, config, lrs_picker, rsa_bits=rsa_bits, overload=overload
         )
         return cls(ctx=ctx, service=service, config=config)
 

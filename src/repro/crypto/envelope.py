@@ -13,7 +13,6 @@ in the base64 format").
 from __future__ import annotations
 
 import base64
-import warnings
 from typing import Any, List, Sequence
 
 __all__ = [
@@ -26,8 +25,6 @@ __all__ = [
     "is_padding_item",
     "pad_item_list",
     "strip_padding_items",
-    "b64",
-    "unb64",
 ]
 
 # Fixed on-the-wire size of an encoded user or item identifier.  Large
@@ -110,33 +107,6 @@ def _unb64(text: str) -> bytes:
     return base64.b64decode(text.encode("ascii"), validate=True)
 
 
-def b64(data: bytes) -> str:
-    """Deprecated alias of :meth:`EnvelopeCodec.wire_text`.
-
-    Kept for byte-compatibility with the seed wire format; new code
-    goes through the codec surface so the text representation is an
-    explicit choice rather than an ambient assumption.
-    """
-    warnings.warn(
-        "repro.crypto.envelope.b64() is deprecated; use"
-        " EnvelopeCodec.wire_text() or a WireCodec's wire_value()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _b64(data)
-
-
-def unb64(text: str) -> bytes:
-    """Deprecated alias of :meth:`EnvelopeCodec.wire_blob`."""
-    warnings.warn(
-        "repro.crypto.envelope.unb64() is deprecated; use"
-        " EnvelopeCodec.wire_blob() or a WireCodec's blob_value()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _unb64(text)
-
-
 class EnvelopeCodec:
     """Batch-first envelope crypto over a :class:`CryptoProvider`.
 
@@ -158,7 +128,7 @@ class EnvelopeCodec:
     def __init__(self, provider: Any) -> None:
         self.provider = provider
 
-    # -- wire text representation (replaces free-function b64/unb64) --
+    # -- wire text representation --------------------------------------
 
     @staticmethod
     def wire_text(blob: bytes) -> str:

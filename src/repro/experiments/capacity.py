@@ -402,19 +402,14 @@ def verify_plan(
 
     def hook_shard(shard) -> None:
         for instance in shard.instances():
-            buffer = getattr(instance, "request_buffer", None) or getattr(
-                instance, "response_buffer", None
-            )
+            buffer = instance.shuffle_buffer
             if buffer is None:
                 continue
-            previous_hook = buffer.on_flush
-
-            def on_flush(size, timer_fired, chained=previous_hook, _shard=shard):
-                if chained is not None:
-                    chained(size, timer_fired)
-                flush_samples.append((ctx.loop.now, size, _shard.live_ia_count))
-
-            buffer.on_flush = on_flush
+            buffer.chain_on_flush(
+                lambda size, timer_fired, _shard=shard: flush_samples.append(
+                    (ctx.loop.now, size, _shard.live_ia_count)
+                )
+            )
 
     for shard in fleet.directory.shards.values():
         hook_shard(shard)

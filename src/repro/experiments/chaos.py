@@ -308,16 +308,13 @@ def run_chaos(
             buffer = instance.request_buffer
             if buffer is None:
                 continue
-            previous_hook = buffer.on_flush
 
-            def flush_hook(size: int, timer_fired: bool, *, _prev=previous_hook) -> None:
-                if _prev is not None:
-                    _prev(size, timer_fired)
+            def flush_hook(size: int, timer_fired: bool) -> None:
                 flush_counts["released"] += 1
                 if size >= shuffle_size:
                     flush_counts["full"] += 1
 
-            buffer.on_flush = flush_hook
+            buffer.chain_on_flush(flush_hook)
         latency_hist = telemetry.registry.histogram(
             "pprox_request_latency_seconds",
             "End-to-end client-observed request latency.",

@@ -377,23 +377,14 @@ def _run_point(
         guard=guard,
     )
 
-    # Track flush sizes while the load is offered, *after*
-    # instrument_stack (instrument_service overwrites on_flush; chain
-    # behind it, never replace it).
+    # Track flush sizes while the load is offered.
     flushes: List[Tuple[float, int]] = []
-    buffers = [b for b in (
-        [i.request_buffer for i in service.ua_instances]
-        + [i.response_buffer for i in service.ia_instances]
-    ) if b is not None]
-    for buffer in buffers:
-        previous = buffer.on_flush
-
-        def chained(size, timer_fired, _prev=previous):
-            flushes.append((ctx.loop.now, size))
-            if _prev is not None:
-                _prev(size, timer_fired)
-
-        buffer.on_flush = chained
+    for instance in service.ua_instances + service.ia_instances:
+        buffer = instance.shuffle_buffer
+        if buffer is not None:
+            buffer.chain_on_flush(
+                lambda size, timer_fired: flushes.append((ctx.loop.now, size))
+            )
 
     users = [f"user-{index}" for index in range(200)]
     user_rng = ctx.rng.stream("users")

@@ -405,27 +405,16 @@ def run_rotation(
         rotation=coordinator,
     )
 
-    # Chain the window sampler AFTER instrument_stack (which installs
-    # its own on_flush): record every *released* batch so the anonymity
-    # floor can be checked at exactly the instants an adversary sees.
+    # The window sampler: record every *released* batch so the
+    # anonymity floor can be checked at exactly the instants an
+    # adversary sees.
     flush_samples: List[Tuple[float, int]] = []
-    for role_instances in (service.ua_instances, service.ia_instances):
-        for instance in role_instances:
-            buffer = getattr(instance, "request_buffer", None) or getattr(
-                instance, "response_buffer", None
+    for instance in service.ua_instances + service.ia_instances:
+        buffer = instance.shuffle_buffer
+        if buffer is not None:
+            buffer.chain_on_flush(
+                lambda size, timer_fired: flush_samples.append((ctx.loop.now, size))
             )
-            if buffer is None:
-                continue
-            previous_hook = buffer.on_flush
-
-            def on_flush(
-                size: int, timer_fired: bool, chained=previous_hook
-            ) -> None:
-                if chained is not None:
-                    chained(size, timer_fired)
-                flush_samples.append((ctx.loop.now, size))
-
-            buffer.on_flush = on_flush
 
     # Old-epoch prefix: store + train before any rotation machinery
     # runs (the monitor/supervisor/coordinator are not started yet, so

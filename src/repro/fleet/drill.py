@@ -401,28 +401,20 @@ def run_fleet_drill(
     )
 
     # Released-flush evidence: (time, size, live IA of the flushing
-    # shard at release).  Chained AFTER instrument_stack so telemetry's
-    # own hooks keep firing; shards born mid-run (the split target)
-    # are hooked through on_shard_added.
+    # shard at release).  Shards born mid-run (the split target) are
+    # hooked through on_shard_added.
     flush_samples: List[Tuple[float, int, int]] = []
 
     def hook_shard(shard) -> None:
         for instance in shard.instances():
-            buffer = getattr(instance, "request_buffer", None) or getattr(
-                instance, "response_buffer", None
-            )
+            buffer = instance.shuffle_buffer
             if buffer is None:
                 continue
-            previous_hook = buffer.on_flush
-
-            def on_flush(
-                size: int, timer_fired: bool, chained=previous_hook, _shard=shard
-            ) -> None:
-                if chained is not None:
-                    chained(size, timer_fired)
-                flush_samples.append((ctx.loop.now, size, _shard.live_ia_count))
-
-            buffer.on_flush = on_flush
+            buffer.chain_on_flush(
+                lambda size, timer_fired, _shard=shard: flush_samples.append(
+                    (ctx.loop.now, size, _shard.live_ia_count)
+                )
+            )
 
     for shard in fleet.directory.shards.values():
         hook_shard(shard)

@@ -183,20 +183,15 @@ class CausalTracer:
 def instrument_causal(causal: CausalTracer, service: Any) -> None:
     """Chain batch-span emission onto every UA shuffle buffer.
 
-    Follows the experiments' ``on_flush`` chaining idiom: whatever hook
-    :func:`repro.telemetry.instruments.instrument_service` (or an
-    experiment) already installed keeps running first.
+    Whatever hook :func:`repro.telemetry.instruments.instrument_service`
+    (or an experiment) already installed keeps running first.
     """
     for instance in service.ua_instances:
         buffer = instance.request_buffer
         if buffer is None:
             continue
-        previous_hook = buffer.on_flush
-        name = instance.name
-
-        def hook(size: int, timer_fired: bool, *, _prev=previous_hook, _name=name) -> None:
-            if _prev is not None:
-                _prev(size, timer_fired)
-            causal.batch_flush(_name, size, timer_fired)
-
-        buffer.on_flush = hook
+        buffer.chain_on_flush(
+            lambda size, timer_fired, _name=instance.name: causal.batch_flush(
+                _name, size, timer_fired
+            )
+        )

@@ -245,14 +245,9 @@ def run_obs_scenario(
         buffer = instance.request_buffer
         if buffer is None:
             continue
-        previous_hook = buffer.on_flush
-
-        def flush_hook(size: int, timer_fired: bool, *, _prev=previous_hook) -> None:
-            if _prev is not None:
-                _prev(size, timer_fired)
-            flushes.append((ctx.loop.now, size))
-
-        buffer.on_flush = flush_hook
+        buffer.chain_on_flush(
+            lambda size, timer_fired: flushes.append((ctx.loop.now, size))
+        )
     latency_hist = hub.registry.histogram(
         "pprox_request_latency_seconds",
         "End-to-end client-observed request latency.",

@@ -395,9 +395,7 @@ class RotationCoordinator:
             floor = self.service.config.shuffle_size
         if floor > 1:
             for instance in instances:
-                buffer = getattr(instance, "request_buffer", None)
-                if buffer is None:
-                    buffer = getattr(instance, "response_buffer", None)
+                buffer = instance.shuffle_buffer
                 if buffer is None:
                     continue
                 last = buffer.last_flush_size

@@ -9,9 +9,8 @@ breach response (key rotation).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.crypto.keys import KeyFactory, LayerKeys
 from repro.crypto.provider import CryptoProvider, SimCryptoProvider
@@ -29,6 +28,9 @@ from repro.simnet.loadbalancer import LoadBalancer, make_policy
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
 from repro.telemetry.types import TelemetryLike
+
+if TYPE_CHECKING:  # import cycle: repro.context assembles through this module
+    from repro.context import SimContext
 
 __all__ = [
     "PProxService",
@@ -331,83 +333,33 @@ def build_service(
     return service
 
 
-def _looks_like_context(candidate: Any) -> bool:
-    """Duck-check for a :class:`repro.context.SimContext`.
+def build_pprox(
+    ctx: "SimContext",
+    config: PProxConfig,
+    lrs_picker: Callable[[], object],
+    *,
+    rsa_bits: int = 1024,
+    overload: Optional[OverloadPolicy] = None,
+    codec: Optional[Union[str, WireCodec]] = None,
+) -> PProxService:
+    """Deploy a PProx service on *ctx*, a :class:`repro.context.SimContext`.
 
-    Structural on purpose: importing ``repro.context`` here would close
-    an import cycle (context imports this module for the assembly
-    core).  An :class:`EventLoop` has none of these attributes, so the
-    old positional bundle can never be mistaken for a context.
+    The context carries the loop, network, RNG registry, crypto
+    provider, cost model, telemetry hub and (unless *codec* overrides
+    it) the wire codec; see :func:`build_service` for the bootstrap.
+    :meth:`repro.context.Deployment.build` does the same and also
+    hands out matching clients.
     """
-    return all(
-        hasattr(candidate, attr) for attr in ("loop", "network", "rng", "costs")
+    return build_service(
+        loop=ctx.loop,
+        network=ctx.network,
+        rng=ctx.rng,
+        config=config,
+        lrs_picker=lrs_picker,
+        provider=ctx.provider,
+        costs=ctx.costs,
+        rsa_bits=rsa_bits,
+        telemetry=ctx.telemetry,
+        overload=overload,
+        codec=codec if codec is not None else ctx.codec,
     )
-
-
-_OLD_BUILD_PARAMS = (
-    "loop", "network", "rng", "config", "lrs_picker",
-    "provider", "costs", "rsa_bits", "telemetry",
-)
-
-
-def build_pprox(*args: Any, **kwargs: Any) -> PProxService:
-    """Deploy a PProx service — context-based or legacy signature.
-
-    New form (preferred)::
-
-        build_pprox(ctx, config, lrs_picker, rsa_bits=1024)
-
-    where *ctx* is a :class:`repro.context.SimContext` carrying the
-    loop, network, RNG registry, crypto provider, cost model and
-    telemetry hub.  The legacy positional bundle ::
-
-        build_pprox(loop, network, rng, config, lrs_picker,
-                    provider=None, costs=DEFAULT_COSTS,
-                    rsa_bits=1024, telemetry=None)
-
-    still works but emits :class:`DeprecationWarning`; both produce
-    identical deployments for identical inputs.
-    """
-    first = args[0] if args else kwargs.get("ctx")
-    if first is not None and _looks_like_context(first):
-        merged: Dict[str, Any] = dict(zip(("ctx", "config", "lrs_picker"), args))
-        duplicated = set(merged) & set(kwargs)
-        if duplicated:
-            raise TypeError(f"build_pprox got multiple values for {sorted(duplicated)}")
-        merged.update(kwargs)
-        ctx = merged.pop("ctx")
-        config = merged.pop("config")
-        lrs_picker = merged.pop("lrs_picker")
-        rsa_bits = merged.pop("rsa_bits", 1024)
-        overload = merged.pop("overload", None)
-        codec = merged.pop("codec", getattr(ctx, "codec", None))
-        if merged:
-            raise TypeError(
-                "unexpected arguments for context-based build_pprox: "
-                f"{sorted(merged)} (override provider/costs/telemetry on the context)"
-            )
-        return build_service(
-            loop=ctx.loop,
-            network=ctx.network,
-            rng=ctx.rng,
-            config=config,
-            lrs_picker=lrs_picker,
-            provider=ctx.provider,
-            costs=ctx.costs,
-            rsa_bits=rsa_bits,
-            telemetry=ctx.telemetry,
-            overload=overload,
-            codec=codec,
-        )
-    warnings.warn(
-        "build_pprox(loop, network, rng, ...) is deprecated; pass a "
-        "repro.context.SimContext (or use repro.context.Deployment.build)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    legacy: Dict[str, Any] = dict(zip(_OLD_BUILD_PARAMS, args))
-    overlap = set(legacy) & set(kwargs)
-    if overlap:
-        raise TypeError(f"build_pprox got multiple values for {sorted(overlap)}")
-    legacy.update(kwargs)
-    return build_service(**legacy)

@@ -25,7 +25,8 @@ class ShuffleBuffer:
     """Buffers entries and releases them in randomized batches.
 
     Telemetry hooks: ``on_flush(size, timer_fired)`` fires once per
-    flush; ``last_flush_size`` is the effective ``S`` of the most
+    flush (install with :meth:`chain_on_flush`, which keeps whatever is
+    already there); ``last_flush_size`` is the effective ``S`` of the most
     recent batch (the live privacy-health signal); ``last_wait`` holds
     the buffered entry's wait time during each ``release`` callback so
     the release path can attribute shuffle wait vs. processing time.
@@ -67,6 +68,24 @@ class ShuffleBuffer:
             raise ValueError("shuffle size must be >= 1; use size 1 for pass-through")
         if self.timeout <= 0:
             raise ValueError("shuffle timeout must be positive")
+
+    def chain_on_flush(self, hook: Callable[[int, bool], None]) -> None:
+        """Install *hook* behind whatever ``on_flush`` already holds.
+
+        Hooks fire in installation order.  ``on_flush`` itself stays a
+        single late-bound attribute, so a caller may still read and
+        replace it wholesale.
+        """
+        previous = self.on_flush
+        if previous is None:
+            self.on_flush = hook
+            return
+
+        def chained(size: int, timer_fired: bool) -> None:
+            previous(size, timer_fired)
+            hook(size, timer_fired)
+
+        self.on_flush = chained
 
     def add(self, entry: Any) -> None:
         """Buffer *entry*; flush if the batch is full."""

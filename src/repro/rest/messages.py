@@ -24,14 +24,15 @@ _REQUEST_IDS = itertools.count(1)
 
 
 def next_request_id() -> int:
-    """Allocate a request id from the process-wide legacy counter.
+    """Allocate a request id from the process-wide counter.
 
-    The counter leaks across runs in one process, so same-seed
-    artifacts depended on test ordering; context-built clients now
-    allocate from :meth:`repro.context.SimContext.next_request_id`
-    (a per-context counter) instead.  This function remains for the
-    legacy loose-argument construction path, where ids only need to
-    be unique, not reproducible.
+    The counter leaks across runs in one process, so ids drawn here
+    only promise to be unique, not reproducible: :class:`PProxClient
+    <repro.client.library.PProxClient>` allocates from
+    :meth:`repro.context.SimContext.next_request_id` (a per-context
+    counter) instead.  This one serves :func:`make_get` /
+    :func:`make_post` callers that pass no id (the direct baseline
+    client, hand-built test messages).
     """
     return next(_REQUEST_IDS)
 

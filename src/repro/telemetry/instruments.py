@@ -42,8 +42,10 @@ __all__ = [
 
 
 def _shuffle_buffers(service: Any) -> List[Any]:
-    buffers = [instance.request_buffer for instance in service.ua_instances]
-    buffers += [instance.response_buffer for instance in service.ia_instances]
+    buffers = [
+        instance.shuffle_buffer
+        for instance in list(service.ua_instances) + list(service.ia_instances)
+    ]
     return [buffer for buffer in buffers if buffer is not None]
 
 
@@ -139,7 +141,7 @@ def instrument_service(telemetry: Any, service: Any) -> None:
         buckets=(1, 2, 4, 8, 16, 32, 64, 128),
     )
     for buffer in buffers:
-        buffer.on_flush = lambda size, timer_fired, hist=flush_hist: hist.observe(size)
+        buffer.chain_on_flush(lambda size, timer_fired: flush_hist.observe(size))
 
     # -- live privacy-health gauges (§4.3) ------------------------------
 

@@ -5,11 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.client import PProxClient
+from repro.context import SimContext
 from repro.crypto.keys import KeyFactory
 from repro.crypto.provider import FastCryptoProvider
 from repro.lrs.service import HarnessService
 from repro.proxy import PProxConfig, build_pprox
-from repro.proxy.costs import DEFAULT_COSTS
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
@@ -23,10 +23,10 @@ def stack():
     harness = HarnessService(loop=loop, rng=rng.stream("lrs"), frontend_count=3)
     harness.engine.trainer.llr_threshold = 0.0
     provider = FastCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
-    service = build_pprox(loop, network, rng, PProxConfig(shuffle_size=0),
-                          lrs_picker=harness.pick_frontend, provider=provider)
-    client = PProxClient(loop=loop, network=network, provider=provider,
-                         service=service, costs=DEFAULT_COSTS, rng=rng.stream("c"))
+    ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider)
+    service = build_pprox(ctx, PProxConfig(shuffle_size=0),
+                          lrs_picker=harness.pick_frontend)
+    client = PProxClient(ctx, service, rng=rng.stream("c"))
     factory = KeyFactory(rsa_bits=1024, rng_int=rng.int_fn("rot"),
                          rng_bytes=rng.bytes_fn("rot-b"))
     for user, item in [("a", "i1"), ("a", "i2"), ("b", "i1")]:
@@ -84,11 +84,12 @@ def test_rotation_invalidates_old_client_material(stack):
         client.provider, stale_material, service.config,
         __import__("repro.rest.messages", fromlist=["make_get"]).make_get("a"),
     )
-    from repro.crypto.envelope import unb64
+    from repro.crypto.envelope import EnvelopeCodec
 
     with pytest.raises(Exception):
         client.provider.asym_decrypt(
-            service.provisioner.layer_keys["UA"], unb64(encoded.fields["user"])
+            service.provisioner.layer_keys["UA"],
+            EnvelopeCodec.wire_blob(encoded.fields["user"]),
         )
     # With refreshed material, service resumes.
     client.get("a", on_complete=lambda c: None)

@@ -11,12 +11,12 @@ from __future__ import annotations
 import pytest
 
 from repro.client import PProxClient
+from repro.context import SimContext
 from repro.cluster.autoscaler import ElasticScaler
 from repro.cluster.health import HealthMonitor
 from repro.crypto.provider import FastCryptoProvider
 from repro.lrs.stub import StubLrs, make_pseudonymous_payload
 from repro.proxy import PProxConfig, build_pprox
-from repro.proxy.costs import DEFAULT_COSTS
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
@@ -30,20 +30,17 @@ def chaos_stack():
     network = Network(loop=loop, rng=rng.stream("net"), record_flows=False)
     stub = StubLrs(loop=loop, rng=rng.stream("stub"))
     provider = FastCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
+    ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider)
     service = build_pprox(
-        loop, network, rng,
+        ctx,
         PProxConfig(shuffle_size=5, shuffle_timeout=0.2, ua_instances=2,
                     ia_instances=2),
-        lrs_picker=lambda: stub, provider=provider,
+        lrs_picker=lambda: stub,
     )
     stub.items = make_pseudonymous_payload(
         provider, service.provisioner.layer_keys["IA"].symmetric_key
     )
-    client = PProxClient(
-        loop=loop, network=network, provider=provider, service=service,
-        costs=DEFAULT_COSTS, rng=rng.stream("client"),
-        request_timeout=2.0, max_retries=3,
-    )
+    client = PProxClient(ctx, service, request_timeout=2.0, max_retries=3)
     return rng, loop, service, client
 
 

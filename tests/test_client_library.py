@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.client import DirectClient, PProxClient
+from repro.context import SimContext
 from repro.crypto.provider import FastCryptoProvider
 from repro.lrs.service import HarnessService
 from repro.proxy import PProxConfig, build_pprox
@@ -21,10 +22,9 @@ def _harness_stack(config: PProxConfig, seed: int = 41):
     harness = HarnessService(loop=loop, rng=rng.stream("lrs"), frontend_count=3)
     harness.engine.trainer.llr_threshold = 0.0
     provider = FastCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
-    service = build_pprox(loop, network, rng, config,
-                          lrs_picker=harness.pick_frontend, provider=provider)
-    client = PProxClient(loop=loop, network=network, provider=provider,
-                         service=service, costs=DEFAULT_COSTS, rng=rng.stream("c"))
+    ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider)
+    service = build_pprox(ctx, config, lrs_picker=harness.pick_frontend)
+    client = PProxClient(ctx, service, rng=rng.stream("c"))
     direct = DirectClient(loop=loop, network=network, lrs_picker=harness.pick_frontend)
     return loop, harness, client, direct
 

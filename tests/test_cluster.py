@@ -12,6 +12,7 @@ from repro.cluster.deployments import (
     MICRO_CONFIGS,
     cluster_plan,
 )
+from repro.context import SimContext
 from repro.lrs.stub import StubLrs
 from repro.proxy import PProxConfig, build_pprox
 from repro.simnet.clock import EventLoop
@@ -99,10 +100,8 @@ def _scaled_service():
     loop = EventLoop()
     network = Network(loop=loop, rng=rng.stream("net"), record_flows=False)
     stub = StubLrs(loop=loop, rng=rng.stream("stub"))
-    service = build_pprox(
-        loop, network, rng, PProxConfig(shuffle_size=0),
-        lrs_picker=lambda: stub,
-    )
+    ctx = SimContext(loop=loop, network=network, rng=rng)
+    service = build_pprox(ctx, PProxConfig(shuffle_size=0), lrs_picker=lambda: stub)
     return loop, service
 
 
@@ -176,7 +175,6 @@ def test_scale_down_deferred_while_a_shard_is_splitting():
     """Mirror of the rotation-guard deferral: the fleet supervisor's
     guard holds instance retirement while a split is mid-handoff (a
     splitting source still owes full-size flushes), then releases it."""
-    from repro.context import SimContext
     from repro.fleet import FleetSupervisor, build_fleet
 
     ctx = SimContext.fresh(31)

@@ -1,4 +1,4 @@
-"""SimContext / Deployment facade: equivalence with the legacy API."""
+"""SimContext / Deployment facade and the context-taking constructors."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.context import Deployment, SimContext
 from repro.crypto.provider import FastCryptoProvider, SimCryptoProvider
 from repro.lrs.stub import StubLrs, make_pseudonymous_payload
 from repro.proxy import PProxConfig, build_pprox
-from repro.proxy.costs import DEFAULT_COSTS
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
@@ -27,25 +26,19 @@ def _run_gets(loop, client, count=12):
     return [(r.ok, tuple(r.items), r.latency) for r in results]
 
 
-def _legacy_stack(seed):
+def _loose_stack(seed):
+    """build_pprox + PProxClient on a hand-assembled context."""
     rng = RngRegistry(seed=seed)
     loop = EventLoop()
     network = Network(loop=loop, rng=rng.stream("net"), record_flows=False)
     stub = StubLrs(loop=loop, rng=rng.stream("stub"))
     provider = FastCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        service = build_pprox(
-            loop, network, rng, CONFIG, lrs_picker=lambda: stub, provider=provider
-        )
-        stub.items = make_pseudonymous_payload(
-            provider, service.provisioner.layer_keys["IA"].symmetric_key
-        )
-        client = PProxClient(
-            loop=loop, network=network, provider=provider, service=service,
-            costs=DEFAULT_COSTS, rng=rng.stream("client"),
-        )
-    return loop, service, client
+    ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider)
+    service = build_pprox(ctx, CONFIG, lrs_picker=lambda: stub)
+    stub.items = make_pseudonymous_payload(
+        provider, service.provisioner.layer_keys["IA"].symmetric_key
+    )
+    return loop, service, PProxClient(ctx, service)
 
 
 def _context_stack(seed):
@@ -60,32 +53,41 @@ def _context_stack(seed):
     return ctx.loop, deployment.service, deployment.client()
 
 
-def test_context_and_legacy_builds_are_equivalent():
-    # Same seed, same config: the context facade must produce the exact
-    # run the legacy positional bundle produced (RNG streams are
-    # name-keyed, so construction order cannot skew them).
-    legacy = _run_gets(*_legacy_stack(99)[::2])
+def test_build_pprox_and_deployment_builds_are_equivalent():
+    # Same seed, same config: the Deployment facade must produce the
+    # exact run that build_pprox + PProxClient on a hand-assembled
+    # context produce (RNG streams are name-keyed, so construction
+    # order cannot skew them).
+    loose = _run_gets(*_loose_stack(99)[::2])
     fresh = _run_gets(*_context_stack(99)[::2])
-    assert legacy == fresh
+    assert loose == fresh
 
 
-def test_legacy_build_pprox_emits_deprecation_warning():
-    rng = RngRegistry(seed=5)
-    loop = EventLoop()
-    network = Network(loop=loop, rng=rng.stream("net"))
-    stub = StubLrs(loop=loop, rng=rng.stream("stub"))
-    with pytest.warns(DeprecationWarning):
-        build_pprox(loop, network, rng, CONFIG, lrs_picker=lambda: stub)
+def test_same_seed_stacks_issue_identical_request_ids():
+    """Every client draws ids from its context's counter, never the
+    process-wide one, so two same-seed stacks built in one process
+    issue the same id sequence — whatever ran before them."""
+    from repro.rest.messages import next_request_id
+
+    sequences = []
+    for build in (_loose_stack, _context_stack, _loose_stack):
+        next_request_id()  # unrelated traffic on the process-wide counter
+        loop, _, client = build(7)
+        results = []
+        for index in range(6):
+            client.get(f"user-{index}", on_complete=results.append)
+        loop.run()
+        sequences.append([result.request_id for result in results])
+    assert sequences[0] == sequences[1] == sequences[2]
+    assert sorted(sequences[0]) == [1, 2, 3, 4, 5, 6]
 
 
-def test_legacy_client_signature_emits_deprecation_warning():
-    loop, service, _ = _context_stack(6)
-    with pytest.warns(DeprecationWarning):
-        PProxClient(
-            loop=loop, network=service.runtime.network,
-            provider=SimCryptoProvider(), service=service,
-            costs=DEFAULT_COSTS, rng=RngRegistry(seed=1).stream("client"),
-        )
+def test_client_requires_a_provider_on_the_context():
+    ctx = SimContext.fresh(6)
+    stub = StubLrs(loop=ctx.loop, rng=ctx.rng.stream("stub"))
+    service = build_pprox(ctx, CONFIG, lrs_picker=lambda: stub)
+    with pytest.raises(ValueError):
+        PProxClient(ctx, service)
 
 
 def test_context_client_signature_emits_no_warning():

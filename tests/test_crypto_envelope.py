@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from repro.crypto.envelope import (
     FIXED_ID_BYTES,
     MAX_RECOMMENDATIONS,
+    EnvelopeCodec,
     PaddingError,
-    b64,
     decode_identifier,
     encode_identifier,
     is_padding_item,
     pad_item_list,
     strip_padding_items,
-    unb64,
 )
 
 
@@ -98,12 +97,13 @@ def test_real_identifiers_cannot_collide_with_padding():
 
 
 def test_b64_roundtrip():
-    assert unb64(b64(b"\x00\x01\xffdata")) == b"\x00\x01\xffdata"
+    text = EnvelopeCodec.wire_text(b"\x00\x01\xffdata")
+    assert EnvelopeCodec.wire_blob(text) == b"\x00\x01\xffdata"
 
 
 def test_unb64_rejects_invalid():
     with pytest.raises(Exception):
-        unb64("not!!base64$$")
+        EnvelopeCodec.wire_blob("not!!base64$$")
 
 
 @settings(max_examples=30, deadline=None)

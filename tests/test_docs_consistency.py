@@ -73,3 +73,14 @@ def test_paper_constants_consistent():
 
     assert CLUSTER_NODE_BUDGET == 27
     assert MICRO_CONFIGS["m6"].max_rps == 250
+
+
+def test_no_deprecation_shims_in_the_package():
+    """The deprecated construction paths were deleted, not parked: a
+    module that mentions DeprecationWarning is growing one back."""
+    offenders = [
+        str(path.relative_to(REPO))
+        for path in (REPO / "src" / "repro").rglob("*.py")
+        if "DeprecationWarning" in path.read_text()
+    ]
+    assert offenders == [], f"deprecation shims in: {offenders}"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.envelope import b64, encode_identifier, unb64
+from repro.crypto.envelope import EnvelopeCodec, encode_identifier
 from repro.crypto.keys import KeyFactory
 from repro.crypto.provider import FastCryptoProvider
 from repro.lrs.store import EventStore
@@ -38,6 +38,9 @@ from repro.sgx.provisioning import (
     KeyProvisioner,
 )
 from repro.simnet.clock import EventLoop
+
+wire_text = EnvelopeCodec.wire_text
+wire_blob = EnvelopeCodec.wire_blob
 
 
 @pytest.fixture(scope="module")
@@ -229,8 +232,8 @@ def _pseudonymous_store(provider, key, pairs):
     store = EventStore()
     for user, item in pairs:
         store.insert(
-            b64(provider.pseudonymize(key, encode_identifier(user))),
-            b64(provider.pseudonymize(key, encode_identifier(item))),
+            wire_text(provider.pseudonymize(key, encode_identifier(user))),
+            wire_text(provider.pseudonymize(key, encode_identifier(item))),
         )
     return store
 
@@ -254,7 +257,7 @@ def test_online_rekeyer_is_resumable(factory):
     assert rekeyer.run_batch(100) == 6
     assert rekeyer.done
     for event in store.events:
-        plain = provider.depseudonymize(new_keys.symmetric_key, unb64(event.user))
+        plain = provider.depseudonymize(new_keys.symmetric_key, wire_blob(event.user))
         assert plain.startswith(b"\x00")  # decodes under the NEW key
 
 
@@ -270,7 +273,7 @@ def test_online_rekeyer_target_excludes_rows_inserted_after_snapshot(factory):
     )
     # A new-epoch row lands mid-pass (the proxy layers already encrypt
     # forward under the new keys): the rekeyer must not touch it.
-    fresh = b64(provider.pseudonymize(new_keys.symmetric_key, encode_identifier("c")))
+    fresh = wire_text(provider.pseudonymize(new_keys.symmetric_key, encode_identifier("c")))
     store.insert(fresh, "z")
     rekeyer.run_batch(100)
     assert rekeyer.done

@@ -6,10 +6,10 @@ import pytest
 
 from repro.client import PProxClient
 from repro.cluster.health import HealthMonitor
+from repro.context import SimContext
 from repro.crypto.provider import FastCryptoProvider
 from repro.lrs.stub import StubLrs, make_pseudonymous_payload
 from repro.proxy import PProxConfig, build_pprox
-from repro.proxy.costs import DEFAULT_COSTS
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
@@ -21,18 +21,16 @@ def _stack(config=None, seed=101, **client_kwargs):
     network = Network(loop=loop, rng=rng.stream("net"), record_flows=False)
     stub = StubLrs(loop=loop, rng=rng.stream("stub"))
     provider = FastCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
+    ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider)
     service = build_pprox(
-        loop, network, rng, config or PProxConfig(shuffle_size=0, ua_instances=2,
-                                                  ia_instances=2),
-        lrs_picker=lambda: stub, provider=provider,
+        ctx, config or PProxConfig(shuffle_size=0, ua_instances=2, ia_instances=2),
+        lrs_picker=lambda: stub,
     )
     if service.config.encryption:
         stub.items = make_pseudonymous_payload(
             provider, service.provisioner.layer_keys["IA"].symmetric_key
         )
-    client = PProxClient(loop=loop, network=network, provider=provider,
-                         service=service, costs=DEFAULT_COSTS, rng=rng.stream("c"),
-                         **client_kwargs)
+    client = PProxClient(ctx, service, rng=rng.stream("c"), **client_kwargs)
     return loop, service, client
 
 

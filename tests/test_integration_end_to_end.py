@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.client import PProxClient
+from repro.context import SimContext
 from repro.crypto.keys import KeyFactory
 from repro.crypto.provider import RealCryptoProvider
 from repro.lrs.service import HarnessService
 from repro.privacy import Adversary, KnowledgeEngine
 from repro.proxy import PProxConfig, build_pprox
-from repro.proxy.costs import DEFAULT_COSTS
 from repro.sgx.sidechannel import BreachDetector, SideChannelAttack
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
@@ -24,12 +24,12 @@ def _full_stack(config=None, seed=61):
     harness = HarnessService(loop=loop, rng=rng.stream("lrs"), frontend_count=3)
     harness.engine.trainer.llr_threshold = 0.0
     provider = RealCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
+    ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider)
     service = build_pprox(
-        loop, network, rng, config or PProxConfig(shuffle_size=2, shuffle_timeout=0.05),
-        lrs_picker=harness.pick_frontend, provider=provider,
+        ctx, config or PProxConfig(shuffle_size=2, shuffle_timeout=0.05),
+        lrs_picker=harness.pick_frontend,
     )
-    client = PProxClient(loop=loop, network=network, provider=provider,
-                         service=service, costs=DEFAULT_COSTS, rng=rng.stream("c"))
+    client = PProxClient(ctx, service, rng=rng.stream("c"))
     return rng, loop, network, harness, service, client
 
 

@@ -6,10 +6,12 @@ import json
 
 import pytest
 
-from repro.crypto.envelope import b64, encode_identifier
+from repro.crypto.envelope import EnvelopeCodec, encode_identifier
 from repro.crypto.provider import FastCryptoProvider
 from repro.privacy.adversary import ObservedMessage
 from repro.privacy.unlinkability import KnowledgeEngine, fifo_correlation
+
+wire_text = EnvelopeCodec.wire_text
 
 
 @pytest.fixture
@@ -26,8 +28,9 @@ def _message(fields, source="pprox-ua-0", destination="pprox-ia-0",
 
 
 def test_resolve_user_needs_ua_keys(provider, layer_keys):
-    ciphertext = b64(provider.asym_encrypt(layer_keys.public_material,
-                                           encode_identifier("alice")))
+    ciphertext = wire_text(
+        provider.asym_encrypt(layer_keys.public_material, encode_identifier("alice"))
+    )
     without = KnowledgeEngine(provider=provider)
     assert without.resolve_user(ciphertext) is None
     with_keys = KnowledgeEngine(provider=provider, ua_keys=layer_keys)
@@ -35,8 +38,9 @@ def test_resolve_user_needs_ua_keys(provider, layer_keys):
 
 
 def test_resolve_user_handles_pseudonyms(provider, layer_keys):
-    pseudonym = b64(provider.pseudonymize(layer_keys.symmetric_key,
-                                          encode_identifier("bob")))
+    pseudonym = wire_text(
+        provider.pseudonymize(layer_keys.symmetric_key, encode_identifier("bob"))
+    )
     engine = KnowledgeEngine(provider=provider, ua_keys=layer_keys)
     assert engine.resolve_user(pseudonym) == "bob"
 
@@ -53,8 +57,11 @@ def test_resolve_user_ignores_catalog_items(provider):
 
 
 def test_resolve_item_needs_ia_keys(provider, second_layer_keys):
-    ciphertext = b64(provider.asym_encrypt(second_layer_keys.public_material,
-                                           encode_identifier("movie-7")))
+    ciphertext = wire_text(
+        provider.asym_encrypt(
+            second_layer_keys.public_material, encode_identifier("movie-7")
+        )
+    )
     without = KnowledgeEngine(provider=provider)
     assert without.resolve_item(ciphertext) is None
     with_keys = KnowledgeEngine(provider=provider, ia_keys=second_layer_keys)
@@ -69,7 +76,7 @@ def test_resolve_item_catalog_membership(provider):
 
 def test_resolve_temporary_key(provider, second_layer_keys):
     key = provider.new_temporary_key()
-    field_value = b64(provider.asym_encrypt(second_layer_keys.public_material, key))
+    field_value = wire_text(provider.asym_encrypt(second_layer_keys.public_material, key))
     engine = KnowledgeEngine(provider=provider, ia_keys=second_layer_keys)
     assert engine.resolve_temporary_key(field_value) == key
     assert KnowledgeEngine(provider=provider).resolve_temporary_key(field_value) is None
@@ -78,7 +85,7 @@ def test_resolve_temporary_key(provider, second_layer_keys):
 def test_harvest_keys_collects_all_tmpkeys(provider, second_layer_keys):
     keys = [provider.new_temporary_key() for _ in range(3)]
     observations = [
-        _message({"tmpkey": b64(provider.asym_encrypt(
+        _message({"tmpkey": wire_text(provider.asym_encrypt(
             second_layer_keys.public_material, key))}, verb="GET")
         for key in keys
     ]
@@ -90,8 +97,8 @@ def test_harvest_keys_collects_all_tmpkeys(provider, second_layer_keys):
 
 def test_trial_decrypt_items_with_harvested_keys(provider, second_layer_keys):
     key = provider.new_temporary_key()
-    wire_items = [b64(encode_identifier("movie-1")), b64(encode_identifier("movie-2"))]
-    blob = b64(provider.sym_encrypt(key, json.dumps(wire_items).encode()))
+    wire_items = [wire_text(encode_identifier(item)) for item in ("movie-1", "movie-2")]
+    blob = wire_text(provider.sym_encrypt(key, json.dumps(wire_items).encode()))
     engine = KnowledgeEngine(provider=provider, ia_keys=second_layer_keys)
     # Wrong keys produce nothing; the right key in the set decrypts.
     assert engine._trial_decrypt_items(blob, [provider.new_temporary_key()]) == []
@@ -100,10 +107,13 @@ def test_trial_decrypt_items_with_harvested_keys(provider, second_layer_keys):
 
 
 def test_unseal_requires_ua_keys(provider, layer_keys):
-    inner = {"user": b64(encode_identifier("carol"))}
-    payload = json.dumps({"fields": inner, "resp_key": b64(b"k" * 32)})
-    sealed = {"sealed": b64(provider.asym_encrypt(layer_keys.public_material,
-                                                  payload.encode()))}
+    inner = {"user": wire_text(encode_identifier("carol"))}
+    payload = json.dumps({"fields": inner, "resp_key": wire_text(b"k" * 32)})
+    sealed = {
+        "sealed": wire_text(
+            provider.asym_encrypt(layer_keys.public_material, payload.encode())
+        )
+    }
     without = KnowledgeEngine(provider=provider)
     fields, response_key = without.unseal(sealed)
     assert fields == sealed and response_key is None

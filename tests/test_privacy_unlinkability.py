@@ -15,11 +15,11 @@ from __future__ import annotations
 import pytest
 
 from repro.client import PProxClient
+from repro.context import SimContext
 from repro.crypto.provider import RealCryptoProvider
 from repro.lrs.service import HarnessService
 from repro.privacy import Adversary, KnowledgeEngine, fifo_correlation
 from repro.proxy import PProxConfig, build_pprox
-from repro.proxy.costs import DEFAULT_COSTS
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
@@ -42,17 +42,14 @@ class Scenario:
         self.harness = HarnessService(loop=self.loop, rng=rng.stream("lrs"), frontend_count=3)
         self.harness.engine.trainer.llr_threshold = 0.0
         self.provider = RealCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
-        self.service = build_pprox(
-            self.loop, self.network, rng, config,
-            lrs_picker=self.harness.pick_frontend, provider=self.provider,
+        ctx = SimContext(
+            loop=self.loop, network=self.network, rng=rng, provider=self.provider
         )
+        self.service = build_pprox(ctx, config, lrs_picker=self.harness.pick_frontend)
         self.adversary = Adversary()
         self.adversary.attach(self.network)
         self.adversary.observe_lrs(self.harness.engine.store)
-        self.client = PProxClient(
-            loop=self.loop, network=self.network, provider=self.provider,
-            service=self.service, costs=DEFAULT_COSTS, rng=rng.stream("client"),
-        )
+        self.client = PProxClient(ctx, self.service)
 
     def drive_workload(self):
         for user, items in FEEDBACK.items():

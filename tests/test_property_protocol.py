@@ -12,7 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.envelope import FIXED_ID_BYTES, MAX_RECOMMENDATIONS, b64, encode_identifier
+from repro.crypto.envelope import (
+    FIXED_ID_BYTES,
+    MAX_RECOMMENDATIONS,
+    EnvelopeCodec,
+    encode_identifier,
+)
 from repro.crypto.provider import FastCryptoProvider
 from repro.proxy import protocol
 from repro.proxy.config import PProxConfig
@@ -88,7 +93,7 @@ def test_get_pipeline_roundtrip(chain, user, items, config):
 
     if config.item_pseudonymization:
         wire_items = [
-            b64(provider.pseudonymize(ia_keys.symmetric_key, encode_identifier(i)))
+            EnvelopeCodec.wire_text(provider.pseudonymize(ia_keys.symmetric_key, encode_identifier(i)))
             for i in items
         ]
     else:

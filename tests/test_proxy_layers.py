@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.client import PProxClient
+from repro.context import SimContext
 from repro.crypto.provider import FastCryptoProvider
 from repro.lrs.stub import StubLrs, make_pseudonymous_payload
 from repro.proxy import PProxConfig, build_pprox
-from repro.proxy.costs import DEFAULT_COSTS
 from repro.rest.routing import RoutingError
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
@@ -21,17 +21,13 @@ def _stack(config: PProxConfig, seed: int = 21):
     network = Network(loop=loop, rng=rng.stream("net"))
     stub = StubLrs(loop=loop, rng=rng.stream("stub"))
     provider = FastCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
-    service = build_pprox(
-        loop, network, rng, config, lrs_picker=lambda: stub, provider=provider
-    )
+    ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider)
+    service = build_pprox(ctx, config, lrs_picker=lambda: stub)
     if config.encryption and config.item_pseudonymization:
         stub.items = make_pseudonymous_payload(
             provider, service.provisioner.layer_keys["IA"].symmetric_key
         )
-    client = PProxClient(
-        loop=loop, network=network, provider=provider, service=service,
-        costs=DEFAULT_COSTS, rng=rng.stream("client"),
-    )
+    client = PProxClient(ctx, service)
     return loop, network, stub, service, client
 
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.crypto.envelope import MAX_RECOMMENDATIONS, b64, encode_identifier, unb64
+from repro.crypto.envelope import MAX_RECOMMENDATIONS, EnvelopeCodec, encode_identifier
 from repro.proxy import protocol
 from repro.proxy.config import PProxConfig
 from repro.rest.messages import Response, Verb, make_get, make_post
+
+wire_text = EnvelopeCodec.wire_text
 
 CONFIG = PProxConfig(shuffle_size=0)
 HARDENED = PProxConfig(shuffle_size=0, harden_client_hop=True)
@@ -96,7 +98,7 @@ def test_get_lifecycle_figure4(any_provider, material, ua_keys, ia_keys):
 
     # LRS answers with pseudonymous items.
     pseudo_items = [
-        b64(any_provider.pseudonymize(ia_keys.symmetric_key, encode_identifier(item)))
+        wire_text(any_provider.pseudonymize(ia_keys.symmetric_key, encode_identifier(item)))
         for item in ("rec-1", "rec-2")
     ]
     lrs_response = Response(status=200, fields={"items": pseudo_items},
@@ -118,7 +120,7 @@ def test_get_response_is_padded(any_provider, material, ua_keys, ia_keys):
         fwd, _ = protocol.ua_transform_request(any_provider, ua_keys, CONFIG, encoded, "ua")
         to_lrs, context = protocol.ia_transform_request(any_provider, ia_keys, CONFIG, fwd, "ia")
         pseudo = [
-            b64(any_provider.pseudonymize(ia_keys.symmetric_key, encode_identifier(f"i{n}")))
+            wire_text(any_provider.pseudonymize(ia_keys.symmetric_key, encode_identifier(f"i{n}")))
             for n in range(item_count)
         ]
         back = protocol.ia_transform_response(
@@ -135,7 +137,7 @@ def test_overlong_lrs_list_is_truncated(any_provider, material, ua_keys, ia_keys
     fwd, _ = protocol.ua_transform_request(any_provider, ua_keys, CONFIG, encoded, "ua")
     _, context = protocol.ia_transform_request(any_provider, ia_keys, CONFIG, fwd, "ia")
     pseudo = [
-        b64(any_provider.pseudonymize(ia_keys.symmetric_key, encode_identifier(f"i{n}")))
+        wire_text(any_provider.pseudonymize(ia_keys.symmetric_key, encode_identifier(f"i{n}")))
         for n in range(MAX_RECOMMENDATIONS + 5)
     ]
     back = protocol.ia_transform_response(
@@ -188,7 +190,7 @@ def test_client_decode_rejects_error_response(any_provider):
 
 
 def test_client_decode_requires_temporary_key(any_provider):
-    response = Response(status=200, fields={"blob": b64(b"x" * 32)})
+    response = Response(status=200, fields={"blob": wire_text(b"x" * 32)})
     with pytest.raises(ValueError, match="temporary key"):
         protocol.client_decode_response(any_provider, CONFIG, response, protocol.CallKeys())
 
@@ -220,7 +222,7 @@ def test_hardened_get_full_roundtrip(any_provider, material, ua_keys, ia_keys):
     )
     to_lrs, context = protocol.ia_transform_request(any_provider, ia_keys, HARDENED, forwarded, "ia")
     assert context.temporary_key == keys.temporary_key
-    pseudo = [b64(any_provider.pseudonymize(ia_keys.symmetric_key, encode_identifier("rec-9")))]
+    pseudo = [wire_text(any_provider.pseudonymize(ia_keys.symmetric_key, encode_identifier("rec-9")))]
     ia_back = protocol.ia_transform_response(
         any_provider, ia_keys, HARDENED, context,
         Response(status=200, fields={"items": pseudo}, request_id=request.request_id),

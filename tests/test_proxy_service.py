@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.context import SimContext
 from repro.crypto.keys import KeyFactory
 from repro.lrs.stub import StubLrs
 from repro.proxy import PProxConfig, build_pprox
@@ -19,9 +20,8 @@ def _service(config=None, seed=31):
     loop = EventLoop()
     network = Network(loop=loop, rng=rng.stream("net"))
     stub = StubLrs(loop=loop, rng=rng.stream("stub"))
-    service = build_pprox(
-        loop, network, rng, config or PProxConfig(), lrs_picker=lambda: stub
-    )
+    ctx = SimContext(loop=loop, network=network, rng=rng)
+    service = build_pprox(ctx, config or PProxConfig(), lrs_picker=lambda: stub)
     return rng, service
 
 

@@ -132,3 +132,58 @@ def test_every_permutation_is_reachable():
             buffer.add(item)
         seen.add(tuple(released))
     assert len(seen) == 6
+
+
+def test_chain_on_flush_runs_hooks_in_installation_order():
+    loop, buffer, _ = _buffer(size=2)
+    calls = []
+    buffer.chain_on_flush(lambda size, timer_fired: calls.append(("first", size, timer_fired)))
+    buffer.chain_on_flush(lambda size, timer_fired: calls.append(("second", size, timer_fired)))
+    buffer.add("a")
+    buffer.add("b")
+    assert calls == [("first", 2, False), ("second", 2, False)]
+    # on_flush stays one late-bound attribute: replacing it wholesale
+    # drops the chain, and chaining onto the replacement works again.
+    buffer.on_flush = lambda size, timer_fired: calls.append(("replaced", size))
+    buffer.chain_on_flush(lambda size, timer_fired: calls.append(("third", size)))
+    del calls[:]
+    buffer.add("c")
+    loop.run()
+    assert calls == [("replaced", 1), ("third", 1)]
+
+
+def test_hooks_installed_before_and_after_instrument_service_both_fire():
+    """instrument_service used to *overwrite* on_flush, silently losing
+    any hook installed before it."""
+    from repro.context import Deployment, SimContext
+    from repro.lrs.stub import StubLrs
+    from repro.proxy import PProxConfig
+    from repro.telemetry import Telemetry
+    from repro.telemetry.instruments import instrument_service
+
+    telemetry = Telemetry()
+    ctx = SimContext.fresh(3, telemetry=telemetry)
+    telemetry.bind(ctx.loop, run_label="chain-test")
+    stub = StubLrs(loop=ctx.loop, rng=ctx.rng.stream("stub"))
+    deployment = Deployment.build(
+        ctx=ctx,
+        config=PProxConfig(encryption=False, sgx=False, shuffle_size=2),
+        lrs_picker=lambda: stub,
+    )
+    buffer = deployment.service.ua_instances[0].request_buffer
+    order = []
+
+    def flushes_observed():
+        return telemetry.registry.get("pprox_shuffle_flush_size").count
+
+    buffer.chain_on_flush(lambda size, fired: order.append(("before", flushes_observed())))
+    instrument_service(telemetry, deployment.service)
+    buffer.chain_on_flush(lambda size, fired: order.append(("after", flushes_observed())))
+    client = deployment.client()
+    client.get("alice")
+    client.get("bob")
+    ctx.loop.run()
+    # One UA flush.  The hook installed before the instrumentation ran
+    # before its histogram observed that flush, the one installed after
+    # it ran after: installation order.
+    assert order == [("before", 0), ("after", 1)]

@@ -6,12 +6,12 @@ import pytest
 
 from repro.client import PProxClient
 from repro.client.redirect import RedirectedService, RedirectFrontend
+from repro.context import SimContext
 from repro.crypto.keys import KeyFactory
 from repro.crypto.provider import FastCryptoProvider
 from repro.lrs.service import HarnessService
 from repro.privacy import Adversary
 from repro.proxy import PProxConfig, build_pprox
-from repro.proxy.costs import DEFAULT_COSTS
 from repro.proxy.rekey import reencrypt_store
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
@@ -25,12 +25,11 @@ def _stack(config=None, seed=81):
     harness = HarnessService(loop=loop, rng=rng.stream("lrs"), frontend_count=3)
     harness.engine.trainer.llr_threshold = 0.0
     provider = FastCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
+    ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider)
     service = build_pprox(
-        loop, network, rng, config or PProxConfig(shuffle_size=0),
-        lrs_picker=harness.pick_frontend, provider=provider,
+        ctx, config or PProxConfig(shuffle_size=0), lrs_picker=harness.pick_frontend
     )
-    client = PProxClient(loop=loop, network=network, provider=provider,
-                         service=service, costs=DEFAULT_COSTS, rng=rng.stream("c"))
+    client = PProxClient(ctx, service, rng=rng.stream("c"))
     return rng, loop, network, harness, service, client
 
 
@@ -104,11 +103,13 @@ def test_rekey_defeats_stolen_keys():
     stolen = service.provisioner.layer_keys["IA"]
     new_keys = service.rotate_layer("IA", factory)
     reencrypt_store(harness.engine.store, client.provider, stolen, new_keys, "IA")
-    from repro.crypto.envelope import unb64
+    from repro.crypto.envelope import EnvelopeCodec
 
     for event in harness.engine.store.dump():
         with pytest.raises(Exception):
-            client.provider.depseudonymize(stolen.symmetric_key, unb64(event.item))
+            client.provider.depseudonymize(
+                stolen.symmetric_key, EnvelopeCodec.wire_blob(event.item)
+            )
 
 
 def test_rekey_rejects_unknown_layer():

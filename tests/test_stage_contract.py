@@ -1,0 +1,251 @@
+"""The proxy stage contract, run over both roles.
+
+``UserAnonymizer`` and ``ItemAnonymizer`` share one stage core
+(``proxy/layers.py``); every lifecycle rule below must hold for a UA
+and for an IA alike, so each test is parametrized over the role.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.context import Deployment, SimContext
+from repro.crypto.provider import FastCryptoProvider
+from repro.lrs.stub import StubLrs, make_pseudonymous_payload
+from repro.overload import OverloadPolicy
+from repro.overload.deadline import stamp_deadline
+from repro.overload.shedding import is_uniform_reject
+from repro.proxy import PProxConfig
+from repro.rest.messages import Response, make_get
+from repro.sgx.enclave import Enclave, EnclaveMeasurement
+from repro.simnet.queueing import ConcurrentQueue
+from repro.telemetry import Telemetry
+
+ROLES = ("ua", "ia")
+
+
+def _stack(seed=5, overload=None, telemetry=None, codec=None, **config):
+    ctx = SimContext.fresh(seed, telemetry=telemetry, codec=codec)
+    ctx.provider = FastCryptoProvider(rng_bytes=ctx.rng.bytes_fn("crypto"))
+    if telemetry is not None:
+        telemetry.bind(ctx.loop, run_label="stage-contract")
+    stub = StubLrs(loop=ctx.loop, rng=ctx.rng.stream("stub"))
+    config.setdefault("shuffle_size", 4)
+    config.setdefault("shuffle_timeout", 0.2)
+    deployment = Deployment.build(
+        ctx=ctx, config=PProxConfig(**config), lrs_picker=lambda: stub, overload=overload,
+    )
+    stub.items = make_pseudonymous_payload(
+        ctx.provider, deployment.service.provisioner.layer_keys["IA"].symmetric_key
+    )
+    return ctx, stub, deployment
+
+
+def _instance(deployment, role):
+    return deployment.service.layer_instances(role.upper())[0]
+
+
+def _park_one_entry(ctx, deployment, role):
+    """Leave exactly one entry in *role*'s shuffle buffer (S=4, so one
+    request sits in the UA's buffer, its response in the IA's)."""
+    deployment.client().get("alice")
+    # Long enough for the lone request to reach the IA response buffer
+    # on the UA's flush timer, short of the IA's own flush timer.
+    ctx.loop.run_until(0.05 if role == "ua" else 0.3)
+    instance = _instance(deployment, role)
+    assert instance.shuffle_buffer.pending == 1
+    return instance
+
+
+@pytest.mark.parametrize("role", ROLES)
+def test_shuffle_buffer_is_the_role_s_own_field(role):
+    _, _, deployment = _stack()
+    instance = _instance(deployment, role)
+    own = instance.request_buffer if role == "ua" else instance.response_buffer
+    assert instance.shuffle_buffer is own is not None
+    assert own.name == f"{instance.name}-{'requests' if role == 'ua' else 'responses'}"
+    _, _, unshuffled = _stack(shuffle_size=0)
+    assert _instance(unshuffled, role).shuffle_buffer is None
+
+
+@pytest.mark.parametrize("role", ROLES)
+def test_fail_returns_drained_count_and_drops_later_traffic(role):
+    ctx, stub, deployment = _stack()
+    instance = _park_one_entry(ctx, deployment, role)
+    assert instance.fail() == 1
+    assert not instance.alive
+    assert instance.shuffle_buffer.pending == 0
+    processed = instance.requests_processed
+    replies = []
+    instance.receive_request(make_get("bob", client_address="client-bob"), replies.append)
+    ctx.loop.run()
+    assert replies == []  # dropped silently, not rejected
+    assert instance.requests_processed == processed
+
+
+@pytest.mark.parametrize("role", ROLES)
+def test_restart_refuses_alive_instance_and_unattested_enclave(role):
+    _, _, deployment = _stack()
+    instance = _instance(deployment, role)
+    with pytest.raises(RuntimeError):
+        instance.restart(instance.enclave)
+    instance.fail()
+    unattested = Enclave(
+        name="fresh", measurement=EnclaveMeasurement.of_code("x"), host_node="n"
+    )
+    with pytest.raises(ValueError):
+        instance.restart(unattested)
+    assert not instance.alive and instance.generation == 0
+
+
+@pytest.mark.parametrize("role", ROLES)
+def test_restart_starts_a_fresh_generation(role):
+    _, _, deployment = _stack(overload=OverloadPolicy())
+    instance = _instance(deployment, role)
+    assert instance.routing.name == f"T-{role}"
+    old_ingress, old_routing = instance.ingress, instance.routing
+    assert isinstance(old_ingress, ConcurrentQueue)
+    instance.fail()
+    deployment.service.restart_instance(instance)
+    assert instance.alive and instance.generation == 1
+    assert instance.routing is not old_routing
+    assert instance.routing.name == f"T-{role}-g1"
+    assert instance.ingress is not old_ingress
+    assert instance.ingress.name == f"{instance.name}-ingress-g1"
+    assert instance.ingress.on_shed == instance._shed_from_queue
+    instance.fail()
+    deployment.service.restart_instance(instance)
+    assert instance.routing.name == f"T-{role}-g2"
+
+
+@pytest.mark.parametrize("role", ROLES)
+def test_restart_without_overload_policy_keeps_ingress_off(role):
+    _, _, deployment = _stack()
+    instance = _instance(deployment, role)
+    instance.fail()
+    deployment.service.restart_instance(instance)
+    assert instance.ingress is None
+
+
+@pytest.mark.parametrize("role", ROLES)
+def test_previous_generation_callbacks_go_inert(role):
+    """Work the node still owes a dead life must not run in the next."""
+    ctx, stub, deployment = _stack(shuffle_size=0)
+    instance = _instance(deployment, role)
+    replies = []
+    instance.receive_request(make_get("alice", client_address="client-a"), replies.append)
+    assert instance.node.pending == 1  # transform leg scheduled, not yet run
+    instance.fail()
+    deployment.service.restart_instance(instance)
+    ctx.loop.run()
+    assert instance.requests_processed == 0
+    assert len(instance.routing) == 0
+    assert replies == [] and stub.requests_served == 0
+
+
+@pytest.mark.parametrize("role", ROLES)
+def test_count_shed_totals_observer_and_one_event_per_cause(role):
+    telemetry = Telemetry()
+    _, _, deployment = _stack(overload=OverloadPolicy(), telemetry=telemetry)
+    instance = _instance(deployment, role)
+    observed = []
+    instance.shed_observer = lambda stage, reason: observed.append((stage, reason))
+    for _ in range(3):
+        instance._count_shed("queue", "tail_drop")
+    instance._count_shed("deadline", "expired")
+    assert instance.shed_totals == {("queue", "tail_drop"): 3, ("deadline", "expired"): 1}
+    assert instance.sheds == 4
+    assert observed == [("queue", "tail_drop")] * 3 + [("deadline", "expired")]
+    events = telemetry.event_log.of_kind("shed")
+    assert [(e.role, e.payload["stage"], e.payload["reason"]) for e in events] == [
+        (role, "queue", "tail_drop"),
+        (role, "deadline", "expired"),
+    ]
+    assert all(e.payload["instance"] == instance.name for e in events)
+    assert telemetry.audit() == []
+
+
+@pytest.mark.parametrize("role", ROLES)
+def test_pending_sums_node_routing_buffer_and_queue(role):
+    ctx, _, deployment = _stack(overload=OverloadPolicy())
+    instance = _park_one_entry(ctx, deployment, role)
+    instance.ingress.push(("request", lambda response: None, ctx.loop.now, None))
+    instance.node.submit(1.0, lambda: None)
+    parts = (
+        instance.node.pending,
+        len(instance.routing),
+        instance.shuffle_buffer.pending,
+        instance.ingress.depth,
+    )
+    # The IA holds a routing entry for the response it has buffered;
+    # the UA registers its route only after the shuffle.
+    assert parts == (1, 0 if role == "ua" else 1, 1, 1)
+    assert instance.pending == sum(parts)
+
+
+@pytest.mark.parametrize("role", ROLES)
+def test_expired_deadline_is_rejected_uniformly_before_any_work(role):
+    ctx, stub, deployment = _stack(overload=OverloadPolicy())
+    instance = _instance(deployment, role)
+    buffered = instance.shuffle_buffer.entries_buffered
+    replies = []
+    expired = stamp_deadline(make_get("alice", client_address="client-0"), 0.0)
+    instance.receive_request(expired, replies.append)
+    ctx.loop.run()
+    assert instance.shed_totals == {("deadline", "expired"): 1}
+    assert len(replies) == 1 and is_uniform_reject(replies[0])
+    assert instance.node.stats.jobs_completed == 0 and stub.requests_served == 0
+    # Neither role's batch is touched.  For the IA that pins what the
+    # front-door comment says: the reject goes straight back to the UA
+    # and never enters response_buffer.
+    assert instance.shuffle_buffer.entries_buffered == buffered
+    assert instance.shuffle_buffer.pending == 0
+
+
+def test_transform_error_inside_a_flushed_batch_is_rejected_alone():
+    """Batch-path twin of the per-request rule (a stale-key request is
+    rejected retryably, never crashes the instance): inside a flushed
+    batch the bad request gets the uniform reject and the remaining
+    requests are still sealed, in one envelope."""
+    from repro.proxy import protocol
+
+    ctx, stub, deployment = _stack(codec="binary", shuffle_size=3, ua_instances=1,
+                                   ia_instances=1)
+    service = deployment.service
+    ua = service.ua_instances[0]
+    assert ua.request_buffer.release_batch is not None  # batch-envelope mode
+    replies = {}
+
+    def send(user, material):
+        request = make_get(user, client_address=f"client-{user}",
+                           request_id=ctx.next_request_id())
+        encoded, _ = protocol.client_encode_get(
+            ctx.provider, material, service.config, request, codec=ctx.codec
+        )
+        ua.receive_request(encoded, lambda response: replies.setdefault(user, response))
+
+    good = service.client_material
+    # Sealed for a UA key this enclave does not hold: the UA's own
+    # public half swapped for the IA's.
+    stale = protocol.ClientMaterial(ua=good.ia, ia=good.ia)
+    send("alice", good)
+    send("mallory", stale)
+    send("bob", good)
+    ctx.loop.run()
+
+    assert ua.transform_errors == 1
+    assert is_uniform_reject(replies["mallory"])
+    assert ua.batch_envelopes_sealed == 1
+    assert service.ia_instances[0].batch_envelopes_opened == 1
+    assert ua.requests_processed == 2 and stub.requests_served == 2
+    assert replies["alice"].ok and replies["bob"].ok
+    assert len(ua.routing) == 0
+
+
+def test_unknown_response_is_stale_at_either_role():
+    _, _, deployment = _stack()
+    for role in ROLES:
+        instance = _instance(deployment, role)
+        instance._receive_response(Response(status=200, request_id=424242))
+    deployment.ctx.loop.run()
+    assert [_instance(deployment, role).stale_responses for role in ROLES] == [1, 1]

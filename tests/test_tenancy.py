@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.client import PProxClient
+from repro.context import SimContext
 from repro.crypto.keys import KeyFactory
 from repro.crypto.provider import FastCryptoProvider
 from repro.lrs.service import HarnessService
 from repro.privacy import Adversary
 from repro.proxy import PProxConfig
-from repro.proxy.costs import DEFAULT_COSTS
 from repro.sgx.provisioning import IA_SECRET_K, UA_SECRET_K
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
@@ -59,14 +59,14 @@ def _multi_tenant_stack(config=None, tenant_names=("shop", "forum"), seed=71,
         config or PProxConfig(shuffle_size=0),
         directory, provider=provider, codec=codec,
     )
+    # Clients must speak the same wire as the proxies (and share the
+    # codec *object* — identity checks rely on it).
+    ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider,
+                     codec=service.runtime.codec)
     clients = {
         name: PProxClient(
-            loop=loop, network=network, provider=provider, service=service,
-            costs=DEFAULT_COSTS, rng=rng.stream(f"client-{name}"),
+            ctx, service, rng=rng.stream(f"client-{name}"),
             material=directory.record(name).client_material, tenant=name,
-            # Clients must speak the same wire as the proxies (and
-            # share the codec *object* — identity checks rely on it).
-            codec=service.runtime.codec,
         )
         for name in tenant_names
     }
@@ -233,7 +233,7 @@ def test_cross_tenant_requests_cannot_be_decrypted_with_other_keys():
     """A request encrypted for tenant A fails under tenant B's keys."""
     loop, _, directory, _, _, clients = _multi_tenant_stack()
     provider = clients["shop"].provider
-    from repro.crypto.envelope import encode_identifier, unb64
+    from repro.crypto.envelope import encode_identifier
 
     shop = directory.record("shop")
     forum = directory.record("forum")

@@ -19,10 +19,8 @@ from repro.context import SimContext
 from repro.crypto.envelope import (
     FIXED_ID_BYTES,
     EnvelopeCodec,
-    b64,
     encode_identifier,
     pad_item_list,
-    unb64,
 )
 from repro.rest.codec import (
     BINARY_WIRE_CODEC,
@@ -338,22 +336,11 @@ def test_uniform_reject_is_one_constant_shape_per_codec():
 
 
 # ---------------------------------------------------------------------------
-# Deprecated helpers & per-context request ids (satellite fixes)
+# Envelope helpers & per-context request ids (satellite fixes)
 # ---------------------------------------------------------------------------
 
 
 class TestDeprecatedHelpers:
-    def test_b64_warns_and_matches_wire_text(self):
-        blob = b"\x01\x02\xfe"
-        with pytest.warns(DeprecationWarning):
-            legacy = b64(blob)
-        assert legacy == EnvelopeCodec.wire_text(blob)
-
-    def test_unb64_warns_and_matches_wire_blob(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = unb64("AQL+")
-        assert legacy == EnvelopeCodec.wire_blob("AQL+") == b"\x01\x02\xfe"
-
     def test_encode_identifiers_matches_per_item_calls(self):
         items = pad_item_list(["a", "b"])
         assert EnvelopeCodec.encode_identifiers(items) == [

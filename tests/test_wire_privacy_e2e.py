@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.client import PProxClient
+from repro.context import SimContext
 from repro.crypto.provider import RealCryptoProvider
 from repro.lrs.service import HarnessService
 from repro.privacy import Adversary, KnowledgeEngine
@@ -23,7 +24,6 @@ from repro.privacy.wire import (
     trace_field_exposures,
 )
 from repro.proxy import PProxConfig, build_pprox
-from repro.proxy.costs import DEFAULT_COSTS
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
@@ -48,21 +48,17 @@ class WireScenario:
         )
         self.harness.engine.trainer.llr_threshold = 0.0
         self.provider = RealCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
-        self.service = build_pprox(
-            self.loop, self.network, rng, config,
-            lrs_picker=self.harness.pick_frontend, provider=self.provider,
-            codec=codec,
+        ctx = SimContext(
+            loop=self.loop, network=self.network, rng=rng,
+            provider=self.provider, codec=codec,
         )
+        self.service = build_pprox(ctx, config, lrs_picker=self.harness.pick_frontend)
         self.adversary = Adversary()
         self.adversary.attach(self.network)
         self.adversary.observe_lrs(self.harness.engine.store)
         self.rejects = RejectAuditor()
         self.network.add_wiretap(self.rejects.observe)
-        self.client = PProxClient(
-            loop=self.loop, network=self.network, provider=self.provider,
-            service=self.service, costs=DEFAULT_COSTS, rng=rng.stream("client"),
-            codec=self.service.runtime.codec,
-        )
+        self.client = PProxClient(ctx, self.service)
         self.results = {}
 
     def drive_workload(self):
