@@ -9,9 +9,11 @@ recorded speedups::
 
     PYTHONPATH=src python benchmarks/run_crypto_bench.py
 
-Acceptance floors from the overhaul PR: >= 5x on
-``RealCryptoProvider.pseudonymize`` (hot ids) and >= 3x on
-``ctr_transform`` over 1 KiB payloads.
+Acceptance floors: >= 5x on ``RealCryptoProvider.pseudonymize`` (hot
+ids, from the overhaul PR), and on the plane-sliced CTR kernel
+``ctr_transform`` over 1 KiB payloads and the 85-block keystream the
+end-to-end ``micro_get`` workload issues per recommendation list (see
+``FLOORS`` for the measured speedups the floors were set from).
 """
 
 from __future__ import annotations
@@ -40,6 +42,19 @@ IV = bytes(16)
 BLOCK = bytes(range(16))
 PAYLOAD_1K = bytes(i % 256 for i in range(1024))
 HOT_IDS = [b"user-%011d" % i for i in range(64)]
+COUNTER = 0x0123456789ABCDEF_FEDCBA9876543210
+
+# Speedup floors vs the seed reference.  The CTR floors are what the
+# plane-sliced kernel measured when they were set (21.5x and 22.6x on
+# ctr_transform_1KiB, 23.1x and 23.2x on ctr_keystream_85_blocks, two
+# runs on a noisy 2-core sandbox, CPython 3.11) less a margin of about
+# half, for other interpreters and machines.  The per-block loop it
+# replaced measured 3.3x on ctr_transform_1KiB against a floor of 3x.
+FLOORS = {
+    "real_provider_pseudonymize_hot64": 5.0,
+    "ctr_transform_1KiB": 10.0,
+    "ctr_keystream_85_blocks": 10.0,
+}
 
 
 def _best_us(fn, number: int, repeat: int = 5) -> float:
@@ -73,6 +88,14 @@ def _measure() -> dict:
         "ctr_transform_1KiB": (
             lambda: ctr.ctr_transform(KEY, IV, PAYLOAD_1K),
             lambda: reference_ctr_transform(KEY, IV, PAYLOAD_1K),
+            50,
+        ),
+        "ctr_keystream_85_blocks": (
+            lambda: cipher.encrypt_ctr_blocks(COUNTER, 85),
+            lambda: [
+                reference_cipher.encrypt_block((COUNTER + i).to_bytes(16, "big"))
+                for i in range(85)
+            ],
             50,
         ),
         "det_encrypt_32B": (
@@ -113,10 +136,9 @@ def main() -> int:
         print(f"{name:36s} {entry['optimized_us']:>12.1f} us"
               f"  (seed {entry['reference_us']:>12.1f} us, {entry['speedup']:.1f}x)")
     print(f"\nwrote {OUTPUT}")
-    floors = {"real_provider_pseudonymize_hot64": 5.0, "ctr_transform_1KiB": 3.0}
     failed = [
         f"{name}: {results[name]['speedup']}x < {floor}x"
-        for name, floor in floors.items()
+        for name, floor in FLOORS.items()
         if results[name]["speedup"] < floor
     ]
     if failed:

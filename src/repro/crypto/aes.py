@@ -13,12 +13,20 @@ per round.  Decryption uses the equivalent inverse cipher with
 InvMixColumns folded into the decryption key schedule.  This is the
 standard 4-8x win over a per-byte ``bytearray`` round function while
 producing byte-identical ciphertexts.
+
+CTR keystreams do not go block by block: :meth:`AES.encrypt_ctr_blocks`
+takes all N counter blocks through each round together, as sixteen
+N-byte planes (plane k = byte k of every block), so a round costs about
+thirty C-level calls whatever N is.  It computes the same function as
+:meth:`AES.encrypt_block` on each counter and the tests hold it to
+that, byte for byte.
 """
 
 from __future__ import annotations
 
-from struct import Struct
-from typing import List, Tuple
+from operator import itemgetter
+from struct import Struct, pack
+from typing import List, Optional, Tuple
 
 __all__ = ["AES", "BLOCK_SIZE"]
 
@@ -124,6 +132,34 @@ _TE0, _TE1, _TE2, _TE3, _TD0, _TD1, _TD2, _TD3 = _build_t_tables()
 
 _PACK4 = Struct(">4I")
 
+# --- plane-sliced CTR kernel constants --------------------------------
+# 2*S(x) in GF(2^8); with S itself it gives all of SubBytes+MixColumns,
+# since 3*S(x) = S(x) ^ 2*S(x).
+_SBOX_X2 = _SBOX.translate(_MUL2)
+# The planes lie row-major by AES state row: buffer position ``4*r + c``
+# holds block byte ``r + 4*c``.  ShiftRows is then a rotation of planes
+# inside each 4-plane row and MixColumns a rotation of whole rows.
+_PLANE_ORDER = tuple(r + 4 * c for r in range(4) for c in range(4))
+_IN_PLANE_ORDER = itemgetter(*_PLANE_ORDER)
+_INDEX_PLANES = tuple(bytes((position,)) for position in range(16))
+_TABLE_TAIL = bytes(256 - BLOCK_SIZE)
+_ONE_BLOCK = (1).to_bytes(BLOCK_SIZE, "big")
+_COUNTER_SPAN = 1 << 128
+
+
+def _counter_blocks(first: int, count: int) -> bytes:
+    """*count* consecutive big-endian 128-bit counters starting at *first*.
+
+    One multiply and one add on ``16 * count``-byte integers; the caller
+    keeps ``first + count <= 2**128`` so no block carries into its
+    neighbour.
+    """
+    ones = int.from_bytes(_ONE_BLOCK * count, "big")  # 1 in every block
+    # 0, 1, ..., count-1 in successive blocks: sum of i * x^(count-1-i)
+    # with x = 2^128, which is (ones - count) / (x - 1).
+    ramp = (ones - count) // (_COUNTER_SPAN - 1)
+    return (first * ones + ramp).to_bytes(BLOCK_SIZE * count, "big")
+
 
 def _inv_mix_word(word: int) -> int:
     """InvMixColumns applied to one 32-bit column word."""
@@ -154,20 +190,24 @@ class AES:
         self._key = bytes(key)
         self._rounds = {16: 10, 24: 12, 32: 14}[len(key)]
         self._enc_keys = self._expand_key(self._key)
-        self._dec_keys = self._invert_key_schedule(self._enc_keys)
-        # Group the flat word schedules into per-round 4-tuples so the
-        # round loops unpack one tuple per round instead of doing four
+        # Group the flat word schedule into per-round 4-tuples so the
+        # round loop unpacks one tuple per round instead of doing four
         # index additions.
         self._enc_first = tuple(self._enc_keys[0:4])
         self._enc_mid = [
             tuple(self._enc_keys[4 * r:4 * r + 4]) for r in range(1, self._rounds)
         ]
         self._enc_last = tuple(self._enc_keys[4 * self._rounds:4 * self._rounds + 4])
-        self._dec_first = tuple(self._dec_keys[0:4])
-        self._dec_mid = [
-            tuple(self._dec_keys[4 * r:4 * r + 4]) for r in range(1, self._rounds)
+        # The same round keys as 16 bytes each in ``_PLANE_ORDER``, for
+        # the CTR kernel.
+        schedule = pack(f">{len(self._enc_keys)}I", *self._enc_keys)
+        self._plane_keys = [
+            bytes(_IN_PLANE_ORDER(schedule[r:r + BLOCK_SIZE]))
+            for r in range(0, len(schedule), BLOCK_SIZE)
         ]
-        self._dec_last = tuple(self._dec_keys[4 * self._rounds:4 * self._rounds + 4])
+        # CTR never decrypts a block and per-request keys live for one
+        # keystream, so the inverse schedule waits for ``decrypt_block``.
+        self._dec_schedule: Optional[Tuple[tuple, List[tuple], tuple]] = None
 
     @property
     def key_size(self) -> int:
@@ -205,20 +245,26 @@ class AES:
             words.append(words[i - key_words] ^ temp)
         return words
 
-    def _invert_key_schedule(self, enc_keys: List[int]) -> List[int]:
-        """Key schedule for the equivalent inverse cipher.
+    def _decryption_schedule(self) -> Tuple[tuple, List[tuple], tuple]:
+        """Round keys of the equivalent inverse cipher, built on first use.
 
         Round keys are applied in reverse order with InvMixColumns
         folded into every key except the first and last, so decryption
-        rounds can use the combined ``Td`` tables directly.
+        rounds can use the combined ``Td`` tables directly.  Grouped
+        ``(first, middle rounds, last)`` like the encryption schedule.
         """
-        rounds = self._rounds
-        dec: List[int] = list(enc_keys[4 * rounds:4 * rounds + 4])
-        for round_index in range(rounds - 1, 0, -1):
-            base = 4 * round_index
-            dec.extend(_inv_mix_word(enc_keys[base + c]) for c in range(4))
-        dec.extend(enc_keys[0:4])
-        return dec
+        schedule = self._dec_schedule
+        if schedule is None:
+            enc_keys = self._enc_keys
+            rounds = self._rounds
+            middle = [
+                tuple(_inv_mix_word(enc_keys[4 * r + c]) for c in range(4))
+                for r in range(rounds - 1, 0, -1)
+            ]
+            schedule = self._dec_schedule = (
+                tuple(enc_keys[4 * rounds:4 * rounds + 4]), middle, tuple(enc_keys[0:4]),
+            )
+        return schedule
 
     def _encrypt_words(self, s0: int, s1: int, s2: int, s3: int) -> Tuple[int, int, int, int]:
         """Encrypt one block held as four big-endian column words."""
@@ -267,19 +313,20 @@ class AES:
             raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
         td0, td1, td2, td3 = _TD0, _TD1, _TD2, _TD3
         s0, s1, s2, s3 = _PACK4.unpack(block)
-        k0, k1, k2, k3 = self._dec_first
+        first, middle, last = self._decryption_schedule()
+        k0, k1, k2, k3 = first
         s0 ^= k0
         s1 ^= k1
         s2 ^= k2
         s3 ^= k3
-        for k0, k1, k2, k3 in self._dec_mid:
+        for k0, k1, k2, k3 in middle:
             t0 = td0[s0 >> 24] ^ td1[(s3 >> 16) & 0xFF] ^ td2[(s2 >> 8) & 0xFF] ^ td3[s1 & 0xFF] ^ k0
             t1 = td0[s1 >> 24] ^ td1[(s0 >> 16) & 0xFF] ^ td2[(s3 >> 8) & 0xFF] ^ td3[s2 & 0xFF] ^ k1
             t2 = td0[s2 >> 24] ^ td1[(s1 >> 16) & 0xFF] ^ td2[(s0 >> 8) & 0xFF] ^ td3[s3 & 0xFF] ^ k2
             t3 = td0[s3 >> 24] ^ td1[(s2 >> 16) & 0xFF] ^ td2[(s1 >> 8) & 0xFF] ^ td3[s0 & 0xFF] ^ k3
             s0, s1, s2, s3 = t0, t1, t2, t3
         inv_sbox = _INV_SBOX
-        k0, k1, k2, k3 = self._dec_last
+        k0, k1, k2, k3 = last
         t0 = (
             (inv_sbox[s0 >> 24] << 24) | (inv_sbox[(s3 >> 16) & 0xFF] << 16)
             | (inv_sbox[(s2 >> 8) & 0xFF] << 8) | inv_sbox[s1 & 0xFF]
@@ -301,45 +348,71 @@ class AES:
     def encrypt_ctr_blocks(self, initial_counter: int, count: int) -> bytes:
         """Keystream for *count* counter blocks starting at *initial_counter*.
 
-        Generates the big-endian counter words arithmetically (no
-        per-block ``to_bytes``) and packs the whole keystream in one
-        buffer — the batched hot path behind :mod:`repro.crypto.ctr`.
+        The counter is 128 bits and wraps to zero.  All blocks go
+        through each round together: the batch is one ``16 * count``
+        byte buffer of sixteen planes (see ``_PLANE_ORDER``), held as
+        ``bytes`` where a step is a table lookup or a permutation
+        (``translate``, slices) and as an ``int`` where it is an XOR.
         """
-        out = bytearray(count * BLOCK_SIZE)
-        pack_into = _PACK4.pack_into
-        te0, te1, te2, te3 = _TE0, _TE1, _TE2, _TE3
-        sbox = _SBOX
-        f0, f1, f2, f3 = self._enc_first
-        mid = self._enc_mid
-        l0, l1, l2, l3 = self._enc_last
-        mask128 = (1 << 128) - 1
-        offset = 0
-        # The round loop is inlined here (rather than calling
-        # ``_encrypt_words`` per block) so tables and round keys are
-        # bound to locals once per batch, not once per block.
-        for block_index in range(count):
-            counter = (initial_counter + block_index) & mask128
-            s0 = ((counter >> 96) & 0xFFFFFFFF) ^ f0
-            s1 = ((counter >> 64) & 0xFFFFFFFF) ^ f1
-            s2 = ((counter >> 32) & 0xFFFFFFFF) ^ f2
-            s3 = (counter & 0xFFFFFFFF) ^ f3
-            for k0, k1, k2, k3 in mid:
-                t0 = te0[s0 >> 24] ^ te1[(s1 >> 16) & 0xFF] ^ te2[(s2 >> 8) & 0xFF] ^ te3[s3 & 0xFF] ^ k0
-                t1 = te0[s1 >> 24] ^ te1[(s2 >> 16) & 0xFF] ^ te2[(s3 >> 8) & 0xFF] ^ te3[s0 & 0xFF] ^ k1
-                t2 = te0[s2 >> 24] ^ te1[(s3 >> 16) & 0xFF] ^ te2[(s0 >> 8) & 0xFF] ^ te3[s1 & 0xFF] ^ k2
-                t3 = te0[s3 >> 24] ^ te1[(s0 >> 16) & 0xFF] ^ te2[(s1 >> 8) & 0xFF] ^ te3[s2 & 0xFF] ^ k3
-                s0, s1, s2, s3 = t0, t1, t2, t3
-            pack_into(
-                out,
-                offset,
-                ((sbox[s0 >> 24] << 24) | (sbox[(s1 >> 16) & 0xFF] << 16)
-                 | (sbox[(s2 >> 8) & 0xFF] << 8) | sbox[s3 & 0xFF]) ^ l0,
-                ((sbox[s1 >> 24] << 24) | (sbox[(s2 >> 16) & 0xFF] << 16)
-                 | (sbox[(s3 >> 8) & 0xFF] << 8) | sbox[s0 & 0xFF]) ^ l1,
-                ((sbox[s2 >> 24] << 24) | (sbox[(s3 >> 16) & 0xFF] << 16)
-                 | (sbox[(s0 >> 8) & 0xFF] << 8) | sbox[s1 & 0xFF]) ^ l2,
-                ((sbox[s3 >> 24] << 24) | (sbox[(s0 >> 16) & 0xFF] << 16)
-                 | (sbox[(s1 >> 8) & 0xFF] << 8) | sbox[s2 & 0xFF]) ^ l3,
+        if count < 0:
+            raise ValueError(f"block count must be >= 0, got {count}")
+        if count == 0:
+            return b""
+        from_bytes = int.from_bytes
+        size = BLOCK_SIZE * count
+        row = 4 * count  # bytes in one state row of the buffer
+        row_bits = 8 * row
+        mask = (1 << 8 * size) - 1
+
+        # AddRoundKey: ``index`` holds its own position number in every
+        # byte of each plane, so one translate through a table that
+        # starts with the round key spreads that key over the planes.
+        index = b"".join([plane * count for plane in _INDEX_PLANES])
+
+        def spread(round_key: bytes) -> int:
+            return from_bytes(index.translate(round_key + _TABLE_TAIL), "big")
+
+        def shift_rows(buffer: bytes) -> bytes:
+            # Row r turns left by r planes.
+            return b"".join((
+                buffer[:row],
+                buffer[row + count:2 * row], buffer[row:row + count],
+                buffer[2 * row + 2 * count:3 * row], buffer[2 * row:2 * row + 2 * count],
+                buffer[3 * row + 3 * count:], buffer[3 * row:3 * row + 3 * count],
+            ))
+
+        def turn_rows(planes: int, rows: int) -> int:
+            # Rotate the buffer left by whole state rows.
+            return ((planes << rows * row_bits) | (planes >> (4 - rows) * row_bits)) & mask
+
+        initial_counter %= _COUNTER_SPAN
+        before_wrap = min(count, _COUNTER_SPAN - initial_counter)
+        counters = _counter_blocks(initial_counter, before_wrap)
+        if before_wrap < count:
+            counters += _counter_blocks(0, count - before_wrap)
+
+        round_keys = self._plane_keys
+        state = (
+            from_bytes(b"".join([counters[k::BLOCK_SIZE] for k in _PLANE_ORDER]), "big")
+            ^ spread(round_keys[0])
+        )
+        for round_key in round_keys[1:-1]:
+            shifted = shift_rows(state.to_bytes(size, "big"))
+            s = from_bytes(shifted.translate(_SBOX), "big")
+            s2 = from_bytes(shifted.translate(_SBOX_X2), "big")
+            # MixColumns: output row r is 2*a[r] ^ 3*a[r+1] ^ a[r+2] ^ a[r+3]
+            # over input rows a, and turning the buffer left by j rows
+            # puts a[r+j] where row r sits.
+            state = (
+                s2 ^ turn_rows(s ^ s2, 1) ^ turn_rows(s, 2) ^ turn_rows(s, 3)
+                ^ spread(round_key)
             )
-            offset += BLOCK_SIZE
+        # Final round: SubBytes + ShiftRows + AddRoundKey, no MixColumns.
+        shifted = shift_rows(state.to_bytes(size, "big"))
+        planes = (
+            from_bytes(shifted.translate(_SBOX), "big") ^ spread(round_keys[-1])
+        ).to_bytes(size, "big")
+        out = bytearray(size)
+        for position, k in enumerate(_PLANE_ORDER):
+            out[k::BLOCK_SIZE] = planes[position * count:(position + 1) * count]
         return bytes(out)

@@ -11,9 +11,10 @@ Two flavours, exactly as in the paper (§4.1, §5):
   recommendation list returned under the per-request temporary key
   ``k_u`` and for the public-key hybrid envelopes.
 
-Hot-path structure: keystream blocks are generated in one batched call
-(:meth:`repro.crypto.aes.AES.encrypt_ctr_blocks`) and XORed against
-the payload with a single whole-buffer integer XOR.  Because the
+Hot-path structure: all keystream blocks of a payload are generated in
+one call (:meth:`repro.crypto.aes.AES.encrypt_ctr_blocks`, which takes
+them through each AES round together) and XORed against the payload
+with a single whole-buffer integer XOR.  Because the
 deterministic mode uses a constant IV, its keystream for a given key
 is *fixed* — a per-key prefix is cached, so steady-state
 pseudonymization of a ≤32-byte identifier is one slice + one XOR with

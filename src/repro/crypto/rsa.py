@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Tuple
 
+from repro.crypto.xor import xor_bytes
+
 __all__ = ["RsaPublicKey", "RsaPrivateKey", "generate_keypair", "OaepError"]
 
 _E = 65537
@@ -61,9 +63,14 @@ def _is_probable_prime(candidate: int, rng: Callable[[int], int], rounds: int = 
 
 
 def _random_prime(bits: int, rng: Callable[[int], int]) -> int:
-    """Sample a random prime with exactly *bits* bits."""
+    """Sample a random prime with exactly *bits* bits and its top two set.
+
+    Two such primes are each at least ``0.75 * 2**bits``, so their
+    product always has exactly ``2 * bits`` bits and key generation
+    never has to throw a pair away for a short modulus.
+    """
     while True:
-        candidate = rng(1 << (bits - 2)) | (1 << (bits - 1)) | 1
+        candidate = rng(1 << (bits - 2)) | (3 << (bits - 2)) | 1
         if _is_probable_prime(candidate, rng):
             return candidate
 
@@ -196,8 +203,8 @@ def _oaep_encode(message: bytes, modulus_bytes: int, random_bytes: Callable[[int
     padding = b"\x00" * (max_message - len(message))
     data_block = label_hash + padding + b"\x01" + message
     seed = random_bytes(hash_len)
-    masked_db = bytes(a ^ b for a, b in zip(data_block, _mgf1(seed, len(data_block))))
-    masked_seed = bytes(a ^ b for a, b in zip(seed, _mgf1(masked_db, hash_len)))
+    masked_db = xor_bytes(data_block, _mgf1(seed, len(data_block)))
+    masked_seed = xor_bytes(seed, _mgf1(masked_db, hash_len))
     return b"\x00" + masked_seed + masked_db
 
 
@@ -208,8 +215,8 @@ def _oaep_decode(padded: bytes, modulus_bytes: int) -> bytes:
         raise OaepError("malformed OAEP block")
     masked_seed = padded[1:1 + hash_len]
     masked_db = padded[1 + hash_len:]
-    seed = bytes(a ^ b for a, b in zip(masked_seed, _mgf1(masked_db, hash_len)))
-    data_block = bytes(a ^ b for a, b in zip(masked_db, _mgf1(seed, len(masked_db))))
+    seed = xor_bytes(masked_seed, _mgf1(masked_db, hash_len))
+    data_block = xor_bytes(masked_db, _mgf1(seed, len(masked_db)))
     label_hash = hashlib.sha256(b"").digest()
     if data_block[:hash_len] != label_hash:
         raise OaepError("OAEP label hash mismatch")

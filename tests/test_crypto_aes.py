@@ -3,7 +3,10 @@
 The FIPS-197 Appendix C known-answer tests (AES-128/192/256) plus the
 cross-checks against the straight-line reference cipher are the guard
 rail for the T-table rewrite: any divergence would silently break
-pseudonym stability across requests.
+pseudonym stability across requests.  The plane-sliced CTR kernel is
+held to the same standard: its keystream must equal block-at-a-time
+encryption of each counter for every batch size, key size and position
+of the 128-bit counter wrap.
 """
 
 from __future__ import annotations
@@ -110,13 +113,58 @@ def test_t_table_cipher_matches_reference(key, block):
     assert optimized.decrypt_block(ciphertext) == reference.decrypt_block(ciphertext)
 
 
-def test_encrypt_ctr_blocks_matches_per_block_encryption():
+_COUNTER_SPAN = 1 << 128
+CTR_COUNTS = [0, 1, 2, 3, 4, 5, 15, 16, 17, 85, 256]
+CTR_WRAPS = ["nowrap", "first", "middle", "last"]
+
+
+def _ctr_start(count, wrap):
+    """A start counter that wraps to zero after the first, a middle or
+    the last-but-one block of a *count*-block batch, or not at all."""
+    if wrap == "nowrap":
+        return 0x0123456789ABCDEF_FEDCBA98765432F0
+    blocks_before_wrap = {"first": 1, "middle": max(count // 2, 1), "last": max(count - 1, 1)}
+    return _COUNTER_SPAN - blocks_before_wrap[wrap]
+
+
+def _per_block_keystream(cipher, start, count):
+    return b"".join(
+        cipher.encrypt_block(((start + i) % _COUNTER_SPAN).to_bytes(BLOCK_SIZE, "big"))
+        for i in range(count)
+    )
+
+
+@pytest.mark.parametrize(
+    "key_size,count,wrap",
+    [
+        pytest.param(key_size, count, wrap, id=f"aes{8 * key_size}-{count}-{wrap}")
+        for key_size in (16, 24, 32)
+        for count in CTR_COUNTS
+        for wrap in CTR_WRAPS
+    ],
+)
+def test_encrypt_ctr_blocks_matches_per_block_encryption(key_size, count, wrap):
     """The batched keystream equals block-at-a-time counter encryption,
     including wrap-around at the 128-bit counter boundary."""
-    cipher = AES(bytes(range(32)))
-    start = (1 << 128) - 2  # wraps to 0 on the third block
-    batched = cipher.encrypt_ctr_blocks(start, 4)
-    mask = (1 << 128) - 1
-    for i in range(4):
-        counter = ((start + i) & mask).to_bytes(BLOCK_SIZE, "big")
-        assert batched[16 * i:16 * i + 16] == cipher.encrypt_block(counter)
+    cipher = AES(bytes(range(key_size)))
+    start = _ctr_start(count, wrap)
+    batched = cipher.encrypt_ctr_blocks(start, count)
+    assert len(batched) == BLOCK_SIZE * count
+    assert batched == _per_block_keystream(cipher, start, count)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    key=st.binary(min_size=16, max_size=16)
+    | st.binary(min_size=24, max_size=24)
+    | st.binary(min_size=32, max_size=32),
+    start=st.integers(min_value=0, max_value=_COUNTER_SPAN - 1)
+    | st.integers(min_value=_COUNTER_SPAN - 300, max_value=_COUNTER_SPAN - 1),
+    count=st.integers(min_value=0, max_value=300),
+)
+def test_encrypt_ctr_blocks_matches_reference_property(key, start, count):
+    """Any key, 128-bit start and batch size: the plane-sliced kernel
+    is byte-identical to the seed cipher run one counter at a time."""
+    assert AES(key).encrypt_ctr_blocks(start, count) == _per_block_keystream(
+        ReferenceAES(key), start, count
+    )

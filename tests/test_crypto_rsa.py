@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import rsa
 from repro.crypto.rsa import OaepError, RsaPublicKey, generate_keypair
 
 
@@ -26,6 +27,26 @@ def test_keygen_is_deterministic_with_seeded_rng():
 def test_keygen_rejects_tiny_moduli():
     with pytest.raises(ValueError, match="832 bits"):
         generate_keypair(512)
+
+
+@pytest.mark.parametrize("bits", [832, 1024, 2048])
+def test_keygen_never_discards_a_prime_pair(bits, monkeypatch):
+    """Both primes carry their top two bits, so the modulus always has
+    the requested length and the first pair drawn is the pair used."""
+    draws = []
+    random_prime = rsa._random_prime
+
+    def counting_random_prime(prime_bits, rng):
+        draws.append(prime_bits)
+        return random_prime(prime_bits, rng)
+
+    monkeypatch.setattr(rsa, "_random_prime", counting_random_prime)
+    for seed in range(20):
+        del draws[:]
+        public, private = generate_keypair(bits, random.Random(seed).randrange)
+        assert draws == [bits // 2, bits - bits // 2]
+        assert public.n.bit_length() == bits
+        assert private.p * private.q == public.n
 
 
 def test_modulus_has_requested_bits(keypair):
