@@ -41,7 +41,7 @@ def sweep_capacity() -> None:
           " rates (shuffle delay).")
     print("for a solved-and-verified plan per (rps, p99 SLO) point —"
           " shards, instances, shuffle size, clean + chaos legs —"
-          " run: python -m repro capacity\n")
+          " run: python -m repro run capacity\n")
 
 
 def autoscaler_demo() -> None:

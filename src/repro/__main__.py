@@ -1,72 +1,8 @@
-"""Command-line entry point: ``python -m repro``.
+"""Command-line entry point: ``python -m repro`` (see ``--help``).
 
-Subcommands:
-
-* ``info``            — package overview and the experiment index;
-* ``reproduce``       — regenerate tables/figures (wraps the example CLI);
-* ``demo``            — run the quickstart scenario;
-* ``validate``        — check the experiment index against the tree;
-* ``telemetry-smoke`` — short end-to-end run with full telemetry,
-  writes the per-run artifact and self-checks traces + redaction;
-* ``chaos-smoke``     — seeded fault-injection drill: crashes, partitions,
-  drops, delay spikes and an LRS brownout against a live deployment;
-  asserts the availability floor, full recovery and a clean redaction
-  audit, and writes the telemetry artifact (byte-identical across
-  same-seed invocations — CI diffs two runs);
-* ``overload-smoke``  — offered-load sweep at 0.5x/1x/2x capacity with
-  and without the overload-protection stack; asserts graceful
-  degradation (goodput retention, bounded p99), pre-shuffle-only
-  shedding (anonymity >= S*I), uniform rejects on protected hops and a
-  clean redaction audit; writes the goodput/latency/shed-rate artifact
-  (byte-identical across same-seed invocations — CI diffs two runs);
-* ``rekey-smoke``     — live key-rotation drill: rotates the UA layer's
-  keys under traffic with a crash and a partition injected mid-window;
-  asserts zero aborted requests, the S*I anonymity floor on every
-  released batch, pause-and-resume after the crash, no cross-epoch
-  pseudonym linkage and a clean redaction audit; writes the telemetry
-  artifact (byte-identical across same-seed invocations — CI diffs
-  two runs);
-* ``obs-smoke``       — observability gate: runs the causal-tracing /
-  profiler / SLO micro scenario twice with one seed and byte-diffs the
-  deterministic artifacts (``profile.json``, ``profile.folded``,
-  ``trace.jsonl``, ``slo.json``), proves no trace id survives past the
-  UA shuffle boundary, then replays the chaos / overload / rotation /
-  scale experiments under live (or static) SLO engines and asserts
-  every ``slo.json`` verdict — the anonymity-floor objective above
-  all — holds;
-* ``profile``         — run the observability micro scenario under the
-  deterministic virtual-time profiler and print the hottest causal
-  scheduling stacks (writes ``profile.json`` / ``profile.folded`` /
-  ``profile_meta.json``);
-* ``scale-smoke``     — million-user Figure-8-shaped proxy-scaling
-  sweep (1M synthetic users, 100k RPS sustained at the top point) on
-  the calendar-queue engine; writes a deterministic ``scale.json``
-  (byte-identical across same-seed runs *and* across engines — CI
-  diffs a calendar run against a reference-engine run) plus a
-  non-diffable ``scale_meta.json`` with events/sec and wall time;
-* ``wire-smoke``      — codec parity gate: runs one seeded traffic mix
-  under the legacy object wire, the pinned JSON codec and the binary
-  codec (batch envelopes armed), writes a timing-free semantic
-  artifact per run (request outcomes + privacy.wire auditor verdicts)
-  and asserts all three are identical — the wire format must change
-  bytes, never results (CI runs this as the codec-parity job);
-* ``fleet-smoke``     — self-healing sharded-fleet drill: a whole
-  failure domain (one full UA+IA shard) is killed mid-split with
-  overload protection armed; asserts zero aborted calls, post-failover
-  goodput >= 0.9, every released flush >= S, the effective anonymity
-  gauge >= S*I, a completed split, and clean epoch/trace/shard-tag/
-  reject/redaction/placement audits; writes ``fleet.json`` plus the
-  telemetry artifact (byte-identical across same-seed invocations —
-  CI diffs two runs);
-* ``capacity``        — capacity planner: for each (target RPS, p99
-  SLO) point solves (shards, I, S) from the measured per-pair knee,
-  then verifies the plan twice in simulation — fault-free for the
-  steady-state SLO and with chaos + overload armed for graceful
-  degradation — each leg judged by an ``obs.slo`` verdict; writes a
-  deterministic ``capacity.json`` and a non-diffable meta report;
-* ``simnet-bench``    — event-loop micro-benchmarks (calendar engine
-  vs seed reference heap); writes/refreshes ``BENCH_simnet.json`` and
-  enforces the recorded perf floors.
+The scenario half of the help text is generated from
+:data:`repro.experiments.registry.EXPERIMENT_INDEX`: every entry with
+a ``run`` target is a ``python -m repro run <scenario>`` choice.
 """
 
 from __future__ import annotations
@@ -74,12 +10,54 @@ from __future__ import annotations
 __all__ = ["main"]
 
 import argparse
+import os
+import pathlib
+import runpy
 import sys
+
+from repro.experiments.registry import EXPERIMENT_INDEX, resolve, runnable, validate_index
+
+_REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+_COMMANDS = """\
+commands:
+  info          package overview and the experiment index
+  reproduce     regenerate tables/figures (wraps the example CLI)
+  demo          run the quickstart scenario
+  validate      check the experiment index against the tree
+  run SCENARIO  run one registered scenario with its defaults: prints a
+                summary, writes its artifacts under --out-dir and exits
+                non-zero if any acceptance check fails.  Same seed =>
+                byte-identical artifacts (CI runs each scenario in two
+                fresh processes and diffs the trees; *_meta.json files
+                carry wall clocks and are excluded)
+  profile       deterministic virtual-time profile of the obs micro run
+                (profile.json / profile.folded / profile_meta.json)
+  simnet-bench  event-loop micro-benchmarks; refreshes BENCH_simnet.json
+                and enforces the recorded perf floors
+"""
+
+
+def _describe() -> str:
+    lines = [_COMMANDS, "scenarios:"]
+    for name, experiment in runnable().items():
+        lines.append(f"  {name:10s} {experiment.help}")
+        lines.append(f"  {'':10s}   writes: {', '.join(experiment.artifacts)}")
+    return "\n".join(lines)
+
+
+def _run_script(relative: str, argv) -> int:
+    script = _REPO_ROOT / relative
+    sys.argv = [str(script)] + list(argv)
+    try:
+        runpy.run_path(str(script), run_name="__main__")
+    except SystemExit as exit_info:
+        return int(exit_info.code or 0)
+    return 0
 
 
 def _cmd_info(_args) -> int:
     import repro
-    from repro.experiments.registry import EXPERIMENT_INDEX
 
     print(f"repro {repro.__version__} — PProx reproduction (Middleware '21)")
     print()
@@ -93,360 +71,37 @@ def _cmd_info(_args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    import pathlib
-    import runpy
-    import sys as _sys
-
-    script = pathlib.Path(__file__).resolve().parents[2] / "examples" / "reproduce_figures.py"
-    _sys.argv = [str(script)] + args.targets + (["--full"] if args.full else [])
-    runpy.run_path(str(script), run_name="__main__")
-    return 0
+    return _run_script(
+        "examples/reproduce_figures.py", args.targets + (["--full"] if args.full else [])
+    )
 
 
 def _cmd_demo(_args) -> int:
-    import pathlib
-    import runpy
-
-    script = pathlib.Path(__file__).resolve().parents[2] / "examples" / "quickstart.py"
-    runpy.run_path(str(script), run_name="__main__")
-    return 0
+    return _run_script("examples/quickstart.py", [])
 
 
 def _cmd_validate(_args) -> int:
-    from repro.experiments.registry import validate_index
-
     problems = validate_index()
-    if problems:
-        for problem in problems:
-            print(f"PROBLEM: {problem}")
-        return 1
-    print("experiment index OK: all modules import, all benches exist")
-    return 0
+    for problem in problems:
+        print(f"PROBLEM: {problem}")
+    if not problems:
+        print("experiment index OK: all modules import, all benches exist")
+    return 1 if problems else 0
 
 
-def _cmd_telemetry_smoke(args) -> int:
-    """Short micro run with full telemetry; self-checks the artifact.
-
-    Exercises the acceptance criteria of the telemetry layer: every
-    completed request yields a complete five-stage trace, span-derived
-    stage durations match the wire-level BreakdownProbe, the JSONL
-    artifact round-trips, and the redaction audit is clean.
-    """
-    from repro.cluster.deployments import MICRO_CONFIGS
-    from repro.experiments.runner import run_micro
-    from repro.experiments.report import render_telemetry
-    from repro.simnet.tracing import STAGES, BreakdownProbe
-    from repro.telemetry import EventLog, Telemetry, audit_events
-
-    telemetry = Telemetry(scrape_interval=1.0)
-    probe = BreakdownProbe()
-    config = MICRO_CONFIGS[args.config]
-    result = run_micro(
-        config, args.rps, seed=args.seed, runs=1,
-        duration=args.duration, trim=2.0,
-        telemetry=telemetry, probe=probe,
-    )
-    completed = sum(report.completed for report in result.reports)
-    print(render_telemetry(telemetry))
-    print()
-
-    failures = []
-    traces = telemetry.tracer.complete_traces()
-    if not traces:
-        failures.append("no complete traces collected")
-    elif len(traces) < completed:
-        failures.append(
-            f"only {len(traces)} complete traces for {completed} completed requests"
-        )
-    for trace in traces:
-        missing = [stage for stage in STAGES if stage not in trace.stages]
-        if missing:
-            failures.append(f"trace {trace.trace_id} missing stages: {missing}")
-            break
-
-    span_values = telemetry.tracer.stage_values()
-    probe_values = probe.stage_values()
-    for stage in STAGES:
-        spans = sorted(span_values.get(stage, []))
-        wire = sorted(probe_values.get(stage, []))
-        if len(spans) != len(wire):
-            failures.append(
-                f"stage {stage}: {len(spans)} span durations vs {len(wire)} wire durations"
-            )
-            continue
-        drift = max(
-            (abs(a - b) for a, b in zip(spans, wire)), default=0.0
-        )
-        if drift > 1e-9:
-            failures.append(f"stage {stage}: span/wire drift {drift:.3e}s")
-
-    paths = telemetry.write_artifact(args.telemetry_dir)
-    with open(paths["events"], "r", encoding="utf-8") as handle:
-        records = EventLog.parse_jsonl(handle.read())
-    if not records:
-        failures.append("telemetry artifact has no events")
-    leaks = audit_events(records)
-    if leaks:
-        failures.append(f"redaction audit found {len(leaks)} leak(s) in artifact")
-        for violation in leaks[:10]:
-            print(f"  LEAK: {violation.describe()}")
-
-    print(f"artifact: {paths['events']} ({len(records)} events)")
-    print(f"artifact: {paths['metrics']}")
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print(
-        f"telemetry smoke OK: {len(traces)} complete traces,"
-        f" {completed} completed requests, artifact parses, audit clean"
-    )
-    return 0
-
-
-def _cmd_chaos_smoke(args) -> int:
-    """Seeded chaos drill with availability + recovery self-checks."""
-    from repro.experiments.chaos import run_chaos
-    from repro.telemetry import Telemetry
-
-    telemetry = Telemetry(scrape_interval=1.0)
-    result = run_chaos(
-        seed=args.seed,
-        rps=args.rps,
-        duration=args.duration,
-        availability_floor=args.availability_floor,
-        telemetry=telemetry,
-    )
-    summary = result.to_dict()
-    print("chaos drill summary")
-    print("===================")
-    for key in (
-        "seed", "issued", "completed", "failed", "availability",
-        "crashes_injected", "restarts_completed", "failovers", "readmissions",
-        "partition_drops", "random_drops", "delays_injected",
-        "brownout_rejected", "brownout_slowed",
-        "retries_performed", "hedges_launched", "timeouts",
-    ):
-        print(f"  {key:22s} {summary[key]}")
-    print(f"  {'outcomes':22s} {summary['outcomes']}")
-
-    paths = telemetry.write_artifact(args.telemetry_dir)
-    print(f"artifact: {paths['events']} ({len(result.fault_events)} fault events)")
-    print(f"artifact: {paths['metrics']}")
-
-    problems = result.problems()
-    if problems:
-        for problem in problems:
-            print(f"FAIL: {problem}")
-        return 1
-    print(
-        f"chaos smoke OK: availability {result.availability:.3f}"
-        f" >= {result.availability_floor:.2f},"
-        f" {result.crashes_injected} crashes recovered, audit clean"
-    )
-    return 0
-
-
-def _cmd_overload_smoke(args) -> int:
-    """Offered-load sweep with graceful-degradation self-checks."""
-    from repro.experiments.overload import run_overload
-    from repro.telemetry import Telemetry
-
-    telemetry = Telemetry(scrape_interval=1.0)
-    result = run_overload(
-        seed=args.seed,
-        duration=args.duration,
-        capacity_rps=args.capacity_rps,
-        telemetry=telemetry,
-    )
-    print("overload sweep summary")
-    print("======================")
-    print(f"  {'seed':14s} {result.seed}")
-    print(f"  {'capacity_rps':14s} {result.capacity_rps}")
-    print(f"  {'shuffle_size':14s} {result.shuffle_size}")
-    header = (
-        f"  {'offered':>8s} {'variant':>9s} {'issued':>7s} {'goodput':>8s}"
-        f" {'p50':>8s} {'p99':>8s} {'sheds':>6s} {'anon>=':>7s}"
-    )
-    print(header)
-    for point in result.points:
-        variant = "protect" if point.protected else "baseline"
-        anonymity = (
-            f"{point.anonymity_floor:.0f}/{point.required_anonymity:.0f}"
-            if point.min_flush_during_load is not None
-            else "-"
-        )
-        print(
-            f"  {point.offered_rps:8.1f} {variant:>9s} {point.issued:7d}"
-            f" {point.goodput_rps:8.2f} {point.p50_seconds:8.4f}"
-            f" {point.p99_seconds:8.4f} {point.shed_total:6d} {anonymity:>7s}"
-        )
-
-    paths = telemetry.write_artifact(args.telemetry_dir)
-    print(f"artifact: {paths['events']}")
-    print(f"artifact: {paths['metrics']}")
-
-    problems = result.problems()
-    if problems:
-        for problem in problems:
-            print(f"FAIL: {problem}")
-        return 1
-    saturation = result.point(protected=True, multiplier=1.0)
-    overloaded = result.point(protected=True, multiplier=2.0)
-    print(
-        f"overload smoke OK: goodput at 2x {overloaded.goodput_rps:.1f} rps"
-        f" (saturation {saturation.goodput_rps:.1f}),"
-        f" {overloaded.shed_total} sheds, anonymity floor held, audit clean"
-    )
-    return 0
-
-
-def _cmd_rekey_smoke(args) -> int:
-    """Live rotation drill with zero-downtime + anonymity self-checks."""
-    from repro.experiments.rotation import run_rotation
-    from repro.telemetry import Telemetry
-
-    telemetry = Telemetry(scrape_interval=1.0)
-    result = run_rotation(
-        seed=args.seed,
-        rps=args.rps,
-        duration=args.duration,
-        announce_at=args.announce_at,
-        telemetry=telemetry,
-    )
-    summary = result.to_dict()
-    print("rotation drill summary")
-    print("======================")
-    for key in (
-        "seed", "issued", "completed", "failed",
-        "old_epoch", "new_epoch", "final_state", "window_seconds",
-        "pauses", "pause_reasons", "reprovisions",
-        "rekey_events_processed", "previous_epoch_decrypts",
-        "epoch_tags_seen", "epoch_bumps",
-        "crashes_injected", "restarts_completed", "partition_drops",
-        "min_window_flush", "effective_anonymity_floor", "required_anonymity",
-        "cross_epoch_user_overlap",
-    ):
-        print(f"  {key:26s} {summary[key]}")
-    print(f"  {'outcomes':26s} {summary['outcomes']}")
-
-    paths = telemetry.write_artifact(args.telemetry_dir)
-    print(f"artifact: {paths['events']} ({len(result.rotation_events)} rotation events)")
-    print(f"artifact: {paths['metrics']}")
-
-    problems = result.problems()
-    if problems:
-        for problem in problems:
-            print(f"FAIL: {problem}")
-        return 1
-    print(
-        f"rekey smoke OK: epoch {result.old_epoch}->{result.new_epoch} retired"
-        f" in a {result.window_seconds:.2f}s window, 0 aborted calls,"
-        f" anonymity floor {result.effective_anonymity_floor}"
-        f" >= {result.required_anonymity}, audit clean"
-    )
-    return 0
-
-
-def _cmd_obs_smoke(args) -> int:
-    """Observability gate: determinism diff + severing + SLO verdicts."""
-    import dataclasses
-    import os
-
-    from repro.experiments.chaos import run_chaos
-    from repro.experiments.overload import run_overload
-    from repro.experiments.rotation import run_rotation
-    from repro.experiments.scale import SMOKE_CONFIG, run_scale_sweep, scale_slo_verdict
-    from repro.obs import (
-        SloEngine,
-        diff_artifact_dirs,
-        run_obs_scenario,
-        write_obs_artifacts,
-        write_slo,
-    )
-    from repro.telemetry import Telemetry
-
-    failures = []
-
-    # -- 1. two same-seed passes of the micro scenario, byte-diffed ----
-    print(f"obs scenario: two passes at seed {args.seed}")
-    results = []
-    for index in (1, 2):
-        result = run_obs_scenario(seed=args.seed)
-        write_obs_artifacts(result, os.path.join(args.out_dir, f"pass{index}"))
-        results.append(result)
-    first = results[0]
-    print(
-        f"  issued={first.issued} completed={first.completed}"
-        f" attempts_stamped={first.link['attempts_stamped']}"
-        f" severed={first.link['traces_severed']}"
-        f" batch_spans={first.link['batch_spans']}"
-    )
-    for problem in first.problems():
-        failures.append(f"obs scenario: {problem}")
-    diffs = diff_artifact_dirs(
-        os.path.join(args.out_dir, "pass1"), os.path.join(args.out_dir, "pass2")
-    )
-    for diff in diffs:
-        failures.append(f"determinism: {diff}")
-    if not diffs:
-        print("  deterministic artifacts byte-identical across passes")
-
-    # -- 2. each experiment under an SLO engine; verdicts must hold ----
-    verdicts = {}
-    if not args.fast:
-        chaos_slo = SloEngine()
-        chaos_result = run_chaos(
-            seed=7, rps=60.0, duration=12.0,
-            telemetry=Telemetry(scrape_interval=1.0), slo=chaos_slo,
-        )
-        verdicts["chaos"] = chaos_result.slo_report
-
-        overload_slo = SloEngine()
-        overload_result = run_overload(
-            seed=7, duration=6.0,
-            telemetry=Telemetry(scrape_interval=1.0), slo=overload_slo,
-        )
-        verdicts["overload"] = overload_result.slo_report
-
-        rotation_slo = SloEngine()
-        rotation_result = run_rotation(
-            seed=11, rps=140.0, duration=10.0,
-            telemetry=Telemetry(scrape_interval=1.0), slo=rotation_slo,
-        )
-        verdicts["rotation"] = rotation_result.slo_report
-
-        scale_config = dataclasses.replace(
-            SMOKE_CONFIG, users=100_000, pairs_sweep=(1,), duration=2.0
-        )
-        scale_artifact, _meta = run_scale_sweep(scale_config)
-        verdicts["scale"] = scale_slo_verdict(scale_artifact)
-
-        for name, report in verdicts.items():
-            path = write_slo(report, os.path.join(args.out_dir, name))
-            floor = report.objective("anonymity_floor")
-            status = "ok" if report.ok else "FAIL"
-            print(
-                f"  {name:9s} slo {status}: anonymity_floor"
-                f" {floor.value} vs target {floor.target} -> {path}"
-            )
-            if not report.ok:
-                for problem in report.problems():
-                    failures.append(f"{name}: {problem}")
-            elif not floor.ok:
-                failures.append(f"{name}: anonymity floor objective failed")
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    checked = ", ".join(verdicts) if verdicts else "scenario only (--fast)"
-    print(
-        f"obs smoke OK: artifacts deterministic, {first.link['traces_severed']}"
-        f" traces severed at the shuffle boundary, 0 exposures,"
-        f" slo verdicts hold ({checked})"
-    )
-    return 0
+def _cmd_run(args) -> int:
+    """Run one registered scenario's gate; non-zero on any problem."""
+    experiment = EXPERIMENT_INDEX[args.scenario]
+    out_dir = args.out_dir or os.path.join("results", args.scenario)
+    options = {} if args.engine is None else {"engine": args.engine}
+    problems = resolve(experiment.run)(out_dir, **options)
+    for name in experiment.artifacts:
+        print(f"artifact: {os.path.join(out_dir, name)}")
+    for problem in problems:
+        print(f"FAIL: {problem}")
+    if not problems:
+        print(f"{args.scenario} OK: every acceptance check holds")
+    return 1 if problems else 0
 
 
 def _cmd_profile(args) -> int:
@@ -454,9 +109,7 @@ def _cmd_profile(args) -> int:
     from repro.obs import run_obs_scenario, write_obs_artifacts
     from repro.obs.profiler import profile_snapshot
 
-    result = run_obs_scenario(
-        seed=args.seed, rps=args.rps, duration=args.duration
-    )
+    result = run_obs_scenario(seed=args.seed, rps=args.rps, duration=args.duration)
     paths = write_obs_artifacts(result, args.out_dir)
     snapshot = profile_snapshot(result.loop)
     print(
@@ -478,313 +131,19 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_scale_smoke(args) -> int:
-    """Million-user proxy-scaling sweep on the selected engine."""
-    import dataclasses
-
-    from repro.experiments.scale import FULL_CONFIG, SMOKE_CONFIG, run_scale_sweep, write_artifacts
-
-    base = SMOKE_CONFIG if args.reduced else FULL_CONFIG
-    overrides = {"engine": args.engine, "seed": args.seed}
-    if args.users is not None:
-        overrides["users"] = args.users
-    if args.duration is not None:
-        overrides["duration"] = args.duration
-    config = dataclasses.replace(base, **overrides)
-    print(
-        f"scale sweep: engine={config.engine} users={config.users:,}"
-        f" pairs={config.pairs_sweep} peak={config.peak_rps:,.0f} rps"
-        f" duration={config.duration}s"
-    )
-    artifact, meta = run_scale_sweep(config)
-    for point, point_meta in zip(artifact["points"], meta["points"]):
-        latency = point["latency"]
-        print(
-            f"  pairs={point['pairs']} offered={point['offered_rps']:10,.0f} rps"
-            f" completed={point['completed']:8d}"
-            f" med={latency['median'] * 1000:6.2f}ms p99={latency['p99'] * 1000:6.2f}ms"
-            f" | {point_meta['events_per_second']:10,.0f} ev/s"
-            f" wall={point_meta['wall_seconds']:6.1f}s"
-        )
-    artifact_path, meta_path = write_artifacts(artifact, meta, args.out_dir)
-    print(f"artifact: {artifact_path} (deterministic, engine-independent)")
-    print(f"artifact: {meta_path} (wall-clock numbers, do not diff)")
-
-    failures = []
-    for point in artifact["points"]:
-        if point["expired"]:
-            failures.append(f"pairs={point['pairs']}: {point['expired']} requests missed the deadline")
-        if point["completed"] != point["issued"]:
-            failures.append(
-                f"pairs={point['pairs']}: {point['issued'] - point['completed']} requests lost"
-            )
-    total_wall = meta["total_wall_seconds"]
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print(
-        f"scale smoke OK: {sum(p['issued'] for p in artifact['points']):,} requests,"
-        f" {meta['total_events']:,} events in {total_wall:.1f}s wall"
-    )
-    return 0
-
-
-def _cmd_wire_smoke(args) -> int:
-    """Codec-parity gate: one scenario, three wire formats.
-
-    Runs the same seeded traffic mix under the legacy object wire
-    (``codec=None``), :class:`JsonCodec` and :class:`BinaryCodec`
-    (batch envelopes armed), with an adversary wiretap attached.  For
-    each run it writes a timing-free semantic artifact — per-request
-    outcomes in issue order plus the privacy.wire auditor verdicts —
-    and asserts all three are identical: the wire format must change
-    bytes, never results, and the binary format must pass the same
-    epoch/trace/reject audits as the seed wire.  Binary must also
-    actually exercise the batch-envelope path (counters > 0).
-    """
-    import json as json_module
-    import pathlib
-
-    from repro.context import Deployment, SimContext
-    from repro.lrs.stub import StubLrs, make_pseudonymous_payload
-    from repro.privacy.adversary import Adversary
-    from repro.privacy.wire import (
-        RejectAuditor,
-        epoch_tag_exposures,
-        trace_field_exposures,
-    )
-    from repro.proxy.config import PProxConfig
-
-    out_dir = pathlib.Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    def run_once(codec, harden):
-        ctx = SimContext.fresh(seed=args.seed, record_flows=True, codec=codec)
-        stub = StubLrs(loop=ctx.loop, rng=ctx.rng.stream("lrs"))
-        config = PProxConfig(shuffle_size=4, harden_client_hop=harden)
-        deployment = Deployment.build(ctx=ctx, config=config, lrs_picker=lambda: stub)
-        stub.items = make_pseudonymous_payload(
-            ctx.resolved_provider(),
-            deployment.service.provisioner.layer_keys["IA"].symmetric_key,
-        )
-        adversary = Adversary()
-        adversary.attach(ctx.network)
-        rejects = RejectAuditor()
-        ctx.network.add_wiretap(rejects.observe)
-        client = deployment.client()
-        outcomes = [None] * args.requests
-        for index in range(args.requests):
-            user = f"user-{index % 5}"
-            when = 0.4 * (index + 1)
-
-            def deliver(index=index, kind="get"):
-                def on_complete(call):
-                    items = sorted(str(item) for item in (call.items or ()))
-                    outcomes[index] = {"kind": kind, "ok": call.ok, "items": items}
-                return on_complete
-
-            if index % 2:
-                ctx.loop.schedule_at(when, lambda user=user, index=index: client.post(
-                    user, f"item-{index}", on_complete=deliver(index, "post")))
-            else:
-                ctx.loop.schedule_at(when, lambda user=user, index=index: client.get(
-                    user, on_complete=deliver(index)))
-        ctx.loop.run_until(0.4 * args.requests + 60.0)
-        sealed = sum(i.batch_envelopes_sealed for i in deployment.service.ua_instances)
-        opened = sum(i.batch_envelopes_opened for i in deployment.service.ia_instances)
-        artifact = {
-            "config": {"shuffle_size": 4, "harden_client_hop": harden,
-                       "seed": args.seed, "requests": args.requests},
-            "outcomes": outcomes,
-            "audit": {
-                "epoch_tag_exposures": epoch_tag_exposures(adversary.observations),
-                "trace_field_exposures": trace_field_exposures(adversary.observations),
-                "reject_uniformity": rejects.violations(),
-            },
-        }
-        counters = {"batch_envelopes_sealed": sealed, "batch_envelopes_opened": opened,
-                    "observations": len(adversary.observations)}
-        return artifact, counters
-
-    failures = []
-    for harden in (False, True):
-        mode = "hardened" if harden else "default"
-        artifacts = {}
-        for codec in (None, "json", "binary"):
-            label = codec or "legacy"
-            artifact, counters = run_once(codec, harden)
-            artifacts[label] = artifact
-            path = out_dir / f"parity_{mode}_{label}.json"
-            path.write_text(json_module.dumps(artifact, indent=2, sort_keys=True) + "\n")
-            print(f"{mode:9s} codec={label:7s} "
-                  f"ok={sum(1 for o in artifact['outcomes'] if o and o['ok'])}"
-                  f"/{len(artifact['outcomes'])}"
-                  f" sealed={counters['batch_envelopes_sealed']}"
-                  f" opened={counters['batch_envelopes_opened']}"
-                  f" observations={counters['observations']}")
-            findings = [finding for verdict in artifact["audit"].values()
-                        for finding in verdict]
-            for finding in findings:
-                failures.append(f"{mode}/{label}: audit finding: {finding}")
-            if not all(o and o["ok"] for o in artifact["outcomes"]):
-                failures.append(f"{mode}/{label}: not every request completed ok")
-            if codec == "binary":
-                if counters["batch_envelopes_sealed"] == 0:
-                    failures.append(f"{mode}/binary: batch envelope path never exercised")
-                if counters["batch_envelopes_opened"] != counters["batch_envelopes_sealed"]:
-                    failures.append(f"{mode}/binary: sealed/opened counter mismatch")
-        for label in ("json", "binary"):
-            if artifacts[label] != artifacts["legacy"]:
-                failures.append(
-                    f"{mode}: semantic artifact under {label} differs from legacy wire"
-                )
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print(f"wire smoke OK: artifacts in {out_dir} "
-          "(legacy == json == binary, audits clean)")
-    return 0
-
-
-def _cmd_fleet_smoke(args) -> int:
-    """Sharded-fleet drill: domain loss mid-split, floors + audits."""
-    import json as json_module
-    import os
-
-    from repro.fleet import run_fleet_drill
-    from repro.obs import SloEngine, write_slo
-    from repro.telemetry import Telemetry
-
-    telemetry = Telemetry(scrape_interval=1.0)
-    slo = SloEngine()
-    result = run_fleet_drill(
-        seed=args.seed,
-        rps=args.rps,
-        duration=args.duration,
-        telemetry=telemetry,
-        slo=slo,
-    )
-    summary = result.to_dict()
-    print("fleet drill summary")
-    print("===================")
-    for key in (
-        "seed", "issued", "completed", "failed", "goodput",
-        "crashes_injected", "restarts_completed", "ejections", "readmissions",
-        "routed", "failovers", "shards_initial", "shards_final",
-        "splits_started", "splits_completed",
-        "split_started_at", "split_flipped_at", "split_completed_at",
-        "kill_time", "pauses", "pause_reasons",
-        "window_flushes", "min_window_flush",
-        "min_effective_anonymity", "required_anonymity", "shed_total",
-    ):
-        print(f"  {key:24s} {summary[key]}")
-    print(f"  {'outcomes':24s} {summary['outcomes']}")
-
-    os.makedirs(args.telemetry_dir, exist_ok=True)
-    fleet_path = os.path.join(args.telemetry_dir, "fleet.json")
-    with open(fleet_path, "w") as handle:
-        json_module.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    paths = telemetry.write_artifact(args.telemetry_dir)
-    print(f"artifact: {fleet_path}")
-    print(f"artifact: {paths['events']} ({len(result.fleet_events)} fleet events)")
-    print(f"artifact: {paths['metrics']}")
-    if result.slo_report is not None:
-        slo_path = write_slo(result.slo_report, args.telemetry_dir)
-        print(f"artifact: {slo_path}")
-
-    problems = result.problems()
-    if result.slo_report is not None and not result.slo_report.ok:
-        problems.extend(result.slo_report.problems())
-    if problems:
-        for problem in problems:
-            print(f"FAIL: {problem}")
-        return 1
-    print(
-        f"fleet smoke OK: domain kill at {result.kill_time:.2f}s inside split"
-        f" [{result.split_started_at:.2f}, {result.split_completed_at:.2f}],"
-        f" 0 aborted calls, {result.failovers} failovers,"
-        f" anonymity floor {result.min_effective_anonymity}"
-        f" >= {result.required_anonymity}, audits clean"
-    )
-    return 0
-
-
-def _cmd_capacity(args) -> int:
-    """Capacity planner: solve (shards, I, S) per target, verify both legs."""
-    from repro.experiments.capacity import (
-        DEFAULT_TARGETS,
-        CapacityTarget,
-        run_capacity,
-        write_artifacts,
-    )
-
-    targets = DEFAULT_TARGETS
-    if args.targets:
-        parsed = []
-        for spec in args.targets:
-            rps_text, _, slo_text = spec.partition(":")
-            parsed.append(CapacityTarget(rps=float(rps_text), p99_slo=float(slo_text)))
-        targets = tuple(parsed)
-
-    artifact, meta, results = run_capacity(
-        targets, seed=args.seed, duration=args.duration
-    )
-    print("capacity plan verification")
-    print("==========================")
-    header = (
-        f"  {'target':>7s} {'p99 slo':>8s} {'mode':>6s} {'shards':>6s} {'I':>3s}"
-        f" {'S':>3s} {'goodput':>8s} {'p99':>8s} {'min S':>6s} {'ok':>4s}"
-    )
-    print(header)
-    for result in results:
-        floor = (
-            result.min_steady_flush if result.mode == "chaos" else result.min_released_flush
-        )
-        p99 = "-" if result.p99_latency_seconds is None else f"{result.p99_latency_seconds:.3f}"
-        print(
-            f"  {result.target.rps:7.0f} {result.target.p99_slo:8.2f}"
-            f" {result.mode:>6s} {result.plan.shards:6d}"
-            f" {result.plan.instances_per_shard:3d} {result.plan.shuffle_size:3d}"
-            f" {result.goodput:8.4f} {p99:>8s}"
-            f" {floor if floor is not None else '-':>6} {'yes' if result.ok else 'NO':>4s}"
-        )
-
-    artifact_path, meta_path = write_artifacts(artifact, meta, args.out_dir)
-    print(f"artifact: {artifact_path} (deterministic)")
-    print(f"artifact: {meta_path} (wall-clock numbers, do not diff)")
-
-    problems = [problem for result in results for problem in result.problems()]
-    if problems:
-        for problem in problems:
-            print(f"FAIL: {problem}")
-        return 1
-    print(
-        f"capacity OK: {len(targets)} planning points solved and verified"
-        f" (clean + chaos legs), all slo verdicts hold"
-    )
-    return 0
-
-
 def _cmd_simnet_bench(args) -> int:
     """Event-loop perf floors (delegates to benchmarks/run_simnet_bench.py)."""
-    import pathlib
-    import runpy
-    import sys as _sys
-
-    script = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "run_simnet_bench.py"
-    _sys.argv = [str(script)] + (["--output", args.output] if args.output else [])
-    try:
-        runpy.run_path(str(script), run_name="__main__")
-    except SystemExit as exit_info:
-        return int(exit_info.code or 0)
-    return 0
+    return _run_script(
+        "benchmarks/run_simnet_bench.py", ["--output", args.output] if args.output else []
+    )
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="python -m repro", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description=_describe(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     subparsers = parser.add_subparsers(dest="command", required=True)
     subparsers.add_parser("info", help="package overview").set_defaults(fn=_cmd_info)
     reproduce = subparsers.add_parser("reproduce", help="regenerate tables/figures")
@@ -795,56 +154,13 @@ def main(argv=None) -> int:
     subparsers.add_parser("validate", help="check the experiment index").set_defaults(
         fn=_cmd_validate
     )
-    smoke = subparsers.add_parser(
-        "telemetry-smoke", help="short e2e run with telemetry self-checks"
-    )
-    smoke.add_argument("--telemetry-dir", default="results/telemetry-smoke",
-                       help="directory for the telemetry.jsonl/.prom artifact")
-    smoke.add_argument("--config", default="m6", choices=("m1", "m2", "m3", "m4", "m5", "m6"),
-                       help="micro configuration to run (default: m6, full pipeline)")
-    smoke.add_argument("--rps", type=float, default=40.0)
-    smoke.add_argument("--duration", type=float, default=8.0)
-    smoke.add_argument("--seed", type=int, default=7)
-    smoke.set_defaults(fn=_cmd_telemetry_smoke)
-    chaos = subparsers.add_parser(
-        "chaos-smoke", help="seeded fault-injection drill with recovery checks"
-    )
-    chaos.add_argument("--telemetry-dir", default="results/chaos-smoke",
-                       help="directory for the telemetry.jsonl/.prom artifact")
-    chaos.add_argument("--rps", type=float, default=60.0)
-    chaos.add_argument("--duration", type=float, default=12.0)
-    chaos.add_argument("--seed", type=int, default=7)
-    chaos.add_argument("--availability-floor", type=float, default=0.9)
-    chaos.set_defaults(fn=_cmd_chaos_smoke)
-    overload = subparsers.add_parser(
-        "overload-smoke", help="offered-load sweep with degradation checks"
-    )
-    overload.add_argument("--telemetry-dir", default="results/overload-smoke",
-                          help="directory for the telemetry.jsonl/.prom artifact")
-    overload.add_argument("--capacity-rps", type=float, default=85.0,
-                          help="estimated saturation rate the sweep multiplies")
-    overload.add_argument("--duration", type=float, default=6.0)
-    overload.add_argument("--seed", type=int, default=7)
-    overload.set_defaults(fn=_cmd_overload_smoke)
-    rekey = subparsers.add_parser(
-        "rekey-smoke", help="live key-rotation drill with zero-downtime checks"
-    )
-    rekey.add_argument("--telemetry-dir", default="results/rekey-smoke",
-                       help="directory for the telemetry.jsonl/.prom artifact")
-    rekey.add_argument("--rps", type=float, default=140.0)
-    rekey.add_argument("--duration", type=float, default=10.0)
-    rekey.add_argument("--announce-at", type=float, default=2.0)
-    rekey.add_argument("--seed", type=int, default=11)
-    rekey.set_defaults(fn=_cmd_rekey_smoke)
-    obs = subparsers.add_parser(
-        "obs-smoke", help="observability gate: determinism diff + severing + SLOs"
-    )
-    obs.add_argument("--out-dir", default="results/obs-smoke",
-                     help="directory for pass1/ pass2/ and per-experiment slo.json")
-    obs.add_argument("--seed", type=int, default=7)
-    obs.add_argument("--fast", action="store_true",
-                     help="skip the experiment SLO replays (scenario + diff only)")
-    obs.set_defaults(fn=_cmd_obs_smoke)
+    run = subparsers.add_parser("run", help="run one registered scenario")
+    run.add_argument("scenario", choices=list(runnable()))
+    run.add_argument("--out-dir", default=None,
+                     help="artifact directory (default: results/<scenario>)")
+    run.add_argument("--engine", default=None, choices=("calendar", "reference"),
+                     help="event-loop engine (the scale scenario only)")
+    run.set_defaults(fn=_cmd_run)
     profile = subparsers.add_parser(
         "profile", help="deterministic virtual-time profile of the obs scenario"
     )
@@ -856,50 +172,6 @@ def main(argv=None) -> int:
     profile.add_argument("--top", type=int, default=12,
                          help="causal stacks to print (by call count)")
     profile.set_defaults(fn=_cmd_profile)
-    scale = subparsers.add_parser(
-        "scale-smoke", help="million-user proxy-scaling sweep (engine showcase)"
-    )
-    scale.add_argument("--out-dir", default="results/scale-smoke",
-                       help="directory for scale.json / scale_meta.json")
-    scale.add_argument("--engine", default="calendar", choices=("calendar", "reference"),
-                       help="event-loop engine to run the sweep on")
-    scale.add_argument("--reduced", action="store_true",
-                       help="CI-sized configuration (200k users, 2 points, 3s)")
-    scale.add_argument("--users", type=int, default=None,
-                       help="override the synthetic user population")
-    scale.add_argument("--duration", type=float, default=None,
-                       help="override the per-point injection window (s)")
-    scale.add_argument("--seed", type=int, default=20260808)
-    scale.set_defaults(fn=_cmd_scale_smoke)
-    wire = subparsers.add_parser(
-        "wire-smoke", help="codec parity gate: legacy vs json vs binary wire"
-    )
-    wire.add_argument("--out-dir", default="results/wire-smoke",
-                      help="directory for the per-codec parity artifacts")
-    wire.add_argument("--seed", type=int, default=42)
-    wire.add_argument("--requests", type=int, default=24,
-                      help="requests per run (alternating get/post)")
-    wire.set_defaults(fn=_cmd_wire_smoke)
-    fleet = subparsers.add_parser(
-        "fleet-smoke", help="sharded-fleet drill: domain loss mid-split"
-    )
-    fleet.add_argument("--telemetry-dir", default="results/fleet-smoke",
-                       help="directory for fleet.json + telemetry artifacts")
-    fleet.add_argument("--rps", type=float, default=360.0)
-    fleet.add_argument("--duration", type=float, default=10.0)
-    fleet.add_argument("--seed", type=int, default=23)
-    fleet.set_defaults(fn=_cmd_fleet_smoke)
-    capacity = subparsers.add_parser(
-        "capacity", help="capacity planner: solve (shards, I, S) and verify"
-    )
-    capacity.add_argument("--out-dir", default="results/capacity",
-                          help="directory for capacity.json / capacity_meta.json")
-    capacity.add_argument("--seed", type=int, default=11)
-    capacity.add_argument("--duration", type=float, default=8.0,
-                          help="injection window per verification leg (s)")
-    capacity.add_argument("--targets", nargs="*", default=None, metavar="RPS:P99",
-                          help="planning points, e.g. 500:0.5 (default: 3 canonical)")
-    capacity.set_defaults(fn=_cmd_capacity)
     bench = subparsers.add_parser(
         "simnet-bench", help="event-loop perf floors (BENCH_simnet.json)"
     )
@@ -907,6 +179,8 @@ def main(argv=None) -> int:
                        help="where to write the benchmark report JSON")
     bench.set_defaults(fn=_cmd_simnet_bench)
     args = parser.parse_args(argv)
+    if args.command == "run" and args.engine is not None and args.scenario != "scale":
+        parser.error("--engine applies to the scale scenario only")
     return args.fn(args)
 
 

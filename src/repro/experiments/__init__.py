@@ -11,25 +11,20 @@ from repro.experiments.figures import (
     figure9,
     figure10,
 )
-from repro.experiments.chaos import (
-    ChaosResult,
-    default_chaos_config,
-    run_chaos,
-)
+from repro.experiments.rig import DrillRig
+from repro.experiments.chaos import ChaosResult, run_chaos
 from repro.experiments.overload import (
     LoadPoint,
     OverloadResult,
-    default_overload_config,
-    default_overload_policy,
     overload_cost_model,
     run_overload,
 )
 from repro.experiments.rotation import (
     RotationResult,
-    default_rotation_config,
     default_rotation_plan,
     run_rotation,
 )
+from repro.experiments.fleet import FleetDrillResult, run_fleet_drill
 from repro.experiments.capacity import (
     CapacityPlan,
     CapacityPointResult,
@@ -58,19 +53,18 @@ __all__ = [
     "MICRO_RPS_GRID",
     "SCALING_RPS_GRID",
     "RunResult",
+    "DrillRig",
     "ChaosResult",
-    "default_chaos_config",
     "run_chaos",
     "LoadPoint",
     "OverloadResult",
-    "default_overload_config",
-    "default_overload_policy",
     "overload_cost_model",
     "run_overload",
     "RotationResult",
-    "default_rotation_config",
     "default_rotation_plan",
     "run_rotation",
+    "FleetDrillResult",
+    "run_fleet_drill",
     "CapacityPlan",
     "CapacityPointResult",
     "CapacityTarget",

@@ -19,23 +19,19 @@ measurements go to the separate non-diffable meta report.
 
 from __future__ import annotations
 
-import json
 import math
-import os
+import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.context import Deployment, SimContext
-from repro.faults import ChaosSpec, FaultSupervisor, NetworkFaultController
-from repro.fleet.drill import default_fleet_overload
-from repro.fleet.service import build_fleet
+from repro.experiments.fleet import FLEET_OVERLOAD
+from repro.experiments.rig import POST_SHARE, DrillRig, summarize, write_json
+from repro.faults import ChaosSpec
 from repro.fleet.supervisor import FleetSupervisor
-from repro.lrs.service import HarnessService
 from repro.obs.slo import Objective, SloReport, evaluate_static
 from repro.proxy.config import PProxConfig
-from repro.simnet.metrics import LatencyRecorder, percentile
-from repro.telemetry import Telemetry, instrument_stack
-from repro.workload.injector import Injector
+from repro.simnet.metrics import percentile
+from repro.telemetry import Telemetry
 
 __all__ = [
     "MEASURED_PER_PAIR_RPS",
@@ -50,6 +46,7 @@ __all__ = [
     "verify_plan",
     "run_capacity",
     "write_artifacts",
+    "gate",
 ]
 
 #: Sustainable request rate of one UA+IA pair before the latency knee,
@@ -294,34 +291,15 @@ class CapacityPointResult:
         return found
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "target": {"rps": self.target.rps, "p99_slo": self.target.p99_slo},
-            "plan": self.plan.to_dict(),
-            "seed": self.seed,
-            "mode": self.mode,
-            "issued": self.issued,
-            "completed": self.completed,
-            "failed": self.failed,
-            "goodput": round(self.goodput, 6),
-            "p99_latency_seconds": (
-                None
-                if self.p99_latency_seconds is None
-                else round(self.p99_latency_seconds, 6)
-            ),
-            "min_released_flush": self.min_released_flush,
-            "min_steady_flush": self.min_steady_flush,
-            "sub_floor_interrupted_flushes": self.sub_floor_interrupted_flushes,
-            "min_effective_anonymity": self.min_effective_anonymity,
-            "window_flushes": self.window_flushes,
-            "crashes_injected": self.crashes_injected,
-            "restarts_completed": self.restarts_completed,
-            "ejections": self.ejections,
-            "readmissions": self.readmissions,
-            "failovers": self.failovers,
-            "shed_total": self.shed_total,
-            "fault_kinds": dict(sorted(self.fault_kinds.items())),
-            "slo": self.slo_report.to_dict() if self.slo_report else None,
-        }
+        summary = summarize(
+            self,
+            derived=("goodput",),
+            rounding={"goodput": 6, "p99_latency_seconds": 6},
+        )
+        summary["target"] = {"rps": self.target.rps, "p99_slo": self.target.p99_slo}
+        summary["plan"] = self.plan.to_dict()
+        summary["slo"] = self.slo_report.to_dict() if self.slo_report else None
+        return summary
 
 
 def verify_plan(
@@ -330,7 +308,6 @@ def verify_plan(
     *,
     seed: int,
     duration: float = 8.0,
-    grace: float = 4.0,
     chaos: bool = True,
     telemetry: Optional[Telemetry] = None,
 ) -> CapacityPointResult:
@@ -341,170 +318,94 @@ def verify_plan(
     steady-state leg of the verdict).
     """
     mode = "chaos" if chaos else "clean"
-    telemetry = telemetry if telemetry is not None else Telemetry(scrape_interval=1.0)
-    ctx = SimContext.fresh(seed, telemetry=telemetry)
-    telemetry.bind(ctx.loop, run_label=f"capacity/{target.label()}/{mode}")
-
     # The planner sizes the proxy fleet; the LRS behind it is assumed
     # provisioned for the target (three stock frontends sustain ~250
     # RPS — scale them with the load so the backend is not the wall).
-    frontend_count = max(3, math.ceil(target.rps / 80.0))
-    harness = HarnessService(
-        loop=ctx.loop, rng=ctx.rng.stream("lrs"), frontend_count=frontend_count
+    rig = DrillRig(
+        "capacity", seed, grace=4.0, telemetry=telemetry,
+        run_label=f"capacity/{target.label()}/{mode}",
+        frontends=max(3, math.ceil(target.rps / 80.0)),
     )
-    harness.engine.trainer.llr_threshold = 0.0
-    config = PProxConfig(
-        ua_instances=plan.instances_per_shard,
-        ia_instances=plan.instances_per_shard,
-        shuffle_size=plan.shuffle_size,
-        shuffle_timeout=plan.shuffle_timeout,
-        balancing="round-robin",
-    )
-    fleet = build_fleet(
-        ctx,
-        config,
-        harness.pick_frontend,
+    rig.deploy(
+        PProxConfig(
+            ua_instances=plan.instances_per_shard,
+            ia_instances=plan.instances_per_shard,
+            shuffle_size=plan.shuffle_size,
+            shuffle_timeout=plan.shuffle_timeout,
+            balancing="round-robin",
+        ),
         shards=plan.shards,
-        overload=default_fleet_overload(),
-        vnodes=128,
-    )
-    deployment = Deployment(ctx=ctx, service=fleet, config=config)
-    client = deployment.client(
+        overload=FLEET_OVERLOAD,
         request_timeout=max(0.9, 1.5 * target.p99_slo),
         max_retries=5,
         backoff_base=0.05,
         backoff_jitter=0.02,
         hedge_delay=0.4,
     )
-
-    netfaults = NetworkFaultController(network=ctx.network, rng=ctx.rng.stream("netfaults"))
-    fault_supervisor = FaultSupervisor(
-        loop=ctx.loop, service=fleet, netfaults=netfaults, telemetry=telemetry
-    )
+    fleet = rig.service
+    fault_supervisor = rig.add_fault_rig()
     fleet_supervisor = FleetSupervisor(
-        loop=ctx.loop, fleet=fleet, telemetry=telemetry, tick_interval=0.1
+        loop=rig.loop, fleet=fleet, telemetry=rig.telemetry, tick_interval=0.1
     )
-    injector = Injector(
-        loop=ctx.loop, rng=ctx.rng.stream("injector"), recorder=LatencyRecorder("capacity")
-    )
-    instrument_stack(
-        telemetry,
-        service=fleet,
-        provider=ctx.resolved_provider(),
-        lrs=harness,
-        injector=injector,
-        network=ctx.network,
-        client=client,
-        supervisor=fault_supervisor,
-    )
-
-    flush_samples: List[Tuple[float, int, int]] = []
-
-    def hook_shard(shard) -> None:
-        for instance in shard.instances():
-            buffer = instance.shuffle_buffer
-            if buffer is None:
-                continue
-            buffer.chain_on_flush(
-                lambda size, timer_fired, _shard=shard: flush_samples.append(
-                    (ctx.loop.now, size, _shard.live_ia_count)
-                )
-            )
-
-    for shard in fleet.directory.shards.values():
-        hook_shard(shard)
-    fleet.on_shard_added = hook_shard
-
-    users = [f"user-{index}" for index in range(40)]
-    items = [f"item-{index}" for index in range(12)]
-    seed_rng = ctx.rng.stream("preload")
-    for index in range(160):
-        client.post(users[index % len(users)], seed_rng.choice(items))
-    ctx.loop.run()
-    harness.train()
-
-    user_rng = ctx.rng.stream("users")
-
-    def issue(on_complete) -> None:
-        if user_rng.random() < 0.2:
-            client.post(user_rng.choice(users), user_rng.choice(items), on_complete=on_complete)
-        else:
-            client.get(user_rng.choice(users), on_complete=on_complete)
-
-    start, end = injector.inject(target.rps, duration, issue)
+    rig.instrument()
+    rig.preload()
+    rig.offer(target.rps, duration, post_share=POST_SHARE)
+    start = rig.start
 
     spec = capacity_chaos_spec(duration)
+    fault_events: List[Any] = []
     if chaos:
         chaos_plan = spec.sample(
-            ctx.rng,
+            rig.rng,
             [instance.name for instance in fleet.ua_instances],
             [instance.name for instance in fleet.ia_instances],
         )
         fault_supervisor.arm(chaos_plan.shifted(start))
-    else:
-        chaos_plan = None
+        fault_events = list(chaos_plan.events)
     fleet_supervisor.start()
-    ctx.loop.run_until(end + grace)
-    fleet_supervisor.stop()
-    ctx.loop.run()
+    rig.run(stop=[fleet_supervisor])
 
-    window = [(at, size, ia) for at, size, ia in flush_samples if start <= at <= end]
+    window = rig.offered_window()
     # Network-interruption windows: while a partition or loss window is
     # open (plus one shuffle-timeout of wash-out) buffers starve, so
     # the timer's liveness bound may release partial batches.  The
     # steady floor is judged outside those windows.
-    interruptions: List[Tuple[float, float]] = []
-    if chaos_plan is not None:
-        for event in chaos_plan.events:
-            if event.kind in ("partition", "drop"):
-                interruptions.append(
-                    (
-                        start + event.at,
-                        start + event.at + event.duration + plan.shuffle_timeout,
-                    )
-                )
+    interruptions = [
+        (start + event.at, start + event.at + event.duration + plan.shuffle_timeout)
+        for event in fault_events
+        if event.kind in ("partition", "drop")
+    ]
 
     def interrupted(at: float) -> bool:
         return any(lo <= at <= hi for lo, hi in interruptions)
 
-    steady = [(at, size, ia) for at, size, ia in window if not interrupted(at)]
+    steady = [flush for flush in window if not interrupted(flush.at)]
     # Steady-state tail: samples completing inside the injection window
     # (requests still in flight at cut-off drain through the shuffle
     # timer and would smear an end-of-run artifact into the p99).
-    trimmed = injector.recorder.trimmed(start, end) if injector.recorder else []
+    trimmed = rig.injector.recorder.trimmed(start, rig.end)
     p99 = percentile(sorted(trimmed), 0.99) if trimmed else None
     fault_kinds: Dict[str, int] = {}
-    if chaos_plan is not None:
-        for event in chaos_plan.events:
-            fault_kinds[event.kind] = fault_kinds.get(event.kind, 0) + 1
+    for event in fault_events:
+        fault_kinds[event.kind] = fault_kinds.get(event.kind, 0) + 1
     result = CapacityPointResult(
         target=target,
         plan=plan,
         seed=seed,
         mode=mode,
-        issued=injector.report.issued,
-        completed=injector.report.completed,
-        failed=injector.report.failed,
         p99_latency_seconds=p99,
-        min_released_flush=min((size for _, size, _ in window), default=None),
-        min_steady_flush=min((size for _, size, _ in steady), default=None),
+        min_released_flush=min((f.size for f in window), default=None),
+        min_steady_flush=min((f.size for f in steady), default=None),
         sub_floor_interrupted_flushes=sum(
-            1
-            for at, size, _ in window
-            if size < plan.shuffle_size and interrupted(at)
+            1 for f in window if f.size < plan.shuffle_size and interrupted(f.at)
         ),
-        min_effective_anonymity=min((size * ia for _, size, ia in window), default=None),
+        min_effective_anonymity=min((f.size * f.live_ia for f in window), default=None),
         window_flushes=len(window),
-        crashes_injected=fault_supervisor.crashes_injected,
-        restarts_completed=fault_supervisor.restarts_completed,
         ejections=fleet_supervisor.ejections,
         readmissions=fleet_supervisor.readmissions,
         failovers=fleet.directory.failovers,
-        shed_total=sum(
-            getattr(instance, "requests_shed", 0)
-            for instance in fleet.ua_instances + fleet.ia_instances
-        ),
-        fault_kinds=fault_kinds,
+        fault_kinds=dict(sorted(fault_kinds.items())),
+        **rig.counters_for(CapacityPointResult),
     )
     values: Dict[str, Any] = {
         "issued": float(result.issued),
@@ -519,16 +420,9 @@ def verify_plan(
         capacity_slo_objectives(target, plan, chaos=chaos, spec=spec),
         values,
         experiment=f"capacity/{target.label()}/{mode}",
-        generated_at=ctx.loop.now,
+        generated_at=rig.loop.now,
     )
-    telemetry.finalize_run(
-        extra={
-            "scenario": "capacity",
-            "point": target.label(),
-            "mode": mode,
-            **result.to_dict(),
-        }
-    )
+    rig.finish({"point": target.label(), "mode": mode, **result.to_dict()})
     return result
 
 
@@ -547,8 +441,6 @@ def run_capacity(
     deterministic, diffable ``capacity.json`` body; *meta* carries the
     wall-clock measurements.
     """
-    import time
-
     points: List[Dict[str, Any]] = []
     results: List[CapacityPointResult] = []
     metas: List[Dict[str, Any]] = []
@@ -599,13 +491,33 @@ def write_artifacts(
     artifact: Dict[str, Any], meta: Dict[str, Any], out_dir: str
 ) -> Tuple[str, str]:
     """Write ``capacity.json`` (diffable) and ``capacity_meta.json`` (not)."""
-    os.makedirs(out_dir, exist_ok=True)
-    artifact_path = os.path.join(out_dir, "capacity.json")
-    meta_path = os.path.join(out_dir, "capacity_meta.json")
-    with open(artifact_path, "w") as fh:
-        json.dump(artifact, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return artifact_path, meta_path
+    return (
+        write_json(artifact, out_dir, "capacity.json"),
+        write_json(meta, out_dir, "capacity_meta.json"),
+    )
+
+
+def gate(out_dir: str) -> List[str]:
+    """``repro run capacity``: solve the canonical targets, verify
+    both legs of each, write ``capacity.json`` (+ the wall-clock meta)."""
+    artifact, meta, results = run_capacity()
+    print("capacity plan verification")
+    print("==========================")
+    print(
+        f"  {'target':>7s} {'p99 slo':>8s} {'mode':>6s} {'shards':>6s} {'I':>3s}"
+        f" {'S':>3s} {'goodput':>8s} {'p99':>8s} {'min S':>6s} {'ok':>4s}"
+    )
+    for result in results:
+        floor = (
+            result.min_steady_flush if result.mode == "chaos" else result.min_released_flush
+        )
+        p99 = "-" if result.p99_latency_seconds is None else f"{result.p99_latency_seconds:.3f}"
+        print(
+            f"  {result.target.rps:7.0f} {result.target.p99_slo:8.2f}"
+            f" {result.mode:>6s} {result.plan.shards:6d}"
+            f" {result.plan.instances_per_shard:3d} {result.plan.shuffle_size:3d}"
+            f" {result.goodput:8.4f} {p99:>8s}"
+            f" {floor if floor is not None else '-':>6} {'yes' if result.ok else 'NO':>4s}"
+        )
+    write_artifacts(artifact, meta, out_dir)
+    return [problem for result in results for problem in result.problems()]

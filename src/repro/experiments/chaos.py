@@ -17,9 +17,11 @@ the telemetry redaction audit is not clean on the error paths.
 
 Determinism: everything runs on the virtual clock from named RNG
 streams, so a fixed seed reproduces the identical fault/recovery event
-stream (and, in a fresh process, a byte-identical telemetry artifact —
-request-id allocation is process-global, which is why the CI job diffs
-two separate invocations).
+stream and a byte-identical telemetry artifact.  Request ids are
+allocated per :class:`~repro.context.SimContext`, so nothing leaks
+between runs in one process; CI still diffs two *separate* invocations
+because only a fresh interpreter (and hash seed) proves nothing
+depends on process state.
 """
 
 from __future__ import annotations
@@ -27,20 +29,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.context import Deployment, SimContext
-from repro.faults import ChaosSpec, FaultSupervisor, NetworkFaultController
+from repro.experiments.rig import DrillRig, print_summary, summarize
+from repro.faults import ChaosSpec
 from repro.faults.brownout import BrownoutLrs
-from repro.lrs.stub import StubLrs, make_pseudonymous_payload
-from repro.obs.slo import Objective, SloEngine, histogram_quantile
+from repro.obs.slo import Objective, SloEngine, SloReport
 from repro.proxy.config import PProxConfig
-from repro.simnet.metrics import LatencyRecorder
-from repro.telemetry import Telemetry, instrument_stack
-from repro.workload.injector import Injector
+from repro.telemetry import Telemetry
 
 __all__ = [
     "ChaosResult",
     "run_chaos",
-    "default_chaos_config",
+    "gate",
+    "slo_verdict",
+    "CHAOS_CONFIG",
     "chaos_slo_objectives",
     "DEFAULT_AVAILABILITY_FLOOR",
 ]
@@ -51,16 +52,14 @@ __all__ = [
 #: windows are lost.
 DEFAULT_AVAILABILITY_FLOOR = 0.9
 
-
-def default_chaos_config() -> PProxConfig:
-    """Two instances per layer so a crash leaves a surviving backend."""
-    return PProxConfig(
-        ua_instances=2,
-        ia_instances=2,
-        shuffle_size=4,
-        shuffle_timeout=0.2,
-        balancing="round-robin",
-    )
+#: Two instances per layer so a crash leaves a surviving backend.
+CHAOS_CONFIG = PProxConfig(
+    ua_instances=2,
+    ia_instances=2,
+    shuffle_size=4,
+    shuffle_timeout=0.2,
+    balancing="round-robin",
+)
 
 
 @dataclass
@@ -146,35 +145,8 @@ class ChaosResult:
         return not self.problems()
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready summary (fault_events excluded; see the artifact)."""
-        return {
-            "seed": self.seed,
-            "rps": self.rps,
-            "duration": self.duration,
-            "availability": self.availability,
-            "availability_floor": self.availability_floor,
-            "issued": self.issued,
-            "completed": self.completed,
-            "failed": self.failed,
-            "outcomes": dict(self.outcomes),
-            "retries_performed": self.retries_performed,
-            "hedges_launched": self.hedges_launched,
-            "retryable_errors": self.retryable_errors,
-            "timeouts": self.timeouts,
-            "crashes_injected": self.crashes_injected,
-            "restarts_completed": self.restarts_completed,
-            "failovers": self.failovers,
-            "readmissions": self.readmissions,
-            "partition_drops": self.partition_drops,
-            "random_drops": self.random_drops,
-            "delays_injected": self.delays_injected,
-            "brownout_rejected": self.brownout_rejected,
-            "brownout_slowed": self.brownout_slowed,
-            "stale_responses": self.stale_responses,
-            "transform_errors": self.transform_errors,
-            "fault_event_count": len(self.fault_events),
-            "audit_violations": self.audit_violations,
-        }
+        """JSON-ready summary (fault events as a count; see the artifact)."""
+        return summarize(self, counted=("fault_events",), derived=("availability",))
 
 
 def chaos_slo_objectives(
@@ -224,163 +196,74 @@ def run_chaos(
     rps: float = 60.0,
     duration: float = 12.0,
     *,
-    availability_floor: float = DEFAULT_AVAILABILITY_FLOOR,
-    spec: Optional[ChaosSpec] = None,
-    config: Optional[PProxConfig] = None,
     telemetry: Optional[Telemetry] = None,
     slo: Optional[SloEngine] = None,
-    probe_interval: float = 0.25,
-    grace: float = 8.0,
 ) -> ChaosResult:
     """Run the chaos drill once and return its :class:`ChaosResult`.
 
-    *grace* seconds of drain time after the injection phase let
-    backoff retries, hedges and the last fault windows resolve before
-    counters are read.  Pass an :class:`SloEngine` as *slo* to sample
-    burn rates live and attach an ``slo_report`` verdict to the result.
+    Pass an :class:`SloEngine` as *slo* to sample burn rates live and
+    attach an ``slo_report`` verdict to the result.
     """
-    telemetry = telemetry if telemetry is not None else Telemetry(scrape_interval=1.0)
-    ctx = SimContext.fresh(seed, telemetry=telemetry)
-    telemetry.bind(ctx.loop, run_label=f"chaos/seed{seed}")
-
-    stub = StubLrs(loop=ctx.loop, rng=ctx.rng.stream("stub"))
-    brownout = BrownoutLrs(inner=stub, loop=ctx.loop, rng=ctx.rng.stream("brownout"))
-    pprox_config = config if config is not None else default_chaos_config()
-    deployment = Deployment.build(
-        ctx=ctx, config=pprox_config, lrs_picker=lambda: brownout
-    )
-    service = deployment.service
-    if pprox_config.encryption and pprox_config.item_pseudonymization:
-        stub.items = make_pseudonymous_payload(
-            ctx.resolved_provider(), service.provisioner.layer_keys["IA"].symmetric_key
-        )
-
-    client = deployment.client(
+    rig = DrillRig("chaos", seed, grace=8.0, telemetry=telemetry)
+    brownout = BrownoutLrs(inner=rig.lrs, loop=rig.loop, rng=rig.rng.stream("brownout"))
+    rig.deploy(
+        CHAOS_CONFIG,
+        backend=brownout,
         request_timeout=0.8,
         max_retries=5,
         backoff_base=0.05,
         backoff_jitter=0.02,
         hedge_delay=0.4,
     )
-    monitor = deployment.health_monitor(interval=probe_interval)
+    monitor = rig.add_monitor(interval=0.25)
     monitor.start()
-
-    netfaults = NetworkFaultController(
-        network=ctx.network, rng=ctx.rng.stream("netfaults")
-    )
-    supervisor = FaultSupervisor(
-        loop=ctx.loop,
-        service=service,
-        netfaults=netfaults,
-        lrs=brownout,
-        telemetry=telemetry,
-    )
-    chaos_spec = spec if spec is not None else ChaosSpec(horizon=duration)
-    plan = chaos_spec.sample(
-        ctx.rng,
-        ua_names=[instance.name for instance in service.ua_instances],
-        ia_names=[instance.name for instance in service.ia_instances],
-    )
-    supervisor.arm(plan)
-
-    injector = Injector(
-        loop=ctx.loop, rng=ctx.rng.stream("injector"),
-        recorder=LatencyRecorder("chaos"),
-    )
-    instrument_stack(
-        telemetry,
-        service=service,
-        provider=ctx.resolved_provider(),
-        lrs=brownout,
-        injector=injector,
-        network=ctx.network,
-        monitor=monitor,
-        client=client,
-        supervisor=supervisor,
-    )
-
-    if slo is not None:
-        if slo.telemetry is None:
-            slo.telemetry = telemetry
-        flush_counts = {"released": 0, "full": 0}
-        shuffle_size = pprox_config.shuffle_size
-        for instance in service.ua_instances:
-            buffer = instance.request_buffer
-            if buffer is None:
-                continue
-
-            def flush_hook(size: int, timer_fired: bool) -> None:
-                flush_counts["released"] += 1
-                if size >= shuffle_size:
-                    flush_counts["full"] += 1
-
-            buffer.chain_on_flush(flush_hook)
-        latency_hist = telemetry.registry.histogram(
-            "pprox_request_latency_seconds",
-            "End-to-end client-observed request latency.",
+    supervisor = rig.add_fault_rig(lrs=brownout)
+    supervisor.arm(
+        ChaosSpec(horizon=duration).sample(
+            rig.rng,
+            ua_names=[instance.name for instance in rig.service.ua_instances],
+            ia_names=[instance.name for instance in rig.service.ia_instances],
         )
-        slo.track("issued", lambda: injector.report.issued)
-        slo.track("completed", lambda: injector.report.completed)
-        slo.track("released_flushes", lambda: flush_counts["released"])
-        slo.track("full_flushes", lambda: flush_counts["full"])
-        slo.track(
-            "p99_latency_seconds", lambda: histogram_quantile(latency_hist, 0.99)
-        )
-
-    users = [f"user-{index}" for index in range(200)]
-    user_rng = ctx.rng.stream("users")
-
-    def issue(on_complete) -> None:
-        client.get(user_rng.choice(users), on_complete=on_complete)
-
-    start, end = injector.inject(rps, duration, issue)
-    if slo is not None:
-        # Bounded at the drain horizon: the SLO tick and the telemetry
-        # scraper both re-arm while the loop has pending work, so an
-        # unbounded engine would keep the final ``run()`` alive forever.
-        slo.attach(ctx.loop, until=end + grace)
-    ctx.loop.run_until(end + grace)
-    monitor.stop()
-    ctx.loop.run()
+    )
+    rig.instrument(lrs=brownout)
+    rig.offer(rps, duration, users=200)
+    shuffle_size = CHAOS_CONFIG.shuffle_size
+    rig.watch(slo, {
+        "released_flushes": lambda: len(rig.released(layer="UA")),
+        "full_flushes": lambda: sum(
+            1 for flush in rig.released(layer="UA") if flush.size >= shuffle_size
+        ),
+    })
+    rig.run(stop=[monitor])
 
     result = ChaosResult(
         seed=seed, rps=rps, duration=duration,
-        availability_floor=availability_floor,
-        issued=injector.report.issued,
-        completed=injector.report.completed,
-        failed=injector.report.failed,
-        outcomes=dict(client.outcomes),
-        retries_performed=client.retries_performed,
-        hedges_launched=client.hedges_launched,
-        retryable_errors=client.retryable_errors,
-        timeouts=client.timeouts,
-        crashes_injected=supervisor.crashes_injected,
-        restarts_completed=supervisor.restarts_completed,
-        failovers=monitor.failovers,
-        readmissions=len(monitor.readmitted),
-        partition_drops=netfaults.partition_drops,
-        random_drops=netfaults.random_drops,
-        delays_injected=netfaults.delays_injected,
+        availability_floor=DEFAULT_AVAILABILITY_FLOOR,
         brownout_rejected=brownout.rejected,
         brownout_slowed=brownout.slowed,
-        stale_responses=sum(
-            instance.stale_responses
-            for instance in service.ua_instances + service.ia_instances
-        ),
-        transform_errors=sum(
-            instance.transform_errors
-            for instance in service.ua_instances + service.ia_instances
-        ),
-        fault_events=[
-            event.to_dict()
-            for event in telemetry.event_log.events
-            if event.kind == "fault"
-        ],
-        audit_violations=len(telemetry.audit()),
+        fault_events=rig.events("fault"),
+        **rig.counters_for(ChaosResult),
     )
-    if slo is not None:
-        result.slo_report = slo.evaluate(
-            chaos_slo_objectives(availability_floor), experiment="chaos"
-        )
-    telemetry.finalize_run(extra={"scenario": "chaos", "seed": seed, **result.to_dict()})
+    result.slo_report = rig.finish(result.to_dict(), chaos_slo_objectives())
     return result
+
+
+def slo_verdict() -> SloReport:
+    """The default drill's SLO verdict (replayed by the obs gate)."""
+    return run_chaos(slo=SloEngine()).slo_report
+
+
+def gate(out_dir: str) -> List[str]:
+    """``repro run chaos``: the default drill, its telemetry artifact
+    and its acceptance checks."""
+    telemetry = Telemetry(scrape_interval=1.0)
+    result = run_chaos(telemetry=telemetry)
+    print_summary("chaos drill summary", result.to_dict(), (
+        "seed", "issued", "completed", "failed", "availability",
+        "crashes_injected", "restarts_completed", "failovers", "readmissions",
+        "partition_drops", "random_drops", "delays_injected",
+        "brownout_rejected", "brownout_slowed",
+        "retries_performed", "hedges_launched", "timeouts", "outcomes",
+    ))
+    telemetry.write_artifact(out_dir)
+    return result.problems()

@@ -30,15 +30,12 @@ separate invocations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.context import Deployment, SimContext
-from repro.faults import FaultSupervisor, NetworkFaultController
+from repro.experiments.rig import POST_SHARE, DrillRig, print_summary, summarize, write_json
 from repro.fleet.placement import domain_kill_plan, placement_violations
-from repro.fleet.service import build_fleet
 from repro.fleet.supervisor import FleetSupervisor
-from repro.lrs.service import HarnessService
-from repro.obs.slo import Objective, SloEngine, histogram_quantile
+from repro.obs.slo import Objective, SloEngine, write_slo
 from repro.overload import OverloadPolicy
 from repro.privacy.adversary import Adversary
 from repro.privacy.wire import (
@@ -48,42 +45,45 @@ from repro.privacy.wire import (
     trace_field_exposures,
 )
 from repro.proxy.config import PProxConfig
-from repro.simnet.metrics import LatencyRecorder
-from repro.telemetry import Telemetry, instrument_stack
-from repro.workload.injector import Injector
+from repro.telemetry import Telemetry
 
 __all__ = [
     "FleetDrillResult",
     "run_fleet_drill",
+    "gate",
     "fleet_slo_objectives",
-    "default_fleet_config",
-    "default_fleet_overload",
+    "FLEET_CONFIG",
+    "FLEET_OVERLOAD",
 ]
 
+#: Per-shard sizing: I=2 per layer, S=4, a shuffle timeout the
+#: post-split per-instance rate still comfortably beats (so released
+#: flushes stay full-size while traffic flows).
+FLEET_CONFIG = PProxConfig(
+    ua_instances=2,
+    ia_instances=2,
+    shuffle_size=4,
+    shuffle_timeout=0.35,
+    balancing="round-robin",
+)
 
-def default_fleet_config() -> PProxConfig:
-    """Per-shard sizing: I=2 per layer, S=4, a shuffle timeout the
-    post-split per-instance rate still comfortably beats (so released
-    flushes stay full-size while traffic flows)."""
-    return PProxConfig(
-        ua_instances=2,
-        ia_instances=2,
-        shuffle_size=4,
-        shuffle_timeout=0.35,
-        balancing="round-robin",
-    )
+#: Overload protection armed wide: bounds are generous enough that the
+#: drill's load shouldn't shed, but every queue, admission check and
+#: breaker is live (a shed would still be pre-shuffle only).
+FLEET_OVERLOAD = OverloadPolicy(
+    ingress_capacity=256,
+    max_inflight=64,
+    admission_max_sojourn=0.5,
+    admission_max_pressure=4.0,
+)
 
-
-def default_fleet_overload() -> OverloadPolicy:
-    """Overload protection armed wide: bounds are generous enough that
-    the drill's load shouldn't shed, but every queue, admission check
-    and breaker is live (a shed would still be pre-shuffle only)."""
-    return OverloadPolicy(
-        ingress_capacity=256,
-        max_inflight=64,
-        admission_max_sojourn=0.5,
-        admission_max_pressure=4.0,
-    )
+#: The drill's timeline, relative to traffic start: the supervisor
+#: begins splitting shard ``s0`` of the two initial shards at
+#: ``SPLIT_AT``; at ``KILL_AT`` — inside the split's handoff window —
+#: every instance of shard ``s1``'s failure domain crashes for
+#: ``OUTAGE`` seconds.
+SHARDS, SPLIT_SHARD, KILL_SHARD = 2, "s0", "s1"
+SPLIT_AT, KILL_AT, OUTAGE = 2.0, 2.25, 1.2
 
 
 @dataclass
@@ -230,56 +230,16 @@ class FleetDrillResult:
         return not self.problems()
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready summary (fleet_events excluded; see artifact)."""
-        return {
-            "seed": self.seed,
-            "rps": self.rps,
-            "duration": self.duration,
-            "split_at": self.split_at,
-            "kill_at": self.kill_at,
-            "outage": self.outage,
-            "issued": self.issued,
-            "completed": self.completed,
-            "failed": self.failed,
-            "goodput": round(self.goodput, 6),
-            "outcomes": dict(self.outcomes),
-            "retries_performed": self.retries_performed,
-            "hedges_launched": self.hedges_launched,
-            "retryable_errors": self.retryable_errors,
-            "timeouts": self.timeouts,
-            "crashes_injected": self.crashes_injected,
-            "restarts_completed": self.restarts_completed,
-            "ejections": self.ejections,
-            "readmissions": self.readmissions,
-            "reprovisions": self.reprovisions,
-            "routed": self.routed,
-            "failovers": self.failovers,
-            "shards_initial": self.shards_initial,
-            "shards_final": self.shards_final,
-            "splits_started": self.splits_started,
-            "splits_completed": self.splits_completed,
-            "split_started_at": self.split_started_at,
-            "split_flipped_at": self.split_flipped_at,
-            "split_completed_at": self.split_completed_at,
-            "kill_time": self.kill_time,
-            "pauses": self.pauses,
-            "pause_reasons": dict(self.pause_reasons),
-            "ticks": self.ticks,
-            "shuffle_size": self.shuffle_size,
-            "instances_per_shard": self.instances_per_shard,
-            "window_flushes": self.window_flushes,
-            "min_window_flush": self.min_window_flush,
-            "min_effective_anonymity": self.min_effective_anonymity,
-            "required_anonymity": self.required_anonymity,
-            "shed_total": self.shed_total,
-            "tag_exposure_count": len(self.tag_exposures),
-            "trace_exposure_count": len(self.trace_exposures),
-            "shard_violation_count": len(self.shard_violations),
-            "reject_violation_count": len(self.reject_violations),
-            "placement_problem_count": len(self.placement_problems),
-            "audit_violations": self.audit_violations,
-            "fleet_event_count": len(self.fleet_events),
-        }
+        """JSON-ready summary (findings and events as counts)."""
+        return summarize(
+            self,
+            counted=(
+                "tag_exposures", "trace_exposures", "shard_violations",
+                "reject_violations", "placement_problems", "fleet_events",
+            ),
+            derived=("required_anonymity", "goodput"),
+            rounding={"goodput": 6},
+        )
 
 
 def fleet_slo_objectives(
@@ -320,197 +280,65 @@ def run_fleet_drill(
     rps: float = 360.0,
     duration: float = 10.0,
     *,
-    split_at: float = 2.0,
-    kill_at: float = 2.25,
-    outage: float = 1.2,
-    shards: int = 2,
-    kill_shard: str = "s1",
-    split_shard: str = "s0",
-    preload_events: int = 160,
-    config: Optional[PProxConfig] = None,
-    overload: Optional[OverloadPolicy] = None,
     telemetry: Optional[Telemetry] = None,
     slo: Optional[SloEngine] = None,
-    grace: float = 6.0,
 ) -> FleetDrillResult:
-    """Run the shard-loss-mid-split drill once.
-
-    Timeline (relative to traffic start): the supervisor begins
-    splitting *split_shard* at *split_at*; at *kill_at* — inside the
-    split's handoff window — every instance of *kill_shard*'s failure
-    domain crashes for *outage* seconds.
-    """
-    telemetry = telemetry if telemetry is not None else Telemetry(scrape_interval=1.0)
-    ctx = SimContext.fresh(seed, telemetry=telemetry)
-    telemetry.bind(ctx.loop, run_label=f"fleet/seed{seed}")
-
-    harness = HarnessService(
-        loop=ctx.loop, rng=ctx.rng.stream("lrs"), frontend_count=3
-    )
-    harness.engine.trainer.llr_threshold = 0.0
-    fleet_config = config if config is not None else default_fleet_config()
-    policy = overload if overload is not None else default_fleet_overload()
-    fleet = build_fleet(
-        ctx,
-        fleet_config,
-        harness.pick_frontend,
-        shards=shards,
-        overload=policy,
-        vnodes=128,
-    )
-    deployment = Deployment(ctx=ctx, service=fleet, config=fleet_config)
-
-    adversary = Adversary()
-    adversary.attach(ctx.network)
-    adversary.observe_lrs(harness.engine.store)
-    reject_auditor = RejectAuditor()
-    ctx.network.add_wiretap(reject_auditor.observe)
-
-    client = deployment.client(
+    """Run the shard-loss-mid-split drill once."""
+    rig = DrillRig("fleet", seed, grace=6.0, telemetry=telemetry, frontends=3)
+    rig.deploy(
+        FLEET_CONFIG,
+        shards=SHARDS,
+        overload=FLEET_OVERLOAD,
         request_timeout=0.9,
         max_retries=5,
         backoff_base=0.05,
         backoff_jitter=0.02,
         hedge_delay=0.4,
     )
+    fleet = rig.service
+    adversary = Adversary()
+    adversary.attach(rig.ctx.network)
+    adversary.observe_lrs(rig.lrs.engine.store)
+    reject_auditor = RejectAuditor()
+    rig.ctx.network.add_wiretap(reject_auditor.observe)
 
-    netfaults = NetworkFaultController(
-        network=ctx.network, rng=ctx.rng.stream("netfaults")
-    )
-    fault_supervisor = FaultSupervisor(
-        loop=ctx.loop, service=fleet, netfaults=netfaults, telemetry=telemetry
-    )
+    fault_supervisor = rig.add_fault_rig()
     supervisor = FleetSupervisor(
-        loop=ctx.loop, fleet=fleet, telemetry=telemetry,
+        loop=rig.loop, fleet=fleet, telemetry=rig.telemetry,
         tick_interval=0.1, drain_grace=0.5,
     )
+    rig.instrument()
+    rig.preload()
+    rig.offer(rps, duration, post_share=POST_SHARE)
 
-    injector = Injector(
-        loop=ctx.loop, rng=ctx.rng.stream("injector"),
-        recorder=LatencyRecorder("fleet"),
-    )
-    instrument_stack(
-        telemetry,
-        service=fleet,
-        provider=ctx.resolved_provider(),
-        lrs=harness,
-        injector=injector,
-        network=ctx.network,
-        client=client,
-        supervisor=fault_supervisor,
-    )
+    def effective_anonymity() -> Optional[int]:
+        """min released flush x live IA of the flushing shard."""
+        return min((f.size * f.live_ia for f in rig.offered_window()), default=None)
 
-    # Released-flush evidence: (time, size, live IA of the flushing
-    # shard at release).  Shards born mid-run (the split target) are
-    # hooked through on_shard_added.
-    flush_samples: List[Tuple[float, int, int]] = []
+    rig.watch(slo, {"anonymity_floor": effective_anonymity})
 
-    def hook_shard(shard) -> None:
-        for instance in shard.instances():
-            buffer = instance.shuffle_buffer
-            if buffer is None:
-                continue
-            buffer.chain_on_flush(
-                lambda size, timer_fired, _shard=shard: flush_samples.append(
-                    (ctx.loop.now, size, _shard.live_ia_count)
-                )
-            )
-
-    for shard in fleet.directory.shards.values():
-        hook_shard(shard)
-    fleet.on_shard_added = hook_shard
-
-    # Store + train before the drill (bare loop.run() terminates: no
-    # periodic machinery has started yet).
-    users = [f"user-{index}" for index in range(40)]
-    items = [f"item-{index}" for index in range(12)]
-    seed_rng = ctx.rng.stream("preload")
-    for index in range(preload_events):
-        client.post(users[index % len(users)], seed_rng.choice(items))
-    ctx.loop.run()
-    harness.train()
-
-    user_rng = ctx.rng.stream("users")
-
-    def issue(on_complete) -> None:
-        if user_rng.random() < 0.2:
-            client.post(
-                user_rng.choice(users), user_rng.choice(items),
-                on_complete=on_complete,
-            )
-        else:
-            client.get(user_rng.choice(users), on_complete=on_complete)
-
-    start, end = injector.inject(rps, duration, issue)
-
-    if slo is not None:
-        if slo.telemetry is None:
-            slo.telemetry = telemetry
-        latency_hist = telemetry.registry.histogram(
-            "pprox_request_latency_seconds",
-            "End-to-end client-observed request latency.",
-        )
-
-        def anonymity_floor_source() -> Optional[float]:
-            gauges = [
-                size * ia_count
-                for at, size, ia_count in flush_samples
-                if start <= at <= end
-            ]
-            if not gauges:
-                return None
-            return float(min(gauges))
-
-        slo.track("issued", lambda: injector.report.issued)
-        slo.track("completed", lambda: injector.report.completed)
-        slo.track("anonymity_floor", anonymity_floor_source)
-        slo.track(
-            "p99_latency_seconds", lambda: histogram_quantile(latency_hist, 0.99)
-        )
-        slo.attach(ctx.loop, until=end + grace)
-
-    kill_domain = fleet.directory.shards[kill_shard].domain
-    plan = domain_kill_plan(fleet, kill_domain, at=kill_at, outage=outage)
-    fault_supervisor.arm(plan.shifted(start))
+    kill_domain = fleet.directory.shards[KILL_SHARD].domain
+    plan = domain_kill_plan(fleet, kill_domain, at=KILL_AT, outage=OUTAGE)
+    fault_supervisor.arm(plan.shifted(rig.start))
     supervisor.start()
-    ctx.loop.schedule(
-        max(0.0, start + split_at - ctx.loop.now),
-        lambda: supervisor.split(split_shard),
+    rig.loop.schedule(
+        max(0.0, rig.start + SPLIT_AT - rig.loop.now),
+        lambda: supervisor.split(SPLIT_SHARD),
     )
-    ctx.loop.run_until(end + grace)
-    supervisor.stop()
-    ctx.loop.run()
+    rig.run(stop=[supervisor])
 
-    window_samples = [
-        (at, size, ia_count)
-        for at, size, ia_count in flush_samples
-        if start <= at <= end
-    ]
+    window = rig.offered_window()
     split_ops = [op for op in supervisor.operations if op.kind == "split"]
     split_op = split_ops[0] if split_ops else None
-    shed_total = sum(
-        getattr(instance, "requests_shed", 0)
-        for instance in fleet.ua_instances + fleet.ia_instances
-    )
     result = FleetDrillResult(
         seed=seed, rps=rps, duration=duration,
-        split_at=split_at, kill_at=kill_at, outage=outage,
-        issued=injector.report.issued,
-        completed=injector.report.completed,
-        failed=injector.report.failed,
-        outcomes=dict(client.outcomes),
-        retries_performed=client.retries_performed,
-        hedges_launched=client.hedges_launched,
-        retryable_errors=client.retryable_errors,
-        timeouts=client.timeouts,
-        crashes_injected=fault_supervisor.crashes_injected,
-        restarts_completed=fault_supervisor.restarts_completed,
+        split_at=SPLIT_AT, kill_at=KILL_AT, outage=OUTAGE,
         ejections=supervisor.ejections,
         readmissions=supervisor.readmissions,
         reprovisions=supervisor.reprovisions,
         routed=fleet.directory.routed,
         failovers=fleet.directory.failovers,
-        shards_initial=shards,
+        shards_initial=SHARDS,
         shards_final=sum(
             1 for s in fleet.directory.shards.values() if s.state == "live"
         ),
@@ -519,22 +347,15 @@ def run_fleet_drill(
         split_started_at=split_op.started_at if split_op else None,
         split_flipped_at=split_op.flipped_at if split_op else None,
         split_completed_at=split_op.completed_at if split_op else None,
-        kill_time=start + kill_at,
+        kill_time=rig.start + KILL_AT,
         pauses=supervisor.pauses,
         pause_reasons=dict(supervisor.pause_reasons),
         ticks=supervisor.ticks,
-        shuffle_size=fleet_config.shuffle_size,
+        shuffle_size=FLEET_CONFIG.shuffle_size,
         instances_per_shard=fleet.instances_per_shard,
-        window_flushes=len(window_samples),
-        min_window_flush=(
-            min(size for _, size, _ in window_samples) if window_samples else None
-        ),
-        min_effective_anonymity=(
-            min(size * ia for _, size, ia in window_samples)
-            if window_samples
-            else None
-        ),
-        shed_total=shed_total,
+        window_flushes=len(window),
+        min_window_flush=min((f.size for f in window), default=None),
+        min_effective_anonymity=effective_anonymity(),
         tag_exposures=epoch_tag_exposures(adversary.observations),
         trace_exposures=trace_field_exposures(adversary.observations),
         shard_violations=shard_routing_violations(
@@ -542,19 +363,32 @@ def run_fleet_drill(
         ),
         reject_violations=reject_auditor.violations(),
         placement_problems=placement_violations(fleet),
-        audit_violations=len(telemetry.audit()),
-        fleet_events=[
-            event.to_dict()
-            for event in telemetry.event_log.events
-            if event.kind == "fleet"
-        ],
+        fleet_events=rig.events("fleet"),
+        **rig.counters_for(FleetDrillResult),
     )
-    if slo is not None:
-        result.slo_report = slo.evaluate(
-            fleet_slo_objectives(float(result.required_anonymity)),
-            experiment="fleet",
-        )
-    telemetry.finalize_run(
-        extra={"scenario": "fleet", "seed": seed, **result.to_dict()}
+    result.slo_report = rig.finish(
+        result.to_dict(), fleet_slo_objectives(float(result.required_anonymity))
     )
     return result
+
+
+def gate(out_dir: str) -> List[str]:
+    """``repro run fleet``: the default drill under an SLO engine;
+    writes ``fleet.json``, ``slo.json`` and the telemetry artifact."""
+    telemetry = Telemetry(scrape_interval=1.0)
+    result = run_fleet_drill(telemetry=telemetry, slo=SloEngine())
+    summary = result.to_dict()
+    print_summary("fleet drill summary", summary, (
+        "seed", "issued", "completed", "failed", "goodput",
+        "crashes_injected", "restarts_completed", "ejections", "readmissions",
+        "routed", "failovers", "shards_initial", "shards_final",
+        "splits_started", "splits_completed",
+        "split_started_at", "split_flipped_at", "split_completed_at",
+        "kill_time", "pauses", "pause_reasons",
+        "window_flushes", "min_window_flush",
+        "min_effective_anonymity", "required_anonymity", "shed_total", "outcomes",
+    ))
+    write_json(summary, out_dir, "fleet.json")
+    telemetry.write_artifact(out_dir)
+    write_slo(result.slo_report, out_dir)
+    return result.problems() + result.slo_report.problems()

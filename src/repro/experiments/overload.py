@@ -29,58 +29,69 @@ Acceptance (encoded in :meth:`OverloadResult.problems`):
 
 Determinism: each load point runs in a fresh
 :class:`~repro.context.SimContext` derived from the same seed, so a
-fixed seed reproduces identical counters (and, in a fresh process,
-byte-identical telemetry artifacts — request-id allocation is
-process-global, which is why the CI job diffs two invocations).
+fixed seed reproduces identical counters and byte-identical telemetry
+artifacts (the CI job diffs two separate invocations).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.context import Deployment, SimContext
-from repro.lrs.stub import StubLrs, make_pseudonymous_payload
-from repro.obs.slo import Objective, SloEngine, histogram_quantile
+from repro.experiments.rig import DrillRig, summarize
+from repro.obs.slo import Objective, SloEngine, SloReport
 from repro.overload import GuardedLrs, OverloadPolicy
 from repro.privacy.wire import RejectAuditor
 from repro.proxy.config import PProxConfig
 from repro.proxy.costs import DEFAULT_COSTS, ProxyCostModel
-from repro.simnet.metrics import LatencyRecorder, percentile
-from repro.telemetry import Telemetry, instrument_stack
-from repro.workload.injector import Injector
+from repro.simnet.metrics import percentile
+from repro.telemetry import Telemetry
 
 __all__ = [
     "LoadPoint",
     "OverloadResult",
     "run_overload",
+    "gate",
+    "slo_verdict",
     "overload_slo_objectives",
-    "default_overload_config",
-    "default_overload_policy",
     "overload_cost_model",
+    "OVERLOAD_CONFIG",
+    "OVERLOAD_POLICY",
+    "MULTIPLIERS",
     "DEFAULT_CAPACITY_RPS",
     "GOODPUT_RETENTION_FLOOR",
 ]
 
 #: Estimated per-pair saturation rate under :func:`overload_cost_model`
 #: (one UA + one IA node, 2 cores each, costs inflated 4x to keep the
-#: sweep cheap).  The sweep multiplies this by 0.5 / 1.0 / 2.0.
+#: sweep cheap).  The sweep multiplies this by :data:`MULTIPLIERS`.
 DEFAULT_CAPACITY_RPS = 85.0
+MULTIPLIERS = (0.5, 1.0, 2.0)
 
 #: Protected goodput at 2x capacity must stay within this fraction of
 #: the saturation goodput.
 GOODPUT_RETENTION_FLOOR = 0.8
 
+#: One instance per layer so the capacity cliff is sharp.
+OVERLOAD_CONFIG = PProxConfig(
+    ua_instances=1,
+    ia_instances=1,
+    shuffle_size=4,
+    shuffle_timeout=0.2,
+    balancing="round-robin",
+)
 
-def default_overload_config() -> PProxConfig:
-    """One instance per layer so the capacity cliff is sharp."""
-    return PProxConfig(
-        ua_instances=1,
-        ia_instances=1,
-        shuffle_size=4,
-        shuffle_timeout=0.2,
-        balancing="round-robin",
-    )
+#: Protection knobs matched to the sweep's scale.
+OVERLOAD_POLICY = OverloadPolicy(
+    ingress_capacity=64,
+    shed_policy="codel",
+    codel_target=0.05,
+    codel_interval=0.1,
+    max_inflight=16,
+    admission_max_sojourn=0.25,
+    breaker_failure_threshold=5,
+    breaker_reset_timeout=0.5,
+)
 
 
 def overload_cost_model(slowdown: float = 4.0) -> ProxyCostModel:
@@ -100,20 +111,6 @@ def overload_cost_model(slowdown: float = 4.0) -> ProxyCostModel:
         det_id_seconds=base.det_id_seconds * slowdown,
         det_item_seconds=base.det_item_seconds * slowdown,
         list_encrypt_seconds=base.list_encrypt_seconds * slowdown,
-    )
-
-
-def default_overload_policy() -> OverloadPolicy:
-    """Protection knobs matched to the default sweep's scale."""
-    return OverloadPolicy(
-        ingress_capacity=64,
-        shed_policy="codel",
-        codel_target=0.05,
-        codel_interval=0.1,
-        max_inflight=16,
-        admission_max_sojourn=0.25,
-        breaker_failure_threshold=5,
-        breaker_reset_timeout=0.5,
     )
 
 
@@ -153,28 +150,11 @@ class LoadPoint:
         return self.shed_total / self.issued if self.issued else 0.0
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "offered_rps": self.offered_rps,
-            "protected": self.protected,
-            "issued": self.issued,
-            "completed": self.completed,
-            "failed": self.failed,
-            "timeouts": self.timeouts,
-            "retries_performed": self.retries_performed,
-            "shed_total": self.shed_total,
-            "shed_by_stage": dict(sorted(self.shed_by_stage.items())),
-            "shed_rate": round(self.shed_rate, 4),
-            "guard_rejections": self.guard_rejections,
-            "breaker_trips": self.breaker_trips,
-            "goodput_rps": round(self.goodput_rps, 3),
-            "p50_seconds": round(self.p50_seconds, 5),
-            "p99_seconds": round(self.p99_seconds, 5),
-            "min_flush_during_load": self.min_flush_during_load,
-            "anonymity_floor": self.anonymity_floor,
-            "required_anonymity": self.required_anonymity,
-            "audit_violations": self.audit_violations,
-            "reject_audit": list(self.reject_audit),
-        }
+        return summarize(
+            self,
+            derived=("shed_rate",),
+            rounding={"shed_rate": 4, "goodput_rps": 3, "p50_seconds": 5, "p99_seconds": 5},
+        )
 
 
 @dataclass
@@ -311,185 +291,99 @@ def overload_slo_objectives(
 
 
 def _run_point(
-    seed: int,
-    rps: float,
-    duration: float,
-    grace: float,
+    result: OverloadResult,
+    multiplier: float,
     *,
     protected: bool,
-    config: PProxConfig,
-    policy: OverloadPolicy,
-    costs: ProxyCostModel,
-    telemetry: Telemetry,
-    run_label: str,
-    enforce_full_batches: bool,
-    slo: Optional[SloEngine] = None,
+    telemetry: Optional[Telemetry],
+    slo: Optional[SloEngine],
 ) -> LoadPoint:
-    """One cell of the sweep, in a fresh simulation context."""
-    ctx = SimContext.fresh(seed, costs=costs, telemetry=telemetry)
-    telemetry.bind(ctx.loop, run_label=run_label)
-
-    stub = StubLrs(loop=ctx.loop, rng=ctx.rng.stream("stub"))
+    """One cell of the sweep, in a fresh simulation context; appended
+    to *result* before the run is closed so the run-end record carries
+    the sweep so far."""
+    rps, duration = result.capacity_rps * multiplier, result.duration
+    variant = "protected" if protected else "baseline"
+    rig = DrillRig(
+        "overload", result.seed, grace=3.0, telemetry=telemetry, costs=overload_cost_model(),
+        run_label=f"overload/seed{result.seed}/{variant}/x{multiplier:g}",
+    )
     guard: Optional[GuardedLrs] = None
     if protected:
         guard = GuardedLrs(
-            inner=stub,
-            breaker=policy.make_breaker(clock=lambda: ctx.loop.now),
-            limiter=policy.make_limiter(),
-            telemetry=telemetry,
+            inner=rig.lrs,
+            breaker=OVERLOAD_POLICY.make_breaker(clock=lambda: rig.loop.now),
+            limiter=OVERLOAD_POLICY.make_limiter(),
+            telemetry=rig.telemetry,
         )
-    backend: Any = guard if guard is not None else stub
-    deployment = Deployment.build(
-        ctx=ctx,
-        config=config,
-        lrs_picker=lambda: backend,
-        overload=policy if protected else None,
-    )
-    service = deployment.service
-    if config.encryption and config.item_pseudonymization:
-        stub.items = make_pseudonymous_payload(
-            ctx.resolved_provider(), service.provisioner.layer_keys["IA"].symmetric_key
-        )
-
-    client = deployment.client(
+    rig.deploy(
+        OVERLOAD_CONFIG,
+        backend=guard,
+        overload=OVERLOAD_POLICY if protected else None,
         request_timeout=0.5,
         max_retries=2,
         backoff_base=0.05,
         backoff_jitter=0.02,
         deadline_budget=0.8 if protected else None,
     )
-
     auditor = RejectAuditor()
-    ctx.network.add_wiretap(auditor.observe)
+    rig.ctx.network.add_wiretap(auditor.observe)
+    rig.instrument(guard=guard)
+    rig.offer(rps, duration, users=200)
 
-    injector = Injector(
-        loop=ctx.loop, rng=ctx.rng.stream("injector"),
-        recorder=LatencyRecorder("overload"),
-    )
-    instrument_stack(
-        telemetry,
-        service=service,
-        provider=ctx.resolved_provider(),
-        lrs=stub,
-        injector=injector,
-        network=ctx.network,
-        client=client,
-        guard=guard,
-    )
+    ia_count = len(rig.service.ia_instances)
 
-    # Track flush sizes while the load is offered.
-    flushes: List[Tuple[float, int]] = []
-    for instance in service.ua_instances + service.ia_instances:
-        buffer = instance.shuffle_buffer
-        if buffer is not None:
-            buffer.chain_on_flush(
-                lambda size, timer_fired: flushes.append((ctx.loop.now, size))
-            )
+    def guard_rejections() -> int:
+        if guard is None:
+            return 0
+        return guard.breaker_rejections + guard.limiter_rejections + guard.expired_rejections
 
-    users = [f"user-{index}" for index in range(200)]
-    user_rng = ctx.rng.stream("users")
+    def min_flush() -> Optional[int]:
+        return min((flush.size for flush in rig.offered_window()), default=None)
 
-    def issue(on_complete) -> None:
-        client.get(user_rng.choice(users), on_complete=on_complete)
+    def anonymity_floor_source() -> Optional[float]:
+        smallest = min_flush()
+        return None if smallest is None else float(smallest * ia_count)
 
-    start, end = injector.inject(rps, duration, issue)
+    def shed_source() -> Optional[float]:
+        issued = rig.injector.report.issued
+        return (rig.shed_total + guard_rejections()) / issued if issued else None
 
-    if slo is not None:
-        if slo.telemetry is None:
-            slo.telemetry = telemetry
-        ia_count = len(service.ia_instances)
-        latency_hist = telemetry.registry.histogram(
-            "pprox_request_latency_seconds",
-            "End-to-end client-observed request latency.",
-        )
+    rig.watch(slo, {"anonymity_floor": anonymity_floor_source, "shed_rate": shed_source})
+    rig.run()
 
-        def anonymity_floor_source() -> Optional[float]:
-            during = [size for when, size in flushes if start <= when <= end]
-            if not during:
-                return None
-            return float(min(during) * ia_count)
-
-        def shed_source() -> Optional[float]:
-            issued = injector.report.issued
-            if not issued:
-                return None
-            total = sum(
-                count
-                for instance in service.ua_instances + service.ia_instances
-                for count in instance.shed_totals.values()
-            )
-            if guard is not None:
-                total += (
-                    guard.breaker_rejections
-                    + guard.limiter_rejections
-                    + guard.expired_rejections
-                )
-            return total / issued
-
-        slo.track("issued", lambda: injector.report.issued)
-        slo.track("completed", lambda: injector.report.completed)
-        slo.track("anonymity_floor", anonymity_floor_source)
-        slo.track("shed_rate", shed_source)
-        slo.track(
-            "p99_latency_seconds", lambda: histogram_quantile(latency_hist, 0.99)
-        )
-        # Bounded at the drain horizon (the telemetry scraper also
-        # re-arms while work is pending; two unbounded tickers would
-        # keep each other alive and the final run() would never drain).
-        slo.attach(ctx.loop, until=end + grace)
-
-    ctx.loop.run_until(end + grace)
-    ctx.loop.run()
-
-    instances = service.ua_instances + service.ia_instances
     shed_by_stage: Dict[str, int] = {}
-    for instance in instances:
+    for instance in rig.service.ua_instances + rig.service.ia_instances:
         for (stage, _reason), count in instance.shed_totals.items():
             shed_by_stage[stage] = shed_by_stage.get(stage, 0) + count
-    guard_rejections = 0
-    breaker_trips = 0
-    if guard is not None:
-        guard_rejections = (
-            guard.breaker_rejections + guard.limiter_rejections + guard.expired_rejections
-        )
-        breaker_trips = guard.breaker.trips
-        if guard_rejections:
-            shed_by_stage["lrs_guard"] = (
-                shed_by_stage.get("lrs_guard", 0) + guard_rejections
-            )
+    rejected = guard_rejections()
+    if rejected:
+        shed_by_stage["lrs_guard"] = rejected
 
-    latencies = sorted(injector.recorder.trimmed(start, end))
-    during_load = [size for when, size in flushes if start <= when <= end]
-    min_flush = min(during_load) if during_load else None
+    # Full batches are only promised where load keeps the buffers fed.
+    enforce_full_batches = protected and multiplier >= 1.0
+    smallest = min_flush() if enforce_full_batches else None
+    latencies = sorted(rig.injector.recorder.trimmed(rig.start, rig.end))
+    counters = rig.counters_for(LoadPoint)
+    counters["shed_total"] += rejected
     point = LoadPoint(
         offered_rps=rps,
         protected=protected,
-        issued=injector.report.issued,
-        completed=injector.report.completed,
-        failed=injector.report.failed,
-        timeouts=client.timeouts,
-        retries_performed=client.retries_performed,
-        shed_total=sum(shed_by_stage.values()),
-        shed_by_stage=shed_by_stage,
-        guard_rejections=guard_rejections,
-        breaker_trips=breaker_trips,
-        goodput_rps=injector.report.completed / duration if duration else 0.0,
+        shed_by_stage=dict(sorted(shed_by_stage.items())),
+        guard_rejections=rejected,
+        breaker_trips=guard.breaker.trips if guard is not None else 0,
+        goodput_rps=rig.injector.report.completed / duration if duration else 0.0,
         p50_seconds=percentile(latencies, 0.50) if latencies else 0.0,
         p99_seconds=percentile(latencies, 0.99) if latencies else 0.0,
-        min_flush_during_load=min_flush if enforce_full_batches else None,
-        anonymity_floor=(
-            (min_flush or 0) * len(service.ia_instances)
-            if enforce_full_batches
-            else 0.0
-        ),
-        required_anonymity=float(config.shuffle_size * len(service.ia_instances)),
-        audit_violations=len(telemetry.audit()),
+        min_flush_during_load=smallest,
+        anonymity_floor=(smallest or 0) * ia_count if enforce_full_batches else 0.0,
+        required_anonymity=float(OVERLOAD_CONFIG.shuffle_size * ia_count),
         reject_audit=auditor.violations(),
+        **counters,
     )
-    if slo is not None:
-        point.slo_report = slo.evaluate(
-            overload_slo_objectives(point.required_anonymity), experiment="overload"
-        )
+    result.points.append(point)
+    point.slo_report = rig.finish(
+        result.to_dict(), overload_slo_objectives(point.required_anonymity)
+    )
     return point
 
 
@@ -497,14 +391,8 @@ def run_overload(
     seed: int = 7,
     duration: float = 6.0,
     *,
-    capacity_rps: float = DEFAULT_CAPACITY_RPS,
-    multipliers: Tuple[float, ...] = (0.5, 1.0, 2.0),
-    config: Optional[PProxConfig] = None,
-    policy: Optional[OverloadPolicy] = None,
-    costs: Optional[ProxyCostModel] = None,
     telemetry: Optional[Telemetry] = None,
     slo: Optional[SloEngine] = None,
-    grace: float = 3.0,
 ) -> OverloadResult:
     """Run the offered-load sweep and return its :class:`OverloadResult`.
 
@@ -516,51 +404,55 @@ def run_overload(
     engine likewise samples only the headline cell and leaves its
     verdict in ``result.slo_report``.
     """
-    pprox_config = config if config is not None else default_overload_config()
-    overload_policy = policy if policy is not None else default_overload_policy()
-    cost_model = costs if costs is not None else overload_cost_model()
     result = OverloadResult(
         seed=seed,
         duration=duration,
-        capacity_rps=capacity_rps,
-        shuffle_size=pprox_config.shuffle_size,
+        capacity_rps=DEFAULT_CAPACITY_RPS,
+        shuffle_size=OVERLOAD_CONFIG.shuffle_size,
     )
-    cells: List[Tuple[float, bool]] = []
-    for multiplier in multipliers:
-        cells.append((multiplier, False))
-        cells.append((multiplier, True))
-    last_protected = max(m for m, _p in cells)
-    for multiplier, protected in cells:
-        headline = protected and multiplier == last_protected
-        hub = (
-            telemetry
-            if (telemetry is not None and headline)
-            else Telemetry(scrape_interval=1.0)
-        )
-        variant = "protected" if protected else "baseline"
-        point = _run_point(
-            seed,
-            capacity_rps * multiplier,
-            duration,
-            grace,
-            protected=protected,
-            config=pprox_config,
-            policy=overload_policy,
-            costs=cost_model,
-            telemetry=hub,
-            run_label=f"overload/seed{seed}/{variant}/x{multiplier:g}",
-            enforce_full_batches=protected and multiplier >= 1.0,
-            slo=slo if headline else None,
-        )
-        result.points.append(point)
-        if headline:
-            result.slo_report = point.slo_report
-        if telemetry is not None and headline:
-            telemetry.finalize_run(
-                extra={
-                    "scenario": "overload",
-                    "seed": seed,
-                    **result.to_dict(),
-                }
+    for multiplier in MULTIPLIERS:
+        for protected in (False, True):
+            headline = protected and multiplier == max(MULTIPLIERS)
+            point = _run_point(
+                result,
+                multiplier,
+                protected=protected,
+                telemetry=telemetry if headline else None,
+                slo=slo if headline else None,
             )
+            if headline:
+                result.slo_report = point.slo_report
     return result
+
+
+def slo_verdict() -> SloReport:
+    """The default sweep's headline SLO verdict (replayed by the obs gate)."""
+    return run_overload(slo=SloEngine()).slo_report
+
+
+def gate(out_dir: str) -> List[str]:
+    """``repro run overload``: the default sweep, the headline cell's
+    telemetry artifact and the graceful-degradation checks."""
+    telemetry = Telemetry(scrape_interval=1.0)
+    result = run_overload(telemetry=telemetry)
+    print("overload sweep summary")
+    print("======================")
+    print(f"  seed {result.seed}  capacity_rps {result.capacity_rps}"
+          f"  shuffle_size {result.shuffle_size}")
+    print(
+        f"  {'offered':>8s} {'variant':>9s} {'issued':>7s} {'goodput':>8s}"
+        f" {'p50':>8s} {'p99':>8s} {'sheds':>6s} {'anon>=':>7s}"
+    )
+    for point in result.points:
+        anonymity = (
+            f"{point.anonymity_floor:.0f}/{point.required_anonymity:.0f}"
+            if point.min_flush_during_load is not None
+            else "-"
+        )
+        print(
+            f"  {point.offered_rps:8.1f} {'protect' if point.protected else 'baseline':>9s}"
+            f" {point.issued:7d} {point.goodput_rps:8.2f} {point.p50_seconds:8.4f}"
+            f" {point.p99_seconds:8.4f} {point.shed_total:6d} {anonymity:>7s}"
+        )
+    telemetry.write_artifact(out_dir)
+    return result.problems()

@@ -5,14 +5,21 @@ the paper — to the modules that implement it, the bench that
 regenerates it, and the paper's headline claims about it.  Tests
 assert the index is complete and that every referenced module/bench
 exists, so documentation drift fails CI.
+
+Entries with a ``run`` target are the *runnable scenarios*: ``python
+-m repro run <identifier>`` resolves the target, calls it with the
+output directory and fails on any problem it returns; CI runs each in
+two fresh processes and ``diff -r`` the declared ``artifacts``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+import importlib
+import pathlib
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Tuple
 
-__all__ = ["Experiment", "EXPERIMENT_INDEX", "validate_index"]
+__all__ = ["Experiment", "EXPERIMENT_INDEX", "runnable", "resolve", "validate_index"]
 
 
 @dataclass(frozen=True)
@@ -25,6 +32,18 @@ class Experiment:
     modules: Tuple[str, ...]
     bench: str
     claims: Tuple[str, ...]
+    #: One-line description for the CLI (runnable scenarios only).
+    help: str = ""
+    #: ``module:function`` of the scenario's gate, called as
+    #: ``gate(out_dir) -> problems`` by ``python -m repro run``.
+    run: str = ""
+    #: Files the gate writes under ``out_dir`` that must be
+    #: byte-identical across same-seed processes (``*_meta.json``
+    #: siblings carry wall clocks and are never diffed).
+    artifacts: Tuple[str, ...] = ()
+    #: ``module:function`` returning the default run's SLO verdict; the
+    #: obs gate replays it and writes ``<identifier>/slo.json``.
+    slo: str = ""
 
 
 EXPERIMENT_INDEX: Dict[str, Experiment] = {
@@ -159,6 +178,10 @@ EXPERIMENT_INDEX: Dict[str, Experiment] = {
             "crashed enclaves re-attest and re-provision before readmission",
             "same-seed chaos runs are deterministic",
         ),
+        help="seeded fault-injection drill: crashes, partition, loss, delay, LRS brownout",
+        run="repro.experiments.chaos:gate",
+        artifacts=("telemetry.jsonl", "telemetry.prom"),
+        slo="repro.experiments.chaos:slo_verdict",
     ),
     "overload": Experiment(
         identifier="overload",
@@ -176,6 +199,10 @@ EXPERIMENT_INDEX: Dict[str, Experiment] = {
             "sheds are pre-shuffle only: anonymity never drops below S*I",
             "every reject is the canonical padded message on protected hops",
         ),
+        help="offered-load sweep at 0.5x/1x/2x capacity, with and without protection",
+        run="repro.experiments.overload:gate",
+        artifacts=("telemetry.jsonl", "telemetry.prom"),
+        slo="repro.experiments.overload:slo_verdict",
     ),
     "rotation": Experiment(
         identifier="rotation",
@@ -193,6 +220,10 @@ EXPERIMENT_INDEX: Dict[str, Experiment] = {
             "a crash of the rotating instance pauses the drill, never aborts it",
             "no wire pseudonym is linkable across epochs",
         ),
+        help="live UA key rotation under traffic with a crash and a partition mid-window",
+        run="repro.experiments.rotation:gate",
+        artifacts=("telemetry.jsonl", "telemetry.prom"),
+        slo="repro.experiments.rotation:slo_verdict",
     ),
     "scale": Experiment(
         identifier="scale",
@@ -208,6 +239,10 @@ EXPERIMENT_INDEX: Dict[str, Experiment] = {
             "the full sweep completes in minutes of wall time",
             "same-seed artifacts are byte-identical on calendar and reference engines",
         ),
+        help="CI-sized proxy-scaling sweep (200k users); --engine picks the event loop",
+        run="repro.experiments.scale:gate",
+        artifacts=("scale.json",),
+        slo="repro.experiments.scale:slo_verdict",
     ),
     "fleet": Experiment(
         identifier="fleet",
@@ -217,7 +252,7 @@ EXPERIMENT_INDEX: Dict[str, Experiment] = {
             "repro.fleet",
             "repro.fleet.ring",
             "repro.fleet.supervisor",
-            "repro.experiments.capacity",
+            "repro.experiments.fleet",
         ),
         bench="tests/test_fleet_scenario.py",
         claims=(
@@ -226,6 +261,9 @@ EXPERIMENT_INDEX: Dict[str, Experiment] = {
             "released flushes never drop the anonymity set below S*I",
             "same-seed fleet drills are byte-identical across processes",
         ),
+        help="sharded-fleet drill: a whole failure domain dies mid-split",
+        run="repro.experiments.fleet:gate",
+        artifacts=("fleet.json", "slo.json", "telemetry.jsonl", "telemetry.prom"),
     ),
     "capacity": Experiment(
         identifier="capacity",
@@ -243,6 +281,60 @@ EXPERIMENT_INDEX: Dict[str, Experiment] = {
             "the shuffle floor holds outside network-interruption windows",
             "capacity.json is deterministic for a fixed seed",
         ),
+        help="capacity planner: solve (shards, I, S) per target, verify clean + chaos legs",
+        run="repro.experiments.capacity:gate",
+        artifacts=("capacity.json",),
+    ),
+    "telemetry": Experiment(
+        identifier="telemetry",
+        title="Telemetry pipeline self-check",
+        workload="m6 gets against the stub at 40 RPS with spans, metrics and the event log on",
+        modules=("repro.telemetry", "repro.simnet.tracing", "repro.experiments.telemetry_gate"),
+        bench="tests/test_telemetry_spans.py",
+        claims=(
+            "every completed request yields one complete five-stage trace",
+            "span-derived stage durations match the wire-level BreakdownProbe",
+            "the JSONL artifact round-trips and the redaction audit is clean",
+        ),
+        help="short m6 run with full telemetry: traces, span/wire parity, redaction audit",
+        run="repro.experiments.telemetry_gate:gate",
+        artifacts=("telemetry.jsonl", "telemetry.prom"),
+    ),
+    "obs": Experiment(
+        identifier="obs",
+        title="Observability gate: causal tracing, profiler, SLO verdicts",
+        workload="obs micro run (2 UA + 2 IA, S=4), then every scenario's SLO replay",
+        modules=("repro.obs", "repro.obs.smoke", "repro.obs.slo"),
+        bench="tests/test_obs_slo.py",
+        claims=(
+            "no trace id survives past the UA shuffle boundary",
+            "profile, flamegraph, trace and slo artifacts are functions of the seed alone",
+            "the anonymity-floor objective holds in every replayed scenario",
+        ),
+        help="obs micro run (profile, trace, slo) + every registered SLO verdict",
+        run="repro.obs.smoke:gate",
+        artifacts=(
+            "profile.json", "profile.folded", "trace.jsonl", "slo.json",
+            "chaos/slo.json", "overload/slo.json", "rotation/slo.json", "scale/slo.json",
+        ),
+    ),
+    "wire": Experiment(
+        identifier="wire",
+        title="Wire-format parity: legacy vs JSON vs binary codec",
+        workload="one seeded get/post mix per codec, default and hardened client hop",
+        modules=("repro.rest.codec", "repro.privacy.wire", "repro.experiments.wire"),
+        bench="tests/test_wire_codec.py",
+        claims=(
+            "per-request outcomes and wire audits are identical under all three codecs",
+            "the binary run exercises the batch-envelope path",
+        ),
+        help="codec parity: one traffic mix under the legacy, json and binary wires",
+        run="repro.experiments.wire:gate",
+        artifacts=tuple(
+            f"parity_{mode}_{codec}.json"
+            for mode in ("default", "hardened")
+            for codec in ("legacy", "json", "binary")
+        ),
     ),
     "ablations": Experiment(
         identifier="ablations",
@@ -255,14 +347,23 @@ EXPERIMENT_INDEX: Dict[str, Experiment] = {
 }
 
 
+def runnable() -> Dict[str, Experiment]:
+    """The entries ``python -m repro run`` accepts, in index order."""
+    return {key: exp for key, exp in EXPERIMENT_INDEX.items() if exp.run}
+
+
+def resolve(target: str) -> Callable[..., Any]:
+    """Import a ``module:function`` target and return the function."""
+    module, _, name = target.partition(":")
+    return getattr(importlib.import_module(module), name)
+
+
 def validate_index() -> List[str]:
-    """Check that all referenced modules import and benches exist.
+    """Check that all referenced modules import, benches exist, and
+    every runnable entry resolves and declares what CI diffs.
 
     Returns a list of problems (empty when the index is sound).
     """
-    import importlib
-    import pathlib
-
     repo_root = pathlib.Path(__file__).resolve().parents[3]
     problems: List[str] = []
     for experiment in EXPERIMENT_INDEX.values():
@@ -273,4 +374,14 @@ def validate_index() -> List[str]:
                 problems.append(f"{experiment.identifier}: module {module} ({error})")
         if not (repo_root / experiment.bench).exists():
             problems.append(f"{experiment.identifier}: bench {experiment.bench} missing")
+        for target in filter(None, (experiment.run, experiment.slo)):
+            try:
+                if not callable(resolve(target)):
+                    problems.append(f"{experiment.identifier}: {target} is not callable")
+            except (ImportError, AttributeError) as error:
+                problems.append(f"{experiment.identifier}: target {target} ({error})")
+        if experiment.run and not (experiment.help and experiment.artifacts):
+            problems.append(
+                f"{experiment.identifier}: runnable but declares no help or no artifacts"
+            )
     return problems

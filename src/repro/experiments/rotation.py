@@ -33,41 +33,41 @@ CI job diffs two separate invocations).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.context import Deployment, SimContext
 from repro.crypto.keys import KeyFactory
-from repro.faults import FaultSupervisor, NetworkFaultController
+from repro.experiments.rig import POST_SHARE, DrillRig, print_summary, summarize
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.lrs.service import HarnessService
-from repro.obs.slo import Objective, SloEngine, histogram_quantile
+from repro.obs.slo import Objective, SloEngine, SloReport
 from repro.privacy.adversary import Adversary
 from repro.privacy.wire import epoch_tag_exposures
 from repro.proxy.config import PProxConfig
 from repro.proxy.epochs import RotationCoordinator
-from repro.simnet.metrics import LatencyRecorder
-from repro.telemetry import Telemetry, instrument_stack
-from repro.workload.injector import Injector
+from repro.telemetry import Telemetry
 
 __all__ = [
     "RotationResult",
     "run_rotation",
+    "gate",
+    "slo_verdict",
     "rotation_slo_objectives",
-    "default_rotation_config",
+    "ROTATION_CONFIG",
+    "ANNOUNCE_AT",
     "default_rotation_plan",
 ]
 
+#: Two instances per layer (a crash leaves a surviving backend), S=4
+#: with a timeout comfortably under the drill's retire grace.
+ROTATION_CONFIG = PProxConfig(
+    ua_instances=2,
+    ia_instances=2,
+    shuffle_size=4,
+    shuffle_timeout=0.25,
+    balancing="round-robin",
+)
 
-def default_rotation_config() -> PProxConfig:
-    """Two instances per layer (a crash leaves a surviving backend),
-    S=4 with a timeout comfortably under the drill's retire grace."""
-    return PProxConfig(
-        ua_instances=2,
-        ia_instances=2,
-        shuffle_size=4,
-        shuffle_timeout=0.25,
-        balancing="round-robin",
-    )
+#: Seconds after traffic start at which the new epoch is announced.
+ANNOUNCE_AT = 2.0
 
 
 @dataclass
@@ -188,58 +188,15 @@ class RotationResult:
         return not self.problems()
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready summary (rotation_events excluded; see artifact)."""
-        return {
-            "seed": self.seed,
-            "rps": self.rps,
-            "duration": self.duration,
-            "announce_at": self.announce_at,
-            "issued": self.issued,
-            "completed": self.completed,
-            "failed": self.failed,
-            "outcomes": dict(self.outcomes),
-            "retries_performed": self.retries_performed,
-            "hedges_launched": self.hedges_launched,
-            "retryable_errors": self.retryable_errors,
-            "timeouts": self.timeouts,
-            "epoch_bumps": self.epoch_bumps,
-            "crashes_injected": self.crashes_injected,
-            "restarts_completed": self.restarts_completed,
-            "failovers": self.failovers,
-            "readmissions": self.readmissions,
-            "partition_drops": self.partition_drops,
-            "stale_generation_blocks": self.stale_generation_blocks,
-            "rotation_completed": self.rotation_completed,
-            "final_state": self.final_state,
-            "old_epoch": self.old_epoch,
-            "new_epoch": self.new_epoch,
-            "window_seconds": self.window_seconds,
-            "pauses": self.pauses,
-            "pause_reasons": dict(self.pause_reasons),
-            "reprovisions": self.reprovisions,
-            "ticks": self.ticks,
-            "rekey_events_processed": self.rekey_events_processed,
-            "rekey_users_rekeyed": self.rekey_users_rekeyed,
-            "translate_cache_hits": self.translate_cache_hits,
-            "translate_cache_misses": self.translate_cache_misses,
-            "previous_epoch_decrypts": self.previous_epoch_decrypts,
-            "epoch_tags_seen": self.epoch_tags_seen,
-            "shuffle_size": self.shuffle_size,
-            "ia_instances": self.ia_instances,
-            "window_flushes": self.window_flushes,
-            "min_window_flush": self.min_window_flush,
-            "required_anonymity": self.required_anonymity,
-            "effective_anonymity_floor": self.effective_anonymity_floor,
-            "tag_exposure_count": len(self.tag_exposures),
-            "cross_epoch_user_overlap": self.cross_epoch_user_overlap,
-            "pre_announce_pseudonyms": self.pre_announce_pseudonyms,
-            "post_retire_pseudonyms": self.post_retire_pseudonyms,
-            "rotation_event_count": len(self.rotation_events),
-            "audit_violations": self.audit_violations,
-        }
+        """JSON-ready summary (exposures and events as counts)."""
+        return summarize(
+            self,
+            counted=("tag_exposures", "rotation_events"),
+            derived=("required_anonymity", "effective_anonymity_floor"),
+        )
 
 
-def default_rotation_plan(config: PProxConfig, announce_at: float) -> FaultPlan:
+def default_rotation_plan() -> FaultPlan:
     """Crash a rotating-layer instance mid-window, partition the proxy
     layers briefly during re-encryption — both must pause, not abort.
 
@@ -249,10 +206,10 @@ def default_rotation_plan(config: PProxConfig, announce_at: float) -> FaultPlan:
     return FaultPlan.from_events(
         [
             FaultEvent(
-                at=announce_at + 0.5, kind="crash", target="pprox-ua-0", duration=0.5
+                at=ANNOUNCE_AT + 0.5, kind="crash", target="pprox-ua-0", duration=0.5
             ),
             FaultEvent(
-                at=announce_at + 0.3, kind="partition", target="ua|ia", duration=0.2
+                at=ANNOUNCE_AT + 0.3, kind="partition", target="ua|ia", duration=0.2
             ),
         ]
     )
@@ -314,46 +271,24 @@ def run_rotation(
     rps: float = 140.0,
     duration: float = 10.0,
     *,
-    announce_at: float = 2.0,
-    preload_events: int = 160,
-    config: Optional[PProxConfig] = None,
-    plan: Optional[FaultPlan] = None,
     telemetry: Optional[Telemetry] = None,
     slo: Optional[SloEngine] = None,
-    probe_interval: float = 0.1,
-    grace: float = 6.0,
 ) -> RotationResult:
     """Run the live-rotation drill once; returns its :class:`RotationResult`.
 
-    *preload_events* feedback posts are stored (and the recommender
-    trained) before traffic starts, so the online re-encryption has a
-    real old-epoch prefix to translate while new-epoch rows keep
-    arriving on top of it.  Pass an :class:`SloEngine` as *slo* to
-    sample burn rates live (attached after preload, so the series
-    covers only the drill) and attach an ``slo_report`` verdict.
+    A feedback prefix is stored (and the recommender trained) before
+    traffic starts, so the online re-encryption has a real old-epoch
+    prefix to translate while new-epoch rows keep arriving on top of
+    it.  Pass an :class:`SloEngine` as *slo* to sample burn rates live
+    (attached after preload, so the series covers only the drill) and
+    attach an ``slo_report`` verdict.
     """
-    telemetry = telemetry if telemetry is not None else Telemetry(scrape_interval=1.0)
-    ctx = SimContext.fresh(seed, telemetry=telemetry)
-    telemetry.bind(ctx.loop, run_label=f"rotation/seed{seed}")
-
-    harness = HarnessService(
-        loop=ctx.loop, rng=ctx.rng.stream("lrs"), frontend_count=3
-    )
-    harness.engine.trainer.llr_threshold = 0.0
-    pprox_config = config if config is not None else default_rotation_config()
-    deployment = Deployment.build(
-        ctx=ctx, config=pprox_config, lrs_picker=harness.pick_frontend
-    )
-    service = deployment.service
-
-    adversary = Adversary()
-    adversary.attach(ctx.network)
-    adversary.observe_lrs(harness.engine.store)
-
+    rig = DrillRig("rotation", seed, grace=6.0, telemetry=telemetry, frontends=3)
     #: epoch_ttl models a stale client population: material is cached
     #: for a second, so requests sealed under the outgoing keys keep
     #: arriving after the announce and the dual window does real work.
-    client = deployment.client(
+    rig.deploy(
+        ROTATION_CONFIG,
         request_timeout=0.8,
         max_retries=5,
         backoff_base=0.05,
@@ -361,157 +296,74 @@ def run_rotation(
         hedge_delay=0.4,
         epoch_ttl=1.0,
     )
-    monitor = deployment.health_monitor(interval=probe_interval)
-
-    netfaults = NetworkFaultController(
-        network=ctx.network, rng=ctx.rng.stream("netfaults")
-    )
-    supervisor = FaultSupervisor(
-        loop=ctx.loop, service=service, netfaults=netfaults, telemetry=telemetry
-    )
-
+    service, harness = rig.service, rig.lrs
+    adversary = Adversary()
+    adversary.attach(rig.ctx.network)
+    adversary.observe_lrs(harness.engine.store)
+    monitor = rig.add_monitor(interval=0.1)
+    supervisor = rig.add_fault_rig()
     coordinator = RotationCoordinator(
-        loop=ctx.loop,
+        loop=rig.loop,
         service=service,
         layer="UA",
         store=harness.engine.store,
-        provider=ctx.resolved_provider(),
+        provider=rig.ctx.resolved_provider(),
         factory=KeyFactory(
             rsa_bits=1024,
-            rng_int=ctx.rng.int_fn("rot"),
-            rng_bytes=ctx.rng.bytes_fn("rot-b"),
+            rng_int=rig.rng.int_fn("rot"),
+            rng_bytes=rig.rng.bytes_fn("rot-b"),
         ),
         on_cutover=harness.train,
         batch_size=8,
         tick_interval=0.05,
         retire_grace=0.6,
-        telemetry=telemetry,
+        telemetry=rig.telemetry,
     )
+    rig.instrument(rotation=coordinator)
+    rig.preload()
+    rig.offer(rps, duration, post_share=POST_SHARE)
 
-    injector = Injector(
-        loop=ctx.loop, rng=ctx.rng.stream("injector"),
-        recorder=LatencyRecorder("rotation"),
-    )
-    instrument_stack(
-        telemetry,
-        service=service,
-        provider=ctx.resolved_provider(),
-        lrs=harness,
-        injector=injector,
-        network=ctx.network,
-        monitor=monitor,
-        client=client,
-        supervisor=supervisor,
-        rotation=coordinator,
-    )
+    ia_count = len(service.ia_instances)
 
-    # The window sampler: record every *released* batch so the
-    # anonymity floor can be checked at exactly the instants an
-    # adversary sees.
-    flush_samples: List[Tuple[float, int]] = []
-    for instance in service.ua_instances + service.ia_instances:
-        buffer = instance.shuffle_buffer
-        if buffer is not None:
-            buffer.chain_on_flush(
-                lambda size, timer_fired: flush_samples.append((ctx.loop.now, size))
-            )
+    def window_sizes() -> List[int]:
+        """Sizes of the batches *released* inside the dual-epoch window
+        — exactly the instants an adversary can observe."""
+        opened, closed = coordinator.window_opened_at, coordinator.window_closed_at
+        if opened is None:
+            return []
+        return [f.size for f in rig.released(opened, float("inf") if closed is None else closed)]
 
-    # Old-epoch prefix: store + train before any rotation machinery
-    # runs (the monitor/supervisor/coordinator are not started yet, so
-    # this bare loop.run() terminates).  Counts are a multiple of 2*S
-    # so round-robin leaves no partial batch behind for the timer.
-    users = [f"user-{index}" for index in range(40)]
-    items = [f"item-{index}" for index in range(12)]
-    seed_rng = ctx.rng.stream("preload")
-    for index in range(preload_events):
-        client.post(users[index % len(users)], seed_rng.choice(items))
-    ctx.loop.run()
-    harness.train()
+    def anonymity_floor_source() -> Optional[float]:
+        sizes = window_sizes()
+        return float(min(sizes) * ia_count) if sizes else None
 
-    user_rng = ctx.rng.stream("users")
+    # Integrate paused time tick-by-tick: each sample adds the gap
+    # since the previous one iff the coordinator is currently paused
+    # (interval-resolution, deterministic on virtual time).
+    pause_clock = {"seconds": 0.0, "last": None}
 
-    def issue(on_complete) -> None:
-        if user_rng.random() < 0.2:
-            client.post(
-                user_rng.choice(users), user_rng.choice(items),
-                on_complete=on_complete,
-            )
-        else:
-            client.get(user_rng.choice(users), on_complete=on_complete)
+    def pause_seconds_source() -> float:
+        now = rig.loop.now
+        last = pause_clock["last"]
+        if last is not None and coordinator.paused:
+            pause_clock["seconds"] += now - last
+        pause_clock["last"] = now
+        return pause_clock["seconds"]
 
-    # Traffic, faults and the drill are all scheduled relative to the
-    # post-preload clock so preload cost never shifts the drill.
-    start, end = injector.inject(rps, duration, issue)
-
-    if slo is not None:
-        if slo.telemetry is None:
-            slo.telemetry = telemetry
-        ia_count = len(service.ia_instances)
-        latency_hist = telemetry.registry.histogram(
-            "pprox_request_latency_seconds",
-            "End-to-end client-observed request latency.",
-        )
-
-        def anonymity_floor_source() -> Optional[float]:
-            opened = coordinator.window_opened_at
-            if opened is None:
-                return None
-            closed = coordinator.window_closed_at
-            sizes = [
-                size
-                for at, size in flush_samples
-                if at >= opened and (closed is None or at <= closed)
-            ]
-            if not sizes:
-                return None
-            return float(min(sizes) * ia_count)
-
-        # Integrate paused time tick-by-tick: each sample adds the gap
-        # since the previous one iff the coordinator is currently
-        # paused (interval-resolution, deterministic on virtual time).
-        pause_clock = {"seconds": 0.0, "last": None}
-
-        def pause_seconds_source() -> float:
-            now = ctx.loop.now
-            last = pause_clock["last"]
-            if last is not None and coordinator.paused:
-                pause_clock["seconds"] += now - last
-            pause_clock["last"] = now
-            return pause_clock["seconds"]
-
-        slo.track("issued", lambda: injector.report.issued)
-        slo.track("completed", lambda: injector.report.completed)
-        slo.track("anonymity_floor", anonymity_floor_source)
-        slo.track("rotation_pause_seconds", pause_seconds_source)
-        slo.track(
-            "p99_latency_seconds", lambda: histogram_quantile(latency_hist, 0.99)
-        )
-        # Bounded at the drain horizon (the telemetry scraper also
-        # re-arms while work is pending; two unbounded tickers would
-        # keep each other alive and the final run() would never drain).
-        slo.attach(ctx.loop, until=end + grace)
+    rig.watch(slo, {
+        "anonymity_floor": anonymity_floor_source,
+        "rotation_pause_seconds": pause_seconds_source,
+    })
 
     monitor.start()
-    relative_plan = (
-        plan if plan is not None else default_rotation_plan(pprox_config, announce_at)
-    )
-    supervisor.arm(relative_plan.shifted(start))
-    coordinator.start(start + announce_at)
-    ctx.loop.run_until(end + grace)
-    monitor.stop()
-    if not coordinator.completed:
-        # Never hang the runner on a drill that is still pausing at
-        # traffic end; the result records the non-retired state.
-        coordinator.stop()
-    ctx.loop.run()
+    supervisor.arm(default_rotation_plan().shifted(rig.start))
+    coordinator.start(rig.start + ANNOUNCE_AT)
+    # Stopping the coordinator never hangs the runner on a drill that
+    # is still pausing at traffic end (a no-op once retired); the
+    # result records the non-retired state.
+    rig.run(stop=[monitor, coordinator])
 
-    window_samples = [
-        size
-        for at, size in flush_samples
-        if coordinator.window_opened_at is not None
-        and at >= coordinator.window_opened_at
-        and (coordinator.window_closed_at is None or at <= coordinator.window_closed_at)
-    ]
+    window_samples = window_sizes()
     before = adversary.pseudonyms_observed(
         until=coordinator.window_opened_at if coordinator.window_opened_at else 0.0
     )
@@ -528,22 +380,7 @@ def run_rotation(
         coordinator.rekeyer.report() if coordinator.rekeyer is not None else None
     )
     result = RotationResult(
-        seed=seed, rps=rps, duration=duration, announce_at=announce_at,
-        issued=injector.report.issued,
-        completed=injector.report.completed,
-        failed=injector.report.failed,
-        outcomes=dict(client.outcomes),
-        retries_performed=client.retries_performed,
-        hedges_launched=client.hedges_launched,
-        retryable_errors=client.retryable_errors,
-        timeouts=client.timeouts,
-        epoch_bumps=client.epoch_bumps,
-        crashes_injected=supervisor.crashes_injected,
-        restarts_completed=supervisor.restarts_completed,
-        failovers=monitor.failovers,
-        readmissions=len(monitor.readmitted),
-        partition_drops=netfaults.partition_drops,
-        stale_generation_blocks=monitor.stale_generation_blocks,
+        seed=seed, rps=rps, duration=duration, announce_at=ANNOUNCE_AT,
         rotation_completed=coordinator.completed,
         final_state=coordinator.state,
         old_epoch=coordinator.old_epoch,
@@ -565,27 +402,42 @@ def run_rotation(
         epoch_tags_seen=sum(
             instance.epoch_tags_seen for instance in service.ua_instances
         ),
-        shuffle_size=pprox_config.shuffle_size,
-        ia_instances=len(service.ia_instances),
+        shuffle_size=ROTATION_CONFIG.shuffle_size,
+        ia_instances=ia_count,
         window_flushes=len(window_samples),
-        min_window_flush=min(window_samples) if window_samples else None,
+        min_window_flush=min(window_samples, default=None),
         tag_exposures=epoch_tag_exposures(adversary.observations),
         cross_epoch_user_overlap=len(overlap),
         pre_announce_pseudonyms=len(before["user"]),
         post_retire_pseudonyms=len(after["user"]),
-        rotation_events=[
-            event.to_dict()
-            for event in telemetry.event_log.events
-            if event.kind == "rotation"
-        ],
-        audit_violations=len(telemetry.audit()),
+        rotation_events=rig.events("rotation"),
+        **rig.counters_for(RotationResult),
     )
-    if slo is not None:
-        result.slo_report = slo.evaluate(
-            rotation_slo_objectives(float(result.required_anonymity)),
-            experiment="rotation",
-        )
-    telemetry.finalize_run(
-        extra={"scenario": "rotation", "seed": seed, **result.to_dict()}
+    result.slo_report = rig.finish(
+        result.to_dict(), rotation_slo_objectives(float(result.required_anonymity))
     )
     return result
+
+
+def slo_verdict() -> SloReport:
+    """The default drill's SLO verdict (replayed by the obs gate)."""
+    return run_rotation(slo=SloEngine()).slo_report
+
+
+def gate(out_dir: str) -> List[str]:
+    """``repro run rotation``: the default drill, its telemetry
+    artifact and its zero-downtime / anonymity checks."""
+    telemetry = Telemetry(scrape_interval=1.0)
+    result = run_rotation(telemetry=telemetry)
+    print_summary("rotation drill summary", result.to_dict(), (
+        "seed", "issued", "completed", "failed",
+        "old_epoch", "new_epoch", "final_state", "window_seconds",
+        "pauses", "pause_reasons", "reprovisions",
+        "rekey_events_processed", "previous_epoch_decrypts",
+        "epoch_tags_seen", "epoch_bumps",
+        "crashes_injected", "restarts_completed", "partition_drops",
+        "min_window_flush", "effective_anonymity_floor", "required_anonymity",
+        "cross_epoch_user_overlap", "outcomes",
+    ))
+    telemetry.write_artifact(out_dir)
+    return result.problems()

@@ -17,9 +17,9 @@ from repro.client.library import DirectClient
 from repro.cluster.deployments import MacroConfig, MicroConfig
 from repro.context import Deployment, SimContext
 from repro.crypto.provider import CryptoProvider
+from repro.experiments.rig import pseudonymise_stub, stub_lrs
 from repro.lrs.engine import HarnessEngine
 from repro.lrs.service import HarnessService
-from repro.lrs.stub import StubLrs, make_pseudonymous_payload
 from repro.proxy.config import PProxConfig
 from repro.proxy.costs import DEFAULT_COSTS, ProxyCostModel
 from repro.simnet.clock import EventLoop
@@ -102,18 +102,13 @@ def run_micro(
             telemetry.bind(loop, run_label=f"{config.name}@{rps:g}rps/run{run_index}")
         if probe is not None:
             probe.attach(network)
-        stub = StubLrs(loop=loop, rng=rng.stream("stub"))
+        stub = stub_lrs(ctx)
         pprox_config = pprox_override or config.pprox_config(shuffle_timeout)
         deployment = Deployment.build(
             ctx=ctx, config=pprox_config, lrs_picker=lambda: stub
         )
         service, crypto = deployment.service, ctx.resolved_provider()
-        if pprox_config.encryption and pprox_config.item_pseudonymization:
-            # The static payload must look like a captured Harness
-            # response: pseudonymous item identifiers.
-            stub.items = make_pseudonymous_payload(
-                crypto, service.provisioner.layer_keys["IA"].symmetric_key
-            )
+        pseudonymise_stub(stub, deployment)
         client = deployment.client()
         injector = Injector(loop, rng.stream("injector"), recorder=LatencyRecorder("gets"))
         if telemetry is not None:

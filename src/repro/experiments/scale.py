@@ -31,11 +31,12 @@ peak resident queue, compactions) go in a separate meta report that is
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.experiments.rig import summarize, write_json
 from repro.obs.slo import Objective, SloReport, evaluate_static
 from repro.simnet.clock import make_event_loop
 from repro.simnet.loadbalancer import LeastPendingPolicy, LoadBalancer
@@ -50,7 +51,9 @@ __all__ = [
     "run_scale_sweep",
     "scale_slo_objectives",
     "scale_slo_verdict",
+    "slo_verdict",
     "write_artifacts",
+    "gate",
     "SMOKE_CONFIG",
     "FULL_CONFIG",
 ]
@@ -107,18 +110,7 @@ class ScalePoint:
     latency: Dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "pairs": self.pairs,
-            "offered_rps": self.offered_rps,
-            "issued": self.issued,
-            "completed": self.completed,
-            "expired": self.expired,
-            "unique_users": self.unique_users,
-            "shuffle_flushes": self.shuffle_flushes,
-            "timeout_flushes": self.timeout_flushes,
-            "min_flush_fill": self.min_flush_fill,
-            "latency": self.latency,
-        }
+        return summarize(self)
 
 
 def _run_point(config: ScaleConfig, pairs: int) -> Tuple[ScalePoint, Dict[str, object]]:
@@ -371,17 +363,47 @@ def scale_slo_verdict(
     )
 
 
+def slo_verdict() -> SloReport:
+    """Static verdict over a one-point 100k-user sweep (replayed by the
+    obs gate, which only needs the objective shapes to hold)."""
+    config = dataclasses.replace(SMOKE_CONFIG, users=100_000, pairs_sweep=(1,), duration=2.0)
+    return scale_slo_verdict(run_scale_sweep(config)[0])
+
+
 def write_artifacts(artifact: Dict[str, object], meta: Dict[str, object], out_dir: str) -> Tuple[str, str]:
     """Write ``scale.json`` (diffable) and ``scale_meta.json`` (not)."""
-    import os
+    return (
+        write_json(artifact, out_dir, "scale.json"),
+        write_json(meta, out_dir, "scale_meta.json"),
+    )
 
-    os.makedirs(out_dir, exist_ok=True)
-    artifact_path = os.path.join(out_dir, "scale.json")
-    meta_path = os.path.join(out_dir, "scale_meta.json")
-    with open(artifact_path, "w") as fh:
-        json.dump(artifact, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return artifact_path, meta_path
+
+def gate(out_dir: str, engine: str = "calendar") -> List[str]:
+    """``repro run scale``: the CI-sized sweep (:data:`SMOKE_CONFIG`) on
+    *engine*; ``scale.json`` must not depend on which one.  The 1M-user
+    acceptance sweep is ``run_scale_sweep(FULL_CONFIG)``."""
+    config = dataclasses.replace(SMOKE_CONFIG, engine=engine)
+    print(
+        f"scale sweep: engine={config.engine} users={config.users:,}"
+        f" pairs={config.pairs_sweep} peak={config.peak_rps:,.0f} rps"
+        f" duration={config.duration}s"
+    )
+    artifact, meta = run_scale_sweep(config)
+    problems: List[str] = []
+    for point, point_meta in zip(artifact["points"], meta["points"]):
+        latency = point["latency"]
+        print(
+            f"  pairs={point['pairs']} offered={point['offered_rps']:10,.0f} rps"
+            f" completed={point['completed']:8d}"
+            f" med={latency['median'] * 1000:6.2f}ms p99={latency['p99'] * 1000:6.2f}ms"
+            f" | {point_meta['events_per_second']:10,.0f} ev/s"
+            f" wall={point_meta['wall_seconds']:6.1f}s"
+        )
+        if point["expired"]:
+            problems.append(f"pairs={point['pairs']}: {point['expired']} requests missed the deadline")
+        if point["completed"] != point["issued"]:
+            problems.append(
+                f"pairs={point['pairs']}: {point['issued'] - point['completed']} requests lost"
+            )
+    write_artifacts(artifact, meta, out_dir)
+    return problems

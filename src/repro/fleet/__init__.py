@@ -9,16 +9,11 @@ live → splitting/merging → draining → retired) with the same
 pause-never-abort discipline as key rotation: handoff barriers keep
 epochs/keys provisioned before a ring flip and drain in-flight
 batches on the old shard, so the anonymity floor ``S*I`` holds
-through splits, merges and whole-failure-domain loss.
+through splits, merges and whole-failure-domain loss.  The drill that
+proves it lives with the other scenarios, in
+:mod:`repro.experiments.fleet`.
 """
 
-from repro.fleet.drill import (
-    FleetDrillResult,
-    default_fleet_config,
-    default_fleet_overload,
-    fleet_slo_objectives,
-    run_fleet_drill,
-)
 from repro.fleet.placement import (
     domain_kill_plan,
     domain_node,
@@ -54,9 +49,4 @@ __all__ = [
     "FleetSupervisor",
     "ShardAutoscaler",
     "ShardOperation",
-    "FleetDrillResult",
-    "run_fleet_drill",
-    "fleet_slo_objectives",
-    "default_fleet_config",
-    "default_fleet_overload",
 ]

@@ -22,7 +22,6 @@ from repro.obs.causal import CausalTracer, instrument_causal
 from repro.obs.profiler import ProfiledLoop, merge_profiles, write_profile
 from repro.obs.smoke import (
     ObsScenarioResult,
-    diff_artifact_dirs,
     obs_slo_objectives,
     run_obs_scenario,
     write_obs_artifacts,
@@ -54,7 +53,6 @@ __all__ = [
     "run_obs_scenario",
     "obs_slo_objectives",
     "write_obs_artifacts",
-    "diff_artifact_dirs",
     "ProfiledLoop",
     "merge_profiles",
     "write_profile",

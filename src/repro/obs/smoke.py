@@ -1,4 +1,4 @@
-"""The obs-smoke scenario: every observability layer on one micro run.
+"""The obs scenario: every observability layer on one micro run.
 
 A short fault-free deployment (2 UA + 2 IA, S=4) runs with the full
 observability stack armed at once:
@@ -17,47 +17,36 @@ observability stack armed at once:
 
 Everything the run emits into ``profile.json`` / ``profile.folded`` /
 ``trace.jsonl`` / ``slo.json`` is a function of the seed alone (trace
-ids and event ``seq`` numbers restart with the run), so two same-seed
-passes — even in one process — produce byte-identical artifacts;
-:func:`diff_artifact_dirs` is the check CI and ``python -m repro
-obs-smoke`` both use.  Host-dependent numbers (wall seconds per stack)
-go to ``profile_meta.json``, which is never diffed.
+ids and event ``seq`` numbers restart with the run).  ``python -m
+repro run obs`` (:func:`gate`) writes them, then replays every
+registered scenario that declares an SLO verdict and writes each as
+``<scenario>/slo.json``; CI runs the gate in two fresh processes and
+``diff -r`` the trees.  Host-dependent numbers (wall seconds per
+stack) go to ``profile_meta.json``, which is never diffed.
 """
 
 from __future__ import annotations
 
-import filecmp
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.obs.causal import CausalTracer, instrument_causal
 from repro.obs.profiler import ProfiledLoop, write_profile
-from repro.obs.slo import Objective, SloEngine, histogram_quantile, write_slo
+from repro.obs.slo import Objective, SloEngine, write_slo
 
 __all__ = [
     "ObsScenarioResult",
     "run_obs_scenario",
     "obs_slo_objectives",
     "write_obs_artifacts",
-    "diff_artifact_dirs",
-    "DETERMINISTIC_ARTIFACTS",
+    "gate",
 ]
-
-#: Artifact basenames that must be byte-identical across same-seed
-#: passes (``profile_meta.json`` is deliberately absent: wall clock).
-DETERMINISTIC_ARTIFACTS = (
-    "profile.json",
-    "profile.folded",
-    "trace.jsonl",
-    "slo.json",
-)
 
 #: Event kinds that belong to the causal/SLO plane and land in
 #: ``trace.jsonl`` (the rest of the event log stays in the telemetry
-#: artifact, whose request ids are process-global and not two-pass
-#: diffable in one process).
+#: artifact).
 TRACE_EVENT_KINDS = ("cspan", "bspan", "slo")
 
 
@@ -100,7 +89,7 @@ def obs_slo_objectives(
 
 @dataclass
 class ObsScenarioResult:
-    """Outcome of one obs-smoke micro run (self-check surface)."""
+    """Outcome of one obs micro run (self-check surface)."""
 
     seed: int
     issued: int = 0
@@ -144,46 +133,34 @@ class ObsScenarioResult:
         return not self.problems()
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "issued": self.issued,
-            "completed": self.completed,
-            "failed": self.failed,
-            "link": dict(self.link),
-            "severed_cleanly": self.severed_cleanly,
-            "trace_exposure_count": len(self.trace_exposures),
-            "audit_violations": self.audit_violations,
-            "slo_ok": None if self.slo_report is None else self.slo_report.ok,
-        }
+        from repro.experiments.rig import summarize
+
+        summary = summarize(
+            self, counted=("trace_exposures",), omit=("loop", "telemetry")
+        )
+        summary["slo_ok"] = None if self.slo_report is None else self.slo_report.ok
+        return summary
 
 
 def run_obs_scenario(
     seed: int = 7,
     rps: float = 80.0,
     duration: float = 4.0,
-    *,
-    grace: float = 2.0,
-    telemetry: Optional[Any] = None,
 ) -> ObsScenarioResult:
     """Run the micro deployment with the full observability stack armed."""
     # Imports are local so ``repro.obs`` stays importable on its own
     # (the package is also used by tools that never build a service).
-    from repro.context import Deployment, SimContext
-    from repro.lrs.stub import StubLrs, make_pseudonymous_payload
+    from repro.experiments.rig import DrillRig
     from repro.privacy.adversary import Adversary
     from repro.privacy.wire import trace_field_exposures
     from repro.proxy.config import PProxConfig
     from repro.simnet.clock import EventLoop
-    from repro.simnet.metrics import LatencyRecorder
-    from repro.telemetry import Telemetry, instrument_stack
-    from repro.workload.injector import Injector
 
-    hub = telemetry if telemetry is not None else Telemetry(scrape_interval=1.0)
     loop = ProfiledLoop(EventLoop())
-    ctx = SimContext.fresh(seed, record_flows=True, telemetry=hub, loop=loop)
-    hub.bind(ctx.loop, run_label=f"obs/seed{seed}")
-
-    stub = StubLrs(loop=ctx.loop, rng=ctx.rng.stream("stub"))
+    rig = DrillRig("obs", seed, grace=2.0, loop=loop, record_flows=True)
+    hub = rig.telemetry
+    tracer = CausalTracer(clock=lambda: loop.now, event_log=hub.event_log)
+    tracer.attach_metrics(hub.registry)
     config = PProxConfig(
         ua_instances=2,
         ia_instances=2,
@@ -191,102 +168,44 @@ def run_obs_scenario(
         shuffle_timeout=0.25,
         balancing="round-robin",
     )
-    deployment = Deployment.build(ctx=ctx, config=config, lrs_picker=lambda: stub)
-    service = deployment.service
-    if config.encryption and config.item_pseudonymization:
-        stub.items = make_pseudonymous_payload(
-            ctx.resolved_provider(), service.provisioner.layer_keys["IA"].symmetric_key
-        )
-
-    adversary = Adversary()
-    adversary.attach(ctx.network)
-
-    tracer = CausalTracer(clock=lambda: ctx.loop.now, event_log=hub.event_log)
-    tracer.attach_metrics(hub.registry)
-    service.runtime.causal = tracer
-
-    client = deployment.client(
+    rig.deploy(
+        config,
         request_timeout=0.5,
         max_retries=2,
         backoff_base=0.05,
         backoff_jitter=0.02,
         causal=tracer,
     )
+    rig.service.runtime.causal = tracer
+    adversary = Adversary()
+    adversary.attach(rig.ctx.network)
+    rig.instrument()
+    # After the stack's instruments: batch spans chain behind the
+    # telemetry flush hook, exactly like the rig's flush log.
+    instrument_causal(tracer, rig.service)
+    rig.offer(rps, duration, users=60)
 
-    injector = Injector(
-        loop=ctx.loop, rng=ctx.rng.stream("injector"),
-        recorder=LatencyRecorder("obs"),
-    )
-    instrument_stack(
-        hub,
-        service=service,
-        provider=ctx.resolved_provider(),
-        lrs=stub,
-        injector=injector,
-        network=ctx.network,
-        client=client,
-    )
-    # After instrument_stack: batch spans chain behind the telemetry
-    # flush hook, exactly like the experiments' window samplers.
-    instrument_causal(tracer, service)
-
-    users = [f"user-{index}" for index in range(60)]
-    user_rng = ctx.rng.stream("users")
-
-    def issue(on_complete) -> None:
-        client.get(user_rng.choice(users), on_complete=on_complete)
-
-    start, end = injector.inject(rps, duration, issue)
-
-    slo = SloEngine(telemetry=hub)
-    ia_count = len(service.ia_instances)
-    flushes: List[Any] = []
-    for instance in service.ua_instances:
-        buffer = instance.request_buffer
-        if buffer is None:
-            continue
-        buffer.chain_on_flush(
-            lambda size, timer_fired: flushes.append((ctx.loop.now, size))
-        )
-    latency_hist = hub.registry.histogram(
-        "pprox_request_latency_seconds",
-        "End-to-end client-observed request latency.",
-    )
+    ia_count = len(rig.service.ia_instances)
 
     def anonymity_floor_source() -> Optional[float]:
-        during = [size for when, size in flushes if start <= when <= end]
-        if not during:
-            return None
-        return float(min(during) * ia_count)
+        sizes = [flush.size for flush in rig.offered_window(layer="UA")]
+        return float(min(sizes) * ia_count) if sizes else None
 
-    slo.track("issued", lambda: injector.report.issued)
-    slo.track("completed", lambda: injector.report.completed)
-    slo.track("anonymity_floor", anonymity_floor_source)
-    slo.track("p99_latency_seconds", lambda: histogram_quantile(latency_hist, 0.99))
-    # Bounded at the drain horizon: the telemetry scraper also re-arms
-    # while work is pending, and two unbounded tickers would keep each
-    # other alive forever.
-    slo.attach(ctx.loop, until=end + grace)
+    rig.watch(SloEngine(telemetry=hub), {"anonymity_floor": anonymity_floor_source})
+    rig.run()
 
-    ctx.loop.run_until(end + grace)
-    ctx.loop.run()
-
-    required = float(config.shuffle_size * ia_count)
-    report = slo.evaluate(obs_slo_objectives(required), experiment="obs")
     result = ObsScenarioResult(
         seed=seed,
-        issued=injector.report.issued,
-        completed=injector.report.completed,
-        failed=injector.report.failed,
         link=tracer.link_report(),
         severed_cleanly=tracer.severed_cleanly(),
         trace_exposures=trace_field_exposures(adversary.observations),
-        audit_violations=len(hub.audit()),
-        slo_report=report,
         loop=loop,
         telemetry=hub,
+        **rig.counters_for(ObsScenarioResult),
     )
-    hub.finalize_run(extra={"scenario": "obs", **result.to_dict()})
+    result.slo_report = rig.finish(
+        result.to_dict(), obs_slo_objectives(float(config.shuffle_size * ia_count))
+    )
     return result
 
 
@@ -294,8 +213,7 @@ def write_obs_artifacts(result: ObsScenarioResult, out_dir: str) -> Dict[str, st
     """Write the run's artifact set; returns basename -> path.
 
     ``trace.jsonl`` holds only the causal/SLO plane (``cspan`` /
-    ``bspan`` / ``slo`` events) — its ids are run-local, so it is
-    two-pass diffable even inside one process.
+    ``bspan`` / ``slo`` events).
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = write_profile(result.loop, out_dir)
@@ -315,19 +233,31 @@ def write_obs_artifacts(result: ObsScenarioResult, out_dir: str) -> Dict[str, st
     return out
 
 
-def diff_artifact_dirs(
-    dir_a: str,
-    dir_b: str,
-    names: Sequence[str] = DETERMINISTIC_ARTIFACTS,
-) -> List[str]:
-    """Byte-compare the deterministic artifacts; returns findings."""
-    findings: List[str] = []
-    for name in names:
-        path_a = os.path.join(dir_a, name)
-        path_b = os.path.join(dir_b, name)
-        if not os.path.exists(path_a) or not os.path.exists(path_b):
-            findings.append(f"{name}: missing from one of the passes")
+def gate(out_dir: str) -> List[str]:
+    """``repro run obs``: the micro scenario's artifacts and severing
+    checks, then every registered scenario's SLO verdict — the
+    anonymity-floor objective above all — must hold."""
+    from repro.experiments.registry import EXPERIMENT_INDEX, resolve
+
+    result = run_obs_scenario()
+    write_obs_artifacts(result, out_dir)
+    print(
+        f"obs scenario: issued={result.issued} completed={result.completed}"
+        f" attempts_stamped={result.link['attempts_stamped']}"
+        f" severed={result.link['traces_severed']}"
+        f" batch_spans={result.link['batch_spans']}"
+    )
+    problems = [f"obs scenario: {problem}" for problem in result.problems()]
+    for experiment in EXPERIMENT_INDEX.values():
+        if not experiment.slo:
             continue
-        if not filecmp.cmp(path_a, path_b, shallow=False):
-            findings.append(f"{name}: differs between same-seed passes")
-    return findings
+        name = experiment.identifier
+        report = resolve(experiment.slo)()
+        path = write_slo(report, os.path.join(out_dir, name))
+        floor = report.objective("anonymity_floor")
+        print(
+            f"  {name:9s} slo {'ok' if report.ok else 'FAIL'}: anonymity_floor"
+            f" {floor.value} vs target {floor.target} -> {path}"
+        )
+        problems.extend(f"{name}: {problem}" for problem in report.problems())
+    return problems

@@ -14,7 +14,6 @@ from repro.client import PProxClient
 from repro.context import SimContext
 from repro.cluster.autoscaler import ElasticScaler
 from repro.cluster.health import HealthMonitor
-from repro.crypto.provider import FastCryptoProvider
 from repro.lrs.stub import StubLrs, make_pseudonymous_payload
 from repro.proxy import PProxConfig, build_pprox
 from repro.simnet.clock import EventLoop
@@ -29,8 +28,11 @@ def chaos_stack():
     loop = EventLoop()
     network = Network(loop=loop, rng=rng.stream("net"), record_flows=False)
     stub = StubLrs(loop=loop, rng=rng.stream("stub"))
-    provider = FastCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
-    ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider)
+    # The context's default SimCryptoProvider: these tests assert
+    # ejection, retry and autoscaling, not cryptography (real crypto
+    # under failure is tests/test_fault_tolerance.py's job).
+    ctx = SimContext(loop=loop, network=network, rng=rng)
+    provider = ctx.resolved_provider()  # memoized: service and client share it
     service = build_pprox(
         ctx,
         PProxConfig(shuffle_size=5, shuffle_timeout=0.2, ua_instances=2,

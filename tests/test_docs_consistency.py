@@ -84,3 +84,36 @@ def test_no_deprecation_shims_in_the_package():
         if "DeprecationWarning" in path.read_text()
     ]
     assert offenders == [], f"deprecation shims in: {offenders}"
+
+
+#: Subcommands `python -m repro run <scenario>` replaced; nothing a
+#: reader or CI can copy-paste may still name them.
+REMOVED_SUBCOMMANDS = re.compile(
+    r"\b(?:telemetry|chaos|overload|rekey|obs|scale|wire|fleet)-smoke\b"
+    r"|-m repro capacity\b"
+)
+
+
+def test_nothing_names_a_removed_subcommand():
+    checked = [
+        REPO / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+    ]
+    checked += sorted((REPO / "docs").glob("*.md"))
+    checked += sorted((REPO / ".github" / "workflows").glob("*.yml"))
+    checked += sorted((REPO / ".claude" / "skills").rglob("*.md"))
+    checked += sorted((REPO / "examples").glob("*.py"))
+    checked += sorted((REPO / "src" / "repro").rglob("*.py"))
+    offenders = [
+        f"{path.relative_to(REPO)}: {match.group(0)}"
+        for path in checked
+        for match in REMOVED_SUBCOMMANDS.finditer(path.read_text())
+    ]
+    assert offenders == []
+
+
+def test_ci_scenario_matrix_is_the_runnable_registry():
+    from repro.experiments.registry import runnable
+
+    workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    (matrix,) = re.findall(r"^\s+scenario: \[([^\]]+)\]$", workflow, flags=re.M)
+    assert sorted(name.strip() for name in matrix.split(",")) == sorted(runnable())

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.experiments.registry import EXPERIMENT_INDEX
-from repro.fleet import FleetDrillResult, run_fleet_drill
+from repro.experiments.fleet import FleetDrillResult, run_fleet_drill
 from repro.obs.slo import SloEngine
 from repro.telemetry import Telemetry
 
@@ -118,4 +118,5 @@ def test_empty_result_defaults():
 def test_fleet_is_registered_experiment():
     experiment = EXPERIMENT_INDEX["fleet"]
     assert "repro.fleet" in experiment.modules
+    assert "repro.experiments.fleet" in experiment.modules
     assert experiment.bench == "tests/test_fleet_scenario.py"

@@ -22,6 +22,11 @@ structural checks — they are the wire-compatibility surface:
   cannot read back (or the reverse) is a wire-format bug waiting for
   a version bump.
 
+The experiment registry is linted too: every entry with a ``run``
+(or ``slo``) target must resolve to a callable and declare a help line
+and at least one diffable artifact — ``python -m repro run`` and the
+CI scenario matrix are generated from it.
+
 Exit status 0 when clean; 1 with a per-module report otherwise.
 """
 
@@ -157,17 +162,23 @@ _FLEET_REQUIRED_EXPORTS = {
     "FleetSupervisor",
     "ShardAutoscaler",
     "build_fleet",
-    "run_fleet_drill",
     "domain_kill_plan",
     "placement_violations",
     "ring_point",
 }
 
 
+#: The drill is an experiment (it lives in ``repro.experiments.fleet``,
+#: which ``repro.fleet`` must not import back); tests, docs and the
+#: registry build against these re-exports.
+_EXPERIMENTS_REQUIRED_EXPORTS = {"DrillRig", "FleetDrillResult", "run_fleet_drill"}
+
+
 def fleet_surface_problems() -> Dict[str, List[str]]:
     """Structural lint for the ``repro.fleet`` privacy contract.
 
-    * ``repro/fleet/__init__.py`` re-exports the full contract surface;
+    * ``repro/fleet/__init__.py`` re-exports the full contract surface,
+      and ``repro/experiments/__init__.py`` the drill that moved there;
     * every ring routing entry point (``route`` / ``successors`` on
       ``HashRing`` and ``ShardDirectory``) takes its key as a parameter
       literally named ``nonce`` — the signature documents, and the
@@ -186,6 +197,13 @@ def fleet_surface_problems() -> Dict[str, List[str]]:
     if missing:
         problems.setdefault(str(init_path.relative_to(SRC.parent.parent)), []).append(
             f"fleet surface not re-exported: {sorted(missing)}"
+        )
+    experiments_init = SRC / "experiments" / "__init__.py"
+    exported = extract_all(ast.parse(experiments_init.read_text(encoding="utf-8"))) or []
+    missing = _EXPERIMENTS_REQUIRED_EXPORTS - set(exported)
+    if missing:
+        problems.setdefault(str(experiments_init.relative_to(SRC.parent.parent)), []).append(
+            f"drill surface not re-exported: {sorted(missing)}"
         )
     ring_tree = ast.parse(ring_path.read_text(encoding="utf-8"))
     for node in ring_tree.body:
@@ -207,6 +225,14 @@ def fleet_surface_problems() -> Dict[str, List[str]]:
                     f"named 'nonce', got {args[:1] or ['<none>']}"
                 )
     return problems
+
+
+def registry_problems() -> List[str]:
+    """Import the registry and resolve every ``run`` / ``slo`` target."""
+    sys.path.insert(0, str(SRC.parent))
+    from repro.experiments.registry import validate_index
+
+    return validate_index()
 
 
 def check_module(path: Path) -> List[str]:
@@ -237,6 +263,9 @@ def main() -> int:
             failures[str(path.relative_to(SRC.parent.parent))] = problems
     for module, problems in fleet_surface_problems().items():
         failures.setdefault(module, []).extend(problems)
+    problems = registry_problems()
+    if problems:
+        failures["src/repro/experiments/registry.py"] = problems
     if failures:
         print("public-API lint failed:\n")
         for module, problems in failures.items():
