@@ -175,8 +175,8 @@ class PProxClient:
         #: attempt with a fixed-width trace id on the client->ua hop
         #: only (the UA severs it at the shuffle boundary).
         self.causal = causal
-        #: Wire codec shared with the service (``None``: legacy wire).
-        self.codec = ctx.resolved_codec()
+        #: Wire codec shared with the service.
+        self.codec = ctx.codec
         #: Request-id allocator: the per-context counter, so same-seed
         #: runs issue identical ids whatever else ran in the process.
         self._next_id = ctx.next_request_id

@@ -20,13 +20,11 @@ call then enters through the relay.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
+from repro.rest.codec import ship
 from repro.rest.messages import Request, Response
-from repro.simnet.clock import EventLoop
-from repro.simnet.network import Network
 from repro.simnet.node import SimNode
 
 __all__ = ["RedirectFrontend", "RedirectedService"]
@@ -36,11 +34,10 @@ __all__ = ["RedirectFrontend", "RedirectedService"]
 class RedirectFrontend:
     """The application's relay between its users and the UA layer."""
 
-    loop: EventLoop
-    network: Network
-    rng: random.Random
-    #: Entry-point selector of the PProx deployment.
-    pick_entry: Callable[[], object]
+    #: The PProx deployment relayed to: its ``entry()`` picks the UA
+    #: instance, its ``runtime`` supplies the loop, the network and the
+    #: codec that frames the relay<->UA hop.
+    service: Any
     address: str = "app-frontend"
     #: Relay work per direction (header rewrite, connection handling).
     relay_seconds: float = 0.0003
@@ -49,7 +46,7 @@ class RedirectFrontend:
 
     def __post_init__(self) -> None:
         if self.node is None:
-            self.node = SimNode(name=self.address, loop=self.loop, cores=4)
+            self.node = SimNode(name=self.address, loop=self.service.runtime.loop, cores=4)
 
     def receive_request(self, request: Request, reply: Callable[[Response], None]) -> None:
         """Relay an encrypted request toward the UA layer.
@@ -60,8 +57,10 @@ class RedirectFrontend:
         work; the caller owns the final client-facing hop.
         """
 
+        network, codec = self.service.runtime.network, self.service.runtime.codec
+
         def forward() -> None:
-            entry = self.pick_entry()
+            entry = self.service.entry()
             self.relayed += 1
             outbound = Request(
                 verb=request.verb,
@@ -73,13 +72,12 @@ class RedirectFrontend:
             def reply_from_ua(response: Response) -> None:
                 self.node.submit(self.relay_seconds, lambda: reply(response))
 
-            self.network.send(
-                self.address, entry.address, outbound, outbound.size_bytes(),
+            ship(
+                network, codec, self.address, entry.address, outbound,
                 lambda req: entry.receive_request(
                     req,
-                    lambda resp: self.network.send(
-                        entry.address, self.address, resp, resp.size_bytes(),
-                        reply_from_ua,
+                    lambda resp: ship(
+                        network, codec, entry.address, self.address, resp, reply_from_ua
                     ),
                 ),
             )

@@ -50,14 +50,19 @@ class SimContext:
     provider: Optional[CryptoProvider] = None
     costs: ProxyCostModel = DEFAULT_COSTS
     telemetry: Optional[TelemetryLike] = None
-    #: Wire codec for protected hops: ``None`` (legacy, byte-identical
-    #: seed wire), a codec name (``"json"``/``"binary"``), or a
-    #: :class:`repro.rest.codec.WireCodec` instance.
-    codec: Optional[Union[str, WireCodec]] = None
+    #: Wire codec for protected hops — the one place a deployment's
+    #: wire is chosen.  Accepts a codec name (``"json"``/``"binary"``)
+    #: or a :class:`repro.rest.codec.WireCodec`; always holds the
+    #: resolved instance, shared by the service and every client (codec
+    #: identity checks such as ``runtime.codec is client.codec`` hold).
+    codec: Union[str, WireCodec] = "json"
     #: Per-context request-id counter (replaces the process-wide
     #: ``rest.messages`` counter, whose state leaked across runs and
     #: made same-seed artifacts depend on test ordering).
     _request_ids: Any = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.codec = resolve_codec(self.codec)
 
     @classmethod
     def fresh(
@@ -69,7 +74,7 @@ class SimContext:
         costs: ProxyCostModel = DEFAULT_COSTS,
         telemetry: Optional[TelemetryLike] = None,
         loop: Optional[EventLoop] = None,
-        codec: Optional[Union[str, WireCodec]] = None,
+        codec: Union[str, WireCodec] = "json",
     ) -> "SimContext":
         """A ready-to-use context: new loop, network and RNG registry.
 
@@ -97,21 +102,6 @@ class SimContext:
     def with_provider(self, provider: CryptoProvider) -> "SimContext":
         """Copy of this context with *provider* installed."""
         return replace(self, provider=provider)
-
-    def with_codec(self, codec: Optional[Union[str, WireCodec]]) -> "SimContext":
-        """Copy of this context with *codec* installed."""
-        return replace(self, codec=codec)
-
-    def resolved_codec(self) -> Optional[WireCodec]:
-        """The context's codec as an instance (memoized), or ``None``.
-
-        Memoized for the same reason as :meth:`resolved_provider`: the
-        service and every client must share one codec object, so codec
-        identity checks (``runtime.codec is client.codec``) hold.
-        """
-        resolved = resolve_codec(self.codec)
-        self.codec = resolved
-        return resolved
 
     def next_request_id(self) -> int:
         """Allocate a request id scoped to this context.
@@ -153,22 +143,16 @@ class Deployment:
         lrs_picker: Callable[[], object],
         rsa_bits: int = 1024,
         overload: Optional["OverloadPolicy"] = None,
-        codec: Optional[Union[str, WireCodec]] = None,
     ) -> "Deployment":
         """Assemble a service from *ctx* (keyword-only).
 
         Pass an :class:`repro.overload.OverloadPolicy` as *overload* to
-        arm the overload-protection subsystem on every proxy instance,
-        and a :class:`repro.rest.codec.WireCodec` (or ``"json"``/
-        ``"binary"``) as *codec* to switch the protected hops to
-        encoded wire frames (``None`` keeps the legacy object wire).
+        arm the overload-protection subsystem on every proxy instance.
+        The wire format is the context's (``ctx.codec``).
         """
-        # Memoize provider and codec onto the context first, so the
-        # service and every client it hands out share one of each.
+        # Memoize the provider onto the context first, so the service
+        # and every client it hands out share one.
         ctx.resolved_provider()
-        if codec is not None:
-            ctx.codec = codec
-        ctx.resolved_codec()
         service = build_pprox(
             ctx, config, lrs_picker, rsa_bits=rsa_bits, overload=overload
         )

@@ -320,20 +320,20 @@ EXPERIMENT_INDEX: Dict[str, Experiment] = {
     ),
     "wire": Experiment(
         identifier="wire",
-        title="Wire-format parity: legacy vs JSON vs binary codec",
+        title="Wire-format parity: JSON vs binary codec",
         workload="one seeded get/post mix per codec, default and hardened client hop",
         modules=("repro.rest.codec", "repro.privacy.wire", "repro.experiments.wire"),
         bench="tests/test_wire_codec.py",
         claims=(
-            "per-request outcomes and wire audits are identical under all three codecs",
+            "per-request outcomes and wire audits are identical under both codecs",
             "the binary run exercises the batch-envelope path",
         ),
-        help="codec parity: one traffic mix under the legacy, json and binary wires",
+        help="codec parity: one traffic mix under the json and binary wires",
         run="repro.experiments.wire:gate",
         artifacts=tuple(
             f"parity_{mode}_{codec}.json"
             for mode in ("default", "hardened")
-            for codec in ("legacy", "json", "binary")
+            for codec in ("json", "binary")
         ),
     ),
     "ablations": Experiment(

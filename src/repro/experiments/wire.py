@@ -1,14 +1,15 @@
-"""Codec-parity scenario: one traffic mix, three wire formats.
+"""Codec-parity scenario: one traffic mix, both wire formats.
 
-Runs the same seeded get/post mix under the legacy object wire
-(``codec=None``), :class:`~repro.rest.codec.JsonCodec` and
+Runs the same seeded get/post mix under
+:class:`~repro.rest.codec.JsonCodec` (the reference: the paper's REST
+bodies, pinned to the seed bytes by ``tests/test_wire_golden.py``) and
 :class:`~repro.rest.codec.BinaryCodec` (batch envelopes armed), once
 with the default and once with the hardened client hop, an adversary
 wiretap attached throughout.  Each run yields a timing-free semantic
 artifact — per-request outcomes in issue order plus the
-:mod:`repro.privacy.wire` auditor verdicts — and all three must be
+:mod:`repro.privacy.wire` auditor verdicts — and the two must be
 identical: the wire format may change bytes, never results, and the
-binary format must pass the same epoch/trace/reject audits as the seed
+binary format must pass the same epoch/trace/reject audits as the JSON
 wire while actually exercising the batch-envelope path.
 """
 
@@ -29,7 +30,7 @@ SEED = 42
 REQUESTS = 24
 
 
-def run_parity(codec: Optional[str], harden: bool) -> Tuple[Dict[str, Any], Dict[str, int]]:
+def run_parity(codec: str, harden: bool) -> Tuple[Dict[str, Any], Dict[str, int]]:
     """One run under *codec*; returns ``(semantic artifact, counters)``."""
     ctx = SimContext.fresh(seed=SEED, record_flows=True, codec=codec)
     stub = stub_lrs(ctx)
@@ -80,36 +81,32 @@ def run_parity(codec: Optional[str], harden: bool) -> Tuple[Dict[str, Any], Dict
 
 def gate(out_dir: str) -> List[str]:
     """``repro run wire``: write one ``parity_<mode>_<codec>.json`` per
-    run and require legacy == json == binary, audits clean."""
+    run and require binary == json, audits clean."""
     problems: List[str] = []
     for harden in (False, True):
         mode = "hardened" if harden else "default"
         artifacts = {}
-        for codec in (None, "json", "binary"):
-            label = codec or "legacy"
+        for codec in ("json", "binary"):
             artifact, counters = run_parity(codec, harden)
-            artifacts[label] = artifact
-            write_json(artifact, out_dir, f"parity_{mode}_{label}.json")
+            artifacts[codec] = artifact
+            write_json(artifact, out_dir, f"parity_{mode}_{codec}.json")
             outcomes = artifact["outcomes"]
             print(
-                f"{mode:9s} codec={label:7s}"
+                f"{mode:9s} codec={codec:7s}"
                 f" ok={sum(1 for o in outcomes if o and o['ok'])}/{len(outcomes)}"
                 f" sealed={counters['batch_envelopes_sealed']}"
                 f" opened={counters['batch_envelopes_opened']}"
                 f" observations={counters['observations']}"
             )
             for verdict in artifact["audit"].values():
-                problems.extend(f"{mode}/{label}: audit finding: {finding}" for finding in verdict)
+                problems.extend(f"{mode}/{codec}: audit finding: {finding}" for finding in verdict)
             if not all(o and o["ok"] for o in outcomes):
-                problems.append(f"{mode}/{label}: not every request completed ok")
+                problems.append(f"{mode}/{codec}: not every request completed ok")
             if codec == "binary":
                 if counters["batch_envelopes_sealed"] == 0:
                     problems.append(f"{mode}/binary: batch envelope path never exercised")
                 if counters["batch_envelopes_opened"] != counters["batch_envelopes_sealed"]:
                     problems.append(f"{mode}/binary: sealed/opened counter mismatch")
-        for label in ("json", "binary"):
-            if artifacts[label] != artifacts["legacy"]:
-                problems.append(
-                    f"{mode}: semantic artifact under {label} differs from legacy wire"
-                )
+        if artifacts["binary"] != artifacts["json"]:
+            problems.append(f"{mode}: semantic artifact under binary differs from the json wire")
     return problems

@@ -26,7 +26,6 @@ from repro.proxy.service import (
     PProxService,
     _cached_layer_keys,
 )
-from repro.rest.codec import resolve_codec
 from repro.rest.messages import Request
 from repro.sgx.attestation import AttestationService
 from repro.sgx.enclave import Enclave, EnclaveMeasurement
@@ -211,7 +210,6 @@ def build_fleet(
     instances_per_shard: Optional[int] = None,
     rsa_bits: int = 1024,
     overload=None,
-    codec=None,
     vnodes: int = 64,
 ) -> ShardedPProxService:
     """Deploy a sharded fleet on a :class:`repro.context.SimContext`.
@@ -256,7 +254,7 @@ def build_fleet(
         costs=ctx.costs,
         telemetry=ctx.telemetry,
         overload=overload,
-        codec=resolve_codec(codec) if codec is not None else ctx.resolved_codec(),
+        codec=ctx.codec,
         ia_public=lambda: provisioner.layer_keys["IA"].public_material,
     )
     fleet = ShardedPProxService(

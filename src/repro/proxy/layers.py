@@ -120,6 +120,10 @@ class ProxyRuntime:
     provider: CryptoProvider
     config: PProxConfig
     costs: ProxyCostModel
+    #: The :class:`repro.rest.codec.WireCodec` every protected hop is
+    #: framed with; a batch-capable codec switches the UA to one sealed
+    #: envelope per shuffle flush.
+    codec: WireCodec
     #: Optional :class:`repro.telemetry.Telemetry` hub.  When absent,
     #: the data plane runs with zero instrumentation overhead.
     telemetry: Optional[TelemetryLike] = None
@@ -131,23 +135,10 @@ class ProxyRuntime:
     #: door notifies it when a trace id is severed; batch spans are
     #: wired separately (:func:`repro.obs.causal.instrument_causal`).
     causal: Optional[Any] = None
-    #: Optional :class:`repro.rest.codec.WireCodec`.  ``None`` (the
-    #: default) is the seed data plane: messages cross the simulated
-    #: network as Python objects, byte-identical to pre-codec builds.
-    #: With a codec armed, every protected hop carries encoded frames,
-    #: and a batch-capable codec switches the UA to one sealed
-    #: envelope per shuffle flush.
-    codec: Optional[WireCodec] = None
     #: Current IA-layer public material (set by ``build_service``; kept
     #: a callable so it tracks live key rotation).  Needed by the UA in
     #: batch-envelope mode to seal the flushed batch under ``pkIA``.
     ia_public: Optional[Callable[[], Any]] = None
-
-    def field_blob(self, value: Any) -> bytes:
-        """Materialize a wire field into ciphertext bytes."""
-        if self.codec is not None:
-            return self.codec.blob_value(value)
-        return EnvelopeCodec.wire_blob(value)
 
 
 class _BatchCollector:
@@ -680,7 +671,7 @@ class _ProxyStage:
         probe = self._probe_field(request)
 
         def validate(candidate: LayerKeys) -> None:
-            blob = self.runtime.field_blob(request.fields[probe])
+            blob = self.runtime.codec.blob_value(request.fields[probe])
             decode_identifier(self.runtime.provider.asym_decrypt(candidate, blob))
 
         return self._trial(
@@ -720,8 +711,7 @@ class UserAnonymizer(_ProxyStage):
         if runtime.overload is not None and self.admission is None:
             self.admission = runtime.overload.make_admission()
         if (
-            runtime.codec is not None
-            and runtime.codec.batch_envelopes
+            runtime.codec.batch_envelopes
             and runtime.config.encryption
             and self.request_buffer is not None
             # Runtimes without a shared IA key (multi-tenant stacks

@@ -103,10 +103,9 @@ def client_encode_post(
     config: PProxConfig,
     request: Request,
     *,
-    codec: Optional[WireCodec] = None,
+    codec: WireCodec = JSON_WIRE_CODEC,
 ) -> Tuple[Request, CallKeys]:
     """User-side transformation of ``post(u, i[, p])`` (Figure 3)."""
-    codec = codec or JSON_WIRE_CODEC
     if not config.encryption:
         return request, CallKeys()
     user = request.fields["user"]
@@ -136,14 +135,13 @@ def client_encode_get(
     config: PProxConfig,
     request: Request,
     *,
-    codec: Optional[WireCodec] = None,
+    codec: WireCodec = JSON_WIRE_CODEC,
 ) -> Tuple[Request, CallKeys]:
     """User-side transformation of ``get(u)`` (Figure 4).
 
     Generates the temporary key ``k_u`` the library must keep to
     decrypt the returned recommendation list.
     """
-    codec = codec or JSON_WIRE_CODEC
     if not config.encryption:
         return request, CallKeys()
     user = request.fields["user"]
@@ -171,10 +169,9 @@ def client_decode_response(
     response: Response,
     keys: CallKeys,
     *,
-    codec: Optional[WireCodec] = None,
+    codec: WireCodec = JSON_WIRE_CODEC,
 ) -> List[str]:
     """Recover the cleartext recommendation list at the user side."""
-    codec = codec or JSON_WIRE_CODEC
     if not response.ok:
         raise ValueError(f"LRS returned status {response.status}")
     if not config.encryption:
@@ -207,7 +204,7 @@ def ua_transform_request(
     request: Request,
     layer_address: str,
     *,
-    codec: Optional[WireCodec] = None,
+    codec: WireCodec = JSON_WIRE_CODEC,
 ) -> Tuple[Request, Optional[bytes]]:
     """UA leg: replace the user identity with ``det_enc(u, kUA)``.
 
@@ -216,7 +213,6 @@ def ua_transform_request(
     response.  Also rewrites the request's source to the UA instance
     itself — the IA layer must never learn client addresses (§3).
     """
-    codec = codec or JSON_WIRE_CODEC
     response_key: Optional[bytes] = None
     if not config.encryption:
         transformed = request
@@ -256,10 +252,9 @@ def ua_wrap_response(
     response_key: Optional[bytes],
     response: Response,
     *,
-    codec: Optional[WireCodec] = None,
+    codec: WireCodec = JSON_WIRE_CODEC,
 ) -> Response:
     """Hardened mode: re-encrypt the response fields for the client."""
-    codec = codec or JSON_WIRE_CODEC
     if not config.harden_client_hop or response_key is None:
         return response
     sealed = provider.sym_encrypt(
@@ -298,7 +293,7 @@ def ia_transform_request(
     request: Request,
     layer_address: str,
     *,
-    codec: Optional[WireCodec] = None,
+    codec: WireCodec = JSON_WIRE_CODEC,
 ) -> Tuple[Request, IaRequestContext]:
     """IA leg: decrypt item / temporary key; pseudonymize items.
 
@@ -306,7 +301,6 @@ def ia_transform_request(
     temporary key (for gets) stays inside the enclave, recorded in the
     returned context.
     """
-    codec = codec or JSON_WIRE_CODEC
     if not config.encryption:
         forwarded = Request(
             verb=request.verb,
@@ -359,7 +353,7 @@ def ia_transform_response(
     *,
     previous: Optional[LayerKeys] = None,
     on_previous_use: Optional[Callable[[], None]] = None,
-    codec: Optional[WireCodec] = None,
+    codec: WireCodec = JSON_WIRE_CODEC,
 ) -> Response:
     """IA response leg: de-pseudonymize, pad, re-encrypt under ``k_u``.
 
@@ -371,7 +365,6 @@ def ia_transform_response(
     the fallback — the rotation coordinator uses it to know the old
     epoch is still live and must not be retired yet.
     """
-    codec = codec or JSON_WIRE_CODEC
     if not config.encryption or context.verb == Verb.POST or not response.ok:
         return response
     raw_items = response.fields.get("items", [])

@@ -267,7 +267,7 @@ def build_service(
     rsa_bits: int = 1024,
     telemetry: Optional[TelemetryLike] = None,
     overload: Optional[OverloadPolicy] = None,
-    codec: Optional[Union[str, WireCodec]] = None,
+    codec: Union[str, WireCodec] = "json",
 ) -> PProxService:
     """Deploy a PProx service according to *config* (keyword-only core).
 
@@ -341,13 +341,12 @@ def build_pprox(
     *,
     rsa_bits: int = 1024,
     overload: Optional[OverloadPolicy] = None,
-    codec: Optional[Union[str, WireCodec]] = None,
 ) -> PProxService:
     """Deploy a PProx service on *ctx*, a :class:`repro.context.SimContext`.
 
     The context carries the loop, network, RNG registry, crypto
-    provider, cost model, telemetry hub and (unless *codec* overrides
-    it) the wire codec; see :func:`build_service` for the bootstrap.
+    provider, cost model, telemetry hub and wire codec; see
+    :func:`build_service` for the bootstrap.
     :meth:`repro.context.Deployment.build` does the same and also
     hands out matching clients.
     """
@@ -362,5 +361,5 @@ def build_pprox(
         rsa_bits=rsa_bits,
         telemetry=ctx.telemetry,
         overload=overload,
-        codec=codec if codec is not None else ctx.codec,
+        codec=ctx.codec,
     )

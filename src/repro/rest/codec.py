@@ -35,19 +35,20 @@ big-endian length prefix)::
 
 The deadline/epoch/trace regions are the *severing offsets*: the UA
 front door strips the epoch tag and the trace id before the shuffle
-boundary by zeroing exactly ``frame[18:22]`` / ``frame[22:38]`` (via
-:meth:`WireCodec.strip_epoch` / :meth:`WireCodec.strip_trace`), so
-the privacy argument about what crosses the shuffler is a statement
+boundary (:func:`repro.proxy.epochs.strip_epoch` /
+:func:`repro.obs.tracewire.strip_trace`), so every frame it emits
+carries zeros at exactly ``frame[18:22]`` / ``frame[22:38]`` and the
+privacy argument about what crosses the shuffler is a statement
 about fixed byte ranges.  A field entry is ``tag(1) [namelen(1)
 name]  type(1) length(4 BE) value`` — well-known field names get a
 one-byte tag, unknown names ride inline.
 
-``resolve_codec(None)`` is the legacy path: messages travel the
-simulated network as Python objects exactly as in the seed, which is
-what keeps the default byte-identical.  With a codec armed,
+There is no object wire: every protected hop carries encoded bytes.
 :func:`ship` encodes at the sender, puts a :class:`WireFrame` on the
 wire (so wiretap auditors observe real encoded bytes), and decodes at
-delivery.
+delivery.  ``"json"`` is the wire a deployment gets without naming
+one (:class:`repro.context.SimContext`), the paper's REST bodies byte
+for byte.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def _as_text(data: Any) -> str:
 class WireCodec:
     """Serialization strategy for every protected-hop message.
 
-    One codec instance covers four concerns that were previously
+    One codec instance covers three concerns that were previously
     hard-wired to JSON+base64 across rest/crypto/proxy/client:
 
     * message framing (:meth:`encode_request` / :meth:`decode_request`
@@ -179,9 +180,11 @@ class WireCodec:
     * the representation of binary blobs inside message fields
       (:meth:`wire_value` / :meth:`blob_value`);
     * the plaintext packings that get encrypted — hardened-hop
-      envelopes, sealed response fields, padded item lists;
-    * stamping and stripping of the fixed-width deadline/epoch/trace
-      fields (delegated to their canonical owners).
+      envelopes, sealed response fields, padded item lists.
+
+    The fixed-width deadline/epoch/trace fields are stamped and
+    stripped by their owners (``overload.deadline``, ``proxy.epochs``,
+    ``obs.tracewire``), on the message, before it is encoded.
     """
 
     name = "abstract"
@@ -267,58 +270,15 @@ class WireCodec:
         """Wire size of *response* under this codec."""
         return self.response_wire_size(self.encode_response(response))
 
-    # -- fixed-width field stamping/stripping --------------------------
-    #
-    # Thin delegations to the canonical owners (lazy imports: those
-    # modules live in packages that import this one).  They exist so a
-    # codec user never has to know which module owns which field.
-
-    def stamp_deadline(self, request: Request, remaining: float) -> Request:
-        """Stamp the fixed-width deadline budget field."""
-        from repro.overload.deadline import stamp_deadline
-
-        return stamp_deadline(request, remaining)
-
-    def decode_deadline(self, message: Any) -> Optional[float]:
-        """Read the deadline budget, if stamped."""
-        from repro.overload.deadline import decode_deadline
-
-        return decode_deadline(message)
-
-    def stamp_epoch(self, request: Request, epoch: int) -> Request:
-        """Stamp the fixed-width key-epoch tag."""
-        from repro.proxy.epochs import stamp_epoch
-
-        return stamp_epoch(request, epoch)
-
-    def strip_epoch(self, request: Request) -> Tuple[Request, Optional[int]]:
-        """Remove the epoch tag pre-shuffle; returns (clean, epoch)."""
-        from repro.proxy.epochs import decode_epoch, strip_epoch
-
-        epoch = decode_epoch(request)
-        return strip_epoch(request), epoch
-
-    def stamp_trace(self, request: Request, trace_id: str) -> Request:
-        """Stamp the fixed-width trace id."""
-        from repro.obs.tracewire import stamp_trace
-
-        return stamp_trace(request, trace_id)
-
-    def strip_trace(self, request: Request) -> Tuple[Request, Optional[str]]:
-        """Sever the trace id pre-shuffle; returns (clean, trace_id)."""
-        from repro.obs.tracewire import strip_trace
-
-        return strip_trace(request)
-
 
 class JsonCodec(WireCodec):
     """The seed wire format, pinned byte-for-byte.
 
     Every method reproduces the exact ``json.dumps`` call shape of the
     code it replaced — bodies are compact and sorted, sealed payloads
-    keep the seed's default separators and insertion order — so an
-    armed ``JsonCodec`` produces byte-identical traffic to the legacy
-    ``codec=None`` path (asserted end-to-end in the tests).
+    keep the seed's default separators and insertion order — and the
+    golden vectors in ``tests/test_wire_golden.py`` hold it to those
+    bytes.
     """
 
     name = "json"
@@ -709,16 +669,8 @@ JSON_WIRE_CODEC = JsonCodec()
 BINARY_WIRE_CODEC = BinaryCodec()
 
 
-def resolve_codec(codec: Union[None, str, WireCodec]) -> Optional[WireCodec]:
-    """Normalize a codec argument: None (legacy), a name, or an instance.
-
-    ``None`` stays ``None`` — that is the seed code path where
-    messages cross the simulated network as Python objects, kept
-    byte-identical the way ``overload=None`` keeps PR 5's default
-    inert.
-    """
-    if codec is None:
-        return None
+def resolve_codec(codec: Union[str, WireCodec]) -> WireCodec:
+    """Normalize a codec argument: a name or an instance, nothing else."""
     if isinstance(codec, str):
         if codec == "json":
             return JSON_WIRE_CODEC
@@ -727,7 +679,7 @@ def resolve_codec(codec: Union[None, str, WireCodec]) -> Optional[WireCodec]:
         raise ValueError(f"unknown codec name {codec!r} (expected 'json' or 'binary')")
     if isinstance(codec, WireCodec):
         return codec
-    raise TypeError(f"codec must be None, a name, or a WireCodec, got {type(codec)!r}")
+    raise TypeError(f"codec must be a name or a WireCodec, got {type(codec)!r}")
 
 
 class WireFrame:
@@ -827,20 +779,15 @@ class BatchEnvelope:
         return 8 + len(self.blob)
 
 
-def ship(network: Any, codec: Optional[WireCodec], source: str,
+def ship(network: Any, codec: WireCodec, source: str,
          destination: str, message: Union[Request, Response],
          on_deliver: Callable[[Any], None]) -> None:
-    """Send *message* over a protected hop, encoding if a codec is armed.
+    """Send *message* over a protected hop.
 
-    ``codec=None`` is byte-for-byte the seed path: the Python object
-    itself crosses the simulated network, sized by the message's own
-    ``size_bytes()``.  With a codec, the sender encodes, the wire
-    carries a :class:`WireFrame` (observed as such by wiretaps), and
-    the receiver-side callback gets the decoded message.
+    The sender encodes, the wire carries a :class:`WireFrame` (observed
+    as such by wiretaps, sized by its encoded bytes), and the
+    receiver-side callback gets the decoded message.
     """
-    if codec is None:
-        network.send(source, destination, message, message.size_bytes(), on_deliver)
-        return
     frame = WireFrame.for_message(codec, message)
     network.send(source, destination, frame, frame.size_bytes(),
                  lambda delivered: on_deliver(delivered.decode()))

@@ -37,7 +37,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.rest.messages import Request, Response
 from repro.simnet.metrics import percentile
 from repro.simnet.network import FlowRecord, Network
 
@@ -99,13 +98,18 @@ class BreakdownProbe:
         network.add_wiretap(self._observe)
 
     def _observe(self, record: FlowRecord, payload: object) -> None:
-        if isinstance(payload, (Request, Response)):
-            request_id = payload.request_id
-        else:
-            return
-        if request_id == 0:
-            return
+        # Keyed on what every protected-hop payload carries out-of-band:
+        # a WireFrame's ``request_id``, or the ``request_ids`` of the
+        # one sealed BatchEnvelope a flush puts on the UA->IA hop.
+        request_ids = getattr(payload, "request_ids", None)
+        if request_ids is None:
+            request_ids = (getattr(payload, "request_id", 0),)
         hop = f"{record.source_role}->{record.destination_role}"
+        for request_id in request_ids:
+            if request_id:
+                self._record(request_id, hop, record.time)
+
+    def _record(self, request_id: int, hop: str, time: float) -> None:
         timeline = self.timelines.get(request_id)
         if timeline is None:
             timeline = RequestTimeline(request_id=request_id)
@@ -115,7 +119,7 @@ class BreakdownProbe:
                 self.evicted_count += 1
         else:
             self.timelines.move_to_end(request_id)
-        timeline.record(hop, record.time)
+        timeline.record(hop, time)
         durations = timeline.stage_durations()
         if durations is not None:
             for stage in STAGES:

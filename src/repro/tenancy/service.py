@@ -10,7 +10,7 @@ applications.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional, Union
 
 from repro.crypto.keys import LayerKeys
 from repro.crypto.provider import CryptoProvider, SimCryptoProvider
@@ -18,7 +18,7 @@ from repro.proxy.config import PProxConfig
 from repro.proxy.costs import DEFAULT_COSTS, ProxyCostModel
 from repro.proxy.layers import ItemAnonymizer, ProxyRuntime, UserAnonymizer
 from repro.proxy.service import IA_CODE_IDENTITY, UA_CODE_IDENTITY, PProxService
-from repro.rest.codec import resolve_codec
+from repro.rest.codec import WireCodec, resolve_codec
 from repro.rest.messages import Request
 from repro.sgx.attestation import AttestationService
 from repro.sgx.enclave import Enclave, EnclaveMeasurement
@@ -73,14 +73,14 @@ def build_multi_tenant_pprox(
     directory: TenantDirectory,
     provider: Optional[CryptoProvider] = None,
     costs: ProxyCostModel = DEFAULT_COSTS,
-    codec: Optional[str] = None,
+    codec: Union[str, WireCodec] = "json",
 ) -> PProxService:
     """Deploy shared proxy layers serving every registered tenant.
 
     The enclaves are attested once, then each tenant's application
     provisions its own keys into them (modelled by
     :meth:`TenantDirectory.provision_layer`).  *codec* selects the
-    wire format by name (``"json"`` / ``"binary"``), as for
+    wire format (``"json"`` / ``"binary"`` or a codec instance), as for
     single-tenant stacks; batch envelopes stay off because there is no
     shared IA key to seal them under — each tenant holds its own.
     """
@@ -95,7 +95,7 @@ def build_multi_tenant_pprox(
         provider=provider,
         config=config,
         costs=costs,
-        codec=resolve_codec(codec) if codec is not None else None,
+        codec=resolve_codec(codec),
     )
     ua_balancer = LoadBalancer(
         name="client->ua", policy=make_policy(config.balancing, rng.stream("lb-ua"))

@@ -13,7 +13,7 @@ from repro.crypto.provider import (
 )
 from repro.crypto.xor import xor_bytes
 from repro.simnet.clock import EventLoop
-from repro.simnet.monitoring import MetricsCollector, crypto_cache_gauges
+from repro.telemetry import Telemetry, instrument_crypto
 
 KEY = bytes(range(32))
 
@@ -145,22 +145,31 @@ def test_pseudonymize_many_roundtrip(provider_cls):
 # ------------------------------------------------------------ metrics glue
 
 
+def _cache_series(telemetry, name, operation="pseudonymize"):
+    return telemetry.registry.get(name, {"operation": operation}).series
+
+
 def test_crypto_cache_gauges_sample_hit_ratio():
     loop = EventLoop()
-    collector = MetricsCollector(loop=loop, interval=1.0)
+    telemetry = Telemetry(scrape_interval=1.0)
     provider = RealCryptoProvider()
-    crypto_cache_gauges(collector, provider)
+    snapshots = []
+    cache_stats = provider.cache_stats
+    provider.cache_stats = lambda: snapshots.append(loop.now) or cache_stats()
+    instrument_crypto(telemetry, provider)
     provider.pseudonymize(KEY, b"user-1")
     provider.pseudonymize(KEY, b"user-1")
-    collector.start()
+    telemetry.bind(loop)
+    loop.schedule_at(2.5, lambda: None)  # the scraper re-arms only while work is pending
     loop.run_until(2.5)
-    series = collector.series["crypto.pseudonymize.hits"]
-    assert series.last() == 1.0
-    assert collector.series["crypto.pseudonymize.misses"].last() == 1.0
+    assert _cache_series(telemetry, "pprox_crypto_cache_hits_total").last() == 1.0
+    assert _cache_series(telemetry, "pprox_crypto_cache_misses_total").last() == 1.0
+    assert _cache_series(telemetry, "pprox_crypto_cache_size").last() == 1.0
+    # Six instruments, one cache_stats() snapshot per sample tick.
+    assert snapshots == [1.0, 2.0]
 
 
 def test_crypto_cache_gauges_skip_providers_without_stats():
-    loop = EventLoop()
-    collector = MetricsCollector(loop=loop, interval=1.0)
-    crypto_cache_gauges(collector, FastCryptoProvider())
-    assert not any(name.startswith("crypto.") for name in collector.series)
+    telemetry = Telemetry()
+    instrument_crypto(telemetry, FastCryptoProvider())
+    assert telemetry.registry.instruments() == []

@@ -86,6 +86,19 @@ def test_no_deprecation_shims_in_the_package():
     assert offenders == [], f"deprecation shims in: {offenders}"
 
 
+def test_no_object_wire_fork_in_the_package():
+    """The ``codec=None`` object wire was deleted, not parked: a codec
+    is always a ``WireCodec``, so nothing under ``src/repro`` may test
+    one for ``None`` or type it ``Optional``."""
+    fork = re.compile(r"codec is (?:not )?None|Optional\[WireCodec\]")
+    offenders = [
+        f"{path.relative_to(REPO)}: {match.group(0)}"
+        for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+        for match in fork.finditer(path.read_text())
+    ]
+    assert offenders == [], f"object-wire forks: {offenders}"
+
+
 #: Subcommands `python -m repro run <scenario>` replaced; nothing a
 #: reader or CI can copy-paste may still name them.
 REMOVED_SUBCOMMANDS = re.compile(

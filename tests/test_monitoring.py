@@ -1,64 +1,37 @@
-"""Metrics collection over virtual time."""
+"""Metrics sampled over virtual time (``repro.telemetry.registry``).
+
+Run-lifecycle behaviour of the ``Scraper`` (disarm when the run drains,
+stop→start never double-schedules) is in ``test_telemetry_registry.py``.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.simnet.clock import EventLoop
-from repro.simnet.monitoring import MetricsCollector, TimeSeries, node_gauges
-from repro.simnet.node import SimNode
+from repro.telemetry.registry import MetricRegistry, Scraper, TimeSeries
+
+
+def _scraped(interval, callback, until):
+    loop = EventLoop()
+    registry = MetricRegistry()
+    gauge = registry.gauge("g", callback=callback)
+    Scraper(loop=loop, registry=registry, interval=interval).start()
+    loop.schedule_at(until, lambda: None)  # the scraper re-arms only while work is pending
+    loop.run_until(until)
+    return gauge.series
 
 
 def test_collector_samples_on_interval():
-    loop = EventLoop()
-    collector = MetricsCollector(loop=loop, interval=1.0)
-    counter = {"value": 0}
-
-    def gauge():
-        counter["value"] += 1
-        return counter["value"]
-
-    collector.register("counter", gauge)
-    collector.start()
-    loop.run_until(5.5)
-    collector.stop()
-    assert len(collector.series["counter"].points) == 5
-    assert collector.series["counter"].values() == [1, 2, 3, 4, 5]
+    """One callback read per tick: the series is exactly 1..5."""
+    reads = iter(range(1, 100))
+    series = _scraped(1.0, lambda: next(reads), until=5.5)
+    assert series.values() == [1, 2, 3, 4, 5]
 
 
 def test_sample_timestamps_are_virtual_time():
-    loop = EventLoop()
-    collector = MetricsCollector(loop=loop, interval=2.0)
-    collector.register("g", lambda: 1.0)
-    collector.start()
-    loop.run_until(6.5)
-    collector.stop()
-    times = [time for time, _ in collector.series["g"].points]
-    assert times == [2.0, 4.0, 6.0]
-
-
-def test_duplicate_gauge_rejected():
-    collector = MetricsCollector(loop=EventLoop())
-    collector.register("g", lambda: 0)
-    with pytest.raises(ValueError, match="already registered"):
-        collector.register("g", lambda: 0)
-
-
-def test_node_gauges_track_load():
-    loop = EventLoop()
-    node = SimNode(name="n", loop=loop, cores=1)
-    collector = MetricsCollector(loop=loop, interval=0.5)
-    node_gauges(collector, node)
-    collector.start()
-    for _ in range(4):
-        node.submit(1.0, lambda: None)
-    loop.run_until(2.0)
-    collector.stop()
-    loop.run()
-    queue_series = collector.series["n.queue_length"]
-    assert queue_series.maximum() >= 2
-    busy = collector.series["n.busy_cores"]
-    assert busy.maximum() == 1
+    series = _scraped(2.0, lambda: 1.0, until=6.5)
+    assert [time for time, _ in series.points] == [2.0, 4.0, 6.0]
 
 
 def test_series_window_and_stats():
@@ -73,51 +46,3 @@ def test_series_window_and_stats():
 def test_series_stats_require_samples():
     with pytest.raises(ValueError):
         TimeSeries(name="empty").mean()
-
-
-def test_render_contains_all_series():
-    loop = EventLoop()
-    collector = MetricsCollector(loop=loop, interval=1.0)
-    collector.register("a.b", lambda: 1.5)
-    collector.register("never.sampled", lambda: 0)
-    collector.start()
-    loop.run_until(1.0)
-    collector.stop()
-    text = collector.render()
-    assert "a.b" in text and "never.sampled" in text
-
-
-def test_render_with_never_sampled_series():
-    collector = MetricsCollector(loop=EventLoop())
-    collector.register("quiet", lambda: 3.0)
-    text = collector.render()  # must not raise on the empty series
-    assert "quiet" in text
-    assert "-" in text
-
-
-def test_stop_then_start_does_not_double_schedule():
-    loop = EventLoop()
-    collector = MetricsCollector(loop=loop, interval=1.0)
-    collector.register("g", lambda: 1.0)
-    collector.start()
-    assert collector.running
-    loop.run_until(2.5)
-    collector.stop()
-    assert not collector.running
-    collector.start()
-    collector.start()  # second start while running is a no-op
-    loop.run_until(5.5)
-    collector.stop()
-    # One sample per elapsed interval, never two per tick: the stop at
-    # t=2.5 cancelled the pending tick, and restart re-arms exactly one.
-    assert collector.samples_taken == 5
-    assert len(collector.series["g"].points) == 5
-
-
-def test_render_prometheus_exposes_registered_gauges():
-    loop = EventLoop()
-    collector = MetricsCollector(loop=loop, interval=1.0)
-    collector.register("node.queue_length", lambda: 4.0)
-    text = collector.render_prometheus()
-    assert "# TYPE node_queue_length gauge" in text
-    assert 'node_queue_length{series="node.queue_length"} 4' in text

@@ -13,19 +13,21 @@ from repro.lrs.service import HarnessService
 from repro.privacy import Adversary
 from repro.proxy import PProxConfig, build_pprox
 from repro.proxy.rekey import reencrypt_store
+from repro.rest.codec import WireFrame
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
 
 
-def _stack(config=None, seed=81):
+def _stack(config=None, seed=81, codec="json"):
     rng = RngRegistry(seed=seed)
     loop = EventLoop()
     network = Network(loop=loop, rng=rng.stream("net"))
     harness = HarnessService(loop=loop, rng=rng.stream("lrs"), frontend_count=3)
     harness.engine.trainer.llr_threshold = 0.0
     provider = FastCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
-    ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider)
+    ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider,
+                     codec=codec)
     service = build_pprox(
         ctx, config or PProxConfig(shuffle_size=0), lrs_picker=harness.pick_frontend
     )
@@ -122,14 +124,11 @@ def test_rekey_rejects_unknown_layer():
 # -- HTTP redirection ------------------------------------------------------
 
 
-def _redirected_stack(seed=83):
+def _redirected_stack(seed=83, codec="json"):
     rng, loop, network, harness, service, client = _stack(
-        PProxConfig(shuffle_size=2, shuffle_timeout=0.05), seed=seed
+        PProxConfig(shuffle_size=2, shuffle_timeout=0.05), seed=seed, codec=codec
     )
-    frontend = RedirectFrontend(
-        loop=loop, network=network, rng=rng.stream("relay"),
-        pick_entry=service.ua_balancer.pick,
-    )
+    frontend = RedirectFrontend(service=service)
     client.service = RedirectedService(inner=service, frontend=frontend)
     return rng, loop, network, harness, service, client, frontend
 
@@ -162,6 +161,31 @@ def test_redirect_hides_client_addresses_from_the_raas():
     assert raas_inbound
     assert {f.source for f in raas_inbound} == {frontend.address}
     assert not any(f.source.startswith("client") for f in raas_inbound)
+
+
+@pytest.mark.parametrize("codec", ["json", "binary"])
+def test_relay_hop_carries_frames_of_the_deployment_codec(codec):
+    """The relay<->UA hop is a PProx hop like any other: what a wiretap
+    sees there is a ``WireFrame`` under the deployment's codec, never a
+    bare message object."""
+    _, loop, network, _, service, client, frontend = _redirected_stack(codec=codec)
+    relay_hop = []
+
+    def tap(record, payload):
+        if (frontend.address in (record.source, record.destination)
+                and "client" not in (record.source_role, record.destination_role)):
+            relay_hop.append(payload)
+
+    network.add_wiretap(tap)
+    calls = []
+    client.post("a", "i1", on_complete=calls.append)
+    client.post("b", "i1", on_complete=calls.append)
+    loop.run()
+    assert [call.ok for call in calls] == [True, True]
+    assert len(relay_hop) == 4  # two requests out, two responses back
+    for payload in relay_hop:
+        assert isinstance(payload, WireFrame)
+        assert payload.codec is service.runtime.codec
 
 
 def test_redirect_adds_latency():

@@ -16,6 +16,7 @@ from repro.overload import OverloadPolicy
 from repro.overload.deadline import stamp_deadline
 from repro.overload.shedding import is_uniform_reject
 from repro.proxy import PProxConfig
+from repro.rest.codec import JSON_WIRE_CODEC, BatchEnvelope, WireFrame
 from repro.rest.messages import Response, make_get
 from repro.sgx.enclave import Enclave, EnclaveMeasurement
 from repro.simnet.queueing import ConcurrentQueue
@@ -24,7 +25,7 @@ from repro.telemetry import Telemetry
 ROLES = ("ua", "ia")
 
 
-def _stack(seed=5, overload=None, telemetry=None, codec=None, **config):
+def _stack(seed=5, overload=None, telemetry=None, codec="json", **config):
     ctx = SimContext.fresh(seed, telemetry=telemetry, codec=codec)
     ctx.provider = FastCryptoProvider(rng_bytes=ctx.rng.bytes_fn("crypto"))
     if telemetry is not None:
@@ -249,3 +250,32 @@ def test_unknown_response_is_stale_at_either_role():
         instance._receive_response(Response(status=200, request_id=424242))
     deployment.ctx.loop.run()
     assert [_instance(deployment, role).stale_responses for role in ROLES] == [1, 1]
+
+
+@pytest.mark.parametrize("codec", ["json", "binary"])
+def test_every_protected_hop_carries_encoded_frames(codec):
+    """There is no object wire: whatever a wiretap sees between client,
+    UA, IA and LRS is a ``WireFrame`` or (the sealed flush of the
+    binary wire) a ``BatchEnvelope`` — and a context built without
+    naming a codec is on the JSON wire."""
+    assert SimContext.fresh(5).codec is JSON_WIRE_CODEC
+    ctx, _, deployment = _stack(codec=codec, shuffle_size=2)
+    seen = {}
+    ctx.network.add_wiretap(
+        lambda record, payload: seen.setdefault(
+            (record.source_role, record.destination_role), set()
+        ).add(type(payload))
+    )
+    client, calls = deployment.client(), []
+    client.post("alice", "lamp", on_complete=calls.append)
+    client.get("alice", on_complete=calls.append)
+    ctx.loop.run()
+
+    assert [call.ok for call in calls] == [True, True]
+    assert set(seen) == {
+        ("client", "ua"), ("ua", "ia"), ("ia", "lrs"),
+        ("lrs", "ia"), ("ia", "ua"), ("ua", "client"),
+    }
+    sealed = {BatchEnvelope} if ctx.codec.batch_envelopes else {WireFrame}
+    for hop, kinds in seen.items():
+        assert kinds == (sealed if hop == ("ua", "ia") else {WireFrame}), hop

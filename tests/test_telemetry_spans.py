@@ -3,10 +3,13 @@
 import pytest
 
 from repro.cluster.deployments import MICRO_CONFIGS
+from repro.context import Deployment, SimContext
+from repro.experiments.rig import pseudonymise_stub, stub_lrs
 from repro.experiments.runner import run_micro
 from repro.simnet.tracing import STAGES, BreakdownProbe
 from repro.telemetry import PIPELINE_STAGES, Telemetry
 from repro.telemetry.spans import Tracer
+from repro.workload.injector import Injector
 
 
 class FakeClock:
@@ -137,6 +140,48 @@ def test_e2e_spans_match_wire_probe_to_float_precision():
         assert len(spans) == len(wire)
         for a, b in zip(spans, wire):
             assert a == pytest.approx(b, abs=1e-9)
+
+
+def test_e2e_spans_match_wire_probe_on_the_binary_wire():
+    """Same acceptance on the binary wire, where a flush leaves the UA
+    as ONE sealed envelope: the wire sees every request of the batch
+    cross UA->IA at seal time, the span tracer stamps each at its own
+    transform end.  So the two place the ua_inbound | ia_inbound
+    boundary differently inside a batch, agree on the sum per request,
+    and agree on every other stage to float precision."""
+    telemetry = Telemetry()
+    probe = BreakdownProbe()
+    ctx = SimContext.fresh(3000, telemetry=telemetry, codec="binary")
+    telemetry.bind(ctx.loop, run_label="m6/binary")
+    probe.attach(ctx.network)
+    stub = stub_lrs(ctx)
+    deployment = Deployment.build(
+        ctx=ctx, config=MICRO_CONFIGS["m6"].pprox_config(0.25), lrs_picker=lambda: stub
+    )
+    pseudonymise_stub(stub, deployment)
+    client = deployment.client()
+    injector = Injector(ctx.loop, ctx.rng.stream("injector"))
+    injector.inject(25.0, 5.0, lambda done: client.get("user-1", on_complete=done))
+    ctx.loop.run()
+
+    completed = injector.report.completed
+    assert sum(ua.batch_envelopes_sealed for ua in deployment.service.ua_instances) > 0
+    traces = telemetry.tracer.complete_traces()
+    assert len(traces) == completed == probe.completed_count > 0
+
+    def views(per_request):
+        inbound = sorted(d["ua_inbound"] + d["ia_inbound"] for d in per_request)
+        rest = {
+            stage: sorted(d[stage] for d in per_request)
+            for stage in ("lrs", "ia_outbound", "ua_outbound")
+        }
+        return inbound, rest
+
+    span_inbound, span_rest = views([trace.stage_durations() for trace in traces])
+    wire_inbound, wire_rest = views(probe.complete_traces())
+    assert span_inbound == pytest.approx(wire_inbound, abs=1e-9)
+    for stage, values in span_rest.items():
+        assert values == pytest.approx(wire_rest[stage], abs=1e-9)
 
 
 def test_e2e_no_shuffle_config_also_traces():

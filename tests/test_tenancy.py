@@ -30,7 +30,7 @@ def _tenant_keys(name: str, factory: KeyFactory):
 
 
 def _multi_tenant_stack(config=None, tenant_names=("shop", "forum"), seed=71,
-                        codec=None):
+                        codec="json"):
     rng = RngRegistry(seed=seed)
     loop = EventLoop()
     network = Network(loop=loop, rng=rng.stream("net"))
@@ -200,7 +200,7 @@ def _run_tenant_mix(codec):
     return outcomes, adversary.observations
 
 
-@pytest.mark.parametrize("codec", [None, "json", "binary"])
+@pytest.mark.parametrize("codec", ["json", "binary"])
 def test_multi_tenant_redaction_audit_per_codec(codec):
     """No wire hop leaks a raw user or item id for either tenant, on
     any codec.  The tenant label itself is public by design."""
@@ -221,12 +221,11 @@ def test_multi_tenant_redaction_audit_per_codec(codec):
 
 def test_multi_tenant_codec_parity():
     """The wire format must change bytes, never results: the same
-    seeded mix yields identical per-tenant outcomes on the legacy
-    object wire, the JSON codec and the binary codec."""
-    legacy, _ = _run_tenant_mix(None)
-    for codec in ("json", "binary"):
-        outcomes, _ = _run_tenant_mix(codec)
-        assert outcomes == legacy, f"codec={codec} diverged from legacy wire"
+    seeded mix yields identical per-tenant outcomes on the JSON wire
+    (the reference) and the binary wire."""
+    reference, _ = _run_tenant_mix("json")
+    outcomes, _ = _run_tenant_mix("binary")
+    assert outcomes == reference
 
 
 def test_cross_tenant_requests_cannot_be_decrypted_with_other_keys():

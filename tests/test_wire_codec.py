@@ -278,9 +278,6 @@ class TestFrameValidation:
 
 
 class TestResolveCodec:
-    def test_none_stays_none(self):
-        assert resolve_codec(None) is None  # the byte-identical seed path
-
     def test_names_resolve_to_singletons(self):
         assert resolve_codec("json") is JSON_WIRE_CODEC
         assert resolve_codec("binary") is BINARY_WIRE_CODEC
@@ -294,8 +291,10 @@ class TestResolveCodec:
             resolve_codec("msgpack")
 
     def test_wrong_type_rejected(self):
-        with pytest.raises(TypeError):
-            resolve_codec(42)
+        # None included: there is no object wire to select.
+        for not_a_codec in (None, 42):
+            with pytest.raises(TypeError):
+                resolve_codec(not_a_codec)
 
     def test_codec_names(self):
         assert JsonCodec.name == "json"

@@ -124,15 +124,11 @@ def test_binary_run_completes_and_uses_batch_envelopes(binary_run):
     assert sealed == opened
 
 
-def test_binary_wire_semantic_parity_with_json_and_legacy():
-    """Same seed, three wires: the recommendations must be identical —
+def test_binary_wire_semantic_parity_with_json(binary_run):
+    """Same seed, both wires: the recommendations must be identical —
     the codec changes bytes, never results."""
-    runs = {
-        label: WireScenario(SHUFFLED, codec=codec).drive_workload().results
-        for label, codec in (("legacy", None), ("json", "json"), ("binary", "binary"))
-    }
-    assert runs["json"] == runs["legacy"]
-    assert runs["binary"] == runs["legacy"]
+    reference = WireScenario(SHUFFLED, codec="json").drive_workload()
+    assert binary_run.results == reference.results
 
 
 def test_binary_frames_keep_constant_size(binary_run):

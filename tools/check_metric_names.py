@@ -15,9 +15,7 @@ call site whose metric name is statically visible:
 
 f-string names are checked on their literal head/tail (e.g.
 ``f"pprox_workload_{quantity}_total"``); fully dynamic names are
-skipped.  ``src/repro/simnet/monitoring.py`` is exempt: it registers
-dotted legacy names into its own private registry, not the
-Prometheus-rendered telemetry one.
+skipped.  No file is exempt.
 
 Exit status 0 when clean; 1 with a per-site report otherwise.
 """
@@ -57,10 +55,6 @@ DIMENSIONLESS = frozenset(
         "pprox_rotation_state",
     }
 )
-
-#: Files whose registrations do not target the telemetry registry.
-EXEMPT = frozenset({"simnet/monitoring.py"})
-
 
 def literal_parts(node: ast.AST) -> Optional[Tuple[str, str, bool]]:
     """(head, tail, is_exact) of a statically-visible metric name.
@@ -133,8 +127,6 @@ def _has_help_text(node: ast.AST) -> bool:
 
 def check_file(path: Path) -> List[str]:
     relative = str(path.relative_to(SRC))
-    if relative in EXEMPT:
-        return []
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     problems: List[str] = []
     sites = 0
