@@ -39,9 +39,9 @@ def gate(out_dir: str) -> List[str]:
             f"only {len(traces)} complete traces for {completed} completed requests"
         )
     for trace in traces:
-        missing = [stage for stage in STAGES if stage not in trace.stages]
+        missing = [stage for stage in STAGES if stage not in trace["stage_durations"]]
         if missing:
-            problems.append(f"trace {trace.trace_id} missing stages: {missing}")
+            problems.append(f"trace {trace['trace_id']} missing stages: {missing}")
             break
 
     span_values = telemetry.tracer.stage_values()

@@ -54,10 +54,11 @@ class FaultEvent:
             raise ValueError(f"fault time must be >= 0, got {self.at}")
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form (telemetry fault events embed this)."""
+        """JSON-ready form (telemetry fault events embed this, so the
+        kind goes under ``fault_kind``: ``kind`` is the event envelope's)."""
         return {
             "at": self.at,
-            "kind": self.kind,
+            "fault_kind": self.kind,
             "target": self.target,
             "duration": self.duration,
             "magnitude": self.magnitude,

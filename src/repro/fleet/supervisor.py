@@ -311,7 +311,7 @@ class FleetSupervisor:
                 self._emit(
                     {
                         "event": "shard_ring_flipped",
-                        "kind": "split",
+                        "change": "split",
                         "source": op.source.shard_id,
                         "target": op.target.shard_id,
                     }
@@ -346,7 +346,7 @@ class FleetSupervisor:
             self._emit(
                 {
                     "event": "shard_ring_flipped",
-                    "kind": "merge",
+                    "change": "merge",
                     "source": op.source.shard_id,
                     "target": op.target.shard_id,
                 }

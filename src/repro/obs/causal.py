@@ -55,12 +55,6 @@ class CausalTracer:
         self.batch_spans = 0
         self.fan_in_total = 0
 
-    def bind(self, clock: Callable[[], float], event_log: Optional[Any] = None) -> None:
-        """Re-point the tracer at a fresh run's clock (and log)."""
-        self.clock = clock
-        if event_log is not None:
-            self.event_log = event_log
-
     # -- client side -----------------------------------------------------
 
     def start_call(self, verb: str) -> str:
@@ -68,7 +62,9 @@ class CausalTracer:
         self._serial += 1
         trace_id = encode_trace_id(self._serial)
         self.calls_started += 1
+        # The open call is its ``cspan`` record in the making.
         self._open_calls[trace_id] = {
+            "trace": trace_id,
             "verb": verb,
             "started": self.clock(),
             "attempts": 0,
@@ -91,20 +87,10 @@ class CausalTracer:
         self.calls_settled += 1
         if self.event_log is None:
             return
-        ended = self.clock()
-        self.event_log.emit(
-            "cspan",
-            "client",
-            {
-                "trace": trace_id,
-                "verb": call["verb"],
-                "started": call["started"],
-                "ended": ended,
-                "duration": ended - call["started"],
-                "attempts": call["attempts"],
-                "ok": bool(ok),
-            },
-        )
+        call["ended"] = ended = self.clock()
+        call["duration"] = ended - call["started"]
+        call["ok"] = bool(ok)
+        self.event_log.emit("cspan", "client", call)
 
     # -- shuffle boundary ------------------------------------------------
 

@@ -375,7 +375,7 @@ class SloEngine:
                 "event": "slo_alert",
                 "experiment": experiment,
                 "objective": measurement.name,
-                "kind": measurement.kind,
+                "objective_kind": measurement.kind,
                 "target": measurement.target,
                 "observed": measurement.value,
                 "burn_long": measurement.burn_long,

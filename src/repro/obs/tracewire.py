@@ -21,6 +21,7 @@ wire auditor key on (:func:`repro.privacy.wire.trace_field_exposures`).
 
 from __future__ import annotations
 
+import re
 from typing import Any, Optional, Tuple, Union
 
 from repro.rest.messages import Request
@@ -47,6 +48,8 @@ TRACE_WIDTH = 16
 
 _SERIAL_DIGITS = TRACE_WIDTH - len(TRACE_PREFIX)
 _SERIAL_SPACE = 16 ** _SERIAL_DIGITS
+# ASCII lower-case hex only: a literal class, not ``\d`` or ``str.isdigit``.
+_WELL_FORMED = re.compile(re.escape(TRACE_PREFIX) + "[0-9a-f]{%d}" % _SERIAL_DIGITS)
 
 
 def encode_trace_id(serial: int) -> str:
@@ -58,12 +61,7 @@ def encode_trace_id(serial: int) -> str:
 
 def looks_like_trace_id(value: Any) -> bool:
     """True when *value* is a well-formed encoded trace id."""
-    return (
-        isinstance(value, str)
-        and len(value) == TRACE_WIDTH
-        and value.startswith(TRACE_PREFIX)
-        and all(c in "0123456789abcdef" for c in value[len(TRACE_PREFIX):])
-    )
+    return isinstance(value, str) and _WELL_FORMED.fullmatch(value) is not None
 
 
 def decode_trace(message: Union[Request, dict]) -> Optional[str]:

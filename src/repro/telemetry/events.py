@@ -3,24 +3,32 @@
 Every telemetry signal — span completions, metric snapshots, chaos and
 fault events, run lifecycle markers — flows through one
 :class:`EventLog` so a single per-run artifact captures the whole
-story.  Events pass the redaction boundary on the way in: the payload
-is scrubbed according to the emitting role *before* it is stored, so
-nothing downstream (renderers, JSONL files, CI artifacts) can leak
-what the boundary removed.
+story.  A record has one life: the emitter builds its payload once,
+:meth:`EventLog.emit` scrubs it once for the emitting role *before* it
+is stored (so nothing downstream — renderers, JSONL files, CI
+artifacts — can leak what the boundary removed), and the clean copy is
+kept in one slotted :class:`TelemetryEvent`; nothing else retains it.
+
+The envelope keys ``time`` / ``seq`` / ``kind`` / ``role`` are reserved:
+a payload may repeat one only with the envelope's own value, so a
+reader filtering the artifact on ``kind`` sees what
+:meth:`EventLog.of_kind` sees in memory.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping
 
 from repro.telemetry.redaction import DEFAULT_POLICY, RedactionPolicy, Violation
 
 __all__ = ["EventLog", "TelemetryEvent"]
 
+_ENVELOPE_KEYS = frozenset({"time", "seq", "kind", "role"})
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True)
 class TelemetryEvent:
     """One structured record: who said what, when, in virtual time."""
 
@@ -70,9 +78,13 @@ class EventLog:
     def _append(self, kind: str, role: str, payload: Dict[str, Any]) -> TelemetryEvent:
         if self.run_label:
             payload.setdefault("run", self.run_label)
-        event = TelemetryEvent(
-            time=self.clock(), kind=kind, role=role, payload=payload, seq=self.next_seq
-        )
+        event = TelemetryEvent(self.clock(), kind, role, payload, self.next_seq)
+        for key in _ENVELOPE_KEYS.intersection(payload):
+            if payload[key] != getattr(event, key):
+                raise ValueError(
+                    f"{kind!r} event payload sets reserved key {key!r}"
+                    f" to {payload[key]!r}; the envelope says {getattr(event, key)!r}"
+                )
         self.next_seq += 1
         self.events.append(event)
         return event

@@ -58,7 +58,11 @@ class Telemetry:
 
     def bind(self, loop: Any, run_label: str = "") -> None:
         """Attach to a (fresh) event loop; restarts the scraper."""
-        self._clock = lambda: loop.now
+        # Tracer and log read the loop directly: they ask the time some
+        # fourteen times per request, and ``now()`` is two frames deeper.
+        self._clock = clock = lambda: loop.now
+        self.tracer.bind(clock)
+        self.event_log.clock = clock
         self.run_label = run_label
         self.event_log.run_label = run_label
         if self.scraper is not None:
@@ -136,16 +140,14 @@ class Telemetry:
             f" {tracer.traces_abandoned} abandoned,"
             f" {tracer.active_count} in flight"
         )
-        stage_values = tracer.stage_values()
-        if any(stage_values.values()):
+        # Only complete traces are folded, so every stage has the same n.
+        if tracer.stage_totals[PIPELINE_STAGES[0]][0]:
             lines.append(f"{'stage':14s} {'mean_ms':>10s} {'max_ms':>10s} {'n':>8s}")
             for stage in PIPELINE_STAGES:
-                values = stage_values[stage]
-                if not values:
-                    continue
+                count, total, longest = tracer.stage_totals[stage]
                 lines.append(
-                    f"{stage:14s} {1e3 * sum(values) / len(values):10.3f}"
-                    f" {1e3 * max(values):10.3f} {len(values):8d}"
+                    f"{stage:14s} {1e3 * total / count:10.3f}"
+                    f" {1e3 * longest:10.3f} {count:8d}"
                 )
         for gauge_name in (
             "pprox_shuffle_batch_fill",

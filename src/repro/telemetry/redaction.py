@@ -17,12 +17,23 @@ to destroy.  This module enforces the split at emission time:
 Violating values are replaced by ``[redacted:<kind>]`` markers and the
 violation is recorded, so the audit (:func:`audit_events`) can both
 fail loudly in tests and prove cleanliness on the real pipeline.
+
+Every emitted record passes through here, so the scrub is one pass
+that pays only for what it finds: a container is copied once at C
+level and only its leaking slots rewritten, an exact
+``float``/``int``/``bool``/``None`` costs a type test, a ``str`` one
+``startswith`` over the role's forbidden prefixes, and a dotted path is
+spelled out only for a redaction or a nested container.  The recursive
+walk this replaced is the oracle of the property test
+(``tests/oracles/redaction_reference.py``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Tuple
+from functools import lru_cache
+from typing import Any, Dict, Iterable, Iterator, List, Tuple
 
 __all__ = ["RedactionPolicy", "Violation", "audit_events", "DEFAULT_POLICY"]
 
@@ -47,14 +58,18 @@ USER_KEYS = frozenset({"user", "user_id", "client", "client_address"})
 ITEM_KEYS = frozenset({"item", "items", "item_id", "item_ids"})
 TRACE_KEYS = frozenset({"trace"})
 
-_REDACTED = {
-    "user-id": "[redacted:user-id]",
-    "item-id": "[redacted:item-id]",
-    "trace-id": "[redacted:trace-id]",
+# kind -> (value prefixes, field names); no prefix of one kind is a
+# prefix of another's, so one ``startswith`` over a role's forbidden
+# prefixes decides whether a string leaks.
+_KINDS: Dict[str, Tuple[Tuple[str, ...], frozenset]] = {
+    "user-id": (USER_MARKERS, USER_KEYS),
+    "item-id": (ITEM_MARKERS, ITEM_KEYS),
+    "trace-id": (TRACE_MARKERS, TRACE_KEYS),
 }
-_REDACTED_USER = _REDACTED["user-id"]
-_REDACTED_ITEM = _REDACTED["item-id"]
-_REDACTED_TRACE = _REDACTED["trace-id"]
+
+# Exact types that can neither hold nor be an identifier: skipped
+# without a call, a copy or a path.
+_INERT = frozenset({float, int, bool, type(None)})
 
 
 @dataclass(frozen=True)
@@ -70,18 +85,17 @@ class Violation:
         return f"{self.kind} leak in {self.role!r} event at {self.path}: {self.value!r}"
 
 
-def _marker_kind(value: str) -> str | None:
-    """Classify a string as a user id, item id, or neither."""
-    for marker in USER_MARKERS:
-        if value.startswith(marker):
-            return "user-id"
-    for marker in ITEM_MARKERS:
-        if value.startswith(marker):
-            return "item-id"
-    for marker in TRACE_MARKERS:
-        if value.startswith(marker):
-            return "trace-id"
-    return None
+@lru_cache(maxsize=None)
+def _plan(kinds: Tuple[str, ...]) -> Tuple[Dict[str, str], Tuple[str, ...]]:
+    """``(field name -> kind, value prefixes)`` of the forbidden *kinds*."""
+    keys = {key: kind for kind in kinds for key in _KINDS[kind][1]}
+    markers = tuple(marker for kind in kinds for marker in _KINDS[kind][0])
+    return keys, markers
+
+
+def _marker_kind(value: str) -> str:
+    """Kind of the identifier prefix *value* is known to start with."""
+    return next(kind for kind, (markers, _) in _KINDS.items() if value.startswith(markers))
 
 
 @dataclass
@@ -97,69 +111,80 @@ class RedactionPolicy:
         }
     )
 
-    def forbidden_kinds(self, role: str) -> Tuple[str, ...]:
-        return self.forbidden.get(role, ())
-
     def scrub(self, role: str, payload: Mapping[str, Any]) -> Tuple[Dict[str, Any], List[Violation]]:
         """Return a clean copy of *payload* plus the violations found."""
-        kinds = self.forbidden_kinds(role)
+        kinds = self.forbidden.get(role, ())
         violations: List[Violation] = []
         if not kinds:
             return dict(payload), violations
-        clean = self._scrub_value(role, kinds, payload, "", violations)
-        return clean, violations
+        return _scrub_value(role, _plan(kinds), payload, "", violations), violations
 
-    # -- recursive walk -------------------------------------------------
 
-    def _scrub_value(
-        self,
-        role: str,
-        kinds: Tuple[str, ...],
-        value: Any,
-        path: str,
-        violations: List[Violation],
-    ) -> Any:
-        if isinstance(value, Mapping):
-            out: Dict[str, Any] = {}
-            for key, sub in value.items():
-                sub_path = f"{path}.{key}" if path else str(key)
-                key_kind = self._key_kind(key)
-                if key_kind is not None and key_kind in kinds:
-                    violations.append(
-                        Violation(role=role, kind=key_kind, path=sub_path, value=_preview(sub))
-                    )
-                    out[key] = _REDACTED[key_kind]
-                    continue
-                out[key] = self._scrub_value(role, kinds, sub, sub_path, violations)
-            return out
-        if isinstance(value, (list, tuple)):
-            return [
-                self._scrub_value(role, kinds, item, f"{path}[{i}]", violations)
-                for i, item in enumerate(value)
-            ]
-        if isinstance(value, (bytes, bytearray)):
-            # Ciphertext / sealed blobs: structurally opaque, keep only size.
-            return f"<{len(value)} bytes>"
-        if isinstance(value, str):
-            kind = _marker_kind(value)
-            if kind is not None and kind in kinds:
-                violations.append(Violation(role=role, kind=kind, path=path, value=value))
-                return _REDACTED[kind]
-            return value
-        return value
+def _scrub_value(role: str, plan: tuple, value: Any, path: str, violations: List[Violation]) -> Any:
+    """Clean copy of one container, blob or string found at *path*."""
+    if type(value) is dict or isinstance(value, Mapping):
+        out: Any = dict(value)  # one C-level copy; only changed slots are rewritten
+        _scrub_entries(role, plan, out, out.items(), path, violations, keyed=True)
+        return out
+    if isinstance(value, (list, tuple)):
+        out = list(value)
+        _scrub_entries(role, plan, out, enumerate(out), path, violations, keyed=False)
+        return out
+    if isinstance(value, (bytes, bytearray)):
+        # Ciphertext / sealed blobs: structurally opaque, keep only size.
+        return f"<{len(value)} bytes>"
+    if isinstance(value, str) and value.startswith(plan[1]):
+        return _redact(role, _marker_kind(value), path, value, violations)
+    return value
 
-    @staticmethod
-    def _key_kind(key: Any) -> str | None:
-        if not isinstance(key, str):
-            return None
-        lowered = key.lower()
-        if lowered in USER_KEYS:
-            return "user-id"
-        if lowered in ITEM_KEYS:
-            return "item-id"
-        if lowered in TRACE_KEYS:
-            return "trace-id"
-        return None
+
+def _scrub_entries(
+    role: str,
+    plan: tuple,
+    out: Any,
+    entries: Iterator[Tuple[Any, Any]],
+    path: str,
+    violations: List[Violation],
+    keyed: bool,
+) -> None:
+    """Rewrite in place the slots of the fresh copy *out* that leak.
+
+    *entries* yields ``(key, value)`` of a mapping or ``(index, item)``
+    of a sequence.  The common slot — an inert scalar or a string with
+    no forbidden prefix — costs one type test and at most one
+    ``startswith``; the slot's path is only spelled out when something
+    is redacted or a nested container is entered.
+    """
+    keys, markers = plan
+    for step, sub in entries:
+        if keyed and isinstance(step, str):
+            kind = keys.get(step.lower())
+            if kind is not None:
+                out[step] = _redact(
+                    role, kind, _join(path, step, keyed), _preview(sub), violations
+                )
+                continue
+        exact = type(sub)
+        if exact in _INERT:
+            continue
+        if exact is str:
+            if sub.startswith(markers):
+                out[step] = _redact(
+                    role, _marker_kind(sub), _join(path, step, keyed), sub, violations
+                )
+            continue
+        out[step] = _scrub_value(role, plan, sub, _join(path, step, keyed), violations)
+
+
+def _join(path: str, step: Any, keyed: bool) -> str:
+    if keyed:
+        return f"{path}.{step}" if path else str(step)
+    return f"{path}[{step}]"
+
+
+def _redact(role: str, kind: str, path: str, value: str, violations: List[Violation]) -> str:
+    violations.append(Violation(role=role, kind=kind, path=path, value=value))
+    return f"[redacted:{kind}]"
 
 
 DEFAULT_POLICY = RedactionPolicy()

@@ -21,6 +21,14 @@ bytes to any observable flow.  Crucially, span *attributes* are still
 pushed through the redaction boundary by role when spans are emitted
 to the event log — a UA span annotated with an item id would be
 scrubbed and flagged.
+
+The tracer retains nothing about a settled request.  :class:`Span` and
+:class:`Trace` are in-flight scratch: when a span closes the tracer
+builds its record once and hands it to the log, and when the root
+closes the :class:`Trace` is dropped.  The root record carries
+``stage_durations`` and ``complete`` — all :meth:`Tracer.complete_traces`
+and :meth:`Tracer.stage_values` read — and the summary's per-stage
+``(n, sum, max)`` are folded as each complete trace settles.
 """
 
 from __future__ import annotations
@@ -53,9 +61,9 @@ _HOP_TRANSITIONS: Dict[Tuple[str, str], Tuple[Optional[str], Optional[str], Opti
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
-    """One timed operation attributed to a role."""
+    """One timed operation attributed to a role, while it is in flight."""
 
     trace_id: int
     span_id: int
@@ -64,7 +72,6 @@ class Span:
     start: float
     parent_id: Optional[int] = None
     end: Optional[float] = None
-    status: str = "open"  # open | ok | error | abandoned
     attributes: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -73,55 +80,15 @@ class Span:
             raise ValueError(f"span {self.name!r} is still open")
         return self.end - self.start
 
-    def annotate(self, **attrs: Any) -> None:
-        self.attributes.update(attrs)
 
-    def to_dict(self) -> Dict[str, Any]:
-        record: Dict[str, Any] = {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "name": self.name,
-            "role": self.role,
-            "start": self.start,
-            "status": self.status,
-        }
-        if self.parent_id is not None:
-            record["parent_id"] = self.parent_id
-        if self.end is not None:
-            record["end"] = self.end
-            record["duration"] = self.duration
-        if self.attributes:
-            record["attributes"] = dict(self.attributes)
-        return record
-
-
-@dataclass
+@dataclass(slots=True)
 class Trace:
-    """All spans of one request: a root span plus one span per stage."""
+    """The in-flight spans of one request: a root plus one per stage."""
 
     trace_id: int
-    request_id: int
     root: Span
-    stages: "OrderedDict[str, Span]" = field(default_factory=OrderedDict)
+    stages: Dict[str, Span] = field(default_factory=dict)
     open_stage: Optional[str] = None
-    status: str = "open"
-
-    def stage_durations(self) -> Dict[str, float]:
-        """Durations of the closed stages, in pipeline order."""
-        return {
-            name: span.duration
-            for name, span in self.stages.items()
-            if span.end is not None
-        }
-
-    def is_complete(self) -> bool:
-        return self.status == "ok" and all(
-            name in self.stages and self.stages[name].end is not None
-            for name in PIPELINE_STAGES
-        )
-
-    def total_duration(self) -> float:
-        return self.root.duration
 
 
 class Tracer:
@@ -138,14 +105,15 @@ class Tracer:
         clock: Callable[[], float],
         event_log: Optional[EventLog] = None,
         max_active: int = 8192,
-        keep_spans: bool = True,
     ) -> None:
         self.clock = clock
         self.event_log = event_log
         self.max_active = max_active
-        self.keep_spans = keep_spans
         self._active: "OrderedDict[int, Trace]" = OrderedDict()
-        self.finished: List[Trace] = []
+        #: stage -> ``[n, sum, max]`` of its duration over complete traces.
+        self.stage_totals: Dict[str, List[float]] = {
+            name: [0, 0.0, 0.0] for name in PIPELINE_STAGES
+        }
         self._next_trace_id = 1
         self._next_span_id = 1
         self.traces_started = 0
@@ -156,11 +124,9 @@ class Tracer:
 
     # -- construction ----------------------------------------------------
 
-    def bind(self, clock: Callable[[], float], event_log: Optional[EventLog] = None) -> None:
-        """Re-point the tracer at a fresh run's clock (and log)."""
+    def bind(self, clock: Callable[[], float]) -> None:
+        """Re-point the tracer at a fresh run's clock."""
         self.clock = clock
-        if event_log is not None:
-            self.event_log = event_log
 
     def _new_span(
         self,
@@ -170,20 +136,13 @@ class Tracer:
         start: float,
         parent_id: Optional[int] = None,
     ) -> Span:
-        span = Span(
-            trace_id=trace_id,
-            span_id=self._next_span_id,
-            name=name,
-            role=role,
-            start=start,
-            parent_id=parent_id,
-        )
+        span = Span(trace_id, self._next_span_id, name, role, start, parent_id)
         self._next_span_id += 1
         return span
 
     def _start_trace(self, request_id: int, now: float) -> Trace:
         root = self._new_span(self._next_trace_id, "request", "client", now)
-        trace = Trace(trace_id=self._next_trace_id, request_id=request_id, root=root)
+        trace = Trace(self._next_trace_id, root)
         self._next_trace_id += 1
         self.traces_started += 1
         self._active[request_id] = trace
@@ -219,14 +178,12 @@ class Tracer:
             self._active.move_to_end(request_id)
 
         if closes is not None and trace.open_stage == closes:
-            span = trace.stages[closes]
-            span.end = now
-            span.status = "ok"
             trace.open_stage = None
-            self._emit_span(span)
+            self._close(trace.stages[closes], "ok", now)
         if opens is not None and open_role is not None:
-            span = self._new_span(trace.trace_id, opens, open_role, now, parent_id=trace.root.span_id)
-            trace.stages[opens] = span
+            trace.stages[opens] = self._new_span(
+                trace.trace_id, opens, open_role, now, trace.root.span_id
+            )
             trace.open_stage = opens
 
     def annotate(self, request_id: int, **attrs: Any) -> None:
@@ -234,15 +191,13 @@ class Tracer:
         trace = self._active.get(request_id)
         if trace is None or trace.open_stage is None:
             return
-        trace.stages[trace.open_stage].annotate(**attrs)
+        trace.stages[trace.open_stage].attributes.update(attrs)
 
-    def end_trace(self, request_id: int, ok: bool = True) -> Optional[Trace]:
+    def end_trace(self, request_id: int, ok: bool = True) -> None:
         """Close a request's root span (called at client settle time)."""
         trace = self._active.pop(request_id, None)
-        if trace is None:
-            return None
-        self._finish(trace, "ok" if ok else "error", self.clock())
-        return trace
+        if trace is not None:
+            self._finish(trace, "ok" if ok else "error", self.clock())
 
     def abandon(self, request_id: int) -> None:
         """Drop a request that will never complete (timeout/retry)."""
@@ -251,28 +206,47 @@ class Tracer:
             self._finish(trace, "abandoned", self.clock())
 
     def _finish(self, trace: Trace, status: str, now: float) -> None:
-        if trace.open_stage is not None:
-            dangling = trace.stages[trace.open_stage]
-            dangling.status = "abandoned"
-            trace.open_stage = None
-        trace.root.end = now
-        trace.root.status = status
-        trace.status = status
+        """Close the root; a stage still open is dropped with the trace."""
+        # Closed stages only, in pipeline order.
+        durations = {
+            name: span.end - span.start
+            for name, span in trace.stages.items()
+            if span.end is not None
+        }
+        complete = status == "ok" and len(durations) == len(PIPELINE_STAGES)
+        if complete:
+            for name, seconds in durations.items():
+                totals = self.stage_totals[name]
+                totals[0] += 1
+                totals[1] += seconds
+                if seconds > totals[2]:
+                    totals[2] = seconds
         if status == "ok":
             self.traces_completed += 1
         elif status == "abandoned":
             self.traces_abandoned += 1
-        self._emit_span(trace.root, trace=trace)
-        if self.keep_spans:
-            self.finished.append(trace)
+        self._close(trace.root, status, now, stage_durations=durations, complete=complete)
 
-    def _emit_span(self, span: Span, trace: Optional[Trace] = None) -> None:
+    def _close(self, span: Span, status: str, now: float, **root_fields: Any) -> None:
+        """Close *span* and hand its record, built here once, to the log."""
+        span.end = now
         if self.event_log is None:
             return
-        payload = span.to_dict()
-        if trace is not None:
-            payload["stage_durations"] = trace.stage_durations()
-            payload["complete"] = trace.is_complete()
+        # ``role`` is the event envelope's; the log merges it back in.
+        payload: Dict[str, Any] = {
+            "trace_id": span.trace_id,
+            "span_id": span.span_id,
+            "name": span.name,
+            "start": span.start,
+            "status": status,
+        }
+        if span.parent_id is not None:
+            payload["parent_id"] = span.parent_id
+        payload["end"] = now
+        payload["duration"] = now - span.start
+        if span.attributes:
+            payload["attributes"] = span.attributes
+        payload.update(root_fields)
         self.event_log.emit("span", span.role, payload)
 
     # -- queries ---------------------------------------------------------
@@ -281,17 +255,20 @@ class Tracer:
     def active_count(self) -> int:
         return len(self._active)
 
-    def complete_traces(self) -> List[Trace]:
-        return [trace for trace in self.finished if trace.is_complete()]
-
-    def complete_stage_durations(self) -> List[Dict[str, float]]:
-        """Per-trace stage durations for every complete trace."""
-        return [trace.stage_durations() for trace in self.complete_traces()]
+    def complete_traces(self) -> List[Dict[str, Any]]:
+        """Root-span records of every complete trace, read off the log."""
+        if self.event_log is None:
+            return []
+        return [
+            event.payload
+            for event in self.event_log.of_kind("span")
+            if event.payload.get("complete")
+        ]
 
     def stage_values(self) -> Dict[str, List[float]]:
         """Durations grouped by stage across all complete traces."""
         grouped: Dict[str, List[float]] = {name: [] for name in PIPELINE_STAGES}
-        for durations in self.complete_stage_durations():
+        for record in self.complete_traces():
             for name in PIPELINE_STAGES:
-                grouped[name].append(durations[name])
+                grouped[name].append(record["stage_durations"][name])
         return grouped

@@ -6,7 +6,7 @@ import pytest
 
 from repro.experiments.chaos import ChaosResult, run_chaos
 from repro.experiments.registry import EXPERIMENT_INDEX
-from repro.telemetry import Telemetry
+from repro.telemetry import EventLog, Telemetry
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +82,14 @@ def test_telemetry_artifact_records_the_drill(tmp_path):
     assert '"instance_crashed"' in content
     assert result.fault_events  # the same events, structured
     assert (tmp_path / "telemetry.prom").read_text(encoding="utf-8")
+    # A reader filtering the artifact on ``kind`` finds exactly the
+    # events the in-memory envelope filter returned: the payload's own
+    # fault kind travels as ``fault_kind`` and never clobbers it.
+    lines = [line for line in EventLog.parse_jsonl(content) if line["kind"] == "fault"]
+    assert lines == result.fault_events
+    assert {"crash", "partition", "brownout"} <= {
+        line["fault_kind"] for line in lines if "fault_kind" in line
+    }
 
 
 def test_chaos_is_registered_experiment():

@@ -9,7 +9,7 @@ import pytest
 from repro.experiments.registry import EXPERIMENT_INDEX
 from repro.experiments.fleet import FleetDrillResult, run_fleet_drill
 from repro.obs.slo import SloEngine
-from repro.telemetry import Telemetry
+from repro.telemetry import EventLog, Telemetry
 
 SEED, RPS, DURATION = 23, 360.0, 6.0
 
@@ -100,6 +100,14 @@ def test_slo_verdict_and_telemetry_artifact(tmp_path):
     content = (tmp_path / "telemetry.jsonl").read_text(encoding="utf-8")
     assert '"shard_split_completed"' in content
     assert '"shard_instance_ejected"' in content
+    # The ring flip says which way under ``change``; ``kind`` stays the
+    # envelope's, so filtering the artifact on it finds every fleet event.
+    fleet_lines = [
+        line for line in EventLog.parse_jsonl(content) if line["kind"] == "fleet"
+    ]
+    assert fleet_lines == result.fleet_events
+    [flip] = [line for line in fleet_lines if line["event"] == "shard_ring_flipped"]
+    assert flip["change"] == "split"
 
 
 def test_result_to_dict_is_json_ready(drill):

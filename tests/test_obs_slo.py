@@ -14,6 +14,7 @@ from repro.obs.slo import (
     write_slo,
 )
 from repro.simnet.clock import make_event_loop
+from repro.telemetry import Telemetry
 from repro.telemetry.registry import Histogram
 
 
@@ -63,6 +64,7 @@ def test_ratio_burn_alerts_on_a_fast_short_window_burn():
         good = 10 * t if t <= 8 else 80 + 5 * (t - 8)
         rows.append((float(t), {"good": float(good), "total": float(10 * t)}))
     engine = fed_engine(rows)
+    engine.telemetry = Telemetry()
     report = engine.evaluate(
         [Objective(name="goodput", kind="ratio", target=0.9, good="good", total="total")],
         experiment="unit",
@@ -73,6 +75,11 @@ def test_ratio_burn_alerts_on_a_fast_short_window_burn():
     assert m.burn_long == pytest.approx(1.0)
     assert m.burn_short == pytest.approx(5.0)
     assert m.alert  # short >= alert_burn (2.0) and long >= 1.0
+    # The alert is an ``slo`` event on the wire too: the objective's
+    # kind travels as ``objective_kind``, not over the envelope's.
+    alert, verdict = (event.to_dict() for event in engine.telemetry.event_log.of_kind("slo"))
+    assert (alert["kind"], alert["event"], alert["objective_kind"]) == ("slo", "slo_alert", "ratio")
+    assert (verdict["kind"], verdict["event"]) == ("slo", "slo_verdict")
 
 
 def test_ratio_burn_stays_quiet_when_the_long_window_absorbed_it():

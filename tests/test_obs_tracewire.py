@@ -52,6 +52,45 @@ def test_looks_like_trace_id_rejects_malformed_values():
     assert not looks_like_trace_id(12345)
 
 
+@pytest.mark.parametrize("near_miss", [
+    "tw:00000000000AB",  # upper-case hex
+    "tw:000000000000A",
+    "TW:0000000000003",  # upper-case prefix
+    "tw:000000000003",  # 15 characters
+    "tw:00000000000003",  # 17 characters
+    "tw:000000000000\u0663",  # ARABIC-INDIC DIGIT THREE: str.isdigit() says yes
+    "tw:000000000000\uff13",  # FULLWIDTH DIGIT THREE: int(..., 16) says yes
+    "tw:000000000000\uff41",  # FULLWIDTH LATIN SMALL LETTER A
+    "tw:0000000000003\n",  # a whole id, then a newline: ``$`` matches before it
+    "tw:000000000003\n",  # 16 characters, the last one a newline
+    " tw:000000000003",
+    "tw:00000 0000003",
+    "tw:-000000000003",  # int() takes a sign
+    "tw:0x00000000003",  # and a base prefix
+    "tw:0_00000000003",  # and underscores
+    "",
+    b"tw:0000000000003",
+    bytearray(b"tw:0000000000003"),
+    ("tw:0000000000003",),
+])
+def test_looks_like_trace_id_accepts_lower_case_ascii_hex_only(near_miss):
+    """The accept set is exactly ``tw:`` + 13 of ``0-9a-f``: everything
+    a looser string-level check (``isdigit``, ``int(x, 16)``, ``\\d``,
+    ``$``, ``casefold``) lets through stays out, and no input raises."""
+    assert looks_like_trace_id(near_miss) is False
+    assert decode_trace({TRACE_FIELD: near_miss}) is None
+
+
+def test_looks_like_trace_id_accepts_every_hex_digit_and_str_subclasses():
+    assert looks_like_trace_id("tw:0123456789abc") is True
+    assert looks_like_trace_id("tw:3456789abcdef") is True
+
+    class Wire(str):
+        pass
+
+    assert looks_like_trace_id(Wire("tw:0000000000003")) is True
+
+
 def test_stamp_and_decode_round_trip():
     trace_id = encode_trace_id(42)
     stamped = stamp_trace(make_request(user="sealed"), trace_id)

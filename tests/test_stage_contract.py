@@ -279,3 +279,80 @@ def test_every_protected_hop_carries_encoded_frames(codec):
     sealed = {BatchEnvelope} if ctx.codec.batch_envelopes else {WireFrame}
     for hop, kinds in seen.items():
         assert kinds == (sealed if hop == ("ua", "ia") else {WireFrame}), hop
+
+
+def test_e2e_harness_contract_on_an_observed_passthrough_deployment():
+    """What ``benchmarks/e2e`` relies on, pinned where tier-1 sees it.
+
+    The ledger's traced pass replaces eight telemetry entry points *by
+    attribute on the instances* (``harness.py::arm_telemetry``) and
+    derives ``telemetry.events_per_req`` / ``telemetry.spans_per_req``
+    from two lengths of the hub's log.  So the data plane must look
+    those methods up on the instance at every call (no ``__slots__``
+    on the tracers, no bound method cached at construction) — or the
+    traced pass silently reads ``telemetry.self_us = 0`` — and a
+    request must emit exactly 6 spans + 1 ``cspan``.
+    """
+    from repro.obs.causal import CausalTracer, instrument_causal
+    from repro.telemetry import instrument_stack
+    from repro.workload.injector import Injector
+
+    # build_stack + arm_observability, for ``observed_get``.
+    hub = Telemetry(scrape_interval=1.0)
+    ctx = SimContext.fresh(7, codec="binary", telemetry=hub)
+    hub.bind(ctx.loop, run_label="observed_get")
+    stub = StubLrs(loop=ctx.loop, rng=ctx.rng.stream("stub"))
+    deployment = Deployment.build(
+        ctx=ctx,
+        config=PProxConfig(encryption=False, sgx=False, shuffle_size=0),
+        lrs_picker=lambda: stub,
+    )
+    causal = CausalTracer(clock=lambda: ctx.loop.now, event_log=hub.event_log)
+    causal.attach_metrics(hub.registry)
+    deployment.service.runtime.causal = causal
+
+    calls = {}
+
+    def count(owner, method):
+        inner = getattr(owner, method)
+
+        def counted(*args, **kwargs):
+            calls[method] = calls.get(method, 0) + 1
+            return inner(*args, **kwargs)
+
+        setattr(owner, method, counted)
+
+    for method in ("record_hop", "annotate", "end_trace", "abandon"):
+        count(hub.tracer, method)
+    for method in ("start_call", "stamp", "settle_call", "absorb"):
+        count(causal, method)
+
+    client = deployment.client(causal=causal)
+    injector = Injector(ctx.loop, ctx.rng.stream("arrivals"))
+    instrument_stack(
+        hub, service=deployment.service, provider=ctx.provider, lrs=stub,
+        injector=injector, network=ctx.network, client=client,
+    )
+    instrument_causal(causal, deployment.service)
+
+    requests = 40
+    injector.inject(
+        200.0, requests / 200.0,
+        lambda report: client.get("user-1", on_complete=report),
+    )
+    ctx.loop.run()
+    assert (injector.report.completed, injector.report.failed) == (requests, 0)
+
+    per_request = {
+        "record_hop": 6, "end_trace": 1,
+        "start_call": 1, "stamp": 1, "settle_call": 1, "absorb": 1,
+    }
+    assert {method: calls.get(method, 0) for method in per_request} == {
+        method: n * requests for method, n in per_request.items()
+    }
+    assert calls["annotate"] > 0 and "abandon" not in calls
+    # 6 spans + 1 cspan per request, + the run-start marker.
+    assert len(hub.event_log) == 7 * requests + 1
+    assert len(hub.event_log.of_kind("span")) == 6 * requests
+    assert len(hub.event_log.of_kind("cspan")) == requests
+    assert hub.boundary_violations == [] and hub.audit() == []

@@ -7,7 +7,7 @@ from repro.context import Deployment, SimContext
 from repro.experiments.rig import pseudonymise_stub, stub_lrs
 from repro.experiments.runner import run_micro
 from repro.simnet.tracing import STAGES, BreakdownProbe
-from repro.telemetry import PIPELINE_STAGES, Telemetry
+from repro.telemetry import PIPELINE_STAGES, EventLog, Telemetry
 from repro.telemetry.spans import Tracer
 from repro.workload.injector import Injector
 
@@ -18,6 +18,17 @@ class FakeClock:
 
     def __call__(self):
         return self.now
+
+
+def logged_tracer(clock, **options):
+    """A tracer plus the log it emits to: the tracer keeps nothing of a
+    settled request, so what happened is read off the span records."""
+    log = EventLog(clock=clock)
+    return Tracer(clock, event_log=log, **options), log
+
+
+def span_records(log):
+    return [event.payload for event in log.of_kind("span")]
 
 
 def drive_full_pipeline(tracer, clock, request_id=1):
@@ -37,19 +48,27 @@ def drive_full_pipeline(tracer, clock, request_id=1):
 
 def test_tracer_builds_complete_trace_from_hops():
     clock = FakeClock()
-    tracer = Tracer(clock)
+    tracer, log = logged_tracer(clock)
     drive_full_pipeline(tracer, clock)
     assert tracer.traces_completed == 1
-    [trace] = tracer.complete_traces()
-    assert trace.is_complete()
-    assert list(trace.stages) == list(PIPELINE_STAGES)
+    assert tracer.active_count == 0
+    [root] = tracer.complete_traces()
+    assert root["complete"] is True and root["name"] == "request"
+    assert list(root["stage_durations"]) == list(PIPELINE_STAGES)
     # Each hop advanced the clock by 1s, so every stage lasted 1s.
-    assert trace.stage_durations() == {stage: 1.0 for stage in PIPELINE_STAGES}
+    assert root["stage_durations"] == {stage: 1.0 for stage in PIPELINE_STAGES}
+    assert tracer.stage_values() == {stage: [1.0] for stage in PIPELINE_STAGES}
     # Root span opens at the first hop (t=1) and closes at settle (t=6).
-    assert trace.total_duration() == pytest.approx(5.0)
+    assert root["duration"] == pytest.approx(5.0)
+    # One record per stage, then the root; each stage is the root's child.
+    *stages, last = span_records(log)
+    assert last is root
+    assert [stage["name"] for stage in stages] == list(PIPELINE_STAGES)
+    assert all(stage["parent_id"] == root["span_id"] for stage in stages)
     # Stage roles follow the pipeline, not the sender.
-    assert trace.stages["lrs"].role == "lrs"
-    assert trace.stages["ua_outbound"].role == "ua"
+    roles = {event.payload["name"]: event.role for event in log.of_kind("span")}
+    assert roles["lrs"] == "lrs"
+    assert roles["ua_outbound"] == "ua"
 
 
 def test_tracer_mid_pipeline_sighting_is_ignored():
@@ -70,16 +89,21 @@ def test_tracer_unknown_hop_counted_not_traced():
 
 def test_tracer_abandon_marks_dangling_stage():
     clock = FakeClock()
-    tracer = Tracer(clock)
+    tracer, log = logged_tracer(clock)
     clock.now = 1.0
     tracer.record_hop(7, "client", "ua")
     clock.now = 2.0
     tracer.abandon(7)
     assert tracer.traces_abandoned == 1
-    [trace] = tracer.finished
-    assert trace.status == "abandoned"
-    assert trace.stages["ua_inbound"].status == "abandoned"
-    assert not trace.is_complete()
+    assert tracer.active_count == 0
+    # The stage left open is dropped with the trace: only the root is
+    # recorded, abandoned, with no closed stage to its name.
+    [root] = span_records(log)
+    assert root["name"] == "request"
+    assert root["status"] == "abandoned"
+    assert root["stage_durations"] == {}
+    assert root["complete"] is False
+    assert tracer.complete_traces() == []
 
 
 def test_tracer_annotate_targets_open_stage():
@@ -96,12 +120,14 @@ def test_tracer_annotate_targets_open_stage():
 
 def test_tracer_overflow_evicts_oldest_as_abandoned():
     clock = FakeClock()
-    tracer = Tracer(clock, max_active=2)
+    tracer, log = logged_tracer(clock, max_active=2)
     for request_id in (1, 2, 3):
         tracer.record_hop(request_id, "client", "ua")
     assert tracer.active_count == 2
     assert tracer.traces_abandoned == 1
-    assert tracer.finished[0].request_id == 1
+    assert set(tracer._active) == {2, 3}
+    [root] = span_records(log)
+    assert (root["trace_id"], root["status"]) == (1, "abandoned")
 
 
 def test_span_duration_requires_closed_span():
@@ -129,7 +155,7 @@ def test_e2e_spans_match_wire_probe_to_float_precision():
     traces = telemetry.tracer.complete_traces()
     assert len(traces) == completed == probe.completed_count
     for trace in traces:
-        assert set(trace.stages) == set(STAGES)
+        assert set(trace["stage_durations"]) == set(STAGES)
 
     span_values = telemetry.tracer.stage_values()
     wire_values = probe.stage_values()
@@ -177,7 +203,7 @@ def test_e2e_spans_match_wire_probe_on_the_binary_wire():
         }
         return inbound, rest
 
-    span_inbound, span_rest = views([trace.stage_durations() for trace in traces])
+    span_inbound, span_rest = views([trace["stage_durations"] for trace in traces])
     wire_inbound, wire_rest = views(probe.complete_traces())
     assert span_inbound == pytest.approx(wire_inbound, abs=1e-9)
     for stage, values in span_rest.items():
@@ -192,3 +218,10 @@ def test_e2e_no_shuffle_config_also_traces():
     completed = sum(report.completed for report in result.reports)
     assert completed > 0
     assert len(telemetry.tracer.complete_traces()) == completed
+    # The summary's running (n, sum, max) per stage, folded as each
+    # trace settled, say what the log's root records say.
+    for stage, values in telemetry.tracer.stage_values().items():
+        count, total, longest = telemetry.tracer.stage_totals[stage]
+        assert (count, longest) == (completed, max(values))
+        assert total == pytest.approx(sum(values), rel=1e-12)
+    assert f"{completed:8d}" in telemetry.render_summary()
