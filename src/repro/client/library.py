@@ -460,7 +460,8 @@ class PProxClient:
 
             def deliver_response(response: Response) -> None:
                 decrypt_delay = self.costs.client_decrypt_seconds(self.config)
-                self.loop.schedule(decrypt_delay, lambda: finish(response))
+                # Never cancelled, so no handle: post, not schedule.
+                self.loop.post(decrypt_delay, lambda: finish(response))
 
             def finish(response: Response) -> None:
                 if call_state["settled"]:
@@ -551,7 +552,7 @@ class PProxClient:
                 self.loop.schedule(self.hedge_delay, launch_hedge)
 
         if encrypt_delay > 0:
-            self.loop.schedule(encrypt_delay, lambda: attempt(request, keys))
+            self.loop.post(encrypt_delay, lambda: attempt(request, keys))
         else:
             attempt(request, keys)
 

@@ -62,12 +62,7 @@ class RedirectFrontend:
         def forward() -> None:
             entry = self.service.entry()
             self.relayed += 1
-            outbound = Request(
-                verb=request.verb,
-                fields=request.fields,
-                request_id=request.request_id,
-                client_address=self.address,
-            )
+            outbound = request.readdressed(self.address)
 
             def reply_from_ua(response: Response) -> None:
                 self.node.submit(self.relay_seconds, lambda: reply(response))

@@ -95,11 +95,14 @@ class CcoModel:
         contributes the LLR weight of candidates for which it is an
         indicator.  Ties break by popularity, then lexicographically
         (for determinism).  Cold-start users fall back to popularity.
+        Weights are summed in history order: float addition is not
+        associative, and a ``set``'s order moves with ``PYTHONHASHSEED``,
+        which is enough to flip the ranking of two near-equal scores.
         """
         history_set = set(history)
         reverse = self._reverse_index()
         scores: Dict[str, float] = defaultdict(float)
-        for indicator in history_set:
+        for indicator in dict.fromkeys(history):
             for item, weight in reverse.get(indicator, ()):
                 if exclude_history and item in history_set:
                     continue

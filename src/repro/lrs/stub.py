@@ -11,6 +11,7 @@ well over 1,000 RPS" — the service-time model reflects that.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, List
@@ -47,6 +48,8 @@ class StubLrs:
     def __post_init__(self) -> None:
         if self.node is None:
             self.node = SimNode(name=self.address, loop=self.loop, cores=8)
+        #: The mu parameter of a lognormal with the configured median.
+        self._mu = math.log(self.median_service_seconds)
 
     @property
     def pending(self) -> int:
@@ -55,9 +58,7 @@ class StubLrs:
 
     def handle(self, request: Request, reply: Callable[[Response], None]) -> None:
         """Serve *request* after a sampled sub-millisecond service time."""
-        service_time = self.rng.lognormvariate(
-            _log_median(self.median_service_seconds), 0.35
-        )
+        service_time = self.rng.lognormvariate(self._mu, 0.35)
         self.requests_served += 1
 
         def finish() -> None:
@@ -89,10 +90,3 @@ def make_pseudonymous_payload(provider, symmetric_key: bytes) -> List[str]:
         )
         for item in STATIC_ITEMS
     ]
-
-
-def _log_median(median: float) -> float:
-    """The mu parameter of a lognormal with the given median."""
-    import math
-
-    return math.log(median)

@@ -188,7 +188,9 @@ class _ProxyStage:
     """One proxy instance of either layer: everything the roles share.
 
     Subclasses set ``_role`` (``"ua"``/``"ia"``), ``_upstream_role``,
-    ``_key_slots`` and ``_shuffles_requests`` (which of the two legs
+    ``_request_leg`` (the role's request-leg cost, a
+    :class:`ProxyCostModel` method), ``_key_slots`` and
+    ``_shuffles_requests`` (which of the two legs
     passes through the shuffle buffer), declare that leg's buffer as a
     field, and implement the role's cryptographic rewrites and wire
     sends.
@@ -485,8 +487,9 @@ class _ProxyStage:
         if shuffle_wait is None and self._shuffles_requests:
             buffer = self.request_buffer
             shuffle_wait = buffer.last_wait if buffer is not None else 0.0
-        service_time = getattr(self.runtime.costs, f"{self._role}_request_leg")(
-            self.runtime.config, len(self.routing), self.enclave.performance_penalty
+        service_time = self._request_leg(
+            self.runtime.costs, self.runtime.config, len(self.routing),
+            self.enclave.performance_penalty,
         )
         self._submit(
             service_time, self._forward, entry, service_time, shuffle_wait, collector,
@@ -702,6 +705,7 @@ class UserAnonymizer(_ProxyStage):
 
     _role = "ua"
     _upstream_role = "ia"
+    _request_leg = staticmethod(ProxyCostModel.ua_request_leg)
     _key_slots = (UA_SECRET_SK, UA_SECRET_K)
     _shuffles_requests = True
 
@@ -860,6 +864,7 @@ class ItemAnonymizer(_ProxyStage):
 
     _role = "ia"
     _upstream_role = "lrs"
+    _request_leg = staticmethod(ProxyCostModel.ia_request_leg)
     _key_slots = (IA_SECRET_SK, IA_SECRET_K)
     _shuffles_requests = False
 

@@ -237,13 +237,7 @@ def ua_transform_request(
         pseudonym = provider.pseudonymize(keys.symmetric_key, user_plain)
         transformed = request.with_fields(user=EnvelopeCodec.wire_text(pseudonym))
     # Hide the origin: downstream only sees the proxy as the source.
-    forwarded = Request(
-        verb=transformed.verb,
-        fields=transformed.fields,
-        request_id=transformed.request_id,
-        client_address=layer_address,
-    )
-    return forwarded, response_key
+    return transformed.readdressed(layer_address), response_key
 
 
 def ua_wrap_response(
@@ -302,13 +296,7 @@ def ia_transform_request(
     returned context.
     """
     if not config.encryption:
-        forwarded = Request(
-            verb=request.verb,
-            fields=request.fields,
-            request_id=request.request_id,
-            client_address=layer_address,
-        )
-        return forwarded, IaRequestContext(
+        return request.readdressed(layer_address), IaRequestContext(
             verb=request.verb, temporary_key=None, tenant=_tenant_field(request)
         )
 
@@ -335,13 +323,7 @@ def ia_transform_request(
             verb=Verb.GET, temporary_key=temporary_key, tenant=_tenant_field(request)
         )
 
-    forwarded = Request(
-        verb=transformed.verb,
-        fields=transformed.fields,
-        request_id=transformed.request_id,
-        client_address=layer_address,
-    )
-    return forwarded, context
+    return transformed.readdressed(layer_address), context
 
 
 def ia_transform_response(
@@ -364,7 +346,16 @@ def ia_transform_response(
     resolve it.  *on_previous_use* fires once per response that needed
     the fallback — the rotation coordinator uses it to know the old
     epoch is still live and must not be retired yet.
+
+    An accepted POST is answered with the canonical empty
+    acknowledgement whatever the LRS put in its body: the ack rides
+    both protected hops back to the client, where the address is
+    visible, and an LRS-chosen body would be an LRS-chosen size on
+    them (§4.3's constant-size rule).  Failures pass through and are
+    rewritten to the uniform reject by the caller.
     """
+    if context.verb == Verb.POST and response.ok:
+        return Response(status=response.status, fields={}, request_id=response.request_id)
     if not config.encryption or context.verb == Verb.POST or not response.ok:
         return response
     raw_items = response.fields.get("items", [])

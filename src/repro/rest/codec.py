@@ -41,23 +41,46 @@ carries zeros at exactly ``frame[18:22]`` / ``frame[22:38]`` and the
 privacy argument about what crosses the shuffler is a statement
 about fixed byte ranges.  A field entry is ``tag(1) [namelen(1)
 name]  type(1) length(4 BE) value`` — well-known field names get a
-one-byte tag, unknown names ride inline.
+one-byte tag, unknown names ride inline, and that is the only
+spelling that decodes (no duplicate entry, no well-known name under
+tag 0, no header field sent as an entry): one dict, one encoding.
 
 There is no object wire: every protected hop carries encoded bytes.
-:func:`ship` encodes at the sender, puts a :class:`WireFrame` on the
-wire (so wiretap auditors observe real encoded bytes), and decodes at
-delivery.  ``"json"`` is the wire a deployment gets without naming
-one (:class:`repro.context.SimContext`), the paper's REST bodies byte
-for byte.
+:func:`ship` frames at the sender, puts a :class:`WireFrame` on the
+wire (so wiretap auditors observe real encoded bytes), and the
+receiver parses it at delivery — always.  ``"json"`` is the wire a
+deployment gets without naming one
+(:class:`repro.context.SimContext`), the paper's REST bodies byte for
+byte.
+
+**Forward, don't re-serialise.**  Most legs of a request do not touch
+the body (§5: a layer forwards the response "backward using the same
+path"; the UA never reads a blob that is opaque to it), so a hop that
+sends on the very message it parsed sends on the bytes it parsed it
+from.  :meth:`WireFrame.decode` attaches ``(codec, data)`` to the
+message it returns (``arrived_as``, see :mod:`repro.rest.messages`:
+every rewrite drops it, only :meth:`Request.readdressed` carries it
+over) and :meth:`WireFrame.for_message` re-sends ``data`` when the
+message still has it under the same codec, encoding as ever otherwise.
+Nobody sets the choice; it follows from the message not having been
+rewritten.  What is saved is the sender's encode — never the
+receiver's parse, which is why the carrier closure in :func:`ship`
+calls ``decode`` on whatever arrives.
+
+The delivery closure in :func:`ship` is a plain closure holding its
+continuation as ``on_deliver`` on purpose: ``benchmarks/e2e/tracing.py``
+finds the layer that owns a scheduled callback by walking closures of
+this module, ``simnet.network`` and ``simnet.node`` through that name.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.crypto.envelope import FIXED_ID_BYTES, EnvelopeCodec
-from repro.rest.messages import Request, Response, Verb
+from repro.rest.messages import Request, Response, Verb, encode_compact_json
 
 __all__ = [
     "CodecError",
@@ -143,6 +166,14 @@ _VERB_FLAG_BYTES = {
     for verb_code in _VERB_NAMES
     for flags in range(8)
 }
+# Entry heads parsed in one call: ``tag type length`` of a tagged entry,
+# ``type length`` after an inline name; and the 8-byte frame head
+# (length prefix, then magic + version + kind read as one word).
+_TAGGED_HEAD = struct.Struct(">BBI").unpack_from
+_INLINE_HEAD = struct.Struct(">BI").unpack_from
+_FRAME_HEAD = struct.Struct(">II").unpack_from
+_REQ_WORD = int.from_bytes(_REQ_PREFIX, "big")
+_RESP_WORD = int.from_bytes(_RESP_PREFIX, "big")
 _ZERO_DEADLINE = bytes(_DEADLINE_WIDTH)
 _ZERO_EPOCH = bytes(_EPOCH_WIDTH)
 _ZERO_TRACE = bytes(_TRACE_WIDTH)
@@ -359,7 +390,7 @@ def _encode_entry(name: str, value: Any) -> bytes:
         type_code, payload = _TYPE_BYTES, bytes(value)
     else:
         type_code = _TYPE_JSON
-        payload = json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        payload = encode_compact_json(value).encode("utf-8")
     tag = _FIELD_TAGS.get(name)
     if tag is not None:
         return (_ENTRY_HEADS[tag, type_code]
@@ -385,66 +416,68 @@ def _encode_entries(fields: Dict[str, Any],
     return b"".join(parts), len(parts)
 
 
-def _decode_entries(view: memoryview, offset: int,
-                    count: int) -> Tuple[Dict[str, Any], int]:
+def _decode_entries(view: memoryview, offset: int, count: int,
+                    reserved: Sequence[str] = ()) -> Tuple[Dict[str, Any], int]:
     """Decode *count* field entries; bytes values stay memoryviews.
+
+    One dict has one encoding, and only that one decodes: a name may
+    appear once (never last-wins), a well-known name rides under its
+    tag (never spelled out under tag 0), and the names in *reserved* —
+    the fixed header region of a request — never ride as entries at
+    all.  A hop that forwards the bytes it received would otherwise
+    pass any of those on unnormalised.
 
     Malformed text or JSON in a value must surface as
     :class:`CodecError` like every other framing fault — wire garbage
-    is a protocol error, not a crash (the try/except is free on the
+    is a protocol error, not a crash (the ``try`` is free on the
     success path).
     """
+    fields: Dict[str, Any] = {}
+    size = len(view)
+    names = _TAG_NAME_TABLE
+    tagged_head = _TAGGED_HEAD
     try:
-        return _decode_entries_unchecked(view, offset, count)
+        for _ in range(count):
+            # The shortest entry is a tagged one with an empty value.
+            if offset + 6 > size:
+                raise CodecError("truncated field entry")
+            tag, type_code, length = tagged_head(view, offset)
+            if tag:
+                name = names[tag]
+                if name is None:
+                    raise CodecError(f"unknown field tag {tag}")
+                offset += 6
+            else:
+                head = offset + 2 + view[offset + 1]
+                if head + 5 > size:
+                    raise CodecError("truncated field name")
+                name = str(view[offset + 2:head], "utf-8")
+                if name in _FIELD_TAGS:
+                    raise CodecError(f"well-known field {name!r} spelled out under tag 0")
+                if name in reserved:
+                    raise CodecError(f"header field {name!r} sent as a field entry")
+                type_code, length = _INLINE_HEAD(view, head)
+                offset = head + 5
+            end = offset + length
+            if end > size:
+                raise CodecError("field value runs past the frame")
+            raw = view[offset:end]
+            if type_code == _TYPE_BYTES:
+                value: Any = raw  # zero-copy slice; bytes() only at the crypto boundary
+            elif type_code == _TYPE_STR:
+                value = str(raw, "utf-8")
+            elif type_code == _TYPE_JSON:
+                value = json.loads(str(raw, "utf-8"))
+            else:
+                raise CodecError(f"unknown field type {type_code}")
+            fields[name] = value
+            offset = end
     except CodecError:
         raise
     except (UnicodeDecodeError, ValueError) as exc:
         raise CodecError(f"malformed field payload: {exc}") from exc
-
-
-def _decode_entries_unchecked(view: memoryview, offset: int,
-                              count: int) -> Tuple[Dict[str, Any], int]:
-    fields: Dict[str, Any] = {}
-    size = len(view)
-    names = _TAG_NAME_TABLE
-    for _ in range(count):
-        if offset >= size:
-            raise CodecError("truncated field entry")
-        tag = view[offset]
-        offset += 1
-        if tag:
-            name = names[tag]
-            if name is None:
-                raise CodecError(f"unknown field tag {tag}")
-        else:
-            if offset >= size:
-                raise CodecError("truncated field name length")
-            name_length = view[offset]
-            offset += 1
-            if offset + name_length > size:
-                raise CodecError("truncated field name")
-            name = str(view[offset:offset + name_length], "utf-8")
-            offset += name_length
-        head_end = offset + 5
-        if head_end > size:
-            raise CodecError("truncated field header")
-        type_code = view[offset]
-        length = int.from_bytes(view[offset + 1:head_end], "big")
-        offset = head_end
-        end = offset + length
-        if end > size:
-            raise CodecError("field value runs past the frame")
-        raw = view[offset:end]
-        if type_code == _TYPE_BYTES:
-            value: Any = raw  # zero-copy slice; bytes() only at the crypto boundary
-        elif type_code == _TYPE_STR:
-            value = str(raw, "utf-8")
-        elif type_code == _TYPE_JSON:
-            value = json.loads(str(raw, "utf-8"))
-        else:
-            raise CodecError(f"unknown field type {type_code}")
-        fields[name] = value
-        offset = end
+    if len(fields) != count:
+        raise CodecError("duplicate field entry")
     return fields, offset
 
 
@@ -457,8 +490,12 @@ def _fixed_ascii(value: Optional[str], width: int, what: str) -> bytes:
     return value.encode("ascii")
 
 
-def _check_frame(data: Any, kind: int) -> memoryview:
-    """Validate the length prefix + common header; return the frame view."""
+def _check_frame(data: Any, word: int) -> memoryview:
+    """Validate the length prefix + common header; return the frame view.
+
+    *word* is the magic + version + kind the caller expects
+    (``_REQ_WORD`` / ``_RESP_WORD``).
+    """
     if type(data) is memoryview:
         view = data
     elif isinstance(data, bytearray):
@@ -470,18 +507,19 @@ def _check_frame(data: Any, kind: int) -> memoryview:
         if total < 4:
             raise CodecError("frame shorter than its length prefix")
         raise CodecError("bad frame magic")
-    if int.from_bytes(view[:4], "big") != total - 4:
+    length, found = _FRAME_HEAD(view)
+    if length == total - 4 and found == word:
+        return view[4:]
+    # The head is wrong; the rest of this function only says how.
+    if length != total - 4:
         raise CodecError(
-            f"frame length mismatch: prefix says "
-            f"{int.from_bytes(view[:4], 'big')}, got {total - 4}"
+            f"frame length mismatch: prefix says {length}, got {total - 4}"
         )
     if view[4] != _MAGIC0 or view[5] != _MAGIC1:
         raise CodecError("bad frame magic")
     if view[6] != _VERSION:
         raise CodecError(f"unsupported frame version {view[6]}")
-    if view[7] != kind:
-        raise CodecError(f"unexpected frame kind {view[7]}")
-    return view[4:]
+    raise CodecError(f"unexpected frame kind {view[7]}")
 
 
 class BinaryCodec(WireCodec):
@@ -604,7 +642,7 @@ class BinaryCodec(WireCodec):
 
     def decode_request(self, data: Any, *, verb: Optional[str] = None,
                        request_id: int = 0, client_address: str = "") -> Request:
-        frame = _check_frame(data, _KIND_REQUEST)
+        frame = _check_frame(data, _REQ_WORD)
         if len(frame) < _REQ_HEADER_SIZE:
             raise CodecError("request frame shorter than its header")
         wire_verb = _VERB_NAMES.get(frame[_REQ_VERB_OFFSET])
@@ -612,7 +650,7 @@ class BinaryCodec(WireCodec):
             raise CodecError(f"unknown verb code {frame[_REQ_VERB_OFFSET]}")
         flags = frame[_REQ_FLAGS_OFFSET]
         fields, end = _decode_entries(frame, _REQ_HEADER_SIZE,
-                                      frame[_REQ_COUNT_OFFSET])
+                                      frame[_REQ_COUNT_OFFSET], _HEADER_FIELD_NAMES)
         if end != len(frame):
             raise CodecError("trailing bytes after request fields")
         if flags:
@@ -646,7 +684,7 @@ class BinaryCodec(WireCodec):
 
     def decode_response(self, data: Any, *, status: int = 200,
                         request_id: int = 0) -> Response:
-        frame = _check_frame(data, _KIND_RESPONSE)
+        frame = _check_frame(data, _RESP_WORD)
         if len(frame) < _RESP_HEADER_SIZE:
             raise CodecError("response frame shorter than its header")
         wire_status = int.from_bytes(
@@ -710,26 +748,46 @@ class WireFrame:
     @classmethod
     def for_message(cls, codec: WireCodec,
                     message: Union[Request, Response]) -> "WireFrame":
-        """Encode *message* under *codec*."""
+        """Frame *message* under *codec*: forward its bytes, or encode.
+
+        A message that still carries ``arrived_as`` is the message that
+        was parsed from those bytes (every rewrite drops the field, see
+        :mod:`repro.rest.messages`); if they were framed by this very
+        codec they *are* its encoding, and the hop sends them on as
+        they came.  Anything else — built here, rewritten on the way,
+        or received under another codec — is encoded.
+        """
+        arrived = message.arrived_as
+        forward = arrived is not None and arrived[0] is codec
         if isinstance(message, Request):
-            return cls(codec, codec.encode_request(message), "request",
-                       message.verb, None, message.request_id,
+            return cls(codec, arrived[1] if forward else codec.encode_request(message),
+                       "request", message.verb, None, message.request_id,
                        message.client_address)
-        return cls(codec, codec.encode_response(message), "response",
-                   None, message.status, message.request_id, "")
+        return cls(codec, arrived[1] if forward else codec.encode_response(message),
+                   "response", None, message.status, message.request_id, "")
 
     def decode(self) -> Union[Request, Response]:
-        """Parse the frame back into a message (memoized)."""
-        if self._decoded is None:
+        """Parse the frame back into a message (once per frame).
+
+        The message remembers the bytes it came from (``arrived_as``),
+        which is what lets the next hop forward them if it leaves the
+        message alone.  Only this method attaches that field: a frame
+        is always parsed and validated by whoever receives it, however
+        it was produced.
+        """
+        message = self._decoded
+        if message is None:
             if self.kind == "request":
-                self._decoded = self.codec.decode_request(
+                message = self.codec.decode_request(
                     self.data, verb=self.verb, request_id=self.request_id,
                     client_address=self.client_address)
             else:
-                self._decoded = self.codec.decode_response(
+                message = self.codec.decode_response(
                     self.data, status=self.status or 0,
                     request_id=self.request_id)
-        return self._decoded
+            object.__setattr__(message, "arrived_as", (self.codec, self.data))
+            self._decoded = message
+        return message
 
     @property
     def fields(self) -> Dict[str, Any]:
@@ -784,9 +842,12 @@ def ship(network: Any, codec: WireCodec, source: str,
          on_deliver: Callable[[Any], None]) -> None:
     """Send *message* over a protected hop.
 
-    The sender encodes, the wire carries a :class:`WireFrame` (observed
-    as such by wiretaps, sized by its encoded bytes), and the
-    receiver-side callback gets the decoded message.
+    The sender frames *message* — the bytes it arrived in when this
+    hop left it untouched, a fresh encoding otherwise
+    (:meth:`WireFrame.for_message`) — the wire carries a
+    :class:`WireFrame` (observed as such by wiretaps, sized by its
+    bytes), and the receiver parses it, always, before *on_deliver*
+    sees a message.
     """
     frame = WireFrame.for_message(codec, message)
     network.send(source, destination, frame, frame.size_bytes(),

@@ -9,18 +9,34 @@ The LRS exposes exactly two calls (paper §2.1):
 The user-side library and the two proxy layers rewrite the *fields* of
 these calls (never the method) as they travel; the adversary observing
 the wire sees only JSON with base64 blobs of constant size.
+
+Messages are values: nothing mutates ``fields`` in place, every rewrite
+goes through a constructor, :meth:`with_fields` or
+``dataclasses.replace``.  That is what lets a hop that did *not*
+rewrite a message forward the bytes it arrived in.  ``arrived_as`` —
+``(codec, data)``, attached by :meth:`repro.rest.codec.WireFrame.decode`
+and by nobody else — is declared ``init=False, compare=False``, so
+every one of those rewrites drops it: a message that still carries it
+is, by construction, the message that was parsed from ``data``.  The
+one construction that keeps it is :meth:`Request.readdressed`, because
+the source address is not part of the body.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional
+from json import JSONEncoder
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = ["Request", "Response", "Verb", "make_get", "make_post", "next_request_id"]
 
 _REQUEST_IDS = itertools.count(1)
+
+#: The one compact, key-sorted encoder behind every JSON body and every
+#: JSON-typed binary field (``json.dumps`` with these options builds a
+#: fresh ``JSONEncoder`` per call).
+encode_compact_json = JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def next_request_id() -> int:
@@ -58,6 +74,23 @@ class Request:
     fields: Dict[str, Any]
     request_id: int
     client_address: str
+    #: ``(codec, data)`` of the frame this request was decoded from;
+    #: ``None`` on every message built any other way (module docstring).
+    arrived_as: Optional[Tuple[Any, bytes]] = field(
+        default=None, init=False, compare=False, repr=False)
+
+    def readdressed(self, address: str) -> "Request":
+        """This request, body untouched, sent on from *address*.
+
+        What a proxy layer does to hide the origin (§3: the next hop
+        must only ever see the proxy as the source).  The address rides
+        out-of-band, so the body bytes this request arrived in — if it
+        still carries them — are exactly what the next hop must get.
+        """
+        moved = Request(self.verb, self.fields, self.request_id, address)
+        if self.arrived_as is not None:
+            object.__setattr__(moved, "arrived_as", self.arrived_as)
+        return moved
 
     def with_fields(self, **updates: Any) -> "Request":
         """Copy of this request with *updates* applied to its fields."""
@@ -71,7 +104,7 @@ class Request:
 
     def body_json(self) -> str:
         """Serialize the JSON body as it would appear on the wire."""
-        return json.dumps(self.fields, sort_keys=True, separators=(",", ":"))
+        return encode_compact_json(self.fields)
 
     def size_bytes(self) -> int:
         """Wire size: request line + JSON body."""
@@ -85,6 +118,10 @@ class Response:
     status: int
     fields: Dict[str, Any] = field(default_factory=dict)
     request_id: int = 0
+    #: ``(codec, data)`` of the frame this response was decoded from;
+    #: ``None`` on every message built any other way (module docstring).
+    arrived_as: Optional[Tuple[Any, bytes]] = field(
+        default=None, init=False, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -103,7 +140,7 @@ class Response:
 
     def body_json(self) -> str:
         """Serialize the JSON body as it would appear on the wire."""
-        return json.dumps(self.fields, sort_keys=True, separators=(",", ":"))
+        return encode_compact_json(self.fields)
 
     def size_bytes(self) -> int:
         """Wire size: status line + JSON body."""

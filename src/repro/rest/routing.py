@@ -41,7 +41,8 @@ class RoutingTable(Generic[ContextT]):
             raise RoutingError(f"duplicate outbound id {outbound_id} in table {self.name!r}")
         self._entries[outbound_id] = context
         self.total_registered += 1
-        self.max_size = max(self.max_size, len(self._entries))
+        if len(self._entries) > self.max_size:
+            self.max_size = len(self._entries)
 
     def consume(self, outbound_id: int) -> ContextT:
         """Pop and return the context for *outbound_id*."""

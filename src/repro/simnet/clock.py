@@ -278,7 +278,29 @@ class EventLoop:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self.post_at(self._now + delay, callback)
+        # post_at's body, not a call to it: every wire latency and
+        # service time of a request is scheduled through here.
+        time = self._now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        slot = int(time * self._inv_width)
+        active = self._active
+        if active is not None and slot <= self._active_slot:
+            insort(active, (time, seq, callback), self._active_pos)
+        else:
+            bucket = self._wheel.get(slot)
+            if bucket is None:
+                pool = self._bucket_pool
+                bucket = pool.pop() if pool else []
+                bucket.append((time, seq, callback))
+                self._wheel[slot] = bucket
+                heapq.heappush(self._slot_heap, slot)
+            else:
+                bucket.append((time, seq, callback))
+        live = self._live + 1
+        self._live = live
+        if live > self._peak_pending:
+            self._peak_pending = live
 
     def post_at(self, time: float, callback: Callable[[], None]) -> None:
         """Handle-free :meth:`schedule_at` (event cannot be cancelled)."""

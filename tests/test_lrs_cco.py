@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +119,36 @@ def test_max_history_downsampling():
 def test_recommendation_is_deterministic():
     model = _train(OVERLAPPING, llr_threshold=0.0)
     assert model.recommend(["i1"], n=5) == model.recommend(["i1"], n=5)
+
+
+_HASH_SEED_PROBE = """
+from repro.lrs.cco import CcoModel
+model = CcoModel(
+    indicators={"X": [("a", 0.1), ("b", 0.2), ("c", 0.3)], "Y": [("d", 0.6)]},
+    popularity={"Y": 1},
+)
+print(model.recommend(["a", "b", "c", "d"]))
+"""
+
+
+def test_ranking_does_not_depend_on_the_hash_seed():
+    """LLR weights are summed in history order, not ``set`` order.
+
+    X scores .1 + .2 + .3, which is 0.6000000000000001 or 0.6 depending
+    on the order of the additions; Y scores 0.6 and wins ties on
+    popularity.  Summed over a ``set`` the two swap places with
+    ``PYTHONHASHSEED`` (three of these eight seeds put Y first).
+    """
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    rankings = set()
+    for hash_seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+        finished = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_PROBE],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        rankings.add(finished.stdout.strip())
+    assert rankings == {"['X', 'Y']"}
 
 
 def test_n_limits_result_size():

@@ -3,6 +3,7 @@ simnet engines, causal-stack collapse, merge/render helpers, and full
 delegation to the wrapped loop."""
 
 import json
+from pathlib import Path
 
 from repro.obs.profiler import (
     ProfiledLoop,
@@ -149,3 +150,33 @@ def test_profiled_loop_delegates_the_full_engine_api():
     assert loop.now == 2.0
     assert loop.events_processed == inner.events_processed
     assert isinstance(loop.queue_stats(), dict)
+
+
+GOLDEN_LABELS = Path(__file__).parent / "golden" / "obs_profile_labels.txt"
+
+
+def obs_profile_labels() -> str:
+    r"""The distinct frame labels of ``obs/profile.folded``, one a line.
+
+    Labels are the ``__qualname__``s of scheduled callbacks, so renaming
+    a hot-path closure (or turning a lambda into a ``def``) rewrites
+    every stack of the artifact.  CI compares two processes of one
+    tree, which cannot see that; this golden makes it a reviewed diff.
+    After an intended rename, regenerate from the repository root::
+
+        PYTHONPATH=src python -c "from tests.test_obs_profiler import obs_profile_labels as \
+        labels; print(labels(), end='')" > tests/golden/obs_profile_labels.txt
+    """
+    from repro.obs.smoke import run_obs_scenario
+
+    folded = render_folded(profile_snapshot(run_obs_scenario().loop))
+    labels = {
+        frame
+        for line in folded.splitlines()
+        for frame in line.rsplit(" ", 1)[0].split(";")
+    }
+    return "".join(f"{label}\n" for label in sorted(labels))
+
+
+def test_obs_scenario_frame_labels_match_the_golden_file():
+    assert obs_profile_labels().splitlines() == GOLDEN_LABELS.read_text().splitlines()

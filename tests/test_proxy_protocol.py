@@ -171,9 +171,16 @@ def test_item_pseudonymization_disabled_sends_clear_items(
 
 
 def test_post_response_passes_through(any_provider, ia_keys):
+    """The stub's and Harness's ack passes through unchanged in value —
+    as the canonical ack the IA builds itself, so whatever else an LRS
+    put in the body (a size it chose) stays behind."""
     context = protocol.IaRequestContext(verb=Verb.POST, temporary_key=None)
-    response = Response(status=200, fields={})
-    assert protocol.ia_transform_response(any_provider, ia_keys, CONFIG, context, response) is response
+    response = Response(status=200, fields={}, request_id=9)
+    tagged = Response(status=200, fields={"pad": "x" * 300}, request_id=9)
+    for config in (CONFIG, PLAIN):
+        for from_lrs in (response, tagged):
+            ack = protocol.ia_transform_response(any_provider, ia_keys, config, context, from_lrs)
+            assert ack == response and ack is not from_lrs
 
 
 def test_error_response_passes_through(any_provider, ia_keys):

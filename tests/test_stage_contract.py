@@ -25,8 +25,8 @@ from repro.telemetry import Telemetry
 ROLES = ("ua", "ia")
 
 
-def _stack(seed=5, overload=None, telemetry=None, codec="json", **config):
-    ctx = SimContext.fresh(seed, telemetry=telemetry, codec=codec)
+def _stack(seed=5, overload=None, telemetry=None, codec="json", loop=None, **config):
+    ctx = SimContext.fresh(seed, telemetry=telemetry, codec=codec, loop=loop)
     ctx.provider = FastCryptoProvider(rng_bytes=ctx.rng.bytes_fn("crypto"))
     if telemetry is not None:
         telemetry.bind(ctx.loop, run_label="stage-contract")
@@ -356,3 +356,117 @@ def test_e2e_harness_contract_on_an_observed_passthrough_deployment():
     assert len(hub.event_log.of_kind("span")) == 6 * requests
     assert len(hub.event_log.of_kind("cspan")) == requests
     assert hub.boundary_violations == [] and hub.audit() == []
+
+
+# What ``benchmarks/e2e/tracing.py`` walks to name the owner of a
+# scheduled callback (a copy: tier-1 does not import from benchmarks/).
+_CARRIERS = ("repro.simnet.network", "repro.simnet.node", "repro.rest.codec")
+_CONTINUATIONS = ("on_deliver", "on_complete")
+
+
+def _continuation_owner(callback):
+    """Follow carrier closures to the callback they deliver to; a
+    carrier that hides its continuation fails the assertion."""
+    fn = callback
+    for _ in range(4):
+        fn = getattr(fn, "__func__", fn)
+        if getattr(fn, "__module__", "") not in _CARRIERS:
+            return fn
+        held = dict(zip(fn.__code__.co_freevars, fn.__closure__ or ()))
+        names = [name for name in _CONTINUATIONS if name in held]
+        assert names, f"{fn.__module__}:{fn.__qualname__} holds no on_deliver/on_complete"
+        fn = held[names[0]].cell_contents
+    raise AssertionError(f"{callback!r}: more than four carriers deep")
+
+
+class _SpyLoop:
+    """Delegating loop recording every callback handed to the four
+    scheduling entry points (``EventLoop`` is slotted)."""
+
+    def __init__(self, inner):
+        self._inner, self.scheduled = inner, []
+
+    def _spied(method):
+        def schedule(self, when, callback):
+            self.scheduled.append(callback)
+            return getattr(self._inner, method)(when, callback)
+
+        return schedule
+
+    schedule, schedule_at = _spied("schedule"), _spied("schedule_at")
+    post, post_at = _spied("post"), _spied("post_at")
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+M1 = dict(encryption=False, sgx=False, shuffle_size=0)
+M6 = dict(shuffle_size=10)
+
+
+def _gets(requests=20, codec="json", loop=None, **config):
+    """Open-loop gets through a stub deployment, as the ledger drives them."""
+    from repro.workload.injector import Injector
+
+    ctx, _, deployment = _stack(seed=7, codec=codec, loop=loop, **config)
+    client = deployment.client()
+    injector = Injector(ctx.loop, ctx.rng.stream("arrivals"))
+    injector.inject(
+        200.0, requests / 200.0, lambda report: client.get("user-1", on_complete=report)
+    )
+    ctx.loop.run()
+    assert (injector.report.completed, injector.report.failed) == (requests, 0)
+    return ctx
+
+
+def test_carrier_closures_hold_their_continuation_by_name():
+    """The frozen ledger attributes a scheduled callback to the layer
+    that owns it by walking closures of ``simnet.network``,
+    ``simnet.node`` and ``rest.codec`` through a free variable called
+    ``on_deliver`` / ``on_complete``.  A ``functools.partial``, a
+    callable object or a renamed variable there would not fail any
+    behavioural test — it would silently book the data plane's time as
+    ``cb.simnet`` and drop ``trace.attributed_share``."""
+    from repro.simnet.clock import EventLoop
+
+    loop = _SpyLoop(EventLoop())
+    _gets(loop=loop, codec="binary", **M1)
+    owners = {}
+    for callback in loop.scheduled:
+        fn = getattr(callback, "__func__", callback)
+        if fn.__module__ in _CARRIERS:
+            owner = _continuation_owner(callback)
+            owners.setdefault(owner.__module__.rsplit(".", 1)[0], set()).add(fn.__qualname__)
+    # Six deliveries and five completions per get, every one owned by
+    # the layer whose code it runs — none by simnet or the codec.
+    delivery, completion = "Network.send.<locals>.<lambda>", "SimNode._completer.<locals>.finish"
+    assert owners == {
+        "repro.client": {delivery},
+        "repro.proxy": {delivery, completion},
+        "repro.lrs": {completion},
+    }
+    assert sum(fn.__module__ in _CARRIERS for fn in loop.scheduled) == 11 * 20
+
+
+@pytest.mark.parametrize("name, config, events", [("m1", M1, 13), ("m6", M6, 14)])
+def test_a_get_is_a_fixed_number_of_events_sends_and_bytes(monkeypatch, name, config, events):
+    """One arrival, six wire latencies, five service times and (with
+    encryption) the client's crypto delay: each an RNG draw or a
+    queueing decision at its own virtual instant, so the count is a
+    floor.  Forwarding a frame changes none of them, nor a byte."""
+    from dataclasses import replace
+
+    requests = 20
+    forwarding = _gets(requests, **config)
+    assert forwarding.loop.events_processed == events * requests
+    assert forwarding.network.messages_sent == 6 * requests
+
+    framed = WireFrame.for_message.__func__
+    monkeypatch.setattr(
+        WireFrame, "for_message",
+        classmethod(lambda cls, codec, message: framed(cls, codec, replace(message))),
+    )
+    encoding = _gets(requests, **config)
+    assert encoding.network.bytes_sent == forwarding.network.bytes_sent
+    assert (encoding.loop.events_processed, encoding.loop.now) == (
+        forwarding.loop.events_processed, forwarding.loop.now)

@@ -272,6 +272,70 @@ class TestFrameValidation:
             JSON_WIRE_CODEC.decode_request(b"[1, 2]", verb=Verb.GET)
 
 
+def _entry(tag, value, name=b""):
+    """One hand-built string entry; ``tag=0`` spells *name* out inline."""
+    spelled = bytes([len(name)]) + name if tag == 0 else b""
+    return bytes([tag]) + spelled + b"\x02" + len(value).to_bytes(4, "big") + value
+
+
+def _framed(body):
+    return len(body).to_bytes(4, "big") + body
+
+
+#: Entry lists -> the four containers the shared entry decoder serves.
+_CONTAINERS = {
+    "request": lambda entries: BINARY_WIRE_CODEC.decode_request(_framed(
+        b"PW\x01\x01\x02\x00" + bytes(32) + bytes([len(entries)]) + b"".join(entries)
+    )).fields,
+    "response": lambda entries: BINARY_WIRE_CODEC.decode_response(_framed(
+        b"PW\x01\x02\x00\xc8" + bytes([len(entries)]) + b"".join(entries)
+    )).fields,
+    "envelope": lambda entries: BINARY_WIRE_CODEC.unpack_envelope(
+        b"EV\x02kk" + bytes([len(entries)]) + b"".join(entries)
+    )[0],
+    "response_fields": lambda entries: BINARY_WIRE_CODEC.unpack_response_fields(
+        b"RF" + bytes([len(entries)]) + b"".join(entries)
+    ),
+}
+_USER_TAG = 1
+
+
+@pytest.mark.parametrize("container", sorted(_CONTAINERS))
+class TestOneDictOneEncoding:
+    """Three spellings of one dict used to decode silently, and
+    re-encoding canonicalised them at each hop; a hop that forwards the
+    bytes it received does not, so only the canonical one decodes."""
+
+    def test_the_canonical_spelling_decodes(self, container):
+        decode = _CONTAINERS[container]
+        assert decode([_entry(_USER_TAG, b"bob")]) == {"user": "bob"}
+        assert decode([_entry(0, b"v", name=b"x-custom")]) == {"x-custom": "v"}
+
+    def test_duplicate_entry_is_not_last_wins(self, container):
+        with pytest.raises(CodecError, match="duplicate"):
+            _CONTAINERS[container]([_entry(_USER_TAG, b"alice"), _entry(_USER_TAG, b"bob")])
+        with pytest.raises(CodecError, match="duplicate"):
+            _CONTAINERS[container]([_entry(0, b"1", name=b"x"), _entry(0, b"2", name=b"x")])
+
+    def test_well_known_name_spelled_out_under_tag_zero(self, container):
+        with pytest.raises(CodecError, match="tag 0"):
+            _CONTAINERS[container]([_entry(0, b"bob", name=b"user")])
+
+    @pytest.mark.parametrize("name, value", [
+        (b"deadline", b"000001.00000"), (b"kepoch", b"0007"), (b"trace", b"tw:0000000000001"),
+    ])
+    def test_header_field_sent_as_an_entry(self, container, name, value):
+        """In a request the fixed header region owns these names, and an
+        inline twin was silently shadowed by it.  The other containers
+        have no header, so there they are ordinary inline names."""
+        entries = [_entry(0, value, name=name)]
+        if container == "request":
+            with pytest.raises(CodecError, match="header field"):
+                _CONTAINERS[container](entries)
+        else:
+            assert _CONTAINERS[container](entries) == {name.decode(): value.decode()}
+
+
 # ---------------------------------------------------------------------------
 # Codec resolution & constants
 # ---------------------------------------------------------------------------
