@@ -1,8 +1,8 @@
 """Emit ``BENCH_crypto.json``: optimized-vs-seed crypto speedups.
 
 Measures the symmetric hot path rebuilt in the crypto overhaul PR
-against the straight-line seed implementation preserved in
-:mod:`repro.crypto.reference`, and writes the results to
+against the straight-line seed implementation preserved as the test
+oracle ``tests/oracles/aes_reference.py``, and writes the results to
 ``BENCH_crypto.json`` at the repository root.  Future PRs touching the
 crypto stack should re-run this script and must not regress the
 recorded speedups::
@@ -25,16 +25,18 @@ import sys
 import time
 import timeit
 
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT))  # the oracle lives with the tests
+
 from repro.crypto import ctr
 from repro.crypto.aes import AES
 from repro.crypto.provider import RealCryptoProvider
-from repro.crypto.reference import (
+from tests.oracles.aes_reference import (
     ReferenceAES,
     reference_ctr_transform,
     reference_det_encrypt,
 )
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 OUTPUT = REPO_ROOT / "BENCH_crypto.json"
 
 KEY = bytes(range(32))

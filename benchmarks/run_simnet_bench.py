@@ -3,9 +3,9 @@
 Measures the rebuilt simulation engine
 (:class:`repro.simnet.clock.EventLoop`, a calendar queue with lazy
 cancellation and batched slot dispatch) against the seed binary-heap
-implementation preserved as
-:class:`repro.simnet.clock.ReferenceEventLoop`, and writes the results
-to ``BENCH_simnet.json`` at the repository root::
+implementation preserved as the test oracle
+``tests/oracles/heap_event_loop.py``, and writes the results to
+``BENCH_simnet.json`` at the repository root::
 
     PYTHONPATH=src python benchmarks/run_simnet_bench.py
 
@@ -45,8 +45,10 @@ import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))  # the oracle lives with the tests
 
-from repro.simnet.clock import EventLoop, ReferenceEventLoop  # noqa: E402
+from repro.simnet.clock import EventLoop  # noqa: E402
+from tests.oracles.heap_event_loop import HeapEventLoop  # noqa: E402
 
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_simnet.json"
 
@@ -188,7 +190,7 @@ def _run_one(engine_cls, workload) -> dict:
 def _measure() -> dict:
     results = {}
     for name, workload in WORKLOADS.items():
-        reference = _run_one(ReferenceEventLoop, workload)
+        reference = _run_one(HeapEventLoop, workload)
         calendar = _run_one(EventLoop, workload)
         results[name] = {
             "calendar": calendar,

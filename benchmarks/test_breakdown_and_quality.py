@@ -1,7 +1,7 @@
 """Extra reproduction artefacts: latency breakdown, post-vs-get,
 recommendation quality.
 
-* Latency breakdown by pipeline stage (operator tracing) at 50 vs
+* Latency breakdown by pipeline stage (the telemetry tracer) at 50 vs
   250 RPS — shows the shuffle buffers dominating at thin traffic and
   amortizing at load, the mechanism behind Figure 7.
 * Footnote 9: "the costs of post requests ... systematically follow
@@ -17,20 +17,15 @@ from __future__ import annotations
 
 from conftest import SEED
 
-from repro.client import PProxClient
 from repro.cluster.deployments import MICRO_CONFIGS
-from repro.context import SimContext
-from repro.crypto.provider import FastCryptoProvider
+from repro.context import Deployment, SimContext
+from repro.experiments.rig import pseudonymise_stub, stub_lrs
 from repro.experiments.runner import run_micro
 from repro.lrs.baselines import ItemKnnRecommender, PopularityRecommender
 from repro.lrs.cco import CcoTrainer
 from repro.lrs.evaluation import evaluate_recommender, leave_latest_out_split
-from repro.lrs.stub import StubLrs, make_pseudonymous_payload
-from repro.proxy import PProxConfig, build_pprox
-from repro.simnet.clock import EventLoop
-from repro.simnet.network import Network
-from repro.simnet.rng import RngRegistry
-from repro.simnet.tracing import STAGES, BreakdownProbe
+from repro.simnet.metrics import percentile
+from repro.telemetry import PIPELINE_STAGES, Telemetry
 from repro.workload.injector import Injector
 from repro.workload.movielens import SyntheticMovieLens
 
@@ -38,23 +33,20 @@ M6 = MICRO_CONFIGS["m6"]
 
 
 def _breakdown_at(rps: float, duration: float = 15.0):
-    rng = RngRegistry(seed=SEED)
-    loop = EventLoop()
-    network = Network(loop=loop, rng=rng.stream("net"), record_flows=False)
-    stub = StubLrs(loop=loop, rng=rng.stream("stub"))
-    provider = FastCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
-    ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider)
-    service = build_pprox(ctx, M6.pprox_config(), lrs_picker=lambda: stub)
-    stub.items = make_pseudonymous_payload(
-        provider, service.provisioner.layer_keys["IA"].symmetric_key
-    )
-    probe = BreakdownProbe()
-    probe.attach(network)
-    client = PProxClient(ctx, service, rng=rng.stream("c"))
-    injector = Injector(loop, rng.stream("inj"))
+    telemetry = Telemetry()
+    ctx = SimContext.fresh(SEED, telemetry=telemetry)
+    telemetry.bind(ctx.loop, run_label=f"m6@{rps:g}rps")
+    stub = stub_lrs(ctx)
+    deployment = Deployment.build(ctx=ctx, config=M6.pprox_config(), lrs_picker=lambda: stub)
+    pseudonymise_stub(stub, deployment)
+    client = deployment.client()
+    injector = Injector(ctx.loop, ctx.rng.stream("inj"))
     injector.inject(rps, duration, lambda cb: client.get("user", on_complete=cb))
-    loop.run()
-    return probe.aggregate()
+    ctx.loop.run()
+    return {
+        stage: percentile(sorted(values), 0.5)
+        for stage, values in telemetry.tracer.stage_values().items()
+    }
 
 
 def test_latency_breakdown(benchmark):
@@ -64,10 +56,10 @@ def test_latency_breakdown(benchmark):
     breakdowns = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
     print("== latency breakdown by stage, m6 (S=10), medians in ms ==")
-    header = f"{'rps':>5s} " + " ".join(f"{stage:>12s}" for stage in STAGES)
+    header = f"{'rps':>5s} " + " ".join(f"{stage:>12s}" for stage in PIPELINE_STAGES)
     print(header)
     for rps, stages in breakdowns.items():
-        print(f"{rps:5.0f} " + " ".join(f"{stages[s] * 1000:12.2f}" for s in STAGES))
+        print(f"{rps:5.0f} " + " ".join(f"{stages[s] * 1000:12.2f}" for s in PIPELINE_STAGES))
 
     # Shuffle stages dominate at 50 RPS...
     thin = breakdowns[50]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.client import DirectClient
 from repro.context import Deployment, SimContext
-from repro.crypto.provider import FastCryptoProvider
+from repro.crypto.provider import RealCryptoProvider
 from repro.lrs import HarnessService
 from repro.proxy import PProxConfig
 from repro.workload import ScenarioTimings, SyntheticMovieLens, TwoPhaseScenario
@@ -30,7 +30,7 @@ def run_deployment(with_pprox: bool, seed: int = 42):
     harness = HarnessService(loop=loop, rng=rng.stream("lrs"), frontend_count=3)
 
     if with_pprox:
-        ctx.provider = FastCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
+        ctx.provider = RealCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
         client = Deployment.build(
             ctx=ctx,
             config=PProxConfig(shuffle_size=10, shuffle_timeout=0.25),

@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.client import PProxClient
 from repro.context import SimContext
 from repro.crypto.keys import KeyFactory
-from repro.crypto.provider import FastCryptoProvider
+from repro.crypto.provider import RealCryptoProvider
 from repro.lrs import HarnessService
 from repro.proxy import PProxConfig
 from repro.simnet import EventLoop, Network, RngRegistry
@@ -44,7 +44,7 @@ def main() -> None:
             TenantDirectory.make_tenant(name, factory, harness.pick_frontend)
         )
 
-    provider = FastCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
+    provider = RealCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
     config = PProxConfig(shuffle_size=10, shuffle_timeout=0.5)
     service = build_multi_tenant_pprox(loop, network, rng, config, directory,
                                        provider=provider)

@@ -93,8 +93,7 @@ def _cmd_run(args) -> int:
     """Run one registered scenario's gate; non-zero on any problem."""
     experiment = EXPERIMENT_INDEX[args.scenario]
     out_dir = args.out_dir or os.path.join("results", args.scenario)
-    options = {} if args.engine is None else {"engine": args.engine}
-    problems = resolve(experiment.run)(out_dir, **options)
+    problems = resolve(experiment.run)(out_dir)
     for name in experiment.artifacts:
         print(f"artifact: {os.path.join(out_dir, name)}")
     for problem in problems:
@@ -158,8 +157,6 @@ def main(argv=None) -> int:
     run.add_argument("scenario", choices=list(runnable()))
     run.add_argument("--out-dir", default=None,
                      help="artifact directory (default: results/<scenario>)")
-    run.add_argument("--engine", default=None, choices=("calendar", "reference"),
-                     help="event-loop engine (the scale scenario only)")
     run.set_defaults(fn=_cmd_run)
     profile = subparsers.add_parser(
         "profile", help="deterministic virtual-time profile of the obs scenario"
@@ -179,8 +176,6 @@ def main(argv=None) -> int:
                        help="where to write the benchmark report JSON")
     bench.set_defaults(fn=_cmd_simnet_bench)
     args = parser.parse_args(argv)
-    if args.command == "run" and args.engine is not None and args.scenario != "scale":
-        parser.error("--engine applies to the scale scenario only")
     return args.fn(args)
 
 

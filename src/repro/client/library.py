@@ -15,6 +15,7 @@ LRS; it drives the unprotected baseline configurations (b1-b4).
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
@@ -565,6 +566,11 @@ class DirectClient:
     network: Network
     lrs_picker: Callable[[], object]
     calls_completed: int = 0
+    #: Per-client request ids, from 1: same-seed baseline runs issue the
+    #: same ids whatever else ran in the process.
+    _request_ids: Any = field(
+        default_factory=lambda: itertools.count(1), init=False, repr=False
+    )
 
     def post(
         self,
@@ -576,7 +582,8 @@ class DirectClient:
     ) -> None:
         """Issue ``post`` directly against an LRS frontend."""
         address = client_address or f"client-{user}"
-        request = make_post(user, item, payload, client_address=address)
+        request = make_post(user, item, payload, client_address=address,
+                            request_id=next(self._request_ids))
         self._dispatch(request, address, user, on_complete)
 
     def get(
@@ -587,7 +594,8 @@ class DirectClient:
     ) -> None:
         """Issue ``get`` directly against an LRS frontend."""
         address = client_address or f"client-{user}"
-        request = make_get(user, client_address=address)
+        request = make_get(user, client_address=address,
+                           request_id=next(self._request_ids))
         self._dispatch(request, address, user, on_complete)
 
     def _dispatch(

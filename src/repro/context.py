@@ -80,10 +80,9 @@ class SimContext:
 
         The network draws its latency jitter from the registry's
         ``net`` stream, exactly as every runner did by hand.  Pass
-        *loop* to substitute a pre-built engine — e.g. a
-        :class:`repro.obs.profiler.ProfiledLoop` wrapper, or a
-        reference-engine loop from :func:`make_event_loop` — before the
-        network binds to it.
+        *loop* to substitute a wrapper around the engine — a
+        :class:`repro.obs.profiler.ProfiledLoop` — before the network
+        binds to it.
         """
         if loop is None:
             loop = EventLoop()

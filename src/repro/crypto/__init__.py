@@ -9,13 +9,15 @@ Everything the protocol in the paper needs, built from scratch:
 * :mod:`repro.crypto.keys` — per-layer key material (Table 1).
 * :mod:`repro.crypto.envelope` — fixed-size identifier encoding and
   padded recommendation lists (§4.3), base64/JSON helpers.
-* :mod:`repro.crypto.provider` — the provider interface with a
-  faithful ``real`` implementation and cheaper ``fast``/``sim`` ones
-  for large simulations.
+* :mod:`repro.crypto.provider` — the provider interface with the
+  paper's ``real`` construction and the cheap ``sim`` stand-in that
+  drills and large simulations default to.
 * :mod:`repro.crypto.xor` — the whole-buffer XOR primitive shared by
   every symmetric hot path.
-* :mod:`repro.crypto.reference` — the seed's straight-line AES/CTR,
-  kept as the byte-identical correctness anchor and perf baseline.
+
+The seed's straight-line AES/CTR — the byte-identical correctness
+anchor and perf baseline — is a test oracle
+(``tests/oracles/aes_reference.py``), not part of the package.
 """
 
 from repro.crypto.aes import AES, BLOCK_SIZE
@@ -33,7 +35,6 @@ from repro.crypto.envelope import (
 from repro.crypto.keys import KeyFactory, LayerKeys, LayerPublicMaterial, SYMMETRIC_KEY_BYTES
 from repro.crypto.provider import (
     CryptoProvider,
-    FastCryptoProvider,
     RealCryptoProvider,
     SimCryptoProvider,
 )
@@ -63,7 +64,6 @@ __all__ = [
     "SYMMETRIC_KEY_BYTES",
     "CryptoProvider",
     "RealCryptoProvider",
-    "FastCryptoProvider",
     "SimCryptoProvider",
     "OaepError",
     "RsaPublicKey",

@@ -1,6 +1,6 @@
 """Crypto provider interface used by the user-side library and proxies.
 
-Three interchangeable implementations:
+Two implementations:
 
 * :class:`RealCryptoProvider` — the paper's construction: RSA-OAEP for
   layer-addressed fields, AES-256-CTR with a constant IV for
@@ -9,15 +9,11 @@ Three interchangeable implementations:
   LRU memo for pseudonym operations (hot user/item ids repeat heavily
   under the MovieLens workload) with hit/miss counters the metrics
   layer can sample.
-* :class:`FastCryptoProvider` — functionally equivalent but built on
-  SHA-256 primitives (Feistel permutation for deterministic
-  pseudonyms, hash-keystream XOR for randomized symmetric encryption).
-  RSA is kept for the asymmetric half.  Used for very large
-  simulations where pure-Python AES would dominate run time.
-* :class:`SimCryptoProvider` — keyed-BLAKE2 stand-in for the largest
-  simulations; see its docstring for the caveats.
+* :class:`SimCryptoProvider` — keyed-BLAKE2 stand-in that cuts host
+  CPU for drills and large simulations (what every ``SimContext``
+  defaults to); see its docstring for the caveats.
 
-All are *real* transformations — ciphertexts are actually unreadable
+Both are *real* transformations — ciphertexts are actually unreadable
 without the key — so the privacy test-suite exercises genuine data
 flow, not tags.
 """
@@ -25,7 +21,6 @@ flow, not tags.
 from __future__ import annotations
 
 import hashlib
-import hmac
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Sequence, List
@@ -38,7 +33,6 @@ from repro.crypto.xor import xor_bytes
 __all__ = [
     "CryptoProvider",
     "RealCryptoProvider",
-    "FastCryptoProvider",
     "SimCryptoProvider",
 ]
 
@@ -209,109 +203,13 @@ class RealCryptoProvider(CryptoProvider):
         return self.rng_bytes(SYMMETRIC_KEY_BYTES)
 
 
-def _hash_keystream(key: bytes, iv: bytes, length: int) -> bytes:
-    """SHA-256-based keystream: H(key || iv || counter) blocks."""
-    sha256 = hashlib.sha256
-    prefix = key + iv
-    parts = [
-        sha256(prefix + counter.to_bytes(4, "big")).digest()
-        for counter in range((length + 31) // 32)
-    ]
-    return b"".join(parts)[:length]
-
-
-def _feistel_round_key(key: bytes, round_index: int) -> bytes:
-    return hmac.new(key, b"feistel-round-%d" % round_index, "sha256").digest()
-
-
-def _feistel(key: bytes, block: bytes, rounds: range) -> bytes:
-    """Balanced Feistel permutation over an even-length block.
-
-    Deterministic and invertible (run *rounds* reversed to invert), so
-    it plays the role AES-CTR-with-constant-IV plays in the paper: a
-    keyed pseudonym that the owning layer can also reverse.
-    """
-    if len(block) % 2:
-        raise ValueError("Feistel block length must be even")
-    half = len(block) // 2
-    left, right = block[:half], block[half:]
-    for round_index in rounds:
-        round_key = _feistel_round_key(key, round_index)
-        digest = hmac.new(round_key, right, "sha256").digest()
-        while len(digest) < half:
-            digest += hmac.new(round_key, digest, "sha256").digest()
-        left, right = right, xor_bytes(left, digest)
-    return left + right
-
-
-_FEISTEL_ROUNDS = 4
-
-
-@dataclass
-class FastCryptoProvider(CryptoProvider):
-    """Hash-based provider: same interface, ~10x cheaper symmetric ops."""
-
-    rng_bytes: Callable[[int], bytes] = field(default=os.urandom)
-
-    name = "fast"
-
-    def asym_encrypt(self, public: LayerPublicMaterial, plaintext: bytes) -> bytes:
-        key: RsaPublicKey = public.public_key
-        session_key = self.rng_bytes(SYMMETRIC_KEY_BYTES)
-        header = key.encrypt(session_key, self.rng_bytes)
-        iv = self.rng_bytes(16)
-        body = iv + xor_bytes(plaintext, _hash_keystream(session_key, iv, len(plaintext)))
-        return header + body
-
-    def asym_decrypt(self, keys: LayerKeys, blob: bytes) -> bytes:
-        modulus_bytes = keys.private_key.modulus_bytes
-        if len(blob) < modulus_bytes + 16:
-            raise ValueError("asymmetric ciphertext too short")
-        session_key = keys.private_key.decrypt(blob[:modulus_bytes])
-        iv = blob[modulus_bytes:modulus_bytes + 16]
-        body = blob[modulus_bytes + 16:]
-        return xor_bytes(body, _hash_keystream(session_key, iv, len(body)))
-
-    def pseudonymize(self, key: bytes, identifier: bytes) -> bytes:
-        # Pad odd-length input with an explicit marker byte pair.
-        padded = identifier + (b"\x01" if len(identifier) % 2 else b"\x00\x00")
-        return _feistel(key, padded, range(_FEISTEL_ROUNDS))
-
-    def depseudonymize(self, key: bytes, pseudonym: bytes) -> bytes:
-        # Inverting a Feistel network: swap halves, run rounds reversed,
-        # swap back.  Equivalently run with reversed round order on the
-        # swapped block.
-        half = len(pseudonym) // 2
-        swapped = pseudonym[half:] + pseudonym[:half]
-        out = _feistel(key, swapped, range(_FEISTEL_ROUNDS - 1, -1, -1))
-        out = out[half:] + out[:half]
-        if out.endswith(b"\x00\x00"):
-            return out[:-2]
-        if out.endswith(b"\x01"):
-            return out[:-1]
-        raise ValueError("corrupt pseudonym padding")
-
-    def sym_encrypt(self, key: bytes, plaintext: bytes) -> bytes:
-        iv = self.rng_bytes(16)
-        return iv + xor_bytes(plaintext, _hash_keystream(key, iv, len(plaintext)))
-
-    def sym_decrypt(self, key: bytes, blob: bytes) -> bytes:
-        if len(blob) < 16:
-            raise ValueError("symmetric ciphertext too short")
-        iv, body = blob[:16], blob[16:]
-        return xor_bytes(body, _hash_keystream(key, iv, len(body)))
-
-    def new_temporary_key(self) -> bytes:
-        return self.rng_bytes(SYMMETRIC_KEY_BYTES)
-
-
 @dataclass
 class SimCryptoProvider(CryptoProvider):
     """Simulation stand-in: keyed BLAKE2 pseudonyms + token envelopes.
 
     For very large performance simulations (hundreds of thousands of
-    requests) even the hash-based provider's RSA operations dominate
-    Python run time.  This provider replaces the *asymmetric* envelope
+    requests) the real provider's RSA operations dominate Python run
+    time.  This provider replaces the *asymmetric* envelope
     with an in-process token registry that enforces key possession
     (decryption checks the private key's modulus) and the symmetric
     primitives with keyed BLAKE2 — still real keyed transformations at
@@ -320,7 +218,7 @@ class SimCryptoProvider(CryptoProvider):
     latency results are identical; this provider only cuts host CPU.
 
     Not a cryptographic construction — use :class:`RealCryptoProvider`
-    or :class:`FastCryptoProvider` anywhere security is under test.
+    anywhere security is under test.
     """
 
     rng_bytes: Callable[[int], bytes] = field(default=os.urandom)

@@ -237,9 +237,9 @@ EXPERIMENT_INDEX: Dict[str, Experiment] = {
         claims=(
             "the calendar-queue engine sustains the 100k RPS point",
             "the full sweep completes in minutes of wall time",
-            "same-seed artifacts are byte-identical on calendar and reference engines",
+            "same-seed artifacts are byte-identical across processes and on the heap oracle",
         ),
-        help="CI-sized proxy-scaling sweep (200k users); --engine picks the event loop",
+        help="CI-sized proxy-scaling sweep (200k users, 25k-50k RPS)",
         run="repro.experiments.scale:gate",
         artifacts=("scale.json",),
         slo="repro.experiments.scale:slo_verdict",
@@ -289,14 +289,14 @@ EXPERIMENT_INDEX: Dict[str, Experiment] = {
         identifier="telemetry",
         title="Telemetry pipeline self-check",
         workload="m6 gets against the stub at 40 RPS with spans, metrics and the event log on",
-        modules=("repro.telemetry", "repro.simnet.tracing", "repro.experiments.telemetry_gate"),
+        modules=("repro.telemetry", "repro.experiments.telemetry_gate"),
         bench="tests/test_telemetry_spans.py",
         claims=(
             "every completed request yields one complete five-stage trace",
-            "span-derived stage durations match the wire-level BreakdownProbe",
+            "span-derived stage durations equal the wire's send-timestamp deltas",
             "the JSONL artifact round-trips and the redaction audit is clean",
         ),
-        help="short m6 run with full telemetry: traces, span/wire parity, redaction audit",
+        help="short m6 run with full telemetry: complete traces, JSONL round-trip, redaction audit",
         run="repro.experiments.telemetry_gate:gate",
         artifacts=("telemetry.jsonl", "telemetry.prom"),
     ),

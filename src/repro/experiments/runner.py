@@ -26,7 +26,6 @@ from repro.simnet.clock import EventLoop
 from repro.simnet.metrics import CandlestickSummary, LatencyRecorder, trim_window
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
-from repro.simnet.tracing import BreakdownProbe
 from repro.telemetry import Telemetry, instrument_stack
 from repro.workload.injector import InjectionReport, Injector
 from repro.workload.movielens import SyntheticMovieLens
@@ -75,7 +74,6 @@ def run_micro(
     pprox_override: Optional[PProxConfig] = None,
     verb: str = "get",
     telemetry: Optional[Telemetry] = None,
-    probe: Optional[BreakdownProbe] = None,
 ) -> RunResult:
     """Micro-benchmark: PProx in front of the nginx stub (§8.1).
 
@@ -86,9 +84,7 @@ def run_micro(
 
     Pass a :class:`~repro.telemetry.Telemetry` hub to collect spans,
     metrics and the structured event log across all runs (one bound
-    run label per repetition), and/or a
-    :class:`~repro.simnet.tracing.BreakdownProbe` for the independent
-    wire-level stage breakdown.
+    run label per repetition).
     """
     result = RunResult(config_name=config.name, rps=rps, recorder=LatencyRecorder("micro"))
     for run_index in range(runs):
@@ -100,8 +96,6 @@ def run_micro(
             ctx.provider = provider
         if telemetry is not None:
             telemetry.bind(loop, run_label=f"{config.name}@{rps:g}rps/run{run_index}")
-        if probe is not None:
-            probe.attach(network)
         stub = stub_lrs(ctx)
         pprox_config = pprox_override or config.pprox_config(shuffle_timeout)
         deployment = Deployment.build(

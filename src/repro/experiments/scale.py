@@ -21,12 +21,13 @@ times use the post-crypto-overhaul fast profile (PR 1 made the crypto
 dominates); the sweep measures the *engine*, not the cost model.
 
 Determinism: every scheduling decision flows through the public loop
-API and every random draw happens inside event callbacks, so both
-engines (``calendar`` and ``reference``) replay the identical event
-sequence — the artifact is byte-identical across engines and across
-same-seed runs.  Engine- and wall-clock-dependent numbers (events/sec,
-peak resident queue, compactions) go in a separate meta report that is
-*not* part of the diffable artifact.
+API and every random draw happens inside event callbacks, so the
+artifact is byte-identical across same-seed runs — and on any loop
+that honours the ``(time, sequence)`` contract, which
+``tests/test_scale_scenario.py`` holds against the heap oracle.
+Wall-clock-dependent numbers (events/sec, peak resident queue,
+compactions) go in a separate meta report that is *not* part of the
+diffable artifact.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.rig import summarize, write_json
 from repro.obs.slo import Objective, SloReport, evaluate_static
-from repro.simnet.clock import make_event_loop
+from repro.simnet.clock import EventLoop
 from repro.simnet.loadbalancer import LeastPendingPolicy, LoadBalancer
 from repro.simnet.metrics import SlottedLatencyRecorder
 from repro.simnet.network import LatencyModel, Network
@@ -80,7 +81,6 @@ class ScaleConfig:
     flush_timeout: float = 0.004
     #: Per-request deadline; expired requests count as failed.
     deadline: float = 0.5
-    engine: str = "calendar"
 
     @property
     def peak_rps(self) -> float:
@@ -90,7 +90,7 @@ class ScaleConfig:
 #: The full acceptance configuration: 1M users, 100k RPS at the top.
 FULL_CONFIG = ScaleConfig()
 
-#: Reduced configuration for CI engine-parity runs.
+#: Reduced configuration for CI and the heap-oracle parity test.
 SMOKE_CONFIG = ScaleConfig(users=200_000, pairs_sweep=(1, 2), duration=3.0, trim=0.5)
 
 
@@ -114,7 +114,7 @@ class ScalePoint:
 
 
 def _run_point(config: ScaleConfig, pairs: int) -> Tuple[ScalePoint, Dict[str, object]]:
-    loop = make_event_loop(config.engine)
+    loop = EventLoop()
     rng = RngRegistry(config.seed * 1000 + pairs)
     network = Network(loop=loop, rng=rng.stream("network"), record_flows=False)
     arrivals = rng.stream("arrivals")
@@ -264,9 +264,9 @@ class _PairBackend:
 def run_scale_sweep(config: ScaleConfig = FULL_CONFIG) -> Tuple[Dict[str, object], Dict[str, object]]:
     """Run the sweep; returns ``(artifact, meta)``.
 
-    *artifact* is deterministic — byte-identical for the same seed on
-    either engine.  *meta* carries the wall-clock/engine-dependent
-    numbers and must never be diffed.
+    *artifact* is deterministic — byte-identical for the same seed.
+    *meta* carries the wall-clock-dependent numbers and must never be
+    diffed.
     """
     points: List[ScalePoint] = []
     metas: List[Dict[str, object]] = []
@@ -285,7 +285,6 @@ def run_scale_sweep(config: ScaleConfig = FULL_CONFIG) -> Tuple[Dict[str, object
         "points": [point.to_dict() for point in points],
     }
     meta: Dict[str, object] = {
-        "engine": config.engine,
         "points": metas,
         "total_wall_seconds": sum(m["wall_seconds"] for m in metas),
         "total_events": sum(m["events_processed"] for m in metas),
@@ -378,13 +377,12 @@ def write_artifacts(artifact: Dict[str, object], meta: Dict[str, object], out_di
     )
 
 
-def gate(out_dir: str, engine: str = "calendar") -> List[str]:
-    """``repro run scale``: the CI-sized sweep (:data:`SMOKE_CONFIG`) on
-    *engine*; ``scale.json`` must not depend on which one.  The 1M-user
-    acceptance sweep is ``run_scale_sweep(FULL_CONFIG)``."""
-    config = dataclasses.replace(SMOKE_CONFIG, engine=engine)
+def gate(out_dir: str) -> List[str]:
+    """``repro run scale``: the CI-sized sweep (:data:`SMOKE_CONFIG`).
+    The 1M-user acceptance sweep is ``run_scale_sweep(FULL_CONFIG)``."""
+    config = SMOKE_CONFIG
     print(
-        f"scale sweep: engine={config.engine} users={config.users:,}"
+        f"scale sweep: users={config.users:,}"
         f" pairs={config.pairs_sweep} peak={config.peak_rps:,.0f} rps"
         f" duration={config.duration}s"
     )

@@ -7,10 +7,9 @@ calendar-queue engine, serialization and base64 inflation dominate
 the proxy hot path, so the format becomes a first-class, swappable
 API instead of an implicit assumption smeared across layers:
 
-* :class:`JsonCodec` — pinned byte-identical to the seed format, the
-  same way ``crypto.reference`` anchors the AES rewrite.  Golden
-  vector tests in ``tests/test_wire_golden.py`` hold it to exact byte
-  literals captured from the seed.
+* :class:`JsonCodec` — pinned byte-identical to the seed format:
+  golden vector tests in ``tests/test_wire_golden.py`` hold it to
+  exact byte literals captured from the seed.
 * :class:`BinaryCodec` — length-prefixed frames with a fixed-offset
   header and tagged fields, decoded by zero-copy ``memoryview``
   slicing: no intermediate dict on the parse path, no base64
@@ -534,11 +533,9 @@ class BinaryCodec(WireCodec):
     """
 
     name = "binary"
-
-    def __init__(self, batch_envelopes: bool = True) -> None:
-        # Binary frames are self-describing (verb in-band), so they
-        # can ride inside one sealed envelope per shuffle flush.
-        self.batch_envelopes = batch_envelopes
+    # Binary frames are self-describing (verb in-band), so they can
+    # ride inside one sealed envelope per shuffle flush.
+    batch_envelopes = True
 
     def wire_value(self, blob: bytes) -> bytes:
         return bytes(blob)

@@ -46,9 +46,10 @@ def next_request_id() -> int:
     only promise to be unique, not reproducible: :class:`PProxClient
     <repro.client.library.PProxClient>` allocates from
     :meth:`repro.context.SimContext.next_request_id` (a per-context
-    counter) instead.  This one serves :func:`make_get` /
-    :func:`make_post` callers that pass no id (the direct baseline
-    client, hand-built test messages).
+    counter) and :class:`DirectClient
+    <repro.client.library.DirectClient>` from a per-client one.  This
+    one serves :func:`make_get` / :func:`make_post` callers that pass
+    no id (hand-built test messages).
     """
     return next(_REQUEST_IDS)
 

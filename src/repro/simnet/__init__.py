@@ -7,14 +7,9 @@ and workload layers are built on.
 
 from repro.simnet.clock import (
     DEFAULT_SLOT_WIDTH,
-    ENGINES,
-    CalendarEventLoop,
     EventHandle,
     EventLoop,
-    ReferenceEventHandle,
-    ReferenceEventLoop,
     SimulationError,
-    make_event_loop,
 )
 from repro.simnet.loadbalancer import (
     BalancerError,
@@ -47,17 +42,11 @@ from repro.simnet.queueing import (
     make_shed_policy,
 )
 from repro.simnet.rng import RngRegistry
-from repro.simnet.tracing import BreakdownProbe, RequestTimeline, STAGES
 
 __all__ = [
     "EventLoop",
-    "CalendarEventLoop",
-    "ReferenceEventLoop",
     "EventHandle",
-    "ReferenceEventHandle",
     "SimulationError",
-    "make_event_loop",
-    "ENGINES",
     "DEFAULT_SLOT_WIDTH",
     "LoadBalancer",
     "BalancerError",
@@ -88,7 +77,4 @@ __all__ = [
     "SHED_FRONT",
     "SHED_SOJOURN",
     "RngRegistry",
-    "BreakdownProbe",
-    "RequestTimeline",
-    "STAGES",
 ]

@@ -10,9 +10,9 @@ The five paper stages are the deltas between consecutive hops —
 ``lrs`` (t2→t3), ``ia_outbound`` (t3→t4, includes response shuffle),
 ``ua_outbound`` (t4→t5).  Components report each hop to the tracer at
 the same virtual instant they call :meth:`Network.send`, so span
-boundaries are *exactly* the wire timestamps a
-:class:`~repro.simnet.tracing.BreakdownProbe` would observe — the two
-must agree to float precision on the same run.
+boundaries are *exactly* the wire timestamps a payload wiretap
+observes — ``tests/test_telemetry_spans.py`` holds the two to float
+precision on the same run, on both wires.
 
 Trace context is keyed on ``request_id``, which is simulator
 bookkeeping that never appears in a serialized message body: the §2.3
@@ -41,7 +41,7 @@ from repro.telemetry.events import EventLog
 
 __all__ = ["PIPELINE_STAGES", "Span", "Trace", "Tracer"]
 
-# Stage names in pipeline order; identical to simnet.tracing.STAGES.
+# Stage names in pipeline order.
 PIPELINE_STAGES: Tuple[str, ...] = (
     "ua_inbound",
     "ia_inbound",

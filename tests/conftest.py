@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.crypto.keys import LayerKeys
-from repro.crypto.provider import FastCryptoProvider, RealCryptoProvider, SimCryptoProvider
+from repro.crypto.provider import RealCryptoProvider, SimCryptoProvider
 from repro.crypto.rsa import generate_keypair
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
@@ -55,12 +55,11 @@ def _seeded_bytes(seed: int):
     return lambda n: rng.getrandbits(8 * n).to_bytes(n, "big") if n else b""
 
 
-@pytest.fixture(params=["real", "fast", "sim"])
+@pytest.fixture(params=["real", "sim"])
 def any_provider(request):
-    """Parametrized fixture covering all three crypto providers."""
+    """Parametrized fixture covering both crypto providers."""
     factories = {
         "real": lambda: RealCryptoProvider(rng_bytes=_seeded_bytes(5)),
-        "fast": lambda: FastCryptoProvider(rng_bytes=_seeded_bytes(6)),
         "sim": lambda: SimCryptoProvider(rng_bytes=_seeded_bytes(7)),
     }
     return factories[request.param]()
@@ -69,11 +68,6 @@ def any_provider(request):
 @pytest.fixture
 def real_provider():
     return RealCryptoProvider(rng_bytes=_seeded_bytes(8))
-
-
-@pytest.fixture
-def fast_provider():
-    return FastCryptoProvider(rng_bytes=_seeded_bytes(9))
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import pytest
 from repro.client import PProxClient
 from repro.context import SimContext
 from repro.crypto.keys import KeyFactory
-from repro.crypto.provider import FastCryptoProvider
+from repro.crypto.provider import RealCryptoProvider
 from repro.lrs.service import HarnessService
 from repro.proxy import PProxConfig, build_pprox
 from repro.simnet.clock import EventLoop
@@ -22,7 +22,7 @@ def stack():
     network = Network(loop=loop, rng=rng.stream("net"), record_flows=False)
     harness = HarnessService(loop=loop, rng=rng.stream("lrs"), frontend_count=3)
     harness.engine.trainer.llr_threshold = 0.0
-    provider = FastCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
+    provider = RealCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
     ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider)
     service = build_pprox(ctx, PProxConfig(shuffle_size=0),
                           lrs_picker=harness.pick_frontend)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.client import DirectClient, PProxClient
 from repro.context import SimContext
-from repro.crypto.provider import FastCryptoProvider
+from repro.crypto.provider import RealCryptoProvider
 from repro.lrs.service import HarnessService
 from repro.proxy import PProxConfig, build_pprox
 from repro.proxy.costs import DEFAULT_COSTS
@@ -21,7 +21,7 @@ def _harness_stack(config: PProxConfig, seed: int = 41):
     network = Network(loop=loop, rng=rng.stream("net"))
     harness = HarnessService(loop=loop, rng=rng.stream("lrs"), frontend_count=3)
     harness.engine.trainer.llr_threshold = 0.0
-    provider = FastCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
+    provider = RealCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
     ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider)
     service = build_pprox(ctx, config, lrs_picker=harness.pick_frontend)
     client = PProxClient(ctx, service, rng=rng.stream("c"))

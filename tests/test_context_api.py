@@ -8,7 +8,7 @@ import pytest
 
 from repro.client import PProxClient
 from repro.context import Deployment, SimContext
-from repro.crypto.provider import FastCryptoProvider, SimCryptoProvider
+from repro.crypto.provider import RealCryptoProvider, SimCryptoProvider
 from repro.lrs.stub import StubLrs, make_pseudonymous_payload
 from repro.proxy import PProxConfig, build_pprox
 from repro.simnet.clock import EventLoop
@@ -32,7 +32,7 @@ def _loose_stack(seed):
     loop = EventLoop()
     network = Network(loop=loop, rng=rng.stream("net"), record_flows=False)
     stub = StubLrs(loop=loop, rng=rng.stream("stub"))
-    provider = FastCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
+    provider = RealCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
     ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider)
     service = build_pprox(ctx, CONFIG, lrs_picker=lambda: stub)
     stub.items = make_pseudonymous_payload(
@@ -43,7 +43,7 @@ def _loose_stack(seed):
 
 def _context_stack(seed):
     ctx = SimContext.fresh(seed)
-    ctx.provider = FastCryptoProvider(rng_bytes=ctx.rng.bytes_fn("crypto"))
+    ctx.provider = RealCryptoProvider(rng_bytes=ctx.rng.bytes_fn("crypto"))
     stub = StubLrs(loop=ctx.loop, rng=ctx.rng.stream("stub"))
     deployment = Deployment.build(ctx=ctx, config=CONFIG, lrs_picker=lambda: stub)
     stub.items = make_pseudonymous_payload(

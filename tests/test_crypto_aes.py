@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.aes import AES, BLOCK_SIZE
-from repro.crypto.reference import ReferenceAES
+from tests.oracles.aes_reference import ReferenceAES
 
 PLAINTEXT = bytes.fromhex("00112233445566778899aabbccddeeff")
 

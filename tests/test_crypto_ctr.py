@@ -16,7 +16,7 @@ from repro.crypto.ctr import (
     rand_decrypt,
     rand_encrypt,
 )
-from repro.crypto.reference import reference_det_encrypt
+from tests.oracles.aes_reference import reference_det_encrypt
 
 KEY = bytes(range(32))
 

@@ -6,7 +6,6 @@ import pytest
 
 from repro.crypto import ctr
 from repro.crypto.provider import (
-    FastCryptoProvider,
     RealCryptoProvider,
     SimCryptoProvider,
     _LruMemo,
@@ -133,7 +132,7 @@ def test_real_provider_memo_distinguishes_keys():
 # --------------------------------------------------------- batched helpers
 
 
-@pytest.mark.parametrize("provider_cls", [RealCryptoProvider, FastCryptoProvider, SimCryptoProvider])
+@pytest.mark.parametrize("provider_cls", [RealCryptoProvider, SimCryptoProvider])
 def test_pseudonymize_many_roundtrip(provider_cls):
     provider = provider_cls()
     identifiers = [b"user-%d" % i for i in range(5)]
@@ -171,5 +170,5 @@ def test_crypto_cache_gauges_sample_hit_ratio():
 
 def test_crypto_cache_gauges_skip_providers_without_stats():
     telemetry = Telemetry()
-    instrument_crypto(telemetry, FastCryptoProvider())
+    instrument_crypto(telemetry, SimCryptoProvider())
     assert telemetry.registry.instruments() == []

@@ -1,4 +1,4 @@
-"""Crypto provider interface: all three implementations, same contract."""
+"""Crypto provider interface: both implementations, same contract."""
 
 from __future__ import annotations
 
@@ -97,9 +97,8 @@ def test_temporary_key_size(any_provider):
     assert len(any_provider.new_temporary_key()) == SYMMETRIC_KEY_BYTES
 
 
-def test_provider_names_distinct(real_provider, fast_provider, sim_provider):
-    names = {real_provider.name, fast_provider.name, sim_provider.name}
-    assert names == {"real", "fast", "sim"}
+def test_provider_names_distinct(real_provider, sim_provider):
+    assert {real_provider.name, sim_provider.name} == {"real", "sim"}
 
 
 def test_abstract_provider_is_abstract(layer_keys):
@@ -120,10 +119,3 @@ def test_sim_provider_rejects_unknown_token(sim_provider, layer_keys):
 def test_sim_provider_rejects_unknown_pseudonym(sim_provider, layer_keys):
     with pytest.raises(ValueError, match="pseudonym"):
         sim_provider.depseudonymize(layer_keys.symmetric_key, b"\x00" * 16)
-
-
-def test_fast_provider_odd_length_pseudonym_roundtrip(fast_provider, layer_keys):
-    """The Feistel padding distinguishes odd- and even-length inputs."""
-    for raw in (b"odd", b"even", b"x", b""):
-        pseudonym = fast_provider.pseudonymize(layer_keys.symmetric_key, raw)
-        assert fast_provider.depseudonymize(layer_keys.symmetric_key, pseudonym) == raw

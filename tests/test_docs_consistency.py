@@ -99,6 +99,40 @@ def test_no_object_wire_fork_in_the_package():
     assert offenders == [], f"object-wire forks: {offenders}"
 
 
+#: What one-of-each in ``src/`` rules out: an import of the test tree, a
+#: ``Reference*`` / ``reference_*`` name (the oracles live in
+#: ``tests/oracles/``), and the names of the deleted selectors,
+#: duplicates and their flag.
+SECOND_IMPLEMENTATIONS = re.compile(
+    r"^\s*(?:from|import)\s+tests\b"
+    r"|\bReference[A-Z]\w*|\breference_\w+"
+    r"|\bmake_event_loop\b|\bENGINES\b|\bCalendarEventLoop\b"
+    r"|\bBreakdownProbe\b|\bFastCryptoProvider\b|--engine\b",
+    flags=re.M,
+)
+#: A module-level tuple of the five pipeline stage names.
+STAGE_TUPLE = re.compile(r'^(\w*STAGES)\b[^=\n]*=\s*\(\s*"ua_inbound"', flags=re.M)
+
+
+def test_one_implementation_per_mechanism_in_the_package():
+    """One event loop, one AES, one stage tracer, the paper's one
+    crypto construction: the cross-check implementations are test
+    oracles and the knob that selected between them is gone."""
+    sources = sorted((REPO / "src" / "repro").rglob("*.py"))
+    offenders = [
+        f"{path.relative_to(REPO)}: {match.group(0).strip()}"
+        for path in sources
+        for match in SECOND_IMPLEMENTATIONS.finditer(path.read_text())
+    ]
+    assert offenders == [], f"second implementations in src/: {offenders}"
+    stage_tuples = [
+        f"{path.relative_to(REPO)}: {match.group(1)}"
+        for path in sources
+        for match in STAGE_TUPLE.finditer(path.read_text())
+    ]
+    assert stage_tuples == ["src/repro/telemetry/spans.py: PIPELINE_STAGES"]
+
+
 #: Subcommands `python -m repro run <scenario>` replaced; nothing a
 #: reader or CI can copy-paste may still name them.
 REMOVED_SUBCOMMANDS = re.compile(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.envelope import EnvelopeCodec, encode_identifier
 from repro.crypto.keys import KeyFactory
-from repro.crypto.provider import FastCryptoProvider
+from repro.crypto.provider import RealCryptoProvider
 from repro.lrs.store import EventStore
 from repro.proxy.epochs import (
     EPOCH_FIELD,
@@ -239,7 +239,7 @@ def _pseudonymous_store(provider, key, pairs):
 
 
 def test_online_rekeyer_is_resumable(factory):
-    provider = FastCryptoProvider(rng_bytes=random.Random(3).randbytes)
+    provider = RealCryptoProvider(rng_bytes=random.Random(3).randbytes)
     old_keys, new_keys = factory.layer_keys(), factory.layer_keys()
     store = _pseudonymous_store(
         provider, old_keys.symmetric_key,
@@ -262,7 +262,7 @@ def test_online_rekeyer_is_resumable(factory):
 
 
 def test_online_rekeyer_target_excludes_rows_inserted_after_snapshot(factory):
-    provider = FastCryptoProvider(rng_bytes=random.Random(4).randbytes)
+    provider = RealCryptoProvider(rng_bytes=random.Random(4).randbytes)
     old_keys, new_keys = factory.layer_keys(), factory.layer_keys()
     store = _pseudonymous_store(
         provider, old_keys.symmetric_key, [("a", "x"), ("b", "y")]
@@ -282,7 +282,7 @@ def test_online_rekeyer_target_excludes_rows_inserted_after_snapshot(factory):
 
 
 def test_translate_cache_counts_hits_and_misses(factory):
-    provider = FastCryptoProvider(rng_bytes=random.Random(5).randbytes)
+    provider = RealCryptoProvider(rng_bytes=random.Random(5).randbytes)
     old_keys, new_keys = factory.layer_keys(), factory.layer_keys()
     store = _pseudonymous_store(
         provider, old_keys.symmetric_key,
@@ -302,7 +302,7 @@ def test_translate_cache_counts_hits_and_misses(factory):
 def test_rekeyer_rejects_unknown_layer(factory):
     with pytest.raises(ValueError, match="layer"):
         OnlineRekeyer(
-            store=EventStore(), provider=FastCryptoProvider(),
+            store=EventStore(), provider=RealCryptoProvider(),
             old_keys=factory.layer_keys(), new_keys=factory.layer_keys(),
             layer="XX",
         )

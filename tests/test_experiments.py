@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.client import DirectClient
 from repro.cluster.deployments import MACRO_BASELINES, MACRO_FULL, MICRO_CONFIGS
 from repro.experiments.figures import FigureData, figure6, figure7
 from repro.experiments.report import render_figure, render_medians, render_table2, render_table3
 from repro.experiments.runner import RunResult, run_baseline, run_full, run_micro
+from repro.rest.messages import make_get
 from repro.workload.scenario import ScenarioTimings
 
 QUICK = dict(runs=1, duration=8.0, trim=2.0)
@@ -52,6 +54,26 @@ def test_run_baseline_and_full():
     assert baseline.window_latencies and full.window_latencies
     # The full system pays the proxy + shuffling overhead.
     assert full.summary().median > baseline.summary().median
+
+
+def test_run_baseline_request_ids_do_not_depend_on_process_history(monkeypatch):
+    """The direct client numbers its own requests from 1, so two
+    same-seed baseline runs issue identical id sequences whatever drew
+    from the process-wide ``rest.messages`` counter in between."""
+    issued = []
+    dispatch = DirectClient._dispatch
+
+    def recording_dispatch(self, request, *rest):
+        issued.append(request.request_id)
+        dispatch(self, request, *rest)
+
+    monkeypatch.setattr(DirectClient, "_dispatch", recording_dispatch)
+    quick = dict(seed=2, runs=1, timings=QUICK_TIMINGS, workload_scale=0.003)
+    run_baseline(MACRO_BASELINES["b1"], 50, **quick)
+    first, issued[:] = list(issued), []
+    make_get("someone-else")
+    run_baseline(MACRO_BASELINES["b1"], 50, **quick)
+    assert issued == first == list(range(1, len(first) + 1))
 
 
 def test_run_baseline_rejects_full_config():

@@ -7,7 +7,7 @@ import pytest
 from repro.client import PProxClient
 from repro.cluster.health import HealthMonitor
 from repro.context import SimContext
-from repro.crypto.provider import FastCryptoProvider
+from repro.crypto.provider import RealCryptoProvider
 from repro.lrs.stub import StubLrs, make_pseudonymous_payload
 from repro.proxy import PProxConfig, build_pprox
 from repro.simnet.clock import EventLoop
@@ -20,7 +20,7 @@ def _stack(config=None, seed=101, **client_kwargs):
     loop = EventLoop()
     network = Network(loop=loop, rng=rng.stream("net"), record_flows=False)
     stub = StubLrs(loop=loop, rng=rng.stream("stub"))
-    provider = FastCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
+    provider = RealCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
     ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider)
     service = build_pprox(
         ctx, config or PProxConfig(shuffle_size=0, ua_instances=2, ia_instances=2),

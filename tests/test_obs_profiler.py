@@ -12,7 +12,8 @@ from repro.obs.profiler import (
     render_folded,
     write_profile,
 )
-from repro.simnet.clock import make_event_loop
+from repro.simnet.clock import EventLoop
+from tests.oracles.heap_event_loop import HeapEventLoop
 
 
 def drive_workload(loop):
@@ -34,8 +35,8 @@ def drive_workload(loop):
 
 
 def test_profile_is_identical_across_engines():
-    calendar = ProfiledLoop(make_event_loop("calendar"))
-    reference = ProfiledLoop(make_event_loop("reference"))
+    calendar = ProfiledLoop(EventLoop())
+    reference = ProfiledLoop(HeapEventLoop())
     assert drive_workload(calendar) == drive_workload(reference)
     assert profile_snapshot(calendar) == profile_snapshot(reference)
 
@@ -43,7 +44,7 @@ def test_profile_is_identical_across_engines():
 def test_profile_is_identical_across_same_workload_runs(tmp_path):
     paths = []
     for label in ("a", "b"):
-        loop = ProfiledLoop(make_event_loop("calendar"))
+        loop = ProfiledLoop(EventLoop())
         drive_workload(loop)
         paths.append(write_profile(loop, str(tmp_path / label)))
     first = (tmp_path / "a" / "profile.json").read_bytes()
@@ -58,7 +59,7 @@ def test_profile_is_identical_across_same_workload_runs(tmp_path):
 
 
 def test_self_scheduling_chains_collapse_to_one_frame():
-    loop = ProfiledLoop(make_event_loop("calendar"))
+    loop = ProfiledLoop(EventLoop())
     ticks = []
 
     def tick():
@@ -77,7 +78,7 @@ def test_self_scheduling_chains_collapse_to_one_frame():
 
 
 def test_virtual_delay_is_the_edge_cost():
-    loop = ProfiledLoop(make_event_loop("calendar"))
+    loop = ProfiledLoop(EventLoop())
     loop.schedule(1.5, lambda: None)
     loop.run()
     [record] = loop.sites.values()
@@ -88,7 +89,7 @@ def test_virtual_delay_is_the_edge_cost():
 def test_max_depth_bounds_runaway_stacks():
     import functools
 
-    loop = ProfiledLoop(make_event_loop("calendar"), max_depth=3)
+    loop = ProfiledLoop(EventLoop(), max_depth=3)
 
     # Alternating labels defeat the self-scheduling collapse, so the
     # stack would grow one frame per hop without the depth bound.
@@ -108,7 +109,7 @@ def test_max_depth_bounds_runaway_stacks():
 def test_merge_profiles_sums_sites():
     snapshots = []
     for _ in range(2):
-        loop = ProfiledLoop(make_event_loop("calendar"))
+        loop = ProfiledLoop(EventLoop())
         drive_workload(loop)
         snapshots.append(profile_snapshot(loop))
     merged = merge_profiles(snapshots)
@@ -119,7 +120,7 @@ def test_merge_profiles_sums_sites():
 
 
 def test_render_folded_emits_sorted_collapsed_stacks():
-    loop = ProfiledLoop(make_event_loop("calendar"))
+    loop = ProfiledLoop(EventLoop())
     drive_workload(loop)
     snapshot = profile_snapshot(loop)
     folded = render_folded(snapshot)
@@ -134,7 +135,7 @@ def test_render_folded_emits_sorted_collapsed_stacks():
 
 
 def test_profiled_loop_delegates_the_full_engine_api():
-    inner = make_event_loop("calendar")
+    inner = EventLoop()
     loop = ProfiledLoop(inner)
     fired = []
     loop.schedule_at(2.0, lambda: fired.append("schedule_at"))

@@ -13,7 +13,7 @@ from repro.obs.slo import (
     histogram_quantile,
     write_slo,
 )
-from repro.simnet.clock import make_event_loop
+from repro.simnet.clock import EventLoop
 from repro.telemetry import Telemetry
 from repro.telemetry.registry import Histogram
 
@@ -225,7 +225,7 @@ def test_histogram_quantile_is_none_when_empty():
 
 
 def test_attached_engine_samples_on_the_virtual_clock():
-    loop = make_event_loop("calendar")
+    loop = EventLoop()
     counter = {"n": 0}
 
     def pump():
@@ -246,7 +246,7 @@ def test_attached_engine_samples_on_the_virtual_clock():
 def test_until_horizon_stops_the_tick_before_the_drain_tail():
     # Two self-re-arming samplers on one loop livelock without a
     # horizon: each sees the other's pending tick and re-arms forever.
-    loop = make_event_loop("calendar")
+    loop = EventLoop()
     counter = {"n": 0}
 
     def pump():

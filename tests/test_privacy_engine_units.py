@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.crypto.envelope import EnvelopeCodec, encode_identifier
-from repro.crypto.provider import FastCryptoProvider
+from repro.crypto.provider import RealCryptoProvider
 from repro.privacy.adversary import ObservedMessage
 from repro.privacy.unlinkability import KnowledgeEngine, fifo_correlation
 
@@ -16,7 +16,7 @@ wire_text = EnvelopeCodec.wire_text
 
 @pytest.fixture
 def provider():
-    return FastCryptoProvider()
+    return RealCryptoProvider()
 
 
 def _message(fields, source="pprox-ua-0", destination="pprox-ia-0",

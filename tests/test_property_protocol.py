@@ -18,7 +18,7 @@ from repro.crypto.envelope import (
     EnvelopeCodec,
     encode_identifier,
 )
-from repro.crypto.provider import FastCryptoProvider
+from repro.crypto.provider import RealCryptoProvider
 from repro.proxy import protocol
 from repro.proxy.config import PProxConfig
 from repro.rest.messages import Response, make_get, make_post
@@ -39,7 +39,7 @@ configs = st.builds(
 
 @pytest.fixture(scope="module")
 def chain(layer_keys, second_layer_keys):
-    provider = FastCryptoProvider()
+    provider = RealCryptoProvider()
     material = protocol.ClientMaterial(
         ua=layer_keys.public_material, ia=second_layer_keys.public_material
     )

@@ -6,7 +6,7 @@ import pytest
 
 from repro.client import PProxClient
 from repro.context import SimContext
-from repro.crypto.provider import FastCryptoProvider
+from repro.crypto.provider import RealCryptoProvider
 from repro.lrs.stub import StubLrs, make_pseudonymous_payload
 from repro.proxy import PProxConfig, build_pprox
 from repro.rest.routing import RoutingError
@@ -20,7 +20,7 @@ def _stack(config: PProxConfig, seed: int = 21):
     loop = EventLoop()
     network = Network(loop=loop, rng=rng.stream("net"))
     stub = StubLrs(loop=loop, rng=rng.stream("stub"))
-    provider = FastCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
+    provider = RealCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
     ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider)
     service = build_pprox(ctx, config, lrs_picker=lambda: stub)
     if config.encryption and config.item_pseudonymization:

@@ -90,12 +90,6 @@ def test_cli_run_unknown_scenario_lists_the_registered_ones(capsys):
         assert name in message
 
 
-def test_cli_engine_flag_is_for_the_scale_scenario_only():
-    with pytest.raises(SystemExit) as exit_info:
-        main(["run", "chaos", "--engine", "reference"])
-    assert exit_info.value.code != 0
-
-
 @pytest.mark.parametrize("name", REMOVED_SUBCOMMANDS)
 def test_cli_rejects_removed_subcommands(name):
     with pytest.raises(SystemExit) as exit_info:

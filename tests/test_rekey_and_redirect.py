@@ -8,7 +8,8 @@ from repro.client import PProxClient
 from repro.client.redirect import RedirectedService, RedirectFrontend
 from repro.context import SimContext
 from repro.crypto.keys import KeyFactory
-from repro.crypto.provider import FastCryptoProvider
+from repro.crypto.envelope import EnvelopeCodec, PaddingError, decode_identifier, encode_identifier
+from repro.crypto.provider import RealCryptoProvider, SimCryptoProvider
 from repro.lrs.service import HarnessService
 from repro.privacy import Adversary
 from repro.proxy import PProxConfig, build_pprox
@@ -19,13 +20,13 @@ from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
 
 
-def _stack(config=None, seed=81, codec="json"):
+def _stack(config=None, seed=81, codec="json", provider_cls=RealCryptoProvider):
     rng = RngRegistry(seed=seed)
     loop = EventLoop()
     network = Network(loop=loop, rng=rng.stream("net"))
     harness = HarnessService(loop=loop, rng=rng.stream("lrs"), frontend_count=3)
     harness.engine.trainer.llr_threshold = 0.0
-    provider = FastCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
+    provider = provider_cls(rng_bytes=rng.bytes_fn("crypto"))
     ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider,
                      codec=codec)
     service = build_pprox(
@@ -41,8 +42,8 @@ FEEDBACK = [("a", "i1"), ("a", "i2"), ("b", "i1"), ("b", "i3"), ("c", "i2"), ("c
 # -- re-encryption ---------------------------------------------------------
 
 
-def _rekey_setup():
-    rng, loop, network, harness, service, client = _stack()
+def _rekey_setup(provider_cls=RealCryptoProvider):
+    rng, loop, network, harness, service, client = _stack(provider_cls=provider_cls)
     for user, item in FEEDBACK:
         client.post(user, item)
     loop.run()
@@ -100,18 +101,27 @@ def test_rekey_ua_layer():
 
 def test_rekey_defeats_stolen_keys():
     """The point of the exercise: the adversary's stolen kIA no longer
-    resolves anything in the re-encrypted store."""
-    _, loop, harness, service, client, factory = _rekey_setup()
-    stolen = service.provisioner.layer_keys["IA"]
-    new_keys = service.rotate_layer("IA", factory)
-    reencrypt_store(harness.engine.store, client.provider, stolen, new_keys, "IA")
-    from repro.crypto.envelope import EnvelopeCodec
-
-    for event in harness.engine.store.dump():
-        with pytest.raises(Exception):
-            client.provider.depseudonymize(
-                stolen.symmetric_key, EnvelopeCodec.wire_blob(event.item)
-            )
+    resolves anything in the re-encrypted store.  AES-CTR is not
+    authenticated, so the paper's construction yields garbage rather
+    than an error; the sim provider does not know the pseudonym."""
+    originals = {encode_identifier(item) for _, item in FEEDBACK}
+    for provider_cls in (RealCryptoProvider, SimCryptoProvider):
+        _, loop, harness, service, client, factory = _rekey_setup(provider_cls)
+        stolen = service.provisioner.layer_keys["IA"]
+        new_keys = service.rotate_layer("IA", factory)
+        reencrypt_store(harness.engine.store, client.provider, stolen, new_keys, "IA")
+        events = harness.engine.store.dump()
+        assert len(events) == len(FEEDBACK)
+        for event in events:
+            try:
+                recovered = client.provider.depseudonymize(
+                    stolen.symmetric_key, EnvelopeCodec.wire_blob(event.item)
+                )
+            except ValueError:
+                continue
+            assert recovered not in originals
+            with pytest.raises(PaddingError):
+                decode_identifier(recovered)
 
 
 def test_rekey_rejects_unknown_layer():

@@ -1,8 +1,8 @@
 """Calendar engine vs seed reference heap: equivalence + introspection.
 
 The calendar-queue :class:`EventLoop` must be observationally
-indistinguishable from the seed implementation preserved as
-:class:`ReferenceEventLoop`: identical event order, identical clocks,
+indistinguishable from the seed implementation preserved as the test
+oracle :class:`HeapEventLoop`: identical event order, identical clocks,
 identical counters, for any interleaving of schedule / post / cancel /
 step / run_until — including callbacks that schedule into the window
 currently being drained and cancel not-yet-fired events.  Hypothesis
@@ -18,16 +18,13 @@ from hypothesis import strategies as st
 
 from repro.simnet.clock import (
     DEFAULT_SLOT_WIDTH,
-    ENGINES,
-    CalendarEventLoop,
     EventHandle,
     EventLoop,
-    ReferenceEventLoop,
     SimulationError,
-    make_event_loop,
 )
+from tests.oracles.heap_event_loop import HeapEventLoop
 
-BOTH_ENGINES = pytest.mark.parametrize("engine_cls", [EventLoop, ReferenceEventLoop],
+BOTH_ENGINES = pytest.mark.parametrize("engine_cls", [EventLoop, HeapEventLoop],
                                        ids=["calendar", "reference"])
 
 
@@ -104,7 +101,7 @@ def _drive(engine_cls, ops):
 @settings(max_examples=200, deadline=None)
 @given(ops=_OPS)
 def test_engines_trace_identically(ops):
-    assert _drive(EventLoop, ops) == _drive(ReferenceEventLoop, ops)
+    assert _drive(EventLoop, ops) == _drive(HeapEventLoop, ops)
 
 
 @settings(max_examples=50, deadline=None)
@@ -115,7 +112,7 @@ def test_engines_trace_identically(ops):
 def test_slot_width_never_changes_semantics(ops, slot_width):
     """Any slot width replays the same trace (it only shifts cost)."""
     wide = _drive(lambda: EventLoop(slot_width=slot_width), ops)
-    assert wide == _drive(ReferenceEventLoop, ops)
+    assert wide == _drive(HeapEventLoop, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +234,7 @@ def test_compaction_sweeps_cancelled_entries():
 
 def test_queue_stats_exposes_engine_and_depth():
     calendar = EventLoop()
-    reference = ReferenceEventLoop()
+    reference = HeapEventLoop()
     for loop in (calendar, reference):
         for index in range(10):
             loop.schedule(1.0 + index, lambda: None)
@@ -249,15 +246,6 @@ def test_queue_stats_exposes_engine_and_depth():
 
 def test_event_handle_is_slotted():
     assert not hasattr(EventHandle(1.0, 0, lambda: None), "__dict__")
-
-
-def test_make_event_loop_selects_engines():
-    assert isinstance(make_event_loop("calendar"), CalendarEventLoop)
-    assert isinstance(make_event_loop("reference"), ReferenceEventLoop)
-    assert isinstance(make_event_loop(), EventLoop)
-    assert set(ENGINES) == {"calendar", "reference"}
-    with pytest.raises(ValueError):
-        make_event_loop("btree")
 
 
 def test_calendar_slot_width_validation():

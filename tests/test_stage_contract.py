@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.context import Deployment, SimContext
-from repro.crypto.provider import FastCryptoProvider
+from repro.crypto.provider import RealCryptoProvider
 from repro.lrs.stub import StubLrs, make_pseudonymous_payload
 from repro.overload import OverloadPolicy
 from repro.overload.deadline import stamp_deadline
@@ -27,7 +27,7 @@ ROLES = ("ua", "ia")
 
 def _stack(seed=5, overload=None, telemetry=None, codec="json", loop=None, **config):
     ctx = SimContext.fresh(seed, telemetry=telemetry, codec=codec, loop=loop)
-    ctx.provider = FastCryptoProvider(rng_bytes=ctx.rng.bytes_fn("crypto"))
+    ctx.provider = RealCryptoProvider(rng_bytes=ctx.rng.bytes_fn("crypto"))
     if telemetry is not None:
         telemetry.bind(ctx.loop, run_label="stage-contract")
     stub = StubLrs(loop=ctx.loop, rng=ctx.rng.stream("stub"))

@@ -6,10 +6,10 @@ from repro.cluster.deployments import MICRO_CONFIGS
 from repro.context import Deployment, SimContext
 from repro.experiments.rig import pseudonymise_stub, stub_lrs
 from repro.experiments.runner import run_micro
-from repro.simnet.tracing import STAGES, BreakdownProbe
 from repro.telemetry import PIPELINE_STAGES, EventLog, Telemetry
 from repro.telemetry.spans import Tracer
 from repro.workload.injector import Injector
+from tests.oracles.wire_breakdown import STAGES, BreakdownProbe
 
 
 class FakeClock:
@@ -139,49 +139,26 @@ def test_span_duration_requires_closed_span():
         _ = span.duration
 
 
-def test_e2e_spans_match_wire_probe_to_float_precision():
+@pytest.mark.parametrize("codec", ["json", "binary"])
+def test_e2e_spans_match_the_wire_breakdown(codec):
     """Acceptance: every completed request yields a five-stage trace and
-    the span-derived stage durations equal the BreakdownProbe's
-    wire-level reconstruction on the same run."""
+    the span-derived stage durations equal, to float precision, what an
+    independent observer reconstructs from the wire's send timestamps
+    on the same run.
+
+    On the binary wire a flush leaves the UA as ONE sealed envelope:
+    the wire sees every request of the batch cross UA->IA at seal time,
+    the span tracer stamps each at its own transform end.  So there the
+    two place the ua_inbound | ia_inbound boundary differently inside a
+    batch, agree on the sum per request, and agree on every other
+    stage."""
     telemetry = Telemetry()
     probe = BreakdownProbe()
-    config = MICRO_CONFIGS["m6"]  # full pipeline: crypto + sgx + shuffling
-    result = run_micro(
-        config, 25.0, seed=3, runs=1, duration=5.0, trim=1.0,
-        telemetry=telemetry, probe=probe,
-    )
-    completed = sum(report.completed for report in result.reports)
-    assert completed > 0
-    traces = telemetry.tracer.complete_traces()
-    assert len(traces) == completed == probe.completed_count
-    for trace in traces:
-        assert set(trace["stage_durations"]) == set(STAGES)
-
-    span_values = telemetry.tracer.stage_values()
-    wire_values = probe.stage_values()
-    assert tuple(PIPELINE_STAGES) == tuple(STAGES)
-    for stage in STAGES:
-        spans = sorted(span_values[stage])
-        wire = sorted(wire_values[stage])
-        assert len(spans) == len(wire)
-        for a, b in zip(spans, wire):
-            assert a == pytest.approx(b, abs=1e-9)
-
-
-def test_e2e_spans_match_wire_probe_on_the_binary_wire():
-    """Same acceptance on the binary wire, where a flush leaves the UA
-    as ONE sealed envelope: the wire sees every request of the batch
-    cross UA->IA at seal time, the span tracer stamps each at its own
-    transform end.  So the two place the ua_inbound | ia_inbound
-    boundary differently inside a batch, agree on the sum per request,
-    and agree on every other stage to float precision."""
-    telemetry = Telemetry()
-    probe = BreakdownProbe()
-    ctx = SimContext.fresh(3000, telemetry=telemetry, codec="binary")
-    telemetry.bind(ctx.loop, run_label="m6/binary")
+    ctx = SimContext.fresh(3000, telemetry=telemetry, codec=codec)
+    telemetry.bind(ctx.loop, run_label=f"m6/{codec}")
     probe.attach(ctx.network)
     stub = stub_lrs(ctx)
-    deployment = Deployment.build(
+    deployment = Deployment.build(  # m6, the full pipeline: crypto + sgx + shuffling
         ctx=ctx, config=MICRO_CONFIGS["m6"].pprox_config(0.25), lrs_picker=lambda: stub
     )
     pseudonymise_stub(stub, deployment)
@@ -191,23 +168,26 @@ def test_e2e_spans_match_wire_probe_on_the_binary_wire():
     ctx.loop.run()
 
     completed = injector.report.completed
-    assert sum(ua.batch_envelopes_sealed for ua in deployment.service.ua_instances) > 0
+    sealed = sum(ua.batch_envelopes_sealed for ua in deployment.service.ua_instances)
+    assert (sealed > 0) == (codec == "binary")
     traces = telemetry.tracer.complete_traces()
     assert len(traces) == completed == probe.completed_count > 0
+    assert tuple(PIPELINE_STAGES) == tuple(STAGES)
+    for trace in traces:
+        assert set(trace["stage_durations"]) == set(STAGES)
 
-    def views(per_request):
-        inbound = sorted(d["ua_inbound"] + d["ia_inbound"] for d in per_request)
-        rest = {
-            stage: sorted(d[stage] for d in per_request)
-            for stage in ("lrs", "ia_outbound", "ua_outbound")
-        }
-        return inbound, rest
+    span_values = telemetry.tracer.stage_values()
+    wire_values = probe.stage_values()
+    per_stage = STAGES if codec == "json" else ("lrs", "ia_outbound", "ua_outbound")
+    for stage in per_stage:
+        assert sorted(span_values[stage]) == pytest.approx(sorted(wire_values[stage]), abs=1e-9)
 
-    span_inbound, span_rest = views([trace["stage_durations"] for trace in traces])
-    wire_inbound, wire_rest = views(probe.complete_traces())
-    assert span_inbound == pytest.approx(wire_inbound, abs=1e-9)
-    for stage, values in span_rest.items():
-        assert values == pytest.approx(wire_rest[stage], abs=1e-9)
+    def inbound(per_request):
+        return sorted(d["ua_inbound"] + d["ia_inbound"] for d in per_request)
+
+    assert inbound(trace["stage_durations"] for trace in traces) == pytest.approx(
+        inbound(probe.complete_traces()), abs=1e-9
+    )
 
 
 def test_e2e_no_shuffle_config_also_traces():

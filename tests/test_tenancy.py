@@ -7,7 +7,7 @@ import pytest
 from repro.client import PProxClient
 from repro.context import SimContext
 from repro.crypto.keys import KeyFactory
-from repro.crypto.provider import FastCryptoProvider
+from repro.crypto.provider import RealCryptoProvider
 from repro.lrs.service import HarnessService
 from repro.privacy import Adversary
 from repro.proxy import PProxConfig
@@ -53,7 +53,7 @@ def _multi_tenant_stack(config=None, tenant_names=("shop", "forum"), seed=71,
             TenantRecord(name=name, ua_keys=ua_keys, ia_keys=ia_keys,
                          lrs_picker=harness.pick_frontend)
         )
-    provider = FastCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
+    provider = RealCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
     service = build_multi_tenant_pprox(
         loop, network, rng,
         config or PProxConfig(shuffle_size=0),

@@ -11,13 +11,13 @@ import pytest
 
 from repro.client import PProxClient
 from repro.context import SimContext
-from repro.crypto.provider import FastCryptoProvider
+from repro.crypto.provider import RealCryptoProvider
 from repro.lrs.stub import StubLrs, make_pseudonymous_payload
 from repro.proxy import PProxConfig, build_pprox
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
-from repro.simnet.tracing import STAGES, BreakdownProbe
+from tests.oracles.wire_breakdown import STAGES, BreakdownProbe
 
 
 def _traced_stack(config: PProxConfig, seed=91, codec="json"):
@@ -25,7 +25,7 @@ def _traced_stack(config: PProxConfig, seed=91, codec="json"):
     loop = EventLoop()
     network = Network(loop=loop, rng=rng.stream("net"), record_flows=False)
     stub = StubLrs(loop=loop, rng=rng.stream("stub"))
-    provider = FastCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
+    provider = RealCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
     ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider,
                      codec=codec)
     service = build_pprox(ctx, config, lrs_picker=lambda: stub)

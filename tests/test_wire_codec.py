@@ -203,8 +203,9 @@ class TestBinarySpecifics:
 
     def test_batch_envelopes_flag(self):
         assert BINARY_WIRE_CODEC.batch_envelopes is True
-        assert BinaryCodec(batch_envelopes=False).batch_envelopes is False
         assert JSON_WIRE_CODEC.batch_envelopes is False  # not self-describing
+        with pytest.raises(TypeError):  # a property of the format, not a knob
+            BinaryCodec(batch_envelopes=False)
 
 
 class TestFrameValidation:
@@ -347,7 +348,7 @@ class TestResolveCodec:
         assert resolve_codec("binary") is BINARY_WIRE_CODEC
 
     def test_instances_pass_through(self):
-        codec = BinaryCodec(batch_envelopes=False)
+        codec = BinaryCodec()
         assert resolve_codec(codec) is codec
 
     def test_unknown_name_rejected(self):
