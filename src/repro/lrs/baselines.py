@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Dict, Iterable, List, Protocol, Sequence, Tuple
 
 __all__ = ["Recommender", "PopularityRecommender", "ItemKnnRecommender"]
@@ -66,11 +67,8 @@ class ItemKnnRecommender:
         pair_counts: Counter = Counter()
         for items in user_items.values():
             ordered = sorted(items)
-            for item in ordered:
-                item_degree[item] += 1
-            for index, first in enumerate(ordered):
-                for second in ordered[index + 1:]:
-                    pair_counts[(first, second)] += 1
+            item_degree.update(ordered)
+            pair_counts.update(combinations(ordered, 2))
 
         neighbours: Dict[str, List[Tuple[str, float]]] = defaultdict(list)
         for (first, second), both in pair_counts.items():
@@ -86,14 +84,11 @@ class ItemKnnRecommender:
     def recommend(self, history: Sequence[str], n: int = 20) -> List[str]:
         history_set = set(history)
         scores: Dict[str, float] = defaultdict(float)
-        for item in history_set:
+        for item in dict.fromkeys(history):
             for neighbour, similarity in self.neighbours.get(item, ()):
                 if neighbour not in history_set:
                     scores[neighbour] += similarity
         if not scores:
-            ranked = sorted(
-                (i for i in self.popularity if i not in history_set),
-                key=lambda i: (-self.popularity[i], i),
-            )
-            return ranked[:n]
+            unseen = (i for i in self.popularity if i not in history_set)
+            return sorted(unseen, key=lambda i: (-self.popularity[i], i))[:n]
         return sorted(scores, key=lambda i: (-scores[i], i))[:n]

@@ -20,6 +20,13 @@ CCO as shipped in the Universal Recommender / Mahout:
    indicators that appear in the querying user's history; return the
    top-n candidates not already in the history (the search-engine
    "OR-query" that Elasticsearch performs for the UR).
+
+Model and rankings are functions of the event stream *and its order*;
+the cheap forms below keep what the straight loops in
+``tests/oracles/cco_reference.py`` had: pairs counted in first-seen
+order, one ``llr_score`` float per distinct table, weights added in
+history order (docs/architecture.md, "How the CCO model is built and
+queried").  A query costs what its postings cost, never the catalogue.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["CcoModel", "CcoTrainer", "llr_score"]
@@ -99,24 +107,26 @@ class CcoModel:
         associative, and a ``set``'s order moves with ``PYTHONHASHSEED``,
         which is enough to flip the ranking of two near-equal scores.
         """
-        history_set = set(history)
         reverse = self._reverse_index()
         scores: Dict[str, float] = defaultdict(float)
         for indicator in dict.fromkeys(history):
             for item, weight in reverse.get(indicator, ()):
-                if exclude_history and item in history_set:
-                    continue
                 scores[item] += weight
+        # Dropped after the sums instead of tested once per posting.
+        excluded = set(history) if exclude_history else ()
+        for item in excluded:
+            scores.pop(item, None)
+        popularity = self.popularity
         if not scores:
-            ranked = sorted(
-                (i for i in self.popularity if not (exclude_history and i in history_set)),
-                key=lambda i: (-self.popularity[i], i),
-            )
-            return ranked[:n]
-        ranked = sorted(
-            scores,
-            key=lambda i: (-scores[i], -self.popularity.get(i, 0), i),
-        )
+            unseen = (i for i in popularity if i not in excluded)
+            return sorted(unseen, key=lambda i: (-popularity[i], i))[:n]
+        candidates: Iterable[str] = scores
+        if 0 < n < len(scores):
+            # Nothing below the n-th largest score makes the top n; all
+            # that tie with it still can, and the full key decides.
+            cut = sorted(scores.values(), reverse=True)[n - 1]
+            candidates = [i for i, score in scores.items() if score >= cut]
+        ranked = sorted(candidates, key=lambda i: (-scores[i], -popularity.get(i, 0), i))
         return ranked[:n]
 
     def indicator_count(self) -> int:
@@ -156,21 +166,18 @@ class CcoTrainer:
         item_counts: Counter = Counter()
         pair_counts: Counter = Counter()
         for history in histories.values():
-            for item in history:
-                item_counts[item] += 1
-            unique = sorted(set(history))
-            for index, first in enumerate(unique):
-                for second in unique[index + 1:]:
-                    pair_counts[(first, second)] += 1
+            item_counts.update(history)
+            pair_counts.update(combinations(sorted(set(history)), 2))
 
         total_users = len(histories)
+        tables: Dict[Tuple[int, int, int], float] = {}
         indicators: Dict[str, List[Tuple[str, float]]] = defaultdict(list)
-        for (first, second), both in pair_counts.items():
-            k11 = both
-            k12 = item_counts[first] - both
-            k21 = item_counts[second] - both
-            k22 = total_users - k11 - k12 - k21
-            score = llr_score(k11, k12, k21, max(k22, 0))
+        for (first, second), k11 in pair_counts.items():
+            table = (k11, item_counts[first] - k11, item_counts[second] - k11)
+            score = tables.get(table)
+            if score is None:
+                k22 = total_users - sum(table)
+                score = tables[table] = llr_score(*table, max(k22, 0))
             if score < self.llr_threshold:
                 continue
             indicators[first].append((second, score))

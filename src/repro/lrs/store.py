@@ -20,7 +20,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 __all__ = ["FeedbackEvent", "EventStore"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeedbackEvent:
     """One stored feedback record (post request as persisted).
 

@@ -18,13 +18,17 @@ recommendation queries — so what matters for the reproduction is the
 
 :class:`SyntheticMovieLens` generates such a trace deterministically
 from a seed, at a configurable scale (``scale=1.0`` approximates the
-paper's slice; tests use much smaller scales).
+paper's slice; tests use much smaller scales).  Cost is linear in the
+ratings: each draw bisects a cumulative-weight list built once
+(``tests/oracles/cco_reference.py`` keeps the quadratic ``weights=``
+form whose RNG draws, hence events, this must reproduce).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
 __all__ = ["SyntheticMovieLens", "PAPER_SLICE"]
@@ -61,18 +65,16 @@ class SyntheticMovieLens:
 
         # Genres round-robin over the popularity ranking so every genre
         # gets a share of head and tail items.
-        self.genres = {
-            item: index % self.genre_count for index, item in enumerate(self.items)
-        }
-        by_genre: Dict[int, List[str]] = {}
-        genre_weights: Dict[int, List[float]] = {}
-        for index, item in enumerate(self.items):
-            genre = self.genres[item]
-            by_genre.setdefault(genre, []).append(item)
-            genre_weights.setdefault(genre, []).append(
-                1.0 / (index + 1) ** self.zipf_exponent
-            )
+        stride = self.genre_count
+        self.genres = {item: index % stride for index, item in enumerate(self.items)}
+        # One running sum per population, not one per draw: ``choices``
+        # bisects ``cum_weights`` as given but re-accumulates ``weights``.
         weights = [1.0 / (rank + 1) ** self.zipf_exponent for rank in range(item_count)]
+        catalogue = (self.items, list(accumulate(weights)))
+        by_genre = [
+            (self.items[genre::stride], list(accumulate(weights[genre::stride])))
+            for genre in range(stride)
+        ]
 
         # Heavy-tailed per-user activity: lognormal, normalized to hit
         # the target rating count.
@@ -85,18 +87,11 @@ class SyntheticMovieLens:
             chosen: List[str] = []
             for _ in range(count):
                 if rng.random() < self.genre_affinity:
-                    genre = rng.choice(preferred)
-                    chosen.append(
-                        rng.choices(by_genre[genre], weights=genre_weights[genre], k=1)[0]
-                    )
+                    population, cumulative = by_genre[rng.choice(preferred)]
                 else:
-                    chosen.append(rng.choices(self.items, weights=weights, k=1)[0])
-            seen = set()
-            for item in chosen:
-                if item in seen:
-                    continue
-                seen.add(item)
-                events.append((user, item))
+                    population, cumulative = catalogue
+                chosen.append(rng.choices(population, cum_weights=cumulative, k=1)[0])
+            events.extend((user, item) for item in dict.fromkeys(chosen))
         rng.shuffle(events)
         self.events = events
 

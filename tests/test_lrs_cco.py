@@ -122,22 +122,28 @@ def test_recommendation_is_deterministic():
 
 
 _HASH_SEED_PROBE = """
+from repro.lrs.baselines import ItemKnnRecommender
 from repro.lrs.cco import CcoModel
 model = CcoModel(
     indicators={"X": [("a", 0.1), ("b", 0.2), ("c", 0.3)], "Y": [("d", 0.6)]},
     popularity={"Y": 1},
 )
-print(model.recommend(["a", "b", "c", "d"]))
+knn = ItemKnnRecommender(
+    neighbours={"a": [("zX", 0.1)], "b": [("zX", 0.2)], "c": [("zX", 0.3)], "d": [("aY", 0.6)]}
+)
+print(model.recommend(["a", "b", "c", "d"]), knn.recommend(["a", "b", "c", "d"]))
 """
 
 
 def test_ranking_does_not_depend_on_the_hash_seed():
-    """LLR weights are summed in history order, not ``set`` order.
+    """Weights are summed in history order, not ``set`` order.
 
     X scores .1 + .2 + .3, which is 0.6000000000000001 or 0.6 depending
     on the order of the additions; Y scores 0.6 and wins ties on
     popularity.  Summed over a ``set`` the two swap places with
-    ``PYTHONHASHSEED`` (three of these eight seeds put Y first).
+    ``PYTHONHASHSEED`` (three of these eight seeds put Y first).  The
+    item-kNN baseline sums similarities the same way: zX against aY,
+    which wins ties on its id.
     """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     rankings = set()
@@ -148,7 +154,7 @@ def test_ranking_does_not_depend_on_the_hash_seed():
             env=env, capture_output=True, text=True, timeout=60, check=True,
         )
         rankings.add(finished.stdout.strip())
-    assert rankings == {"['X', 'Y']"}
+    assert rankings == {"['X', 'Y'] ['zX', 'aY']"}
 
 
 def test_n_limits_result_size():

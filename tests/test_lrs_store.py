@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
+import pytest
+
 from repro.lrs.store import EventStore
 
 
@@ -76,3 +82,13 @@ def test_sequence_numbers_are_monotonic():
     store = EventStore()
     events = [store.insert("u", f"i{n}") for n in range(3)]
     assert [event.sequence for event in events] == [0, 1, 2]
+
+
+def test_stored_events_are_immutable_and_carry_no_instance_dict():
+    """One slotted object per event: the store holds a run's whole feedback."""
+    event = EventStore().insert("u", "i", payload="p")
+    assert not hasattr(event, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        event.user = "v"
+    assert dataclasses.astuple(event) == ("u", "i", "p", 0)
+    assert copy.deepcopy(event) == pickle.loads(pickle.dumps(event)) == event
