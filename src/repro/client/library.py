@@ -310,7 +310,7 @@ class PProxClient:
         user: str,
         keys: protocol.CallKeys,
         on_complete: Optional[Callable[[CompletedCall], None]],
-        re_encode: Optional[Callable[[], Any]] = None,
+        re_encode: Callable[[], Any],
     ) -> None:
         started_at = self.loop.now
         self.calls_started += 1
@@ -380,7 +380,7 @@ class PProxClient:
                 delay += self.backoff_jitter * self.rng.random()
             return delay
 
-        def retry_after(previous: Request, previous_keys: protocol.CallKeys) -> None:
+        def retry_after(previous: Request) -> None:
             """Re-issue the call under a fresh id, after backoff."""
             delay = backoff_delay(call_state["retries"] + 1)
             if expiry is not None and self.loop.now + delay >= expiry:
@@ -396,20 +396,14 @@ class PProxClient:
             live_ids.discard(previous.request_id)
             if telemetry is not None:
                 telemetry.tracer.abandon(previous.request_id)
-            if re_encode is not None:
-                # Re-seal under the *current* client material: a retry
-                # provoked by a stale-key 503 (mid-rotation) only heals
-                # if it is encrypted against the rotated keys.  Any
-                # cached epoch view is dropped first — this is where a
-                # stale client discovers a rotation.
-                self._note_retry_epoch()
-                fresh, fresh_keys = re_encode()
-                retry = replace(fresh, request_id=self._next_id())
-            else:
-                # A fresh request id keeps the retry distinct in every
-                # routing table it traverses.
-                retry = replace(previous, request_id=self._next_id())
-                fresh_keys = previous_keys
+            # Re-seal under the *current* client material: a retry
+            # provoked by a stale-key 503 (mid-rotation) only heals if
+            # it is encrypted against the rotated keys.  Any cached
+            # epoch view is dropped first — this is where a stale
+            # client discovers a rotation.
+            self._note_retry_epoch()
+            fresh, fresh_keys = re_encode()
+            retry = replace(fresh, request_id=self._next_id())
             if delay > 0:
                 self.loop.schedule(delay, lambda: attempt(retry, fresh_keys))
             else:
@@ -454,7 +448,7 @@ class PProxClient:
                     return
                 if call_state["retries"] < self.max_retries:
                     self.retryable_errors += 1
-                    retry_after(attempt_request, attempt_keys)
+                    retry_after(attempt_request)
                 else:
                     settle(False, [], attempt_request.request_id)
                 return
@@ -474,7 +468,7 @@ class PProxClient:
                 if not response.ok and retryable:
                     self.retryable_errors += 1
                     if not hedged and call_state["retries"] < self.max_retries:
-                        retry_after(attempt_request, attempt_keys)
+                        retry_after(attempt_request)
                         return
                     if hedged:
                         # A failed hedge never settles the call; the
@@ -499,7 +493,7 @@ class PProxClient:
                         # retry re-encodes under the current epoch.
                         self.retryable_errors += 1
                         if not hedged and call_state["retries"] < self.max_retries:
-                            retry_after(attempt_request, attempt_keys)
+                            retry_after(attempt_request)
                             return
                         if hedged:
                             live_ids.discard(attempt_request.request_id)
@@ -522,7 +516,7 @@ class PProxClient:
                     return
                 self.timeouts += 1
                 if call_state["retries"] < self.max_retries:
-                    retry_after(attempt_request, attempt_keys)
+                    retry_after(attempt_request)
                 else:
                     settle(False, [], attempt_request.request_id)
 

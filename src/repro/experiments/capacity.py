@@ -63,6 +63,11 @@ PLANNING_UTILIZATION = 0.8
 #: biggest S whose fill time still fits the latency budget.
 SHUFFLE_SIZE_LADDER = (16, 10, 8, 4)
 
+#: Instances per layer per shard (I) the solver builds shards from, and
+#: the share of the p99 budget that filling one batch may consume.
+INSTANCES_PER_SHARD = 2
+FILL_BUDGET_FRACTION = 0.3
+
 
 @dataclass(frozen=True)
 class CapacityTarget:
@@ -109,14 +114,7 @@ class CapacityPlan:
         }
 
 
-def solve_plan(
-    target: CapacityTarget,
-    *,
-    per_pair_rps: float = MEASURED_PER_PAIR_RPS,
-    utilization: float = PLANNING_UTILIZATION,
-    instances_per_shard: int = 2,
-    fill_budget_fraction: float = 0.3,
-) -> CapacityPlan:
+def solve_plan(target: CapacityTarget) -> CapacityPlan:
     """Solve (shards, I, S) for one target.
 
     Sizing is two independent trade-offs:
@@ -125,16 +123,16 @@ def solve_plan(
       rounded up to whole shards of I pairs each;
     * **anonymity vs latency** — the largest ladder S whose expected
       fill time (S / per-instance arrival rate) consumes at most
-      *fill_budget_fraction* of the p99 budget; the shuffle timeout is
+      :data:`FILL_BUDGET_FRACTION` of the p99 budget; the shuffle timeout is
       then set well above the fill time (so releases are size-driven,
       never timer-driven, while traffic flows) but inside the budget.
     """
     if target.rps <= 0:
         raise ValueError("target rps must be positive")
-    pairs = max(1, math.ceil(target.rps / (per_pair_rps * utilization)))
-    shards = max(1, math.ceil(pairs / instances_per_shard))
-    per_instance_rps = target.rps / (shards * instances_per_shard)
-    fill_budget = fill_budget_fraction * target.p99_slo
+    pairs = max(1, math.ceil(target.rps / (MEASURED_PER_PAIR_RPS * PLANNING_UTILIZATION)))
+    shards = max(1, math.ceil(pairs / INSTANCES_PER_SHARD))
+    per_instance_rps = target.rps / (shards * INSTANCES_PER_SHARD)
+    fill_budget = FILL_BUDGET_FRACTION * target.p99_slo
     shuffle_size = SHUFFLE_SIZE_LADDER[-1]
     for candidate in SHUFFLE_SIZE_LADDER:
         if candidate / per_instance_rps <= fill_budget:
@@ -144,10 +142,10 @@ def solve_plan(
     shuffle_timeout = round(min(max(4.0 * fill_time, 0.2), 0.6 * target.p99_slo), 3)
     return CapacityPlan(
         shards=shards,
-        instances_per_shard=instances_per_shard,
+        instances_per_shard=INSTANCES_PER_SHARD,
         shuffle_size=shuffle_size,
         shuffle_timeout=shuffle_timeout,
-        pairs=shards * instances_per_shard,
+        pairs=shards * INSTANCES_PER_SHARD,
     )
 
 
@@ -422,7 +420,11 @@ def verify_plan(
         experiment=f"capacity/{target.label()}/{mode}",
         generated_at=rig.loop.now,
     )
-    rig.finish({"point": target.label(), "mode": mode, **result.to_dict()})
+    # Judged statically above: no engine watched the leg, so there is
+    # no verdict for ``rig.finish`` to render before the run-end record.
+    rig.telemetry.finalize_run(extra={
+        "scenario": rig.scenario, "point": target.label(), "mode": mode, **result.to_dict(),
+    })
     return result
 
 

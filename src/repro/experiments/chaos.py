@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.experiments.rig import DrillRig, print_summary, summarize
+from repro.experiments.rig import DrillRig, print_summary, summarize, write_verdict
 from repro.faults import ChaosSpec
 from repro.faults.brownout import BrownoutLrs
-from repro.obs.slo import Objective, SloEngine, SloReport
+from repro.obs.slo import Objective, SloReport
 from repro.proxy.config import PProxConfig
 from repro.telemetry import Telemetry
 
@@ -40,7 +40,6 @@ __all__ = [
     "ChaosResult",
     "run_chaos",
     "gate",
-    "slo_verdict",
     "CHAOS_CONFIG",
     "chaos_slo_objectives",
     "DEFAULT_AVAILABILITY_FLOOR",
@@ -93,10 +92,9 @@ class ChaosResult:
     #: determinism check compares this stream across same-seed runs).
     fault_events: List[Dict[str, Any]] = field(default_factory=list)
     audit_violations: int = 0
-    #: SLO verdict (:class:`repro.obs.slo.SloReport`) when the run was
-    #: handed an engine; excluded from ``to_dict`` — callers write it
-    #: as its own ``slo.json`` artifact.
-    slo_report: Optional[Any] = None
+    #: The run's SLO verdict, set by :func:`run_chaos`; excluded from
+    #: ``to_dict`` — the gate writes it as its own ``slo.json``.
+    slo_report: Optional[SloReport] = None
 
     @property
     def availability(self) -> float:
@@ -149,11 +147,12 @@ class ChaosResult:
         return summarize(self, counted=("fault_events",), derived=("availability",))
 
 
-def chaos_slo_objectives(
-    availability_floor: float = DEFAULT_AVAILABILITY_FLOOR,
-    full_batch_floor: float = 0.85,
-    p99_ceiling: float = 2.5,
-) -> List[Objective]:
+#: Full-size share of released batches; client p99 ceiling (seconds).
+FULL_BATCH_FLOOR = 0.85
+P99_CEILING = 2.5
+
+
+def chaos_slo_objectives() -> List[Objective]:
     """The chaos drill's declarative objectives.
 
     Under chaos the anonymity promise is honestly a *ratio*, not a hard
@@ -161,14 +160,14 @@ def chaos_slo_objectives(
     balancer stops routing to an ejected instance (the entries must be
     released — holding them would trade availability for anonymity).
     The SLO therefore budgets thin batches instead of pretending they
-    cannot happen: at least *full_batch_floor* of released batches must
-    be at full size S.
+    cannot happen: at least :data:`FULL_BATCH_FLOOR` of released
+    batches must be at full size S.
     """
     return [
         Objective(
             name="goodput",
             kind="ratio",
-            target=availability_floor,
+            target=DEFAULT_AVAILABILITY_FLOOR,
             good="completed",
             total="issued",
             description="Fraction of issued calls that completed OK.",
@@ -176,7 +175,7 @@ def chaos_slo_objectives(
         Objective(
             name="anonymity_floor",
             kind="ratio",
-            target=full_batch_floor,
+            target=FULL_BATCH_FLOOR,
             good="full_flushes",
             total="released_flushes",
             description="Fraction of released shuffle batches at full size S.",
@@ -184,7 +183,7 @@ def chaos_slo_objectives(
         Objective(
             name="p99_latency_seconds",
             kind="ceiling",
-            target=p99_ceiling,
+            target=P99_CEILING,
             value="p99_latency_seconds",
             description="p99 of client-observed end-to-end latency.",
         ),
@@ -197,13 +196,9 @@ def run_chaos(
     duration: float = 12.0,
     *,
     telemetry: Optional[Telemetry] = None,
-    slo: Optional[SloEngine] = None,
 ) -> ChaosResult:
-    """Run the chaos drill once and return its :class:`ChaosResult`.
-
-    Pass an :class:`SloEngine` as *slo* to sample burn rates live and
-    attach an ``slo_report`` verdict to the result.
-    """
+    """Run the chaos drill once and return its :class:`ChaosResult`,
+    ``slo_report`` verdict included."""
     rig = DrillRig("chaos", seed, grace=8.0, telemetry=telemetry)
     brownout = BrownoutLrs(inner=rig.lrs, loop=rig.loop, rng=rig.rng.stream("brownout"))
     rig.deploy(
@@ -228,7 +223,7 @@ def run_chaos(
     rig.instrument(lrs=brownout)
     rig.offer(rps, duration, users=200)
     shuffle_size = CHAOS_CONFIG.shuffle_size
-    rig.watch(slo, {
+    rig.watch({
         "released_flushes": lambda: len(rig.released(layer="UA")),
         "full_flushes": lambda: sum(
             1 for flush in rig.released(layer="UA") if flush.size >= shuffle_size
@@ -248,14 +243,9 @@ def run_chaos(
     return result
 
 
-def slo_verdict() -> SloReport:
-    """The default drill's SLO verdict (replayed by the obs gate)."""
-    return run_chaos(slo=SloEngine()).slo_report
-
-
 def gate(out_dir: str) -> List[str]:
-    """``repro run chaos``: the default drill, its telemetry artifact
-    and its acceptance checks."""
+    """``repro run chaos``: the default drill, its telemetry artifact,
+    its ``slo.json`` and its acceptance checks."""
     telemetry = Telemetry(scrape_interval=1.0)
     result = run_chaos(telemetry=telemetry)
     print_summary("chaos drill summary", result.to_dict(), (
@@ -266,4 +256,4 @@ def gate(out_dir: str) -> List[str]:
         "retries_performed", "hedges_launched", "timeouts", "outcomes",
     ))
     telemetry.write_artifact(out_dir)
-    return result.problems()
+    return write_verdict(result.slo_report, out_dir, result.problems())

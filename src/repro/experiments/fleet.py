@@ -32,10 +32,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.experiments.rig import POST_SHARE, DrillRig, print_summary, summarize, write_json
+from repro.experiments.rig import (
+    POST_SHARE,
+    DrillRig,
+    print_summary,
+    summarize,
+    write_json,
+    write_verdict,
+)
 from repro.fleet.placement import domain_kill_plan, placement_violations
 from repro.fleet.supervisor import FleetSupervisor
-from repro.obs.slo import Objective, SloEngine, write_slo
+from repro.obs.slo import Objective, SloReport
 from repro.overload import OverloadPolicy
 from repro.privacy.adversary import Adversary
 from repro.privacy.wire import (
@@ -84,6 +91,11 @@ FLEET_OVERLOAD = OverloadPolicy(
 #: ``OUTAGE`` seconds.
 SHARDS, SPLIT_SHARD, KILL_SHARD = 2, "s0", "s1"
 SPLIT_AT, KILL_AT, OUTAGE = 2.0, 2.25, 1.2
+
+#: Completed / issued through the kill (the drill's own acceptance
+#: floor and its SLO target); client p99 ceiling (seconds).
+GOODPUT_FLOOR = 0.9
+P99_CEILING = 2.5
 
 
 @dataclass
@@ -142,7 +154,8 @@ class FleetDrillResult:
     audit_violations: int = 0
     #: Structured ``fleet`` events in emission order.
     fleet_events: List[Dict[str, Any]] = field(default_factory=list)
-    slo_report: Optional[Any] = None
+    #: The drill's SLO verdict, set by :func:`run_fleet_drill`.
+    slo_report: Optional[SloReport] = None
 
     @property
     def required_anonymity(self) -> int:
@@ -158,9 +171,9 @@ class FleetDrillResult:
         found: List[str] = []
         if self.failed:
             found.append(f"{self.failed} client call(s) aborted during the drill")
-        if self.goodput < 0.9:
+        if self.goodput < GOODPUT_FLOOR:
             found.append(
-                f"post-failover goodput {self.goodput:.3f} < 0.9"
+                f"post-failover goodput {self.goodput:.3f} < {GOODPUT_FLOOR}"
                 f" ({self.completed}/{self.issued})"
             )
         expected_crashes = 2 * self.instances_per_shard
@@ -242,18 +255,14 @@ class FleetDrillResult:
         )
 
 
-def fleet_slo_objectives(
-    required_anonymity: float,
-    goodput_floor: float = 0.9,
-    p99_ceiling: float = 2.5,
-) -> List[Objective]:
+def fleet_slo_objectives(required_anonymity: float) -> List[Objective]:
     """The fleet drill's objectives: failover goodput, the hard S*I
     floor, and a bounded client-observed tail."""
     return [
         Objective(
             name="goodput",
             kind="ratio",
-            target=goodput_floor,
+            target=GOODPUT_FLOOR,
             good="completed",
             total="issued",
             description="Fraction of issued calls completed despite the domain kill.",
@@ -268,7 +277,7 @@ def fleet_slo_objectives(
         Objective(
             name="p99_latency_seconds",
             kind="ceiling",
-            target=p99_ceiling,
+            target=P99_CEILING,
             value="p99_latency_seconds",
             description="p99 of client-observed end-to-end latency.",
         ),
@@ -281,7 +290,6 @@ def run_fleet_drill(
     duration: float = 10.0,
     *,
     telemetry: Optional[Telemetry] = None,
-    slo: Optional[SloEngine] = None,
 ) -> FleetDrillResult:
     """Run the shard-loss-mid-split drill once."""
     rig = DrillRig("fleet", seed, grace=6.0, telemetry=telemetry, frontends=3)
@@ -315,7 +323,7 @@ def run_fleet_drill(
         """min released flush x live IA of the flushing shard."""
         return min((f.size * f.live_ia for f in rig.offered_window()), default=None)
 
-    rig.watch(slo, {"anonymity_floor": effective_anonymity})
+    rig.watch({"anonymity_floor": effective_anonymity})
 
     kill_domain = fleet.directory.shards[KILL_SHARD].domain
     plan = domain_kill_plan(fleet, kill_domain, at=KILL_AT, outage=OUTAGE)
@@ -373,10 +381,10 @@ def run_fleet_drill(
 
 
 def gate(out_dir: str) -> List[str]:
-    """``repro run fleet``: the default drill under an SLO engine;
-    writes ``fleet.json``, ``slo.json`` and the telemetry artifact."""
+    """``repro run fleet``: the default drill; writes ``fleet.json``,
+    ``slo.json`` and the telemetry artifact."""
     telemetry = Telemetry(scrape_interval=1.0)
-    result = run_fleet_drill(telemetry=telemetry, slo=SloEngine())
+    result = run_fleet_drill(telemetry=telemetry)
     summary = result.to_dict()
     print_summary("fleet drill summary", summary, (
         "seed", "issued", "completed", "failed", "goodput",
@@ -390,5 +398,4 @@ def gate(out_dir: str) -> List[str]:
     ))
     write_json(summary, out_dir, "fleet.json")
     telemetry.write_artifact(out_dir)
-    write_slo(result.slo_report, out_dir)
-    return result.problems() + result.slo_report.problems()
+    return write_verdict(result.slo_report, out_dir, result.problems())

@@ -38,8 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
-from repro.experiments.rig import DrillRig, summarize
-from repro.obs.slo import Objective, SloEngine, SloReport
+from repro.experiments.rig import DrillRig, summarize, write_verdict
+from repro.obs.slo import Objective, SloReport
 from repro.overload import GuardedLrs, OverloadPolicy
 from repro.privacy.wire import RejectAuditor
 from repro.proxy.config import PProxConfig
@@ -52,7 +52,6 @@ __all__ = [
     "OverloadResult",
     "run_overload",
     "gate",
-    "slo_verdict",
     "overload_slo_objectives",
     "overload_cost_model",
     "OVERLOAD_CONFIG",
@@ -63,10 +62,11 @@ __all__ = [
 ]
 
 #: Estimated per-pair saturation rate under :func:`overload_cost_model`
-#: (one UA + one IA node, 2 cores each, costs inflated 4x to keep the
-#: sweep cheap).  The sweep multiplies this by :data:`MULTIPLIERS`.
+#: (one UA + one IA node, 2 cores each, costs inflated :data:`SLOWDOWN`x
+#: to keep the sweep cheap).  The sweep multiplies this by :data:`MULTIPLIERS`.
 DEFAULT_CAPACITY_RPS = 85.0
 MULTIPLIERS = (0.5, 1.0, 2.0)
+SLOWDOWN = 4.0
 
 #: Protected goodput at 2x capacity must stay within this fraction of
 #: the saturation goodput.
@@ -94,8 +94,8 @@ OVERLOAD_POLICY = OverloadPolicy(
 )
 
 
-def overload_cost_model(slowdown: float = 4.0) -> ProxyCostModel:
-    """The calibrated cost model, uniformly slowed.
+def overload_cost_model() -> ProxyCostModel:
+    """The calibrated cost model, uniformly slowed by :data:`SLOWDOWN`.
 
     Inflating per-leg core costs lowers the saturation point to
     ~:data:`DEFAULT_CAPACITY_RPS`, so driving the deployment to 2x
@@ -105,12 +105,12 @@ def overload_cost_model(slowdown: float = 4.0) -> ProxyCostModel:
     base = DEFAULT_COSTS
     return replace(
         base,
-        parse_seconds=base.parse_seconds * slowdown,
-        forward_seconds=base.forward_seconds * slowdown,
-        rsa_decrypt_seconds=base.rsa_decrypt_seconds * slowdown,
-        det_id_seconds=base.det_id_seconds * slowdown,
-        det_item_seconds=base.det_item_seconds * slowdown,
-        list_encrypt_seconds=base.list_encrypt_seconds * slowdown,
+        parse_seconds=base.parse_seconds * SLOWDOWN,
+        forward_seconds=base.forward_seconds * SLOWDOWN,
+        rsa_decrypt_seconds=base.rsa_decrypt_seconds * SLOWDOWN,
+        det_id_seconds=base.det_id_seconds * SLOWDOWN,
+        det_item_seconds=base.det_item_seconds * SLOWDOWN,
+        list_encrypt_seconds=base.list_encrypt_seconds * SLOWDOWN,
     )
 
 
@@ -139,10 +139,8 @@ class LoadPoint:
     required_anonymity: float = 0.0
     audit_violations: int = 0
     reject_audit: List[str] = field(default_factory=list)
-    #: SLO verdict (:class:`repro.obs.slo.SloReport`) when the cell ran
-    #: under an engine; excluded from ``to_dict`` — callers write it as
-    #: its own ``slo.json`` artifact.
-    slo_report: Optional[Any] = None
+    #: The cell's SLO verdict (set by the sweep, not in ``to_dict``).
+    slo_report: Optional[SloReport] = None
 
     @property
     def shed_rate(self) -> float:
@@ -167,8 +165,8 @@ class OverloadResult:
     shuffle_size: int
     points: List[LoadPoint] = field(default_factory=list)
     #: The headline cell's SLO verdict (protected deployment at the
-    #: highest multiplier), when the sweep ran with an engine.
-    slo_report: Optional[Any] = None
+    #: highest multiplier); the gate writes it as ``slo.json``.
+    slo_report: Optional[SloReport] = None
 
     def point(self, *, protected: bool, multiplier: float) -> Optional[LoadPoint]:
         """The cell at ``capacity_rps * multiplier`` for one variant."""
@@ -238,12 +236,13 @@ class OverloadResult:
         }
 
 
-def overload_slo_objectives(
-    required_anonymity: float,
-    goodput_floor: float = 0.35,
-    shed_ceiling: float = 3.0,
-    p99_ceiling: float = 2.5,
-) -> List[Objective]:
+#: The headline cell's targets; the builder's docstring gives the why.
+GOODPUT_FLOOR = 0.35
+SHED_CEILING = 3.0
+P99_CEILING = 2.5
+
+
+def overload_slo_objectives(required_anonymity: float) -> List[Objective]:
     """The overload episode's objectives, judged on the headline cell.
 
     The headline cell offers 2x capacity, so the goodput *ratio*
@@ -261,7 +260,7 @@ def overload_slo_objectives(
         Objective(
             name="goodput",
             kind="ratio",
-            target=goodput_floor,
+            target=GOODPUT_FLOOR,
             good="completed",
             total="issued",
             description="Fraction of issued calls completed at 2x offered load.",
@@ -276,14 +275,14 @@ def overload_slo_objectives(
         Objective(
             name="shed_rate",
             kind="ceiling",
-            target=shed_ceiling,
+            target=SHED_CEILING,
             value="shed_rate",
             description="Sheds per issued call (protection must not shed everything).",
         ),
         Objective(
             name="p99_latency_seconds",
             kind="ceiling",
-            target=p99_ceiling,
+            target=P99_CEILING,
             value="p99_latency_seconds",
             description="p99 of admitted requests' end-to-end latency.",
         ),
@@ -296,7 +295,6 @@ def _run_point(
     *,
     protected: bool,
     telemetry: Optional[Telemetry],
-    slo: Optional[SloEngine],
 ) -> LoadPoint:
     """One cell of the sweep, in a fresh simulation context; appended
     to *result* before the run is closed so the run-end record carries
@@ -348,7 +346,7 @@ def _run_point(
         issued = rig.injector.report.issued
         return (rig.shed_total + guard_rejections()) / issued if issued else None
 
-    rig.watch(slo, {"anonymity_floor": anonymity_floor_source, "shed_rate": shed_source})
+    rig.watch({"anonymity_floor": anonymity_floor_source, "shed_rate": shed_source})
     rig.run()
 
     shed_by_stage: Dict[str, int] = {}
@@ -392,7 +390,6 @@ def run_overload(
     duration: float = 6.0,
     *,
     telemetry: Optional[Telemetry] = None,
-    slo: Optional[SloEngine] = None,
 ) -> OverloadResult:
     """Run the offered-load sweep and return its :class:`OverloadResult`.
 
@@ -400,9 +397,9 @@ def run_overload(
     cell — the protected deployment at the highest multiplier — so the
     written artifact describes a real overload episode.  Earlier cells
     run under private hubs (each is a separate deployment; mixing their
-    instruments in one registry would alias instance names).  An *slo*
-    engine likewise samples only the headline cell and leaves its
-    verdict in ``result.slo_report``.
+    instruments in one registry would alias instance names).  Every
+    cell is judged by its own engine; ``result.slo_report`` is the
+    headline cell's verdict.
     """
     result = OverloadResult(
         seed=seed,
@@ -418,21 +415,16 @@ def run_overload(
                 multiplier,
                 protected=protected,
                 telemetry=telemetry if headline else None,
-                slo=slo if headline else None,
             )
             if headline:
                 result.slo_report = point.slo_report
     return result
 
 
-def slo_verdict() -> SloReport:
-    """The default sweep's headline SLO verdict (replayed by the obs gate)."""
-    return run_overload(slo=SloEngine()).slo_report
-
-
 def gate(out_dir: str) -> List[str]:
     """``repro run overload``: the default sweep, the headline cell's
-    telemetry artifact and the graceful-degradation checks."""
+    telemetry artifact and ``slo.json``, and the graceful-degradation
+    checks."""
     telemetry = Telemetry(scrape_interval=1.0)
     result = run_overload(telemetry=telemetry)
     print("overload sweep summary")
@@ -455,4 +447,4 @@ def gate(out_dir: str) -> List[str]:
             f" {point.p99_seconds:8.4f} {point.shed_total:6d} {anonymity:>7s}"
         )
     telemetry.write_artifact(out_dir)
-    return result.problems()
+    return write_verdict(result.slo_report, out_dir, result.problems())

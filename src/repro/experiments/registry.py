@@ -41,9 +41,6 @@ class Experiment:
     #: byte-identical across same-seed processes (``*_meta.json``
     #: siblings carry wall clocks and are never diffed).
     artifacts: Tuple[str, ...] = ()
-    #: ``module:function`` returning the default run's SLO verdict; the
-    #: obs gate replays it and writes ``<identifier>/slo.json``.
-    slo: str = ""
 
 
 EXPERIMENT_INDEX: Dict[str, Experiment] = {
@@ -180,8 +177,7 @@ EXPERIMENT_INDEX: Dict[str, Experiment] = {
         ),
         help="seeded fault-injection drill: crashes, partition, loss, delay, LRS brownout",
         run="repro.experiments.chaos:gate",
-        artifacts=("telemetry.jsonl", "telemetry.prom"),
-        slo="repro.experiments.chaos:slo_verdict",
+        artifacts=("slo.json", "telemetry.jsonl", "telemetry.prom"),
     ),
     "overload": Experiment(
         identifier="overload",
@@ -201,8 +197,7 @@ EXPERIMENT_INDEX: Dict[str, Experiment] = {
         ),
         help="offered-load sweep at 0.5x/1x/2x capacity, with and without protection",
         run="repro.experiments.overload:gate",
-        artifacts=("telemetry.jsonl", "telemetry.prom"),
-        slo="repro.experiments.overload:slo_verdict",
+        artifacts=("slo.json", "telemetry.jsonl", "telemetry.prom"),
     ),
     "rotation": Experiment(
         identifier="rotation",
@@ -222,8 +217,7 @@ EXPERIMENT_INDEX: Dict[str, Experiment] = {
         ),
         help="live UA key rotation under traffic with a crash and a partition mid-window",
         run="repro.experiments.rotation:gate",
-        artifacts=("telemetry.jsonl", "telemetry.prom"),
-        slo="repro.experiments.rotation:slo_verdict",
+        artifacts=("slo.json", "telemetry.jsonl", "telemetry.prom"),
     ),
     "scale": Experiment(
         identifier="scale",
@@ -238,11 +232,11 @@ EXPERIMENT_INDEX: Dict[str, Experiment] = {
             "the calendar-queue engine sustains the 100k RPS point",
             "the full sweep completes in minutes of wall time",
             "same-seed artifacts are byte-identical across processes and on the heap oracle",
+            "goodput, full-batch ratio and p99 objectives hold over the gate's own sweep",
         ),
-        help="CI-sized proxy-scaling sweep (200k users, 25k-50k RPS)",
+        help="CI-sized proxy-scaling sweep (200k users, 25k-50k RPS) and its static SLO verdict",
         run="repro.experiments.scale:gate",
-        artifacts=("scale.json",),
-        slo="repro.experiments.scale:slo_verdict",
+        artifacts=("scale.json", "slo.json"),
     ),
     "fleet": Experiment(
         identifier="fleet",
@@ -302,21 +296,18 @@ EXPERIMENT_INDEX: Dict[str, Experiment] = {
     ),
     "obs": Experiment(
         identifier="obs",
-        title="Observability gate: causal tracing, profiler, SLO verdicts",
-        workload="obs micro run (2 UA + 2 IA, S=4), then every scenario's SLO replay",
+        title="Observability gate: causal tracing, profiler, SLO verdict",
+        workload="obs micro run (2 UA + 2 IA, S=4) with every observability layer armed",
         modules=("repro.obs", "repro.obs.smoke", "repro.obs.slo"),
         bench="tests/test_obs_slo.py",
         claims=(
             "no trace id survives past the UA shuffle boundary",
             "profile, flamegraph, trace and slo artifacts are functions of the seed alone",
-            "the anonymity-floor objective holds in every replayed scenario",
+            "the anonymity-floor objective holds through the micro run",
         ),
-        help="obs micro run (profile, trace, slo) + every registered SLO verdict",
+        help="obs micro run: virtual-time profile, causal trace and SLO verdict",
         run="repro.obs.smoke:gate",
-        artifacts=(
-            "profile.json", "profile.folded", "trace.jsonl", "slo.json",
-            "chaos/slo.json", "overload/slo.json", "rotation/slo.json", "scale/slo.json",
-        ),
+        artifacts=("profile.json", "profile.folded", "trace.jsonl", "slo.json"),
     ),
     "wire": Experiment(
         identifier="wire",
@@ -374,13 +365,14 @@ def validate_index() -> List[str]:
                 problems.append(f"{experiment.identifier}: module {module} ({error})")
         if not (repo_root / experiment.bench).exists():
             problems.append(f"{experiment.identifier}: bench {experiment.bench} missing")
-        for target in filter(None, (experiment.run, experiment.slo)):
-            try:
-                if not callable(resolve(target)):
-                    problems.append(f"{experiment.identifier}: {target} is not callable")
-            except (ImportError, AttributeError) as error:
-                problems.append(f"{experiment.identifier}: target {target} ({error})")
-        if experiment.run and not (experiment.help and experiment.artifacts):
+        if not experiment.run:
+            continue
+        try:
+            if not callable(resolve(experiment.run)):
+                problems.append(f"{experiment.identifier}: {experiment.run} is not callable")
+        except (ImportError, AttributeError) as error:
+            problems.append(f"{experiment.identifier}: target {experiment.run} ({error})")
+        if not (experiment.help and experiment.artifacts):
             problems.append(
                 f"{experiment.identifier}: runnable but declares no help or no artifacts"
             )

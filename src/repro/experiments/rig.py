@@ -12,14 +12,15 @@ sequence once, as a plain object the drivers call top to bottom::
     rig.instrument()                              # injector + metrics + flush log
     rig.preload()                                 # harness-backed drills only
     rig.offer(rps, duration)                      # open-loop arrivals
-    rig.watch(slo, {...})                         # SLO sampling, bounded
+    rig.watch({...})                              # SLO engine, bounded
     ...arm whatever is specific to the scenario...
     rig.run(stop=[...])                           # run_until -> stop -> drain
     rig.finish(extra, objectives)                 # slo verdict + finalize_run
 
 What stays in a driver is what is actually different about it: its
 configuration, what it arms and when, its extra SLO sources and its
-acceptance gates.
+acceptance gates.  Every watched run is judged once, by the engine that
+sampled it; a gate ends with :func:`write_verdict`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.faults import FaultSupervisor, NetworkFaultController
 from repro.fleet.service import build_fleet
 from repro.lrs.service import HarnessService
 from repro.lrs.stub import StubLrs, make_pseudonymous_payload
-from repro.obs.slo import Objective, SloEngine, SloReport, histogram_quantile
+from repro.obs.slo import Objective, SloEngine, SloReport, histogram_quantile, write_slo
 from repro.overload import OverloadPolicy
 from repro.proxy.config import PProxConfig
 from repro.proxy.costs import DEFAULT_COSTS, ProxyCostModel
@@ -50,6 +51,7 @@ __all__ = [
     "summarize",
     "print_summary",
     "write_json",
+    "write_verdict",
     "POST_SHARE",
 ]
 
@@ -134,6 +136,7 @@ class DrillRig:
         self.monitor: Optional[Any] = None
         self.netfaults: Optional[NetworkFaultController] = None
         self.fault_supervisor: Optional[FaultSupervisor] = None
+        #: Built by :meth:`watch`; stays None on capacity's static legs.
         self.slo: Optional[SloEngine] = None
         #: Every shuffle release of the run, in release order.
         self.flushes: List[Flush] = []
@@ -275,12 +278,8 @@ class DrillRig:
 
         self.start, self.end = self.injector.inject(rps, duration, issue)
 
-    def watch(
-        self,
-        slo: Optional[SloEngine],
-        sources: Optional[Dict[str, Callable[[], Optional[float]]]] = None,
-    ) -> None:
-        """Sample the run under *slo* (no-op without an engine).
+    def watch(self, sources: Dict[str, Callable[[], Optional[float]]]) -> None:
+        """Sample the run under its own :class:`SloEngine`.
 
         Every scenario tracks issued / completed / p99; *sources* adds
         its own.  The engine is always bounded at the drain horizon:
@@ -288,18 +287,14 @@ class DrillRig:
         loop has pending work, so two unbounded tickers would keep each
         other alive and the final ``run()`` would never drain.
         """
-        if slo is None:
-            return
-        self.slo = slo
-        if slo.telemetry is None:
-            slo.telemetry = self.telemetry
+        self.slo = slo = SloEngine(telemetry=self.telemetry)
         latency = self.telemetry.registry.histogram(
             "pprox_request_latency_seconds",
             "End-to-end client-observed request latency.",
         )
         slo.track("issued", lambda: self.injector.report.issued)
         slo.track("completed", lambda: self.injector.report.completed)
-        for key, source in (sources or {}).items():
+        for key, source in sources.items():
             slo.track(key, source)
         slo.track("p99_latency_seconds", lambda: histogram_quantile(latency, 0.99))
         slo.attach(self.loop, until=self.end + self.grace)
@@ -382,16 +377,10 @@ class DrillRig:
             event.to_dict() for event in self.telemetry.event_log.events if event.kind == kind
         ]
 
-    def finish(
-        self,
-        extra: Dict[str, Any],
-        objectives: Optional[Sequence[Objective]] = None,
-    ) -> Optional[SloReport]:
-        """Close the run: the SLO verdict (if watched), then the
-        telemetry run-end record carrying *extra*."""
-        report = None
-        if self.slo is not None:
-            report = self.slo.evaluate(objectives, experiment=self.scenario)
+    def finish(self, extra: Dict[str, Any], objectives: Sequence[Objective]) -> SloReport:
+        """Close a watched run: the engine's verdict over *objectives*,
+        then the telemetry run-end record carrying *extra*."""
+        report = self.slo.evaluate(objectives, experiment=self.scenario)
         self.telemetry.finalize_run(extra={"scenario": self.scenario, **extra})
         return report
 
@@ -439,6 +428,13 @@ def print_summary(title: str, summary: Dict[str, Any], keys: Sequence[str]) -> N
     width = max(len(key) for key in keys) + 1
     for key in keys:
         print(f"  {key:{width}s} {summary[key]}")
+
+
+def write_verdict(report: SloReport, out_dir: str, problems: List[str]) -> List[str]:
+    """How every judged gate ends: ``slo.json`` beside the run's other
+    artifacts, and the verdict's problems after the drill's own."""
+    write_slo(report, out_dir)
+    return problems + report.problems()
 
 
 def write_json(payload: Dict[str, Any], out_dir: str, name: str) -> str:

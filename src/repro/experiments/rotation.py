@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.crypto.keys import KeyFactory
-from repro.experiments.rig import POST_SHARE, DrillRig, print_summary, summarize
+from repro.experiments.rig import POST_SHARE, DrillRig, print_summary, summarize, write_verdict
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.obs.slo import Objective, SloEngine, SloReport
+from repro.obs.slo import Objective, SloReport
 from repro.privacy.adversary import Adversary
 from repro.privacy.wire import epoch_tag_exposures
 from repro.proxy.config import PProxConfig
@@ -49,7 +49,6 @@ __all__ = [
     "RotationResult",
     "run_rotation",
     "gate",
-    "slo_verdict",
     "rotation_slo_objectives",
     "ROTATION_CONFIG",
     "ANNOUNCE_AT",
@@ -125,10 +124,9 @@ class RotationResult:
     #: Structured ``rotation`` events, in emission order (the
     #: determinism check compares this stream across same-seed runs).
     rotation_events: List[Dict[str, Any]] = field(default_factory=list)
-    #: SLO verdict (:class:`repro.obs.slo.SloReport`) when the drill ran
-    #: under an engine; excluded from ``to_dict`` — callers write it as
-    #: its own ``slo.json`` artifact.
-    slo_report: Optional[Any] = None
+    #: The drill's SLO verdict, set by :func:`run_rotation`; excluded
+    #: from ``to_dict`` — the gate writes it as its own ``slo.json``.
+    slo_report: Optional[SloReport] = None
 
     @property
     def required_anonymity(self) -> int:
@@ -215,12 +213,13 @@ def default_rotation_plan() -> FaultPlan:
     )
 
 
-def rotation_slo_objectives(
-    required_anonymity: float,
-    goodput_floor: float = 0.995,
-    pause_ceiling: float = 3.0,
-    p99_ceiling: float = 2.5,
-) -> List[Objective]:
+#: The drill's targets (ceilings in virtual seconds); why, see below.
+GOODPUT_FLOOR = 0.995
+PAUSE_CEILING = 3.0
+P99_CEILING = 2.5
+
+
+def rotation_slo_objectives(required_anonymity: float) -> List[Objective]:
     """The live-rotation drill's objectives.
 
     Rotation promises zero downtime, so goodput is a near-1.0 ratio
@@ -237,7 +236,7 @@ def rotation_slo_objectives(
         Objective(
             name="goodput",
             kind="ratio",
-            target=goodput_floor,
+            target=GOODPUT_FLOOR,
             good="completed",
             total="issued",
             description="Fraction of issued calls completed during the drill.",
@@ -252,14 +251,14 @@ def rotation_slo_objectives(
         Objective(
             name="rotation_pause_seconds",
             kind="ceiling",
-            target=pause_ceiling,
+            target=PAUSE_CEILING,
             value="rotation_pause_seconds",
             description="Accumulated wall of drill-paused state (virtual seconds).",
         ),
         Objective(
             name="p99_latency_seconds",
             kind="ceiling",
-            target=p99_ceiling,
+            target=P99_CEILING,
             value="p99_latency_seconds",
             description="p99 of client-observed end-to-end latency.",
         ),
@@ -272,16 +271,14 @@ def run_rotation(
     duration: float = 10.0,
     *,
     telemetry: Optional[Telemetry] = None,
-    slo: Optional[SloEngine] = None,
 ) -> RotationResult:
     """Run the live-rotation drill once; returns its :class:`RotationResult`.
 
     A feedback prefix is stored (and the recommender trained) before
     traffic starts, so the online re-encryption has a real old-epoch
     prefix to translate while new-epoch rows keep arriving on top of
-    it.  Pass an :class:`SloEngine` as *slo* to sample burn rates live
-    (attached after preload, so the series covers only the drill) and
-    attach an ``slo_report`` verdict.
+    it.  The SLO engine attaches after preload, so the series behind
+    ``slo_report`` covers only the drill.
     """
     rig = DrillRig("rotation", seed, grace=6.0, telemetry=telemetry, frontends=3)
     #: epoch_ttl models a stale client population: material is cached
@@ -350,7 +347,7 @@ def run_rotation(
         pause_clock["last"] = now
         return pause_clock["seconds"]
 
-    rig.watch(slo, {
+    rig.watch({
         "anonymity_floor": anonymity_floor_source,
         "rotation_pause_seconds": pause_seconds_source,
     })
@@ -419,14 +416,9 @@ def run_rotation(
     return result
 
 
-def slo_verdict() -> SloReport:
-    """The default drill's SLO verdict (replayed by the obs gate)."""
-    return run_rotation(slo=SloEngine()).slo_report
-
-
 def gate(out_dir: str) -> List[str]:
     """``repro run rotation``: the default drill, its telemetry
-    artifact and its zero-downtime / anonymity checks."""
+    artifact, its ``slo.json`` and its zero-downtime / anonymity checks."""
     telemetry = Telemetry(scrape_interval=1.0)
     result = run_rotation(telemetry=telemetry)
     print_summary("rotation drill summary", result.to_dict(), (
@@ -440,4 +432,4 @@ def gate(out_dir: str) -> List[str]:
         "cross_epoch_user_overlap", "outcomes",
     ))
     telemetry.write_artifact(out_dir)
-    return result.problems()
+    return write_verdict(result.slo_report, out_dir, result.problems())

@@ -22,14 +22,11 @@ from repro.lrs.engine import HarnessEngine
 from repro.lrs.service import HarnessService
 from repro.proxy.config import PProxConfig
 from repro.proxy.costs import DEFAULT_COSTS, ProxyCostModel
-from repro.simnet.clock import EventLoop
 from repro.simnet.metrics import CandlestickSummary, LatencyRecorder, trim_window
-from repro.simnet.network import Network
-from repro.simnet.rng import RngRegistry
 from repro.telemetry import Telemetry, instrument_stack
 from repro.workload.injector import InjectionReport, Injector
 from repro.workload.movielens import SyntheticMovieLens
-from repro.workload.scenario import ScenarioTimings, TwoPhaseScenario
+from repro.workload.scenario import ScenarioTimings, TwoPhaseScenario, is_saturated
 
 __all__ = ["RunResult", "run_micro", "run_baseline", "run_full"]
 
@@ -141,27 +138,15 @@ def run_micro(
                 extra={"config": config.name, "rps": rps, "run_index": run_index}
             )
 
-    result.saturated = _is_saturated(result)
+    result.saturated = is_saturated(result.reports, result.window_latencies)
     return result
 
 
-def _build_macro_stack(
-    config: MacroConfig,
-    rng: RngRegistry,
-    provider: Optional[CryptoProvider],
-    costs: ProxyCostModel,
-    shuffle_timeout: float,
-    telemetry: Optional[Telemetry] = None,
-):
-    """Assemble Harness (+ optional PProx) and the matching client."""
-    loop = EventLoop()
-    network = Network(loop=loop, rng=rng.stream("net"), record_flows=False)
-    ctx = SimContext(
-        loop=loop, network=network, rng=rng,
-        provider=provider, costs=costs, telemetry=telemetry,
-    )
+def _build_macro_stack(config: MacroConfig, ctx: SimContext, shuffle_timeout: float):
+    """Assemble Harness (+ optional PProx) and the matching client on *ctx*."""
+    loop, network, telemetry = ctx.loop, ctx.network, ctx.telemetry
     harness = HarnessService(
-        loop=loop, rng=rng.stream("lrs"), frontend_count=config.frontends,
+        loop=loop, rng=ctx.rng.stream("lrs"), frontend_count=config.frontends,
         engine=HarnessEngine(),
     )
     if config.with_proxy:
@@ -184,7 +169,7 @@ def _build_macro_stack(
         client = DirectClient(loop=loop, network=network, lrs_picker=harness.pick_frontend)
         if telemetry is not None:
             instrument_stack(telemetry, lrs=harness, network=network)
-    return loop, network, harness, client
+    return harness, client
 
 
 def _run_macro(
@@ -201,10 +186,11 @@ def _run_macro(
 ) -> RunResult:
     result = RunResult(config_name=config.name, rps=rps, recorder=LatencyRecorder("macro"))
     for run_index in range(runs):
-        rng = RngRegistry(seed=seed * 1000 + run_index)
-        loop, _, harness, client = _build_macro_stack(
-            config, rng, provider, costs, shuffle_timeout, telemetry=telemetry
+        ctx = SimContext.fresh(
+            seed * 1000 + run_index, provider=provider, costs=costs, telemetry=telemetry
         )
+        loop, rng = ctx.loop, ctx.rng
+        harness, client = _build_macro_stack(config, ctx, shuffle_timeout)
         if telemetry is not None:
             telemetry.bind(loop, run_label=f"{config.name}@{rps:g}rps/run{run_index}")
         workload = SyntheticMovieLens(seed=seed, scale=workload_scale)
@@ -225,7 +211,7 @@ def _run_macro(
             telemetry.finalize_run(
                 extra={"config": config.name, "rps": rps, "run_index": run_index}
             )
-    result.saturated = _is_saturated(result)
+    result.saturated = is_saturated(result.reports, result.window_latencies)
     return result
 
 
@@ -267,13 +253,3 @@ def run_full(
         provider=provider, costs=costs, shuffle_timeout=shuffle_timeout,
         workload_scale=workload_scale, telemetry=telemetry,
     )
-
-
-def _is_saturated(result: RunResult) -> bool:
-    """The paper's cut-off: drastic latency growth / lost completions."""
-    if any(r.issued and r.completion_ratio < 0.95 for r in result.reports):
-        return True
-    if not result.window_latencies:
-        return True
-    ordered = sorted(result.window_latencies)
-    return ordered[len(ordered) // 2] > 0.6

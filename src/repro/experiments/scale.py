@@ -32,12 +32,11 @@ diffable artifact.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.experiments.rig import summarize, write_json
+from repro.experiments.rig import summarize, write_json, write_verdict
 from repro.obs.slo import Objective, SloReport, evaluate_static
 from repro.simnet.clock import EventLoop
 from repro.simnet.loadbalancer import LeastPendingPolicy, LoadBalancer
@@ -52,8 +51,6 @@ __all__ = [
     "run_scale_sweep",
     "scale_slo_objectives",
     "scale_slo_verdict",
-    "slo_verdict",
-    "write_artifacts",
     "gate",
     "SMOKE_CONFIG",
     "FULL_CONFIG",
@@ -292,12 +289,12 @@ def run_scale_sweep(config: ScaleConfig = FULL_CONFIG) -> Tuple[Dict[str, object
     return artifact, meta
 
 
-def scale_slo_objectives(
-    full_batch_floor: float = 0.995,
-    completion_floor: float = 0.98,
-    p99_ceiling: Optional[float] = None,
-    deadline: float = 0.5,
-) -> List[Objective]:
+#: Floors on full-size flushes / flushes and on completed / issued.
+FULL_BATCH_FLOOR = 0.995
+COMPLETION_FLOOR = 0.98
+
+
+def scale_slo_objectives(deadline: float) -> List[Objective]:
     """The scale sweep's objectives, evaluated *statically*.
 
     The sweep is the engine's perf-floor hot path, so no live sampler
@@ -305,13 +302,14 @@ def scale_slo_objectives(
     objective shapes against the finished artifact's totals instead
     (burn fields stay null).  Anonymity at scale is a full-batch ratio:
     timer flushes (partial batches at the drain tail) must stay under
-    ``1 - full_batch_floor`` of all shuffle flushes.
+    ``1 - FULL_BATCH_FLOOR`` of all shuffle flushes; the p99 ceiling is
+    the sweep's per-request *deadline*.
     """
     return [
         Objective(
             name="goodput",
             kind="ratio",
-            target=completion_floor,
+            target=COMPLETION_FLOOR,
             good="completed",
             total="issued",
             description="Fraction of issued calls completed inside the deadline.",
@@ -319,7 +317,7 @@ def scale_slo_objectives(
         Objective(
             name="anonymity_floor",
             kind="ratio",
-            target=full_batch_floor,
+            target=FULL_BATCH_FLOOR,
             good="full_flushes",
             total="shuffle_flushes",
             description="Fraction of shuffle flushes at full size S.",
@@ -327,17 +325,14 @@ def scale_slo_objectives(
         Objective(
             name="p99_latency_seconds",
             kind="ceiling",
-            target=p99_ceiling if p99_ceiling is not None else deadline,
+            target=deadline,
             value="p99_latency_seconds",
             description="Worst per-point p99 latency across the sweep.",
         ),
     ]
 
 
-def scale_slo_verdict(
-    artifact: Dict[str, object],
-    objectives: Optional[List[Objective]] = None,
-) -> SloReport:
+def scale_slo_verdict(artifact: Dict[str, object]) -> SloReport:
     """Static SLO verdict over a finished sweep's diffable artifact."""
     points = artifact.get("points", [])
     issued = sum(int(p["issued"]) for p in points)
@@ -345,12 +340,8 @@ def scale_slo_verdict(
     shuffle_flushes = sum(int(p["shuffle_flushes"]) for p in points)
     timeout_flushes = sum(int(p["timeout_flushes"]) for p in points)
     p99 = max((float(p["latency"]["p99"]) for p in points), default=0.0)
-    if objectives is None:
-        objectives = scale_slo_objectives(
-            deadline=float(artifact.get("deadline", 0.5))
-        )
     return evaluate_static(
-        objectives,
+        scale_slo_objectives(float(artifact["deadline"])),
         {
             "issued": float(issued),
             "completed": float(completed),
@@ -362,24 +353,11 @@ def scale_slo_verdict(
     )
 
 
-def slo_verdict() -> SloReport:
-    """Static verdict over a one-point 100k-user sweep (replayed by the
-    obs gate, which only needs the objective shapes to hold)."""
-    config = dataclasses.replace(SMOKE_CONFIG, users=100_000, pairs_sweep=(1,), duration=2.0)
-    return scale_slo_verdict(run_scale_sweep(config)[0])
-
-
-def write_artifacts(artifact: Dict[str, object], meta: Dict[str, object], out_dir: str) -> Tuple[str, str]:
-    """Write ``scale.json`` (diffable) and ``scale_meta.json`` (not)."""
-    return (
-        write_json(artifact, out_dir, "scale.json"),
-        write_json(meta, out_dir, "scale_meta.json"),
-    )
-
-
 def gate(out_dir: str) -> List[str]:
-    """``repro run scale``: the CI-sized sweep (:data:`SMOKE_CONFIG`).
-    The 1M-user acceptance sweep is ``run_scale_sweep(FULL_CONFIG)``."""
+    """``repro run scale``: the CI-sized sweep (:data:`SMOKE_CONFIG`)
+    as ``scale.json`` (diffable) + ``scale_meta.json`` (not), and the
+    static verdict over it (``slo.json``).  The 1M-user acceptance
+    sweep is ``run_scale_sweep(FULL_CONFIG)``."""
     config = SMOKE_CONFIG
     print(
         f"scale sweep: users={config.users:,}"
@@ -403,5 +381,6 @@ def gate(out_dir: str) -> List[str]:
             problems.append(
                 f"pairs={point['pairs']}: {point['issued'] - point['completed']} requests lost"
             )
-    write_artifacts(artifact, meta, out_dir)
-    return problems
+    write_json(artifact, out_dir, "scale.json")
+    write_json(meta, out_dir, "scale_meta.json")
+    return write_verdict(scale_slo_verdict(artifact), out_dir, problems)

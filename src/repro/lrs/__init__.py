@@ -10,7 +10,6 @@ from repro.lrs.baselines import ItemKnnRecommender, PopularityRecommender, Recom
 from repro.lrs.cco import CcoModel, CcoTrainer, llr_score
 from repro.lrs.engine import HarnessEngine
 from repro.lrs.evaluation import EvaluationResult, evaluate_recommender, leave_latest_out_split
-from repro.lrs.scheduler import TrainingScheduler
 from repro.lrs.service import HarnessCostModel, HarnessFrontend, HarnessService
 from repro.lrs.store import EventStore, FeedbackEvent
 from repro.lrs.stub import STATIC_ITEMS, StubLrs
@@ -26,7 +25,6 @@ __all__ = [
     "EvaluationResult",
     "evaluate_recommender",
     "leave_latest_out_split",
-    "TrainingScheduler",
     "HarnessService",
     "HarnessFrontend",
     "HarnessCostModel",

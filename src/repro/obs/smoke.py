@@ -18,11 +18,10 @@ observability stack armed at once:
 Everything the run emits into ``profile.json`` / ``profile.folded`` /
 ``trace.jsonl`` / ``slo.json`` is a function of the seed alone (trace
 ids and event ``seq`` numbers restart with the run).  ``python -m
-repro run obs`` (:func:`gate`) writes them, then replays every
-registered scenario that declares an SLO verdict and writes each as
-``<scenario>/slo.json``; CI runs the gate in two fresh processes and
-``diff -r`` the trees.  Host-dependent numbers (wall seconds per
-stack) go to ``profile_meta.json``, which is never diffed.
+repro run obs`` (:func:`gate`) writes them; CI runs the gate in two
+fresh processes and ``diff -r`` the trees.  Host-dependent numbers
+(wall seconds per stack) go to ``profile_meta.json``, which is never
+diffed.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.obs.causal import CausalTracer, instrument_causal
 from repro.obs.profiler import ProfiledLoop, write_profile
-from repro.obs.slo import Objective, SloEngine, write_slo
+from repro.obs.slo import Objective, write_slo
 
 __all__ = [
     "ObsScenarioResult",
@@ -50,11 +49,12 @@ __all__ = [
 TRACE_EVENT_KINDS = ("cspan", "bspan", "slo")
 
 
-def obs_slo_objectives(
-    required_anonymity: float,
-    goodput_floor: float = 0.98,
-    p99_ceiling: float = 1.0,
-) -> List[Objective]:
+#: Fault-free targets: completed / issued; client p99 ceiling (seconds).
+GOODPUT_FLOOR = 0.98
+P99_CEILING = 1.0
+
+
+def obs_slo_objectives(required_anonymity: float) -> List[Objective]:
     """The micro run's objectives: fault-free, so targets are strict.
 
     The anonymity floor here is hard and windowed: while load is
@@ -65,7 +65,7 @@ def obs_slo_objectives(
         Objective(
             name="goodput",
             kind="ratio",
-            target=goodput_floor,
+            target=GOODPUT_FLOOR,
             good="completed",
             total="issued",
             description="Fraction of issued calls that completed OK.",
@@ -80,7 +80,7 @@ def obs_slo_objectives(
         Objective(
             name="p99_latency_seconds",
             kind="ceiling",
-            target=p99_ceiling,
+            target=P99_CEILING,
             value="p99_latency_seconds",
             description="p99 of client-observed end-to-end latency.",
         ),
@@ -124,9 +124,7 @@ class ObsScenarioResult:
             )
         if self.audit_violations:
             found.append(f"redaction audit found {self.audit_violations} leak(s)")
-        if self.slo_report is not None and not self.slo_report.ok:
-            found.extend(self.slo_report.problems())
-        return found
+        return found + self.slo_report.problems()
 
     @property
     def ok(self) -> bool:
@@ -191,7 +189,7 @@ def run_obs_scenario(
         sizes = [flush.size for flush in rig.offered_window(layer="UA")]
         return float(min(sizes) * ia_count) if sizes else None
 
-    rig.watch(SloEngine(telemetry=hub), {"anonymity_floor": anonymity_floor_source})
+    rig.watch({"anonymity_floor": anonymity_floor_source})
     rig.run()
 
     result = ObsScenarioResult(
@@ -222,23 +220,18 @@ def write_obs_artifacts(result: ObsScenarioResult, out_dir: str) -> Dict[str, st
         for event in result.telemetry.event_log.events:
             if event.kind in TRACE_EVENT_KINDS:
                 fh.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
-    out = {
+    return {
         "profile.json": paths["profile"],
         "profile.folded": paths["folded"],
         "profile_meta.json": paths["meta"],
         "trace.jsonl": trace_path,
+        "slo.json": write_slo(result.slo_report, out_dir),
     }
-    if result.slo_report is not None:
-        out["slo.json"] = write_slo(result.slo_report, out_dir)
-    return out
 
 
 def gate(out_dir: str) -> List[str]:
-    """``repro run obs``: the micro scenario's artifacts and severing
-    checks, then every registered scenario's SLO verdict — the
-    anonymity-floor objective above all — must hold."""
-    from repro.experiments.registry import EXPERIMENT_INDEX, resolve
-
+    """``repro run obs``: the micro scenario's artifacts, its severing
+    checks and its SLO verdict."""
     result = run_obs_scenario()
     write_obs_artifacts(result, out_dir)
     print(
@@ -247,17 +240,4 @@ def gate(out_dir: str) -> List[str]:
         f" severed={result.link['traces_severed']}"
         f" batch_spans={result.link['batch_spans']}"
     )
-    problems = [f"obs scenario: {problem}" for problem in result.problems()]
-    for experiment in EXPERIMENT_INDEX.values():
-        if not experiment.slo:
-            continue
-        name = experiment.identifier
-        report = resolve(experiment.slo)()
-        path = write_slo(report, os.path.join(out_dir, name))
-        floor = report.objective("anonymity_floor")
-        print(
-            f"  {name:9s} slo {'ok' if report.ok else 'FAIL'}: anonymity_floor"
-            f" {floor.value} vs target {floor.target} -> {path}"
-        )
-        problems.extend(f"{name}: {problem}" for problem in report.problems())
-    return problems
+    return result.problems()

@@ -202,7 +202,6 @@ class EventLoop:
         ``peak_pending`` the high-water mark of live events.
         """
         return {
-            "engine": "calendar",
             "live": self._live,
             "cancelled": self._cancelled,
             "queued": self._live + self._cancelled,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Protocol, Tuple
+from typing import Callable, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.simnet.clock import EventLoop
 from repro.simnet.metrics import CandlestickSummary, LatencyRecorder, trim_window
@@ -25,7 +25,7 @@ from repro.telemetry.types import TelemetryLike
 from repro.workload.injector import InjectionReport, Injector
 from repro.workload.movielens import SyntheticMovieLens
 
-__all__ = ["ScenarioTimings", "TwoPhaseScenario", "ScenarioResult"]
+__all__ = ["ScenarioTimings", "TwoPhaseScenario", "ScenarioResult", "is_saturated"]
 
 
 class _ClientLike(Protocol):
@@ -57,6 +57,20 @@ class ScenarioTimings:
         return cls(feedback_seconds=4.0, query_seconds=10.0, trim_seconds=2.0)
 
 
+def is_saturated(reports: Iterable[InjectionReport], window_latencies: Sequence[float]) -> bool:
+    """The paper's saturation cut-off, over one run or several.
+
+    A configuration is saturated when queues grow without bound:
+    completions fall behind in any run, or the median latency inside
+    the trimmed window exceeds 600 ms (twice the SLO median).
+    """
+    if any(report.issued and report.completion_ratio < 0.95 for report in reports):
+        return True
+    if not window_latencies:
+        return True
+    return sorted(window_latencies)[len(window_latencies) // 2] > 0.6
+
+
 @dataclass
 class ScenarioResult:
     """Outcome of one scenario run."""
@@ -76,19 +90,8 @@ class ScenarioResult:
 
     @property
     def saturated(self) -> bool:
-        """Heuristic saturation check, as the paper's cut-off.
-
-        A configuration is saturated when queues grow without bound:
-        completions fall behind or the median latency inside the
-        window exceeds 600 ms (twice the SLO median).
-        """
-        if self.report.issued and self.report.completion_ratio < 0.95:
-            return True
-        values = self.trimmed_latencies()
-        if not values:
-            return True
-        values = sorted(values)
-        return values[len(values) // 2] > 0.6
+        """This run alone against :func:`is_saturated`."""
+        return is_saturated([self.report], self.trimmed_latencies())
 
 
 @dataclass

@@ -112,7 +112,6 @@ class HeapEventLoop:
     def queue_stats(self) -> Dict[str, object]:
         """Same introspection surface as :meth:`EventLoop.queue_stats`."""
         return {
-            "engine": "reference-heap",
             "live": self._live,
             "cancelled": self._cancelled,
             "queued": len(self._queue),

@@ -20,6 +20,12 @@ def test_drill_passes_all_acceptance_checks(drill):
     assert drill.ok
 
 
+def test_the_run_carries_its_own_slo_verdict(drill):
+    """No engine is handed in: the drill is judged by the run itself."""
+    assert drill.slo_report.ok
+    assert drill.slo_report.objective("anonymity_floor").ok
+
+
 def test_availability_stays_above_floor(drill):
     assert drill.issued > 0
     assert drill.availability >= drill.availability_floor

@@ -112,6 +112,14 @@ SECOND_IMPLEMENTATIONS = re.compile(
 )
 #: A module-level tuple of the five pipeline stage names.
 STAGE_TUPLE = re.compile(r'^(\w*STAGES)\b[^=\n]*=\s*\(\s*"ua_inbound"', flags=re.M)
+#: A second way to reach an SLO verdict: a replay entry point, a
+#: registry field naming one, or a drill that takes its engine (or not)
+#: from the caller instead of building it in ``DrillRig.watch``.
+SECOND_VERDICT_PATH = re.compile(
+    r"^def slo_verdict\b|^\s+slo: str\b"
+    r"|^def (?:run_\w+|_run_point)\([^)]*\bslo\b|def watch\(\s*self,\s*slo\b",
+    flags=re.M,
+)
 
 
 def test_one_implementation_per_mechanism_in_the_package():
@@ -131,6 +139,12 @@ def test_one_implementation_per_mechanism_in_the_package():
         for match in STAGE_TUPLE.finditer(path.read_text())
     ]
     assert stage_tuples == ["src/repro/telemetry/spans.py: PIPELINE_STAGES"]
+    verdict_paths = [
+        f"{path.relative_to(REPO)}: {match.group(0).strip()}"
+        for path in sources
+        for match in SECOND_VERDICT_PATH.finditer(path.read_text())
+    ]
+    assert verdict_paths == [], f"second SLO verdict paths in src/: {verdict_paths}"
 
 
 #: Subcommands `python -m repro run <scenario>` replaced; nothing a

@@ -10,7 +10,7 @@ from repro.experiments.capacity import (
 )
 from repro.experiments.fleet import FleetDrillResult
 from repro.experiments.rig import DrillRig
-from repro.obs.slo import Objective, SloEngine
+from repro.obs.slo import Objective
 from repro.overload import OverloadPolicy
 from repro.proxy.config import PProxConfig
 from repro.telemetry import Telemetry
@@ -25,14 +25,13 @@ def test_run_drains_with_scraper_and_slo_engine_both_armed():
     rig.deploy(PProxConfig(shuffle_size=2, shuffle_timeout=0.1))
     rig.instrument()
     rig.offer(20.0, 1.0, users=5)
-    slo = SloEngine()
-    rig.watch(slo, {"flushes": lambda: len(rig.flushes)})
+    rig.watch({"flushes": lambda: len(rig.flushes)})
     assert telemetry.scraper.running
     rig.run()
 
     assert rig.loop.pending == 0
     assert rig.injector.report.completed == rig.injector.report.issued == 20
-    assert len(slo.samples) > 2  # it did tick while the run was live
+    assert len(rig.slo.samples) > 2  # it did tick while the run was live
     assert rig.offered_window(layer="UA")
     assert {flush.instance for flush in rig.flushes} == {"pprox-ua-0", "pprox-ia-0"}
 

@@ -8,7 +8,6 @@ import pytest
 
 from repro.experiments.registry import EXPERIMENT_INDEX
 from repro.experiments.fleet import FleetDrillResult, run_fleet_drill
-from repro.obs.slo import SloEngine
 from repro.telemetry import EventLog, Telemetry
 
 SEED, RPS, DURATION = 23, 360.0, 6.0
@@ -86,13 +85,10 @@ def test_same_seed_drills_are_identical(drill):
 
 def test_slo_verdict_and_telemetry_artifact(tmp_path):
     telemetry = Telemetry()
-    slo = SloEngine()
-    result = run_fleet_drill(
-        seed=5, rps=300.0, duration=5.0, telemetry=telemetry, slo=slo
-    )
+    result = run_fleet_drill(seed=5, rps=300.0, duration=5.0, telemetry=telemetry)
     assert result.ok
     report = result.slo_report
-    assert report is not None and report.ok
+    assert report.ok
     assert {m.name for m in report.measurements} == {
         "goodput", "anonymity_floor", "p99_latency_seconds",
     }

@@ -24,6 +24,13 @@ def test_sweep_passes_all_acceptance_checks(sweep):
     assert sweep.ok
 
 
+def test_every_cell_is_judged_and_the_sweep_keeps_the_headline_verdict(sweep):
+    assert all(point.slo_report is not None for point in sweep.points)
+    assert sweep.slo_report is sweep.point(protected=True, multiplier=2.0).slo_report
+    assert sweep.slo_report.ok
+    assert sweep.slo_report.objective("anonymity_floor").ok
+
+
 def test_protected_goodput_survives_2x_overload(sweep):
     saturation = sweep.point(protected=True, multiplier=1.0)
     overloaded = sweep.point(protected=True, multiplier=2.0)

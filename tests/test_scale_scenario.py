@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.experiments import scale
-from repro.experiments.scale import ScaleConfig, run_scale_sweep
+from repro.experiments.scale import ScaleConfig, run_scale_sweep, scale_slo_verdict
 from tests.oracles.heap_event_loop import HeapEventLoop
 
 #: Miniature sweep: the full pipeline shape at test-suite cost.
@@ -55,6 +55,14 @@ def test_latency_summary_is_sane(sweep):
         assert 0 < latency["p25"] <= latency["median"] <= latency["p75"] <= latency["max"]
         assert latency["median"] < TINY.deadline
         assert latency["window_count"] > 0
+
+
+def test_static_verdict_holds_over_the_sweeps_own_artifact(sweep):
+    artifact, _ = sweep
+    report = scale_slo_verdict(artifact)
+    assert report.ok and report.experiment == "scale"
+    assert report.objective("anonymity_floor").ok
+    assert report.objective("p99_latency_seconds").target == TINY.deadline
 
 
 def test_meta_reports_wall_clock_numbers(sweep):

@@ -25,7 +25,7 @@ from repro.simnet.clock import (
 from tests.oracles.heap_event_loop import HeapEventLoop
 
 BOTH_ENGINES = pytest.mark.parametrize("engine_cls", [EventLoop, HeapEventLoop],
-                                       ids=["calendar", "reference"])
+                                       ids=["loop", "oracle"])
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +238,8 @@ def test_queue_stats_exposes_engine_and_depth():
     for loop in (calendar, reference):
         for index in range(10):
             loop.schedule(1.0 + index, lambda: None)
-    assert calendar.queue_stats()["engine"] == "calendar"
-    assert reference.queue_stats()["engine"] == "reference-heap"
-    assert calendar.queue_stats()["peak_pending"] == 10
+    assert calendar.queue_stats().keys() == reference.queue_stats().keys()
+    assert calendar.queue_stats()["peak_pending"] == reference.queue_stats()["peak_pending"] == 10
     assert calendar.queue_stats()["slots"] >= 1
 
 

@@ -23,9 +23,9 @@ structural checks — they are the wire-compatibility surface:
   a version bump.
 
 The experiment registry is linted too: every entry with a ``run``
-(or ``slo``) target must resolve to a callable and declare a help line
-and at least one diffable artifact — ``python -m repro run`` and the
-CI scenario matrix are generated from it.
+target must resolve to a callable and declare a help line and at least
+one diffable artifact — ``python -m repro run`` and the CI scenario
+matrix are generated from it.
 
 Exit status 0 when clean; 1 with a per-module report otherwise.
 """
@@ -228,7 +228,7 @@ def fleet_surface_problems() -> Dict[str, List[str]]:
 
 
 def registry_problems() -> List[str]:
-    """Import the registry and resolve every ``run`` / ``slo`` target."""
+    """Import the registry and resolve every ``run`` target."""
     sys.path.insert(0, str(SRC.parent))
     from repro.experiments.registry import validate_index
 
