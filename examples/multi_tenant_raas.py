@@ -46,9 +46,8 @@ def main() -> None:
 
     provider = RealCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
     config = PProxConfig(shuffle_size=10, shuffle_timeout=0.5)
-    service = build_multi_tenant_pprox(loop, network, rng, config, directory,
-                                       provider=provider)
     ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider)
+    service = build_multi_tenant_pprox(ctx, config, directory)
     clients = {
         name: PProxClient(
             ctx, service, rng=rng.stream(f"client-{name}"),

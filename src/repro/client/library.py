@@ -95,12 +95,11 @@ class PProxClient:
     #: where traces begin (t0 hop) and end (settle).
     telemetry: Optional[TelemetryLike] = None
     #: Exponential-backoff schedule for retries: the n-th retry waits
-    #: ``backoff_base * backoff_factor**(n-1) + U(0, backoff_jitter)``
+    #: ``backoff_base * 2**(n-1) + U(0, backoff_jitter)``
     #: seconds, with the jitter drawn from the client's own seeded RNG
     #: (deterministic for a fixed seed).  ``backoff_base == 0``
     #: reproduces the original immediate-retry behaviour.
     backoff_base: float = 0.0
-    backoff_factor: float = 2.0
     backoff_jitter: float = 0.0
     #: Launch one hedged duplicate of a call (fresh request id, same
     #: payload) if no response arrived within this many seconds; first
@@ -143,21 +142,16 @@ class PProxClient:
         request_timeout: Optional[float] = None,
         max_retries: int = 0,
         backoff_base: float = 0.0,
-        backoff_factor: float = 2.0,
         backoff_jitter: float = 0.0,
         hedge_delay: Optional[float] = None,
         deadline_budget: Optional[float] = None,
         epoch_ttl: Optional[float] = None,
         causal: Optional[Any] = None,
     ) -> None:
-        if ctx.provider is None:
-            raise ValueError(
-                "SimContext.provider is unset; set it on the context (or "
-                "build through repro.context.Deployment, which resolves one)"
-            )
         self.loop = ctx.loop
         self.network = ctx.network
-        self.provider = ctx.provider
+        # The one the service builders memoized onto the context.
+        self.provider = ctx.resolved_provider()
         self.service = service
         self.costs = ctx.costs
         self.rng = rng if rng is not None else ctx.rng.stream("client")
@@ -167,7 +161,6 @@ class PProxClient:
         self.max_retries = max_retries
         self.telemetry = ctx.telemetry
         self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
         self.backoff_jitter = backoff_jitter
         self.hedge_delay = hedge_delay
         self.deadline_budget = deadline_budget
@@ -213,16 +206,11 @@ class PProxClient:
         if cache is not None and self.loop.now < cache[0]:
             return cache[1]
         material = self.service.client_material
-        epochs = self._service_epochs()
+        epochs = self.service.wire_epochs
         if cache is not None and cache[2] != epochs:
             self.epoch_bumps += 1
         self._material_cache = (self.loop.now + self.epoch_ttl, material, epochs)
         return material
-
-    def _service_epochs(self) -> Optional[Dict[str, int]]:
-        """The service's epoch view (None for pre-epoch deployments and
-        for frontends — e.g. redirectors — that do not expose one)."""
-        return getattr(self.service, "wire_epochs", None)
 
     def _stamp_epoch(self, encoded: Request) -> Request:
         """Tag the request with the UA epoch its encryption targets.
@@ -236,7 +224,7 @@ class PProxClient:
         if cache is not None and self.loop.now < cache[0]:
             epochs = cache[2]
         else:
-            epochs = self._service_epochs()
+            epochs = self.service.wire_epochs
         if not epochs:
             return encoded
         return stamp_epoch(encoded, epochs.get("UA"))
@@ -249,7 +237,7 @@ class PProxClient:
             return
         cache = self._material_cache
         self._material_cache = None
-        if cache is not None and cache[2] != self._service_epochs():
+        if cache is not None and cache[2] != self.service.wire_epochs:
             self.epoch_bumps += 1
 
     def post(
@@ -375,7 +363,7 @@ class PProxClient:
             if self.backoff_base <= 0:
                 return 0.0
             exponent = max(0, retry_number - 1)
-            delay = self.backoff_base * (self.backoff_factor ** exponent)
+            delay = self.backoff_base * (2.0 ** exponent)
             if self.backoff_jitter > 0:
                 delay += self.backoff_jitter * self.rng.random()
             return delay
@@ -435,11 +423,7 @@ class PProxClient:
                 # (never anything user-derived); a retry's fresh nonce
                 # re-rolls its shard, which is what makes failover to a
                 # sibling shard automatic when one shard is down.
-                entry_for = getattr(self.service, "entry_for", None)
-                if entry_for is not None:
-                    entry = entry_for(attempt_request)
-                else:
-                    entry = self.service.entry()
+                entry = self.service.entry_for(attempt_request)
             except BalancerError:
                 # Every UA instance is ejected right now.  Treat like a
                 # lost message: back off and retry while budget lasts.

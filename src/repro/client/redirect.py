@@ -85,9 +85,10 @@ class RedirectedService:
     """Entry-point wrapper routing every client call via the relay.
 
     Exposes the surface :class:`~repro.client.library.PProxClient`
-    uses — ``config``, ``client_material``, ``runtime``, ``entry()`` —
-    returning the relay (which is UA-instance-shaped: it has an
-    ``address`` and ``receive_request``) as the entry point.
+    uses — ``config``, ``client_material``, ``wire_epochs``,
+    ``runtime``, ``entry_for()`` — returning the relay (which is
+    UA-instance-shaped: it has an ``address`` and ``receive_request``)
+    as the entry point.
     """
 
     inner: object
@@ -104,10 +105,16 @@ class RedirectedService:
         return self.inner.client_material
 
     @property
+    def wire_epochs(self):
+        """The underlying deployment's epoch view: a relayed request
+        carries the same fixed-width tag a direct one does."""
+        return self.inner.wire_epochs
+
+    @property
     def runtime(self):
         """The underlying deployment's runtime wiring."""
         return self.inner.runtime
 
-    def entry(self) -> RedirectFrontend:
+    def entry_for(self, request: Request) -> RedirectFrontend:
         """All client traffic enters through the application relay."""
         return self.frontend

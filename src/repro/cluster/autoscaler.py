@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from repro.proxy.service import PProxService
+from repro.proxy.service import PProxService, layer_pool
 from repro.simnet.clock import EventLoop
 
 __all__ = ["ElasticScaler", "ScalingDecision"]
@@ -78,26 +78,23 @@ class ElasticScaler:
         """Stop evaluating (the next tick becomes a no-op)."""
         self._running = False
 
-    def _snapshot(self) -> None:
-        self._last_counts = {
-            "UA": sum(i.requests_processed for i in self.service.ua_instances),
-            "IA": sum(i.requests_processed for i in self.service.ia_instances),
+    def _processed(self) -> dict:
+        return {
+            layer: sum(i.requests_processed for i in self.service.layer_instances(layer))
+            for layer in ("UA", "IA")
         }
+
+    def _snapshot(self) -> None:
+        self._last_counts = self._processed()
 
     def _tick(self) -> None:
         if not self._running:
             return
-        current = {
-            "UA": sum(i.requests_processed for i in self.service.ua_instances),
-            "IA": sum(i.requests_processed for i in self.service.ia_instances),
-        }
+        current = self._processed()
         for layer in ("UA", "IA"):
-            instances = (
-                self.service.ua_instances if layer == "UA" else self.service.ia_instances
-            )
             # Capacity decisions count only live instances — a failed
             # one still shows in the inventory but serves nothing.
-            live = [i for i in instances if getattr(i, "alive", True)]
+            live = [i for i in self.service.layer_instances(layer) if i.alive]
             processed = current[layer] - self._last_counts.get(layer, 0)
             rate = processed / self.interval / max(len(live), 1)
             self._evaluate(layer, rate, len(live), live)
@@ -107,13 +104,10 @@ class ElasticScaler:
     def _overloaded(self, live: List) -> bool:
         if self.overload_sojourn_threshold is None:
             return False
-        for instance in live:
-            signal_fn = getattr(instance, "overload_signal", None)
-            if signal_fn is None:
-                continue
-            if signal_fn().queue_sojourn > self.overload_sojourn_threshold:
-                return True
-        return False
+        return any(
+            instance.overload_signal().queue_sojourn > self.overload_sojourn_threshold
+            for instance in live
+        )
 
     def _evaluate(
         self, layer: str, rate: float, count: int, live: Optional[List] = None
@@ -123,20 +117,14 @@ class ElasticScaler:
         # sees a real list.
         live = list(live) if live is not None else []
         if self._overloaded(live) and count < self.max_instances:
-            if layer == "UA":
-                self.service.scale_ua()
-            else:
-                self.service.scale_ia()
+            self.service.scale(layer)
             self.overload_scale_ups += 1
             self.decisions.append(
                 ScalingDecision(self.loop.now, layer, "scale-up-overload", count + 1, rate)
             )
             return
         if rate > self.high_rps and count < self.max_instances:
-            if layer == "UA":
-                self.service.scale_ua()
-            else:
-                self.service.scale_ia()
+            self.service.scale(layer)
             self.decisions.append(
                 ScalingDecision(self.loop.now, layer, "scale-up", count + 1, rate)
             )
@@ -149,12 +137,8 @@ class ElasticScaler:
                 return
             # Scale down: remove the most recently added instance from
             # the balancer (it finishes in-flight work and is retired).
-            if layer == "UA":
-                instance = self.service.ua_instances.pop()
-                balancer = self.service.ua_balancer
-            else:
-                instance = self.service.ia_instances.pop()
-                balancer = self.service.ia_balancer
+            instances, balancer = layer_pool(self.service, layer)
+            instance = instances.pop()
             # A dead instance may already have been ejected by the
             # health monitor.
             if instance in balancer.backends:

@@ -16,13 +16,51 @@ are recovered by the client library's timeout + retry (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.proxy.service import PProxService
+from repro.proxy.service import PProxService, layer_pool
+from repro.sgx.provisioning import KeyProvisioner
 from repro.simnet.clock import EventLoop
+from repro.simnet.loadbalancer import LoadBalancer
 from repro.telemetry.types import TelemetryLike
 
-__all__ = ["HealthMonitor"]
+__all__ = ["HealthMonitor", "liveness_pass"]
+
+
+def liveness_pass(
+    instances: Iterable[Any],
+    balancers: Sequence[LoadBalancer],
+    layer: str,
+    provisioner: Optional[KeyProvisioner],
+) -> Iterator[Tuple[str, Any]]:
+    """One probe of *layer*'s *instances*, pooled in every one of
+    *balancers* (the first is authoritative): eject the dead, readmit
+    the recovered.  Yields ``(transition, instance)`` — ``"ejected"``,
+    ``"reprovisioned"``, ``"readmitted"`` — as each happens, in
+    instance order, so the caller books it under its own names.
+    """
+    for instance in instances:
+        if not instance.alive:
+            if balancers[0].eject(instance):
+                for balancer in balancers[1:]:
+                    balancer.eject(instance)
+                yield "ejected", instance
+        elif not balancers[0].contains(instance):
+            # Readiness passed: the instance restarted with a freshly
+            # attested, re-provisioned enclave.  Before readmitting,
+            # re-verify its key generation — an enclave that missed an
+            # epoch announcement (or was restarted from a stale image)
+            # must never rejoin a balancer mid-rotation with old keys.
+            # A multi-tenant service has no provisioner (each tenant
+            # provisions its own keys), hence no generation to verify.
+            if provisioner is not None and not provisioner.verify_generation(
+                instance.enclave
+            ):
+                provisioner.reprovision(layer, instance.enclave)
+                yield "reprovisioned", instance
+            for balancer in balancers:
+                balancer.readmit(instance)
+            yield "readmitted", instance
 
 
 @dataclass
@@ -69,67 +107,48 @@ class HealthMonitor:
     def _probe(self) -> None:
         if not self._running:
             return
-        for balancer, instances in (
-            (self.service.ua_balancer, self.service.ua_instances),
-            (self.service.ia_balancer, self.service.ia_instances),
-        ):
-            for instance in instances:
-                if not instance.alive and balancer.contains(instance):
-                    balancer.eject(instance)
+        for layer in ("UA", "IA"):
+            instances, balancer = layer_pool(self.service, layer)
+            for transition, instance in liveness_pass(
+                instances, (balancer,), layer, self.service.provisioner
+            ):
+                if transition == "ejected":
                     self.ejected.append(instance.name)
                     self._ejected_at[instance.name] = self.loop.now
-                    if self.telemetry is not None:
-                        self.telemetry.emit_fault(
-                            "operator",
-                            {
-                                "event": "instance_ejected",
-                                "instance": instance.name,
-                                "balancer": balancer.name,
-                            },
-                        )
-                elif instance.alive and not balancer.contains(instance):
-                    # Readiness passed: the instance restarted with a
-                    # freshly attested, re-provisioned enclave.  Before
-                    # readmitting, re-verify its key generation — an
-                    # enclave that missed an epoch announcement (or was
-                    # restarted from a stale image) must never rejoin
-                    # the balancer mid-rotation with old keys.
-                    self._verify_generation(instance, balancer)
-                    balancer.readmit(instance)
+                    self._fault(
+                        {
+                            "event": "instance_ejected",
+                            "instance": instance.name,
+                            "balancer": balancer.name,
+                        }
+                    )
+                elif transition == "reprovisioned":
+                    self.stale_generation_blocks += 1
+                    self._fault(
+                        {
+                            "event": "stale_generation_reprovisioned",
+                            "instance": instance.name,
+                            "layer": layer,
+                        }
+                    )
+                else:
                     self.readmitted.append(instance.name)
                     self._record_recovery(instance, balancer.name)
+            for instance in instances:
                 self._probe_overload(instance)
         self.loop.schedule(self.interval, self._probe)
 
-    def _verify_generation(self, instance, balancer) -> None:
-        """Re-provision *instance* if its enclave's key generation is
-        stale (guarded getattr: pre-epoch provisioners verify nothing)."""
-        provisioner = getattr(self.service, "provisioner", None)
-        verify = getattr(provisioner, "verify_generation", None)
-        if verify is None or verify(instance.enclave):
-            return
-        layer = "UA" if balancer is self.service.ua_balancer else "IA"
-        provisioner.reprovision(layer, instance.enclave)
-        self.stale_generation_blocks += 1
+    def _fault(self, payload: Dict[str, Any]) -> None:
         if self.telemetry is not None:
-            self.telemetry.emit_fault(
-                "operator",
-                {
-                    "event": "stale_generation_reprovisioned",
-                    "instance": instance.name,
-                    "layer": layer,
-                },
-            )
+            self.telemetry.emit_fault("operator", payload)
 
     def _probe_overload(self, instance) -> None:
         """Edge-triggered operator events from the overload signal."""
         if self.overload_sojourn_threshold is None:
             return
-        signal_fn = getattr(instance, "overload_signal", None)
-        if signal_fn is None:
-            return
         overloaded = (
-            instance.alive and signal_fn().queue_sojourn > self.overload_sojourn_threshold
+            instance.alive
+            and instance.overload_signal().queue_sojourn > self.overload_sojourn_threshold
         )
         was = instance.name in self._overloaded_now
         if overloaded == was:
@@ -138,14 +157,12 @@ class HealthMonitor:
             self._overloaded_now.add(instance.name)
         else:
             self._overloaded_now.discard(instance.name)
-        if self.telemetry is not None:
-            self.telemetry.emit_fault(
-                "operator",
-                {
-                    "event": "instance_overloaded" if overloaded else "instance_overload_cleared",
-                    "instance": instance.name,
-                },
-            )
+        self._fault(
+            {
+                "event": "instance_overloaded" if overloaded else "instance_overload_cleared",
+                "instance": instance.name,
+            }
+        )
 
     def _record_recovery(self, instance, balancer_name: str) -> None:
         ejected_at = self._ejected_at.pop(instance.name, None)

@@ -140,7 +140,6 @@ class Deployment:
         ctx: SimContext,
         config: PProxConfig,
         lrs_picker: Callable[[], object],
-        rsa_bits: int = 1024,
         overload: Optional["OverloadPolicy"] = None,
     ) -> "Deployment":
         """Assemble a service from *ctx* (keyword-only).
@@ -149,12 +148,7 @@ class Deployment:
         arm the overload-protection subsystem on every proxy instance.
         The wire format is the context's (``ctx.codec``).
         """
-        # Memoize the provider onto the context first, so the service
-        # and every client it hands out share one.
-        ctx.resolved_provider()
-        service = build_pprox(
-            ctx, config, lrs_picker, rsa_bits=rsa_bits, overload=overload
-        )
+        service = build_pprox(ctx, config, lrs_picker, overload=overload)
         return cls(ctx=ctx, service=service, config=config)
 
     def client(

@@ -101,7 +101,7 @@ class FaultSupervisor:
             # Key generation the fresh enclave was provisioned at: lets
             # a rotation post-mortem confirm that a mid-drill restart
             # came back on the current epoch, not a stale one.
-            "key_generation": getattr(self.service.provisioner, "key_generation", 0),
+            "key_generation": self.service.provisioner.key_generation,
         })
 
     def _inject_partition(self, event: FaultEvent) -> None:

@@ -7,29 +7,22 @@ UA/IA pair group with its own balancers.  Clients route per attempt
 via :meth:`entry_for` (nonce-keyed, see ``repro.fleet.ring``); every
 instance also joins the inherited global lists and balancers so the
 fault supervisor, telemetry instruments and legacy ``entry()`` callers
-keep working unchanged.
+keep working unchanged.  Shard instances are stood up and restarted
+by the inherited :class:`PProxService` paths; the fleet only says where
+(the shard's pools, its failure domain's nodes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
-from repro.crypto.keys import KeyFactory
 from repro.fleet.placement import domain_node
 from repro.fleet.ring import Shard, ShardDirectory
 from repro.proxy.config import PProxConfig
-from repro.proxy.layers import ItemAnonymizer, ProxyRuntime, UserAnonymizer
-from repro.proxy.service import (
-    IA_CODE_IDENTITY,
-    UA_CODE_IDENTITY,
-    PProxService,
-    _cached_layer_keys,
-)
+from repro.proxy.layers import ItemAnonymizer, UserAnonymizer
+from repro.proxy.service import PProxService, assemble
 from repro.rest.messages import Request
-from repro.sgx.attestation import AttestationService
-from repro.sgx.enclave import Enclave, EnclaveMeasurement
-from repro.sgx.provisioning import KeyProvisioner
 from repro.simnet.loadbalancer import LoadBalancer, make_policy
 
 __all__ = [
@@ -43,12 +36,16 @@ class ShardedPProxService(PProxService):
     """A PProx service whose instances are grouped into ring shards."""
 
     directory: ShardDirectory = field(default_factory=ShardDirectory)
-    #: UA (= IA) instances provisioned per shard — the paper's I.
-    instances_per_shard: int = 1
     #: Called after a shard is fully provisioned (drills chain flush
     #: hooks onto shards created mid-run through this).
     on_shard_added: Optional[Callable[[Shard], None]] = None
     _shard_seq: int = 0
+
+    @property
+    def instances_per_shard(self) -> int:
+        """UA (= IA) instances provisioned per shard — the paper's I
+        (``config.ua_instances``, reinterpreted per shard)."""
+        return self.config.ua_instances
 
     @property
     def shards(self) -> Dict[str, Shard]:
@@ -105,42 +102,11 @@ class ShardedPProxService(PProxService):
             ),
             created_at=self.runtime.loop.now,
         )
-        for index in range(self.instances_per_shard):
-            enclave = Enclave(
-                name=f"ia-enclave-{shard_id}-{index}",
-                measurement=EnclaveMeasurement.of_code(IA_CODE_IDENTITY),
-                host_node=domain_node(domain, "IA", index),
-            )
-            self.provisioner.provision("IA", enclave)
-            instance = ItemAnonymizer(
-                name=f"pprox-ia-{shard_id}-{index}",
-                runtime=self.runtime,
-                enclave=enclave,
-                lrs_picker=self.lrs_picker,
-            )
-            shard.ia_instances.append(instance)
-            shard.ia_balancer.add(instance)
-            self.ia_instances.append(instance)
-            self.ia_balancer.add(instance)
-            self.runtime.network.register_role(instance.address, "ia")
-        for index in range(self.instances_per_shard):
-            enclave = Enclave(
-                name=f"ua-enclave-{shard_id}-{index}",
-                measurement=EnclaveMeasurement.of_code(UA_CODE_IDENTITY),
-                host_node=domain_node(domain, "UA", index),
-            )
-            self.provisioner.provision("UA", enclave)
-            instance = UserAnonymizer(
-                name=f"pprox-ua-{shard_id}-{index}",
-                runtime=self.runtime,
-                enclave=enclave,
-                ia_balancer=shard.ia_balancer,
-            )
-            shard.ua_instances.append(instance)
-            shard.ua_balancer.add(instance)
-            self.ua_instances.append(instance)
-            self.ua_balancer.add(instance)
-            self.runtime.network.register_role(instance.address, "ua")
+        for layer in ("IA", "UA"):
+            for index in range(self.instances_per_shard):
+                self._spawn(
+                    layer, f"{shard_id}-{index}", domain_node(domain, layer, index), (shard, self)
+                )
         self.directory.register(shard)
         if activate:
             shard.set_state("live")
@@ -173,32 +139,14 @@ class ShardedPProxService(PProxService):
 
     # -- failure recovery ----------------------------------------------
 
-    def restart_instance(
-        self, instance: Union[UserAnonymizer, ItemAnonymizer]
-    ) -> Union[UserAnonymizer, ItemAnonymizer]:
-        """Restart preserving failure-domain placement.
-
-        The stock restart path names the fresh enclave's host after the
-        instance; a fleet restart must keep the node inside the shard's
-        failure domain or the placement audit would flag it.
-        """
+    def _placement(self, instance: Union[UserAnonymizer, ItemAnonymizer]) -> Tuple[str, str]:
+        """A fleet restart keeps the fresh enclave's node inside the
+        shard's failure domain, or the placement audit would flag it."""
         shard = self.shard_of(instance)
         if shard is None:
-            return super().restart_instance(instance)
-        if instance in shard.ua_instances:
-            layer, identity = "UA", UA_CODE_IDENTITY
-        else:
-            layer, identity = "IA", IA_CODE_IDENTITY
-        next_generation = instance.generation + 1
-        enclave = Enclave(
-            name=f"{instance.name}-enclave-g{next_generation}",
-            measurement=EnclaveMeasurement.of_code(identity),
-            host_node=f"node-{shard.domain}-{layer.lower()}-g{next_generation}",
-        )
-        self.provisioner.provision(layer, enclave)
-        instance.restart(enclave)
-        self.restarts += 1
-        return instance
+            return super()._placement(instance)
+        layer = "UA" if instance in shard.ua_instances else "IA"
+        return layer, f"node-{shard.domain}-{layer.lower()}"
 
 
 def build_fleet(
@@ -207,69 +155,20 @@ def build_fleet(
     lrs_picker: Callable[[], object],
     *,
     shards: int = 2,
-    instances_per_shard: Optional[int] = None,
-    rsa_bits: int = 1024,
     overload=None,
     vnodes: int = 64,
 ) -> ShardedPProxService:
     """Deploy a sharded fleet on a :class:`repro.context.SimContext`.
 
-    ``config.ua_instances`` / ``ia_instances`` are reinterpreted as the
-    per-shard instance count I (override with *instances_per_shard*);
-    the fleet starts with *shards* live shards, each in its own
-    failure domain.
+    ``config.ua_instances`` is reinterpreted as the per-shard instance
+    count I of both layers; the fleet starts with *shards* live shards,
+    each in its own failure domain.
     """
     if shards < 1:
         raise ValueError("a fleet needs at least one shard")
-    per_shard = instances_per_shard if instances_per_shard is not None else config.ua_instances
-    if per_shard < 1:
-        raise ValueError("each shard needs at least one instance per layer")
-    rng = ctx.rng
-    provider = ctx.resolved_provider()
-
-    factory = KeyFactory(
-        rsa_bits=rsa_bits,
-        rng_int=rng.int_fn("keygen"),
-        rng_bytes=rng.bytes_fn("keygen-bytes"),
-    )
-    ua_keys = _cached_layer_keys(factory, rng.seed, rsa_bits, "UA")
-    ia_keys = _cached_layer_keys(factory, rng.seed, rsa_bits, "IA")
-
-    attestation = AttestationService(rng_bytes=rng.bytes_fn("attestation"))
-    provisioner = KeyProvisioner(
-        attestation=attestation,
-        expected_measurements={
-            "UA": EnclaveMeasurement.of_code(UA_CODE_IDENTITY),
-            "IA": EnclaveMeasurement.of_code(IA_CODE_IDENTITY),
-        },
-        layer_keys={"UA": ua_keys, "IA": ia_keys},
-        rng_bytes=rng.bytes_fn("provisioning"),
-    )
-    runtime = ProxyRuntime(
-        loop=ctx.loop,
-        network=ctx.network,
-        rng=rng.stream("proxy"),
-        provider=provider,
-        config=config,
-        costs=ctx.costs,
-        telemetry=ctx.telemetry,
-        overload=overload,
-        codec=ctx.codec,
-        ia_public=lambda: provisioner.layer_keys["IA"].public_material,
-    )
-    fleet = ShardedPProxService(
-        runtime=runtime,
-        provisioner=provisioner,
-        attestation=attestation,
-        ua_balancer=LoadBalancer(
-            name="client->ua", policy=make_policy(config.balancing, rng.stream("lb-ua"))
-        ),
-        ia_balancer=LoadBalancer(
-            name="ua->ia", policy=make_policy(config.balancing, rng.stream("lb-ia"))
-        ),
-        lrs_picker=lrs_picker,
-        directory=ShardDirectory(vnodes=vnodes),
-        instances_per_shard=per_shard,
+    fleet = assemble(
+        ShardedPProxService, ctx, config, lrs_picker,
+        overload=overload, directory=ShardDirectory(vnodes=vnodes),
     )
     for _ in range(shards):
         fleet.add_shard()

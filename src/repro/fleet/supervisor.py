@@ -2,13 +2,13 @@
 
 :class:`FleetSupervisor` owns the shard state machine
 (``provision -> live -> splitting/merging -> draining -> retired``)
-with the same pause-never-abort discipline as
-:class:`repro.proxy.epochs.RotationCoordinator`: a periodic tick
-advances at most one phase, and any condition that could thin the
-anonymity set — an instance of an involved shard down, a released
-flush below the floor, an overload signal — holds the operation where
-it stands until the condition clears.  Nothing is ever rolled back and
-no request is aborted on behalf of a reconfiguration.
+under the pause-never-abort discipline of
+:func:`repro.proxy.epochs.hold_reason`: a periodic tick advances at
+most one phase, and any condition that could thin the anonymity set —
+an instance of an involved shard down, a released flush below the
+floor, an overload signal — holds the operation where it stands until
+the condition clears.  Nothing is ever rolled back and no request is
+aborted on behalf of a reconfiguration.
 
 Handoff barriers:
 
@@ -23,11 +23,10 @@ Handoff barriers:
   service only once its buffers are empty *and* the quiet period has
   passed, so in-flight batches flush on the old shard at full size.
 
-The supervisor also runs the fleet's per-shard health probing
-(:class:`repro.cluster.health.HealthMonitor` only watches the global
-balancers): dead instances are ejected from both their shard balancer
-and the global one, recovered instances are readmitted only after
-their rebuilt enclave verifies at the active key generation.
+The supervisor also runs the fleet's per-shard health probing — the
+same :func:`repro.cluster.health.liveness_pass` as
+:class:`~repro.cluster.health.HealthMonitor`, which only watches the
+global balancers — over the shard balancer and the global one together.
 """
 
 from __future__ import annotations
@@ -36,8 +35,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.cluster.autoscaler import ElasticScaler, ScalingDecision
+from repro.cluster.health import liveness_pass
 from repro.fleet.ring import Shard
 from repro.fleet.service import ShardedPProxService
+from repro.proxy.epochs import HoldTheLine, hold_reason
+from repro.proxy.service import layer_pool
 from repro.simnet.clock import EventLoop
 
 __all__ = [
@@ -69,7 +71,7 @@ class ShardOperation:
 
 
 @dataclass
-class FleetSupervisor:
+class FleetSupervisor(HoldTheLine):
     """Owns shard lifecycle, probing, and split/merge handoffs."""
 
     loop: EventLoop
@@ -79,15 +81,7 @@ class FleetSupervisor:
     #: Post-flip quiet period; the effective barrier is
     #: ``max(shuffle_timeout, drain_grace)``.
     drain_grace: float = 0.5
-    #: Anonymity floor a released flush must meet for operations to
-    #: advance; defaults to the configured shuffle size S.
-    min_fill: Optional[int] = None
-    overload_sojourn_threshold: float = 0.25
     ticks: int = 0
-    pauses: int = 0
-    pause_reasons: Dict[str, int] = field(default_factory=dict)
-    paused: bool = False
-    pause_reason: Optional[str] = None
     splits_started: int = 0
     splits_completed: int = 0
     merges_started: int = 0
@@ -185,98 +179,51 @@ class FleetSupervisor:
         self._probe()
         active = self.active_operations
         if active:
-            reason = self._pause_reason(active)
-            if reason is not None:
-                if not self.paused:
-                    self.paused = True
-                    self.pauses += 1
-                    self.pause_reasons[reason] = self.pause_reasons.get(reason, 0) + 1
-                    self._emit({"event": "fleet_paused", "reason": reason})
-                self.pause_reason = reason
-            else:
-                if self.paused:
-                    self.paused = False
-                    self.pause_reason = None
-                    self._emit({"event": "fleet_resumed"})
+            # Hold-the-line check, scoped to shards touched by operations.
+            involved = {
+                shard.shard_id: shard for op in active for shard in op.shards()
+            }
+            reason = hold_reason(
+                (inst for shard in involved.values() for inst in shard.instances()),
+                self.fleet.config.shuffle_size,
+            )
+            if self._hold(
+                reason, {"event": "fleet_paused", "reason": reason}, {"event": "fleet_resumed"}
+            ):
                 for op in active:
                     self._advance(op)
         self.loop.schedule(self.tick_interval, self._tick)
 
     def _probe(self) -> None:
         """Per-shard health pass: eject dead, readmit verified-alive."""
-        provisioner = self.fleet.provisioner
         for shard in self.fleet.directory.shards.values():
             if shard.state == "retired":
                 continue
-            for layer, instances, balancer, global_balancer in (
-                ("UA", shard.ua_instances, shard.ua_balancer, self.fleet.ua_balancer),
-                ("IA", shard.ia_instances, shard.ia_balancer, self.fleet.ia_balancer),
-            ):
-                for instance in instances:
-                    if not instance.alive:
-                        if balancer.eject(instance):
-                            global_balancer.eject(instance)
-                            self.ejections += 1
-                            self._emit(
-                                {
-                                    "event": "shard_instance_ejected",
-                                    "shard": shard.shard_id,
-                                    "layer": layer,
-                                    "instance": instance.name,
-                                }
-                            )
+            for layer in ("UA", "IA"):
+                instances, balancer = layer_pool(shard, layer)
+                for transition, instance in liveness_pass(
+                    instances,
+                    (balancer, layer_pool(self.fleet, layer)[1]),
+                    layer,
+                    self.fleet.provisioner,
+                ):
+                    if transition == "reprovisioned":
+                        self.reprovisions += 1
                         continue
-                    if not balancer.contains(instance):
-                        # Readmission barrier: the rebuilt enclave must
-                        # hold the active key generation before taking
-                        # traffic again (mirrors HealthMonitor).
-                        if provisioner.epochs_enabled and not provisioner.verify_generation(
-                            instance.enclave
-                        ):
-                            provisioner.reprovision(layer, instance.enclave)
-                            self.reprovisions += 1
-                        balancer.readmit(instance)
-                        global_balancer.readmit(instance)
+                    if transition == "ejected":
+                        self.ejections += 1
+                        event = "shard_instance_ejected"
+                    else:
                         self.readmissions += 1
-                        self._emit(
-                            {
-                                "event": "shard_instance_readmitted",
-                                "shard": shard.shard_id,
-                                "layer": layer,
-                                "instance": instance.name,
-                            }
-                        )
-
-    def _pause_reason(self, active: List[ShardOperation]) -> Optional[str]:
-        """Hold-the-line check, scoped to shards touched by operations."""
-        involved: List[Shard] = []
-        seen: Dict[str, None] = {}
-        for op in active:
-            for shard in op.shards():
-                if shard.shard_id not in seen:
-                    seen[shard.shard_id] = None
-                    involved.append(shard)
-        instances = [inst for shard in involved for inst in shard.instances()]
-        if any(not inst.alive for inst in instances):
-            return "instance_down"
-        floor = self.min_fill
-        if floor is None:
-            floor = self.fleet.config.shuffle_size
-        if floor > 1:
-            for instance in instances:
-                buffer = instance.shuffle_buffer
-                if buffer is None:
-                    continue
-                last = buffer.last_flush_size
-                if last is not None and last < floor:
-                    return "anonymity_floor"
-        for instance in instances:
-            signal_fn = getattr(instance, "overload_signal", None)
-            if signal_fn is None:
-                continue
-            if signal_fn().queue_sojourn > self.overload_sojourn_threshold:
-                return "overload"
-        return None
+                        event = "shard_instance_readmitted"
+                    self._emit(
+                        {
+                            "event": event,
+                            "shard": shard.shard_id,
+                            "layer": layer,
+                            "instance": instance.name,
+                        }
+                    )
 
     def _barrier_met(self, shard: Shard) -> bool:
         """Key/attestation barrier: every enclave of *shard* is alive,
@@ -387,7 +334,6 @@ class ShardAutoscaler(ElasticScaler):
     """
 
     supervisor: Optional[FleetSupervisor] = None
-    min_shards: int = 1
     max_shards: int = 8
     _last_shard_counts: Dict[str, int] = field(default_factory=dict)
 
@@ -441,7 +387,7 @@ class ShardAutoscaler(ElasticScaler):
                             len(live_shards) + 1, rates[hottest],
                         )
                     )
-            elif rates[coldest] < self.low_rps and len(live_shards) > self.min_shards:
+            elif rates[coldest] < self.low_rps and len(live_shards) > 1:
                 if supervisor.guard("UA"):
                     self.deferred_scale_downs += 1
                     self.decisions.append(

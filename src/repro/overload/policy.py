@@ -1,7 +1,7 @@
 """The overload-protection policy bundle.
 
 One frozen configuration object carries every knob of the overload
-subsystem; :func:`repro.proxy.service.build_service` threads it into
+subsystem; :func:`repro.proxy.service.assemble` threads it into
 the :class:`~repro.proxy.layers.ProxyRuntime` and each proxy instance
 builds its own bounded ingress queue, admission controller and pump
 window from it.  ``None`` (the default everywhere) means *no overload

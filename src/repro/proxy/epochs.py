@@ -54,7 +54,7 @@ the other way around) and re-exported here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.crypto.keys import KeyFactory, LayerKeys
 from repro.rest.messages import Request
@@ -76,6 +76,9 @@ __all__ = [
     "EPOCH_WINDOW_SLOT",
     "epoch_window_of",
     "window_candidates",
+    "OVERLOAD_HOLD_SOJOURN",
+    "hold_reason",
+    "HoldTheLine",
     "ROTATION_STATES",
     "RotationCoordinator",
 ]
@@ -179,6 +182,79 @@ def window_candidates(
     )
 
 
+#: A reconfiguration yields to overload: it holds while any involved
+#: instance's ingress sojourn exceeds this (seconds).
+OVERLOAD_HOLD_SOJOURN = 0.25
+
+
+def hold_reason(instances: Iterable[Any], floor: int) -> Optional[str]:
+    """Why a reconfiguration touching *instances* must hold where it
+    stands, or ``None`` when it may advance.
+
+    The pause-never-abort discipline of every control-plane operation
+    (key rotation, shard split / merge): *floor* is the anonymity floor
+    per shuffle flush, the configured shuffle size S.
+    """
+    instances = list(instances)
+    if any(not instance.alive for instance in instances):
+        # The involved set is degraded; advancing (and eventually
+        # wiping old keys or retiring a shard) while an instance is
+        # down risks both availability and the anonymity floor once it
+        # returns.  Wait for the supervisor/monitor to recover it.
+        return "instance_down"
+    if floor > 1:
+        for instance in instances:
+            buffer = instance.shuffle_buffer
+            if buffer is None:
+                continue
+            last = buffer.last_flush_size
+            if last is not None and last < floor:
+                # A flush (or crash-drain) below S: proceeding would
+                # certify a reconfiguration over a thinned batch.
+                return "anonymity_floor"
+    for instance in instances:
+        # Read the raw signal rather than consulting the admission
+        # controller: admit() mutates shed counters.
+        if instance.overload_signal().queue_sojourn > OVERLOAD_HOLD_SOJOURN:
+            return "overload"
+    return None
+
+
+@dataclass(kw_only=True)
+class HoldTheLine:
+    """Pause bookkeeping of a ticking control-plane operation.
+
+    Subclasses compute :func:`hold_reason` over the instances *they*
+    involve each tick and hand it to :meth:`_hold` with their own two
+    operator events; nothing is rolled back and no request is aborted
+    while the hold lasts.
+    """
+
+    paused: bool = False
+    pause_reason: Optional[str] = None
+    pauses: int = 0
+    pause_reasons: Dict[str, int] = field(default_factory=dict)
+
+    def _hold(
+        self, reason: Optional[str], paused: Dict[str, Any], resumed: Dict[str, Any]
+    ) -> bool:
+        """Book this tick's verdict, emitting *paused* / *resumed* once
+        per edge; True when the operation may advance."""
+        if reason is None:
+            if self.paused:
+                self.paused = False
+                self.pause_reason = None
+                self._emit(resumed)
+            return True
+        if not self.paused:
+            self.paused = True
+            self.pauses += 1
+            self.pause_reasons[reason] = self.pause_reasons.get(reason, 0) + 1
+            self._emit(paused)
+        self.pause_reason = reason
+        return False
+
+
 #: Rotation drill states, in drill order.  ``paused`` is orthogonal
 #: (the drill resumes where it stood); :attr:`RotationCoordinator.
 #: state_code` reports the paused index while the pause lasts so the
@@ -187,7 +263,7 @@ ROTATION_STATES = ("idle", "announced", "reencrypting", "draining", "retired", "
 
 
 @dataclass
-class RotationCoordinator:
+class RotationCoordinator(HoldTheLine):
     """Drives one layer's live rotation drill tick by tick.
 
     The coordinator is deliberately stateless about in-flight traffic:
@@ -218,21 +294,10 @@ class RotationCoordinator:
     #: keep this above the shuffle timeout so every batch buffered
     #: under the old epoch has flushed and been answered.
     retire_grace: float = 0.5
-    #: Anonymity floor per shuffle flush; ``None`` uses the configured
-    #: shuffle size S.  Any alive rotating-layer buffer whose last
-    #: flush fell below the floor pauses the drill.
-    min_fill: Optional[int] = None
-    #: Rotation yields to overload: pause while any rotating-layer
-    #: instance's ingress sojourn exceeds this (seconds).
-    overload_sojourn_threshold: float = 0.25
     telemetry: Any = None
 
     state: str = "idle"
-    paused: bool = False
-    pause_reason: Optional[str] = None
     ticks: int = 0
-    pauses: int = 0
-    pause_reasons: Dict[str, int] = field(default_factory=dict)
     #: Alive enclaves found holding a stale key generation and healed
     #: by an idempotent re-announce (partition / missed-announce path).
     reprovisions: int = 0
@@ -343,21 +408,14 @@ class RotationCoordinator:
             return
         self.ticks += 1
         self._ensure_coverage()
-        reason = self._pause_reason()
-        if reason is not None:
-            if not self.paused:
-                self.paused = True
-                self.pauses += 1
-                self.pause_reasons[reason] = self.pause_reasons.get(reason, 0) + 1
-                self._emit(
-                    {"event": "rotation_paused", "layer": self.layer, "reason": reason}
-                )
-            self.pause_reason = reason
-        else:
-            if self.paused:
-                self.paused = False
-                self.pause_reason = None
-                self._emit({"event": "rotation_resumed", "layer": self.layer})
+        # Any rotating-layer instance down, flushing below S or
+        # overloaded holds the drill where it stands.
+        reason = hold_reason(self._instances(), self.service.config.shuffle_size)
+        if self._hold(
+            reason,
+            {"event": "rotation_paused", "layer": self.layer, "reason": reason},
+            {"event": "rotation_resumed", "layer": self.layer},
+        ):
             self._advance()
         if self.state != "retired":
             self.loop.schedule(self.tick_interval, self._tick)
@@ -381,37 +439,6 @@ class RotationCoordinator:
                     "instance": instance.name,
                 }
             )
-
-    def _pause_reason(self) -> Optional[str]:
-        instances = self._instances()
-        if any(not instance.alive for instance in instances):
-            # The rotating layer is degraded; advancing the drill (and
-            # eventually wiping old keys) while an instance is down
-            # risks both availability and the anonymity floor once it
-            # returns.  Wait for the supervisor/monitor to recover it.
-            return "instance_down"
-        floor = self.min_fill
-        if floor is None:
-            floor = self.service.config.shuffle_size
-        if floor > 1:
-            for instance in instances:
-                buffer = instance.shuffle_buffer
-                if buffer is None:
-                    continue
-                last = buffer.last_flush_size
-                if last is not None and last < floor:
-                    # A flush (or crash-drain) below S: proceeding
-                    # would certify a rotation over a thinned batch.
-                    return "anonymity_floor"
-        for instance in instances:
-            signal_fn = getattr(instance, "overload_signal", None)
-            if signal_fn is None:
-                continue
-            if signal_fn().queue_sojourn > self.overload_sojourn_threshold:
-                # Read the raw signal rather than consulting the
-                # admission controller: admit() mutates shed counters.
-                return "overload"
-        return None
 
     def _advance(self) -> None:
         if self.state == "announced":
@@ -452,7 +479,7 @@ class RotationCoordinator:
         needed the previous keys for *retire_grace* seconds."""
         last_use = self.window_opened_at if self.window_opened_at is not None else 0.0
         for instance in self._instances():
-            used_at = getattr(instance, "last_previous_epoch_use", None)
+            used_at = instance.last_previous_epoch_use
             if used_at is not None:
                 last_use = max(last_use, used_at)
         return self.loop.now - last_use >= self.retire_grace

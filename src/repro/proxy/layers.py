@@ -135,7 +135,7 @@ class ProxyRuntime:
     #: door notifies it when a trace id is severed; batch spans are
     #: wired separately (:func:`repro.obs.causal.instrument_causal`).
     causal: Optional[Any] = None
-    #: Current IA-layer public material (set by ``build_service``; kept
+    #: Current IA-layer public material (set by ``assemble``; kept
     #: a callable so it tracks live key rotation).  Needed by the UA in
     #: batch-envelope mode to seal the flushed batch under ``pkIA``.
     ia_public: Optional[Callable[[], Any]] = None

@@ -2,6 +2,7 @@
 
 from repro.tenancy.directory import TenantDirectory, TenantRecord, tenant_slot
 from repro.tenancy.service import (
+    MultiTenantPProxService,
     TenantItemAnonymizer,
     TenantUserAnonymizer,
     build_multi_tenant_pprox,
@@ -13,5 +14,6 @@ __all__ = [
     "tenant_slot",
     "TenantUserAnonymizer",
     "TenantItemAnonymizer",
+    "MultiTenantPProxService",
     "build_multi_tenant_pprox",
 ]

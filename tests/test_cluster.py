@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.autoscaler import ElasticScaler
+from repro.cluster.health import liveness_pass
 from repro.cluster.deployments import (
     CLUSTER_NODE_BUDGET,
     MACRO_BASELINES,
@@ -16,6 +17,7 @@ from repro.context import SimContext
 from repro.lrs.stub import StubLrs
 from repro.proxy import PProxConfig, build_pprox
 from repro.simnet.clock import EventLoop
+from repro.simnet.loadbalancer import LoadBalancer, RoundRobinPolicy
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
 
@@ -222,3 +224,62 @@ def test_autoscaler_respects_max_instances():
     scaler.stop()
     assert len(service.ua_instances) <= 2
     assert len(service.ia_instances) <= 2
+
+
+# -- the shared liveness pass (HealthMonitor and FleetSupervisor) ----------
+
+
+def _two_balancer_pool():
+    """Three UAs pooled twice, as a fleet pools a shard's instances in
+    the shard balancer and in the global one."""
+    _, service = _scaled_service()
+    service.scale_ua()
+    service.scale_ua()
+    shard_balancer = LoadBalancer(
+        name="shard", policy=RoundRobinPolicy(), backends=list(service.ua_instances)
+    )
+    return service, (shard_balancer, service.ua_balancer)
+
+
+def test_liveness_pass_ejects_from_every_balancer_in_instance_order():
+    service, balancers = _two_balancer_pool()
+    first, second, third = service.ua_instances
+    third.fail()
+    first.fail()
+    probe = lambda: list(
+        liveness_pass(service.ua_instances, balancers, "UA", service.provisioner)
+    )
+    assert probe() == [("ejected", first), ("ejected", third)]
+    assert all(balancer.backends == [second] for balancer in balancers)
+    assert probe() == []  # edge-triggered: already out of the authoritative pool
+
+
+def test_liveness_pass_reprovisions_a_stale_enclave_before_readmitting_it():
+    service, balancers = _two_balancer_pool()
+    victim = service.ua_instances[1]
+    victim.fail()
+    list(liveness_pass(service.ua_instances, balancers, "UA", service.provisioner))
+    service.restart_instance(victim)
+    service.provisioner.key_generation += 1  # an announce the restart missed
+    for instance in service.ua_instances:
+        if instance is not victim:
+            service.provisioner.reprovision("UA", instance.enclave)
+    steps = liveness_pass(service.ua_instances, balancers, "UA", service.provisioner)
+    assert next(steps) == ("reprovisioned", victim)
+    assert service.provisioner.verify_generation(victim.enclave)
+    assert not any(balancer.contains(victim) for balancer in balancers)
+    assert next(steps) == ("readmitted", victim)
+    assert all(balancer.contains(victim) for balancer in balancers)
+    assert list(steps) == []
+
+
+def test_liveness_pass_without_a_provisioner_readmits_unverified():
+    """A multi-tenant service has no provisioner, hence no generation."""
+    service, balancers = _two_balancer_pool()
+    victim = service.ua_instances[0]
+    victim.fail()
+    list(liveness_pass(service.ua_instances, balancers, "UA", None))
+    service.restart_instance(victim)
+    assert list(liveness_pass(service.ua_instances, balancers, "UA", None)) == [
+        ("readmitted", victim)
+    ]

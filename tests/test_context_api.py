@@ -82,12 +82,23 @@ def test_same_seed_stacks_issue_identical_request_ids():
     assert sorted(sequences[0]) == [1, 2, 3, 4, 5, 6]
 
 
-def test_client_requires_a_provider_on_the_context():
+def test_client_shares_the_provider_the_service_was_built_with():
+    """Every builder memoizes the provider onto the context (the sim
+    provider's token registry is shared state), so a client built on the
+    same context needs no ``Deployment`` to find it."""
     ctx = SimContext.fresh(6)
+    assert ctx.provider is None
     stub = StubLrs(loop=ctx.loop, rng=ctx.rng.stream("stub"))
     service = build_pprox(ctx, CONFIG, lrs_picker=lambda: stub)
-    with pytest.raises(ValueError):
-        PProxClient(ctx, service)
+    client = PProxClient(ctx, service)
+    assert client.provider is service.runtime.provider is ctx.provider
+    stub.items = make_pseudonymous_payload(
+        ctx.provider, service.provisioner.layer_keys["IA"].symmetric_key
+    )
+    results = []
+    client.get("alice", on_complete=results.append)
+    ctx.loop.run()
+    assert results and results[0].ok
 
 
 def test_context_client_signature_emits_no_warning():

@@ -145,6 +145,23 @@ def test_one_implementation_per_mechanism_in_the_package():
         for match in SECOND_VERDICT_PATH.finditer(path.read_text())
     ]
     assert verdict_paths == [], f"second SLO verdict paths in src/: {verdict_paths}"
+    # One control plane: an enclave is stood up and restarted in one
+    # place, and one function holds the line on the flush floor.
+    services = "".join(
+        (REPO / "src" / "repro" / package / "service.py").read_text()
+        for package in ("proxy", "fleet", "tenancy")
+    )
+    for once in (r"\bEnclave\(", r"\bProxyRuntime\(", r"\bKeyProvisioner\(",
+                 r"def restart_instance\b"):
+        assert len(re.findall(once, services)) == 1, once
+    floor_readers = [
+        str(path.relative_to(REPO))
+        for path in sources
+        if "last_flush_size" in path.read_text()
+        and path.name not in ("shuffler.py", "instruments.py")
+    ]
+    assert floor_readers == ["src/repro/proxy/epochs.py"]
+    assert not any("build_service" in path.read_text() for path in sources)
 
 
 #: Subcommands `python -m repro run <scenario>` replaced; nothing a

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -16,13 +17,16 @@ from repro.proxy.epochs import (
     EPOCH_FIELD,
     EPOCH_WIDTH,
     MAX_EPOCH,
+    OVERLOAD_HOLD_SOJOURN,
     ROTATION_STATES,
     EpochWindow,
+    HoldTheLine,
     RotationCoordinator,
     decode_epoch,
     encode_epoch,
     epoch_slot,
     epoch_window_of,
+    hold_reason,
     stamp_epoch,
     strip_epoch,
     window_candidates,
@@ -482,6 +486,61 @@ def test_coordinator_start_twice_raises():
         coordinator.start(ctx.loop.now)
     coordinator.stop()
     ctx.loop.run()
+
+
+# -- the shared hold-the-line check (rotation and split / merge) ---------
+
+
+def _held(alive=True, last_flush=None, sojourn=0.0, buffered=True):
+    """The three things :func:`hold_reason` reads off a stage."""
+    return SimpleNamespace(
+        alive=alive,
+        shuffle_buffer=SimpleNamespace(last_flush_size=last_flush) if buffered else None,
+        overload_signal=lambda: SimpleNamespace(queue_sojourn=sojourn),
+    )
+
+
+@pytest.mark.parametrize(
+    "instances, expected",
+    [
+        ([_held(), _held(alive=False)], "instance_down"),
+        ([_held(last_flush=4), _held(last_flush=3)], "anonymity_floor"),
+        # A crash-drain releases nothing: a last flush of 0 is below S,
+        # not "no flush yet" (which is None).
+        ([_held(last_flush=0)], "anonymity_floor"),
+        ([_held(last_flush=4, sojourn=OVERLOAD_HOLD_SOJOURN + 0.01)], "overload"),
+        ([_held(last_flush=4, sojourn=OVERLOAD_HOLD_SOJOURN), _held(), _held(buffered=False)], None),
+        # Precedence: a down instance outranks a thin flush outranks overload.
+        ([_held(alive=False, last_flush=1, sojourn=9.0)], "instance_down"),
+        ([_held(last_flush=1, sojourn=9.0)], "anonymity_floor"),
+        ([], None),
+    ],
+)
+def test_hold_reason_over_its_three_signals(instances, expected):
+    assert hold_reason(iter(instances), 4) == expected
+
+
+def test_hold_reason_has_no_floor_without_shuffling():
+    # S <= 1 is "shuffling off": any flush size is a full batch.
+    assert hold_reason([_held(last_flush=0)], 1) is None
+
+
+def test_hold_the_line_books_one_event_per_edge():
+    emitted = []
+
+    class Operation(HoldTheLine):
+        _emit = staticmethod(emitted.append)
+
+    op = Operation()
+    verdicts = [
+        op._hold(reason, {"event": "paused", "reason": reason}, {"event": "resumed"})
+        for reason in (None, "overload", "instance_down", None, None, "overload")
+    ]
+    assert verdicts == [True, False, False, True, True, False]
+    assert [event["event"] for event in emitted] == ["paused", "resumed", "paused"]
+    assert emitted[0]["reason"] == "overload"  # the reason at the edge, not the latest
+    assert (op.paused, op.pause_reason, op.pauses) == (True, "overload", 2)
+    assert op.pause_reasons == {"overload": 2}
 
 
 # -- cluster integration: stale-generation readmission + scaling guard --

@@ -225,11 +225,6 @@ def test_build_fleet_validates_arguments():
     stub = StubLrs(loop=ctx.loop, rng=ctx.rng.stream("stub"))
     with pytest.raises(ValueError, match="at least one shard"):
         build_fleet(ctx, PProxConfig(shuffle_size=0), lambda: stub, shards=0)
-    with pytest.raises(ValueError, match="instance per layer"):
-        build_fleet(
-            ctx, PProxConfig(shuffle_size=0), lambda: stub,
-            shards=1, instances_per_shard=0,
-        )
 
 
 def test_entry_for_routes_by_request_nonce():

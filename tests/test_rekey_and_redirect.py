@@ -198,6 +198,43 @@ def test_relay_hop_carries_frames_of_the_deployment_codec(codec):
         assert payload.codec is service.runtime.codec
 
 
+def test_redirected_client_stamps_the_epoch_tag_like_a_direct_one():
+    """After a rotation the fixed-width ``kepoch`` tag rides every
+    epoch-aware request; a relayed one that lacked it would be the
+    short one on the client->relay and relay->UA hops."""
+    rng, loop, network, harness, service, relayed, frontend = _redirected_stack()
+    ctx = SimContext(loop=loop, network=network, rng=rng, provider=relayed.provider,
+                     codec=service.runtime.codec)
+    direct = PProxClient(ctx, service, rng=rng.stream("c2"))
+    for user, item in FEEDBACK:
+        direct.post(user, item)
+    loop.run()
+    harness.train()
+    factory = KeyFactory(rsa_bits=1024, rng_int=rng.int_fn("rot"),
+                         rng_bytes=rng.bytes_fn("rot-b"))
+    service.announce_epoch("UA", factory.layer_keys())
+    assert relayed.service.wire_epochs == service.wire_epochs == {"UA": 1, "IA": 0}
+
+    first_hop = {}
+
+    def tap(record, payload):
+        if record.source_role == "client":
+            first_hop[record.destination] = payload
+
+    network.add_wiretap(tap)
+    results = []
+    direct.get("a", client_address="client-x", on_complete=results.append)
+    relayed.get("a", client_address="client-y", on_complete=results.append)
+    loop.run()
+    assert [call.ok for call in results] == [True, True]
+    assert all("i3" in call.items for call in results)
+    to_relay = first_hop.pop(frontend.address)
+    (to_ua,) = first_hop.values()
+    assert "kepoch" in to_relay.fields
+    assert set(to_relay.fields) == set(to_ua.fields)
+    assert len(to_relay.data) == len(to_ua.data)
+
+
 def test_redirect_adds_latency():
     """The trade-off §6.3 names: privacy for latency."""
     _, loop, _, harness, _, client, _ = _redirected_stack()

@@ -5,17 +5,29 @@ from __future__ import annotations
 import pytest
 
 from repro.client import PProxClient
+from repro.cluster.autoscaler import ElasticScaler
+from repro.cluster.health import HealthMonitor
 from repro.context import SimContext
 from repro.crypto.keys import KeyFactory
 from repro.crypto.provider import RealCryptoProvider
 from repro.lrs.service import HarnessService
+from repro.overload import OverloadPolicy
 from repro.privacy import Adversary
 from repro.proxy import PProxConfig
-from repro.sgx.provisioning import IA_SECRET_K, UA_SECRET_K
+from repro.proxy.service import assemble
+from repro.rest.messages import make_get
+from repro.sgx.provisioning import IA_SECRET_K, IA_SECRET_SK, UA_SECRET_K, UA_SECRET_SK
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
-from repro.tenancy import TenantDirectory, build_multi_tenant_pprox, tenant_slot
+from repro.tenancy import (
+    MultiTenantPProxService,
+    TenantDirectory,
+    TenantItemAnonymizer,
+    TenantUserAnonymizer,
+    build_multi_tenant_pprox,
+    tenant_slot,
+)
 
 
 # RSA keygen dominates test time; share per-tenant key material across
@@ -30,7 +42,7 @@ def _tenant_keys(name: str, factory: KeyFactory):
 
 
 def _multi_tenant_stack(config=None, tenant_names=("shop", "forum"), seed=71,
-                        codec="json"):
+                        codec="json", overload=None):
     rng = RngRegistry(seed=seed)
     loop = EventLoop()
     network = Network(loop=loop, rng=rng.stream("net"))
@@ -54,15 +66,20 @@ def _multi_tenant_stack(config=None, tenant_names=("shop", "forum"), seed=71,
                          lrs_picker=harness.pick_frontend)
         )
     provider = RealCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
-    service = build_multi_tenant_pprox(
-        loop, network, rng,
-        config or PProxConfig(shuffle_size=0),
-        directory, provider=provider, codec=codec,
-    )
-    # Clients must speak the same wire as the proxies (and share the
-    # codec *object* — identity checks rely on it).
+    # One context for the proxies and the clients: same wire, same
+    # codec *object* (identity checks rely on it).
     ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider,
-                     codec=service.runtime.codec)
+                     codec=codec)
+    config = config or PProxConfig(shuffle_size=0)
+    if overload is None:
+        service = build_multi_tenant_pprox(ctx, config, directory)
+    else:
+        # The builder arms no overload policy; the assembly it shares
+        # with every other builder does.
+        service = assemble(
+            MultiTenantPProxService, ctx, config, lambda: None,
+            overload=overload, shared_keys=False, tenants=directory,
+        ).scale_to_config()
     clients = {
         name: PProxClient(
             ctx, service, rng=rng.stream(f"client-{name}"),
@@ -239,3 +256,103 @@ def test_cross_tenant_requests_cannot_be_decrypted_with_other_keys():
     blob = provider.asym_encrypt(shop.client_material.ua, encode_identifier("alice"))
     with pytest.raises(Exception):
         provider.asym_decrypt(forum.ua_keys, blob)
+
+
+# -- the shared control plane on a multi-tenant service ---------------------
+# (scale_ua / scale_ia / restart_instance raised AttributeError on the
+# tenant builder's provisioner=None before the service classes shared one
+# spawn path.)
+
+
+def _holds_every_tenants_secrets(instance, directory):
+    sk_slot, k_slot = (
+        (UA_SECRET_SK, UA_SECRET_K)
+        if isinstance(instance, TenantUserAnonymizer)
+        else (IA_SECRET_SK, IA_SECRET_K)
+    )
+    for name in directory.names():
+        record = directory.record(name)
+        keys = record.ua_keys if sk_slot == UA_SECRET_SK else record.ia_keys
+        if instance.enclave.secret(tenant_slot(sk_slot, name)) != keys.private_key:
+            return False
+        if instance.enclave.secret(tenant_slot(k_slot, name)) != keys.symmetric_key:
+            return False
+    return instance.enclave.attested
+
+
+def _train_both(loop, harnesses, clients):
+    for tenant in clients:
+        for user, item in [("a", "i1"), ("a", "i2"), ("b", "i1"), ("b", "i3")]:
+            clients[tenant].post(user, item)
+    loop.run()
+    for harness in harnesses.values():
+        harness.train()
+
+
+def _both_tenants_get(loop, clients):
+    results = {}
+    for tenant, client in clients.items():
+        client.get("a", on_complete=lambda call, t=tenant: results.setdefault(t, call))
+    loop.run()
+    return results
+
+
+def test_overload_scale_up_adds_a_tenant_dispatching_ua():
+    loop, _, directory, harnesses, service, clients = _multi_tenant_stack(
+        config=PProxConfig(shuffle_size=0, balancing="round-robin"),
+        overload=OverloadPolicy(),
+    )
+    _train_both(loop, harnesses, clients)
+    scaler = ElasticScaler(
+        loop=loop, service=service, interval=1.0, low_rps=0.0,
+        overload_sojourn_threshold=0.1,
+    )
+    scaler.start()
+    first = service.ua_instances[0]
+    # A parked ingress entry: its sojourn grows with the virtual clock.
+    first.ingress.push(
+        (make_get("ghost", client_address="client-0"), lambda response: None, loop.now, None)
+    )
+    loop.run_until(loop.now + 1.05)
+    scaler.stop()
+    assert first.ingress.pop() is not None
+    loop.run()
+    assert [d.action for d in scaler.decisions if d.layer == "UA"] == ["scale-up-overload"]
+    added = service.ua_instances[1]
+    assert isinstance(added, TenantUserAnonymizer)
+    assert added in service.ua_balancer.backends
+    assert _holds_every_tenants_secrets(added, directory)
+    before = added.requests_processed
+    results = _both_tenants_get(loop, clients)
+    assert all(results[tenant].ok and "i3" in results[tenant].items for tenant in clients)
+    assert added.requests_processed > before  # round-robin: it served one of the two
+
+
+def test_crashed_tenant_ia_is_restarted_and_readmitted():
+    loop, _, directory, harnesses, service, clients = _multi_tenant_stack()
+    _train_both(loop, harnesses, clients)
+    monitor = HealthMonitor(loop=loop, service=service, interval=0.5)
+    monitor.start()
+    victim = service.ia_instances[0]
+    victim.fail()
+    loop.run_until(loop.now + 0.6)
+    assert monitor.ejected == [victim.name]
+    assert service.restart_instance(victim) is victim
+    assert isinstance(victim, TenantItemAnonymizer) and victim.generation == 1
+    assert victim.enclave.name.endswith("-g1")
+    assert _holds_every_tenants_secrets(victim, directory)
+    loop.run_until(loop.now + 0.6)
+    monitor.stop()
+    assert monitor.readmitted == [victim.name]
+    assert monitor.stale_generation_blocks == 0  # no provisioner, nothing to verify
+    results = _both_tenants_get(loop, clients)
+    assert all(results[tenant].ok and "i3" in results[tenant].items for tenant in clients)
+
+
+@pytest.mark.parametrize("layer", ["UA", "IA"])
+def test_tenant_service_scales_either_layer(layer):
+    loop, _, directory, _, service, _ = _multi_tenant_stack()
+    added = service.scale(layer)
+    assert added is service.layer_instances(layer)[1]
+    assert isinstance(added, (TenantUserAnonymizer, TenantItemAnonymizer))
+    assert _holds_every_tenants_secrets(added, directory)
