@@ -259,7 +259,7 @@ def _measure_hop_forward(rng: random.Random) -> dict:
     entry = {}
     for codec in (BINARY_WIRE_CODEC, JSON_WIRE_CODEC):
         loop = EventLoop()
-        network = Network(loop=loop, rng=random.Random(1), record_flows=False)
+        network = Network(loop=loop, rng=random.Random(1))
         # As the hop got it: parsed off the wire, so it remembers its bytes.
         arrived = WireFrame.for_message(
             codec, Response(status=200, fields={"items": items}, request_id=1)

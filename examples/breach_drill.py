@@ -36,7 +36,7 @@ CATALOG = {item for items in TASTES.values() for item in items}
 
 
 def main() -> None:
-    ctx = SimContext.fresh(99, record_flows=True)
+    ctx = SimContext.fresh(99)
     loop, network, rng = ctx.loop, ctx.network, ctx.rng
     harness = HarnessService(loop=loop, rng=rng.stream("lrs"), frontend_count=3)
     harness.engine.trainer.llr_threshold = 0.0
@@ -116,7 +116,7 @@ def main() -> None:
     loop.run()
     engine = KnowledgeEngine.for_adversary(adversary, provider, catalog=CATALOG)
     at_enclave = engine.derive_links(
-        adversary.messages_at("pprox-ia"), adversary.lrs_dump()
+        adversary.messages_at("ia"), adversary.lrs_dump()
     )
     print("  IA secrets stolen; derivable links at the paper's observation")
     print(f"  points (messages at the IA enclave + LRS db): {len(at_enclave)}  <- §6.1 case 2 holds")

@@ -29,7 +29,7 @@ TENANTS = ("webshop", "forum", "news")
 def main() -> None:
     rng = RngRegistry(seed=17)
     loop = EventLoop()
-    network = Network(loop=loop, rng=rng.stream("net"), record_flows=False)
+    network = Network(loop=loop, rng=rng.stream("net"))
     factory = KeyFactory(rsa_bits=1024, rng_int=rng.int_fn("keys"),
                          rng_bytes=rng.bytes_fn("keys-b"))
 

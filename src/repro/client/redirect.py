@@ -47,6 +47,7 @@ class RedirectFrontend:
     def __post_init__(self) -> None:
         if self.node is None:
             self.node = SimNode(name=self.address, loop=self.service.runtime.loop, cores=4)
+        self.service.runtime.network.register_role(self.address, "relay")
 
     def receive_request(self, request: Request, reply: Callable[[Response], None]) -> None:
         """Relay an encrypted request toward the UA layer.

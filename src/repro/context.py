@@ -69,7 +69,6 @@ class SimContext:
         cls,
         seed: int,
         *,
-        record_flows: bool = False,
         provider: Optional[CryptoProvider] = None,
         costs: ProxyCostModel = DEFAULT_COSTS,
         telemetry: Optional[TelemetryLike] = None,
@@ -87,7 +86,7 @@ class SimContext:
         if loop is None:
             loop = EventLoop()
         rng = RngRegistry(seed=seed)
-        network = Network(loop=loop, rng=rng.stream("net"), record_flows=record_flows)
+        network = Network(loop=loop, rng=rng.stream("net"))
         return cls(
             loop=loop,
             network=network,

@@ -397,7 +397,7 @@ def verify_plan(
         sub_floor_interrupted_flushes=sum(
             1 for f in window if f.size < plan.shuffle_size and interrupted(f.at)
         ),
-        min_effective_anonymity=min((f.size * f.live_ia for f in window), default=None),
+        min_effective_anonymity=rig.anonymity_floor(window),
         window_flushes=len(window),
         ejections=fleet_supervisor.ejections,
         readmissions=fleet_supervisor.readmissions,

@@ -44,9 +44,7 @@ from repro.fleet.placement import domain_kill_plan, placement_violations
 from repro.fleet.supervisor import FleetSupervisor
 from repro.obs.slo import Objective, SloReport
 from repro.overload import OverloadPolicy
-from repro.privacy.adversary import Adversary
 from repro.privacy.wire import (
-    RejectAuditor,
     epoch_tag_exposures,
     shard_routing_violations,
     trace_field_exposures,
@@ -304,11 +302,7 @@ def run_fleet_drill(
         hedge_delay=0.4,
     )
     fleet = rig.service
-    adversary = Adversary()
-    adversary.attach(rig.ctx.network)
-    adversary.observe_lrs(rig.lrs.engine.store)
-    reject_auditor = RejectAuditor()
-    rig.ctx.network.add_wiretap(reject_auditor.observe)
+    adversary, reject_auditor = rig.observe_wire()
 
     fault_supervisor = rig.add_fault_rig()
     supervisor = FleetSupervisor(
@@ -320,8 +314,7 @@ def run_fleet_drill(
     rig.offer(rps, duration, post_share=POST_SHARE)
 
     def effective_anonymity() -> Optional[int]:
-        """min released flush x live IA of the flushing shard."""
-        return min((f.size * f.live_ia for f in rig.offered_window()), default=None)
+        return rig.anonymity_floor(rig.offered_window())
 
     rig.watch({"anonymity_floor": effective_anonymity})
 

@@ -41,7 +41,6 @@ from typing import Any, Dict, List, Optional
 from repro.experiments.rig import DrillRig, summarize, write_verdict
 from repro.obs.slo import Objective, SloReport
 from repro.overload import GuardedLrs, OverloadPolicy
-from repro.privacy.wire import RejectAuditor
 from repro.proxy.config import PProxConfig
 from repro.proxy.costs import DEFAULT_COSTS, ProxyCostModel
 from repro.simnet.metrics import percentile
@@ -323,30 +322,23 @@ def _run_point(
         backoff_jitter=0.02,
         deadline_budget=0.8 if protected else None,
     )
-    auditor = RejectAuditor()
-    rig.ctx.network.add_wiretap(auditor.observe)
+    _, auditor = rig.observe_wire()
     rig.instrument(guard=guard)
     rig.offer(rps, duration, users=200)
-
-    ia_count = len(rig.service.ia_instances)
 
     def guard_rejections() -> int:
         if guard is None:
             return 0
         return guard.breaker_rejections + guard.limiter_rejections + guard.expired_rejections
 
-    def min_flush() -> Optional[int]:
-        return min((flush.size for flush in rig.offered_window()), default=None)
-
-    def anonymity_floor_source() -> Optional[float]:
-        smallest = min_flush()
-        return None if smallest is None else float(smallest * ia_count)
-
     def shed_source() -> Optional[float]:
         issued = rig.injector.report.issued
         return (rig.shed_total + guard_rejections()) / issued if issued else None
 
-    rig.watch({"anonymity_floor": anonymity_floor_source, "shed_rate": shed_source})
+    rig.watch({
+        "anonymity_floor": lambda: rig.anonymity_floor(rig.offered_window()),
+        "shed_rate": shed_source,
+    })
     rig.run()
 
     shed_by_stage: Dict[str, int] = {}
@@ -359,7 +351,7 @@ def _run_point(
 
     # Full batches are only promised where load keeps the buffers fed.
     enforce_full_batches = protected and multiplier >= 1.0
-    smallest = min_flush() if enforce_full_batches else None
+    window = rig.offered_window() if enforce_full_batches else []
     latencies = sorted(rig.injector.recorder.trimmed(rig.start, rig.end))
     counters = rig.counters_for(LoadPoint)
     counters["shed_total"] += rejected
@@ -372,9 +364,9 @@ def _run_point(
         goodput_rps=rig.injector.report.completed / duration if duration else 0.0,
         p50_seconds=percentile(latencies, 0.50) if latencies else 0.0,
         p99_seconds=percentile(latencies, 0.99) if latencies else 0.0,
-        min_flush_during_load=smallest,
-        anonymity_floor=(smallest or 0) * ia_count if enforce_full_batches else 0.0,
-        required_anonymity=float(OVERLOAD_CONFIG.shuffle_size * ia_count),
+        min_flush_during_load=min((flush.size for flush in window), default=None),
+        anonymity_floor=(rig.anonymity_floor(window) or 0) if enforce_full_batches else 0.0,
+        required_anonymity=float(OVERLOAD_CONFIG.shuffle_size * OVERLOAD_CONFIG.ia_instances),
         reject_audit=auditor.violations(),
         **counters,
     )

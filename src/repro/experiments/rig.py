@@ -8,6 +8,7 @@ sequence once, as a plain object the drivers call top to bottom::
 
     rig = DrillRig("chaos", seed, grace=8.0)      # context + telemetry + LRS
     rig.deploy(config, **client_options)          # deployment (or fleet) + client
+    rig.observe_wire()                            # optional: adversary + reject auditor
     rig.add_monitor(0.25); rig.add_fault_rig()    # optional recovery plumbing
     rig.instrument()                              # injector + metrics + flush log
     rig.preload()                                 # harness-backed drills only
@@ -28,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Type
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Type
 
 from repro.context import Deployment, SimContext
 from repro.faults import FaultSupervisor, NetworkFaultController
@@ -37,6 +38,8 @@ from repro.lrs.service import HarnessService
 from repro.lrs.stub import StubLrs, make_pseudonymous_payload
 from repro.obs.slo import Objective, SloEngine, SloReport, histogram_quantile, write_slo
 from repro.overload import OverloadPolicy
+from repro.privacy.adversary import Adversary
+from repro.privacy.wire import RejectAuditor
 from repro.proxy.config import PProxConfig
 from repro.proxy.costs import DEFAULT_COSTS, ProxyCostModel
 from repro.simnet.metrics import LatencyRecorder
@@ -46,6 +49,7 @@ from repro.workload.injector import Injector
 __all__ = [
     "DrillRig",
     "Flush",
+    "observe_wire",
     "stub_lrs",
     "pseudonymise_stub",
     "summarize",
@@ -78,6 +82,24 @@ class Flush(NamedTuple):
     live_ia: int
 
 
+def observe_wire(network: Any, lrs: Optional[Any] = None) -> Tuple[Adversary, RejectAuditor]:
+    """Stand up a run's wire observers on *network*'s one tap: the
+    paper's passive §2.3 adversary (every flow, every body) and the
+    reject-uniformity auditor of the protected return hops.
+
+    The one place a scenario gets either; the adversary also reads the
+    database (Figure 2 ➋) when *lrs* is a real :class:`HarnessService`.
+    Both only watch — neither is on the data path — so attaching them
+    moves no artifact byte.
+    """
+    adversary, rejects = Adversary(), RejectAuditor()
+    adversary.attach(network)
+    if isinstance(lrs, HarnessService):
+        adversary.observe_lrs(lrs.engine.store)
+    network.add_wiretap(rejects.observe)
+    return adversary, rejects
+
+
 def stub_lrs(ctx: SimContext) -> StubLrs:
     """The paper's nginx stub (§8.1) on *ctx*'s ``stub`` stream."""
     return StubLrs(loop=ctx.loop, rng=ctx.rng.stream("stub"))
@@ -108,7 +130,6 @@ class DrillRig:
         frontends: int = 0,
         costs: ProxyCostModel = DEFAULT_COSTS,
         loop: Optional[Any] = None,
-        record_flows: bool = False,
     ) -> None:
         """Context, bound telemetry hub and LRS backend.
 
@@ -120,9 +141,7 @@ class DrillRig:
         self.scenario = scenario
         self.grace = grace
         self.telemetry = telemetry if telemetry is not None else Telemetry(scrape_interval=1.0)
-        self.ctx = SimContext.fresh(
-            seed, record_flows=record_flows, costs=costs, telemetry=self.telemetry, loop=loop
-        )
+        self.ctx = SimContext.fresh(seed, costs=costs, telemetry=self.telemetry, loop=loop)
         self.loop = self.ctx.loop
         self.rng = self.ctx.rng
         self.telemetry.bind(self.loop, run_label=run_label or f"{scenario}/seed{seed}")
@@ -179,6 +198,10 @@ class DrillRig:
             if isinstance(self.lrs, StubLrs):
                 pseudonymise_stub(self.lrs, self.deployment)
         self.client = self.deployment.client(**client_options)
+
+    def observe_wire(self) -> Tuple[Adversary, RejectAuditor]:
+        """The run's adversary and reject auditor (:func:`observe_wire`)."""
+        return observe_wire(self.ctx.network, self.lrs)
 
     def add_monitor(self, interval: float) -> Any:
         """A health monitor over the service (the driver starts it)."""
@@ -323,6 +346,19 @@ class DrillRig:
     def offered_window(self, *, layer: Optional[str] = None) -> List[Flush]:
         """Flushes released while load was offered."""
         return self.released(self.start, self.end, layer=layer)
+
+    @staticmethod
+    def anonymity_floor(flushes: Iterable[Flush]) -> Optional[int]:
+        """The smallest effective anonymity set among *flushes*: min
+        over released batches of size x IA instances alive behind the
+        releasing instance at that instant (``None`` for no flush).
+
+        Equal to ``min(size) * len(ia_instances)`` as long as no IA is
+        down inside the judged window — true of every drill today, so
+        the artifacts did not move when the drivers stopped computing
+        that static product by hand — and right when one is.
+        """
+        return min((flush.size * flush.live_ia for flush in flushes), default=None)
 
     @property
     def shed_total(self) -> int:

@@ -36,10 +36,16 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.crypto.keys import KeyFactory
-from repro.experiments.rig import POST_SHARE, DrillRig, print_summary, summarize, write_verdict
+from repro.experiments.rig import (
+    POST_SHARE,
+    DrillRig,
+    Flush,
+    print_summary,
+    summarize,
+    write_verdict,
+)
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.obs.slo import Objective, SloReport
-from repro.privacy.adversary import Adversary
 from repro.privacy.wire import epoch_tag_exposures
 from repro.proxy.config import PProxConfig
 from repro.proxy.epochs import RotationCoordinator
@@ -294,9 +300,7 @@ def run_rotation(
         epoch_ttl=1.0,
     )
     service, harness = rig.service, rig.lrs
-    adversary = Adversary()
-    adversary.attach(rig.ctx.network)
-    adversary.observe_lrs(harness.engine.store)
+    adversary, _ = rig.observe_wire()
     monitor = rig.add_monitor(interval=0.1)
     supervisor = rig.add_fault_rig()
     coordinator = RotationCoordinator(
@@ -320,19 +324,13 @@ def run_rotation(
     rig.preload()
     rig.offer(rps, duration, post_share=POST_SHARE)
 
-    ia_count = len(service.ia_instances)
-
-    def window_sizes() -> List[int]:
-        """Sizes of the batches *released* inside the dual-epoch window
-        — exactly the instants an adversary can observe."""
+    def window_flushes() -> List[Flush]:
+        """The batches *released* inside the dual-epoch window —
+        exactly the instants an adversary can observe."""
         opened, closed = coordinator.window_opened_at, coordinator.window_closed_at
         if opened is None:
             return []
-        return [f.size for f in rig.released(opened, float("inf") if closed is None else closed)]
-
-    def anonymity_floor_source() -> Optional[float]:
-        sizes = window_sizes()
-        return float(min(sizes) * ia_count) if sizes else None
+        return rig.released(opened, float("inf") if closed is None else closed)
 
     # Integrate paused time tick-by-tick: each sample adds the gap
     # since the previous one iff the coordinator is currently paused
@@ -348,7 +346,7 @@ def run_rotation(
         return pause_clock["seconds"]
 
     rig.watch({
-        "anonymity_floor": anonymity_floor_source,
+        "anonymity_floor": lambda: rig.anonymity_floor(window_flushes()),
         "rotation_pause_seconds": pause_seconds_source,
     })
 
@@ -360,7 +358,7 @@ def run_rotation(
     # result records the non-retired state.
     rig.run(stop=[monitor, coordinator])
 
-    window_samples = window_sizes()
+    window_samples = [flush.size for flush in window_flushes()]
     before = adversary.pseudonyms_observed(
         until=coordinator.window_opened_at if coordinator.window_opened_at else 0.0
     )
@@ -400,7 +398,7 @@ def run_rotation(
             instance.epoch_tags_seen for instance in service.ua_instances
         ),
         shuffle_size=ROTATION_CONFIG.shuffle_size,
-        ia_instances=ia_count,
+        ia_instances=len(service.ia_instances),
         window_flushes=len(window_samples),
         min_window_flush=min(window_samples, default=None),
         tag_exposures=epoch_tag_exposures(adversary.observations),

@@ -113,7 +113,7 @@ class ScalePoint:
 def _run_point(config: ScaleConfig, pairs: int) -> Tuple[ScalePoint, Dict[str, object]]:
     loop = EventLoop()
     rng = RngRegistry(config.seed * 1000 + pairs)
-    network = Network(loop=loop, rng=rng.stream("network"), record_flows=False)
+    network = Network(loop=loop, rng=rng.stream("network"))
     arrivals = rng.stream("arrivals")
     service = rng.stream("service")
 

@@ -18,9 +18,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.context import Deployment, SimContext
-from repro.experiments.rig import pseudonymise_stub, stub_lrs, write_json
-from repro.privacy.adversary import Adversary
-from repro.privacy.wire import RejectAuditor, epoch_tag_exposures, trace_field_exposures
+from repro.experiments.rig import observe_wire, pseudonymise_stub, stub_lrs, write_json
+from repro.privacy.wire import epoch_tag_exposures, trace_field_exposures
 from repro.proxy.config import PProxConfig
 
 __all__ = ["run_parity", "gate", "SEED", "REQUESTS"]
@@ -32,15 +31,12 @@ REQUESTS = 24
 
 def run_parity(codec: str, harden: bool) -> Tuple[Dict[str, Any], Dict[str, int]]:
     """One run under *codec*; returns ``(semantic artifact, counters)``."""
-    ctx = SimContext.fresh(seed=SEED, record_flows=True, codec=codec)
+    ctx = SimContext.fresh(seed=SEED, codec=codec)
     stub = stub_lrs(ctx)
     config = PProxConfig(shuffle_size=4, harden_client_hop=harden)
     deployment = Deployment.build(ctx=ctx, config=config, lrs_picker=lambda: stub)
     pseudonymise_stub(stub, deployment)
-    adversary = Adversary()
-    adversary.attach(ctx.network)
-    rejects = RejectAuditor()
-    ctx.network.add_wiretap(rejects.observe)
+    adversary, rejects = observe_wire(ctx.network)
     client = deployment.client()
     outcomes: List[Optional[Dict[str, Any]]] = [None] * REQUESTS
 

@@ -43,7 +43,6 @@ from repro.obs.tracewire import (
     encode_trace_id,
     looks_like_trace_id,
     stamp_trace,
-    strip_trace,
 )
 
 __all__ = [
@@ -70,5 +69,4 @@ __all__ = [
     "encode_trace_id",
     "looks_like_trace_id",
     "stamp_trace",
-    "strip_trace",
 ]

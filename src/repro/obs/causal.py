@@ -97,9 +97,9 @@ class CausalTracer:
     def absorb(self, instance: str) -> None:
         """A traced request reached *instance*'s front door; id is gone.
 
-        Called by the UA right after :func:`strip_trace`.  From here on
-        the request is anonymous to the tracer — only the per-instance
-        fan-in count survives into the next batch span.
+        Called by the UA right after it severs the ``trace`` field.
+        From here on the request is anonymous to the tracer — only the
+        per-instance fan-in count survives into the next batch span.
         """
         self.traces_severed += 1
         self._absorbed[instance] = self._absorbed.get(instance, 0) + 1

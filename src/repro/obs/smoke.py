@@ -149,13 +149,12 @@ def run_obs_scenario(
     # Imports are local so ``repro.obs`` stays importable on its own
     # (the package is also used by tools that never build a service).
     from repro.experiments.rig import DrillRig
-    from repro.privacy.adversary import Adversary
     from repro.privacy.wire import trace_field_exposures
     from repro.proxy.config import PProxConfig
     from repro.simnet.clock import EventLoop
 
     loop = ProfiledLoop(EventLoop())
-    rig = DrillRig("obs", seed, grace=2.0, loop=loop, record_flows=True)
+    rig = DrillRig("obs", seed, grace=2.0, loop=loop)
     hub = rig.telemetry
     tracer = CausalTracer(clock=lambda: loop.now, event_log=hub.event_log)
     tracer.attach_metrics(hub.registry)
@@ -175,21 +174,16 @@ def run_obs_scenario(
         causal=tracer,
     )
     rig.service.runtime.causal = tracer
-    adversary = Adversary()
-    adversary.attach(rig.ctx.network)
+    adversary, _ = rig.observe_wire()
     rig.instrument()
     # After the stack's instruments: batch spans chain behind the
     # telemetry flush hook, exactly like the rig's flush log.
     instrument_causal(tracer, rig.service)
     rig.offer(rps, duration, users=60)
 
-    ia_count = len(rig.service.ia_instances)
-
-    def anonymity_floor_source() -> Optional[float]:
-        sizes = [flush.size for flush in rig.offered_window(layer="UA")]
-        return float(min(sizes) * ia_count) if sizes else None
-
-    rig.watch({"anonymity_floor": anonymity_floor_source})
+    rig.watch({
+        "anonymity_floor": lambda: rig.anonymity_floor(rig.offered_window(layer="UA")),
+    })
     rig.run()
 
     result = ObsScenarioResult(
@@ -202,7 +196,7 @@ def run_obs_scenario(
         **rig.counters_for(ObsScenarioResult),
     )
     result.slo_report = rig.finish(
-        result.to_dict(), obs_slo_objectives(float(config.shuffle_size * ia_count))
+        result.to_dict(), obs_slo_objectives(float(config.shuffle_size * config.ia_instances))
     )
     return result
 

@@ -22,8 +22,9 @@ wire auditor key on (:func:`repro.privacy.wire.trace_field_exposures`).
 from __future__ import annotations
 
 import re
-from typing import Any, Optional, Tuple, Union
+from typing import Any, Optional, Union
 
+from repro.rest.header import TRACE, stamp
 from repro.rest.messages import Request
 
 __all__ = [
@@ -34,17 +35,16 @@ __all__ = [
     "looks_like_trace_id",
     "decode_trace",
     "stamp_trace",
-    "strip_trace",
 ]
 
 #: Field name the trace id travels under (top level, never sealed).
-TRACE_FIELD = "trace"
+TRACE_FIELD = TRACE.name
 
 #: Marker prefix of every trace id; redaction/audit detection keys on it.
 TRACE_PREFIX = "tw:"
 
 #: Every encoded trace id is exactly this many characters.
-TRACE_WIDTH = 16
+TRACE_WIDTH = TRACE.width
 
 _SERIAL_DIGITS = TRACE_WIDTH - len(TRACE_PREFIX)
 _SERIAL_SPACE = 16 ** _SERIAL_DIGITS
@@ -77,17 +77,4 @@ def stamp_trace(request: Request, trace_id: str) -> Request:
     """Copy of *request* carrying *trace_id* on the wire."""
     if not looks_like_trace_id(trace_id):
         raise ValueError(f"malformed trace id: {trace_id!r}")
-    return request.with_fields(**{TRACE_FIELD: trace_id})
-
-
-def strip_trace(request: Request) -> Tuple[Request, Optional[str]]:
-    """Remove the trace field; returns ``(clean_request, trace_id)``.
-
-    Called by the UA front door on every arriving request, whether or
-    not the client opted into tracing — nothing downstream of the UA
-    may ever see the field.
-    """
-    trace_id = decode_trace(request)
-    if TRACE_FIELD not in request.fields:
-        return request, None
-    return request.with_fields(**{TRACE_FIELD: None}), trace_id
+    return stamp(request, TRACE, trace_id)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
+from repro.rest.header import DEADLINE, stamp
 from repro.rest.messages import Request
 
 __all__ = [
@@ -32,10 +33,10 @@ __all__ = [
 ]
 
 #: Field name the budget travels under (top level, never sealed).
-DEADLINE_FIELD = "deadline"
+DEADLINE_FIELD = DEADLINE.name
 
 #: Every encoded budget is exactly this many characters.
-DEADLINE_WIDTH = 12
+DEADLINE_WIDTH = DEADLINE.width
 
 #: Largest encodable budget (seconds); larger values are clamped.
 MAX_DEADLINE = 99999.999999
@@ -63,7 +64,7 @@ def stamp_deadline(request: Request, remaining: Optional[float]) -> Request:
     """Copy of *request* carrying *remaining* (or unchanged for None)."""
     if remaining is None:
         return request
-    return request.with_fields(**{DEADLINE_FIELD: encode_deadline(remaining)})
+    return stamp(request, DEADLINE, encode_deadline(remaining))
 
 
 def charge(remaining: Optional[float], elapsed: float) -> Optional[float]:

@@ -24,9 +24,12 @@ from repro.rest.messages import Request, Response
 from repro.sgx.enclave import Enclave
 from repro.sgx.provisioning import IA_SECRET_K, IA_SECRET_SK, UA_SECRET_K, UA_SECRET_SK
 from repro.sgx.sidechannel import SingleEnclaveInvariant
-from repro.simnet.network import FlowRecord, Network
+from repro.simnet.network import UNKNOWN_ROLE, FlowRecord, Network
 
 __all__ = ["ObservedMessage", "Adversary"]
+
+#: The hops past the shuffle, where identifiers travel as pseudonyms.
+INNER_HOPS = (("ua", "ia"), ("ia", "lrs"))
 
 
 @dataclass(frozen=True)
@@ -47,13 +50,16 @@ class ObservedMessage:
     verb: Optional[str]
     fields: Dict[str, Any]
     status: Optional[int] = None
+    #: The role directory's name for each endpoint, copied from the
+    #: :class:`FlowRecord` (what :func:`repro.privacy.wire.hop_of` reads).
+    source_role: str = UNKNOWN_ROLE
+    destination_role: str = UNKNOWN_ROLE
 
 
 @dataclass
 class Adversary:
     """Collects the full observation surface of the paper's adversary."""
 
-    name: str = "adversary"
     observations: List[ObservedMessage] = field(default_factory=list)
     flow_records: List[FlowRecord] = field(default_factory=list)
     #: Stolen key material per layer ("UA" / "IA"); at most one layer
@@ -66,7 +72,6 @@ class Adversary:
 
     def attach(self, network: Network) -> None:
         """Start observing all traffic on *network*."""
-        network.add_observer(self.flow_records.append)
         network.add_wiretap(self._capture)
 
     def observe_lrs(self, store: EventStore) -> None:
@@ -74,6 +79,7 @@ class Adversary:
         self.lrs_store = store
 
     def _capture(self, record: FlowRecord, payload: Any) -> None:
+        self.flow_records.append(record)
         if isinstance(payload, WireFrame):
             # The adversary reads bodies (it bypasses TLS); a public
             # wire format is no obstacle, so decode the frame and mine
@@ -83,43 +89,30 @@ class Adversary:
             # A sealed shuffle batch: one hybrid ciphertext.  The
             # simulator-side request ids/verbs riding on the object are
             # bookkeeping the adversary never sees.
-            self.observations.append(
-                ObservedMessage(
-                    time=record.time,
-                    source=record.source,
-                    destination=record.destination,
-                    size_bytes=record.size_bytes,
-                    kind="request",
-                    verb=None,
-                    fields={"sealed_batch": payload.blob},
-                )
-            )
-            return
-        if isinstance(payload, Request):
-            self.observations.append(
-                ObservedMessage(
-                    time=record.time,
-                    source=record.source,
-                    destination=record.destination,
-                    size_bytes=record.size_bytes,
-                    kind="request",
-                    verb=payload.verb,
-                    fields=dict(payload.fields),
-                )
-            )
+            kind, verb, status = "request", None, None
+            fields: Dict[str, Any] = {"sealed_batch": payload.blob}
+        elif isinstance(payload, Request):
+            kind, verb, status = "request", payload.verb, None
+            fields = dict(payload.fields)
         elif isinstance(payload, Response):
-            self.observations.append(
-                ObservedMessage(
-                    time=record.time,
-                    source=record.source,
-                    destination=record.destination,
-                    size_bytes=record.size_bytes,
-                    kind="response",
-                    verb=None,
-                    fields=dict(payload.fields),
-                    status=payload.status,
-                )
+            kind, verb, status = "response", None, payload.status
+            fields = dict(payload.fields)
+        else:
+            return
+        self.observations.append(
+            ObservedMessage(
+                time=record.time,
+                source=record.source,
+                destination=record.destination,
+                size_bytes=record.size_bytes,
+                kind=kind,
+                verb=verb,
+                fields=fields,
+                status=status,
+                source_role=record.source_role,
+                destination_role=record.destination_role,
             )
+        )
 
     # -- enclave compromise --------------------------------------------
 
@@ -168,28 +161,16 @@ class Adversary:
             return []
         return self.lrs_store.dump()
 
-    def observed_client_addresses(self) -> Set[str]:
-        """Client addresses visible from flows into the UA layer."""
-        return {
-            obs.source
-            for obs in self.observations
-            if obs.kind == "request" and obs.source.startswith("client")
-        }
-
-    def messages_at(self, address_prefix: str) -> List[ObservedMessage]:
-        """Observations into or out of addresses with a given prefix."""
+    def messages_at(self, role: str) -> List[ObservedMessage]:
+        """Observations into or out of the instances playing *role*."""
         return [
             obs
             for obs in self.observations
-            if obs.source.startswith(address_prefix)
-            or obs.destination.startswith(address_prefix)
+            if role in (obs.source_role, obs.destination_role)
         ]
 
     def pseudonyms_observed(
-        self,
-        hops: Any = (("ua", "ia"), ("ia", "lrs")),
-        since: float = 0.0,
-        until: Optional[float] = None,
+        self, since: float = 0.0, until: Optional[float] = None
     ) -> Dict[str, Set[str]]:
         """Distinct user/item pseudonym strings seen on the inner hops.
 
@@ -200,16 +181,13 @@ class Adversary:
         thief who harvested pre-rotation traffic cannot join it with
         post-rotation traffic by field-value equality.
         """
-        from repro.privacy.wire import hop_of
-
-        wanted = {tuple(hop) for hop in hops}
         seen: Dict[str, Set[str]] = {"user": set(), "item": set()}
         for obs in self.observations:
             if obs.kind != "request":
                 continue
             if obs.time < since or (until is not None and obs.time > until):
                 continue
-            if hop_of(obs) not in wanted:
+            if (obs.source_role, obs.destination_role) not in INNER_HOPS:
                 continue
             for name in ("user", "item"):
                 value = obs.fields.get(name)

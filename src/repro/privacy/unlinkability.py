@@ -281,9 +281,9 @@ class KnowledgeEngine:
     @staticmethod
     def message_identity(message: ObservedMessage) -> Optional[str]:
         """Client identity visible from flow endpoints, if any."""
-        if message.source.startswith("client"):
+        if message.source_role == "client":
             return message.source
-        if message.destination.startswith("client"):
+        if message.destination_role == "client":
             return message.destination
         return None
 

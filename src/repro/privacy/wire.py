@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Set, Tuple
+from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.rest.header import EPOCH, TRACE
 from repro.simnet.network import FlowRecord
 
 __all__ = [
@@ -32,24 +33,30 @@ __all__ = [
 #: message reaches), never tagged.
 SHARD_FIELD_NAMES = ("shard", "shard_id", "ring", "ring_point", "fleet")
 
+#: The hops whose message sizes must not depend on identifiers or
+#: list contents: everything between the client and the IA layer.
+#: (IA<->LRS flows are pseudonymous by construction, so their sizes
+#: need not be padded.)
+PROTECTED_HOPS = (("client", "ua"), ("ua", "ia"), ("ia", "ua"), ("ua", "client"))
 
-def hop_of(record: FlowRecord) -> Tuple[str, str]:
-    """Classify a flow's endpoints into role classes.
+#: The hops up to the UA front door — direct, or through the
+#: application's relay (§6.3) — the only ones a header field the UA
+#: severs (epoch tag, trace id) may be seen on.
+FRONT_DOOR_HOPS = frozenset({("client", "ua"), ("client", "relay"), ("relay", "ua")})
 
-    Addresses follow the deployment naming scheme: ``client-*``,
-    ``pprox-ua-*``, ``pprox-ia-*``, ``harness-fe-*`` / ``lrs-stub``.
+#: Hops on which reject uniformity is enforced.
+REJECT_HOPS = (("ia", "ua"), ("ua", "client"))
+
+
+def hop_of(record: Any) -> Tuple[str, str]:
+    """The name of the hop a flow record or observation crossed.
+
+    The role directory's word (:meth:`repro.simnet.network.Network.
+    register_role`, copied onto every :class:`FlowRecord`), never a
+    guess from how an address is spelled: an address nobody registered
+    is ``unknown``.
     """
-
-    def role(address: str) -> str:
-        if address.startswith("client"):
-            return "client"
-        if address.startswith("pprox-ua"):
-            return "ua"
-        if address.startswith("pprox-ia"):
-            return "ia"
-        return "lrs"
-
-    return role(record.source), role(record.destination)
+    return record.source_role, record.destination_role
 
 
 def flow_size_profile(records: Sequence[FlowRecord]) -> Dict[Tuple[str, str], Set[int]]:
@@ -60,103 +67,82 @@ def flow_size_profile(records: Sequence[FlowRecord]) -> Dict[Tuple[str, str], Se
     return dict(profile)
 
 
-def constant_size_violations(
-    records: Sequence[FlowRecord],
-    hops: Sequence[Tuple[str, str]] = (("client", "ua"), ("ua", "ia"), ("ia", "ua"), ("ua", "client")),
-    tolerance: int = 0,
-) -> List[str]:
-    """Hops whose message sizes vary more than *tolerance* bytes.
-
-    The protected hops are those between the client and the IA layer:
-    sizes there must not depend on identifiers or list contents.
-    (IA<->LRS flows are pseudonymous by construction, so their sizes
-    need not be padded.)
-    """
+def constant_size_violations(records: Sequence[FlowRecord]) -> List[str]:
+    """Protected hops (:data:`PROTECTED_HOPS`) whose message sizes vary."""
     profile = flow_size_profile(records)
     violations = []
-    for hop in hops:
+    for hop in PROTECTED_HOPS:
         sizes = profile.get(hop, set())
-        if len(sizes) > 1 and max(sizes) - min(sizes) > tolerance:
+        if len(sizes) > 1:
             violations.append(f"{hop[0]}->{hop[1]}: sizes {sorted(sizes)}")
     return violations
 
 
-def epoch_tag_exposures(
+def _exposures(
     observations: Sequence[Any],
-    allowed_hops: Sequence[Tuple[str, str]] = (("client", "ua"),),
+    leaks_of: Callable[[Dict[str, Any]], Optional[str]],
+    allowed: Collection[Tuple[str, str]] = (),
 ) -> List[str]:
-    """Epoch tags observed on hops where they must never appear.
+    """The one "field visible beyond its hop" scan.
 
-    During a live rotation the fixed-width epoch tag rides only the
-    client->UA hop; the UA strips it *before* the request can enter a
-    shuffle buffer, so ua->ia / ia->lrs / return traffic must be
-    tag-free — otherwise the adversary could partition a shuffle batch
-    by epoch and thin the anonymity set below ``S*I``.
-
-    *observations* are wiretap captures with ``source``/``destination``
-    and a ``fields`` dict (e.g. :class:`repro.privacy.adversary.
-    ObservedMessage`); anything without fields is skipped.  Returns
-    human-readable findings, empty when clean.
+    *observations* are wiretap captures with roles and a ``fields``
+    dict (:class:`repro.privacy.adversary.ObservedMessage`); anything
+    without fields is skipped.  *leaks_of* describes what a field dict
+    exposes (``None`` for nothing).  Returns human-readable findings,
+    one per exposing message outside *allowed*, empty when clean.
     """
-    from repro.proxy.epochs import EPOCH_FIELD
-
-    allowed = {tuple(hop) for hop in allowed_hops}
-    violations: List[str] = []
-    for obs in observations:
-        fields = getattr(obs, "fields", None)
-        if not fields or EPOCH_FIELD not in fields:
-            continue
-        hop = hop_of(obs)
-        if hop in allowed:
-            continue
-        violations.append(
-            f"{hop[0]}->{hop[1]}: epoch tag {fields[EPOCH_FIELD]!r} "
-            f"visible at t={getattr(obs, 'time', '?')}"
-        )
-    return violations
-
-
-def trace_field_exposures(
-    observations: Sequence[Any],
-    allowed_hops: Sequence[Tuple[str, str]] = (("client", "ua"),),
-) -> List[str]:
-    """Causal-trace ids observed on hops where they must never appear.
-
-    The ``trace`` wire field (:mod:`repro.obs.tracewire`) rides only
-    the client->UA hop; the UA front door strips it *before* admission
-    and shuffling, so any trace id visible past the UA would let the
-    adversary follow one request through the shuffler and collapse its
-    anonymity set to 1.  Both the field name and the distinctive
-    ``tw:`` value prefix are checked — a component that copied the id
-    into a different field would still be caught.
-
-    *observations* are wiretap captures with ``source``/``destination``
-    and a ``fields`` dict; anything without fields is skipped.  Returns
-    human-readable findings, empty when clean.
-    """
-    from repro.obs.tracewire import TRACE_FIELD, looks_like_trace_id
-
-    allowed = {tuple(hop) for hop in allowed_hops}
     violations: List[str] = []
     for obs in observations:
         fields = getattr(obs, "fields", None)
         if not fields:
             continue
-        leaks = [
-            key
-            for key, value in fields.items()
-            if key == TRACE_FIELD or looks_like_trace_id(value)
-        ]
-        if not leaks:
+        leak = leaks_of(fields)
+        if leak is None:
             continue
         hop = hop_of(obs)
-        if hop in allowed:
-            continue
-        violations.append(
-            f"{hop[0]}->{hop[1]}: trace id under {sorted(leaks)} "
-            f"visible at t={getattr(obs, 'time', '?')}"
-        )
+        if hop not in allowed:
+            violations.append(
+                f"{hop[0]}->{hop[1]}: {leak} visible at t={getattr(obs, 'time', '?')}"
+            )
     return violations
+
+
+def epoch_tag_exposures(observations: Sequence[Any]) -> List[str]:
+    """Epoch tags observed on hops where they must never appear.
+
+    During a live rotation the fixed-width epoch tag rides only the
+    hops up to the UA front door (:data:`FRONT_DOOR_HOPS`); the UA
+    strips it *before* the request can enter a shuffle buffer, so
+    ua->ia / ia->lrs / return traffic must be tag-free — otherwise the
+    adversary could partition a shuffle batch by epoch and thin the
+    anonymity set below ``S*I``.
+    """
+
+    def leaks_of(fields: Dict[str, Any]) -> Optional[str]:
+        return f"epoch tag {fields[EPOCH.name]!r}" if EPOCH.name in fields else None
+
+    return _exposures(observations, leaks_of, FRONT_DOOR_HOPS)
+
+
+def trace_field_exposures(observations: Sequence[Any]) -> List[str]:
+    """Causal-trace ids observed on hops where they must never appear.
+
+    The ``trace`` wire field (:mod:`repro.obs.tracewire`) rides only
+    the hops up to the UA front door; the UA strips it *before*
+    admission and shuffling, so any trace id visible past the UA would
+    let the adversary follow one request through the shuffler and
+    collapse its anonymity set to 1.  Both the field name and the
+    distinctive ``tw:`` value prefix are checked — a component that
+    copied the id into a different field would still be caught.
+    """
+    from repro.obs.tracewire import looks_like_trace_id
+
+    def leaks_of(fields: Dict[str, Any]) -> Optional[str]:
+        leaks = [key for key, value in fields.items()
+                 if key == TRACE.name or looks_like_trace_id(value)]
+        return f"trace id under {sorted(leaks)}" if leaks else None
+
+    return _exposures(observations, leaks_of, FRONT_DOOR_HOPS)
 
 
 def shard_tag_exposures(observations: Sequence[Any]) -> List[str]:
@@ -169,20 +155,12 @@ def shard_tag_exposures(observations: Sequence[Any]) -> List[str]:
     (all requests of one shard), so — unlike the epoch tag — there is
     no allowed hop at all.
     """
-    violations: List[str] = []
-    for obs in observations:
-        fields = getattr(obs, "fields", None)
-        if not fields:
-            continue
+
+    def leaks_of(fields: Dict[str, Any]) -> Optional[str]:
         leaks = [key for key in fields if key in SHARD_FIELD_NAMES]
-        if not leaks:
-            continue
-        hop = hop_of(obs)
-        violations.append(
-            f"{hop[0]}->{hop[1]}: shard identity under {sorted(leaks)} "
-            f"visible at t={getattr(obs, 'time', '?')}"
-        )
-    return violations
+        return f"shard identity under {sorted(leaks)}" if leaks else None
+
+    return _exposures(observations, leaks_of)
 
 
 def shard_routing_violations(
@@ -229,8 +207,6 @@ class RejectAuditor:
     check.
     """
 
-    #: Hops on which reject uniformity is enforced.
-    hops: Tuple[Tuple[str, str], ...] = (("ia", "ua"), ("ua", "client"))
     #: Distinct reject wire-sizes seen per audited hop.
     reject_sizes: Dict[Tuple[str, str], Set[int]] = field(default_factory=dict)
     #: Non-canonical plaintext reject bodies seen per audited hop.
@@ -244,7 +220,7 @@ class RejectAuditor:
         if status is None or ok:
             return
         hop = hop_of(record)
-        if hop not in self.hops:
+        if hop not in REJECT_HOPS:
             return
         from repro.overload.shedding import is_uniform_reject
 

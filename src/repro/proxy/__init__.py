@@ -35,7 +35,6 @@ from repro.proxy.epochs import (
     encode_epoch,
     epoch_window_of,
     stamp_epoch,
-    strip_epoch,
     window_candidates,
 )
 from repro.proxy.shuffler import ShuffleBuffer
@@ -60,7 +59,6 @@ __all__ = [
     "encode_epoch",
     "epoch_window_of",
     "stamp_epoch",
-    "strip_epoch",
     "window_candidates",
     "CallKeys",
     "ClientMaterial",

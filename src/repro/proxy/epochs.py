@@ -57,6 +57,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.crypto.keys import KeyFactory, LayerKeys
+from repro.rest.header import EPOCH, stamp
 from repro.rest.messages import Request
 from repro.sgx.enclave import Enclave
 from repro.sgx.provisioning import EPOCH_WINDOW_SLOT, EpochWindow, epoch_slot
@@ -69,7 +70,6 @@ __all__ = [
     "encode_epoch",
     "decode_epoch",
     "stamp_epoch",
-    "strip_epoch",
     "KeyEpoch",
     "EpochWindow",
     "epoch_slot",
@@ -86,11 +86,11 @@ __all__ = [
 #: Field name the epoch id travels under (top level, never sealed —
 #: the UA must strip it before the enclave transition, exactly like
 #: the deadline budget).
-EPOCH_FIELD = "kepoch"
+EPOCH_FIELD = EPOCH.name
 
 #: Every encoded epoch id is exactly this many characters, so the tag
 #: preserves the §4.3 constant-size property among epoch-aware clients.
-EPOCH_WIDTH = 4
+EPOCH_WIDTH = EPOCH.width
 
 #: Largest encodable epoch id; larger values are clamped.
 MAX_EPOCH = 9999
@@ -118,20 +118,7 @@ def stamp_epoch(request: Request, epoch_id: Optional[int]) -> Request:
     """Copy of *request* tagged with *epoch_id* (unchanged for None)."""
     if epoch_id is None:
         return request
-    return request.with_fields(**{EPOCH_FIELD: encode_epoch(epoch_id)})
-
-
-def strip_epoch(request: Request) -> Tuple[Request, Optional[int]]:
-    """Remove the epoch tag from *request*; returns (bare, epoch id).
-
-    Called by the UA at its front door, *before* the request can enter
-    a shuffle buffer: whatever sits in a batch carries no epoch marker
-    the adversary could use to partition the batch.
-    """
-    epoch_id = decode_epoch(request)
-    if EPOCH_FIELD not in request.fields:
-        return request, epoch_id
-    return request.with_fields(**{EPOCH_FIELD: None}), epoch_id
+    return stamp(request, EPOCH, encode_epoch(epoch_id))
 
 
 @dataclass(frozen=True)

@@ -50,15 +50,10 @@ from repro.overload.shedding import (
 from repro.proxy import protocol
 from repro.proxy.config import PProxConfig
 from repro.proxy.costs import ProxyCostModel
-from repro.proxy.epochs import (
-    EPOCH_FIELD,
-    epoch_window_of,
-    strip_epoch,
-    window_candidates,
-)
-from repro.obs.tracewire import TRACE_FIELD, strip_trace
+from repro.proxy.epochs import epoch_window_of, window_candidates
 from repro.proxy.shuffler import ShuffleBuffer
 from repro.rest.codec import BatchEnvelope, WireCodec, ship
+from repro.rest.header import EPOCH, TRACE, strip
 from repro.rest.messages import Request, Response, Verb
 from repro.rest.routing import RoutingTable
 from repro.sgx.enclave import Enclave
@@ -74,7 +69,6 @@ __all__ = [
     "UserAnonymizer",
     "ItemAnonymizer",
     "ProxyRuntime",
-    "DEFAULT_TENANT",
     "RETRYABLE_STATUS",
     "transform_error_response",
 ]
@@ -99,15 +93,6 @@ def transform_error_response(request: Request, exc: Exception) -> Response:
     """
     del exc  # cause is deliberately not serialized
     return uniform_reject(request.request_id)
-
-#: Tenant label used by single-application deployments.
-DEFAULT_TENANT = "default"
-
-
-def _tenant_of(request: Request) -> str:
-    """The (public) application identity a request belongs to."""
-    tenant = request.fields.get("tenant")
-    return tenant if isinstance(tenant, str) else DEFAULT_TENANT
 
 
 @dataclass
@@ -670,7 +655,7 @@ class _ProxyStage:
         """
         if not self.runtime.config.encryption:
             return self._rewrite_request(None, request)
-        active = self._keys_for(_tenant_of(request))
+        active = self._keys_for(protocol.tenant_of(request))
         probe = self._probe_field(request)
 
         def validate(candidate: LayerKeys) -> None:
@@ -728,20 +713,18 @@ class UserAnonymizer(_ProxyStage):
             self.request_buffer.release_batch = self._release_batch
 
     def _strip_tags(self, request: Request) -> Request:
-        if EPOCH_FIELD in request.fields:
-            # Strip the epoch tag before the request can enter the
-            # shuffle buffer: whatever a batch holds is tag-free, so
-            # its composition can never be partitioned by epoch.  The
-            # tag is only a hint anyway — decryption trials run
-            # active-epoch-first regardless.
-            request, _ = strip_epoch(request)
+        # Sever the epoch tag and the causal trace before the request
+        # can enter the shuffle buffer, unconditionally: whatever a
+        # batch holds is tag-free, so its composition can never be
+        # partitioned by epoch (the tag is only a hint anyway —
+        # decryption trials run active-epoch-first regardless), and
+        # downstream of this line the request is indistinguishable from
+        # its batch peers; post-shuffle attribution happens only at
+        # batch granularity through aggregate fan-in counts.
+        request, severed = strip(request, EPOCH, TRACE)
+        if EPOCH.name in severed:
             self.epoch_tags_seen += 1
-        if TRACE_FIELD in request.fields:
-            # Sever the causal trace here, unconditionally: downstream
-            # of this line the request is indistinguishable from its
-            # batch peers, and post-shuffle attribution happens only at
-            # batch granularity through aggregate fan-in counts.
-            request, _ = strip_trace(request)
+        if TRACE.name in severed:
             self.trace_tags_seen += 1
             if self.runtime.causal is not None:
                 self.runtime.causal.absorb(self.name)
@@ -900,7 +883,7 @@ class ItemAnonymizer(_ProxyStage):
         codec = self.runtime.codec
         opener = EnvelopeCodec(self.runtime.provider)
         frames = self._trial(
-            self._keys_for(DEFAULT_TENANT),
+            self._keys_for(protocol.DEFAULT_TENANT),
             lambda keys: opener.open_batch(keys, envelope.blob),
         )
         if len(frames) != len(envelope.request_ids):

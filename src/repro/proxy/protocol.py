@@ -264,10 +264,14 @@ def ua_wrap_response(
 # ---------------------------------------------------------------- IA layer
 
 
-def _tenant_field(request: Request) -> str:
-    """The request's (public) application identity."""
+#: Tenant label used by single-application deployments.
+DEFAULT_TENANT = "default"
+
+
+def tenant_of(request: Request) -> str:
+    """The (public) application identity a request belongs to."""
     tenant = request.fields.get("tenant")
-    return tenant if isinstance(tenant, str) else "default"
+    return tenant if isinstance(tenant, str) else DEFAULT_TENANT
 
 
 @dataclass(frozen=True)
@@ -277,7 +281,7 @@ class IaRequestContext:
     verb: str
     temporary_key: Optional[bytes]
     #: Application identity (multi-tenant deployments, §6.3).
-    tenant: str = "default"
+    tenant: str = DEFAULT_TENANT
 
 
 def ia_transform_request(
@@ -297,7 +301,7 @@ def ia_transform_request(
     """
     if not config.encryption:
         return request.readdressed(layer_address), IaRequestContext(
-            verb=request.verb, temporary_key=None, tenant=_tenant_field(request)
+            verb=request.verb, temporary_key=None, tenant=tenant_of(request)
         )
 
     if request.verb == Verb.POST:
@@ -314,13 +318,13 @@ def ia_transform_request(
             item_field = decode_identifier(item_plain)
         transformed = request.with_fields(item=item_field)
         context = IaRequestContext(
-            verb=Verb.POST, temporary_key=None, tenant=_tenant_field(request)
+            verb=Verb.POST, temporary_key=None, tenant=tenant_of(request)
         )
     else:
         temporary_key = provider.asym_decrypt(keys, codec.blob_value(request.fields["tmpkey"]))
         transformed = request.with_fields(tmpkey=None)
         context = IaRequestContext(
-            verb=Verb.GET, temporary_key=temporary_key, tenant=_tenant_field(request)
+            verb=Verb.GET, temporary_key=temporary_key, tenant=tenant_of(request)
         )
 
     return transformed.readdressed(layer_address), context

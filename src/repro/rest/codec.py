@@ -24,25 +24,24 @@ big-endian length prefix)::
     2   1   version (1)                 2   1   version (1)
     3   1   kind (1=request)            3   1   kind (2=response)
     4   1   verb (1=POST 2=GET)         4   2   status (BE)
-    5   1   flags (1=deadline,          6   1   field count
-            2=epoch, 4=trace)           7  ...  field entries
-    6   12  deadline (ASCII)
-    18  4   key epoch (ASCII)
-    22  16  trace id (ASCII)
+    5   1   flags                       6   1   field count
+    6   32  fixed-width header          7  ...  field entries
+            (repro.rest.header)
     38  1   field count
     39  ...  field entries
 
-The deadline/epoch/trace regions are the *severing offsets*: the UA
-front door strips the epoch tag and the trace id before the shuffle
-boundary (:func:`repro.proxy.epochs.strip_epoch` /
-:func:`repro.obs.tracewire.strip_trace`), so every frame it emits
-carries zeros at exactly ``frame[18:22]`` / ``frame[22:38]`` and the
-privacy argument about what crosses the shuffler is a statement
-about fixed byte ranges.  A field entry is ``tag(1) [namelen(1)
-name]  type(1) length(4 BE) value`` — well-known field names get a
-one-byte tag, unknown names ride inline, and that is the only
-spelling that decodes (no duplicate entry, no well-known name under
-tag 0, no header field sent as an entry): one dict, one encoding.
+The header regions (deadline / key epoch / trace id; names, widths,
+flag bits and offsets are :data:`repro.rest.header.HEADER_FIELDS`, the
+one statement of them) are the *severing offsets*: the UA front door
+strips the epoch tag and the trace id before the shuffle boundary
+(:func:`repro.rest.header.strip`), so every frame it emits carries
+zeros at exactly ``frame[18:38]`` and the privacy argument about what
+crosses the shuffler is a statement about fixed byte ranges.  A field
+entry is ``tag(1) [namelen(1) name]  type(1) length(4 BE) value`` —
+well-known field names get a one-byte tag, unknown names ride inline,
+and that is the only spelling that decodes (no duplicate entry, no
+well-known name under tag 0, no header field sent as an entry): one
+dict, one encoding.
 
 There is no object wire: every protected hop carries encoded bytes.
 :func:`ship` frames at the sender, puts a :class:`WireFrame` on the
@@ -76,9 +75,10 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.crypto.envelope import FIXED_ID_BYTES, EnvelopeCodec
+from repro.rest.header import HEADER_END, HEADER_FIELDS
 from repro.rest.messages import Request, Response, Verb, encode_compact_json
 
 __all__ = [
@@ -99,18 +99,6 @@ class CodecError(ValueError):
     """Raised when a wire frame cannot be encoded or decoded."""
 
 
-# The three fixed-width top-level fields.  Mirrored here (canonical
-# owners: overload.deadline, proxy.epochs, obs.tracewire) because the
-# codec must not import the proxy package at module level — layers.py
-# imports this module.  tests/test_wire_codec.py cross-checks them.
-_DEADLINE_FIELD = "deadline"
-_DEADLINE_WIDTH = 12
-_EPOCH_FIELD = "kepoch"
-_EPOCH_WIDTH = 4
-_TRACE_FIELD = "trace"
-_TRACE_WIDTH = 16
-_HEADER_FIELD_NAMES = (_DEADLINE_FIELD, _EPOCH_FIELD, _TRACE_FIELD)
-
 _MAGIC = b"PW"
 _MAGIC0, _MAGIC1 = _MAGIC
 _VERSION = 1
@@ -119,10 +107,6 @@ _KIND_RESPONSE = 2
 
 _VERB_CODES = {Verb.POST: 1, Verb.GET: 2}
 _VERB_NAMES = {code: verb for verb, code in _VERB_CODES.items()}
-
-_FLAG_DEADLINE = 1
-_FLAG_EPOCH = 2
-_FLAG_TRACE = 4
 
 # Well-known field tags; tag 0 means "name carried inline".
 _FIELD_TAGS = {
@@ -139,7 +123,6 @@ _FIELD_TAGS = {
     "error": 11,
     "pad": 12,
 }
-_TAG_FIELDS = {tag: name for name, tag in _FIELD_TAGS.items()}
 
 _TYPE_BYTES = 1
 _TYPE_STR = 2
@@ -163,7 +146,7 @@ _RESP_PREFIX = _MAGIC + bytes((_VERSION, _KIND_RESPONSE))
 _VERB_FLAG_BYTES = {
     (verb_code, flags): bytes((verb_code, flags))
     for verb_code in _VERB_NAMES
-    for flags in range(8)
+    for flags in range(1 << len(HEADER_FIELDS))
 }
 # Entry heads parsed in one call: ``tag type length`` of a tagged entry,
 # ``type length`` after an inline name; and the 8-byte frame head
@@ -173,22 +156,33 @@ _INLINE_HEAD = struct.Struct(">BI").unpack_from
 _FRAME_HEAD = struct.Struct(">II").unpack_from
 _REQ_WORD = int.from_bytes(_REQ_PREFIX, "big")
 _RESP_WORD = int.from_bytes(_RESP_PREFIX, "big")
-_ZERO_DEADLINE = bytes(_DEADLINE_WIDTH)
-_ZERO_EPOCH = bytes(_EPOCH_WIDTH)
-_ZERO_TRACE = bytes(_TRACE_WIDTH)
 
-# Request-frame header offsets (after the length prefix).
+# Request-frame offsets (after the length prefix); the fixed-width
+# header regions between the flags byte and the field count are
+# repro.rest.header's.
 _REQ_VERB_OFFSET = 4
 _REQ_FLAGS_OFFSET = 5
-_REQ_DEADLINE_OFFSET = 6
-_REQ_EPOCH_OFFSET = _REQ_DEADLINE_OFFSET + _DEADLINE_WIDTH  # 18
-_REQ_TRACE_OFFSET = _REQ_EPOCH_OFFSET + _EPOCH_WIDTH  # 22
-_REQ_COUNT_OFFSET = _REQ_TRACE_OFFSET + _TRACE_WIDTH  # 38
-_REQ_HEADER_SIZE = _REQ_COUNT_OFFSET + 1  # 39
+_REQ_COUNT_OFFSET = HEADER_END
+_REQ_HEADER_SIZE = _REQ_COUNT_OFFSET + 1
+_HEADER_NAMES = frozenset(spec.name for spec in HEADER_FIELDS)
+_NO_HEADER = bytes(HEADER_END - HEADER_FIELDS[0].offset)
 
 _RESP_STATUS_OFFSET = 4
 _RESP_COUNT_OFFSET = 6
 _RESP_HEADER_SIZE = 7
+
+
+def _unique_keys(pairs: List[Tuple[str, Any]]) -> Dict[str, Any]:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise CodecError("duplicate key in a JSON object")
+    return obj
+
+
+#: The one JSON parser of this module.  ``json.loads`` keeps the last
+#: of two equal keys; here that spelling does not decode, so "one dict,
+#: one encoding" holds on the JSON wire as it does for binary entries.
+_parse_json = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
 
 
 def _as_text(data: Any) -> str:
@@ -213,8 +207,8 @@ class WireCodec:
       envelopes, sealed response fields, padded item lists.
 
     The fixed-width deadline/epoch/trace fields are stamped and
-    stripped by their owners (``overload.deadline``, ``proxy.epochs``,
-    ``obs.tracewire``), on the message, before it is encoded.
+    stripped on the message, before it is encoded
+    (:mod:`repro.rest.header`).
     """
 
     name = "abstract"
@@ -324,7 +318,7 @@ class JsonCodec(WireCodec):
         return json.dumps(payload).encode("utf-8")
 
     def unpack_envelope(self, data: Any) -> Tuple[Dict[str, Any], bytes]:
-        payload = json.loads(_as_text(data))
+        payload = _parse_json(_as_text(data))
         if not isinstance(payload, dict) or "fields" not in payload:
             raise CodecError("sealed envelope payload is not an envelope dict")
         return payload["fields"], EnvelopeCodec.wire_blob(payload["resp_key"])
@@ -333,7 +327,7 @@ class JsonCodec(WireCodec):
         return json.dumps(fields, sort_keys=True).encode("utf-8")
 
     def unpack_response_fields(self, data: Any) -> Dict[str, Any]:
-        fields = json.loads(_as_text(data))
+        fields = _parse_json(_as_text(data))
         if not isinstance(fields, dict):
             raise CodecError("sealed response payload is not a field dict")
         return fields
@@ -343,7 +337,7 @@ class JsonCodec(WireCodec):
         return json.dumps(wire_items).encode("utf-8")
 
     def unpack_items(self, data: Any) -> List[bytes]:
-        entries = json.loads(_as_text(data))
+        entries = _parse_json(_as_text(data))
         if not isinstance(entries, list):
             raise CodecError("item payload is not a list")
         return [EnvelopeCodec.wire_blob(entry) for entry in entries]
@@ -353,7 +347,7 @@ class JsonCodec(WireCodec):
 
     def decode_request(self, data: Any, *, verb: Optional[str] = None,
                        request_id: int = 0, client_address: str = "") -> Request:
-        fields = json.loads(_as_text(data))
+        fields = _parse_json(_as_text(data))
         if not isinstance(fields, dict):
             raise CodecError("request body is not a JSON object")
         if verb is None:
@@ -366,7 +360,7 @@ class JsonCodec(WireCodec):
 
     def decode_response(self, data: Any, *, status: int = 200,
                         request_id: int = 0) -> Response:
-        fields = json.loads(_as_text(data))
+        fields = _parse_json(_as_text(data))
         if not isinstance(fields, dict):
             raise CodecError("response body is not a JSON object")
         return Response(status=status, fields=fields, request_id=request_id)
@@ -403,7 +397,7 @@ def _encode_entry(name: str, value: Any) -> bytes:
 
 
 def _encode_entries(fields: Dict[str, Any],
-                    skip: Sequence[str] = ()) -> Tuple[bytes, int]:
+                    skip: Collection[str] = ()) -> Tuple[bytes, int]:
     """Encode *fields* (minus *skip*) into entries; returns (bytes, count)."""
     if skip:
         parts = [_encode_entry(name, value)
@@ -416,7 +410,7 @@ def _encode_entries(fields: Dict[str, Any],
 
 
 def _decode_entries(view: memoryview, offset: int, count: int,
-                    reserved: Sequence[str] = ()) -> Tuple[Dict[str, Any], int]:
+                    reserved: Collection[str] = ()) -> Tuple[Dict[str, Any], int]:
     """Decode *count* field entries; bytes values stay memoryviews.
 
     One dict has one encoding, and only that one decodes: a name may
@@ -466,7 +460,7 @@ def _decode_entries(view: memoryview, offset: int, count: int,
             elif type_code == _TYPE_STR:
                 value = str(raw, "utf-8")
             elif type_code == _TYPE_JSON:
-                value = json.loads(str(raw, "utf-8"))
+                value = _parse_json(str(raw, "utf-8"))
             else:
                 raise CodecError(f"unknown field type {type_code}")
             fields[name] = value
@@ -478,15 +472,6 @@ def _decode_entries(view: memoryview, offset: int, count: int,
     if len(fields) != count:
         raise CodecError("duplicate field entry")
     return fields, offset
-
-
-def _fixed_ascii(value: Optional[str], width: int, what: str) -> bytes:
-    """A fixed-width ASCII header region; zeros when the field is absent."""
-    if value is None:
-        return bytes(width)
-    if not isinstance(value, str) or len(value) != width:
-        raise CodecError(f"{what} field is not {width} ASCII chars: {value!r}")
-    return value.encode("ascii")
 
 
 def _check_frame(data: Any, word: int) -> memoryview:
@@ -596,43 +581,30 @@ class BinaryCodec(WireCodec):
 
     def encode_request(self, request: Request) -> bytes:
         fields = request.fields
-        deadline = fields.get(_DEADLINE_FIELD)
-        epoch = fields.get(_EPOCH_FIELD)
-        trace = fields.get(_TRACE_FIELD)
         verb_code = _VERB_CODES.get(request.verb)
         if verb_code is None:
             raise CodecError(f"unknown verb {request.verb!r}")
-        if deadline is None and epoch is None and trace is None:
+        if _HEADER_NAMES.isdisjoint(fields):
             entries, count = _encode_entries(fields)
-            flags = 0
-            deadline_region = _ZERO_DEADLINE
-            epoch_region = _ZERO_EPOCH
-            trace_region = _ZERO_TRACE
+            flags, header = 0, _NO_HEADER
         else:
-            entries, count = _encode_entries(fields, skip=_HEADER_FIELD_NAMES)
-            flags = 0
-            if deadline is None:
-                deadline_region = _ZERO_DEADLINE
-            else:
-                flags = _FLAG_DEADLINE
-                deadline_region = _fixed_ascii(deadline, _DEADLINE_WIDTH, "deadline")
-            if epoch is None:
-                epoch_region = _ZERO_EPOCH
-            else:
-                flags |= _FLAG_EPOCH
-                epoch_region = _fixed_ascii(epoch, _EPOCH_WIDTH, "epoch")
-            if trace is None:
-                trace_region = _ZERO_TRACE
-            else:
-                flags |= _FLAG_TRACE
-                trace_region = _fixed_ascii(trace, _TRACE_WIDTH, "trace")
+            entries, count = _encode_entries(fields, skip=_HEADER_NAMES)
+            flags, regions = 0, []
+            for name, width, flag, _ in HEADER_FIELDS:
+                value = fields.get(name)
+                if value is None:
+                    regions.append(bytes(width))
+                elif isinstance(value, str) and len(value) == width:
+                    flags |= flag
+                    regions.append(value.encode("ascii"))
+                else:
+                    raise CodecError(f"{name} field is not {width} ASCII chars: {value!r}")
+            header = b"".join(regions)
         return b"".join((
             (_REQ_HEADER_SIZE + len(entries)).to_bytes(4, "big"),
             _REQ_PREFIX,
             _VERB_FLAG_BYTES[verb_code, flags],
-            deadline_region,
-            epoch_region,
-            trace_region,
+            header,
             _ONE_BYTE[count],
             entries,
         ))
@@ -647,20 +619,14 @@ class BinaryCodec(WireCodec):
             raise CodecError(f"unknown verb code {frame[_REQ_VERB_OFFSET]}")
         flags = frame[_REQ_FLAGS_OFFSET]
         fields, end = _decode_entries(frame, _REQ_HEADER_SIZE,
-                                      frame[_REQ_COUNT_OFFSET], _HEADER_FIELD_NAMES)
+                                      frame[_REQ_COUNT_OFFSET], _HEADER_NAMES)
         if end != len(frame):
             raise CodecError("trailing bytes after request fields")
         if flags:
             try:
-                if flags & _FLAG_DEADLINE:
-                    fields[_DEADLINE_FIELD] = str(
-                        frame[_REQ_DEADLINE_OFFSET:_REQ_EPOCH_OFFSET], "ascii")
-                if flags & _FLAG_EPOCH:
-                    fields[_EPOCH_FIELD] = str(
-                        frame[_REQ_EPOCH_OFFSET:_REQ_TRACE_OFFSET], "ascii")
-                if flags & _FLAG_TRACE:
-                    fields[_TRACE_FIELD] = str(
-                        frame[_REQ_TRACE_OFFSET:_REQ_COUNT_OFFSET], "ascii")
+                for name, width, flag, offset in HEADER_FIELDS:
+                    if flags & flag:
+                        fields[name] = str(frame[offset:offset + width], "ascii")
             except UnicodeDecodeError as exc:
                 raise CodecError(f"non-ASCII bytes in fixed header field: {exc}") from exc
         return Request(verb=wire_verb, fields=fields, request_id=request_id,

@@ -3,10 +3,11 @@
 The PProx adversary "may monitor network flows between the nodes
 forming this infrastructure, both with the outside world and
 internally, and correlate in time its observations" (paper §2.3).
-Every message delivered through :class:`Network` is therefore recorded
-as a :class:`FlowRecord` — endpoints, timestamp and *size only* (the
-payload itself is encrypted; the observation model must not grant the
-adversary plaintext access).
+Every message sent through :class:`Network` while somebody watches is
+therefore described by a :class:`FlowRecord` — endpoints, their
+operator-side roles, timestamp and size — and handed, with the
+(encrypted) payload, to every wiretap (:meth:`Network.add_wiretap`,
+the one way to watch the wire).  The network itself retains nothing.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ class FlowRecord:
 
     ``source_role``/``destination_role`` carry the *operator-side* role
     directory entries (see :meth:`Network.register_role`); they default
-    to :data:`UNKNOWN_ROLE` for records built without a directory.
-    Slotted: scale sweeps retain millions of these when flow recording
-    is on.
+    to :data:`UNKNOWN_ROLE` for records built without a directory,
+    and they are the name of a hop everywhere downstream
+    (:func:`repro.privacy.wire.hop_of`).
     """
 
     time: float
@@ -89,9 +90,6 @@ class Network:
     loop: EventLoop
     rng: random.Random
     latency: LatencyModel = field(default_factory=LatencyModel)
-    record_flows: bool = True
-    flows: List[FlowRecord] = field(default_factory=list)
-    _observers: List[Callable[[FlowRecord], None]] = field(default_factory=list)
     _wiretaps: List[Callable[[FlowRecord, Any], None]] = field(default_factory=list)
     _flow_counter: int = 0
     messages_sent: int = 0
@@ -114,12 +112,8 @@ class Network:
         """The registered role of *address*, or :data:`UNKNOWN_ROLE`."""
         return self.roles.get(address, UNKNOWN_ROLE)
 
-    def add_observer(self, observer: Callable[[FlowRecord], None]) -> None:
-        """Attach a live observer (e.g. the adversary) to the tap."""
-        self._observers.append(observer)
-
     def add_wiretap(self, wiretap: Callable[[FlowRecord, Any], None]) -> None:
-        """Attach a payload-level tap.
+        """Attach a tap: called with ``(record, payload)`` per send.
 
         The PProx adversary bypasses TLS and sees traffic "in the
         clear" (§2.3) — but cleartext on this wire is JSON whose
@@ -139,15 +133,15 @@ class Network:
     ) -> int:
         """Deliver *payload* after a sampled network latency.
 
-        Returns the flow id assigned to this transmission.  The
-        adversary tap sees endpoints, time and size — never *payload*.
+        Returns the flow id assigned to this transmission.  Wiretaps
+        see it now, at send time — also when a fault then drops it.
         """
         self._flow_counter += 1
         flow_id = self._flow_counter
         self.messages_sent += 1
         self.bytes_sent += size_bytes
         fault_delay = 0.0
-        if self.record_flows or self._observers or self._wiretaps or self.fault_filter:
+        if self._wiretaps or self.fault_filter:
             record = FlowRecord(
                 time=self.loop.now,
                 source=source,
@@ -157,10 +151,6 @@ class Network:
                 source_role=self.role_of(source),
                 destination_role=self.role_of(destination),
             )
-            if self.record_flows:
-                self.flows.append(record)
-            for observer in self._observers:
-                observer(record)
             for wiretap in self._wiretaps:
                 wiretap(record, payload)
             if self.fault_filter is not None:
@@ -178,7 +168,3 @@ class Network:
         # Handle-free fast path: deliveries are never cancelled.
         self.loop.post(delay, lambda: on_deliver(payload))
         return flow_id
-
-    def clear_flows(self) -> None:
-        """Drop recorded flow metadata (e.g. between experiment phases)."""
-        self.flows.clear()

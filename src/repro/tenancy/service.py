@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Union
 
 from repro.crypto.keys import LayerKeys
+from repro.proxy import protocol
 from repro.proxy.config import PProxConfig
 from repro.proxy.layers import ItemAnonymizer, UserAnonymizer
 from repro.proxy.service import PProxService, assemble
@@ -58,8 +59,7 @@ class TenantItemAnonymizer(ItemAnonymizer):
         )
 
     def _pick_backend(self, request: Request):
-        tenant = request.fields.get("tenant", "default")
-        return self.directory.record(tenant).lrs_picker()
+        return self.directory.record(protocol.tenant_of(request)).lrs_picker()
 
 
 @dataclass

@@ -14,6 +14,14 @@ from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
 
 
+def tap_flows(network: Network) -> list:
+    """The :class:`FlowRecord` of every send on *network* from now on,
+    collected the one way the wire can be watched: a wiretap."""
+    flows: list = []
+    network.add_wiretap(lambda record, _payload: flows.append(record))
+    return flows
+
+
 @pytest.fixture
 def rng_registry() -> RngRegistry:
     return RngRegistry(seed=1234)

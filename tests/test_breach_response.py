@@ -19,7 +19,7 @@ from repro.simnet.rng import RngRegistry
 def stack():
     rng = RngRegistry(seed=151)
     loop = EventLoop()
-    network = Network(loop=loop, rng=rng.stream("net"), record_flows=False)
+    network = Network(loop=loop, rng=rng.stream("net"))
     harness = HarnessService(loop=loop, rng=rng.stream("lrs"), frontend_count=3)
     harness.engine.trainer.llr_threshold = 0.0
     provider = RealCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))

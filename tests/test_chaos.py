@@ -26,7 +26,7 @@ from repro.workload.injector import Injector
 def chaos_stack():
     rng = RngRegistry(seed=131)
     loop = EventLoop()
-    network = Network(loop=loop, rng=rng.stream("net"), record_flows=False)
+    network = Network(loop=loop, rng=rng.stream("net"))
     stub = StubLrs(loop=loop, rng=rng.stream("stub"))
     # The context's default SimCryptoProvider: these tests assert
     # ejection, retry and autoscaling, not cryptography (real crypto

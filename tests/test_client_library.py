@@ -13,6 +13,7 @@ from repro.proxy.costs import DEFAULT_COSTS
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
+from tests.conftest import tap_flows
 
 
 def _harness_stack(config: PProxConfig, seed: int = 41):
@@ -86,18 +87,19 @@ def test_call_counters():
 
 def test_default_client_address_derives_from_user():
     loop, harness, client, _ = _harness_stack(PProxConfig(shuffle_size=0))
-    calls = []
-    client.get("zoe", on_complete=calls.append)
+    flows = tap_flows(client.network)
+    client.get("zoe")
     loop.run()
     # Flow records should show the per-user client address.
-    assert any(f.source == "client-zoe" for f in client.network.flows)
+    assert any(f.source == "client-zoe" for f in flows)
 
 
 def test_explicit_client_address_is_used():
     loop, harness, client, _ = _harness_stack(PProxConfig(shuffle_size=0))
+    flows = tap_flows(client.network)
     client.get("zoe", client_address="client-nat-1")
     loop.run()
-    assert any(f.source == "client-nat-1" for f in client.network.flows)
+    assert any(f.source == "client-nat-1" for f in flows)
 
 
 def test_get_before_training_returns_empty_list():

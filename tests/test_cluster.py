@@ -100,7 +100,7 @@ def test_unknown_plan_rejected():
 def _scaled_service():
     rng = RngRegistry(seed=17)
     loop = EventLoop()
-    network = Network(loop=loop, rng=rng.stream("net"), record_flows=False)
+    network = Network(loop=loop, rng=rng.stream("net"))
     stub = StubLrs(loop=loop, rng=rng.stream("stub"))
     ctx = SimContext(loop=loop, network=network, rng=rng)
     service = build_pprox(ctx, PProxConfig(shuffle_size=0), lrs_picker=lambda: stub)

@@ -30,7 +30,7 @@ def _loose_stack(seed):
     """build_pprox + PProxClient on a hand-assembled context."""
     rng = RngRegistry(seed=seed)
     loop = EventLoop()
-    network = Network(loop=loop, rng=rng.stream("net"), record_flows=False)
+    network = Network(loop=loop, rng=rng.stream("net"))
     stub = StubLrs(loop=loop, rng=rng.stream("stub"))
     provider = RealCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
     ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider)

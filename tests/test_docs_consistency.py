@@ -162,6 +162,28 @@ def test_one_implementation_per_mechanism_in_the_package():
     ]
     assert floor_readers == ["src/repro/proxy/epochs.py"]
     assert not any("build_service" in path.read_text() for path in sources)
+    # One wire surface: the header layout is repro.rest.header's table,
+    # a hop is named by the role directory, and the wire is watched
+    # through Network.add_wiretap by observers the rig stands up.
+    second_surface = re.compile(
+        r"record_flows|add_observer|clear_flows"
+        r"|startswith\(\s*[\"'](?:client|pprox|harness|lrs)"
+        r"|^_(?:DEADLINE|EPOCH|TRACE)_\w+ *=",
+        flags=re.M,
+    )
+    offenders = [
+        f"{path.relative_to(REPO)}: {match.group(0)}"
+        for path in sources
+        for match in second_surface.finditer(path.read_text())
+    ]
+    assert offenders == [], f"second statements of the wire surface in src/: {offenders}"
+    drivers = "".join(
+        path.read_text()
+        for package in ("experiments", "obs")
+        for path in sorted((REPO / "src" / "repro" / package).glob("*.py"))
+    )
+    for once in (r"\bAdversary\(", r"\bRejectAuditor\("):
+        assert len(re.findall(once, drivers)) == 1, once
 
 
 #: Subcommands `python -m repro run <scenario>` replaced; nothing a

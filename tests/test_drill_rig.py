@@ -81,3 +81,25 @@ def test_capacity_leg_reports_its_sheds():
     result = verify_plan(target, plan, seed=3, duration=2.0, chaos=False)
     assert result.shed_total > 0
     assert result.to_dict()["shed_total"] == result.shed_total
+
+
+def test_anonymity_floor_counts_the_ia_alive_behind_each_flush():
+    """The floor is min(size x live IA) per released batch, so a batch
+    released while an IA is down counts for less than the static
+    ``min(size) * len(ia_instances)`` the drivers used to compute."""
+    rig = DrillRig("contract", 5, grace=1.0, frontends=1)
+    rig.deploy(PProxConfig(ia_instances=2, shuffle_size=2, shuffle_timeout=0.1))
+    adversary, rejects = rig.observe_wire()
+    assert adversary.lrs_store is rig.lrs.engine.store
+    rig.instrument()
+    rig.offer(40.0, 1.0, users=5)
+    rig.loop.schedule(0.5, lambda: rig.service.ia_instances[1].fail())
+    rig.watch({})
+    rig.run()
+    assert rig.anonymity_floor([]) is None
+    before, after = rig.released(until=0.5), rig.released(since=0.5)
+    assert before and after
+    assert rig.anonymity_floor(before) == min(f.size for f in before) * 2
+    assert rig.anonymity_floor(after) == min(f.size for f in after) * 1
+    assert {obs.source_role for obs in adversary.observations} >= {"client", "ua", "ia", "lrs"}
+    assert rejects.violations() == []

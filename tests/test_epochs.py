@@ -28,10 +28,10 @@ from repro.proxy.epochs import (
     epoch_window_of,
     hold_reason,
     stamp_epoch,
-    strip_epoch,
     window_candidates,
 )
 from repro.proxy.rekey import OnlineRekeyer, RekeyReport
+from repro.rest.header import EPOCH, strip
 from repro.rest.messages import make_get
 from repro.sgx.attestation import AttestationService
 from repro.sgx.enclave import Enclave, EnclaveMeasurement
@@ -85,16 +85,15 @@ def test_stamp_none_returns_request_unchanged():
 
 def test_strip_removes_tag_and_returns_id():
     stamped = stamp_epoch(make_get("alice"), 7)
-    bare, epoch_id = strip_epoch(stamped)
-    assert epoch_id == 7
+    bare, severed = strip(stamped, EPOCH)
+    assert decode_epoch(severed) == 7
     assert EPOCH_FIELD not in bare.fields
 
 
 def test_strip_without_tag_is_noop():
     request = make_get("alice")
-    bare, epoch_id = strip_epoch(request)
-    assert epoch_id is None
-    assert EPOCH_FIELD not in bare.fields
+    bare, severed = strip(request, EPOCH)
+    assert severed == {} and bare is request
 
 
 def test_decode_garbage_returns_none():
@@ -108,8 +107,8 @@ def test_codec_roundtrip_property(epoch_id):
     """Any valid epoch id survives stamp->strip at constant width."""
     stamped = stamp_epoch(make_get("u"), epoch_id)
     assert len(stamped.fields[EPOCH_FIELD]) == EPOCH_WIDTH
-    bare, decoded = strip_epoch(stamped)
-    assert decoded == epoch_id
+    bare, severed = strip(stamped, EPOCH)
+    assert decode_epoch(severed) == epoch_id
     assert EPOCH_FIELD not in bare.fields
 
 

@@ -18,7 +18,7 @@ from repro.simnet.rng import RngRegistry
 def _stack(config=None, seed=101, **client_kwargs):
     rng = RngRegistry(seed=seed)
     loop = EventLoop()
-    network = Network(loop=loop, rng=rng.stream("net"), record_flows=False)
+    network = Network(loop=loop, rng=rng.stream("net"))
     stub = StubLrs(loop=loop, rng=rng.stream("stub"))
     provider = RealCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
     ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider)

@@ -129,7 +129,7 @@ def test_side_channel_attack_lifecycle_with_detection_and_rotation():
         catalog={i for items in FEEDBACK.values() for i in items},
     )
     links = engine.derive_links(
-        adversary.messages_at("pprox-ia"), adversary.lrs_dump()
+        adversary.messages_at("ia"), adversary.lrs_dump()
     )
     assert links == set()
 

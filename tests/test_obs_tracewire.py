@@ -13,10 +13,10 @@ from repro.obs.tracewire import (
     encode_trace_id,
     looks_like_trace_id,
     stamp_trace,
-    strip_trace,
 )
 from repro.privacy.adversary import ObservedMessage
 from repro.privacy.wire import trace_field_exposures
+from repro.rest.header import TRACE, strip
 from repro.rest.messages import Request
 from repro.telemetry import EventLog, RedactionPolicy
 
@@ -112,14 +112,12 @@ def test_decode_ignores_malformed_wire_values():
 def test_strip_trace_removes_the_field_and_returns_the_id():
     trace_id = encode_trace_id(9)
     stamped = stamp_trace(make_request(user="sealed"), trace_id)
-    clean, recovered = strip_trace(stamped)
-    assert recovered == trace_id
-    assert TRACE_FIELD not in clean.fields
-    assert clean.fields["user"] == "sealed"
+    clean, severed = strip(stamped, TRACE)
+    assert decode_trace(severed) == trace_id
+    assert clean.fields == {"user": "sealed"}
     # Untraced requests pass through unchanged.
-    untouched, recovered = strip_trace(make_request(user="sealed"))
-    assert recovered is None
-    assert untouched.fields == {"user": "sealed"}
+    untraced = make_request(user="sealed")
+    assert strip(untraced, TRACE) == (untraced, {})
 
 
 # -- causal tracer -------------------------------------------------------
@@ -133,9 +131,9 @@ def test_severing_invariant_on_a_clean_exchange():
     trace_id = tracer.start_call("get")
     request = tracer.stamp(make_request(user="sealed"), trace_id)
     # UA front door: strip, then tell the tracer the id is gone.
-    _, recovered = strip_trace(request)
+    _, severed = strip(request, TRACE)
     tracer.absorb("pprox-ua-0")
-    assert recovered == trace_id
+    assert decode_trace(severed) == trace_id
     clock["now"] = 0.5
     tracer.batch_flush("pprox-ua-0", size=4, timer_fired=False)
     tracer.settle_call(trace_id, ok=True)
@@ -191,30 +189,32 @@ def test_client_spans_record_attempts_and_duration():
 # -- wire auditor --------------------------------------------------------
 
 
-def observation(source, destination, fields):
+def observation(source_role, destination_role, fields):
     return ObservedMessage(
         time=1.0,
-        source=source,
-        destination=destination,
+        source=f"{source_role}-0",
+        destination=f"{destination_role}-0",
         size_bytes=128,
         kind="request",
         verb="GET",
         fields=fields,
+        source_role=source_role,
+        destination_role=destination_role,
     )
 
 
 def test_trace_exposures_allows_only_the_client_ua_hop():
     trace_id = encode_trace_id(5)
     clean = [
-        observation("client-user-1", "pprox-ua-0", {TRACE_FIELD: trace_id}),
-        observation("pprox-ua-0", "pprox-ia-0", {"user": "sealed"}),
+        observation("client", "ua", {TRACE_FIELD: trace_id}),
+        observation("ua", "ia", {"user": "sealed"}),
     ]
     assert trace_field_exposures(clean) == []
 
 
 def test_trace_exposures_flags_ids_past_the_ua():
     trace_id = encode_trace_id(5)
-    leaked = [observation("pprox-ua-0", "pprox-ia-0", {TRACE_FIELD: trace_id})]
+    leaked = [observation("ua", "ia", {TRACE_FIELD: trace_id})]
     [finding] = trace_field_exposures(leaked)
     assert "ua->ia" in finding and TRACE_FIELD in finding
 
@@ -223,7 +223,7 @@ def test_trace_exposures_catches_ids_smuggled_under_other_names():
     # A component that copied the id into a differently-named field is
     # still caught by the value-shape check.
     trace_id = encode_trace_id(6)
-    smuggled = [observation("pprox-ia-0", "lrs-stub", {"note": trace_id})]
+    smuggled = [observation("ia", "lrs", {"note": trace_id})]
     [finding] = trace_field_exposures(smuggled)
     assert "ia->lrs" in finding
 

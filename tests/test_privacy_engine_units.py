@@ -20,10 +20,11 @@ def provider():
 
 
 def _message(fields, source="pprox-ua-0", destination="pprox-ia-0",
-             kind="request", verb="POST"):
+             kind="request", verb="POST", roles=("ua", "ia")):
     return ObservedMessage(
         time=0.0, source=source, destination=destination, size_bytes=100,
         kind=kind, verb=verb, fields=fields,
+        source_role=roles[0], destination_role=roles[1],
     )
 
 
@@ -125,9 +126,10 @@ def test_unseal_requires_ua_keys(provider, layer_keys):
 
 def test_message_identity_from_endpoints(provider):
     engine = KnowledgeEngine(provider=provider)
-    inbound = _message({}, source="client-alice", destination="pprox-ua-0")
+    inbound = _message({}, source="client-alice", destination="pprox-ua-0",
+                       roles=("client", "ua"))
     outbound = _message({}, source="pprox-ua-0", destination="client-alice",
-                        kind="response", verb=None)
+                        kind="response", verb=None, roles=("ua", "client"))
     internal = _message({})
     assert engine.message_identity(inbound) == "client-alice"
     assert engine.message_identity(outbound) == "client-alice"

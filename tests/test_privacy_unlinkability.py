@@ -73,9 +73,8 @@ class Scenario:
     def links_at_enclave(self, layer: str):
         """The paper's §6.1 observation point: messages at the broken
         enclave, plus the LRS database."""
-        prefix = "pprox-ua" if layer == "UA" else "pprox-ia"
         return self.engine().derive_links(
-            self.adversary.messages_at(prefix), self.adversary.lrs_dump()
+            self.adversary.messages_at(layer.lower()), self.adversary.lrs_dump()
         )
 
     def links_full_wire(self):

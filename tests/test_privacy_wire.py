@@ -13,12 +13,14 @@ from repro.proxy import PProxConfig, build_pprox
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import FlowRecord, Network
 from repro.simnet.rng import RngRegistry
+from tests.conftest import tap_flows
 
 
 def _run_gets(config: PProxConfig, users):
     rng = RngRegistry(seed=23)
     loop = EventLoop()
     network = Network(loop=loop, rng=rng.stream("net"))
+    flows = tap_flows(network)
     stub = StubLrs(loop=loop, rng=rng.stream("stub"))
     provider = RealCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
     ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider)
@@ -31,16 +33,23 @@ def _run_gets(config: PProxConfig, users):
     for user in users:
         client.get(user)
     loop.run()
-    return network.flows
+    return flows
 
 
 def test_hop_classification():
-    record = FlowRecord(time=0, source="client-alice", destination="pprox-ua-0",
-                        size_bytes=10, flow_id=1)
-    assert hop_of(record) == ("client", "ua")
-    record = FlowRecord(time=0, source="pprox-ia-1", destination="harness-fe-0",
-                        size_bytes=10, flow_id=2)
-    assert hop_of(record) == ("ia", "lrs")
+    """A hop is named by the role directory, never by how an address is
+    spelled: an address nobody registered is ``unknown``, not ``lrs``."""
+    loop = EventLoop()
+    network = Network(loop=loop, rng=RngRegistry(seed=1).stream("net"))
+    flows = tap_flows(network)
+    network.register_role("front-door", "ua")
+    network.register_role("alice-laptop", "client")
+    network.send("alice-laptop", "front-door", None, 10, lambda _: None)
+    network.send("pprox-ia-1", "client-looking-stranger", None, 10, lambda _: None)
+    assert [hop_of(record) for record in flows] == [("client", "ua"), ("unknown", "unknown")]
+    bare = FlowRecord(time=0, source="client-alice", destination="pprox-ua-0",
+                      size_bytes=10, flow_id=1)
+    assert hop_of(bare) == ("unknown", "unknown")
 
 
 def test_get_requests_have_constant_size_across_users():
@@ -76,8 +85,8 @@ def test_cleartext_mode_leaks_sizes():
         PProxConfig(encryption=False, sgx=False, shuffle_size=0),
         users=["u", "a-very-long-user-identifier-that-differs-a-lot"],
     )
-    violations = constant_size_violations(flows, hops=[("client", "ua")])
-    assert violations
+    violations = constant_size_violations(flows)
+    assert any(finding.startswith("client->ua:") for finding in violations), violations
 
 
 def test_profile_covers_all_hops():

@@ -13,6 +13,7 @@ from repro.rest.routing import RoutingError
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
+from tests.conftest import tap_flows
 
 
 def _stack(config: PProxConfig, seed: int = 21):
@@ -74,16 +75,14 @@ def test_routing_tables_drain():
 
 def test_ia_never_sees_client_addresses():
     loop, network, _, service, client = _stack(NOSHUF)
+    flows = tap_flows(network)
     client.get("alice", on_complete=lambda c: None)
     loop.run()
-    ia_inbound = [
-        f for f in network.flows if f.destination.startswith("pprox-ia")
-    ]
+    ia_inbound = [f for f in flows if f.destination_role == "ia"]
     assert ia_inbound
     # IA traffic comes only from the UA layer and the LRS — never from
     # a client address.
-    assert all(not f.source.startswith("client") for f in ia_inbound)
-    assert any(f.source.startswith("pprox-ua") for f in ia_inbound)
+    assert {f.source_role for f in ia_inbound} == {"ua", "lrs"}
 
 
 def test_lrs_sees_only_pseudonyms():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.client import PProxClient
@@ -11,13 +13,16 @@ from repro.crypto.keys import KeyFactory
 from repro.crypto.envelope import EnvelopeCodec, PaddingError, decode_identifier, encode_identifier
 from repro.crypto.provider import RealCryptoProvider, SimCryptoProvider
 from repro.lrs.service import HarnessService
+from repro.obs.causal import CausalTracer
 from repro.privacy import Adversary
+from repro.privacy.wire import epoch_tag_exposures, hop_of, trace_field_exposures
 from repro.proxy import PProxConfig, build_pprox
 from repro.proxy.rekey import reencrypt_store
 from repro.rest.codec import WireFrame
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
+from tests.conftest import tap_flows
 
 
 def _stack(config=None, seed=81, codec="json", provider_cls=RealCryptoProvider):
@@ -161,16 +166,16 @@ def test_redirect_hides_client_addresses_from_the_raas():
     """The adversary inside the RaaS cloud sees only the application
     frontend as a source — no per-user IP to anchor history attacks."""
     _, loop, network, harness, _, client, frontend = _redirected_stack()
+    flows = tap_flows(network)
     for user, item in FEEDBACK:
         client.post(user, item)
     loop.run()
     raas_inbound = [
-        f for f in network.flows
-        if f.destination.startswith("pprox-ua") and not f.source.startswith("pprox")
+        f for f in flows if f.destination_role == "ua" and f.source_role != "ia"
     ]
     assert raas_inbound
     assert {f.source for f in raas_inbound} == {frontend.address}
-    assert not any(f.source.startswith("client") for f in raas_inbound)
+    assert {f.source_role for f in raas_inbound} == {"relay"}
 
 
 @pytest.mark.parametrize("codec", ["json", "binary"])
@@ -233,6 +238,38 @@ def test_redirected_client_stamps_the_epoch_tag_like_a_direct_one():
     assert "kepoch" in to_relay.fields
     assert set(to_relay.fields) == set(to_ua.fields)
     assert len(to_relay.data) == len(to_ua.data)
+
+
+def test_relayed_epoch_tag_is_no_exposure_and_a_stranger_is_not_an_lrs():
+    """The tag and the trace id are legitimate on every hop up to the
+    UA front door — ``client->relay`` and ``relay->ua`` as much as
+    ``client->ua`` — and nowhere else.  The relay registers its role;
+    filed under ``lrs`` by the spelling of ``app-frontend``, each
+    relayed post after a rotation used to read as two exposures."""
+    rng, loop, network, _, service, relayed, frontend = _redirected_stack()
+    adversary = Adversary()
+    adversary.attach(network)
+    factory = KeyFactory(rsa_bits=1024, rng_int=rng.int_fn("rot"),
+                         rng_bytes=rng.bytes_fn("rot-b"))
+    service.announce_epoch("UA", factory.layer_keys())
+    relayed.causal = service.runtime.causal = CausalTracer(clock=lambda: loop.now)
+    relayed.post("a", "i1")
+    relayed.post("b", "i2")
+    loop.run()
+
+    for name in ("kepoch", "trace"):
+        tagged = {hop_of(obs) for obs in adversary.observations if name in obs.fields}
+        assert tagged == {("client", "relay"), ("relay", "ua")}, name
+    assert epoch_tag_exposures(adversary.observations) == []
+    assert trace_field_exposures(adversary.observations) == []
+
+    # The audit still bites past the front door, and an address nobody
+    # registered is a stranger, not an LRS.
+    inner = next(obs for obs in adversary.observations if hop_of(obs) == ("ua", "ia"))
+    planted = replace(inner, fields={**inner.fields, "kepoch": "0001"})
+    stranger = replace(planted, source="app-frontend-2", source_role=network.role_of("app-frontend-2"))
+    findings = epoch_tag_exposures([planted, stranger])
+    assert [finding.split(":")[0] for finding in findings] == ["ua->ia", "unknown->ia"]
 
 
 def test_redirect_adds_latency():

@@ -8,6 +8,7 @@ import pytest
 
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import FlowRecord, LatencyModel, Network
+from tests.conftest import tap_flows
 
 
 @pytest.fixture
@@ -57,9 +58,10 @@ def test_size_proportional_latency():
 
 def test_flow_records_capture_metadata(net):
     loop, network = net
+    flows = tap_flows(network)
     network.send("client-1", "ua-0", "req", 345, lambda _: None)
     loop.run()
-    record = network.flows[0]
+    record = flows[0]
     assert record.source == "client-1"
     assert record.destination == "ua-0"
     assert record.size_bytes == 345
@@ -68,19 +70,23 @@ def test_flow_records_capture_metadata(net):
 
 def test_flow_ids_are_unique_and_increasing(net):
     loop, network = net
+    flows = tap_flows(network)
     for _ in range(3):
         network.send("a", "b", None, 1, lambda _: None)
-    ids = [record.flow_id for record in network.flows]
+    ids = [record.flow_id for record in flows]
     assert ids == sorted(set(ids))
 
 
 def test_observers_see_flows_live(net):
+    """A wiretap is called at send time, before delivery, with the
+    record carrying the role directory's names."""
     loop, network = net
-    seen = []
-    network.add_observer(seen.append)
+    network.register_role("a", "client")
+    seen = tap_flows(network)
     network.send("a", "b", None, 9, lambda _: None)
     assert len(seen) == 1
     assert isinstance(seen[0], FlowRecord)
+    assert (seen[0].source_role, seen[0].destination_role) == ("client", "unknown")
 
 
 def test_wiretap_sees_payload(net):
@@ -91,27 +97,12 @@ def test_wiretap_sees_payload(net):
     assert taps == [("a", {"ciphertext": "..."})]
 
 
-def test_record_flows_can_be_disabled():
-    loop = EventLoop()
-    network = Network(loop=loop, rng=random.Random(4), record_flows=False)
-    network.send("a", "b", None, 1, lambda _: None)
-    assert network.flows == []
-    assert network.messages_sent == 1
-
-
 def test_extra_delay_defers_delivery(net):
     loop, network = net
     times = []
     network.send("a", "b", None, 0, lambda _: times.append(loop.now), extra_delay=5.0)
     loop.run()
     assert times[0] >= 5.0
-
-
-def test_clear_flows(net):
-    loop, network = net
-    network.send("a", "b", None, 1, lambda _: None)
-    network.clear_flows()
-    assert network.flows == []
 
 
 def test_counters(net):

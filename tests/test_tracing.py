@@ -23,7 +23,7 @@ from tests.oracles.wire_breakdown import STAGES, BreakdownProbe
 def _traced_stack(config: PProxConfig, seed=91, codec="json"):
     rng = RngRegistry(seed=seed)
     loop = EventLoop()
-    network = Network(loop=loop, rng=rng.stream("net"), record_flows=False)
+    network = Network(loop=loop, rng=rng.stream("net"))
     stub = StubLrs(loop=loop, rng=rng.stream("stub"))
     provider = RealCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
     ctx = SimContext(loop=loop, network=network, rng=rng, provider=provider,

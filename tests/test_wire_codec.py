@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro.context import SimContext
+from repro.context import Deployment, SimContext
 from repro.crypto.envelope import (
     FIXED_ID_BYTES,
     EnvelopeCodec,
@@ -31,6 +31,8 @@ from repro.rest.codec import (
     WireCodec,
     resolve_codec,
 )
+from repro.proxy.config import PProxConfig
+from repro.rest.header import DEADLINE, EPOCH, HEADER_END, HEADER_FIELDS, TRACE
 from repro.rest.messages import Request, Response, Verb
 
 CODECS = [JSON_WIRE_CODEC, BINARY_WIRE_CODEC]
@@ -273,6 +275,21 @@ class TestFrameValidation:
             JSON_WIRE_CODEC.decode_request(b"[1, 2]", verb=Verb.GET)
 
 
+@pytest.mark.parametrize("decode", [
+    lambda body: JSON_WIRE_CODEC.decode_request(body, verb=Verb.GET),
+    JSON_WIRE_CODEC.decode_response,
+    JSON_WIRE_CODEC.unpack_response_fields,
+    lambda body: JSON_WIRE_CODEC.unpack_envelope(b'{"fields":' + body + b',"resp_key":"a2s="}'),
+], ids=["request", "response", "response_fields", "envelope"])
+def test_json_duplicate_key_is_not_last_wins(decode):
+    """``json.loads`` keeps the last of two equal keys, so two byte
+    strings used to decode to one dict; on the JSON wire too, only one
+    spelling decodes — at the top level and in a nested object."""
+    for body in (b'{"user":"alice","user":"bob"}', b'{"x":{"k":1,"k":2}}'):
+        with pytest.raises(CodecError, match="duplicate key"):
+            decode(body)
+
+
 def _entry(tag, value, name=b""):
     """One hand-built string entry; ``tag=0`` spells *name* out inline."""
     spelled = bytes([len(name)]) + name if tag == 0 else b""
@@ -368,21 +385,60 @@ class TestResolveCodec:
         assert issubclass(BinaryCodec, WireCodec)
 
 
-def test_header_constants_match_their_canonical_owners():
-    """codec.py mirrors the field names/widths (it cannot import the
-    proxy packages at module level); this pins the mirror to the
-    canonical definitions."""
-    from repro.obs.tracewire import TRACE_FIELD, TRACE_WIDTH
-    from repro.overload.deadline import DEADLINE_FIELD, DEADLINE_WIDTH
-    from repro.proxy.epochs import EPOCH_FIELD, EPOCH_WIDTH
-    from repro.rest import codec as codec_module
+def _stamped_by_its_owner(request, spec):
+    """*request* carrying *spec*, put there by the module that owns the
+    field's value format — the only way a header field gets on a
+    request outside this test."""
+    from repro.obs.tracewire import encode_trace_id, stamp_trace
+    from repro.overload.deadline import stamp_deadline
+    from repro.proxy.epochs import stamp_epoch
 
-    assert codec_module._DEADLINE_FIELD == DEADLINE_FIELD
-    assert codec_module._DEADLINE_WIDTH == DEADLINE_WIDTH
-    assert codec_module._EPOCH_FIELD == EPOCH_FIELD
-    assert codec_module._EPOCH_WIDTH == EPOCH_WIDTH
-    assert codec_module._TRACE_FIELD == TRACE_FIELD
-    assert codec_module._TRACE_WIDTH == TRACE_WIDTH
+    return {
+        "deadline": lambda: stamp_deadline(request, 1.25),
+        "kepoch": lambda: stamp_epoch(request, 7),
+        "trace": lambda: stamp_trace(request, encode_trace_id(5)),
+    }[spec.name]()
+
+
+def test_header_table_is_where_every_stamped_field_sits():
+    """``repro.rest.header.HEADER_FIELDS`` is the layout, on both wires:
+    for every subset of the header fields, the binary frame carries
+    each stamped value at its declared offset under its flag bit and
+    zeros elsewhere in the header, the JSON body carries the same
+    names, and what the UA front door lets through has zeros at
+    ``frame[18:38]`` (epoch tag and trace id severed, deadline kept)."""
+    assert [(f.name, f.width, f.flag, f.offset) for f in HEADER_FIELDS] == [
+        ("deadline", 12, 1, 6), ("kepoch", 4, 2, 18), ("trace", 16, 4, 22)]
+    assert HEADER_END == 38
+    front_door = Deployment.build(
+        ctx=SimContext.fresh(seed=5), config=PProxConfig(shuffle_size=0), lrs_picker=lambda: None
+    ).service.ua_instances[0]
+
+    for subset in range(1 << len(HEADER_FIELDS)):
+        chosen = [spec for spec in HEADER_FIELDS if subset & spec.flag]
+        request = Request(verb=Verb.GET, fields={"user": "u"}, request_id=1, client_address="c")
+        for spec in chosen:
+            request = _stamped_by_its_owner(request, spec)
+
+        frame = BINARY_WIRE_CODEC.encode_request(request)[4:]
+        assert frame[5] == subset
+        for spec in HEADER_FIELDS:
+            expected = (request.fields[spec.name].encode("ascii") if spec in chosen
+                        else bytes(spec.width))
+            assert frame[spec.offset:spec.end] == expected, (subset, spec.name)
+        assert frame[HEADER_END] == 1  # one entry: header fields are not entries
+        assert BINARY_WIRE_CODEC.decode_request(_framed(frame)).fields == request.fields
+
+        body = json.loads(JSON_WIRE_CODEC.encode_request(request))
+        assert body == {"user": "u", **{spec.name: request.fields[spec.name] for spec in chosen}}
+
+        through = front_door._strip_tags(request)
+        severed = BINARY_WIRE_CODEC.encode_request(through)[4:]
+        assert severed[EPOCH.offset:HEADER_END] == bytes(HEADER_END - EPOCH.offset)
+        assert severed[DEADLINE.offset:DEADLINE.end] == frame[DEADLINE.offset:DEADLINE.end]
+        assert set(request.fields) - set(through.fields) == {
+            spec.name for spec in chosen if spec is not DEADLINE}
+        assert (through is request) == (not subset & (EPOCH.flag | TRACE.flag))
 
 
 def test_uniform_reject_is_one_constant_shape_per_codec():

@@ -21,11 +21,11 @@ import pytest
 
 from repro.context import Deployment, SimContext
 from repro.lrs.stub import StubLrs, make_pseudonymous_payload
-from repro.obs.tracewire import TRACE_FIELD, strip_trace
+from repro.obs.tracewire import TRACE_FIELD
 from repro.overload.deadline import stamp_deadline
 from repro.overload.shedding import uniform_reject
 from repro.proxy import PProxConfig
-from repro.proxy.epochs import stamp_epoch, strip_epoch
+from repro.proxy.epochs import stamp_epoch
 from repro.rest.codec import (
     BINARY_WIRE_CODEC,
     JSON_WIRE_CODEC,
@@ -34,6 +34,7 @@ from repro.rest.codec import (
     WireFrame,
     ship,
 )
+from repro.rest.header import EPOCH, TRACE, strip
 from repro.rest.messages import Request, Response, Verb, make_get
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
@@ -140,8 +141,7 @@ def test_only_the_decoder_and_readdressed_hand_the_memo_on(codec):
         replace(request),
         replace(request, request_id=4),
         stamp_deadline(request, 0.25),
-        strip_epoch(request)[0],
-        strip_trace(request)[0],
+        strip(request, EPOCH, TRACE)[0],
         Request(request.verb, request.fields, request.request_id, request.client_address),
     ]
     for message in rebuilt:

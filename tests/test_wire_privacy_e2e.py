@@ -15,10 +15,10 @@ import pytest
 from repro.client import PProxClient
 from repro.context import SimContext
 from repro.crypto.provider import RealCryptoProvider
+from repro.experiments.rig import observe_wire
 from repro.lrs.service import HarnessService
-from repro.privacy import Adversary, KnowledgeEngine
+from repro.privacy import KnowledgeEngine
 from repro.privacy.wire import (
-    RejectAuditor,
     constant_size_violations,
     epoch_tag_exposures,
     trace_field_exposures,
@@ -53,11 +53,7 @@ class WireScenario:
             provider=self.provider, codec=codec,
         )
         self.service = build_pprox(ctx, config, lrs_picker=self.harness.pick_frontend)
-        self.adversary = Adversary()
-        self.adversary.attach(self.network)
-        self.adversary.observe_lrs(self.harness.engine.store)
-        self.rejects = RejectAuditor()
-        self.network.add_wiretap(self.rejects.observe)
+        self.adversary, self.rejects = observe_wire(self.network, self.harness)
         self.client = PProxClient(ctx, self.service)
         self.results = {}
 
@@ -137,7 +133,7 @@ def test_binary_frames_keep_constant_size(binary_run):
     frame size regardless of identifiers.  The property holds per
     call type (a post ack and an item response legitimately differ on
     any wire), so it is checked within the get phase."""
-    get_flows = [flow for flow in binary_run.network.flows
+    get_flows = [flow for flow in binary_run.adversary.flow_records
                  if flow.time >= binary_run.get_phase_start]
     violations = constant_size_violations(get_flows)
     assert violations == [], violations

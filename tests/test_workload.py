@@ -129,7 +129,7 @@ def test_arrivals_spread_over_duration():
 def test_two_phase_scenario_runs_and_reports():
     rng = RngRegistry(seed=9)
     loop = EventLoop()
-    network = Network(loop=loop, rng=rng.stream("net"), record_flows=False)
+    network = Network(loop=loop, rng=rng.stream("net"))
     harness = HarnessService(loop=loop, rng=rng.stream("lrs"), frontend_count=3)
     client = DirectClient(loop=loop, network=network, lrs_picker=harness.pick_frontend)
     scenario = TwoPhaseScenario(

@@ -5,9 +5,12 @@
 temporary directory, runs every ``python -m repro run`` scenario of the
 registry from both trees (each in a fresh process, into a fresh
 out-dir), and ``diff -r -x '*_meta.json'``s the two artifact trees
-scenario by scenario (``*_meta.json`` files carry wall clocks).  A
-refactor that must not move an artifact byte passes exactly when this
-exits 0; about one minute per tree.
+scenario by scenario (``*_meta.json`` files carry wall clocks).  The
+two trees run under two fixed, different ``PYTHONHASHSEED``s, so an
+artifact that depends on ``set`` / ``str``-hash iteration order differs
+every time instead of by chance.  A refactor that must not move an
+artifact byte passes exactly when this exits 0; about one minute per
+tree.
 
 Exit status 0 when every scenario passes its own gate in both trees and
 no artifact differs; 1 otherwise, with the diff printed.
@@ -26,10 +29,10 @@ from typing import List
 REPO = Path(__file__).resolve().parent.parent
 
 
-def run_scenarios(tree: Path, scenarios: List[str], out: Path) -> List[str]:
-    """Run *scenarios* from *tree* into ``out/<scenario>``; returns the
-    ones whose own gate failed."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+def run_scenarios(tree: Path, scenarios: List[str], out: Path, hash_seed: int) -> List[str]:
+    """Run *scenarios* from *tree* into ``out/<scenario>`` under
+    ``PYTHONHASHSEED=hash_seed``; returns the ones whose own gate failed."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED=str(hash_seed))
     failed = []
     for scenario in scenarios:
         done = subprocess.run(
@@ -56,8 +59,10 @@ def main(argv=None) -> int:
         clone, theirs, ours = (Path(scratch) / name for name in ("clone", "a", "b"))
         subprocess.run(["git", "clone", "-q", str(REPO), str(clone)], check=True)
         subprocess.run(["git", "-C", str(clone), "checkout", "-q", args.rev], check=True)
-        for label, tree, out in ((args.rev, clone, theirs), ("working tree", REPO, ours)):
-            for scenario in run_scenarios(tree, scenarios, out):
+        for label, tree, out, hash_seed in (
+            (args.rev, clone, theirs, 1), ("working tree", REPO, ours, 2)
+        ):
+            for scenario in run_scenarios(tree, scenarios, out, hash_seed):
                 print(f"{scenario:10s} GATE FAILED ({label})")
                 status = 1
         for scenario in scenarios:
