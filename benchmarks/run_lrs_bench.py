@@ -13,7 +13,12 @@ slice — and at ``scale=0.3``, where the larger floor is what pins
 *linear* growth (the seed's draw is quadratic, so its ratio to a linear
 one triples with the scale); the trainer on the ``scale=0.1`` stream;
 ``recommend`` over the benchmark's query mix (activity-weighted users,
-histories capped at 50 items as ``HarnessEngine`` serves them).
+histories capped at 50 items as ``HarnessEngine`` serves them) on the
+``scale=0.1`` model, where every posting list is read whole, and on the
+paper's slice (``scale=1.0``, one ≈ 12 s training), where the query is
+decided from the heads of the lists; each recommend row also records,
+from an untimed pass, the share of its histories' postings the queries
+read and how many candidates they re-scored.
 
 The two sides of a row are timed back to back in every repeat, so a
 slow phase of the host hits both, and a floor that can be met by
@@ -30,12 +35,15 @@ import platform
 import random
 import sys
 import time
+from collections import Counter
 from typing import Callable, Dict, List
+from unittest import mock
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT))  # the oracle lives with the tests
 
-from repro.lrs.cco import CcoTrainer
+from repro.lrs import cco
+from repro.lrs.cco import CcoModel, CcoTrainer
 from repro.workload.movielens import SyntheticMovieLens
 from tests.oracles.cco_reference import (
     ReferenceMovieLens,
@@ -54,15 +62,19 @@ HISTORY_LIMIT = 50
 # Speedup floors vs the seed's loops, set below what the kernels
 # measured when they landed (CPython 3.11, a 2-core sandbox, nine runs):
 # generator 5.3-6.9x at scale 0.1 and 14.6-17.3x at 0.3, trainer
-# 2.2-2.6x, recommend 1.6-1.7x.  The host stalls in bursts that a 0.1 s
-# kernel feels and a 0.6 s oracle does not (one run of three repeats
-# read 3.6x at scale 0.1, one of two read 9.9x at 0.3): hence best of
-# seven and three.
+# 2.2-2.6x; and, five runs after the query became a selection,
+# recommend 2.8-3.1x at scale 0.1 (dense accumulators, every list read
+# whole) and 6.7-7.2x on the paper's slice (heads of 128 postings,
+# survivors re-scored).  The host stalls in bursts that a 0.1 s kernel
+# feels and a 0.6 s oracle does not (one run of three repeats read 3.6x
+# at scale 0.1, one of two read 9.9x at 0.3): hence best of seven and
+# three.
 FLOORS = {
     "generate_scale_0.1": 4.0,
     "generate_scale_0.3": 8.0,
     "train_scale_0.1": 1.8,
-    "recommend_history_50": 1.4,
+    "recommend_history_50": 2.4,
+    "recommend_paper_slice": 4.5,
 }
 
 
@@ -88,6 +100,58 @@ def _race(name: str, new: Callable[[], object], oracle: Callable[[], object], re
     }
 
 
+def _query_cost(model: CcoModel, histories: List[List[str]]) -> dict:
+    """What the queries read, from an untimed pass with the query
+    side's two steps wrapped: postings summed against the postings the
+    histories have, and the candidates re-scored per query that the
+    heads of the lists decided."""
+    listed = Counter(indicator for weighted in model.indicators.values() for indicator, _ in weighted)
+    available = sum(listed[item] for history in histories for item in dict.fromkeys(history))
+    read = 0
+    survivors: List[int] = []
+    accumulate, rescored = cco._accumulate, CcoModel._rescored
+
+    def counting_accumulate(index, lists, excluded, prefix):
+        nonlocal read
+        read += sum(min(len(items), prefix) for items, _ in lists)
+        return accumulate(index, lists, excluded, prefix)
+
+    def counting_rescored(self, index, asked, scores, touched, unread, n):
+        kept = rescored(self, index, asked, scores, touched, unread, n)
+        if unread and kept is not None:
+            survivors.append(len(kept))
+        return kept
+
+    with mock.patch.object(cco, "_accumulate", counting_accumulate), \
+            mock.patch.object(CcoModel, "_rescored", counting_rescored):
+        for history in histories:
+            model.recommend(history)
+    return {
+        "postings_read_share": round(read / available, 3),
+        "decided_from_heads": len(survivors),
+        "rescored_per_decided_query": round(sum(survivors) / len(survivors), 1) if survivors else 0.0,
+    }
+
+
+def _race_recommend(name: str, trace: SyntheticMovieLens, model: CcoModel, repeat: int,
+                    problems: List[str]) -> dict:
+    by_user = trace.user_histories()
+    histories = [
+        by_user[user][-HISTORY_LIMIT:] for user in trace.query_users(QUERIES, random.Random(SEED))
+    ]
+    # Each side builds its posting lists at its first query; whichever
+    # round that is, it is not the best one.
+    row = _race(
+        name,
+        lambda: [model.recommend(history) for history in histories],
+        lambda: [reference_recommend(model, history) for history in histories],
+        repeat, problems,
+    )
+    row["queries"] = QUERIES
+    row.update(_query_cost(model, histories))
+    return row
+
+
 def _measure(problems: List[str]) -> Dict[str, dict]:
     results: Dict[str, dict] = {}
     for scale, repeat in ((0.1, 7), (0.3, 3)):
@@ -109,20 +173,13 @@ def _measure(problems: List[str]) -> Dict[str, dict]:
     )
     results["train_scale_0.1"]["events"] = len(trace.events)
 
-    model = trainer.train(trace.events)
-    by_user = trace.user_histories()
-    histories = [
-        by_user[user][-HISTORY_LIMIT:] for user in trace.query_users(QUERIES, random.Random(SEED))
-    ]
-    # Both sides walk the model's one set of posting lists; whichever
-    # round builds it is not the best of seven.
-    results["recommend_history_50"] = _race(
-        "recommend_history_50",
-        lambda: [model.recommend(history) for history in histories],
-        lambda: [reference_recommend(model, history) for history in histories],
-        7, problems,
+    results["recommend_history_50"] = _race_recommend(
+        "recommend_history_50", trace, trainer.train(trace.events), 7, problems
     )
-    results["recommend_history_50"]["queries"] = QUERIES
+    paper = SyntheticMovieLens(seed=SEED, scale=1.0)
+    results["recommend_paper_slice"] = _race_recommend(
+        "recommend_paper_slice", paper, trainer.train(paper.events), 3, problems
+    )
     return results
 
 
@@ -133,7 +190,7 @@ def main() -> int:
         "benchmark": "LRS-side kernels (generator, CCO trainer, CCO top-n) vs the seed's loops",
         "generated_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": platform.python_version(),
-        "units": "seconds per row (best of interleaved repeats); recommend is 400 queries",
+        "units": "seconds per row (best of interleaved repeats); a recommend row is 400 queries",
         "seed": SEED,
         "results": results,
         "floors": FLOORS,

@@ -39,6 +39,8 @@ class PopularityRecommender:
         self.counts = Counter(item for _, item in interactions)
 
     def recommend(self, history: Sequence[str], n: int = 20) -> List[str]:
+        if n <= 0:
+            return []
         history_set = set(history)
         ranked = sorted(self.counts, key=lambda i: (-self.counts[i], i))
         return [item for item in ranked if item not in history_set][:n]
@@ -82,6 +84,8 @@ class ItemKnnRecommender:
         self.popularity = item_degree
 
     def recommend(self, history: Sequence[str], n: int = 20) -> List[str]:
+        if n <= 0:
+            return []
         history_set = set(history)
         scores: Dict[str, float] = defaultdict(float)
         for item in dict.fromkeys(history):

@@ -26,16 +26,18 @@ the cheap forms below keep what the straight loops in
 ``tests/oracles/cco_reference.py`` had: pairs counted in first-seen
 order, one ``llr_score`` float per distinct table, weights added in
 history order (docs/architecture.md, "How the CCO model is built and
-queried").  A query costs what its postings cost, never the catalogue.
+queried").  A query costs the prefixes it reads plus its survivors,
+never the catalogue.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["CcoModel", "CcoTrainer", "llr_score"]
 
@@ -67,6 +69,83 @@ def llr_score(k11: int, k12: int, k21: int, k22: int) -> float:
     return max(score, 0.0)
 
 
+#: Postings read from the head of each list when a history has many.
+#: Measured at ``scale=1.0`` (seed 7: 16,114 items, model trained in the
+#: measuring process, 400 activity-weighted histories of <= 50 items,
+#: median 14,000 postings each): prefixes of 32 / 64 / 128 / 256 cost
+#: 2,366 / 1,555 / 1,155 / 1,258 us per query against 1,939 for reading
+#: every list whole.  Shorter heads leave more survivors to re-score
+#: (~ 8 us each, a cache miss per forward-list entry; at 32 the bound
+#: closes for one query in sixteen and the rest are read twice), longer
+#: ones more postings to sum (~ 100 ns each).
+PREFIX = 128
+
+#: Postings a history's lists must hold, in all, before only their heads
+#: are read - a property of the query, not a setting.  Under it, cutting
+#: and re-scoring cost more than the tails they skip: the ``scale=0.1``
+#: slice (largest history 5,125 postings) costs 331 us per query read
+#: whole against 483 / 1,127 through prefixes of 128 / 64; by bucket of
+#: postings at prefix 128, whole / heads: 4-5,000 351 / 449 us at
+#: ``scale=0.1``, 6-8,000 695 / 705 and 8-10,000 790 / 825 at
+#: ``scale=0.3``, 8-10,000 1,317 / 468 and 12-15,000 1,767 / 800 at
+#: ``scale=1.0``.
+PREFIX_FROM_POSTINGS = 8000
+
+#: Relative room left under the cut for rounding.  A sum of m
+#: non-negative floats is within a relative m * 2**-53 of the real sum
+#: whatever the order of its additions, so a partial sum, its bound and
+#: the exact sum they stand for disagree by a few m * 2**-53 of the cut
+#: at most; 1e-9 covers m up to a million postings per candidate.
+_SLACK = 1e-9
+
+
+@dataclass(frozen=True)
+class _QueryIndex:
+    """Posting lists over densely numbered items (the "search index")."""
+
+    #: number -> item, in ``model.indicators`` key order.
+    names: List[str]
+    #: item -> number (the same ``int`` objects the postings hold).
+    number: Dict[str, int]
+    #: indicator -> (item numbers, weights), parallel and the weights
+    #: unboxed: a query reads them in list order, and the model's own
+    #: float objects lie in forward-list order, a cache miss apiece.
+    postings: Dict[str, Tuple[Tuple[int, ...], "array[float]"]]
+    #: One 0.0 per item; a query accumulates into a copy.
+    zeros: List[float]
+    #: The head length the lists were prepared for: every list longer
+    #: than this is sorted by weight, descending, so its head bounds its
+    #: tail.  ``None`` when heads bound nothing - some weight is
+    #: negative, or a list that long names an item twice (two postings
+    #: of one item must be added in forward order): every list keeps the
+    #: forward lists' order and is read whole.
+    prefix: Optional[int]
+
+
+def _accumulate(
+    index: _QueryIndex, lists: List[tuple], excluded: Set[int], prefix: int
+) -> Tuple[List[float], Set[int], List[float]]:
+    """Sum the first *prefix* postings of each of *lists*, in that order.
+
+    Returns the accumulator, the items it touched less *excluded*, and
+    the first unread weight of every list cut short - no posting behind
+    it weighs more when the lists are sorted."""
+    acc = index.zeros.copy()
+    heads = []
+    unread = []
+    for items, weights in lists:
+        if len(items) > prefix:
+            unread.append(weights[prefix])
+            items = items[:prefix]
+            weights = weights[:prefix]
+        for item, weight in zip(items, weights):
+            acc[item] += weight
+        heads.append(items)
+    touched = set().union(*heads)
+    touched -= excluded
+    return acc, touched, unread
+
+
 @dataclass
 class CcoModel:
     """A trained CCO model: per-item weighted indicator lists."""
@@ -76,20 +155,49 @@ class CcoModel:
     #: item -> global interaction count (popularity fallback ranking).
     popularity: Dict[str, int] = field(default_factory=dict)
     trained_on_events: int = 0
-    #: indicator -> list of (item, weight); built lazily for queries.
-    _reverse: Optional[Dict[str, List[Tuple[str, float]]]] = field(
-        default=None, repr=False, compare=False
-    )
+    #: Built lazily, at the first query.
+    _index: Optional[_QueryIndex] = field(default=None, repr=False, compare=False)
 
-    def _reverse_index(self) -> Dict[str, List[Tuple[str, float]]]:
-        """Posting lists keyed by indicator (the "search index" view)."""
-        if self._reverse is None:
-            reverse: Dict[str, List[Tuple[str, float]]] = defaultdict(list)
+    def _query_index(self) -> _QueryIndex:
+        if self._index is None:
+            # Imported by the first model that is queried: the extension
+            # module is 0.1 MiB of resident memory in every process that
+            # imports this package, and most never query a model.
+            from array import array
+
+            names = list(self.indicators)
+            number = {name: index for index, name in enumerate(names)}
+            postings: Dict[str, Tuple[List[int], "array[float]"]] = {}
             for item, weighted in self.indicators.items():
+                item_number = number[item]
                 for indicator, weight in weighted:
-                    reverse[indicator].append((item, weight))
-            self._reverse = dict(reverse)
-        return self._reverse
+                    posting = postings.get(indicator)
+                    if posting is None:
+                        posting = postings[indicator] = ([], array("d"))
+                    posting[0].append(item_number)
+                    posting[1].append(weight)
+            # Only a list longer than the prefix is ever cut short, so
+            # only those need sorting (7.9 % of the postings at
+            # ``scale=0.1``, 23 % at 1.0 - and a model's first query
+            # waits for this).
+            long = [posting for posting in postings.values() if len(posting[0]) > PREFIX]
+            bounded = all(len(set(items)) == len(items) for items, _ in long) and all(
+                min(weights) >= 0.0 for _, weights in postings.values()
+            )
+            if bounded:
+                for items, weights in long:
+                    # Stable: equal weights keep ``indicators`` key order.
+                    order = sorted(range(len(items)), key=weights.__getitem__, reverse=True)
+                    items[:] = map(items.__getitem__, order)
+                    weights[:] = array("d", map(weights.__getitem__, order))
+            self._index = _QueryIndex(
+                names,
+                number,
+                {indicator: (tuple(items), weights) for indicator, (items, weights) in postings.items()},
+                [0.0] * len(names),
+                PREFIX if bounded else None,
+            )
+        return self._index
 
     def recommend(
         self,
@@ -107,27 +215,78 @@ class CcoModel:
         associative, and a ``set``'s order moves with ``PYTHONHASHSEED``,
         which is enough to flip the ranking of two near-equal scores.
         """
-        reverse = self._reverse_index()
-        scores: Dict[str, float] = defaultdict(float)
-        for indicator in dict.fromkeys(history):
-            for item, weight in reverse.get(indicator, ()):
-                scores[item] += weight
-        # Dropped after the sums instead of tested once per posting.
-        excluded = set(history) if exclude_history else ()
-        for item in excluded:
-            scores.pop(item, None)
+        if n <= 0:
+            return []
+        index = self._query_index()
+        asked = dict.fromkeys(history)
+        lists = [index.postings[item] for item in asked if item in index.postings]
+        dropped = asked if exclude_history else {}
+        excluded = {index.number[item] for item in dropped if item in index.number}
+        everything = sum(len(items) for items, _ in lists)
+        candidates = None
+        if index.prefix is not None and everything > PREFIX_FROM_POSTINGS:
+            scores, touched, unread = _accumulate(index, lists, excluded, index.prefix)
+            candidates = self._rescored(index, asked, scores, touched, unread, n)
+        if candidates is None:
+            scores, candidates, _ = _accumulate(index, lists, excluded, everything)
         popularity = self.popularity
-        if not scores:
-            unseen = (i for i in popularity if i not in excluded)
+        if not candidates:
+            unseen = (i for i in popularity if i not in dropped)
             return sorted(unseen, key=lambda i: (-popularity[i], i))[:n]
-        candidates: Iterable[str] = scores
-        if 0 < n < len(scores):
+        if n < len(candidates):
             # Nothing below the n-th largest score makes the top n; all
             # that tie with it still can, and the full key decides.
-            cut = sorted(scores.values(), reverse=True)[n - 1]
-            candidates = [i for i, score in scores.items() if score >= cut]
-        ranked = sorted(candidates, key=lambda i: (-scores[i], -popularity.get(i, 0), i))
-        return ranked[:n]
+            cut = heapq.nlargest(n, [scores[item] for item in candidates])[-1]
+            candidates = [item for item in candidates if scores[item] >= cut]
+        names = index.names
+        ranked = sorted(
+            candidates,
+            key=lambda item: (-scores[item], -popularity.get(names[item], 0), names[item]),
+        )
+        return [names[item] for item in ranked[:n]]
+
+    def _rescored(
+        self,
+        index: _QueryIndex,
+        asked: Dict[str, None],
+        scores: List[float],
+        touched: Set[int],
+        unread: List[float],
+        n: int,
+    ) -> Optional[Iterable[int]]:
+        """The candidates that can still make the top *n* once *unread*
+        tails are counted, their *scores* made exact in place; ``None``
+        when the heads do not decide it."""
+        if not unread:
+            return touched
+        if len(touched) < n:
+            return None
+        # An item scores at most its partial sum plus what every tail
+        # can add, n items score at least the n-th partial sum.  An item
+        # no head names has partial sum 0.0 - and one unread posting,
+        # even of weight 0.0, makes it a candidate: 0.0 must be
+        # strictly out.
+        cut = heapq.nlargest(n, [scores[item] for item in touched])[-1]
+        keep_from = cut * (1.0 - _SLACK) - sum(unread)
+        if keep_from <= 0.0:
+            return None
+        position = {item: rank for rank, item in enumerate(asked)}
+        names = index.names
+        indicators = self.indicators
+        survivors = [item for item in touched if scores[item] >= keep_from]
+        for item in survivors:
+            # The seed's additions, in the seed's order.
+            hits = [
+                (position[indicator], weight)
+                for indicator, weight in indicators[names[item]]
+                if indicator in position
+            ]
+            hits.sort()
+            score = 0.0
+            for _, weight in hits:
+                score += weight
+            scores[item] = score
+        return survivors
 
     def indicator_count(self) -> int:
         """Total number of (item, indicator) edges in the model."""

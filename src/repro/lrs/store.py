@@ -92,10 +92,12 @@ class EventStore:
         insort(index[new_key], sequence)
 
     def user_history(self, user: str, limit: Optional[int] = None) -> List[str]:
-        """Items the user interacted with, most recent last."""
+        """Items the user interacted with, most recent last; at most
+        the *limit* most recent when one is given (none for ``<= 0``)."""
         indices = self._by_user.get(user, [])
         if limit is not None:
-            indices = indices[-limit:]
+            # ``indices[-0:]`` is the whole list.
+            indices = indices[-limit:] if limit > 0 else []
         return [self.events[i].item for i in indices]
 
     def item_audience(self, item: str) -> List[str]:

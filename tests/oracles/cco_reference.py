@@ -10,11 +10,10 @@ membership once per posting and sorts every scored candidate to return
 *n*, and a rating draw that hands ``rng.choices`` the raw weights so it
 rebuilds the cumulative list over the whole catalogue per draw.  Slow
 and obviously right; the bodies are the seed's, only the names and the
-``self`` they read their parameters from changed (the posting lists
-are the model's own ``_reverse_index()``: data both sides walk, built
-once per model, not a kernel under test).  The product must
-return the same values **in the same order** — dict key order and list
-order included.
+``self`` they read their parameters from changed.  Nothing here calls
+into the product's query side: the posting lists are built below from
+``model.indicators``, once per model.  The product must return the same
+values **in the same order** — dict key order and list order included.
 """
 
 from __future__ import annotations
@@ -101,6 +100,18 @@ def reference_train(
     )
 
 
+def _reverse_index(model: CcoModel) -> Dict[str, List[Tuple[str, float]]]:
+    """indicator -> [(item, weight)], the seed's reverse index; kept on
+    the model instance under a name the product does not know."""
+    reverse = vars(model).get("_oracle_reverse")
+    if reverse is None:
+        reverse = model._oracle_reverse = defaultdict(list)
+        for item, weighted in model.indicators.items():
+            for indicator, weight in weighted:
+                reverse[indicator].append((item, weight))
+    return reverse
+
+
 def reference_recommend(
     model: CcoModel,
     history: Sequence[str],
@@ -109,7 +120,7 @@ def reference_recommend(
 ) -> List[str]:
     """What ``model.recommend(history, n, exclude_history)`` must return."""
     history_set = set(history)
-    reverse = model._reverse_index()
+    reverse = _reverse_index(model)
     scores: Dict[str, float] = defaultdict(float)
     for indicator in dict.fromkeys(history):
         for item, weight in reverse.get(indicator, ()):

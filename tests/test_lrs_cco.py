@@ -6,12 +6,15 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.lrs import cco
 from repro.lrs.cco import CcoModel, CcoTrainer, llr_score
+from tests.oracles.cco_reference import reference_recommend
 
 
 def test_llr_zero_for_independent_events():
@@ -121,17 +124,25 @@ def test_recommendation_is_deterministic():
     assert model.recommend(["i1"], n=5) == model.recommend(["i1"], n=5)
 
 
-_HASH_SEED_PROBE = """
-from repro.lrs.baselines import ItemKnnRecommender
+#: X scores .1 + .2 + .3 and Y 0.6, alone and in a crowd: 64 more history
+#: items, each naming 200 fillers, make 13,604 postings in lists of 200
+#: and 201 - a query decided from the heads, X and Y re-scored.
+_MODELS = """
 from repro.lrs.cco import CcoModel
-model = CcoModel(
-    indicators={"X": [("a", 0.1), ("b", 0.2), ("c", 0.3)], "Y": [("d", 0.6)]},
-    popularity={"Y": 1},
-)
+scored = {"X": [("a", 0.1), ("b", 0.2), ("c", 0.3)], "Y": [("d", 0.6)]}
+history = ["a", "b", "c", "d"]
+crowd = [f"g{index}" for index in range(64)]
+fillers = {f"f{index:03d}": [(seen, 1e-6) for seen in history + crowd] for index in range(200)}
+model = CcoModel(indicators=scored, popularity={"Y": 1})
+crowded = CcoModel(indicators={**scored, **fillers}, popularity={"Y": 1})
+"""
+
+_HASH_SEED_PROBE = _MODELS + """
+from repro.lrs.baselines import ItemKnnRecommender
 knn = ItemKnnRecommender(
     neighbours={"a": [("zX", 0.1)], "b": [("zX", 0.2)], "c": [("zX", 0.3)], "d": [("aY", 0.6)]}
 )
-print(model.recommend(["a", "b", "c", "d"]), knn.recommend(["a", "b", "c", "d"]))
+print(model.recommend(history), crowded.recommend(history + crowd, n=2), knn.recommend(history))
 """
 
 
@@ -141,9 +152,11 @@ def test_ranking_does_not_depend_on_the_hash_seed():
     X scores .1 + .2 + .3, which is 0.6000000000000001 or 0.6 depending
     on the order of the additions; Y scores 0.6 and wins ties on
     popularity.  Summed over a ``set`` the two swap places with
-    ``PYTHONHASHSEED`` (three of these eight seeds put Y first).  The
-    item-kNN baseline sums similarities the same way: zX against aY,
-    which wins ties on its id.
+    ``PYTHONHASHSEED`` (three of these eight seeds put Y first).  In the
+    crowd the candidates come out of a ``set().union`` of item numbers
+    and X is re-scored from its forward list: neither may leak an
+    order.  The item-kNN baseline sums similarities the same way: zX
+    against aY, which wins ties on its id.
     """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     rankings = set()
@@ -154,7 +167,22 @@ def test_ranking_does_not_depend_on_the_hash_seed():
             env=env, capture_output=True, text=True, timeout=60, check=True,
         )
         rankings.add(finished.stdout.strip())
-    assert rankings == {"['X', 'Y'] ['zX', 'aY']"}
+    assert rankings == {"['X', 'Y'] ['X', 'Y'] ['zX', 'aY']"}
+
+
+def test_the_crowded_query_is_decided_from_the_heads():
+    """At the module's own constants: one pass over prefixes, no second
+    over whole lists - and the seed's ranking."""
+    names: dict = {}
+    exec(_MODELS, names)
+    crowded, history = names["crowded"], names["history"] + names["crowd"]
+    with mock.patch.object(cco, "_accumulate", wraps=cco._accumulate) as reads:
+        assert crowded.recommend(history, n=2) == reference_recommend(crowded, history, n=2)
+        assert [call.args[-1] for call in reads.call_args_list] == [cco.PREFIX]
+        # Twenty asks for fillers too, and a filler behind a head ties
+        # with the twentieth: the heads decide nothing, read it all.
+        assert crowded.recommend(history) == reference_recommend(crowded, history)
+        assert [call.args[-1] for call in reads.call_args_list[1:]] == [cco.PREFIX, 13_604]
 
 
 def test_n_limits_result_size():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.lrs.baselines import ItemKnnRecommender, PopularityRecommender
+from repro.lrs.cco import CcoTrainer
 from repro.lrs.engine import HarnessEngine
 
 FEEDBACK = [
@@ -111,6 +112,28 @@ def test_item_knn_neighbourhood_cap():
     recommender = ItemKnnRecommender(neighbourhood=2)
     recommender.fit(events)
     assert all(len(v) <= 2 for v in recommender.neighbours.values())
+
+
+def _fitted(recommender):
+    recommender.fit(FEEDBACK)
+    return recommender
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize(
+    "recommender",
+    [
+        CcoTrainer(llr_threshold=0.0).train(FEEDBACK),
+        _fitted(ItemKnnRecommender()),
+        _fitted(PopularityRecommender()),
+    ],
+    ids=["cco", "item-knn", "popularity"],
+)
+@pytest.mark.parametrize("history", [["i1"], ["unknown"]], ids=["scored", "cold-start"])
+def test_no_recommendations_for_a_non_positive_n(recommender, history, n):
+    """``ranked[:-1]`` is all but the last, not nothing."""
+    assert recommender.recommend(history, n=4)
+    assert recommender.recommend(history, n=n) == []
 
 
 def test_engine_is_algorithm_agnostic():

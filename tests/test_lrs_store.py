@@ -27,6 +27,15 @@ def test_history_limit_keeps_most_recent():
     assert store.user_history("u", limit=3) == ["i7", "i8", "i9"]
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_history_limit_of_nothing_is_nothing(limit):
+    """``indices[-0:]`` is the whole list: a limit of 0 must not be."""
+    store = EventStore()
+    for index in range(10):
+        store.insert("u", f"i{index}")
+    assert store.user_history("u", limit=limit) == []
+
+
 def test_unknown_user_has_empty_history():
     assert EventStore().user_history("ghost") == []
 
