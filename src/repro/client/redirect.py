@@ -23,8 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.overload.shedding import uniform_reject
 from repro.rest.codec import ship
 from repro.rest.messages import Request, Response
+from repro.simnet.loadbalancer import BalancerError
 from repro.simnet.node import SimNode
 
 __all__ = ["RedirectFrontend", "RedirectedService"]
@@ -43,6 +45,9 @@ class RedirectFrontend:
     relay_seconds: float = 0.0003
     node: SimNode = None  # type: ignore[assignment]
     relayed: int = 0
+    #: Calls answered with the uniform reject because no UA instance
+    #: was routable (the client's retry rule decides what follows).
+    no_upstream: int = 0
 
     def __post_init__(self) -> None:
         if self.node is None:
@@ -61,7 +66,12 @@ class RedirectFrontend:
         network, codec = self.service.runtime.network, self.service.runtime.codec
 
         def forward() -> None:
-            entry = self.service.entry()
+            try:
+                entry = self.service.entry()
+            except BalancerError:
+                self.no_upstream += 1
+                reply(uniform_reject(request.request_id))
+                return
             self.relayed += 1
             outbound = request.readdressed(self.address)
 

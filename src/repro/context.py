@@ -159,9 +159,9 @@ class Deployment:
         """A user-side library bound to this deployment.
 
         *client_options* pass through to :class:`PProxClient`
-        (``request_timeout``, ``max_retries``, ``backoff_base``,
-        ``hedge_delay``, ``tenant``, ...).  The client's RNG defaults
-        to the registry's ``client`` stream.
+        (``request_timeout``, ``max_retries``, ``hedge_delay``,
+        ``tenant``, ...).  The client's RNG (its retry backoff jitter)
+        defaults to the registry's ``client`` stream.
         """
         return PProxClient(
             self.ctx,

@@ -336,8 +336,6 @@ def verify_plan(
         overload=FLEET_OVERLOAD,
         request_timeout=max(0.9, 1.5 * target.p99_slo),
         max_retries=5,
-        backoff_base=0.05,
-        backoff_jitter=0.02,
         hedge_delay=0.4,
     )
     fleet = rig.service

@@ -206,8 +206,6 @@ def run_chaos(
         backend=brownout,
         request_timeout=0.8,
         max_retries=5,
-        backoff_base=0.05,
-        backoff_jitter=0.02,
         hedge_delay=0.4,
     )
     monitor = rig.add_monitor(interval=0.25)

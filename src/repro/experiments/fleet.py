@@ -297,8 +297,6 @@ def run_fleet_drill(
         overload=FLEET_OVERLOAD,
         request_timeout=0.9,
         max_retries=5,
-        backoff_base=0.05,
-        backoff_jitter=0.02,
         hedge_delay=0.4,
     )
     fleet = rig.service

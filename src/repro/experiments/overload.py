@@ -11,7 +11,7 @@ rate against two deployments:
   hop-by-hop, and the breaker/limiter :class:`~repro.overload.guard.
   GuardedLrs` on the IA->LRS edge;
 * **baseline** — the identical deployment with ``overload=None``
-  (legacy unbounded behaviour).
+  (no ingress queues, no admission control).
 
 Acceptance (encoded in :meth:`OverloadResult.problems`):
 
@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.experiments.rig import DrillRig, summarize, write_verdict
 from repro.obs.slo import Objective, SloReport
-from repro.overload import GuardedLrs, OverloadPolicy
+from repro.overload import AimdLimiter, CircuitBreaker, GuardedLrs, OverloadPolicy
 from repro.proxy.config import PProxConfig
 from repro.proxy.costs import DEFAULT_COSTS, ProxyCostModel
 from repro.simnet.metrics import percentile
@@ -84,12 +84,8 @@ OVERLOAD_CONFIG = PProxConfig(
 OVERLOAD_POLICY = OverloadPolicy(
     ingress_capacity=64,
     shed_policy="codel",
-    codel_target=0.05,
-    codel_interval=0.1,
     max_inflight=16,
     admission_max_sojourn=0.25,
-    breaker_failure_threshold=5,
-    breaker_reset_timeout=0.5,
 )
 
 
@@ -308,8 +304,8 @@ def _run_point(
     if protected:
         guard = GuardedLrs(
             inner=rig.lrs,
-            breaker=OVERLOAD_POLICY.make_breaker(clock=lambda: rig.loop.now),
-            limiter=OVERLOAD_POLICY.make_limiter(),
+            breaker=CircuitBreaker(clock=lambda: rig.loop.now, reset_timeout=0.5),
+            limiter=AimdLimiter(),
             telemetry=rig.telemetry,
         )
     rig.deploy(
@@ -318,8 +314,6 @@ def _run_point(
         overload=OVERLOAD_POLICY if protected else None,
         request_timeout=0.5,
         max_retries=2,
-        backoff_base=0.05,
-        backoff_jitter=0.02,
         deadline_budget=0.8 if protected else None,
     )
     _, auditor = rig.observe_wire()

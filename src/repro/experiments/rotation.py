@@ -294,8 +294,6 @@ def run_rotation(
         ROTATION_CONFIG,
         request_timeout=0.8,
         max_retries=5,
-        backoff_base=0.05,
-        backoff_jitter=0.02,
         hedge_delay=0.4,
         epoch_ttl=1.0,
     )

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.proxy.layers import RETRYABLE_STATUS
+from repro.overload.shedding import RETRYABLE_STATUS
 from repro.rest.messages import Request, Response
 from repro.simnet.clock import EventLoop
 

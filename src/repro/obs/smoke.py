@@ -169,8 +169,6 @@ def run_obs_scenario(
         config,
         request_timeout=0.5,
         max_retries=2,
-        backoff_base=0.05,
-        backoff_jitter=0.02,
         causal=tracer,
     )
     rig.service.runtime.causal = tracer

@@ -46,14 +46,15 @@ from repro.overload.policy import OverloadPolicy
 from repro.overload.shedding import (
     REJECT_BODY_BYTES,
     REJECT_CODE,
+    RETRYABLE_STATUS,
     SHED_STAGES,
-    SHED_STATUS,
     STAGE_ADMISSION,
     STAGE_DEADLINE,
     STAGE_LRS_GUARD,
     STAGE_QUEUE,
     STAGE_TRANSFORM,
     STAGE_UPSTREAM,
+    is_retryable,
     is_uniform_reject,
     reject_size_bytes,
     uniform_reject,
@@ -77,11 +78,12 @@ __all__ = [
     "decode_deadline",
     "stamp_deadline",
     "charge",
-    "SHED_STATUS",
+    "RETRYABLE_STATUS",
     "REJECT_CODE",
     "REJECT_BODY_BYTES",
     "uniform_reject",
     "is_uniform_reject",
+    "is_retryable",
     "reject_size_bytes",
     "SHED_STAGES",
     "STAGE_ADMISSION",

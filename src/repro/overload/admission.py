@@ -40,15 +40,14 @@ class OverloadSignal:
 class AdmissionController:
     """Reject-before-queue policy driven by :class:`OverloadSignal`.
 
-    Depth overflow is normally left to the bounded ingress queue (its
-    shed policy decides *which* entry dies); the controller guards the
+    Depth overflow is left to the bounded ingress queue (it refuses
+    the newcomer); the controller guards the
     slower-moving signals — standing sojourn time and EPC pressure —
     that indicate the queue bound alone is not protecting latency.
     """
 
     max_sojourn: float = 0.25
     max_pressure: float = 1.0
-    max_depth: Optional[int] = None
     admitted: int = 0
     rejected: int = 0
     rejected_by_reason: Dict[str, int] = field(default_factory=dict)
@@ -56,9 +55,7 @@ class AdmissionController:
     def admit(self, signal: OverloadSignal) -> Optional[str]:
         """None to admit, else the shed-reason label."""
         reason = None
-        if self.max_depth is not None and signal.queue_depth >= self.max_depth:
-            reason = "queue_depth"
-        elif signal.queue_sojourn > self.max_sojourn:
+        if signal.queue_sojourn > self.max_sojourn:
             reason = "sojourn"
         elif signal.epc_pressure > self.max_pressure:
             reason = "epc_pressure"

@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.overload.breaker import AimdLimiter, CircuitBreaker
 from repro.overload.deadline import decode_deadline
-from repro.overload.shedding import STAGE_LRS_GUARD, uniform_reject
+from repro.overload.shedding import STAGE_LRS_GUARD, is_retryable, uniform_reject
 from repro.rest.messages import Request, Response
 
 __all__ = ["GuardedLrs"]
@@ -72,9 +72,7 @@ class GuardedLrs:
         self.passed += 1
 
         def observed_reply(response: Response) -> None:
-            retryable_failure = not response.ok and (
-                response.status == 503 or bool(response.fields.get("retryable"))
-            )
+            retryable_failure = is_retryable(response)
             self.limiter.release(not retryable_failure)
             if retryable_failure:
                 self.failures_observed += 1

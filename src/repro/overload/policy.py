@@ -1,24 +1,29 @@
 """The overload-protection policy bundle.
 
-One frozen configuration object carries every knob of the overload
-subsystem; :func:`repro.proxy.service.assemble` threads it into
+One frozen configuration object carries the proxy layers' overload
+knobs; :func:`repro.proxy.service.assemble` threads it into
 the :class:`~repro.proxy.layers.ProxyRuntime` and each proxy instance
 builds its own bounded ingress queue, admission controller and pump
 window from it.  ``None`` (the default everywhere) means *no overload
 protection*: the data plane behaves byte-for-byte as before this
-subsystem existed.
+subsystem existed.  The IA->LRS edge's breaker and limiter are not
+knobs here: whoever wraps an LRS in
+:class:`~repro.overload.guard.GuardedLrs` constructs them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.overload.admission import AdmissionController
-from repro.overload.breaker import AimdLimiter, CircuitBreaker
-from repro.simnet.queueing import ConcurrentQueue, ShedPolicy, make_shed_policy
+from repro.simnet.queueing import CoDelPolicy, ConcurrentQueue, TailDropPolicy
 
 __all__ = ["OverloadPolicy"]
+
+#: Shed policies by name; each ingress queue gets a fresh instance
+#: (CoDel keeps per-queue state).
+_SHED_POLICIES = {"tail-drop": TailDropPolicy, "codel": CoDelPolicy}
 
 
 @dataclass(frozen=True)
@@ -27,11 +32,9 @@ class OverloadPolicy:
 
     #: Bound of each proxy instance's ingress queue.
     ingress_capacity: int = 64
-    #: Shed policy name: ``tail-drop``, ``front-drop`` or ``codel``.
+    #: Shed policy name: ``tail-drop`` or ``codel`` (CoDel at its
+    #: default target and interval).
     shed_policy: str = "tail-drop"
-    #: CoDel target sojourn / control interval (codel policy only).
-    codel_target: float = 0.05
-    codel_interval: float = 0.1
     #: Jobs an instance keeps in flight at its node before the ingress
     #: pump pauses (raised to cover the shuffle batch, so bounding
     #: concurrency can never starve a batch below ``S``).
@@ -39,33 +42,19 @@ class OverloadPolicy:
     #: Admission thresholds at the UA front door.
     admission_max_sojourn: float = 0.25
     admission_max_pressure: float = 1.0
-    #: Shed requests whose deadline budget is spent (pre-enclave).
-    enforce_deadlines: bool = True
-    #: IA->LRS guard: breaker and AIMD limiter parameters.
-    breaker_failure_threshold: int = 5
-    breaker_reset_timeout: float = 1.0
-    breaker_half_open_probes: int = 1
-    limiter_initial: float = 8.0
-    limiter_max: float = 64.0
 
     def make_ingress_queue(
         self, name: str, clock: Callable[[], float]
     ) -> ConcurrentQueue:
         """A bounded ingress queue configured for one proxy instance."""
+        if self.shed_policy not in _SHED_POLICIES:
+            raise ValueError(f"unknown shed policy {self.shed_policy!r}")
         return ConcurrentQueue(
             name=name,
             capacity=self.ingress_capacity,
-            shed_policy=self.make_shed_policy(),
+            shed_policy=_SHED_POLICIES[self.shed_policy](),
             clock=clock,
         )
-
-    def make_shed_policy(self) -> ShedPolicy:
-        """A fresh shed-policy instance (CoDel keeps per-queue state)."""
-        if self.shed_policy == "codel":
-            return make_shed_policy(
-                "codel", target=self.codel_target, interval=self.codel_interval
-            )
-        return make_shed_policy(self.shed_policy)
 
     def make_admission(self) -> AdmissionController:
         """A fresh admission controller for one front-door instance."""
@@ -73,16 +62,3 @@ class OverloadPolicy:
             max_sojourn=self.admission_max_sojourn,
             max_pressure=self.admission_max_pressure,
         )
-
-    def make_breaker(self, clock: Callable[[], float]) -> CircuitBreaker:
-        """A circuit breaker for the IA->LRS edge."""
-        return CircuitBreaker(
-            clock=clock,
-            failure_threshold=self.breaker_failure_threshold,
-            reset_timeout=self.breaker_reset_timeout,
-            half_open_probes=self.breaker_half_open_probes,
-        )
-
-    def make_limiter(self) -> AimdLimiter:
-        """An AIMD concurrency limiter for the IA->LRS edge."""
-        return AimdLimiter(initial=self.limiter_initial, max_limit=self.limiter_max)

@@ -18,11 +18,12 @@ from __future__ import annotations
 from repro.rest.messages import Response
 
 __all__ = [
-    "SHED_STATUS",
+    "RETRYABLE_STATUS",
     "REJECT_CODE",
     "REJECT_BODY_BYTES",
     "uniform_reject",
     "is_uniform_reject",
+    "is_retryable",
     "reject_size_bytes",
     "STAGE_ADMISSION",
     "STAGE_QUEUE",
@@ -33,9 +34,10 @@ __all__ = [
     "SHED_STAGES",
 ]
 
-#: Rejects reuse the retryable status so every existing client treats
-#: a shed exactly like a transform error or a timeout: back off, retry.
-SHED_STATUS = 503
+#: The one status of a retryable failure: the uniform reject's (every
+#: shed, transform error and no-upstream case) and a brownout LRS's.
+#: Clients treat it like a timeout: back off, retry under a fresh id.
+RETRYABLE_STATUS = 503
 
 #: The only error token that ever crosses a protected hop.
 REJECT_CODE = "unavailable"
@@ -63,7 +65,7 @@ SHED_STAGES = (
 def _padded_fields() -> dict:
     """The canonical reject body, padded to :data:`REJECT_BODY_BYTES`."""
     base = {"retryable": True, "error": REJECT_CODE, "pad": ""}
-    unpadded = Response(status=SHED_STATUS, fields=base).body_json()
+    unpadded = Response(status=RETRYABLE_STATUS, fields=base).body_json()
     pad_length = max(0, REJECT_BODY_BYTES - len(unpadded.encode("utf-8")))
     return {"retryable": True, "error": REJECT_CODE, "pad": "x" * pad_length}
 
@@ -74,13 +76,21 @@ _REJECT_FIELDS = _padded_fields()
 def uniform_reject(request_id: int) -> Response:
     """The one reject message: identical bytes for every cause."""
     return Response(
-        status=SHED_STATUS, fields=dict(_REJECT_FIELDS), request_id=request_id
+        status=RETRYABLE_STATUS, fields=dict(_REJECT_FIELDS), request_id=request_id
     )
 
 
 def is_uniform_reject(response: Response) -> bool:
     """True when *response* is byte-for-byte the canonical reject."""
-    return response.status == SHED_STATUS and response.fields == _REJECT_FIELDS
+    return response.status == RETRYABLE_STATUS and response.fields == _REJECT_FIELDS
+
+
+def is_retryable(response: Response) -> bool:
+    """True when *response* is a failure worth retrying: the retryable
+    status, or an error body flagged ``retryable``."""
+    return not response.ok and (
+        response.status == RETRYABLE_STATUS or bool(response.fields.get("retryable"))
+    )
 
 
 def reject_size_bytes() -> int:

@@ -69,17 +69,10 @@ __all__ = [
     "UserAnonymizer",
     "ItemAnonymizer",
     "ProxyRuntime",
-    "RETRYABLE_STATUS",
     "transform_error_response",
 ]
 
 ReplyFn = Callable[[Response], None]
-
-#: Status returned when a proxy layer cannot transform a message (e.g.
-#: its keys were rotated while the request was in flight).  Clients
-#: treat it like a timeout: back off and retry under a fresh id.
-RETRYABLE_STATUS = 503
-
 
 def transform_error_response(request: Request, exc: Exception) -> Response:
     """A retryable error reply for a failed cryptographic transform.
@@ -409,11 +402,10 @@ class _ProxyStage:
         if self.ingress is None:
             self._enter((request, reply, None, None))
             return
-        policy = self.runtime.overload
         remaining = decode_deadline(request)
         if remaining is not None and self.deadline_observer is not None:
             self.deadline_observer(remaining)
-        if policy.enforce_deadlines and remaining is not None and remaining <= 0.0:
+        if remaining is not None and remaining <= 0.0:
             # Spent budget: the client already gave up, so shed before
             # any enclave entry-cost is paid for this request.  Safe for
             # anonymity at either role: at the UA this is pre-shuffle,

@@ -59,6 +59,7 @@ __all__ = [
     "ia_transform_request",
     "IaRequestContext",
     "ia_transform_response",
+    "tenant_of",
 ]
 
 

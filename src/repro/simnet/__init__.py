@@ -31,15 +31,12 @@ from repro.simnet.metrics import (
 from repro.simnet.network import FaultDecision, FlowRecord, LatencyModel, Network
 from repro.simnet.node import NodeStats, SimNode
 from repro.simnet.queueing import (
-    SHED_FRONT,
     SHED_SOJOURN,
     SHED_TAIL,
     CoDelPolicy,
     ConcurrentQueue,
-    FrontDropPolicy,
     ShedPolicy,
     TailDropPolicy,
-    make_shed_policy,
 )
 from repro.simnet.rng import RngRegistry
 
@@ -70,11 +67,8 @@ __all__ = [
     "ConcurrentQueue",
     "ShedPolicy",
     "TailDropPolicy",
-    "FrontDropPolicy",
     "CoDelPolicy",
-    "make_shed_policy",
     "SHED_TAIL",
-    "SHED_FRONT",
     "SHED_SOJOURN",
     "RngRegistry",
 ]

@@ -4,57 +4,41 @@ The paper's proxy server is an event-driven single thread pushing
 incoming connections' file descriptors into "a lock-free, scalable
 concurrent queue" (Desrochers' moodycamel queue), drained by a pool of
 data-processing threads running inside the SGX enclave.  We model the
-queue as a FIFO with registered consumers, which is behaviourally
-equivalent under the simulator's sequential execution.
+queue as a bounded FIFO that the proxy's ingress pump drains with
+:meth:`ConcurrentQueue.pop`, which is behaviourally equivalent under
+the simulator's sequential execution.
 
-Overload protection (PR 5): the queue can be *bounded*.  A saturated
-queue hands overflow to a pluggable :class:`ShedPolicy` — tail-drop
-(refuse the newcomer), front-drop (evict the oldest entry) or a
-CoDel-style sojourn controller that drops at dequeue time once queueing
-delay stays above target for a full interval.  The legacy default is
-*explicitly* unbounded (capacity ``None``): nothing sheds, but the
-``unbounded`` flag feeds a warning gauge so operators can see which
-queues run without protection.
+Overload protection: a full queue refuses the newcomer (tail-drop),
+and a pluggable :class:`ShedPolicy` may also drop entries at dequeue
+time — the CoDel-style sojourn controller does once queueing delay
+stays above target for a full interval.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Optional, Tuple
 
 __all__ = [
     "ConcurrentQueue",
     "ShedPolicy",
     "TailDropPolicy",
-    "FrontDropPolicy",
     "CoDelPolicy",
-    "make_shed_policy",
     "SHED_TAIL",
-    "SHED_FRONT",
     "SHED_SOJOURN",
 ]
 
 #: Shed-reason labels (the ``reason`` label of ``pprox_shed_total``).
 SHED_TAIL = "tail_drop"
-SHED_FRONT = "front_drop"
 SHED_SOJOURN = "sojourn"
 
 
 class ShedPolicy:
-    """Strategy interface: what to do when a bounded queue saturates.
-
-    ``on_full`` decides between refusing the newcomer (return it) and
-    evicting queued entries to make room; ``on_dequeue`` may veto the
-    entry about to be handed to a consumer (CoDel-style control).
-    """
+    """Strategy interface: which entries a bounded queue drops at
+    dequeue time (overflow at push always refuses the newcomer)."""
 
     name = "abstract"
-
-    def on_full(self, queue: "ConcurrentQueue", item: Any) -> List[Tuple[Any, str]]:
-        """Return the ``(item, reason)`` pairs to shed; the queue sheds
-        them and admits the newcomer iff it is not among them."""
-        raise NotImplementedError
 
     def on_dequeue(self, sojourn: float, now: float) -> Optional[str]:
         """Shed reason for the entry being dequeued, or ``None`` to
@@ -68,25 +52,6 @@ class TailDropPolicy(ShedPolicy):
 
     name: str = field(default="tail-drop", init=False)
 
-    def on_full(self, queue: "ConcurrentQueue", item: Any) -> List[Tuple[Any, str]]:
-        return [(item, SHED_TAIL)]
-
-
-@dataclass
-class FrontDropPolicy(ShedPolicy):
-    """Evict the oldest queued entry to admit the newcomer.
-
-    Under overload the oldest entry is the one most likely to have
-    blown its deadline already, so front-drop spends the shed on the
-    request with the least chance of completing in time.
-    """
-
-    name: str = field(default="front-drop", init=False)
-
-    def on_full(self, queue: "ConcurrentQueue", item: Any) -> List[Tuple[Any, str]]:
-        oldest = queue._evict_oldest()
-        return [] if oldest is None else [(oldest, SHED_FRONT)]
-
 
 @dataclass
 class CoDelPolicy(ShedPolicy):
@@ -95,8 +60,8 @@ class CoDelPolicy(ShedPolicy):
     Tracks how long queueing delay has continuously exceeded *target*;
     once that streak reaches *interval*, entries are dropped at dequeue
     time until sojourn falls back under target.  Capacity overflow
-    (a burst arriving faster than the controller can react) falls back
-    to tail-drop.
+    (a burst arriving faster than the controller can react) is
+    tail-dropped.
     """
 
     #: Acceptable standing queueing delay.
@@ -105,9 +70,6 @@ class CoDelPolicy(ShedPolicy):
     interval: float = 0.1
     name: str = field(default="codel", init=False)
     _first_above: Optional[float] = field(default=None, init=False)
-
-    def on_full(self, queue: "ConcurrentQueue", item: Any) -> List[Tuple[Any, str]]:
-        return [(item, SHED_TAIL)]
 
     def on_dequeue(self, sojourn: float, now: float) -> Optional[str]:
         if sojourn < self.target:
@@ -121,138 +83,57 @@ class CoDelPolicy(ShedPolicy):
         return None
 
 
-def make_shed_policy(name: str, **options: Any) -> ShedPolicy:
-    """Construct a shed policy by name: tail-drop, front-drop or codel."""
-    if name == "tail-drop":
-        return TailDropPolicy()
-    if name == "front-drop":
-        return FrontDropPolicy()
-    if name == "codel":
-        return CoDelPolicy(**options)
-    raise ValueError(f"unknown shed policy {name!r}")
-
-
 @dataclass
 class ConcurrentQueue:
-    """FIFO work queue with pull-style consumers and an optional bound.
+    """Bounded FIFO work queue, drained by :meth:`pop`.
 
-    Consumers register a readiness callback; when an item is pushed
-    and a consumer is idle, the item is handed over immediately,
-    preserving the FIFO fairness objective the paper calls out
-    ("no request gets delayed arbitrarily more than the delay that
-    shuffling already introduces").
-
-    ``capacity=None`` (the legacy default) is explicitly unbounded:
-    ``push`` never sheds and ``unbounded`` stays True so the warning
-    gauge can flag the configuration.  With a capacity set, overflow
-    is resolved by ``shed_policy`` (tail-drop when unset) and every
-    shed invokes ``on_shed(item, reason)``.
+    Past ``capacity`` a push is refused (tail-drop); ``shed_policy``
+    may drop entries at dequeue time.  Every shed invokes
+    ``on_shed(item, reason)``.
     """
 
+    #: Maximum queued entries.
+    capacity: int
     name: str = "queue"
-    #: Maximum queued entries; ``None`` = unbounded (legacy default).
-    capacity: Optional[int] = None
-    shed_policy: Optional[ShedPolicy] = None
+    shed_policy: ShedPolicy = field(default_factory=TailDropPolicy)
     #: Virtual-clock source for sojourn accounting; the zero default
     #: keeps clock-less (unit-test) queues working with zero sojourns.
     clock: Callable[[], float] = lambda: 0.0
-    _items: Deque[Tuple[Any, float]] = field(default_factory=deque)
-    _idle_consumers: Deque[Callable[[Any], None]] = field(default_factory=deque)
-    enqueued: int = 0
-    max_depth: int = 0
-    #: Entries shed, total and by reason label.
-    shed: int = 0
-    shed_by_reason: Dict[str, int] = field(default_factory=dict)
     #: Hook invoked once per shed entry with ``(item, reason)``.
     on_shed: Optional[Callable[[Any, str], None]] = None
     #: Hook invoked once per delivered entry with its sojourn seconds.
     on_pop: Optional[Callable[[float], None]] = None
-
-    @property
-    def unbounded(self) -> bool:
-        """True when no capacity is enforced (warning-gauge signal)."""
-        return self.capacity is None
+    _items: Deque[Tuple[Any, float]] = field(default_factory=deque)
 
     def push(self, item: Any) -> bool:
-        """Add *item*; dispatches immediately if a consumer is idle.
-
-        Returns True when the item was admitted (delivered or queued),
-        False when the active shed policy refused it.
-        """
-        self.enqueued += 1
-        if self._idle_consumers:
-            consumer = self._idle_consumers.popleft()
-            if self.on_pop is not None:
-                self.on_pop(0.0)
-            consumer(item)
-            return True
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            policy = self.shed_policy if self.shed_policy is not None else _TAIL_DROP
-            admitted = True
-            for victim, reason in policy.on_full(self, item):
-                self._record_shed(victim, reason)
-                if victim is item:
-                    admitted = False
-            if not admitted:
-                return False
+        """Queue *item*; False when the queue is full and it was shed."""
+        if len(self._items) >= self.capacity:
+            self._shed(item, SHED_TAIL)
+            return False
         self._items.append((item, self.clock()))
-        self.max_depth = max(self.max_depth, len(self._items))
         return True
-
-    def push_all(self, items: List[Any]) -> None:
-        """Push a batch of items in order."""
-        for item in items:
-            self.push(item)
-
-    def request_item(self, consumer: Callable[[Any], None]) -> None:
-        """A consumer asks for the next item (now or when one arrives)."""
-        entry = self._next_entry()
-        if entry is not None:
-            item, sojourn = entry
-            if self.on_pop is not None:
-                self.on_pop(sojourn)
-            consumer(item)
-            return
-        self._idle_consumers.append(consumer)
 
     def pop(self) -> Optional[Any]:
         """Take the next deliverable item, or ``None`` when empty.
 
-        Applies the same dequeue-time shed decisions as
-        :meth:`request_item` (pull-style drain used by the proxy
-        ingress pump).
+        Entries the shed policy drops at dequeue time are shed on the
+        way (the proxy's pump calls this, so such sheds stay
+        pre-shuffle).
         """
-        entry = self._next_entry()
-        if entry is None:
-            return None
-        item, sojourn = entry
-        if self.on_pop is not None:
-            self.on_pop(sojourn)
-        return item
-
-    def _next_entry(self) -> Optional[Tuple[Any, float]]:
-        """Pop entries until one survives the dequeue-time policy."""
-        while self._items:
-            item, enqueued_at = self._items.popleft()
-            sojourn = max(0.0, self.clock() - enqueued_at)
-            if self.shed_policy is not None:
-                reason = self.shed_policy.on_dequeue(sojourn, self.clock())
-                if reason is not None:
-                    self._record_shed(item, reason)
-                    continue
-            return item, sojourn
+        items = self._items
+        while items:
+            item, enqueued_at = items.popleft()
+            now = self.clock()
+            sojourn = max(0.0, now - enqueued_at)
+            reason = self.shed_policy.on_dequeue(sojourn, now)
+            if reason is None:
+                if self.on_pop is not None:
+                    self.on_pop(sojourn)
+                return item
+            self._shed(item, reason)
         return None
 
-    def _evict_oldest(self) -> Optional[Any]:
-        """Remove and return the oldest queued entry (front-drop)."""
-        if not self._items:
-            return None
-        item, _ = self._items.popleft()
-        return item
-
-    def _record_shed(self, item: Any, reason: str) -> None:
-        self.shed += 1
-        self.shed_by_reason[reason] = self.shed_by_reason.get(reason, 0) + 1
+    def _shed(self, item: Any, reason: str) -> None:
         if self.on_shed is not None:
             self.on_shed(item, reason)
 
@@ -261,11 +142,6 @@ class ConcurrentQueue:
         """Items currently waiting."""
         return len(self._items)
 
-    @property
-    def idle_consumers(self) -> int:
-        """Consumers currently blocked waiting for work."""
-        return len(self._idle_consumers)
-
     def oldest_sojourn(self) -> float:
         """Queueing delay of the head entry (0 when empty) — the
         overload signal's sojourn input."""
@@ -273,6 +149,3 @@ class ConcurrentQueue:
             return 0.0
         _, enqueued_at = self._items[0]
         return max(0.0, self.clock() - enqueued_at)
-
-
-_TAIL_DROP = TailDropPolicy()

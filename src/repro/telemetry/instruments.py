@@ -346,8 +346,8 @@ def instrument_overload(telemetry: Any, *, service: Any = None, guard: Any = Non
     """Register overload-protection instruments.
 
     *service* is a :class:`PProxService` whose instances may carry a
-    bounded ingress queue (overload mode) — or legacy unbounded ones,
-    flagged by the ``pprox_queue_unbounded`` warning gauge.  *guard* is
+    bounded ingress queue (overload mode); one without is flagged by
+    the ``pprox_queue_unbounded`` warning gauge.  *guard* is
     a :class:`repro.overload.guard.GuardedLrs` wrapping the LRS edge.
 
     Shed volumes and sojourn/deadline distributions are push-style
@@ -394,9 +394,7 @@ def instrument_overload(telemetry: Any, *, service: Any = None, guard: Any = Non
                     "1 when an instance still runs a legacy unbounded ingress "
                     "queue (no overload protection), 0 when bounded.",
                     labels,
-                    callback=lambda inst=instance: (
-                        1 if inst.ingress is None or inst.ingress.unbounded else 0
-                    ),
+                    callback=lambda inst=instance: 1 if inst.ingress is None else 0,
                 )
                 if queue is None:
                     continue

@@ -177,6 +177,14 @@ def test_one_implementation_per_mechanism_in_the_package():
         for match in second_surface.finditer(path.read_text())
     ]
     assert offenders == [], f"second statements of the wire surface in src/: {offenders}"
+    # One call, one failure rule: a client call is one object, the
+    # retryable status is written once, and the ingress queue has the
+    # one mode the pump drains.
+    package = "".join(path.read_text() for path in sources)
+    for gone in (r"\bcall_state\b", r"dataclass\(init=False\)", r"\brequest_item\b",
+                 r"\bFrontDropPolicy\b", r"\bmake_shed_policy\b"):
+        assert re.search(gone, package) is None, gone
+    assert len(re.findall(r"\b503\b", package)) == 1
     drivers = "".join(
         path.read_text()
         for package in ("experiments", "obs")
@@ -217,3 +225,12 @@ def test_ci_scenario_matrix_is_the_runnable_registry():
     workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
     (matrix,) = re.findall(r"^\s+scenario: \[([^\]]+)\]$", workflow, flags=re.M)
     assert sorted(name.strip() for name in matrix.split(",")) == sorted(runnable())
+
+
+def test_ci_examples_job_runs_the_examples_scenario_diff_compares():
+    workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    (loop,) = re.findall(r"for example in ([\w ]+); do", workflow)
+    tool = (REPO / "tools" / "scenario_diff.py").read_text()
+    (listed,) = re.findall(r"^EXAMPLES = \(([^)]*)\)", tool, flags=re.M)
+    assert loop.split() == re.findall(r'"(\w+)"', listed)
+    assert all((REPO / "examples" / f"{name}.py").exists() for name in loop.split())

@@ -16,8 +16,8 @@ from repro.faults import (
     NetworkFaultController,
 )
 from repro.lrs.stub import StubLrs
+from repro.overload import RETRYABLE_STATUS
 from repro.proxy import PProxConfig
-from repro.proxy.layers import RETRYABLE_STATUS
 from repro.rest.messages import make_get
 from repro.simnet.rng import RngRegistry
 from repro.telemetry import Telemetry

@@ -131,16 +131,15 @@ def test_aimd_clamps_to_bounds():
 # -- admission control --------------------------------------------------
 
 
-def test_admission_guards_sojourn_pressure_and_depth():
-    controller = AdmissionController(max_sojourn=0.25, max_pressure=1.0, max_depth=10)
+def test_admission_guards_sojourn_and_pressure():
+    controller = AdmissionController(max_sojourn=0.25, max_pressure=1.0)
     assert controller.admit(OverloadSignal()) is None
     assert controller.admit(OverloadSignal(queue_sojourn=0.3)) == "sojourn"
     assert controller.admit(OverloadSignal(epc_pressure=1.5)) == "epc_pressure"
-    assert controller.admit(OverloadSignal(queue_depth=10)) == "queue_depth"
-    assert controller.admitted == 1 and controller.rejected == 3
-    assert controller.rejected_by_reason == {
-        "sojourn": 1, "epc_pressure": 1, "queue_depth": 1,
-    }
+    # Depth is the bounded ingress queue's to shed, not admission's.
+    assert controller.admit(OverloadSignal(queue_depth=10_000)) is None
+    assert controller.admitted == 2 and controller.rejected == 2
+    assert controller.rejected_by_reason == {"sojourn": 1, "epc_pressure": 1}
 
 
 # -- deadline budgets ---------------------------------------------------
@@ -180,14 +179,13 @@ def test_uniform_reject_is_constant_size_and_canonical():
 # -- GuardedLrs ---------------------------------------------------------
 
 
-def _guarded(ctx, policy=None, inner=None):
-    policy = policy or OverloadPolicy()
+def _guarded(ctx, inner=None, limiter=None, **breaker_options):
     stub = StubLrs(loop=ctx.loop, rng=ctx.rng.stream("stub"))
     wrapped = inner(stub) if inner is not None else stub
     guard = GuardedLrs(
         inner=wrapped,
-        breaker=policy.make_breaker(clock=lambda: ctx.loop.now),
-        limiter=policy.make_limiter(),
+        breaker=CircuitBreaker(clock=lambda: ctx.loop.now, **breaker_options),
+        limiter=limiter if limiter is not None else AimdLimiter(),
     )
     return stub, wrapped, guard
 
@@ -205,8 +203,7 @@ def test_guard_sheds_expired_deadline_before_inner():
 
 def test_guard_limiter_bounds_inflight_work():
     ctx = SimContext.fresh(22)
-    policy = OverloadPolicy(limiter_initial=1.0)
-    stub, _, guard = _guarded(ctx, policy=policy)
+    stub, _, guard = _guarded(ctx, limiter=AimdLimiter(initial=1.0))
     replies = []
     guard.handle(make_get("u1"), replies.append)
     guard.handle(make_get("u2"), replies.append)  # over the window
@@ -221,12 +218,12 @@ def test_guard_composes_with_brownout_trips_then_recovers():
     """Retryable brownout 503s trip the breaker; a half-open probe
     after the reset timeout re-closes it once the brownout ends."""
     ctx = SimContext.fresh(23)
-    policy = OverloadPolicy(breaker_failure_threshold=3, breaker_reset_timeout=0.5)
     stub, brown, guard = _guarded(
-        ctx, policy=policy,
+        ctx,
         inner=lambda stub: BrownoutLrs(
             inner=stub, loop=ctx.loop, rng=ctx.rng.stream("brownout")
         ),
+        failure_threshold=3, reset_timeout=0.5,
     )
     brown.begin(error_rate=1.0)
     for index in range(3):
@@ -378,8 +375,7 @@ def test_no_retry_scheduled_past_expiry():
     ctx, _, deployment, client = _overload_deployment(
         seed=35,
         client_options={
-            "deadline_budget": 0.3, "max_retries": 10,
-            "request_timeout": 5.0, "backoff_base": 0.2, "backoff_jitter": 0.0,
+            "deadline_budget": 0.3, "max_retries": 10, "request_timeout": 5.0,
         },
     )
     for instance in list(deployment.service.ia_instances):

@@ -13,6 +13,7 @@ from repro.crypto.keys import KeyFactory
 from repro.crypto.envelope import EnvelopeCodec, PaddingError, decode_identifier, encode_identifier
 from repro.crypto.provider import RealCryptoProvider, SimCryptoProvider
 from repro.lrs.service import HarnessService
+from repro.lrs.stub import StubLrs
 from repro.obs.causal import CausalTracer
 from repro.privacy import Adversary
 from repro.privacy.wire import epoch_tag_exposures, hop_of, trace_field_exposures
@@ -160,6 +161,32 @@ def test_redirect_roundtrip_works():
     assert results[0].ok
     assert "i3" in results[0].items
     assert frontend.relayed == len(FEEDBACK) + 1
+
+
+def test_relayed_call_with_no_routable_ua_fails_like_a_direct_one():
+    """With every UA ejected, a relayed call ends the way a direct one
+    does — settled as failed by the client's own retry rule — instead
+    of raising out of the event loop."""
+    ctx = SimContext.fresh(5)
+    stub = StubLrs(loop=ctx.loop, rng=ctx.rng.stream("stub"))
+    service = build_pprox(ctx, PProxConfig(shuffle_size=0), lrs_picker=lambda: stub)
+    for instance in list(service.ua_instances):
+        service.ua_balancer.eject(instance)
+    frontend = RedirectFrontend(service=service)
+    direct = PProxClient(ctx, service, request_timeout=0.5, max_retries=1)
+    relayed = PProxClient(
+        ctx, RedirectedService(inner=service, frontend=frontend),
+        request_timeout=0.5, max_retries=1,
+    )
+    calls = []
+    direct.get("a", on_complete=calls.append)
+    relayed.get("b", on_complete=calls.append)
+    ctx.loop.run()
+    assert [call.ok for call in calls] == [False, False]
+    assert direct.retryable_errors == 1
+    assert relayed.outcomes["failed"] == relayed.retries_performed == 1
+    assert frontend.no_upstream == 2  # the attempt and its one retry
+    assert frontend.relayed == 0
 
 
 def test_redirect_hides_client_addresses_from_the_raas():

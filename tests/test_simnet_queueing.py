@@ -1,4 +1,4 @@
-"""Concurrent work queue: FIFO handoff between server and workers."""
+"""Bounded work queue: FIFO handoff between server and workers."""
 
 from __future__ import annotations
 
@@ -6,50 +6,25 @@ from repro.simnet.queueing import ConcurrentQueue
 
 
 def test_push_then_consume():
-    queue = ConcurrentQueue()
-    got = []
-    queue.push("a")
-    queue.request_item(got.append)
-    assert got == ["a"]
-
-
-def test_consumer_waits_for_item():
-    queue = ConcurrentQueue()
-    got = []
-    queue.request_item(got.append)
-    assert got == []
-    assert queue.idle_consumers == 1
-    queue.push("late")
-    assert got == ["late"]
-    assert queue.idle_consumers == 0
+    queue = ConcurrentQueue(capacity=4)
+    assert queue.push("a")
+    assert queue.pop() == "a"
+    assert queue.pop() is None
 
 
 def test_fifo_across_items():
-    queue = ConcurrentQueue()
-    got = []
-    queue.push_all(["a", "b", "c"])
-    for _ in range(3):
-        queue.request_item(got.append)
-    assert got == ["a", "b", "c"]
-
-
-def test_fifo_across_consumers():
-    queue = ConcurrentQueue()
-    got = []
-    queue.request_item(lambda item: got.append(("first", item)))
-    queue.request_item(lambda item: got.append(("second", item)))
-    queue.push("x")
-    queue.push("y")
-    assert got == [("first", "x"), ("second", "y")]
+    queue = ConcurrentQueue(capacity=4)
+    for item in ("a", "b", "c"):
+        queue.push(item)
+    assert [queue.pop() for _ in range(3)] == ["a", "b", "c"]
 
 
 def test_depth_and_counters():
-    queue = ConcurrentQueue()
-    queue.push_all([1, 2, 3])
+    queue = ConcurrentQueue(capacity=4)
+    for item in (1, 2, 3):
+        queue.push(item)
     assert queue.depth == 3
-    assert queue.enqueued == 3
-    assert queue.max_depth == 3
-    queue.request_item(lambda _: None)
+    queue.pop()
     assert queue.depth == 2
 
 
@@ -85,47 +60,28 @@ def test_rng_registry_bytes_and_int_functions():
 # --- bounded queues + shed policies (overload protection) -------------
 
 
-def test_legacy_default_is_explicitly_unbounded():
-    queue = ConcurrentQueue()
-    assert queue.unbounded
-    for item in range(1000):
-        assert queue.push(item)
-    assert queue.depth == 1000
-    assert queue.shed == 0
-
-
 def test_tail_drop_refuses_newcomer_at_capacity():
     from repro.simnet.queueing import SHED_TAIL, TailDropPolicy
 
-    queue = ConcurrentQueue(capacity=2, shed_policy=TailDropPolicy())
-    assert not queue.unbounded
+    shed = []
+    queue = ConcurrentQueue(capacity=2, shed_policy=TailDropPolicy(),
+                            on_shed=lambda item, reason: shed.append(reason))
     assert queue.push("a")
     assert queue.push("b")
     assert not queue.push("c")
     assert queue.depth == 2
-    assert queue.shed == 1
-    assert queue.shed_by_reason == {SHED_TAIL: 1}
+    assert shed == [SHED_TAIL]
     assert queue.pop() == "a"  # survivors keep FIFO order
 
 
 def test_capacity_without_policy_defaults_to_tail_drop():
     from repro.simnet.queueing import SHED_TAIL
 
-    queue = ConcurrentQueue(capacity=1)
+    shed = []
+    queue = ConcurrentQueue(capacity=1, on_shed=lambda item, reason: shed.append(reason))
     assert queue.push("a")
     assert not queue.push("b")
-    assert queue.shed_by_reason == {SHED_TAIL: 1}
-
-
-def test_front_drop_evicts_oldest_to_admit_newcomer():
-    from repro.simnet.queueing import SHED_FRONT, FrontDropPolicy
-
-    queue = ConcurrentQueue(capacity=2, shed_policy=FrontDropPolicy())
-    queue.push("a")
-    queue.push("b")
-    assert queue.push("c")  # admitted: "a" is evicted instead
-    assert queue.shed_by_reason == {SHED_FRONT: 1}
-    assert [queue.pop(), queue.pop()] == ["b", "c"]
+    assert shed == [SHED_TAIL]
 
 
 def test_on_shed_hook_sees_item_and_reason():
@@ -143,19 +99,22 @@ def test_codel_drops_at_dequeue_after_sustained_sojourn():
     from repro.simnet.queueing import SHED_SOJOURN, CoDelPolicy
 
     now = [0.0]
+    shed = []
     queue = ConcurrentQueue(
         capacity=10,
         shed_policy=CoDelPolicy(target=0.05, interval=0.1),
         clock=lambda: now[0],
+        on_shed=lambda item, reason: shed.append(reason),
     )
-    queue.push_all(["a", "b", "c"])
+    for item in ("a", "b", "c"):
+        queue.push(item)
     now[0] = 0.2  # every entry's sojourn is now far above target
     # First dequeue only *starts* the above-target streak.
     assert queue.pop() == "a"
     now[0] = 0.4  # streak (started at 0.2) has exceeded the interval:
     # dropping continues until sojourn falls back under target.
     assert queue.pop() is None
-    assert queue.shed_by_reason == {SHED_SOJOURN: 2}
+    assert shed == [SHED_SOJOURN, SHED_SOJOURN]
     queue.push("fresh")
     assert queue.pop() == "fresh"  # sub-target sojourn clears the streak
 
@@ -164,10 +123,12 @@ def test_codel_streak_resets_when_sojourn_recovers():
     from repro.simnet.queueing import CoDelPolicy
 
     now = [0.0]
+    shed = []
     queue = ConcurrentQueue(
         capacity=10,
         shed_policy=CoDelPolicy(target=0.05, interval=0.1),
         clock=lambda: now[0],
+        on_shed=lambda item, reason: shed.append(reason),
     )
     queue.push("slow")
     now[0] = 0.2
@@ -177,12 +138,12 @@ def test_codel_streak_resets_when_sojourn_recovers():
     queue.push("slow-again")
     now[0] = 0.4
     assert queue.pop() == "slow-again"  # new streak, first offender passes
-    assert queue.shed == 0
+    assert shed == []
 
 
 def test_on_pop_reports_sojourn_seconds():
     now = [1.0]
-    queue = ConcurrentQueue(clock=lambda: now[0])
+    queue = ConcurrentQueue(capacity=4, clock=lambda: now[0])
     sojourns = []
     queue.on_pop = sojourns.append
     queue.push("x")
@@ -193,7 +154,7 @@ def test_on_pop_reports_sojourn_seconds():
 
 def test_oldest_sojourn_tracks_head_entry():
     now = [0.0]
-    queue = ConcurrentQueue(clock=lambda: now[0])
+    queue = ConcurrentQueue(capacity=4, clock=lambda: now[0])
     assert queue.oldest_sojourn() == 0.0
     queue.push("x")
     now[0] = 0.5
@@ -203,11 +164,14 @@ def test_oldest_sojourn_tracks_head_entry():
 def test_make_shed_policy_by_name_and_unknown():
     import pytest
 
-    from repro.simnet.queueing import make_shed_policy
+    from repro.overload import OverloadPolicy
 
-    assert make_shed_policy("tail-drop").name == "tail-drop"
-    assert make_shed_policy("front-drop").name == "front-drop"
-    codel = make_shed_policy("codel", target=0.01, interval=0.02)
-    assert codel.name == "codel" and codel.target == 0.01
+    def shed_policy(name):
+        return OverloadPolicy(shed_policy=name).make_ingress_queue("q", lambda: 0.0).shed_policy
+
+    assert shed_policy("tail-drop").name == "tail-drop"
+    codel = shed_policy("codel")
+    assert codel.name == "codel" and codel.target == 0.05
+    assert shed_policy("codel") is not codel  # per-queue CoDel state
     with pytest.raises(ValueError, match="unknown shed policy"):
-        make_shed_policy("red")
+        shed_policy("front-drop")
