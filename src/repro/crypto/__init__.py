@@ -5,7 +5,9 @@ Everything the protocol in the paper needs, built from scratch:
 * :mod:`repro.crypto.aes` — AES block cipher (FIPS-197).
 * :mod:`repro.crypto.ctr` — deterministic (constant-IV) and randomized
   AES-CTR, matching the paper's use of Intel SGX-SSL.
-* :mod:`repro.crypto.rsa` — RSA-OAEP with Miller-Rabin key generation.
+* :mod:`repro.crypto.rsa` — RSA-OAEP with Miller-Rabin key generation;
+  a modulus is a set of primes (three from 1024 bits, RFC 8017 §3.2)
+  and the private operation one CRT power per prime.
 * :mod:`repro.crypto.keys` — per-layer key material (Table 1).
 * :mod:`repro.crypto.envelope` — fixed-size identifier encoding and
   padded recommendation lists (§4.3), base64/JSON helpers.

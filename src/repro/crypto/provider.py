@@ -162,6 +162,9 @@ class RealCryptoProvider(CryptoProvider):
         if kind == 1:
             modulus_bytes = keys.private_key.modulus_bytes
             session_key = keys.private_key.decrypt(rest[:modulus_bytes])
+            if len(session_key) != SYMMETRIC_KEY_BYTES:
+                # AES would take 16 or 24 bytes as an AES-128/192 key.
+                raise ValueError("hybrid envelope does not carry a session key")
             return ctr.rand_decrypt(session_key, rest[modulus_bytes:])
         raise ValueError(f"unknown asymmetric envelope kind {kind}")
 

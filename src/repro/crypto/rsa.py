@@ -5,11 +5,17 @@ asymmetric half of the protocol: the user-side library encrypts the
 user identifier under ``pkUA`` and item identifiers / temporary keys
 under ``pkIA`` so that exactly one proxy layer can read each field.
 
-Key generation uses Miller-Rabin probabilistic primality testing and a
-CRT-accelerated private operation.  Default modulus size is 1024 bits
-— small by deployment standards but sound for a simulation, and fast
-enough to run thousands of real decryptions inside the benchmarks (the
-key size is configurable up to 3072 bits).
+Key generation uses Miller-Rabin probabilistic primality testing.
+A modulus is the product of a set of primes (RFC 8017 §3.2): two below
+1024 bits and three from 1024 bits up, the counts OpenSSL allows (its
+``ossl_rsa_multip_cap``).  The public key is ``(n, e)`` either way, so
+OAEP and the wire do not depend on the count.  The private operation
+runs through the Chinese Remainder Theorem, one modular power per
+prime; CPython's ``pow`` costs roughly the cube of the operand size,
+so three ≈ 341-bit powers take about half the time of two 512-bit
+ones.  Default modulus size is 1024 bits — small by deployment
+standards but sound for a simulation, and fast enough to run thousands
+of real decryptions inside the benchmarks.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ import hashlib
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Tuple
+from math import prod
+from typing import Callable, List, Optional, Tuple
 
 from repro.crypto.xor import xor_bytes
 
@@ -62,15 +69,18 @@ def _is_probable_prime(candidate: int, rng: Callable[[int], int], rounds: int = 
     return True
 
 
-def _random_prime(bits: int, rng: Callable[[int], int]) -> int:
-    """Sample a random prime with exactly *bits* bits and its top two set.
+def _random_prime(bits: int, rng: Callable[[int], int], top_bits: int = 2) -> int:
+    """Sample a random prime with exactly *bits* bits and its top *top_bits* set.
 
-    Two such primes are each at least ``0.75 * 2**bits``, so their
-    product always has exactly ``2 * bits`` bits and key generation
-    never has to throw a pair away for a short modulus.
+    With ``k`` primes each carrying its top ``k`` bits, every prime is at
+    least ``(1 - 2**-k)`` times its power of two, and ``(1 - 2**-k)**k``
+    exceeds one half for ``k`` = 2 (0.5625) and 3 (0.67).  So the product
+    always has exactly the sum of the prime sizes in bits, and key
+    generation never has to throw a set away for a short modulus.
     """
+    top = (1 << top_bits) - 1
     while True:
-        candidate = rng(1 << (bits - 2)) | (3 << (bits - 2)) | 1
+        candidate = rng(1 << (bits - top_bits)) | (top << (bits - top_bits)) | 1
         if _is_probable_prime(candidate, rng):
             return candidate
 
@@ -106,13 +116,13 @@ class RsaPublicKey:
 
 @dataclass(frozen=True)
 class RsaPrivateKey:
-    """RSA private key with CRT parameters for fast decryption."""
+    """RSA private key over a set of primes, with CRT decryption."""
 
     n: int
     e: int
     d: int
-    p: int
-    q: int
+    #: The prime factors of ``n``, two or three, in the order drawn.
+    primes: Tuple[int, ...]
 
     @property
     def public_key(self) -> RsaPublicKey:
@@ -137,17 +147,29 @@ class RsaPrivateKey:
         return _oaep_decode(padded, self.modulus_bytes)
 
     @cached_property
-    def _crt_params(self) -> Tuple[int, int, int]:
-        """Cached CRT exponents and inverse: ``(dp, dq, q_inv)``."""
-        return self.d % (self.p - 1), self.d % (self.q - 1), pow(self.q, -1, self.p)
+    def _crt_params(self) -> Tuple[Tuple[int, int, int], ...]:
+        """Per prime ``p_i``: ``(p_i, d mod (p_i - 1), (p_1...p_{i-1})^-1 mod p_i)``."""
+        params = []
+        product = 1
+        for prime in self.primes:
+            params.append((prime, self.d % (prime - 1), pow(product, -1, prime)))
+            product *= prime
+        return tuple(params)
 
     def _crt_power(self, value: int) -> int:
-        """Compute ``value ** d mod n`` using the Chinese Remainder Theorem."""
-        dp, dq, q_inv = self._crt_params
-        m1 = pow(value % self.p, dp, self.p)
-        m2 = pow(value % self.q, dq, self.q)
-        h = (q_inv * (m1 - m2)) % self.p
-        return m2 + h * self.q
+        """Compute ``value ** d mod n`` from one power per prime.
+
+        Garner's recombination (RFC 8017 §5.1.2, step 2.b): ``result``
+        is the answer modulo the product of the primes seen so far, and
+        each further prime lifts it by a multiple of that product.
+        """
+        result = 0
+        product = 1
+        for prime, exponent, coefficient in self._crt_params:
+            residue = pow(value % prime, exponent, prime)
+            result += product * ((residue - result) * coefficient % prime)
+            product *= prime
+        return result
 
 
 def generate_keypair(
@@ -155,9 +177,11 @@ def generate_keypair(
 ) -> Tuple[RsaPublicKey, RsaPrivateKey]:
     """Generate an RSA keypair with a *bits*-bit modulus.
 
-    *rng* maps an exclusive upper bound to a uniform integer in
-    ``[0, bound)``; defaults to a CSPRNG.  Supplying a seeded rng makes
-    key generation reproducible for tests.
+    The modulus is the product of two distinct primes below 1024 bits
+    and three from 1024 bits up, whose sizes sum to *bits* ([342, 341,
+    341] at 1024).  *rng* maps an exclusive upper bound to a uniform
+    integer in ``[0, bound)``; defaults to a CSPRNG.  Supplying a seeded
+    rng makes key generation reproducible for tests.
     """
     if bits < 832:
         # OAEP with SHA-256 needs 2*32+2 = 66 bytes of overhead, and the
@@ -167,20 +191,17 @@ def generate_keypair(
         def rng(bound: int) -> int:
             return int.from_bytes(os.urandom((bound.bit_length() + 7) // 8 + 8), "big") % bound
 
-    half = bits // 2
-    while True:
-        p = _random_prime(half, rng)
-        q = _random_prime(bits - half, rng)
-        if p == q:
-            continue
-        n = p * q
-        if n.bit_length() != bits:
-            continue
-        phi = (p - 1) * (q - 1)
-        if phi % _E == 0:
-            continue
-        d = pow(_E, -1, phi)
-        return RsaPublicKey(n=n, e=_E), RsaPrivateKey(n=n, e=_E, d=d, p=p, q=q)
+    count = 2 if bits < 1024 else 3
+    sizes = [bits // count + (index < bits % count) for index in range(count)]
+    primes: List[int] = []
+    while len(primes) < count:
+        prime = _random_prime(sizes[len(primes)], rng, count)
+        # e must be invertible modulo every p_i - 1.
+        if prime not in primes and (prime - 1) % _E:
+            primes.append(prime)
+    n = prod(primes)
+    d = pow(_E, -1, prod(prime - 1 for prime in primes))
+    return RsaPublicKey(n=n, e=_E), RsaPrivateKey(n=n, e=_E, d=d, primes=tuple(primes))
 
 
 def _mgf1(seed: bytes, length: int) -> bytes:

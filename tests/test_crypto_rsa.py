@@ -3,13 +3,99 @@
 from __future__ import annotations
 
 import random
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import rsa
-from repro.crypto.rsa import OaepError, RsaPublicKey, generate_keypair
+from repro.crypto.aes import BLOCK_SIZE
+from repro.crypto.keys import SYMMETRIC_KEY_BYTES, LayerKeys, LayerPublicMaterial
+from repro.crypto.provider import RealCryptoProvider
+from repro.crypto.rsa import OaepError, RsaPrivateKey, RsaPublicKey, generate_keypair
+
+# Known-answer vectors from an independent implementation: the Python
+# ``cryptography`` package (OpenSSL), RSAES-OAEP with SHA-256, MGF1-SHA-256
+# and an empty label, e = 65537.  KAT2_* is a two-prime 1024-bit key that
+# library generated, with its own (n, d, p, q) and its ciphertext of
+# KAT2_MESSAGE.  KAT3_* is the three-prime key
+# ``generate_keypair(1024, random.Random(KAT3_SEED).randrange)`` returns,
+# and a ciphertext of KAT3_MESSAGE the library made from that key's
+# (n, e) alone.  Regenerate with that package's
+# ``asymmetric.rsa.generate_private_key(65537, 1024)`` and
+# ``RSAPublicNumbers(e, n).public_key().encrypt(message, OAEP(...))``.
+KAT2_MESSAGE = b"PProx KAT: two-prime key made by an independent library"
+KAT2_N = int(
+    "a1cdc9aa93c9182938d694a0a57167fa02a57591ff74605c71b698318278664b"
+    "3c46ed841b90787ce98c3c5c9b985f74b16ecd5fb331d3d01b86a0347314bfff"
+    "0a0cfaf4bca029747868445744a09770ed00b2dd89db69dcaf237b5b1f3af13e"
+    "cd5eb1e348aab275b46607e628962b0160b9660aaa7d36be11a8774c430a8b83",
+    16,
+)
+KAT2_D = int(
+    "40a53f956f4640e8f754843d4adc6c766ee83c79005f36c0b88e037084782626"
+    "99069d8ed2947e0f2a20655d7aacfe36594db3b030a00fc86db6f3fb009fa1b5"
+    "594343b17f412321e517b5ec1a86a80c8e553c36fb6b541883f936ff06476b49"
+    "d85c16e17f3c5753bc205591ea6ce474615b7c3db9b77d65337e9c29344b9fc1",
+    16,
+)
+KAT2_P = int(
+    "d3ee9be82b9e8d5c823d80918d5328c99a9a7fdce4d1268d3050b199b133e9f0"
+    "c4e417c796e0b8e3280ada64f11bdf5687e43e9ca7457527ebb07a222f01e415",
+    16,
+)
+KAT2_Q = int(
+    "c372cbb8ecce46e315e82c7742e3f8e855beb6e94303627b239b61e1fe81cfd6"
+    "67d813c1d7d2abbf40fea1ca1d217417aa9bc46595d23dab4202c93b1ff41f37",
+    16,
+)
+KAT2_CIPHERTEXT = bytes.fromhex(
+    "2b9382922d43d8cc69085fd24ac8078b39c33ac6d138ee2cb824eab8a652f248"
+    "7dfab83c45ab638abc434b3281b127db172fabf344b6ff5d885be5bf5c382299"
+    "76bbdbb48c3928e16c9dbdd373e20996c3bd0a7cd695dc0fc5c8f70d4d05472e"
+    "448bf94deebfefe4b70881d86daa27374552cf91f0cb4158cb116a8f5ebe322f"
+)
+
+KAT3_SEED = 2026
+KAT3_MESSAGE = b"PProx KAT: three-prime key, independent encryptor"
+KAT3_N = int(
+    "b49bfa0fbc58d1b693757de1fce66b20e54a359fcfac1915767ff104d14d584e"
+    "eed76bbfa3a780da81fd5149dd39c5d4c2367c4b81033e73f85f26c747b511e6"
+    "b02e0b578143a82e0d427c2902f188cf01c14e109be5a266b5c2b4e68b66a078"
+    "d79870caf741aaafe1293ee1f5f290136a3d32250c0f541db9a04cfa84629021",
+    16,
+)
+KAT3_D = int(
+    "a8969c6249e702c3117c6fe81e411ba8d63f6234ee0e704fb7908ff376486371"
+    "32c385419acb059d720f6c175fa8ba9bf5892ca87695a81a8836d33662707ddb"
+    "e6ac1033c7c3f97f047ca2e4f81b7b8d8b71b772b3285c30ae5b7fa5f278926c"
+    "9db9d9241b260bffa5f86be235549a17c93ebafc1458b8e54dd21b1624fa53f1",
+    16,
+)
+KAT3_P1 = int(
+    "39b2b897482b48d57b0f3cb175dfa37cea0d73933299e0ab1ca59a990b7d85c3"
+    "733f27f55f313940b2174d",
+    16,
+)
+KAT3_P2 = int(
+    "1c32657d353e5a00dbce669770a9611a258e68e8353a03a1e34369da41e82b10"
+    "6dac929f93026bef59b7af",
+    16,
+)
+KAT3_P3 = int(
+    "1c6b691a85b21136f2e886c02d23a69f93a76c60901d0ae076500823fbb10a2e"
+    "17ffc7b7f3c4cbec770c6b",
+    16,
+)
+KAT3_CIPHERTEXT = bytes.fromhex(
+    "02e5e2b7d0b21f6274cd89d43dafd1ece0797d05cf1b0e4b05e02db35d9d68f0"
+    "79108bb4779c67f2c82f5fab66d27d991c68b1a1cc0829137d039ad97e49afa4"
+    "d4739a04021b10f6374250b6e250017b467b276f7538ee9e52b016b86439c43e"
+    "b186962d1785be6fef3b2b965918e73f482a8a12b4109dd0afcee2531cdd1791"
+)
+
+_SIZES = {832: [416, 416], 1024: [342, 341, 341], 2048: [683, 683, 682]}
 
 
 @pytest.fixture(scope="module")
@@ -31,24 +117,30 @@ def test_keygen_rejects_tiny_moduli():
 
 @pytest.mark.parametrize("bits", [832, 1024, 2048])
 def test_keygen_never_discards_a_prime_pair(bits, monkeypatch):
-    """Both primes carry their top two bits, so the modulus always has
-    the requested length and the first pair drawn is the pair used."""
+    """Two primes below 1024 bits, three from 1024 up, sizes summing to
+    *bits*.  Each of k primes carries its top k bits, so the modulus
+    always has the requested length and the first set drawn is the set
+    used."""
     draws = []
     random_prime = rsa._random_prime
 
-    def counting_random_prime(prime_bits, rng):
+    def counting_random_prime(prime_bits, *args):
         draws.append(prime_bits)
-        return random_prime(prime_bits, rng)
+        return random_prime(prime_bits, *args)
 
     monkeypatch.setattr(rsa, "_random_prime", counting_random_prime)
-    # The defect this guards discarded 94 % of pairs, so four seeds at
-    # the slow size still miss it with probability < 1e-4.
+    sizes = _SIZES[bits]
+    top = (1 << len(sizes)) - 1
     for seed in range(4 if bits == 2048 else 20):
         del draws[:]
         public, private = generate_keypair(bits, random.Random(seed).randrange)
-        assert draws == [bits // 2, bits - bits // 2]
+        assert draws == sizes
+        assert [prime.bit_length() for prime in private.primes] == sizes
+        assert all(prime >> (size - len(sizes)) == top
+                   for prime, size in zip(private.primes, sizes))
+        assert prod(private.primes) == public.n
         assert public.n.bit_length() == bits
-        assert private.p * private.q == public.n
+        assert len(set(private.primes)) == len(sizes)
 
 
 def test_modulus_has_requested_bits(keypair):
@@ -114,6 +206,70 @@ def test_crt_matches_plain_exponentiation(keypair):
     assert private._crt_power(value) == pow(value, private.d, private.n)
 
 
+@pytest.fixture(scope="module")
+def keys_by_prime_count(keypair):
+    _, two_prime = generate_keypair(832, random.Random(7).randrange)
+    return {2: two_prime, 3: keypair[1]}
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("count", [2, 3])
+def test_crt_power_is_plain_exponentiation_for_any_prime_set(keys_by_prime_count, count, data):
+    private = keys_by_prime_count[count]
+    assert len(private.primes) == count
+    for prime in private.primes:
+        assert private.e * private.d % (prime - 1) == 1
+    value = data.draw(st.integers(min_value=0, max_value=private.n - 1))
+    assert private._crt_power(value) == pow(value, private.d, private.n)
+
+
+_KATS = {
+    "two_prime_foreign_key": (
+        RsaPrivateKey(n=KAT2_N, e=65537, d=KAT2_D, primes=(KAT2_P, KAT2_Q)),
+        KAT2_MESSAGE,
+        KAT2_CIPHERTEXT,
+    ),
+    "three_prime_our_key": (
+        RsaPrivateKey(n=KAT3_N, e=65537, d=KAT3_D, primes=(KAT3_P1, KAT3_P2, KAT3_P3)),
+        KAT3_MESSAGE,
+        KAT3_CIPHERTEXT,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KATS))
+def test_oaep_known_answer_decrypts(name):
+    private, message, ciphertext = _KATS[name]
+    assert private.decrypt(ciphertext) == message
+
+
+@pytest.mark.parametrize("name", sorted(_KATS))
+@pytest.mark.parametrize("bit", [0, 9, 512, 1023])
+def test_oaep_known_answer_with_a_flipped_bit_is_rejected(name, bit):
+    private, _, ciphertext = _KATS[name]
+    flipped = bytearray(ciphertext)
+    flipped[bit // 8] ^= 0x80 >> (bit % 8)
+    with pytest.raises(OaepError):
+        private.decrypt(bytes(flipped))
+
+
+def test_three_prime_vector_key_is_the_key_keygen_draws():
+    public, private = generate_keypair(1024, random.Random(KAT3_SEED).randrange)
+    assert public.n == KAT3_N
+    assert private.primes == (KAT3_P1, KAT3_P2, KAT3_P3)
+    assert private.d == KAT3_D
+
+
+def test_keygen_skips_a_repeated_prime_and_one_e_cannot_invert(monkeypatch):
+    unusable = 3 * 65537 + 1  # p - 1 is a multiple of e
+    draws = iter([unusable, KAT3_P1, KAT3_P1, KAT3_P2, KAT3_P3])
+    monkeypatch.setattr(rsa, "_random_prime", lambda *args: next(draws))
+    public, private = generate_keypair(1024, random.Random(0).randrange)
+    assert private.primes == (KAT3_P1, KAT3_P2, KAT3_P3)
+    assert (public.n, private.d) == (KAT3_N, KAT3_D)
+
+
 def test_public_key_accessor(keypair):
     _, private = keypair
     assert private.public_key == RsaPublicKey(n=private.n, e=private.e)
@@ -131,3 +287,72 @@ def test_ciphertext_value_out_of_range_rejected(keypair):
 def test_roundtrip_property(keypair, message):
     public, private = keypair
     assert private.decrypt(public.encrypt(message)) == message
+
+
+@pytest.fixture(scope="module")
+def sealed_envelopes(keypair):
+    """A direct (``0x00``) and a hybrid (``0x01``) envelope to one layer."""
+    public, private = keypair
+    provider = RealCryptoProvider(rng_bytes=random.Random(5).randbytes)
+    material = LayerPublicMaterial(public_key=public)
+    sealed = {
+        0: provider.asym_encrypt(material, b"item-0000042"),
+        1: provider.asym_encrypt(material, bytes(range(200))),
+    }
+    keys = LayerKeys(private_key=private, symmetric_key=bytes(SYMMETRIC_KEY_BYTES))
+    assert [blob[0] for blob in sealed.values()] == [0, 1]
+    assert provider.asym_decrypt(keys, sealed[1]) == bytes(range(200))
+    return keys, sealed
+
+
+def _malformed(draw, case, kind, blob, private):
+    """*blob* spoiled where opening it can tell: the kind byte, the RSA
+    block and (hybrid) the length of the CTR IV.  The hybrid body behind
+    them is AES-CTR, which the paper's construction leaves
+    unauthenticated."""
+    sealed = 1 + private.modulus_bytes
+    if case == "truncated":
+        return blob[:draw(st.integers(0, sealed - 1 + (BLOCK_SIZE if kind else 0)))]
+    if case == "extended":
+        extra = draw(st.binary(min_size=1, max_size=64))
+        if kind == 0:
+            return blob + extra
+        at = draw(st.integers(1, sealed - 1))
+        extended = blob[:at] + extra + blob[at:]
+        assume(extended[:sealed] != blob[:sealed])
+        return extended
+    if case == "flipped":
+        bit = draw(st.integers(0, 8 * sealed - 1))
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 0x80 >> (bit % 8)
+        return bytes(flipped)
+    if case == "out_of_range":
+        value = draw(st.integers(private.n, (1 << (8 * private.modulus_bytes)) - 1))
+        return blob[:1] + value.to_bytes(private.modulus_bytes, "big") + blob[sealed:]
+    if case == "unknown_kind":
+        return bytes([draw(st.integers(2, 255))]) + blob[1:]
+    # "not_a_session_key": a hybrid envelope whose OAEP payload has the
+    # wrong length for an AES-256 key -- 16 and 24 bytes among them,
+    # which AES itself would take as AES-128 / AES-192 keys.
+    size = draw(st.sampled_from([16, 24])
+                | st.integers(0, private.public_key.max_message_bytes))
+    assume(size != SYMMETRIC_KEY_BYTES)
+    payload = draw(st.binary(min_size=size, max_size=size))
+    return b"\x01" + private.public_key.encrypt(payload) + blob[sealed:]
+
+
+_MALFORMATIONS = ["truncated", "extended", "flipped", "out_of_range",
+                  "unknown_kind", "not_a_session_key"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("kind", [0, 1])
+def test_malformed_envelope_ends_in_a_typed_error(sealed_envelopes, kind, data):
+    """Whatever is wrong with an asymmetric envelope, opening it raises
+    ``ValueError`` (``OaepError`` is one) and nothing else."""
+    keys, sealed = sealed_envelopes
+    case = data.draw(st.sampled_from(_MALFORMATIONS))
+    blob = _malformed(data.draw, case, kind, sealed[kind], keys.private_key)
+    with pytest.raises(ValueError):
+        RealCryptoProvider().asym_decrypt(keys, blob)
