@@ -26,6 +26,12 @@ GC is disabled inside the measured window (pyperf-style) so the floors
 gate scheduler cost, not collector scheduling noise; the report also
 records sim-seconds per wall-second and the peak live queue depth.
 
+One memory row, ``open_loop_memory``, counted with ``tracemalloc``
+(deterministic on one Python version): the peak bytes a 100,000-arrival
+``Injector`` phase costs per offered arrival — against the upfront loop
+kept as ``tests/oracles/injector_reference.py`` — and the resident bytes
+per ``LatencyRecorder`` sample.  Both have a ceiling.
+
 Floors are calibrated from measured reality with CI headroom.  The
 honest like-for-like ceiling against CPython's C-implemented ``heapq``
 is ~2-3x on these workloads (the classic calendar-queue 10x results
@@ -40,15 +46,20 @@ import gc
 import json
 import pathlib
 import platform
+import random
 import sys
 import time
+import tracemalloc
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT))  # the oracle lives with the tests
 
 from repro.simnet.clock import EventLoop  # noqa: E402
+from repro.simnet.metrics import LatencyRecorder  # noqa: E402
+from repro.workload.injector import Injector  # noqa: E402
 from tests.oracles.heap_event_loop import HeapEventLoop  # noqa: E402
+from tests.oracles.injector_reference import UpfrontInjector  # noqa: E402
 
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_simnet.json"
 
@@ -64,6 +75,17 @@ SPEEDUP_FLOORS = {
 ABSOLUTE_FLOORS_EV_S = {
     "mixed_churn": 100_000.0,
 }
+
+#: Ceilings on ``open_loop_memory`` (bytes; the upfront loop costs
+#: ~300 per arrival, a list of ``(time, latency)`` tuples 112 a sample).
+MEMORY_CEILINGS_BYTES = {
+    "bytes_per_arrival": 64,
+    "bytes_per_sample": 24,
+}
+
+#: Arrivals in the measured phase, at the e2e ledger's 1,000/s.
+OPEN_LOOP_ARRIVALS = 100_000
+OPEN_LOOP_RATE = 1_000.0
 
 
 def _noop() -> None:
@@ -187,6 +209,42 @@ def _run_one(engine_cls, workload) -> dict:
     }
 
 
+def _arrival_bytes(injector_type) -> float:
+    """Peak traced bytes per offered arrival of one no-op phase."""
+    loop = EventLoop()
+    injector = injector_type(loop, random.Random(1))
+    tracemalloc.start()
+    try:
+        injector.inject(OPEN_LOOP_RATE, OPEN_LOOP_ARRIVALS / OPEN_LOOP_RATE, lambda done: None)
+        loop.run()
+        return tracemalloc.get_traced_memory()[1] / OPEN_LOOP_ARRIVALS
+    finally:
+        tracemalloc.stop()
+
+
+def _sample_bytes() -> float:
+    """Traced bytes a recorder holds per sample, one phase's worth in."""
+    recorder = LatencyRecorder()
+    draw = random.Random(2).random
+    tracemalloc.start()
+    try:
+        for index in range(OPEN_LOOP_ARRIVALS):
+            recorder.record(index * 0.001, draw())
+        return tracemalloc.get_traced_memory()[0] / OPEN_LOOP_ARRIVALS
+    finally:
+        tracemalloc.stop()
+
+
+def _measure_memory() -> dict:
+    return {
+        "arrivals": OPEN_LOOP_ARRIVALS,
+        "rate_per_second": OPEN_LOOP_RATE,
+        "bytes_per_arrival": round(_arrival_bytes(Injector), 1),
+        "reference_bytes_per_arrival": round(_arrival_bytes(UpfrontInjector), 1),
+        "bytes_per_sample": round(_sample_bytes(), 1),
+    }
+
+
 def _measure() -> dict:
     results = {}
     for name, workload in WORKLOADS.items():
@@ -208,6 +266,7 @@ def main() -> int:
     if "--output" in argv:
         output = pathlib.Path(argv[argv.index("--output") + 1])
     results = _measure()
+    memory = _measure_memory()
     report = {
         "benchmark": "simnet event loop, calendar queue vs seed reference heap",
         "generated_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -215,7 +274,9 @@ def main() -> int:
         "units": "events per second of virtual-time dispatch (gc disabled in window)",
         "speedup_floors": SPEEDUP_FLOORS,
         "absolute_floors_events_per_second": ABSOLUTE_FLOORS_EV_S,
+        "memory_ceilings_bytes": MEMORY_CEILINGS_BYTES,
         "results": results,
+        "open_loop_memory": memory,
     }
     output.write_text(json.dumps(report, indent=2) + "\n")
     for name, entry in results.items():
@@ -225,6 +286,11 @@ def main() -> int:
             f"  (seed {ref['events_per_second']:>12,.0f} ev/s, {entry['speedup']:.2f}x,"
             f" peak depth {cal['peak_queue_depth']:,})"
         )
+    print(
+        f"{'open_loop_memory':18s} {memory['bytes_per_arrival']:,.1f} B/arrival"
+        f" (upfront {memory['reference_bytes_per_arrival']:,.1f}),"
+        f" {memory['bytes_per_sample']:,.1f} B/sample"
+    )
     print(f"\nwrote {output}")
 
     failed = []
@@ -235,6 +301,9 @@ def main() -> int:
         measured = results[name]["calendar"]["events_per_second"]
         if measured < floor:
             failed.append(f"{name}: {measured:,.0f} ev/s < {floor:,.0f} ev/s")
+    for name, ceiling in MEMORY_CEILINGS_BYTES.items():
+        if memory[name] > ceiling:
+            failed.append(f"open_loop_memory {name}: {memory[name]} B > {ceiling} B")
     if failed:
         print("PERF FLOOR VIOLATED: " + "; ".join(failed), file=sys.stderr)
         return 1

@@ -79,7 +79,7 @@ def test_extend_merges_runs():
     one.record(1.0, 0.1)
     two.record(2.0, 0.2)
     one.extend(two)
-    assert len(one.samples) == 2
+    assert len(one) == 2
 
 
 def test_summarize_empty_rejected():
@@ -121,6 +121,61 @@ def test_candlestick_invariants(values):
     assert summary.whisker_high >= summary.median
     assert summary.whisker_high <= summary.maximum
     assert min(values) <= summary.mean <= max(values)
+
+
+class _TupleRecorder:
+    """The recorder as one list of ``(time, latency)`` tuples."""
+
+    def __init__(self) -> None:
+        self.samples = []
+
+    def record(self, completion_time, latency):
+        if latency < 0:
+            raise ValueError(f"negative latency {latency}")
+        self.samples.append((completion_time, latency))
+
+    def extend(self, other):
+        self.samples.extend(other.samples)
+
+    def latencies(self):
+        return [latency for _, latency in self.samples]
+
+    def trimmed(self, start, end):
+        return [lat for t, lat in self.samples if start <= t <= end]
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    first=st.lists(st.tuples(st.floats(-1e6, 1e6, **_finite), st.floats(0.0, 1e3, **_finite)), max_size=40),
+    second=st.lists(st.tuples(st.floats(-1e6, 1e6, **_finite), st.floats(0.0, 1e3, **_finite)), max_size=40),
+    window=st.tuples(st.floats(-1e6, 1e6, **_finite), st.floats(-1e6, 1e6, **_finite)),
+    rejected=st.floats(max_value=-1e-300, **_finite),
+)
+def test_recorder_returns_what_a_tuple_list_returns(first, second, window, rejected):
+    recorder, other = LatencyRecorder("arrays"), LatencyRecorder()
+    reference, reference_other = _TupleRecorder(), _TupleRecorder()
+    for sample in first:
+        recorder.record(*sample)
+        reference.record(*sample)
+    for sample in second:
+        other.record(*sample)
+        reference_other.record(*sample)
+    with pytest.raises(ValueError, match="negative"):
+        recorder.record(0.0, rejected)
+    recorder.extend(other)
+    reference.extend(reference_other)
+
+    assert len(recorder) == len(reference.samples)
+    assert recorder.latencies() == reference.latencies()
+    assert recorder.trimmed(*window) == reference.trimmed(*window)
+    if reference.samples:
+        assert recorder.summarize() == recorder.summarize(reference.latencies())
+    else:
+        with pytest.raises(ValueError, match="no samples"):
+            recorder.summarize()
 
 
 # ---------------------------------------------------------------------------
