@@ -23,20 +23,21 @@ CCO as shipped in the Universal Recommender / Mahout:
 
 Model and rankings are functions of the event stream *and its order*;
 the cheap forms below keep what the straight loops in
-``tests/oracles/cco_reference.py`` had: pairs counted in first-seen
-order, one ``llr_score`` float per distinct table, weights added in
-history order (docs/architecture.md, "How the CCO model is built and
-queried").  A query costs the prefixes it reads plus its survivors,
-never the catalogue.
+``tests/oracles/cco_reference.py`` had: items keyed in the order their
+pairs were first seen, one ``llr_score`` float per distinct table,
+weights added in history order (docs/architecture.md, "How the CCO
+model is built and queried").  Training holds one item's row of pairs
+at a time, never a table of every co-occurring pair; a query costs the
+prefixes it reads plus its survivors, never the catalogue.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["CcoModel", "CcoTrainer", "llr_score"]
@@ -302,53 +303,136 @@ class CcoTrainer:
     (Mahout's ``maxPrefsPerUser`` downsampling), *max_indicators* caps
     the per-item indicator list (``maxCorrelatorsPerItem``), and
     *llr_threshold* drops non-anomalous co-occurrences.
+
+    :meth:`train` builds the model one item's row of co-occurrences at a
+    time: besides the numbered histories and the model it holds one row
+    and at most ``2 * max_indicators`` pending entries per item, never a
+    table of every co-occurring pair.
     """
 
     max_history: int = 50
     max_indicators: int = 50
     llr_threshold: float = 1.0
 
+    def __post_init__(self) -> None:
+        # A negative cap would slice off the weakest entries (or every
+        # history) instead of capping, and no score is below NaN.
+        if self.max_history < 0 or self.max_indicators < 0:
+            raise ValueError(
+                f"max_history and max_indicators must be >= 0, "
+                f"got {self.max_history} and {self.max_indicators}"
+            )
+        if math.isnan(self.llr_threshold):
+            raise ValueError("llr_threshold must be a number, got NaN")
+
     def train(self, interactions: Iterable[Tuple[str, str]]) -> CcoModel:
-        """Train on an iterable of (user, item) interactions."""
-        histories: Dict[str, List[str]] = defaultdict(list)
-        seen: set = set()
+        """Train on an iterable of (user, item) interactions.
+
+        Items are numbered in name order, so a user's sorted numbers are
+        its sorted names.  Row ``a`` counts the pairs ``(a, b)``, ``b > a``,
+        over the tails of the lists that hold ``a``; every pair with a
+        smaller first member came from an earlier row, so after row ``a``
+        the item's list is complete and is sorted, trimmed and kept.  An
+        entry for ``b`` waits in ``b``'s pending list, cut to its top
+        ``max_indicators`` whenever it reaches twice that: the top k of a
+        superset contains the top k of the whole.
+
+        ``model.indicators`` keeps the seed's key order: an item's place
+        is that of the first scored pair naming it, pairs ranked by first
+        sight - (first user holding both, position of each in that
+        user's sorted list) - and a pair's first member before its second.
+        """
+        event_count, popularity, names, users = self._numbered_histories(interactions)
+        total_users = len(users)
+        counts = [popularity[name] for name in names]
+        # A holder is (user, position) packed as user * span + position,
+        # a pair's rank (user, position, position) as holder * span +
+        # position, from the first user holding both: ints that order
+        # as the tuples do, for any history length.
+        span = max(map(len, users), default=1)
+        holders: List[List[int]] = [[] for _ in names]
+        for user, numbers in enumerate(users):
+            for holder, item in enumerate(numbers, user * span):
+                holders[item].append(holder)
+
+        keep = self.max_indicators
+        bar = -self.llr_threshold
+        #: (k11, k12, k21) -> -score: one llr_score per distinct table.
+        tables: Dict[Tuple[int, int, int], float] = {}
+        #: -score -> score, so the model holds the memo's float objects.
+        scores: Dict[float, float] = {}
+        # Each item's least rank of a scored pair; above every rank.
+        unranked = total_users * span * span
+        ranks = [unranked] * len(names)
+        #: item -> (-score, partner) entries from earlier rows.
+        pending: List[Optional[List[Tuple[float, int]]]] = [[] for _ in names]
+        rows: List[List[Tuple[str, float]]] = []
+        for first, held in enumerate(holders):
+            row: Counter = Counter()
+            earliest: Dict[int, int] = {}
+            # Latest holder first, so the earliest one's rank is the one kept.
+            for holder in reversed(held):
+                user, position = divmod(holder, span)
+                numbers = users[user]
+                tail = numbers[position + 1:]
+                row.update(tail)
+                base = holder * span
+                earliest.update(zip(tail, range(base + position + 1, base + len(numbers))))
+            weighted = pending[first]
+            pending[first] = None
+            count = counts[first]
+            for second, both in row.items():
+                table = (both, count - both, counts[second] - both)
+                negated = tables.get(table)
+                if negated is None:
+                    score = llr_score(*table, max(total_users - sum(table), 0))
+                    negated = tables[table] = -score
+                    scores[negated] = score
+                if negated > bar:
+                    continue
+                rank = earliest[second]
+                if rank < ranks[first]:
+                    ranks[first] = rank
+                if rank < ranks[second]:
+                    ranks[second] = rank
+                weighted.append((negated, second))
+                column = pending[second]
+                column.append((negated, first))
+                if len(column) >= 2 * keep:
+                    column.sort()
+                    del column[keep:]
+            # (-score, number) ascending is (-score, name): the seed's order.
+            weighted.sort()
+            rows.append([(names[item], scores[negated]) for negated, item in weighted[:keep]])
+
+        # Two items tie only on the pair they share; the stable sort puts
+        # its first member, the smaller number, first.
+        ranked = sorted(range(len(names)), key=ranks.__getitem__)
+        return CcoModel(
+            indicators={names[item]: rows[item] for item in ranked if ranks[item] < unranked},
+            popularity=dict(popularity),
+            trained_on_events=event_count,
+        )
+
+    def _numbered_histories(
+        self, interactions: Iterable[Tuple[str, str]]
+    ) -> Tuple[int, Counter, List[str], List[List[int]]]:
+        """Events read, item counts over the capped histories, item names
+        in name order, and each user's item numbers sorted - users in
+        first-seen order, counts in first-seen order along them."""
+        histories: Dict[str, Dict[str, None]] = {}
         event_count = 0
         for user, item in interactions:
             event_count += 1
-            if (user, item) in seen:
-                continue
-            seen.add((user, item))
-            history = histories[user]
-            if len(history) < self.max_history:
-                history.append(item)
-
-        item_counts: Counter = Counter()
-        pair_counts: Counter = Counter()
-        for history in histories.values():
-            item_counts.update(history)
-            pair_counts.update(combinations(sorted(set(history)), 2))
-
-        total_users = len(histories)
-        tables: Dict[Tuple[int, int, int], float] = {}
-        indicators: Dict[str, List[Tuple[str, float]]] = defaultdict(list)
-        for (first, second), k11 in pair_counts.items():
-            table = (k11, item_counts[first] - k11, item_counts[second] - k11)
-            score = tables.get(table)
-            if score is None:
-                k22 = total_users - sum(table)
-                score = tables[table] = llr_score(*table, max(k22, 0))
-            if score < self.llr_threshold:
-                continue
-            indicators[first].append((second, score))
-            indicators[second].append((first, score))
-
-        trimmed: Dict[str, List[Tuple[str, float]]] = {}
-        for item, weighted in indicators.items():
-            weighted.sort(key=lambda pair: (-pair[1], pair[0]))
-            trimmed[item] = weighted[: self.max_indicators]
-
-        return CcoModel(
-            indicators=trimmed,
-            popularity=dict(item_counts),
-            trained_on_events=event_count,
-        )
+            history = histories.get(user)
+            if history is None:
+                history = histories[user] = {}
+            # The seed's ``seen`` set plus its cap: a history never
+            # shrinks, so an item once turned away is turned away again.
+            if item not in history and len(history) < self.max_history:
+                history[item] = None
+        popularity = Counter(chain.from_iterable(histories.values()))
+        names = sorted(popularity)
+        number = {name: index for index, name in enumerate(names)}
+        users = [sorted(map(number.__getitem__, history)) for history in histories.values()]
+        return event_count, popularity, names, users

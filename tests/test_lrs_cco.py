@@ -113,6 +113,26 @@ def test_max_indicators_cap():
     assert all(len(v) <= 3 for v in model.indicators.values())
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"max_indicators": -1}, {"max_history": -1}, {"llr_threshold": float("nan")}],
+)
+def test_negative_sizes_and_a_nan_threshold_are_refused(kwargs):
+    """``max_indicators=-1`` kept every list but its weakest entry,
+    ``max_history=-1`` trained an empty model, and a NaN threshold kept
+    every pair (no score is below NaN)."""
+    with pytest.raises(ValueError):
+        CcoTrainer(**kwargs)
+
+
+def test_zero_sizes_are_legal():
+    events = [("u1", "a"), ("u1", "b"), ("u1", "c"), ("u2", "a"), ("u2", "b"), ("u3", "c")]
+    keyed = _train(events, llr_threshold=0.0, max_indicators=0)
+    assert keyed.indicators == {"a": [], "b": [], "c": []}
+    empty = _train(events, max_history=0)
+    assert (empty.indicators, empty.popularity, empty.trained_on_events) == ({}, {}, 6)
+
+
 def test_max_history_downsampling():
     events = [("power-user", f"i{j}") for j in range(100)]
     model = _train(events, max_history=10, llr_threshold=0.0)

@@ -1,8 +1,8 @@
 """The cheap LRS kernels return what the seed's loops returned, in order.
 
 ``CcoTrainer.train``, ``CcoModel.recommend`` and ``SyntheticMovieLens``
-were rewritten for cost (pairs counted in C, one LLR per distinct
-table, dense accumulators, a top-n bounded from the heads of sorted
+were rewritten for cost (the model built one item's row of pairs at a
+time, one LLR per distinct table, dense accumulators, a top-n bounded from the heads of sorted
 posting lists, ratings drawn from cumulative weights); the seed's
 bodies are the oracle in ``tests/oracles/cco_reference.py``.
 Equality here is *order-sensitive*: indicator lists, dict key order and
@@ -13,6 +13,8 @@ of, so ``==`` on the dicts alone would not pin them.
 from __future__ import annotations
 
 import random
+import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -102,6 +104,49 @@ def _assert_same_rankings(model: CcoModel, history) -> None:
 def test_train_equals_the_seed_loops_in_value_and_order(trainer, events):
     model = trainer.train(iter(events))
     assert model_in_order(model) == model_in_order(reference_train(trainer, events))
+
+
+@pytest.fixture(scope="module")
+def movielens_events():
+    return SyntheticMovieLens(seed=7, scale=0.02).events
+
+
+@pytest.mark.parametrize("max_history", [50, 100])
+def test_train_equals_the_seed_loops_on_a_movielens_stream(movielens_events, max_history):
+    """At the default ``max_indicators`` some item's pending list is cut
+    on the way (the Hypothesis catalogue reaches the cut only at
+    ``max_indicators <= 2``), and at ``max_history=100`` some history is
+    longer than 64 items."""
+    trainer = CcoTrainer(max_history=max_history)
+    expected = reference_train(trainer, movielens_events)
+    assert model_in_order(trainer.train(movielens_events)) == model_in_order(expected)
+
+    uncut = reference_train(
+        CcoTrainer(max_history=max_history, max_indicators=10**6), movielens_events
+    )
+    earlier_partners = max(
+        sum(partner < item for partner, _ in weighted) for item, weighted in uncut.indicators.items()
+    )
+    assert earlier_partners >= 2 * trainer.max_indicators
+    # The generator emits each (user, item) once.
+    assert max(Counter(user for user, _ in movielens_events).values()) > 64
+
+
+def test_train_holds_at_most_half_the_memory_of_the_seed_loops(movielens_events):
+    """One item's row at a time, not a table of every co-occurring pair:
+    the ``tracemalloc`` peak of a training against the oracle's, on the
+    same stream (a ratio, so it holds across interpreter versions)."""
+    trainer = CcoTrainer()
+    peaks = []
+    for train in (trainer.train, lambda events: reference_train(trainer, events)):
+        tracemalloc.start()
+        try:
+            train(movielens_events)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    kernel, oracle = peaks
+    assert kernel <= oracle / 2, peaks
 
 
 def test_llr_is_scored_per_whole_contingency_table():
