@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.proxy.service import PProxService, layer_pool
-from repro.simnet.clock import EventLoop
+from repro.simnet.clock import EventLoop, Periodic
 
 __all__ = ["ElasticScaler", "ScalingDecision"]
 
@@ -34,7 +34,7 @@ class ScalingDecision:
 
 
 @dataclass
-class ElasticScaler:
+class ElasticScaler(Periodic):
     """Keeps per-instance load inside ``[low_rps, high_rps]``.
 
     The paper's single-instance capacity is ~250 RPS; the default
@@ -64,19 +64,15 @@ class ElasticScaler:
     deferred_scale_downs: int = 0
     decisions: List[ScalingDecision] = field(default_factory=list)
     _last_counts: dict = field(default_factory=dict)
-    _running: bool = False
 
     def start(self) -> None:
-        """Begin periodic evaluation."""
-        if self._running:
-            return
-        self._running = True
-        self._snapshot()
-        self.loop.schedule(self.interval, self._tick)
+        """Begin periodic evaluation; rates count from the totals now."""
+        if self._running is None:
+            self._snapshot()
+        super().start()
 
-    def stop(self) -> None:
-        """Stop evaluating (the next tick becomes a no-op)."""
-        self._running = False
+    def _period(self) -> float:
+        return self.interval
 
     def _processed(self) -> dict:
         return {
@@ -87,9 +83,7 @@ class ElasticScaler:
     def _snapshot(self) -> None:
         self._last_counts = self._processed()
 
-    def _tick(self) -> None:
-        if not self._running:
-            return
+    def _step(self) -> None:
         current = self._processed()
         for layer in ("UA", "IA"):
             # Capacity decisions count only live instances — a failed
@@ -99,7 +93,6 @@ class ElasticScaler:
             rate = processed / self.interval / max(len(live), 1)
             self._evaluate(layer, rate, len(live), live)
         self._snapshot()
-        self.loop.schedule(self.interval, self._tick)
 
     def _overloaded(self, live: List) -> bool:
         if self.overload_sojourn_threshold is None:

@@ -20,7 +20,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 
 from repro.proxy.service import PProxService, layer_pool
 from repro.sgx.provisioning import KeyProvisioner
-from repro.simnet.clock import EventLoop
+from repro.simnet.clock import EventLoop, Periodic
 from repro.simnet.loadbalancer import LoadBalancer
 from repro.telemetry.types import TelemetryLike
 
@@ -64,7 +64,7 @@ def liveness_pass(
 
 
 @dataclass
-class HealthMonitor:
+class HealthMonitor(Periodic):
     """Periodically ejects dead instances and readmits recovered ones."""
 
     loop: EventLoop
@@ -84,29 +84,19 @@ class HealthMonitor:
     #: instance's enclave held a stale key generation (it restarted or
     #: was partitioned across an epoch announcement).
     stale_generation_blocks: int = 0
-    _running: bool = False
     _ejected_at: Dict[str, float] = field(default_factory=dict)
     _overloaded_now: set = field(default_factory=set)
-
-    def start(self) -> None:
-        """Begin probing."""
-        if self._running:
-            return
-        self._running = True
-        self.loop.schedule(self.interval, self._probe)
-
-    def stop(self) -> None:
-        """Stop probing (the next tick becomes a no-op)."""
-        self._running = False
 
     @property
     def failovers(self) -> int:
         """Backends ejected over this monitor's lifetime."""
         return len(self.ejected)
 
-    def _probe(self) -> None:
-        if not self._running:
-            return
+    def _period(self) -> float:
+        return self.interval
+
+    def _step(self) -> None:
+        """One probe of both layers."""
         for layer in ("UA", "IA"):
             instances, balancer = layer_pool(self.service, layer)
             for transition, instance in liveness_pass(
@@ -136,7 +126,6 @@ class HealthMonitor:
                     self._record_recovery(instance, balancer.name)
             for instance in instances:
                 self._probe_overload(instance)
-        self.loop.schedule(self.interval, self._probe)
 
     def _fault(self, payload: Dict[str, Any]) -> None:
         if self.telemetry is not None:

@@ -26,8 +26,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.fleet import FLEET_OVERLOAD
 from repro.experiments.rig import POST_SHARE, DrillRig, summarize, write_json
-from repro.faults import ChaosSpec
-from repro.fleet.supervisor import FleetSupervisor
+from repro.faults import ChaosSpec, FaultPlan
 from repro.obs.slo import Objective, SloReport, evaluate_static
 from repro.proxy.config import PProxConfig
 from repro.simnet.metrics import percentile
@@ -338,28 +337,21 @@ def verify_plan(
         max_retries=5,
         hedge_delay=0.4,
     )
-    fleet = rig.service
-    fault_supervisor = rig.add_fault_rig()
-    fleet_supervisor = FleetSupervisor(
-        loop=rig.loop, fleet=fleet, telemetry=rig.telemetry, tick_interval=0.1
-    )
-    rig.instrument()
-    rig.preload()
-    rig.offer(target.rps, duration, post_share=POST_SHARE)
-    start = rig.start
-
+    fleet, fleet_supervisor = rig.service, rig.fleet_supervisor
     spec = capacity_chaos_spec(duration)
-    fault_events: List[Any] = []
+    faults = FaultPlan()
     if chaos:
-        chaos_plan = spec.sample(
+        faults = spec.sample(
             rig.rng,
             [instance.name for instance in fleet.ua_instances],
             [instance.name for instance in fleet.ia_instances],
         )
-        fault_supervisor.arm(chaos_plan.shifted(start))
-        fault_events = list(chaos_plan.events)
-    fleet_supervisor.start()
-    rig.run(stop=[fleet_supervisor])
+    rig.arm(faults)
+    rig.instrument()
+    rig.preload()
+    rig.offer(target.rps, duration, post_share=POST_SHARE)
+    start = rig.start
+    rig.run()
 
     window = rig.offered_window()
     # Network-interruption windows: while a partition or loss window is
@@ -368,7 +360,7 @@ def verify_plan(
     # steady floor is judged outside those windows.
     interruptions = [
         (start + event.at, start + event.at + event.duration + plan.shuffle_timeout)
-        for event in fault_events
+        for event in faults
         if event.kind in ("partition", "drop")
     ]
 
@@ -382,7 +374,7 @@ def verify_plan(
     trimmed = rig.injector.recorder.trimmed(start, rig.end)
     p99 = percentile(sorted(trimmed), 0.99) if trimmed else None
     fault_kinds: Dict[str, int] = {}
-    for event in fault_events:
+    for event in faults:
         fault_kinds[event.kind] = fault_kinds.get(event.kind, 0) + 1
     result = CapacityPointResult(
         target=target,

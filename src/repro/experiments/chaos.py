@@ -208,17 +208,16 @@ def run_chaos(
         max_retries=5,
         hedge_delay=0.4,
     )
-    monitor = rig.add_monitor(interval=0.25)
-    monitor.start()
-    supervisor = rig.add_fault_rig(lrs=brownout)
-    supervisor.arm(
+    rig.add_monitor(interval=0.25)
+    rig.arm(
         ChaosSpec(horizon=duration).sample(
             rig.rng,
             ua_names=[instance.name for instance in rig.service.ua_instances],
             ia_names=[instance.name for instance in rig.service.ia_instances],
-        )
+        ),
+        lrs=brownout,
     )
-    rig.instrument(lrs=brownout)
+    rig.instrument()
     rig.offer(rps, duration, users=200)
     shuffle_size = CHAOS_CONFIG.shuffle_size
     rig.watch({
@@ -227,7 +226,7 @@ def run_chaos(
             1 for flush in rig.released(layer="UA") if flush.size >= shuffle_size
         ),
     })
-    rig.run(stop=[monitor])
+    rig.run()
 
     result = ChaosResult(
         seed=seed, rps=rps, duration=duration,

@@ -40,8 +40,8 @@ from repro.experiments.rig import (
     write_json,
     write_verdict,
 )
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.fleet.placement import domain_kill_plan, placement_violations
-from repro.fleet.supervisor import FleetSupervisor
 from repro.obs.slo import Objective, SloReport
 from repro.overload import OverloadPolicy
 from repro.privacy.wire import (
@@ -299,14 +299,13 @@ def run_fleet_drill(
         max_retries=5,
         hedge_delay=0.4,
     )
-    fleet = rig.service
+    fleet, supervisor = rig.service, rig.fleet_supervisor
     adversary, reject_auditor = rig.observe_wire()
-
-    fault_supervisor = rig.add_fault_rig()
-    supervisor = FleetSupervisor(
-        loop=rig.loop, fleet=fleet, telemetry=rig.telemetry,
-        tick_interval=0.1, drain_grace=0.5,
-    )
+    kill_domain = fleet.directory.shards[KILL_SHARD].domain
+    rig.arm(FaultPlan.from_events([
+        FaultEvent(at=SPLIT_AT, kind="split", target=SPLIT_SHARD),
+        *domain_kill_plan(fleet, kill_domain, at=KILL_AT, outage=OUTAGE),
+    ]))
     rig.instrument()
     rig.preload()
     rig.offer(rps, duration, post_share=POST_SHARE)
@@ -315,16 +314,7 @@ def run_fleet_drill(
         return rig.anonymity_floor(rig.offered_window())
 
     rig.watch({"anonymity_floor": effective_anonymity})
-
-    kill_domain = fleet.directory.shards[KILL_SHARD].domain
-    plan = domain_kill_plan(fleet, kill_domain, at=KILL_AT, outage=OUTAGE)
-    fault_supervisor.arm(plan.shifted(rig.start))
-    supervisor.start()
-    rig.loop.schedule(
-        max(0.0, rig.start + SPLIT_AT - rig.loop.now),
-        lambda: supervisor.split(SPLIT_SHARD),
-    )
-    rig.run(stop=[supervisor])
+    rig.run()
 
     window = rig.offered_window()
     split_ops = [op for op in supervisor.operations if op.kind == "split"]

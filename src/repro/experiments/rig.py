@@ -7,21 +7,23 @@ fixed rate, let it drain, report.  :class:`DrillRig` writes that
 sequence once, as a plain object the drivers call top to bottom::
 
     rig = DrillRig("chaos", seed, grace=8.0)      # context + telemetry + LRS
-    rig.deploy(config, **client_options)          # deployment (or fleet) + client
+    rig.deploy(config, **client_options)          # deployment (or fleet + its supervisor) + client
     rig.observe_wire()                            # optional: adversary + reject auditor
-    rig.add_monitor(0.25); rig.add_fault_rig()    # optional recovery plumbing
+    rig.add_monitor(0.25)                         # optional: health monitor
+    rig.arm(plan, lrs=..., rotation=...)          # optional: the operator timeline
     rig.instrument()                              # injector + metrics + flush log
     rig.preload()                                 # harness-backed drills only
     rig.offer(rps, duration)                      # open-loop arrivals
     rig.watch({...})                              # SLO engine, bounded
-    ...arm whatever is specific to the scenario...
-    rig.run(stop=[...])                           # run_until -> stop -> drain
+    rig.run()                                     # start, run_until, stop, drain
     rig.finish(extra, objectives)                 # slo verdict + finalize_run
 
-What stays in a driver is what is actually different about it: its
-configuration, what it arms and when, its extra SLO sources and its
-acceptance gates.  Every watched run is judged once, by the engine that
-sampled it; a gate ends with :func:`write_verdict`.
+The plan (:class:`~repro.faults.plan.FaultPlan`) holds every fault and
+operator verb of the drill, and :meth:`DrillRig.run` alone starts and
+stops the controllers.  What stays in a driver is what is actually
+different about it: its configuration, its plan, its extra SLO sources
+and its acceptance gates.  Every watched run is judged once, by the
+engine that sampled it; a gate ends with :func:`write_verdict`.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ import os
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Type
 
 from repro.context import Deployment, SimContext
-from repro.faults import FaultSupervisor, NetworkFaultController
+from repro.faults import FaultPlan, FaultSupervisor, NetworkFaultController
 from repro.fleet.service import build_fleet
+from repro.fleet.supervisor import FleetSupervisor
 from repro.lrs.service import HarnessService
 from repro.lrs.stub import StubLrs, make_pseudonymous_payload
 from repro.obs.slo import Objective, SloEngine, SloReport, histogram_quantile, write_slo
@@ -152,9 +155,13 @@ class DrillRig:
             self.lrs.engine.trainer.llr_threshold = 0.0
         else:
             self.lrs = stub_lrs(self.ctx)
+        #: The controllers :meth:`run` stops (and starts, but for the
+        #: rotation, which its plan's ``rotate`` entry starts).
         self.monitor: Optional[Any] = None
-        self.netfaults: Optional[NetworkFaultController] = None
+        self.fleet_supervisor: Optional[FleetSupervisor] = None
+        self.rotation: Optional[Any] = None
         self.fault_supervisor: Optional[FaultSupervisor] = None
+        self.plan = FaultPlan()
         #: Built by :meth:`watch`; stays None on capacity's static legs.
         self.slo: Optional[SloEngine] = None
         #: Every shuffle release of the run, in release order.
@@ -176,8 +183,9 @@ class DrillRig:
 
         *backend* substitutes a wrapper around :attr:`lrs` (brownout,
         guard) as what the IA layer calls.  *shards* > 0 builds a
-        sharded fleet of per-shard *config* deployments instead of a
-        single one.
+        sharded fleet of per-shard *config* deployments, and the
+        :class:`FleetSupervisor` that probes it and splits / merges its
+        shards, instead of a single deployment.
         """
         if backend is not None:
             picker: Callable[[], Any] = lambda: backend
@@ -190,6 +198,9 @@ class DrillRig:
                 self.ctx, config, picker, shards=shards, overload=overload, vnodes=128
             )
             self.deployment = Deployment(ctx=self.ctx, service=self.service, config=config)
+            self.fleet_supervisor = FleetSupervisor(
+                loop=self.loop, fleet=self.service, telemetry=self.telemetry
+            )
         else:
             self.deployment = Deployment.build(
                 ctx=self.ctx, config=config, lrs_picker=picker, overload=overload
@@ -203,25 +214,33 @@ class DrillRig:
         """The run's adversary and reject auditor (:func:`observe_wire`)."""
         return observe_wire(self.ctx.network, self.lrs)
 
-    def add_monitor(self, interval: float) -> Any:
-        """A health monitor over the service (the driver starts it)."""
+    def add_monitor(self, interval: float) -> None:
+        """A health monitor over the service (:meth:`run` starts it)."""
         self.monitor = self.deployment.health_monitor(interval=interval)
-        return self.monitor
 
-    def add_fault_rig(self, lrs: Optional[Any] = None) -> FaultSupervisor:
-        """Network fault controller + supervisor (the driver arms a plan)."""
-        self.netfaults = NetworkFaultController(
+    def arm(
+        self, plan: FaultPlan, *, lrs: Optional[Any] = None, rotation: Optional[Any] = None
+    ) -> None:
+        """The drill's operator timeline: *plan*, timed from traffic
+        start, is scheduled by :meth:`run`.
+
+        *lrs* is the brownout wrapper ``brownout`` entries act on;
+        *rotation* the coordinator ``rotate`` entries announce;
+        ``split`` / ``merge`` go to the fleet's supervisor.  A verb
+        none of them can apply is a ``ValueError`` here.  Call it
+        before :meth:`instrument`, which instruments the supervisor.
+        """
+        netfaults = NetworkFaultController(
             network=self.ctx.network, rng=self.rng.stream("netfaults")
         )
         self.fault_supervisor = FaultSupervisor(
-            loop=self.loop, service=self.service, netfaults=self.netfaults,
-            lrs=lrs, telemetry=self.telemetry,
+            loop=self.loop, service=self.service, netfaults=netfaults,
+            lrs=lrs, rotation=rotation, fleet=self.fleet_supervisor, telemetry=self.telemetry,
         )
-        return self.fault_supervisor
+        self.fault_supervisor.check(plan)
+        self.plan, self.rotation = plan, rotation
 
-    def instrument(
-        self, *, lrs: Optional[Any] = None, guard: Optional[Any] = None, rotation: Optional[Any] = None
-    ) -> None:
+    def instrument(self, *, guard: Optional[Any] = None) -> None:
         """Injector, the metric instruments and the flush log.
 
         The flush log chains behind the telemetry hook on every shuffle
@@ -232,18 +251,19 @@ class DrillRig:
             loop=self.loop, rng=self.rng.stream("injector"),
             recorder=LatencyRecorder(self.scenario),
         )
+        brownout = self.fault_supervisor.lrs if self.fault_supervisor is not None else None
         instrument_stack(
             self.telemetry,
             service=self.service,
             provider=self.ctx.resolved_provider(),
-            lrs=lrs if lrs is not None else self.lrs,
+            lrs=brownout if brownout is not None else self.lrs,
             injector=self.injector,
             network=self.ctx.network,
             monitor=self.monitor,
             client=self.client,
             supervisor=self.fault_supervisor,
             guard=guard,
-            rotation=rotation,
+            rotation=self.rotation,
         )
         directory = getattr(self.service, "directory", None)
         if directory is None:
@@ -305,10 +325,11 @@ class DrillRig:
         """Sample the run under its own :class:`SloEngine`.
 
         Every scenario tracks issued / completed / p99; *sources* adds
-        its own.  The engine is always bounded at the drain horizon:
-        the SLO tick and the telemetry scraper both re-arm while the
-        loop has pending work, so two unbounded tickers would keep each
-        other alive and the final ``run()`` would never drain.
+        its own.  :meth:`run` attaches the engine, always bounded at the
+        drain horizon: the SLO tick and the telemetry scraper both
+        re-arm while the loop has pending work, so two unbounded
+        tickers would keep each other alive and the final ``run()``
+        would never drain.
         """
         self.slo = slo = SloEngine(telemetry=self.telemetry)
         latency = self.telemetry.registry.histogram(
@@ -320,13 +341,24 @@ class DrillRig:
         for key, source in sources.items():
             slo.track(key, source)
         slo.track("p99_latency_seconds", lambda: histogram_quantile(latency, 0.99))
-        slo.attach(self.loop, until=self.end + self.grace)
 
-    def run(self, stop: Sequence[Any] = ()) -> None:
-        """Run to the drain horizon, stop the periodics, drain."""
-        self.loop.run_until(self.end + self.grace)
-        for periodic in stop:
-            periodic.stop()
+    def run(self) -> None:
+        """Start the controllers, schedule the plan (the clock stands at
+        traffic start, so at ``start + at``) and attach the SLO engine,
+        in that order; run to the drain horizon, stop every controller,
+        drain — where each one's last, inert tick still fires."""
+        horizon = self.end + self.grace
+        for controller in (self.monitor, self.fleet_supervisor):
+            if controller is not None:
+                controller.start()
+        if self.fault_supervisor is not None:
+            self.fault_supervisor.arm(self.plan)
+        if self.slo is not None:
+            self.slo.attach(self.loop, until=horizon)
+        self.loop.run_until(horizon)
+        for controller in (self.monitor, self.fleet_supervisor, self.rotation):
+            if controller is not None:
+                controller.stop()
         self.loop.run()
 
     # -- report ---------------------------------------------------------
@@ -389,7 +421,8 @@ class DrillRig:
             "audit_violations": lambda: len(self.telemetry.audit()),
         }
         if self.fault_supervisor is not None:
-            supervisor, netfaults = self.fault_supervisor, self.netfaults
+            supervisor = self.fault_supervisor
+            netfaults = supervisor.netfaults
             sources.update(
                 crashes_injected=lambda: supervisor.crashes_injected,
                 restarts_completed=lambda: supervisor.restarts_completed,

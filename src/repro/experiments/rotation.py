@@ -201,14 +201,15 @@ class RotationResult:
 
 
 def default_rotation_plan() -> FaultPlan:
-    """Crash a rotating-layer instance mid-window, partition the proxy
-    layers briefly during re-encryption — both must pause, not abort.
+    """Announce the UA layer's next epoch, then crash a rotating-layer
+    instance mid-window and partition the proxy layers briefly during
+    re-encryption — both must pause, not abort.
 
-    Times are relative to traffic start; the runner shifts them onto
-    the virtual clock.
+    Times are relative to traffic start.
     """
     return FaultPlan.from_events(
         [
+            FaultEvent(at=ANNOUNCE_AT, kind="rotate", target="UA"),
             FaultEvent(
                 at=ANNOUNCE_AT + 0.5, kind="crash", target="pprox-ua-0", duration=0.5
             ),
@@ -299,8 +300,7 @@ def run_rotation(
     )
     service, harness = rig.service, rig.lrs
     adversary, _ = rig.observe_wire()
-    monitor = rig.add_monitor(interval=0.1)
-    supervisor = rig.add_fault_rig()
+    rig.add_monitor(interval=0.1)
     coordinator = RotationCoordinator(
         loop=rig.loop,
         service=service,
@@ -318,7 +318,11 @@ def run_rotation(
         retire_grace=0.6,
         telemetry=rig.telemetry,
     )
-    rig.instrument(rotation=coordinator)
+    # A drill still pausing at traffic end never hangs the run: the rig
+    # stops the coordinator at the horizon and the result records the
+    # state it stood in.
+    rig.arm(default_rotation_plan(), rotation=coordinator)
+    rig.instrument()
     rig.preload()
     rig.offer(rps, duration, post_share=POST_SHARE)
 
@@ -348,13 +352,7 @@ def run_rotation(
         "rotation_pause_seconds": pause_seconds_source,
     })
 
-    monitor.start()
-    supervisor.arm(default_rotation_plan().shifted(rig.start))
-    coordinator.start(rig.start + ANNOUNCE_AT)
-    # Stopping the coordinator never hangs the runner on a drill that
-    # is still pausing at traffic end (a no-op once retired); the
-    # result records the non-retired state.
-    rig.run(stop=[monitor, coordinator])
+    rig.run()
 
     window_samples = [flush.size for flush in window_flushes()]
     before = adversary.pseudonyms_observed(

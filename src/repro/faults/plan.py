@@ -1,32 +1,49 @@
-"""Fault plans: what breaks, when, and for how long.
+"""Fault plans: the operator timeline of a drill.
 
 A :class:`FaultPlan` is a deterministic schedule of :class:`FaultEvent`
-entries in *virtual* time.  Plans can be written literally in a
-scenario config, or sampled from a :class:`ChaosSpec` through a named
-:class:`~repro.simnet.rng.RngRegistry` stream — the same seed always
-yields the same plan, which is what makes two chaos runs with one seed
-byte-comparable.
+entries in *virtual* time, each ``at`` seconds after traffic starts.
+Its verbs are the five faults of :data:`FAULT_KINDS` and the three
+operations of :data:`OPERATOR_VERBS` (rotate a layer's keys, split or
+merge a shard); :class:`~repro.faults.supervisor.FaultSupervisor` is
+the one scheduler.  A malformed entry is refused when it is built, a
+verb with no executor when the plan is armed — never mid-run.
+
+Plans are written literally in a scenario, or sampled from a
+:class:`ChaosSpec` through a named :class:`~repro.simnet.rng.RngRegistry`
+stream — the same seed always yields the same plan, which is what makes
+two chaos runs with one seed byte-comparable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.simnet.rng import RngRegistry
 
-__all__ = ["FaultEvent", "FaultPlan", "ChaosSpec", "FAULT_KINDS"]
+__all__ = ["FaultEvent", "FaultPlan", "ChaosSpec", "FAULT_KINDS", "OPERATOR_VERBS"]
 
 #: Fault kinds the supervisor knows how to inject.
 FAULT_KINDS = ("crash", "partition", "drop", "delay", "brownout")
+#: Operations a plan drives through their executors: a
+#: :class:`~repro.proxy.epochs.RotationCoordinator` announces, a
+#: :class:`~repro.fleet.supervisor.FleetSupervisor` splits and merges.
+OPERATOR_VERBS = ("rotate", "split", "merge")
+
+
+def _pair(target: str) -> bool:
+    """True for an ``"a|b"`` target with both sides non-empty."""
+    left, bar, right = target.partition("|")
+    return bool(bar and left and right)
 
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """One scheduled fault.
+    """One scheduled plan entry.
 
-    ``at`` is the virtual-time injection instant.  Meaning of the rest
-    varies by kind:
+    ``at`` is the injection instant, in seconds after traffic start.
+    Meaning of the rest varies by kind:
 
     * ``crash`` — *target* is the instance name; ``duration`` is the
       outage before the supervisor restarts it (``<= 0``: no restart).
@@ -39,6 +56,11 @@ class FaultEvent:
     * ``brownout`` — the LRS answers with retryable errors with
       probability ``magnitude`` (and inflated latency otherwise) for
       ``duration`` seconds.
+    * ``rotate`` — *target* is the layer (``UA`` / ``IA``) whose next
+      key epoch is announced.
+    * ``split`` — *target* is the shard id to split.
+    * ``merge`` — *target* is ``"source|into"``: the source shard's
+      key ranges fall to its ring successors and it retires.
     """
 
     at: float
@@ -48,10 +70,25 @@ class FaultEvent:
     magnitude: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}")
-        if self.at < 0:
-            raise ValueError(f"fault time must be >= 0, got {self.at}")
+        kinds = FAULT_KINDS + OPERATOR_VERBS
+        if self.kind not in kinds:
+            raise ValueError(f"unknown plan kind {self.kind!r}; expected one of {kinds}")
+        if not (math.isfinite(self.at) and self.at >= 0):
+            raise ValueError(f"plan time must be finite and >= 0, got {self.at}")
+        if not math.isfinite(self.duration):
+            raise ValueError(f"{self.kind} duration must be finite, got {self.duration}")
+        if self.kind in ("partition", "drop", "delay", "brownout") and self.duration < 0:
+            raise ValueError(f"{self.kind} window needs a duration >= 0, got {self.duration}")
+        if self.kind in ("partition", "merge") and not _pair(self.target):
+            raise ValueError(f"{self.kind} target must be 'a|b', got {self.target!r}")
+        if self.kind in ("drop", "brownout") and not 0.0 <= self.magnitude <= 1.0:
+            raise ValueError(f"{self.kind} probability must be in [0, 1], got {self.magnitude}")
+        if self.kind == "delay" and not (math.isfinite(self.magnitude) and self.magnitude >= 0):
+            raise ValueError(f"delay must be finite and >= 0, got {self.magnitude}")
+        if self.kind == "rotate" and self.target not in ("UA", "IA"):
+            raise ValueError(f"rotate target must be 'UA' or 'IA', got {self.target!r}")
+        if self.kind == "split" and not self.target:
+            raise ValueError("split needs a shard id")
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready form (telemetry fault events embed this, so the
@@ -67,7 +104,7 @@ class FaultEvent:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """An immutable, time-ordered schedule of fault events."""
+    """An immutable, time-ordered schedule of plan entries."""
 
     events: Tuple[FaultEvent, ...] = ()
 
@@ -80,14 +117,6 @@ class FaultPlan:
 
     def __iter__(self):
         return iter(self.events)
-
-    def shifted(self, offset: float) -> "FaultPlan":
-        """Copy of the plan with every event moved by *offset* seconds."""
-        return FaultPlan(tuple(replace(e, at=e.at + offset) for e in self.events))
-
-    def of_kind(self, kind: str) -> List[FaultEvent]:
-        """Events of one kind, in schedule order."""
-        return [event for event in self.events if event.kind == kind]
 
     @classmethod
     def from_events(cls, events: Iterable[FaultEvent]) -> "FaultPlan":

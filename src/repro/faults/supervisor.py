@@ -1,14 +1,19 @@
 """Fault supervisor: arms a plan against a live deployment.
 
-The supervisor is the policy half of the subsystem: it walks a
-:class:`~repro.faults.plan.FaultPlan`, schedules every event on the
+The supervisor is the policy half of the subsystem and the one
+scheduler of a drill's operator timeline: it walks a
+:class:`~repro.faults.plan.FaultPlan`, schedules every entry on the
 virtual clock, and drives the mechanisms — ``instance.fail()`` plus
 :meth:`repro.proxy.service.PProxService.restart_instance` for crashes,
 the :class:`~repro.faults.netfaults.NetworkFaultController` for wire
-faults, and :class:`~repro.faults.brownout.BrownoutLrs` for LRS
-degradation.  Every injection and recovery is recorded as a structured
-``chaos`` fault event (window boundaries, not per-message, so the
-event log stays small and byte-deterministic).
+faults, :class:`~repro.faults.brownout.BrownoutLrs` for LRS
+degradation, and the executors of the operator verbs (a
+:class:`~repro.proxy.epochs.RotationCoordinator` for ``rotate``, a
+:class:`~repro.fleet.supervisor.FleetSupervisor` for ``split`` /
+``merge``).  Every fault injection and recovery is recorded as a
+structured ``chaos`` fault event (window boundaries, not per-message,
+so the event log stays small and byte-deterministic); a verb's
+executor books its own events.
 
 Recovery of in-flight work is *not* the supervisor's job: the health
 monitor ejects/readmits balancer backends, the shuffle buffers drain on
@@ -18,8 +23,8 @@ things on schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Optional
 
 from repro.faults.brownout import BrownoutLrs
 from repro.faults.netfaults import NetworkFaultController
@@ -40,23 +45,40 @@ class FaultSupervisor:
     netfaults: NetworkFaultController
     #: Brownout wrapper around the LRS, if the deployment has one.
     lrs: Optional[BrownoutLrs] = None
+    #: Executor of ``rotate`` (a RotationCoordinator), if any.
+    rotation: Any = None
+    #: Executor of ``split`` / ``merge`` (a FleetSupervisor), if any.
+    fleet: Any = None
     telemetry: Optional[TelemetryLike] = None
     #: Injection bookkeeping.
     crashes_injected: int = 0
     restarts_completed: int = 0
     windows_opened: int = 0
     skipped: int = 0
-    armed_events: List[FaultEvent] = field(default_factory=list)
+
+    def check(self, plan: FaultPlan) -> None:
+        """Refuse a plan holding a verb no executor here can apply."""
+        for event in plan:
+            if event.kind == "rotate" and (
+                self.rotation is None or self.rotation.layer != event.target
+            ):
+                raise ValueError(f"no rotation coordinator for layer {event.target!r}")
+            if event.kind in ("split", "merge") and self.fleet is None:
+                raise ValueError(f"{event.kind} needs a fleet supervisor")
 
     def arm(self, plan: FaultPlan) -> None:
-        """Schedule every event of *plan* on the virtual clock."""
-        self.netfaults.install()
+        """Schedule every entry of *plan*, its ``at`` counted from now.
+
+        Each entry is stamped with its absolute instant, which is what
+        its fault events carry.  An empty plan installs no wire filter.
+        """
+        self.check(plan)
+        if plan:
+            self.netfaults.install()
+        start = self.loop.now
         for event in plan:
-            self.armed_events.append(event)
-            self.loop.schedule_at(
-                max(self.loop.now, event.at),
-                lambda ev=event: self._inject(ev),
-            )
+            stamped = replace(event, at=start + event.at)
+            self.loop.schedule_at(stamped.at, lambda ev=stamped: self._inject(ev))
 
     # -- dispatch -------------------------------------------------------
 
@@ -106,10 +128,6 @@ class FaultSupervisor:
 
     def _inject_partition(self, event: FaultEvent) -> None:
         role_a, _, role_b = event.target.partition("|")
-        if not role_a or not role_b:
-            raise ValueError(
-                f"partition target must be 'roleA|roleB', got {event.target!r}"
-            )
         self.netfaults.begin_partition(role_a, role_b)
         self._open_window(event)
         self.loop.schedule(event.duration, lambda: self._heal_partition(event, role_a, role_b))
@@ -151,6 +169,16 @@ class FaultSupervisor:
             self._close_window(event)
 
         self.loop.schedule(event.duration, heal)
+
+    def _inject_rotate(self, event: FaultEvent) -> None:
+        self.rotation.announce()
+
+    def _inject_split(self, event: FaultEvent) -> None:
+        self.fleet.split(event.target)
+
+    def _inject_merge(self, event: FaultEvent) -> None:
+        source, _, into = event.target.partition("|")
+        self.fleet.merge(source, into)
 
     # -- helpers --------------------------------------------------------
 

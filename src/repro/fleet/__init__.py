@@ -28,11 +28,7 @@ from repro.fleet.ring import (
     ring_point,
 )
 from repro.fleet.service import ShardedPProxService, build_fleet
-from repro.fleet.supervisor import (
-    FleetSupervisor,
-    ShardAutoscaler,
-    ShardOperation,
-)
+from repro.fleet.supervisor import FleetSupervisor, ShardOperation
 
 __all__ = [
     "SHARD_STATES",
@@ -47,6 +43,5 @@ __all__ = [
     "ShardedPProxService",
     "build_fleet",
     "FleetSupervisor",
-    "ShardAutoscaler",
     "ShardOperation",
 ]

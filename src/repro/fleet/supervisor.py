@@ -34,18 +34,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.cluster.autoscaler import ElasticScaler, ScalingDecision
 from repro.cluster.health import liveness_pass
 from repro.fleet.ring import Shard
 from repro.fleet.service import ShardedPProxService
 from repro.proxy.epochs import HoldTheLine, hold_reason
 from repro.proxy.service import layer_pool
-from repro.simnet.clock import EventLoop
+from repro.simnet.clock import EventLoop, Periodic
 
 __all__ = [
     "FleetSupervisor",
     "ShardOperation",
-    "ShardAutoscaler",
 ]
 
 
@@ -71,7 +69,7 @@ class ShardOperation:
 
 
 @dataclass
-class FleetSupervisor(HoldTheLine):
+class FleetSupervisor(HoldTheLine, Periodic):
     """Owns shard lifecycle, probing, and split/merge handoffs."""
 
     loop: EventLoop
@@ -90,20 +88,8 @@ class FleetSupervisor(HoldTheLine):
     readmissions: int = 0
     reprovisions: int = 0
     operations: List[ShardOperation] = field(default_factory=list)
-    _running: bool = False
 
     # -- lifecycle ------------------------------------------------------
-
-    def start(self) -> None:
-        """Begin the probe/advance tick loop."""
-        if self._running:
-            return
-        self._running = True
-        self.loop.schedule(self.tick_interval, self._tick)
-
-    def stop(self) -> None:
-        """Halt ticking where it stands (operations stay parked)."""
-        self._running = False
 
     def guard(self, layer: str) -> bool:
         """Autoscaler guard: True while any shard is mid-operation.
@@ -172,9 +158,10 @@ class FleetSupervisor(HoldTheLine):
 
     # -- tick loop ------------------------------------------------------
 
-    def _tick(self) -> None:
-        if not self._running:
-            return
+    def _period(self) -> float:
+        return self.tick_interval
+
+    def _step(self) -> None:
         self.ticks += 1
         self._probe()
         active = self.active_operations
@@ -192,7 +179,6 @@ class FleetSupervisor(HoldTheLine):
             ):
                 for op in active:
                     self._advance(op)
-        self.loop.schedule(self.tick_interval, self._tick)
 
     def _probe(self) -> None:
         """Per-shard health pass: eject dead, readmit verified-alive."""
@@ -320,92 +306,3 @@ class FleetSupervisor(HoldTheLine):
     def _emit(self, payload: Dict[str, Any]) -> None:
         if self.telemetry is not None:
             self.telemetry.event_log.emit("fleet", "operator", payload)
-
-
-@dataclass
-class ShardAutoscaler(ElasticScaler):
-    """Shard-granular elastic scaling on the per-instance rate band.
-
-    Reuses :class:`ElasticScaler`'s band fields and decision log but
-    acts through the supervisor: a hot shard (per-live-instance rate
-    above ``high_rps``) is split, a cold one (below ``low_rps``)
-    merged into a sibling — each deferred, never forced, while another
-    operation is in flight.
-    """
-
-    supervisor: Optional[FleetSupervisor] = None
-    max_shards: int = 8
-    _last_shard_counts: Dict[str, int] = field(default_factory=dict)
-
-    def _shard_processed(self) -> Dict[str, int]:
-        fleet: ShardedPProxService = self.service
-        return {
-            shard.shard_id: sum(i.requests_processed for i in shard.ua_instances)
-            for shard in fleet.directory.shards.values()
-            if shard.state not in ("retired",)
-        }
-
-    def _snapshot(self) -> None:
-        self._last_shard_counts = self._shard_processed()
-
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        supervisor = self.supervisor
-        fleet: ShardedPProxService = self.service
-        current = self._shard_processed()
-        rates: Dict[str, float] = {}
-        for shard_id, processed in current.items():
-            shard = fleet.directory.shards.get(shard_id)
-            if shard is None or shard.state != "live":
-                continue
-            live = sum(1 for i in shard.ua_instances if i.alive)
-            delta = processed - self._last_shard_counts.get(shard_id, 0)
-            rates[shard_id] = delta / self.interval / max(live, 1)
-        if rates and supervisor is not None:
-            live_shards = [
-                sid
-                for sid in rates
-                if fleet.directory.shards[sid].state == "live"
-            ]
-            hottest = max(rates, key=lambda sid: rates[sid])
-            coldest = min(rates, key=lambda sid: rates[sid])
-            if rates[hottest] > self.high_rps and len(live_shards) < self.max_shards:
-                if supervisor.guard("UA"):
-                    self.deferred_scale_downs += 1
-                    self.decisions.append(
-                        ScalingDecision(
-                            self.loop.now, f"shard:{hottest}", "split-deferred",
-                            len(live_shards), rates[hottest],
-                        )
-                    )
-                else:
-                    supervisor.split(hottest)
-                    self.decisions.append(
-                        ScalingDecision(
-                            self.loop.now, f"shard:{hottest}", "split",
-                            len(live_shards) + 1, rates[hottest],
-                        )
-                    )
-            elif rates[coldest] < self.low_rps and len(live_shards) > 1:
-                if supervisor.guard("UA"):
-                    self.deferred_scale_downs += 1
-                    self.decisions.append(
-                        ScalingDecision(
-                            self.loop.now, f"shard:{coldest}", "merge-deferred",
-                            len(live_shards), rates[coldest],
-                        )
-                    )
-                else:
-                    into = next(
-                        sid for sid in live_shards if sid != coldest
-                    )
-                    supervisor.merge(coldest, into)
-                    self.decisions.append(
-                        ScalingDecision(
-                            self.loop.now, f"shard:{coldest}", "merge",
-                            len(live_shards) - 1, rates[coldest],
-                        )
-                    )
-        self._snapshot()
-        self.loop.schedule(self.interval, self._tick)

@@ -61,7 +61,7 @@ from repro.rest.header import EPOCH, stamp
 from repro.rest.messages import Request
 from repro.sgx.enclave import Enclave
 from repro.sgx.provisioning import EPOCH_WINDOW_SLOT, EpochWindow, epoch_slot
-from repro.simnet.clock import EventLoop
+from repro.simnet.clock import EventLoop, Periodic
 
 __all__ = [
     "EPOCH_FIELD",
@@ -250,7 +250,7 @@ ROTATION_STATES = ("idle", "announced", "reencrypting", "draining", "retired", "
 
 
 @dataclass
-class RotationCoordinator(HoldTheLine):
+class RotationCoordinator(HoldTheLine, Periodic):
     """Drives one layer's live rotation drill tick by tick.
 
     The coordinator is deliberately stateless about in-flight traffic:
@@ -261,6 +261,12 @@ class RotationCoordinator(HoldTheLine):
     swallow an announcement, and overload all reduce to "pause until
     the coverage/floor checks pass again", which is what makes the
     drill restart-safe.
+
+    :meth:`announce` opens the drill (a plan's ``rotate`` verb calls
+    it); the ticks stop on their own at retirement.  :meth:`stop`
+    halts the drill where it stands, for post-mortems: an open
+    dual-epoch window stays open and traffic keeps being served under
+    whatever epochs are live.
     """
 
     loop: EventLoop
@@ -293,26 +299,8 @@ class RotationCoordinator(HoldTheLine):
     window_opened_at: Optional[float] = None
     window_closed_at: Optional[float] = None
     rekeyer: Any = None
-    _started: bool = False
-    _stopped: bool = False
 
     # -- lifecycle ------------------------------------------------------
-
-    def start(self, announce_at: float = 0.0) -> None:
-        """Schedule the drill: announce at *announce_at*, then tick."""
-        if self._started:
-            raise RuntimeError("rotation drill already started")
-        self._started = True
-        self.loop.schedule(max(0.0, announce_at - self.loop.now), self._announce)
-
-    def stop(self) -> None:
-        """Halt the drill where it stands: no further ticks fire.
-
-        An operator action for post-mortems — the dual-epoch window,
-        if open, stays open (stopping is not a retirement), and
-        traffic keeps being served under whatever epochs are live.
-        """
-        self._stopped = True
 
     @property
     def state_code(self) -> int:
@@ -356,9 +344,15 @@ class RotationCoordinator(HoldTheLine):
     def _instances(self) -> list:
         return list(self.service.layer_instances(self.layer))
 
-    def _announce(self) -> None:
-        if self._stopped:
+    def announce(self) -> None:
+        """Open the drill: the next epoch goes active in every alive
+        enclave of the layer, then the drill ticks until it retires the
+        previous one.  A stopped coordinator ignores it; a second
+        announce raises."""
+        if self._running is False:
             return
+        if self.state != "idle":
+            raise RuntimeError("rotation drill already started")
         new_keys = self.factory.layer_keys()
         self.old_epoch, self.new_epoch = self.service.announce_epoch(
             self.layer, new_keys
@@ -388,11 +382,12 @@ class RotationCoordinator(HoldTheLine):
                 "rekey_target": self.rekeyer.target,
             }
         )
-        self.loop.schedule(self.tick_interval, self._tick)
+        self.start()
 
-    def _tick(self) -> None:
-        if self._stopped or self.state in ("idle", "retired"):
-            return
+    def _period(self) -> float:
+        return self.tick_interval
+
+    def _step(self) -> None:
         self.ticks += 1
         self._ensure_coverage()
         # Any rotating-layer instance down, flushing below S or
@@ -404,8 +399,8 @@ class RotationCoordinator(HoldTheLine):
             {"event": "rotation_resumed", "layer": self.layer},
         ):
             self._advance()
-        if self.state != "retired":
-            self.loop.schedule(self.tick_interval, self._tick)
+        if self.state == "retired":
+            self.stop()
 
     def _ensure_coverage(self) -> None:
         """Idempotent re-announce: heal any alive enclave that missed

@@ -34,6 +34,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 __all__ = [
     "EventLoop",
     "EventHandle",
+    "Periodic",
     "SimulationError",
     "DEFAULT_SLOT_WIDTH",
 ]
@@ -492,3 +493,44 @@ class EventLoop:
             if active is not None and pos >= length:
                 self._active_pos = pos
                 self._retire_active()
+
+
+class Periodic:
+    """The tick loop of a controller on the virtual clock (health
+    probing, shard supervision, a rotation drill, elastic scaling).
+
+    A subclass has a ``loop``, says how often it acts (:meth:`_period`)
+    and what one tick does (:meth:`_step`).  :meth:`start` schedules the
+    first tick one period out; calling it again does nothing.
+    :meth:`stop` is final and cancels nothing: the pending tick still
+    fires, inert, and a drain runs through it.  A tick re-arms
+    after its step while the controller runs, so a step that calls
+    :meth:`stop` is the last one.
+    """
+
+    #: None before :meth:`start`, True while ticking, False once stopped.
+    _running: Optional[bool] = None
+
+    def _period(self) -> float:
+        raise NotImplementedError
+
+    def _step(self) -> None:
+        raise NotImplementedError
+
+    @property
+    def running(self) -> bool:
+        return bool(self._running)
+
+    def start(self) -> None:
+        if self._running is None:
+            self._running = True
+            self.loop.schedule(self._period(), self._tick)
+
+    def stop(self) -> None:
+        self._running = False
+
+    def _tick(self) -> None:
+        if self._running:
+            self._step()
+            if self._running:
+                self.loop.schedule(self._period(), self._tick)

@@ -227,6 +227,31 @@ def test_ci_scenario_matrix_is_the_runnable_registry():
     assert sorted(name.strip() for name in matrix.split(",")) == sorted(runnable())
 
 
+def test_ci_scenario_job_diffs_four_hash_seeds_against_the_first():
+    workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    job = workflow[workflow.index("\n  scenario:\n"):workflow.index("\n  examples:\n")]
+    assert re.findall(r"for seed in ([\d ]+); do", job) == ["1 2 3 4", "2 3 4"]
+    assert "PYTHONHASHSEED=$seed" in job
+    assert "-1 results/${{ matrix.scenario }}-$seed" in job
+
+
+def test_one_operator_timeline():
+    """A drill is a plan the rig arms, starts and stops: no driver starts
+    a controller, schedules a verb or lists what to stop, and the
+    surfaces the plan replaced are gone from the package."""
+    drivers = {
+        name: (REPO / "src" / "repro" / "experiments" / f"{name}.py").read_text()
+        for name in ("chaos", "rotation", "fleet", "capacity")
+    }
+    for name, text in drivers.items():
+        for wired in (r"\.start\(", r"loop\.schedule", r"\bstop=", r"(?<!\brig)\.arm\("):
+            assert re.search(wired, text) is None, f"{name}.py: {wired}"
+    package = "".join(path.read_text() for path in (REPO / "src" / "repro").rglob("*.py"))
+    for gone in (r"\badd_fault_rig\b", r"\bShardAutoscaler\b", r"\.shifted\(",
+                 r"\bdef shifted\b", r"def start\(self, announce_at", r"\barmed_events\b"):
+        assert re.search(gone, package) is None, gone
+
+
 def test_ci_examples_job_runs_the_examples_scenario_diff_compares():
     workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
     (loop,) = re.findall(r"for example in ([\w ]+); do", workflow)

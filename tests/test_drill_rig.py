@@ -1,7 +1,11 @@
-"""The drill rig's contract: drained loops, one run-end record, real shed counts."""
+"""The drill rig's contract: drained loops, one run-end record, real shed
+counts, and one operator timeline armed in one place."""
 
 from __future__ import annotations
 
+import pytest
+
+from repro.crypto.keys import KeyFactory
 from repro.experiments.capacity import (
     CapacityPlan,
     CapacityPointResult,
@@ -10,9 +14,12 @@ from repro.experiments.capacity import (
 )
 from repro.experiments.fleet import FleetDrillResult
 from repro.experiments.rig import DrillRig
+from repro.experiments.rotation import ROTATION_CONFIG
+from repro.faults import FaultEvent, FaultPlan
 from repro.obs.slo import Objective
 from repro.overload import OverloadPolicy
 from repro.proxy.config import PProxConfig
+from repro.proxy.epochs import RotationCoordinator
 from repro.telemetry import Telemetry
 
 
@@ -103,3 +110,76 @@ def test_anonymity_floor_counts_the_ia_alive_behind_each_flush():
     assert rig.anonymity_floor(after) == min(f.size for f in after) * 1
     assert {obs.source_role for obs in adversary.observations} >= {"client", "ua", "ia", "lrs"}
     assert rejects.violations() == []
+
+
+def test_one_plan_arms_faults_and_a_rotation_and_run_stops_every_controller():
+    """A crash, a partition and a rotate armed as one plan: each fires,
+    and is stamped, at ``rig.start + at``; with no stop list the run
+    drains with every controller stopped."""
+    rig = DrillRig("timeline", 5, grace=2.0, frontends=1)
+    rig.deploy(ROTATION_CONFIG)
+    rig.add_monitor(0.1)
+    coordinator = RotationCoordinator(
+        loop=rig.loop, service=rig.service, layer="UA", store=rig.lrs.engine.store,
+        provider=rig.ctx.resolved_provider(),
+        factory=KeyFactory(
+            rsa_bits=1024, rng_int=rig.rng.int_fn("rot"), rng_bytes=rig.rng.bytes_fn("rot-b")
+        ),
+        tick_interval=0.05, retire_grace=0.3, telemetry=rig.telemetry,
+    )
+    rig.arm(FaultPlan.from_events([
+        FaultEvent(at=0.4, kind="rotate", target="UA"),
+        FaultEvent(at=0.6, kind="partition", target="ua|ia", duration=0.2),
+        FaultEvent(at=0.9, kind="crash", target="pprox-ua-1", duration=0.3),
+    ]), rotation=coordinator)
+    rig.instrument()
+    rig.preload()
+    rig.offer(40.0, 2.0)
+    rig.run()
+
+    assert rig.start > 0  # preload moved the clock; plan times are relative
+    announced = rig.events("rotation")[0]
+    assert announced["event"] == "epoch_announced"
+    assert announced["time"] == rig.start + 0.4
+    faults = {event["event"]: event for event in rig.events("fault")}
+    for name, at in (("fault_window_open", 0.6), ("instance_crashed", 0.9)):
+        assert faults[name]["time"] == faults[name]["at"] == rig.start + at
+    assert faults["instance_restarted"]["time"] == rig.start + 0.9 + 0.3
+    assert rig.loop.pending == 0
+    assert not rig.monitor.running and not coordinator.running
+
+
+def test_split_then_merge_run_through_one_plan():
+    rig = DrillRig("timeline", 7, grace=2.0, frontends=1)
+    rig.deploy(PProxConfig(shuffle_size=0), shards=2)
+    rig.arm(FaultPlan.from_events([
+        FaultEvent(at=0.2, kind="split", target="s0"),
+        FaultEvent(at=1.5, kind="merge", target="s1|s0"),
+    ]))
+    rig.instrument()
+    rig.offer(40.0, 3.0)
+    rig.run()
+
+    supervisor = rig.fleet_supervisor
+    assert (supervisor.splits_completed, supervisor.merges_completed) == (1, 1)
+    assert rig.service.directory.shards["s1"].state == "retired"
+    assert not supervisor.running
+    report = rig.injector.report
+    assert report.failed == 0 and report.completed == report.issued > 0
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [
+        FaultEvent(at=1.0, kind="rotate", target="UA"),
+        FaultEvent(at=1.0, kind="split", target="s0"),
+        FaultEvent(at=1.0, kind="merge", target="s1|s0"),
+    ],
+    ids=lambda event: event.kind,
+)
+def test_a_verb_with_no_executor_is_refused_at_arm(verb):
+    """Refused where the drill is written, not skipped when it fires."""
+    rig = DrillRig("timeline", 5, grace=1.0)
+    rig.deploy(PProxConfig(shuffle_size=0))
+    with pytest.raises(ValueError, match="rotation coordinator|fleet supervisor"):
+        rig.arm(FaultPlan.from_events([verb]))

@@ -404,7 +404,7 @@ def test_coordinator_retires_and_rekeys_the_store():
     old_users = {event.user for event in harness.engine.store.events}
 
     coordinator = _coordinator(ctx, harness, service, on_cutover=harness.train)
-    coordinator.start(ctx.loop.now)
+    coordinator.announce()
     ctx.loop.run()
 
     assert coordinator.completed
@@ -430,7 +430,7 @@ def test_coordinator_pauses_on_dead_instance_and_resumes():
     ctx.loop.run()
 
     coordinator = _coordinator(ctx, harness, service, batch_size=1)
-    coordinator.start(ctx.loop.now)
+    coordinator.announce()
     victim = service.ua_instances[0]
     # Kill the rotating instance shortly after the announce, restart it
     # a little later — mirroring what the fault supervisor does.
@@ -471,18 +471,18 @@ def test_coordinator_stop_halts_the_drill():
     client.post("a", "i1")
     ctx.loop.run()
     coordinator = _coordinator(ctx, harness, service)
-    coordinator.start(ctx.loop.now + 0.5)
+    ctx.loop.schedule(0.5, coordinator.announce)
     coordinator.stop()
     ctx.loop.run()
     assert coordinator.state == "idle"  # the announce never fired
 
 
-def test_coordinator_start_twice_raises():
+def test_coordinator_announce_twice_raises():
     ctx, harness, service, _client = _mini_stack(seed=43)
     coordinator = _coordinator(ctx, harness, service)
-    coordinator.start(ctx.loop.now)
+    coordinator.announce()
     with pytest.raises(RuntimeError, match="already started"):
-        coordinator.start(ctx.loop.now)
+        coordinator.announce()
     coordinator.stop()
     ctx.loop.run()
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -62,9 +63,50 @@ def test_plan_rejects_unknown_kind_and_negative_time():
         FaultEvent(at=-1.0, kind="crash")
 
 
-def test_plan_shifted_moves_every_event():
-    plan = FaultPlan.from_events([FaultEvent(at=1.0, kind="crash", target="x")])
-    assert plan.shifted(2.5).events[0].at == 3.5
+@pytest.mark.parametrize(
+    "entry",
+    [
+        dict(at=1.0, kind="partition", target="ua", duration=0.5),
+        dict(at=1.0, kind="partition", target="|ia", duration=0.5),
+        dict(at=1.0, kind="delay", duration=-0.2, magnitude=0.01),
+        dict(at=1.0, kind="drop", duration=0.5, magnitude=1.7),
+        dict(at=1.0, kind="brownout", target="lrs", duration=0.5, magnitude=-0.1),
+        dict(at=1.0, kind="delay", duration=0.5, magnitude=-0.01),
+        dict(at=1.0, kind="delay", duration=0.5, magnitude=math.inf),
+        dict(at=math.inf, kind="crash", target="x"),
+        dict(at=math.nan, kind="crash", target="x"),
+        dict(at=1.0, kind="crash", target="x", duration=math.nan),
+        dict(at=1.0, kind="crash", target="x", duration=math.inf),
+        dict(at=1.0, kind="rotate", target="XA"),
+        dict(at=1.0, kind="split", target=""),
+        dict(at=1.0, kind="merge", target="s1|"),
+    ],
+)
+def test_malformed_plan_entry_is_refused_when_built(entry):
+    """An entry that would abort ``loop.run()`` or misfire silently
+    mid-drill is a ``ValueError`` where the plan is written."""
+    with pytest.raises(ValueError):
+        FaultEvent(**entry)
+
+
+def test_arm_counts_plan_times_from_now():
+    """Plan times are relative: an entry armed at 2.5 fires, and is
+    stamped, at 2.5 + at."""
+    telemetry = Telemetry()
+    ctx, _, deployment = _deployment(telemetry=telemetry)
+    victim = deployment.service.ua_instances[0]
+    supervisor = FaultSupervisor(
+        loop=ctx.loop, service=deployment.service,
+        netfaults=NetworkFaultController(network=ctx.network, rng=ctx.rng.stream("netfaults")),
+        telemetry=telemetry,
+    )
+    ctx.loop.run_until(2.5)
+    supervisor.arm(FaultPlan.from_events([FaultEvent(at=1.0, kind="crash", target=victim.name)]))
+    ctx.loop.run()
+    (crashed,) = [
+        e for e in telemetry.event_log.of_kind("fault") if e.payload["event"] == "instance_crashed"
+    ]
+    assert crashed.time == crashed.payload["at"] == 3.5
 
 
 def test_chaos_spec_sampling_is_seed_deterministic():

@@ -7,7 +7,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.cluster.autoscaler import ElasticScaler
 from repro.context import SimContext
 from repro.fleet import (
     ROUTABLE_STATES,
@@ -15,7 +14,6 @@ from repro.fleet import (
     FleetSupervisor,
     HashRing,
     Shard,
-    ShardAutoscaler,
     ShardDirectory,
     build_fleet,
     domain_kill_plan,
@@ -420,35 +418,3 @@ def test_instance_down_pauses_a_split_and_recovery_resumes_it():
     assert not supervisor.paused
     assert supervisor.splits_completed == 1
     assert target.state == "live"
-
-
-def test_shard_autoscaler_splits_the_hot_shard_and_defers_while_busy():
-    ctx, fleet = _fleet(shards=2)
-    # Long drain: the first split is still mid-handoff when the next
-    # autoscaler tick finds the second hot shard.
-    supervisor = FleetSupervisor(
-        loop=ctx.loop, fleet=fleet, tick_interval=0.05, drain_grace=1.5
-    )
-    scaler = ShardAutoscaler(
-        loop=ctx.loop, service=fleet, interval=1.0, high_rps=10.0,
-        supervisor=supervisor, max_shards=4,
-    )
-    supervisor.start()
-    scaler.start()
-
-    def pump():
-        for shard in fleet.directory.shards.values():
-            for instance in shard.ua_instances:
-                instance.requests_processed += 100
-        ctx.loop.schedule(0.5, pump)
-
-    ctx.loop.schedule(0.25, pump)
-    ctx.loop.run_until(2.5)
-    scaler.stop()
-    supervisor.stop()
-    actions = [decision.action for decision in scaler.decisions]
-    assert "split" in actions
-    assert supervisor.splits_started >= 1
-    # The second hot shard had to wait: one operation at a time.
-    assert "split-deferred" in actions
-    assert scaler.deferred_scale_downs >= 1

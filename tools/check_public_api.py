@@ -160,7 +160,6 @@ _FLEET_REQUIRED_EXPORTS = {
     "ShardDirectory",
     "ShardedPProxService",
     "FleetSupervisor",
-    "ShardAutoscaler",
     "build_fleet",
     "domain_kill_plan",
     "placement_violations",
