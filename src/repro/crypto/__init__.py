@@ -6,8 +6,10 @@ Everything the protocol in the paper needs, built from scratch:
 * :mod:`repro.crypto.ctr` — deterministic (constant-IV) and randomized
   AES-CTR, matching the paper's use of Intel SGX-SSL.
 * :mod:`repro.crypto.rsa` — RSA-OAEP with Miller-Rabin key generation;
-  a modulus is a set of primes (three from 1024 bits, RFC 8017 §3.2)
-  and the private operation one CRT power per prime.
+  a modulus is ``pq``, or the multi-power ``p²q`` from 1024 bits, and
+  the private operation one CRT power per distinct prime plus, for
+  ``p²``, one Hensel lift.  The ``p²q`` private key is simulation grade
+  (OpenSSL cannot load it); its public half is an ordinary RSA key.
 * :mod:`repro.crypto.keys` — per-layer key material (Table 1).
 * :mod:`repro.crypto.envelope` — fixed-size identifier encoding and
   padded recommendation lists (§4.3), base64/JSON helpers.

@@ -6,16 +6,24 @@ user identifier under ``pkUA`` and item identifiers / temporary keys
 under ``pkIA`` so that exactly one proxy layer can read each field.
 
 Key generation uses Miller-Rabin probabilistic primality testing.
-A modulus is the product of a set of primes (RFC 8017 §3.2): two below
-1024 bits and three from 1024 bits up, the counts OpenSSL allows (its
-``ossl_rsa_multip_cap``).  The public key is ``(n, e)`` either way, so
-OAEP and the wire do not depend on the count.  The private operation
-runs through the Chinese Remainder Theorem, one modular power per
-prime; CPython's ``pow`` costs roughly the cube of the operand size,
-so three ≈ 341-bit powers take about half the time of two 512-bit
-ones.  Default modulus size is 1024 bits — small by deployment
-standards but sound for a simulation, and fast enough to run thousands
-of real decryptions inside the benchmarks.
+Below 1024 bits a modulus is ``n = pq``; from 1024 bits up it is the
+multi-power modulus ``n = p²q`` (Takagi, CRYPTO '98), whose smallest
+factor is still a third of the modulus (340 bits at 1024).  The public
+key is ``(n, e)`` either way, so any standard RSA-OAEP encryptor can
+encrypt to it, and OAEP and the wire do not depend on the shape.  The
+private operation runs through the Chinese Remainder Theorem over the
+prime *powers*: one modular power per distinct prime, and for ``p²``
+one Hensel step that lifts the root from mod ``p`` to mod ``p²``.
+CPython's ``pow`` costs roughly the cube of the operand size, so two ≈
+341-bit powers and a lift cost about 70 % of three ≈ 341-bit powers
+(the RFC 8017 three-prime key) and about a third of two 512-bit ones.
+
+The ``p²q`` private key is simulation-grade: RFC 8017 multi-prime keys
+need distinct primes, and OpenSSL (hence the SGX-SSL library the paper's
+enclaves run) cannot load one.  Only its public half is an ordinary RSA
+key.  Default modulus size is 1024 bits — small by deployment standards
+but sound for a simulation, and fast enough to run thousands of real
+decryptions inside the benchmarks.
 """
 
 from __future__ import annotations
@@ -72,11 +80,12 @@ def _is_probable_prime(candidate: int, rng: Callable[[int], int], rounds: int = 
 def _random_prime(bits: int, rng: Callable[[int], int], top_bits: int = 2) -> int:
     """Sample a random prime with exactly *bits* bits and its top *top_bits* set.
 
-    With ``k`` primes each carrying its top ``k`` bits, every prime is at
-    least ``(1 - 2**-k)`` times its power of two, and ``(1 - 2**-k)**k``
-    exceeds one half for ``k`` = 2 (0.5625) and 3 (0.67).  So the product
-    always has exactly the sum of the prime sizes in bits, and key
-    generation never has to throw a set away for a short modulus.
+    With ``k`` prime factors (counted with multiplicity) each carrying
+    its top ``k`` bits, every factor is at least ``(1 - 2**-k)`` times
+    its power of two, and ``(1 - 2**-k)**k`` exceeds one half for ``k`` =
+    2 (0.5625) and 3 (0.67).  So the product always has exactly the sum
+    of the factor sizes in bits, and key generation never has to throw a
+    pair away for a short modulus.
     """
     top = (1 << top_bits) - 1
     while True:
@@ -116,13 +125,26 @@ class RsaPublicKey:
 
 @dataclass(frozen=True)
 class RsaPrivateKey:
-    """RSA private key over a set of primes, with CRT decryption."""
+    """RSA private key over its prime factors, with CRT decryption."""
 
     n: int
     e: int
     d: int
-    #: The prime factors of ``n``, two or three, in the order drawn.
+    #: The prime factors of ``n`` with multiplicity, in the order drawn:
+    #: ``(p, q)``, or ``(p, p, q)`` for a multi-power key.
     primes: Tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        # A key whose factors do not describe n would otherwise decrypt
+        # to garbage and fail as if the ciphertext were malformed.
+        if prod(self.primes) != self.n:
+            raise ValueError("the primes do not multiply to n")
+        for prime in set(self.primes):
+            if self.primes.count(prime) > 2:
+                # The lift from mod p is a single Hensel step: p² at most.
+                raise ValueError("a prime may be listed at most twice")
+            if prime < 2 or (self.e * self.d - 1) % (prime - 1):
+                raise ValueError("e * d is not 1 modulo p - 1 for every prime p")
 
     @property
     def public_key(self) -> RsaPublicKey:
@@ -147,28 +169,43 @@ class RsaPrivateKey:
         return _oaep_decode(padded, self.modulus_bytes)
 
     @cached_property
-    def _crt_params(self) -> Tuple[Tuple[int, int, int], ...]:
-        """Per prime ``p_i``: ``(p_i, d mod (p_i - 1), (p_1...p_{i-1})^-1 mod p_i)``."""
+    def _crt_params(self) -> Tuple[Tuple[int, int, int, int, int], ...]:
+        """Per distinct prime ``p`` dividing ``n`` exactly ``k`` times:
+        ``(p, p^k, d mod (p - 1) - 1, e^-1 mod p, M^-1 mod p^k)``, where
+        ``M`` is the product of the prime powers before it."""
         params = []
         product = 1
-        for prime in self.primes:
-            params.append((prime, self.d % (prime - 1), pow(product, -1, prime)))
-            product *= prime
+        for prime in dict.fromkeys(self.primes):
+            modulus = prime ** self.primes.count(prime)
+            params.append((prime, modulus, self.d % (prime - 1) - 1,
+                           pow(self.e, -1, prime), pow(product, -1, modulus)))
+            product *= modulus
         return tuple(params)
 
     def _crt_power(self, value: int) -> int:
-        """Compute ``value ** d mod n`` from one power per prime.
+        """Compute ``value ** d mod n`` from one power per distinct prime.
 
-        Garner's recombination (RFC 8017 §5.1.2, step 2.b): ``result``
-        is the answer modulo the product of the primes seen so far, and
-        each further prime lifts it by a multiple of that product.
+        Mod ``p`` the root is ``B * v`` with ``B = v^(d_p - 1)``.  For
+        ``p²`` one Hensel step lifts it: the inverse of the derivative
+        ``e * root^(e-1)`` mod ``p`` is ``B * e^-1``, because
+        ``root^(e-1) = v / root``, so no call inverts anything.  When
+        ``p`` divides ``v`` the root and the lift are both 0, as
+        ``pow(v, d, n)`` is.  Garner's recombination (RFC 8017 §5.1.2,
+        step 2.b) then makes ``result`` the answer modulo the product of
+        the prime powers seen so far, each further one lifting it by a
+        multiple of that product.
         """
         result = 0
         product = 1
-        for prime, exponent, coefficient in self._crt_params:
-            residue = pow(value % prime, exponent, prime)
-            result += product * ((residue - result) * coefficient % prime)
-            product *= prime
+        for prime, modulus, exponent, e_inverse, coefficient in self._crt_params:
+            residue = value % prime
+            base = pow(residue, exponent, prime)
+            root = base * residue % prime
+            if modulus != prime:
+                error = (value - pow(root, self.e, modulus)) % modulus // prime
+                root += prime * (error * base * e_inverse % prime)
+            result += product * ((root - result) * coefficient % modulus)
+            product *= modulus
         return result
 
 
@@ -177,11 +214,12 @@ def generate_keypair(
 ) -> Tuple[RsaPublicKey, RsaPrivateKey]:
     """Generate an RSA keypair with a *bits*-bit modulus.
 
-    The modulus is the product of two distinct primes below 1024 bits
-    and three from 1024 bits up, whose sizes sum to *bits* ([342, 341,
-    341] at 1024).  *rng* maps an exclusive upper bound to a uniform
-    integer in ``[0, bound)``; defaults to a CSPRNG.  Supplying a seeded
-    rng makes key generation reproducible for tests.
+    Two distinct primes ``p`` and ``q`` are drawn: ``n = pq`` below 1024
+    bits ([416, 416] at 832), and ``n = p²q`` from 1024 bits up, with
+    ``p`` of ``ceil(bits / 3)`` bits and ``q`` the rest ([342, 340] at
+    1024, [683, 682] at 2048).  *rng* maps an exclusive upper bound to a
+    uniform integer in ``[0, bound)``; defaults to a CSPRNG.  Supplying a
+    seeded rng makes key generation reproducible for tests.
     """
     if bits < 832:
         # OAEP with SHA-256 needs 2*32+2 = 66 bytes of overhead, and the
@@ -191,17 +229,21 @@ def generate_keypair(
         def rng(bound: int) -> int:
             return int.from_bytes(os.urandom((bound.bit_length() + 7) // 8 + 8), "big") % bound
 
-    count = 2 if bits < 1024 else 3
-    sizes = [bits // count + (index < bits % count) for index in range(count)]
-    primes: List[int] = []
-    while len(primes) < count:
-        prime = _random_prime(sizes[len(primes)], rng, count)
-        # e must be invertible modulo every p_i - 1.
-        if prime not in primes and (prime - 1) % _E:
-            primes.append(prime)
+    count = 2 if bits < 1024 else 3  # prime factors, with multiplicity
+    first = -(-bits // count)
+    sizes = [first, bits - (count - 1) * first]
+    distinct: List[int] = []
+    while len(distinct) < 2:
+        prime = _random_prime(sizes[len(distinct)], rng, count)
+        # e must be invertible modulo every p - 1.
+        if prime not in distinct and (prime - 1) % _E:
+            distinct.append(prime)
+    p, q = distinct
+    primes = (p, q) if count == 2 else (p, p, q)
     n = prod(primes)
-    d = pow(_E, -1, prod(prime - 1 for prime in primes))
-    return RsaPublicKey(n=n, e=_E), RsaPrivateKey(n=n, e=_E, d=d, primes=tuple(primes))
+    # φ(n): (p - 1)(q - 1) for pq, p(p - 1)(q - 1) for p²q.
+    d = pow(_E, -1, n // (p * q) * (p - 1) * (q - 1))
+    return RsaPublicKey(n=n, e=_E), RsaPrivateKey(n=n, e=_E, d=d, primes=primes)
 
 
 def _mgf1(seed: bytes, length: int) -> bytes:

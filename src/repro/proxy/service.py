@@ -47,10 +47,10 @@ _CODE_IDENTITY = {"UA": UA_CODE_IDENTITY, "IA": IA_CODE_IDENTITY}
 #: Modulus size of every layer keypair a deployment generates.
 RSA_BITS = 1024
 
-# RSA key generation in pure Python is slow (0.04 s median per 1024-bit
-# three-prime keypair over 15 seeds on a 2-core host, CPython 3.11, all
-# of it Miller-Rabin ``pow``); cache deterministic keypairs across
-# experiment configurations of a run.
+# RSA key generation in pure Python is slow (0.025-0.03 s median per
+# 1024-bit p²q keypair over 15 seeds on a 2-core host, CPython 3.11, all
+# of it Miller-Rabin ``pow`` on two primes); cache deterministic
+# keypairs across experiment configurations of a run.
 _KEYPAIR_CACHE: Dict[Tuple[int, int, str], LayerKeys] = {}
 
 

@@ -19,11 +19,12 @@ from repro.crypto.rsa import OaepError, RsaPrivateKey, RsaPublicKey, generate_ke
 # ``cryptography`` package (OpenSSL), RSAES-OAEP with SHA-256, MGF1-SHA-256
 # and an empty label, e = 65537.  KAT2_* is a two-prime 1024-bit key that
 # library generated, with its own (n, d, p, q) and its ciphertext of
-# KAT2_MESSAGE.  KAT3_* is the three-prime key
+# KAT2_MESSAGE.  KAT3_* is the n = p²q key (three prime factors counted
+# with multiplicity, ``primes == (p, p, q)``) that
 # ``generate_keypair(1024, random.Random(KAT3_SEED).randrange)`` returns,
 # and a ciphertext of KAT3_MESSAGE the library made from that key's
-# (n, e) alone.  Regenerate with that package's
-# ``asymmetric.rsa.generate_private_key(65537, 1024)`` and
+# (n, e) alone (it refuses to load a p²q private key).  Regenerate with
+# that package's ``asymmetric.rsa.generate_private_key(65537, 1024)`` and
 # ``RSAPublicNumbers(e, n).public_key().encrypt(message, OAEP(...))``.
 KAT2_MESSAGE = b"PProx KAT: two-prime key made by an independent library"
 KAT2_N = int(
@@ -58,44 +59,39 @@ KAT2_CIPHERTEXT = bytes.fromhex(
 )
 
 KAT3_SEED = 2026
-KAT3_MESSAGE = b"PProx KAT: three-prime key, independent encryptor"
+KAT3_MESSAGE = b"PProx KAT: three-prime (p, p, q) key, independent encryptor"
 KAT3_N = int(
-    "b49bfa0fbc58d1b693757de1fce66b20e54a359fcfac1915767ff104d14d584e"
-    "eed76bbfa3a780da81fd5149dd39c5d4c2367c4b81033e73f85f26c747b511e6"
-    "b02e0b578143a82e0d427c2902f188cf01c14e109be5a266b5c2b4e68b66a078"
-    "d79870caf741aaafe1293ee1f5f290136a3d32250c0f541db9a04cfa84629021",
+    "c02667f6ba5cd1979c2d880e3edbe99b591255ff82de480cec9c216c832d18a5"
+    "a69197fd94d199de3e1f37d26255cae3c6fdda48e50fbbb9ba8789e1dee310af"
+    "74a8499bf7ad81c4d9d6c851975ec996f0efa1a02dcaab50f512586c5f6730bc"
+    "366ad564efea8b01ee3e94f50b8da6fc08531d7043e4539b7792c556a3cf283d",
     16,
 )
 KAT3_D = int(
-    "a8969c6249e702c3117c6fe81e411ba8d63f6234ee0e704fb7908ff376486371"
-    "32c385419acb059d720f6c175fa8ba9bf5892ca87695a81a8836d33662707ddb"
-    "e6ac1033c7c3f97f047ca2e4f81b7b8d8b71b772b3285c30ae5b7fa5f278926c"
-    "9db9d9241b260bffa5f86be235549a17c93ebafc1458b8e54dd21b1624fa53f1",
+    "456619aa7d08c51252f006f1ce36331b4e8256d91ff51464c698656201c6a9de"
+    "3a58df6250fb9aed2fd6a4b664ee1beafcee7672ccabd3320235288c66457b3a"
+    "e525dd6f16d053698360169569444c5a979215cbccb4c36ce0e6b799e731caf7"
+    "447ba942ed8c49300e01452fade5458ae6f3de550aa17971e24b5d8702e63f21",
     16,
 )
-KAT3_P1 = int(
+KAT3_P = int(
     "39b2b897482b48d57b0f3cb175dfa37cea0d73933299e0ab1ca59a990b7d85c3"
     "733f27f55f313940b2174d",
     16,
 )
-KAT3_P2 = int(
-    "1c32657d353e5a00dbce669770a9611a258e68e8353a03a1e34369da41e82b10"
-    "6dac929f93026bef59b7af",
-    16,
-)
-KAT3_P3 = int(
-    "1c6b691a85b21136f2e886c02d23a69f93a76c60901d0ae076500823fbb10a2e"
-    "17ffc7b7f3c4cbec770c6b",
+KAT3_Q = int(
+    "ec6a81384eb0604c327d8eee4303d65539ade985c5385124648a5263be6e9152"
+    "1fc333c4e44d03596b0f5",
     16,
 )
 KAT3_CIPHERTEXT = bytes.fromhex(
-    "02e5e2b7d0b21f6274cd89d43dafd1ece0797d05cf1b0e4b05e02db35d9d68f0"
-    "79108bb4779c67f2c82f5fab66d27d991c68b1a1cc0829137d039ad97e49afa4"
-    "d4739a04021b10f6374250b6e250017b467b276f7538ee9e52b016b86439c43e"
-    "b186962d1785be6fef3b2b965918e73f482a8a12b4109dd0afcee2531cdd1791"
+    "2a616ca84d653b02fa670ca30ada0badeb8b7c7646687376eeb11ee96732a61a"
+    "3342dc343957edc6c22c0d239516644ff9caa8a6a5c46a249bb112e84d0ec7f0"
+    "663b9043437bedc1bd254c04f13b9421a6fa12bf709ac7813b118e50b3e81cd4"
+    "d238e44effea5a93134c0a88a82d888149e486ee3618316697c08c743f5466bf"
 )
 
-_SIZES = {832: [416, 416], 1024: [342, 341, 341], 2048: [683, 683, 682]}
+_SIZES = {832: [416, 416], 1024: [342, 340], 2048: [683, 682]}
 
 
 @pytest.fixture(scope="module")
@@ -117,10 +113,11 @@ def test_keygen_rejects_tiny_moduli():
 
 @pytest.mark.parametrize("bits", [832, 1024, 2048])
 def test_keygen_never_discards_a_prime_pair(bits, monkeypatch):
-    """Two primes below 1024 bits, three from 1024 up, sizes summing to
-    *bits*.  Each of k primes carries its top k bits, so the modulus
-    always has the requested length and the first set drawn is the set
-    used."""
+    """Two distinct primes p and q: n = pq below 1024 bits, n = p²q from
+    1024 up, sized so the factors sum to *bits*.  Each of the k prime
+    factors (counted with multiplicity) carries its top k bits, so the
+    modulus always has the requested length and the first pair drawn is
+    the pair used."""
     draws = []
     random_prime = rsa._random_prime
 
@@ -130,17 +127,20 @@ def test_keygen_never_discards_a_prime_pair(bits, monkeypatch):
 
     monkeypatch.setattr(rsa, "_random_prime", counting_random_prime)
     sizes = _SIZES[bits]
-    top = (1 << len(sizes)) - 1
+    count = 2 if bits < 1024 else 3
+    top = (1 << count) - 1
     for seed in range(4 if bits == 2048 else 20):
         del draws[:]
         public, private = generate_keypair(bits, random.Random(seed).randrange)
         assert draws == sizes
-        assert [prime.bit_length() for prime in private.primes] == sizes
-        assert all(prime >> (size - len(sizes)) == top
-                   for prime, size in zip(private.primes, sizes))
+        p, q = private.primes[0], private.primes[-1]
+        assert private.primes == ((p, q) if count == 2 else (p, p, q))
+        assert [p.bit_length(), q.bit_length()] == sizes
+        assert all(prime >> (size - count) == top
+                   for prime, size in zip((p, q), sizes))
         assert prod(private.primes) == public.n
         assert public.n.bit_length() == bits
-        assert len(set(private.primes)) == len(sizes)
+        assert p != q
 
 
 def test_modulus_has_requested_bits(keypair):
@@ -208,6 +208,7 @@ def test_crt_matches_plain_exponentiation(keypair):
 
 @pytest.fixture(scope="module")
 def keys_by_prime_count(keypair):
+    """A pq key and a p²q key, by prime factors counted with multiplicity."""
     _, two_prime = generate_keypair(832, random.Random(7).randrange)
     return {2: two_prime, 3: keypair[1]}
 
@@ -218,10 +219,21 @@ def keys_by_prime_count(keypair):
 def test_crt_power_is_plain_exponentiation_for_any_prime_set(keys_by_prime_count, count, data):
     private = keys_by_prime_count[count]
     assert len(private.primes) == count
+    assert len(set(private.primes)) == 2
     for prime in private.primes:
         assert private.e * private.d % (prime - 1) == 1
     value = data.draw(st.integers(min_value=0, max_value=private.n - 1))
     assert private._crt_power(value) == pow(value, private.d, private.n)
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_crt_power_is_plain_exponentiation_at_the_edges(keys_by_prime_count, count):
+    """Values the Hensel lift and the Garner steps treat specially: 0, 1,
+    multiples of p (where the root mod p is 0), q and n - 1."""
+    private = keys_by_prime_count[count]
+    p, q, n = private.primes[0], private.primes[-1], private.n
+    for value in (0, 1, p, 5 * p, p * p % n, q, n - 1):
+        assert private._crt_power(value) == pow(value, private.d, n)
 
 
 _KATS = {
@@ -231,7 +243,7 @@ _KATS = {
         KAT2_CIPHERTEXT,
     ),
     "three_prime_our_key": (
-        RsaPrivateKey(n=KAT3_N, e=65537, d=KAT3_D, primes=(KAT3_P1, KAT3_P2, KAT3_P3)),
+        RsaPrivateKey(n=KAT3_N, e=65537, d=KAT3_D, primes=(KAT3_P, KAT3_P, KAT3_Q)),
         KAT3_MESSAGE,
         KAT3_CIPHERTEXT,
     ),
@@ -257,17 +269,46 @@ def test_oaep_known_answer_with_a_flipped_bit_is_rejected(name, bit):
 def test_three_prime_vector_key_is_the_key_keygen_draws():
     public, private = generate_keypair(1024, random.Random(KAT3_SEED).randrange)
     assert public.n == KAT3_N
-    assert private.primes == (KAT3_P1, KAT3_P2, KAT3_P3)
+    assert private.primes == (KAT3_P, KAT3_P, KAT3_Q)
     assert private.d == KAT3_D
 
 
 def test_keygen_skips_a_repeated_prime_and_one_e_cannot_invert(monkeypatch):
+    """A q equal to p is redrawn: the p² of n = p²q is the shape, a third
+    draw of p would be a different key."""
     unusable = 3 * 65537 + 1  # p - 1 is a multiple of e
-    draws = iter([unusable, KAT3_P1, KAT3_P1, KAT3_P2, KAT3_P3])
+    draws = iter([unusable, KAT3_P, KAT3_P, KAT3_Q])
     monkeypatch.setattr(rsa, "_random_prime", lambda *args: next(draws))
     public, private = generate_keypair(1024, random.Random(0).randrange)
-    assert private.primes == (KAT3_P1, KAT3_P2, KAT3_P3)
+    assert private.primes == (KAT3_P, KAT3_P, KAT3_Q)
     assert (public.n, private.d) == (KAT3_N, KAT3_D)
+
+
+_P3_D = pow(65537, -1, KAT3_P * KAT3_P * (KAT3_P - 1))
+
+_BROKEN_KEYS = {
+    "a_prime_that_does_not_divide_n": (KAT3_N, KAT3_D, (KAT3_P, KAT3_P, KAT3_Q + 2), "multiply"),
+    "a_factor_missing": (KAT3_N, KAT3_D, (KAT3_P, KAT3_Q), "multiply"),
+    "a_prime_three_times": (KAT3_P ** 3, _P3_D, (KAT3_P, KAT3_P, KAT3_P), "at most twice"),
+    "d_not_the_inverse_of_e": (KAT3_N, KAT3_D + 1, (KAT3_P, KAT3_P, KAT3_Q), "modulo p - 1"),
+    "a_unit_factor": (KAT3_N, KAT3_D, (KAT3_P, KAT3_P, KAT3_Q, 1), "modulo p - 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_KEYS))
+def test_a_key_whose_factors_do_not_describe_n_is_refused(case):
+    """Refused at construction, not at the first decrypt, where it would
+    read as a malformed ciphertext (``OaepError``)."""
+    n, d, primes, reason = _BROKEN_KEYS[case]
+    with pytest.raises(ValueError, match=reason) as caught:
+        RsaPrivateKey(n=n, e=65537, d=d, primes=primes)
+    assert not isinstance(caught.value, OaepError)
+
+
+def test_a_two_prime_and_a_p2q_key_construct():
+    two_prime = RsaPrivateKey(n=KAT2_N, e=65537, d=KAT2_D, primes=(KAT2_P, KAT2_Q))
+    p2q = RsaPrivateKey(n=KAT3_N, e=65537, d=KAT3_D, primes=(KAT3_P, KAT3_P, KAT3_Q))
+    assert [len(key._crt_params) for key in (two_prime, p2q)] == [2, 2]
 
 
 def test_public_key_accessor(keypair):

@@ -254,6 +254,10 @@ def test_one_operator_timeline():
 
 def test_ci_examples_job_runs_the_examples_scenario_diff_compares():
     workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    job = workflow[workflow.index("\n  examples:\n"):workflow.index("\n  e2e-bench-selftest:\n")]
+    assert re.findall(r"for seed in ([\d ]+); do", job) == ["1 2 3 4", "2 3 4"]
+    assert "PYTHONHASHSEED=$seed" in job
+    assert "diff $example-1.txt $example-$seed.txt" in job
     (loop,) = re.findall(r"for example in ([\w ]+); do", workflow)
     tool = (REPO / "tools" / "scenario_diff.py").read_text()
     (listed,) = re.findall(r"^EXAMPLES = \(([^)]*)\)", tool, flags=re.M)
