@@ -12,22 +12,12 @@ from repro.experiments.figures import (
     figure10,
 )
 from repro.experiments.rig import DrillRig
-from repro.experiments.chaos import ChaosResult, run_chaos
-from repro.experiments.overload import (
-    LoadPoint,
-    OverloadResult,
-    overload_cost_model,
-    run_overload,
-)
-from repro.experiments.rotation import (
-    RotationResult,
-    default_rotation_plan,
-    run_rotation,
-)
-from repro.experiments.fleet import FleetDrillResult, run_fleet_drill
+from repro.experiments.chaos import run_chaos
+from repro.experiments.overload import overload_cost_model, run_overload
+from repro.experiments.rotation import default_rotation_plan, run_rotation
+from repro.experiments.fleet import run_fleet_drill
 from repro.experiments.capacity import (
     CapacityPlan,
-    CapacityPointResult,
     CapacityTarget,
     run_capacity,
     solve_plan,
@@ -54,19 +44,13 @@ __all__ = [
     "SCALING_RPS_GRID",
     "RunResult",
     "DrillRig",
-    "ChaosResult",
     "run_chaos",
-    "LoadPoint",
-    "OverloadResult",
     "overload_cost_model",
     "run_overload",
-    "RotationResult",
     "default_rotation_plan",
     "run_rotation",
-    "FleetDrillResult",
     "run_fleet_drill",
     "CapacityPlan",
-    "CapacityPointResult",
     "CapacityTarget",
     "run_capacity",
     "solve_plan",

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.fleet import FLEET_OVERLOAD
-from repro.experiments.rig import POST_SHARE, DrillRig, summarize, write_json
+from repro.experiments.rig import POST_SHARE, DrillRig, write_json
 from repro.faults import ChaosSpec, FaultPlan
-from repro.obs.slo import Objective, SloReport, evaluate_static
+from repro.obs.slo import Objective, run_end_objectives
 from repro.proxy.config import PProxConfig
 from repro.simnet.metrics import percentile
 from repro.telemetry import Telemetry
@@ -36,7 +36,6 @@ __all__ = [
     "MEASURED_PER_PAIR_RPS",
     "CapacityTarget",
     "CapacityPlan",
-    "CapacityPointResult",
     "DEFAULT_TARGETS",
     "solve_plan",
     "capacity_chaos_spec",
@@ -179,7 +178,8 @@ def capacity_slo_objectives(
     (during a total path interruption there is no traffic to mix, so
     the shuffle timer's liveness bound legitimately releases partial
     batches — those are reported, not floored), and the tail bounded
-    by the structural degraded ceiling.
+    by the structural degraded ceiling — and the drill must actually
+    have crashed an instance.
     """
     if chaos:
         assert spec is not None
@@ -209,7 +209,7 @@ def capacity_slo_objectives(
                 value="p99_latency_seconds",
                 description="p99 under chaos vs the structural degraded ceiling.",
             ),
-        ]
+        ] + run_end_objectives(("crashes_injected", "at_least", 1, "Chaos crashed an instance."))
     return [
         Objective(
             name="goodput",
@@ -236,67 +236,8 @@ def capacity_slo_objectives(
     ]
 
 
-@dataclass
-class CapacityPointResult:
-    """Verification outcome for one (target, plan) point."""
-
-    target: CapacityTarget
-    plan: CapacityPlan
-    seed: int
-    mode: str = "chaos"
-    issued: int = 0
-    completed: int = 0
-    failed: int = 0
-    p99_latency_seconds: Optional[float] = None
-    min_released_flush: Optional[int] = None
-    #: Smallest flush released outside network-interruption windows.
-    min_steady_flush: Optional[int] = None
-    sub_floor_interrupted_flushes: int = 0
-    min_effective_anonymity: Optional[int] = None
-    window_flushes: int = 0
-    crashes_injected: int = 0
-    restarts_completed: int = 0
-    ejections: int = 0
-    readmissions: int = 0
-    failovers: int = 0
-    shed_total: int = 0
-    fault_kinds: Dict[str, int] = field(default_factory=dict)
-    slo_report: Optional[SloReport] = None
-
-    @property
-    def goodput(self) -> float:
-        return self.completed / self.issued if self.issued else 0.0
-
-    @property
-    def ok(self) -> bool:
-        return self.slo_report is not None and self.slo_report.ok
-
-    def problems(self) -> List[str]:
-        found: List[str] = []
-        label = f"{self.target.label()}/{self.mode}"
-        if self.slo_report is None:
-            found.append(f"{label}: no SLO verdict produced")
-            return found
-        for measurement in self.slo_report.measurements:
-            if not measurement.ok:
-                found.append(
-                    f"{label}: objective {measurement.name} failed"
-                    f" (observed {measurement.value!r}, target {measurement.target})"
-                )
-        if self.mode == "chaos" and not self.crashes_injected:
-            found.append(f"{label}: chaos never crashed an instance")
-        return found
-
-    def to_dict(self) -> Dict[str, Any]:
-        summary = summarize(
-            self,
-            derived=("goodput",),
-            rounding={"goodput": 6, "p99_latency_seconds": 6},
-        )
-        summary["target"] = {"rps": self.target.rps, "p99_slo": self.target.p99_slo}
-        summary["plan"] = self.plan.to_dict()
-        summary["slo"] = self.slo_report.to_dict() if self.slo_report else None
-        return summary
+#: The shared counters a capacity leg reports, read after the drain.
+COUNTERS = ("issued", "completed", "failed", "crashes_injected", "restarts_completed", "shed_total")
 
 
 def verify_plan(
@@ -307,12 +248,15 @@ def verify_plan(
     duration: float = 8.0,
     chaos: bool = True,
     telemetry: Optional[Telemetry] = None,
-) -> CapacityPointResult:
-    """Run one solved plan at its target rate, overload always armed.
+) -> DrillRig:
+    """Run one solved plan at its target rate, overload always armed;
+    returns the finished rig.
 
     With *chaos* a :func:`capacity_chaos_spec` fault plan is sampled
     and armed mid-run; without it the same stack runs fault-free (the
-    steady-state leg of the verdict).
+    steady-state leg of the verdict).  No engine watches a leg: it is
+    judged statically on its run-end values, under its run label, and
+    its ``capacity.json`` entry is the summary plus that verdict.
     """
     mode = "chaos" if chaos else "clean"
     # The planner sizes the proxy fleet; the LRS behind it is assumed
@@ -376,46 +320,45 @@ def verify_plan(
     fault_kinds: Dict[str, int] = {}
     for event in faults:
         fault_kinds[event.kind] = fault_kinds.get(event.kind, 0) + 1
-    result = CapacityPointResult(
-        target=target,
-        plan=plan,
-        seed=seed,
-        mode=mode,
-        p99_latency_seconds=p99,
-        min_released_flush=min((f.size for f in window), default=None),
-        min_steady_flush=min((f.size for f in steady), default=None),
-        sub_floor_interrupted_flushes=sum(
+    counters = rig.counters_for(*COUNTERS)
+    issued = counters["issued"]
+    summary = {
+        "point": target.label(),
+        "target": {"rps": target.rps, "p99_slo": target.p99_slo},
+        "plan": plan.to_dict(),
+        "seed": seed,
+        "mode": mode,
+        **counters,
+        "p99_latency_seconds": None if p99 is None else round(p99, 6),
+        "min_released_flush": min((f.size for f in window), default=None),
+        # Smallest flush released outside network-interruption windows.
+        "min_steady_flush": min((f.size for f in steady), default=None),
+        "sub_floor_interrupted_flushes": sum(
             1 for f in window if f.size < plan.shuffle_size and interrupted(f.at)
         ),
-        min_effective_anonymity=rig.anonymity_floor(window),
-        window_flushes=len(window),
-        ejections=fleet_supervisor.ejections,
-        readmissions=fleet_supervisor.readmissions,
-        failovers=fleet.directory.failovers,
-        fault_kinds=dict(sorted(fault_kinds.items())),
-        **rig.counters_for(CapacityPointResult),
-    )
-    values: Dict[str, Any] = {
-        "issued": float(result.issued),
-        "completed": float(result.completed),
-        "p99_latency_seconds": p99,
+        "min_effective_anonymity": rig.anonymity_floor(window),
+        "window_flushes": len(window),
+        "ejections": fleet_supervisor.ejections,
+        "readmissions": fleet_supervisor.readmissions,
+        "failovers": fleet.directory.failovers,
+        "fault_kinds": dict(sorted(fault_kinds.items())),
+        "goodput": round(counters["completed"] / issued, 6) if issued else 0.0,
     }
-    if result.min_released_flush is not None:
-        values["min_released_flush"] = float(result.min_released_flush)
-    if result.min_steady_flush is not None:
-        values["min_steady_flush"] = float(result.min_steady_flush)
-    result.slo_report = evaluate_static(
+    # The verdict judges the unrounded tail.
+    rig.finish(
+        summary,
         capacity_slo_objectives(target, plan, chaos=chaos, spec=spec),
-        values,
-        experiment=f"capacity/{target.label()}/{mode}",
-        generated_at=rig.loop.now,
+        {"p99_latency_seconds": p99},
     )
-    # Judged statically above: no engine watched the leg, so there is
-    # no verdict for ``rig.finish`` to render before the run-end record.
-    rig.telemetry.finalize_run(extra={
-        "scenario": rig.scenario, "point": target.label(), "mode": mode, **result.to_dict(),
-    })
-    return result
+    return rig
+
+
+def _leg(rig: DrillRig) -> Dict[str, Any]:
+    """A finished leg's ``capacity.json`` entry: its summary (the point
+    label is the enclosing entry's) and its verdict."""
+    leg = {key: value for key, value in rig.summary.items() if key != "point"}
+    leg["slo"] = rig.verdict.to_dict()
+    return leg
 
 
 def run_capacity(
@@ -424,8 +367,9 @@ def run_capacity(
     seed: int = 11,
     duration: float = 8.0,
     telemetry: Optional[Telemetry] = None,
-) -> Tuple[Dict[str, Any], Dict[str, Any], List[CapacityPointResult]]:
-    """Solve and verify every target; returns (artifact, meta, results).
+) -> Tuple[Dict[str, Any], Dict[str, Any], List[DrillRig]]:
+    """Solve and verify every target; returns (artifact, meta, rigs),
+    one finished rig per leg.
 
     Each target is verified twice — a fault-free run proving the
     steady-state SLO and a chaos run proving graceful degradation —
@@ -434,14 +378,14 @@ def run_capacity(
     wall-clock measurements.
     """
     points: List[Dict[str, Any]] = []
-    results: List[CapacityPointResult] = []
+    rigs: List[DrillRig] = []
     metas: List[Dict[str, Any]] = []
     for index, target in enumerate(targets):
         plan = solve_plan(target)
         legs: Dict[str, Dict[str, Any]] = {}
         for leg, chaos in (("clean", False), ("chaos", True)):
             wall_start = time.perf_counter()
-            result = verify_plan(
+            rig = verify_plan(
                 target,
                 plan,
                 seed=seed + index,
@@ -450,8 +394,8 @@ def run_capacity(
                 telemetry=telemetry if len(targets) == 1 else None,
             )
             wall = time.perf_counter() - wall_start
-            legs[leg] = result.to_dict()
-            results.append(result)
+            legs[leg] = _leg(rig)
+            rigs.append(rig)
             metas.append(
                 {"point": target.label(), "mode": leg, "wall_seconds": wall}
             )
@@ -470,13 +414,13 @@ def run_capacity(
         "per_pair_rps": MEASURED_PER_PAIR_RPS,
         "planning_utilization": PLANNING_UTILIZATION,
         "points": points,
-        "ok": all(result.ok for result in results),
+        "ok": all(rig.verdict.ok for rig in rigs),
     }
     meta = {
         "points": metas,
         "total_wall_seconds": sum(entry["wall_seconds"] for entry in metas),
     }
-    return artifact, meta, results
+    return artifact, meta, rigs
 
 
 def write_artifacts(
@@ -491,25 +435,25 @@ def write_artifacts(
 
 def gate(out_dir: str) -> List[str]:
     """``repro run capacity``: solve the canonical targets, verify
-    both legs of each, write ``capacity.json`` (+ the wall-clock meta)."""
-    artifact, meta, results = run_capacity()
+    both legs of each, write ``capacity.json`` (+ the wall-clock meta);
+    its problems are every leg's verdict's."""
+    artifact, meta, rigs = run_capacity()
     print("capacity plan verification")
     print("==========================")
     print(
         f"  {'target':>7s} {'p99 slo':>8s} {'mode':>6s} {'shards':>6s} {'I':>3s}"
         f" {'S':>3s} {'goodput':>8s} {'p99':>8s} {'min S':>6s} {'ok':>4s}"
     )
-    for result in results:
-        floor = (
-            result.min_steady_flush if result.mode == "chaos" else result.min_released_flush
-        )
-        p99 = "-" if result.p99_latency_seconds is None else f"{result.p99_latency_seconds:.3f}"
+    for rig in rigs:
+        leg, plan = rig.summary, rig.summary["plan"]
+        floor = leg["min_steady_flush"] if leg["mode"] == "chaos" else leg["min_released_flush"]
+        p99 = "-" if leg["p99_latency_seconds"] is None else f"{leg['p99_latency_seconds']:.3f}"
         print(
-            f"  {result.target.rps:7.0f} {result.target.p99_slo:8.2f}"
-            f" {result.mode:>6s} {result.plan.shards:6d}"
-            f" {result.plan.instances_per_shard:3d} {result.plan.shuffle_size:3d}"
-            f" {result.goodput:8.4f} {p99:>8s}"
-            f" {floor if floor is not None else '-':>6} {'yes' if result.ok else 'NO':>4s}"
+            f"  {leg['target']['rps']:7.0f} {leg['target']['p99_slo']:8.2f}"
+            f" {leg['mode']:>6s} {plan['shards']:6d}"
+            f" {plan['instances_per_shard']:3d} {plan['shuffle_size']:3d}"
+            f" {leg['goodput']:8.4f} {p99:>8s}"
+            f" {floor if floor is not None else '-':>6} {'yes' if rig.verdict.ok else 'NO':>4s}"
         )
     write_artifacts(artifact, meta, out_dir)
-    return [problem for result in results for problem in result.problems()]
+    return [problem for rig in rigs for problem in rig.verdict.problems()]

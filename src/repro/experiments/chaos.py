@@ -26,18 +26,16 @@ depends on process state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
-from repro.experiments.rig import DrillRig, print_summary, summarize, write_verdict
+from repro.experiments.rig import DrillRig, print_summary, write_verdict
 from repro.faults import ChaosSpec
 from repro.faults.brownout import BrownoutLrs
-from repro.obs.slo import Objective, SloReport
+from repro.obs.slo import Objective, run_end_objectives
 from repro.proxy.config import PProxConfig
 from repro.telemetry import Telemetry
 
 __all__ = [
-    "ChaosResult",
     "run_chaos",
     "gate",
     "CHAOS_CONFIG",
@@ -60,92 +58,14 @@ CHAOS_CONFIG = PProxConfig(
     balancing="round-robin",
 )
 
-
-@dataclass
-class ChaosResult:
-    """Outcome of one chaos run (all counters are per-run)."""
-
-    seed: int
-    rps: float
-    duration: float
-    availability_floor: float
-    issued: int = 0
-    completed: int = 0
-    failed: int = 0
-    outcomes: Dict[str, int] = field(default_factory=dict)
-    retries_performed: int = 0
-    hedges_launched: int = 0
-    retryable_errors: int = 0
-    timeouts: int = 0
-    crashes_injected: int = 0
-    restarts_completed: int = 0
-    failovers: int = 0
-    readmissions: int = 0
-    partition_drops: int = 0
-    random_drops: int = 0
-    delays_injected: int = 0
-    brownout_rejected: int = 0
-    brownout_slowed: int = 0
-    stale_responses: int = 0
-    transform_errors: int = 0
-    #: The structured ``fault`` events, in emission order (the
-    #: determinism check compares this stream across same-seed runs).
-    fault_events: List[Dict[str, Any]] = field(default_factory=list)
-    audit_violations: int = 0
-    #: The run's SLO verdict, set by :func:`run_chaos`; excluded from
-    #: ``to_dict`` — the gate writes it as its own ``slo.json``.
-    slo_report: Optional[SloReport] = None
-
-    @property
-    def availability(self) -> float:
-        """Fraction of issued calls that completed OK."""
-        return self.completed / self.issued if self.issued else 1.0
-
-    @property
-    def recovered(self) -> bool:
-        """Every injected crash was restarted and readmitted."""
-        return (
-            self.restarts_completed == self.crashes_injected
-            and self.readmissions == self.failovers
-        )
-
-    def problems(self) -> List[str]:
-        """Acceptance-check failures (empty when the drill passed)."""
-        found: List[str] = []
-        if self.availability < self.availability_floor:
-            found.append(
-                f"availability {self.availability:.3f} below floor"
-                f" {self.availability_floor:.3f}"
-            )
-        if self.crashes_injected == 0:
-            found.append("no enclave crash was injected")
-        if self.restarts_completed != self.crashes_injected:
-            found.append(
-                f"{self.crashes_injected} crashes but only"
-                f" {self.restarts_completed} restarts completed"
-            )
-        if self.failovers == 0:
-            found.append("health monitor never ejected a dead backend")
-        if self.readmissions != self.failovers:
-            found.append(
-                f"{self.failovers} ejections but {self.readmissions} readmissions"
-            )
-        if self.partition_drops + self.random_drops + self.delays_injected == 0:
-            found.append("no network fault ever hit a message")
-        if self.brownout_rejected + self.brownout_slowed == 0:
-            found.append("the LRS brownout never degraded a request")
-        if self.audit_violations:
-            found.append(f"redaction audit found {self.audit_violations} leak(s)")
-        return found
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems()
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready summary (fault events as a count; see the artifact)."""
-        return summarize(self, counted=("fault_events",), derived=("availability",))
-
+#: The shared counters a chaos run reports, read after the drain.
+COUNTERS = (
+    "issued", "completed", "failed", "outcomes", "retries_performed",
+    "hedges_launched", "retryable_errors", "timeouts", "crashes_injected",
+    "restarts_completed", "failovers", "readmissions", "partition_drops",
+    "random_drops", "delays_injected", "stale_responses", "transform_errors",
+    "audit_violations",
+)
 
 #: Full-size share of released batches; client p99 ceiling (seconds).
 FULL_BATCH_FLOOR = 0.85
@@ -153,7 +73,7 @@ P99_CEILING = 2.5
 
 
 def chaos_slo_objectives() -> List[Objective]:
-    """The chaos drill's declarative objectives.
+    """The chaos drill's declarative objectives — its whole verdict.
 
     Under chaos the anonymity promise is honestly a *ratio*, not a hard
     floor: failovers legitimately timer-flush a partial batch when the
@@ -161,7 +81,8 @@ def chaos_slo_objectives() -> List[Objective]:
     released — holding them would trade availability for anonymity).
     The SLO therefore budgets thin batches instead of pretending they
     cannot happen: at least :data:`FULL_BATCH_FLOOR` of released
-    batches must be at full size S.
+    batches must be at full size S.  The run-end checks ask for
+    evidence that every fault kind bit and every crash recovered.
     """
     return [
         Objective(
@@ -187,7 +108,15 @@ def chaos_slo_objectives() -> List[Objective]:
             value="p99_latency_seconds",
             description="p99 of client-observed end-to-end latency.",
         ),
-    ]
+    ] + run_end_objectives(
+        ("crashes_injected", "at_least", 1, "An enclave crash was injected."),
+        ("unrestarted_crashes", "equal", 0, "Every crash was restarted (crashes - restarts)."),
+        ("failovers", "at_least", 1, "The health monitor ejected a dead backend."),
+        ("unreadmitted", "equal", 0, "Every ejection was readmitted (ejections - readmits)."),
+        ("network_faults", "at_least", 1, "A network fault hit a message (drops + delays)."),
+        ("brownout_degraded", "at_least", 1, "The LRS brownout degraded a request."),
+        ("audit_violations", "equal", 0, "The redaction audit found no leak on the error paths."),
+    )
 
 
 def run_chaos(
@@ -196,9 +125,9 @@ def run_chaos(
     duration: float = 12.0,
     *,
     telemetry: Optional[Telemetry] = None,
-) -> ChaosResult:
-    """Run the chaos drill once and return its :class:`ChaosResult`,
-    ``slo_report`` verdict included."""
+) -> DrillRig:
+    """Run the chaos drill once; returns the finished rig (its
+    ``summary`` and ``verdict``, its ``fault`` events)."""
     rig = DrillRig("chaos", seed, grace=8.0, telemetry=telemetry)
     brownout = BrownoutLrs(inner=rig.lrs, loop=rig.loop, rng=rig.rng.stream("brownout"))
     rig.deploy(
@@ -228,24 +157,34 @@ def run_chaos(
     })
     rig.run()
 
-    result = ChaosResult(
-        seed=seed, rps=rps, duration=duration,
-        availability_floor=DEFAULT_AVAILABILITY_FLOOR,
-        brownout_rejected=brownout.rejected,
-        brownout_slowed=brownout.slowed,
-        fault_events=rig.events("fault"),
-        **rig.counters_for(ChaosResult),
-    )
-    result.slo_report = rig.finish(result.to_dict(), chaos_slo_objectives())
-    return result
+    counters = rig.counters_for(*COUNTERS)
+    issued, completed = counters["issued"], counters["completed"]
+    summary = {
+        "seed": seed, "rps": rps, "duration": duration,
+        "availability_floor": DEFAULT_AVAILABILITY_FLOOR,
+        **counters,
+        "brownout_rejected": brownout.rejected,
+        "brownout_slowed": brownout.slowed,
+        "fault_event_count": len(rig.events("fault")),
+        "availability": completed / issued if issued else 1.0,
+    }
+    rig.finish(summary, chaos_slo_objectives(), {
+        "unrestarted_crashes": counters["crashes_injected"] - counters["restarts_completed"],
+        "unreadmitted": counters["failovers"] - counters["readmissions"],
+        "network_faults": (
+            counters["partition_drops"] + counters["random_drops"] + counters["delays_injected"]
+        ),
+        "brownout_degraded": brownout.rejected + brownout.slowed,
+    })
+    return rig
 
 
 def gate(out_dir: str) -> List[str]:
-    """``repro run chaos``: the default drill, its telemetry artifact,
-    its ``slo.json`` and its acceptance checks."""
+    """``repro run chaos``: the default drill, its telemetry artifact
+    and its ``slo.json`` — the drill's whole verdict."""
     telemetry = Telemetry(scrape_interval=1.0)
-    result = run_chaos(telemetry=telemetry)
-    print_summary("chaos drill summary", result.to_dict(), (
+    rig = run_chaos(telemetry=telemetry)
+    print_summary("chaos drill summary", rig.summary, (
         "seed", "issued", "completed", "failed", "availability",
         "crashes_injected", "restarts_completed", "failovers", "readmissions",
         "partition_drops", "random_drops", "delays_injected",
@@ -253,4 +192,4 @@ def gate(out_dir: str) -> List[str]:
         "retries_performed", "hedges_launched", "timeouts", "outcomes",
     ))
     telemetry.write_artifact(out_dir)
-    return write_verdict(result.slo_report, out_dir, result.problems())
+    return write_verdict(rig.verdict, out_dir)

@@ -29,20 +29,12 @@ separate invocations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
-from repro.experiments.rig import (
-    POST_SHARE,
-    DrillRig,
-    print_summary,
-    summarize,
-    write_json,
-    write_verdict,
-)
+from repro.experiments.rig import POST_SHARE, DrillRig, print_summary, write_json, write_verdict
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.fleet.placement import domain_kill_plan, placement_violations
-from repro.obs.slo import Objective, SloReport
+from repro.obs.slo import Objective, run_end_objectives
 from repro.overload import OverloadPolicy
 from repro.privacy.wire import (
     epoch_tag_exposures,
@@ -53,7 +45,6 @@ from repro.proxy.config import PProxConfig
 from repro.telemetry import Telemetry
 
 __all__ = [
-    "FleetDrillResult",
     "run_fleet_drill",
     "gate",
     "fleet_slo_objectives",
@@ -96,166 +87,20 @@ GOODPUT_FLOOR = 0.9
 P99_CEILING = 2.5
 
 
-@dataclass
-class FleetDrillResult:
-    """Outcome of one shard-loss-mid-split drill."""
-
-    seed: int
-    rps: float
-    duration: float
-    split_at: float
-    kill_at: float
-    outage: float
-    #: Workload outcome.
-    issued: int = 0
-    completed: int = 0
-    failed: int = 0
-    outcomes: Dict[str, int] = field(default_factory=dict)
-    retries_performed: int = 0
-    hedges_launched: int = 0
-    retryable_errors: int = 0
-    timeouts: int = 0
-    #: Injected damage and recovery.
-    crashes_injected: int = 0
-    restarts_completed: int = 0
-    ejections: int = 0
-    readmissions: int = 0
-    reprovisions: int = 0
-    #: Directory routing evidence.
-    routed: int = 0
-    failovers: int = 0
-    #: Split progress.
-    shards_initial: int = 0
-    shards_final: int = 0
-    splits_started: int = 0
-    splits_completed: int = 0
-    split_started_at: Optional[float] = None
-    split_flipped_at: Optional[float] = None
-    split_completed_at: Optional[float] = None
-    kill_time: Optional[float] = None
-    pauses: int = 0
-    pause_reasons: Dict[str, int] = field(default_factory=dict)
-    ticks: int = 0
-    #: Anonymity evidence (window = while traffic flows).
-    shuffle_size: int = 0
-    instances_per_shard: int = 0
-    window_flushes: int = 0
-    min_window_flush: Optional[int] = None
-    min_effective_anonymity: Optional[int] = None
-    shed_total: int = 0
-    #: Audits.
-    tag_exposures: List[str] = field(default_factory=list)
-    trace_exposures: List[str] = field(default_factory=list)
-    shard_violations: List[str] = field(default_factory=list)
-    reject_violations: List[str] = field(default_factory=list)
-    placement_problems: List[str] = field(default_factory=list)
-    audit_violations: int = 0
-    #: Structured ``fleet`` events in emission order.
-    fleet_events: List[Dict[str, Any]] = field(default_factory=list)
-    #: The drill's SLO verdict, set by :func:`run_fleet_drill`.
-    slo_report: Optional[SloReport] = None
-
-    @property
-    def required_anonymity(self) -> int:
-        """The S*I bound (I = live IA instances per shard)."""
-        return self.shuffle_size * max(1, self.instances_per_shard)
-
-    @property
-    def goodput(self) -> float:
-        return self.completed / self.issued if self.issued else 0.0
-
-    def problems(self) -> List[str]:
-        """Acceptance-check failures (empty when the drill passed)."""
-        found: List[str] = []
-        if self.failed:
-            found.append(f"{self.failed} client call(s) aborted during the drill")
-        if self.goodput < GOODPUT_FLOOR:
-            found.append(
-                f"post-failover goodput {self.goodput:.3f} < {GOODPUT_FLOOR}"
-                f" ({self.completed}/{self.issued})"
-            )
-        expected_crashes = 2 * self.instances_per_shard
-        if self.crashes_injected != expected_crashes:
-            found.append(
-                f"{self.crashes_injected} crashes injected; a whole-domain kill"
-                f" is {expected_crashes}"
-            )
-        if self.restarts_completed != self.crashes_injected:
-            found.append(
-                f"{self.crashes_injected} crashes but only"
-                f" {self.restarts_completed} restarts completed"
-            )
-        if self.ejections < self.crashes_injected:
-            found.append(
-                f"only {self.ejections} ejections for {self.crashes_injected} crashes"
-            )
-        if self.readmissions < self.ejections:
-            found.append(
-                f"{self.ejections} ejections but only {self.readmissions} readmissions"
-            )
-        if self.splits_completed < 1:
-            found.append("the split never completed")
-        if (
-            self.kill_time is not None
-            and self.split_started_at is not None
-            and self.split_completed_at is not None
-            and not (self.split_started_at <= self.kill_time <= self.split_completed_at)
-        ):
-            found.append(
-                f"domain kill at {self.kill_time:.2f} missed the split window"
-                f" [{self.split_started_at:.2f}, {self.split_completed_at:.2f}]"
-            )
-        if self.failovers == 0:
-            found.append("the directory never failed a nonce over to a sibling shard")
-        if self.window_flushes == 0:
-            found.append("no shuffle batch was released while traffic flowed")
-        elif self.min_window_flush is not None and self.min_window_flush < self.shuffle_size:
-            found.append(
-                f"anonymity floor violated: a batch of {self.min_window_flush}"
-                f" (< S={self.shuffle_size}) was released mid-drill"
-            )
-        if (
-            self.min_effective_anonymity is not None
-            and self.min_effective_anonymity < self.required_anonymity
-        ):
-            found.append(
-                f"effective anonymity gauge dipped to {self.min_effective_anonymity}"
-                f" < S*I={self.required_anonymity}"
-            )
-        if self.tag_exposures:
-            found.append(f"epoch tag exposed: {self.tag_exposures[0]}")
-        if self.trace_exposures:
-            found.append(f"trace id exposed: {self.trace_exposures[0]}")
-        if self.shard_violations:
-            found.append(f"shard routing audit: {self.shard_violations[0]}")
-        if self.reject_violations:
-            found.append(f"reject uniformity audit: {self.reject_violations[0]}")
-        if self.placement_problems:
-            found.append(f"placement audit: {self.placement_problems[0]}")
-        if self.audit_violations:
-            found.append(f"redaction audit found {self.audit_violations} leak(s)")
-        return found
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems()
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready summary (findings and events as counts)."""
-        return summarize(
-            self,
-            counted=(
-                "tag_exposures", "trace_exposures", "shard_violations",
-                "reject_violations", "placement_problems", "fleet_events",
-            ),
-            derived=("required_anonymity", "goodput"),
-            rounding={"goodput": 6},
-        )
+#: The shared counters a fleet drill reports, read after the drain.
+COUNTERS = (
+    "issued", "completed", "failed", "outcomes", "retries_performed",
+    "hedges_launched", "retryable_errors", "timeouts", "crashes_injected",
+    "restarts_completed", "shed_total", "audit_violations",
+)
 
 
 def fleet_slo_objectives(required_anonymity: float) -> List[Objective]:
-    """The fleet drill's objectives: failover goodput, the hard S*I
-    floor, and a bounded client-observed tail."""
+    """The fleet drill's objectives — its whole verdict: failover
+    goodput, the hard S*I floor and a bounded client-observed tail,
+    then the run-end checks: no aborted call, a whole failure domain
+    killed inside the split's window and healed, the split completed,
+    every released batch at S, and every wire audit clean."""
     return [
         Objective(
             name="goodput",
@@ -279,7 +124,25 @@ def fleet_slo_objectives(required_anonymity: float) -> List[Objective]:
             value="p99_latency_seconds",
             description="p99 of client-observed end-to-end latency.",
         ),
-    ]
+    ] + run_end_objectives(
+        ("failed", "equal", 0, "No client call was aborted during the drill."),
+        ("domain_crashes_missed", "equal", 0, "The kill crashed a whole domain (2I - crashes)."),
+        ("unrestarted_crashes", "equal", 0, "Every crash was restarted (crashes - restarts)."),
+        ("unejected_crashes", "at_most", 0, "Every crash was ejected (crashes - ejections)."),
+        ("unreadmitted", "at_most", 0, "Every ejection was readmitted (ejections - readmits)."),
+        ("splits_completed", "at_least", 1, "The split completed."),
+        ("kill_inside_split_window", "equal", 1, "The domain kill fell inside the split window."),
+        ("failovers", "at_least", 1, "A nonce failed over to a sibling shard."),
+        ("window_flushes", "at_least", 1, "A shuffle batch was released while traffic flowed."),
+        ("min_window_flush", "at_least", FLEET_CONFIG.shuffle_size,
+         "No batch smaller than S was released mid-drill."),
+        ("tag_exposure_count", "equal", 0, "The epoch tag was never exposed past client->ua."),
+        ("trace_exposure_count", "equal", 0, "No trace id was exposed past client->ua."),
+        ("shard_violation_count", "equal", 0, "Every routing key on the wire is a request nonce."),
+        ("reject_violation_count", "equal", 0, "Every protected-hop reject is the uniform one."),
+        ("placement_problem_count", "equal", 0, "Shard placement respects the failure domains."),
+        ("audit_violations", "equal", 0, "The redaction audit found no leak."),
+    )
 
 
 def run_fleet_drill(
@@ -288,8 +151,9 @@ def run_fleet_drill(
     duration: float = 10.0,
     *,
     telemetry: Optional[Telemetry] = None,
-) -> FleetDrillResult:
-    """Run the shard-loss-mid-split drill once."""
+) -> DrillRig:
+    """Run the shard-loss-mid-split drill once; returns the finished rig
+    (its ``summary`` and ``verdict``, its ``fleet`` events)."""
     rig = DrillRig("fleet", seed, grace=6.0, telemetry=telemetry, frontends=3)
     rig.deploy(
         FLEET_CONFIG,
@@ -319,55 +183,73 @@ def run_fleet_drill(
     window = rig.offered_window()
     split_ops = [op for op in supervisor.operations if op.kind == "split"]
     split_op = split_ops[0] if split_ops else None
-    result = FleetDrillResult(
-        seed=seed, rps=rps, duration=duration,
-        split_at=SPLIT_AT, kill_at=KILL_AT, outage=OUTAGE,
-        ejections=supervisor.ejections,
-        readmissions=supervisor.readmissions,
-        reprovisions=supervisor.reprovisions,
-        routed=fleet.directory.routed,
-        failovers=fleet.directory.failovers,
-        shards_initial=SHARDS,
-        shards_final=sum(
-            1 for s in fleet.directory.shards.values() if s.state == "live"
+    counters = rig.counters_for(*COUNTERS)
+    crashes = counters["crashes_injected"]
+    shuffle_size, instances_per_shard = FLEET_CONFIG.shuffle_size, fleet.instances_per_shard
+    summary = {
+        "seed": seed, "rps": rps, "duration": duration,
+        "split_at": SPLIT_AT, "kill_at": KILL_AT, "outage": OUTAGE,
+        **counters,
+        "ejections": supervisor.ejections,
+        "readmissions": supervisor.readmissions,
+        "reprovisions": supervisor.reprovisions,
+        "routed": fleet.directory.routed,
+        "failovers": fleet.directory.failovers,
+        "shards_initial": SHARDS,
+        "shards_final": sum(1 for s in fleet.directory.shards.values() if s.state == "live"),
+        "splits_started": supervisor.splits_started,
+        "splits_completed": supervisor.splits_completed,
+        "split_started_at": split_op.started_at if split_op else None,
+        "split_flipped_at": split_op.flipped_at if split_op else None,
+        "split_completed_at": split_op.completed_at if split_op else None,
+        "kill_time": rig.start + KILL_AT,
+        "pauses": supervisor.pauses,
+        "pause_reasons": dict(supervisor.pause_reasons),
+        "ticks": supervisor.ticks,
+        "shuffle_size": shuffle_size,
+        "instances_per_shard": instances_per_shard,
+        "window_flushes": len(window),
+        "min_window_flush": min((f.size for f in window), default=None),
+        "min_effective_anonymity": effective_anonymity(),
+        "tag_exposure_count": len(epoch_tag_exposures(adversary.observations)),
+        "trace_exposure_count": len(trace_field_exposures(adversary.observations)),
+        "shard_violation_count": len(
+            shard_routing_violations(fleet.directory, adversary.observations)
         ),
-        splits_started=supervisor.splits_started,
-        splits_completed=supervisor.splits_completed,
-        split_started_at=split_op.started_at if split_op else None,
-        split_flipped_at=split_op.flipped_at if split_op else None,
-        split_completed_at=split_op.completed_at if split_op else None,
-        kill_time=rig.start + KILL_AT,
-        pauses=supervisor.pauses,
-        pause_reasons=dict(supervisor.pause_reasons),
-        ticks=supervisor.ticks,
-        shuffle_size=FLEET_CONFIG.shuffle_size,
-        instances_per_shard=fleet.instances_per_shard,
-        window_flushes=len(window),
-        min_window_flush=min((f.size for f in window), default=None),
-        min_effective_anonymity=effective_anonymity(),
-        tag_exposures=epoch_tag_exposures(adversary.observations),
-        trace_exposures=trace_field_exposures(adversary.observations),
-        shard_violations=shard_routing_violations(
-            fleet.directory, adversary.observations
+        "reject_violation_count": len(reject_auditor.violations()),
+        "placement_problem_count": len(placement_violations(fleet)),
+        "fleet_event_count": len(rig.events("fleet")),
+        # The S*I bound (I = live IA instances per shard).
+        "required_anonymity": shuffle_size * max(1, instances_per_shard),
+        "goodput": (
+            round(counters["completed"] / counters["issued"], 6) if counters["issued"] else 0.0
         ),
-        reject_violations=reject_auditor.violations(),
-        placement_problems=placement_violations(fleet),
-        fleet_events=rig.events("fleet"),
-        **rig.counters_for(FleetDrillResult),
+    }
+    started, completed_at = summary["split_started_at"], summary["split_completed_at"]
+    rig.finish(
+        summary,
+        fleet_slo_objectives(float(summary["required_anonymity"])),
+        {
+            "domain_crashes_missed": 2 * instances_per_shard - crashes,
+            "unrestarted_crashes": crashes - counters["restarts_completed"],
+            "unejected_crashes": crashes - summary["ejections"],
+            "unreadmitted": summary["ejections"] - summary["readmissions"],
+            "kill_inside_split_window": (
+                started is not None
+                and completed_at is not None
+                and started <= summary["kill_time"] <= completed_at
+            ),
+        },
     )
-    result.slo_report = rig.finish(
-        result.to_dict(), fleet_slo_objectives(float(result.required_anonymity))
-    )
-    return result
+    return rig
 
 
 def gate(out_dir: str) -> List[str]:
     """``repro run fleet``: the default drill; writes ``fleet.json``,
     ``slo.json`` and the telemetry artifact."""
     telemetry = Telemetry(scrape_interval=1.0)
-    result = run_fleet_drill(telemetry=telemetry)
-    summary = result.to_dict()
-    print_summary("fleet drill summary", summary, (
+    rig = run_fleet_drill(telemetry=telemetry)
+    print_summary("fleet drill summary", rig.summary, (
         "seed", "issued", "completed", "failed", "goodput",
         "crashes_injected", "restarts_completed", "ejections", "readmissions",
         "routed", "failovers", "shards_initial", "shards_final",
@@ -377,6 +259,6 @@ def gate(out_dir: str) -> List[str]:
         "window_flushes", "min_window_flush",
         "min_effective_anonymity", "required_anonymity", "shed_total", "outcomes",
     ))
-    write_json(summary, out_dir, "fleet.json")
+    write_json(rig.summary, out_dir, "fleet.json")
     telemetry.write_artifact(out_dir)
-    return write_verdict(result.slo_report, out_dir, result.problems())
+    return write_verdict(rig.verdict, out_dir)

@@ -13,7 +13,8 @@ rate against two deployments:
 * **baseline** — the identical deployment with ``overload=None``
   (no ingress queues, no admission control).
 
-Acceptance (encoded in :meth:`OverloadResult.problems`):
+Acceptance (the objectives of the headline cell's ``slo.json``, which
+is judged last, with every other cell of the sweep finished):
 
 * at 2x capacity the protected deployment's goodput stays within 20%
   of its saturation goodput (the baseline's collapses under queueing
@@ -35,11 +36,11 @@ artifacts (the CI job diffs two separate invocations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
-from repro.experiments.rig import DrillRig, summarize, write_verdict
-from repro.obs.slo import Objective, SloReport
+from repro.experiments.rig import DrillRig, write_verdict
+from repro.obs.slo import Objective, run_end_objectives
 from repro.overload import AimdLimiter, CircuitBreaker, GuardedLrs, OverloadPolicy
 from repro.proxy.config import PProxConfig
 from repro.proxy.costs import DEFAULT_COSTS, ProxyCostModel
@@ -47,11 +48,11 @@ from repro.simnet.metrics import percentile
 from repro.telemetry import Telemetry
 
 __all__ = [
-    "LoadPoint",
-    "OverloadResult",
     "run_overload",
     "gate",
     "overload_slo_objectives",
+    "sweep_slo_objectives",
+    "sweep_cell",
     "overload_cost_model",
     "OVERLOAD_CONFIG",
     "OVERLOAD_POLICY",
@@ -109,126 +110,23 @@ def overload_cost_model() -> ProxyCostModel:
     )
 
 
-@dataclass
-class LoadPoint:
-    """Measured outcome of one (offered load, protection) cell."""
-
-    offered_rps: float
-    protected: bool
-    issued: int = 0
-    completed: int = 0
-    failed: int = 0
-    timeouts: int = 0
-    retries_performed: int = 0
-    shed_total: int = 0
-    shed_by_stage: Dict[str, int] = field(default_factory=dict)
-    guard_rejections: int = 0
-    breaker_trips: int = 0
-    goodput_rps: float = 0.0
-    p50_seconds: float = 0.0
-    p99_seconds: float = 0.0
-    #: Smallest shuffle flush observed while the load was offered.
-    min_flush_during_load: Optional[int] = None
-    #: min flush x IA instances (the S*I anonymity bound's floor).
-    anonymity_floor: float = 0.0
-    required_anonymity: float = 0.0
-    audit_violations: int = 0
-    reject_audit: List[str] = field(default_factory=list)
-    #: The cell's SLO verdict (set by the sweep, not in ``to_dict``).
-    slo_report: Optional[SloReport] = None
-
-    @property
-    def shed_rate(self) -> float:
-        """Sheds per issued call (client-visible attempts excluded)."""
-        return self.shed_total / self.issued if self.issued else 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return summarize(
-            self,
-            derived=("shed_rate",),
-            rounding={"shed_rate": 4, "goodput_rps": 3, "p50_seconds": 5, "p99_seconds": 5},
-        )
+#: The shared counters an overload cell reports, read after the drain.
+COUNTERS = (
+    "issued", "completed", "failed", "timeouts", "retries_performed",
+    "shed_total", "audit_violations",
+)
 
 
-@dataclass
-class OverloadResult:
-    """Outcome of the full offered-load sweep."""
-
-    seed: int
-    duration: float
-    capacity_rps: float
-    shuffle_size: int
-    points: List[LoadPoint] = field(default_factory=list)
-    #: The headline cell's SLO verdict (protected deployment at the
-    #: highest multiplier); the gate writes it as ``slo.json``.
-    slo_report: Optional[SloReport] = None
-
-    def point(self, *, protected: bool, multiplier: float) -> Optional[LoadPoint]:
-        """The cell at ``capacity_rps * multiplier`` for one variant."""
-        target = self.capacity_rps * multiplier
-        for candidate in self.points:
-            if candidate.protected == protected and abs(candidate.offered_rps - target) < 1e-9:
-                return candidate
-        return None
-
-    def problems(self) -> List[str]:
-        """Acceptance-check failures (empty when the episode passed)."""
-        found: List[str] = []
-        saturation = self.point(protected=True, multiplier=1.0)
-        overloaded = self.point(protected=True, multiplier=2.0)
-        baseline = self.point(protected=False, multiplier=2.0)
-        if saturation is None or overloaded is None:
-            return ["sweep did not cover the 1x and 2x protected points"]
-        floor = GOODPUT_RETENTION_FLOOR * saturation.goodput_rps
-        if overloaded.goodput_rps < floor:
-            found.append(
-                f"protected goodput at 2x ({overloaded.goodput_rps:.1f} rps) fell"
-                f" below {GOODPUT_RETENTION_FLOOR:.0%} of saturation"
-                f" ({saturation.goodput_rps:.1f} rps)"
-            )
-        if overloaded.shed_total == 0:
-            found.append("2x offered load never triggered a shed")
-        if baseline is not None and baseline.completed and overloaded.completed:
-            if overloaded.p99_seconds >= baseline.p99_seconds:
-                found.append(
-                    f"protected p99 ({overloaded.p99_seconds:.3f}s) did not improve"
-                    f" on the unprotected baseline ({baseline.p99_seconds:.3f}s)"
-                )
-        for point in self.points:
-            if not point.protected:
-                continue
-            if point.min_flush_during_load is not None and (
-                point.anonymity_floor < point.required_anonymity
-            ):
-                found.append(
-                    f"anonymity floor {point.anonymity_floor:.0f} fell below"
-                    f" S*I={point.required_anonymity:.0f} at"
-                    f" {point.offered_rps:.0f} rps (a shed thinned a batch)"
-                )
-            if point.audit_violations:
-                found.append(
-                    f"redaction audit found {point.audit_violations} leak(s)"
-                    f" at {point.offered_rps:.0f} rps"
-                )
-            if point.reject_audit:
-                found.append(
-                    f"reject uniformity violated at {point.offered_rps:.0f} rps:"
-                    f" {point.reject_audit[0]}"
-                )
-        return found
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems()
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "duration": self.duration,
-            "capacity_rps": self.capacity_rps,
-            "shuffle_size": self.shuffle_size,
-            "points": [point.to_dict() for point in self.points],
-        }
+def sweep_cell(
+    sweep: Dict[str, Any], *, protected: bool, multiplier: float
+) -> Optional[Dict[str, Any]]:
+    """The cell of *sweep* (a run-end summary) at ``capacity_rps *
+    multiplier`` for one variant, or ``None`` if it did not run."""
+    target = sweep["capacity_rps"] * multiplier
+    for cell in sweep["points"]:
+        if cell["protected"] == protected and abs(cell["offered_rps"] - target) < 1e-9:
+            return cell
+    return None
 
 
 #: The headline cell's targets; the builder's docstring gives the why.
@@ -284,21 +182,78 @@ def overload_slo_objectives(required_anonymity: float) -> List[Objective]:
     ]
 
 
+def sweep_slo_objectives(required_anonymity: float) -> List[Objective]:
+    """The sweep's own checks, judged on the headline cell.
+
+    Graceful degradation: the protected 1x and 2x cells ran, 2x keeps
+    :data:`GOODPUT_RETENTION_FLOOR` of saturation goodput, sheds, and
+    beats the unprotected baseline's p99.  Privacy on every protected
+    cell: the redaction and reject audits stay clean, and at >= 1x —
+    where load keeps the buffers fed — at least one batch was released
+    and none below S*I.
+    """
+    checks = [
+        ("protected_cells", "at_least", 2, "The sweep covered the 1x and 2x protected cells."),
+        ("goodput_retention", "at_least", GOODPUT_RETENTION_FLOOR,
+         "Protected goodput at 2x over protected goodput at saturation."),
+        ("overload_sheds", "at_least", 1, "2x offered load triggered a shed."),
+        ("p99_below_baseline", "equal", 1, "Protected p99 at 2x beat the unprotected baseline's."),
+    ]
+    for multiplier in MULTIPLIERS:
+        cell = f"x{multiplier:g}"
+        if multiplier >= 1.0:
+            checks.append((f"anonymity_floor_{cell}", "at_least", required_anonymity,
+                           f"Protected {cell}: min released flush x I (no flush reads 0)."))
+        checks += [
+            (f"audit_violations_{cell}", "equal", 0, f"Protected {cell}: no redaction leak."),
+            (f"reject_audit_{cell}", "equal", 0, f"Protected {cell}: every reject was uniform."),
+        ]
+    return run_end_objectives(*checks)
+
+
+def _sweep_checks(sweep: Dict[str, Any]) -> Dict[str, Any]:
+    """The values :func:`sweep_slo_objectives` judges, read off the
+    finished sweep; they reach the verdict only."""
+    saturation = sweep_cell(sweep, protected=True, multiplier=1.0)
+    overloaded = sweep_cell(sweep, protected=True, multiplier=2.0)
+    baseline = sweep_cell(sweep, protected=False, multiplier=2.0)
+    checks: Dict[str, Any] = {
+        "protected_cells": (saturation is not None) + (overloaded is not None),
+        "goodput_retention": None,
+        "overload_sheds": overloaded["shed_total"] if overloaded else None,
+        "p99_below_baseline": True,
+    }
+    if saturation and overloaded and saturation["goodput_rps"]:
+        checks["goodput_retention"] = overloaded["goodput_rps"] / saturation["goodput_rps"]
+    if baseline and overloaded and baseline["completed"] and overloaded["completed"]:
+        checks["p99_below_baseline"] = overloaded["p99_seconds"] < baseline["p99_seconds"]
+    for multiplier in MULTIPLIERS:
+        cell = sweep_cell(sweep, protected=True, multiplier=multiplier)
+        if cell is None:
+            continue
+        if multiplier >= 1.0:
+            checks[f"anonymity_floor_x{multiplier:g}"] = cell["anonymity_floor"]
+        checks[f"audit_violations_x{multiplier:g}"] = cell["audit_violations"]
+        checks[f"reject_audit_x{multiplier:g}"] = len(cell["reject_audit"])
+    return checks
+
+
 def _run_point(
-    result: OverloadResult,
+    sweep: Dict[str, Any],
     multiplier: float,
     *,
     protected: bool,
     telemetry: Optional[Telemetry],
-) -> LoadPoint:
+) -> DrillRig:
     """One cell of the sweep, in a fresh simulation context; appended
-    to *result* before the run is closed so the run-end record carries
-    the sweep so far."""
-    rps, duration = result.capacity_rps * multiplier, result.duration
+    to *sweep* before the run is closed so the run-end record carries
+    the sweep so far.  The headline cell — the protected deployment at
+    the highest multiplier, run last — is also judged on the sweep."""
+    rps, duration = sweep["capacity_rps"] * multiplier, sweep["duration"]
     variant = "protected" if protected else "baseline"
     rig = DrillRig(
-        "overload", result.seed, grace=3.0, telemetry=telemetry, costs=overload_cost_model(),
-        run_label=f"overload/seed{result.seed}/{variant}/x{multiplier:g}",
+        "overload", sweep["seed"], grace=3.0, telemetry=telemetry, costs=overload_cost_model(),
+        run_label=f"overload/seed{sweep['seed']}/{variant}/x{multiplier:g}",
     )
     guard: Optional[GuardedLrs] = None
     if protected:
@@ -347,28 +302,33 @@ def _run_point(
     enforce_full_batches = protected and multiplier >= 1.0
     window = rig.offered_window() if enforce_full_batches else []
     latencies = sorted(rig.injector.recorder.trimmed(rig.start, rig.end))
-    counters = rig.counters_for(LoadPoint)
+    counters = rig.counters_for(*COUNTERS)
     counters["shed_total"] += rejected
-    point = LoadPoint(
-        offered_rps=rps,
-        protected=protected,
-        shed_by_stage=dict(sorted(shed_by_stage.items())),
-        guard_rejections=rejected,
-        breaker_trips=guard.breaker.trips if guard is not None else 0,
-        goodput_rps=rig.injector.report.completed / duration if duration else 0.0,
-        p50_seconds=percentile(latencies, 0.50) if latencies else 0.0,
-        p99_seconds=percentile(latencies, 0.99) if latencies else 0.0,
-        min_flush_during_load=min((flush.size for flush in window), default=None),
-        anonymity_floor=(rig.anonymity_floor(window) or 0) if enforce_full_batches else 0.0,
-        required_anonymity=float(OVERLOAD_CONFIG.shuffle_size * OVERLOAD_CONFIG.ia_instances),
-        reject_audit=auditor.violations(),
+    required = float(OVERLOAD_CONFIG.shuffle_size * OVERLOAD_CONFIG.ia_instances)
+    issued = counters["issued"]
+    sweep["points"].append({
+        "offered_rps": rps,
+        "protected": protected,
         **counters,
-    )
-    result.points.append(point)
-    point.slo_report = rig.finish(
-        result.to_dict(), overload_slo_objectives(point.required_anonymity)
-    )
-    return point
+        "shed_by_stage": dict(sorted(shed_by_stage.items())),
+        "guard_rejections": rejected,
+        "breaker_trips": guard.breaker.trips if guard is not None else 0,
+        "goodput_rps": round(counters["completed"] / duration if duration else 0.0, 3),
+        "p50_seconds": round(percentile(latencies, 0.50) if latencies else 0.0, 5),
+        "p99_seconds": round(percentile(latencies, 0.99) if latencies else 0.0, 5),
+        "min_flush_during_load": min((flush.size for flush in window), default=None),
+        "anonymity_floor": (rig.anonymity_floor(window) or 0) if enforce_full_batches else 0.0,
+        "required_anonymity": required,
+        "reject_audit": auditor.violations(),
+        # Sheds per issued call (client-visible attempts excluded).
+        "shed_rate": round(counters["shed_total"] / issued if issued else 0.0, 4),
+    })
+    objectives, checks = overload_slo_objectives(required), None
+    if protected and multiplier == max(MULTIPLIERS):
+        objectives += sweep_slo_objectives(required)
+        checks = _sweep_checks(sweep)
+    rig.finish({**sweep, "points": list(sweep["points"])}, objectives, checks)
+    return rig
 
 
 def run_overload(
@@ -376,35 +336,33 @@ def run_overload(
     duration: float = 6.0,
     *,
     telemetry: Optional[Telemetry] = None,
-) -> OverloadResult:
-    """Run the offered-load sweep and return its :class:`OverloadResult`.
+) -> DrillRig:
+    """Run the offered-load sweep; returns the headline cell's finished
+    rig, whose ``summary`` holds every cell and whose ``verdict`` judges
+    the sweep.
 
     The caller's *telemetry* hub (if any) collects the final, headline
     cell — the protected deployment at the highest multiplier — so the
     written artifact describes a real overload episode.  Earlier cells
     run under private hubs (each is a separate deployment; mixing their
     instruments in one registry would alias instance names).  Every
-    cell is judged by its own engine; ``result.slo_report`` is the
-    headline cell's verdict.
+    cell is judged by its own engine; only the headline's verdict is
+    the sweep's.
     """
-    result = OverloadResult(
-        seed=seed,
-        duration=duration,
-        capacity_rps=DEFAULT_CAPACITY_RPS,
-        shuffle_size=OVERLOAD_CONFIG.shuffle_size,
-    )
+    sweep: Dict[str, Any] = {
+        "seed": seed,
+        "duration": duration,
+        "capacity_rps": DEFAULT_CAPACITY_RPS,
+        "shuffle_size": OVERLOAD_CONFIG.shuffle_size,
+        "points": [],
+    }
     for multiplier in MULTIPLIERS:
         for protected in (False, True):
             headline = protected and multiplier == max(MULTIPLIERS)
-            point = _run_point(
-                result,
-                multiplier,
-                protected=protected,
-                telemetry=telemetry if headline else None,
+            rig = _run_point(
+                sweep, multiplier, protected=protected, telemetry=telemetry if headline else None
             )
-            if headline:
-                result.slo_report = point.slo_report
-    return result
+    return rig
 
 
 def gate(out_dir: str) -> List[str]:
@@ -412,25 +370,26 @@ def gate(out_dir: str) -> List[str]:
     telemetry artifact and ``slo.json``, and the graceful-degradation
     checks."""
     telemetry = Telemetry(scrape_interval=1.0)
-    result = run_overload(telemetry=telemetry)
+    rig = run_overload(telemetry=telemetry)
+    sweep = rig.summary
     print("overload sweep summary")
     print("======================")
-    print(f"  seed {result.seed}  capacity_rps {result.capacity_rps}"
-          f"  shuffle_size {result.shuffle_size}")
+    print(f"  seed {sweep['seed']}  capacity_rps {sweep['capacity_rps']}"
+          f"  shuffle_size {sweep['shuffle_size']}")
     print(
         f"  {'offered':>8s} {'variant':>9s} {'issued':>7s} {'goodput':>8s}"
         f" {'p50':>8s} {'p99':>8s} {'sheds':>6s} {'anon>=':>7s}"
     )
-    for point in result.points:
+    for cell in sweep["points"]:
         anonymity = (
-            f"{point.anonymity_floor:.0f}/{point.required_anonymity:.0f}"
-            if point.min_flush_during_load is not None
+            f"{cell['anonymity_floor']:.0f}/{cell['required_anonymity']:.0f}"
+            if cell["min_flush_during_load"] is not None
             else "-"
         )
         print(
-            f"  {point.offered_rps:8.1f} {'protect' if point.protected else 'baseline':>9s}"
-            f" {point.issued:7d} {point.goodput_rps:8.2f} {point.p50_seconds:8.4f}"
-            f" {point.p99_seconds:8.4f} {point.shed_total:6d} {anonymity:>7s}"
+            f"  {cell['offered_rps']:8.1f} {'protect' if cell['protected'] else 'baseline':>9s}"
+            f" {cell['issued']:7d} {cell['goodput_rps']:8.2f} {cell['p50_seconds']:8.4f}"
+            f" {cell['p99_seconds']:8.4f} {cell['shed_total']:6d} {anonymity:>7s}"
         )
     telemetry.write_artifact(out_dir)
-    return write_verdict(result.slo_report, out_dir, result.problems())
+    return write_verdict(rig.verdict, out_dir)

@@ -16,22 +16,28 @@ sequence once, as a plain object the drivers call top to bottom::
     rig.offer(rps, duration)                      # open-loop arrivals
     rig.watch({...})                              # SLO engine, bounded
     rig.run()                                     # start, run_until, stop, drain
-    rig.finish(extra, objectives)                 # slo verdict + finalize_run
+    rig.finish(summary, objectives, checks)       # slo verdict + finalize_run
 
 The plan (:class:`~repro.faults.plan.FaultPlan`) holds every fault and
 operator verb of the drill, and :meth:`DrillRig.run` alone starts and
 stops the controllers.  What stays in a driver is what is actually
-different about it: its configuration, its plan, its extra SLO sources
-and its acceptance gates.  Every watched run is judged once, by the
-engine that sampled it; a gate ends with :func:`write_verdict`.
+different about it: its configuration, its plan, its extra SLO sources,
+its objectives and the keys of its run-end summary.
+
+One run, one verdict.  Every acceptance check of a drill is an
+:class:`~repro.obs.slo.Objective` — sampled ones read the engine's
+sources, run-end ones (``at_least`` / ``at_most`` / ``equal``) read the
+summary and the *checks* only the verdict needs.  :meth:`DrillRig.finish`
+keeps the run's ``summary`` and ``verdict`` on the rig, and a driver
+returns the finished rig; a gate ends with :func:`write_verdict`, whose
+problems are the verdict's and nothing else.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
-from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.context import Deployment, SimContext
 from repro.faults import FaultPlan, FaultSupervisor, NetworkFaultController
@@ -39,7 +45,14 @@ from repro.fleet.service import build_fleet
 from repro.fleet.supervisor import FleetSupervisor
 from repro.lrs.service import HarnessService
 from repro.lrs.stub import StubLrs, make_pseudonymous_payload
-from repro.obs.slo import Objective, SloEngine, SloReport, histogram_quantile, write_slo
+from repro.obs.slo import (
+    Objective,
+    SloEngine,
+    SloReport,
+    evaluate_static,
+    histogram_quantile,
+    write_slo,
+)
 from repro.overload import OverloadPolicy
 from repro.privacy.adversary import Adversary
 from repro.privacy.wire import RejectAuditor
@@ -55,7 +68,6 @@ __all__ = [
     "observe_wire",
     "stub_lrs",
     "pseudonymise_stub",
-    "summarize",
     "print_summary",
     "write_json",
     "write_verdict",
@@ -164,6 +176,9 @@ class DrillRig:
         self.plan = FaultPlan()
         #: Built by :meth:`watch`; stays None on capacity's static legs.
         self.slo: Optional[SloEngine] = None
+        #: Set by :meth:`finish`: the run-end summary and the verdict.
+        self.summary: Dict[str, Any] = {}
+        self.verdict: Optional[SloReport] = None
         #: Every shuffle release of the run, in release order.
         self.flushes: List[Flush] = []
         self.start = self.end = 0.0
@@ -400,9 +415,8 @@ class DrillRig:
             for instance in self.service.ua_instances + self.service.ia_instances
         )
 
-    def counters_for(self, result_type: Type[Any]) -> Dict[str, Any]:
-        """The shared workload/client/recovery counters that
-        *result_type* (a result dataclass) has fields for."""
+    def counters_for(self, *names: str) -> Dict[str, Any]:
+        """The shared workload/client/recovery counters *names*, read now."""
         report, client = self.injector.report, self.client
         instances = self.service.ua_instances + self.service.ia_instances
         sources: Dict[str, Callable[[], Any]] = {
@@ -437,8 +451,7 @@ class DrillRig:
                 readmissions=lambda: len(monitor.readmitted),
                 stale_generation_blocks=lambda: monitor.stale_generation_blocks,
             )
-        wanted = {spec.name for spec in dataclasses.fields(result_type)}
-        return {name: read() for name, read in sources.items() if name in wanted}
+        return {name: sources[name]() for name in names}
 
     def events(self, kind: str) -> List[Dict[str, Any]]:
         """The run's structured events of one kind, in emission order."""
@@ -446,45 +459,34 @@ class DrillRig:
             event.to_dict() for event in self.telemetry.event_log.events if event.kind == kind
         ]
 
-    def finish(self, extra: Dict[str, Any], objectives: Sequence[Objective]) -> SloReport:
-        """Close a watched run: the engine's verdict over *objectives*,
-        then the telemetry run-end record carrying *extra*."""
-        report = self.slo.evaluate(objectives, experiment=self.scenario)
-        self.telemetry.finalize_run(extra={"scenario": self.scenario, **extra})
-        return report
+    def finish(
+        self,
+        summary: Dict[str, Any],
+        objectives: Sequence[Objective],
+        checks: Optional[Dict[str, Any]] = None,
+    ) -> SloReport:
+        """Close the run: its verdict over *objectives*, then the
+        telemetry run-end record carrying *summary*.
 
-
-def summarize(
-    result: Any,
-    *,
-    counted: Sequence[str] = (),
-    derived: Sequence[str] = (),
-    omit: Sequence[str] = (),
-    rounding: Optional[Dict[str, int]] = None,
-) -> Dict[str, Any]:
-    """JSON-ready summary of a result dataclass, derived from its fields.
-
-    *counted* list fields are reported as ``<singular>_count`` (the
-    full streams live in the telemetry artifact); *derived* adds
-    properties; *omit* drops live handles; *rounding* maps a key to its
-    decimal places.  ``slo_report`` never appears: callers write it as
-    its own ``slo.json``.
-    """
-    summary: Dict[str, Any] = {}
-    for spec in dataclasses.fields(result):
-        name, value = spec.name, getattr(result, spec.name)
-        if name == "slo_report" or name in omit:
-            continue
-        if name in counted:
-            summary[name[:-1] + "_count"] = len(value)
+        Run-end objectives read *summary*, then *checks* — values only
+        the verdict needs, which never reach the record.  A watched run
+        is judged by its engine; a run never watched is judged
+        statically at the clock's end, under its run label, and its
+        record carries that verdict as ``slo`` (no ``slo_verdict`` event
+        holds it).  Keeps :attr:`summary` and :attr:`verdict`.
+        """
+        values = {**summary, **(checks or {})}
+        record = {"scenario": self.scenario, **summary}
+        if self.slo is not None:
+            self.verdict = self.slo.evaluate(objectives, self.scenario, values)
         else:
-            summary[name] = value.copy() if isinstance(value, (dict, list)) else value
-    for name in derived:
-        summary[name] = getattr(result, name)
-    for name, digits in (rounding or {}).items():
-        if summary[name] is not None:
-            summary[name] = round(summary[name], digits)
-    return summary
+            self.verdict = evaluate_static(
+                objectives, values, self.telemetry.run_label, generated_at=self.loop.now
+            )
+            record["slo"] = self.verdict.to_dict()
+        self.summary = summary
+        self.telemetry.finalize_run(extra=record)
+        return self.verdict
 
 
 # -- what the scenario gates share ----------------------------------------
@@ -499,11 +501,11 @@ def print_summary(title: str, summary: Dict[str, Any], keys: Sequence[str]) -> N
         print(f"  {key:{width}s} {summary[key]}")
 
 
-def write_verdict(report: SloReport, out_dir: str, problems: List[str]) -> List[str]:
+def write_verdict(report: SloReport, out_dir: str) -> List[str]:
     """How every judged gate ends: ``slo.json`` beside the run's other
-    artifacts, and the verdict's problems after the drill's own."""
+    artifacts, and its problems as the gate's."""
     write_slo(report, out_dir)
-    return problems + report.problems()
+    return report.problems()
 
 
 def write_json(payload: Dict[str, Any], out_dir: str, name: str) -> str:

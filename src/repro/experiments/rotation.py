@@ -32,27 +32,18 @@ CI job diffs two separate invocations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 from repro.crypto.keys import KeyFactory
-from repro.experiments.rig import (
-    POST_SHARE,
-    DrillRig,
-    Flush,
-    print_summary,
-    summarize,
-    write_verdict,
-)
+from repro.experiments.rig import POST_SHARE, DrillRig, Flush, print_summary, write_verdict
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.obs.slo import Objective, SloReport
+from repro.obs.slo import Objective, run_end_objectives
 from repro.privacy.wire import epoch_tag_exposures
 from repro.proxy.config import PProxConfig
 from repro.proxy.epochs import RotationCoordinator
 from repro.telemetry import Telemetry
 
 __all__ = [
-    "RotationResult",
     "run_rotation",
     "gate",
     "rotation_slo_objectives",
@@ -74,130 +65,13 @@ ROTATION_CONFIG = PProxConfig(
 #: Seconds after traffic start at which the new epoch is announced.
 ANNOUNCE_AT = 2.0
 
-
-@dataclass
-class RotationResult:
-    """Outcome of one live-rotation drill (all counters per-run)."""
-
-    seed: int
-    rps: float
-    duration: float
-    announce_at: float
-    #: Workload outcome.
-    issued: int = 0
-    completed: int = 0
-    failed: int = 0
-    outcomes: Dict[str, int] = field(default_factory=dict)
-    retries_performed: int = 0
-    hedges_launched: int = 0
-    retryable_errors: int = 0
-    timeouts: int = 0
-    epoch_bumps: int = 0
-    #: Injected damage and its recovery.
-    crashes_injected: int = 0
-    restarts_completed: int = 0
-    failovers: int = 0
-    readmissions: int = 0
-    partition_drops: int = 0
-    stale_generation_blocks: int = 0
-    #: Drill progress.
-    rotation_completed: bool = False
-    final_state: str = "idle"
-    old_epoch: Optional[int] = None
-    new_epoch: Optional[int] = None
-    window_seconds: float = 0.0
-    pauses: int = 0
-    pause_reasons: Dict[str, int] = field(default_factory=dict)
-    reprovisions: int = 0
-    ticks: int = 0
-    rekey_events_processed: int = 0
-    rekey_users_rekeyed: int = 0
-    translate_cache_hits: int = 0
-    translate_cache_misses: int = 0
-    #: Dual-epoch window evidence.
-    previous_epoch_decrypts: int = 0
-    epoch_tags_seen: int = 0
-    #: Privacy checks.
-    shuffle_size: int = 0
-    ia_instances: int = 0
-    window_flushes: int = 0
-    min_window_flush: Optional[int] = None
-    tag_exposures: List[str] = field(default_factory=list)
-    cross_epoch_user_overlap: int = 0
-    pre_announce_pseudonyms: int = 0
-    post_retire_pseudonyms: int = 0
-    audit_violations: int = 0
-    #: Structured ``rotation`` events, in emission order (the
-    #: determinism check compares this stream across same-seed runs).
-    rotation_events: List[Dict[str, Any]] = field(default_factory=list)
-    #: The drill's SLO verdict, set by :func:`run_rotation`; excluded
-    #: from ``to_dict`` — the gate writes it as its own ``slo.json``.
-    slo_report: Optional[SloReport] = None
-
-    @property
-    def required_anonymity(self) -> int:
-        """The ``S*I`` bound the drill must never undercut."""
-        return self.shuffle_size * max(1, self.ia_instances)
-
-    @property
-    def effective_anonymity_floor(self) -> int:
-        """Worst released-batch anonymity inside the window."""
-        if self.min_window_flush is None:
-            return 0
-        return self.min_window_flush * max(1, self.ia_instances)
-
-    def problems(self) -> List[str]:
-        """Acceptance-check failures (empty when the drill passed)."""
-        found: List[str] = []
-        if not self.rotation_completed:
-            found.append(
-                f"rotation never retired the old epoch (state {self.final_state!r},"
-                f" pauses {self.pause_reasons})"
-            )
-        if self.failed:
-            found.append(f"{self.failed} client call(s) aborted during the drill")
-        if self.crashes_injected == 0:
-            found.append("no crash was injected into the rotating layer")
-        if self.restarts_completed != self.crashes_injected:
-            found.append(
-                f"{self.crashes_injected} crashes but only"
-                f" {self.restarts_completed} restarts completed"
-            )
-        if self.pauses == 0:
-            found.append("the drill never paused (crash mid-window went unnoticed)")
-        if self.previous_epoch_decrypts == 0:
-            found.append("no request ever exercised the dual-epoch window")
-        if self.window_flushes == 0:
-            found.append("no shuffle batch was released during the window")
-        elif self.min_window_flush is not None and self.min_window_flush < self.shuffle_size:
-            found.append(
-                f"anonymity floor violated: a batch of {self.min_window_flush}"
-                f" (< S={self.shuffle_size}) was released mid-window"
-            )
-        if self.tag_exposures:
-            found.append(
-                f"epoch tag visible beyond client->ua: {self.tag_exposures[0]}"
-            )
-        if self.cross_epoch_user_overlap:
-            found.append(
-                f"{self.cross_epoch_user_overlap} user pseudonym(s) linkable"
-                " across epochs"
-            )
-        if self.audit_violations:
-            found.append(f"redaction audit found {self.audit_violations} leak(s)")
-        return found
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems()
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready summary (exposures and events as counts)."""
-        return summarize(
-            self,
-            counted=("tag_exposures", "rotation_events"),
-            derived=("required_anonymity", "effective_anonymity_floor"),
-        )
+#: The shared counters a rotation drill reports, read after the drain.
+COUNTERS = (
+    "issued", "completed", "failed", "outcomes", "retries_performed",
+    "hedges_launched", "retryable_errors", "timeouts", "epoch_bumps",
+    "crashes_injected", "restarts_completed", "failovers", "readmissions",
+    "partition_drops", "stale_generation_blocks", "audit_violations",
+)
 
 
 def default_rotation_plan() -> FaultPlan:
@@ -227,7 +101,7 @@ P99_CEILING = 2.5
 
 
 def rotation_slo_objectives(required_anonymity: float) -> List[Objective]:
-    """The live-rotation drill's objectives.
+    """The live-rotation drill's objectives — its whole verdict.
 
     Rotation promises zero downtime, so goodput is a near-1.0 ratio
     (retries ride over the injected crash/partition; only a failure
@@ -237,7 +111,10 @@ def rotation_slo_objectives(required_anonymity: float) -> List[Objective]:
     pause budget bounds how long the drill may sit degraded: the crash
     plus partition must pause the rotation, but the supervisor restart
     and health-monitor readmission must unstick it well inside the
-    ceiling.
+    ceiling.  The run-end checks ask that the drill retired the old
+    epoch with no aborted call, that its crash and its window did real
+    work, and that the adversary — who must have seen pseudonyms on
+    both sides of the window — links none of them across it.
     """
     return [
         Objective(
@@ -269,7 +146,22 @@ def rotation_slo_objectives(required_anonymity: float) -> List[Objective]:
             value="p99_latency_seconds",
             description="p99 of client-observed end-to-end latency.",
         ),
-    ]
+    ] + run_end_objectives(
+        ("rotation_completed", "equal", 1, "The rotation retired the old epoch."),
+        ("failed", "equal", 0, "No client call was aborted during the drill."),
+        ("crashes_injected", "at_least", 1, "A crash was injected into the rotating layer."),
+        ("unrestarted_crashes", "equal", 0, "Every crash was restarted (crashes - restarts)."),
+        ("pauses", "at_least", 1, "The drill paused (the crash mid-window was noticed)."),
+        ("previous_epoch_decrypts", "at_least", 1, "A request exercised the dual-epoch window."),
+        ("window_flushes", "at_least", 1, "A shuffle batch was released during the window."),
+        ("min_window_flush", "at_least", ROTATION_CONFIG.shuffle_size,
+         "No batch smaller than S was released mid-window."),
+        ("tag_exposure_count", "equal", 0, "The epoch tag was never visible beyond client->ua."),
+        ("pre_announce_pseudonyms", "at_least", 1, "Pseudonyms were seen before the announce."),
+        ("post_retire_pseudonyms", "at_least", 1, "Pseudonyms were seen after retirement."),
+        ("cross_epoch_user_overlap", "equal", 0, "No user pseudonym is linkable across epochs."),
+        ("audit_violations", "equal", 0, "The redaction audit found no leak."),
+    )
 
 
 def run_rotation(
@@ -278,14 +170,15 @@ def run_rotation(
     duration: float = 10.0,
     *,
     telemetry: Optional[Telemetry] = None,
-) -> RotationResult:
-    """Run the live-rotation drill once; returns its :class:`RotationResult`.
+) -> DrillRig:
+    """Run the live-rotation drill once; returns the finished rig (its
+    ``summary`` and ``verdict``, its ``rotation`` events).
 
     A feedback prefix is stored (and the recommender trained) before
     traffic starts, so the online re-encryption has a real old-epoch
     prefix to translate while new-epoch rows keep arriving on top of
     it.  The SLO engine attaches after preload, so the series behind
-    ``slo_report`` covers only the drill.
+    the verdict covers only the drill.
     """
     rig = DrillRig("rotation", seed, grace=6.0, telemetry=telemetry, frontends=3)
     #: epoch_ttl models a stale client population: material is cached
@@ -319,7 +212,7 @@ def run_rotation(
         telemetry=rig.telemetry,
     )
     # A drill still pausing at traffic end never hangs the run: the rig
-    # stops the coordinator at the horizon and the result records the
+    # stops the coordinator at the horizon and the summary records the
     # state it stood in.
     rig.arm(default_rotation_plan(), rotation=coordinator)
     rig.instrument()
@@ -370,52 +263,60 @@ def run_rotation(
     rekey_report = (
         coordinator.rekeyer.report() if coordinator.rekeyer is not None else None
     )
-    result = RotationResult(
-        seed=seed, rps=rps, duration=duration, announce_at=ANNOUNCE_AT,
-        rotation_completed=coordinator.completed,
-        final_state=coordinator.state,
-        old_epoch=coordinator.old_epoch,
-        new_epoch=coordinator.new_epoch,
-        window_seconds=coordinator.dual_window_seconds,
-        pauses=coordinator.pauses,
-        pause_reasons=dict(coordinator.pause_reasons),
-        reprovisions=coordinator.reprovisions,
-        ticks=coordinator.ticks,
-        rekey_events_processed=rekey_report.events_processed if rekey_report else 0,
-        rekey_users_rekeyed=rekey_report.users_rekeyed if rekey_report else 0,
-        translate_cache_hits=rekey_report.translate_cache_hits if rekey_report else 0,
-        translate_cache_misses=(
-            rekey_report.translate_cache_misses if rekey_report else 0
-        ),
-        previous_epoch_decrypts=sum(
+    counters = rig.counters_for(*COUNTERS)
+    shuffle_size, ia_instances = ROTATION_CONFIG.shuffle_size, len(service.ia_instances)
+    min_window_flush = min(window_samples, default=None)
+    summary = {
+        "seed": seed, "rps": rps, "duration": duration, "announce_at": ANNOUNCE_AT,
+        **counters,
+        "rotation_completed": coordinator.completed,
+        "final_state": coordinator.state,
+        "old_epoch": coordinator.old_epoch,
+        "new_epoch": coordinator.new_epoch,
+        "window_seconds": coordinator.dual_window_seconds,
+        "pauses": coordinator.pauses,
+        "pause_reasons": dict(coordinator.pause_reasons),
+        "reprovisions": coordinator.reprovisions,
+        "ticks": coordinator.ticks,
+        "rekey_events_processed": rekey_report.events_processed if rekey_report else 0,
+        "rekey_users_rekeyed": rekey_report.users_rekeyed if rekey_report else 0,
+        "translate_cache_hits": rekey_report.translate_cache_hits if rekey_report else 0,
+        "translate_cache_misses": rekey_report.translate_cache_misses if rekey_report else 0,
+        "previous_epoch_decrypts": sum(
             instance.previous_epoch_decrypts for instance in service.ua_instances
         ),
-        epoch_tags_seen=sum(
-            instance.epoch_tags_seen for instance in service.ua_instances
+        "epoch_tags_seen": sum(instance.epoch_tags_seen for instance in service.ua_instances),
+        "shuffle_size": shuffle_size,
+        "ia_instances": ia_instances,
+        "window_flushes": len(window_samples),
+        "min_window_flush": min_window_flush,
+        "tag_exposure_count": len(epoch_tag_exposures(adversary.observations)),
+        "cross_epoch_user_overlap": len(overlap),
+        "pre_announce_pseudonyms": len(before["user"]),
+        "post_retire_pseudonyms": len(after["user"]),
+        "rotation_event_count": len(rig.events("rotation")),
+        # The S*I bound, and the worst released-batch anonymity inside
+        # the window (0 when no batch was released there).
+        "required_anonymity": shuffle_size * max(1, ia_instances),
+        "effective_anonymity_floor": (
+            0 if min_window_flush is None else min_window_flush * max(1, ia_instances)
         ),
-        shuffle_size=ROTATION_CONFIG.shuffle_size,
-        ia_instances=len(service.ia_instances),
-        window_flushes=len(window_samples),
-        min_window_flush=min(window_samples, default=None),
-        tag_exposures=epoch_tag_exposures(adversary.observations),
-        cross_epoch_user_overlap=len(overlap),
-        pre_announce_pseudonyms=len(before["user"]),
-        post_retire_pseudonyms=len(after["user"]),
-        rotation_events=rig.events("rotation"),
-        **rig.counters_for(RotationResult),
+    }
+    rig.finish(
+        summary,
+        rotation_slo_objectives(float(summary["required_anonymity"])),
+        {"unrestarted_crashes": counters["crashes_injected"] - counters["restarts_completed"]},
     )
-    result.slo_report = rig.finish(
-        result.to_dict(), rotation_slo_objectives(float(result.required_anonymity))
-    )
-    return result
+    return rig
 
 
 def gate(out_dir: str) -> List[str]:
     """``repro run rotation``: the default drill, its telemetry
-    artifact, its ``slo.json`` and its zero-downtime / anonymity checks."""
+    artifact and its ``slo.json`` — zero downtime, the anonymity floor
+    and every linkage check in one verdict."""
     telemetry = Telemetry(scrape_interval=1.0)
-    result = run_rotation(telemetry=telemetry)
-    print_summary("rotation drill summary", result.to_dict(), (
+    rig = run_rotation(telemetry=telemetry)
+    print_summary("rotation drill summary", rig.summary, (
         "seed", "issued", "completed", "failed",
         "old_epoch", "new_epoch", "final_state", "window_seconds",
         "pauses", "pause_reasons", "reprovisions",
@@ -426,4 +327,4 @@ def gate(out_dir: str) -> List[str]:
         "cross_epoch_user_overlap", "outcomes",
     ))
     telemetry.write_artifact(out_dir)
-    return write_verdict(result.slo_report, out_dir, result.problems())
+    return write_verdict(rig.verdict, out_dir)

@@ -21,12 +21,12 @@ from __future__ import annotations
 from repro.obs.causal import CausalTracer, instrument_causal
 from repro.obs.profiler import ProfiledLoop, merge_profiles, write_profile
 from repro.obs.smoke import (
-    ObsScenarioResult,
     obs_slo_objectives,
     run_obs_scenario,
     write_obs_artifacts,
 )
 from repro.obs.slo import (
+    RUN_END_KINDS,
     Measurement,
     Objective,
     SloEngine,
@@ -48,13 +48,13 @@ from repro.obs.tracewire import (
 __all__ = [
     "CausalTracer",
     "instrument_causal",
-    "ObsScenarioResult",
     "run_obs_scenario",
     "obs_slo_objectives",
     "write_obs_artifacts",
     "ProfiledLoop",
     "merge_profiles",
     "write_profile",
+    "RUN_END_KINDS",
     "Measurement",
     "Objective",
     "SloEngine",

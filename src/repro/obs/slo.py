@@ -21,28 +21,36 @@ Burn-rate semantics follow the SRE multi-window multi-burn-rate rule:
 * ``ceiling`` objectives (sampled value must end <= target, e.g. p99
   latency, accumulated rotation pause seconds): evaluated on the final
   sample; breach fractions play the burn-rate role.
+* run-end objectives (``at_least`` / ``at_most`` / ``equal``, e.g. at
+  least one crash injected, zero audit findings): judged once, on a
+  value the run reports at its end — never sampled, never alerting,
+  burn fields null.  They are what makes ``slo.json`` a run's whole
+  verdict: every acceptance check of a drill is one of them.
 
 Alerts are emitted as ``slo`` events with role ``operator`` (the
 redaction boundary applies to them like any other event).  Runs with
-no live engine — the scale sweep's perf-sensitive hot path — evaluate
-the same objectives statically with :func:`evaluate_static`; burn
-fields are null there.
+no live engine — the scale sweep's perf-sensitive hot path, capacity's
+legs — evaluate the same objectives statically with
+:func:`evaluate_static`; burn fields are null there.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
+    "RUN_END_KINDS",
     "Objective",
     "Measurement",
     "SloReport",
     "SloEngine",
     "evaluate_static",
+    "run_end_objectives",
     "histogram_quantile",
     "write_slo",
 ]
@@ -54,12 +62,13 @@ class Objective:
 
     ``kind`` selects the evaluation rule: ``ratio`` (needs ``good`` and
     ``total`` counter sources), ``floor`` or ``ceiling`` (need a
-    ``value`` source).  ``target`` is the promise; ``alert_burn`` is
-    the short-window burn multiple that pages.
+    ``value`` source), or one of :data:`RUN_END_KINDS` (``value`` names
+    a run-end value, not a source).  ``target`` is the promise;
+    ``alert_burn`` is the short-window burn multiple that pages.
     """
 
     name: str
-    kind: str  # "ratio" | "floor" | "ceiling"
+    kind: str  # "ratio" | "floor" | "ceiling" | one of RUN_END_KINDS
     target: float
     description: str = ""
     good: str = ""
@@ -68,12 +77,34 @@ class Objective:
     alert_burn: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("ratio", "floor", "ceiling"):
+        if self.kind != "ratio" and self.kind not in _HOLDS:
             raise ValueError(f"unknown objective kind {self.kind!r}")
         if self.kind == "ratio" and (not self.good or not self.total):
             raise ValueError(f"ratio objective {self.name!r} needs good= and total=")
-        if self.kind in ("floor", "ceiling") and not self.value:
+        if self.kind != "ratio" and not self.value:
             raise ValueError(f"{self.kind} objective {self.name!r} needs value=")
+
+
+#: Kinds judged once, on a value the run reports at its end.
+RUN_END_KINDS = ("at_least", "at_most", "equal")
+
+#: Whether a value keeps a level objective's promise, by kind.
+_HOLDS: Dict[str, Callable[[float, float], bool]] = {
+    "floor": operator.ge,
+    "ceiling": operator.le,
+    "at_least": operator.ge,
+    "at_most": operator.le,
+    "equal": operator.eq,
+}
+
+
+def run_end_objectives(*checks: Tuple[str, str, float, str]) -> List[Objective]:
+    """Run-end objectives from ``(value, kind, target, description)``
+    rows, each named after the run-end value it judges."""
+    return [
+        Objective(name=value, kind=kind, target=target, value=value, description=description)
+        for value, kind, target, description in checks
+    ]
 
 
 @dataclass
@@ -129,13 +160,12 @@ class SloReport:
         raise KeyError(f"no objective named {name!r} in this report")
 
     def problems(self) -> List[str]:
-        out: List[str] = []
-        for m in self.measurements:
-            if not m.ok:
-                out.append(
-                    f"slo {m.name}: value {m.value!r} violates {m.kind} target {m.target}"
-                )
-        return out
+        return [
+            f"{self.experiment} {m.name}: {m.description}"
+            f" (value {m.value!r} violates {m.kind} target {m.target})"
+            for m in self.measurements
+            if not m.ok
+        ]
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -341,8 +371,16 @@ class SloEngine:
             description=objective.description,
         )
 
-    def evaluate(self, objectives: Sequence[Objective], experiment: str) -> SloReport:
-        """Final sample + verdict; emits operator alert/verdict events."""
+    def evaluate(
+        self,
+        objectives: Sequence[Objective],
+        experiment: str,
+        values: Optional[Dict[str, Any]] = None,
+    ) -> SloReport:
+        """Final sample + verdict; emits operator alert/verdict events.
+
+        Run-end objectives read *values* (the run's end-of-run summary)
+        instead of the samples."""
         now = self._loop.now if self._loop is not None else (
             self.samples[-1][0] if self.samples else 0.0
         )
@@ -358,6 +396,8 @@ class SloEngine:
         for objective in objectives:
             if objective.kind == "ratio":
                 measurement = self._ratio_measurement(objective, short_start)
+            elif objective.kind in RUN_END_KINDS:
+                measurement = _judge_once(objective, values or {})
             else:
                 measurement = self._level_measurement(objective, short_start)
             report.measurements.append(measurement)
@@ -399,18 +439,34 @@ class SloEngine:
         )
 
 
+def _judge_once(objective: Objective, values: Dict[str, Any]) -> Measurement:
+    """A level or run-end objective judged on one reported value (a
+    missing or null value fails closed); burn fields stay null."""
+    raw = values.get(objective.value)
+    value = None if raw is None else float(raw)
+    return Measurement(
+        name=objective.name,
+        kind=objective.kind,
+        target=objective.target,
+        value=value,
+        ok=value is not None and _HOLDS[objective.kind](value, objective.target),
+        description=objective.description,
+    )
+
+
 def evaluate_static(
     objectives: Sequence[Objective],
-    values: Dict[str, float],
+    values: Dict[str, Any],
     experiment: str,
     generated_at: float = 0.0,
 ) -> SloReport:
     """Evaluate objectives against point-in-time values (no live engine).
 
     Used where attaching a sampler would perturb a perf-sensitive hot
-    path (the scale sweep): ratio objectives read ``good``/``total``
-    totals from *values*, level objectives read ``value``; burn fields
-    stay null.
+    path (the scale sweep) and where no engine watched the run
+    (capacity's legs): ratio objectives read ``good``/``total`` totals
+    from *values*, every other kind reads ``value``; burn fields stay
+    null.
     """
     report = SloReport(
         experiment=experiment,
@@ -419,27 +475,19 @@ def evaluate_static(
         short_window_seconds=0.0,
     )
     for objective in objectives:
-        if objective.kind == "ratio":
-            total = values.get(objective.total, 0.0)
-            good = values.get(objective.good, 0.0)
-            value = (good / total) if total > 0 else 1.0
-            ok = value >= objective.target
-        else:
-            raw = values.get(objective.value)
-            value = None if raw is None else float(raw)
-            if value is None:
-                ok = False
-            elif objective.kind == "floor":
-                ok = value >= objective.target
-            else:
-                ok = value <= objective.target
+        if objective.kind != "ratio":
+            report.measurements.append(_judge_once(objective, values))
+            continue
+        total = values.get(objective.total, 0.0)
+        good = values.get(objective.good, 0.0)
+        value = (good / total) if total > 0 else 1.0
         report.measurements.append(
             Measurement(
                 name=objective.name,
                 kind=objective.kind,
                 target=objective.target,
                 value=value,
-                ok=ok,
+                ok=value >= objective.target,
                 description=objective.description,
             )
         )

@@ -28,15 +28,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.obs.causal import CausalTracer, instrument_causal
 from repro.obs.profiler import ProfiledLoop, write_profile
-from repro.obs.slo import Objective, write_slo
+from repro.obs.slo import Objective, run_end_objectives, write_slo
 
 __all__ = [
-    "ObsScenarioResult",
     "run_obs_scenario",
     "obs_slo_objectives",
     "write_obs_artifacts",
@@ -55,11 +53,15 @@ P99_CEILING = 1.0
 
 
 def obs_slo_objectives(required_anonymity: float) -> List[Objective]:
-    """The micro run's objectives: fault-free, so targets are strict.
+    """The micro run's objectives — its whole verdict: fault-free, so
+    targets are strict.
 
     The anonymity floor here is hard and windowed: while load is
     offered every released batch must be full (timer flushes only
-    happen at the drain tail, after the source stops reporting).
+    happen at the drain tail, after the source stops reporting).  The
+    run-end checks hold the severing rule: every stamped attempt was
+    severed at the shuffle, batch spans were emitted, and no trace id
+    or identifier leaked.
     """
     return [
         Objective(
@@ -84,68 +86,23 @@ def obs_slo_objectives(required_anonymity: float) -> List[Objective]:
             value="p99_latency_seconds",
             description="p99 of client-observed end-to-end latency.",
         ),
-    ]
-
-
-@dataclass
-class ObsScenarioResult:
-    """Outcome of one obs micro run (self-check surface)."""
-
-    seed: int
-    issued: int = 0
-    completed: int = 0
-    failed: int = 0
-    #: Tracer aggregates (see :meth:`CausalTracer.link_report`).
-    link: Dict[str, int] = field(default_factory=dict)
-    severed_cleanly: bool = False
-    #: Wire-level findings: trace ids visible beyond client->ua.
-    trace_exposures: List[str] = field(default_factory=list)
-    #: Event-level findings from the role-aware redaction boundary.
-    audit_violations: int = 0
-    slo_report: Optional[Any] = None
-    #: Live handles for artifact writing (not part of the summary).
-    loop: Optional[Any] = None
-    telemetry: Optional[Any] = None
-
-    def problems(self) -> List[str]:
-        found: List[str] = []
-        if self.failed:
-            found.append(f"{self.failed} client call(s) failed on a fault-free run")
-        if not self.severed_cleanly:
-            found.append(
-                f"severing mismatch: {self.link.get('attempts_stamped', 0)} attempts"
-                f" stamped but {self.link.get('traces_severed', 0)} severed"
-            )
-        if not self.link.get("batch_spans"):
-            found.append("no batch span was ever emitted at a shuffle flush")
-        if self.trace_exposures:
-            found.append(
-                f"trace id visible beyond client->ua: {self.trace_exposures[0]}"
-            )
-        if self.audit_violations:
-            found.append(f"redaction audit found {self.audit_violations} leak(s)")
-        return found + self.slo_report.problems()
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems()
-
-    def to_dict(self) -> Dict[str, Any]:
-        from repro.experiments.rig import summarize
-
-        summary = summarize(
-            self, counted=("trace_exposures",), omit=("loop", "telemetry")
-        )
-        summary["slo_ok"] = None if self.slo_report is None else self.slo_report.ok
-        return summary
+    ] + run_end_objectives(
+        ("failed", "equal", 0, "No client call failed on a fault-free run."),
+        ("severed_cleanly", "equal", 1, "Every attempt stamped with a trace id was severed."),
+        ("batch_spans", "at_least", 1, "A batch span was emitted at a shuffle flush."),
+        ("trace_exposure_count", "equal", 0, "No trace id was visible beyond client->ua."),
+        ("audit_violations", "equal", 0, "The redaction audit found no leak."),
+    )
 
 
 def run_obs_scenario(
     seed: int = 7,
     rps: float = 80.0,
     duration: float = 4.0,
-) -> ObsScenarioResult:
-    """Run the micro deployment with the full observability stack armed."""
+) -> Any:
+    """Run the micro deployment with the full observability stack armed;
+    returns the finished :class:`~repro.experiments.rig.DrillRig` (its
+    profiled ``loop``, its ``telemetry``, ``summary`` and ``verdict``)."""
     # Imports are local so ``repro.obs`` stays importable on its own
     # (the package is also used by tools that never build a service).
     from repro.experiments.rig import DrillRig
@@ -184,32 +141,33 @@ def run_obs_scenario(
     })
     rig.run()
 
-    result = ObsScenarioResult(
-        seed=seed,
-        link=tracer.link_report(),
-        severed_cleanly=tracer.severed_cleanly(),
-        trace_exposures=trace_field_exposures(adversary.observations),
-        loop=loop,
-        telemetry=hub,
-        **rig.counters_for(ObsScenarioResult),
+    link = tracer.link_report()
+    summary = {
+        "seed": seed,
+        **rig.counters_for("issued", "completed", "failed", "audit_violations"),
+        "link": link,
+        "severed_cleanly": tracer.severed_cleanly(),
+        "trace_exposure_count": len(trace_field_exposures(adversary.observations)),
+    }
+    rig.finish(
+        summary,
+        obs_slo_objectives(float(config.shuffle_size * config.ia_instances)),
+        {"batch_spans": link.get("batch_spans", 0)},
     )
-    result.slo_report = rig.finish(
-        result.to_dict(), obs_slo_objectives(float(config.shuffle_size * config.ia_instances))
-    )
-    return result
+    return rig
 
 
-def write_obs_artifacts(result: ObsScenarioResult, out_dir: str) -> Dict[str, str]:
+def write_obs_artifacts(rig: Any, out_dir: str) -> Dict[str, str]:
     """Write the run's artifact set; returns basename -> path.
 
     ``trace.jsonl`` holds only the causal/SLO plane (``cspan`` /
     ``bspan`` / ``slo`` events).
     """
     os.makedirs(out_dir, exist_ok=True)
-    paths = write_profile(result.loop, out_dir)
+    paths = write_profile(rig.loop, out_dir)
     trace_path = os.path.join(out_dir, "trace.jsonl")
     with open(trace_path, "w") as fh:
-        for event in result.telemetry.event_log.events:
+        for event in rig.telemetry.event_log.events:
             if event.kind in TRACE_EVENT_KINDS:
                 fh.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
     return {
@@ -217,19 +175,20 @@ def write_obs_artifacts(result: ObsScenarioResult, out_dir: str) -> Dict[str, st
         "profile.folded": paths["folded"],
         "profile_meta.json": paths["meta"],
         "trace.jsonl": trace_path,
-        "slo.json": write_slo(result.slo_report, out_dir),
+        "slo.json": write_slo(rig.verdict, out_dir),
     }
 
 
 def gate(out_dir: str) -> List[str]:
-    """``repro run obs``: the micro scenario's artifacts, its severing
-    checks and its SLO verdict."""
-    result = run_obs_scenario()
-    write_obs_artifacts(result, out_dir)
+    """``repro run obs``: the micro scenario's artifacts and its SLO
+    verdict, severing checks included."""
+    rig = run_obs_scenario()
+    write_obs_artifacts(rig, out_dir)
+    summary = rig.summary
     print(
-        f"obs scenario: issued={result.issued} completed={result.completed}"
-        f" attempts_stamped={result.link['attempts_stamped']}"
-        f" severed={result.link['traces_severed']}"
-        f" batch_spans={result.link['batch_spans']}"
+        f"obs scenario: issued={summary['issued']} completed={summary['completed']}"
+        f" attempts_stamped={summary['link']['attempts_stamped']}"
+        f" severed={summary['link']['traces_severed']}"
+        f" batch_spans={summary['link']['batch_spans']}"
     )
-    return result.problems()
+    return rig.verdict.problems()

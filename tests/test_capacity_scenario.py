@@ -75,9 +75,11 @@ def test_degraded_ceiling_and_objectives():
     assert ceiling > target.p99_slo
     chaos = capacity_slo_objectives(target, plan, chaos=True, spec=spec)
     clean = capacity_slo_objectives(target, plan, chaos=False)
-    assert [o.name for o in chaos] == [o.name for o in clean] == [
+    assert [o.name for o in clean] == [
         "goodput", "released_flush_floor", "p99_latency_seconds",
     ]
+    # The chaos leg must also prove it crashed something.
+    assert [o.name for o in chaos] == [o.name for o in clean] + ["crashes_injected"]
     assert clean[2].target == target.p99_slo
     assert chaos[2].target == ceiling
     assert chaos[1].value == "min_steady_flush"
@@ -93,39 +95,54 @@ def single_point():
     return run_capacity(targets=(DEFAULT_TARGETS[0],), seed=11, duration=8.0)
 
 
+def leg(rigs, mode):
+    return next(rig for rig in rigs if rig.summary["mode"] == mode)
+
+
 def test_clean_leg_meets_the_steady_state_slo(single_point):
-    _, _, results = single_point
-    clean = next(r for r in results if r.mode == "clean")
-    assert clean.problems() == []
-    assert clean.ok
-    assert clean.goodput >= 0.99
-    assert clean.p99_latency_seconds <= clean.target.p99_slo
-    assert clean.min_released_flush >= clean.plan.shuffle_size
+    _, _, rigs = single_point
+    clean = leg(rigs, "clean")
+    assert clean.verdict.problems() == []
+    assert clean.verdict.ok
+    summary = clean.summary
+    assert summary["goodput"] >= 0.99
+    assert summary["p99_latency_seconds"] <= summary["target"]["p99_slo"]
+    assert summary["min_released_flush"] >= summary["plan"]["shuffle_size"]
 
 
 def test_chaos_leg_degrades_gracefully(single_point):
-    _, _, results = single_point
-    chaos = next(r for r in results if r.mode == "chaos")
-    assert chaos.problems() == []
-    assert chaos.ok
-    assert chaos.goodput >= 0.9
-    assert chaos.crashes_injected > 0
-    assert chaos.restarts_completed == chaos.crashes_injected
+    _, _, rigs = single_point
+    chaos = leg(rigs, "chaos")
+    assert chaos.verdict.problems() == []
+    assert chaos.verdict.ok
+    summary = chaos.summary
+    assert summary["goodput"] >= 0.9
+    assert summary["crashes_injected"] > 0
+    assert summary["restarts_completed"] == summary["crashes_injected"]
     # The floor is judged on flushes outside network-interruption
     # windows; interrupted timer flushes are reported, never hidden.
-    assert chaos.min_steady_flush >= chaos.plan.shuffle_size
+    assert summary["min_steady_flush"] >= summary["plan"]["shuffle_size"]
     spec = capacity_chaos_spec(8.0)
-    assert chaos.p99_latency_seconds <= degraded_p99_ceiling(chaos.target, spec)
+    assert summary["p99_latency_seconds"] <= degraded_p99_ceiling(DEFAULT_TARGETS[0], spec)
 
 
 def test_artifact_shape_and_roundtrip(single_point, tmp_path):
-    artifact, meta, results = single_point
+    artifact, meta, rigs = single_point
     assert artifact["experiment"] == "capacity"
     assert artifact["ok"] is True
     assert artifact["per_pair_rps"] == MEASURED_PER_PAIR_RPS
     (point,) = artifact["points"]
     assert set(point) == {"target", "plan", "clean", "chaos"}
     assert point["clean"]["slo"]["ok"] and point["chaos"]["slo"]["ok"]
+    # Each leg's entry is its rig's summary (the point label is the
+    # entry's) plus its verdict, named after the leg.
+    for rig in rigs:
+        mode = rig.summary["mode"]
+        assert point[mode] == {
+            **{k: v for k, v in rig.summary.items() if k != "point"},
+            "slo": rig.verdict.to_dict(),
+        }
+        assert point[mode]["slo"]["experiment"] == f"capacity/{rig.summary['point']}/{mode}"
     artifact_path, meta_path = write_artifacts(artifact, meta, str(tmp_path))
     body = (tmp_path / "capacity.json").read_text(encoding="utf-8")
     assert body.endswith("\n")
@@ -136,12 +153,12 @@ def test_artifact_shape_and_roundtrip(single_point, tmp_path):
 
 
 def test_verification_is_deterministic_for_a_fixed_seed(single_point):
-    _, _, results = single_point
-    chaos = next(r for r in results if r.mode == "chaos")
-    again = verify_plan(
-        chaos.target, chaos.plan, seed=11, duration=8.0, chaos=True
-    )
-    assert again.to_dict() == chaos.to_dict()
+    _, _, rigs = single_point
+    chaos = leg(rigs, "chaos")
+    target = DEFAULT_TARGETS[0]
+    again = verify_plan(target, solve_plan(target), seed=11, duration=8.0, chaos=True)
+    assert again.summary == chaos.summary
+    assert again.verdict.to_dict() == chaos.verdict.to_dict()
 
 
 def test_capacity_is_registered_experiment():

@@ -263,3 +263,58 @@ def test_ci_examples_job_runs_the_examples_scenario_diff_compares():
     (listed,) = re.findall(r"^EXAMPLES = \(([^)]*)\)", tool, flags=re.M)
     assert loop.split() == re.findall(r'"(\w+)"', listed)
     assert all((REPO / "examples" / f"{name}.py").exists() for name in loop.split())
+
+
+def test_ci_macro_job_runs_the_macro_leg_under_four_hash_seeds():
+    """The macro leg of ``experiments/runner.py`` is the one path no
+    scenario or example runs: its own job runs it under the four hash
+    seeds and diffs 2-4 against 1."""
+    workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    job = workflow[workflow.index("\n  macro:\n"):workflow.index("\n  simnet-perf-floor:\n")]
+    assert re.findall(r"for seed in ([\d ]+); do", job) == ["1 2 3 4", "2 3 4"]
+    assert 'PYTHONHASHSEED=$seed PYTHONPATH=src python -c "$MACRO"' in job
+    assert "diff macro-1.txt macro-$seed.txt" in job
+    assert 'run_full(MACRO_FULL["f1"], 100, seed=3, runs=1' in job
+    assert "result.window_latencies" in job
+
+
+#: A second verdict beside ``slo.json``: a problems list of a driver's
+#: own, a result type or the helper that summarised one, a counter read
+#: that introspects a type, or a gate concatenating problems with the
+#: verdict's.  (``RunResult`` is the figure runner's latency record,
+#: not a verdict.)
+SECOND_VERDICT = re.compile(
+    r"def problems\b|^class (?!RunResult\b)\w*Result\b|^class LoadPoint\b|def summarize\b"
+    r"|counters_for\(\s*[A-Z]|def write_verdict\([^)]*problems"
+    r"|\+\s*[\w.]*problems\(\)|problems\(\)\s*\+",
+    flags=re.M,
+)
+
+
+def test_one_verdict():
+    """One verdict per run: every acceptance check of a judged gate is
+    an objective of its ``slo.json``, and each gate returns that
+    verdict's problems and nothing else."""
+    modules = sorted((REPO / "src" / "repro" / "experiments").glob("*.py"))
+    modules.append(REPO / "src" / "repro" / "obs" / "smoke.py")
+    offenders = [
+        f"{path.relative_to(REPO)}: {match.group(0).strip()}"
+        for path in modules
+        for match in SECOND_VERDICT.finditer(path.read_text())
+    ]
+    assert offenders == [], f"second verdicts beside slo.json: {offenders}"
+    # Each gate's last statement returns the written verdict's problems.
+    gate_returns = {
+        "experiments/chaos.py": "return write_verdict(rig.verdict, out_dir)",
+        "experiments/rotation.py": "return write_verdict(rig.verdict, out_dir)",
+        "experiments/fleet.py": "return write_verdict(rig.verdict, out_dir)",
+        "experiments/overload.py": "return write_verdict(rig.verdict, out_dir)",
+        "experiments/scale.py": "return write_verdict(scale_slo_verdict(artifact), out_dir)",
+        "experiments/capacity.py":
+            "return [problem for rig in rigs for problem in rig.verdict.problems()]",
+        "obs/smoke.py": "return rig.verdict.problems()",
+    }
+    for module, statement in gate_returns.items():
+        text = (REPO / "src" / "repro" / module).read_text()
+        assert "\ndef gate(" in text, module
+        assert text.rstrip().splitlines()[-1].strip() == statement, module

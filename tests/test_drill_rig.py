@@ -1,22 +1,32 @@
 """The drill rig's contract: drained loops, one run-end record, real shed
-counts, and one operator timeline armed in one place."""
+counts, one operator timeline armed in one place, and one verdict per
+run that every gate's acceptance checks live in."""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
 from repro.crypto.keys import KeyFactory
 from repro.experiments.capacity import (
+    DEFAULT_TARGETS,
     CapacityPlan,
-    CapacityPointResult,
     CapacityTarget,
+    capacity_chaos_spec,
+    capacity_slo_objectives,
+    solve_plan,
     verify_plan,
 )
-from repro.experiments.fleet import FleetDrillResult
+from repro.experiments.chaos import chaos_slo_objectives
+from repro.experiments.fleet import fleet_slo_objectives
+from repro.experiments.overload import overload_slo_objectives, sweep_slo_objectives
 from repro.experiments.rig import DrillRig
-from repro.experiments.rotation import ROTATION_CONFIG
+from repro.experiments.rotation import ROTATION_CONFIG, rotation_slo_objectives
+from repro.experiments.scale import scale_slo_objectives, scale_slo_verdict
 from repro.faults import FaultEvent, FaultPlan
-from repro.obs.slo import Objective
+from repro.obs import smoke
+from repro.obs.slo import Objective, evaluate_static
 from repro.overload import OverloadPolicy
 from repro.proxy.config import PProxConfig
 from repro.proxy.epochs import RotationCoordinator
@@ -55,6 +65,94 @@ def test_run_drains_with_scraper_and_slo_engine_both_armed():
     assert not telemetry.scraper.running
 
 
+def test_an_unwatched_finish_is_judged_statically_and_closes_the_run_once():
+    """No engine watched the run (capacity's legs): ``finish`` judges it
+    on its run-end values at the clock's end, under its run label, and
+    the one run-end record carries that verdict — never the checks."""
+    telemetry = Telemetry()
+    rig = DrillRig("static", 5, grace=1.0, telemetry=telemetry, run_label="static/leg")
+    rig.deploy(PProxConfig(shuffle_size=2, shuffle_timeout=0.1))
+    rig.instrument()
+    rig.offer(20.0, 1.0, users=5)
+    rig.run()
+    assert rig.slo is None
+
+    report = rig.finish({"issued": rig.injector.report.issued}, [
+        Objective(name="goodput", kind="ratio", target=0.99, good="completed", total="issued"),
+        Objective(name="issued", kind="at_least", target=1, value="issued"),
+    ], {"completed": rig.injector.report.completed})
+    assert report is rig.verdict and report.ok
+    assert (report.experiment, report.generated_at) == ("static/leg", rig.loop.now)
+    assert all(m.burn_long is None and m.burn_short is None for m in report.measurements)
+    assert rig.summary == {"issued": 20}
+    ends = [
+        event for event in telemetry.event_log.events
+        if event.kind == "run" and event.payload.get("phase") == "end"
+    ]
+    assert len(ends) == 1
+    assert ends[0].payload["slo"]["ok"] is True
+    assert ends[0].payload["issued"] == 20 and "completed" not in ends[0].payload
+    assert list(telemetry.event_log.of_kind("slo")) == []  # no engine, no slo events
+
+
+def _gate_objectives():
+    target = DEFAULT_TARGETS[0]
+    plan = solve_plan(target)
+    return {
+        "chaos": chaos_slo_objectives(),
+        "rotation": rotation_slo_objectives(8.0),
+        "fleet": fleet_slo_objectives(8.0),
+        "overload": overload_slo_objectives(4.0) + sweep_slo_objectives(4.0),
+        "obs": smoke.obs_slo_objectives(8.0),
+        "capacity-clean": capacity_slo_objectives(target, plan, chaos=False),
+        "capacity-chaos": capacity_slo_objectives(
+            target, plan, chaos=True, spec=capacity_chaos_spec(8.0)
+        ),
+        "scale": scale_slo_objectives(0.5),
+    }
+
+
+@pytest.mark.parametrize("gate", sorted(_gate_objectives()))
+def test_an_all_zero_summary_fails_its_own_verdict(gate):
+    """A run that did nothing proves nothing: every gate asks for
+    evidence, so a summary of zeros never passes."""
+    objectives = _gate_objectives()[gate]
+    zeros = {key: 0 for o in objectives for key in (o.good, o.total, o.value) if key}
+    assert not evaluate_static(objectives, zeros, gate).ok
+
+
+def test_an_empty_scale_sweep_fails_its_verdict():
+    report = scale_slo_verdict({"deadline": 0.5, "points": []})
+    assert [m.name for m in report.measurements if not m.ok] == ["issued"]
+
+
+@pytest.mark.parametrize(
+    "key, value, check",
+    [("audit_violations", 1, "audit_violations"), ("batch_spans", 0, "batch_spans")],
+)
+def test_a_flipped_counter_fails_its_check_and_the_gate_names_it(
+    monkeypatch, tmp_path, key, value, check
+):
+    """Flip one run-end value of the real obs run — a summary counter
+    or a verdict-only check — on its way into ``finish``: that one
+    objective fails in ``slo.json``, and the gate's problems, which are
+    the verdict's, name it."""
+    finish = DrillRig.finish
+
+    def flipped(self, summary, objectives, checks=None):
+        if key in summary:
+            summary = {**summary, key: value}
+        else:
+            checks = {**checks, key: value}
+        return finish(self, summary, objectives, checks)
+
+    monkeypatch.setattr(DrillRig, "finish", flipped)
+    problems = smoke.gate(str(tmp_path))
+    verdict = json.loads((tmp_path / "slo.json").read_text())
+    assert [o["name"] for o in verdict["objectives"] if not o["ok"]] == [check]
+    assert len(problems) == 1 and f"obs {check}:" in problems[0]
+
+
 def test_shed_total_counts_the_stages_real_sheds():
     """Regression: the fleet drill and the capacity legs read a
     stage attribute that does not exist and reported 0 sheds
@@ -74,8 +172,9 @@ def test_shed_total_counts_the_stages_real_sheds():
     fleet = rig.service
     stage_sheds = sum(i.sheds for i in fleet.ua_instances + fleet.ia_instances)
     assert rig.shed_total == stage_sheds > 0
-    assert rig.counters_for(FleetDrillResult)["shed_total"] == stage_sheds
-    assert rig.counters_for(CapacityPointResult)["shed_total"] == stage_sheds
+    assert rig.counters_for("shed_total", "issued") == {
+        "shed_total": stage_sheds, "issued": rig.injector.report.issued,
+    }
 
 
 def test_capacity_leg_reports_its_sheds():
@@ -85,9 +184,8 @@ def test_capacity_leg_reports_its_sheds():
     plan = CapacityPlan(
         shards=1, instances_per_shard=1, shuffle_size=4, shuffle_timeout=0.2, pairs=1
     )
-    result = verify_plan(target, plan, seed=3, duration=2.0, chaos=False)
-    assert result.shed_total > 0
-    assert result.to_dict()["shed_total"] == result.shed_total
+    rig = verify_plan(target, plan, seed=3, duration=2.0, chaos=False)
+    assert rig.summary["shed_total"] == rig.shed_total > 0
 
 
 def test_anonymity_floor_counts_the_ia_alive_behind_each_flush():

@@ -1,12 +1,14 @@
 """SLO engine tests: objective validation, multi-window burn-rate
-math for ratio/floor/ceiling kinds, static evaluation, histogram
-quantiles, and the bounded tick that lets a run drain."""
+math for ratio/floor/ceiling kinds, run-end kinds judged once, static
+evaluation, histogram quantiles, and the bounded tick that lets a run
+drain."""
 
 import json
 
 import pytest
 
 from repro.obs.slo import (
+    RUN_END_KINDS,
     Objective,
     SloEngine,
     evaluate_static,
@@ -33,7 +35,7 @@ def test_ratio_objective_needs_good_and_total():
 
 
 def test_level_objectives_need_a_value_source():
-    for kind in ("floor", "ceiling"):
+    for kind in ("floor", "ceiling") + RUN_END_KINDS:
         with pytest.raises(ValueError):
             Objective(name="x", kind=kind, target=1.0)
         Objective(name="x", kind=kind, target=1.0, value="x")
@@ -156,6 +158,41 @@ def test_none_returning_sources_skip_the_sample():
     [m] = report.measurements
     assert m.ok  # only the in-window sample counts
     assert m.value == 4.0
+
+
+def test_run_end_objectives_are_judged_once_on_the_reported_value():
+    """At-least / at-most / equal read the run's end values: no source,
+    no sample, no alert, null burns — the same measurement live or
+    static, and a missing value fails closed."""
+    engine = fed_engine([(0.0, {"n": 1.0}), (1.0, {"n": 2.0})])
+    engine.telemetry = Telemetry()
+    objectives = [
+        Objective(name="crashed", kind="at_least", target=1, value="crashes"),
+        Objective(name="leaks", kind="at_most", target=0, value="leaks", description="No leak."),
+        Objective(name="lost", kind="equal", target=0, value="lost"),
+        Objective(name="ghost", kind="equal", target=0, value="absent", description="None lost."),
+    ]
+    values = {"crashes": 2, "leaks": 1, "lost": 0, "n": 99.0}
+    report = engine.evaluate(objectives, "unit", values)
+    assert [(m.name, m.value, m.ok) for m in report.measurements] == [
+        ("crashed", 2.0, True), ("leaks", 1.0, False), ("lost", 0.0, True), ("ghost", None, False),
+    ]
+    assert all(
+        m.burn_long is None and m.burn_short is None and not m.alert
+        for m in report.measurements
+    )
+    # evaluate's one final sample, over the one tracked source.
+    assert [row for _, row in engine.samples] == [{"n": 1.0}, {"n": 2.0}, {"n": 2.0}]
+    [verdict] = (event.to_dict() for event in engine.telemetry.event_log.of_kind("slo"))
+    assert (verdict["event"], verdict["objectives"], verdict["alerts"]) == ("slo_verdict", 4, 0)
+    static = evaluate_static(objectives, values, "unit")
+    assert [m.to_dict() for m in static.measurements] == [
+        m.to_dict() for m in report.measurements
+    ]
+    assert report.problems() == [
+        "unit leaks: No leak. (value 1.0 violates at_most target 0)",
+        "unit ghost: None lost. (value None violates equal target 0)",
+    ]
 
 
 # -- report / artifact ---------------------------------------------------

@@ -170,7 +170,7 @@ _FLEET_REQUIRED_EXPORTS = {
 #: The drill is an experiment (it lives in ``repro.experiments.fleet``,
 #: which ``repro.fleet`` must not import back); tests, docs and the
 #: registry build against these re-exports.
-_EXPERIMENTS_REQUIRED_EXPORTS = {"DrillRig", "FleetDrillResult", "run_fleet_drill"}
+_EXPERIMENTS_REQUIRED_EXPORTS = {"DrillRig", "run_fleet_drill"}
 
 
 def fleet_surface_problems() -> Dict[str, List[str]]:
