@@ -1,7 +1,7 @@
 """Crypto hot-path microbenchmarks (pytest-benchmark).
 
 Times the primitives the proxy layers hit on every simulated request —
-block encryption, deterministic/randomized CTR, pseudonym maps, and
+one AES block (as a one-block CTR pass), deterministic/randomized CTR, pseudonym maps, and
 RSA-OAEP decryption — on both provider tiers.  These are real
 wall-clock benchmarks (unlike the figure benchmarks, which time the
 simulator); run them with::
@@ -9,7 +9,7 @@ simulator); run them with::
     PYTHONPATH=src python -m pytest benchmarks/test_crypto_micro.py
 
 ``benchmarks/run_crypto_bench.py`` distils the same measurements into
-``BENCH_crypto.json`` (optimized vs. seed-reference speedups) so the
+``BENCH_crypto.json`` (package vs. seed-reference speedups) so the
 perf trajectory is regressable across PRs.
 """
 
@@ -20,7 +20,6 @@ import random
 import pytest
 
 from repro.crypto import ctr
-from repro.crypto.aes import AES
 from repro.crypto.keys import KeyFactory
 from repro.crypto.provider import RealCryptoProvider, SimCryptoProvider
 from tests.oracles.aes_reference import ReferenceAES, reference_ctr_transform
@@ -66,17 +65,12 @@ def _bench(benchmark, fn, *args):
 
 
 def test_block_encrypt(benchmark):
-    cipher = AES(KEY)
-    _bench(benchmark, cipher.encrypt_block, BLOCK)
-
-
-def test_block_decrypt(benchmark):
-    cipher = AES(KEY)
-    _bench(benchmark, cipher.decrypt_block, BLOCK)
+    """One block: a 16-byte CTR pass whose counter block is BLOCK."""
+    _bench(benchmark, ctr.ctr_transform, KEY, BLOCK, bytes(16))
 
 
 def test_block_encrypt_reference(benchmark):
-    """Seed baseline: the per-byte cipher the T-tables replaced."""
+    """Seed baseline: the per-byte block cipher."""
     cipher = ReferenceAES(KEY)
     _bench(benchmark, cipher.encrypt_block, BLOCK)
 
@@ -85,7 +79,6 @@ def test_block_encrypt_reference(benchmark):
 
 
 def test_det_encrypt_identifier(benchmark):
-    ctr.det_encrypt(KEY, IDENTIFIER)  # warm the keystream cache
     _bench(benchmark, ctr.det_encrypt, KEY, IDENTIFIER)
 
 

@@ -1,8 +1,12 @@
 """Cryptographic substrate for the PProx reproduction.
 
-Everything the protocol in the paper needs, built from scratch:
+Everything the protocol in the paper needs.  The two primitives the
+paper's enclaves take from SGX-SSL — the AES-CTR pass and RSA's modular
+powers — run in the OpenSSL libcrypto CPython's ``hashlib`` already
+loads; the protocol around them is built here:
 
-* :mod:`repro.crypto.aes` — AES block cipher (FIPS-197).
+* :mod:`repro.crypto.libcrypto` — ``aes_ctr`` and ``mod_pow``
+  (constant-time for secret exponents), bound through :mod:`ctypes`.
 * :mod:`repro.crypto.ctr` — deterministic (constant-IV) and randomized
   AES-CTR, matching the paper's use of Intel SGX-SSL.
 * :mod:`repro.crypto.rsa` — RSA-OAEP with Miller-Rabin key generation;
@@ -16,16 +20,15 @@ Everything the protocol in the paper needs, built from scratch:
 * :mod:`repro.crypto.provider` — the provider interface with the
   paper's ``real`` construction and the cheap ``sim`` stand-in that
   drills and large simulations default to.
-* :mod:`repro.crypto.xor` — the whole-buffer XOR primitive shared by
-  every symmetric hot path.
+* :mod:`repro.crypto.xor` — the whole-buffer XOR primitive behind
+  RSA-OAEP masking and the ``sim`` provider's keystream.
 
 The seed's straight-line AES/CTR — the byte-identical correctness
 anchor and perf baseline — is a test oracle
 (``tests/oracles/aes_reference.py``), not part of the package.
 """
 
-from repro.crypto.aes import AES, BLOCK_SIZE
-from repro.crypto.ctr import det_decrypt, det_encrypt, keyed_pseudonym, rand_decrypt, rand_encrypt
+from repro.crypto.ctr import BLOCK_SIZE, det_decrypt, det_encrypt, keyed_pseudonym, rand_decrypt, rand_encrypt
 from repro.crypto.envelope import (
     FIXED_ID_BYTES,
     MAX_RECOMMENDATIONS,
@@ -46,7 +49,6 @@ from repro.crypto.rsa import OaepError, RsaPrivateKey, RsaPublicKey, generate_ke
 from repro.crypto.xor import xor_bytes
 
 __all__ = [
-    "AES",
     "BLOCK_SIZE",
     "det_encrypt",
     "det_decrypt",

@@ -28,8 +28,8 @@ __all__ = [
 ]
 
 # Fixed on-the-wire size of an encoded user or item identifier.  Large
-# enough for realistic catalog identifiers, small enough to keep the
-# pure-Python crypto fast.
+# enough for realistic catalog identifiers, small enough for a 1024-bit
+# key's OAEP (62 bytes) to carry one directly, with no hybrid envelope.
 FIXED_ID_BYTES = 48
 
 # Maximal size of a recommendation list; shorter lists are padded with
@@ -114,8 +114,7 @@ class EnvelopeCodec:
     shuffle batch of ``S`` requests that is ``S`` asymmetric
     operations per flush.  :meth:`seal_batch` concatenates the batch
     into one length-prefixed buffer and seals it once — one OAEP
-    operation plus a single AES-CTR pass over the whole buffer (which
-    the provider serves from the PR 1 batched keystream cache).
+    operation plus a single OpenSSL AES-CTR pass over the whole buffer.
     :meth:`open_batch` inverts it with one asymmetric decryption and
     returns zero-copy ``memoryview`` slices of the plaintext.
 

@@ -162,10 +162,7 @@ class RealCryptoProvider(CryptoProvider):
         if kind == 1:
             modulus_bytes = keys.private_key.modulus_bytes
             session_key = keys.private_key.decrypt(rest[:modulus_bytes])
-            if len(session_key) != SYMMETRIC_KEY_BYTES:
-                # AES would take 16 or 24 bytes as an AES-128/192 key.
-                raise ValueError("hybrid envelope does not carry a session key")
-            return ctr.rand_decrypt(session_key, rest[modulus_bytes:])
+            return ctr.rand_decrypt(_aes256(session_key), rest[modulus_bytes:])
         raise ValueError(f"unknown asymmetric envelope kind {kind}")
 
     def pseudonymize(self, key: bytes, identifier: bytes) -> bytes:
@@ -197,13 +194,21 @@ class RealCryptoProvider(CryptoProvider):
         }
 
     def sym_encrypt(self, key: bytes, plaintext: bytes) -> bytes:
-        return ctr.rand_encrypt(key, plaintext, self.rng_bytes)
+        return ctr.rand_encrypt(_aes256(key), plaintext, self.rng_bytes)
 
     def sym_decrypt(self, key: bytes, blob: bytes) -> bytes:
-        return ctr.rand_decrypt(key, blob)
+        return ctr.rand_decrypt(_aes256(key), blob)
 
     def new_temporary_key(self) -> bytes:
         return self.rng_bytes(SYMMETRIC_KEY_BYTES)
+
+
+def _aes256(key: bytes) -> bytes:
+    """*key*, if it is the paper's AES-256 key (``k_u``, a hybrid
+    session key); AES would take 16 or 24 bytes as AES-128/192."""
+    if len(key) != SYMMETRIC_KEY_BYTES:
+        raise ValueError(f"expected a {SYMMETRIC_KEY_BYTES}-byte AES-256 key, got {len(key)}")
+    return key
 
 
 @dataclass

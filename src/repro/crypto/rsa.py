@@ -14,9 +14,11 @@ encrypt to it, and OAEP and the wire do not depend on the shape.  The
 private operation runs through the Chinese Remainder Theorem over the
 prime *powers*: one modular power per distinct prime, and for ``p²``
 one Hensel step that lifts the root from mod ``p`` to mod ``p²``.
-CPython's ``pow`` costs roughly the cube of the operand size, so two ≈
-341-bit powers and a lift cost about 70 % of three ≈ 341-bit powers
-(the RFC 8017 three-prime key) and about a third of two 512-bit ones.
+Every modular power with a non-negative exponent — OAEP's public one,
+the CRT powers, the lift's ``root^e`` and Miller-Rabin's — is
+:func:`repro.crypto.libcrypto.mod_pow`, OpenSSL's Montgomery power as
+in the SGX-SSL the paper's enclaves run: constant-time for the secret
+exponents, plain for the public ``e`` and Miller-Rabin's squarings.
 
 The ``p²q`` private key is simulation-grade: RFC 8017 multi-prime keys
 need distinct primes, and OpenSSL (hence the SGX-SSL library the paper's
@@ -35,6 +37,7 @@ from functools import cached_property
 from math import prod
 from typing import Callable, List, Optional, Tuple
 
+from repro.crypto.libcrypto import mod_pow
 from repro.crypto.xor import xor_bytes
 
 __all__ = ["RsaPublicKey", "RsaPrivateKey", "generate_keypair", "OaepError"]
@@ -65,11 +68,11 @@ def _is_probable_prime(candidate: int, rng: Callable[[int], int], rounds: int = 
         r += 1
     for _ in range(rounds):
         base = rng(candidate - 3) + 2
-        x = pow(base, d, candidate)
+        x = mod_pow(base, d, candidate)
         if x in (1, candidate - 1):
             continue
         for _ in range(r - 1):
-            x = pow(x, 2, candidate)
+            x = mod_pow(x, 2, candidate, public_exponent=True)
             if x == candidate - 1:
                 break
         else:
@@ -119,7 +122,7 @@ class RsaPublicKey:
         serve as its pseudonym (paper §4.1).
         """
         padded = _oaep_encode(message, self.modulus_bytes, rng or os.urandom)
-        value = pow(int.from_bytes(padded, "big"), self.e, self.n)
+        value = mod_pow(int.from_bytes(padded, "big"), self.e, self.n, public_exponent=True)
         return value.to_bytes(self.modulus_bytes, "big")
 
 
@@ -199,10 +202,10 @@ class RsaPrivateKey:
         product = 1
         for prime, modulus, exponent, e_inverse, coefficient in self._crt_params:
             residue = value % prime
-            base = pow(residue, exponent, prime)
+            base = mod_pow(residue, exponent, prime)
             root = base * residue % prime
             if modulus != prime:
-                error = (value - pow(root, self.e, modulus)) % modulus // prime
+                error = (value - mod_pow(root, self.e, modulus, public_exponent=True)) % modulus // prime
                 root += prime * (error * base * e_inverse % prime)
             result += product * ((root - result) * coefficient % modulus)
             product *= modulus

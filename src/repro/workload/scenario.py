@@ -8,7 +8,7 @@ measurement period."
 
 :class:`ScenarioTimings` carries those durations; the defaults are a
 faithfully-shaped but scaled-down version (the simulator's virtual
-minutes are free, but the pure-Python crypto and event processing are
+minutes are free, but the host's crypto and event processing are
 not, and the paper's shapes emerge well before 5 virtual minutes).
 ``ScenarioTimings.paper()`` returns the full-scale values.
 """

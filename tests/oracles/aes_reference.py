@@ -1,17 +1,17 @@
 """Straight-line reference AES/CTR — the seed implementation, kept.
 
-This module preserves the original per-byte implementation that the
-T-table rewrite in :mod:`repro.crypto.aes` replaced.  It exists for
-two reasons:
+This module preserves the original per-byte implementation, S-box and
+GF(2⁸) tables included, that the package's AES-CTR (OpenSSL's, through
+:mod:`repro.crypto.libcrypto`) replaced.  It exists for two reasons:
 
-* **Correctness anchor** — the cross-check tests assert the optimized
-  cipher is *byte-identical* to this one on random keys and lengths,
-  which is what keeps deterministic pseudonyms stable across the
-  optimization (paper §4.1: pseudonym stability is a correctness
+* **Correctness anchor** — the cross-check tests assert the package's
+  CTR pass is *byte-identical* to this one on random keys and lengths,
+  which is what keeps deterministic pseudonyms stable across any change
+  of kernel (paper §4.1: pseudonym stability is a correctness
   property).
 * **Perf trajectory** — ``benchmarks/run_crypto_bench.py`` measures
-  the optimized stack against this baseline and records the speedups
-  in ``BENCH_crypto.json`` so future PRs can regress against them.
+  the package against this baseline and records the speedups in
+  ``BENCH_crypto.json`` so later changes can regress against them.
 
 Never import this from production code paths; it is deliberately the
 slow, obviously-correct formulation.
@@ -21,17 +21,52 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.crypto.aes import (  # reuse the table *constructions*, not the cipher
-    BLOCK_SIZE,
-    _INV_SBOX,
-    _MUL2,
-    _MUL3,
-    _MUL9,
-    _MUL11,
-    _MUL13,
-    _MUL14,
-    _RCON,
-    _SBOX,
+BLOCK_SIZE = 16
+
+# Round constants for key expansion.
+_RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36, 0x6C, 0xD8, 0xAB, 0x4D)
+
+
+def _build_sbox() -> bytes:
+    """Construct the AES S-box from the finite-field definition."""
+    # Multiplicative inverse in GF(2^8) via exp/log tables, generator 3.
+    exp = [0] * 512
+    log = [0] * 256
+    x = 1
+    for i in range(255):
+        exp[i] = x
+        log[x] = i
+        x ^= (x << 1) ^ (0x11B if x & 0x80 else 0)  # x * 3
+        x &= 0xFF
+    for i in range(255, 512):
+        exp[i] = exp[i - 255]
+    sbox = bytearray(256)
+    for value in range(256):
+        inv = 0 if value == 0 else exp[255 - log[value]]
+        result = 0x63  # affine transformation
+        for shift in (0, 1, 2, 3, 4):
+            result ^= ((inv << shift) | (inv >> (8 - shift))) & 0xFF
+        sbox[value] = result
+    return bytes(sbox)
+
+
+def _gf_mul(a: int, b: int) -> int:
+    """Multiply two elements of GF(2^8)."""
+    result = 0
+    while b:
+        if b & 1:
+            result ^= a
+        a <<= 1
+        if a & 0x100:
+            a ^= 0x11B
+        b >>= 1
+    return result
+
+
+_SBOX = _build_sbox()
+_INV_SBOX = bytes(_SBOX.index(value) for value in range(256))
+_MUL2, _MUL3, _MUL9, _MUL11, _MUL13, _MUL14 = (
+    bytes(_gf_mul(i, factor) for i in range(256)) for factor in (2, 3, 9, 11, 13, 14)
 )
 
 __all__ = ["ReferenceAES", "reference_ctr_transform", "reference_det_encrypt"]

@@ -1,12 +1,13 @@
-"""AES block cipher: FIPS-197 vectors, roundtrips, error handling.
+"""AES through the CTR pass: FIPS-197 vectors, key/IV checks, the oracle.
 
-The FIPS-197 Appendix C known-answer tests (AES-128/192/256) plus the
-cross-checks against the straight-line reference cipher are the guard
-rail for the T-table rewrite: any divergence would silently break
-pseudonym stability across requests.  The plane-sliced CTR kernel is
-held to the same standard: its keystream must equal block-at-a-time
-encryption of each counter for every batch size, key size and position
-of the 128-bit counter wrap.
+The package has no block-cipher API: every AES call is one OpenSSL
+AES-CTR pass (:func:`repro.crypto.ctr.ctr_transform`).  A CTR pass over
+one zero block with the IV set to a plaintext block *is* that block's
+encryption, so the FIPS-197 Appendix C known-answer tests read through
+it directly.  The cross-checks hold the pass byte-identical to the
+seed's straight-line cipher (``tests/oracles/aes_reference.py``) for
+every key size, length and position of the 128-bit counter wrap: any
+divergence would silently break pseudonym stability across requests.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aes import AES, BLOCK_SIZE
-from tests.oracles.aes_reference import ReferenceAES
+from repro.crypto.ctr import BLOCK_SIZE, ctr_transform
+from tests.oracles.aes_reference import ReferenceAES, reference_ctr_transform
 
 PLAINTEXT = bytes.fromhex("00112233445566778899aabbccddeeff")
 
@@ -30,37 +31,45 @@ FIPS_VECTORS = [
     ),
 ]
 
+AES_KEYS = (
+    st.binary(min_size=16, max_size=16)
+    | st.binary(min_size=24, max_size=24)
+    | st.binary(min_size=32, max_size=32)
+)
+
+
+def _encrypt_block(key: bytes, block: bytes) -> bytes:
+    """One AES block encryption, read as the keystream of a CTR pass."""
+    return ctr_transform(key, block, bytes(BLOCK_SIZE))
+
 
 @pytest.mark.parametrize("key_hex,expected_hex", FIPS_VECTORS)
 def test_fips_197_encrypt_vectors(key_hex, expected_hex):
-    cipher = AES(bytes.fromhex(key_hex))
-    assert cipher.encrypt_block(PLAINTEXT).hex() == expected_hex
+    assert _encrypt_block(bytes.fromhex(key_hex), PLAINTEXT).hex() == expected_hex
 
 
 @pytest.mark.parametrize("key_hex,expected_hex", FIPS_VECTORS)
 def test_fips_197_decrypt_vectors(key_hex, expected_hex):
-    cipher = AES(bytes.fromhex(key_hex))
-    assert cipher.decrypt_block(bytes.fromhex(expected_hex)) == PLAINTEXT
-
-
-@pytest.mark.parametrize("key_size,rounds", [(16, 10), (24, 12), (32, 14)])
-def test_round_counts(key_size, rounds):
-    assert AES(bytes(key_size)).rounds == rounds
+    """CTR decryption of the FIPS ciphertext, taken as data under the
+    counter block that produced it, is the all-zero block."""
+    key = bytes.fromhex(key_hex)
+    assert ctr_transform(key, PLAINTEXT, bytes.fromhex(expected_hex)) == bytes(BLOCK_SIZE)
 
 
 @pytest.mark.parametrize("bad_size", [0, 1, 15, 17, 20, 31, 33, 64])
 def test_rejects_bad_key_sizes(bad_size):
     with pytest.raises(ValueError, match="AES key"):
-        AES(bytes(bad_size))
+        ctr_transform(bytes(bad_size), PLAINTEXT, b"data")
+    with pytest.raises(ValueError, match="AES key"):
+        ctr_transform(bytes(bad_size), PLAINTEXT, b"")
 
 
 @pytest.mark.parametrize("bad_block", [b"", b"short", bytes(15), bytes(17)])
 def test_rejects_bad_block_sizes(bad_block):
-    cipher = AES(bytes(16))
-    with pytest.raises(ValueError, match="block"):
-        cipher.encrypt_block(bad_block)
-    with pytest.raises(ValueError, match="block"):
-        cipher.decrypt_block(bad_block)
+    """The IV is the first counter block: anything but 16 bytes raises
+    before OpenSSL could read past it."""
+    with pytest.raises(ValueError, match="IV"):
+        ctr_transform(bytes(32), bad_block, b"data")
 
 
 def test_block_size_constant():
@@ -68,49 +77,42 @@ def test_block_size_constant():
 
 
 def test_encryption_changes_data():
-    cipher = AES(bytes(32))
-    assert cipher.encrypt_block(bytes(16)) != bytes(16)
+    assert _encrypt_block(bytes(32), bytes(16)) != bytes(16)
 
 
 def test_different_keys_different_ciphertexts():
-    one = AES(bytes(16)).encrypt_block(PLAINTEXT)
-    other = AES(bytes([1] * 16)).encrypt_block(PLAINTEXT)
+    one = _encrypt_block(bytes(16), PLAINTEXT)
+    other = _encrypt_block(bytes([1] * 16), PLAINTEXT)
     assert one != other
 
 
+@pytest.mark.parametrize("wrap", [bytearray, memoryview])
+def test_accepts_bytes_like_data(wrap):
+    key, data = bytes(range(32)), bytes(range(40))
+    assert ctr_transform(key, PLAINTEXT, wrap(data)) == ctr_transform(key, PLAINTEXT, data)
+    assert ctr_transform(wrap(key), wrap(PLAINTEXT), data) == ctr_transform(key, PLAINTEXT, data)
+
+
 @settings(max_examples=25, deadline=None)
-@given(
-    key=st.binary(min_size=16, max_size=16) | st.binary(min_size=32, max_size=32),
-    block=st.binary(min_size=16, max_size=16),
-)
-def test_roundtrip_property(key, block):
-    cipher = AES(key)
-    assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
+@given(key=AES_KEYS, iv=st.binary(min_size=16, max_size=16), data=st.binary(max_size=64))
+def test_roundtrip_property(key, iv, data):
+    assert ctr_transform(key, iv, ctr_transform(key, iv, data)) == data
 
 
 @settings(max_examples=10, deadline=None)
 @given(block=st.binary(min_size=16, max_size=16))
 def test_encrypt_is_permutation_like(block):
-    """Distinct plaintexts map to distinct ciphertexts (injectivity)."""
-    cipher = AES(bytes(range(16)))
+    """Distinct counter blocks give distinct keystream blocks (injectivity)."""
+    key = bytes(range(16))
     other = bytes(b ^ 0xFF for b in block)
-    assert cipher.encrypt_block(block) != cipher.encrypt_block(other)
+    assert _encrypt_block(key, block) != _encrypt_block(key, other)
 
 
 @settings(max_examples=30, deadline=None)
-@given(
-    key=st.binary(min_size=16, max_size=16)
-    | st.binary(min_size=24, max_size=24)
-    | st.binary(min_size=32, max_size=32),
-    block=st.binary(min_size=16, max_size=16),
-)
-def test_t_table_cipher_matches_reference(key, block):
-    """T-table encrypt/decrypt is byte-identical to the seed cipher."""
-    optimized = AES(key)
-    reference = ReferenceAES(key)
-    ciphertext = optimized.encrypt_block(block)
-    assert ciphertext == reference.encrypt_block(block)
-    assert optimized.decrypt_block(ciphertext) == reference.decrypt_block(ciphertext)
+@given(key=AES_KEYS, block=st.binary(min_size=16, max_size=16))
+def test_block_cipher_matches_reference(key, block):
+    """One keystream block is the seed cipher's encryption of the IV."""
+    assert _encrypt_block(key, block) == ReferenceAES(key).encrypt_block(block)
 
 
 _COUNTER_SPAN = 1 << 128
@@ -120,7 +122,7 @@ CTR_WRAPS = ["nowrap", "first", "middle", "last"]
 
 def _ctr_start(count, wrap):
     """A start counter that wraps to zero after the first, a middle or
-    the last-but-one block of a *count*-block batch, or not at all."""
+    the last-but-one block of a *count*-block pass, or not at all."""
     if wrap == "nowrap":
         return 0x0123456789ABCDEF_FEDCBA98765432F0
     blocks_before_wrap = {"first": 1, "middle": max(count // 2, 1), "last": max(count - 1, 1)}
@@ -144,27 +146,25 @@ def _per_block_keystream(cipher, start, count):
     ],
 )
 def test_encrypt_ctr_blocks_matches_per_block_encryption(key_size, count, wrap):
-    """The batched keystream equals block-at-a-time counter encryption,
-    including wrap-around at the 128-bit counter boundary."""
-    cipher = AES(bytes(range(key_size)))
+    """A *count*-block CTR pass over zeros is the seed cipher's
+    block-at-a-time encryption of each counter, including wrap-around at
+    the 128-bit counter boundary."""
+    key = bytes(range(key_size))
     start = _ctr_start(count, wrap)
-    batched = cipher.encrypt_ctr_blocks(start, count)
-    assert len(batched) == BLOCK_SIZE * count
-    assert batched == _per_block_keystream(cipher, start, count)
+    keystream = ctr_transform(key, start.to_bytes(BLOCK_SIZE, "big"), bytes(BLOCK_SIZE * count))
+    assert len(keystream) == BLOCK_SIZE * count
+    assert keystream == _per_block_keystream(ReferenceAES(key), start, count)
 
 
 @settings(max_examples=25, deadline=None)
 @given(
-    key=st.binary(min_size=16, max_size=16)
-    | st.binary(min_size=24, max_size=24)
-    | st.binary(min_size=32, max_size=32),
+    key=AES_KEYS,
     start=st.integers(min_value=0, max_value=_COUNTER_SPAN - 1)
-    | st.integers(min_value=_COUNTER_SPAN - 300, max_value=_COUNTER_SPAN - 1),
-    count=st.integers(min_value=0, max_value=300),
+    | st.integers(min_value=_COUNTER_SPAN - 5, max_value=_COUNTER_SPAN - 1),
+    data=st.binary(min_size=0, max_size=300),
 )
-def test_encrypt_ctr_blocks_matches_reference_property(key, start, count):
-    """Any key, 128-bit start and batch size: the plane-sliced kernel
-    is byte-identical to the seed cipher run one counter at a time."""
-    assert AES(key).encrypt_ctr_blocks(start, count) == _per_block_keystream(
-        ReferenceAES(key), start, count
-    )
+def test_encrypt_ctr_blocks_matches_reference_property(key, start, data):
+    """Any key size, 128-bit start (often within 5 of the wrap) and
+    length 0–300: the CTR pass is byte-identical to the seed's."""
+    iv = start.to_bytes(BLOCK_SIZE, "big")
+    assert ctr_transform(key, iv, data) == reference_ctr_transform(key, iv, data)

@@ -1,4 +1,4 @@
-"""AES-CTR modes: NIST vectors, determinism, cache behaviour."""
+"""AES-CTR modes: NIST vectors, determinism, the seed oracle."""
 
 from __future__ import annotations
 
@@ -164,47 +164,20 @@ def test_ciphertext_length_equals_plaintext_length(data):
     data=st.binary(min_size=0, max_size=600),
 )
 def test_det_encrypt_matches_straight_line_reference(key, data):
-    """The optimized path (T-tables + cached keystream + integer XOR)
-    must stay byte-identical to the seed's per-byte implementation —
-    deterministic pseudonyms are a stability contract, not just perf."""
+    """The OpenSSL pass must stay byte-identical to the seed's per-byte
+    implementation — deterministic pseudonyms are a stability contract,
+    not just perf."""
     assert det_encrypt(key, data) == reference_det_encrypt(key, data)
 
 
-def test_det_keystream_cache_extends_beyond_prefix():
-    """Payloads longer than the cached keystream prefix still decrypt."""
-    long_payload = bytes(range(256)) * 10  # 2560 B > 512 B prefix
+def test_det_encrypt_of_2560_bytes_matches_reference():
+    """A 160-block constant-IV pass equals the seed's, decrypts, and its
+    head is the keystream a short pass under the same key uses."""
+    long_payload = bytes(range(256)) * 10
     blob = det_encrypt(KEY, long_payload)
     assert det_decrypt(KEY, blob) == long_payload
     assert blob == reference_det_encrypt(KEY, long_payload)
-    # A short call after the long one must reuse the same stream head.
     assert det_encrypt(KEY, long_payload[:20]) == blob[:20]
-
-
-def test_cipher_cache_evicts_oldest_not_all(monkeypatch):
-    """On overflow the cipher cache drops only the oldest schedule;
-    a wholesale clear() would re-expand every hot key."""
-    monkeypatch.setattr(ctr_module, "_CIPHER_CACHE", {})
-    monkeypatch.setattr(ctr_module, "_CIPHER_CACHE_MAX", 3)
-    keys = [bytes([i]) * 32 for i in range(4)]
-    for key in keys[:3]:
-        ctr_module._cipher_for(key)
-    warm = ctr_module._cipher_for(keys[1])  # still cached
-    ctr_module._cipher_for(keys[3])  # overflow: evicts keys[0] only
-    assert keys[0] not in ctr_module._CIPHER_CACHE
-    assert ctr_module._CIPHER_CACHE.keys() == {keys[1], keys[2], keys[3]}
-    assert ctr_module._cipher_for(keys[1]) is warm
-
-
-def test_det_keystream_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(ctr_module, "_DET_KEYSTREAM_CACHE", {})
-    monkeypatch.setattr(ctr_module, "_DET_KEYSTREAM_CACHE_MAX", 2)
-    keys = [bytes([i]) * 32 for i in range(3)]
-    for key in keys:
-        det_encrypt(key, b"identifier")
-    assert len(ctr_module._DET_KEYSTREAM_CACHE) <= 2
-    assert keys[0] not in ctr_module._DET_KEYSTREAM_CACHE
-    # Evicted keys still encrypt correctly (cache is transparent).
-    assert det_encrypt(keys[0], b"identifier") == reference_det_encrypt(keys[0], b"identifier")
 
 
 def test_keyed_pseudonym_is_exported():

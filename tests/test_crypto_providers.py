@@ -89,6 +89,17 @@ def test_sym_decrypt_rejects_short_blob(any_provider):
         any_provider.sym_decrypt(bytes(32), b"tiny")
 
 
+@pytest.mark.parametrize("size", [0, 16, 24, 31, 33])
+def test_real_provider_sym_takes_only_aes256_keys(real_provider, size):
+    """``k_u`` is AES-256: a 16- or 24-byte key would silently downgrade
+    the recommendation list to AES-128/192, so it is refused both ways."""
+    blob = real_provider.sym_encrypt(bytes(SYMMETRIC_KEY_BYTES), b"x" * 10)
+    with pytest.raises(ValueError, match="AES-256"):
+        real_provider.sym_encrypt(bytes(size), b"x" * 10)
+    with pytest.raises(ValueError, match="AES-256"):
+        real_provider.sym_decrypt(bytes(size), blob)
+
+
 def test_temporary_keys_are_fresh(any_provider):
     assert any_provider.new_temporary_key() != any_provider.new_temporary_key()
 

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import rsa
-from repro.crypto.aes import BLOCK_SIZE
+from repro.crypto.ctr import BLOCK_SIZE
 from repro.crypto.keys import SYMMETRIC_KEY_BYTES, LayerKeys, LayerPublicMaterial
 from repro.crypto.provider import RealCryptoProvider
 from repro.crypto.rsa import OaepError, RsaPrivateKey, RsaPublicKey, generate_keypair

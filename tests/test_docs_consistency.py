@@ -101,11 +101,12 @@ def test_no_object_wire_fork_in_the_package():
 
 #: What one-of-each in ``src/`` rules out: an import of the test tree, a
 #: ``Reference*`` / ``reference_*`` name (the oracles live in
-#: ``tests/oracles/``), and the names of the deleted selectors,
-#: duplicates and their flag.
+#: ``tests/oracles/``), AES round code beside OpenSSL's, and the names
+#: of the deleted selectors, duplicates and their flag.
 SECOND_IMPLEMENTATIONS = re.compile(
     r"^\s*(?:from|import)\s+tests\b"
     r"|\bReference[A-Z]\w*|\breference_\w+"
+    r"|\bencrypt_ctr_blocks\b|\b_SBOX\b|\b_CIPHER_CACHE\b"
     r"|\bmake_event_loop\b|\bENGINES\b|\bCalendarEventLoop\b"
     r"|\bBreakdownProbe\b|\bFastCryptoProvider\b|--engine\b",
     flags=re.M,
@@ -276,6 +277,22 @@ def test_ci_macro_job_runs_the_macro_leg_under_four_hash_seeds():
     assert "diff macro-1.txt macro-$seed.txt" in job
     assert 'run_full(MACRO_FULL["f1"], 100, seed=3, runs=1' in job
     assert "result.window_latencies" in job
+
+
+def test_ci_crypto_kat_job_names_its_libcrypto_then_runs_the_crypto_tests():
+    """The first job shows which OpenSSL ``repro.crypto.libcrypto``
+    bound, so a runner it cannot bind fails with the reason, and then
+    runs the binding's tests ahead of the known-answer suites."""
+    workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    job = workflow[workflow.index("\n  crypto-kat:\n"):workflow.index("\n  tier1:\n")]
+    shown = job.index("print(ssl.OPENSSL_VERSION); from repro.crypto import libcrypto; "
+                      "print(libcrypto.LIBRARY)")
+    (tests,) = re.findall(r"python -m pytest -x -q ((?:tests/\S+\.py ?)+)$", job, flags=re.M)
+    assert shown < job.index("python -m pytest")
+    assert tests.split() == [
+        "tests/test_crypto_libcrypto.py", "tests/test_crypto_aes.py", "tests/test_crypto_ctr.py",
+        "tests/test_crypto_provider_cache.py", "tests/test_crypto_rsa.py",
+    ]
 
 
 #: A second verdict beside ``slo.json``: a problems list of a driver's

@@ -243,6 +243,31 @@ def test_transform_error_inside_a_flushed_batch_is_rejected_alone():
     assert len(ua.routing) == 0
 
 
+def test_a_get_whose_tmpkey_is_not_aes256_ends_in_the_uniform_reject():
+    """A ``tmpkey`` that opens to 16 bytes would have the IA encrypt the
+    recommendation list under AES-128.  The IA's response transform
+    refuses it instead: one transform error, one uniform reject."""
+    from repro.proxy import protocol
+
+    ctx, stub, deployment = _stack(shuffle_size=0, ua_instances=1, ia_instances=1)
+    service = deployment.service
+    short_keyed = RealCryptoProvider(rng_bytes=ctx.rng.bytes_fn("short"))
+    short_keyed.new_temporary_key = lambda: bytes(16)
+    request = make_get("alice", client_address="client-0", request_id=ctx.next_request_id())
+    encoded, keys = protocol.client_encode_get(
+        short_keyed, service.client_material, service.config, request, codec=ctx.codec
+    )
+    assert len(keys.temporary_key) == 16
+    replies = []
+    service.ua_instances[0].receive_request(encoded, replies.append)
+    ctx.loop.run()
+
+    assert stub.requests_served == 1
+    assert [ia.transform_errors for ia in service.ia_instances] == [1]
+    assert service.ua_instances[0].transform_errors == 0
+    assert len(replies) == 1 and is_uniform_reject(replies[0])
+
+
 def test_unknown_response_is_stale_at_either_role():
     _, _, deployment = _stack()
     for role in ROLES:
