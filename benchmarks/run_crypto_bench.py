@@ -48,11 +48,12 @@ HOT_IDS = [b"user-%011d" % i for i in range(64)]
 # OpenSSL 3.0), for other interpreters, OpenSSL builds and machines.
 # Against the seed reference: ctr_transform_1KiB 678x to 1,262x,
 # det_encrypt_32B 38x to 49x, real_provider_pseudonymize_hot64 278x to
-# 545x.  Against CPython's builtin pow: rsa_private_1024 (the p²q CRT, two
-# constant-time OpenSSL powers and a Hensel lift, vs the no-CRT
-# pow(value, d, n)) 28x to 35x; rsa_public_1024 (OAEP's power, OpenSSL's
-# plain Montgomery power for the public e, vs pow(value, e, n)) 2.3x to
-# 2.9x, where the constant-time power measured 1.4x and 1.5x.
+# 545x.  Against CPython's builtin pow: rsa_private_1024 (the two-prime
+# CRT, two constant-time OpenSSL powers and a Garner step, vs the no-CRT
+# pow(value, d, n)) 28x to 35x when the floor was set, 33x with the
+# two-prime key; rsa_public_1024 (OAEP's power, OpenSSL's plain
+# Montgomery power for the public e, vs pow(value, e, n)) 2.3x to 2.9x,
+# where the constant-time power measured 1.4x and 1.5x.
 FLOORS = {
     "ctr_transform_1KiB": 350.0,
     "det_encrypt_32B": 20.0,
@@ -81,7 +82,7 @@ def _measure() -> dict:
         for identifier in HOT_IDS:
             reference_det_encrypt(KEY, identifier)
 
-    _, private = generate_keypair(1024, random.Random(7).randrange)
+    _, private = generate_keypair(random.Random(7).randrange)
     value = random.Random(1).randrange(private.n)
 
     cases = {

@@ -53,6 +53,7 @@ import timeit
 from repro.crypto.envelope import FIXED_ID_BYTES, EnvelopeCodec, pad_item_list
 from repro.crypto.keys import KeyFactory
 from repro.crypto.provider import RealCryptoProvider
+from repro.crypto.rsa import RSA_BITS
 from repro.rest.codec import BINARY_WIRE_CODEC, JSON_WIRE_CODEC, WireFrame, ship
 from repro.rest.messages import Request, Response, Verb
 from repro.simnet.clock import EventLoop
@@ -62,7 +63,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 OUTPUT = REPO_ROOT / "BENCH_wire.json"
 
 SHUFFLE_SIZE = 16  # the paper's default S
-RSA_BITS = 1024
 RSA_CIPHERTEXT_BYTES = RSA_BITS // 8
 
 FLOORS = {
@@ -205,7 +205,6 @@ def _measure_envelopes(rng: random.Random, fixtures) -> dict:
     """Batch envelope vs per-request envelopes at one shuffle flush."""
     provider = RealCryptoProvider()
     keys = KeyFactory(
-        rsa_bits=RSA_BITS,
         rng_int=rng.randrange,
         rng_bytes=lambda n: _deterministic_bytes(rng, n),
     ).layer_keys()

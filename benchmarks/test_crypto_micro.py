@@ -50,7 +50,6 @@ def layer_keys():
     """One deterministic 1024-bit RSA keypair shared by the module."""
     stream = random.Random(11)
     factory = KeyFactory(
-        rsa_bits=1024,
         rng_int=lambda bound: stream.randrange(bound),
         rng_bytes=_seeded_rng(13),
     )

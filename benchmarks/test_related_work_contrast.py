@@ -30,8 +30,8 @@ def _pprox_per_request_seconds() -> float:
     """Host CPU for the crypto of one PProx get (all four legs)."""
     rng = random.Random(3)
     provider = RealCryptoProvider()
-    _, ua_private = generate_keypair(1024, lambda b: rng.randrange(b))
-    _, ia_private = generate_keypair(1024, lambda b: rng.randrange(b))
+    _, ua_private = generate_keypair(lambda b: rng.randrange(b))
+    _, ia_private = generate_keypair(lambda b: rng.randrange(b))
     ua_keys = LayerKeys(private_key=ua_private, symmetric_key=bytes(range(32)))
     ia_keys = LayerKeys(private_key=ia_private, symmetric_key=bytes(range(32, 64)))
 

@@ -77,7 +77,7 @@ def main() -> None:
         on_success=lambda secrets: adversary.harvest_enclave("IA", target),
     )
 
-    factory = KeyFactory(rsa_bits=1024, rng_int=rng.int_fn("rot"),
+    factory = KeyFactory(rng_int=rng.int_fn("rot"),
                          rng_bytes=rng.bytes_fn("rot-b"))
 
     def respond(enclave) -> None:

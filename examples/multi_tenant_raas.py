@@ -30,7 +30,7 @@ def main() -> None:
     rng = RngRegistry(seed=17)
     loop = EventLoop()
     network = Network(loop=loop, rng=rng.stream("net"))
-    factory = KeyFactory(rsa_bits=1024, rng_int=rng.int_fn("keys"),
+    factory = KeyFactory(rng_int=rng.int_fn("keys"),
                          rng_bytes=rng.bytes_fn("keys-b"))
 
     directory = TenantDirectory()

@@ -10,10 +10,9 @@ loads; the protocol around them is built here:
 * :mod:`repro.crypto.ctr` — deterministic (constant-IV) and randomized
   AES-CTR, matching the paper's use of Intel SGX-SSL.
 * :mod:`repro.crypto.rsa` — RSA-OAEP with Miller-Rabin key generation;
-  a modulus is ``pq``, or the multi-power ``p²q`` from 1024 bits, and
-  the private operation one CRT power per distinct prime plus, for
-  ``p²``, one Hensel lift.  The ``p²q`` private key is simulation grade
-  (OpenSSL cannot load it); its public half is an ordinary RSA key.
+  every key is a standard two-prime RFC 8017 key, loadable by OpenSSL /
+  SGX-SSL, and the private operation is RFC 8017's CRT: two powers and
+  Garner's recombination.
 * :mod:`repro.crypto.keys` — per-layer key material (Table 1).
 * :mod:`repro.crypto.envelope` — fixed-size identifier encoding and
   padded recommendation lists (§4.3), base64/JSON helpers.
@@ -28,7 +27,7 @@ anchor and perf baseline — is a test oracle
 (``tests/oracles/aes_reference.py``), not part of the package.
 """
 
-from repro.crypto.ctr import BLOCK_SIZE, det_decrypt, det_encrypt, keyed_pseudonym, rand_decrypt, rand_encrypt
+from repro.crypto.ctr import BLOCK_SIZE, det_decrypt, det_encrypt, rand_decrypt, rand_encrypt
 from repro.crypto.envelope import (
     FIXED_ID_BYTES,
     MAX_RECOMMENDATIONS,
@@ -52,7 +51,6 @@ __all__ = [
     "BLOCK_SIZE",
     "det_encrypt",
     "det_decrypt",
-    "keyed_pseudonym",
     "rand_encrypt",
     "rand_decrypt",
     "xor_bytes",

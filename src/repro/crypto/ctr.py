@@ -18,7 +18,6 @@ microsecond, so no cipher or keystream is cached.
 
 from __future__ import annotations
 
-import hmac
 import os
 from typing import Callable, Optional
 
@@ -30,7 +29,6 @@ __all__ = [
     "det_decrypt",
     "rand_encrypt",
     "rand_decrypt",
-    "keyed_pseudonym",
     "BLOCK_SIZE",
     "DETERMINISTIC_IV",
 ]
@@ -87,14 +85,3 @@ def rand_decrypt(key: bytes, blob: bytes) -> bytes:
     iv, ciphertext = blob[:BLOCK_SIZE], blob[BLOCK_SIZE:]
     return ctr_transform(key, iv, ciphertext)
 
-
-def keyed_pseudonym(key: bytes, identifier: bytes, length: int = 16) -> bytes:
-    """HMAC-SHA256 pseudonym: the *fast provider's* deterministic map.
-
-    Unlike :func:`det_encrypt` this is not invertible, which is fine for
-    pseudonymization-only flows (the LRS never needs the original user
-    identifier back; item identifiers do need inversion, so the fast
-    provider keeps a reverse table inside the enclave).
-    """
-    digest = hmac.new(key, identifier, "sha256").digest()
-    return digest[:length]

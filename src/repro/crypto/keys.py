@@ -71,13 +71,12 @@ class LayerKeys:
 class KeyFactory:
     """Generates key material; seedable for reproducible experiments."""
 
-    rsa_bits: int = 1024
     rng_int: Optional[Callable[[int], int]] = None
     rng_bytes: Callable[[int], bytes] = field(default=os.urandom)
 
     def layer_keys(self) -> LayerKeys:
         """Generate fresh key material for one proxy layer."""
-        _, private_key = generate_keypair(self.rsa_bits, self.rng_int)
+        _, private_key = generate_keypair(self.rng_int)
         return LayerKeys(
             private_key=private_key,
             symmetric_key=self.rng_bytes(SYMMETRIC_KEY_BYTES),

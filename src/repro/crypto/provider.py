@@ -148,7 +148,7 @@ class RealCryptoProvider(CryptoProvider):
             return b"\x00" + key.encrypt(plaintext, self.rng_bytes)
         # Hybrid envelope for payloads larger than OAEP capacity:
         # RSA-OAEP(session key) || AES-CTR(payload).
-        session_key = self.rng_bytes(SYMMETRIC_KEY_BYTES)
+        session_key = _aes256(self.rng_bytes(SYMMETRIC_KEY_BYTES))
         header = key.encrypt(session_key, self.rng_bytes)
         body = ctr.rand_encrypt(session_key, plaintext, self.rng_bytes)
         return b"\x01" + header + body
@@ -215,13 +215,13 @@ def _aes256(key: bytes) -> bytes:
 class SimCryptoProvider(CryptoProvider):
     """Simulation stand-in: keyed BLAKE2 pseudonyms + token envelopes.
 
-    For very large performance simulations (hundreds of thousands of
-    requests) the real provider's RSA operations dominate Python run
-    time.  This provider replaces the *asymmetric* envelope
-    with an in-process token registry that enforces key possession
-    (decryption checks the private key's modulus) and the symmetric
-    primitives with keyed BLAKE2 — still real keyed transformations at
-    C speed.  Time *costs* of the paper's crypto are charged by the
+    Drills default to it because the real provider would cost them host
+    time: with :class:`RealCryptoProvider` as the context default, drill
+    host time grows 1.2-1.6x (capacity ≈ 35 → 52 s).  This provider
+    replaces the *asymmetric* envelope with an in-process token registry
+    that enforces key possession (decryption checks the private key's
+    modulus) and the symmetric primitives with keyed BLAKE2 — still real
+    keyed transformations at C speed.  Time *costs* of the paper's crypto are charged by the
     simulator's cost model regardless of the provider in use, so
     latency results are identical; this provider only cuts host CPU.
 

@@ -5,27 +5,20 @@ asymmetric half of the protocol: the user-side library encrypts the
 user identifier under ``pkUA`` and item identifiers / temporary keys
 under ``pkIA`` so that exactly one proxy layer can read each field.
 
-Key generation uses Miller-Rabin probabilistic primality testing.
-Below 1024 bits a modulus is ``n = pq``; from 1024 bits up it is the
-multi-power modulus ``n = p²q`` (Takagi, CRYPTO '98), whose smallest
-factor is still a third of the modulus (340 bits at 1024).  The public
-key is ``(n, e)`` either way, so any standard RSA-OAEP encryptor can
-encrypt to it, and OAEP and the wire do not depend on the shape.  The
-private operation runs through the Chinese Remainder Theorem over the
-prime *powers*: one modular power per distinct prime, and for ``p²``
-one Hensel step that lifts the root from mod ``p`` to mod ``p²``.
-Every modular power with a non-negative exponent — OAEP's public one,
-the CRT powers, the lift's ``root^e`` and Miller-Rabin's — is
-:func:`repro.crypto.libcrypto.mod_pow`, OpenSSL's Montgomery power as
-in the SGX-SSL the paper's enclaves run: constant-time for the secret
+Every key is a standard RFC 8017 two-prime key: ``n = pq`` for two
+distinct 512-bit primes found by Miller-Rabin, with the CRT values
+``(dP, dQ, qInv)`` of RFC 8017's second private-key representation, so
+OpenSSL — hence the SGX-SSL library the paper's enclaves run — loads
+it as it is.  The private operation is RFC 8017's: one modular power
+mod ``p``, one mod ``q``, and Garner's recombination.  Every modular
+power with a non-negative exponent — OAEP's public one, the CRT powers
+and Miller-Rabin's — is :func:`repro.crypto.libcrypto.mod_pow`,
+OpenSSL's Montgomery power as in SGX-SSL: constant-time for the secret
 exponents, plain for the public ``e`` and Miller-Rabin's squarings.
 
-The ``p²q`` private key is simulation-grade: RFC 8017 multi-prime keys
-need distinct primes, and OpenSSL (hence the SGX-SSL library the paper's
-enclaves run) cannot load one.  Only its public half is an ordinary RSA
-key.  Default modulus size is 1024 bits — small by deployment standards
-but sound for a simulation, and fast enough to run thousands of real
-decryptions inside the benchmarks.
+The modulus is :data:`RSA_BITS` (1024) bits — small by deployment
+standards but sound for a simulation, and fast enough to run thousands
+of real decryptions inside the benchmarks.
 """
 
 from __future__ import annotations
@@ -34,13 +27,15 @@ import hashlib
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
 from typing import Callable, List, Optional, Tuple
 
 from repro.crypto.libcrypto import mod_pow
 from repro.crypto.xor import xor_bytes
 
-__all__ = ["RsaPublicKey", "RsaPrivateKey", "generate_keypair", "OaepError"]
+__all__ = ["RsaPublicKey", "RsaPrivateKey", "generate_keypair", "OaepError", "RSA_BITS"]
+
+#: Modulus size of every keypair :func:`generate_keypair` draws.
+RSA_BITS = 1024
 
 _E = 65537
 
@@ -80,19 +75,16 @@ def _is_probable_prime(candidate: int, rng: Callable[[int], int], rounds: int = 
     return True
 
 
-def _random_prime(bits: int, rng: Callable[[int], int], top_bits: int = 2) -> int:
-    """Sample a random prime with exactly *bits* bits and its top *top_bits* set.
+def _random_prime(bits: int, rng: Callable[[int], int]) -> int:
+    """Sample a random prime with exactly *bits* bits and its top two set.
 
-    With ``k`` prime factors (counted with multiplicity) each carrying
-    its top ``k`` bits, every factor is at least ``(1 - 2**-k)`` times
-    its power of two, and ``(1 - 2**-k)**k`` exceeds one half for ``k`` =
-    2 (0.5625) and 3 (0.67).  So the product always has exactly the sum
-    of the factor sizes in bits, and key generation never has to throw a
-    pair away for a short modulus.
+    Each factor is then at least three quarters of its power of two, and
+    ``(3/4)**2`` exceeds one half, so the product of two always has
+    exactly ``2 * bits`` bits and key generation never throws a pair
+    away for a short modulus.
     """
-    top = (1 << top_bits) - 1
     while True:
-        candidate = rng(1 << (bits - top_bits)) | (top << (bits - top_bits)) | 1
+        candidate = rng(1 << (bits - 2)) | (0b11 << (bits - 2)) | 1
         if _is_probable_prime(candidate, rng):
             return candidate
 
@@ -128,26 +120,24 @@ class RsaPublicKey:
 
 @dataclass(frozen=True)
 class RsaPrivateKey:
-    """RSA private key over its prime factors, with CRT decryption."""
+    """RFC 8017 two-prime RSA private key, with CRT decryption."""
 
     n: int
     e: int
     d: int
-    #: The prime factors of ``n`` with multiplicity, in the order drawn:
-    #: ``(p, q)``, or ``(p, p, q)`` for a multi-power key.
-    primes: Tuple[int, ...]
+    p: int
+    q: int
 
     def __post_init__(self) -> None:
         # A key whose factors do not describe n would otherwise decrypt
         # to garbage and fail as if the ciphertext were malformed.
-        if prod(self.primes) != self.n:
-            raise ValueError("the primes do not multiply to n")
-        for prime in set(self.primes):
-            if self.primes.count(prime) > 2:
-                # The lift from mod p is a single Hensel step: p² at most.
-                raise ValueError("a prime may be listed at most twice")
+        if self.p * self.q != self.n:
+            raise ValueError("p * q is not n")
+        if self.p == self.q:
+            raise ValueError("p and q must be distinct primes")
+        for prime in (self.p, self.q):
             if prime < 2 or (self.e * self.d - 1) % (prime - 1):
-                raise ValueError("e * d is not 1 modulo p - 1 for every prime p")
+                raise ValueError("e * d is not 1 modulo p - 1 and q - 1")
 
     @property
     def public_key(self) -> RsaPublicKey:
@@ -158,6 +148,12 @@ class RsaPrivateKey:
     def modulus_bytes(self) -> int:
         """Length of the modulus in bytes."""
         return (self.n.bit_length() + 7) // 8
+
+    @cached_property
+    def crt_values(self) -> Tuple[int, int, int]:
+        """RFC 8017's ``(dP, dQ, qInv)``: ``d mod (p - 1)``,
+        ``d mod (q - 1)`` and ``q^-1 mod p``."""
+        return self.d % (self.p - 1), self.d % (self.q - 1), pow(self.q, -1, self.p)
 
     def decrypt(self, ciphertext: bytes) -> bytes:
         """OAEP-decrypt a ciphertext produced by the matching public key."""
@@ -171,82 +167,40 @@ class RsaPrivateKey:
         padded = self._crt_power(value).to_bytes(self.modulus_bytes, "big")
         return _oaep_decode(padded, self.modulus_bytes)
 
-    @cached_property
-    def _crt_params(self) -> Tuple[Tuple[int, int, int, int, int], ...]:
-        """Per distinct prime ``p`` dividing ``n`` exactly ``k`` times:
-        ``(p, p^k, d mod (p - 1) - 1, e^-1 mod p, M^-1 mod p^k)``, where
-        ``M`` is the product of the prime powers before it."""
-        params = []
-        product = 1
-        for prime in dict.fromkeys(self.primes):
-            modulus = prime ** self.primes.count(prime)
-            params.append((prime, modulus, self.d % (prime - 1) - 1,
-                           pow(self.e, -1, prime), pow(product, -1, modulus)))
-            product *= modulus
-        return tuple(params)
-
     def _crt_power(self, value: int) -> int:
-        """Compute ``value ** d mod n`` from one power per distinct prime.
-
-        Mod ``p`` the root is ``B * v`` with ``B = v^(d_p - 1)``.  For
-        ``p²`` one Hensel step lifts it: the inverse of the derivative
-        ``e * root^(e-1)`` mod ``p`` is ``B * e^-1``, because
-        ``root^(e-1) = v / root``, so no call inverts anything.  When
-        ``p`` divides ``v`` the root and the lift are both 0, as
-        ``pow(v, d, n)`` is.  Garner's recombination (RFC 8017 §5.1.2,
-        step 2.b) then makes ``result`` the answer modulo the product of
-        the prime powers seen so far, each further one lifting it by a
-        multiple of that product.
-        """
-        result = 0
-        product = 1
-        for prime, modulus, exponent, e_inverse, coefficient in self._crt_params:
-            residue = value % prime
-            base = mod_pow(residue, exponent, prime)
-            root = base * residue % prime
-            if modulus != prime:
-                error = (value - mod_pow(root, self.e, modulus, public_exponent=True)) % modulus // prime
-                root += prime * (error * base * e_inverse % prime)
-            result += product * ((root - result) * coefficient % modulus)
-            product *= modulus
-        return result
+        """Compute ``value ** d mod n`` as RFC 8017 §5.1.2, step 2.b:
+        one power mod ``p``, one mod ``q``, and Garner's recombination."""
+        d_p, d_q, q_inverse = self.crt_values
+        root_p = mod_pow(value % self.p, d_p, self.p)
+        root_q = mod_pow(value % self.q, d_q, self.q)
+        return root_q + self.q * ((root_p - root_q) * q_inverse % self.p)
 
 
 def generate_keypair(
-    bits: int = 1024, rng: Optional[Callable[[int], int]] = None
+    rng: Optional[Callable[[int], int]] = None,
 ) -> Tuple[RsaPublicKey, RsaPrivateKey]:
-    """Generate an RSA keypair with a *bits*-bit modulus.
+    """Generate an RSA keypair with an :data:`RSA_BITS`-bit modulus.
 
-    Two distinct primes ``p`` and ``q`` are drawn: ``n = pq`` below 1024
-    bits ([416, 416] at 832), and ``n = p²q`` from 1024 bits up, with
-    ``p`` of ``ceil(bits / 3)`` bits and ``q`` the rest ([342, 340] at
-    1024, [683, 682] at 2048).  *rng* maps an exclusive upper bound to a
-    uniform integer in ``[0, bound)``; defaults to a CSPRNG.  Supplying a
-    seeded rng makes key generation reproducible for tests.
+    Two distinct primes ``p`` and ``q`` of half the modulus each are
+    drawn, each with ``p - 1`` prime to ``e``.  *rng* maps an exclusive
+    upper bound to a uniform integer in ``[0, bound)``; defaults to a
+    CSPRNG.  Supplying a seeded rng makes key generation reproducible
+    for tests.
     """
-    if bits < 832:
-        # OAEP with SHA-256 needs 2*32+2 = 66 bytes of overhead, and the
-        # hybrid envelope must fit a 32-byte session key on top.
-        raise ValueError("modulus must be at least 832 bits to carry OAEP payloads")
     if rng is None:
         def rng(bound: int) -> int:
             return int.from_bytes(os.urandom((bound.bit_length() + 7) // 8 + 8), "big") % bound
 
-    count = 2 if bits < 1024 else 3  # prime factors, with multiplicity
-    first = -(-bits // count)
-    sizes = [first, bits - (count - 1) * first]
-    distinct: List[int] = []
-    while len(distinct) < 2:
-        prime = _random_prime(sizes[len(distinct)], rng, count)
-        # e must be invertible modulo every p - 1.
-        if prime not in distinct and (prime - 1) % _E:
-            distinct.append(prime)
-    p, q = distinct
-    primes = (p, q) if count == 2 else (p, p, q)
-    n = prod(primes)
-    # φ(n): (p - 1)(q - 1) for pq, p(p - 1)(q - 1) for p²q.
-    d = pow(_E, -1, n // (p * q) * (p - 1) * (q - 1))
-    return RsaPublicKey(n=n, e=_E), RsaPrivateKey(n=n, e=_E, d=d, primes=primes)
+    primes: List[int] = []
+    while len(primes) < 2:
+        prime = _random_prime(RSA_BITS // 2, rng)
+        # e must be invertible modulo p - 1 and q - 1.
+        if prime not in primes and (prime - 1) % _E:
+            primes.append(prime)
+    p, q = primes
+    n = p * q
+    d = pow(_E, -1, (p - 1) * (q - 1))
+    return RsaPublicKey(n=n, e=_E), RsaPrivateKey(n=n, e=_E, d=d, p=p, q=q)
 
 
 def _mgf1(seed: bytes, length: int) -> bytes:
@@ -269,6 +223,10 @@ def _oaep_encode(message: bytes, modulus_bytes: int, random_bytes: Callable[[int
     padding = b"\x00" * (max_message - len(message))
     data_block = label_hash + padding + b"\x01" + message
     seed = random_bytes(hash_len)
+    if len(seed) != hash_len:
+        # xor_bytes would truncate the mask, and the block would fail
+        # only at the receiving layer, as a label hash mismatch.
+        raise ValueError("rng returned an OAEP seed of the wrong size")
     masked_db = xor_bytes(data_block, _mgf1(seed, len(data_block)))
     masked_seed = xor_bytes(seed, _mgf1(masked_db, hash_len))
     return b"\x00" + masked_seed + masked_db

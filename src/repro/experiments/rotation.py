@@ -201,7 +201,6 @@ def run_rotation(
         store=harness.engine.store,
         provider=rig.ctx.resolved_provider(),
         factory=KeyFactory(
-            rsa_bits=1024,
             rng_int=rig.rng.int_fn("rot"),
             rng_bytes=rig.rng.bytes_fn("rot-b"),
         ),

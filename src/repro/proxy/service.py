@@ -36,7 +36,6 @@ __all__ = [
     "layer_pool",
     "UA_CODE_IDENTITY",
     "IA_CODE_IDENTITY",
-    "RSA_BITS",
 ]
 
 #: Code identities measured into the enclaves of each layer.
@@ -44,18 +43,15 @@ UA_CODE_IDENTITY = "pprox-user-anonymizer-v1.0"
 IA_CODE_IDENTITY = "pprox-item-anonymizer-v1.0"
 _CODE_IDENTITY = {"UA": UA_CODE_IDENTITY, "IA": IA_CODE_IDENTITY}
 
-#: Modulus size of every layer keypair a deployment generates.
-RSA_BITS = 1024
-
-# RSA key generation is the costliest setup step (≈ 7 ms mean per
-# 1024-bit p²q keypair over 40 draws on a 2-core host, CPython 3.11,
-# nearly all of it Miller-Rabin powers in OpenSSL); cache deterministic
-# keypairs across experiment configurations of a run.
-_KEYPAIR_CACHE: Dict[Tuple[int, int, str], LayerKeys] = {}
+# RSA key generation is the costliest setup step (≈ 11 ms median per
+# standard two-prime 1024-bit keypair over 40 draws on a 2-core host,
+# CPython 3.11, nearly all of it Miller-Rabin powers in OpenSSL); cache
+# deterministic keypairs across experiment configurations of a run.
+_KEYPAIR_CACHE: Dict[Tuple[int, str], LayerKeys] = {}
 
 
 def _cached_layer_keys(factory: KeyFactory, seed: int, layer: str) -> LayerKeys:
-    cache_key = (seed, RSA_BITS, layer)
+    cache_key = (seed, layer)
     keys = _KEYPAIR_CACHE.get(cache_key)
     if keys is None:
         keys = factory.layer_keys()
@@ -326,7 +322,6 @@ def assemble(
     provisioner = ia_public = None
     if shared_keys:
         factory = KeyFactory(
-            rsa_bits=RSA_BITS,
             rng_int=rng.int_fn("keygen"),
             rng_bytes=rng.bytes_fn("keygen-bytes"),
         )

@@ -42,7 +42,7 @@ def network(loop, rng_registry) -> Network:
 @pytest.fixture(scope="session")
 def session_keypair():
     rng = random.Random(99)
-    return generate_keypair(1024, lambda bound: rng.randrange(bound))
+    return generate_keypair(lambda bound: rng.randrange(bound))
 
 
 @pytest.fixture(scope="session")
@@ -54,7 +54,7 @@ def layer_keys(session_keypair) -> LayerKeys:
 @pytest.fixture(scope="session")
 def second_layer_keys() -> LayerKeys:
     rng = random.Random(77)
-    _, private_key = generate_keypair(1024, lambda bound: rng.randrange(bound))
+    _, private_key = generate_keypair(lambda bound: rng.randrange(bound))
     return LayerKeys(private_key=private_key, symmetric_key=bytes(range(32, 64)))
 
 

@@ -27,7 +27,7 @@ def stack():
     service = build_pprox(ctx, PProxConfig(shuffle_size=0),
                           lrs_picker=harness.pick_frontend)
     client = PProxClient(ctx, service, rng=rng.stream("c"))
-    factory = KeyFactory(rsa_bits=1024, rng_int=rng.int_fn("rot"),
+    factory = KeyFactory(rng_int=rng.int_fn("rot"),
                          rng_bytes=rng.bytes_fn("rot-b"))
     for user, item in [("a", "i1"), ("a", "i2"), ("b", "i1")]:
         client.post(user, item)

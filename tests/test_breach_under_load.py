@@ -31,7 +31,7 @@ def _stack(seed=77):
 
 
 def _factory(ctx, name="rotate"):
-    return KeyFactory(rsa_bits=1024, rng_bytes=ctx.rng.bytes_fn(name))
+    return KeyFactory(rng_bytes=ctx.rng.bytes_fn(name))
 
 
 def test_rotate_ua_under_inflight_load_does_not_crash():

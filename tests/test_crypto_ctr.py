@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.crypto.ctr as ctr_module
 from repro.crypto.ctr import (
     DETERMINISTIC_IV,
     ctr_transform,
     det_decrypt,
     det_encrypt,
-    keyed_pseudonym,
     rand_decrypt,
     rand_encrypt,
 )
@@ -179,8 +177,3 @@ def test_det_encrypt_of_2560_bytes_matches_reference():
     assert blob == reference_det_encrypt(KEY, long_payload)
     assert det_encrypt(KEY, long_payload[:20]) == blob[:20]
 
-
-def test_keyed_pseudonym_is_exported():
-    assert "keyed_pseudonym" in ctr_module.__all__
-    assert keyed_pseudonym(KEY, b"user-1") == keyed_pseudonym(KEY, b"user-1")
-    assert len(keyed_pseudonym(KEY, b"user-1", length=12)) == 12

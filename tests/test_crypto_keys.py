@@ -12,7 +12,6 @@ from repro.crypto.keys import SYMMETRIC_KEY_BYTES, KeyFactory, LayerKeys
 def _factory(seed: int) -> KeyFactory:
     rng = random.Random(seed)
     return KeyFactory(
-        rsa_bits=1024,
         rng_int=lambda bound: rng.randrange(bound),
         rng_bytes=lambda n: rng.getrandbits(8 * n).to_bytes(n, "big") if n else b"",
     )

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,12 +18,11 @@ from repro.crypto.rsa import OaepError, RsaPrivateKey, RsaPublicKey, generate_ke
 # ``cryptography`` package (OpenSSL), RSAES-OAEP with SHA-256, MGF1-SHA-256
 # and an empty label, e = 65537.  KAT2_* is a two-prime 1024-bit key that
 # library generated, with its own (n, d, p, q) and its ciphertext of
-# KAT2_MESSAGE.  KAT3_* is the n = p²q key (three prime factors counted
-# with multiplicity, ``primes == (p, p, q)``) that
-# ``generate_keypair(1024, random.Random(KAT3_SEED).randrange)`` returns,
-# and a ciphertext of KAT3_MESSAGE the library made from that key's
-# (n, e) alone (it refuses to load a p²q private key).  Regenerate with
-# that package's ``asymmetric.rsa.generate_private_key(65537, 1024)`` and
+# KAT2_MESSAGE.  KAT2026_* is the key
+# ``generate_keypair(random.Random(2026).randrange)`` returns, and a
+# ciphertext of KAT2026_MESSAGE the library made from that key's (n, e).
+# Regenerate with that package's
+# ``asymmetric.rsa.generate_private_key(65537, 1024)`` and
 # ``RSAPublicNumbers(e, n).public_key().encrypt(message, OAEP(...))``.
 KAT2_MESSAGE = b"PProx KAT: two-prime key made by an independent library"
 KAT2_N = int(
@@ -58,66 +56,58 @@ KAT2_CIPHERTEXT = bytes.fromhex(
     "448bf94deebfefe4b70881d86daa27374552cf91f0cb4158cb116a8f5ebe322f"
 )
 
-KAT3_SEED = 2026
-KAT3_MESSAGE = b"PProx KAT: three-prime (p, p, q) key, independent encryptor"
-KAT3_N = int(
-    "c02667f6ba5cd1979c2d880e3edbe99b591255ff82de480cec9c216c832d18a5"
-    "a69197fd94d199de3e1f37d26255cae3c6fdda48e50fbbb9ba8789e1dee310af"
-    "74a8499bf7ad81c4d9d6c851975ec996f0efa1a02dcaab50f512586c5f6730bc"
-    "366ad564efea8b01ee3e94f50b8da6fc08531d7043e4539b7792c556a3cf283d",
+KAT2026_MESSAGE = b"PProx KAT: our two-prime key, independent encryptor"
+KAT2026_N = int(
+    "d21369bd45b08bbd8c9546e3b7a404dcd006949239c1280a4ff37d342eb68e6c"
+    "ca1e86646014b8034caece2baee2adbcf1c0de102e066b6a0d58195c0249e743"
+    "94ae37952e3f0b290d981f8cf0c11ffbf0f4ebfa40e425dc61a94e24c06d4bf2"
+    "d3d396ac3a6457d690b23cf46f074386bbdf355610e85a0c492717e15d8919e3",
     16,
 )
-KAT3_D = int(
-    "456619aa7d08c51252f006f1ce36331b4e8256d91ff51464c698656201c6a9de"
-    "3a58df6250fb9aed2fd6a4b664ee1beafcee7672ccabd3320235288c66457b3a"
-    "e525dd6f16d053698360169569444c5a979215cbccb4c36ce0e6b799e731caf7"
-    "447ba942ed8c49300e01452fade5458ae6f3de550aa17971e24b5d8702e63f21",
+KAT2026_D = int(
+    "cd2a4279a44720a2b55ad0c9f2fecff4eb8191b6218ba05439f31e13498fe717"
+    "1e6aa36c025e19bcb7367d8a321995fe52c8bed7646bc699e38067fbf10c463b"
+    "7778056ae3f598be7e587c5d7240df6c9a4eca54d7edacb181db95c7d0de73e1"
+    "186c9a042c624f2c228f1427a2deebc5491c4448682fdb89be0295cbdd15f1f1",
     16,
 )
-KAT3_P = int(
-    "39b2b897482b48d57b0f3cb175dfa37cea0d73933299e0ab1ca59a990b7d85c3"
-    "733f27f55f313940b2174d",
+KAT2026_P = int(
+    "da3050e0559a9dc1e6bc77fc99f641a96481a0ff94793b44b08ed1cfc30a515b"
+    "feef2cba6793a1bf8b2f9cc13698f58420cbc7fb2a9ccf2805171c9e0ab75179",
     16,
 )
-KAT3_Q = int(
-    "ec6a81384eb0604c327d8eee4303d65539ade985c5385124648a5263be6e9152"
-    "1fc333c4e44d03596b0f5",
+KAT2026_Q = int(
+    "f67b2d88832084d3228ef631a6e6a2b488b792afe2e533494071a2e53746ec0c"
+    "523b4e27db908dd7e22f253c1d9a4d7f551e802fd95cf0338ba4be1e32ea2b3b",
     16,
 )
-KAT3_CIPHERTEXT = bytes.fromhex(
-    "2a616ca84d653b02fa670ca30ada0badeb8b7c7646687376eeb11ee96732a61a"
-    "3342dc343957edc6c22c0d239516644ff9caa8a6a5c46a249bb112e84d0ec7f0"
-    "663b9043437bedc1bd254c04f13b9421a6fa12bf709ac7813b118e50b3e81cd4"
-    "d238e44effea5a93134c0a88a82d888149e486ee3618316697c08c743f5466bf"
+KAT2026_CIPHERTEXT = bytes.fromhex(
+    "0798a6144285fd82d1bbc836862f32cfd8bfc8ca32d54b6150b6107e2466c2b1"
+    "13dfea7b4cf31a0ea25b7cbfb7513016e981a541049ec17809c74a3098e14ec2"
+    "047c354b89c47955c8556b6e57bcc543812a4e01e5001a04ef7604b19fc1aae7"
+    "400865e07faedeaf47e1b94b83817f27406bdf229b60332f22de8d9ee5023741"
 )
-
-_SIZES = {832: [416, 416], 1024: [342, 340], 2048: [683, 682]}
 
 
 @pytest.fixture(scope="module")
 def keypair():
     rng = random.Random(7)
-    return generate_keypair(1024, lambda bound: rng.randrange(bound))
+    return generate_keypair(lambda bound: rng.randrange(bound))
 
 
 def test_keygen_is_deterministic_with_seeded_rng():
-    first = generate_keypair(1024, random.Random(3).randrange)
-    second = generate_keypair(1024, random.Random(3).randrange)
+    first = generate_keypair(random.Random(3).randrange)
+    second = generate_keypair(random.Random(3).randrange)
     assert first[0].n == second[0].n
-
-
-def test_keygen_rejects_tiny_moduli():
-    with pytest.raises(ValueError, match="832 bits"):
-        generate_keypair(512)
 
 
 @pytest.mark.parametrize("bits", [832, 1024, 2048])
 def test_keygen_never_discards_a_prime_pair(bits, monkeypatch):
-    """Two distinct primes p and q: n = pq below 1024 bits, n = p²q from
-    1024 up, sized so the factors sum to *bits*.  Each of the k prime
-    factors (counted with multiplicity) carries its top k bits, so the
-    modulus always has the requested length and the first pair drawn is
-    the pair used."""
+    """Two distinct primes of half the modulus each, each with its top
+    two bits set, so the modulus always has the full length and the
+    first pair drawn is the pair used.  The sizing argument holds for
+    any modulus length, so it is checked at :data:`rsa.RSA_BITS` and at
+    a smaller and a larger one."""
     draws = []
     random_prime = rsa._random_prime
 
@@ -126,21 +116,17 @@ def test_keygen_never_discards_a_prime_pair(bits, monkeypatch):
         return random_prime(prime_bits, *args)
 
     monkeypatch.setattr(rsa, "_random_prime", counting_random_prime)
-    sizes = _SIZES[bits]
-    count = 2 if bits < 1024 else 3
-    top = (1 << count) - 1
+    monkeypatch.setattr(rsa, "RSA_BITS", bits)
+    half = bits // 2
     for seed in range(4 if bits == 2048 else 20):
         del draws[:]
-        public, private = generate_keypair(bits, random.Random(seed).randrange)
-        assert draws == sizes
-        p, q = private.primes[0], private.primes[-1]
-        assert private.primes == ((p, q) if count == 2 else (p, p, q))
-        assert [p.bit_length(), q.bit_length()] == sizes
-        assert all(prime >> (size - count) == top
-                   for prime, size in zip((p, q), sizes))
-        assert prod(private.primes) == public.n
+        public, private = generate_keypair(random.Random(seed).randrange)
+        assert draws == [half, half]
+        assert [private.p.bit_length(), private.q.bit_length()] == [half, half]
+        assert private.p >> (half - 2) == private.q >> (half - 2) == 0b11
+        assert private.p * private.q == public.n
         assert public.n.bit_length() == bits
-        assert p != q
+        assert private.p != private.q
 
 
 def test_modulus_has_requested_bits(keypair):
@@ -195,7 +181,7 @@ def test_decrypt_corrupted_ciphertext_rejected(keypair):
 def test_decrypt_with_wrong_key_rejected(keypair):
     public, _ = keypair
     rng = random.Random(8)
-    _, other_private = generate_keypair(1024, lambda bound: rng.randrange(bound))
+    _, other_private = generate_keypair(lambda bound: rng.randrange(bound))
     with pytest.raises(OaepError):
         other_private.decrypt(public.encrypt(b"secret"))
 
@@ -207,45 +193,65 @@ def test_crt_matches_plain_exponentiation(keypair):
 
 
 @pytest.fixture(scope="module")
-def keys_by_prime_count(keypair):
-    """A pq key and a p²q key, by prime factors counted with multiplicity."""
-    _, two_prime = generate_keypair(832, random.Random(7).randrange)
-    return {2: two_prime, 3: keypair[1]}
+def keys_by_seed():
+    """Two more keys, drawn from independently seeded rngs, so the CRT
+    checks below run on prime sets other than the module keypair's."""
+    return {seed: generate_keypair(random.Random(seed).randrange)[1] for seed in (2, 3)}
 
 
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
-@pytest.mark.parametrize("count", [2, 3])
-def test_crt_power_is_plain_exponentiation_for_any_prime_set(keys_by_prime_count, count, data):
-    private = keys_by_prime_count[count]
-    assert len(private.primes) == count
-    assert len(set(private.primes)) == 2
-    for prime in private.primes:
+@pytest.mark.parametrize("seed", [2, 3])
+def test_crt_power_is_plain_exponentiation_for_any_prime_set(keys_by_seed, seed, data):
+    private = keys_by_seed[seed]
+    assert private.p != private.q
+    for prime in (private.p, private.q):
         assert private.e * private.d % (prime - 1) == 1
     value = data.draw(st.integers(min_value=0, max_value=private.n - 1))
     assert private._crt_power(value) == pow(value, private.d, private.n)
 
 
-@pytest.mark.parametrize("count", [2, 3])
-def test_crt_power_is_plain_exponentiation_at_the_edges(keys_by_prime_count, count):
-    """Values the Hensel lift and the Garner steps treat specially: 0, 1,
-    multiples of p (where the root mod p is 0), q and n - 1."""
-    private = keys_by_prime_count[count]
-    p, q, n = private.primes[0], private.primes[-1], private.n
-    for value in (0, 1, p, 5 * p, p * p % n, q, n - 1):
+@pytest.mark.parametrize("seed", [2, 3])
+def test_crt_power_is_plain_exponentiation_at_the_edges(keys_by_seed, seed):
+    """Values Garner's step treats specially: 0, 1, multiples of p
+    (where the root mod p is 0), q and n - 1."""
+    private = keys_by_seed[seed]
+    p, q, n = private.p, private.q, private.n
+    for value in (0, 1, p, 5 * p, q, n - 1):
         assert private._crt_power(value) == pow(value, private.d, n)
+
+
+def test_generated_keys_load_into_openssl_and_interoperate():
+    """Every key keygen draws is a standard RFC 8017 two-prime key: the
+    ``cryptography`` package (OpenSSL) loads its private half, and OAEP
+    ciphertexts decrypt in both directions."""
+    crypto_rsa = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.rsa")
+    from cryptography.hazmat.primitives import hashes
+    from cryptography.hazmat.primitives.asymmetric import padding
+
+    oaep = padding.OAEP(mgf=padding.MGF1(hashes.SHA256()), algorithm=hashes.SHA256(), label=None)
+    for seed in range(20):
+        public, private = generate_keypair(random.Random(seed).randrange)
+        d_p, d_q, q_inverse = private.crt_values
+        loaded = crypto_rsa.RSAPrivateNumbers(
+            p=private.p, q=private.q, d=private.d, dmp1=d_p, dmq1=d_q, iqmp=q_inverse,
+            public_numbers=crypto_rsa.RSAPublicNumbers(public.e, public.n),
+        ).private_key()
+        message = b"seed %d" % seed
+        assert loaded.decrypt(public.encrypt(message), oaep) == message
+        assert private.decrypt(loaded.public_key().encrypt(message, oaep)) == message
 
 
 _KATS = {
     "two_prime_foreign_key": (
-        RsaPrivateKey(n=KAT2_N, e=65537, d=KAT2_D, primes=(KAT2_P, KAT2_Q)),
+        RsaPrivateKey(n=KAT2_N, e=65537, d=KAT2_D, p=KAT2_P, q=KAT2_Q),
         KAT2_MESSAGE,
         KAT2_CIPHERTEXT,
     ),
-    "three_prime_our_key": (
-        RsaPrivateKey(n=KAT3_N, e=65537, d=KAT3_D, primes=(KAT3_P, KAT3_P, KAT3_Q)),
-        KAT3_MESSAGE,
-        KAT3_CIPHERTEXT,
+    "two_prime_our_key": (
+        RsaPrivateKey(n=KAT2026_N, e=65537, d=KAT2026_D, p=KAT2026_P, q=KAT2026_Q),
+        KAT2026_MESSAGE,
+        KAT2026_CIPHERTEXT,
     ),
 }
 
@@ -266,32 +272,30 @@ def test_oaep_known_answer_with_a_flipped_bit_is_rejected(name, bit):
         private.decrypt(bytes(flipped))
 
 
-def test_three_prime_vector_key_is_the_key_keygen_draws():
-    public, private = generate_keypair(1024, random.Random(KAT3_SEED).randrange)
-    assert public.n == KAT3_N
-    assert private.primes == (KAT3_P, KAT3_P, KAT3_Q)
-    assert private.d == KAT3_D
+def test_vector_key_is_the_key_keygen_draws():
+    public, private = generate_keypair(random.Random(2026).randrange)
+    assert public.n == KAT2026_N
+    assert (private.p, private.q, private.d) == (KAT2026_P, KAT2026_Q, KAT2026_D)
 
 
 def test_keygen_skips_a_repeated_prime_and_one_e_cannot_invert(monkeypatch):
-    """A q equal to p is redrawn: the p² of n = p²q is the shape, a third
-    draw of p would be a different key."""
+    """A q equal to p is redrawn, as is a prime whose p - 1 e divides."""
     unusable = 3 * 65537 + 1  # p - 1 is a multiple of e
-    draws = iter([unusable, KAT3_P, KAT3_P, KAT3_Q])
+    draws = iter([unusable, KAT2026_P, KAT2026_P, KAT2026_Q])
     monkeypatch.setattr(rsa, "_random_prime", lambda *args: next(draws))
-    public, private = generate_keypair(1024, random.Random(0).randrange)
-    assert private.primes == (KAT3_P, KAT3_P, KAT3_Q)
-    assert (public.n, private.d) == (KAT3_N, KAT3_D)
+    public, private = generate_keypair(random.Random(0).randrange)
+    assert (private.p, private.q) == (KAT2026_P, KAT2026_Q)
+    assert (public.n, private.d) == (KAT2026_N, KAT2026_D)
 
 
-_P3_D = pow(65537, -1, KAT3_P * KAT3_P * (KAT3_P - 1))
+_N, _D, _P, _Q = KAT2026_N, KAT2026_D, KAT2026_P, KAT2026_Q
 
 _BROKEN_KEYS = {
-    "a_prime_that_does_not_divide_n": (KAT3_N, KAT3_D, (KAT3_P, KAT3_P, KAT3_Q + 2), "multiply"),
-    "a_factor_missing": (KAT3_N, KAT3_D, (KAT3_P, KAT3_Q), "multiply"),
-    "a_prime_three_times": (KAT3_P ** 3, _P3_D, (KAT3_P, KAT3_P, KAT3_P), "at most twice"),
-    "d_not_the_inverse_of_e": (KAT3_N, KAT3_D + 1, (KAT3_P, KAT3_P, KAT3_Q), "modulo p - 1"),
-    "a_unit_factor": (KAT3_N, KAT3_D, (KAT3_P, KAT3_P, KAT3_Q, 1), "modulo p - 1"),
+    "a_prime_that_does_not_divide_n": (_N, _D, _P, _Q + 2, "is not n"),
+    "a_factor_missing": (3 * _N, _D, _P, _Q, "is not n"),
+    "a_prime_twice": (_P * _P, _D, _P, _P, "distinct"),
+    "d_not_the_inverse_of_e": (_N, _D + 1, _P, _Q, "modulo p - 1"),
+    "a_unit_factor": (_N, _D, 1, _N, "modulo p - 1"),
 }
 
 
@@ -299,16 +303,10 @@ _BROKEN_KEYS = {
 def test_a_key_whose_factors_do_not_describe_n_is_refused(case):
     """Refused at construction, not at the first decrypt, where it would
     read as a malformed ciphertext (``OaepError``)."""
-    n, d, primes, reason = _BROKEN_KEYS[case]
+    n, d, p, q, reason = _BROKEN_KEYS[case]
     with pytest.raises(ValueError, match=reason) as caught:
-        RsaPrivateKey(n=n, e=65537, d=d, primes=primes)
+        RsaPrivateKey(n=n, e=65537, d=d, p=p, q=q)
     assert not isinstance(caught.value, OaepError)
-
-
-def test_a_two_prime_and_a_p2q_key_construct():
-    two_prime = RsaPrivateKey(n=KAT2_N, e=65537, d=KAT2_D, primes=(KAT2_P, KAT2_Q))
-    p2q = RsaPrivateKey(n=KAT3_N, e=65537, d=KAT3_D, primes=(KAT3_P, KAT3_P, KAT3_Q))
-    assert [len(key._crt_params) for key in (two_prime, p2q)] == [2, 2]
 
 
 def test_public_key_accessor(keypair):
@@ -321,6 +319,24 @@ def test_ciphertext_value_out_of_range_rejected(keypair):
     too_big = (private.n + 1).to_bytes(private.modulus_bytes, "big")
     with pytest.raises(OaepError, match="range"):
         private.decrypt(too_big)
+
+
+def test_a_short_oaep_seed_is_refused_when_sealing(keypair):
+    """An rng that returns too few bytes fails at encryption, not as a
+    label hash mismatch at the layer that opens the block."""
+    public, _ = keypair
+    with pytest.raises(ValueError, match="OAEP seed"):
+        public.encrypt(b"hello", lambda n: b"\x01" * (n - 1))
+
+
+def test_a_hybrid_session_key_that_is_not_aes_256_is_refused_when_sealing(keypair):
+    """The first draw, the session key, comes back 16 bytes long -- a
+    key AES would take as AES-128 -- and every later draw is sound."""
+    public, _ = keypair
+    draws = [bytes(16)]
+    provider = RealCryptoProvider(rng_bytes=lambda n: draws.pop() if draws else bytes(n))
+    with pytest.raises(ValueError, match="AES-256"):
+        provider.asym_encrypt(LayerPublicMaterial(public_key=public), bytes(200))
 
 
 @settings(max_examples=15, deadline=None)

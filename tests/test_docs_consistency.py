@@ -101,14 +101,16 @@ def test_no_object_wire_fork_in_the_package():
 
 #: What one-of-each in ``src/`` rules out: an import of the test tree, a
 #: ``Reference*`` / ``reference_*`` name (the oracles live in
-#: ``tests/oracles/``), AES round code beside OpenSSL's, and the names
-#: of the deleted selectors, duplicates and their flag.
+#: ``tests/oracles/``), AES round code beside OpenSSL's, the names of
+#: the deleted selectors, duplicates and their flag, and the Hensel lift
+#: of the multi-power RSA key the two-prime key replaced.
 SECOND_IMPLEMENTATIONS = re.compile(
     r"^\s*(?:from|import)\s+tests\b"
     r"|\bReference[A-Z]\w*|\breference_\w+"
     r"|\bencrypt_ctr_blocks\b|\b_SBOX\b|\b_CIPHER_CACHE\b"
     r"|\bmake_event_loop\b|\bENGINES\b|\bCalendarEventLoop\b"
-    r"|\bBreakdownProbe\b|\bFastCryptoProvider\b|--engine\b",
+    r"|\bBreakdownProbe\b|\bFastCryptoProvider\b|--engine\b"
+    r"|\bkeyed_pseudonym\b|\bHensel\b",
     flags=re.M,
 )
 #: A module-level tuple of the five pipeline stage names.

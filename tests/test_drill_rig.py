@@ -221,7 +221,7 @@ def test_one_plan_arms_faults_and_a_rotation_and_run_stops_every_controller():
         loop=rig.loop, service=rig.service, layer="UA", store=rig.lrs.engine.store,
         provider=rig.ctx.resolved_provider(),
         factory=KeyFactory(
-            rsa_bits=1024, rng_int=rig.rng.int_fn("rot"), rng_bytes=rig.rng.bytes_fn("rot-b")
+            rng_int=rig.rng.int_fn("rot"), rng_bytes=rig.rng.bytes_fn("rot-b")
         ),
         tick_interval=0.05, retire_grace=0.3, telemetry=rig.telemetry,
     )

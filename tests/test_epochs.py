@@ -51,7 +51,6 @@ wire_blob = EnvelopeCodec.wire_blob
 def factory():
     rng = random.Random(17)
     return KeyFactory(
-        rsa_bits=1024,
         rng_int=lambda b: rng.randrange(b),
         rng_bytes=lambda n: bytes(rng.randrange(256) for _ in range(n)),
     )
@@ -384,7 +383,6 @@ def _coordinator(ctx, harness, service, **overrides):
         store=harness.engine.store,
         provider=ctx.resolved_provider(),
         factory=KeyFactory(
-            rsa_bits=1024,
             rng_int=ctx.rng.int_fn("rot"),
             rng_bytes=ctx.rng.bytes_fn("rot-b"),
         ),

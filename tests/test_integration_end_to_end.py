@@ -80,7 +80,7 @@ def test_side_channel_attack_lifecycle_with_detection_and_rotation():
     adversary.attach(network)
     adversary.observe_lrs(harness.engine.store)
 
-    factory = KeyFactory(rsa_bits=1024, rng_int=rng.int_fn("rot"),
+    factory = KeyFactory(rng_int=rng.int_fn("rot"),
                          rng_bytes=rng.bytes_fn("rot-bytes"))
 
     rotations = []

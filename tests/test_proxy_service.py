@@ -87,7 +87,6 @@ def test_rotate_layer_replaces_keys_everywhere():
     rng, service = _service()
     old_public = service.client_material.ua.public_key.n
     factory = KeyFactory(
-        rsa_bits=1024,
         rng_int=rng.int_fn("rotation"),
         rng_bytes=rng.bytes_fn("rotation-bytes"),
     )
@@ -101,7 +100,6 @@ def test_rotation_clears_compromise_flag():
     rng, service = _service()
     service.ua_instances[0].enclave.mark_compromised()
     factory = KeyFactory(
-        rsa_bits=1024,
         rng_int=rng.int_fn("rotation"),
         rng_bytes=rng.bytes_fn("rotation-bytes"),
     )

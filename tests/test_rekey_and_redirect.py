@@ -53,7 +53,7 @@ def _rekey_setup(provider_cls=RealCryptoProvider):
     for user, item in FEEDBACK:
         client.post(user, item)
     loop.run()
-    factory = KeyFactory(rsa_bits=1024, rng_int=rng.int_fn("rot"),
+    factory = KeyFactory(rng_int=rng.int_fn("rot"),
                          rng_bytes=rng.bytes_fn("rot-b"))
     return rng, loop, harness, service, client, factory
 
@@ -242,7 +242,7 @@ def test_redirected_client_stamps_the_epoch_tag_like_a_direct_one():
         direct.post(user, item)
     loop.run()
     harness.train()
-    factory = KeyFactory(rsa_bits=1024, rng_int=rng.int_fn("rot"),
+    factory = KeyFactory(rng_int=rng.int_fn("rot"),
                          rng_bytes=rng.bytes_fn("rot-b"))
     service.announce_epoch("UA", factory.layer_keys())
     assert relayed.service.wire_epochs == service.wire_epochs == {"UA": 1, "IA": 0}
@@ -276,7 +276,7 @@ def test_relayed_epoch_tag_is_no_exposure_and_a_stranger_is_not_an_lrs():
     rng, loop, network, _, service, relayed, frontend = _redirected_stack()
     adversary = Adversary()
     adversary.attach(network)
-    factory = KeyFactory(rsa_bits=1024, rng_int=rng.int_fn("rot"),
+    factory = KeyFactory(rng_int=rng.int_fn("rot"),
                          rng_bytes=rng.bytes_fn("rot-b"))
     service.announce_epoch("UA", factory.layer_keys())
     relayed.causal = service.runtime.causal = CausalTracer(clock=lambda: loop.now)

@@ -51,7 +51,7 @@ def test_quote_rejects_forged_signature():
 @pytest.fixture(scope="module")
 def provisioner():
     rng = random.Random(5)
-    factory = KeyFactory(rsa_bits=1024, rng_int=lambda b: rng.randrange(b))
+    factory = KeyFactory(rng_int=lambda b: rng.randrange(b))
     return KeyProvisioner(
         attestation=AttestationService(),
         expected_measurements={
@@ -86,7 +86,7 @@ def test_rotate_layer_installs_fresh_keys(provisioner):
     enclave = _enclave("ua-code")
     provisioner.provision("UA", enclave)
     rng = random.Random(6)
-    factory = KeyFactory(rsa_bits=1024, rng_int=lambda b: rng.randrange(b))
+    factory = KeyFactory(rng_int=lambda b: rng.randrange(b))
     new_keys = factory.layer_keys()
     provisioner.rotate_layer("UA", new_keys, [enclave])
     assert enclave.secret(UA_SECRET_K) == new_keys.symmetric_key

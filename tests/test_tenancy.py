@@ -47,7 +47,7 @@ def _multi_tenant_stack(config=None, tenant_names=("shop", "forum"), seed=71,
     loop = EventLoop()
     network = Network(loop=loop, rng=rng.stream("net"))
     factory = KeyFactory(
-        rsa_bits=1024, rng_int=rng.int_fn("keys"), rng_bytes=rng.bytes_fn("keys-b")
+        rng_int=rng.int_fn("keys"), rng_bytes=rng.bytes_fn("keys-b")
     )
     directory = TenantDirectory()
     harnesses = {}
