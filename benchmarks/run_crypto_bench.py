@@ -3,10 +3,11 @@
 Measures the symmetric hot path — OpenSSL's AES-CTR through
 :mod:`repro.crypto.libcrypto` — against the straight-line seed
 implementation preserved as the test oracle
-``tests/oracles/aes_reference.py``, and RSA's two powers against
-CPython's builtin ``pow``: the private operation
-(``RsaPrivateKey._crt_power`` on a fixed-seed 1024-bit key) against the
-no-CRT ``pow(value, d, n)``, and OAEP's public power against
+``tests/oracles/aes_reference.py``, and RSA's two raw operations against
+CPython's builtin ``pow``: the private operation (one
+``RSA_private_decrypt`` on the OpenSSL handle of a fixed-seed 1024-bit
+key) against the no-CRT ``pow(value, d, n)``, and the public operation
+OAEP encryption runs (one ``RSA_public_encrypt``) against
 ``pow(value, e, n)``.  It writes the results to ``BENCH_crypto.json`` at
 the repository root.  Later changes to the crypto stack should re-run
 this script and must not regress the recorded speedups::
@@ -14,7 +15,7 @@ this script and must not regress the recorded speedups::
     PYTHONPATH=src python benchmarks/run_crypto_bench.py
 
 Acceptance floors (``FLOORS``): ``RealCryptoProvider.pseudonymize`` on
-hot ids, ``ctr_transform`` over 1 KiB payloads, and both RSA powers.
+hot ids, ``ctr_transform`` over 1 KiB payloads, and both RSA operations.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT))  # the oracle lives with the tests
 
 from repro.crypto import ctr
-from repro.crypto.libcrypto import mod_pow
 from repro.crypto.provider import RealCryptoProvider
 from repro.crypto.rsa import generate_keypair
 from tests.oracles.aes_reference import reference_ctr_transform, reference_det_encrypt
@@ -48,18 +48,21 @@ HOT_IDS = [b"user-%011d" % i for i in range(64)]
 # OpenSSL 3.0), for other interpreters, OpenSSL builds and machines.
 # Against the seed reference: ctr_transform_1KiB 678x to 1,262x,
 # det_encrypt_32B 38x to 49x, real_provider_pseudonymize_hot64 278x to
-# 545x.  Against CPython's builtin pow: rsa_private_1024 (the two-prime
-# CRT, two constant-time OpenSSL powers and a Garner step, vs the no-CRT
-# pow(value, d, n)) 28x to 35x when the floor was set, 33x with the
-# two-prime key; rsa_public_1024 (OAEP's power, OpenSSL's plain
-# Montgomery power for the public e, vs pow(value, e, n)) 2.3x to 2.9x,
-# where the constant-time power measured 1.4x and 1.5x.
+# 545x.  Against CPython's builtin pow: rsa_private_1024 (one
+# RSA_private_decrypt without padding on a loaded key -- OpenSSL's CRT
+# with cached Montgomery contexts, blinding and its CRT check -- vs the
+# no-CRT pow(value, d, n)) 37x to 42x (36x to 45x in three earlier
+# runs), where the two constant-time mod_pow calls and the Python Garner
+# step it replaced measured 28x to 30x on the same host; rsa_public_1024
+# (one RSA_public_encrypt without padding on a loaded key, vs
+# pow(value, e, n)) 6.3x to 7.9x (5.7x to 6.2x earlier), where one
+# mod_pow call with the public e measured 2.3x to 2.5x.
 FLOORS = {
     "ctr_transform_1KiB": 350.0,
     "det_encrypt_32B": 20.0,
     "real_provider_pseudonymize_hot64": 150.0,
-    "rsa_private_1024": 14.0,
-    "rsa_public_1024": 1.2,
+    "rsa_private_1024": 18.0,
+    "rsa_public_1024": 2.8,
 }
 
 
@@ -82,8 +85,10 @@ def _measure() -> dict:
         for identifier in HOT_IDS:
             reference_det_encrypt(KEY, identifier)
 
-    _, private = generate_keypair(random.Random(7).randrange)
+    public, private = generate_keypair(random.Random(7).randrange)
     value = random.Random(1).randrange(private.n)
+    block = value.to_bytes(private.modulus_bytes, "big")
+    private_handle, public_handle = private._handle, public._handle
 
     cases = {
         "ctr_transform_1KiB": (
@@ -102,12 +107,12 @@ def _measure() -> dict:
             20,
         ),
         "rsa_private_1024": (
-            lambda: private._crt_power(value),
+            lambda: private_handle.private_op(block),
             lambda: pow(value, private.d, private.n),
             500,
         ),
         "rsa_public_1024": (
-            lambda: mod_pow(value, private.e, private.n, public_exponent=True),
+            lambda: public_handle.public_op(block),
             lambda: pow(value, private.e, private.n),
             2000,
         ),

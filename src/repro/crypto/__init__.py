@@ -1,18 +1,20 @@
 """Cryptographic substrate for the PProx reproduction.
 
 Everything the protocol in the paper needs.  The two primitives the
-paper's enclaves take from SGX-SSL — the AES-CTR pass and RSA's modular
-powers — run in the OpenSSL libcrypto CPython's ``hashlib`` already
+paper's enclaves take from SGX-SSL — the AES-CTR pass and the raw RSA
+operations — run in the OpenSSL libcrypto CPython's ``hashlib`` already
 loads; the protocol around them is built here:
 
-* :mod:`repro.crypto.libcrypto` — ``aes_ctr`` and ``mod_pow``
-  (constant-time for secret exponents), bound through :mod:`ctypes`.
+* :mod:`repro.crypto.libcrypto` — ``aes_ctr``, ``RsaHandle`` (an RSA key
+  loaded into OpenSSL once, for unpadded private and public operations)
+  and ``mod_pow`` (constant-time for secret exponents), bound through
+  :mod:`ctypes`.
 * :mod:`repro.crypto.ctr` — deterministic (constant-IV) and randomized
   AES-CTR, matching the paper's use of Intel SGX-SSL.
 * :mod:`repro.crypto.rsa` — RSA-OAEP with Miller-Rabin key generation;
-  every key is a standard two-prime RFC 8017 key, loadable by OpenSSL /
-  SGX-SSL, and the private operation is RFC 8017's CRT: two powers and
-  Garner's recombination.
+  every key is a standard two-prime RFC 8017 key, loaded into OpenSSL
+  on first use; a private operation is one ``RSA_private_decrypt`` and
+  a public one one ``RSA_public_encrypt``, with OAEP around them here.
 * :mod:`repro.crypto.keys` — per-layer key material (Table 1).
 * :mod:`repro.crypto.envelope` — fixed-size identifier encoding and
   padded recommendation lists (§4.3), base64/JSON helpers.

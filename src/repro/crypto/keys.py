@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey, generate_keypair
@@ -49,9 +50,10 @@ class LayerKeys:
                 f" got {len(self.symmetric_key)}"
             )
 
-    @property
+    @cached_property
     def public_material(self) -> LayerPublicMaterial:
-        """The publishable half of this material."""
+        """The publishable half of this material, built once: the
+        client looks it up on every request."""
         return LayerPublicMaterial(public_key=self.private_key.public_key)
 
     @property

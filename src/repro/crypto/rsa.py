@@ -1,4 +1,4 @@
-"""RSA with OAEP padding, implemented from scratch.
+"""RSA with OAEP padding; the raw RSA operations run in OpenSSL.
 
 The paper's proxy service uses RSA (via Intel SGX-SSL) for the
 asymmetric half of the protocol: the user-side library encrypts the
@@ -9,12 +9,14 @@ Every key is a standard RFC 8017 two-prime key: ``n = pq`` for two
 distinct 512-bit primes found by Miller-Rabin, with the CRT values
 ``(dP, dQ, qInv)`` of RFC 8017's second private-key representation, so
 OpenSSL — hence the SGX-SSL library the paper's enclaves run — loads
-it as it is.  The private operation is RFC 8017's: one modular power
-mod ``p``, one mod ``q``, and Garner's recombination.  Every modular
-power with a non-negative exponent — OAEP's public one, the CRT powers
-and Miller-Rabin's — is :func:`repro.crypto.libcrypto.mod_pow`,
-OpenSSL's Montgomery power as in SGX-SSL: constant-time for the secret
-exponents, plain for the public ``e`` and Miller-Rabin's squarings.
+it as it is.  Each key is loaded into OpenSSL once, on first use, as a
+:class:`repro.crypto.libcrypto.RsaHandle`: a private operation is one
+``RSA_private_decrypt`` (OpenSSL's CRT with cached Montgomery
+contexts, blinding and a check of the CRT result) and a public one one
+``RSA_public_encrypt``, both unpadded.  OAEP (SHA-256, MGF1) is encoded
+and decoded here, so a seeded OAEP seed keeps ciphertexts reproducible
+and a bad block is an :class:`OaepError`.  Miller-Rabin's powers are
+:func:`repro.crypto.libcrypto.mod_pow`.
 
 The modulus is :data:`RSA_BITS` (1024) bits — small by deployment
 standards but sound for a simulation, and fast enough to run thousands
@@ -27,9 +29,9 @@ import hashlib
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.crypto.libcrypto import mod_pow
+from repro.crypto.libcrypto import RsaHandle, mod_pow
 from repro.crypto.xor import xor_bytes
 
 __all__ = ["RsaPublicKey", "RsaPrivateKey", "generate_keypair", "OaepError", "RSA_BITS"]
@@ -89,12 +91,27 @@ def _random_prime(bits: int, rng: Callable[[int], int]) -> int:
             return candidate
 
 
+class _LoadedKey:
+    """A key whose OpenSSL handle (``_handle``) is built on first use.
+
+    A copy or an unpickled key leaves the handle behind and loads its
+    own, so no two owners ever free one ``RSA`` object.
+    """
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {name: value for name, value in self.__dict__.items() if name != "_handle"}
+
+
 @dataclass(frozen=True)
-class RsaPublicKey:
+class RsaPublicKey(_LoadedKey):
     """RSA public key ``(n, e)`` with OAEP encryption."""
 
     n: int
     e: int = _E
+
+    @cached_property
+    def _handle(self) -> RsaHandle:
+        return RsaHandle(self.n, self.e)
 
     @property
     def modulus_bytes(self) -> int:
@@ -113,13 +130,11 @@ class RsaPublicKey:
         differ, which is exactly why the ciphertext of a user id cannot
         serve as its pseudonym (paper §4.1).
         """
-        padded = _oaep_encode(message, self.modulus_bytes, rng or os.urandom)
-        value = mod_pow(int.from_bytes(padded, "big"), self.e, self.n, public_exponent=True)
-        return value.to_bytes(self.modulus_bytes, "big")
+        return self._handle.public_op(_oaep_encode(message, self.modulus_bytes, rng or os.urandom))
 
 
 @dataclass(frozen=True)
-class RsaPrivateKey:
+class RsaPrivateKey(_LoadedKey):
     """RFC 8017 two-prime RSA private key, with CRT decryption."""
 
     n: int
@@ -139,9 +154,9 @@ class RsaPrivateKey:
             if prime < 2 or (self.e * self.d - 1) % (prime - 1):
                 raise ValueError("e * d is not 1 modulo p - 1 and q - 1")
 
-    @property
+    @cached_property
     def public_key(self) -> RsaPublicKey:
-        """The matching public key."""
+        """The matching public key (one object per private key)."""
         return RsaPublicKey(n=self.n, e=self.e)
 
     @property
@@ -155,25 +170,19 @@ class RsaPrivateKey:
         ``d mod (q - 1)`` and ``q^-1 mod p``."""
         return self.d % (self.p - 1), self.d % (self.q - 1), pow(self.q, -1, self.p)
 
+    @cached_property
+    def _handle(self) -> RsaHandle:
+        return RsaHandle(self.n, self.e, (self.d, self.p, self.q) + self.crt_values)
+
     def decrypt(self, ciphertext: bytes) -> bytes:
         """OAEP-decrypt a ciphertext produced by the matching public key."""
         if len(ciphertext) != self.modulus_bytes:
             raise OaepError(
                 f"ciphertext length {len(ciphertext)} != modulus length {self.modulus_bytes}"
             )
-        value = int.from_bytes(ciphertext, "big")
-        if value >= self.n:
+        if int.from_bytes(ciphertext, "big") >= self.n:
             raise OaepError("ciphertext value out of range")
-        padded = self._crt_power(value).to_bytes(self.modulus_bytes, "big")
-        return _oaep_decode(padded, self.modulus_bytes)
-
-    def _crt_power(self, value: int) -> int:
-        """Compute ``value ** d mod n`` as RFC 8017 §5.1.2, step 2.b:
-        one power mod ``p``, one mod ``q``, and Garner's recombination."""
-        d_p, d_q, q_inverse = self.crt_values
-        root_p = mod_pow(value % self.p, d_p, self.p)
-        root_q = mod_pow(value % self.q, d_q, self.q)
-        return root_q + self.q * ((root_p - root_q) * q_inverse % self.p)
+        return _oaep_decode(self._handle.private_op(ciphertext), self.modulus_bytes)
 
 
 def generate_keypair(
@@ -200,7 +209,8 @@ def generate_keypair(
     p, q = primes
     n = p * q
     d = pow(_E, -1, (p - 1) * (q - 1))
-    return RsaPublicKey(n=n, e=_E), RsaPrivateKey(n=n, e=_E, d=d, p=p, q=q)
+    private = RsaPrivateKey(n=n, e=_E, d=d, p=p, q=q)
+    return private.public_key, private
 
 
 def _mgf1(seed: bytes, length: int) -> bytes:

@@ -1,22 +1,29 @@
 """The OpenSSL binding: ``mod_pow`` is ``pow``, and bad input never reaches C.
 
-:func:`repro.crypto.libcrypto.mod_pow` carries every RSA power with a
-non-negative exponent, so it is held to CPython's ``pow`` over the
+:func:`repro.crypto.libcrypto.mod_pow` carries key generation's
+Miller-Rabin powers, so it is held to CPython's ``pow`` over the
 inputs that trip Montgomery code — bases at or above the modulus, base
 and exponent 0, modulus 1, and odd moduli of 1 to 2048 bits — on the
 constant-time power and on the plain one public exponents take.  A negative
 argument or an even modulus is a ``ValueError`` raised in Python, never
-a silent fallback.  ``aes_ctr``'s checks are in ``test_crypto_aes.py``.
+a silent fallback.  ``aes_ctr``'s checks are in ``test_crypto_aes.py``,
+the raw RSA operations' in ``test_crypto_rsa.py``.  A libcrypto call
+that fails leaves the thread's OpenSSL error queue empty, so no stale
+reason surfaces in a later ``hashlib`` or ``ssl`` error.
 """
 
 from __future__ import annotations
+
+import ctypes
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import libcrypto
-from repro.crypto.libcrypto import mod_pow
+from repro.crypto.libcrypto import RsaHandle, mod_pow
+from repro.crypto.rsa import generate_keypair
 
 ODD_MODULI = st.integers(min_value=1, max_value=2048).flatmap(
     lambda bits: st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1)
@@ -72,6 +79,82 @@ def test_the_bound_library_is_hashlibs():
     import _hashlib
 
     assert libcrypto.LIBRARY == _hashlib.__file__
+
+
+# Held here so a test that patches one of them can still queue an error.
+_CTX_NEW, _CTX_FREE = libcrypto._ctx_new, libcrypto._ctx_free
+_ENCRYPT_INIT = libcrypto._encrypt_init
+_peek_error = libcrypto._bind("ERR_peek_error", ctypes.c_ulong)
+
+
+def _queue_an_openssl_error():
+    """Make libcrypto itself queue an error: initialise a cipher context
+    without a cipher."""
+    ctx = _CTX_NEW()
+    try:
+        assert _ENCRYPT_INIT(ctx, None, None, None, None) == 0
+    finally:
+        _CTX_FREE(ctx)
+    assert _peek_error() != 0
+
+
+def _failing(result):
+    def binding(*_args):
+        _queue_an_openssl_error()
+        return result
+    return binding
+
+
+_KEY = generate_keypair(random.Random(11).randrange)[1]
+_BLOCK = (12345).to_bytes(_KEY.modulus_bytes, "big")
+
+
+def _private_handle():
+    return RsaHandle(_KEY.n, _KEY.e, (_KEY.d, _KEY.p, _KEY.q) + _KEY.crt_values)
+
+
+#: binding -> (the value it returns on failure, a call through it, the error raised)
+_FAILURES = {
+    "_encrypt_update": (0, lambda: libcrypto.aes_ctr(bytes(32), bytes(16), b"data"),
+                        RuntimeError),
+    "_ctx_new": (None, lambda: libcrypto.aes_ctr(bytes(32), bytes(16), b"data"), MemoryError),
+    "_bn_mod_exp_consttime": (0, lambda: mod_pow(3, 5, 7), RuntimeError),
+    "_bn_mod_exp_public": (0, lambda: mod_pow(3, 5, 7, public_exponent=True), RuntimeError),
+    "_bn_new": (None, lambda: mod_pow(3, 5, 7), MemoryError),
+    "_rsa_new": (None, _private_handle, MemoryError),
+    "_rsa_set0_key": (0, lambda: RsaHandle(_KEY.n, _KEY.e), MemoryError),
+    "_rsa_set0_factors": (0, _private_handle, MemoryError),
+    "_rsa_set0_crt_params": (0, _private_handle, MemoryError),
+    "_rsa_private_decrypt": (-1, lambda: _private_handle().private_op(_BLOCK), RuntimeError),
+    "_rsa_public_encrypt": (-1, lambda: RsaHandle(_KEY.n, _KEY.e).public_op(_BLOCK),
+                            RuntimeError),
+}
+
+
+@pytest.mark.parametrize("binding", sorted(_FAILURES))
+def test_a_failing_libcrypto_call_leaves_the_error_queue_empty(binding, monkeypatch):
+    result, call, error = _FAILURES[binding]
+    libcrypto._err_clear_error()
+    monkeypatch.setattr(libcrypto, binding, _failing(result))
+    with pytest.raises(error):
+        call()
+    assert _peek_error() == 0
+
+
+def test_a_public_handle_has_no_private_operation():
+    """OpenSSL refuses, and the refusal leaves no queued error behind."""
+    libcrypto._err_clear_error()
+    with pytest.raises(RuntimeError):
+        RsaHandle(_KEY.n, _KEY.e).private_op(_BLOCK)
+    assert _peek_error() == 0
+
+
+@pytest.mark.parametrize("values", [(10, 3, None), (0, 3, None), (15, 0, None),
+                                    (15, 3, (1, 3, 5, 0, 1, 1))])
+def test_a_handle_refuses_an_even_modulus_or_a_value_below_one(values, monkeypatch):
+    monkeypatch.setattr(libcrypto, "_rsa_new", _no_c_call)
+    with pytest.raises(ValueError):
+        RsaHandle(*values)
 
 
 def _no_c_call():

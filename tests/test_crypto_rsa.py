@@ -1,4 +1,4 @@
-"""RSA-OAEP: keygen, roundtrips, CRT correctness, failure modes."""
+"""RSA-OAEP: keygen, roundtrips, the raw OpenSSL operations, failure modes."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import rsa
+from repro.crypto import libcrypto, rsa
 from repro.crypto.ctr import BLOCK_SIZE
 from repro.crypto.keys import SYMMETRIC_KEY_BYTES, LayerKeys, LayerPublicMaterial
 from repro.crypto.provider import RealCryptoProvider
@@ -186,10 +186,22 @@ def test_decrypt_with_wrong_key_rejected(keypair):
         other_private.decrypt(public.encrypt(b"secret"))
 
 
+def _private_power(private, value):
+    """The raw private operation a decrypt runs (OpenSSL's CRT), on an int."""
+    block = value.to_bytes(private.modulus_bytes, "big")
+    return int.from_bytes(private._handle.private_op(block), "big")
+
+
+def _public_power(public, value):
+    """The raw public operation an encrypt runs, on an int."""
+    block = value.to_bytes(public.modulus_bytes, "big")
+    return int.from_bytes(public._handle.public_op(block), "big")
+
+
 def test_crt_matches_plain_exponentiation(keypair):
     public, private = keypair
     value = 0x1234567890ABCDEF
-    assert private._crt_power(value) == pow(value, private.d, private.n)
+    assert _private_power(private, value) == pow(value, private.d, private.n)
 
 
 @pytest.fixture(scope="module")
@@ -208,17 +220,64 @@ def test_crt_power_is_plain_exponentiation_for_any_prime_set(keys_by_seed, seed,
     for prime in (private.p, private.q):
         assert private.e * private.d % (prime - 1) == 1
     value = data.draw(st.integers(min_value=0, max_value=private.n - 1))
-    assert private._crt_power(value) == pow(value, private.d, private.n)
+    assert _private_power(private, value) == pow(value, private.d, private.n)
 
 
 @pytest.mark.parametrize("seed", [2, 3])
 def test_crt_power_is_plain_exponentiation_at_the_edges(keys_by_seed, seed):
-    """Values Garner's step treats specially: 0, 1, multiples of p
-    (where the root mod p is 0), q and n - 1."""
+    """Values the CRT treats specially: 0, 1, multiples of p (where the
+    root mod p is 0), q and n - 1."""
     private = keys_by_seed[seed]
     p, q, n = private.p, private.q, private.n
     for value in (0, 1, p, 5 * p, q, n - 1):
-        assert private._crt_power(value) == pow(value, private.d, n)
+        assert _private_power(private, value) == pow(value, private.d, n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("seed", [2, 3])
+def test_public_power_is_plain_exponentiation(keys_by_seed, seed, data):
+    public = keys_by_seed[seed].public_key
+    value = data.draw(st.sampled_from([0, 1, public.n - 1])
+                      | st.integers(min_value=0, max_value=public.n - 1))
+    assert _public_power(public, value) == pow(value, public.e, public.n)
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_raw_operations_refuse_a_block_at_or_above_n_or_of_the_wrong_length(keys_by_seed, seed):
+    private = keys_by_seed[seed]
+    size = private.modulus_bytes
+    for handle in (private._handle, private.public_key._handle):
+        for block in (private.n.to_bytes(size, "big"), b"\xff" * size,
+                      bytes(size - 1), bytes(size + 1)):
+            with pytest.raises(ValueError):
+                handle.private_op(block)
+            with pytest.raises(ValueError):
+                handle.public_op(block)
+
+
+@pytest.mark.parametrize("case", ["n", "n_plus_1", "all_ones", "short", "long", "empty"])
+def test_a_bad_ciphertext_is_an_oaep_error_before_any_openssl_call(case, monkeypatch):
+    """Length and range are checked in Python: OpenSSL is never reached,
+    not even to load the key."""
+    private = generate_keypair(random.Random(5).randrange)[1]
+    size, n = private.modulus_bytes, private.n
+    ciphertext = {
+        "n": n.to_bytes(size, "big"),
+        "n_plus_1": (n + 1).to_bytes(size, "big"),
+        "all_ones": b"\xff" * size,
+        "short": bytes(size - 1),
+        "long": bytes(size + 1),
+        "empty": b"",
+    }[case]
+    for binding in ("_rsa_new", "_rsa_private_decrypt"):
+        monkeypatch.setattr(libcrypto, binding, _no_c_call)
+    with pytest.raises(OaepError):
+        private.decrypt(ciphertext)
+
+
+def _no_c_call(*_args):
+    raise AssertionError("reached OpenSSL with input Python should have refused")
 
 
 def test_generated_keys_load_into_openssl_and_interoperate():

@@ -110,7 +110,7 @@ SECOND_IMPLEMENTATIONS = re.compile(
     r"|\bencrypt_ctr_blocks\b|\b_SBOX\b|\b_CIPHER_CACHE\b"
     r"|\bmake_event_loop\b|\bENGINES\b|\bCalendarEventLoop\b"
     r"|\bBreakdownProbe\b|\bFastCryptoProvider\b|--engine\b"
-    r"|\bkeyed_pseudonym\b|\bHensel\b",
+    r"|\bkeyed_pseudonym\b|\bHensel\b|\b_crt_power\b",
     flags=re.M,
 )
 #: A module-level tuple of the five pipeline stage names.
@@ -294,6 +294,7 @@ def test_ci_crypto_kat_job_names_its_libcrypto_then_runs_the_crypto_tests():
     assert tests.split() == [
         "tests/test_crypto_libcrypto.py", "tests/test_crypto_aes.py", "tests/test_crypto_ctr.py",
         "tests/test_crypto_provider_cache.py", "tests/test_crypto_rsa.py",
+        "tests/test_crypto_rsa_handles.py",
     ]
 
 
