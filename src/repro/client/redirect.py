@@ -31,6 +31,9 @@ from repro.simnet.node import SimNode
 
 __all__ = ["RedirectFrontend", "RedirectedService"]
 
+#: Relay work per direction (header rewrite, connection handling).
+RELAY_SECONDS = 0.0003
+
 
 @dataclass
 class RedirectFrontend:
@@ -41,8 +44,6 @@ class RedirectFrontend:
     #: codec that frames the relay<->UA hop.
     service: Any
     address: str = "app-frontend"
-    #: Relay work per direction (header rewrite, connection handling).
-    relay_seconds: float = 0.0003
     node: SimNode = None  # type: ignore[assignment]
     relayed: int = 0
     #: Calls answered with the uniform reject because no UA instance
@@ -76,7 +77,7 @@ class RedirectFrontend:
             outbound = request.readdressed(self.address)
 
             def reply_from_ua(response: Response) -> None:
-                self.node.submit(self.relay_seconds, lambda: reply(response))
+                self.node.submit(RELAY_SECONDS, lambda: reply(response))
 
             ship(
                 network, codec, self.address, entry.address, outbound,
@@ -88,7 +89,7 @@ class RedirectFrontend:
                 ),
             )
 
-        self.node.submit(self.relay_seconds, forward)
+        self.node.submit(RELAY_SECONDS, forward)
 
 
 @dataclass

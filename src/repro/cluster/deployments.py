@@ -64,11 +64,6 @@ class MicroConfig:
             ia_instances=self.ia_instances,
         )
 
-    @property
-    def proxy_nodes(self) -> int:
-        """Nodes used by the proxy layers."""
-        return self.ua_instances + self.ia_instances
-
 
 @dataclass(frozen=True)
 class MacroConfig:
@@ -104,11 +99,6 @@ class MacroConfig:
     def lrs_nodes(self) -> int:
         """Nodes of the Harness deployment (frontends + support)."""
         return self.frontends + HARNESS_SUPPORT_NODES
-
-    @property
-    def total_nodes(self) -> int:
-        """All nodes excluding injectors."""
-        return self.lrs_nodes + self.ua_instances + self.ia_instances
 
     @property
     def proxy_overhead(self) -> float:

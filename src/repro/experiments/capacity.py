@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.experiments.fleet import FLEET_OVERLOAD
 from repro.experiments.rig import POST_SHARE, DrillRig, write_json
 from repro.faults import ChaosSpec, FaultPlan
+from repro.faults.plan import PARTITION_SECONDS
 from repro.obs.slo import Objective, run_end_objectives
 from repro.proxy.config import PProxConfig
 from repro.simnet.metrics import percentile
@@ -150,7 +151,7 @@ def solve_plan(target: CapacityTarget) -> CapacityPlan:
 #: The chaos spec every plan is verified against: two crashes, one
 #: role partition, loss + delay windows, one LRS brownout.
 def capacity_chaos_spec(duration: float) -> ChaosSpec:
-    return ChaosSpec(horizon=duration, crashes=2, crash_outage=0.8)
+    return ChaosSpec(horizon=duration, crash_outage=0.8)
 
 
 def degraded_p99_ceiling(target: CapacityTarget, spec: ChaosSpec) -> float:
@@ -162,7 +163,7 @@ def degraded_p99_ceiling(target: CapacityTarget, spec: ChaosSpec) -> float:
     the retry lands on a healthy path.
     """
     return round(
-        target.p99_slo + spec.partition_duration + spec.crash_outage + 1.0, 3
+        target.p99_slo + PARTITION_SECONDS + spec.crash_outage + 1.0, 3
     )
 
 

@@ -20,6 +20,12 @@ times use the post-crypto-overhaul fast profile (PR 1 made the crypto
 ~3 orders of magnitude cheaper, so the enclave transition no longer
 dominates); the sweep measures the *engine*, not the cost model.
 
+Latency is recorded exactly, in the same
+:class:`~repro.simnet.metrics.LatencyRecorder` every other experiment
+uses (16 bytes a sample: 16 MB at the 1M-request top point), and each
+point's candlestick is taken over completions inside ``[trim,
+duration - trim]``.
+
 Determinism: every scheduling decision flows through the public loop
 API and every random draw happens inside event callbacks, so the
 artifact is byte-identical across same-seed runs — and on any loop
@@ -40,7 +46,7 @@ from repro.experiments.rig import write_json, write_verdict
 from repro.obs.slo import Objective, SloReport, evaluate_static, run_end_objectives
 from repro.simnet.clock import EventLoop
 from repro.simnet.loadbalancer import LeastPendingPolicy, LoadBalancer
-from repro.simnet.metrics import SlottedLatencyRecorder
+from repro.simnet.metrics import LatencyRecorder
 from repro.simnet.network import LatencyModel, Network
 from repro.simnet.node import SimNode
 from repro.simnet.rng import RngRegistry
@@ -73,9 +79,8 @@ class ScaleConfig:
     #: Seconds trimmed from each end of the measurement window.
     trim: float = 1.0
     #: PProx shuffle batch size (requests buffered per UA before the
-    #: IA hop) and the anti-starvation flush timeout.
+    #: IA hop).
     shuffle_size: int = 8
-    flush_timeout: float = 0.004
     #: Per-request deadline; expired requests count as failed.
     deadline: float = 0.5
 
@@ -83,6 +88,9 @@ class ScaleConfig:
     def peak_rps(self) -> float:
         return max(self.pairs_sweep) * self.rate_per_pair
 
+
+#: Anti-starvation timeout of a partly filled shuffle buffer, seconds.
+FLUSH_TIMEOUT = 0.004
 
 #: The full acceptance configuration: 1M users, 100k RPS at the top.
 FULL_CONFIG = ScaleConfig()
@@ -129,7 +137,7 @@ def _run_point(config: ScaleConfig, pairs: int) -> Tuple[ScalePoint, Dict[str, o
     interval = 1.0 / rate
     total = int(rate * config.duration)
     point = ScalePoint(pairs=pairs, offered_rps=rate)
-    recorder = SlottedLatencyRecorder(name=f"scale-{pairs}", slot_seconds=0.25)
+    recorder = LatencyRecorder(f"scale-{pairs}")
     touched = bytearray(config.users)
 
     # Per-UA shuffle buffers: [items, pending flush timer handle].
@@ -209,7 +217,7 @@ def _run_point(config: ScaleConfig, pairs: int) -> Tuple[ScalePoint, Dict[str, o
             flush(ua_index, False)
         elif handle is None:
             shufflers[ua_index][1] = loop.schedule(
-                config.flush_timeout, lambda: flush(ua_index, True)
+                FLUSH_TIMEOUT, lambda: flush(ua_index, True)
             )
 
     post(0.0, arrival)
@@ -217,9 +225,8 @@ def _run_point(config: ScaleConfig, pairs: int) -> Tuple[ScalePoint, Dict[str, o
     loop.run(max_events=200_000_000)
     wall = time.perf_counter() - wall_start
 
-    # Drain-phase stragglers: flush whatever the last timers left.
     point.unique_users = sum(touched)
-    summary = recorder.summarize(config.trim, config.duration - config.trim)
+    summary = recorder.summarize(recorder.trimmed(config.trim, config.duration - config.trim))
     point.latency = {
         "p25": summary.p25,
         "median": summary.median,

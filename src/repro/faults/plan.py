@@ -123,9 +123,24 @@ class FaultPlan:
         return cls(tuple(events))
 
 
+#: Enclave crashes in a sampled plan, each on a drawn UA or IA instance.
+CRASHES = 2
+#: How long a sampled partition cuts the UA <-> IA path, seconds.
+PARTITION_SECONDS = 0.75
+#: The windows a sampled plan opens after its crashes, in draw order:
+#: kind, target, duration (s), magnitude.  A tuple target is drawn from.
+WINDOWS: Tuple[Tuple[str, Any, float, float], ...] = (
+    ("partition", ("ua|ia",), PARTITION_SECONDS, 0.0),
+    ("drop", "", 0.75, 0.05),
+    ("delay", "", 0.75, 0.02),
+    ("brownout", "lrs", 1.0, 0.5),
+)
+
+
 @dataclass(frozen=True)
 class ChaosSpec:
-    """Knobs from which a seeded fault plan is sampled.
+    """What a seeded fault plan is sampled from: :data:`CRASHES` crashes
+    of *crash_outage* seconds, then one of each of :data:`WINDOWS`.
 
     Injection instants are drawn uniformly from the middle of the run
     (``[0.15, 0.7] * horizon``) so every fault has time to bite *and*
@@ -133,25 +148,8 @@ class ChaosSpec:
     """
 
     horizon: float
-    #: Enclave crashes: how many, and outage length before restart.
-    crashes: int = 2
+    #: Outage of a crashed enclave before its restart, seconds.
     crash_outage: float = 1.0
-    #: Network partitions between role pairs.
-    partitions: int = 1
-    partition_duration: float = 0.75
-    partition_pairs: Tuple[str, ...] = ("ua|ia",)
-    #: Probabilistic message-loss window.
-    drop_windows: int = 1
-    drop_duration: float = 0.75
-    drop_probability: float = 0.05
-    #: Delay-spike window.
-    delay_windows: int = 1
-    delay_duration: float = 0.75
-    delay_extra_seconds: float = 0.02
-    #: LRS brownouts.
-    brownouts: int = 1
-    brownout_duration: float = 1.0
-    brownout_error_rate: float = 0.5
 
     def sample(
         self,
@@ -159,57 +157,18 @@ class ChaosSpec:
         ua_names: Sequence[str],
         ia_names: Sequence[str],
     ) -> FaultPlan:
-        """Draw a concrete plan from the spec via the ``faults`` stream."""
+        """Draw a concrete plan from the spec via the ``faults`` stream:
+        per entry one instant, then its target when it has a choice."""
         stream = rng.stream("faults")
         low, high = 0.15 * self.horizon, 0.7 * self.horizon
         crashables = list(ua_names) + list(ia_names)
+        crashes = [("crash", crashables, self.crash_outage, 0.0)] * (CRASHES if crashables else 0)
         events: List[FaultEvent] = []
-        for _ in range(self.crashes):
-            if not crashables:
-                break
+        for kind, target, duration, magnitude in crashes + list(WINDOWS):
+            at = stream.uniform(low, high)
+            if not isinstance(target, str):
+                target = stream.choice(target)
             events.append(
-                FaultEvent(
-                    at=stream.uniform(low, high),
-                    kind="crash",
-                    target=stream.choice(crashables),
-                    duration=self.crash_outage,
-                )
-            )
-        for _ in range(self.partitions):
-            events.append(
-                FaultEvent(
-                    at=stream.uniform(low, high),
-                    kind="partition",
-                    target=stream.choice(list(self.partition_pairs)),
-                    duration=self.partition_duration,
-                )
-            )
-        for _ in range(self.drop_windows):
-            events.append(
-                FaultEvent(
-                    at=stream.uniform(low, high),
-                    kind="drop",
-                    duration=self.drop_duration,
-                    magnitude=self.drop_probability,
-                )
-            )
-        for _ in range(self.delay_windows):
-            events.append(
-                FaultEvent(
-                    at=stream.uniform(low, high),
-                    kind="delay",
-                    duration=self.delay_duration,
-                    magnitude=self.delay_extra_seconds,
-                )
-            )
-        for _ in range(self.brownouts):
-            events.append(
-                FaultEvent(
-                    at=stream.uniform(low, high),
-                    kind="brownout",
-                    target="lrs",
-                    duration=self.brownout_duration,
-                    magnitude=self.brownout_error_rate,
-                )
+                FaultEvent(at=at, kind=kind, target=target, duration=duration, magnitude=magnitude)
             )
         return FaultPlan.from_events(events)

@@ -10,7 +10,7 @@ from repro.lrs.baselines import ItemKnnRecommender, PopularityRecommender, Recom
 from repro.lrs.cco import CcoModel, CcoTrainer, llr_score
 from repro.lrs.engine import HarnessEngine
 from repro.lrs.evaluation import EvaluationResult, evaluate_recommender, leave_latest_out_split
-from repro.lrs.service import HarnessCostModel, HarnessFrontend, HarnessService
+from repro.lrs.service import HarnessFrontend, HarnessService, frontend_seconds
 from repro.lrs.store import EventStore, FeedbackEvent
 from repro.lrs.stub import STATIC_ITEMS, StubLrs
 
@@ -27,7 +27,7 @@ __all__ = [
     "leave_latest_out_split",
     "HarnessService",
     "HarnessFrontend",
-    "HarnessCostModel",
+    "frontend_seconds",
     "EventStore",
     "FeedbackEvent",
     "StubLrs",

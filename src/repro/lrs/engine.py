@@ -22,6 +22,9 @@ from repro.lrs.store import EventStore
 
 __all__ = ["HarnessEngine"]
 
+#: Most recent history items a ``get`` query is scored on.
+HISTORY_LIMIT = 50
+
 
 @dataclass
 class HarnessEngine:
@@ -30,7 +33,6 @@ class HarnessEngine:
     store: EventStore = field(default_factory=EventStore)
     trainer: CcoTrainer = field(default_factory=CcoTrainer)
     model: Optional[CcoModel] = None
-    history_limit: int = 50
     default_n: int = 20
     trainings: int = 0
 
@@ -53,7 +55,7 @@ class HarnessEngine:
         """
         if self.model is None:
             return []
-        history = self.store.user_history(user, limit=self.history_limit)
+        history = self.store.user_history(user, limit=HISTORY_LIMIT)
         return self.model.recommend(history, n=n if n is not None else self.default_n)
 
     @property

@@ -26,32 +26,28 @@ from repro.simnet.clock import EventLoop
 from repro.simnet.loadbalancer import LoadBalancer, RandomPolicy
 from repro.simnet.node import SimNode
 
-__all__ = ["HarnessFrontend", "HarnessService", "HarnessCostModel"]
+__all__ = ["HarnessFrontend", "HarnessService", "frontend_seconds"]
 
 
-@dataclass(frozen=True)
-class HarnessCostModel:
-    """Calibrated service-time parameters for the Harness deployment.
+#: Calibrated service times of the Harness deployment.  ``get``
+#: requests perform "non-trivial reads to a shared database and complex
+#: (pre-built) user models" (§8.2); posts are lighter (append to
+#: MongoDB).  Medians and lognormal sigmas are per-request core time on
+#: a 2-core frontend; with three frontends (6 cores) the deployment
+#: sustains ~250 RPS before the queueing knee, matching Figure 9.
+GET_MEDIAN_SECONDS = 0.016
+GET_SIGMA = 0.45
+POST_MEDIAN_SECONDS = 0.006
+POST_SIGMA = 0.35
+#: ES / MongoDB lookup charged on the support pool per request.
+SUPPORT_SECONDS = 0.002
 
-    ``get`` requests perform "non-trivial reads to a shared database
-    and complex (pre-built) user models" (§8.2); posts are lighter
-    (append to MongoDB).  Medians are per-request core time on a
-    2-core frontend; with three frontends (6 cores) the deployment
-    sustains ~250 RPS before the queueing knee, matching Figure 9.
-    """
 
-    get_median_seconds: float = 0.016
-    get_sigma: float = 0.45
-    post_median_seconds: float = 0.006
-    post_sigma: float = 0.35
-    #: ES / MongoDB lookup charged on the support pool per request.
-    support_seconds: float = 0.002
-
-    def sample_frontend(self, verb: str, rng: random.Random) -> float:
-        """Draw a frontend service time for a request of kind *verb*."""
-        if verb == Verb.GET:
-            return rng.lognormvariate(math.log(self.get_median_seconds), self.get_sigma)
-        return rng.lognormvariate(math.log(self.post_median_seconds), self.post_sigma)
+def frontend_seconds(verb: str, rng: random.Random) -> float:
+    """Draw a frontend service time for a request of kind *verb*."""
+    if verb == Verb.GET:
+        return rng.lognormvariate(math.log(GET_MEDIAN_SECONDS), GET_SIGMA)
+    return rng.lognormvariate(math.log(POST_MEDIAN_SECONDS), POST_SIGMA)
 
 
 @dataclass
@@ -62,7 +58,6 @@ class HarnessFrontend:
     loop: EventLoop
     rng: random.Random
     engine: HarnessEngine
-    costs: HarnessCostModel
     support: SimNode
     node: SimNode = None  # type: ignore[assignment]
     requests_served: int = 0
@@ -84,10 +79,10 @@ class HarnessFrontend:
     def handle(self, request: Request, reply: Callable[[Response], None]) -> None:
         """Process *request*: frontend work, support lookup, reply."""
         self.requests_served += 1
-        frontend_time = self.costs.sample_frontend(request.verb, self.rng)
+        frontend_time = frontend_seconds(request.verb, self.rng)
 
         def after_frontend() -> None:
-            self.support.submit(self.costs.support_seconds, lambda: finish())
+            self.support.submit(SUPPORT_SECONDS, lambda: finish())
 
         def finish() -> None:
             reply(self._execute(request))
@@ -120,7 +115,6 @@ class HarnessService:
     rng: random.Random
     frontend_count: int = 3
     engine: HarnessEngine = field(default_factory=HarnessEngine)
-    costs: HarnessCostModel = field(default_factory=HarnessCostModel)
     name: str = "harness"
     frontends: List[HarnessFrontend] = field(default_factory=list)
     support: SimNode = None  # type: ignore[assignment]
@@ -144,7 +138,6 @@ class HarnessService:
             loop=self.loop,
             rng=self.rng,
             engine=self.engine,
-            costs=self.costs,
             support=self.support,
         )
         self.frontends.append(frontend)

@@ -26,6 +26,11 @@ __all__ = ["StubLrs", "STATIC_ITEMS", "make_pseudonymous_payload"]
 #: recommendation list).
 STATIC_ITEMS: List[str] = [f"static-item-{index:02d}" for index in range(20)]
 
+#: Median service time of one request; sigma 0.35 around it.
+MEDIAN_SERVICE_SECONDS = 0.0006
+#: The mu parameter of a lognormal with that median.
+_MU = math.log(MEDIAN_SERVICE_SECONDS)
+
 
 @dataclass
 class StubLrs:
@@ -37,7 +42,6 @@ class StubLrs:
     #: 8-way worker pool with sub-millisecond service times.
     node: SimNode = None  # type: ignore[assignment]
     address: str = "lrs-stub"
-    median_service_seconds: float = 0.0006
     requests_served: int = 0
     #: The static payload.  When the proxy in front pseudonymizes
     #: items, this must hold pseudonymous identifiers (as a payload
@@ -48,8 +52,6 @@ class StubLrs:
     def __post_init__(self) -> None:
         if self.node is None:
             self.node = SimNode(name=self.address, loop=self.loop, cores=8)
-        #: The mu parameter of a lognormal with the configured median.
-        self._mu = math.log(self.median_service_seconds)
 
     @property
     def pending(self) -> int:
@@ -58,7 +60,7 @@ class StubLrs:
 
     def handle(self, request: Request, reply: Callable[[Response], None]) -> None:
         """Serve *request* after a sampled sub-millisecond service time."""
-        service_time = self.rng.lognormvariate(self._mu, 0.35)
+        service_time = self.rng.lognormvariate(_MU, 0.35)
         self.requests_served += 1
 
         def finish() -> None:

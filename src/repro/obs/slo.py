@@ -12,7 +12,7 @@ Burn-rate semantics follow the SRE multi-window multi-burn-rate rule:
 * ``ratio`` objectives (good/total counters, e.g. goodput): the burn
   rate is ``bad_fraction / error_budget`` where the budget is
   ``1 - target``.  Burn 1.0 spends the budget exactly; an alert fires
-  only when the short window burns at ``alert_burn`` *and* the long
+  only when the short window burns at :data:`ALERT_BURN` *and* the long
   window is itself burning (>= 1.0) — a spike that the long window has
   already absorbed stays quiet.
 * ``floor`` objectives (sampled value must stay >= target, e.g. the
@@ -63,8 +63,7 @@ class Objective:
     ``kind`` selects the evaluation rule: ``ratio`` (needs ``good`` and
     ``total`` counter sources), ``floor`` or ``ceiling`` (need a
     ``value`` source), or one of :data:`RUN_END_KINDS` (``value`` names
-    a run-end value, not a source).  ``target`` is the promise;
-    ``alert_burn`` is the short-window burn multiple that pages.
+    a run-end value, not a source).  ``target`` is the promise.
     """
 
     name: str
@@ -74,7 +73,6 @@ class Objective:
     good: str = ""
     total: str = ""
     value: str = ""
-    alert_burn: float = 2.0
 
     def __post_init__(self) -> None:
         if self.kind != "ratio" and self.kind not in _HOLDS:
@@ -84,6 +82,9 @@ class Objective:
         if self.kind != "ratio" and not self.value:
             raise ValueError(f"{self.kind} objective {self.name!r} needs value=")
 
+
+#: The short-window burn multiple at which a ratio objective pages.
+ALERT_BURN = 2.0
 
 #: Kinds judged once, on a value the run reports at its end.
 RUN_END_KINDS = ("at_least", "at_most", "equal")
@@ -316,7 +317,7 @@ class SloEngine:
         burn_short = None if short_ratio is None else (1.0 - short_ratio) / budget
         alert = (
             burn_short is not None
-            and burn_short >= objective.alert_burn
+            and burn_short >= ALERT_BURN
             and burn_long >= 1.0
         )
         return Measurement(

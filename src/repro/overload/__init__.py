@@ -28,7 +28,6 @@ from repro.overload.breaker import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
-    BREAKER_STATES,
     AimdLimiter,
     CircuitBreaker,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_OPEN",
     "BREAKER_HALF_OPEN",
-    "BREAKER_STATES",
     "GuardedLrs",
     "DEADLINE_FIELD",
     "DEADLINE_WIDTH",

@@ -31,9 +31,6 @@ class OverloadSignal:
     inflight: int = 0
     #: EPC working-set pressure (>1.0 means the enclave is paging).
     epc_pressure: float = 0.0
-    #: Breaker state of the downstream guard (0 closed / 1 open / 2
-    #: half-open), when one is wired.
-    breaker_state: int = 0
 
 
 @dataclass

@@ -22,14 +22,19 @@ __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_OPEN",
     "BREAKER_HALF_OPEN",
-    "BREAKER_STATES",
 ]
 
 #: Breaker states, numeric for the ``pprox_breaker_state`` gauge.
 BREAKER_CLOSED = 0
 BREAKER_OPEN = 1
 BREAKER_HALF_OPEN = 2
-BREAKER_STATES = ("closed", "open", "half_open")
+
+#: Requests a half-open breaker lets through as recovery probes.
+HALF_OPEN_PROBES = 1
+#: AIMD steps: the limit grows by ``AIMD_INCREASE / limit`` per success
+#: and is multiplied by ``AIMD_BACKOFF`` per retryable failure.
+AIMD_INCREASE = 1.0
+AIMD_BACKOFF = 0.5
 
 
 @dataclass
@@ -39,24 +44,18 @@ class CircuitBreaker:
     Closed: everything passes, a streak of ``failure_threshold``
     retryable failures trips the breaker.  Open: everything is
     rejected for ``reset_timeout`` seconds.  Half-open: up to
-    ``half_open_probes`` requests pass as recovery probes — one
+    :data:`HALF_OPEN_PROBES` requests pass as recovery probes — one
     success re-closes the breaker, one failure re-opens it.
     """
 
     clock: Callable[[], float] = lambda: 0.0
     failure_threshold: int = 5
     reset_timeout: float = 1.0
-    half_open_probes: int = 1
     state: int = BREAKER_CLOSED
     failures: int = 0
     trips: int = 0
     opened_at: float = 0.0
     _probes: int = field(default=0, init=False)
-
-    @property
-    def state_name(self) -> str:
-        """Human-readable state label."""
-        return BREAKER_STATES[self.state]
 
     def allow(self) -> bool:
         """May the next request pass this breaker right now?"""
@@ -68,7 +67,7 @@ class CircuitBreaker:
             self._probes = 0
         if self.state == BREAKER_CLOSED:
             return True
-        if self.state == BREAKER_HALF_OPEN and self._probes < self.half_open_probes:
+        if self.state == BREAKER_HALF_OPEN and self._probes < HALF_OPEN_PROBES:
             self._probes += 1
             return True
         return False
@@ -97,7 +96,7 @@ class AimdLimiter:
     decrease), seeded at ``initial`` and clamped to
     ``[min_limit, max_limit]``.
 
-    The increase is ``increase / limit`` per success — one full unit
+    The increase is ``AIMD_INCREASE / limit`` per success — one full unit
     per "window" of successes, mirroring TCP congestion avoidance —
     so the limit converges instead of oscillating wildly.
     """
@@ -105,8 +104,6 @@ class AimdLimiter:
     initial: float = 8.0
     min_limit: float = 1.0
     max_limit: float = 64.0
-    increase: float = 1.0
-    backoff: float = 0.5
     limit: float = field(default=0.0, init=False)
     in_flight: int = 0
     acquired_total: int = 0
@@ -130,8 +127,8 @@ class AimdLimiter:
         self.in_flight = max(0, self.in_flight - 1)
         if ok:
             self.limit = min(
-                self.max_limit, self.limit + self.increase / max(self.limit, 1.0)
+                self.max_limit, self.limit + AIMD_INCREASE / max(self.limit, 1.0)
             )
         else:
-            self.limit = max(self.min_limit, self.limit * self.backoff)
+            self.limit = max(self.min_limit, self.limit * AIMD_BACKOFF)
             self.backoffs += 1

@@ -29,7 +29,6 @@ from repro.proxy.epochs import (
     EPOCH_FIELD,
     ROTATION_STATES,
     EpochWindow,
-    KeyEpoch,
     RotationCoordinator,
     decode_epoch,
     encode_epoch,
@@ -53,7 +52,6 @@ __all__ = [
     "EPOCH_FIELD",
     "ROTATION_STATES",
     "EpochWindow",
-    "KeyEpoch",
     "RotationCoordinator",
     "decode_epoch",
     "encode_epoch",

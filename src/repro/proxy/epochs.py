@@ -9,8 +9,8 @@ anonymity set drop below ``S*I`` mid-rotation.
 
 The drill, in order:
 
-1. **announce** — the coordinator generates the next :class:`KeyEpoch`
-   and flips it active in every alive enclave of the rotating layer.
+1. **announce** — the coordinator generates the layer's next key
+   generation (its epoch) and flips it active in every alive enclave of the rotating layer.
    The base sealed slots always hold the *active* keys, so all forward
    pseudonymization switches to the new epoch at the announce instant;
    the outgoing generation stays sealed under suffixed slots
@@ -70,7 +70,6 @@ __all__ = [
     "encode_epoch",
     "decode_epoch",
     "stamp_epoch",
-    "KeyEpoch",
     "EpochWindow",
     "epoch_slot",
     "EPOCH_WINDOW_SLOT",
@@ -119,21 +118,6 @@ def stamp_epoch(request: Request, epoch_id: Optional[int]) -> Request:
     if epoch_id is None:
         return request
     return stamp(request, EPOCH, encode_epoch(epoch_id))
-
-
-@dataclass(frozen=True)
-class KeyEpoch:
-    """One generation of a layer's key material.
-
-    ``fingerprint`` is an identity-free digest of the public modulus
-    (see :attr:`repro.crypto.keys.LayerKeys.fingerprint`) used in
-    operator telemetry to correlate announcements with provisioned
-    enclaves without ever serializing key material.
-    """
-
-    layer: str
-    epoch_id: int
-    fingerprint: str = ""
 
 
 def epoch_window_of(enclave: Enclave) -> Optional[EpochWindow]:

@@ -176,14 +176,6 @@ class PProxService:
         index = len(self.layer_instances(layer))
         return self._spawn(layer, str(index), f"node-{layer.lower()}-{index}", (self,))
 
-    def scale_ua(self) -> UserAnonymizer:
-        """Add one UA instance (see :meth:`scale`)."""
-        return self.scale("UA")
-
-    def scale_ia(self) -> ItemAnonymizer:
-        """Add one IA instance (see :meth:`scale`)."""
-        return self.scale("IA")
-
     def scale_to_config(self) -> "PProxService":
         """Stand up the configured instance counts, IA layer first."""
         for _ in range(self.config.ia_instances):

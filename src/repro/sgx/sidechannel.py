@@ -44,6 +44,9 @@ DEFAULT_ATTACK_DURATION = 30 * 60.0
 # significant degradation — we default to 3x service times.
 DEFAULT_PERFORMANCE_PENALTY = 3.0
 
+# A sampled penalty above this counts towards a breach detection.
+DETECTION_THRESHOLD = 1.5
+
 
 class AttackModelError(RuntimeError):
     """Raised when a scenario violates the adversary model."""
@@ -95,7 +98,8 @@ class BreachDetector:
     """Performance-anomaly detector in the style of Varys / Déjà Vu.
 
     Samples each monitored enclave's ``performance_penalty`` every
-    ``sampling_interval``; when a penalty above ``threshold`` persists
+    ``sampling_interval``; when a penalty above
+    :data:`DETECTION_THRESHOLD` persists
     for ``confirmation_samples`` consecutive samples, the registered
     ``response`` callback fires (once per enclave per breach).
     """
@@ -104,7 +108,6 @@ class BreachDetector:
     enclaves: List[Enclave]
     response: Callable[[Enclave], None]
     sampling_interval: float = 30.0
-    threshold: float = 1.5
     confirmation_samples: int = 4
     detections: List[str] = field(default_factory=list)
     _suspicion: Dict[str, int] = field(default_factory=dict)
@@ -128,7 +131,7 @@ class BreachDetector:
         for enclave in self.enclaves:
             if enclave.name in self._alerted:
                 continue
-            if enclave.performance_penalty > self.threshold or enclave.compromised:
+            if enclave.performance_penalty > DETECTION_THRESHOLD or enclave.compromised:
                 count = self._suspicion.get(enclave.name, 0) + 1
                 self._suspicion[enclave.name] = count
                 if count >= self.confirmation_samples:

@@ -24,7 +24,6 @@ from repro.simnet.loadbalancer import (
 from repro.simnet.metrics import (
     CandlestickSummary,
     LatencyRecorder,
-    SlottedLatencyRecorder,
     percentile,
     trim_window,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "make_policy",
     "CandlestickSummary",
     "LatencyRecorder",
-    "SlottedLatencyRecorder",
     "percentile",
     "trim_window",
     "Network",

@@ -33,7 +33,7 @@ class TelemetryEvent:
     """One structured record: who said what, when, in virtual time."""
 
     time: float
-    kind: str  # "span" | "metrics" | "fault" | "run" | ...
+    kind: str  # "span" | "fault" | "run" | ...
     role: str  # emitting role: client/ua/ia/lrs/operator/unknown
     payload: Dict[str, Any]
     #: Per-run monotonic sequence number: many events share a virtual

@@ -34,18 +34,13 @@ class Telemetry:
         self,
         policy: Optional[RedactionPolicy] = None,
         scrape_interval: float = 1.0,
-        emit_snapshots: bool = False,
-        max_active_traces: int = 8192,
     ) -> None:
         self.policy = policy or DEFAULT_POLICY
         self.scrape_interval = scrape_interval
-        self.emit_snapshots = emit_snapshots
         self._clock: Callable[[], float] = lambda: 0.0
         self.event_log = EventLog(clock=self.now, policy=self.policy)
         self.registry = MetricRegistry()
-        self.tracer = Tracer(
-            clock=self.now, event_log=self.event_log, max_active=max_active_traces
-        )
+        self.tracer = Tracer(clock=self.now, event_log=self.event_log)
         self.scraper: Optional[Scraper] = None
         self.run_label = ""
 
@@ -69,13 +64,7 @@ class Telemetry:
             self.scraper.stop()
             self.scraper.bind(loop)
         else:
-            self.scraper = Scraper(
-                loop=loop,
-                registry=self.registry,
-                interval=self.scrape_interval,
-                event_log=self.event_log,
-                emit_snapshots=self.emit_snapshots,
-            )
+            self.scraper = Scraper(loop=loop, registry=self.registry, interval=self.scrape_interval)
         self.scraper.start()
         self.event_log.emit("run", "operator", {"phase": "start", "label": run_label})
 

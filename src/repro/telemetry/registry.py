@@ -9,8 +9,7 @@ floor's way.
 
 The :class:`Scraper` samples the registry on a virtual-time interval
 (subsuming the old ``MetricsCollector`` loop), appending to each
-instrument's :class:`TimeSeries` history and optionally emitting a
-``metrics`` snapshot event to the structured log.
+instrument's :class:`TimeSeries` history.
 """
 
 from __future__ import annotations
@@ -397,8 +396,6 @@ class Scraper:
     loop: EventLoop
     registry: MetricRegistry
     interval: float = 1.0
-    event_log: Optional[Any] = None
-    emit_snapshots: bool = False
     samples_taken: int = 0
     _handle: Optional[EventHandle] = None
 
@@ -427,12 +424,6 @@ class Scraper:
         now = self.loop.now
         self.registry.sample_all(now)
         self.samples_taken += 1
-        if self.event_log is not None and self.emit_snapshots:
-            self.event_log.emit(
-                "metrics",
-                "operator",
-                {"samples_taken": self.samples_taken, "metrics": self.registry.snapshot()},
-            )
         # Reschedule only while the simulation has other live work: a
         # scraper that re-arms unconditionally would keep ``loop.run()``
         # from ever draining.  Once everything else is done the run is

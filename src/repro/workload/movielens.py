@@ -36,6 +36,14 @@ __all__ = ["SyntheticMovieLens", "PAPER_SLICE"]
 #: The aggregates of the paper's dataset slice (§8).
 PAPER_SLICE = {"ratings": 562_888, "movies": 17_141, "users": 7_288}
 
+#: Exponent of the Zipf law item popularity follows.
+ZIPF_EXPONENT = 1.05
+#: Number of genres items are spread over.
+GENRE_COUNT = 12
+#: Probability a user's interaction stays within their preferred
+#: genres (the rest is global Zipf exploration).
+GENRE_AFFINITY = 0.85
+
 
 @dataclass
 class SyntheticMovieLens:
@@ -43,12 +51,6 @@ class SyntheticMovieLens:
 
     seed: int = 2014
     scale: float = 0.01
-    zipf_exponent: float = 1.05
-    #: Number of genres items are spread over.
-    genre_count: int = 12
-    #: Probability a user's interaction stays within their preferred
-    #: genres (the rest is global Zipf exploration).
-    genre_affinity: float = 0.85
     users: List[str] = field(default_factory=list, repr=False)
     items: List[str] = field(default_factory=list, repr=False)
     events: List[Tuple[str, str]] = field(default_factory=list, repr=False)
@@ -65,11 +67,11 @@ class SyntheticMovieLens:
 
         # Genres round-robin over the popularity ranking so every genre
         # gets a share of head and tail items.
-        stride = self.genre_count
+        stride = GENRE_COUNT
         self.genres = {item: index % stride for index, item in enumerate(self.items)}
         # One running sum per population, not one per draw: ``choices``
         # bisects ``cum_weights`` as given but re-accumulates ``weights``.
-        weights = [1.0 / (rank + 1) ** self.zipf_exponent for rank in range(item_count)]
+        weights = [1.0 / (rank + 1) ** ZIPF_EXPONENT for rank in range(item_count)]
         catalogue = (self.items, list(accumulate(weights)))
         by_genre = [
             (self.items[genre::stride], list(accumulate(weights[genre::stride])))
@@ -83,10 +85,10 @@ class SyntheticMovieLens:
         events: List[Tuple[str, str]] = []
         for user, activity in zip(self.users, raw_activity):
             count = max(1, round(activity * activity_scale))
-            preferred = rng.sample(range(self.genre_count), k=min(2, self.genre_count))
+            preferred = rng.sample(range(GENRE_COUNT), k=min(2, GENRE_COUNT))
             chosen: List[str] = []
             for _ in range(count):
-                if rng.random() < self.genre_affinity:
+                if rng.random() < GENRE_AFFINITY:
                     population, cumulative = by_genre[rng.choice(preferred)]
                 else:
                     population, cumulative = catalogue

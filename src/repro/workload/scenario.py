@@ -27,6 +27,9 @@ from repro.workload.movielens import SyntheticMovieLens
 
 __all__ = ["ScenarioTimings", "TwoPhaseScenario", "ScenarioResult", "is_saturated"]
 
+#: Virtual seconds in-flight requests get after the query phase ends.
+DRAIN_SECONDS = 5.0
+
 
 class _ClientLike(Protocol):
     def post(self, user: str, item: str, payload=None, client_address=None, on_complete=None) -> None: ...
@@ -44,7 +47,6 @@ class ScenarioTimings:
     feedback_seconds: float = 20.0
     query_seconds: float = 40.0
     trim_seconds: float = 8.0
-    drain_seconds: float = 5.0
 
     @classmethod
     def paper(cls) -> "ScenarioTimings":
@@ -154,7 +156,7 @@ class TwoPhaseScenario:
                                            issue_get, start_at=phase_start)
         self.loop.run()
         # Allow in-flight requests to drain before closing the books.
-        self.loop.run_until(end + self.timings.drain_seconds)
+        self.loop.run_until(end + DRAIN_SECONDS)
         self.loop.run()
         self._emit_phase("drain_complete", completed=query_injector.report.completed)
 

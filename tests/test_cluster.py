@@ -126,8 +126,8 @@ def test_autoscaler_scales_up_under_load():
 
 def test_autoscaler_scales_down_when_idle():
     loop, service = _scaled_service()
-    service.scale_ua()
-    service.scale_ua()
+    service.scale("UA")
+    service.scale("UA")
     scaler = ElasticScaler(loop=loop, service=service, interval=1.0, low_rps=5.0)
     scaler.start()
     loop.run_until(3.5)
@@ -153,7 +153,7 @@ def test_evaluate_without_liveness_info_still_scales_down():
     passing nothing got a value that broke list-normalizing branches.
     ``None`` must behave as "no liveness info" and still act."""
     loop, service = _scaled_service()
-    service.scale_ua()
+    service.scale("UA")
     scaler = ElasticScaler(loop=loop, service=service, low_rps=5.0)
     scaler._evaluate("UA", 0.0, 2, None)
     assert [d.action for d in scaler.decisions] == ["scale-down"]
@@ -164,7 +164,7 @@ def test_evaluate_empty_live_list_with_overload_trigger_armed():
     """An empty live list (every instance just crashed) must not trip
     the overload branch or crash — the rate branch still decides."""
     loop, service = _scaled_service()
-    service.scale_ua()
+    service.scale("UA")
     scaler = ElasticScaler(
         loop=loop, service=service, low_rps=5.0, overload_sojourn_threshold=0.01
     )
@@ -233,8 +233,8 @@ def _two_balancer_pool():
     """Three UAs pooled twice, as a fleet pools a shard's instances in
     the shard balancer and in the global one."""
     _, service = _scaled_service()
-    service.scale_ua()
-    service.scale_ua()
+    service.scale("UA")
+    service.scale("UA")
     shard_balancer = LoadBalancer(
         name="shard", policy=RoundRobinPolicy(), backends=list(service.ua_instances)
     )

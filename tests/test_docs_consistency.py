@@ -110,7 +110,7 @@ SECOND_IMPLEMENTATIONS = re.compile(
     r"|\bencrypt_ctr_blocks\b|\b_SBOX\b|\b_CIPHER_CACHE\b"
     r"|\bmake_event_loop\b|\bENGINES\b|\bCalendarEventLoop\b"
     r"|\bBreakdownProbe\b|\bFastCryptoProvider\b|--engine\b"
-    r"|\bkeyed_pseudonym\b|\bHensel\b|\b_crt_power\b",
+    r"|\bkeyed_pseudonym\b|\bHensel\b|\b_crt_power\b|\bSlottedLatencyRecorder\b",
     flags=re.M,
 )
 #: A module-level tuple of the five pipeline stage names.

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from repro.context import Deployment, SimContext
+from repro.experiments.capacity import capacity_chaos_spec
 from repro.faults import (
     BrownoutLrs,
     ChaosSpec,
@@ -120,6 +121,40 @@ def test_chaos_spec_sampling_is_seed_deterministic():
     kinds = {event.kind for event in plan_a}
     assert kinds == {"crash", "partition", "drop", "delay", "brownout"}
     assert all(0.15 * 10 <= event.at <= 0.7 * 10 for event in plan_a)
+
+
+def _entries(plan):
+    return [(e.at, e.kind, e.target, e.duration, e.magnitude) for e in plan]
+
+
+def test_chaos_spec_sample_is_pinned():
+    """The exact plan one seed draws: a constant that moved a draw, a
+    magnitude or the draw order would change these tuples."""
+    plan = ChaosSpec(horizon=10.0).sample(
+        RngRegistry(seed=42), ["pprox-ua-0", "pprox-ua-1"], ["pprox-ia-0"]
+    )
+    assert _entries(plan) == [
+        (1.6029016324852863, "delay", "", 0.75, 0.02),
+        (2.0503205174027483, "crash", "pprox-ua-1", 1.0, 0.0),
+        (2.3401702593308746, "brownout", "lrs", 1.0, 0.5),
+        (3.2751420782636984, "crash", "pprox-ia-0", 1.0, 0.0),
+        (4.680458227340224, "drop", "", 0.75, 0.05),
+        (6.840315263724611, "partition", "ua|ia", 0.75, 0.0),
+    ]
+
+
+def test_capacity_chaos_spec_sample_is_pinned():
+    plan = capacity_chaos_spec(8.0).sample(
+        RngRegistry(seed=7), ["pprox-ua-0", "pprox-ua-1"], ["pprox-ia-0", "pprox-ia-1"]
+    )
+    assert _entries(plan) == [
+        (2.102548482215552, "delay", "", 0.75, 0.02),
+        (2.2770568411399306, "brownout", "lrs", 1.0, 0.5),
+        (2.298713143187755, "drop", "", 0.75, 0.05),
+        (4.690381643509253, "crash", "pprox-ua-0", 0.8, 0.0),
+        (4.9119840524252085, "partition", "ua|ia", 0.75, 0.0),
+        (5.44128858360436, "crash", "pprox-ua-1", 0.8, 0.0),
+    ]
 
 
 # -- wire faults --------------------------------------------------------

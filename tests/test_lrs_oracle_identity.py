@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.lrs import cco
 from repro.lrs.cco import CcoModel, CcoTrainer
+from repro.workload import movielens
 from repro.workload.movielens import SyntheticMovieLens
 from tests.oracles.cco_reference import (
     ReferenceMovieLens,
@@ -282,11 +283,17 @@ def test_generated_trace_equals_the_seed_generator(seed, scale):
 @pytest.mark.parametrize(
     "shape",
     [
-        {"genre_count": 1},
-        {"genre_count": 5, "genre_affinity": 0.0},
-        {"genre_affinity": 1.0, "zipf_exponent": 0.5},
+        {"GENRE_COUNT": 1},
+        {"GENRE_COUNT": 5, "GENRE_AFFINITY": 0.0},
+        {"GENRE_AFFINITY": 1.0, "ZIPF_EXPONENT": 0.5},
     ],
 )
-def test_generated_trace_equals_the_seed_generator_off_the_defaults(shape):
-    trace = SyntheticMovieLens(seed=11, scale=0.005, **shape)
-    assert trace.events == ReferenceMovieLens(seed=11, scale=0.005, **shape).events
+def test_generated_trace_equals_the_seed_generator_off_the_defaults(shape, monkeypatch):
+    """The generator's shape constants are read when a trace is built."""
+    for name, value in shape.items():
+        monkeypatch.setattr(movielens, name, value)
+    trace = SyntheticMovieLens(seed=11, scale=0.005)
+    reference = ReferenceMovieLens(
+        seed=11, scale=0.005, **{name.lower(): value for name, value in shape.items()}
+    )
+    assert trace.events == reference.events

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.lrs.service import HarnessCostModel, HarnessService
+from repro.lrs.service import HarnessService, frontend_seconds
 from repro.lrs.stub import STATIC_ITEMS, StubLrs
 from repro.rest.messages import Verb, make_get, make_post
 from repro.simnet.clock import EventLoop
@@ -83,10 +83,9 @@ def test_add_frontend_scales_out(harness):
 
 
 def test_cost_model_gets_cost_more_than_posts():
-    costs = HarnessCostModel()
     rng = RngRegistry(seed=3).stream("t")
-    gets = sum(costs.sample_frontend(Verb.GET, rng) for _ in range(200))
-    posts = sum(costs.sample_frontend(Verb.POST, rng) for _ in range(200))
+    gets = sum(frontend_seconds(Verb.GET, rng) for _ in range(200))
+    posts = sum(frontend_seconds(Verb.POST, rng) for _ in range(200))
     assert gets > posts
 
 

@@ -76,7 +76,7 @@ def test_ratio_burn_alerts_on_a_fast_short_window_burn():
     assert m.ok  # exactly on target
     assert m.burn_long == pytest.approx(1.0)
     assert m.burn_short == pytest.approx(5.0)
-    assert m.alert  # short >= alert_burn (2.0) and long >= 1.0
+    assert m.alert  # short >= ALERT_BURN (2.0) and long >= 1.0
     # The alert is an ``slo`` event on the wire too: the objective's
     # kind travels as ``objective_kind``, not over the envelope's.
     alert, verdict = (event.to_dict() for event in engine.telemetry.event_log.of_kind("slo"))

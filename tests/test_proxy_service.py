@@ -65,7 +65,7 @@ def test_same_layer_instances_share_keys():
 
 def test_scale_out_attests_new_enclave():
     _, service = _service()
-    new_instance = service.scale_ua()
+    new_instance = service.scale("UA")
     assert new_instance.enclave.attested
     assert new_instance.enclave.provisioned
     assert len(service.ua_instances) == 2

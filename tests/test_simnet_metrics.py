@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.simnet.metrics import (
     CandlestickSummary,
     LatencyRecorder,
-    SlottedLatencyRecorder,
     percentile,
     trim_window,
 )
@@ -176,71 +175,3 @@ def test_recorder_returns_what_a_tuple_list_returns(first, second, window, rejec
     else:
         with pytest.raises(ValueError, match="no samples"):
             recorder.summarize()
-
-
-# ---------------------------------------------------------------------------
-# SlottedLatencyRecorder: bounded-memory estimates track the exact ones.
-# ---------------------------------------------------------------------------
-
-def test_slotted_recorder_tracks_exact_recorder():
-    import random
-
-    rng = random.Random(11)
-    exact = LatencyRecorder()
-    binned = SlottedLatencyRecorder(slot_seconds=1.0)
-    for index in range(50_000):
-        t = index * 0.002
-        latency = rng.lognormvariate(-5.5, 0.6)
-        exact.record(t, latency)
-        binned.record(t, latency)
-    reference = exact.summarize(exact.trimmed(10.0, 90.0))
-    estimate = binned.summarize(10.0, 90.0)
-    for attribute in ("p25", "median", "p75", "p99"):
-        got = getattr(estimate, attribute)
-        want = getattr(reference, attribute)
-        assert got == pytest.approx(want, rel=0.06), attribute
-    assert estimate.mean == pytest.approx(reference.mean, rel=1e-6)
-    assert estimate.maximum == reference.maximum
-    assert estimate.p25 <= estimate.median <= estimate.p75 <= estimate.maximum
-
-
-def test_slotted_recorder_memory_is_bounded_by_bins():
-    binned = SlottedLatencyRecorder(slot_seconds=1.0)
-    for index in range(100_000):
-        binned.record((index % 10) * 1.0, 0.001 + (index % 97) * 1e-5)
-    stats = binned.stats()
-    assert stats["samples"] == 100_000
-    assert stats["slots"] == 10  # resident state ~ slots x buckets, not samples
-
-
-def test_slotted_recorder_merge_and_validation():
-    a = SlottedLatencyRecorder()
-    b = SlottedLatencyRecorder()
-    for index in range(100):
-        a.record(0.5, 0.002)
-        b.record(0.5, 0.004)
-    a.merge(b)
-    assert a.count == 200
-    summary = a.summarize()
-    assert summary.count == 200
-    assert 0.002 <= summary.median <= 0.004
-    with pytest.raises(ValueError):
-        a.merge(SlottedLatencyRecorder(slot_seconds=2.0))
-    with pytest.raises(ValueError):
-        a.record(1.0, -0.1)
-    empty = SlottedLatencyRecorder()
-    with pytest.raises(ValueError, match="no samples"):
-        empty.summarize()
-
-
-@settings(max_examples=30, deadline=None)
-@given(values=st.lists(st.floats(min_value=1e-5, max_value=50.0), min_size=2, max_size=60))
-def test_slotted_candlestick_invariants(values):
-    recorder = SlottedLatencyRecorder()
-    for index, value in enumerate(values):
-        recorder.record(float(index), value)
-    summary = recorder.summarize()
-    assert summary.p25 <= summary.median <= summary.p75
-    assert summary.whisker_high <= summary.maximum
-    assert min(values) <= summary.mean <= max(values)
-    assert summary.count == len(values)

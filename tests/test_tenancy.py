@@ -259,7 +259,7 @@ def test_cross_tenant_requests_cannot_be_decrypted_with_other_keys():
 
 
 # -- the shared control plane on a multi-tenant service ---------------------
-# (scale_ua / scale_ia / restart_instance raised AttributeError on the
+# (scale / restart_instance raised AttributeError on the
 # tenant builder's provisioner=None before the service classes shared one
 # spawn path.)
 
