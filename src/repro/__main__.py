@@ -31,8 +31,6 @@ commands:
                 byte-identical artifacts (CI runs each scenario in two
                 fresh processes and diffs the trees; *_meta.json files
                 carry wall clocks and are excluded)
-  profile       deterministic virtual-time profile of the obs micro run
-                (profile.json / profile.folded / profile_meta.json)
   simnet-bench  event-loop micro-benchmarks; refreshes BENCH_simnet.json
                 and enforces the recorded perf floors
 """
@@ -103,33 +101,6 @@ def _cmd_run(args) -> int:
     return 1 if problems else 0
 
 
-def _cmd_profile(args) -> int:
-    """Deterministic virtual-time profile of the obs micro scenario."""
-    from repro.obs import run_obs_scenario, write_obs_artifacts
-    from repro.obs.profiler import profile_snapshot
-
-    result = run_obs_scenario(seed=args.seed, rps=args.rps, duration=args.duration)
-    paths = write_obs_artifacts(result, args.out_dir)
-    snapshot = profile_snapshot(result.loop)
-    print(
-        f"profiled {snapshot['events_processed']} events over"
-        f" {snapshot['final_virtual_time']:.2f} virtual seconds"
-    )
-    ranked = sorted(
-        snapshot["sites"].items(), key=lambda kv: kv[1]["calls"], reverse=True
-    )
-    print(f"top {min(args.top, len(ranked))} causal stacks by calls:")
-    for key, record in ranked[: args.top]:
-        print(
-            f"  {record['calls']:8d} calls"
-            f" {record['virtual_delay_seconds']:10.4f}s vdelay  {key}"
-        )
-    print(f"artifact: {paths['profile.json']}")
-    print(f"artifact: {paths['profile.folded']} (collapsed stacks, flamegraph-ready)")
-    print(f"artifact: {paths['profile_meta.json']} (wall clock, do not diff)")
-    return 0
-
-
 def _cmd_simnet_bench(args) -> int:
     """Event-loop perf floors (delegates to benchmarks/run_simnet_bench.py)."""
     return _run_script(
@@ -158,17 +129,6 @@ def main(argv=None) -> int:
     run.add_argument("--out-dir", default=None,
                      help="artifact directory (default: results/<scenario>)")
     run.set_defaults(fn=_cmd_run)
-    profile = subparsers.add_parser(
-        "profile", help="deterministic virtual-time profile of the obs scenario"
-    )
-    profile.add_argument("--out-dir", default="results/profile",
-                         help="directory for profile.json/.folded/_meta.json")
-    profile.add_argument("--seed", type=int, default=7)
-    profile.add_argument("--rps", type=float, default=80.0)
-    profile.add_argument("--duration", type=float, default=4.0)
-    profile.add_argument("--top", type=int, default=12,
-                         help="causal stacks to print (by call count)")
-    profile.set_defaults(fn=_cmd_profile)
     bench = subparsers.add_parser(
         "simnet-bench", help="event-loop perf floors (BENCH_simnet.json)"
     )

@@ -31,7 +31,6 @@ from repro.faults.plan import PARTITION_SECONDS
 from repro.obs.slo import Objective, run_end_objectives
 from repro.proxy.config import PProxConfig
 from repro.simnet.metrics import percentile
-from repro.telemetry import Telemetry
 
 __all__ = [
     "MEASURED_PER_PAIR_RPS",
@@ -248,7 +247,6 @@ def verify_plan(
     seed: int,
     duration: float = 8.0,
     chaos: bool = True,
-    telemetry: Optional[Telemetry] = None,
 ) -> DrillRig:
     """Run one solved plan at its target rate, overload always armed;
     returns the finished rig.
@@ -264,7 +262,7 @@ def verify_plan(
     # provisioned for the target (three stock frontends sustain ~250
     # RPS — scale them with the load so the backend is not the wall).
     rig = DrillRig(
-        "capacity", seed, grace=4.0, telemetry=telemetry,
+        "capacity", seed, grace=4.0,
         run_label=f"capacity/{target.label()}/{mode}",
         frontends=max(3, math.ceil(target.rps / 80.0)),
     )
@@ -367,7 +365,6 @@ def run_capacity(
     *,
     seed: int = 11,
     duration: float = 8.0,
-    telemetry: Optional[Telemetry] = None,
 ) -> Tuple[Dict[str, Any], Dict[str, Any], List[DrillRig]]:
     """Solve and verify every target; returns (artifact, meta, rigs),
     one finished rig per leg.
@@ -386,14 +383,7 @@ def run_capacity(
         legs: Dict[str, Dict[str, Any]] = {}
         for leg, chaos in (("clean", False), ("chaos", True)):
             wall_start = time.perf_counter()
-            rig = verify_plan(
-                target,
-                plan,
-                seed=seed + index,
-                duration=duration,
-                chaos=chaos,
-                telemetry=telemetry if len(targets) == 1 else None,
-            )
+            rig = verify_plan(target, plan, seed=seed + index, duration=duration, chaos=chaos)
             wall = time.perf_counter() - wall_start
             legs[leg] = _leg(rig)
             rigs.append(rig)

@@ -26,14 +26,13 @@ depends on process state.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.experiments.rig import DrillRig, print_summary, write_verdict
 from repro.faults import ChaosSpec
 from repro.faults.brownout import BrownoutLrs
 from repro.obs.slo import Objective, run_end_objectives
 from repro.proxy.config import PProxConfig
-from repro.telemetry import Telemetry
 
 __all__ = [
     "run_chaos",
@@ -123,12 +122,10 @@ def run_chaos(
     seed: int = 7,
     rps: float = 60.0,
     duration: float = 12.0,
-    *,
-    telemetry: Optional[Telemetry] = None,
 ) -> DrillRig:
     """Run the chaos drill once; returns the finished rig (its
     ``summary`` and ``verdict``, its ``fault`` events)."""
-    rig = DrillRig("chaos", seed, grace=8.0, telemetry=telemetry)
+    rig = DrillRig("chaos", seed, grace=8.0)
     brownout = BrownoutLrs(inner=rig.lrs, loop=rig.loop, rng=rig.rng.stream("brownout"))
     rig.deploy(
         CHAOS_CONFIG,
@@ -182,8 +179,7 @@ def run_chaos(
 def gate(out_dir: str) -> List[str]:
     """``repro run chaos``: the default drill, its telemetry artifact
     and its ``slo.json`` — the drill's whole verdict."""
-    telemetry = Telemetry(scrape_interval=1.0)
-    rig = run_chaos(telemetry=telemetry)
+    rig = run_chaos()
     print_summary("chaos drill summary", rig.summary, (
         "seed", "issued", "completed", "failed", "availability",
         "crashes_injected", "restarts_completed", "failovers", "readmissions",
@@ -191,5 +187,5 @@ def gate(out_dir: str) -> List[str]:
         "brownout_rejected", "brownout_slowed",
         "retries_performed", "hedges_launched", "timeouts", "outcomes",
     ))
-    telemetry.write_artifact(out_dir)
+    rig.telemetry.write_artifact(out_dir)
     return write_verdict(rig.verdict, out_dir)

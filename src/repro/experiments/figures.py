@@ -82,7 +82,7 @@ class FigureData:
 
 
 def figure6(seed: int = 1, runs: int = 2, duration: float = 30.0, trim: float = 8.0,
-            rps_grid: Optional[List[int]] = None, telemetry=None) -> FigureData:
+            rps_grid: Optional[List[int]] = None) -> FigureData:
     """Figure 6: cost of encryption, SGX, and item pseudonymization.
 
     Configurations m1 (nothing), m2 (+encryption), m3 (+SGX),
@@ -93,23 +93,23 @@ def figure6(seed: int = 1, runs: int = 2, duration: float = 30.0, trim: float = 
     for name in ("m1", "m2", "m3", "m4"):
         for rps in rps_grid or MICRO_RPS_GRID:
             data.add(run_micro(MICRO_CONFIGS[name], rps, seed=seed, runs=runs,
-                               duration=duration, trim=trim, telemetry=telemetry))
+                               duration=duration, trim=trim))
     return data
 
 
 def figure7(seed: int = 1, runs: int = 2, duration: float = 30.0, trim: float = 8.0,
-            rps_grid: Optional[List[int]] = None, telemetry=None) -> FigureData:
+            rps_grid: Optional[List[int]] = None) -> FigureData:
     """Figure 7: impact of shuffling (m3: S off; m5: S=5; m6: S=10)."""
     data = FigureData("fig7", "Impact of request/response shuffling")
     for name in ("m3", "m5", "m6"):
         for rps in rps_grid or MICRO_RPS_GRID:
             data.add(run_micro(MICRO_CONFIGS[name], rps, seed=seed, runs=runs,
-                               duration=duration, trim=trim, telemetry=telemetry))
+                               duration=duration, trim=trim))
     return data
 
 
 def figure8(seed: int = 1, runs: int = 2, duration: float = 30.0, trim: float = 8.0,
-            rps_grid: Optional[List[int]] = None, telemetry=None) -> FigureData:
+            rps_grid: Optional[List[int]] = None) -> FigureData:
     """Figure 8: horizontal scaling of the proxy (m6-m9, S=10).
 
     Each configuration is swept up to its pre-saturation maximum from
@@ -122,7 +122,7 @@ def figure8(seed: int = 1, runs: int = 2, duration: float = 30.0, trim: float = 
             if rps > config.max_rps:
                 continue
             data.add(run_micro(config, rps, seed=seed, runs=runs,
-                               duration=duration, trim=trim, telemetry=telemetry))
+                               duration=duration, trim=trim))
     return data
 
 
@@ -141,8 +141,7 @@ def figure9(seed: int = 1, runs: int = 2, timings: Optional[ScenarioTimings] = N
 
 
 def figure10(seed: int = 1, runs: int = 2, timings: Optional[ScenarioTimings] = None,
-             rps_grid: Optional[List[int]] = None, workload_scale: float = 0.01,
-             telemetry=None) -> FigureData:
+             rps_grid: Optional[List[int]] = None, workload_scale: float = 0.01) -> FigureData:
     """Figure 10: the full system, PProx + Harness (f1-f4)."""
     data = FigureData("fig10", "Full system: Harness with PProx")
     for name in ("f1", "f2", "f3", "f4"):
@@ -151,6 +150,5 @@ def figure10(seed: int = 1, runs: int = 2, timings: Optional[ScenarioTimings] = 
             if rps > config.max_rps:
                 continue
             data.add(run_full(config, rps, seed=seed, runs=runs,
-                              timings=timings, workload_scale=workload_scale,
-                              telemetry=telemetry))
+                              timings=timings, workload_scale=workload_scale))
     return data

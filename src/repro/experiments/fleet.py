@@ -42,7 +42,6 @@ from repro.privacy.wire import (
     trace_field_exposures,
 )
 from repro.proxy.config import PProxConfig
-from repro.telemetry import Telemetry
 
 __all__ = [
     "run_fleet_drill",
@@ -149,12 +148,10 @@ def run_fleet_drill(
     seed: int = 23,
     rps: float = 360.0,
     duration: float = 10.0,
-    *,
-    telemetry: Optional[Telemetry] = None,
 ) -> DrillRig:
     """Run the shard-loss-mid-split drill once; returns the finished rig
     (its ``summary`` and ``verdict``, its ``fleet`` events)."""
-    rig = DrillRig("fleet", seed, grace=6.0, telemetry=telemetry, frontends=3)
+    rig = DrillRig("fleet", seed, grace=6.0, frontends=3)
     rig.deploy(
         FLEET_CONFIG,
         shards=SHARDS,
@@ -247,8 +244,7 @@ def run_fleet_drill(
 def gate(out_dir: str) -> List[str]:
     """``repro run fleet``: the default drill; writes ``fleet.json``,
     ``slo.json`` and the telemetry artifact."""
-    telemetry = Telemetry(scrape_interval=1.0)
-    rig = run_fleet_drill(telemetry=telemetry)
+    rig = run_fleet_drill()
     print_summary("fleet drill summary", rig.summary, (
         "seed", "issued", "completed", "failed", "goodput",
         "crashes_injected", "restarts_completed", "ejections", "readmissions",
@@ -260,5 +256,5 @@ def gate(out_dir: str) -> List[str]:
         "min_effective_anonymity", "required_anonymity", "shed_total", "outcomes",
     ))
     write_json(rig.summary, out_dir, "fleet.json")
-    telemetry.write_artifact(out_dir)
+    rig.telemetry.write_artifact(out_dir)
     return write_verdict(rig.verdict, out_dir)

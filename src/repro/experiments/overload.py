@@ -45,7 +45,6 @@ from repro.overload import AimdLimiter, CircuitBreaker, GuardedLrs, OverloadPoli
 from repro.proxy.config import PProxConfig
 from repro.proxy.costs import DEFAULT_COSTS, ProxyCostModel
 from repro.simnet.metrics import percentile
-from repro.telemetry import Telemetry
 
 __all__ = [
     "run_overload",
@@ -243,7 +242,6 @@ def _run_point(
     multiplier: float,
     *,
     protected: bool,
-    telemetry: Optional[Telemetry],
 ) -> DrillRig:
     """One cell of the sweep, in a fresh simulation context; appended
     to *sweep* before the run is closed so the run-end record carries
@@ -252,7 +250,7 @@ def _run_point(
     rps, duration = sweep["capacity_rps"] * multiplier, sweep["duration"]
     variant = "protected" if protected else "baseline"
     rig = DrillRig(
-        "overload", sweep["seed"], grace=3.0, telemetry=telemetry, costs=overload_cost_model(),
+        "overload", sweep["seed"], grace=3.0, costs=overload_cost_model(),
         run_label=f"overload/seed{sweep['seed']}/{variant}/x{multiplier:g}",
     )
     guard: Optional[GuardedLrs] = None
@@ -334,20 +332,17 @@ def _run_point(
 def run_overload(
     seed: int = 7,
     duration: float = 6.0,
-    *,
-    telemetry: Optional[Telemetry] = None,
 ) -> DrillRig:
     """Run the offered-load sweep; returns the headline cell's finished
     rig, whose ``summary`` holds every cell and whose ``verdict`` judges
     the sweep.
 
-    The caller's *telemetry* hub (if any) collects the final, headline
-    cell — the protected deployment at the highest multiplier — so the
-    written artifact describes a real overload episode.  Earlier cells
-    run under private hubs (each is a separate deployment; mixing their
-    instruments in one registry would alias instance names).  Every
-    cell is judged by its own engine; only the headline's verdict is
-    the sweep's.
+    The headline cell — the protected deployment at the highest
+    multiplier, run last — is a real overload episode, and its rig's
+    ``telemetry`` hub is the artifact a gate writes.  Every cell is a
+    separate deployment with a hub of its own (mixing their instruments
+    in one registry would alias instance names) and is judged by its
+    own engine; only the headline's verdict is the sweep's.
     """
     sweep: Dict[str, Any] = {
         "seed": seed,
@@ -358,10 +353,7 @@ def run_overload(
     }
     for multiplier in MULTIPLIERS:
         for protected in (False, True):
-            headline = protected and multiplier == max(MULTIPLIERS)
-            rig = _run_point(
-                sweep, multiplier, protected=protected, telemetry=telemetry if headline else None
-            )
+            rig = _run_point(sweep, multiplier, protected=protected)
     return rig
 
 
@@ -369,8 +361,7 @@ def gate(out_dir: str) -> List[str]:
     """``repro run overload``: the default sweep, the headline cell's
     telemetry artifact and ``slo.json``, and the graceful-degradation
     checks."""
-    telemetry = Telemetry(scrape_interval=1.0)
-    rig = run_overload(telemetry=telemetry)
+    rig = run_overload()
     sweep = rig.summary
     print("overload sweep summary")
     print("======================")
@@ -391,5 +382,5 @@ def gate(out_dir: str) -> List[str]:
             f" {cell['issued']:7d} {cell['goodput_rps']:8.2f} {cell['p50_seconds']:8.4f}"
             f" {cell['p99_seconds']:8.4f} {cell['shed_total']:6d} {anonymity:>7s}"
         )
-    telemetry.write_artifact(out_dir)
+    rig.telemetry.write_artifact(out_dir)
     return write_verdict(rig.verdict, out_dir)

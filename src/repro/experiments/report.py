@@ -104,15 +104,13 @@ def render_table3() -> str:
     return "\n".join(lines)
 
 
-def render_telemetry(telemetry) -> str:
-    """Telemetry digest accompanying a figure run.
-
-    *telemetry* is a :class:`repro.telemetry.Telemetry` hub that was
-    passed to the runners; the digest covers traces, per-stage
-    timings, privacy-health gauges, and the redaction audit verdict.
+def render_telemetry(hub) -> str:
+    """Human digest of one run's :class:`repro.telemetry.Telemetry`
+    *hub*: traces, per-stage timings, privacy-health gauges, and the
+    redaction audit verdict.
     """
-    lines = [telemetry.render_summary()]
-    violations = telemetry.audit()
+    lines = [hub.render_summary()]
+    violations = hub.audit()
     if violations:
         lines.append(f"REDACTION AUDIT FAILED: {len(violations)} leak(s)")
         lines += [f"  - {violation.describe()}" for violation in violations[:10]]

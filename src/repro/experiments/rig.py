@@ -140,13 +140,16 @@ class DrillRig:
         seed: int,
         *,
         grace: float,
-        telemetry: Optional[Telemetry] = None,
         run_label: Optional[str] = None,
         frontends: int = 0,
         costs: ProxyCostModel = DEFAULT_COSTS,
         loop: Optional[Any] = None,
     ) -> None:
-        """Context, bound telemetry hub and LRS backend.
+        """Context, telemetry hub and LRS backend.
+
+        The rig builds the run's hub and binds it to the run's loop:
+        :attr:`telemetry` is the only hub the run records into, and the
+        one whose artifact a gate writes.
 
         *frontends* > 0 puts a real :class:`HarnessService` behind the
         proxy; 0 means the nginx stub.  *grace* is the drain time after
@@ -155,7 +158,7 @@ class DrillRig:
         """
         self.scenario = scenario
         self.grace = grace
-        self.telemetry = telemetry if telemetry is not None else Telemetry(scrape_interval=1.0)
+        self.telemetry = Telemetry(scrape_interval=1.0)
         self.ctx = SimContext.fresh(seed, costs=costs, telemetry=self.telemetry, loop=loop)
         self.loop = self.ctx.loop
         self.rng = self.ctx.rng

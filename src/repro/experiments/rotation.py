@@ -32,7 +32,7 @@ CI job diffs two separate invocations).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.crypto.keys import KeyFactory
 from repro.experiments.rig import POST_SHARE, DrillRig, Flush, print_summary, write_verdict
@@ -41,7 +41,6 @@ from repro.obs.slo import Objective, run_end_objectives
 from repro.privacy.wire import epoch_tag_exposures
 from repro.proxy.config import PProxConfig
 from repro.proxy.epochs import RotationCoordinator
-from repro.telemetry import Telemetry
 
 __all__ = [
     "run_rotation",
@@ -168,8 +167,6 @@ def run_rotation(
     seed: int = 11,
     rps: float = 140.0,
     duration: float = 10.0,
-    *,
-    telemetry: Optional[Telemetry] = None,
 ) -> DrillRig:
     """Run the live-rotation drill once; returns the finished rig (its
     ``summary`` and ``verdict``, its ``rotation`` events).
@@ -180,7 +177,7 @@ def run_rotation(
     it.  The SLO engine attaches after preload, so the series behind
     the verdict covers only the drill.
     """
-    rig = DrillRig("rotation", seed, grace=6.0, telemetry=telemetry, frontends=3)
+    rig = DrillRig("rotation", seed, grace=6.0, frontends=3)
     #: epoch_ttl models a stale client population: material is cached
     #: for a second, so requests sealed under the outgoing keys keep
     #: arriving after the announce and the dual window does real work.
@@ -313,8 +310,7 @@ def gate(out_dir: str) -> List[str]:
     """``repro run rotation``: the default drill, its telemetry
     artifact and its ``slo.json`` — zero downtime, the anonymity floor
     and every linkage check in one verdict."""
-    telemetry = Telemetry(scrape_interval=1.0)
-    rig = run_rotation(telemetry=telemetry)
+    rig = run_rotation()
     print_summary("rotation drill summary", rig.summary, (
         "seed", "issued", "completed", "failed",
         "old_epoch", "new_epoch", "final_state", "window_seconds",
@@ -325,5 +321,5 @@ def gate(out_dir: str) -> List[str]:
         "min_window_flush", "effective_anonymity_floor", "required_anonymity",
         "cross_epoch_user_overlap", "outcomes",
     ))
-    telemetry.write_artifact(out_dir)
+    rig.telemetry.write_artifact(out_dir)
     return write_verdict(rig.verdict, out_dir)

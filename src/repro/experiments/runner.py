@@ -9,19 +9,16 @@ cut-off).  Runners are deterministic in (config, rps, seed).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.client.library import DirectClient
 from repro.cluster.deployments import MacroConfig, MicroConfig
 from repro.context import Deployment, SimContext
-from repro.crypto.provider import CryptoProvider
 from repro.experiments.rig import pseudonymise_stub, stub_lrs
 from repro.lrs.engine import HarnessEngine
 from repro.lrs.service import HarnessService
 from repro.proxy.config import PProxConfig
-from repro.proxy.costs import DEFAULT_COSTS, ProxyCostModel
 from repro.simnet.metrics import CandlestickSummary, LatencyRecorder, trim_window
 from repro.telemetry import Telemetry, instrument_stack
 from repro.workload.injector import InjectionReport, Injector
@@ -34,6 +31,9 @@ __all__ = ["RunResult", "run_micro", "run_baseline", "run_full"]
 #: The paper uses 6; the default here trades a little smoothing for
 #: benchmark wall-clock time.
 DEFAULT_RUNS = 2
+
+#: Users the micro-benchmark's gets and posts draw from.
+MICRO_USERS = 500
 
 
 @dataclass
@@ -64,10 +64,7 @@ def run_micro(
     runs: int = DEFAULT_RUNS,
     duration: float = 30.0,
     trim: float = 8.0,
-    provider: Optional[CryptoProvider] = None,
-    costs: ProxyCostModel = DEFAULT_COSTS,
     shuffle_timeout: float = 0.25,
-    user_count: int = 500,
     pprox_override: Optional[PProxConfig] = None,
     verb: str = "get",
     telemetry: Optional[Telemetry] = None,
@@ -81,16 +78,12 @@ def run_micro(
 
     Pass a :class:`~repro.telemetry.Telemetry` hub to collect spans,
     metrics and the structured event log across all runs (one bound
-    run label per repetition).
+    run label per repetition); no other runner takes one.
     """
     result = RunResult(config_name=config.name, rps=rps, recorder=LatencyRecorder("micro"))
     for run_index in range(runs):
-        ctx = SimContext.fresh(
-            seed * 1000 + run_index, costs=costs, telemetry=telemetry
-        )
+        ctx = SimContext.fresh(seed * 1000 + run_index, telemetry=telemetry)
         loop, network, rng = ctx.loop, ctx.network, ctx.rng
-        if provider is not None:
-            ctx.provider = provider
         if telemetry is not None:
             telemetry.bind(loop, run_label=f"{config.name}@{rps:g}rps/run{run_index}")
         stub = stub_lrs(ctx)
@@ -111,7 +104,7 @@ def run_micro(
                 injector=injector,
                 network=network,
             )
-        users = [f"user-{index}" for index in range(user_count)]
+        users = [f"user-{index}" for index in range(MICRO_USERS)]
         user_rng = rng.stream("users")
 
         if verb == "get":
@@ -142,33 +135,21 @@ def run_micro(
     return result
 
 
-def _build_macro_stack(config: MacroConfig, ctx: SimContext, shuffle_timeout: float):
+def _build_macro_stack(config: MacroConfig, ctx: SimContext):
     """Assemble Harness (+ optional PProx) and the matching client on *ctx*."""
-    loop, network, telemetry = ctx.loop, ctx.network, ctx.telemetry
     harness = HarnessService(
-        loop=loop, rng=ctx.rng.stream("lrs"), frontend_count=config.frontends,
+        loop=ctx.loop, rng=ctx.rng.stream("lrs"), frontend_count=config.frontends,
         engine=HarnessEngine(),
     )
     if config.with_proxy:
         deployment = Deployment.build(
             ctx=ctx,
-            config=config.pprox_config(shuffle_timeout),
+            config=config.pprox_config(),
             lrs_picker=harness.pick_frontend,
         )
-        service = deployment.service
         client = deployment.client()
-        if telemetry is not None:
-            instrument_stack(
-                telemetry,
-                service=service,
-                provider=ctx.resolved_provider(),
-                lrs=harness,
-                network=network,
-            )
     else:
-        client = DirectClient(loop=loop, network=network, lrs_picker=harness.pick_frontend)
-        if telemetry is not None:
-            instrument_stack(telemetry, lrs=harness, network=network)
+        client = DirectClient(loop=ctx.loop, network=ctx.network, lrs_picker=harness.pick_frontend)
     return harness, client
 
 
@@ -178,21 +159,13 @@ def _run_macro(
     seed: int,
     runs: int,
     timings: ScenarioTimings,
-    provider: Optional[CryptoProvider],
-    costs: ProxyCostModel,
-    shuffle_timeout: float,
     workload_scale: float,
-    telemetry: Optional[Telemetry] = None,
 ) -> RunResult:
     result = RunResult(config_name=config.name, rps=rps, recorder=LatencyRecorder("macro"))
     for run_index in range(runs):
-        ctx = SimContext.fresh(
-            seed * 1000 + run_index, provider=provider, costs=costs, telemetry=telemetry
-        )
+        ctx = SimContext.fresh(seed * 1000 + run_index)
         loop, rng = ctx.loop, ctx.rng
-        harness, client = _build_macro_stack(config, ctx, shuffle_timeout)
-        if telemetry is not None:
-            telemetry.bind(loop, run_label=f"{config.name}@{rps:g}rps/run{run_index}")
+        harness, client = _build_macro_stack(config, ctx)
         workload = SyntheticMovieLens(seed=seed, scale=workload_scale)
         scenario = TwoPhaseScenario(
             loop=loop,
@@ -201,16 +174,11 @@ def _run_macro(
             lrs=harness,
             workload=workload,
             timings=timings,
-            telemetry=telemetry,
         )
         outcome = scenario.run(query_rate=rps)
         result.recorder.extend(outcome.recorder)
         result.window_latencies.extend(outcome.trimmed_latencies())
         result.reports.append(outcome.report)
-        if telemetry is not None:
-            telemetry.finalize_run(
-                extra={"config": config.name, "rps": rps, "run_index": run_index}
-            )
     result.saturated = is_saturated(result.reports, result.window_latencies)
     return result
 
@@ -226,11 +194,7 @@ def run_baseline(
     """Macro baseline: unprotected Harness (Figure 9)."""
     if config.with_proxy:
         raise ValueError(f"{config.name} is not a baseline configuration")
-    return _run_macro(
-        config, rps, seed, runs, timings or ScenarioTimings(),
-        provider=None, costs=DEFAULT_COSTS, shuffle_timeout=0.25,
-        workload_scale=workload_scale,
-    )
+    return _run_macro(config, rps, seed, runs, timings or ScenarioTimings(), workload_scale)
 
 
 def run_full(
@@ -239,17 +203,9 @@ def run_full(
     seed: int = 1,
     runs: int = DEFAULT_RUNS,
     timings: Optional[ScenarioTimings] = None,
-    provider: Optional[CryptoProvider] = None,
-    costs: ProxyCostModel = DEFAULT_COSTS,
-    shuffle_timeout: float = 0.25,
     workload_scale: float = 0.01,
-    telemetry: Optional[Telemetry] = None,
 ) -> RunResult:
     """Full system: PProx + Harness (Figure 10)."""
     if not config.with_proxy:
         raise ValueError(f"{config.name} is not a full-system configuration")
-    return _run_macro(
-        config, rps, seed, runs, timings or ScenarioTimings(),
-        provider=provider, costs=costs, shuffle_timeout=shuffle_timeout,
-        workload_scale=workload_scale, telemetry=telemetry,
-    )
+    return _run_macro(config, rps, seed, runs, timings or ScenarioTimings(), workload_scale)

@@ -31,7 +31,7 @@ import os
 from typing import Any, Dict, List
 
 from repro.obs.causal import CausalTracer, instrument_causal
-from repro.obs.profiler import ProfiledLoop, write_profile
+from repro.obs.profiler import ProfiledLoop, profile_snapshot, write_profile
 from repro.obs.slo import Objective, run_end_objectives, write_slo
 
 __all__ = [
@@ -45,6 +45,9 @@ __all__ = [
 #: ``trace.jsonl`` (the rest of the event log stays in the telemetry
 #: artifact).
 TRACE_EVENT_KINDS = ("cspan", "bspan", "slo")
+
+#: Causal stacks the gate prints, by call count.
+TOP_STACKS = 12
 
 
 #: Fault-free targets: completed / issued; client p99 ceiling (seconds).
@@ -191,4 +194,16 @@ def gate(out_dir: str) -> List[str]:
         f" severed={summary['link']['traces_severed']}"
         f" batch_spans={summary['link']['batch_spans']}"
     )
+    snapshot = profile_snapshot(rig.loop)
+    print(
+        f"profiled {snapshot['events_processed']} events over"
+        f" {snapshot['final_virtual_time']:.2f} virtual seconds"
+    )
+    ranked = sorted(snapshot["sites"].items(), key=lambda kv: kv[1]["calls"], reverse=True)
+    print(f"top {min(TOP_STACKS, len(ranked))} causal stacks by calls:")
+    for key, record in ranked[:TOP_STACKS]:
+        print(
+            f"  {record['calls']:8d} calls"
+            f" {record['virtual_delay_seconds']:10.4f}s vdelay  {key}"
+        )
     return rig.verdict.problems()

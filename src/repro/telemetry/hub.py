@@ -20,7 +20,7 @@ import os
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.telemetry.events import EventLog
-from repro.telemetry.redaction import DEFAULT_POLICY, RedactionPolicy, Violation, audit_events
+from repro.telemetry.redaction import Violation, audit_events
 from repro.telemetry.registry import MetricRegistry, Scraper
 from repro.telemetry.spans import PIPELINE_STAGES, Tracer
 
@@ -30,15 +30,10 @@ __all__ = ["Telemetry"]
 class Telemetry:
     """Facade bundling tracer + registry + event log + scraper."""
 
-    def __init__(
-        self,
-        policy: Optional[RedactionPolicy] = None,
-        scrape_interval: float = 1.0,
-    ) -> None:
-        self.policy = policy or DEFAULT_POLICY
+    def __init__(self, scrape_interval: float = 1.0) -> None:
         self.scrape_interval = scrape_interval
         self._clock: Callable[[], float] = lambda: 0.0
-        self.event_log = EventLog(clock=self.now, policy=self.policy)
+        self.event_log = EventLog(clock=self.now)
         self.registry = MetricRegistry()
         self.tracer = Tracer(clock=self.now, event_log=self.event_log)
         self.scraper: Optional[Scraper] = None
@@ -97,9 +92,7 @@ class Telemetry:
         pipeline returns ``[]`` even though the boundary would already
         have scrubbed (and recorded) anything caught at emission time.
         """
-        return audit_events(
-            (event.to_dict() for event in self.event_log.events), self.policy
-        )
+        return audit_events(event.to_dict() for event in self.event_log.events)
 
     @property
     def boundary_violations(self) -> List[Violation]:

@@ -185,7 +185,7 @@ def instrument_service(telemetry: Any, service: Any) -> None:
 def instrument_crypto(telemetry: Any, provider: Any) -> None:
     """Register pseudonym-memo cache instruments (one stats call per tick).
 
-    Providers without ``cache_stats()`` (fast/sim tiers) are skipped.
+    A provider without ``cache_stats()`` (the sim provider) is skipped.
     """
     if not callable(getattr(provider, "cache_stats", None)):
         return

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import Iterable, List, Protocol, Sequence, Tuple
 
 from repro.simnet.clock import EventLoop
 from repro.simnet.metrics import CandlestickSummary, LatencyRecorder, trim_window
-from repro.telemetry.types import TelemetryLike
 from repro.workload.injector import InjectionReport, Injector
 from repro.workload.movielens import SyntheticMovieLens
 
@@ -107,20 +106,10 @@ class TwoPhaseScenario:
     workload: SyntheticMovieLens
     timings: ScenarioTimings = field(default_factory=ScenarioTimings)
     feedback_rate: float = 250.0
-    #: Optional :class:`repro.telemetry.Telemetry` hub: phase
-    #: transitions land in the structured event log and the query
-    #: injector feeds the latency histogram.
-    telemetry: Optional[TelemetryLike] = None
-
-    def _emit_phase(self, phase: str, **payload) -> None:
-        if self.telemetry is not None:
-            self.telemetry.event_log.emit("phase", "operator", {"phase": phase, **payload})
 
     def run(self, query_rate: float) -> ScenarioResult:
         """Run both phases at *query_rate* gets per second."""
         feedback_injector = Injector(self.loop, self.rng, recorder=LatencyRecorder("posts"))
-        self._emit_phase("feedback", rate=self.feedback_rate,
-                         duration=self.timings.feedback_seconds)
         events = list(self.workload.feedback_stream())
         cursor = {"index": 0}
 
@@ -133,15 +122,9 @@ class TwoPhaseScenario:
             self.feedback_rate, self.timings.feedback_seconds, issue_post
         )
         self.loop.run()
-        self._emit_phase("train")
         self.lrs.train()
 
         query_injector = Injector(self.loop, self.rng, recorder=LatencyRecorder("gets"))
-        if self.telemetry is not None:
-            from repro.telemetry.instruments import instrument_injector
-
-            instrument_injector(self.telemetry, query_injector)
-        self._emit_phase("query", rate=query_rate, duration=self.timings.query_seconds)
         query_count = int(query_rate * self.timings.query_seconds) + 1
         users = self.workload.query_users(query_count, self.rng)
         user_cursor = {"index": 0}
@@ -158,7 +141,6 @@ class TwoPhaseScenario:
         # Allow in-flight requests to drain before closing the books.
         self.loop.run_until(end + DRAIN_SECONDS)
         self.loop.run()
-        self._emit_phase("drain_complete", completed=query_injector.report.completed)
 
         window = trim_window(start, end, self.timings.trim_seconds)
         return ScenarioResult(

@@ -6,7 +6,7 @@ import pytest
 
 from repro.experiments.chaos import run_chaos
 from repro.experiments.registry import EXPERIMENT_INDEX
-from repro.telemetry import EventLog, Telemetry
+from repro.telemetry import EventLog
 
 
 @pytest.fixture(scope="module")
@@ -87,10 +87,8 @@ def test_fault_events_cover_injection_and_recovery(rig):
         assert expected in names, f"missing fault event {expected!r}"
 
 
-def test_telemetry_artifact_records_the_drill(tmp_path):
-    telemetry = Telemetry()
-    rig = run_chaos(seed=3, rps=40.0, duration=6.0, telemetry=telemetry)
-    paths = telemetry.write_artifact(str(tmp_path))
+def test_telemetry_artifact_records_the_drill(rig, tmp_path):
+    rig.telemetry.write_artifact(str(tmp_path))
     content = (tmp_path / "telemetry.jsonl").read_text(encoding="utf-8")
     assert '"instance_crashed"' in content
     assert rig.events("fault")  # the same events, structured

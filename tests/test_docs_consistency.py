@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import re
 
@@ -202,6 +203,7 @@ def test_one_implementation_per_mechanism_in_the_package():
 REMOVED_SUBCOMMANDS = re.compile(
     r"\b(?:telemetry|chaos|overload|rekey|obs|scale|wire|fleet)-smoke\b"
     r"|-m repro capacity\b"
+    r"|-m repro profile\b"
 )
 
 
@@ -253,6 +255,29 @@ def test_one_operator_timeline():
     for gone in (r"\badd_fault_rig\b", r"\bShardAutoscaler\b", r"\.shifted\(",
                  r"\bdef shifted\b", r"def start\(self, announce_at", r"\barmed_events\b"):
         assert re.search(gone, package) is None, gone
+
+
+def test_a_run_owns_its_telemetry_hub():
+    """A drill's hub is the one its rig builds and a gate writes
+    ``rig.telemetry``; ``run_micro`` is the one runner a caller hands a
+    hub, and the two-phase scenario records into none."""
+    experiments = REPO / "src" / "repro" / "experiments"
+    building = sorted(
+        path.name for path in experiments.glob("*.py") if "Telemetry(" in path.read_text()
+    )
+    assert building == ["rig.py", "telemetry_gate.py"]
+    taking = sorted(
+        f"{path.name}:{node.name}"
+        for path in experiments.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "telemetry" in [
+            arg.arg for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        ]
+    )
+    assert taking == ["runner.py:run_micro"]
+    scenario = (REPO / "src" / "repro" / "workload" / "scenario.py").read_text()
+    assert re.search(r"^\s*(?:from|import) repro\.telemetry\b", scenario, flags=re.M) is None
 
 
 def test_ci_examples_job_runs_the_examples_scenario_diff_compares():

@@ -30,15 +30,14 @@ from repro.obs.slo import Objective, evaluate_static
 from repro.overload import OverloadPolicy
 from repro.proxy.config import PProxConfig
 from repro.proxy.epochs import RotationCoordinator
-from repro.telemetry import Telemetry
 
 
 def test_run_drains_with_scraper_and_slo_engine_both_armed():
     """The telemetry scraper and the SLO tick each re-arm while the
     loop has pending work; the rig bounds the engine at the drain
     horizon so the pair cannot keep each other alive."""
-    telemetry = Telemetry(scrape_interval=0.5)
-    rig = DrillRig("contract", 5, grace=1.0, telemetry=telemetry)
+    rig = DrillRig("contract", 5, grace=1.0)
+    telemetry = rig.telemetry
     rig.deploy(PProxConfig(shuffle_size=2, shuffle_timeout=0.1))
     rig.instrument()
     rig.offer(20.0, 1.0, users=5)
@@ -69,8 +68,8 @@ def test_an_unwatched_finish_is_judged_statically_and_closes_the_run_once():
     """No engine watched the run (capacity's legs): ``finish`` judges it
     on its run-end values at the clock's end, under its run label, and
     the one run-end record carries that verdict — never the checks."""
-    telemetry = Telemetry()
-    rig = DrillRig("static", 5, grace=1.0, telemetry=telemetry, run_label="static/leg")
+    rig = DrillRig("static", 5, grace=1.0, run_label="static/leg")
+    telemetry = rig.telemetry
     rig.deploy(PProxConfig(shuffle_size=2, shuffle_timeout=0.1))
     rig.instrument()
     rig.offer(20.0, 1.0, users=5)

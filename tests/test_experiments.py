@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.client import DirectClient
@@ -16,6 +18,14 @@ QUICK = dict(runs=1, duration=8.0, trim=2.0)
 QUICK_TIMINGS = ScenarioTimings.quick()
 
 
+def _pin(result):
+    """Each run's (issued, completed, failed) and a digest of every
+    trimmed window latency: a refactor of the runners must leave both
+    exactly as they are."""
+    counts = [(report.issued, report.completed, report.failed) for report in result.reports]
+    return counts, hashlib.sha256(repr(result.window_latencies).encode()).hexdigest()
+
+
 def test_run_micro_produces_samples():
     result = run_micro(MICRO_CONFIGS["m1"], 50, seed=2, **QUICK)
     assert result.window_latencies
@@ -27,6 +37,16 @@ def test_run_micro_is_deterministic():
     one = run_micro(MICRO_CONFIGS["m3"], 50, seed=3, **QUICK)
     two = run_micro(MICRO_CONFIGS["m3"], 50, seed=3, **QUICK)
     assert one.window_latencies == two.window_latencies
+    assert _pin(one) == (
+        [(400, 400, 0)], "b8002df2200394a14d4fad7f5fbbd5250b99dc243ace628f015755e9115f75c1"
+    )
+
+
+def test_run_micro_post_path_is_pinned():
+    result = run_micro(MICRO_CONFIGS["m6"], 50, seed=2, verb="post", **QUICK)
+    assert _pin(result) == (
+        [(400, 400, 0)], "896457f6c92f2b0f9268f1b245ba8c19a66267e57c80df49baeee37ba0622324"
+    )
 
 
 def test_run_micro_seed_changes_results():
@@ -54,6 +74,12 @@ def test_run_baseline_and_full():
     assert baseline.window_latencies and full.window_latencies
     # The full system pays the proxy + shuffling overhead.
     assert full.summary().median > baseline.summary().median
+    assert _pin(baseline) == (
+        [(500, 500, 0)], "4998b7f93bd6d71857411b7432a8cd81746634126ee60efe46efedc5e7630786"
+    )
+    assert _pin(full) == (
+        [(500, 500, 0)], "f3481b26faca847764a16da28e31a7597a072356c066de8e2a087ca1d3bd4e6d"
+    )
 
 
 def test_run_baseline_request_ids_do_not_depend_on_process_history(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 
 from repro.experiments.registry import EXPERIMENT_INDEX
 from repro.experiments.fleet import run_fleet_drill
-from repro.telemetry import EventLog, Telemetry
+from repro.telemetry import EventLog
 
 SEED, RPS, DURATION = 23, 360.0, 6.0
 
@@ -90,9 +90,7 @@ def test_same_seed_drills_are_identical(rig):
     assert again.events("fleet") == rig.events("fleet")
 
 
-def test_slo_verdict_and_telemetry_artifact(tmp_path):
-    telemetry = Telemetry()
-    rig = run_fleet_drill(seed=5, rps=300.0, duration=5.0, telemetry=telemetry)
+def test_slo_verdict_and_telemetry_artifact(rig, tmp_path):
     report = rig.verdict
     assert report.ok
     assert {m.name for m in report.measurements} == {
@@ -103,7 +101,7 @@ def test_slo_verdict_and_telemetry_artifact(tmp_path):
         "shard_violation_count", "reject_violation_count", "placement_problem_count",
         "audit_violations",
     }
-    paths = telemetry.write_artifact(str(tmp_path))
+    rig.telemetry.write_artifact(str(tmp_path))
     content = (tmp_path / "telemetry.jsonl").read_text(encoding="utf-8")
     assert '"shard_split_completed"' in content
     assert '"shard_instance_ejected"' in content

@@ -10,7 +10,6 @@ from repro.experiments.overload import (
     sweep_cell,
 )
 from repro.experiments.registry import EXPERIMENT_INDEX
-from repro.telemetry import Telemetry
 
 
 @pytest.fixture(scope="module")
@@ -94,10 +93,8 @@ def test_same_seed_sweeps_are_identical(sweep):
     assert again.summary == sweep
 
 
-def test_telemetry_artifact_records_the_headline_cell(tmp_path):
-    telemetry = Telemetry()
-    rig = run_overload(seed=3, duration=4.0, telemetry=telemetry)
-    paths = telemetry.write_artifact(str(tmp_path))
+def test_telemetry_artifact_records_the_headline_cell(headline, tmp_path):
+    paths = headline.telemetry.write_artifact(str(tmp_path))
     prom = (tmp_path / "telemetry.prom").read_text(encoding="utf-8")
     assert "pprox_shed_total" in prom
     assert "pprox_queue_sojourn_seconds" in prom
@@ -106,10 +103,11 @@ def test_telemetry_artifact_records_the_headline_cell(tmp_path):
     events = (tmp_path / "telemetry.jsonl").read_text(encoding="utf-8")
     assert '"request_shed"' in events
     assert paths["events"].endswith("telemetry.jsonl")
-    # The headline cell is the protected 2x point.
-    headline = sweep_cell(rig.summary, protected=True, multiplier=2.0)
-    assert headline is not None and headline["shed_total"] > 0
-    assert rig.telemetry is telemetry
+    # The headline cell is the protected 2x point, and the hub written
+    # is that cell's.
+    cell = sweep_cell(headline.summary, protected=True, multiplier=2.0)
+    assert cell is not None and cell["shed_total"] > 0
+    assert headline.telemetry.run_label == "overload/seed7/protected/x2"
 
 
 def test_overload_is_registered_experiment():

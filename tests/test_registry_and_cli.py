@@ -10,7 +10,7 @@ from repro.experiments.registry import EXPERIMENT_INDEX, runnable, validate_inde
 #: The per-scenario subcommands `run <scenario>` replaced.
 REMOVED_SUBCOMMANDS = (
     "telemetry-smoke", "chaos-smoke", "overload-smoke", "rekey-smoke", "obs-smoke",
-    "scale-smoke", "wire-smoke", "fleet-smoke", "capacity",
+    "scale-smoke", "wire-smoke", "fleet-smoke", "capacity", "profile",
 )
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from repro.experiments.registry import EXPERIMENT_INDEX
 from repro.experiments.rotation import run_rotation
-from repro.telemetry import Telemetry
 
 
 @pytest.fixture(scope="module")
@@ -118,10 +117,8 @@ def test_different_seed_runs_differ(rig):
     assert other.summary != rig.summary
 
 
-def test_telemetry_artifact_records_the_drill(tmp_path):
-    telemetry = Telemetry()
-    rig = run_rotation(seed=5, rps=120.0, duration=8.0, telemetry=telemetry)
-    telemetry.write_artifact(str(tmp_path))
+def test_telemetry_artifact_records_the_drill(rig, tmp_path):
+    rig.telemetry.write_artifact(str(tmp_path))
     content = (tmp_path / "telemetry.jsonl").read_text(encoding="utf-8")
     assert '"epoch_announced"' in content
     assert '"epoch_retired"' in content
