@@ -13,8 +13,15 @@ Acceptance floors from the codec PR:
 
 * >= 5x encode+decode throughput on the recommendation item payload
   (the volume path: fixed-size identifier lists, §4.3) — binary
-  concatenates and slices raw 48-byte blobs where JSON pays base64
-  both ways plus list serialization;
+  concatenates and slices raw 48-byte blobs where the seed JSON wire
+  paid base64 both ways, one entry at a time, plus list serialization.
+  The denominator is that seed expression itself
+  (``tests/oracles/item_list_reference.py``), not today's
+  :class:`JsonCodec`, which writes the same bytes without
+  ``json.dumps`` and so is no longer the seed;
+* >= 2x on the same payload for today's JSON wire against the seed
+  one (``json_item_payload_vs_seed``; measures 2.2-2.9x): the JSON
+  item list must keep its gain;
 * >= 2.5x on the response-frame round trip (the 1 KiB sealed
   recommendation blob: base64 inflation + JSON string escaping vs a
   zero-copy length-prefixed field; measures ~3.1x, floored with CI
@@ -50,6 +57,9 @@ import sys
 import time
 import timeit
 
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT))  # the oracle lives with the tests
+
 from repro.crypto.envelope import FIXED_ID_BYTES, EnvelopeCodec, pad_item_list
 from repro.crypto.keys import KeyFactory
 from repro.crypto.provider import RealCryptoProvider
@@ -58,8 +68,8 @@ from repro.rest.codec import BINARY_WIRE_CODEC, JSON_WIRE_CODEC, WireFrame, ship
 from repro.rest.messages import Request, Response, Verb
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
+from tests.oracles.item_list_reference import seed_json_pack_items, seed_json_unpack_items
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 OUTPUT = REPO_ROOT / "BENCH_wire.json"
 
 SHUFFLE_SIZE = 16  # the paper's default S
@@ -67,6 +77,7 @@ RSA_CIPHERTEXT_BYTES = RSA_BITS // 8
 
 FLOORS = {
     "item_payload_roundtrip": 5.0,
+    "json_item_payload_vs_seed": 2.0,
     "response_frame_roundtrip": 2.5,
     f"envelope_flush_S{SHUFFLE_SIZE}_rsa{RSA_BITS}": 3.0,
     "request_frame_roundtrip": 0.9,
@@ -116,7 +127,8 @@ def _make_request(codec, fixtures) -> Request:
 
 
 def _codec_cases(fixtures) -> dict:
-    """Each case: (binary closure, json closure, timeit number)."""
+    """Each case: (fast closure, slow closure, timeit number) — binary
+    against JSON, or today's JSON item list against the seed's."""
     item_blobs = fixtures["item_blobs"]
     response_blob = fixtures["response_blob"]
 
@@ -125,6 +137,11 @@ def _codec_cases(fixtures) -> dict:
         # library slices it back out after sym_decrypt.
         def run():
             codec.unpack_items(codec.pack_items(item_blobs))
+        return run
+
+    def seed_json_item_payload():
+        def run():
+            seed_json_unpack_items(seed_json_pack_items(item_blobs))
         return run
 
     def response_frame(codec):
@@ -152,7 +169,10 @@ def _codec_cases(fixtures) -> dict:
 
     return {
         "item_payload_roundtrip": (
-            item_payload(BINARY_WIRE_CODEC), item_payload(JSON_WIRE_CODEC), 2000,
+            item_payload(BINARY_WIRE_CODEC), seed_json_item_payload(), 2000,
+        ),
+        "json_item_payload_vs_seed": (
+            item_payload(JSON_WIRE_CODEC), seed_json_item_payload(), 2000,
         ),
         "response_frame_roundtrip": (
             response_frame(BINARY_WIRE_CODEC), response_frame(JSON_WIRE_CODEC), 2000,
@@ -163,15 +183,26 @@ def _codec_cases(fixtures) -> dict:
     }
 
 
+#: The two sides each case times (fast, slow), named as in the report.
+_CASE_SIDES = {
+    "item_payload_roundtrip": ("binary_us", "seed_json_us"),
+    "json_item_payload_vs_seed": ("json_us", "seed_json_us"),
+    "response_frame_roundtrip": ("binary_us", "json_us"),
+    "request_frame_roundtrip": ("binary_us", "json_us"),
+    f"envelope_flush_S{SHUFFLE_SIZE}_rsa{RSA_BITS}": ("batch_us", "per_request_us"),
+}
+
+
 def _measure_codecs(fixtures) -> dict:
     results = {}
-    for name, (binary_fn, json_fn, number) in _codec_cases(fixtures).items():
-        binary_us = _best_us(binary_fn, number)
-        json_us = _best_us(json_fn, number)
+    for name, (fast_fn, slow_fn, number) in _codec_cases(fixtures).items():
+        fast, slow = _CASE_SIDES[name]
+        fast_us = _best_us(fast_fn, number)
+        slow_us = _best_us(slow_fn, number)
         results[name] = {
-            "binary_us": round(binary_us, 3),
-            "json_us": round(json_us, 3),
-            "speedup": round(json_us / binary_us, 2),
+            fast: round(fast_us, 3),
+            slow: round(slow_us, 3),
+            "speedup": round(slow_us / fast_us, 2),
         }
     return results
 
@@ -298,8 +329,8 @@ def main() -> int:
     results.update(_measure_envelopes(rng, fixtures))
     results.update(_measure_hop_forward(rng))
     report = {
-        "benchmark": "binary wire codec vs seed JSON wire; batch vs per-request envelopes;"
-                     " forwarded vs re-encoded hop",
+        "benchmark": "binary wire codec vs seed JSON wire; JSON item list vs seed;"
+                     " batch vs per-request envelopes; forwarded vs re-encoded hop",
         "generated_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": platform.python_version(),
         "units": "microseconds per call (best of timeit repeats)",
@@ -314,10 +345,9 @@ def main() -> int:
     for name, entry in results.items():
         if entry is hop_forward:
             continue  # forwarded vs rewritten per codec, printed below
-        fast = entry.get("binary_us", entry.get("batch_us"))
-        slow = entry.get("json_us", entry.get("per_request_us"))
-        print(f"{name:36s} {fast:>12.1f} us"
-              f"  (seed {slow:>12.1f} us, {entry['speedup']:.1f}x)")
+        fast, slow = _CASE_SIDES[name]
+        print(f"{name:36s} {entry[fast]:>12.1f} us"
+              f"  (seed {entry[slow]:>12.1f} us, {entry['speedup']:.1f}x)")
     for name in ("binary", "json"):
         entry = hop_forward[name]
         print(f"{'hop_forward (' + name + ')':36s} {entry['forwarded_us']:>12.1f} us"

@@ -7,12 +7,15 @@ maximal size (20 in the paper's implementation) with pseudo-item
 padding entries that the user-side library discards.  This module
 implements both encodings, plus the base64 helpers the JSON wire
 format needs (paper §5: "the encrypted content is handled and stored
-in the base64 format").
+in the base64 format") — the repository's one base64 implementation.
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
+import functools
+import struct
 from typing import Any, List, Sequence
 
 __all__ = [
@@ -23,6 +26,7 @@ __all__ = [
     "encode_identifier",
     "decode_identifier",
     "is_padding_item",
+    "pad_encoded_items",
     "pad_item_list",
     "strip_padding_items",
 ]
@@ -59,16 +63,24 @@ def encode_identifier(identifier: str) -> bytes:
     return len(raw).to_bytes(2, "big") + raw + bytes(FIXED_ID_BYTES - 2 - len(raw))
 
 
+_ZERO_TAIL = bytes(FIXED_ID_BYTES - 2)
+
+
 def decode_identifier(blob: bytes) -> str:
-    """Invert :func:`encode_identifier`."""
+    """Invert :func:`encode_identifier`.
+
+    ``encode_identifier(decode_identifier(blob)) == blob`` for every
+    *blob* this accepts, so a caller that only needs the check may keep
+    the bytes it already holds.
+    """
     if len(blob) != FIXED_ID_BYTES:
         raise PaddingError(
             f"encoded identifier must be {FIXED_ID_BYTES} bytes, got {len(blob)}"
         )
-    length = int.from_bytes(blob[:2], "big")
+    length = (blob[0] << 8) | blob[1]
     if length > FIXED_ID_BYTES - 2:
         raise PaddingError("corrupt identifier length prefix")
-    if any(blob[2 + length:]):
+    if blob[2 + length:] != _ZERO_TAIL[length:]:
         raise PaddingError("nonzero bytes in identifier padding")
     return blob[2:2 + length].decode("utf-8")
 
@@ -87,6 +99,24 @@ def pad_item_list(items: Sequence[str], size: int = MAX_RECOMMENDATIONS) -> List
     return padded
 
 
+#: The pseudo-items of :func:`pad_item_list`, fixed-size encoded once.
+_PADDING_BLOBS = tuple(encode_identifier(item) for item in pad_item_list([]))
+
+
+def pad_encoded_items(blobs: Sequence[bytes]) -> List[bytes]:
+    """:func:`pad_item_list` for identifiers already fixed-size encoded.
+
+    ``pad_encoded_items(encode_identifiers(items))`` equals
+    ``encode_identifiers(pad_item_list(items))``: the padding entries
+    were encoded once, at import.
+    """
+    if len(blobs) > MAX_RECOMMENDATIONS:
+        raise PaddingError(
+            f"item list longer than padded size: {len(blobs)} > {MAX_RECOMMENDATIONS}"
+        )
+    return [*blobs, *_PADDING_BLOBS[:MAX_RECOMMENDATIONS - len(blobs)]]
+
+
 def strip_padding_items(items: Sequence[str]) -> List[str]:
     """Remove pseudo-items inserted by :func:`pad_item_list`."""
     return [item for item in items if not item.startswith(_PAD_SENTINEL)]
@@ -97,14 +127,38 @@ def is_padding_item(item: str) -> bool:
     return item.startswith(_PAD_SENTINEL)
 
 
+#: Base64 of a bytes-like value as ASCII bytes, no newline: the one
+#: encoder.
+_b64_bytes = functools.partial(binascii.b2a_base64, newline=False)
+
+#: Characters of the base64 text of one fixed-size identifier: 16 whole
+#: groups, no ``=``.
+_ENTRY_CHARS = FIXED_ID_BYTES // 3 * 4
+_ENTRY_LENGTH = frozenset({_ENTRY_CHARS})
+_TEXT = frozenset({str})
+
+
+def _cut(data: bytes, width: int) -> List[bytes]:
+    """*data*, whose length is a multiple of *width*, as consecutive
+    *width*-byte pieces, cut in one C call."""
+    return list(struct.unpack(f"{width}s" * (len(data) // width), data))
+
+
 def _b64(data: bytes) -> str:
     """Base64-encode *data* for embedding in a JSON payload."""
-    return base64.b64encode(bytes(data)).decode("ascii")
+    return _b64_bytes(data).decode("ascii")
 
 
 def _unb64(text: str) -> bytes:
-    """Invert :func:`_b64`."""
-    return base64.b64decode(text.encode("ascii"), validate=True)
+    """Invert :func:`_b64`: the one decoder.
+
+    ``base64.b64decode(validate=True)``, given the text itself: which
+    malformed texts it refuses (``ValueError``) depends on the Python
+    version — 3.10 matches a regex and then decodes leniently, 3.11+
+    decodes in strict mode — so the decoder stays that call and its
+    verdicts stay the seed's on every version.
+    """
+    return base64.b64decode(text, validate=True)
 
 
 class EnvelopeCodec:
@@ -140,6 +194,36 @@ class EnvelopeCodec:
         if isinstance(text, (bytes, bytearray, memoryview)):
             return bytes(text)
         return _unb64(text)
+
+    @staticmethod
+    def wire_text_entries(blobs: Sequence[Any]) -> List[bytes]:
+        """:meth:`wire_text` of every fixed-size identifier of a list, as
+        ASCII bytes, in one base64 pass.
+
+        An identifier is 48 bytes, 16 whole base64 groups, so the text
+        of the joined list is the entries' texts back to back, 64
+        characters each.
+        """
+        return _cut(_b64_bytes(b"".join(blobs)), _ENTRY_CHARS)
+
+    @staticmethod
+    def wire_blob_entries(values: Sequence[Any]) -> List[bytes]:
+        """:meth:`wire_blob` of every value of a list.
+
+        A list of 64-character texts without ``=`` — the text of 48-byte
+        blobs, as every item list a layer writes — is decoded in one
+        :func:`_unb64` pass and cut into 48-byte pieces: each entry is 16
+        whole base64 groups, so the joined text decodes to the entries'
+        bytes back to back, and is refused exactly when one entry would
+        be.  Any other list goes entry by entry, so each verdict is
+        :meth:`wire_blob`'s own (``=`` after a complete group is one case
+        where that verdict depends on the Python version).
+        """
+        if set(map(type, values)) <= _TEXT and set(map(len, values)) <= _ENTRY_LENGTH:
+            text = "".join(values)
+            if "=" not in text:
+                return _cut(_unb64(text), FIXED_ID_BYTES)
+        return [EnvelopeCodec.wire_blob(value) for value in values]
 
     # -- batched identifier encoding ----------------------------------
 

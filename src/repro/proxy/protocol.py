@@ -39,7 +39,7 @@ from repro.crypto.envelope import (
     EnvelopeCodec,
     decode_identifier,
     encode_identifier,
-    pad_item_list,
+    pad_encoded_items,
     strip_padding_items,
 )
 from repro.crypto.keys import LayerKeys, LayerPublicMaterial
@@ -186,7 +186,9 @@ def client_decode_response(
             provider.sym_decrypt(keys.response_key, sealed)
         )
     if "blob" not in fields:
-        return []
+        # Every layer answers an ok get with a blob, padded list or not:
+        # a response without one was stripped or tampered with on the way.
+        raise ValueError("encrypted get response carries no blob")
     if keys.temporary_key is None:
         raise ValueError("missing temporary key for an encrypted get response")
     blob = codec.blob_value(fields["blob"])
@@ -344,6 +346,11 @@ def ia_transform_response(
 ) -> Response:
     """IA response leg: de-pseudonymize, pad, re-encrypt under ``k_u``.
 
+    Each de-pseudonymized identifier is checked with
+    :func:`decode_identifier` and then packed as the fixed-size encoding
+    it already is (decoding and re-encoding it is the identity), padded
+    with the pre-encoded pseudo-items of :func:`pad_encoded_items`.
+
     During a dual-epoch window *previous* carries the outgoing epoch's
     keys: the LRS may still return pseudonyms minted under them while
     the background re-encryption is catching up, so each entry falls
@@ -365,42 +372,35 @@ def ia_transform_response(
         return response
     raw_items = response.fields.get("items", [])
     if config.item_pseudonymization and previous is not None:
-        cleartext = []
+        identifiers = []
         fell_back = False
         for item in raw_items:
             pseudonym = EnvelopeCodec.wire_blob(item)
             try:
-                cleartext.append(
-                    decode_identifier(
-                        provider.depseudonymize(keys.symmetric_key, pseudonym)
-                    )
-                )
+                identifier = provider.depseudonymize(keys.symmetric_key, pseudonym)
+                decode_identifier(identifier)
             except Exception:
-                cleartext.append(
-                    decode_identifier(
-                        provider.depseudonymize(previous.symmetric_key, pseudonym)
-                    )
-                )
+                identifier = provider.depseudonymize(previous.symmetric_key, pseudonym)
+                decode_identifier(identifier)
                 fell_back = True
+            identifiers.append(identifier)
         if fell_back and on_previous_use is not None:
             on_previous_use()
     elif config.item_pseudonymization:
         # One batched provider call for the whole 20-entry list: lets
         # providers amortize per-call overhead and hit the pseudonym
-        # memo in a tight loop.
-        pseudonyms = [EnvelopeCodec.wire_blob(item) for item in raw_items]
-        cleartext = [
+        # memo in a tight loop.  Every entry is checked, kept or not.
+        pseudonyms = EnvelopeCodec.wire_blob_entries(raw_items)
+        identifiers = provider.depseudonymize_many(keys.symmetric_key, pseudonyms)
+        for identifier in identifiers:
             decode_identifier(identifier)
-            for identifier in provider.depseudonymize_many(keys.symmetric_key, pseudonyms)
-        ]
     else:
-        cleartext = list(raw_items)
-    padded = pad_item_list(cleartext[:MAX_RECOMMENDATIONS])
-    # Fixed-size encode every entry so the blob length never depends
-    # on identifier lengths (§4.3's constant-size requirement).
+        identifiers = EnvelopeCodec.encode_identifiers(list(raw_items)[:MAX_RECOMMENDATIONS])
+    # Fixed-size entries, padded to a fixed count: the blob length never
+    # depends on the list (§4.3's constant-size requirement).
     blob = provider.sym_encrypt(
         context.temporary_key,
-        codec.pack_items(EnvelopeCodec.encode_identifiers(padded)),
+        codec.pack_items(pad_encoded_items(identifiers[:MAX_RECOMMENDATIONS])),
     )
     return Response(
         status=response.status,

@@ -192,6 +192,17 @@ def _as_text(data: Any) -> str:
     return bytes(data).decode("utf-8")
 
 
+_FIXED_SIZE = frozenset({FIXED_ID_BYTES})
+
+
+def _fixed_size_items(blobs: Sequence[Any]) -> Sequence[Any]:
+    """*blobs*, once each is known to be one fixed-size identifier."""
+    if not set(map(len, blobs)) <= _FIXED_SIZE:
+        size = next(len(blob) for blob in blobs if len(blob) != FIXED_ID_BYTES)
+        raise CodecError(f"item blob must be {FIXED_ID_BYTES} bytes, got {size}")
+    return blobs
+
+
 class WireCodec:
     """Serialization strategy for every protected-hop message.
 
@@ -302,7 +313,10 @@ class JsonCodec(WireCodec):
     code it replaced — bodies are compact and sorted, sealed payloads
     keep the seed's default separators and insertion order — and the
     golden vectors in ``tests/test_wire_golden.py`` hold it to those
-    bytes.
+    bytes.  The item list is the one packing written without
+    ``json.dumps``: its entries are base64 text, which JSON never
+    escapes, so the seed's ``json.dumps`` of the list is the entries
+    quoted and joined by ``", "``.
     """
 
     name = "json"
@@ -333,14 +347,18 @@ class JsonCodec(WireCodec):
         return fields
 
     def pack_items(self, blobs: Sequence[Any]) -> bytes:
-        wire_items = [EnvelopeCodec.wire_text(bytes(blob)) for blob in blobs]
-        return json.dumps(wire_items).encode("utf-8")
+        entries = EnvelopeCodec.wire_text_entries(_fixed_size_items(blobs))
+        return b'["' + b'", "'.join(entries) + b'"]' if entries else b"[]"
 
     def unpack_items(self, data: Any) -> List[bytes]:
         entries = _parse_json(_as_text(data))
         if not isinstance(entries, list):
             raise CodecError("item payload is not a list")
-        return [EnvelopeCodec.wire_blob(entry) for entry in entries]
+        try:
+            blobs = EnvelopeCodec.wire_blob_entries(entries)
+        except (TypeError, ValueError) as exc:
+            raise CodecError(f"malformed item entry: {exc}") from exc
+        return _fixed_size_items(blobs)
 
     def encode_request(self, request: Request) -> bytes:
         return request.body_json().encode("utf-8")
@@ -563,13 +581,7 @@ class BinaryCodec(WireCodec):
         return fields
 
     def pack_items(self, blobs: Sequence[Any]) -> bytes:
-        parts = [blob if type(blob) is bytes else bytes(blob) for blob in blobs]
-        for raw in parts:
-            if len(raw) != FIXED_ID_BYTES:
-                raise CodecError(
-                    f"item blob must be {FIXED_ID_BYTES} bytes, got {len(raw)}"
-                )
-        return b"".join(parts)
+        return b"".join(_fixed_size_items(blobs))
 
     def unpack_items(self, data: Any) -> List[memoryview]:
         view = data if type(data) is memoryview else memoryview(data)

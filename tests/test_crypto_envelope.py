@@ -14,6 +14,7 @@ from repro.crypto.envelope import (
     decode_identifier,
     encode_identifier,
     is_padding_item,
+    pad_encoded_items,
     pad_item_list,
     strip_padding_items,
 )
@@ -75,6 +76,19 @@ def test_pad_item_list_rejects_overflow():
         pad_item_list(["x"] * (MAX_RECOMMENDATIONS + 1))
 
 
+@pytest.mark.parametrize("count", [0, 1, 7, MAX_RECOMMENDATIONS])
+def test_pad_encoded_items_is_the_padded_list_encoded(count):
+    items = [f"i{n}" for n in range(count)]
+    assert pad_encoded_items(EnvelopeCodec.encode_identifiers(items)) == (
+        EnvelopeCodec.encode_identifiers(pad_item_list(items))
+    )
+
+
+def test_pad_encoded_items_rejects_overflow():
+    with pytest.raises(PaddingError, match="longer"):
+        pad_encoded_items([encode_identifier("x")] * (MAX_RECOMMENDATIONS + 1))
+
+
 def test_strip_padding_recovers_original():
     assert strip_padding_items(pad_item_list(["a", "b", "c"])) == ["a", "b", "c"]
 
@@ -114,6 +128,31 @@ def test_unb64_rejects_invalid():
 )
 def test_identifier_roundtrip_property(identifier):
     assert decode_identifier(encode_identifier(identifier)) == identifier
+
+
+@settings(max_examples=200, deadline=None)
+@given(blob=st.one_of(
+    st.binary(min_size=FIXED_ID_BYTES, max_size=FIXED_ID_BYTES),
+    # Well-formed layout around any body: valid UTF-8 or not.
+    st.binary(max_size=FIXED_ID_BYTES - 2).map(
+        lambda body: len(body).to_bytes(2, "big") + body + bytes(FIXED_ID_BYTES - 2 - len(body))
+    ),
+    # A real encoding with one byte flipped.
+    st.builds(
+        lambda blob, index, value: blob[:index] + bytes([value]) + blob[index + 1:],
+        st.text(max_size=10).map(encode_identifier),
+        st.integers(0, FIXED_ID_BYTES - 1), st.integers(0, 255),
+    ),
+))
+def test_encoding_what_decode_accepts_gives_it_back(blob):
+    """The IA packs the identifiers it checked as they are: that is
+    sound because decode-then-encode is the identity wherever decode
+    succeeds."""
+    try:
+        identifier = decode_identifier(blob)
+    except (PaddingError, UnicodeDecodeError):
+        return
+    assert encode_identifier(identifier) == blob
 
 
 @settings(max_examples=20, deadline=None)

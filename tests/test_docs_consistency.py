@@ -198,6 +198,25 @@ def test_one_implementation_per_mechanism_in_the_package():
         assert len(re.findall(once, drivers)) == 1, once
 
 
+#: An import of either base64 module, plain, in a list, or from-style.
+BASE64_IMPORT = re.compile(
+    r"^\s*(?:import\s+(?:[\w.]+\s*,\s*)*(?:base64|binascii)\b|from\s+(?:base64|binascii)\s+import)",
+    flags=re.M,
+)
+
+
+def test_one_base64_implementation():
+    """Base64 lives in ``crypto/envelope.py``; the codecs, the layers and
+    the audits call its helpers, so no other module imports ``base64``
+    or ``binascii``."""
+    importers = [
+        str(path.relative_to(REPO))
+        for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+        if BASE64_IMPORT.search(path.read_text())
+    ]
+    assert importers == ["src/repro/crypto/envelope.py"]
+
+
 #: Subcommands `python -m repro run <scenario>` replaced; nothing a
 #: reader or CI can copy-paste may still name them.
 REMOVED_SUBCOMMANDS = re.compile(

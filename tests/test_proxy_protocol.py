@@ -7,6 +7,7 @@ import pytest
 from repro.crypto.envelope import MAX_RECOMMENDATIONS, EnvelopeCodec, encode_identifier
 from repro.proxy import protocol
 from repro.proxy.config import PProxConfig
+from repro.rest.codec import JSON_WIRE_CODEC
 from repro.rest.messages import Response, Verb, make_get, make_post
 
 wire_text = EnvelopeCodec.wire_text
@@ -200,6 +201,23 @@ def test_client_decode_requires_temporary_key(any_provider):
     response = Response(status=200, fields={"blob": wire_text(b"x" * 32)})
     with pytest.raises(ValueError, match="temporary key"):
         protocol.client_decode_response(any_provider, CONFIG, response, protocol.CallKeys())
+
+
+def test_client_decode_refuses_an_ok_get_without_a_blob(any_provider):
+    """Every layer answers an ok get with a blob: a response stripped of
+    it is an error (retryable at the client), not an empty list."""
+    keys = protocol.CallKeys(temporary_key=b"k" * 32)
+    with pytest.raises(ValueError, match="no blob"):
+        protocol.client_decode_response(any_provider, CONFIG, Response(status=200), keys)
+
+
+def test_client_decode_refuses_a_sealed_get_without_a_blob(any_provider):
+    response_key = b"r" * 32
+    sealed = any_provider.sym_encrypt(response_key, JSON_WIRE_CODEC.pack_response_fields({}))
+    response = Response(status=200, fields={"sealed_resp": wire_text(sealed)})
+    keys = protocol.CallKeys(temporary_key=b"k" * 32, response_key=response_key)
+    with pytest.raises(ValueError, match="no blob"):
+        protocol.client_decode_response(any_provider, HARDENED, response, keys)
 
 
 # -- hardened client hop (extension) --------------------------------------

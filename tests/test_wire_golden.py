@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.crypto.envelope import EnvelopeCodec
+from repro.crypto.envelope import EnvelopeCodec, pad_item_list
 from repro.rest.codec import BINARY_WIRE_CODEC, JSON_WIRE_CODEC, CodecError
 from repro.rest.messages import Request, Response, Verb
 
@@ -52,6 +52,32 @@ GOLDEN_RESPONSE_FRAME = (
     b"\x00\x00\x00\x1bPW\x01\x02\x00\xc8\x02"
     b"\x07\x01\x00\x00\x00\x03\xaa\xbb\xcc"
     b"\x0a\x03\x00\x00\x00\x05false"
+)
+
+
+#: ``JsonCodec.pack_items`` of ``pad_item_list(["movie-1", "movie-22",
+#: "ünïcode"])``, fixed-size encoded: captured from the seed wire.
+GOLDEN_JSON_ITEM_PAYLOAD = (
+    b'["AAdtb3ZpZS0xAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", '
+    b'"AAhtb3ZpZS0yMgAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", '
+    b'"AAnDvG7Dr2NvZGUAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", '
+    b'"AAwAcHByb3gtcGFkOjAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", '
+    b'"AAwAcHByb3gtcGFkOjEAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", '
+    b'"AAwAcHByb3gtcGFkOjIAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", '
+    b'"AAwAcHByb3gtcGFkOjMAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", '
+    b'"AAwAcHByb3gtcGFkOjQAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", '
+    b'"AAwAcHByb3gtcGFkOjUAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", '
+    b'"AAwAcHByb3gtcGFkOjYAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", '
+    b'"AAwAcHByb3gtcGFkOjcAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", '
+    b'"AAwAcHByb3gtcGFkOjgAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", '
+    b'"AAwAcHByb3gtcGFkOjkAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", '
+    b'"AA0AcHByb3gtcGFkOjEwAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", '
+    b'"AA0AcHByb3gtcGFkOjExAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", '
+    b'"AA0AcHByb3gtcGFkOjEyAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", '
+    b'"AA0AcHByb3gtcGFkOjEzAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", '
+    b'"AA0AcHByb3gtcGFkOjE0AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", '
+    b'"AA0AcHByb3gtcGFkOjE1AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", '
+    b'"AA0AcHByb3gtcGFkOjE2AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"]'
 )
 
 
@@ -160,6 +186,16 @@ class TestJsonVectors:
     def test_blob_representation_is_base64(self):
         assert JSON_WIRE_CODEC.wire_value(b"\xaa\xbb\xcc") == "qrvM"
         assert JSON_WIRE_CODEC.blob_value("qrvM") == b"\xaa\xbb\xcc"
+
+    def test_item_payload_bytes(self):
+        """A padded 20-entry list: the seed's ``json.dumps`` of one
+        base64 string per fixed-size identifier, default separators."""
+        blobs = EnvelopeCodec.encode_identifiers(
+            pad_item_list(["movie-1", "movie-22", "ünïcode"])
+        )
+        packed = JSON_WIRE_CODEC.pack_items(blobs)
+        assert packed == GOLDEN_JSON_ITEM_PAYLOAD
+        assert [bytes(b) for b in JSON_WIRE_CODEC.unpack_items(packed)] == blobs
 
     def test_json_frames_are_not_self_describing(self):
         body = b'{"user":"dXNlcg=="}'
