@@ -28,7 +28,8 @@ pairs were first seen, one ``llr_score`` float per distinct table,
 weights added in history order (docs/architecture.md, "How the CCO
 model is built and queried").  Training holds one item's row of pairs
 at a time, never a table of every co-occurring pair; a query costs the
-prefixes it reads plus its survivors, never the catalogue.
+prefixes it reads plus its survivors, and one catalogue-sized copy: the
+``zeros`` accumulator every query starts from.
 """
 
 from __future__ import annotations

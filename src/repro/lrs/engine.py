@@ -8,6 +8,14 @@ serves ``get`` queries.  The engine is algorithm-agnostic: any
 :class:`repro.lrs.baselines.Recommender`-shaped object plugs in; the
 default is the Universal Recommender's CCO.
 
+An answer is a pure function of (model, last ``HISTORY_LIMIT`` history
+items, n), so the engine keeps the answers it builds: a get whose
+history and n it already answered under the current model is served
+from memory, and only a miss runs the query.  At most
+``ANSWER_MEMO_ENTRIES`` answers are kept, the oldest evicted first; the
+memo empties whenever ``model`` is another object (a training run, or
+any assignment), and a post that changes a history changes its key.
+
 This is the *functional* engine; the performance model of a scaled
 Harness deployment lives in :mod:`repro.lrs.service`.
 """
@@ -15,7 +23,7 @@ Harness deployment lives in :mod:`repro.lrs.service`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.lrs.cco import CcoModel, CcoTrainer
 from repro.lrs.store import EventStore
@@ -24,6 +32,8 @@ __all__ = ["HarnessEngine"]
 
 #: Most recent history items a ``get`` query is scored on.
 HISTORY_LIMIT = 50
+#: Answers kept: one per user of the paper's 7,288-user slice (≈ 5 MiB).
+ANSWER_MEMO_ENTRIES = 8192
 
 
 @dataclass
@@ -35,6 +45,13 @@ class HarnessEngine:
     model: Optional[CcoModel] = None
     default_n: int = 20
     trainings: int = 0
+    #: Gets answered from memory, and gets that ran the query.
+    hits: int = field(default=0, init=False)
+    misses: int = field(default=0, init=False)
+    _answers: Dict[Tuple[Tuple[str, ...], int], List[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _answered_by: Optional[CcoModel] = field(default=None, init=False, repr=False, compare=False)
 
     def post_event(self, user: str, item: str, payload: Optional[str] = None) -> None:
         """Handle ``post(u, i[, p])``: persist the feedback event."""
@@ -47,16 +64,29 @@ class HarnessEngine:
         return self.model
 
     def get_recommendations(self, user: str, n: Optional[int] = None) -> List[str]:
-        """Handle ``get(u)``: top-n items for *user*.
+        """Handle ``get(u)``: top-n items for *user*, a new list per call.
 
         Before the first training run the engine has no model and
         returns an empty list (Harness behaves the same before the
         first Spark job completes).
         """
-        if self.model is None:
+        model = self.model
+        if model is None:
             return []
-        history = self.store.user_history(user, limit=HISTORY_LIMIT)
-        return self.model.recommend(history, n=n if n is not None else self.default_n)
+        if self._answered_by is not model:
+            self._answers.clear()
+            self._answered_by = model
+        key = (tuple(self.store.user_history(user, limit=HISTORY_LIMIT)),
+               n if n is not None else self.default_n)
+        answer = self._answers.get(key)
+        if answer is None:
+            self.misses += 1
+            answer = self._answers[key] = model.recommend(*key)
+            if len(self._answers) > ANSWER_MEMO_ENTRIES:
+                del self._answers[next(iter(self._answers))]
+        else:
+            self.hits += 1
+        return answer.copy()
 
     @property
     def event_count(self) -> int:

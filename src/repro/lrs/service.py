@@ -11,6 +11,11 @@ the shared :class:`repro.lrs.engine.HarnessEngine`; the performance
 side charges calibrated service times on the frontend that handles
 the request plus a small support-store lookup, reproducing the
 saturation ladder of Figure 9: ~250 RPS of headroom per 3 frontends.
+A get's answer comes from the engine, which serves a (history, n) it
+already answered under the current model from memory (at most
+``engine.ANSWER_MEMO_ENTRIES`` answers, emptied by a new model); its
+service time is drawn from the calibrated distribution either way, so
+a remembered answer saves host time and moves no simulated latency.
 """
 
 from __future__ import annotations

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.lrs import engine as engine_module
 from repro.lrs.baselines import ItemKnnRecommender, PopularityRecommender
 from repro.lrs.cco import CcoTrainer
 from repro.lrs.engine import HarnessEngine
@@ -75,6 +80,96 @@ def test_default_n_limits_results():
     engine.default_n = 2
     engine.train()
     assert len(engine.get_recommendations("stranger")) <= 2
+
+
+# -- answers served from memory ---------------------------------------
+
+USERS = ["alice", "bob", "carol", "dave"]
+ITEMS = ["i1", "i2", "i3", "i4", "i5"]
+
+GET = st.tuples(st.just("get"), st.sampled_from(USERS), st.sampled_from([None, 1, 3]))
+POST = st.tuples(st.just("post"), st.sampled_from(USERS), st.sampled_from(ITEMS))
+OPERATIONS = st.one_of(
+    *[GET] * 6,
+    POST,
+    POST,
+    st.tuples(st.just("train")),
+    # An outside assignment: a model of every other event.
+    st.tuples(st.just("swap")),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    operations=st.lists(OPERATIONS, min_size=8, max_size=40),
+    cap=st.sampled_from([engine_module.ANSWER_MEMO_ENTRIES, 3]),
+    limit=st.sampled_from([engine_module.HISTORY_LIMIT, 2]),
+)
+def test_every_answer_is_the_query_of_the_current_model(operations, cap, limit):
+    """Whatever the interleaving, a get answers what the unmemoised
+    query answers now, under the model the engine holds now, and no
+    answer handed out, then mutated, leaks into a later one."""
+    with mock.patch.object(engine_module, "ANSWER_MEMO_ENTRIES", cap), \
+            mock.patch.object(engine_module, "HISTORY_LIMIT", limit):
+        engine = _engine()
+        engine.train()
+        for operation in operations:
+            if operation[0] == "post":
+                engine.post_event(operation[1], operation[2])
+            elif operation[0] == "train":
+                engine.train()
+            elif operation[0] == "swap":
+                engine.model = engine.trainer.train(list(engine.store.interactions())[::2])
+            else:
+                _, user, n = operation
+                answer = engine.get_recommendations(user, n)
+                history = engine.store.user_history(user, limit=limit)
+                assert answer == engine.model.recommend(
+                    history, n=n if n is not None else engine.default_n
+                )
+                answer.append("mutated")
+                answer.reverse()
+            assert len(engine._answers) <= cap
+
+
+def test_two_users_with_one_history_cost_one_query():
+    engine = _engine()
+    for item in ("i1", "i4"):
+        engine.post_event("erin", item)
+        engine.post_event("frank", item)
+    engine.train()
+    first = engine.get_recommendations("erin")
+    assert (engine.hits, engine.misses) == (0, 1)
+    assert engine.get_recommendations("frank") == first
+    assert (engine.hits, engine.misses) == (1, 1)
+    assert engine.get_recommendations("frank", n=1) == first[:1]
+    assert (engine.hits, engine.misses) == (1, 2)
+
+
+def test_the_oldest_answer_goes_first():
+    engine = _engine()
+    engine.train()
+    with mock.patch.object(engine_module, "ANSWER_MEMO_ENTRIES", 3):
+        for user in ("alice", "bob", "carol", "stranger"):
+            engine.get_recommendations(user)
+        for user in ("bob", "carol", "stranger"):
+            engine.get_recommendations(user)
+        assert (engine.hits, engine.misses) == (3, 4)
+        engine.get_recommendations("alice")
+    assert (engine.hits, engine.misses) == (3, 5)
+
+
+def test_a_post_or_a_new_model_asks_again():
+    engine = _engine()
+    engine.train()
+    engine.get_recommendations("alice")
+    engine.post_event("alice", "i4")
+    engine.get_recommendations("alice")
+    assert (engine.hits, engine.misses) == (0, 2)
+    engine.get_recommendations("alice")
+    engine.train()
+    engine.get_recommendations("alice")
+    assert (engine.hits, engine.misses) == (1, 3)
 
 
 # -- baselines ----------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 
@@ -149,6 +150,50 @@ def test_two_phase_scenario_runs_and_reports():
     assert 0 < summary.median < 0.3
     # Training happened: the engine has a model.
     assert harness.engine.model is not None
+
+
+class _GetLog:
+    """A client that keeps every completed get, in completion order."""
+
+    def __init__(self, client: DirectClient) -> None:
+        self.client = client
+        self.gets = []
+
+    def post(self, user, item, on_complete=None):
+        self.client.post(user, item, on_complete=on_complete)
+
+    def get(self, user, on_complete=None):
+        def done(call):
+            self.gets.append(call)
+            on_complete(call)
+
+        self.client.get(user, on_complete=done)
+
+
+def test_two_phase_answers_are_pinned():
+    """Every answer of a seeded two-phase run, in order: whatever the
+    engine keeps between gets, what it answers end to end is this."""
+    rng = RngRegistry(seed=5)
+    loop = EventLoop()
+    network = Network(loop=loop, rng=rng.stream("net"))
+    harness = HarnessService(loop=loop, rng=rng.stream("lrs"), frontend_count=3)
+    log = _GetLog(DirectClient(loop=loop, network=network, lrs_picker=harness.pick_frontend))
+    TwoPhaseScenario(
+        loop=loop,
+        rng=rng.stream("scenario"),
+        client=log,
+        lrs=harness,
+        workload=SyntheticMovieLens(seed=5, scale=0.005),
+        timings=ScenarioTimings.quick(),
+        feedback_rate=100.0,
+    ).run(query_rate=50.0)
+    completed = [call for call in log.gets if call.ok]
+    assert len(completed) == 500
+    # The get phase asks 36 users, again and again.
+    assert len({call.user for call in completed}) == 36
+    assert all(call.items for call in completed)
+    digest = hashlib.sha256(repr([call.items for call in completed]).encode()).hexdigest()
+    assert digest == "15d1863852945cbfb00767fd432f6902b833be50e293b8f2bdc60fef6fd2b0c2"
 
 
 def test_paper_timings_match_section8():
