@@ -1,9 +1,11 @@
 """Emit ``BENCH_crypto.json``: crypto speedups over the seed and builtin ``pow``.
 
 Measures the symmetric hot path — OpenSSL's AES-CTR through
-:mod:`repro.crypto.libcrypto` — against the straight-line seed
-implementation preserved as the test oracle
-``tests/oracles/aes_reference.py``, and RSA's two raw operations against
+:mod:`repro.crypto.libcrypto`, and the pseudonym permutation of
+:mod:`repro.crypto.prp` — against the straight-line seed implementation
+preserved as the test oracle ``tests/oracles/aes_reference.py`` (for
+pseudonyms, the paper's constant-IV CTR on the same 48-byte identifier
+block), and RSA's two raw operations against
 CPython's builtin ``pow``: the private operation (one
 ``RSA_private_decrypt`` on the OpenSSL handle of a fixed-seed 1024-bit
 key) against the no-CRT ``pow(value, d, n)``, and the public operation
@@ -15,7 +17,8 @@ this script and must not regress the recorded speedups::
     PYTHONPATH=src python benchmarks/run_crypto_bench.py
 
 Acceptance floors (``FLOORS``): ``RealCryptoProvider.pseudonymize`` on
-hot ids, ``ctr_transform`` over 1 KiB payloads, and both RSA operations.
+hot ids, one cold pseudonym, ``ctr_transform`` over 1 KiB payloads, and
+both RSA operations.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ import timeit
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT))  # the oracle lives with the tests
 
-from repro.crypto import ctr
+from repro.crypto import ctr, prp
+from repro.crypto.envelope import encode_identifier
 from repro.crypto.provider import RealCryptoProvider
 from repro.crypto.rsa import generate_keypair
 from tests.oracles.aes_reference import reference_ctr_transform, reference_det_encrypt
@@ -41,25 +45,29 @@ OUTPUT = REPO_ROOT / "BENCH_crypto.json"
 KEY = bytes(range(32))
 IV = bytes(16)
 PAYLOAD_1K = bytes(i % 256 for i in range(1024))
-HOT_IDS = [b"user-%011d" % i for i in range(64)]
+HOT_IDS = [encode_identifier("user-%011d" % i) for i in range(64)]
+COLD_ID = encode_identifier("user-00000000042")
 
 # Speedup floors, each about half of the lower end of what five runs
 # measured when they were set (a noisy 2-core host, CPython 3.11,
 # OpenSSL 3.0), for other interpreters, OpenSSL builds and machines.
 # Against the seed reference: ctr_transform_1KiB 678x to 1,262x,
-# det_encrypt_32B 38x to 49x, real_provider_pseudonymize_hot64 278x to
-# 545x.  Against CPython's builtin pow: rsa_private_1024 (one
-# RSA_private_decrypt without padding on a loaded key -- OpenSSL's CRT
-# with cached Montgomery contexts, blinding and its CRT check -- vs the
-# no-CRT pow(value, d, n)) 37x to 42x (36x to 45x in three earlier
-# runs), where the two constant-time mod_pow calls and the Python Garner
-# step it replaced measured 28x to 30x on the same host; rsa_public_1024
-# (one RSA_public_encrypt without padding on a loaded key, vs
-# pow(value, e, n)) 6.3x to 7.9x (5.7x to 6.2x earlier), where one
-# mod_pow call with the public e measured 2.3x to 2.5x.
+# real_provider_pseudonymize_hot64 278x to 545x (501x to 898x on 48-byte
+# ids), and pseudonym_prp_48B -- one cold pseudonym, the four BLAKE2b
+# rounds of repro.crypto.prp, against the paper's constant-IV CTR in
+# the oracle over the same 48-byte block -- 35x to 49x (6.1 to 10.6 us
+# against 283 to 481 us), six runs.  Against CPython's builtin pow:
+# rsa_private_1024 (one RSA_private_decrypt without padding on a loaded
+# key -- OpenSSL's CRT with cached Montgomery contexts, blinding and its
+# CRT check -- vs the no-CRT pow(value, d, n)) 37x to 42x (36x to 45x in
+# three earlier runs), where the two constant-time mod_pow calls and the
+# Python Garner step it replaced measured 28x to 30x on the same host;
+# rsa_public_1024 (one RSA_public_encrypt without padding on a loaded
+# key, vs pow(value, e, n)) 6.3x to 7.9x (5.7x to 6.2x earlier), where
+# one mod_pow call with the public e measured 2.3x to 2.5x.
 FLOORS = {
     "ctr_transform_1KiB": 350.0,
-    "det_encrypt_32B": 20.0,
+    "pseudonym_prp_48B": 18.0,
     "real_provider_pseudonymize_hot64": 150.0,
     "rsa_private_1024": 18.0,
     "rsa_public_1024": 2.8,
@@ -96,9 +104,9 @@ def _measure() -> dict:
             lambda: reference_ctr_transform(KEY, IV, PAYLOAD_1K),
             50,
         ),
-        "det_encrypt_32B": (
-            lambda: ctr.det_encrypt(KEY, b"user-0000000000000000000042!!!!!"),
-            lambda: reference_det_encrypt(KEY, b"user-0000000000000000000042!!!!!"),
+        "pseudonym_prp_48B": (
+            lambda: prp.encipher(KEY, COLD_ID),
+            lambda: reference_det_encrypt(KEY, COLD_ID),
             2000,
         ),
         "real_provider_pseudonymize_hot64": (

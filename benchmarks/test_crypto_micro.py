@@ -1,7 +1,7 @@
 """Crypto hot-path microbenchmarks (pytest-benchmark).
 
 Times the primitives the proxy layers hit on every simulated request —
-one AES block (as a one-block CTR pass), deterministic/randomized CTR, pseudonym maps, and
+one AES block (as a one-block CTR pass), randomized CTR, the pseudonym permutation and memo, and
 RSA-OAEP decryption — on both provider tiers.  These are real
 wall-clock benchmarks (unlike the figure benchmarks, which time the
 simulator); run them with::
@@ -19,20 +19,21 @@ import random
 
 import pytest
 
-from repro.crypto import ctr
+from repro.crypto import ctr, prp
+from repro.crypto.envelope import encode_identifier
 from repro.crypto.keys import KeyFactory
 from repro.crypto.provider import RealCryptoProvider, SimCryptoProvider
 from tests.oracles.aes_reference import ReferenceAES, reference_ctr_transform
 
 KEY = bytes(range(32))
 BLOCK = bytes(range(16))
-IDENTIFIER = b"user-0000000042!"  # 16 bytes, the typical id size
+IDENTIFIER = encode_identifier("user-0000000042")  # the fixed 48-byte block
 PAYLOAD_1K = bytes(i % 256 for i in range(1024))
 IV = bytes(16)
 
 #: Hot identifier pool sized well under the pseudonym memo, matching
 #: the MovieLens property that a small core of users/items dominates.
-HOT_IDS = [b"user-%011d" % i for i in range(64)]
+HOT_IDS = [encode_identifier("user-%011d" % i) for i in range(64)]
 
 PROVIDERS = {
     "real": RealCryptoProvider,
@@ -77,10 +78,6 @@ def test_block_encrypt_reference(benchmark):
 # -------------------------------------------------------------- CTR modes
 
 
-def test_det_encrypt_identifier(benchmark):
-    _bench(benchmark, ctr.det_encrypt, KEY, IDENTIFIER)
-
-
 def test_ctr_transform_1k(benchmark):
     _bench(benchmark, ctr.ctr_transform, KEY, IV, PAYLOAD_1K)
 
@@ -95,6 +92,11 @@ def test_rand_encrypt_1k(benchmark):
 
 
 # ------------------------------------------------------------- pseudonyms
+
+
+def test_pseudonym_prp_identifier(benchmark):
+    """One cold pseudonym: the four Feistel rounds, no memo."""
+    _bench(benchmark, prp.encipher, KEY, IDENTIFIER)
 
 
 @pytest.mark.parametrize("tier", sorted(PROVIDERS))

@@ -9,8 +9,10 @@ loads; the protocol around them is built here:
   loaded into OpenSSL once, for unpadded private and public operations)
   and ``mod_pow`` (constant-time for secret exponents), bound through
   :mod:`ctypes`.
-* :mod:`repro.crypto.ctr` — deterministic (constant-IV) and randomized
-  AES-CTR, matching the paper's use of Intel SGX-SSL.
+* :mod:`repro.crypto.ctr` — randomized AES-CTR, matching the paper's
+  use of Intel SGX-SSL.
+* :mod:`repro.crypto.prp` — the pseudonym: a keyed Feistel permutation
+  of the 48-byte identifier block, not the paper's constant-IV CTR.
 * :mod:`repro.crypto.rsa` — RSA-OAEP with Miller-Rabin key generation;
   every key is a standard two-prime RFC 8017 key, loaded into OpenSSL
   on first use; a private operation is one ``RSA_private_decrypt`` and
@@ -18,18 +20,18 @@ loads; the protocol around them is built here:
 * :mod:`repro.crypto.keys` — per-layer key material (Table 1).
 * :mod:`repro.crypto.envelope` — fixed-size identifier encoding and
   padded recommendation lists (§4.3), base64/JSON helpers.
-* :mod:`repro.crypto.provider` — the provider interface with the
-  paper's ``real`` construction and the cheap ``sim`` stand-in that
-  drills and large simulations default to.
+* :mod:`repro.crypto.provider` — the provider interface, with the
+  paper's ``real`` RSA-OAEP envelopes or the cheap ``sim`` token
+  envelopes that drills and large simulations default to.
 * :mod:`repro.crypto.xor` — the whole-buffer XOR primitive behind
-  RSA-OAEP masking and the ``sim`` provider's keystream.
+  RSA-OAEP masking.
 
 The seed's straight-line AES/CTR — the byte-identical correctness
 anchor and perf baseline — is a test oracle
 (``tests/oracles/aes_reference.py``), not part of the package.
 """
 
-from repro.crypto.ctr import BLOCK_SIZE, det_decrypt, det_encrypt, rand_decrypt, rand_encrypt
+from repro.crypto.ctr import BLOCK_SIZE, rand_decrypt, rand_encrypt
 from repro.crypto.envelope import (
     FIXED_ID_BYTES,
     MAX_RECOMMENDATIONS,
@@ -51,8 +53,6 @@ from repro.crypto.xor import xor_bytes
 
 __all__ = [
     "BLOCK_SIZE",
-    "det_encrypt",
-    "det_decrypt",
     "rand_encrypt",
     "rand_decrypt",
     "xor_bytes",

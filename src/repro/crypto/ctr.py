@@ -1,15 +1,10 @@
-"""AES-CTR stream modes used by the PProx protocol.
+"""AES-CTR with a random IV, as the PProx protocol uses it (paper §5).
 
-Two flavours, exactly as in the paper (§4.1, §5):
-
-* :func:`det_encrypt` / :func:`det_decrypt` — deterministic encryption
-  with a *constant* initialization vector.  Used to pseudonymize user
-  and item identifiers so the LRS can recognise two encryptions of the
-  same identifier as the same entity.
-* :func:`rand_encrypt` / :func:`rand_decrypt` — randomized encryption
-  with a fresh random IV prepended to the ciphertext.  Used for the
-  recommendation list returned under the per-request temporary key
-  ``k_u`` and for the public-key hybrid envelopes.
+:func:`rand_encrypt` / :func:`rand_decrypt` prepend a fresh IV to the
+ciphertext; they protect the recommendation list under the per-request
+temporary key ``k_u`` and the body of the hybrid envelopes.  (The
+paper's constant-IV ``det_enc`` pseudonym is a many-time pad; see
+:mod:`repro.crypto.prp`.)
 
 Every pass runs in OpenSSL's libcrypto (:func:`repro.crypto.libcrypto.aes_ctr`),
 as the paper's SGX-SSL does: a key schedule there costs well under a
@@ -25,20 +20,13 @@ from repro.crypto.libcrypto import aes_ctr
 
 __all__ = [
     "ctr_transform",
-    "det_encrypt",
-    "det_decrypt",
     "rand_encrypt",
     "rand_decrypt",
     "BLOCK_SIZE",
-    "DETERMINISTIC_IV",
 ]
 
 #: AES block (and CTR counter block) size in bytes.
 BLOCK_SIZE = 16
-
-# The paper uses "a constant initialization vector" for deterministic
-# encryption; any fixed value works as long as both directions agree.
-DETERMINISTIC_IV = bytes(BLOCK_SIZE)
 
 
 def ctr_transform(key: bytes, iv: bytes, data: bytes) -> bytes:
@@ -48,21 +36,6 @@ def ctr_transform(key: bytes, iv: bytes, data: bytes) -> bytes:
     incremented per 16-byte keystream block; *key* is 16, 24 or 32 bytes.
     """
     return aes_ctr(key, iv, data)
-
-
-def det_encrypt(key: bytes, plaintext: bytes) -> bytes:
-    """Deterministically encrypt *plaintext* (constant IV, AES-CTR).
-
-    Two calls with the same key and plaintext produce the same
-    ciphertext — this is what makes pseudonymous identifiers stable
-    across requests (paper §4.1).
-    """
-    return aes_ctr(key, DETERMINISTIC_IV, plaintext)
-
-
-def det_decrypt(key: bytes, ciphertext: bytes) -> bytes:
-    """Invert :func:`det_encrypt`."""
-    return aes_ctr(key, DETERMINISTIC_IV, ciphertext)
 
 
 def rand_encrypt(key: bytes, plaintext: bytes, rng: Optional[Callable[[int], bytes]] = None) -> bytes:

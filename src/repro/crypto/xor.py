@@ -1,4 +1,4 @@
-"""Whole-buffer XOR helper for RSA-OAEP masking and the sim provider.
+"""Whole-buffer XOR helper for RSA-OAEP masking and the closure's pad rule.
 
 Replaces the per-byte ``bytes(a ^ b for a, b in zip(data, stream))``
 idiom.  A single ``int.from_bytes`` / XOR / ``to_bytes`` round-trip runs

@@ -15,7 +15,7 @@ secrets into (user, item) links lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.crypto.keys import LayerKeys
 from repro.lrs.store import EventStore, FeedbackEvent
@@ -67,6 +67,10 @@ class Adversary:
     stolen: Dict[str, LayerKeys] = field(default_factory=dict)
     invariant: SingleEnclaveInvariant = field(default_factory=SingleEnclaveInvariant)
     lrs_store: Optional[EventStore] = None
+    #: (cleartext, stored pseudonym) pairs of the rows the adversary's
+    #: own account wrote, and that account's user ids.
+    known_pairs: List[Tuple[str, str]] = field(default_factory=list)
+    own_accounts: Set[str] = field(default_factory=set)
 
     # -- observation capture -------------------------------------------
 
@@ -113,6 +117,15 @@ class Adversary:
                 destination_role=record.destination_role,
             )
         )
+
+    def claim_own_post(self, user: str, item: str, since: int) -> None:
+        """Learn the (cleartext, pseudonym) pairs of a rating the
+        adversary posted from an account of its own, as any user may: the
+        rows past index *since* of a store nobody else wrote meanwhile."""
+        self.own_accounts.add(user)
+        for event in self.lrs_dump()[since:]:
+            self.known_pairs.append((user, event.user))
+            self.known_pairs.append((item, event.item))
 
     # -- enclave compromise --------------------------------------------
 

@@ -16,6 +16,10 @@ secrets the engine holds; the test-suite asserts the closure is empty
 in every single-layer-compromise case and demonstrates non-emptiness
 when the model's assumptions are broken (both layers compromised, or
 shuffling disabled under traffic correlation).
+
+With no key, the adversary still knows the (cleartext, pseudonym) pairs
+of its own account's rows: the engine tries each pair's XOR as a pad on
+every pseudonym (the paper's constant-IV CTR falls to it).
 """
 
 from __future__ import annotations
@@ -28,11 +32,13 @@ from repro.crypto.envelope import (
     FIXED_ID_BYTES,
     EnvelopeCodec,
     decode_identifier,
+    encode_identifier,
     strip_padding_items,
     _unb64,
 )
 from repro.crypto.keys import LayerKeys
 from repro.crypto.provider import CryptoProvider
+from repro.crypto.xor import xor_bytes
 from repro.lrs.store import FeedbackEvent
 from repro.privacy.adversary import Adversary, ObservedMessage
 from repro.rest.codec import BINARY_WIRE_CODEC
@@ -89,6 +95,16 @@ class KnowledgeEngine:
     #: The application's public item catalog; cleartext item fields
     #: (item pseudonymization disabled) resolve through membership.
     catalog: Set[str] = field(default_factory=set)
+    #: (cleartext identifier, stored pseudonym) pairs known with no key:
+    #: the rows the adversary's own account wrote.
+    known_pairs: Sequence[Tuple[str, Any]] = ()
+    #: The adversary's own user ids: links to them are no breach.
+    own_accounts: Set[str] = field(default_factory=set)
+
+    def __post_init__(self) -> None:
+        blobs = ((identifier, _material(value)) for identifier, value in self.known_pairs)
+        self._pads = [xor_bytes(encode_identifier(identifier), blob)
+                      for identifier, blob in blobs if blob is not None]
 
     @classmethod
     def for_adversary(cls, adversary: Adversary, provider: CryptoProvider,
@@ -99,6 +115,8 @@ class KnowledgeEngine:
             ua_keys=adversary.ua_keys,
             ia_keys=adversary.ia_keys,
             catalog=catalog or set(),
+            known_pairs=tuple(adversary.known_pairs),
+            own_accounts=set(adversary.own_accounts),
         )
 
     # -- field resolution ------------------------------------------------
@@ -116,18 +134,7 @@ class KnowledgeEngine:
         decoded = _try(decode_identifier, blob)
         if decoded is not None:
             return decoded
-        if self.ua_keys is not None:
-            plain = _try(self.provider.asym_decrypt, self.ua_keys, blob)
-            if plain is not None:
-                decoded = _try(decode_identifier, plain)
-                if decoded is not None:
-                    return decoded
-            plain = _try(self.provider.depseudonymize, self.ua_keys.symmetric_key, blob)
-            if plain is not None:
-                decoded = _try(decode_identifier, plain)
-                if decoded is not None:
-                    return decoded
-        return None
+        return self._open(self.ua_keys, blob)
 
     def resolve_item(self, value: Any) -> Optional[str]:
         """Try to turn an ``item`` field into a cleartext identifier."""
@@ -137,17 +144,23 @@ class KnowledgeEngine:
         blob = _material(value)
         if blob is None:
             return None
-        if self.ia_keys is not None:
-            plain = _try(self.provider.asym_decrypt, self.ia_keys, blob)
-            if plain is not None:
-                decoded = _try(decode_identifier, plain)
+        return self._open(self.ia_keys, blob)
+
+    def _open(self, keys: Optional[LayerKeys], blob: bytes) -> Optional[str]:
+        """*blob* as an identifier: opened with a layer's stolen secrets
+        (private key, then pseudonym key), else by a known pair's pad —
+        every pseudonym under a one-keystream cipher, only its own under a PRP."""
+        if keys is not None:
+            for open_with, key in ((self.provider.asym_decrypt, keys),
+                                   (self.provider.depseudonymize, keys.symmetric_key)):
+                plain = _try(open_with, key, blob)
+                decoded = None if plain is None else _try(decode_identifier, plain)
                 if decoded is not None:
                     return decoded
-            plain = _try(self.provider.depseudonymize, self.ia_keys.symmetric_key, blob)
-            if plain is not None:
-                decoded = _try(decode_identifier, plain)
-                if decoded is not None:
-                    return decoded
+        for pad in self._pads:
+            decoded = _try(decode_identifier, xor_bytes(blob, pad))
+            if decoded is not None:
+                return decoded
         return None
 
     def resolve_temporary_key(self, value: Any) -> Optional[bytes]:
@@ -373,4 +386,4 @@ class KnowledgeEngine:
             for resolved in self.resolve_items_list(response, temporary_key):
                 links.add((identity, resolved))
 
-        return links
+        return {link for link in links if link[0] not in self.own_accounts}

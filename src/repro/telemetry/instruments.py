@@ -185,9 +185,9 @@ def instrument_service(telemetry: Any, service: Any) -> None:
 def instrument_crypto(telemetry: Any, provider: Any) -> None:
     """Register pseudonym-memo cache instruments (one stats call per tick).
 
-    A provider without ``cache_stats()`` (the sim provider) is skipped.
+    The sim provider, which drills run, is skipped.
     """
-    if not callable(getattr(provider, "cache_stats", None)):
+    if provider.name == "sim":
         return
     registry = telemetry.registry
     # All six instruments read one snapshot per virtual instant: the

@@ -5,10 +5,10 @@ GF(2⁸) tables included, that the package's AES-CTR (OpenSSL's, through
 :mod:`repro.crypto.libcrypto`) replaced.  It exists for two reasons:
 
 * **Correctness anchor** — the cross-check tests assert the package's
-  CTR pass is *byte-identical* to this one on random keys and lengths,
-  which is what keeps deterministic pseudonyms stable across any change
-  of kernel (paper §4.1: pseudonym stability is a correctness
-  property).
+  CTR pass is *byte-identical* to this one on random keys and lengths.
+* **The paper's pseudonym** — :func:`reference_det_encrypt`, ``det_enc``
+  under a constant IV (§4.1), lives only here: the closure tests run it
+  to show the many-time pad the package's Feistel pseudonym removes.
 * **Perf trajectory** — ``benchmarks/run_crypto_bench.py`` measures
   the package against this baseline and records the speedups in
   ``BENCH_crypto.json`` so later changes can regress against them.
@@ -76,7 +76,7 @@ __all__ = ["ReferenceAES", "reference_ctr_transform", "reference_det_encrypt"]
 _SHIFT_ROWS = (0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11)
 _INV_SHIFT_ROWS = (0, 13, 10, 7, 4, 1, 14, 11, 8, 5, 2, 15, 12, 9, 6, 3)
 
-# The constant IV of repro.crypto.ctr.det_encrypt.
+# The constant IV of the paper's det_enc (§4.1).
 _DETERMINISTIC_IV = bytes(BLOCK_SIZE)
 
 
@@ -183,5 +183,9 @@ def reference_ctr_transform(key: bytes, iv: bytes, data: bytes) -> bytes:
 
 
 def reference_det_encrypt(key: bytes, plaintext: bytes) -> bytes:
-    """The seed's deterministic (constant-IV) encryption."""
+    """The paper's pseudonym det_enc: AES-CTR under a constant IV (§4.1).
+
+    A many-time pad, kept here only as the construction the closure's
+    known-plaintext rule must break; the package pseudonymizes with
+    :mod:`repro.crypto.prp`."""
     return reference_ctr_transform(key, _DETERMINISTIC_IV, plaintext)

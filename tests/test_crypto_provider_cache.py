@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.crypto import ctr
+from repro.crypto import prp, provider as provider_module
+from repro.crypto.envelope import encode_identifier
 from repro.crypto.provider import (
     RealCryptoProvider,
     SimCryptoProvider,
@@ -15,6 +16,10 @@ from repro.simnet.clock import EventLoop
 from repro.telemetry import Telemetry, instrument_crypto
 
 KEY = bytes(range(32))
+
+
+def ids(*names):
+    return [encode_identifier(name) for name in names]
 
 
 # ---------------------------------------------------------------- xor_bytes
@@ -76,31 +81,35 @@ def test_lru_memo_zero_size_disables_caching():
     assert len(memo) == 0
 
 
-# ------------------------------------------------- RealCryptoProvider memo
+# ------------------------------------------------- the pseudonym memo
 
 
 def test_real_provider_pseudonym_memo_hits_on_repeats():
     provider = RealCryptoProvider()
-    first = provider.pseudonymize(KEY, b"user-42")
-    second = provider.pseudonymize(KEY, b"user-42")
+    (user,) = ids("user-42")
+    first = provider.pseudonymize(KEY, user)
+    second = provider.pseudonymize(KEY, user)
     assert first == second
     stats = provider.cache_stats()
     assert stats["pseudonymize"]["hits"] == 1
     assert stats["pseudonymize"]["misses"] == 1
 
 
-def test_real_provider_memo_results_identical_to_uncached():
+def test_real_provider_memo_results_identical_to_uncached(monkeypatch):
     cached = RealCryptoProvider()
-    uncached = RealCryptoProvider(pseudonym_cache_size=0)
-    for identifier in [b"user-1", b"user-2", b"user-1", b"item-9" * 5]:
+    monkeypatch.setattr(provider_module, "PSEUDONYM_MEMO_ENTRIES", 0)
+    uncached = RealCryptoProvider()
+    for identifier in ids("user-1", "user-2", "user-1", "item-9" * 5):
         assert cached.pseudonymize(KEY, identifier) == uncached.pseudonymize(KEY, identifier)
-        assert cached.pseudonymize(KEY, identifier) == ctr.det_encrypt(KEY, identifier)
+        assert cached.pseudonymize(KEY, identifier) == prp.encipher(KEY, identifier)
+    assert len(uncached._pseudonym_memo) == 0
 
 
 def test_real_provider_pseudonymize_seeds_reverse_memo():
     provider = RealCryptoProvider()
-    pseudonym = provider.pseudonymize(KEY, b"user-7")
-    assert provider.depseudonymize(KEY, pseudonym) == b"user-7"
+    (user,) = ids("user-7")
+    pseudonym = provider.pseudonymize(KEY, user)
+    assert provider.depseudonymize(KEY, pseudonym) == user
     stats = provider.cache_stats()
     # The request path already populated the reverse direction.
     assert stats["depseudonymize"]["hits"] == 1
@@ -109,24 +118,41 @@ def test_real_provider_pseudonymize_seeds_reverse_memo():
 
 def test_real_provider_depseudonymize_without_prior_encrypt():
     provider = RealCryptoProvider()
-    pseudonym = ctr.det_encrypt(KEY, b"cold-item")
-    assert provider.depseudonymize(KEY, pseudonym) == b"cold-item"
+    (item,) = ids("cold-item")
+    pseudonym = prp.encipher(KEY, item)
+    assert provider.depseudonymize(KEY, pseudonym) == item
     assert provider.cache_stats()["depseudonymize"]["misses"] == 1
 
 
-def test_real_provider_memo_is_bounded():
-    provider = RealCryptoProvider(pseudonym_cache_size=8)
-    for i in range(50):
-        provider.pseudonymize(KEY, b"user-%d" % i)
+def test_real_provider_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(provider_module, "PSEUDONYM_MEMO_ENTRIES", 8)
+    provider = RealCryptoProvider()
+    users = ids(*(f"user-{i}" for i in range(50)))
+    for user in users:
+        provider.pseudonymize(KEY, user)
     assert provider.cache_stats()["pseudonymize"]["size"] <= 8
     # Evicted entries still produce correct (recomputed) pseudonyms.
-    assert provider.pseudonymize(KEY, b"user-0") == ctr.det_encrypt(KEY, b"user-0")
+    assert provider.pseudonymize(KEY, users[0]) == prp.encipher(KEY, users[0])
 
 
 def test_real_provider_memo_distinguishes_keys():
     provider = RealCryptoProvider()
     other_key = bytes(range(1, 33))
-    assert provider.pseudonymize(KEY, b"u") != provider.pseudonymize(other_key, b"u")
+    (user,) = ids("u")
+    assert provider.pseudonymize(KEY, user) != provider.pseudonymize(other_key, user)
+
+
+def test_sim_provider_has_the_same_memo():
+    """Drills run the sim provider: the memo keeps cold permutations rare
+    there too, and counts the same way."""
+    provider = SimCryptoProvider()
+    (user,) = ids("user-3")
+    pseudonym = provider.pseudonymize(KEY, user)
+    provider.pseudonymize(KEY, user)
+    assert provider.depseudonymize(KEY, pseudonym) == user
+    stats = provider.cache_stats()
+    assert stats["pseudonymize"] == {"hits": 1, "misses": 1, "size": 1, "maxsize": 4096}
+    assert stats["depseudonymize"]["hits"] == 1
 
 
 # --------------------------------------------------------- batched helpers
@@ -135,7 +161,7 @@ def test_real_provider_memo_distinguishes_keys():
 @pytest.mark.parametrize("provider_cls", [RealCryptoProvider, SimCryptoProvider])
 def test_pseudonymize_many_roundtrip(provider_cls):
     provider = provider_cls()
-    identifiers = [b"user-%d" % i for i in range(5)]
+    identifiers = ids(*(f"user-{i}" for i in range(5)))
     pseudonyms = provider.pseudonymize_many(KEY, identifiers)
     assert pseudonyms == [provider.pseudonymize(KEY, i) for i in identifiers]
     assert provider.depseudonymize_many(KEY, pseudonyms) == identifiers
@@ -156,8 +182,9 @@ def test_crypto_cache_gauges_sample_hit_ratio():
     cache_stats = provider.cache_stats
     provider.cache_stats = lambda: snapshots.append(loop.now) or cache_stats()
     instrument_crypto(telemetry, provider)
-    provider.pseudonymize(KEY, b"user-1")
-    provider.pseudonymize(KEY, b"user-1")
+    (user,) = ids("user-1")
+    provider.pseudonymize(KEY, user)
+    provider.pseudonymize(KEY, user)
     telemetry.bind(loop)
     loop.schedule_at(2.5, lambda: None)  # the scraper re-arms only while work is pending
     loop.run_until(2.5)
@@ -168,7 +195,9 @@ def test_crypto_cache_gauges_sample_hit_ratio():
     assert snapshots == [1.0, 2.0]
 
 
-def test_crypto_cache_gauges_skip_providers_without_stats():
+def test_crypto_cache_gauges_skip_the_sim_provider():
+    """Drill telemetry carries no memo series, though the sim provider
+    keeps the same memo as the real one."""
     telemetry = Telemetry()
     instrument_crypto(telemetry, SimCryptoProvider())
     assert telemetry.registry.instruments() == []

@@ -103,15 +103,17 @@ def test_no_object_wire_fork_in_the_package():
 #: What one-of-each in ``src/`` rules out: an import of the test tree, a
 #: ``Reference*`` / ``reference_*`` name (the oracles live in
 #: ``tests/oracles/``), AES round code beside OpenSSL's, the names of
-#: the deleted selectors, duplicates and their flag, and the Hensel lift
-#: of the multi-power RSA key the two-prime key replaced.
+#: the deleted selectors, duplicates and their flag, the Hensel lift
+#: of the multi-power RSA key the two-prime key replaced, and the two
+#: pseudonym constructions the Feistel permutation replaced.
 SECOND_IMPLEMENTATIONS = re.compile(
     r"^\s*(?:from|import)\s+tests\b"
     r"|\bReference[A-Z]\w*|\breference_\w+"
     r"|\bencrypt_ctr_blocks\b|\b_SBOX\b|\b_CIPHER_CACHE\b"
     r"|\bmake_event_loop\b|\bENGINES\b|\bCalendarEventLoop\b"
     r"|\bBreakdownProbe\b|\bFastCryptoProvider\b|--engine\b"
-    r"|\bkeyed_pseudonym\b|\bHensel\b|\b_crt_power\b|\bSlottedLatencyRecorder\b",
+    r"|\bkeyed_pseudonym\b|\bHensel\b|\b_crt_power\b|\bSlottedLatencyRecorder\b"
+    r"|\bdet_(?:en|de)crypt\b|\bDETERMINISTIC_IV\b|\b_reverse_pseudonyms\b|\b_blake_keystream\b",
     flags=re.M,
 )
 #: A module-level tuple of the five pipeline stage names.
@@ -127,9 +129,10 @@ SECOND_VERDICT_PATH = re.compile(
 
 
 def test_one_implementation_per_mechanism_in_the_package():
-    """One event loop, one AES, one stage tracer, the paper's one
-    crypto construction: the cross-check implementations are test
-    oracles and the knob that selected between them is gone."""
+    """One event loop, one AES, one stage tracer, one pseudonym
+    construction: the cross-check implementations (the paper's
+    constant-IV pseudonym among them) are test oracles and the knob
+    that selected between them is gone."""
     sources = sorted((REPO / "src" / "repro").rglob("*.py"))
     offenders = [
         f"{path.relative_to(REPO)}: {match.group(0).strip()}"
@@ -337,9 +340,17 @@ def test_ci_crypto_kat_job_names_its_libcrypto_then_runs_the_crypto_tests():
     assert shown < job.index("python -m pytest")
     assert tests.split() == [
         "tests/test_crypto_libcrypto.py", "tests/test_crypto_aes.py", "tests/test_crypto_ctr.py",
-        "tests/test_crypto_provider_cache.py", "tests/test_crypto_rsa.py",
-        "tests/test_crypto_rsa_handles.py",
+        "tests/test_crypto_prp.py", "tests/test_crypto_provider_cache.py",
+        "tests/test_crypto_rsa.py", "tests/test_crypto_rsa_handles.py",
     ]
+
+
+def test_ci_ablations_job_runs_the_ablation_file():
+    """The ablations run in CI, so one failing cannot go unseen."""
+    workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    job = workflow[workflow.index("\n  ablations:\n"):]
+    assert ("PYTHONPATH=src python -m pytest -q benchmarks/test_ablations.py"
+            " --benchmark-disable") in job
 
 
 #: A second verdict beside ``slo.json``: a problems list of a driver's

@@ -38,14 +38,14 @@ def test_run_micro_is_deterministic():
     two = run_micro(MICRO_CONFIGS["m3"], 50, seed=3, **QUICK)
     assert one.window_latencies == two.window_latencies
     assert _pin(one) == (
-        [(400, 400, 0)], "b8002df2200394a14d4fad7f5fbbd5250b99dc243ace628f015755e9115f75c1"
+        [(400, 400, 0)], "5afb29c2850fb9169fe32ffebe835725fc36afd60ca20c8b79b64bdd1ac48980"
     )
 
 
 def test_run_micro_post_path_is_pinned():
     result = run_micro(MICRO_CONFIGS["m6"], 50, seed=2, verb="post", **QUICK)
     assert _pin(result) == (
-        [(400, 400, 0)], "896457f6c92f2b0f9268f1b245ba8c19a66267e57c80df49baeee37ba0622324"
+        [(400, 400, 0)], "1c44cf34ce67a6475e08edc171b0cdf65af1418ff100cd908750d119dd63b259"
     )
 
 
@@ -78,7 +78,7 @@ def test_run_baseline_and_full():
         [(500, 500, 0)], "4998b7f93bd6d71857411b7432a8cd81746634126ee60efe46efedc5e7630786"
     )
     assert _pin(full) == (
-        [(500, 500, 0)], "f3481b26faca847764a16da28e31a7597a072356c066de8e2a087ca1d3bd4e6d"
+        [(500, 500, 0)], "f87df8cac96bb2b8470a19aa56ecb2d12a2d19135ab623c118ed8e48be23a59c"
     )
 
 

@@ -7,7 +7,9 @@ secrets), and derives the closure of everything it can learn.  The
 paper's claims hold at the paper's observation points; the suite also
 pins down a *wire-level extension of case 2* this reproduction found
 (see ``test_finding_wire_observation_extends_case_2``) and verifies
-that the hardened-client-hop extension closes it.
+that the hardened-client-hop extension closes it, and runs the
+adversary's own account through the known-plaintext rule against both
+the package's pseudonym and the paper's constant-IV CTR.
 """
 
 from __future__ import annotations
@@ -16,13 +18,16 @@ import pytest
 
 from repro.client import PProxClient
 from repro.context import SimContext
+from repro.crypto.keys import KeyFactory
 from repro.crypto.provider import RealCryptoProvider
 from repro.lrs.service import HarnessService
 from repro.privacy import Adversary, KnowledgeEngine, fifo_correlation
 from repro.proxy import PProxConfig, build_pprox
+from repro.proxy.rekey import reencrypt_store
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
+from tests.oracles.aes_reference import reference_det_encrypt
 
 CATALOG = {"i1", "i2", "i3", "i4", "i5"}
 FEEDBACK = {
@@ -32,16 +37,27 @@ FEEDBACK = {
 }
 
 
+class PaperPseudonyms(RealCryptoProvider):
+    """The real provider with the paper's det_enc pseudonyms: AES-CTR
+    under a constant IV, from the seed oracle (a many-time pad)."""
+
+    def pseudonymize(self, key: bytes, identifier: bytes) -> bytes:
+        return reference_det_encrypt(key, identifier)
+
+    depseudonymize = pseudonymize
+
+
 class Scenario:
     """One full run: posts, training, gets, optional compromise."""
 
-    def __init__(self, config: PProxConfig, seed: int = 13):
+    def __init__(self, config: PProxConfig, seed: int = 13, provider_cls=RealCryptoProvider):
         rng = RngRegistry(seed=seed)
+        self.rng = rng
         self.loop = EventLoop()
         self.network = Network(loop=self.loop, rng=rng.stream("net"))
         self.harness = HarnessService(loop=self.loop, rng=rng.stream("lrs"), frontend_count=3)
         self.harness.engine.trainer.llr_threshold = 0.0
-        self.provider = RealCryptoProvider(rng_bytes=rng.bytes_fn("crypto"))
+        self.provider = provider_cls(rng_bytes=rng.bytes_fn("crypto"))
         ctx = SimContext(
             loop=self.loop, network=self.network, rng=rng, provider=self.provider
         )
@@ -60,6 +76,25 @@ class Scenario:
         for user in FEEDBACK:
             self.client.get(user)
         self.loop.run()
+
+    def post_own_rating(self, item: str, user: str = "mallory") -> None:
+        """The adversary registers an account, rates *item* and reads
+        back the row its post wrote."""
+        since = len(self.adversary.lrs_dump())
+        self.client.post(user, item)
+        self.loop.run()
+        self.adversary.claim_own_post(user, item, since)
+
+    def rotate_both_layers(self) -> None:
+        """Footnote 1's re-encryption response, on both layers: fresh
+        keys, and every stored pseudonym rewritten under them."""
+        factory = KeyFactory(rng_int=self.rng.int_fn("rotation"),
+                             rng_bytes=self.rng.bytes_fn("rotation-bytes"))
+        store = self.harness.engine.store
+        for layer in ("UA", "IA"):
+            old_keys = self.service.provisioner.layer_keys[layer]
+            new_keys = self.service.rotate_layer(layer, factory)
+            reencrypt_store(store, self.provider, old_keys, new_keys, layer)
 
     def compromise(self, layer: str) -> None:
         instances = self.service.ua_instances if layer == "UA" else self.service.ia_instances
@@ -256,3 +291,46 @@ def test_item_pseudonymization_disabled_still_safe_without_compromise():
                                     item_pseudonymization=False))
     scenario.drive_workload()
     assert scenario.links_full_wire() == set()
+
+
+# -- LRS database + own account, no keys ------------------------------------
+
+
+def own_account_links(provider_cls, rotate: bool):
+    """The closure of an LRS operator that holds no key but rated i5
+    from an account of its own (and, across a rotation, i4 again under
+    the new keys), over every database state it read."""
+    scenario = Scenario(SHUFFLED, provider_cls=provider_cls)
+    scenario.drive_workload()
+    scenario.post_own_rating("i5")
+    dumps = list(scenario.adversary.lrs_dump())
+    if rotate:
+        scenario.rotate_both_layers()
+        scenario.post_own_rating("i4")
+        dumps += scenario.adversary.lrs_dump()
+    engine = scenario.engine()
+    own_row = scenario.adversary.lrs_dump()[-1]
+    # The rule has teeth on the pair it was given, whatever the cipher.
+    assert engine.resolve_user(own_row.user) == "mallory"
+    assert engine.resolve_item(own_row.item) == ("i4" if rotate else "i5")
+    return engine.derive_links((), dumps)
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["one-epoch", "rotation"])
+def test_lrs_database_plus_own_account_no_keys(rotate):
+    """Threat-model row "LRS database + own account, no keys": the pad
+    of the adversary's own pairs decodes no other pseudonym, so the
+    closure is empty, on a rotation leg too."""
+    assert own_account_links(RealCryptoProvider, rotate) == set()
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["one-epoch", "rotation"])
+def test_own_account_decodes_every_row_under_the_papers_pseudonym(rotate):
+    """The same adversary against the paper's constant-IV CTR: the pad
+    is the keystream of its key and decodes every row — each epoch's
+    own pair re-opens the store of that epoch."""
+    links = own_account_links(PaperPseudonyms, rotate)
+    for user, items in FEEDBACK.items():
+        for item in items:
+            assert (user, item) in links
+    assert not any(identity == "mallory" for identity, _ in links)
