@@ -8,7 +8,7 @@ checked by shape assertions), not micro-timing of the simulator.
 Durations are scaled down from the paper's 1 min + 5 min phases — the
 latency *shapes* (feature costs, shuffle behaviour, saturation points)
 stabilize well within these windows, and the full-scale settings are a
-parameter away (``ScenarioTimings.paper()``).
+parameter away (``ScenarioTimings(60.0, 300.0, 15.0)``).
 """
 
 from __future__ import annotations

@@ -42,7 +42,8 @@ def main(argv=None) -> int:
 
     if args.full:
         runs, duration, trim = 6, 300.0, 15.0
-        timings = ScenarioTimings.paper()
+        timings = ScenarioTimings(feedback_seconds=60.0, query_seconds=300.0,
+                                  trim_seconds=15.0)
     else:
         runs, duration, trim = 1, 20.0, 5.0
         timings = ScenarioTimings(feedback_seconds=10, query_seconds=30,

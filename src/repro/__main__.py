@@ -11,19 +11,13 @@ __all__ = ["main"]
 
 import argparse
 import os
-import pathlib
-import runpy
 import sys
 
 from repro.experiments.registry import EXPERIMENT_INDEX, resolve, runnable, validate_index
 
-_REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-
 _COMMANDS = """\
 commands:
   info          package overview and the experiment index
-  reproduce     regenerate tables/figures (wraps the example CLI)
-  demo          run the quickstart scenario
   validate      check the experiment index against the tree
   run SCENARIO  run one registered scenario with its defaults: prints a
                 summary, writes its artifacts under --out-dir and exits
@@ -31,8 +25,10 @@ commands:
                 byte-identical artifacts (CI runs each scenario in two
                 fresh processes and diffs the trees; *_meta.json files
                 carry wall clocks and are excluded)
-  simnet-bench  event-loop micro-benchmarks; refreshes BENCH_simnet.json
-                and enforces the recorded perf floors
+
+The paper's tables and figures: python examples/reproduce_figures.py;
+the quickstart: python examples/quickstart.py; the event-loop perf
+floors (BENCH_simnet.json): python benchmarks/run_simnet_bench.py.
 """
 
 
@@ -42,16 +38,6 @@ def _describe() -> str:
         lines.append(f"  {name:10s} {experiment.help}")
         lines.append(f"  {'':10s}   writes: {', '.join(experiment.artifacts)}")
     return "\n".join(lines)
-
-
-def _run_script(relative: str, argv) -> int:
-    script = _REPO_ROOT / relative
-    sys.argv = [str(script)] + list(argv)
-    try:
-        runpy.run_path(str(script), run_name="__main__")
-    except SystemExit as exit_info:
-        return int(exit_info.code or 0)
-    return 0
 
 
 def _cmd_info(_args) -> int:
@@ -66,16 +52,6 @@ def _cmd_info(_args) -> int:
     print()
     print("see README.md / DESIGN.md / EXPERIMENTS.md for details")
     return 0
-
-
-def _cmd_reproduce(args) -> int:
-    return _run_script(
-        "examples/reproduce_figures.py", args.targets + (["--full"] if args.full else [])
-    )
-
-
-def _cmd_demo(_args) -> int:
-    return _run_script("examples/quickstart.py", [])
 
 
 def _cmd_validate(_args) -> int:
@@ -101,13 +77,6 @@ def _cmd_run(args) -> int:
     return 1 if problems else 0
 
 
-def _cmd_simnet_bench(args) -> int:
-    """Event-loop perf floors (delegates to benchmarks/run_simnet_bench.py)."""
-    return _run_script(
-        "benchmarks/run_simnet_bench.py", ["--output", args.output] if args.output else []
-    )
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -116,11 +85,6 @@ def main(argv=None) -> int:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     subparsers.add_parser("info", help="package overview").set_defaults(fn=_cmd_info)
-    reproduce = subparsers.add_parser("reproduce", help="regenerate tables/figures")
-    reproduce.add_argument("targets", nargs="*", default=["table2", "table3"])
-    reproduce.add_argument("--full", action="store_true")
-    reproduce.set_defaults(fn=_cmd_reproduce)
-    subparsers.add_parser("demo", help="run the quickstart").set_defaults(fn=_cmd_demo)
     subparsers.add_parser("validate", help="check the experiment index").set_defaults(
         fn=_cmd_validate
     )
@@ -129,12 +93,6 @@ def main(argv=None) -> int:
     run.add_argument("--out-dir", default=None,
                      help="artifact directory (default: results/<scenario>)")
     run.set_defaults(fn=_cmd_run)
-    bench = subparsers.add_parser(
-        "simnet-bench", help="event-loop perf floors (BENCH_simnet.json)"
-    )
-    bench.add_argument("--output", default=None,
-                       help="where to write the benchmark report JSON")
-    bench.set_defaults(fn=_cmd_simnet_bench)
     args = parser.parse_args(argv)
     return args.fn(args)
 

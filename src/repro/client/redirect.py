@@ -98,7 +98,7 @@ class RedirectedService:
 
     Exposes the surface :class:`~repro.client.library.PProxClient`
     uses — ``config``, ``client_material``, ``wire_epochs``,
-    ``runtime``, ``entry_for()`` — returning the relay (which is
+    ``entry_for()`` — returning the relay (which is
     UA-instance-shaped: it has an ``address`` and ``receive_request``)
     as the entry point.
     """
@@ -121,11 +121,6 @@ class RedirectedService:
         """The underlying deployment's epoch view: a relayed request
         carries the same fixed-width tag a direct one does."""
         return self.inner.wire_epochs
-
-    @property
-    def runtime(self):
-        """The underlying deployment's runtime wiring."""
-        return self.inner.runtime
 
     def entry_for(self, request: Request) -> RedirectFrontend:
         """All client traffic enters through the application relay."""

@@ -14,7 +14,7 @@ normal flow) or retiring them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.proxy.service import PProxService, layer_pool
 from repro.simnet.clock import EventLoop, Periodic
@@ -55,13 +55,7 @@ class ElasticScaler(Periodic):
     #: (shed requests never count as processed).  ``None`` disables
     #: the overload trigger.
     overload_sojourn_threshold: Optional[float] = None
-    #: When set (e.g. to :meth:`repro.proxy.epochs.RotationCoordinator.
-    #: guard`), scale-downs of a layer are deferred while the guard
-    #: returns True for it: a retired instance's enclave may hold the
-    #: only previous-epoch secrets still needed by in-flight traffic.
-    rotation_guard: Optional[Callable[[str], bool]] = None
     overload_scale_ups: int = 0
-    deferred_scale_downs: int = 0
     decisions: List[ScalingDecision] = field(default_factory=list)
     _last_counts: dict = field(default_factory=dict)
 
@@ -122,12 +116,6 @@ class ElasticScaler(Periodic):
                 ScalingDecision(self.loop.now, layer, "scale-up", count + 1, rate)
             )
         elif rate < self.low_rps and count > self.min_instances:
-            if self.rotation_guard is not None and self.rotation_guard(layer):
-                self.deferred_scale_downs += 1
-                self.decisions.append(
-                    ScalingDecision(self.loop.now, layer, "scale-down-deferred", count, rate)
-                )
-                return
             # Scale down: remove the most recently added instance from
             # the balancer (it finishes in-flight work and is retired).
             instances, balancer = layer_pool(self.service, layer)

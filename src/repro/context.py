@@ -106,7 +106,7 @@ class SimContext:
 
         Ids start at 1 for every fresh context, so same-seed runs
         produce identical id sequences regardless of what else ran in
-        the process (unlike ``rest.messages.next_request_id``).
+        the process.
         """
         if self._request_ids is None:
             self._request_ids = itertools.count(1)

@@ -25,7 +25,6 @@ __all__ = [
     "PaddingError",
     "encode_identifier",
     "decode_identifier",
-    "is_padding_item",
     "pad_encoded_items",
     "pad_item_list",
     "strip_padding_items",
@@ -120,11 +119,6 @@ def pad_encoded_items(blobs: Sequence[bytes]) -> List[bytes]:
 def strip_padding_items(items: Sequence[str]) -> List[str]:
     """Remove pseudo-items inserted by :func:`pad_item_list`."""
     return [item for item in items if not item.startswith(_PAD_SENTINEL)]
-
-
-def is_padding_item(item: str) -> bool:
-    """True when *item* is a padding pseudo-item."""
-    return item.startswith(_PAD_SENTINEL)
 
 
 #: Base64 of a bytes-like value as ASCII bytes, no newline: the one

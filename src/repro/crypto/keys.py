@@ -84,6 +84,3 @@ class KeyFactory:
             symmetric_key=self.rng_bytes(SYMMETRIC_KEY_BYTES),
         )
 
-    def temporary_key(self) -> bytes:
-        """Generate a per-request temporary symmetric key ``k_u``."""
-        return self.rng_bytes(SYMMETRIC_KEY_BYTES)

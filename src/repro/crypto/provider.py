@@ -67,19 +67,6 @@ class _LruMemo:
             del data[next(iter(data))]
         data[key] = value
 
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def stats(self) -> Dict[str, int]:
-        """Counters for the metrics layer."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "size": len(self._data),
-            "maxsize": self.maxsize,
-        }
-
-
 @dataclass
 class CryptoProvider:
     """The protocol's cryptographic operations; subclasses supply
@@ -125,11 +112,6 @@ class CryptoProvider:
             self._pseudonym_memo.put((key, identifier), pseudonym)
         return identifier
 
-    def pseudonymize_many(self, key: bytes, identifiers: Sequence[bytes]) -> List[bytes]:
-        """Batched :meth:`pseudonymize`."""
-        pseudonymize = self.pseudonymize
-        return [pseudonymize(key, identifier) for identifier in identifiers]
-
     def depseudonymize_many(self, key: bytes, pseudonyms: Sequence[bytes]) -> List[bytes]:
         """Batched :meth:`depseudonymize`."""
         depseudonymize = self.depseudonymize
@@ -138,8 +120,10 @@ class CryptoProvider:
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
         """Pseudonym-memo hit/miss counters for the metrics layer."""
         return {
-            "pseudonymize": self._pseudonym_memo.stats(),
-            "depseudonymize": self._depseudonym_memo.stats(),
+            name: {"hits": memo.hits, "misses": memo.misses,
+                   "size": len(memo._data), "maxsize": memo.maxsize}
+            for name, memo in (("pseudonymize", self._pseudonym_memo),
+                               ("depseudonymize", self._depseudonym_memo))
         }
 
     def sym_encrypt(self, key: bytes, plaintext: bytes) -> bytes:

@@ -26,7 +26,6 @@ from repro.experiments.capacity import (
 from repro.experiments.runner import RunResult, run_baseline, run_full, run_micro
 from repro.experiments.report import (
     render_figure,
-    render_medians,
     render_table2,
     render_table3,
     render_telemetry,
@@ -59,7 +58,6 @@ __all__ = [
     "run_baseline",
     "run_full",
     "render_figure",
-    "render_medians",
     "render_table2",
     "render_table3",
     "render_telemetry",

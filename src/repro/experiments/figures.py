@@ -72,15 +72,6 @@ class FigureData:
                 return point
         raise KeyError(f"no point for {config_name} at {rps} RPS")
 
-    def medians(self, config_name: str) -> Dict[float, float]:
-        """RPS -> median latency for one unsaturated series."""
-        return {
-            p.rps: p.summary.median
-            for p in self.series.get(config_name, [])
-            if p.summary is not None and not p.saturated
-        }
-
-
 def figure6(seed: int = 1, runs: int = 2, duration: float = 30.0, trim: float = 8.0,
             rps_grid: Optional[List[int]] = None) -> FigureData:
     """Figure 6: cost of encryption, SGX, and item pseudonymization.

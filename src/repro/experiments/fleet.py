@@ -178,8 +178,7 @@ def run_fleet_drill(
     rig.run()
 
     window = rig.offered_window()
-    split_ops = [op for op in supervisor.operations if op.kind == "split"]
-    split_op = split_ops[0] if split_ops else None
+    split_op = supervisor.operations[0] if supervisor.operations else None
     counters = rig.counters_for(*COUNTERS)
     crashes = counters["crashes_injected"]
     shuffle_size, instances_per_shard = FLEET_CONFIG.shuffle_size, fleet.instances_per_shard

@@ -164,6 +164,18 @@ EXPERIMENT_INDEX: Dict[str, Experiment] = {
         bench="benchmarks/test_related_work_contrast.py",
         claims=("order-of-magnitude latency gap in PProx's favour",),
     ),
+    "breakdown": Experiment(
+        identifier="breakdown",
+        title="Latency by pipeline stage, posts vs gets, recommendation quality",
+        workload="m6 against the stub at 50-250 RPS; leave-latest-out on a MovieLens-shaped trace",
+        modules=("repro.telemetry.spans", "repro.lrs.evaluation", "repro.lrs.baselines"),
+        bench="benchmarks/test_breakdown_and_quality.py",
+        claims=(
+            "the two shuffle stages own over 70% of a get at 50 RPS and shrink at 250 RPS",
+            "posts follow the gets' trend at marginally lower latency (footnote 9)",
+            "the CCO engine beats popularity on nDCG@10: the LRS is a real recommender",
+        ),
+    ),
     "chaos": Experiment(
         identifier="chaos",
         title="Fault injection and failure recovery drill",

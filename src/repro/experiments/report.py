@@ -7,8 +7,6 @@ of the benchmark harness: one candlestick summary per
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 from repro.cluster.deployments import (
     MACRO_BASELINES,
     MACRO_FULL,
@@ -22,7 +20,6 @@ __all__ = [
     "render_figure",
     "render_table2",
     "render_table3",
-    "render_medians",
     "render_telemetry",
 ]
 
@@ -49,19 +46,6 @@ def render_figure(data: FigureData, unit_scale: float = 1000.0) -> str:
                 f" {s.maximum * unit_scale:8.1f} {s.count:7d}"
                 f" {'yes' if point.saturated else 'no':>4s}"
             )
-    return "\n".join(lines)
-
-
-def render_medians(data: FigureData) -> str:
-    """Compact medians-only view: one line per series."""
-    lines = [f"== {data.figure} medians (ms) =="]
-    for config_name, points in data.series.items():
-        cells = ", ".join(
-            f"{p.rps:.0f}rps={p.summary.median * 1000:.0f}"
-            for p in points
-            if p.summary is not None
-        )
-        lines.append(f"{config_name}: {cells}")
     return "\n".join(lines)
 
 

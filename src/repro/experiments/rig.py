@@ -202,7 +202,7 @@ class DrillRig:
         *backend* substitutes a wrapper around :attr:`lrs` (brownout,
         guard) as what the IA layer calls.  *shards* > 0 builds a
         sharded fleet of per-shard *config* deployments, and the
-        :class:`FleetSupervisor` that probes it and splits / merges its
+        :class:`FleetSupervisor` that probes it and splits its
         shards, instead of a single deployment.
         """
         if backend is not None:
@@ -244,7 +244,7 @@ class DrillRig:
 
         *lrs* is the brownout wrapper ``brownout`` entries act on;
         *rotation* the coordinator ``rotate`` entries announce;
-        ``split`` / ``merge`` go to the fleet's supervisor.  A verb
+        ``split`` goes to the fleet's supervisor.  A verb
         none of them can apply is a ``ValueError`` here.  Call it
         before :meth:`instrument`, which instruments the supervisor.
         """

@@ -51,12 +51,6 @@ class RunResult:
         """Candlestick over the trimmed, aggregated samples."""
         return self.recorder.summarize(self.window_latencies)
 
-    @property
-    def median(self) -> float:
-        """Median trimmed latency in seconds."""
-        return self.summary().median
-
-
 def run_micro(
     config: MicroConfig,
     rps: float,

@@ -3,8 +3,8 @@
 The subsystem has three mechanism layers and one policy layer:
 
 * :mod:`repro.faults.plan` — *what happens when*: an immutable
-  :class:`FaultPlan` of faults and operator verbs (rotate, split,
-  merge), timed from traffic start, written literally or sampled from
+  :class:`FaultPlan` of faults and operator verbs (rotate, split),
+  timed from traffic start, written literally or sampled from
   a :class:`ChaosSpec`;
 * :mod:`repro.faults.netfaults` — wire faults (partitions, loss,
   delay spikes) behind the network's fault-filter hook;

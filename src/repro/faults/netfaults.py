@@ -50,16 +50,6 @@ class NetworkFaultController:
             raise RuntimeError("network already has a fault filter installed")
         self.network.fault_filter = self._filter
 
-    def uninstall(self) -> None:
-        """Detach from the network (pending windows stop mattering)."""
-        if self.network.fault_filter == self._filter:
-            self.network.fault_filter = None
-
-    @property
-    def quiescent(self) -> bool:
-        """True when no fault window is currently open."""
-        return not (self._partitions or self._drop_probabilities or self._extra_delays)
-
     # -- window management (called by the supervisor) -------------------
 
     def begin_partition(self, role_a: str, role_b: str) -> None:

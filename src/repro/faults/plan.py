@@ -2,9 +2,9 @@
 
 A :class:`FaultPlan` is a deterministic schedule of :class:`FaultEvent`
 entries in *virtual* time, each ``at`` seconds after traffic starts.
-Its verbs are the five faults of :data:`FAULT_KINDS` and the three
-operations of :data:`OPERATOR_VERBS` (rotate a layer's keys, split or
-merge a shard); :class:`~repro.faults.supervisor.FaultSupervisor` is
+Its verbs are the five faults of :data:`FAULT_KINDS` and the two
+operations of :data:`OPERATOR_VERBS` (rotate a layer's keys, split a
+shard); :class:`~repro.faults.supervisor.FaultSupervisor` is
 the one scheduler.  A malformed entry is refused when it is built, a
 verb with no executor when the plan is armed — never mid-run.
 
@@ -28,8 +28,8 @@ __all__ = ["FaultEvent", "FaultPlan", "ChaosSpec", "FAULT_KINDS", "OPERATOR_VERB
 FAULT_KINDS = ("crash", "partition", "drop", "delay", "brownout")
 #: Operations a plan drives through their executors: a
 #: :class:`~repro.proxy.epochs.RotationCoordinator` announces, a
-#: :class:`~repro.fleet.supervisor.FleetSupervisor` splits and merges.
-OPERATOR_VERBS = ("rotate", "split", "merge")
+#: :class:`~repro.fleet.supervisor.FleetSupervisor` splits.
+OPERATOR_VERBS = ("rotate", "split")
 
 
 def _pair(target: str) -> bool:
@@ -59,8 +59,6 @@ class FaultEvent:
     * ``rotate`` — *target* is the layer (``UA`` / ``IA``) whose next
       key epoch is announced.
     * ``split`` — *target* is the shard id to split.
-    * ``merge`` — *target* is ``"source|into"``: the source shard's
-      key ranges fall to its ring successors and it retires.
     """
 
     at: float
@@ -79,7 +77,7 @@ class FaultEvent:
             raise ValueError(f"{self.kind} duration must be finite, got {self.duration}")
         if self.kind in ("partition", "drop", "delay", "brownout") and self.duration < 0:
             raise ValueError(f"{self.kind} window needs a duration >= 0, got {self.duration}")
-        if self.kind in ("partition", "merge") and not _pair(self.target):
+        if self.kind == "partition" and not _pair(self.target):
             raise ValueError(f"{self.kind} target must be 'a|b', got {self.target!r}")
         if self.kind in ("drop", "brownout") and not 0.0 <= self.magnitude <= 1.0:
             raise ValueError(f"{self.kind} probability must be in [0, 1], got {self.magnitude}")

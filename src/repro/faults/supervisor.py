@@ -9,11 +9,11 @@ the :class:`~repro.faults.netfaults.NetworkFaultController` for wire
 faults, :class:`~repro.faults.brownout.BrownoutLrs` for LRS
 degradation, and the executors of the operator verbs (a
 :class:`~repro.proxy.epochs.RotationCoordinator` for ``rotate``, a
-:class:`~repro.fleet.supervisor.FleetSupervisor` for ``split`` /
-``merge``).  Every fault injection and recovery is recorded as a
-structured ``chaos`` fault event (window boundaries, not per-message,
-so the event log stays small and byte-deterministic); a verb's
-executor books its own events.
+:class:`~repro.fleet.supervisor.FleetSupervisor` for ``split``).
+Every fault injection and recovery is recorded as a structured
+``chaos`` fault event (window boundaries, not per-message, so the event
+log stays small and byte-deterministic); a verb's executor books its
+own events.
 
 Recovery of in-flight work is *not* the supervisor's job: the health
 monitor ejects/readmits balancer backends, the shuffle buffers drain on
@@ -47,7 +47,7 @@ class FaultSupervisor:
     lrs: Optional[BrownoutLrs] = None
     #: Executor of ``rotate`` (a RotationCoordinator), if any.
     rotation: Any = None
-    #: Executor of ``split`` / ``merge`` (a FleetSupervisor), if any.
+    #: Executor of ``split`` (a FleetSupervisor), if any.
     fleet: Any = None
     telemetry: Optional[TelemetryLike] = None
     #: Injection bookkeeping.
@@ -63,7 +63,7 @@ class FaultSupervisor:
                 self.rotation is None or self.rotation.layer != event.target
             ):
                 raise ValueError(f"no rotation coordinator for layer {event.target!r}")
-            if event.kind in ("split", "merge") and self.fleet is None:
+            if event.kind == "split" and self.fleet is None:
                 raise ValueError(f"{event.kind} needs a fleet supervisor")
 
     def arm(self, plan: FaultPlan) -> None:
@@ -175,10 +175,6 @@ class FaultSupervisor:
 
     def _inject_split(self, event: FaultEvent) -> None:
         self.fleet.split(event.target)
-
-    def _inject_merge(self, event: FaultEvent) -> None:
-        source, _, into = event.target.partition("|")
-        self.fleet.merge(source, into)
 
     # -- helpers --------------------------------------------------------
 

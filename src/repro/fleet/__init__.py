@@ -4,12 +4,12 @@ A fleet is a set of UA+IA shard pairs behind a consistent-hash
 directory.  Routing is keyed on the per-attempt request nonce — never
 a user identifier — so shard placement is unlinkable to users and
 every retry automatically re-rolls its shard (which is also the
-failover path).  A supervisor owns the shard lifecycle (provision →
-live → splitting/merging → draining → retired) with the same
-pause-never-abort discipline as key rotation: handoff barriers keep
-epochs/keys provisioned before a ring flip and drain in-flight
-batches on the old shard, so the anonymity floor ``S*I`` holds
-through splits, merges and whole-failure-domain loss.  The drill that
+failover path).  A supervisor owns the shard lifecycle (provisioning →
+live → splitting → live) with the same pause-never-abort discipline as
+key rotation: handoff barriers keep epochs/keys provisioned before a
+ring flip and drain in-flight batches on the old shard, so the
+anonymity floor ``S*I`` holds through splits and
+whole-failure-domain loss.  The drill that
 proves it lives with the other scenarios, in
 :mod:`repro.experiments.fleet`.
 """

@@ -42,19 +42,12 @@ __all__ = [
 
 #: Shard lifecycle states owned by the FleetSupervisor.  Mirrors the
 #: rotation coordinator's pause-never-abort discipline: a shard leaves
-#: ``live`` only through an explicit split/merge operation and can
-#: park in any state while the fleet pauses for faults or overload.
-SHARD_STATES = (
-    "provisioning",
-    "live",
-    "splitting",
-    "merging",
-    "draining",
-    "retired",
-)
+#: ``live`` only through an explicit split and can park in any state
+#: while the fleet pauses for faults or overload.
+SHARD_STATES = ("provisioning", "live", "splitting")
 
 #: States in which a shard may appear on the ring and take traffic.
-ROUTABLE_STATES = frozenset({"live", "splitting", "merging", "draining"})
+ROUTABLE_STATES = frozenset({"live", "splitting"})
 
 
 def ring_point(label: str) -> int:
@@ -110,16 +103,6 @@ class HashRing:
         self._points: List[Tuple[int, str]] = []
         self._members: Dict[str, None] = {}
 
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, shard_id: str) -> bool:
-        return shard_id in self._members
-
-    def members(self) -> List[str]:
-        """Shard ids on the ring, in insertion order."""
-        return list(self._members)
-
     def add(self, shard_id: str) -> None:
         if shard_id in self._members:
             raise ValueError(f"shard {shard_id!r} already on the ring")
@@ -127,22 +110,6 @@ class HashRing:
         for replica in range(self.vnodes):
             self._points.append((ring_point(f"{shard_id}#{replica}"), shard_id))
         self._points.sort()
-
-    def remove(self, shard_id: str) -> None:
-        if shard_id not in self._members:
-            raise ValueError(f"shard {shard_id!r} not on the ring")
-        del self._members[shard_id]
-        self._points = [pt for pt in self._points if pt[1] != shard_id]
-
-    def route(self, nonce: int) -> str:
-        """Owning shard id for an (integer) request nonce."""
-        if not self._points:
-            raise NoUpstream("shard ring is empty")
-        point = ring_point(f"n{nonce}")
-        index = bisect_right(self._points, (point, "￿"))
-        if index == len(self._points):
-            index = 0
-        return self._points[index][1]
 
     def successors(self, nonce: int) -> Iterator[str]:
         """Distinct shard ids in ring order from the nonce's point.
@@ -191,17 +158,6 @@ class ShardDirectory:
         """Flip the ring: *shard_id* starts owning key ranges."""
         self._require(shard_id)
         self.ring.add(shard_id)
-
-    def deactivate(self, shard_id: str) -> None:
-        """Flip the ring: *shard_id* stops owning key ranges."""
-        self._require(shard_id)
-        self.ring.remove(shard_id)
-
-    def forget(self, shard_id: str) -> None:
-        """Drop a retired shard from the directory entirely."""
-        if shard_id in self.ring:
-            self.ring.remove(shard_id)
-        self.shards.pop(shard_id, None)
 
     def _require(self, shard_id: str) -> Shard:
         shard = self.shards.get(shard_id)

@@ -115,28 +115,6 @@ class ShardedPProxService(PProxService):
             self.on_shard_added(shard)
         return shard
 
-    def remove_shard(self, shard: Shard) -> None:
-        """Retire a drained shard: pull its instances out of service.
-
-        The caller (supervisor) must have deactivated the shard on the
-        ring and drained its in-flight batches first.
-        """
-        if shard.shard_id in self.directory.ring:
-            raise ValueError(
-                f"shard {shard.shard_id} is still on the ring; deactivate first"
-            )
-        for instance in shard.ua_instances:
-            if instance in self.ua_balancer.backends:
-                self.ua_balancer.remove(instance)
-            if instance in self.ua_instances:
-                self.ua_instances.remove(instance)
-        for instance in shard.ia_instances:
-            if instance in self.ia_balancer.backends:
-                self.ia_balancer.remove(instance)
-            if instance in self.ia_instances:
-                self.ia_instances.remove(instance)
-        shard.set_state("retired")
-
     # -- failure recovery ----------------------------------------------
 
     def _placement(self, instance: Union[UserAnonymizer, ItemAnonymizer]) -> Tuple[str, str]:

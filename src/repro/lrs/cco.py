@@ -290,11 +290,6 @@ class CcoModel:
             scores[item] = score
         return survivors
 
-    def indicator_count(self) -> int:
-        """Total number of (item, indicator) edges in the model."""
-        return sum(len(v) for v in self.indicators.values())
-
-
 @dataclass
 class CcoTrainer:
     """Batch trainer: events -> :class:`CcoModel`.

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.lrs.engine import HarnessEngine
 from repro.rest.messages import Request, Response, Verb
@@ -75,11 +75,6 @@ class HarnessFrontend:
     def address(self) -> str:
         """Network address of this frontend."""
         return self.name
-
-    @property
-    def pending(self) -> int:
-        """Outstanding requests (load-balancer signal)."""
-        return self.node.pending
 
     def handle(self, request: Request, reply: Callable[[Response], None]) -> None:
         """Process *request*: frontend work, support lookup, reply."""
@@ -157,7 +152,3 @@ class HarnessService:
         """Run the Spark-like batch training job on accumulated events."""
         self.engine.train()
 
-    @property
-    def node_count(self) -> int:
-        """Total nodes in the deployment (frontends + 4 support)."""
-        return len(self.frontends) + 4

@@ -36,18 +36,16 @@ class FeedbackEvent:
 
 @dataclass
 class EventStore:
-    """Append-only feedback store with per-user and per-item indexes."""
+    """Append-only feedback store with a per-user index."""
 
     events: List[FeedbackEvent] = field(default_factory=list)
     _by_user: Dict[str, List[int]] = field(default_factory=lambda: defaultdict(list))
-    _by_item: Dict[str, List[int]] = field(default_factory=lambda: defaultdict(list))
 
     def insert(self, user: str, item: str, payload: Optional[str] = None) -> FeedbackEvent:
         """Persist one feedback event."""
         event = FeedbackEvent(user=user, item=item, payload=payload, sequence=len(self.events))
         self.events.append(event)
         self._by_user[user].append(event.sequence)
-        self._by_item[item].append(event.sequence)
         return event
 
     def rewrite(
@@ -57,8 +55,8 @@ class EventStore:
 
         Used by the online re-key pass: the record keeps its sequence
         and payload, only the pseudonymous identifiers change, and the
-        per-user/per-item indexes stay consistent so lookups served
-        between re-key batches remain correct.
+        per-user index stays consistent so lookups served between re-key
+        batches remain correct.
         """
         event = self.events[sequence]
         new_user = user if user is not None else event.user
@@ -70,14 +68,11 @@ class EventStore:
         )
         self.events[sequence] = updated
         if new_user != event.user:
-            self._move_index(self._by_user, event.user, new_user, sequence)
-        if new_item != event.item:
-            self._move_index(self._by_item, event.item, new_item, sequence)
+            self._move_user(event.user, new_user, sequence)
         return updated
 
-    def _move_index(
-        self, index: Dict[str, List[int]], old_key: str, new_key: str, sequence: int
-    ) -> None:
+    def _move_user(self, old_key: str, new_key: str, sequence: int) -> None:
+        index = self._by_user
         entries = index.get(old_key)
         if entries is not None:
             try:
@@ -100,18 +95,6 @@ class EventStore:
             indices = indices[-limit:] if limit > 0 else []
         return [self.events[i].item for i in indices]
 
-    def item_audience(self, item: str) -> List[str]:
-        """Users who interacted with *item* (with repetition)."""
-        return [self.events[i].user for i in self._by_item.get(item, [])]
-
-    def users(self) -> List[str]:
-        """All distinct user identifiers, in first-seen order."""
-        return list(self._by_user.keys())
-
-    def items(self) -> List[str]:
-        """All distinct item identifiers, in first-seen order."""
-        return list(self._by_item.keys())
-
     def interactions(self) -> Iterator[Tuple[str, str]]:
         """Iterate (user, item) pairs in insertion order."""
         for event in self.events:
@@ -125,7 +108,6 @@ class EventStore:
         """Drop everything (breach response option 1 of footnote 1)."""
         self.events.clear()
         self._by_user.clear()
-        self._by_item.clear()
 
     def __len__(self) -> int:
         return len(self.events)

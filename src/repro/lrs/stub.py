@@ -53,11 +53,6 @@ class StubLrs:
         if self.node is None:
             self.node = SimNode(name=self.address, loop=self.loop, cores=8)
 
-    @property
-    def pending(self) -> int:
-        """Outstanding requests (load-balancer signal)."""
-        return self.node.pending
-
     def handle(self, request: Request, reply: Callable[[Response], None]) -> None:
         """Serve *request* after a sampled sub-millisecond service time."""
         service_time = self.rng.lognormvariate(_MU, 0.35)
@@ -71,10 +66,6 @@ class StubLrs:
                 reply(Response(status=200, fields={}, request_id=request.request_id))
 
         self.node.submit(service_time, finish)
-
-    def train(self) -> None:
-        """No-op: the stub has no model."""
-
 
 def make_pseudonymous_payload(provider, symmetric_key: bytes) -> List[str]:
     """Pseudonymize :data:`STATIC_ITEMS` under the IA layer's key.

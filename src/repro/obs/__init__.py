@@ -19,7 +19,7 @@ Three pillars, built so that watching the system never weakens it:
 from __future__ import annotations
 
 from repro.obs.causal import CausalTracer, instrument_causal
-from repro.obs.profiler import ProfiledLoop, merge_profiles, write_profile
+from repro.obs.profiler import ProfiledLoop, write_profile
 from repro.obs.smoke import (
     obs_slo_objectives,
     run_obs_scenario,
@@ -39,7 +39,6 @@ from repro.obs.tracewire import (
     TRACE_FIELD,
     TRACE_PREFIX,
     TRACE_WIDTH,
-    decode_trace,
     encode_trace_id,
     looks_like_trace_id,
     stamp_trace,
@@ -52,7 +51,6 @@ __all__ = [
     "obs_slo_objectives",
     "write_obs_artifacts",
     "ProfiledLoop",
-    "merge_profiles",
     "write_profile",
     "RUN_END_KINDS",
     "Measurement",
@@ -65,7 +63,6 @@ __all__ = [
     "TRACE_FIELD",
     "TRACE_PREFIX",
     "TRACE_WIDTH",
-    "decode_trace",
     "encode_trace_id",
     "looks_like_trace_id",
     "stamp_trace",

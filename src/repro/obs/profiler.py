@@ -2,7 +2,8 @@
 
 :class:`ProfiledLoop` is a delegating wrapper (both engines use
 ``__slots__``, so monkey-patching is off the table) that intercepts the
-four scheduling entry points and wraps every callback.  Attribution is
+three scheduling entry points it is driven through and wraps every
+callback.  Attribution is
 by **causal scheduling stack**: when callback A, while executing,
 schedules callback B, B's frame stack is A's stack plus B — the chain
 of virtual-time causation, which is what a flamegraph of a discrete
@@ -31,12 +32,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "ProfiledLoop",
     "profile_snapshot",
-    "merge_profiles",
     "render_folded",
     "write_profile",
 ]
@@ -61,11 +61,9 @@ def _callback_label(callback: Callable[[], None]) -> str:
 class ProfiledLoop:
     """Event loop wrapper attributing every callback to a causal stack.
 
-    Exposes the full engine API (``schedule``/``schedule_at``/``post``/
-    ``post_at``/``step``/``run``/``run_until``/``now``/``pending``/
-    ``events_processed``/``queue_stats``); anything else is delegated
-    to the wrapped loop, so a :class:`ProfiledLoop` drops into any site
-    that accepts an :class:`repro.simnet.clock.EventLoop`.
+    Exposes the engine API the obs scenario drives (``schedule``/
+    ``post``/``post_at``/``run``/``run_until``/``now``/``pending``/
+    ``events_processed``); nothing else is delegated.
     """
 
     def __init__(self, inner: Any, max_depth: int = 24) -> None:
@@ -112,9 +110,6 @@ class ProfiledLoop:
     def schedule(self, delay: float, callback: Callable[[], None]):
         return self._inner.schedule(delay, self._wrap(callback, self._inner.now))
 
-    def schedule_at(self, when: float, callback: Callable[[], None]):
-        return self._inner.schedule_at(when, self._wrap(callback, self._inner.now))
-
     def post(self, delay: float, callback: Callable[[], None]) -> None:
         self._inner.post(delay, self._wrap(callback, self._inner.now))
 
@@ -135,21 +130,11 @@ class ProfiledLoop:
     def events_processed(self) -> int:
         return self._inner.events_processed
 
-    def queue_stats(self) -> Dict[str, object]:
-        return self._inner.queue_stats()
-
-    def step(self) -> bool:
-        return self._inner.step()
-
     def run_until(self, when: float) -> None:
         self._inner.run_until(when)
 
     def run(self, max_events: Optional[int] = None) -> None:
         self._inner.run(max_events=max_events)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._inner, name)
-
 
 def profile_snapshot(loop: ProfiledLoop) -> Dict[str, Any]:
     """The deterministic profile artifact as a plain dict."""
@@ -161,23 +146,6 @@ def profile_snapshot(loop: ProfiledLoop) -> Dict[str, Any]:
             for key, record in sorted(loop.sites.items())
         },
     }
-
-
-def merge_profiles(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-    """Merge profile artifacts by summation (sharded/multi-run rollup)."""
-    merged: Dict[str, Any] = {"events_processed": 0, "final_virtual_time": 0.0, "sites": {}}
-    sites: Dict[str, Dict[str, float]] = {}
-    for snapshot in snapshots:
-        merged["events_processed"] += snapshot.get("events_processed", 0)
-        merged["final_virtual_time"] = max(
-            merged["final_virtual_time"], snapshot.get("final_virtual_time", 0.0)
-        )
-        for key, record in snapshot.get("sites", {}).items():
-            slot = sites.setdefault(key, {"calls": 0, "virtual_delay_seconds": 0.0})
-            slot["calls"] += record["calls"]
-            slot["virtual_delay_seconds"] += record["virtual_delay_seconds"]
-    merged["sites"] = {key: sites[key] for key in sorted(sites)}
-    return merged
 
 
 def render_folded(snapshot: Dict[str, Any]) -> str:

@@ -154,12 +154,6 @@ class SloReport:
     def alerts(self) -> int:
         return sum(1 for m in self.measurements if m.alert)
 
-    def objective(self, name: str) -> Measurement:
-        for measurement in self.measurements:
-            if measurement.name == name:
-                return measurement
-        raise KeyError(f"no objective named {name!r} in this report")
-
     def problems(self) -> List[str]:
         return [
             f"{self.experiment} {m.name}: {m.description}"

@@ -22,7 +22,7 @@ wire auditor key on (:func:`repro.privacy.wire.trace_field_exposures`).
 from __future__ import annotations
 
 import re
-from typing import Any, Optional, Union
+from typing import Any
 
 from repro.rest.header import TRACE, stamp
 from repro.rest.messages import Request
@@ -33,7 +33,6 @@ __all__ = [
     "TRACE_WIDTH",
     "encode_trace_id",
     "looks_like_trace_id",
-    "decode_trace",
     "stamp_trace",
 ]
 
@@ -62,15 +61,6 @@ def encode_trace_id(serial: int) -> str:
 def looks_like_trace_id(value: Any) -> bool:
     """True when *value* is a well-formed encoded trace id."""
     return isinstance(value, str) and _WELL_FORMED.fullmatch(value) is not None
-
-
-def decode_trace(message: Union[Request, dict]) -> Optional[str]:
-    """Trace id carried by *message*, or None when absent/malformed."""
-    fields = message if isinstance(message, dict) else message.fields
-    encoded = fields.get(TRACE_FIELD)
-    if encoded is None or not looks_like_trace_id(encoded):
-        return None
-    return encoded
 
 
 def stamp_trace(request: Request, trace_id: str) -> Request:

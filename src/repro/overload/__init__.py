@@ -55,7 +55,6 @@ from repro.overload.shedding import (
     STAGE_UPSTREAM,
     is_retryable,
     is_uniform_reject,
-    reject_size_bytes,
     uniform_reject,
 )
 
@@ -82,7 +81,6 @@ __all__ = [
     "uniform_reject",
     "is_uniform_reject",
     "is_retryable",
-    "reject_size_bytes",
     "SHED_STAGES",
     "STAGE_ADMISSION",
     "STAGE_QUEUE",

@@ -24,7 +24,6 @@ __all__ = [
     "uniform_reject",
     "is_uniform_reject",
     "is_retryable",
-    "reject_size_bytes",
     "STAGE_ADMISSION",
     "STAGE_QUEUE",
     "STAGE_DEADLINE",
@@ -93,6 +92,3 @@ def is_retryable(response: Response) -> bool:
     )
 
 
-def reject_size_bytes() -> int:
-    """Wire size of the canonical reject (for the uniformity audit)."""
-    return uniform_reject(0).size_bytes()

@@ -6,8 +6,6 @@ from repro.privacy.linkage import LinkageOutcome, ShuffleLinkageExperiment
 from repro.privacy.unlinkability import KnowledgeEngine, Link, fifo_correlation
 from repro.privacy.wire import (
     RejectAuditor,
-    constant_size_violations,
-    flow_size_profile,
     hop_of,
     trace_field_exposures,
 )
@@ -22,9 +20,7 @@ __all__ = [
     "LinkageOutcome",
     "HistoryAttack",
     "HistoryAttackResult",
-    "constant_size_violations",
     "RejectAuditor",
-    "flow_size_profile",
     "hop_of",
     "trace_field_exposures",
 ]

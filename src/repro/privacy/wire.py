@@ -4,13 +4,13 @@
 encrypted messages ... The size of all encrypted messages is
 constant, by using fixed-size user and item identifiers, and padding
 when necessary."  These helpers classify observed flows by hop and
-verify the constant-size property, giving the test-suite (and
-operators) a concrete leak detector.
+audit what each hop carries — epoch tags, trace ids, shard names, the
+uniform reject — giving the scenarios and the test-suite a concrete
+leak detector.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -19,8 +19,6 @@ from repro.simnet.network import FlowRecord
 
 __all__ = [
     "hop_of",
-    "flow_size_profile",
-    "constant_size_violations",
     "epoch_tag_exposures",
     "trace_field_exposures",
     "shard_tag_exposures",
@@ -32,12 +30,6 @@ __all__ = [
 #: any of them: shard membership is positional (which instance a
 #: message reaches), never tagged.
 SHARD_FIELD_NAMES = ("shard", "shard_id", "ring", "ring_point", "fleet")
-
-#: The hops whose message sizes must not depend on identifiers or
-#: list contents: everything between the client and the IA layer.
-#: (IA<->LRS flows are pseudonymous by construction, so their sizes
-#: need not be padded.)
-PROTECTED_HOPS = (("client", "ua"), ("ua", "ia"), ("ia", "ua"), ("ua", "client"))
 
 #: The hops up to the UA front door — direct, or through the
 #: application's relay (§6.3) — the only ones a header field the UA
@@ -57,25 +49,6 @@ def hop_of(record: Any) -> Tuple[str, str]:
     is ``unknown``.
     """
     return record.source_role, record.destination_role
-
-
-def flow_size_profile(records: Sequence[FlowRecord]) -> Dict[Tuple[str, str], Set[int]]:
-    """Distinct message sizes observed per hop class."""
-    profile: Dict[Tuple[str, str], Set[int]] = defaultdict(set)
-    for record in records:
-        profile[hop_of(record)].add(record.size_bytes)
-    return dict(profile)
-
-
-def constant_size_violations(records: Sequence[FlowRecord]) -> List[str]:
-    """Protected hops (:data:`PROTECTED_HOPS`) whose message sizes vary."""
-    profile = flow_size_profile(records)
-    violations = []
-    for hop in PROTECTED_HOPS:
-        sizes = profile.get(hop, set())
-        if len(sizes) > 1:
-            violations.append(f"{hop[0]}->{hop[1]}: sizes {sorted(sizes)}")
-    return violations
 
 
 def _exposures(

@@ -24,13 +24,12 @@ from repro.proxy.protocol import (
     ua_wrap_response,
 )
 from repro.proxy.service import IA_CODE_IDENTITY, UA_CODE_IDENTITY, PProxService, build_pprox
-from repro.proxy.rekey import OnlineRekeyer, RekeyReport, reencrypt_store
+from repro.proxy.rekey import OnlineRekeyer, RekeyReport
 from repro.proxy.epochs import (
     EPOCH_FIELD,
     ROTATION_STATES,
     EpochWindow,
     RotationCoordinator,
-    decode_epoch,
     encode_epoch,
     epoch_window_of,
     stamp_epoch,
@@ -48,12 +47,10 @@ __all__ = [
     "ShuffleBuffer",
     "RekeyReport",
     "OnlineRekeyer",
-    "reencrypt_store",
     "EPOCH_FIELD",
     "ROTATION_STATES",
     "EpochWindow",
     "RotationCoordinator",
-    "decode_epoch",
     "encode_epoch",
     "epoch_window_of",
     "stamp_epoch",

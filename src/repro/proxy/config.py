@@ -61,11 +61,6 @@ class PProxConfig:
         """True when request/response shuffling is active."""
         return self.shuffle_size > 0
 
-    @property
-    def proxy_node_count(self) -> int:
-        """Total nodes dedicated to the proxy service."""
-        return self.ua_instances + self.ia_instances
-
     def describe(self) -> str:
         """One-line summary in the style of Table 2's columns."""
         enc = "*" if (self.encryption and not self.item_pseudonymization) else (

@@ -1,9 +1,9 @@
 """Epoch-based live key rotation (online re-key without downtime).
 
 The breach response of footnote 1 — rotate a layer's keys and
-re-encrypt the LRS — exists in this repo as a stop-the-world pass
-(:func:`repro.proxy.rekey.reencrypt_store`).  A production RaaS fleet
-cannot stop: this module rotates keys while traffic flows, without
+re-encrypt the LRS (:class:`repro.proxy.rekey.OnlineRekeyer`) — could
+run as one stop-the-world pass.  A production RaaS fleet cannot stop:
+this module rotates keys while traffic flows, without
 ever aborting a request and without ever letting the effective
 anonymity set drop below ``S*I`` mid-rotation.
 
@@ -54,7 +54,7 @@ the other way around) and re-exported here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.crypto.keys import KeyFactory, LayerKeys
 from repro.rest.header import EPOCH, stamp
@@ -68,7 +68,6 @@ __all__ = [
     "EPOCH_WIDTH",
     "MAX_EPOCH",
     "encode_epoch",
-    "decode_epoch",
     "stamp_epoch",
     "EpochWindow",
     "epoch_slot",
@@ -99,18 +98,6 @@ def encode_epoch(epoch_id: int) -> str:
     """Fixed-width encoding of an epoch id (``0003``)."""
     clamped = min(max(int(epoch_id), 0), MAX_EPOCH)
     return format(clamped, f"0{EPOCH_WIDTH}d")
-
-
-def decode_epoch(message: Union[Request, dict]) -> Optional[int]:
-    """Epoch id carried by *message*, or ``None`` when absent/garbled."""
-    fields = message if isinstance(message, dict) else message.fields
-    encoded = fields.get(EPOCH_FIELD)
-    if encoded is None:
-        return None
-    try:
-        return int(encoded)
-    except (TypeError, ValueError):
-        return None
 
 
 def stamp_epoch(request: Request, epoch_id: Optional[int]) -> Request:
@@ -316,12 +303,6 @@ class RotationCoordinator(HoldTheLine, Periodic):
             else self.loop.now
         )
         return closed - self.window_opened_at
-
-    def guard(self, layer: str) -> bool:
-        """Scaling guard: True while *layer* is mid-rotation (the
-        autoscaler must not retire instances whose enclaves hold the
-        only in-flight copies of previous-epoch secrets)."""
-        return layer == self.layer and self.state not in ("idle", "retired")
 
     # -- drill ----------------------------------------------------------
 

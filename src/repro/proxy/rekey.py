@@ -14,17 +14,13 @@ model quality) at the cost of a pass over the database.  The
 re-encryption is performed by the RaaS *client application*, which is
 the party that generated both the old and the new keys.
 
-Two entry points share the translation machinery:
-
-* :func:`reencrypt_store` — the original stop-the-world pass, kept for
-  breach response (the old keys are already burned; nothing is racing
-  the rewrite);
-* :class:`OnlineRekeyer` — the resumable, batched pass the live
-  rotation drill (:mod:`repro.proxy.epochs`) runs in the background
-  while traffic flows.  Its target is the store prefix present at
-  construction time: rows inserted later were pseudonymized forward
-  under the *new* epoch by the proxy layers, so the prefix is a fixed
-  cut-over barrier, not a moving one.
+:class:`OnlineRekeyer` is the resumable, batched pass the live rotation
+drill (:mod:`repro.proxy.epochs`) runs in the background while traffic
+flows; a stop-the-world pass is one :meth:`OnlineRekeyer.run_batch`
+whose limit covers the store.  Its target is the store prefix present
+at construction time: rows inserted later were pseudonymized forward
+under the *new* epoch by the proxy layers, so the prefix is a fixed
+cut-over barrier, not a moving one.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from repro.crypto.keys import LayerKeys
 from repro.crypto.provider import CryptoProvider
 from repro.lrs.store import EventStore
 
-__all__ = ["RekeyReport", "OnlineRekeyer", "reencrypt_store"]
+__all__ = ["RekeyReport", "OnlineRekeyer"]
 
 
 @dataclass(frozen=True)
@@ -146,28 +142,3 @@ class OnlineRekeyer:
             translate_cache_misses=self.translate_cache_misses,
         )
 
-
-def reencrypt_store(
-    store: EventStore,
-    provider: CryptoProvider,
-    old_keys: LayerKeys,
-    new_keys: LayerKeys,
-    layer: str,
-) -> RekeyReport:
-    """Re-pseudonymize one layer's identifiers in *store*, in place.
-
-    *layer* selects which column rotates: ``"UA"`` re-keys user
-    pseudonyms (kUA), ``"IA"`` re-keys item pseudonyms (kIA).  The
-    other column is untouched — its keys did not leak.  Runs the
-    :class:`OnlineRekeyer` to completion in one call.
-    """
-    rekeyer = OnlineRekeyer(
-        store=store,
-        provider=provider,
-        old_keys=old_keys,
-        new_keys=new_keys,
-        layer=layer,
-    )
-    while not rekeyer.done:
-        rekeyer.run_batch(1024)
-    return rekeyer.report()

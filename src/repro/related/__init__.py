@@ -6,7 +6,7 @@ of solutions whose multi-second latencies motivate PProx's proxying
 approach.
 """
 
-from repro.related.encrypted_slope_one import EncryptedSlopeOne, PlainSlopeOne
+from repro.related.encrypted_slope_one import EncryptedSlopeOne
 from repro.related.paillier import (
     PaillierPrivateKey,
     PaillierPublicKey,
@@ -15,7 +15,6 @@ from repro.related.paillier import (
 
 __all__ = [
     "EncryptedSlopeOne",
-    "PlainSlopeOne",
     "PaillierPublicKey",
     "PaillierPrivateKey",
     "generate_paillier_keypair",

@@ -10,7 +10,6 @@ Implements key generation (two safe-sized primes), encryption,
 decryption, and the two homomorphic operations Slope One needs:
 
 * ``add(c1, c2)``   — E(m1) (+) E(m2)      = E(m1 + m2)
-* ``add_plain``     — E(m) (+) k           = E(m + k)
 * ``mul_plain``     — E(m) (*) k           = E(m * k)
 
 Plaintexts are integers modulo n; negative values are represented in
@@ -68,11 +67,6 @@ class PaillierPublicKey:
     def add(self, c1: int, c2: int) -> int:
         """Homomorphic addition of two ciphertexts."""
         return (c1 * c2) % self.n_squared
-
-    def add_plain(self, ciphertext: int, k: int) -> int:
-        """Homomorphic addition of a plaintext constant."""
-        g_k = (1 + self.n * self._encode(k)) % self.n_squared
-        return (ciphertext * g_k) % self.n_squared
 
     def mul_plain(self, ciphertext: int, k: int) -> int:
         """Homomorphic multiplication by a plaintext constant."""

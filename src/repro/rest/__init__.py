@@ -8,7 +8,7 @@ from repro.rest.codec import (
     WireFrame,
     resolve_codec,
 )
-from repro.rest.messages import Request, Response, Verb, make_get, make_post, next_request_id
+from repro.rest.messages import Request, Response, Verb, make_get, make_post
 from repro.rest.routing import RoutingError, RoutingTable
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "Verb",
     "make_get",
     "make_post",
-    "next_request_id",
     "WireCodec",
     "JsonCodec",
     "BinaryCodec",

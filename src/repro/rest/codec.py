@@ -802,11 +802,6 @@ class BatchEnvelope:
         self.verbs = tuple(verbs)
         self.source = source
 
-    @property
-    def count(self) -> int:
-        """Number of sealed requests."""
-        return len(self.request_ids)
-
     def size_bytes(self) -> int:
         """Transport size: framing word + the sealed blob."""
         return 8 + len(self.blob)

@@ -24,34 +24,16 @@ the source address is not part of the body.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from json import JSONEncoder
 from typing import Any, Dict, Optional, Tuple
 
-__all__ = ["Request", "Response", "Verb", "make_get", "make_post", "next_request_id"]
-
-_REQUEST_IDS = itertools.count(1)
+__all__ = ["Request", "Response", "Verb", "make_get", "make_post"]
 
 #: The one compact, key-sorted encoder behind every JSON body and every
 #: JSON-typed binary field (``json.dumps`` with these options builds a
 #: fresh ``JSONEncoder`` per call).
 encode_compact_json = JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def next_request_id() -> int:
-    """Allocate a request id from the process-wide counter.
-
-    The counter leaks across runs in one process, so ids drawn here
-    only promise to be unique, not reproducible: :class:`PProxClient
-    <repro.client.library.PProxClient>` allocates from
-    :meth:`repro.context.SimContext.next_request_id` (a per-context
-    counter) and :class:`DirectClient
-    <repro.client.library.DirectClient>` from a per-client one.  This
-    one serves :func:`make_get` / :func:`make_post` callers that pass
-    no id (hand-built test messages).
-    """
-    return next(_REQUEST_IDS)
 
 
 class Verb:
@@ -148,28 +130,31 @@ class Response:
         return 20 + len(self.body_json().encode("utf-8"))
 
 
-def make_post(user_field: Any, item_field: Any, payload: Optional[Any] = None,
-              client_address: str = "client", request_id: Optional[int] = None) -> Request:
-    """Build a post(u, i[, p]) request."""
+def make_post(user_field: Any, item_field: Any, payload: Optional[Any] = None, *,
+              client_address: str = "client", request_id: int) -> Request:
+    """Build a post(u, i[, p]) request.  *request_id* comes from the
+    caller's counter (:meth:`repro.context.SimContext.next_request_id`,
+    or a client's own)."""
     fields: Dict[str, Any] = {"user": user_field, "item": item_field}
     if payload is not None:
         fields["payload"] = payload
     return Request(
         verb=Verb.POST,
         fields=fields,
-        request_id=request_id if request_id is not None else next_request_id(),
+        request_id=request_id,
         client_address=client_address,
     )
 
 
-def make_get(user_field: Any, client_address: str = "client",
-             request_id: Optional[int] = None, **extra: Any) -> Request:
-    """Build a get(u) request (extra fields carry the encrypted k_u)."""
+def make_get(user_field: Any, *, client_address: str = "client",
+             request_id: int, **extra: Any) -> Request:
+    """Build a get(u) request (extra fields carry the encrypted k_u);
+    *request_id* as for :func:`make_post`."""
     fields: Dict[str, Any] = {"user": user_field}
     fields.update(extra)
     return Request(
         verb=Verb.GET,
         fields=fields,
-        request_id=request_id if request_id is not None else next_request_id(),
+        request_id=request_id,
         client_address=client_address,
     )

@@ -15,7 +15,7 @@ the layer needs to route and post-process the response.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generic, Optional, TypeVar
+from typing import Dict, Generic, TypeVar
 
 __all__ = ["RoutingTable", "RoutingError"]
 
@@ -52,10 +52,6 @@ class RoutingTable(Generic[ContextT]):
             raise RoutingError(
                 f"no pending route for outbound id {outbound_id} in table {self.name!r}"
             ) from None
-
-    def peek(self, outbound_id: int) -> Optional[ContextT]:
-        """Return the context without consuming it (None if absent)."""
-        return self._entries.get(outbound_id)
 
     def __len__(self) -> int:
         return len(self._entries)

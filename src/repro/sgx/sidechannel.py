@@ -78,11 +78,6 @@ class SideChannelAttack:
         self.aborted = True
         self.target.performance_penalty = 1.0
 
-    @property
-    def running(self) -> bool:
-        """True between launch and completion/abort."""
-        return self.started_at is not None and self.completed_at is None and not self.aborted
-
     def _complete(self) -> None:
         if self.aborted:
             return
@@ -142,11 +137,6 @@ class BreachDetector:
                 self._suspicion[enclave.name] = 0
         self.loop.schedule(self.sampling_interval, self._sample)
 
-    def detection_time(self) -> float:
-        """Worst-case time from attack start to response trigger."""
-        return self.sampling_interval * self.confirmation_samples
-
-
 @dataclass
 class SingleEnclaveInvariant:
     """Checks the "one enclave at a time" adversary constraint.
@@ -178,7 +168,3 @@ class SingleEnclaveInvariant:
         """Key rotation retired the leaked secrets of *layer*."""
         self.holdings[layer] = False
 
-    @property
-    def satisfied(self) -> bool:
-        """True while at most one layer's live secrets are held."""
-        return not (self.holdings["UA"] and self.holdings["IA"])

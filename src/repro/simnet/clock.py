@@ -67,21 +67,11 @@ class EventHandle:
 
     Slotted: a million pending timers is a normal working set for the
     scale experiments, so per-handle ``__dict__`` overhead matters.
+    Only the loop builds one, and it has no ``__init__``: the loop sets
+    the four slots itself.
     """
 
     __slots__ = ("time", "sequence", "callback", "_loop")
-
-    def __init__(
-        self,
-        time: float,
-        sequence: int,
-        callback: Optional[Callable[[], None]],
-        _loop: Optional[object] = None,
-    ) -> None:
-        self.time = time
-        self.sequence = sequence
-        self.callback = callback
-        self._loop = _loop
 
     def cancel(self) -> None:
         """Cancel the event; a cancelled event is skipped by the loop."""
@@ -104,11 +94,6 @@ class EventHandle:
     def cancelled(self) -> bool:
         """True once :meth:`cancel` has been called (or the event fired)."""
         return self.callback is None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.callback is None else "pending"
-        return f"EventHandle(time={self.time!r}, sequence={self.sequence}, {state})"
-
 
 #: A queue entry: ``(time, sequence, payload)`` where payload is either
 #: an :class:`EventHandle` (cancellable) or a bare callable (the
@@ -230,8 +215,8 @@ class EventLoop:
             )
         seq = self._seq
         self._seq = seq + 1
-        # object.__new__ + attribute stores skips the __init__ frame —
-        # measurably cheaper on a path taken once per timer.
+        # object.__new__ + attribute stores: no constructor frame on a
+        # path taken once per timer.
         handle = _new_handle(EventHandle)
         handle.time = time
         handle.sequence = seq
@@ -377,35 +362,6 @@ class EventLoop:
             bucket.clear()
             self._bucket_pool.append(bucket)
 
-    def step(self) -> bool:
-        """Execute the next event; returns False when none remain."""
-        handle_type = EventHandle
-        while True:
-            active = self._active
-            if active is None:
-                if not self._advance():
-                    return False
-                active = self._active
-            pos = self._active_pos
-            if pos >= len(active):
-                self._retire_active()
-                continue
-            self._active_pos = pos + 1
-            time, _, payload = active[pos]
-            if payload.__class__ is handle_type:
-                callback = payload.callback
-                if callback is None:
-                    self._cancelled -= 1
-                    continue
-                payload.callback = None
-            else:
-                callback = payload
-            self._now = time
-            self._live -= 1
-            callback()
-            self._events_processed += 1
-            return True
-
     def run_until(self, time: float) -> None:
         """Run events with timestamps <= *time*, then advance to *time*."""
         handle_type = EventHandle
@@ -516,10 +472,6 @@ class Periodic:
 
     def _step(self) -> None:
         raise NotImplementedError
-
-    @property
-    def running(self) -> bool:
-        return bool(self._running)
 
     def start(self) -> None:
         if self._running is None:

@@ -64,16 +64,6 @@ class CandlestickSummary:
         """Interquartile range."""
         return self.p75 - self.p25
 
-    def row(self, unit_scale: float = 1000.0) -> str:
-        """Render a fixed-width table row (default unit: milliseconds)."""
-        return (
-            f"p25={self.p25 * unit_scale:8.1f}  med={self.median * unit_scale:8.1f}"
-            f"  p75={self.p75 * unit_scale:8.1f}  wlo={self.whisker_low * unit_scale:8.1f}"
-            f"  whi={self.whisker_high * unit_scale:8.1f}  p99={self.p99 * unit_scale:8.1f}"
-            f"  max={self.maximum * unit_scale:8.1f}  n={self.count}"
-        )
-
-
 @dataclass
 class LatencyRecorder:
     """Accumulates (completion_time, latency) samples for one series.
@@ -86,9 +76,6 @@ class LatencyRecorder:
     name: str = "latency"
     _times: array = field(default_factory=lambda: array("d"), init=False, repr=False)
     _latencies: array = field(default_factory=lambda: array("d"), init=False, repr=False)
-
-    def __len__(self) -> int:
-        return len(self._latencies)
 
     def record(self, completion_time: float, latency: float) -> None:
         """Add one round-trip sample."""

@@ -37,13 +37,6 @@ class NodeStats:
     total_queue_wait: float = 0.0
     max_queue_length: int = 0
 
-    def mean_queue_wait(self) -> float:
-        """Average time jobs spent queued before starting service."""
-        if not self.jobs_completed:
-            return 0.0
-        return self.total_queue_wait / self.jobs_completed
-
-
 @dataclass
 class SimNode:
     """A named node with *cores* parallel execution units.
@@ -86,11 +79,6 @@ class SimNode:
     def pending(self) -> int:
         """Jobs waiting plus jobs currently running."""
         return len(self._queue) + self._busy
-
-    @property
-    def busy_cores(self) -> int:
-        """Cores currently executing a job."""
-        return self._busy
 
     def utilization(self, horizon: Optional[float] = None) -> float:
         """Fraction of core-time spent busy up to now (or *horizon*)."""

@@ -67,14 +67,6 @@ class EventLog:
         self.violations.extend(violations)
         return self._append(kind, role, clean)
 
-    def emit_raw(self, kind: str, role: str, payload: Mapping[str, Any]) -> TelemetryEvent:
-        """Append without scrubbing.
-
-        Exists so tests can plant a deliberate leak and prove the audit
-        catches it; production code paths must use :meth:`emit`.
-        """
-        return self._append(kind, role, dict(payload))
-
     def _append(self, kind: str, role: str, payload: Dict[str, Any]) -> TelemetryEvent:
         if self.run_label:
             payload.setdefault("run", self.run_label)

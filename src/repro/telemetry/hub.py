@@ -57,9 +57,7 @@ class Telemetry:
         self.event_log.run_label = run_label
         if self.scraper is not None:
             self.scraper.stop()
-            self.scraper.bind(loop)
-        else:
-            self.scraper = Scraper(loop=loop, registry=self.registry, interval=self.scrape_interval)
+        self.scraper = Scraper(loop=loop, registry=self.registry, interval=self.scrape_interval)
         self.scraper.start()
         self.event_log.emit("run", "operator", {"phase": "start", "label": run_label})
 
@@ -93,11 +91,6 @@ class Telemetry:
         have scrubbed (and recorded) anything caught at emission time.
         """
         return audit_events(event.to_dict() for event in self.event_log.events)
-
-    @property
-    def boundary_violations(self) -> List[Violation]:
-        """Leaks caught (and scrubbed) at emission time."""
-        return self.event_log.violations
 
     # -- artifacts -------------------------------------------------------
 

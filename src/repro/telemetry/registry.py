@@ -198,15 +198,6 @@ class Gauge(_Instrument):
         self._value = 0.0
         self.callback = callback
 
-    def set(self, value: float) -> None:
-        self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
-
     def value(self) -> float:
         if self.callback is not None:
             return float(self.callback())
@@ -358,9 +349,6 @@ class MetricRegistry:
     ) -> Histogram:
         return self._get_or_create(Histogram, name, help_text, labels, buckets=buckets)
 
-    def instruments(self) -> List[_Instrument]:
-        return list(self._instruments.values())
-
     def get(self, name: str, labels: Optional[Dict[str, str]] = None) -> Optional[_Instrument]:
         key = (self._full_name(name), tuple(sorted((labels or {}).items())))
         return self._instruments.get(key)
@@ -399,12 +387,6 @@ class Scraper:
     samples_taken: int = 0
     _handle: Optional[EventHandle] = None
 
-    def bind(self, loop: EventLoop) -> None:
-        """Re-point at a fresh run's loop; must be stopped first."""
-        if self._handle is not None:
-            self.stop()
-        self.loop = loop
-
     def start(self) -> None:
         if self._handle is not None:
             return
@@ -414,10 +396,6 @@ class Scraper:
         if self._handle is not None:
             self._handle.cancel()
             self._handle = None
-
-    @property
-    def running(self) -> bool:
-        return self._handle is not None
 
     def _tick(self) -> None:
         self._handle = None

@@ -74,13 +74,6 @@ class Span:
     end: Optional[float] = None
     attributes: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def duration(self) -> float:
-        if self.end is None:
-            raise ValueError(f"span {self.name!r} is still open")
-        return self.end - self.start
-
-
 @dataclass(slots=True)
 class Trace:
     """The in-flight spans of one request: a root plus one per stage."""

@@ -23,7 +23,7 @@ This package implements exactly that trade-off:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from repro.crypto.keys import KeyFactory, LayerKeys
 from repro.proxy.protocol import ClientMaterial
@@ -72,10 +72,6 @@ class TenantDirectory:
             return self.tenants[tenant]
         except KeyError:
             raise KeyError(f"unknown tenant {tenant!r}") from None
-
-    def names(self) -> List[str]:
-        """Registered tenant names."""
-        return list(self.tenants)
 
     @staticmethod
     def make_tenant(

@@ -10,7 +10,7 @@ measurement period."
 faithfully-shaped but scaled-down version (the simulator's virtual
 minutes are free, but the host's crypto and event processing are
 not, and the paper's shapes emerge well before 5 virtual minutes).
-``ScenarioTimings.paper()`` returns the full-scale values.
+The full-scale values are ``ScenarioTimings(60.0, 300.0, 15.0)``.
 """
 
 from __future__ import annotations
@@ -47,17 +47,6 @@ class ScenarioTimings:
     query_seconds: float = 40.0
     trim_seconds: float = 8.0
 
-    @classmethod
-    def paper(cls) -> "ScenarioTimings":
-        """The full-scale timings of §8."""
-        return cls(feedback_seconds=60.0, query_seconds=300.0, trim_seconds=15.0)
-
-    @classmethod
-    def quick(cls) -> "ScenarioTimings":
-        """Short timings for unit/integration tests."""
-        return cls(feedback_seconds=4.0, query_seconds=10.0, trim_seconds=2.0)
-
-
 def is_saturated(reports: Iterable[InjectionReport], window_latencies: Sequence[float]) -> bool:
     """The paper's saturation cut-off, over one run or several.
 
@@ -88,12 +77,6 @@ class ScenarioResult:
     def summary(self) -> CandlestickSummary:
         """Candlestick over the trimmed window."""
         return self.recorder.summarize(self.trimmed_latencies())
-
-    @property
-    def saturated(self) -> bool:
-        """This run alone against :func:`is_saturated`."""
-        return is_saturated([self.report], self.trimmed_latencies())
-
 
 @dataclass
 class TwoPhaseScenario:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from repro.crypto.keys import LayerKeys
 from repro.crypto.provider import RealCryptoProvider, SimCryptoProvider
 from repro.crypto.rsa import generate_keypair
+from repro.privacy.wire import hop_of
+from repro.rest import messages
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
@@ -20,6 +23,60 @@ def tap_flows(network: Network) -> list:
     flows: list = []
     network.add_wiretap(lambda record, _payload: flows.append(record))
     return flows
+
+
+def objective(report, name: str):
+    """The measurement of the objective called *name* in an SLO *report*."""
+    (measurement,) = [m for m in report.measurements if m.name == name]
+    return measurement
+
+
+#: The hops whose message sizes must not depend on identifiers or
+#: list contents: everything between the client and the IA layer.
+#: (IA<->LRS flows are pseudonymous by construction, so their sizes
+#: need not be padded.)
+PROTECTED_HOPS = (("client", "ua"), ("ua", "ia"), ("ia", "ua"), ("ua", "client"))
+
+
+def flow_size_profile(records) -> dict:
+    """Distinct message sizes observed per hop class."""
+    profile: dict = {}
+    for record in records:
+        profile.setdefault(hop_of(record), set()).add(record.size_bytes)
+    return profile
+
+
+def constant_size_violations(records) -> list:
+    """Protected hops (:data:`PROTECTED_HOPS`) whose message sizes vary:
+    the §4.3 constant-size property, read off a wiretap."""
+    profile = flow_size_profile(records)
+    return [
+        f"{hop[0]}->{hop[1]}: sizes {sorted(profile[hop])}"
+        for hop in PROTECTED_HOPS
+        if len(profile.get(hop, ())) > 1
+    ]
+
+
+#: Request ids for hand-built test messages (product code draws them
+#: from a context's or a client's own counter).
+_REQUEST_IDS = itertools.count(1)
+
+
+def make_get(user, client_address="client", request_id=None, **extra):
+    """:func:`repro.rest.messages.make_get`, numbered from the test counter
+    when no *request_id* is given."""
+    if request_id is None:
+        request_id = next(_REQUEST_IDS)
+    return messages.make_get(user, client_address=client_address, request_id=request_id, **extra)
+
+
+def make_post(user, item, payload=None, client_address="client", request_id=None):
+    """:func:`repro.rest.messages.make_post`, numbered as :func:`make_get`."""
+    if request_id is None:
+        request_id = next(_REQUEST_IDS)
+    return messages.make_post(
+        user, item, payload, client_address=client_address, request_id=request_id
+    )
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from repro.proxy import PProxConfig, build_pprox
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
+from tests.conftest import make_get
 
 
 @pytest.fixture
@@ -82,7 +83,7 @@ def test_rotation_invalidates_old_client_material(stack):
     # Encrypt against the stale keys, decrypt with the rotated ones.
     encoded, _ = protocol.client_encode_get(
         client.provider, stale_material, service.config,
-        __import__("repro.rest.messages", fromlist=["make_get"]).make_get("a"),
+        make_get("a"),
     )
     from repro.crypto.envelope import EnvelopeCodec
 

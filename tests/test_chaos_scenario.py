@@ -7,6 +7,7 @@ import pytest
 from repro.experiments.chaos import run_chaos
 from repro.experiments.registry import EXPERIMENT_INDEX
 from repro.telemetry import EventLog
+from tests.conftest import objective
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +30,7 @@ def test_drill_passes_all_acceptance_checks(rig):
 def test_the_run_carries_its_own_slo_verdict(rig):
     """No engine is handed in: the drill is judged by the run itself."""
     assert rig.verdict.ok
-    assert rig.verdict.objective("anonymity_floor").ok
+    assert objective(rig.verdict, "anonymity_floor").ok
 
 
 def test_availability_stays_above_floor(drill):
@@ -50,8 +51,8 @@ def test_every_crash_recovered_before_the_end(rig, drill):
     assert drill["restarts_completed"] == drill["crashes_injected"]
     assert drill["failovers"] == drill["crashes_injected"]
     assert drill["readmissions"] == drill["failovers"]
-    assert rig.verdict.objective("unrestarted_crashes").ok
-    assert rig.verdict.objective("unreadmitted").ok
+    assert objective(rig.verdict, "unrestarted_crashes").ok
+    assert objective(rig.verdict, "unreadmitted").ok
 
 
 def test_client_resilience_did_the_recovering(drill):

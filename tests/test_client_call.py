@@ -18,7 +18,7 @@ from repro.context import SimContext
 from repro.lrs.stub import StubLrs
 from repro.overload import uniform_reject
 from repro.proxy import PProxConfig, build_pprox, protocol
-from repro.proxy.epochs import decode_epoch
+from repro.proxy.epochs import EPOCH_FIELD
 from repro.rest.messages import Response
 from repro.simnet.loadbalancer import NoUpstream
 from repro.telemetry import Telemetry
@@ -39,7 +39,8 @@ class _ScriptedEntry:
         self.address = service.ua_address
 
     def receive_request(self, request, reply) -> None:
-        self.service.epochs_seen.append(decode_epoch(request))
+        tag = request.fields.get(EPOCH_FIELD)
+        self.service.epochs_seen.append(None if tag is None else int(tag))
         if self.step == "drop":
             return
         if self.step == "reject":

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.client import DirectClient, PProxClient
 from repro.context import SimContext
 from repro.crypto.provider import RealCryptoProvider
@@ -124,5 +122,6 @@ def test_encryption_delay_is_charged():
     loop, harness, client, _ = _harness_stack(PProxConfig(shuffle_size=0))
     client.get("u")
     assert loop.pending > 0
-    loop.step()  # advances the clock to the first scheduled event
-    assert loop.now >= DEFAULT_COSTS.client_encrypt_seconds(client.config)
+    # Nothing fires before the client's encryption time has passed.
+    loop.run_until(DEFAULT_COSTS.client_encrypt_seconds(client.config) * (1 - 1e-9))
+    assert loop.events_processed == 0

@@ -173,39 +173,6 @@ def test_evaluate_empty_live_list_with_overload_trigger_armed():
     assert [d.action for d in scaler.decisions] == ["scale-down"]
 
 
-def test_scale_down_deferred_while_a_shard_is_splitting():
-    """Mirror of the rotation-guard deferral: the fleet supervisor's
-    guard holds instance retirement while a split is mid-handoff (a
-    splitting source still owes full-size flushes), then releases it."""
-    from repro.fleet import FleetSupervisor, build_fleet
-
-    ctx = SimContext.fresh(31)
-    stub = StubLrs(loop=ctx.loop, rng=ctx.rng.stream("stub"))
-    fleet = build_fleet(
-        ctx, PProxConfig(shuffle_size=0, ua_instances=2, ia_instances=2),
-        lambda: stub, shards=2,
-    )
-    supervisor = FleetSupervisor(
-        loop=ctx.loop, fleet=fleet, tick_interval=0.05, drain_grace=1.5
-    )
-    scaler = ElasticScaler(
-        loop=ctx.loop, service=fleet, interval=1.0, low_rps=5.0,
-        rotation_guard=supervisor.guard,
-    )
-    supervisor.start()
-    supervisor.split("s0")
-    scaler.start()
-    ctx.loop.run_until(1.2)  # first scaler tick lands mid-split
-    assert scaler.deferred_scale_downs >= 1
-    actions = [d.action for d in scaler.decisions]
-    assert "scale-down-deferred" in actions
-    assert "scale-down" not in actions
-    ctx.loop.run_until(4.5)  # split done, idle fleet may now shrink
-    scaler.stop()
-    supervisor.stop()
-    assert "scale-down" in [d.action for d in scaler.decisions]
-
-
 def test_autoscaler_respects_max_instances():
     loop, service = _scaled_service()
     scaler = ElasticScaler(loop=loop, service=service, interval=1.0, high_rps=1.0,

@@ -64,14 +64,11 @@ def test_build_pprox_and_deployment_builds_are_equivalent():
 
 
 def test_same_seed_stacks_issue_identical_request_ids():
-    """Every client draws ids from its context's counter, never the
-    process-wide one, so two same-seed stacks built in one process
-    issue the same id sequence — whatever ran before them."""
-    from repro.rest.messages import next_request_id
-
+    """Every client draws ids from its context's counter, so two
+    same-seed stacks built in one process issue the same id sequence —
+    whatever ran before them."""
     sequences = []
     for build in (_loose_stack, _context_stack, _loose_stack):
-        next_request_id()  # unrelated traffic on the process-wide counter
         loop, _, client = build(7)
         results = []
         for index in range(6):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.crypto.keys import SYMMETRIC_KEY_BYTES, KeyFactory, LayerKeys
+from repro.crypto.keys import KeyFactory, LayerKeys
 
 
 def _factory(seed: int) -> KeyFactory:
@@ -36,10 +36,6 @@ def test_factory_is_deterministic():
 
 def test_factory_seeds_differ():
     assert _factory(4).layer_keys().private_key.n != _factory(5).layer_keys().private_key.n
-
-
-def test_temporary_key_length():
-    assert len(_factory(6).temporary_key()) == SYMMETRIC_KEY_BYTES
 
 
 def test_public_material_hides_private_key():

@@ -220,12 +220,13 @@ def test_one_base64_implementation():
     assert importers == ["src/repro/crypto/envelope.py"]
 
 
-#: Subcommands `python -m repro run <scenario>` replaced; nothing a
-#: reader or CI can copy-paste may still name them.
+#: Subcommands `python -m repro run <scenario>` replaced, and the
+#: forwarding verbs whose scripts run on their own; nothing a reader or
+#: CI can copy-paste may still name them.
 REMOVED_SUBCOMMANDS = re.compile(
     r"\b(?:telemetry|chaos|overload|rekey|obs|scale|wire|fleet)-smoke\b"
-    r"|-m repro capacity\b"
-    r"|-m repro profile\b"
+    r"|-m repro (?:capacity|profile|demo|reproduce|simnet-bench)\b"
+    r"|-m repro \{[^}]*\b(?:demo|reproduce)\b"
 )
 
 

@@ -22,7 +22,6 @@ from repro.proxy.epochs import (
     EpochWindow,
     HoldTheLine,
     RotationCoordinator,
-    decode_epoch,
     encode_epoch,
     epoch_slot,
     epoch_window_of,
@@ -32,7 +31,6 @@ from repro.proxy.epochs import (
 )
 from repro.proxy.rekey import OnlineRekeyer, RekeyReport
 from repro.rest.header import EPOCH, strip
-from repro.rest.messages import make_get
 from repro.sgx.attestation import AttestationService
 from repro.sgx.enclave import Enclave, EnclaveMeasurement
 from repro.sgx.provisioning import (
@@ -42,6 +40,7 @@ from repro.sgx.provisioning import (
     KeyProvisioner,
 )
 from repro.simnet.clock import EventLoop
+from tests.conftest import make_get
 
 wire_text = EnvelopeCodec.wire_text
 wire_blob = EnvelopeCodec.wire_blob
@@ -73,8 +72,8 @@ def test_encode_epoch_clamps_out_of_range():
 def test_stamp_and_decode_roundtrip():
     request = make_get("alice")
     stamped = stamp_epoch(request, 3)
-    assert decode_epoch(stamped) == 3
     assert stamped.fields[EPOCH_FIELD] == "0003"
+    assert int(stamped.fields[EPOCH_FIELD]) == 3
 
 
 def test_stamp_none_returns_request_unchanged():
@@ -85,7 +84,7 @@ def test_stamp_none_returns_request_unchanged():
 def test_strip_removes_tag_and_returns_id():
     stamped = stamp_epoch(make_get("alice"), 7)
     bare, severed = strip(stamped, EPOCH)
-    assert decode_epoch(severed) == 7
+    assert int(severed[EPOCH_FIELD]) == 7
     assert EPOCH_FIELD not in bare.fields
 
 
@@ -95,11 +94,6 @@ def test_strip_without_tag_is_noop():
     assert severed == {} and bare is request
 
 
-def test_decode_garbage_returns_none():
-    assert decode_epoch({EPOCH_FIELD: "notanint"}) is None
-    assert decode_epoch({}) is None
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=MAX_EPOCH))
 def test_codec_roundtrip_property(epoch_id):
@@ -107,7 +101,7 @@ def test_codec_roundtrip_property(epoch_id):
     stamped = stamp_epoch(make_get("u"), epoch_id)
     assert len(stamped.fields[EPOCH_FIELD]) == EPOCH_WIDTH
     bare, severed = strip(stamped, EPOCH)
-    assert decode_epoch(severed) == epoch_id
+    assert int(severed[EPOCH_FIELD]) == epoch_id
     assert EPOCH_FIELD not in bare.fields
 
 
@@ -218,7 +212,7 @@ def test_rewrite_keeps_indexes_consistent():
     store.rewrite(event.sequence, user="u-new")
     assert store.user_history("u-new") == ["i1"]
     assert store.user_history("u-old") == []
-    assert sorted(store.item_audience("i1")) == ["u-new", "u-other"]
+    assert [event.user for event in store.dump()] == ["u-new", "u-other"]
     assert store.events[0].payload == "p"
     assert store.events[0].sequence == event.sequence
 
@@ -453,17 +447,6 @@ def test_coordinator_state_code_reports_paused_index():
     assert coordinator.state_code == ROTATION_STATES.index("paused")
 
 
-def test_coordinator_guard_covers_only_active_drill():
-    ctx, harness, service, _client = _mini_stack(seed=37)
-    coordinator = _coordinator(ctx, harness, service)
-    assert not coordinator.guard("UA")  # idle
-    coordinator.state = "draining"
-    assert coordinator.guard("UA")
-    assert not coordinator.guard("IA")
-    coordinator.state = "retired"
-    assert not coordinator.guard("UA")
-
-
 def test_coordinator_stop_halts_the_drill():
     ctx, harness, service, client = _mini_stack(seed=41)
     client.post("a", "i1")
@@ -566,28 +549,3 @@ def test_health_monitor_reprovisions_stale_generation_before_readmit():
     assert monitor.stale_generation_blocks == 1
     assert service.provisioner.verify_generation(victim.enclave)
     assert service.ua_balancer.contains(victim)
-
-
-def test_autoscaler_defers_scale_down_while_rotating():
-    from repro.cluster.autoscaler import ElasticScaler
-
-    ctx, harness, service, _client = _mini_stack(
-        seed=53, ua_instances=2, ia_instances=2
-    )
-    scaler = ElasticScaler(
-        loop=ctx.loop,
-        service=service,
-        low_rps=10_000.0,  # idle traffic: both layers want to shrink
-        interval=0.1,
-        min_instances=1,
-        rotation_guard=lambda layer: layer == "UA",
-    )
-    ua_before = len(service.ua_instances)
-    scaler.start()
-    ctx.loop.run_until(ctx.loop.now + 0.15)
-    scaler.stop()
-    ctx.loop.run()
-    assert len(service.ua_instances) == ua_before  # deferred
-    assert scaler.deferred_scale_downs >= 1
-    actions = {decision.action for decision in scaler.decisions}
-    assert "scale-down-deferred" in actions

@@ -9,13 +9,13 @@ import pytest
 from repro.client import DirectClient
 from repro.cluster.deployments import MACRO_BASELINES, MACRO_FULL, MICRO_CONFIGS
 from repro.experiments.figures import FigureData, figure6, figure7
-from repro.experiments.report import render_figure, render_medians, render_table2, render_table3
+from repro.experiments.report import render_figure, render_table2, render_table3
 from repro.experiments.runner import RunResult, run_baseline, run_full, run_micro
-from repro.rest.messages import make_get
 from repro.workload.scenario import ScenarioTimings
+from tests.conftest import make_get
 
 QUICK = dict(runs=1, duration=8.0, trim=2.0)
-QUICK_TIMINGS = ScenarioTimings.quick()
+QUICK_TIMINGS = ScenarioTimings(feedback_seconds=4.0, query_seconds=10.0, trim_seconds=2.0)
 
 
 def _pin(result):
@@ -116,9 +116,7 @@ def test_figure_builders_produce_series():
     data = figure6(seed=2, runs=1, duration=8.0, trim=2.0, rps_grid=[50])
     assert set(data.series) == {"m1", "m2", "m3", "m4"}
     point = data.point("m1", 50)
-    assert point.summary is not None
-    medians = data.medians("m1")
-    assert 50 in medians
+    assert point.summary is not None and point.summary.median > 0
 
 
 def test_figure_data_point_lookup_missing():
@@ -133,12 +131,6 @@ def test_render_figure_contains_all_rows():
     for name in ("m3", "m5", "m6"):
         assert name in text
     assert "med" in text
-
-
-def test_render_medians_compact_view():
-    data = figure6(seed=2, runs=1, duration=8.0, trim=2.0, rps_grid=[50])
-    text = render_medians(data)
-    assert "m1:" in text and "50rps=" in text
 
 
 def test_render_table2_lists_all_micro_configs():

@@ -9,6 +9,7 @@ import pytest
 from repro.experiments.registry import EXPERIMENT_INDEX
 from repro.experiments.fleet import run_fleet_drill
 from repro.telemetry import EventLog
+from tests.conftest import objective
 
 SEED, RPS, DURATION = 23, 360.0, 6.0
 
@@ -50,7 +51,7 @@ def test_whole_domain_crash_was_injected_and_healed(drill):
 
 def test_split_completed_with_the_kill_inside_its_window(rig, drill):
     assert drill["splits_started"] == drill["splits_completed"] == 1
-    assert rig.verdict.objective("kill_inside_split_window").ok
+    assert objective(rig.verdict, "kill_inside_split_window").ok
     assert drill["split_started_at"] <= drill["kill_time"] <= drill["split_completed_at"]
     assert drill["split_flipped_at"] is not None
     assert drill["shards_final"] == drill["shards_initial"] + 1

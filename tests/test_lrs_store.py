@@ -40,21 +40,6 @@ def test_unknown_user_has_empty_history():
     assert EventStore().user_history("ghost") == []
 
 
-def test_item_audience():
-    store = EventStore()
-    store.insert("u1", "i1")
-    store.insert("u2", "i1")
-    assert store.item_audience("i1") == ["u1", "u2"]
-
-
-def test_users_and_items_in_first_seen_order():
-    store = EventStore()
-    store.insert("b-user", "z-item")
-    store.insert("a-user", "y-item")
-    assert store.users() == ["b-user", "a-user"]
-    assert store.items() == ["z-item", "y-item"]
-
-
 def test_interactions_iterates_in_insertion_order():
     store = EventStore()
     store.insert("u1", "i1")

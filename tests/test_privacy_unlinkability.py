@@ -23,7 +23,7 @@ from repro.crypto.provider import RealCryptoProvider
 from repro.lrs.service import HarnessService
 from repro.privacy import Adversary, KnowledgeEngine, fifo_correlation
 from repro.proxy import PProxConfig, build_pprox
-from repro.proxy.rekey import reencrypt_store
+from repro.proxy.rekey import OnlineRekeyer
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
@@ -94,7 +94,8 @@ class Scenario:
         for layer in ("UA", "IA"):
             old_keys = self.service.provisioner.layer_keys[layer]
             new_keys = self.service.rotate_layer(layer, factory)
-            reencrypt_store(store, self.provider, old_keys, new_keys, layer)
+            OnlineRekeyer(store=store, provider=self.provider, old_keys=old_keys,
+                          new_keys=new_keys, layer=layer).run_batch(len(store))
 
     def compromise(self, layer: str) -> None:
         instances = self.service.ua_instances if layer == "UA" else self.service.ia_instances

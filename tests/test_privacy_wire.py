@@ -8,12 +8,12 @@ from repro.client import PProxClient
 from repro.context import SimContext
 from repro.crypto.provider import RealCryptoProvider
 from repro.lrs.stub import StubLrs, make_pseudonymous_payload
-from repro.privacy.wire import constant_size_violations, flow_size_profile, hop_of
+from repro.privacy.wire import hop_of
 from repro.proxy import PProxConfig, build_pprox
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import FlowRecord, Network
 from repro.simnet.rng import RngRegistry
-from tests.conftest import tap_flows
+from tests.conftest import constant_size_violations, flow_size_profile, tap_flows
 
 
 def _run_gets(config: PProxConfig, users):

@@ -68,7 +68,8 @@ def registry():
         "pprox_proxy_pending",
         "In-flight requests.",
         labels={"instance": 'ua "a"\\b\nnl'},
-    ).set(3)
+        callback=lambda: 3,
+    )
     hist = reg.histogram(
         "pprox_request_latency_seconds",
         "End-to-end latency.",

@@ -21,7 +21,8 @@ from repro.crypto.envelope import (
 from repro.crypto.provider import RealCryptoProvider
 from repro.proxy import protocol
 from repro.proxy.config import PProxConfig
-from repro.rest.messages import Response, make_get, make_post
+from repro.rest.messages import Response
+from tests.conftest import make_get, make_post
 
 # Identifiers the application might realistically use: unicode included,
 # bounded by the fixed-size encoding's capacity.

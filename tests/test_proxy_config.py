@@ -39,10 +39,6 @@ def test_no_encryption_implies_no_hardening():
     assert not config.harden_client_hop
 
 
-def test_proxy_node_count():
-    assert PProxConfig(ua_instances=3, ia_instances=4).proxy_node_count == 7
-
-
 def test_describe_mentions_features():
     text = PProxConfig(encryption=True, item_pseudonymization=False).describe()
     assert "enc=*" in text

@@ -8,7 +8,8 @@ from repro.crypto.envelope import MAX_RECOMMENDATIONS, EnvelopeCodec, encode_ide
 from repro.proxy import protocol
 from repro.proxy.config import PProxConfig
 from repro.rest.codec import JSON_WIRE_CODEC
-from repro.rest.messages import Response, Verb, make_get, make_post
+from repro.rest.messages import Response, Verb
+from tests.conftest import make_get, make_post
 
 wire_text = EnvelopeCodec.wire_text
 

@@ -7,10 +7,12 @@ import pytest
 from repro.__main__ import main
 from repro.experiments.registry import EXPERIMENT_INDEX, runnable, validate_index
 
-#: The per-scenario subcommands `run <scenario>` replaced.
+#: The per-scenario subcommands `run <scenario>` replaced, and the
+#: verbs that only forwarded to a script that runs on its own.
 REMOVED_SUBCOMMANDS = (
     "telemetry-smoke", "chaos-smoke", "overload-smoke", "rekey-smoke", "obs-smoke",
     "scale-smoke", "wire-smoke", "fleet-smoke", "capacity", "profile",
+    "demo", "reproduce", "simnet-bench",
 )
 
 
@@ -22,6 +24,7 @@ def test_index_covers_every_paper_artefact():
     """All tables, figures and analyses of the paper are indexed."""
     expected = {"table2", "table3", "fig6", "fig7", "fig8", "fig9", "fig10",
                 "sec61", "sec62", "sec63", "sec9", "ablations",
+                "breakdown",  # stage breakdown, footnote 9, LRS quality
                 "chaos",      # availability/recovery drill, not a figure
                 "overload",   # graceful-degradation sweep, not a figure
                 "rotation",   # live re-key drill, not a figure

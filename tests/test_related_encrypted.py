@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from repro.related.encrypted_slope_one import SCALE, EncryptedSlopeOne, PlainSlopeOne
+from repro.related.encrypted_slope_one import SCALE, EncryptedSlopeOne
 from repro.related.paillier import generate_paillier_keypair
+from tests.oracles.plain_slope_one import PlainSlopeOne
 
 
 @pytest.fixture(scope="module")
@@ -40,11 +41,6 @@ def test_homomorphic_addition_with_negatives(keypair):
     public, private = keypair
     c = public.add(public.encrypt(10), public.encrypt(-25))
     assert private.decrypt(c) == -15
-
-
-def test_homomorphic_plain_addition(keypair):
-    public, private = keypair
-    assert private.decrypt(public.add_plain(public.encrypt(5), 37)) == 42
 
 
 def test_homomorphic_plain_multiplication(keypair):

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.rest.messages import Request, Response, Verb, make_get, make_post
+from repro.rest.messages import Request, Response, Verb
 from repro.rest.routing import RoutingError, RoutingTable
+from tests.conftest import make_get, make_post
 
 
 def test_make_post_fields():
@@ -24,10 +25,6 @@ def test_make_get_with_extra_fields():
     request = make_get("u1", tmpkey="abc")
     assert request.verb == Verb.GET
     assert request.fields == {"user": "u1", "tmpkey": "abc"}
-
-
-def test_request_ids_are_unique():
-    assert make_get("u").request_id != make_get("u").request_id
 
 
 def test_with_fields_replaces_and_removes():
@@ -83,14 +80,6 @@ def test_routing_duplicate_rejected():
 def test_routing_unknown_consume_rejected():
     with pytest.raises(RoutingError, match="no pending route"):
         RoutingTable().consume(42)
-
-
-def test_routing_peek_does_not_consume():
-    table: RoutingTable = RoutingTable()
-    table.register(1, "ctx")
-    assert table.peek(1) == "ctx"
-    assert table.peek(2) is None
-    assert len(table) == 1
 
 
 def test_routing_stats():

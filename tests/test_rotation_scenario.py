@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments.registry import EXPERIMENT_INDEX
 from repro.experiments.rotation import run_rotation
+from tests.conftest import objective
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +29,7 @@ def test_drill_passes_all_acceptance_checks(rig):
 def test_the_run_carries_its_own_slo_verdict(rig):
     """No engine is handed in: the drill is judged by the run itself."""
     assert rig.verdict.ok
-    assert rig.verdict.objective("anonymity_floor").ok
+    assert objective(rig.verdict, "anonymity_floor").ok
 
 
 def test_rotation_completed_with_zero_aborted_calls(drill):

@@ -9,6 +9,7 @@ import pytest
 
 from repro.experiments import scale
 from repro.experiments.scale import ScaleConfig, run_scale_sweep, scale_slo_verdict
+from tests.conftest import objective
 from tests.oracles.heap_event_loop import HeapEventLoop
 
 #: Miniature sweep: the full pipeline shape at test-suite cost.
@@ -61,8 +62,8 @@ def test_static_verdict_holds_over_the_sweeps_own_artifact(sweep):
     artifact, _ = sweep
     report = scale_slo_verdict(artifact)
     assert report.ok and report.experiment == "scale"
-    assert report.objective("anonymity_floor").ok
-    assert report.objective("p99_latency_seconds").target == TINY.deadline
+    assert objective(report, "anonymity_floor").ok
+    assert objective(report, "p99_latency_seconds").target == TINY.deadline
 
 
 def test_meta_reports_wall_clock_numbers(sweep):

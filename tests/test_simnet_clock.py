@@ -107,7 +107,3 @@ def test_events_processed_counter():
         loop.schedule(1.0, lambda: None)
     loop.run()
     assert loop.events_processed == 3
-
-
-def test_step_returns_false_when_empty():
-    assert EventLoop().step() is False

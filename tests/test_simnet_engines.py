@@ -4,7 +4,7 @@ The calendar-queue :class:`EventLoop` must be observationally
 indistinguishable from the seed implementation preserved as the test
 oracle :class:`HeapEventLoop`: identical event order, identical clocks,
 identical counters, for any interleaving of schedule / post / cancel /
-step / run_until — including callbacks that schedule into the window
+run_until / bounded run — including callbacks that schedule into the window
 currently being drained and cancel not-yet-fired events.  Hypothesis
 drives both engines through random interleavings and compares the full
 observable trace.
@@ -40,7 +40,6 @@ _OPS = st.lists(
         st.tuples(st.just("post"), _DELAYS),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=63)),
         st.tuples(st.just("run_until"), _DELAYS),
-        st.tuples(st.just("step"), st.none()),
         st.tuples(st.just("run_some"), st.integers(min_value=1, max_value=16)),
     ),
     min_size=1,
@@ -83,8 +82,6 @@ def _drive(engine_cls, ops):
                     handles[op[1] % len(handles)].cancel()
             elif kind == "run_until":
                 loop.run_until(loop.now + op[1])
-            elif kind == "step":
-                loop.step()
             elif kind == "run_some":
                 loop.run(max_events=op[1])
         except SimulationError as error:
@@ -244,7 +241,8 @@ def test_queue_stats_exposes_engine_and_depth():
 
 
 def test_event_handle_is_slotted():
-    assert not hasattr(EventHandle(1.0, 0, lambda: None), "__dict__")
+    handle = EventLoop().schedule(1.0, lambda: None)
+    assert type(handle) is EventHandle and not hasattr(handle, "__dict__")
 
 
 def test_calendar_slot_width_validation():

@@ -78,7 +78,7 @@ def test_extend_merges_runs():
     one.record(1.0, 0.1)
     two.record(2.0, 0.2)
     one.extend(two)
-    assert len(one) == 2
+    assert one.latencies() == [0.1, 0.2]
 
 
 def test_summarize_empty_rejected():
@@ -95,14 +95,11 @@ def test_trim_window_too_short_rejected():
         trim_window(0.0, 20.0, 15.0)
 
 
-def test_candlestick_row_rendering():
+def test_candlestick_iqr():
     summary = CandlestickSummary(
         p25=0.010, median=0.020, p75=0.030, whisker_low=0.005,
         whisker_high=0.045, count=10, mean=0.021, p99=0.044, maximum=0.050,
     )
-    row = summary.row()
-    assert "med=    20.0" in row
-    assert "n=10" in row
     assert summary.iqr == pytest.approx(0.020)
 
 
@@ -167,7 +164,7 @@ def test_recorder_returns_what_a_tuple_list_returns(first, second, window, rejec
     recorder.extend(other)
     reference.extend(reference_other)
 
-    assert len(recorder) == len(reference.samples)
+    assert len(recorder.latencies()) == len(reference.samples)
     assert recorder.latencies() == reference.latencies()
     assert recorder.trimmed(*window) == reference.trimmed(*window)
     if reference.samples:

@@ -17,10 +17,11 @@ from repro.overload.deadline import stamp_deadline
 from repro.overload.shedding import is_uniform_reject
 from repro.proxy import PProxConfig
 from repro.rest.codec import JSON_WIRE_CODEC, BatchEnvelope, WireFrame
-from repro.rest.messages import Response, make_get
+from repro.rest.messages import Response
 from repro.sgx.enclave import Enclave, EnclaveMeasurement
 from repro.simnet.queueing import ConcurrentQueue
 from repro.telemetry import Telemetry
+from tests.conftest import make_get
 
 ROLES = ("ua", "ia")
 
@@ -380,7 +381,7 @@ def test_e2e_harness_contract_on_an_observed_passthrough_deployment():
     assert len(hub.event_log) == 7 * requests + 1
     assert len(hub.event_log.of_kind("span")) == 6 * requests
     assert len(hub.event_log.of_kind("cspan")) == requests
-    assert hub.boundary_violations == [] and hub.audit() == []
+    assert hub.event_log.violations == [] and hub.audit() == []
 
 
 # What ``benchmarks/e2e/tracing.py`` walks to name the owner of a

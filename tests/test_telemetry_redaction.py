@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.cluster.deployments import MICRO_CONFIGS
 from repro.experiments.runner import run_micro
 from repro.telemetry import EventLog, RedactionPolicy, Telemetry, audit_events
+from repro.telemetry.events import TelemetryEvent
 from repro.telemetry.redaction import ITEM_MARKERS, TRACE_MARKERS, USER_MARKERS
 from tests.oracles.redaction_reference import reference_scrub
 
@@ -81,13 +82,12 @@ def test_payload_cannot_overwrite_the_event_envelope():
     payload may repeat one with the envelope's own value, never change
     it — or the artifact line would file the event under another kind."""
     log = EventLog()
-    for emit in (log.emit, log.emit_raw):
-        with pytest.raises(ValueError, match="reserved key 'kind'"):
-            emit("fault", "chaos", {"event": "instance_crashed", "kind": "crash"})
-        with pytest.raises(ValueError, match="reserved key 'role'"):
-            emit("span", "ua", {"role": "client"})
-        with pytest.raises(ValueError, match="reserved key 'seq'"):
-            emit("span", "ua", {"seq": 99})
+    with pytest.raises(ValueError, match="reserved key 'kind'"):
+        log.emit("fault", "chaos", {"event": "instance_crashed", "kind": "crash"})
+    with pytest.raises(ValueError, match="reserved key 'role'"):
+        log.emit("span", "ua", {"role": "client"})
+    with pytest.raises(ValueError, match="reserved key 'seq'"):
+        log.emit("span", "ua", {"seq": 99})
     assert len(log) == 0 and log.next_seq == 1
     event = log.emit("span", "ua", {"role": "ua", "kind": "span", "name": "lrs"})
     assert event.to_dict() == {
@@ -99,7 +99,7 @@ def test_audit_catches_deliberate_leak():
     telemetry = Telemetry()
     assert telemetry.audit() == []
     # Plant a leak past the boundary, as a buggy instrument would.
-    telemetry.event_log.emit_raw("span", "ua", {"item": "item-31337"})
+    telemetry.event_log.events.append(TelemetryEvent(0.0, "span", "ua", {"item": "item-31337"}))
     leaks = telemetry.audit()
     assert len(leaks) == 1
     assert leaks[0].kind == "item-id"
@@ -116,7 +116,7 @@ def test_real_pipeline_passes_audit_and_artifact_round_trips(tmp_path):
     assert len(telemetry.event_log) > 0
     # Nothing was even scrubbed at the boundary: the instrumentation
     # never hands identifiers to the wrong role in the first place.
-    assert telemetry.boundary_violations == []
+    assert telemetry.event_log.violations == []
     assert telemetry.audit() == []
 
     paths = telemetry.write_artifact(str(tmp_path))

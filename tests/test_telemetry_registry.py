@@ -7,7 +7,6 @@ import pytest
 from repro.simnet.clock import EventLoop
 from repro.telemetry.registry import (
     Counter,
-    Gauge,
     Histogram,
     MetricRegistry,
     Scraper,
@@ -29,14 +28,6 @@ def test_counter_callback_overrides_local_value():
     counter = Counter("cb_total", callback=lambda: backing["count"])
     backing["count"] = 17
     assert counter.value() == 17.0
-
-
-def test_gauge_set_inc_dec():
-    gauge = Gauge("pending")
-    gauge.set(3)
-    gauge.inc()
-    gauge.dec(2)
-    assert gauge.value() == 2.0
 
 
 def test_histogram_bucket_boundaries_le_inclusive():
@@ -78,7 +69,7 @@ def test_registry_render_prometheus_help_and_type_once():
     registry = MetricRegistry()
     registry.counter("pprox_req_total", "Total requests.", labels={"role": "ua"}).inc(2)
     registry.counter("pprox_req_total", "Total requests.", labels={"role": "ia"}).inc(3)
-    registry.gauge("pprox_pending", "In-flight requests.").set(1)
+    registry.gauge("pprox_pending", "In-flight requests.", callback=lambda: 1)
     text = registry.render_prometheus()
     assert text.count("# HELP pprox_req_total Total requests.") == 1
     assert text.count("# TYPE pprox_req_total counter") == 1

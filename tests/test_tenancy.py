@@ -15,7 +15,6 @@ from repro.overload import OverloadPolicy
 from repro.privacy import Adversary
 from repro.proxy import PProxConfig
 from repro.proxy.service import assemble
-from repro.rest.messages import make_get
 from repro.sgx.provisioning import IA_SECRET_K, IA_SECRET_SK, UA_SECRET_K, UA_SECRET_SK
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
@@ -28,6 +27,7 @@ from repro.tenancy import (
     build_multi_tenant_pprox,
     tenant_slot,
 )
+from tests.conftest import make_get
 
 
 # RSA keygen dominates test time; share per-tenant key material across
@@ -150,7 +150,7 @@ def test_broken_shared_enclave_leaks_all_tenants():
     enclave = service.ua_instances[0].enclave
     enclave.mark_compromised()
     leaked = enclave.leak_secrets()
-    for name in directory.names():
+    for name in directory.tenants:
         assert tenant_slot(UA_SECRET_K, name) in leaked
         assert leaked[tenant_slot(UA_SECRET_K, name)] == directory.record(name).ua_keys.symmetric_key
 
@@ -270,7 +270,7 @@ def _holds_every_tenants_secrets(instance, directory):
         if isinstance(instance, TenantUserAnonymizer)
         else (IA_SECRET_SK, IA_SECRET_K)
     )
-    for name in directory.names():
+    for name in directory.tenants:
         record = directory.record(name)
         keys = record.ua_keys if sk_slot == UA_SECRET_SK else record.ia_keys
         if instance.enclave.secret(tenant_slot(sk_slot, name)) != keys.private_key:

@@ -35,10 +35,11 @@ from repro.rest.codec import (
     ship,
 )
 from repro.rest.header import EPOCH, TRACE, strip
-from repro.rest.messages import Request, Response, Verb, make_get
+from repro.rest.messages import Request, Response, Verb
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
+from tests.conftest import make_get
 
 CODECS = ("json", "binary")
 REQUESTS = 4

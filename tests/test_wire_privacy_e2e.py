@@ -18,15 +18,12 @@ from repro.crypto.provider import RealCryptoProvider
 from repro.experiments.rig import observe_wire
 from repro.lrs.service import HarnessService
 from repro.privacy import KnowledgeEngine
-from repro.privacy.wire import (
-    constant_size_violations,
-    epoch_tag_exposures,
-    trace_field_exposures,
-)
+from repro.privacy.wire import epoch_tag_exposures, trace_field_exposures
 from repro.proxy import PProxConfig, build_pprox
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
+from tests.conftest import constant_size_violations
 
 CATALOG = {"i1", "i2", "i3", "i4", "i5"}
 FEEDBACK = {

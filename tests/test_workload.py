@@ -16,7 +16,9 @@ from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
 from repro.workload.injector import Injector
 from repro.workload.movielens import PAPER_SLICE, SyntheticMovieLens
-from repro.workload.scenario import ScenarioTimings, TwoPhaseScenario
+from repro.workload.scenario import ScenarioTimings, TwoPhaseScenario, is_saturated
+
+QUICK_TIMINGS = ScenarioTimings(feedback_seconds=4.0, query_seconds=10.0, trim_seconds=2.0)
 
 
 def test_trace_is_deterministic():
@@ -139,13 +141,13 @@ def test_two_phase_scenario_runs_and_reports():
         client=client,
         lrs=harness,
         workload=SyntheticMovieLens(seed=9, scale=0.003),
-        timings=ScenarioTimings.quick(),
+        timings=QUICK_TIMINGS,
         feedback_rate=100.0,
     )
     result = scenario.run(query_rate=50.0)
     assert result.feedback_report.issued == 400
     assert result.report.completed > 0
-    assert not result.saturated
+    assert not is_saturated([result.report], result.trimmed_latencies())
     summary = result.summary()
     assert 0 < summary.median < 0.3
     # Training happened: the engine has a model.
@@ -184,7 +186,7 @@ def test_two_phase_answers_are_pinned():
         client=log,
         lrs=harness,
         workload=SyntheticMovieLens(seed=5, scale=0.005),
-        timings=ScenarioTimings.quick(),
+        timings=QUICK_TIMINGS,
         feedback_rate=100.0,
     ).run(query_rate=50.0)
     completed = [call for call in log.gets if call.ok]
@@ -194,10 +196,3 @@ def test_two_phase_answers_are_pinned():
     assert all(call.items for call in completed)
     digest = hashlib.sha256(repr([call.items for call in completed]).encode()).hexdigest()
     assert digest == "15d1863852945cbfb00767fd432f6902b833be50e293b8f2bdc60fef6fd2b0c2"
-
-
-def test_paper_timings_match_section8():
-    timings = ScenarioTimings.paper()
-    assert timings.feedback_seconds == 60.0
-    assert timings.query_seconds == 300.0
-    assert timings.trim_seconds == 15.0

@@ -11,7 +11,7 @@ stdout.  The two trees run under two fixed, different
 ``PYTHONHASHSEED``s, so an artifact that depends on ``set`` /
 ``str``-hash iteration order differs every time instead of by chance.
 A refactor that must not move an artifact byte passes exactly when this
-exits 0; about 1.5 minutes per tree.
+exits 0; about 2.5 minutes per tree.
 
 Exit status 0 when every scenario passes its own gate in both trees and
 no artifact or example output differs; 1 otherwise, with the diff
@@ -32,8 +32,8 @@ from typing import List, Optional
 REPO = Path(__file__).resolve().parent.parent
 
 #: The deterministic examples whose stdout a refactor must not move
-#: (CI's ``examples`` job runs the same four).
-EXAMPLES = ("quickstart", "breach_drill", "multi_tenant_raas", "movie_site")
+#: (CI's ``examples`` job runs the same five).
+EXAMPLES = ("quickstart", "breach_drill", "multi_tenant_raas", "movie_site", "capacity_planner")
 
 
 def run_scenarios(tree: Path, scenarios: List[str], out: Path, hash_seed: int) -> List[str]:
