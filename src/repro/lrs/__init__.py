@@ -7,7 +7,7 @@ and the scalable Harness-like service model used by macro-benchmarks.
 """
 
 from repro.lrs.baselines import ItemKnnRecommender, PopularityRecommender, Recommender
-from repro.lrs.cco import CcoModel, CcoTrainer, llr_score
+from repro.lrs.cco import CcoModel, CcoTrainer
 from repro.lrs.engine import HarnessEngine
 from repro.lrs.evaluation import EvaluationResult, evaluate_recommender, leave_latest_out_split
 from repro.lrs.service import HarnessFrontend, HarnessService, frontend_seconds
@@ -20,7 +20,6 @@ __all__ = [
     "ItemKnnRecommender",
     "CcoModel",
     "CcoTrainer",
-    "llr_score",
     "HarnessEngine",
     "EvaluationResult",
     "evaluate_recommender",

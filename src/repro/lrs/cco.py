@@ -24,12 +24,15 @@ CCO as shipped in the Universal Recommender / Mahout:
 Model and rankings are functions of the event stream *and its order*;
 the cheap forms below keep what the straight loops in
 ``tests/oracles/cco_reference.py`` had: items keyed in the order their
-pairs were first seen, one ``llr_score`` float per distinct table,
-weights added in history order (docs/architecture.md, "How the CCO
-model is built and queried").  Training holds one item's row of pairs
-at a time, never a table of every co-occurring pair; a query costs the
-prefixes it reads plus its survivors, and one catalogue-sized copy: the
-``zeros`` accumulator every query starts from.
+pairs were first seen, each pair weighted by the float the oracle's
+``llr_score`` returns for its table - computed once per distinct table,
+from the two items' entropies and a per-training table of cell terms,
+the same floats added in the same order - and weights added in history
+order (docs/architecture.md, "How the CCO model is built and
+queried").  Training holds one item's row of pairs at a time, never a
+table of every co-occurring pair; a query costs the prefixes it reads
+plus its survivors, and one catalogue-sized copy: the ``zeros``
+accumulator every query starts from.
 """
 
 from __future__ import annotations
@@ -41,32 +44,31 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-__all__ = ["CcoModel", "CcoTrainer", "llr_score"]
+__all__ = ["CcoModel", "CcoTrainer"]
 
 
-def _entropy(*counts: int) -> float:
-    """Unnormalized Shannon entropy term used by the LLR statistic."""
-    total = sum(counts)
-    if total == 0:
-        return 0.0
+def _cell_terms(total: int) -> List[float]:
+    """``k * log(k / total)`` for ``k`` in ``0..total``: the terms of the
+    LLR's entropies over cells that sum to *total* (``[0]`` is unread)."""
+    return [0.0] + [k * math.log(k / total) for k in range(1, total + 1)]
+
+
+def _entropy(terms: List[float], *counts: int) -> float:
+    """Unnormalized Shannon entropy of *counts*, which sum to the total
+    *terms* were built for: their nonzero terms added left to right."""
     result = 0.0
     for count in counts:
         if count:
-            result += count * math.log(count / total)
+            result += terms[count]
     return -result
 
 
-def llr_score(k11: int, k12: int, k21: int, k22: int) -> float:
-    """Dunning log-likelihood ratio of a 2x2 contingency table.
-
-    ``k11`` users saw both items, ``k12`` only the row item, ``k21``
-    only the column item, ``k22`` neither.  Larger means the
-    co-occurrence is more anomalous (more informative).
-    """
-    row_entropy = _entropy(k11 + k12, k21 + k22)
-    column_entropy = _entropy(k11 + k21, k12 + k22)
-    matrix_entropy = _entropy(k11, k12, k21, k22)
-    score = 2.0 * (row_entropy + column_entropy - matrix_entropy)
+def _llr(terms: List[float], row: float, column: float, *cells: int) -> float:
+    """Dunning's log-likelihood ratio of a 2x2 table of *cells* (both
+    items, the row item only, the column item only, neither), given the
+    ``_entropy`` of its row and of its column.  Larger means the
+    co-occurrence is more anomalous (more informative)."""
+    score = 2.0 * (row + column - _entropy(terms, *cells))
     # Guard against tiny negative values from floating-point error.
     return max(score, 0.0)
 
@@ -333,6 +335,16 @@ class CcoTrainer:
         ``max_indicators`` whenever it reaches twice that: the top k of a
         superset contains the top k of the whole.
 
+        A pair's LLR is ``2 * (row + column - matrix entropy)`` of its
+        2x2 table, each entropy a left-to-right sum of ``k * log(k /
+        users)`` over the nonzero cells it covers, negated.  The row and
+        column are the two items' (count, users - count) - the neither
+        cell, users less those holding either item, is never negative -
+        so those two are computed once per item, the cell terms once per
+        training, and a matrix's sum once per distinct table, memoised
+        per row item count on the int ``both * (users + 1) + column
+        count``.  A row is scored first and its kept pairs filed after.
+
         ``model.indicators`` keeps the seed's key order: an item's place
         is that of the first scored pair naming it, pairs ranked by first
         sight - (first user holding both, position of each in that
@@ -353,8 +365,11 @@ class CcoTrainer:
 
         keep = self.max_indicators
         bar = -self.llr_threshold
-        #: (k11, k12, k21) -> -score: one llr_score per distinct table.
-        tables: Dict[Tuple[int, int, int], float] = {}
+        terms = _cell_terms(total_users)
+        entropies = [_entropy(terms, count, total_users - count) for count in counts]
+        #: row item count -> {both * stride + column item count: -score}.
+        memos: Dict[int, Dict[int, float]] = {}
+        stride = total_users + 1
         #: -score -> score, so the model holds the memo's float objects.
         scores: Dict[float, float] = {}
         # Each item's least rank of a scored pair; above every rank.
@@ -374,29 +389,40 @@ class CcoTrainer:
                 row.update(tail)
                 base = holder * span
                 earliest.update(zip(tail, range(base + position + 1, base + len(numbers))))
+            count = counts[first]
+            memo = memos.get(count)
+            if memo is None:
+                memo = memos[count] = {}
+            row_entropy = entropies[first]
+            outside = total_users - count
+            kept: List[Tuple[float, int]] = []
+            for second, both in row.items():
+                other = counts[second]
+                key = both * stride + other
+                negated = memo.get(key)
+                if negated is None:
+                    score = _llr(
+                        terms, row_entropy, entropies[second],
+                        both, count - both, other - both, outside - other + both,
+                    )
+                    negated = memo[key] = -score
+                    scores[negated] = score
+                if negated <= bar:
+                    kept.append((negated, second))
             weighted = pending[first]
             pending[first] = None
-            count = counts[first]
-            for second, both in row.items():
-                table = (both, count - both, counts[second] - both)
-                negated = tables.get(table)
-                if negated is None:
-                    score = llr_score(*table, max(total_users - sum(table), 0))
-                    negated = tables[table] = -score
-                    scores[negated] = score
-                if negated > bar:
-                    continue
+            for negated, second in kept:
                 rank = earliest[second]
                 if rank < ranks[first]:
                     ranks[first] = rank
                 if rank < ranks[second]:
                     ranks[second] = rank
-                weighted.append((negated, second))
                 column = pending[second]
                 column.append((negated, first))
                 if len(column) >= 2 * keep:
                     column.sort()
                     del column[keep:]
+            weighted += kept
             # (-score, number) ascending is (-score, name): the seed's order.
             weighted.sort()
             rows.append([(names[item], scores[negated]) for negated, item in weighted[:keep]])

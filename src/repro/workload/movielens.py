@@ -19,14 +19,19 @@ recommendation queries — so what matters for the reproduction is the
 :class:`SyntheticMovieLens` generates such a trace deterministically
 from a seed, at a configurable scale (``scale=1.0`` approximates the
 paper's slice; tests use much smaller scales).  Cost is linear in the
-ratings: each draw bisects a cumulative-weight list built once
-(``tests/oracles/cco_reference.py`` keeps the quadratic ``weights=``
-form whose RNG draws, hence events, this must reproduce).
+ratings: each rating is one ``bisect`` of a cumulative-weight list
+built, with its float total and last index, once per population -
+what ``random.choices(..., cum_weights=)`` computes on every call
+(CPython 3.10-3.13), with the same ``rng.random()`` draw, less its
+per-call checks.  ``tests/oracles/cco_reference.py`` keeps the
+quadratic ``weights=`` form whose RNG draws, hence events, this must
+reproduce.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
@@ -43,6 +48,13 @@ GENRE_COUNT = 12
 #: Probability a user's interaction stays within their preferred
 #: genres (the rest is global Zipf exploration).
 GENRE_AFFINITY = 0.85
+
+
+def _population(items: List[str], weights: List[float]) -> Tuple[List[str], List[float], float, int]:
+    """What ``random.choices`` derives from ``cum_weights`` on every
+    call: the running sum, its total as a float and the last index."""
+    cumulative = list(accumulate(weights))
+    return items, cumulative, cumulative[-1] + 0.0, len(items) - 1
 
 
 @dataclass
@@ -72,9 +84,9 @@ class SyntheticMovieLens:
         # One running sum per population, not one per draw: ``choices``
         # bisects ``cum_weights`` as given but re-accumulates ``weights``.
         weights = [1.0 / (rank + 1) ** ZIPF_EXPONENT for rank in range(item_count)]
-        catalogue = (self.items, list(accumulate(weights)))
+        catalogue = _population(self.items, weights)
         by_genre = [
-            (self.items[genre::stride], list(accumulate(weights[genre::stride])))
+            _population(self.items[genre::stride], weights[genre::stride])
             for genre in range(stride)
         ]
 
@@ -83,16 +95,18 @@ class SyntheticMovieLens:
         raw_activity = [rng.lognormvariate(0.0, 1.0) for _ in self.users]
         activity_scale = rating_count / sum(raw_activity)
         events: List[Tuple[str, str]] = []
+        draw = rng.random
         for user, activity in zip(self.users, raw_activity):
             count = max(1, round(activity * activity_scale))
             preferred = rng.sample(range(GENRE_COUNT), k=min(2, GENRE_COUNT))
             chosen: List[str] = []
             for _ in range(count):
-                if rng.random() < GENRE_AFFINITY:
-                    population, cumulative = by_genre[rng.choice(preferred)]
+                if draw() < GENRE_AFFINITY:
+                    population, cumulative, total, hi = by_genre[rng.choice(preferred)]
                 else:
-                    population, cumulative = catalogue
-                chosen.append(rng.choices(population, cum_weights=cumulative, k=1)[0])
+                    population, cumulative, total, hi = catalogue
+                # ``rng.choices(population, cum_weights=cumulative)[0]``.
+                chosen.append(population[bisect(cumulative, draw() * total, 0, hi)])
             events.extend((user, item) for item in dict.fromkeys(chosen))
         rng.shuffle(events)
         self.events = events

@@ -11,22 +11,27 @@ membership once per posting and sorts every scored candidate to return
 rebuilds the cumulative list over the whole catalogue per draw.  Slow
 and obviously right; the bodies are the seed's, only the names and the
 ``self`` they read their parameters from changed.  Nothing here calls
-into the product's query side: the posting lists are built below from
-``model.indicators``, once per model.  The product must return the same
-values **in the same order** — dict key order and list order included.
+into the product's kernels: ``llr_score`` and its ``_entropy`` are the
+seed's own bodies, kept here (the trainer no longer has them), and the
+posting lists are built below from ``model.indicators``, once per
+model.  The product must return the same values **in the same
+order** — dict key order and list order included — and each weight bit
+for bit (``model_in_order`` compares ``float.hex``).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.lrs.cco import CcoModel, CcoTrainer, llr_score
+from repro.lrs.cco import CcoModel, CcoTrainer
 from repro.workload.movielens import PAPER_SLICE
 
 __all__ = [
+    "llr_score",
     "reference_train",
     "reference_recommend",
     "ReferenceMovieLens",
@@ -35,10 +40,41 @@ __all__ = [
 ]
 
 
+def _entropy(*counts: int) -> float:
+    """Unnormalized Shannon entropy term used by the LLR statistic."""
+    total = sum(counts)
+    if total == 0:
+        return 0.0
+    result = 0.0
+    for count in counts:
+        if count:
+            result += count * math.log(count / total)
+    return -result
+
+
+def llr_score(k11: int, k12: int, k21: int, k22: int) -> float:
+    """Dunning log-likelihood ratio of a 2x2 contingency table.
+
+    ``k11`` users saw both items, ``k12`` only the row item, ``k21``
+    only the column item, ``k22`` neither.  Larger means the
+    co-occurrence is more anomalous (more informative).
+    """
+    row_entropy = _entropy(k11 + k12, k21 + k22)
+    column_entropy = _entropy(k11 + k21, k12 + k22)
+    matrix_entropy = _entropy(k11, k12, k21, k22)
+    score = 2.0 * (row_entropy + column_entropy - matrix_entropy)
+    # Guard against tiny negative values from floating-point error.
+    return max(score, 0.0)
+
+
 def model_in_order(model: CcoModel) -> tuple:
-    """A model's content with dict key order made comparable by ``==``."""
+    """A model's content with dict key order made comparable by ``==``,
+    and each weight by its bits: ``==`` holds ``-0.0`` equal to ``0.0``."""
     return (
-        list(model.indicators.items()),
+        [
+            (item, [(indicator, weight.hex()) for indicator, weight in weighted])
+            for item, weighted in model.indicators.items()
+        ],
         list(model.popularity.items()),
         model.trained_on_events,
     )

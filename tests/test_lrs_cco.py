@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lrs import cco
-from repro.lrs.cco import CcoModel, CcoTrainer, llr_score
-from tests.oracles.cco_reference import reference_recommend
+from repro.lrs.cco import CcoModel, CcoTrainer
+from tests.oracles.cco_reference import llr_score, reference_recommend
 
 
 def test_llr_zero_for_independent_events():

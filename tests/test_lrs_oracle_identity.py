@@ -2,12 +2,16 @@
 
 ``CcoTrainer.train``, ``CcoModel.recommend`` and ``SyntheticMovieLens``
 were rewritten for cost (the model built one item's row of pairs at a
-time, one LLR per distinct table, dense accumulators, a top-n bounded from the heads of sorted
-posting lists, ratings drawn from cumulative weights); the seed's
-bodies are the oracle in ``tests/oracles/cco_reference.py``.
-Equality here is *order-sensitive*: indicator lists, dict key order and
-event order are what every scenario artifact downstream is a function
-of, so ``==`` on the dicts alone would not pin them.
+time, each distinct table's LLR summed from per-item entropies and
+per-training cell terms, dense accumulators, a top-n bounded from the
+heads of sorted posting lists, each rating one bisect of a cumulative
+weight list); the seed's bodies, ``llr_score`` included, are the oracle
+in ``tests/oracles/cco_reference.py``, which imports nothing of the
+kernels it checks.  Equality here is *order-sensitive*: indicator
+lists, dict key order and event order are what every scenario artifact
+downstream is a function of, so ``==`` on the dicts alone would not pin
+them; and weights are compared by ``float.hex``, since ``==`` holds
+``-0.0`` equal to ``0.0``.
 """
 
 from __future__ import annotations
@@ -18,15 +22,17 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.lrs import cco
 from repro.lrs.cco import CcoModel, CcoTrainer
 from repro.workload import movielens
 from repro.workload.movielens import SyntheticMovieLens
+from tests.oracles import cco_reference
 from tests.oracles.cco_reference import (
     ReferenceMovieLens,
+    llr_score,
     model_in_order,
     reference_recommend,
     reference_train,
@@ -100,8 +106,19 @@ def _assert_same_rankings(model: CcoModel, history) -> None:
             ), (n, exclude_history)
 
 
+#: Eight users, ``a`` held by six, ``b`` by four, both by three: an
+#: independent table whose LLR sums to -3.6e-15 before the guard, so at
+#: threshold 0.0 the pair is kept at weight 0.0 only if it is applied.
+INDEPENDENT = (
+    [(f"w{index}", "a") for index in range(6)]
+    + [(f"w{index}", "b") for index in range(3, 7)]
+    + [("w7", "c")]
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(trainer=trainers, events=event_streams)
+@example(trainer=CcoTrainer(llr_threshold=0.0), events=INDEPENDENT)
 def test_train_equals_the_seed_loops_in_value_and_order(trainer, events):
     model = trainer.train(iter(events))
     assert model_in_order(model) == model_in_order(reference_train(trainer, events))
@@ -148,6 +165,41 @@ def test_train_holds_at_most_half_the_memory_of_the_seed_loops(movielens_events)
             tracemalloc.stop()
     kernel, oracle = peaks
     assert kernel <= oracle / 2, peaks
+
+
+@st.composite
+def co_occurrences(draw):
+    """(users, row item count, column item count, users holding both) of
+    a pair some user holds, up to the paper's 7,288 users."""
+    users = draw(st.integers(1, 7288))
+    count = draw(st.integers(1, users))
+    other = draw(st.integers(1, users))
+    both = draw(st.integers(max(1, count + other - users), min(count, other)))
+    return users, count, other, both
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=co_occurrences())
+@example(table=(1, 1, 1, 1))
+@example(table=(5, 5, 5, 5))
+@example(table=(7288, 7288, 3, 3))
+@example(table=(10, 3, 8, 1))
+@example(table=(7288, 1, 1, 1))
+@example(table=(7288, 4000, 3289, 1))
+@example(table=(8, 6, 4, 3))
+def test_the_trainers_llr_is_the_oracles_bit_for_bit(table):
+    """The trainer's LLR (per-item entropies plus per-training cell
+    terms) is ``llr_score``'s float, zero cells, ``count == users`` (an
+    entropy of ``-0.0``) and an independent table rounding below zero
+    included."""
+    users, count, other, both = table
+    cells = (both, count - both, other - both, users - count - other + both)
+    terms = cco._cell_terms(users)
+    row = cco._entropy(terms, count, users - count)
+    column = cco._entropy(terms, other, users - other)
+    assert row.hex() == cco_reference._entropy(count, users - count).hex()
+    assert column.hex() == cco_reference._entropy(other, users - other).hex()
+    assert cco._llr(terms, row, column, *cells).hex() == llr_score(*cells).hex()
 
 
 def test_llr_is_scored_per_whole_contingency_table():
