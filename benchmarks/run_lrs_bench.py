@@ -24,9 +24,10 @@ against the kernel, not the oracle: one trained ``HarnessEngine`` (a
 fresh one, its answers not yet kept, in every repeat) serves the
 end-to-end benchmark's ``macro_movielens`` get mix (800 activity-weighted
 users at ``scale=0.1``) against ``CcoModel.recommend`` run on every get;
-the row records the share of gets the engine answered from memory.  One
-ceiling (exit 1 above it; see ``CEILINGS_MIB``): the ``tracemalloc``
-peak of one training on the ``scale=0.1`` stream.
+the row records the share of gets the engine answered from memory.  Two
+ceilings (exit 1 above either; see ``CEILINGS_MIB``), both read with
+``tracemalloc`` around one training on the ``scale=0.1`` stream: its
+peak, and what the trained model keeps alive once it returns.
 
 The two sides of a row are timed back to back in every repeat, so a
 slow phase of the host hits both, and a floor that can be met by
@@ -46,6 +47,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from itertools import chain
 from typing import Callable, Dict, List, Tuple
 from unittest import mock
 
@@ -97,13 +99,17 @@ FLOORS = {
     "serve_query_users_scale_0.1": 1.6,
 }
 
-# Ceilings on the tracemalloc peak of one training on the scale=0.1
-# stream, MiB: the seed's pair table peaks at 44.3, the row-at-a-time
-# trainer at 11.8, 10.4 since its LLR memo is keyed on ints, not
-# 3-tuples (CPython 3.11, seven runs each), with room for other
-# interpreters' object sizes.
+# Ceilings, MiB, on one training on the scale=0.1 stream (CPython
+# 3.11).  Its tracemalloc peak: the seed's pair table peaks at 44.3, the
+# row-at-a-time trainer at 11.8, 10.4 once its LLR memo was keyed on
+# ints, not 3-tuples, and 7.3 since each item's indicators are one
+# names tuple and one array of weights.  The model it returns: 5.5 as
+# one (name, weight) tuple per indicator, 1.74 as the arrays.  Each
+# ceiling leaves room for other interpreters' object sizes, not for the
+# shape before.
 CEILINGS_MIB = {
-    "train_peak_mib_scale_0.1": 20.0,
+    "train_peak_mib_scale_0.1": 8.5,
+    "model_mib_scale_0.1": 2.0,
 }
 
 
@@ -130,23 +136,28 @@ def _race(name: str, new: Callable[[], object], oracle: Callable[[], object], re
     }
 
 
-def _traced_peak(train: Callable[[], CcoModel]) -> Tuple[float, CcoModel]:
-    """The ``tracemalloc`` peak of *train*, in MiB, and what it returned."""
+def _traced(train: Callable[[], CcoModel]) -> Tuple[float, float, CcoModel]:
+    """The ``tracemalloc`` peak of *train* and what it left allocated
+    when it returned (the model it built), in MiB, and that model."""
     tracemalloc.start()
     try:
         model = train()
-        peak = tracemalloc.get_traced_memory()[1]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak / 2**20, model
+    return peak / 2**20, kept / 2**20, model
 
 
-def _train_peak(name: str, trainer: CcoTrainer, events, problems: List[str]) -> dict:
-    kernel_mib, model = _traced_peak(lambda: trainer.train(events))
-    oracle_mib, expected = _traced_peak(lambda: reference_train(trainer, events))
+def _train_memory(trainer: CcoTrainer, events, problems: List[str]) -> Dict[str, dict]:
+    """The ``train_peak_mib`` and ``model_mib`` rows at ``scale=0.1``."""
+    kernel_peak, kernel_kept, model = _traced(lambda: trainer.train(events))
+    oracle_peak, oracle_kept, expected = _traced(lambda: reference_train(trainer, events))
     if model_in_order(model) != model_in_order(expected):
-        problems.append(f"{name}: the kernel and the oracle returned different results")
-    return {"kernel_mib": round(kernel_mib, 1), "oracle_mib": round(oracle_mib, 1)}
+        problems.append("train_peak_mib_scale_0.1: the kernel and the oracle returned different results")
+    return {
+        "train_peak_mib_scale_0.1": {"kernel_mib": round(kernel_peak, 2), "oracle_mib": round(oracle_peak, 2)},
+        "model_mib_scale_0.1": {"kernel_mib": round(kernel_kept, 2), "oracle_mib": round(oracle_kept, 2)},
+    }
 
 
 def _query_cost(model: CcoModel, histories: List[List[str]]) -> dict:
@@ -154,7 +165,7 @@ def _query_cost(model: CcoModel, histories: List[List[str]]) -> dict:
     side's two steps wrapped: postings summed against the postings the
     histories have, and the candidates re-scored per query that the
     heads of the lists decided."""
-    listed = Counter(indicator for weighted in model.indicators.values() for indicator, _ in weighted)
+    listed = Counter(chain.from_iterable(names for names, _ in model.indicators.values()))
     available = sum(listed[item] for history in histories for item in dict.fromkeys(history))
     read = 0
     survivors: List[int] = []
@@ -248,9 +259,7 @@ def _measure(problems: List[str]) -> Dict[str, dict]:
         5, problems, view=model_in_order,
     )
     results["train_scale_0.1"]["events"] = len(trace.events)
-    results["train_peak_mib_scale_0.1"] = _train_peak(
-        "train_peak_mib_scale_0.1", trainer, trace.events, problems
-    )
+    results.update(_train_memory(trainer, trace.events, problems))
 
     model = trainer.train(trace.events)
     results["recommend_history_50"] = _race_recommend(
@@ -276,7 +285,7 @@ def main() -> int:
         "benchmark": "LRS-side kernels (generator, CCO trainer, CCO top-n) vs the seed's loops",
         "generated_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": platform.python_version(),
-        "units": "seconds per row (best of interleaved repeats), MiB for the train_peak row; a recommend row is 400 queries, the serve row 800 gets",
+        "units": "seconds per row (best of interleaved repeats), MiB for the train_peak and model rows; a recommend row is 400 queries, the serve row 800 gets",
         "seed": SEED,
         "results": results,
         "floors": FLOORS,
@@ -285,8 +294,8 @@ def main() -> int:
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
     for name, entry in results.items():
         if name in CEILINGS_MIB:
-            print(f"{name:28s} {entry['kernel_mib']:>8.1f} MiB"
-                  f" (seed loops {entry['oracle_mib']:>6.1f} MiB, ceiling {CEILINGS_MIB[name]})")
+            print(f"{name:28s} {entry['kernel_mib']:>8.2f} MiB"
+                  f" (seed loops {entry['oracle_mib']:>6.2f} MiB, ceiling {CEILINGS_MIB[name]})")
         else:
             print(f"{name:28s} {entry['kernel_s']:>8.4f} s"
                   f"  (seed loops {entry['oracle_s']:>8.4f} s, {entry['speedup']:.1f}x)")

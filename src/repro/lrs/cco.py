@@ -30,15 +30,19 @@ from the two items' entropies and a per-training table of cell terms,
 the same floats added in the same order - and weights added in history
 order (docs/architecture.md, "How the CCO model is built and
 queried").  Training holds one item's row of pairs at a time, never a
-table of every co-occurring pair; a query costs the prefixes it reads
-plus its survivors, and one catalogue-sized copy: the ``zeros``
-accumulator every query starts from.
+table of every co-occurring pair, and keeps each item's indicator list
+as two parallel containers: a tuple of the indicators' names and an
+``array('d')`` of their weights, so a model holds no float object and
+no pair tuple per indicator.  A query costs the prefixes it reads plus
+its survivors, and one catalogue-sized copy: the ``zeros`` accumulator
+every query starts from.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -111,9 +115,9 @@ class _QueryIndex:
     names: List[str]
     #: item -> number (the same ``int`` objects the postings hold).
     number: Dict[str, int]
-    #: indicator -> (item numbers, weights), parallel and the weights
-    #: unboxed: a query reads them in list order, and the model's own
-    #: float objects lie in forward-list order, a cache miss apiece.
+    #: indicator -> (item numbers, weights), parallel: the forward
+    #: lists turned inside out, so a query reads one indicator's items
+    #: and their weights in list order.
     postings: Dict[str, Tuple[Tuple[int, ...], "array[float]"]]
     #: One 0.0 per item; a query accumulates into a copy.
     zeros: List[float]
@@ -154,8 +158,9 @@ def _accumulate(
 class CcoModel:
     """A trained CCO model: per-item weighted indicator lists."""
 
-    #: item -> list of (indicator_item, llr_weight), sorted by weight.
-    indicators: Dict[str, List[Tuple[str, float]]] = field(default_factory=dict)
+    #: item -> (indicator items, their LLR weights), parallel and sorted
+    #: by weight, descending: a tuple of names and an ``array('d')``.
+    indicators: Dict[str, Tuple[Tuple[str, ...], "array[float]"]] = field(default_factory=dict)
     #: item -> global interaction count (popularity fallback ranking).
     popularity: Dict[str, int] = field(default_factory=dict)
     trained_on_events: int = 0
@@ -164,17 +169,12 @@ class CcoModel:
 
     def _query_index(self) -> _QueryIndex:
         if self._index is None:
-            # Imported by the first model that is queried: the extension
-            # module is 0.1 MiB of resident memory in every process that
-            # imports this package, and most never query a model.
-            from array import array
-
             names = list(self.indicators)
             number = {name: index for index, name in enumerate(names)}
             postings: Dict[str, Tuple[List[int], "array[float]"]] = {}
-            for item, weighted in self.indicators.items():
+            for item, (indicators, weights) in self.indicators.items():
                 item_number = number[item]
-                for indicator, weight in weighted:
+                for indicator, weight in zip(indicators, weights):
                     posting = postings.get(indicator)
                     if posting is None:
                         posting = postings[indicator] = ([], array("d"))
@@ -282,7 +282,7 @@ class CcoModel:
             # The seed's additions, in the seed's order.
             hits = [
                 (position[indicator], weight)
-                for indicator, weight in indicators[names[item]]
+                for indicator, weight in zip(*indicators[names[item]])
                 if indicator in position
             ]
             hits.sort()
@@ -370,14 +370,12 @@ class CcoTrainer:
         #: row item count -> {both * stride + column item count: -score}.
         memos: Dict[int, Dict[int, float]] = {}
         stride = total_users + 1
-        #: -score -> score, so the model holds the memo's float objects.
-        scores: Dict[float, float] = {}
         # Each item's least rank of a scored pair; above every rank.
         unranked = total_users * span * span
         ranks = [unranked] * len(names)
         #: item -> (-score, partner) entries from earlier rows.
         pending: List[Optional[List[Tuple[float, int]]]] = [[] for _ in names]
-        rows: List[List[Tuple[str, float]]] = []
+        rows: List[Tuple[Tuple[str, ...], "array[float]"]] = []
         for first, held in enumerate(holders):
             row: Counter = Counter()
             earliest: Dict[int, int] = {}
@@ -406,7 +404,6 @@ class CcoTrainer:
                         both, count - both, other - both, outside - other + both,
                     )
                     negated = memo[key] = -score
-                    scores[negated] = score
                 if negated <= bar:
                     kept.append((negated, second))
             weighted = pending[first]
@@ -425,7 +422,12 @@ class CcoTrainer:
             weighted += kept
             # (-score, number) ascending is (-score, name): the seed's order.
             weighted.sort()
-            rows.append([(names[item], scores[negated]) for negated, item in weighted[:keep]])
+            del weighted[keep:]
+            # Negation flips the sign bit alone: each weight is its score's bits.
+            rows.append((
+                tuple([names[item] for _, item in weighted]),
+                array("d", [-negated for negated, _ in weighted]),
+            ))
 
         # Two items tie only on the pair they share; the stable sort puts
         # its first member, the smaller number, first.

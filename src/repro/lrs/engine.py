@@ -13,8 +13,9 @@ items, n), so the engine keeps the answers it builds: a get whose
 history and n it already answered under the current model is served
 from memory, and only a miss runs the query.  At most
 ``ANSWER_MEMO_ENTRIES`` answers are kept, the oldest evicted first; the
-memo empties whenever ``model`` is another object (a training run, or
-any assignment), and a post that changes a history changes its key.
+memo empties at a training run, so the model it replaces is freed
+then, and at the first get after ``model`` is assigned another object;
+a post that changes a history changes its key.
 
 This is the *functional* engine; the performance model of a scaled
 Harness deployment lives in :mod:`repro.lrs.service`.
@@ -59,6 +60,10 @@ class HarnessEngine:
 
     def train(self) -> CcoModel:
         """Run the batch model-building job (the Spark run of §7)."""
+        # The memo would keep the superseded model (and its query index)
+        # alive until the next get.
+        self._answers.clear()
+        self._answered_by = None
         self.model = self.trainer.train(self.store.interactions())
         self.trainings += 1
         return self.model

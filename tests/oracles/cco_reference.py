@@ -14,15 +14,19 @@ and obviously right; the bodies are the seed's, only the names and the
 into the product's kernels: ``llr_score`` and its ``_entropy`` are the
 seed's own bodies, kept here (the trainer no longer has them), and the
 posting lists are built below from ``model.indicators``, once per
-model.  The product must return the same values **in the same
-order** — dict key order and list order included — and each weight bit
-for bit (``model_in_order`` compares ``float.hex``).
+model.  The seed's (name, weight) lists become the model's one shape -
+per item a tuple of names and an ``array('d')`` of weights - only
+through ``packed_indicators``, which hand-made models in the tests use
+too.  The product must return the same values **in the same order** —
+dict key order and list order included — and each weight bit for bit
+(``model_in_order`` compares ``float.hex``).
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -32,6 +36,7 @@ from repro.workload.movielens import PAPER_SLICE
 
 __all__ = [
     "llr_score",
+    "packed_indicators",
     "reference_train",
     "reference_recommend",
     "ReferenceMovieLens",
@@ -67,13 +72,26 @@ def llr_score(k11: int, k12: int, k21: int, k22: int) -> float:
     return max(score, 0.0)
 
 
+def packed_indicators(
+    indicators: Dict[str, Sequence[Tuple[str, float]]]
+) -> Dict[str, Tuple[Tuple[str, ...], array]]:
+    """item -> [(indicator, weight)] as ``CcoModel.indicators`` holds it:
+    item -> (names, weights), a tuple and an ``array('d')`` in list
+    order, keys in the same order."""
+    return {
+        item: (tuple(name for name, _ in weighted), array("d", [weight for _, weight in weighted]))
+        for item, weighted in indicators.items()
+    }
+
+
 def model_in_order(model: CcoModel) -> tuple:
     """A model's content with dict key order made comparable by ``==``,
-    and each weight by its bits: ``==`` holds ``-0.0`` equal to ``0.0``."""
+    and each weight by its bits: ``==`` holds ``-0.0`` equal to ``0.0``.
+    Names and weights are listed apart, so neither can outrun the other."""
     return (
         [
-            (item, [(indicator, weight.hex()) for indicator, weight in weighted])
-            for item, weighted in model.indicators.items()
+            (item, list(names), [weight.hex() for weight in weights])
+            for item, (names, weights) in model.indicators.items()
         ],
         list(model.popularity.items()),
         model.trained_on_events,
@@ -130,7 +148,7 @@ def reference_train(
         trimmed[item] = weighted[: trainer.max_indicators]
 
     return CcoModel(
-        indicators=trimmed,
+        indicators=packed_indicators(trimmed),
         popularity=dict(item_counts),
         trained_on_events=event_count,
     )
@@ -143,7 +161,7 @@ def _reverse_index(model: CcoModel) -> Dict[str, List[Tuple[str, float]]]:
     if reverse is None:
         reverse = model._oracle_reverse = defaultdict(list)
         for item, weighted in model.indicators.items():
-            for indicator, weight in weighted:
+            for indicator, weight in zip(*weighted):
                 reverse[indicator].append((item, weight))
     return reverse
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from array import array
 from unittest import mock
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.lrs import cco
 from repro.lrs.cco import CcoModel, CcoTrainer
-from tests.oracles.cco_reference import llr_score, reference_recommend
+from tests.oracles.cco_reference import llr_score, packed_indicators, reference_recommend
 
 
 def test_llr_zero_for_independent_events():
@@ -104,7 +105,7 @@ def test_llr_threshold_prunes_weak_pairs():
     loose = _train(OVERLAPPING, llr_threshold=0.0)
     strict = _train(OVERLAPPING, llr_threshold=100.0)
     def edges(model):
-        return sum(len(row) for row in model.indicators.values())
+        return sum(len(names) for names, _ in model.indicators.values())
 
     assert edges(strict) < edges(loose)
     assert edges(strict) == 0
@@ -113,7 +114,7 @@ def test_llr_threshold_prunes_weak_pairs():
 def test_max_indicators_cap():
     events = [(f"u{i}", f"i{j}") for i in range(12) for j in range(10)]
     model = _train(events, llr_threshold=0.0, max_indicators=3)
-    assert all(len(v) <= 3 for v in model.indicators.values())
+    assert all(len(names) <= 3 for names, _ in model.indicators.values())
 
 
 @pytest.mark.parametrize(
@@ -131,9 +132,19 @@ def test_negative_sizes_and_a_nan_threshold_are_refused(kwargs):
 def test_zero_sizes_are_legal():
     events = [("u1", "a"), ("u1", "b"), ("u1", "c"), ("u2", "a"), ("u2", "b"), ("u3", "c")]
     keyed = _train(events, llr_threshold=0.0, max_indicators=0)
-    assert keyed.indicators == {"a": [], "b": [], "c": []}
+    assert keyed.indicators == packed_indicators({"a": [], "b": [], "c": []})
     empty = _train(events, max_history=0)
     assert (empty.indicators, empty.popularity, empty.trained_on_events) == ({}, {}, 6)
+
+
+def test_train_keeps_one_names_tuple_and_one_weight_array_per_item():
+    """No (name, weight) tuple and no float object per indicator: each
+    item's list is a tuple of names and an ``array('d')``, in step."""
+    model = _train(OVERLAPPING, llr_threshold=0.0)
+    assert model.indicators
+    for names, weights in model.indicators.values():
+        assert type(names) is tuple and type(weights) is array and weights.typecode == "d"
+        assert len(names) == len(weights)
 
 
 def test_max_history_downsampling():
@@ -152,12 +163,13 @@ def test_recommendation_is_deterministic():
 #: and 201 - a query decided from the heads, X and Y re-scored.
 _MODELS = """
 from repro.lrs.cco import CcoModel
+from tests.oracles.cco_reference import packed_indicators
 scored = {"X": [("a", 0.1), ("b", 0.2), ("c", 0.3)], "Y": [("d", 0.6)]}
 history = ["a", "b", "c", "d"]
 crowd = [f"g{index}" for index in range(64)]
 fillers = {f"f{index:03d}": [(seen, 1e-6) for seen in history + crowd] for index in range(200)}
-model = CcoModel(indicators=scored, popularity={"Y": 1})
-crowded = CcoModel(indicators={**scored, **fillers}, popularity={"Y": 1})
+model = CcoModel(indicators=packed_indicators(scored), popularity={"Y": 1})
+crowded = CcoModel(indicators=packed_indicators({**scored, **fillers}), popularity={"Y": 1})
 """
 
 _HASH_SEED_PROBE = _MODELS + """
@@ -181,10 +193,11 @@ def test_ranking_does_not_depend_on_the_hash_seed():
     order.  The item-kNN baseline sums similarities the same way: zX
     against aY, which wins ties on its id.
     """
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join([os.path.join(root, "src"), root])  # the helper lives with the tests
     rankings = set()
     for hash_seed in range(8):
-        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=path)
         finished = subprocess.run(
             [sys.executable, "-c", _HASH_SEED_PROBE],
             env=env, capture_output=True, text=True, timeout=60, check=True,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from unittest import mock
 
 import pytest
@@ -170,6 +171,20 @@ def test_a_post_or_a_new_model_asks_again():
     engine.train()
     engine.get_recommendations("alice")
     assert (engine.hits, engine.misses) == (1, 3)
+
+
+def test_training_frees_the_superseded_model():
+    """Neither the model a training replaces nor the answers it gave
+    outlive the training, and a get after it asks the new model."""
+    engine = _engine()
+    engine.train()
+    engine.get_recommendations("alice")
+    superseded = weakref.ref(engine.model)
+    engine.train()
+    assert superseded() is None
+    assert not engine._answers
+    engine.get_recommendations("alice")
+    assert (engine.hits, engine.misses) == (0, 2)
 
 
 # -- baselines ----------------------------------------------------------

@@ -34,6 +34,7 @@ from tests.oracles.cco_reference import (
     ReferenceMovieLens,
     llr_score,
     model_in_order,
+    packed_indicators,
     reference_recommend,
     reference_train,
     trace_in_order,
@@ -65,7 +66,7 @@ hand_made_models = st.builds(
     indicators=st.dictionaries(
         st.sampled_from(ITEMS),
         st.lists(st.tuples(st.sampled_from(ITEMS), weights), max_size=6),
-    ),
+    ).map(packed_indicators),
     popularity=st.dictionaries(st.sampled_from(ITEMS), st.integers(0, 3)),
 )
 #: Models the bounded path accepts (no item twice in a posting list, no
@@ -83,7 +84,7 @@ long_listed_models = st.builds(
             lambda weighted: list(weighted.items())
         ),
         min_size=8,
-    ),
+    ).map(packed_indicators),
     popularity=st.dictionaries(st.sampled_from(CATALOGUE), st.integers(0, 3)),
 )
 long_histories = st.lists(st.sampled_from(CATALOGUE + ["unknown-1", "unknown-2"]), max_size=12)
@@ -143,7 +144,7 @@ def test_train_equals_the_seed_loops_on_a_movielens_stream(movielens_events, max
         CcoTrainer(max_history=max_history, max_indicators=10**6), movielens_events
     )
     earlier_partners = max(
-        sum(partner < item for partner, _ in weighted) for item, weighted in uncut.indicators.items()
+        sum(partner < item for partner in names) for item, (names, _) in uncut.indicators.items()
     )
     assert earlier_partners >= 2 * trainer.max_indicators
     # The generator emits each (user, item) once.
@@ -209,7 +210,7 @@ def test_llr_is_scored_per_whole_contingency_table():
     trainer = CcoTrainer(llr_threshold=0.0)
     model = trainer.train(events)
     assert model_in_order(model) == model_in_order(reference_train(trainer, events))
-    weight = {item: dict(weighted) for item, weighted in model.indicators.items()}
+    weight = {item: dict(zip(*weighted)) for item, weighted in model.indicators.items()}
     assert weight["a"]["b"] != weight["a"]["c"]
 
 
@@ -237,7 +238,7 @@ def test_recommend_from_the_heads_equals_the_seed_ranking(model, history):
 def test_ties_at_the_cut_are_broken_by_the_full_key():
     """Five candidates score the same; popularity, then id, pick two."""
     model = CcoModel(
-        indicators={item: [("seen", 1.0)] for item in ("e", "d", "c", "b", "a")},
+        indicators=packed_indicators({item: [("seen", 1.0)] for item in ("e", "d", "c", "b", "a")}),
         popularity={"c": 2, "d": 2, "a": 1},
     )
     assert model.recommend(["seen"], n=2) == ["c", "d"]
@@ -248,7 +249,9 @@ def test_ties_at_the_cut_are_broken_by_the_full_key():
 def test_weights_are_summed_in_history_order_before_the_history_is_dropped():
     """.1 + .2 + .3 outranks .6; .3 + .2 + .1 ties with it and loses on id."""
     model = CcoModel(
-        indicators={"X": [("a", 0.1), ("b", 0.2), ("c", 0.3)], "A": [("d", 0.6)], "a": [("b", 9.0)]},
+        indicators=packed_indicators(
+            {"X": [("a", 0.1), ("b", 0.2), ("c", 0.3)], "A": [("d", 0.6)], "a": [("b", 9.0)]}
+        ),
     )
     assert model.recommend(["a", "b", "c", "d"], n=1) == ["X"]
     assert model.recommend(["c", "b", "a", "d"], n=1) == ["A"]
@@ -261,7 +264,7 @@ def test_an_unread_posting_of_weight_zero_is_not_a_list_read_whole():
     ``d``, ``e``, behind the heads with the same 0.0, are candidates the
     seed ranks first on popularity.  A bound of 0.0 decides nothing."""
     model = CcoModel(
-        indicators={item: [("seen", 0.0)] for item in "abcde"},
+        indicators=packed_indicators({item: [("seen", 0.0)] for item in "abcde"}),
         popularity={"e": 3, "d": 2, "c": 1},
     )
     with _toy_prefixes():
@@ -270,7 +273,9 @@ def test_an_unread_posting_of_weight_zero_is_not_a_list_read_whole():
 
 
 def test_a_candidate_that_scored_zero_outranks_the_popularity_fallback():
-    model = CcoModel(indicators={"quiet": [("seen", 0.0)]}, popularity={"loud": 9, "quiet": 1})
+    model = CcoModel(
+        indicators=packed_indicators({"quiet": [("seen", 0.0)]}), popularity={"loud": 9, "quiet": 1}
+    )
     assert model.recommend(["seen"], n=1) == ["quiet"]
     assert model.recommend(["other"], n=1) == ["loud"]
     _assert_same_rankings(model, ["seen"])
@@ -284,11 +289,11 @@ def test_survivors_of_the_heads_are_rescored_in_history_order():
     under ``e`` lies behind the head and breaks the tie."""
     fillers = {f"f{index}": [(seen, 0.01) for seen in "abcde"] for index in range(4)}
     model = CcoModel(
-        indicators={
+        indicators=packed_indicators({
             "X": [("a", 0.1), ("b", 0.2), ("c", 0.3), ("e", 0.005)],
             "A": [("d", 0.6)],
             **fillers,
-        },
+        }),
     )
     with _toy_prefixes():
         assert model.recommend(["a", "b", "c", "d"], n=1) == ["X"]
@@ -305,14 +310,16 @@ def test_lists_no_head_can_bound_are_read_whole_and_in_forward_order():
     unread posting a bound on nothing: such a model's lists are neither
     sorted nor cut short, however long."""
     twice = CcoModel(
-        indicators={
+        indicators=packed_indicators({
             "X": [("a", 0.2), ("h", 0.1), ("h", 0.3)],
             "A": [("d", 0.6)],
             **{f"f{index}": [("h", 0.01)] for index in range(3)},
-        }
+        })
     )
     negative = CcoModel(
-        indicators={"a": [("h", 5.0)], "b": [("h", 4.0)], **{i: [("h", -1.0)] for i in "cde"}}
+        indicators=packed_indicators(
+            {"a": [("h", 5.0)], "b": [("h", 4.0)], **{i: [("h", -1.0)] for i in "cde"}}
+        )
     )
     with _toy_prefixes():
         assert twice.recommend(["a", "h", "d"], n=1) == ["X"]
