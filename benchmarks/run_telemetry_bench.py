@@ -1,15 +1,14 @@
 """Emit ``BENCH_telemetry.json``: the emission path vs the old walk.
 
 Every telemetry record passes :meth:`repro.telemetry.events.EventLog.emit`
-— scrub for the emitting role, then store — and on ``observed_get`` five
-of the seven records a request emits are stage spans of a restricted
-role (``ua`` / ``ia`` / ``lrs``), so the scrub is the emission path's
-bill.  This measures ``emit`` of a representative ``ua`` stage-span
-payload (the eight fixed fields ``Tracer._close`` builds — the ninth of
-the artifact line, ``role``, is the envelope's — and seven attributes)
-through two logs that differ in one thing: one scrubs with the
-single-pass :meth:`RedactionPolicy.scrub`, the other with the recursive
-walk it replaced, kept as the test oracle in
+— scrub for the emitting role, then store — and a record of a
+restricted role (``ua`` / ``ia`` / ``lrs``) is scrubbed field by field,
+so the scrub is the emission path's bill.  This measures ``emit`` of a
+representative nested ``ua`` payload (eight flat fields and a map of
+seven attributes; ``role``, the ninth field of the artifact line, is the
+envelope's) through two logs that differ in one thing: one scrubs with
+the single-pass :meth:`RedactionPolicy.scrub`, the other with the
+recursive walk it replaced, kept as the test oracle in
 ``tests/oracles/redaction_reference.py``::
 
     PYTHONPATH=src python benchmarks/run_telemetry_bench.py
@@ -47,10 +46,10 @@ OUTPUT = REPO_ROOT / "BENCH_telemetry.json"
 
 FLOORS = {"emit_ua_stage_span": 4.0}
 
-#: What ``Tracer._close`` hands the log for a UA stage span, with the
-#: attributes ``_ProxyStage._annotate`` attaches on the request leg.
+#: A ``ua`` record with a nested attribute map: eight flat fields, none
+#: an identifier (a ``trace_id`` would be one), and seven attributes.
 STAGE_SPAN = {
-    "trace_id": 1041,
+    "batch": 1041,
     "span_id": 6243,
     "name": "ua_inbound",
     "start": 12.251003,
@@ -151,7 +150,7 @@ def main() -> int:
         "generated_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": platform.python_version(),
         "units": "microseconds per payload (best of timeit repeats)",
-        "payload": "ua stage span: 8 fixed fields + 7 attributes; 1 in 50 carries a planted item id",
+        "payload": "ua record: 8 flat fields + 7 attributes; 1 in 50 carries a planted item id",
         "results": results,
         "floors": FLOORS,
     }

@@ -1,9 +1,11 @@
 """Extra reproduction artefacts: latency breakdown, post-vs-get,
 recommendation quality.
 
-* Latency breakdown by pipeline stage (the telemetry tracer) at 50 vs
-  250 RPS — shows the shuffle buffers dominating at thin traffic and
-  amortizing at load, the mechanism behind Figure 7.
+* Latency breakdown by pipeline stage at 50 vs 250 RPS, per request
+  from the wire's send timestamps (the operator-side probe of
+  ``tests/oracles/wire_breakdown.py``) — shows the shuffle buffers
+  dominating at thin traffic and amortizing at load, the mechanism
+  behind Figure 7.
 * Footnote 9: "the costs of post requests ... systematically follow
   the same trends as for get requests, with only marginally lower
   latencies."
@@ -24,18 +26,18 @@ from repro.experiments.runner import run_micro
 from repro.lrs.baselines import ItemKnnRecommender, PopularityRecommender
 from repro.lrs.cco import CcoTrainer
 from repro.lrs.evaluation import evaluate_recommender, leave_latest_out_split
-from repro.simnet.metrics import percentile
-from repro.telemetry import PIPELINE_STAGES, Telemetry
 from repro.workload.injector import Injector
 from repro.workload.movielens import SyntheticMovieLens
+from tests.oracles.wire_breakdown import STAGES, BreakdownProbe
 
 M6 = MICRO_CONFIGS["m6"]
 
 
 def _breakdown_at(rps: float, duration: float = 15.0):
-    telemetry = Telemetry()
-    ctx = SimContext.fresh(SEED, telemetry=telemetry)
-    telemetry.bind(ctx.loop, run_label=f"m6@{rps:g}rps")
+    """Per-stage medians of every request the wire saw complete."""
+    ctx = SimContext.fresh(SEED)
+    probe = BreakdownProbe()
+    probe.attach(ctx.network)
     stub = stub_lrs(ctx)
     deployment = Deployment.build(ctx=ctx, config=M6.pprox_config(), lrs_picker=lambda: stub)
     pseudonymise_stub(stub, deployment)
@@ -43,10 +45,7 @@ def _breakdown_at(rps: float, duration: float = 15.0):
     injector = Injector(ctx.loop, ctx.rng.stream("inj"))
     injector.inject(rps, duration, lambda cb: client.get("user", on_complete=cb))
     ctx.loop.run()
-    return {
-        stage: percentile(sorted(values), 0.5)
-        for stage, values in telemetry.tracer.stage_values().items()
-    }
+    return probe.aggregate()
 
 
 def test_latency_breakdown(benchmark):
@@ -56,10 +55,10 @@ def test_latency_breakdown(benchmark):
     breakdowns = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
     print("== latency breakdown by stage, m6 (S=10), medians in ms ==")
-    header = f"{'rps':>5s} " + " ".join(f"{stage:>12s}" for stage in PIPELINE_STAGES)
+    header = f"{'rps':>5s} " + " ".join(f"{stage:>12s}" for stage in STAGES)
     print(header)
     for rps, stages in breakdowns.items():
-        print(f"{rps:5.0f} " + " ".join(f"{stages[s] * 1000:12.2f}" for s in PIPELINE_STAGES))
+        print(f"{rps:5.0f} " + " ".join(f"{stages[s] * 1000:12.2f}" for s in STAGES))
 
     # Shuffle stages dominate at 50 RPS...
     thin = breakdowns[50]

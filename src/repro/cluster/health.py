@@ -22,7 +22,7 @@ from repro.proxy.service import PProxService, layer_pool
 from repro.sgx.provisioning import KeyProvisioner
 from repro.simnet.clock import EventLoop, Periodic
 from repro.simnet.loadbalancer import LoadBalancer
-from repro.telemetry.types import TelemetryLike
+from repro.telemetry.hub import Telemetry
 
 __all__ = ["HealthMonitor", "liveness_pass"]
 
@@ -75,7 +75,7 @@ class HealthMonitor(Periodic):
     #: Optional telemetry hub; ejections/readmissions are recorded as
     #: structured ``fault`` events and the eject->readmit span feeds
     #: the ``pprox_recovery_seconds`` histogram.
-    telemetry: Optional[TelemetryLike] = None
+    telemetry: Optional[Telemetry] = None
     #: Flag an instance as overloaded (operator event) when its ingress
     #: sojourn exceeds this; cleared when it drops back under.  ``None``
     #: disables overload probing.

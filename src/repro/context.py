@@ -30,7 +30,7 @@ from repro.rest.codec import WireCodec, resolve_codec
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
-from repro.telemetry.types import TelemetryLike
+from repro.telemetry.hub import Telemetry
 
 __all__ = ["SimContext", "Deployment"]
 
@@ -49,7 +49,7 @@ class SimContext:
     rng: RngRegistry
     provider: Optional[CryptoProvider] = None
     costs: ProxyCostModel = DEFAULT_COSTS
-    telemetry: Optional[TelemetryLike] = None
+    telemetry: Optional[Telemetry] = None
     #: Wire codec for protected hops — the one place a deployment's
     #: wire is chosen.  Accepts a codec name (``"json"``/``"binary"``)
     #: or a :class:`repro.rest.codec.WireCodec`; always holds the
@@ -71,7 +71,7 @@ class SimContext:
         *,
         provider: Optional[CryptoProvider] = None,
         costs: ProxyCostModel = DEFAULT_COSTS,
-        telemetry: Optional[TelemetryLike] = None,
+        telemetry: Optional[Telemetry] = None,
         loop: Optional[EventLoop] = None,
         codec: Union[str, WireCodec] = "json",
     ) -> "SimContext":

@@ -168,7 +168,7 @@ EXPERIMENT_INDEX: Dict[str, Experiment] = {
         identifier="breakdown",
         title="Latency by pipeline stage, posts vs gets, recommendation quality",
         workload="m6 against the stub at 50-250 RPS; leave-latest-out on a MovieLens-shaped trace",
-        modules=("repro.telemetry.spans", "repro.lrs.evaluation", "repro.lrs.baselines"),
+        modules=("repro.simnet.network", "repro.lrs.evaluation", "repro.lrs.baselines"),
         bench="benchmarks/test_breakdown_and_quality.py",
         claims=(
             "the two shuffle stages own over 70% of a get at 50 RPS and shrink at 250 RPS",
@@ -294,15 +294,16 @@ EXPERIMENT_INDEX: Dict[str, Experiment] = {
     "telemetry": Experiment(
         identifier="telemetry",
         title="Telemetry pipeline self-check",
-        workload="m6 gets against the stub at 40 RPS with spans, metrics and the event log on",
+        workload="m6 gets against the stub at 40 RPS with the tracer, metrics and event log on",
         modules=("repro.telemetry", "repro.experiments.telemetry_gate"),
         bench="tests/test_telemetry_spans.py",
         claims=(
-            "every completed request yields one complete five-stage trace",
-            "span-derived stage durations equal the wire's send-timestamp deltas",
+            "every completed request is timed in each of the five stages",
+            "batch spans equal the UA shuffle flushes one to one",
+            "per-stage span totals equal the wire's send-timestamp deltas",
             "the JSONL artifact round-trips and the redaction audit is clean",
         ),
-        help="short m6 run with full telemetry: complete traces, JSONL round-trip, redaction audit",
+        help="short m6 run with full telemetry: stage totals, batch spans, JSONL, redaction audit",
         run="repro.experiments.telemetry_gate:gate",
         artifacts=("telemetry.jsonl", "telemetry.prom"),
     ),

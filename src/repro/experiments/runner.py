@@ -70,9 +70,9 @@ def run_micro(
     encryption and payload".  *pprox_override* substitutes an explicit
     proxy configuration (ablations of knobs Table 2 does not vary).
 
-    Pass a :class:`~repro.telemetry.Telemetry` hub to collect spans,
-    metrics and the structured event log across all runs (one bound
-    run label per repetition); no other runner takes one.
+    Pass a :class:`~repro.telemetry.Telemetry` hub to collect per-stage
+    totals, batch spans, metrics and the structured event log across all
+    runs (one bound run label per repetition); no other runner takes one.
     """
     result = RunResult(config_name=config.name, rps=rps, recorder=LatencyRecorder("micro"))
     for run_index in range(runs):

@@ -31,7 +31,7 @@ from repro.faults.netfaults import NetworkFaultController
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.proxy.service import PProxService
 from repro.simnet.clock import EventLoop
-from repro.telemetry.types import TelemetryLike
+from repro.telemetry.hub import Telemetry
 
 __all__ = ["FaultSupervisor"]
 
@@ -49,7 +49,7 @@ class FaultSupervisor:
     rotation: Any = None
     #: Executor of ``split`` (a FleetSupervisor), if any.
     fleet: Any = None
-    telemetry: Optional[TelemetryLike] = None
+    telemetry: Optional[Telemetry] = None
     #: Injection bookkeeping.
     crashes_injected: int = 0
     restarts_completed: int = 0

@@ -2,11 +2,14 @@
 
 Three pillars, built so that watching the system never weakens it:
 
-* :mod:`repro.obs.tracewire` / :mod:`repro.obs.causal` — a fixed-width
-  ``trace`` wire field carried client->UA and *deliberately severed* at
-  the shuffle boundary.  Post-shuffle work is attributed to batch-level
-  spans linked to client spans only through aggregate fan-in counts;
-  a trace id that crossed the shuffler would be a linkage channel.
+* :mod:`repro.obs.tracewire` / :mod:`repro.obs.causal` — the one
+  tracer (the telemetry hub's): a fixed-width ``trace`` wire field
+  carried client->UA and *deliberately severed* at the shuffle
+  boundary.  Post-shuffle work is attributed to batch-level spans
+  linked to client spans only through aggregate fan-in counts, and
+  per-stage time to ``(n, sum, max)`` totals; a trace id — or any log
+  record naming one request — that crossed the shuffler would be a
+  linkage channel.
 * :mod:`repro.obs.profiler` — a deterministic virtual-time profiler
   that wraps either simnet engine and attributes events to causal
   scheduling stacks, emitting a mergeable profile artifact plus a

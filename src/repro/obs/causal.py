@@ -1,35 +1,59 @@
-"""Causal tracer with a privacy-safe severing point at the shuffler.
+"""The one tracer: client spans severed at the shuffle, aggregates past it.
 
 Client calls get *client spans* (``cspan`` events) keyed by the wire
-trace id; the UA absorbs the id at its front door and the shuffler's
-flushes get *batch spans* (``bspan`` events) carrying only aggregates:
-batch sequence number, instance, release size, and the **fan-in
-count** — how many traced requests were absorbed at that instance
-since its previous flush.  The two span populations are linked by
-those counts alone; no trace id ever appears in a post-shuffle span,
-event, or message (audited by
-:func:`repro.privacy.wire.trace_field_exposures` and the redaction
+trace id; the UA absorbs the id at its front door, and each shuffle
+flush gets a *batch span* (``bspan``) carrying only aggregates: batch
+sequence number, instance, release size, and the **fan-in count** (how
+many traced requests that instance absorbed since its previous flush).
+No trace id appears in a post-shuffle span, event, or message (audited
+by :func:`repro.privacy.wire.trace_field_exposures` and the redaction
 boundary's ``trace-id`` kind).
 
-Trace ids come from a tracer-local monotonic counter, *not* an RNG:
-stamping must never perturb the seeded random streams (client backoff
-jitter draws would shift and same-seed runs would diverge), and the
-counter restarts with the tracer, so two same-seed passes emit
+Per-stage time survives as aggregates too.  Components report each hop
+of ``client -> UA -> IA -> LRS -> IA -> UA -> client``
+(:meth:`CausalTracer.record_hop`, keyed on the simulator's
+``request_id``) at the instant they call ``Network.send``; the five
+paper stages are the deltas between consecutive hops.  A request's hop
+instants live in memory while it is in flight and, once it settles
+with all five stages closed, are folded into one ``(n, sum, max)`` per
+stage (:attr:`CausalTracer.stage_totals`).  Nothing per request is
+written: a record naming one request on both sides of the shuffle
+would pair the frames the wiretap saw at those instants.
+
+Trace ids come from a tracer-local counter, *not* an RNG: stamping
+never perturbs the seeded streams, and same-seed passes emit
 byte-identical ``cspan``/``bspan`` streams.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from collections import OrderedDict
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.tracewire import encode_trace_id, stamp_trace
 from repro.rest.messages import Request
 
-__all__ = ["CausalTracer", "instrument_causal"]
+__all__ = ["CausalTracer", "MAX_ACTIVE", "PIPELINE_STAGES", "instrument_causal"]
+
+PIPELINE_STAGES: Tuple[str, ...] = (
+    "ua_inbound", "ia_inbound", "lrs", "ia_outbound", "ua_outbound")
+
+#: (from_role, to_role) -> hop number k: hop k closes stage k - 1 and
+#: opens stage k.
+_HOPS: Dict[Tuple[str, str], int] = {
+    ("client", "ua"): 0, ("ua", "ia"): 1, ("ia", "lrs"): 2,
+    ("lrs", "ia"): 3, ("ia", "ua"): 4, ("ua", "client"): 5,
+}
+
+#: Requests in flight the tracer keeps at most.  One its client gave up
+#: on (timed out, then retried under a fresh id) would otherwise stay
+#: forever; the oldest is dropped as abandoned.
+MAX_ACTIVE = 8192
 
 
 class CausalTracer:
-    """Allocates trace ids, records client spans, severs at the UA.
+    """Allocates trace ids, records client spans, severs at the UA, and
+    keeps per-stage aggregates.
 
     ``clock`` is the virtual-time source; ``event_log`` (optional) is
     a :class:`repro.telemetry.events.EventLog` receiving ``cspan`` /
@@ -48,12 +72,28 @@ class CausalTracer:
         self._open_calls: Dict[str, Dict[str, Any]] = {}
         #: Traced requests absorbed per UA instance since its last flush.
         self._absorbed: Dict[str, int] = {}
+        #: request id -> [open stage, its start, one duration per stage
+        #: (``None`` until closed)], while the request is in flight.
+        self._active: "OrderedDict[int, List[Any]]" = OrderedDict()
+        #: stage -> ``[n, sum, max]`` of its duration over the requests
+        #: that settled ok with all five stages closed.
+        self.stage_totals: Dict[str, List[float]] = {
+            name: [0, 0.0, 0.0] for name in PIPELINE_STAGES
+        }
         self.calls_started = 0
         self.calls_settled = 0
         self.attempts_stamped = 0
         self.traces_severed = 0
         self.batch_spans = 0
         self.fan_in_total = 0
+        self.traces_started = 0
+        self.traces_completed = 0
+        self.traces_abandoned = 0
+        self.unknown_hops = 0
+
+    def bind(self, clock: Callable[[], float]) -> None:
+        """Re-point the tracer at a fresh run's clock."""
+        self.clock = clock
 
     # -- client side -----------------------------------------------------
 
@@ -125,6 +165,67 @@ class CausalTracer:
             },
         )
 
+    # -- per-stage aggregates --------------------------------------------
+
+    def record_hop(self, request_id: int, from_role: str, to_role: str) -> None:
+        """Report a network send for *request_id* at the current instant.
+
+        Called by the component issuing the send, in the same event
+        callback, so ``clock()`` here equals the flow-record timestamp.
+        """
+        hop = _HOPS.get((from_role, to_role))
+        if hop is None:
+            self.unknown_hops += 1
+            return
+        now = self.clock()
+        active = self._active
+        trace = active.get(request_id)
+        if trace is None:
+            if hop:
+                # Mid-pipeline first sighting (e.g. tracer attached after
+                # requests were already in flight): nothing to stitch.
+                return
+            trace = active[request_id] = [None, now] + [None] * len(PIPELINE_STAGES)
+            self.traces_started += 1
+            if len(active) > MAX_ACTIVE:
+                active.popitem(last=False)
+                self.traces_abandoned += 1
+        else:
+            active.move_to_end(request_id)
+        if hop and trace[0] == hop - 1:
+            trace[hop + 1] = now - trace[1]
+            trace[0] = None
+        if hop < len(PIPELINE_STAGES):
+            trace[0], trace[1], trace[hop + 2] = hop, now, None
+
+    def annotate(self, request_id: int, **attrs: Any) -> None:
+        """Keeps nothing: no per-request attribute is recorded.  Kept
+        because ``benchmarks/e2e/harness.py`` replaces it by name."""
+
+    def end_trace(self, request_id: int, ok: bool = True) -> None:
+        """Settle a request (client side); fold its stages if all closed."""
+        trace = self._active.pop(request_id, None)
+        if trace is None or not ok:
+            return
+        self.traces_completed += 1
+        durations = trace[2:]
+        if None in durations:
+            return
+        for totals, seconds in zip(self.stage_totals.values(), durations):
+            totals[0] += 1
+            totals[1] += seconds
+            if seconds > totals[2]:
+                totals[2] = seconds
+
+    def abandon(self, request_id: int) -> None:
+        """Drop a request that will never complete (timeout/retry)."""
+        if self._active.pop(request_id, None) is not None:
+            self.traces_abandoned += 1
+
+    @property
+    def active_count(self) -> int:
+        return len(self._active)
+
     # -- audits ----------------------------------------------------------
 
     def link_report(self) -> Dict[str, int]:
@@ -169,8 +270,7 @@ class CausalTracer:
 def instrument_causal(causal: CausalTracer, service: Any) -> None:
     """Chain batch-span emission onto every UA shuffle buffer.
 
-    Whatever hook :func:`repro.telemetry.instruments.instrument_service`
-    (or an experiment) already installed keeps running first.
+    Whatever hook the caller already installed keeps running first.
     """
     for instance in service.ua_instances:
         buffer = instance.request_buffer

@@ -5,10 +5,10 @@ observability stack armed at once:
 
 * a :class:`~repro.obs.profiler.ProfiledLoop` wraps the event loop, so
   the run yields a deterministic virtual-time profile + flamegraph;
-* a :class:`~repro.obs.causal.CausalTracer` stamps every client
-  attempt with a fixed-width ``trace`` field that the UA front door
-  severs at the shuffle boundary (client spans and aggregate-only
-  batch spans land in the event log);
+* the telemetry hub's tracer (:class:`~repro.obs.causal.CausalTracer`)
+  stamps every client attempt with a fixed-width ``trace`` field that
+  the UA front door severs at the shuffle boundary (client spans and
+  aggregate-only batch spans land in the event log);
 * a wiretapping :class:`~repro.privacy.adversary.Adversary` records
   every hop, and :func:`~repro.privacy.wire.trace_field_exposures`
   proves no trace id survived past the client->UA hop;
@@ -30,7 +30,6 @@ import json
 import os
 from typing import Any, Dict, List
 
-from repro.obs.causal import CausalTracer, instrument_causal
 from repro.obs.profiler import ProfiledLoop, profile_snapshot, write_profile
 from repro.obs.slo import Objective, run_end_objectives, write_slo
 
@@ -116,7 +115,7 @@ def run_obs_scenario(
     loop = ProfiledLoop(EventLoop())
     rig = DrillRig("obs", seed, grace=2.0, loop=loop)
     hub = rig.telemetry
-    tracer = CausalTracer(clock=lambda: loop.now, event_log=hub.event_log)
+    tracer = hub.tracer
     tracer.attach_metrics(hub.registry)
     config = PProxConfig(
         ua_instances=2,
@@ -133,10 +132,9 @@ def run_obs_scenario(
     )
     rig.service.runtime.causal = tracer
     adversary, _ = rig.observe_wire()
+    # The stack's instruments chain the tracer's batch spans onto the
+    # UA shuffle buffers, behind the flush histogram.
     rig.instrument()
-    # After the stack's instruments: batch spans chain behind the
-    # telemetry flush hook, exactly like the rig's flush log.
-    instrument_causal(tracer, rig.service)
     rig.offer(rps, duration, users=60)
 
     rig.watch({

@@ -20,13 +20,17 @@ shuffling disabled under traffic correlation).
 With no key, the adversary still knows the (cleartext, pseudonym) pairs
 of its own account's rows: the engine tries each pair's XOR as a pad on
 every pseudonym (the paper's constant-IV CTR falls to it).
+
+The operator's telemetry log is an observation too
+(:func:`log_correlations`): a record that names one request on both
+sides of the shuffle hands over the correlation the shuffle hides.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.crypto.envelope import (
     FIXED_ID_BYTES,
@@ -43,9 +47,20 @@ from repro.lrs.store import FeedbackEvent
 from repro.privacy.adversary import Adversary, ObservedMessage
 from repro.rest.codec import BINARY_WIRE_CODEC
 
-__all__ = ["KnowledgeEngine", "Link", "fifo_correlation"]
+__all__ = ["KnowledgeEngine", "Link", "fifo_correlation", "log_correlations"]
 
 Link = Tuple[str, str]  # (user identity, cleartext item)
+
+#: Span name -> the hop whose frame leaves at the span's start.
+_SPAN_HOPS = {
+    "request": ("client", "ua"),
+    "ua_inbound": ("client", "ua"),
+    "ia_inbound": ("ua", "ia"),
+    "lrs": ("ia", "lrs"),
+    "ia_outbound": ("lrs", "ia"),
+    "ua_outbound": ("ia", "ua"),
+}
+_FRONT_HOP = ("client", "ua")
 
 
 def _try(fn, *args):
@@ -83,6 +98,40 @@ def fifo_correlation(
     such a correlation.
     """
     return list(zip(requests, responses))
+
+
+def log_correlations(
+    records: Sequence[Mapping[str, Any]], observations: Sequence[ObservedMessage]
+) -> List[Tuple[ObservedMessage, ObservedMessage]]:
+    """The correlations an operator log hands the adversary.
+
+    *records* are telemetry event dicts (as ``EventLog.parse_jsonl``
+    reads them back).  A ``span`` record starts at the virtual instant
+    its hop's frame was sent, which the wiretap records too; spans that
+    share a ``trace_id`` therefore pair the client->UA frame of that
+    trace with every frame past the shuffle it names.  A frame counts
+    only when it is the one frame its hop sent at that instant.
+    """
+    frames: Dict[Tuple[str, str, float], List[ObservedMessage]] = {}
+    for message in observations:
+        key = (message.source_role, message.destination_role, message.time)
+        frames.setdefault(key, []).append(message)
+    traces: Dict[Any, Set[Tuple[str, str, float]]] = {}
+    for record in records:
+        hop = _SPAN_HOPS.get(record.get("name"))
+        if record.get("kind") == "span" and hop is not None and "trace_id" in record:
+            traces.setdefault(record["trace_id"], set()).add((*hop, record["start"]))
+    pairs: List[Tuple[ObservedMessage, ObservedMessage]] = []
+    for sent in traces.values():
+        named = sorted((key, frames[key][0]) for key in sent if len(frames.get(key, ())) == 1)
+        fronts = [message for key, message in named if key[:2] == _FRONT_HOP]
+        pairs.extend(
+            (front, message)
+            for front in fronts
+            for key, message in named
+            if key[:2] != _FRONT_HOP
+        )
+    return pairs
 
 
 @dataclass
@@ -307,8 +356,13 @@ class KnowledgeEngine:
         observations: Sequence[ObservedMessage],
         lrs_dump: Sequence[FeedbackEvent] = (),
         correlations: Sequence[Tuple[ObservedMessage, ObservedMessage]] = (),
+        operator_log: Sequence[Mapping[str, Any]] = (),
     ) -> Set[Link]:
-        """The full set of (identity, item) links the adversary gets."""
+        """The full set of (identity, item) links the adversary gets.
+
+        *operator_log* is the telemetry log the operator keeps; what it
+        correlates (:func:`log_correlations`) joins *correlations*.
+        """
         links: Set[Link] = set()
         temporary_keys, response_keys = self.harvest_keys(observations)
 
@@ -369,7 +423,9 @@ class KnowledgeEngine:
                 links.add((identity, item))
 
         # 3. Traffic correlation: identity from one side of the pair,
-        #    items from the other.
+        #    items from the other.  The operator log's pairs are such
+        #    correlations too.
+        correlations = [*correlations, *log_correlations(operator_log, observations)]
         for request, response in correlations:
             identity = self.resolve_user(request.fields.get("user"))
             if identity is None:

@@ -63,7 +63,7 @@ from repro.simnet.loadbalancer import BalancerError, LoadBalancer
 from repro.simnet.network import Network
 from repro.simnet.node import SimNode
 from repro.simnet.queueing import ConcurrentQueue
-from repro.telemetry.types import TelemetryLike
+from repro.telemetry.hub import Telemetry
 
 __all__ = [
     "UserAnonymizer",
@@ -104,14 +104,14 @@ class ProxyRuntime:
     codec: WireCodec
     #: Optional :class:`repro.telemetry.Telemetry` hub.  When absent,
     #: the data plane runs with zero instrumentation overhead.
-    telemetry: Optional[TelemetryLike] = None
+    telemetry: Optional[Telemetry] = None
     #: Optional overload-protection knobs.  ``None`` (the default)
     #: means the layers run exactly the pre-overload data plane: no
     #: ingress queues, no admission control, no deadline enforcement.
     overload: Optional[OverloadPolicy] = None
     #: Optional :class:`repro.obs.causal.CausalTracer`.  The UA front
     #: door notifies it when a trace id is severed; batch spans are
-    #: wired separately (:func:`repro.obs.causal.instrument_causal`).
+    #: wired onto the shuffle buffers (:func:`repro.obs.causal.instrument_causal`).
     causal: Optional[Any] = None
     #: Current IA-layer public material (set by ``assemble``; kept
     #: a callable so it tracks live key rotation).  Needed by the UA in
@@ -454,33 +454,25 @@ class _ProxyStage:
                 return
             self._enter(entry)
 
-    def _start_request(self, entry: tuple, shuffle_wait: Optional[float] = None,
-                       collector: Optional[_BatchCollector] = None) -> None:
+    def _start_request(self, entry: tuple, collector: Optional[_BatchCollector] = None) -> None:
         """Charge the request leg to the node, then :meth:`_forward`.
 
-        Also the per-entry release hook of a request shuffle buffer, in
-        which case the entry's wait is read off the buffer.
+        Also the per-entry release hook of a request shuffle buffer.
         """
-        if shuffle_wait is None and self._shuffles_requests:
-            buffer = self.request_buffer
-            shuffle_wait = buffer.last_wait if buffer is not None else 0.0
         service_time = self._request_leg(
             self.runtime.costs, self.runtime.config, len(self.routing),
             self.enclave.performance_penalty,
         )
         self._submit(
-            service_time, self._forward, entry, service_time, shuffle_wait, collector,
+            service_time, self._forward, entry, collector,
             stale=collector.skip if collector is not None else None,
         )
 
-    def _forward(self, entry: tuple, service_time: float,
-                 shuffle_wait: Optional[float] = None,
-                 collector: Optional[_BatchCollector] = None) -> None:
+    def _forward(self, entry: tuple, collector: Optional[_BatchCollector] = None) -> None:
         """The transform step, with two sinks: send the rewritten
         request upstream now, or hand it to *collector* (batch-envelope
         mode), which seals the whole flush into one envelope."""
         request, reply, arrived, remaining = entry
-        ecalls_before = self.enclave.ecall_count
         try:
             transformed, context = self._transform_request(request)
         except Exception as exc:
@@ -523,9 +515,6 @@ class _ProxyStage:
         self.enclave.ocall()
         telemetry = self.runtime.telemetry
         if telemetry is not None:
-            self._annotate(
-                telemetry, request.request_id, service_time, ecalls_before, shuffle_wait
-            )
             telemetry.tracer.record_hop(
                 request.request_id, self._role, self._upstream_role
             )
@@ -535,7 +524,7 @@ class _ProxyStage:
             collector.add(transformed)
         self._pump()
 
-    def _reply_from(self, upstream: Any, name_backend: bool = False) -> ReplyFn:
+    def _reply_from(self, upstream: Any) -> ReplyFn:
         """The callback *upstream* answers through: its response crosses
         the wire back to this instance's response path."""
         network, codec = self.runtime.network, self.runtime.codec
@@ -543,8 +532,6 @@ class _ProxyStage:
 
         def reply_from_upstream(response: Response) -> None:
             if telemetry is not None:
-                if name_backend:
-                    telemetry.tracer.annotate(response.request_id, backend=upstream.address)
                 # Same virtual instant as the wire record below.
                 telemetry.tracer.record_hop(
                     response.request_id, self._upstream_role, self._role
@@ -574,28 +561,6 @@ class _ProxyStage:
             self._pump()
             return None
         return self.routing.consume(response.request_id)
-
-    def _annotate(self, telemetry: TelemetryLike, request_id: int, service_time: float,
-                  ecalls_before: Optional[int] = None,
-                  shuffle_wait: Optional[float] = None,
-                  item_count: Optional[int] = None) -> None:
-        """Attach this stage's cost attributes to the open span."""
-        attrs: Dict[str, Any] = {"instance": self.name, "service_seconds": service_time}
-        if shuffle_wait is not None:
-            attrs["shuffle_wait_seconds"] = shuffle_wait
-        if item_count is not None:
-            attrs["item_count"] = item_count
-        if ecalls_before is not None:
-            attrs["ecalls"] = self.enclave.ecall_count - ecalls_before
-        pending = attrs["routing_pending"] = len(self.routing)
-        sgx = self.runtime.costs.sgx
-        if self.runtime.config.sgx and sgx.enabled:
-            # Enclave-boundary cost of this leg.
-            attrs["sgx_overhead_seconds"] = sgx.request_overhead(
-                pending, self.enclave.performance_penalty
-            )
-            attrs["epc_paging"] = pending > sgx.epc_entries
-        telemetry.tracer.annotate(request_id, **attrs)
 
     # -- key material and the dual-epoch trial -------------------------
 
@@ -753,9 +718,8 @@ class UserAnonymizer(_ProxyStage):
         amortizing the asymmetric operation across the whole batch.
         """
         collector = _BatchCollector(expected=len(batch), seal=self._seal_and_send)
-        now = self.runtime.loop.now
-        for entry, enqueued_at in batch:
-            self._start_request(entry, now - enqueued_at, collector)
+        for entry, _ in batch:
+            self._start_request(entry, collector)
 
     def _seal_and_send(self, requests: list) -> None:
         """Seal transformed *requests* into one envelope, route to one IA."""
@@ -795,9 +759,9 @@ class UserAnonymizer(_ProxyStage):
         service_time = self.runtime.costs.ua_response_leg(
             self.runtime.config, len(self.routing), self.enclave.performance_penalty
         )
-        self._submit(service_time, self._return_to_client, response, service_time)
+        self._submit(service_time, self._return_to_client, response)
 
-    def _return_to_client(self, response: Response, service_time: float = 0.0) -> None:
+    def _return_to_client(self, response: Response) -> None:
         route = self._claim_route(response)
         if route is None:
             return
@@ -818,11 +782,6 @@ class UserAnonymizer(_ProxyStage):
         )
         self.responses_processed += 1
         self.enclave.ocall()
-        telemetry = self.runtime.telemetry
-        if telemetry is not None:
-            # The ua_outbound span closes when the client-side library
-            # records the ua->client hop inside *reply*.
-            self._annotate(telemetry, response.request_id, service_time)
         reply(wrapped)
         self._pump()
 
@@ -923,7 +882,7 @@ class ItemAnonymizer(_ProxyStage):
         # role directory on first contact.
         if backend.address not in network.roles:
             network.register_role(backend.address, "lrs")
-        reply_from_lrs = self._reply_from(backend, name_backend=True)
+        reply_from_lrs = self._reply_from(backend)
         ship(network, self.runtime.codec, self.address, backend.address, transformed,
              lambda req: backend.handle(req, reply_from_lrs))
 
@@ -932,26 +891,19 @@ class ItemAnonymizer(_ProxyStage):
     def _start_response(self, response: Response) -> None:
         """Charge the response leg to the node; also the release hook
         of the response shuffle buffer."""
-        buffer = self.response_buffer
-        shuffle_wait = buffer.last_wait if buffer is not None else 0.0
-        item_count = len(response.fields.get("items", []))
         service_time = self.runtime.costs.ia_response_leg(
             self.runtime.config,
             len(self.routing),
-            item_count,
+            len(response.fields.get("items", [])),
             self.enclave.performance_penalty,
         )
-        self._submit(
-            service_time, self._return_to_ua, response, service_time, shuffle_wait, item_count
-        )
+        self._submit(service_time, self._return_to_ua, response)
 
-    def _return_to_ua(self, response: Response, service_time: float = 0.0,
-                      shuffle_wait: float = 0.0, item_count: int = 0) -> None:
+    def _return_to_ua(self, response: Response) -> None:
         route = self._claim_route(response)
         if route is None:
             return
         reply, context = route
-        ecalls_before = self.enclave.ecall_count
         try:
             keys = (
                 self._keys_for(context.tenant) if self.runtime.config.encryption else None
@@ -982,14 +934,6 @@ class ItemAnonymizer(_ProxyStage):
             transformed = uniform_reject(transformed.request_id)
         self.responses_processed += 1
         self.enclave.ocall()
-        telemetry = self.runtime.telemetry
-        if telemetry is not None:
-            # The ia_outbound span closes when the UA records the
-            # ia->ua hop inside *reply*.
-            self._annotate(
-                telemetry, response.request_id, service_time, ecalls_before,
-                shuffle_wait, item_count,
-            )
         reply(transformed)
         self._pump()
 

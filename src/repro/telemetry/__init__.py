@@ -1,4 +1,4 @@
-"""Unified privacy-safe telemetry: spans, events, metrics, redaction.
+"""Unified privacy-safe telemetry: tracing, events, metrics, redaction.
 
 The paper's platform "collect[s] logs in a systematic fashion using
 fluentd" (§7.2) and diagnoses its latency anomalies from per-stage
@@ -6,9 +6,12 @@ breakdowns.  This package is the reproduction's equivalent — built so
 that *operating* the system never turns the operator into the
 traffic-correlation adversary of §4:
 
-* :mod:`repro.telemetry.spans` — a virtual-time span tracer with
-  explicit trace/span ids propagated along the
-  ``client -> UA -> IA -> LRS -> IA -> UA -> client`` pipeline;
+* :mod:`repro.telemetry.hub` — the :class:`Telemetry` facade the
+  experiment runners and the CLI plumb through the stack; its tracer
+  is :class:`repro.obs.causal.CausalTracer`, which writes client
+  spans up to the UA front door, batch spans past the shuffle, and
+  per-stage ``(n, sum, max)`` totals — never a record that names one
+  request on both sides of the shuffle;
 * :mod:`repro.telemetry.registry` — Counter/Gauge/Histogram
   instruments with Prometheus-style text exposition and a
   virtual-time scraper;
@@ -19,9 +22,8 @@ traffic-correlation adversary of §4:
 * :mod:`repro.telemetry.instruments` — wiring helpers that register
   the standard instruments of every hot path plus the live
   privacy-health gauges (shuffle fill ``S``, effective anonymity set
-  ``S*I``, time-to-flush);
-* :mod:`repro.telemetry.hub` — the :class:`Telemetry` facade the
-  experiment runners and the CLI plumb through the stack.
+  ``S*I``, time-to-flush) and chain the tracer's batch spans onto the
+  UA shuffle buffers.
 """
 
 from repro.telemetry.events import EventLog, TelemetryEvent
@@ -45,13 +47,9 @@ from repro.telemetry.registry import (
     Scraper,
     TimeSeries,
 )
-from repro.telemetry.spans import PIPELINE_STAGES, Span, Tracer
-from repro.telemetry.types import TelemetryLike, TracerLike
 
 __all__ = [
     "Telemetry",
-    "TelemetryLike",
-    "TracerLike",
     "EventLog",
     "TelemetryEvent",
     "RedactionPolicy",
@@ -63,9 +61,6 @@ __all__ = [
     "Histogram",
     "Scraper",
     "TimeSeries",
-    "Tracer",
-    "Span",
-    "PIPELINE_STAGES",
     "instrument_stack",
     "instrument_service",
     "instrument_crypto",

@@ -1,7 +1,8 @@
 """The :class:`Telemetry` facade: one handle plumbed through the stack.
 
-A :class:`Telemetry` owns the tracer, the metric registry, the event
-log, and the scraper, and survives across the multiple
+A :class:`Telemetry` owns the tracer (the one
+:class:`~repro.obs.causal.CausalTracer`), the metric registry, the
+event log, and the scraper, and survives across the multiple
 ``EventLoop`` instances an experiment sweep creates (one per run):
 :meth:`bind` re-points the virtual clocks at each fresh loop, while
 instruments and accumulated events carry over so the final artifact
@@ -19,10 +20,10 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.obs.causal import PIPELINE_STAGES, CausalTracer
 from repro.telemetry.events import EventLog
 from repro.telemetry.redaction import Violation, audit_events
 from repro.telemetry.registry import MetricRegistry, Scraper
-from repro.telemetry.spans import PIPELINE_STAGES, Tracer
 
 __all__ = ["Telemetry"]
 
@@ -35,7 +36,7 @@ class Telemetry:
         self._clock: Callable[[], float] = lambda: 0.0
         self.event_log = EventLog(clock=self.now)
         self.registry = MetricRegistry()
-        self.tracer = Tracer(clock=self.now, event_log=self.event_log)
+        self.tracer = CausalTracer(clock=self.now, event_log=self.event_log)
         self.scraper: Optional[Scraper] = None
         self.run_label = ""
 
@@ -62,7 +63,8 @@ class Telemetry:
         self.event_log.emit("run", "operator", {"phase": "start", "label": run_label})
 
     def finalize_run(self, extra: Optional[Dict[str, Any]] = None) -> None:
-        """Close out the bound run: stop scraping, snapshot metrics."""
+        """Close out the bound run: stop scraping, write the per-stage
+        totals and a metric snapshot in the run-end record."""
         if self.scraper is not None:
             self.scraper.stop()
         payload: Dict[str, Any] = {
@@ -71,6 +73,9 @@ class Telemetry:
             "traces_started": self.tracer.traces_started,
             "traces_completed": self.tracer.traces_completed,
             "traces_abandoned": self.tracer.traces_abandoned,
+            "stage_totals": {
+                stage: list(totals) for stage, totals in self.tracer.stage_totals.items()
+            },
             "metrics": self.registry.snapshot(),
         }
         if extra:

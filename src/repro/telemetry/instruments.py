@@ -5,8 +5,9 @@ All helpers here are duck-typed (no imports from ``repro.proxy`` /
 participates in an import cycle) and callback-based: instruments read
 the counters the components already maintain, at collect time only.
 The single hot-path exceptions are the shuffle flush-size histogram
-(one ``observe`` per batch flush) and the client latency histogram
-(one per completed call) — both far off the per-message fast path.
+(one ``observe`` per batch flush), the tracer's batch span (one per UA
+flush) and the client latency histogram (one per completed call) —
+all far off the per-message fast path.
 
 Metric naming convention: ``pprox_<subsystem>_<quantity>[_total]``
 with role/instance labels, e.g.
@@ -27,6 +28,8 @@ The privacy-health gauges surface the paper's §4.3 guarantee live:
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List
+
+from repro.obs.causal import instrument_causal
 
 __all__ = [
     "instrument_service",
@@ -142,6 +145,9 @@ def instrument_service(telemetry: Any, service: Any) -> None:
     )
     for buffer in buffers:
         buffer.chain_on_flush(lambda size, timer_fired: flush_hist.observe(size))
+    # The tracer's view past the shuffle: one aggregate-only batch span
+    # per UA flush, chained behind the histogram.
+    instrument_causal(telemetry.tracer, service)
 
     # -- live privacy-health gauges (§4.3) ------------------------------
 

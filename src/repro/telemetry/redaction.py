@@ -11,6 +11,9 @@ to destroy.  This module enforces the split at emission time:
 * events attributed to the ``ia`` role may never contain user ids;
 * events attributed to the ``lrs`` role may contain neither in the
   clear (the LRS only ever sees pseudonyms);
+* none of those three may carry a trace id — a ``tw:`` wire id, or a
+  ``trace`` / ``trace_id`` field of any value — since a request named
+  on both sides of the shuffle is a request the shuffle no longer hides;
 * ``client`` and ``operator`` events are unrestricted — the client
   library legitimately knows both sides of its own requests.
 
@@ -51,12 +54,12 @@ TRACE_MARKERS: Tuple[str, ...] = ("tw:",)
 
 # Field names that denote an identifier even when the value itself is
 # opaque (e.g. an already-encrypted blob stored under key "user").
-# "trace" matches the wire field only: the internal Tracer's integer
-# ``trace_id`` span key is simulator bookkeeping that never rides a
-# message and stays legal.
+# "trace" is the wire field; "trace_id" names a request in a log record,
+# and one on a post-shuffle event would join the request across the
+# shuffler just as the wire id would.
 USER_KEYS = frozenset({"user", "user_id", "client", "client_address"})
 ITEM_KEYS = frozenset({"item", "items", "item_id", "item_ids"})
-TRACE_KEYS = frozenset({"trace"})
+TRACE_KEYS = frozenset({"trace", "trace_id"})
 
 # kind -> (value prefixes, field names); no prefix of one kind is a
 # prefix of another's, so one ``startswith`` over a role's forbidden

@@ -25,10 +25,13 @@ by address spelling: an address nobody registered is explicitly
 ``unknown`` and its flows never complete a timeline, instead of being
 silently misfiled as LRS traffic.
 
-The richer, span-based view of the same pipeline lives in
-:mod:`repro.telemetry.spans`; this probe remains as the independent
-wire-level cross-check (the two must agree to float precision on the
-same run).
+This is the one per-request view of the stages, and it stays with the
+operator's own wiretap: the product's tracer
+(:class:`repro.obs.causal.CausalTracer`) writes no per-request record
+(one naming a request on both sides of the shuffle would undo it) and
+keeps only per-stage ``(n, sum, max)`` totals, which must equal this
+probe's to float precision on the same run.  The paper's latency
+breakdown bench takes its medians from here.
 """
 
 from __future__ import annotations

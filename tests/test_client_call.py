@@ -108,14 +108,28 @@ def _scripted_client(monkeypatch, steps, seed=61, **client_options):
     return ctx, telemetry, service, client
 
 
-def _trace_ends(telemetry):
-    """Root-span status of every finished trace, in trace order."""
-    roots = [
-        event.payload
-        for event in telemetry.event_log.of_kind("span")
-        if event.payload["name"] == "request"
-    ]
-    return [root["status"] for root in sorted(roots, key=lambda r: r["trace_id"])]
+def _watch_trace_ends(tracer):
+    """How the tracer settles each request it was timing: ``ok`` /
+    ``error`` / ``abandoned`` by request id, filled in as the run goes.
+
+    The tracer writes no per-request record, so its two settle methods
+    are wrapped on the instance (as the e2e ledger's traced pass does).
+    """
+    ends = {}
+
+    def watch(method, status):
+        inner = getattr(tracer, method)
+
+        def settled(request_id, *args):
+            if request_id in tracer._active:
+                ends[request_id] = status(*args)
+            inner(request_id, *args)
+
+        setattr(tracer, method, settled)
+
+    watch("end_trace", lambda ok=True: "ok" if ok else "error")
+    watch("abandon", lambda: "abandoned")
+    return ends
 
 
 _COUNTERS = ("timeouts", "retryable_errors", "retries_performed", "hedges_launched")
@@ -155,6 +169,7 @@ def test_give_up_decision(monkeypatch, failure, attempt, budget):
         max_retries=1 if budget == "left" else 0,
         hedge_delay=HEDGE_DELAY if hedged else None,
     )
+    ends = _watch_trace_ends(telemetry.tracer)
     calls = []
     client.get("alice", on_complete=calls.append)
     ctx.loop.run()
@@ -163,7 +178,8 @@ def test_give_up_decision(monkeypatch, failure, attempt, budget):
     assert calls[0].ok == (outcome != "failed")
     assert {name: n for name, n in client.outcomes.items() if n} == {outcome: 1}
     assert tuple(getattr(client, name) for name in _COUNTERS) == deltas
-    assert _trace_ends(telemetry) == trace_ends
+    # In attempt order: request ids are allocated as attempts are made.
+    assert [ends[request_id] for request_id in sorted(ends)] == trace_ends
 
 
 # -- the stale-client epoch view ------------------------------------------

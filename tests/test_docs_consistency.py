@@ -145,7 +145,7 @@ def test_one_implementation_per_mechanism_in_the_package():
         for path in sources
         for match in STAGE_TUPLE.finditer(path.read_text())
     ]
-    assert stage_tuples == ["src/repro/telemetry/spans.py: PIPELINE_STAGES"]
+    assert stage_tuples == ["src/repro/obs/causal.py: PIPELINE_STAGES"]
     verdict_paths = [
         f"{path.relative_to(REPO)}: {match.group(0).strip()}"
         for path in sources

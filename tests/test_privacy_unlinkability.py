@@ -7,9 +7,10 @@ secrets), and derives the closure of everything it can learn.  The
 paper's claims hold at the paper's observation points; the suite also
 pins down a *wire-level extension of case 2* this reproduction found
 (see ``test_finding_wire_observation_extends_case_2``) and verifies
-that the hardened-client-hop extension closes it, and runs the
+that the hardened-client-hop extension closes it, runs the
 adversary's own account through the known-plaintext rule against both
-the package's pseudonym and the paper's constant-IV CTR.
+the package's pseudonym and the paper's constant-IV CTR, and hands the
+adversary the operator's telemetry log next to the wire.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.proxy.rekey import OnlineRekeyer
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
+from repro.telemetry import EventLog, Telemetry
 from tests.oracles.aes_reference import reference_det_encrypt
 
 CATALOG = {"i1", "i2", "i3", "i4", "i5"}
@@ -50,7 +52,8 @@ class PaperPseudonyms(RealCryptoProvider):
 class Scenario:
     """One full run: posts, training, gets, optional compromise."""
 
-    def __init__(self, config: PProxConfig, seed: int = 13, provider_cls=RealCryptoProvider):
+    def __init__(self, config: PProxConfig, seed: int = 13, provider_cls=RealCryptoProvider,
+                 telemetry=None):
         rng = RngRegistry(seed=seed)
         self.rng = rng
         self.loop = EventLoop()
@@ -59,22 +62,33 @@ class Scenario:
         self.harness.engine.trainer.llr_threshold = 0.0
         self.provider = provider_cls(rng_bytes=rng.bytes_fn("crypto"))
         ctx = SimContext(
-            loop=self.loop, network=self.network, rng=rng, provider=self.provider
+            loop=self.loop, network=self.network, rng=rng, provider=self.provider,
+            telemetry=telemetry,
         )
+        if telemetry is not None:
+            telemetry.bind(self.loop, run_label="unlinkability")
         self.service = build_pprox(ctx, config, lrs_picker=self.harness.pick_frontend)
         self.adversary = Adversary()
         self.adversary.attach(self.network)
         self.adversary.observe_lrs(self.harness.engine.store)
         self.client = PProxClient(ctx, self.service)
 
-    def drive_workload(self):
-        for user, items in FEEDBACK.items():
-            for item in items:
+    def drive_workload(self, spacing: float = 0.0):
+        """Every post, training, then one get per user.  With *spacing*
+        the calls leave that many seconds apart instead of at once."""
+        posts = [(user, item) for user, items in FEEDBACK.items() for item in items]
+        for index, (user, item) in enumerate(posts):
+            if spacing:
+                self.loop.schedule(index * spacing, lambda u=user, i=item: self.client.post(u, i))
+            else:
                 self.client.post(user, item)
         self.loop.run()
         self.harness.train()
-        for user in FEEDBACK:
-            self.client.get(user)
+        for index, user in enumerate(FEEDBACK):
+            if spacing:
+                self.loop.schedule(index * spacing, lambda u=user: self.client.get(u))
+            else:
+                self.client.get(user)
         self.loop.run()
 
     def post_own_rating(self, item: str, user: str = "mallory") -> None:
@@ -231,6 +245,65 @@ def test_hardened_hop_still_safe_under_ua_compromise():
     scenario.drive_workload()
     scenario.compromise("UA")
     assert scenario.links_full_wire() == set()
+
+
+HARDENED = PProxConfig(shuffle_size=3, shuffle_timeout=0.05, harden_client_hop=True)
+#: Calls 10 ms apart: a log record's instant then names one frame of
+#: its hop, as under open-loop arrivals (issued at once, nine posts
+#: share one instant and no record singles one out).
+LOG_SPACING = 0.01
+
+
+def test_operator_log_plus_full_wire_and_ia_keys():
+    """Threat-model row "operator log + full wire + skIA/kIA".
+
+    The adversary reads the operator's telemetry log, as the artifact
+    stores it, beside the whole wire and the IA's secrets.  On the
+    hardened client hop the wire and skIA alone yield nothing, so any
+    link here comes from the log: a record naming one request before
+    and after the shuffle pairs the client's frame with the frames the
+    IA keys open.  The log keeps no such record."""
+    telemetry = Telemetry()
+    scenario = Scenario(HARDENED, telemetry=telemetry)
+    scenario.drive_workload(spacing=LOG_SPACING)
+    scenario.compromise("IA")
+    log = EventLog.parse_jsonl(telemetry.event_log.to_jsonl())
+    assert log
+    links = scenario.engine().derive_links(
+        scenario.adversary.observations, scenario.adversary.lrs_dump(), operator_log=log
+    )
+    assert links == set()
+
+
+def test_a_log_that_names_a_request_on_both_sides_links_it():
+    """The rule has teeth: plant, for every request, the two span
+    records a per-request tracer would write — its client-hop instant
+    and its IA->LRS instant under one ``trace_id`` — and the same
+    adversary links every user's posts to its client address."""
+    scenario = Scenario(HARDENED)
+    sent = {}
+
+    def tap(record, payload):
+        request_id = getattr(payload, "request_id", 0)
+        if request_id and (record.source_role, record.destination_role) in (
+            ("client", "ua"), ("ia", "lrs"),
+        ):
+            sent.setdefault((request_id, record.source_role), record.time)
+
+    scenario.network.add_wiretap(tap)
+    scenario.drive_workload(spacing=LOG_SPACING)
+    scenario.compromise("IA")
+    planted = [
+        {"kind": "span", "name": "ua_inbound" if role == "client" else "lrs",
+         "trace_id": request_id, "start": time}
+        for (request_id, role), time in sent.items()
+    ]
+    links = scenario.engine().derive_links(
+        scenario.adversary.observations, scenario.adversary.lrs_dump(), operator_log=planted
+    )
+    for user, items in FEEDBACK.items():
+        for item in items:
+            assert (f"client-{user}", item) in links
 
 
 def test_both_layers_break_everything():

@@ -23,7 +23,8 @@ GOLDEN = Path(__file__).parent / "golden" / "telemetry_m6_seed7.jsonl"
 def golden_run() -> str:
     """Twelve gets through the full m6 pipeline (crypto, SGX, shuffle)
     with the standard instruments armed, as ``repro run telemetry``
-    runs it, seed 7: 74 events, the last the run's metric snapshot."""
+    runs it, seed 7: 8 events — the run's start, six batch spans and
+    the run-end record with the per-stage totals and metric snapshot."""
     telemetry = Telemetry(scrape_interval=1.0)
     result = run_micro(
         MICRO_CONFIGS["m6"], 6.0, seed=7, runs=1, duration=2.0, trim=0.0,
@@ -38,4 +39,4 @@ def test_telemetry_artifact_matches_the_golden_file_line_by_line():
     golden = GOLDEN.read_text(encoding="utf-8").splitlines()
     for number, (ours, theirs) in enumerate(zip(written, golden), start=1):
         assert ours == theirs, f"telemetry.jsonl line {number} differs from {GOLDEN.name}"
-    assert len(written) == len(golden) == 74
+    assert len(written) == len(golden) == 8

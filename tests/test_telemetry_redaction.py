@@ -106,6 +106,20 @@ def test_audit_catches_deliberate_leak():
     assert leaks[0].role == "ua"
 
 
+def test_audit_catches_a_trace_id_on_a_post_shuffle_event():
+    """A ``trace_id`` of any value on a ``ua`` / ``ia`` / ``lrs`` event
+    names one request past the shuffle: a ``trace-id`` violation."""
+    telemetry = Telemetry()
+    for role in ("ua", "ia", "lrs", "client"):
+        telemetry.event_log.events.append(
+            TelemetryEvent(0.0, "span", role, {"trace_id": 9, "name": "lrs"})
+        )
+    leaks = telemetry.audit()
+    assert [(leak.role, leak.kind, leak.path) for leak in leaks] == [
+        (role, "trace-id", "trace_id") for role in ("ua", "ia", "lrs")
+    ]
+
+
 def test_real_pipeline_passes_audit_and_artifact_round_trips(tmp_path):
     """Acceptance: a full encrypted+shuffled run emits zero identifier
     leaks, and the JSONL artifact re-parses to the same clean verdict."""

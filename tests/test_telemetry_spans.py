@@ -1,4 +1,9 @@
-"""Tracer unit tests plus the span-vs-wire parity acceptance check."""
+"""Tracer unit tests plus the stage-totals-vs-wire parity acceptance check.
+
+The tracer writes no per-request record: a request's stage times live
+in memory while it is in flight and are folded into per-stage
+``(n, sum, max)`` totals when it settles.  So these tests read the
+totals, and the log only to see that it stayed empty."""
 
 import pytest
 
@@ -6,8 +11,9 @@ from repro.cluster.deployments import MICRO_CONFIGS
 from repro.context import Deployment, SimContext
 from repro.experiments.rig import pseudonymise_stub, stub_lrs
 from repro.experiments.runner import run_micro
-from repro.telemetry import PIPELINE_STAGES, EventLog, Telemetry
-from repro.telemetry.spans import Tracer
+from repro.obs import causal
+from repro.obs.causal import PIPELINE_STAGES, CausalTracer
+from repro.telemetry import EventLog, Telemetry
 from repro.workload.injector import Injector
 from tests.oracles.wire_breakdown import STAGES, BreakdownProbe
 
@@ -20,15 +26,9 @@ class FakeClock:
         return self.now
 
 
-def logged_tracer(clock, **options):
-    """A tracer plus the log it emits to: the tracer keeps nothing of a
-    settled request, so what happened is read off the span records."""
+def logged_tracer(clock):
     log = EventLog(clock=clock)
-    return Tracer(clock, event_log=log, **options), log
-
-
-def span_records(log):
-    return [event.payload for event in log.of_kind("span")]
+    return CausalTracer(clock, event_log=log), log
 
 
 def drive_full_pipeline(tracer, clock, request_id=1):
@@ -46,42 +46,40 @@ def drive_full_pipeline(tracer, clock, request_id=1):
     tracer.end_trace(request_id, ok=True)
 
 
+def counts(tracer):
+    return [tracer.stage_totals[stage][0] for stage in PIPELINE_STAGES]
+
+
 def test_tracer_builds_complete_trace_from_hops():
     clock = FakeClock()
     tracer, log = logged_tracer(clock)
     drive_full_pipeline(tracer, clock)
-    assert tracer.traces_completed == 1
+    clock.now = 10.0
+    tracer.record_hop(2, "client", "ua")
+    clock.now = 13.0
+    drive_full_pipeline(tracer, clock, request_id=2)
+    assert (tracer.traces_started, tracer.traces_completed) == (2, 2)
     assert tracer.active_count == 0
-    [root] = tracer.complete_traces()
-    assert root["complete"] is True and root["name"] == "request"
-    assert list(root["stage_durations"]) == list(PIPELINE_STAGES)
-    # Each hop advanced the clock by 1s, so every stage lasted 1s.
-    assert root["stage_durations"] == {stage: 1.0 for stage in PIPELINE_STAGES}
-    assert tracer.stage_values() == {stage: [1.0] for stage in PIPELINE_STAGES}
-    # Root span opens at the first hop (t=1) and closes at settle (t=6).
-    assert root["duration"] == pytest.approx(5.0)
-    # One record per stage, then the root; each stage is the root's child.
-    *stages, last = span_records(log)
-    assert last is root
-    assert [stage["name"] for stage in stages] == list(PIPELINE_STAGES)
-    assert all(stage["parent_id"] == root["span_id"] for stage in stages)
-    # Stage roles follow the pipeline, not the sender.
-    roles = {event.payload["name"]: event.role for event in log.of_kind("span")}
-    assert roles["lrs"] == "lrs"
-    assert roles["ua_outbound"] == "ua"
+    # Each hop of the first request advanced the clock by 1 s; the
+    # second re-opened ua_inbound at its last client->ua hop (t=14),
+    # so its stages lasted 1 s too, and the longest is 1 s.
+    assert list(tracer.stage_totals) == list(PIPELINE_STAGES)
+    assert tracer.stage_totals == {stage: [2, 2.0, 1.0] for stage in PIPELINE_STAGES}
+    # Nothing per request reaches the log.
+    assert len(log) == 0
 
 
 def test_tracer_mid_pipeline_sighting_is_ignored():
     clock = FakeClock()
-    tracer = Tracer(clock)
+    tracer = CausalTracer(clock)
     tracer.record_hop(42, "ua", "ia")  # never saw client->ua
     assert tracer.active_count == 0
-    assert tracer.hops_recorded == 1
+    assert tracer.traces_started == 0 and tracer.unknown_hops == 0
 
 
 def test_tracer_unknown_hop_counted_not_traced():
     clock = FakeClock()
-    tracer = Tracer(clock)
+    tracer = CausalTracer(clock)
     tracer.record_hop(1, "unknown", "ua")
     assert tracer.unknown_hops == 1
     assert tracer.active_count == 0
@@ -96,52 +94,54 @@ def test_tracer_abandon_marks_dangling_stage():
     tracer.abandon(7)
     assert tracer.traces_abandoned == 1
     assert tracer.active_count == 0
-    # The stage left open is dropped with the trace: only the root is
-    # recorded, abandoned, with no closed stage to its name.
-    [root] = span_records(log)
-    assert root["name"] == "request"
-    assert root["status"] == "abandoned"
-    assert root["stage_durations"] == {}
-    assert root["complete"] is False
-    assert tracer.complete_traces() == []
+    # The stage left open is dropped with the request, and a request
+    # that settles ok without all five stages is counted, not folded.
+    tracer.record_hop(8, "client", "ua")
+    tracer.record_hop(8, "ua", "ia")
+    tracer.end_trace(8, ok=True)
+    assert tracer.traces_completed == 1
+    assert counts(tracer) == [0] * len(PIPELINE_STAGES)
+    assert len(log) == 0
 
 
-def test_tracer_annotate_targets_open_stage():
+def test_tracer_annotate_keeps_nothing():
     clock = FakeClock()
-    tracer = Tracer(clock)
+    tracer, log = logged_tracer(clock)
     tracer.record_hop(1, "client", "ua")
-    tracer.annotate(1, shuffle_wait_seconds=0.25)
-    tracer.record_hop(1, "ua", "ia")
-    tracer.annotate(1, backend="lrs-0")
-    trace = tracer._active[1]
-    assert trace.stages["ua_inbound"].attributes == {"shuffle_wait_seconds": 0.25}
-    assert trace.stages["ia_inbound"].attributes == {"backend": "lrs-0"}
+    tracer.annotate(1, shuffle_wait_seconds=0.25, instance="pprox-ua-0")
+    drive_full_pipeline(tracer, clock)
+    assert counts(tracer) == [1] * len(PIPELINE_STAGES)
+    assert len(log) == 0
 
 
-def test_tracer_overflow_evicts_oldest_as_abandoned():
+def test_tracer_overflow_evicts_oldest_as_abandoned(monkeypatch):
+    monkeypatch.setattr(causal, "MAX_ACTIVE", 2)
     clock = FakeClock()
-    tracer, log = logged_tracer(clock, max_active=2)
+    tracer = CausalTracer(clock)
     for request_id in (1, 2, 3):
         tracer.record_hop(request_id, "client", "ua")
     assert tracer.active_count == 2
     assert tracer.traces_abandoned == 1
     assert set(tracer._active) == {2, 3}
-    [root] = span_records(log)
-    assert (root["trace_id"], root["status"]) == (1, "abandoned")
+
+
+def folded(values):
+    """What the tracer folds for *values* of one stage, in order."""
+    return [len(values), sum(values), max(values)]
 
 
 @pytest.mark.parametrize("codec", ["json", "binary"])
 def test_e2e_spans_match_the_wire_breakdown(codec):
-    """Acceptance: every completed request yields a five-stage trace and
-    the span-derived stage durations equal, to float precision, what an
-    independent observer reconstructs from the wire's send timestamps
+    """Acceptance: every completed request is timed in each stage, and
+    the tracer's per-stage count and sum equal, to float precision, what
+    an independent observer reconstructs from the wire's send timestamps
     on the same run.
 
     On the binary wire a flush leaves the UA as ONE sealed envelope:
     the wire sees every request of the batch cross UA->IA at seal time,
-    the span tracer stamps each at its own transform end.  So there the
-    two place the ua_inbound | ia_inbound boundary differently inside a
-    batch, agree on the sum per request, and agree on every other
+    the tracer stamps each at its own transform end.  So there the two
+    place the ua_inbound | ia_inbound boundary differently inside a
+    batch, agree on the sum of the two, and agree on every other
     stage."""
     telemetry = Telemetry()
     probe = BreakdownProbe()
@@ -161,24 +161,21 @@ def test_e2e_spans_match_the_wire_breakdown(codec):
     completed = injector.report.completed
     sealed = sum(ua.batch_envelopes_sealed for ua in deployment.service.ua_instances)
     assert (sealed > 0) == (codec == "binary")
-    traces = telemetry.tracer.complete_traces()
-    assert len(traces) == completed == probe.completed_count > 0
     assert tuple(PIPELINE_STAGES) == tuple(STAGES)
-    for trace in traces:
-        assert set(trace["stage_durations"]) == set(STAGES)
+    totals = telemetry.tracer.stage_totals
+    assert counts(telemetry.tracer) == [completed] * len(STAGES)
+    assert completed == probe.completed_count > 0
 
-    span_values = telemetry.tracer.stage_values()
     wire_values = probe.stage_values()
     per_stage = STAGES if codec == "json" else ("lrs", "ia_outbound", "ua_outbound")
     for stage in per_stage:
-        assert sorted(span_values[stage]) == pytest.approx(sorted(wire_values[stage]), abs=1e-9)
-
-    def inbound(per_request):
-        return sorted(d["ua_inbound"] + d["ia_inbound"] for d in per_request)
-
-    assert inbound(trace["stage_durations"] for trace in traces) == pytest.approx(
-        inbound(probe.complete_traces()), abs=1e-9
+        assert totals[stage] == pytest.approx(folded(wire_values[stage]), abs=1e-9)
+    inbound = ("ua_inbound", "ia_inbound")
+    assert sum(totals[stage][1] for stage in inbound) == pytest.approx(
+        sum(sum(wire_values[stage]) for stage in inbound), abs=1e-9
     )
+    # No per-request record reaches the log.
+    assert telemetry.event_log.of_kind("span") == []
 
 
 def test_e2e_no_shuffle_config_also_traces():
@@ -188,11 +185,9 @@ def test_e2e_no_shuffle_config_also_traces():
                        telemetry=telemetry)
     completed = sum(report.completed for report in result.reports)
     assert completed > 0
-    assert len(telemetry.tracer.complete_traces()) == completed
-    # The summary's running (n, sum, max) per stage, folded as each
-    # trace settled, say what the log's root records say.
-    for stage, values in telemetry.tracer.stage_values().items():
-        count, total, longest = telemetry.tracer.stage_totals[stage]
-        assert (count, longest) == (completed, max(values))
-        assert total == pytest.approx(sum(values), rel=1e-12)
+    assert counts(telemetry.tracer) == [completed] * len(PIPELINE_STAGES)
     assert f"{completed:8d}" in telemetry.render_summary()
+    # The run-end record carries the totals the summary prints.
+    [end] = [event for event in telemetry.event_log.of_kind("run")
+             if event.payload["phase"] == "end"]
+    assert end.payload["stage_totals"] == telemetry.tracer.stage_totals

@@ -77,12 +77,6 @@ ALLOWED: Dict[str, Tuple[str, str]] = {
     "repro.simnet.loadbalancer:_HasPending.pending": (STUB, ""),
     "repro.simnet.loadbalancer:BalancingPolicy.choose": (STUB, ""),
     "repro.telemetry.registry:_Instrument.value": (STUB, ""),
-    "repro.telemetry.types:TracerLike.record_hop": (STUB, ""),
-    "repro.telemetry.types:TracerLike.annotate": (STUB, ""),
-    "repro.telemetry.types:TracerLike.end_trace": (STUB, ""),
-    "repro.telemetry.types:TracerLike.abandon": (STUB, ""),
-    "repro.telemetry.types:TelemetryLike.now": (STUB, ""),
-    "repro.telemetry.types:TelemetryLike.emit_fault": (STUB, ""),
     "repro.workload.scenario:_ClientLike.post": (STUB, ""),
     "repro.workload.scenario:_ClientLike.get": (STUB, ""),
     "repro.workload.scenario:_TrainableLrs.train": (STUB, ""),
@@ -99,6 +93,8 @@ ALLOWED: Dict[str, Tuple[str, str]] = {
     "repro.telemetry.redaction:Violation.describe": (SAFETY, ""),
     "repro.telemetry.redaction:_marker_kind": (SAFETY, ""),
     "repro.telemetry.redaction:_redact": (SAFETY, ""),
+    # The path of a redaction (no product event nests a container).
+    "repro.telemetry.redaction:_join": (SAFETY, ""),
     "repro.telemetry.redaction:_preview": (SAFETY, ""),
     # -- timed by a micro-benchmark or read by the end-to-end ledger.
     "repro.crypto.envelope:EnvelopeCodec.seal_each": (BENCH, "benchmarks/run_wire_bench.py"),
@@ -106,6 +102,10 @@ ALLOWED: Dict[str, Tuple[str, str]] = {
     "repro.rest.messages:Response.with_fields": (BENCH, "benchmarks/run_wire_bench.py"),
     "repro.lrs.cco:CcoModel._rescored": (BENCH, "benchmarks/run_lrs_bench.py"),
     "repro.crypto.provider:CryptoProvider.cache_stats": (BENCH, "benchmarks/e2e/harness.py"),
+    # Called by nothing: the traced pass replaces it by name.
+    "repro.obs.causal:CausalTracer.annotate": (BENCH, "benchmarks/e2e/harness.py"),
+    # The ledger counts ``span`` records with it (``telemetry.spans_per_req``).
+    "repro.telemetry.events:EventLog.of_kind": (BENCH, "benchmarks/e2e/harness.py"),
     # -- the sampled history ROADMAP 4(d) deletes once 3(b) lets it.
     "repro.telemetry.registry:TimeSeries.last": (PENDING, ""),
     "repro.telemetry.registry:TimeSeries.values": (PENDING, ""),
