@@ -24,10 +24,12 @@ against the kernel, not the oracle: one trained ``HarnessEngine`` (a
 fresh one, its answers not yet kept, in every repeat) serves the
 end-to-end benchmark's ``macro_movielens`` get mix (800 activity-weighted
 users at ``scale=0.1``) against ``CcoModel.recommend`` run on every get;
-the row records the share of gets the engine answered from memory.  Two
-ceilings (exit 1 above either; see ``CEILINGS_MIB``), both read with
-``tracemalloc`` around one training on the ``scale=0.1`` stream: its
-peak, and what the trained model keeps alive once it returns.
+the row records the share of gets the engine answered from memory.  Three
+ceilings (exit 1 above any; see ``CEILINGS_MIB``), read with
+``tracemalloc``: around one training on the ``scale=0.1`` stream, its
+peak and what the trained model keeps alive once it returns; and what
+an ``EventStore`` holding that stream keeps, against the seed's list of
+records (``tests/oracles/store_reference.py``).
 
 The two sides of a row are timed back to back in every repeat, so a
 slow phase of the host hits both, and a floor that can be met by
@@ -66,6 +68,7 @@ from tests.oracles.cco_reference import (
     reference_train,
     trace_in_order,
 )
+from tests.oracles.store_reference import ReferenceEventStore
 
 OUTPUT = REPO_ROOT / "BENCH_lrs.json"
 
@@ -99,17 +102,21 @@ FLOORS = {
     "serve_query_users_scale_0.1": 1.6,
 }
 
-# Ceilings, MiB, on one training on the scale=0.1 stream (CPython
-# 3.11).  Its tracemalloc peak: the seed's pair table peaks at 44.3, the
+# Ceilings, MiB, on the scale=0.1 stream (CPython 3.11).  One
+# training's tracemalloc peak: the seed's pair table peaks at 44.3, the
 # row-at-a-time trainer at 11.8, 10.4 once its LLR memo was keyed on
-# ints, not 3-tuples, and 7.3 since each item's indicators are one
-# names tuple and one array of weights.  The model it returns: 5.5 as
-# one (name, weight) tuple per indicator, 1.74 as the arrays.  Each
-# ceiling leaves room for other interpreters' object sizes, not for the
-# shape before.
+# ints, not 3-tuples, 7.3 since each item's indicators are one names
+# tuple and one array of weights, and 5.35 since a pending indicator is
+# a slot in two arrays, not a (-score, partner) tuple, and the
+# interactions are read into an interned store, not a dict per user.
+# The model it returns: 5.5 as one (name, weight) tuple per indicator,
+# 1.74 as the arrays.  The store: 2.8 as one FeedbackEvent per post,
+# 0.61 as interned columns.  Each ceiling leaves room for other
+# interpreters' object sizes, not for the shape before.
 CEILINGS_MIB = {
-    "train_peak_mib_scale_0.1": 8.5,
+    "train_peak_mib_scale_0.1": 6.2,
     "model_mib_scale_0.1": 2.0,
+    "store_mib_scale_0.1": 1.0,
 }
 
 
@@ -136,16 +143,16 @@ def _race(name: str, new: Callable[[], object], oracle: Callable[[], object], re
     }
 
 
-def _traced(train: Callable[[], CcoModel]) -> Tuple[float, float, CcoModel]:
-    """The ``tracemalloc`` peak of *train* and what it left allocated
-    when it returned (the model it built), in MiB, and that model."""
+def _traced(build: Callable[[], object]) -> Tuple[float, float, object]:
+    """The ``tracemalloc`` peak of *build* and what it left allocated
+    when it returned (what it built), in MiB, and what it built."""
     tracemalloc.start()
     try:
-        model = train()
+        built = build()
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak / 2**20, kept / 2**20, model
+    return peak / 2**20, kept / 2**20, built
 
 
 def _train_memory(trainer: CcoTrainer, events, problems: List[str]) -> Dict[str, dict]:
@@ -158,6 +165,23 @@ def _train_memory(trainer: CcoTrainer, events, problems: List[str]) -> Dict[str,
         "train_peak_mib_scale_0.1": {"kernel_mib": round(kernel_peak, 2), "oracle_mib": round(oracle_peak, 2)},
         "model_mib_scale_0.1": {"kernel_mib": round(kernel_kept, 2), "oracle_mib": round(oracle_kept, 2)},
     }
+
+
+def _store_memory(events, problems: List[str]) -> Dict[str, dict]:
+    """The ``store_mib`` row at ``scale=0.1``: what a store holding
+    *events* keeps allocated, the identifier strings aside (the stream
+    holds them already)."""
+    def fill(store):
+        for user, item in events:
+            store.insert(user, item)
+        return store
+
+    _, kernel_kept, store = _traced(lambda: fill(EventStore()))
+    _, oracle_kept, expected = _traced(lambda: fill(ReferenceEventStore()))
+    if store.dump() != expected.dump():
+        problems.append("store_mib_scale_0.1: the store and the oracle hold different records")
+    return {"store_mib_scale_0.1": {"kernel_mib": round(kernel_kept, 2),
+                                    "oracle_mib": round(oracle_kept, 2)}}
 
 
 def _query_cost(model: CcoModel, histories: List[List[str]]) -> dict:
@@ -260,6 +284,7 @@ def _measure(problems: List[str]) -> Dict[str, dict]:
     )
     results["train_scale_0.1"]["events"] = len(trace.events)
     results.update(_train_memory(trainer, trace.events, problems))
+    results.update(_store_memory(trace.events, problems))
 
     model = trainer.train(trace.events)
     results["recommend_history_50"] = _race_recommend(
@@ -285,7 +310,7 @@ def main() -> int:
         "benchmark": "LRS-side kernels (generator, CCO trainer, CCO top-n) vs the seed's loops",
         "generated_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": platform.python_version(),
-        "units": "seconds per row (best of interleaved repeats), MiB for the train_peak and model rows; a recommend row is 400 queries, the serve row 800 gets",
+        "units": "seconds per row (best of interleaved repeats), MiB for the train_peak, model and store rows; a recommend row is 400 queries, the serve row 800 gets",
         "seed": SEED,
         "results": results,
         "floors": FLOORS,

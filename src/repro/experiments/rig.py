@@ -296,7 +296,7 @@ class DrillRig:
 
             for shard in directory.shards.values():
                 log_shard(shard)
-            self.service.on_shard_added = log_shard
+            self.service.shard_hooks.append(log_shard)
 
     def _log_flushes(self, instances: Iterable[Any], live_ia: Callable[[], int]) -> None:
         for instance in instances:

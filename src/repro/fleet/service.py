@@ -36,9 +36,6 @@ class ShardedPProxService(PProxService):
     """A PProx service whose instances are grouped into ring shards."""
 
     directory: ShardDirectory = field(default_factory=ShardDirectory)
-    #: Called after a shard is fully provisioned (drills chain flush
-    #: hooks onto shards created mid-run through this).
-    on_shard_added: Optional[Callable[[Shard], None]] = None
     _shard_seq: int = 0
 
     @property
@@ -111,8 +108,8 @@ class ShardedPProxService(PProxService):
         if activate:
             shard.set_state("live")
             self.directory.activate(shard_id)
-        if self.on_shard_added is not None:
-            self.on_shard_added(shard)
+        for hook in self.shard_hooks:
+            hook(shard)
         return shard
 
     # -- failure recovery ----------------------------------------------

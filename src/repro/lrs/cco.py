@@ -45,8 +45,10 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import chain, islice
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+
+from repro.lrs.store import EventStore
 
 __all__ = ["CcoModel", "CcoTrainer"]
 
@@ -323,8 +325,9 @@ class CcoTrainer:
         if math.isnan(self.llr_threshold):
             raise ValueError("llr_threshold must be a number, got NaN")
 
-    def train(self, interactions: Iterable[Tuple[str, str]]) -> CcoModel:
-        """Train on an iterable of (user, item) interactions.
+    def train(self, interactions: Union[EventStore, Iterable[Tuple[str, str]]]) -> CcoModel:
+        """Train on a feedback store, or on an iterable of (user, item)
+        interactions, which are read into one first.
 
         Items are numbered in name order, so a user's sorted numbers are
         its sorted names.  Row ``a`` counts the pairs ``(a, b)``, ``b > a``,
@@ -333,7 +336,11 @@ class CcoTrainer:
         the item's list is complete and is sorted, trimmed and kept.  An
         entry for ``b`` waits in ``b``'s pending list, cut to its top
         ``max_indicators`` whenever it reaches twice that: the top k of a
-        superset contains the top k of the whole.
+        superset contains the top k of the whole.  A pending list is an
+        ``array('d')`` of negated scores beside an ``array('i')`` of
+        partners; rows are read in number order and each row's partners
+        in ascending order, so partners arrive ascending and a stable
+        sort on the score alone is the ``(-score, partner)`` order.
 
         A pair's LLR is ``2 * (row + column - matrix entropy)`` of its
         2x2 table, each entropy a left-to-right sum of ``k * log(k /
@@ -350,9 +357,17 @@ class CcoTrainer:
         sight - (first user holding both, position of each in that
         user's sorted list) - and a pair's first member before its second.
         """
-        event_count, popularity, names, users = self._numbered_histories(interactions)
+        if isinstance(interactions, EventStore):
+            store = interactions
+        else:
+            store = EventStore()
+            for user, item in interactions:
+                store.insert(user, item)
+        popularity, names, counts, users = self._numbered_histories(store)
+        event_count = len(store)
+        # One read in from pairs is freed before the first row.
+        del store
         total_users = len(users)
-        counts = [popularity[name] for name in names]
         # A holder is (user, position) packed as user * span + position,
         # a pair's rank (user, position, position) as holder * span +
         # position, from the first user holding both: ints that order
@@ -373,8 +388,9 @@ class CcoTrainer:
         # Each item's least rank of a scored pair; above every rank.
         unranked = total_users * span * span
         ranks = [unranked] * len(names)
-        #: item -> (-score, partner) entries from earlier rows.
-        pending: List[Optional[List[Tuple[float, int]]]] = [[] for _ in names]
+        #: item -> -score and partner of each entry from earlier rows.
+        pending_scores = [array("d") for _ in names]
+        pending_partners = [array("i") for _ in names]
         rows: List[Tuple[Tuple[str, ...], "array[float]"]] = []
         for first, held in enumerate(holders):
             row: Counter = Counter()
@@ -393,8 +409,11 @@ class CcoTrainer:
                 memo = memos[count] = {}
             row_entropy = entropies[first]
             outside = total_users - count
-            kept: List[Tuple[float, int]] = []
-            for second, both in row.items():
+            kept_scores: List[float] = []
+            kept_partners: List[int] = []
+            # Ascending partners: the order a pending list must keep.
+            for second in sorted(row):
+                both = row[second]
                 other = counts[second]
                 key = both * stride + other
                 negated = memo.get(key)
@@ -405,28 +424,31 @@ class CcoTrainer:
                     )
                     negated = memo[key] = -score
                 if negated <= bar:
-                    kept.append((negated, second))
-            weighted = pending[first]
-            pending[first] = None
-            for negated, second in kept:
+                    kept_scores.append(negated)
+                    kept_partners.append(second)
+            for negated, second in zip(kept_scores, kept_partners):
                 rank = earliest[second]
                 if rank < ranks[first]:
                     ranks[first] = rank
                 if rank < ranks[second]:
                     ranks[second] = rank
-                column = pending[second]
-                column.append((negated, first))
+                column = pending_scores[second]
+                column.append(negated)
+                column_partners = pending_partners[second]
+                column_partners.append(first)
                 if len(column) >= 2 * keep:
-                    column.sort()
-                    del column[keep:]
-            weighted += kept
-            # (-score, number) ascending is (-score, name): the seed's order.
-            weighted.sort()
-            del weighted[keep:]
+                    values, named = column.tolist(), column_partners.tolist()
+                    order = _smallest(values, keep)
+                    pending_scores[second] = array("d", map(values.__getitem__, order))
+                    pending_partners[second] = array("i", map(named.__getitem__, order))
+            scores = pending_scores[first].tolist() + kept_scores
+            partners = pending_partners[first].tolist() + kept_partners
+            pending_scores[first] = pending_partners[first] = None
+            order = _smallest(scores, keep)
             # Negation flips the sign bit alone: each weight is its score's bits.
             rows.append((
-                tuple([names[item] for _, item in weighted]),
-                array("d", [-negated for negated, _ in weighted]),
+                tuple([names[partners[index]] for index in order]),
+                array("d", [-scores[index] for index in order]),
             ))
 
         # Two items tie only on the pair they share; the stable sort puts
@@ -434,29 +456,37 @@ class CcoTrainer:
         ranked = sorted(range(len(names)), key=ranks.__getitem__)
         return CcoModel(
             indicators={names[item]: rows[item] for item in ranked if ranks[item] < unranked},
-            popularity=dict(popularity),
+            popularity=popularity,
             trained_on_events=event_count,
         )
 
     def _numbered_histories(
-        self, interactions: Iterable[Tuple[str, str]]
-    ) -> Tuple[int, Counter, List[str], List[List[int]]]:
-        """Events read, item counts over the capped histories, item names
-        in name order, and each user's item numbers sorted - users in
-        first-seen order, counts in first-seen order along them."""
-        histories: Dict[str, Dict[str, None]] = {}
-        event_count = 0
-        for user, item in interactions:
-            event_count += 1
-            history = histories.get(user)
-            if history is None:
-                history = histories[user] = {}
-            # The seed's ``seen`` set plus its cap: a history never
-            # shrinks, so an item once turned away is turned away again.
-            if item not in history and len(history) < self.max_history:
-                history[item] = None
-        popularity = Counter(chain.from_iterable(histories.values()))
-        names = sorted(popularity)
-        number = {name: index for index, name in enumerate(names)}
-        users = [sorted(map(number.__getitem__, history)) for history in histories.values()]
-        return event_count, popularity, names, users
+        self, store: EventStore
+    ) -> Tuple[Dict[str, int], List[str], List[int], List[List[int]]]:
+        """Item counts over the capped histories, in first-seen order
+        along the users; item names in name order and their counts; and
+        each user's item numbers sorted, users in first-seen order."""
+        table, histories = store.item_histories()
+        # The seed's ``seen`` set plus its cap: a history never shrinks,
+        # so an item once turned away is turned away again - a history
+        # is its first ``max_history`` distinct items.
+        capped = [array("i", islice(dict.fromkeys(history), self.max_history)) for history in histories]
+        popularity = Counter(chain.from_iterable(capped))
+        order = sorted(popularity, key=table.__getitem__)
+        number = {stored: index for index, stored in enumerate(order)}
+        users = [sorted(map(number.__getitem__, history)) for history in capped]
+        return (
+            {table[stored]: count for stored, count in popularity.items()},
+            [table[stored] for stored in order],
+            [popularity[stored] for stored in order],
+            users,
+        )
+
+
+def _smallest(scores: List[float], keep: int) -> List[int]:
+    """Indices of the *keep* smallest *scores*, ascending; stable, so
+    equal scores stay in index order."""
+    order = sorted(range(len(scores)), key=scores.__getitem__)
+    del order[keep:]
+    return order
+

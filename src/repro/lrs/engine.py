@@ -64,7 +64,7 @@ class HarnessEngine:
         # alive until the next get.
         self._answers.clear()
         self._answered_by = None
-        self.model = self.trainer.train(self.store.interactions())
+        self.model = self.trainer.train(self.store)
         self.trainings += 1
         return self.model
 

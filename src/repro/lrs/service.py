@@ -94,10 +94,15 @@ class HarnessFrontend:
         if request.verb == Verb.POST:
             user = request.fields.get("user")
             item = request.fields.get("item")
-            if not isinstance(user, str) or not isinstance(item, str):
+            payload = request.fields.get("payload")
+            # A payload is text or absent: a bytes field off the binary
+            # wire is a memoryview that would keep its whole frame alive.
+            if not isinstance(user, str) or not isinstance(item, str) or not (
+                payload is None or isinstance(payload, str)
+            ):
                 return Response(status=400, fields={"error": "missing user/item"},
                                 request_id=request.request_id)
-            self.engine.post_event(user, item, request.fields.get("payload"))
+            self.engine.post_event(user, item, payload)
             return Response(status=200, fields={}, request_id=request.request_id)
         user = request.fields.get("user")
         if not isinstance(user, str):

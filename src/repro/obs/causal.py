@@ -268,16 +268,22 @@ class CausalTracer:
 
 
 def instrument_causal(causal: CausalTracer, service: Any) -> None:
-    """Chain batch-span emission onto every UA shuffle buffer.
+    """Chain batch-span emission onto every UA shuffle buffer, and onto
+    those of the shards a fleet adds later.
 
     Whatever hook the caller already installed keeps running first.
     """
-    for instance in service.ua_instances:
-        buffer = instance.request_buffer
-        if buffer is None:
-            continue
-        buffer.chain_on_flush(
-            lambda size, timer_fired, _name=instance.name: causal.batch_flush(
-                _name, size, timer_fired
+
+    def chain(instances: Any) -> None:
+        for instance in instances:
+            buffer = instance.request_buffer
+            if buffer is None:
+                continue
+            buffer.chain_on_flush(
+                lambda size, timer_fired, _name=instance.name: causal.batch_flush(
+                    _name, size, timer_fired
+                )
             )
-        )
+
+    chain(service.ua_instances)
+    service.shard_hooks.append(lambda shard: chain(shard.ua_instances))

@@ -74,6 +74,10 @@ class PProxService:
     ia_instances: List[ItemAnonymizer] = field(default_factory=list)
     #: Instance restarts performed (failover bookkeeping).
     restarts: int = 0
+    #: Called, in order, with each shard a fleet provisions after it is
+    #: deployed (a single-pool service adds none): instruments and
+    #: drills append here to hook shards born mid-run.
+    shard_hooks: List[Callable[[Any], None]] = field(default_factory=list)
 
     @property
     def config(self) -> PProxConfig:

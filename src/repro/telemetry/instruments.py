@@ -52,71 +52,60 @@ def _shuffle_buffers(service: Any) -> List[Any]:
     return [buffer for buffer in buffers if buffer is not None]
 
 
-def instrument_service(telemetry: Any, service: Any) -> None:
-    """Register instruments over a :class:`PProxService` deployment."""
-    registry = telemetry.registry
-
-    for role, instances in (("ua", service.ua_instances), ("ia", service.ia_instances)):
-        for instance in instances:
-            labels = {"role": role, "instance": instance.name}
-            registry.counter(
-                "pprox_proxy_requests_total",
-                "Requests transformed and forwarded by a proxy instance.",
-                labels,
-                callback=lambda inst=instance: inst.requests_processed,
-            )
-            registry.counter(
-                "pprox_proxy_responses_total",
-                "Responses transformed on the return path.",
-                labels,
-                callback=lambda inst=instance: inst.responses_processed,
-            )
-            registry.gauge(
-                "pprox_proxy_pending",
-                "Outstanding work at a proxy instance (queue+routing+buffer).",
-                labels,
-                callback=lambda inst=instance: inst.pending,
-            )
-            registry.gauge(
-                "pprox_node_utilization_ratio",
-                "Fraction of host-node core time spent busy.",
-                labels,
-                callback=lambda inst=instance: inst.node.utilization(),
-            )
-            registry.gauge(
-                "pprox_node_queue_length",
-                "Jobs waiting for a free core on the host node.",
-                labels,
-                callback=lambda inst=instance: inst.node.queue_length,
-            )
-            registry.counter(
-                "pprox_enclave_ecalls_total",
-                "Enclave entry transitions (sealed-secret accesses).",
-                labels,
-                callback=lambda inst=instance: inst.enclave.ecall_count,
-            )
-            registry.counter(
-                "pprox_enclave_ocalls_total",
-                "Enclave exit transitions (outbound sends).",
-                labels,
-                callback=lambda inst=instance: getattr(inst.enclave, "ocall_count", 0),
-            )
-            registry.gauge(
-                "pprox_instance_up",
-                "1 while the proxy instance is alive, 0 after a crash.",
-                labels,
-                callback=lambda inst=instance: 1 if inst.alive else 0,
-            )
-
-    for balancer in (service.ua_balancer, service.ia_balancer):
+def _instrument_instances(registry: Any, role: str, instances: Iterable[Any]) -> None:
+    for instance in instances:
+        labels = {"role": role, "instance": instance.name}
         registry.counter(
-            "pprox_lb_decisions_total",
-            "Pick decisions made by a load balancer.",
-            {"balancer": balancer.name},
-            callback=lambda lb=balancer: lb.decisions,
+            "pprox_proxy_requests_total",
+            "Requests transformed and forwarded by a proxy instance.",
+            labels,
+            callback=lambda inst=instance: inst.requests_processed,
+        )
+        registry.counter(
+            "pprox_proxy_responses_total",
+            "Responses transformed on the return path.",
+            labels,
+            callback=lambda inst=instance: inst.responses_processed,
+        )
+        registry.gauge(
+            "pprox_proxy_pending",
+            "Outstanding work at a proxy instance (queue+routing+buffer).",
+            labels,
+            callback=lambda inst=instance: inst.pending,
+        )
+        registry.gauge(
+            "pprox_node_utilization_ratio",
+            "Fraction of host-node core time spent busy.",
+            labels,
+            callback=lambda inst=instance: inst.node.utilization(),
+        )
+        registry.gauge(
+            "pprox_node_queue_length",
+            "Jobs waiting for a free core on the host node.",
+            labels,
+            callback=lambda inst=instance: inst.node.queue_length,
+        )
+        registry.counter(
+            "pprox_enclave_ecalls_total",
+            "Enclave entry transitions (sealed-secret accesses).",
+            labels,
+            callback=lambda inst=instance: inst.enclave.ecall_count,
+        )
+        registry.counter(
+            "pprox_enclave_ocalls_total",
+            "Enclave exit transitions (outbound sends).",
+            labels,
+            callback=lambda inst=instance: getattr(inst.enclave, "ocall_count", 0),
+        )
+        registry.gauge(
+            "pprox_instance_up",
+            "1 while the proxy instance is alive, 0 after a crash.",
+            labels,
+            callback=lambda inst=instance: 1 if inst.alive else 0,
         )
 
-    buffers = _shuffle_buffers(service)
+
+def _instrument_buffers(registry: Any, buffers: Iterable[Any]) -> None:
     for buffer in buffers:
         labels = {"buffer": buffer.name}
         registry.counter(
@@ -138,13 +127,47 @@ def instrument_service(telemetry: Any, service: Any) -> None:
             callback=lambda buf=buffer: buf.pending,
         )
 
+
+def instrument_service(telemetry: Any, service: Any) -> None:
+    """Register instruments over a :class:`PProxService` deployment,
+    and over each shard a fleet adds later."""
+    registry = telemetry.registry
+
+    for role, instances in (("ua", service.ua_instances), ("ia", service.ia_instances)):
+        _instrument_instances(registry, role, instances)
+
+    for balancer in (service.ua_balancer, service.ia_balancer):
+        registry.counter(
+            "pprox_lb_decisions_total",
+            "Pick decisions made by a load balancer.",
+            {"balancer": balancer.name},
+            callback=lambda lb=balancer: lb.decisions,
+        )
+
+    buffers = _shuffle_buffers(service)
+    _instrument_buffers(registry, buffers)
+
     flush_hist = registry.histogram(
         "pprox_shuffle_flush_size",
         "Distribution of shuffle batch sizes at flush time.",
         buckets=(1, 2, 4, 8, 16, 32, 64, 128),
     )
-    for buffer in buffers:
-        buffer.chain_on_flush(lambda size, timer_fired: flush_hist.observe(size))
+
+    def observe_flushes(buffers: Iterable[Any]) -> None:
+        for buffer in buffers:
+            buffer.chain_on_flush(lambda size, timer_fired: flush_hist.observe(size))
+
+    observe_flushes(buffers)
+
+    def instrument_shard(shard: Any) -> None:
+        _instrument_instances(registry, "ua", shard.ua_instances)
+        _instrument_instances(registry, "ia", shard.ia_instances)
+        added = _shuffle_buffers(shard)
+        _instrument_buffers(registry, added)
+        observe_flushes(added)
+
+    service.shard_hooks.append(instrument_shard)
+
     # The tracer's view past the shuffle: one aggregate-only batch span
     # per UA flush, chained behind the histogram.
     instrument_causal(telemetry.tracer, service)

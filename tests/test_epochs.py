@@ -207,21 +207,28 @@ def test_window_candidates_yield_active_first(provisioner, factory):
 
 def test_rewrite_keeps_indexes_consistent():
     store = EventStore()
-    event = store.insert("u-old", "i1", payload="p")
+    sequence = store.insert("u-old", "i1", payload="p")
     store.insert("u-other", "i1")
-    store.rewrite(event.sequence, user="u-new")
+    store.rewrite(sequence, user="u-new")
     assert store.user_history("u-new") == ["i1"]
     assert store.user_history("u-old") == []
     assert [event.user for event in store.dump()] == ["u-new", "u-other"]
     assert store.events[0].payload == "p"
-    assert store.events[0].sequence == event.sequence
+    assert store.events[0].sequence == sequence
 
 
 def test_rewrite_unchanged_values_is_noop():
+    """The store builds records as they are read, so the no-op is a
+    matter of value: the record, the histories and the dump unchanged."""
     store = EventStore()
-    event = store.insert("u", "i")
-    same = store.rewrite(event.sequence, user="u")
-    assert same is store.events[0]
+    sequence = store.insert("u", "i", payload="p")
+    store.insert("v", "j")
+    before = store.dump()
+    store.rewrite(sequence, user="u", item="i")
+    assert store.events[sequence] == before[sequence]
+    assert store.dump() == before
+    assert store.user_history("u") == ["i"]
+    assert store.user_history("v") == ["j"]
 
 
 def _pseudonymous_store(provider, key, pairs):

@@ -9,6 +9,7 @@ import pytest
 from repro.experiments.registry import EXPERIMENT_INDEX
 from repro.experiments.fleet import run_fleet_drill
 from repro.telemetry import EventLog
+from repro.telemetry.instruments import _shuffle_buffers
 from tests.conftest import objective
 
 SEED, RPS, DURATION = 23, 360.0, 6.0
@@ -83,6 +84,23 @@ def test_fleet_events_cover_the_split_lifecycle(rig):
     ):
         assert expected in names, f"missing fleet event {expected!r}"
     assert names.index("shard_split_started") < names.index("shard_split_completed")
+
+
+def test_shards_born_by_the_split_are_instrumented(rig):
+    """The split adds a shard after ``instrument()`` ran: its buffers get
+    the same batch spans, flush counters and flush-size samples as the
+    shards that were there from the start."""
+    ua_flushes = [flush for flush in rig.flushes if "-ua-" in flush.instance]
+    born = rig.summary["shards_final"] - 1
+    assert any(f"-s{born}-" in flush.instance for flush in ua_flushes)
+    assert rig.telemetry.tracer.batch_spans == len(ua_flushes)
+    registry = rig.telemetry.registry
+    buffers = _shuffle_buffers(rig.service)
+    assert any(f"-s{born}-" in buffer.name for buffer in buffers)
+    for buffer in buffers:
+        counter = registry.get("pprox_shuffle_flushes_total", {"buffer": buffer.name})
+        assert counter is not None and counter.value() == buffer.flushes, buffer.name
+    assert registry.get("pprox_shuffle_flush_size").count == len(rig.flushes)
 
 
 def test_same_seed_drills_are_identical(rig):

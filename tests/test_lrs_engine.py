@@ -120,7 +120,9 @@ def test_every_answer_is_the_query_of_the_current_model(operations, cap, limit):
             elif operation[0] == "train":
                 engine.train()
             elif operation[0] == "swap":
-                engine.model = engine.trainer.train(list(engine.store.interactions())[::2])
+                engine.model = engine.trainer.train(
+                    [(event.user, event.item) for event in engine.store.events][::2]
+                )
             else:
                 _, user, n = operation
                 answer = engine.get_recommendations(user, n)

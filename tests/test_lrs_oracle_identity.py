@@ -168,6 +168,32 @@ def test_train_holds_at_most_half_the_memory_of_the_seed_loops(movielens_events)
     assert kernel <= oracle / 2, peaks
 
 
+#: ``z`` is last in name order, so every pair naming it waits in its
+#: pending list.  Each of ``a`` .. ``h`` shares one user with ``z``;
+#: ``b`` and ``e`` also share ``x``: two partners score one LLR and six
+#: another, all equal within their group.
+STRADDLING = (
+    [(f"w{index}", partner) for index, partner in enumerate("abcdefgh")]
+    + [(f"w{index}", "z") for index in range(8)]
+    + [("x", "b"), ("x", "e"), ("y", "z")]
+)
+
+
+def test_equal_scores_straddling_a_pending_cut_keep_the_seeds_order():
+    """At ``max_indicators=3`` ``z``'s pending list is cut at six entries,
+    ``a`` .. ``f``, to ``b``, ``e`` and the smallest name of the six-way
+    tie; ``g`` and ``h`` tie with it after the cut.  A sort on the score
+    alone keeps ``(-score, name)`` only while partners arrive ascending."""
+    trainer = CcoTrainer(max_indicators=3, llr_threshold=0.0)
+    model = trainer.train(STRADDLING)
+    assert model_in_order(model) == model_in_order(reference_train(trainer, STRADDLING))
+    names, weights = model.indicators["z"]
+    assert names == ("b", "e", "a")
+    assert weights[0] == weights[1] > weights[2]
+    uncut = reference_train(CcoTrainer(max_indicators=10**6, llr_threshold=0.0), STRADDLING)
+    assert list(uncut.indicators["z"][1]).count(weights[2]) == 6
+
+
 @st.composite
 def co_occurrences(draw):
     """(users, row item count, column item count, users holding both) of

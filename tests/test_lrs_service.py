@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.client import PProxClient
+from repro.context import SimContext
 from repro.lrs.service import HarnessService, frontend_seconds
 from repro.lrs.stub import STATIC_ITEMS, StubLrs
+from repro.proxy import PProxConfig, build_pprox
 from repro.rest.messages import Verb
 from repro.simnet.clock import EventLoop
+from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
 from tests.conftest import make_get, make_post
 
@@ -139,3 +143,39 @@ def test_stub_payload_is_replaceable():
     stub.handle(make_get("u"), responses.append)
     loop.run()
     assert responses[0].fields["items"] == ["custom-1"]
+
+
+@pytest.mark.parametrize(("codec", "payload"), [
+    ("json", {"rating": 5}),
+    ("json", 5),
+    ("binary", {"rating": 5}),
+    # A bytes field decodes to a memoryview into the received frame.
+    ("binary", b"rating=5"),
+])
+def test_a_payload_that_is_not_text_gets_the_uniform_reject(codec, payload):
+    """The LRS answers a non-string payload with the 400 of a missing
+    user or item, which the IA rewrites to the uniform reject: nothing
+    is stored, and a text payload on the same wire is."""
+    rng = RngRegistry(seed=3)
+    loop = EventLoop()
+    network = Network(loop=loop, rng=rng.stream("net"))
+    harness = HarnessService(loop=loop, rng=rng.stream("lrs"), frontend_count=1)
+    ctx = SimContext(loop=loop, network=network, rng=rng, codec=codec)
+    service = build_pprox(ctx, PProxConfig(), lrs_picker=harness.pick_frontend)
+    client = PProxClient(ctx, service)
+    answers = []
+    frontend = harness.frontends[0]
+    original = frontend._execute
+    frontend._execute = lambda request: answers.append(original(request)) or answers[-1]
+    calls = []
+    client.post("alice", "i1", payload="rating=5", on_complete=calls.append)
+    client.post("bob", "i2", payload=payload, on_complete=calls.append)
+    loop.run()
+    # The shuffle releases the two in either order.
+    assert {call.user: call.ok for call in calls} == {"alice": True, "bob": False}
+    (rejected,) = [answer for answer in answers if not answer.ok]
+    assert (rejected.status, rejected.fields) == (400, {"error": "missing user/item"})
+    assert len(answers) == 2
+    assert sum(instance.rejects_normalized for instance in service.ia_instances) == 1
+    (event,) = harness.engine.store.dump()
+    assert event.payload == "rating=5"

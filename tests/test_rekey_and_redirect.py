@@ -11,6 +11,7 @@ from repro.crypto.envelope import EnvelopeCodec, PaddingError, decode_identifier
 from repro.crypto.keys import KeyFactory
 from repro.crypto.provider import RealCryptoProvider, SimCryptoProvider
 from repro.proxy.rekey import OnlineRekeyer
+from tests.test_lrs_store import interned_names, named_in
 from tests.test_privacy_history import FEEDBACK, _stack
 
 
@@ -78,6 +79,8 @@ def test_rekey_ua_layer():
     assert after_users.isdisjoint(before_users)
     # Pseudonym consistency preserved: same number of distinct users.
     assert len(after_users) == len(before_users)
+    # ...and the store keeps no pre-rotation pseudonym beside them.
+    assert interned_names(harness.engine.store) == named_in(harness.engine.store.dump())
 
 
 def test_rekey_defeats_stolen_keys():

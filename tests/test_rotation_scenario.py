@@ -7,6 +7,7 @@ import pytest
 from repro.experiments.registry import EXPERIMENT_INDEX
 from repro.experiments.rotation import run_rotation
 from tests.conftest import objective
+from tests.test_lrs_store import interned_names, named_in
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +70,14 @@ def test_dual_epoch_window_did_real_work(drill):
     assert drill["rekey_users_rekeyed"] > 0
     assert drill["translate_cache_hits"] > 0
     assert drill["window_seconds"] > 0.0
+
+
+def test_the_store_keeps_no_pseudonym_the_rekey_moved_away_from(rig):
+    """After the pass the LRS data (intern table included) holds the
+    new epoch's pseudonyms only: nothing pairs an old one with its
+    successor for an adversary who kept the old key."""
+    store = rig.lrs.engine.store
+    assert interned_names(store) == named_in(store.dump())
 
 
 def test_anonymity_floor_holds_at_every_observable_instant(drill):
