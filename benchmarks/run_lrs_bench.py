@@ -24,12 +24,14 @@ against the kernel, not the oracle: one trained ``HarnessEngine`` (a
 fresh one, its answers not yet kept, in every repeat) serves the
 end-to-end benchmark's ``macro_movielens`` get mix (800 activity-weighted
 users at ``scale=0.1``) against ``CcoModel.recommend`` run on every get;
-the row records the share of gets the engine answered from memory.  Three
+the row records the share of gets the engine answered from memory.  Four
 ceilings (exit 1 above any; see ``CEILINGS_MIB``), read with
 ``tracemalloc``: around one training on the ``scale=0.1`` stream, its
-peak and what the trained model keeps alive once it returns; and what
-an ``EventStore`` holding that stream keeps, against the seed's list of
-records (``tests/oracles/store_reference.py``).
+peak and what the trained model keeps alive once it returns; around the
+paper-slice training, its peak (no oracle row: the seed's pair table
+would be traced at ≈ 0.7 GiB); and what an ``EventStore`` holding the
+``scale=0.1`` stream keeps, against the seed's list of records
+(``tests/oracles/store_reference.py``).
 
 The two sides of a row are timed back to back in every repeat, so a
 slow phase of the host hits both, and a floor that can be met by
@@ -106,15 +108,19 @@ FLOORS = {
 # training's tracemalloc peak: the seed's pair table peaks at 44.3, the
 # row-at-a-time trainer at 11.8, 10.4 once its LLR memo was keyed on
 # ints, not 3-tuples, 7.3 since each item's indicators are one names
-# tuple and one array of weights, and 5.35 since a pending indicator is
-# a slot in two arrays, not a (-score, partner) tuple, and the
-# interactions are read into an interned store, not a dict per user.
-# The model it returns: 5.5 as one (name, weight) tuple per indicator,
-# 1.74 as the arrays.  The store: 2.8 as one FeedbackEvent per post,
-# 0.61 as interned columns.  Each ceiling leaves room for other
-# interpreters' object sizes, not for the shape before.
+# tuple and one array of weights, 5.35 since a pending indicator is a
+# slot in two arrays, not a (-score, partner) tuple, and the
+# interactions are read into an interned store, not a dict per user,
+# 2.6 since an item is ranked at its first holder, with no rank dict
+# per row, and no LLR memo lasts the training.  The same training on
+# the paper's slice (scale=1.0) peaks at 49.2 before that and 25.9
+# after.  The model it returns: 5.5 as one (name, weight) tuple per
+# indicator, 1.74 as the arrays.  The store: 2.8 as one FeedbackEvent
+# per post, 0.61 as interned columns.  Each ceiling leaves room for
+# other interpreters' object sizes, not for the shape before.
 CEILINGS_MIB = {
-    "train_peak_mib_scale_0.1": 6.2,
+    "train_peak_mib_scale_0.1": 3.5,
+    "train_peak_mib_paper_slice": 32.0,
     "model_mib_scale_0.1": 2.0,
     "store_mib_scale_0.1": 1.0,
 }
@@ -294,7 +300,8 @@ def _measure(problems: List[str]) -> Dict[str, dict]:
         "serve_query_users_scale_0.1", trace, model, 7, problems
     )
     paper = SyntheticMovieLens(seed=SEED, scale=1.0)
-    paper_model = trainer.train(paper.events)
+    paper_peak, _, paper_model = _traced(lambda: trainer.train(paper.events))
+    results["train_peak_mib_paper_slice"] = {"kernel_mib": round(paper_peak, 2)}
     if model_in_order(paper_model) != model_in_order(reference_train(trainer, paper.events)):
         problems.append("train_paper_slice: the kernel and the oracle returned different results")
     results["recommend_paper_slice"] = _race_recommend(
@@ -319,8 +326,8 @@ def main() -> int:
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
     for name, entry in results.items():
         if name in CEILINGS_MIB:
-            print(f"{name:28s} {entry['kernel_mib']:>8.2f} MiB"
-                  f" (seed loops {entry['oracle_mib']:>6.2f} MiB, ceiling {CEILINGS_MIB[name]})")
+            oracle = f"seed loops {entry['oracle_mib']:>6.2f} MiB, " if "oracle_mib" in entry else ""
+            print(f"{name:28s} {entry['kernel_mib']:>8.2f} MiB ({oracle}ceiling {CEILINGS_MIB[name]})")
         else:
             print(f"{name:28s} {entry['kernel_s']:>8.4f} s"
                   f"  (seed loops {entry['oracle_s']:>8.4f} s, {entry['speedup']:.1f}x)")

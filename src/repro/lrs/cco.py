@@ -25,15 +25,15 @@ Model and rankings are functions of the event stream *and its order*;
 the cheap forms below keep what the straight loops in
 ``tests/oracles/cco_reference.py`` had: items keyed in the order their
 pairs were first seen, each pair weighted by the float the oracle's
-``llr_score`` returns for its table - computed once per distinct table,
-from the two items' entropies and a per-training table of cell terms,
-the same floats added in the same order - and weights added in history
-order (docs/architecture.md, "How the CCO model is built and
-queried").  Training holds one item's row of pairs at a time, never a
-table of every co-occurring pair, and keeps each item's indicator list
-as two parallel containers: a tuple of the indicators' names and an
-``array('d')`` of their weights, so a model holds no float object and
-no pair tuple per indicator.  A query costs the prefixes it reads plus
+``llr_score`` returns for its table - summed per pair from the two
+items' entropies and a per-training table of cell terms, the same
+floats added in the same order - and weights added in history order
+(docs/architecture.md, "How the CCO model is built and queried").
+Training holds one item's row of pairs at a time, never a table of
+every co-occurring pair or of their scores, and keeps each item's
+indicator list as two parallel containers: a tuple of the indicators'
+names and an ``array('d')`` of their weights, so a model holds no float
+object and no pair tuple per indicator.  A query costs the prefixes it reads plus
 its survivors, and one catalogue-sized copy: the ``zeros`` accumulator
 every query starts from.
 """
@@ -43,6 +43,7 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -53,30 +54,61 @@ from repro.lrs.store import EventStore
 __all__ = ["CcoModel", "CcoTrainer"]
 
 
-def _cell_terms(total: int) -> List[float]:
-    """``k * log(k / total)`` for ``k`` in ``0..total``: the terms of the
-    LLR's entropies over cells that sum to *total* (``[0]`` is unread)."""
-    return [0.0] + [k * math.log(k / total) for k in range(1, total + 1)]
+class _Scorer:
+    """Dunning's log-likelihood ratio of item pairs, negated, and the
+    threshold test, over one training's item counts.
 
+    A pair's 2x2 table is (both items, the first only, the second only,
+    neither); its score is ``2 * (row + column - matrix entropy)``, each
+    entropy the negated left-to-right sum of ``k * log(k / users)`` over
+    the nonzero cells it covers.  The neither cell, users less those
+    holding either item, is never negative, so the row and column are
+    the two items' (count, users - count): their entropies are kept per
+    item and the terms ``t`` per training.  The matrix sum is added per
+    pair, where the seed subtracted its negation, with ``t[0] = 0.0`` in
+    place of a skipped zero cell: no term and no partial sum is
+    ``-0.0``, so adding it moves no bit.  Every float is the seed's.
+    """
 
-def _entropy(terms: List[float], *counts: int) -> float:
-    """Unnormalized Shannon entropy of *counts*, which sum to the total
-    *terms* were built for: their nonzero terms added left to right."""
-    result = 0.0
-    for count in counts:
-        if count:
-            result += terms[count]
-    return -result
+    __slots__ = ("terms", "entropies", "counts", "users", "bar")
 
+    def __init__(self, counts: List[int], users: int, bar: float) -> None:
+        terms = [0.0] + [k * math.log(k / users) for k in range(1, users + 1)]
+        self.terms = terms
+        self.entropies = [-(terms[count] + terms[users - count]) for count in counts]
+        self.counts = counts
+        self.users = users
+        #: The threshold, negated: a pair is kept at ``-score <= bar``.
+        self.bar = bar
 
-def _llr(terms: List[float], row: float, column: float, *cells: int) -> float:
-    """Dunning's log-likelihood ratio of a 2x2 table of *cells* (both
-    items, the row item only, the column item only, neither), given the
-    ``_entropy`` of its row and of its column.  Larger means the
-    co-occurrence is more anomalous (more informative)."""
-    score = 2.0 * (row + column - _entropy(terms, *cells))
-    # Guard against tiny negative values from floating-point error.
-    return max(score, 0.0)
+    def __call__(
+        self, first: int, partners: Iterable[int], boths: Iterable[int]
+    ) -> Tuple[List[float], List[int]]:
+        """The negated scores and the partners, in *partners*' order, of
+        the pairs (*first*, partner) held by *boths* users that clear the
+        threshold; every partner is after *first*."""
+        t = self.terms
+        entropies = self.entropies
+        counts = self.counts
+        bar = self.bar
+        count = counts[first]
+        row = entropies[first]
+        outside = self.users - count
+        kept_scores: List[float] = []
+        kept_partners: List[int] = []
+        for second, both in zip(partners, boths):
+            other = counts[second]
+            negated = -2.0 * (
+                row + entropies[second]
+                + (((t[both] + t[count - both]) + t[other - both]) + t[outside - other + both])
+            )
+            # The seed's guard against a score rounding below zero.
+            if negated > 0.0:
+                negated = -0.0
+            if negated <= bar:
+                kept_scores.append(negated)
+                kept_partners.append(second)
+        return kept_scores, kept_partners
 
 
 #: Postings read from the head of each list when a history has many.
@@ -305,9 +337,9 @@ class CcoTrainer:
     *llr_threshold* drops non-anomalous co-occurrences.
 
     :meth:`train` builds the model one item's row of co-occurrences at a
-    time: besides the numbered histories and the model it holds one row
-    and at most ``2 * max_indicators`` pending entries per item, never a
-    table of every co-occurring pair.
+    time: besides the numbered histories, their holders and the model it
+    holds one row and at most ``2 * max_indicators`` pending entries per
+    item, never a table of every co-occurring pair or of their scores.
     """
 
     max_history: int = 50
@@ -342,20 +374,23 @@ class CcoTrainer:
         in ascending order, so partners arrive ascending and a stable
         sort on the score alone is the ``(-score, partner)`` order.
 
-        A pair's LLR is ``2 * (row + column - matrix entropy)`` of its
-        2x2 table, each entropy a left-to-right sum of ``k * log(k /
-        users)`` over the nonzero cells it covers, negated.  The row and
-        column are the two items' (count, users - count) - the neither
-        cell, users less those holding either item, is never negative -
-        so those two are computed once per item, the cell terms once per
-        training, and a matrix's sum once per distinct table, memoised
-        per row item count on the int ``both * (users + 1) + column
-        count``.  A row is scored first and its kept pairs filed after.
+        A row's pairs are scored together by :class:`_Scorer` - the
+        seed's floats, added in the seed's order, from per-item entropies
+        and per-training cell terms, nothing memoised - and its kept
+        pairs are filed after.
 
         ``model.indicators`` keeps the seed's key order: an item's place
         is that of the first scored pair naming it, pairs ranked by first
         sight - (first user holding both, position of each in that
         user's sorted list) - and a pair's first member before its second.
+        A pair of ``x`` and a partner its first holder also holds ranks
+        before every other pair naming ``x``, so that holder fixes
+        ``x``'s rank if it holds a scored partner: row ``y`` marks each
+        kept partner ``x`` whose first holder holds ``y`` (rows ascend,
+        so the first mark is the least), and at row ``x`` an unmarked
+        ``x`` takes the first scored partner after it in that list.
+        Only when that holder holds none does ``x`` look at its later
+        holders (:func:`_least_rank`).
         """
         if isinstance(interactions, EventStore):
             store = interactions
@@ -368,70 +403,51 @@ class CcoTrainer:
         # One read in from pairs is freed before the first row.
         del store
         total_users = len(users)
-        # A holder is (user, position) packed as user * span + position,
-        # a pair's rank (user, position, position) as holder * span +
-        # position, from the first user holding both: ints that order
-        # as the tuples do, for any history length.
-        span = max(map(len, users), default=1)
-        holders: List[List[int]] = [[] for _ in names]
+        # Who holds each item: its users, ascending, and its position in
+        # each one's sorted list.
+        holder_users = [array("i") for _ in names]
+        holder_positions = [array("i") for _ in names]
         for user, numbers in enumerate(users):
-            for holder, item in enumerate(numbers, user * span):
-                holders[item].append(holder)
+            for position, item in enumerate(numbers):
+                holder_users[item].append(user)
+                holder_positions[item].append(position)
 
         keep = self.max_indicators
-        bar = -self.llr_threshold
-        terms = _cell_terms(total_users)
-        entropies = [_entropy(terms, count, total_users - count) for count in counts]
-        #: row item count -> {both * stride + column item count: -score}.
-        memos: Dict[int, Dict[int, float]] = {}
-        stride = total_users + 1
-        # Each item's least rank of a scored pair; above every rank.
+        scored = _Scorer(counts, total_users, -self.llr_threshold)
+        # A rank (user, position, position) packed as one int whose base
+        # is the longest history: ints that order as the tuples do.
+        # Above every rank: ``unranked`` for an item some scored pair
+        # names, ``unpaired`` for one no scored pair has named yet.
+        span = max(map(len, users), default=1)
         unranked = total_users * span * span
-        ranks = [unranked] * len(names)
+        unpaired = unranked + 1
+        ranks = [unpaired] * len(names)
         #: item -> -score and partner of each entry from earlier rows.
         pending_scores = [array("d") for _ in names]
         pending_partners = [array("i") for _ in names]
         rows: List[Tuple[Tuple[str, ...], "array[float]"]] = []
-        for first, held in enumerate(holders):
+        for first, (held, positions) in enumerate(zip(holder_users, holder_positions)):
             row: Counter = Counter()
-            earliest: Dict[int, int] = {}
-            # Latest holder first, so the earliest one's rank is the one kept.
-            for holder in reversed(held):
-                user, position = divmod(holder, span)
-                numbers = users[user]
-                tail = numbers[position + 1:]
-                row.update(tail)
-                base = holder * span
-                earliest.update(zip(tail, range(base + position + 1, base + len(numbers))))
-            count = counts[first]
-            memo = memos.get(count)
-            if memo is None:
-                memo = memos[count] = {}
-            row_entropy = entropies[first]
-            outside = total_users - count
-            kept_scores: List[float] = []
-            kept_partners: List[int] = []
+            for user, position in zip(held, positions):
+                row.update(users[user][position + 1:])
             # Ascending partners: the order a pending list must keep.
-            for second in sorted(row):
-                both = row[second]
-                other = counts[second]
-                key = both * stride + other
-                negated = memo.get(key)
-                if negated is None:
-                    score = _llr(
-                        terms, row_entropy, entropies[second],
-                        both, count - both, other - both, outside - other + both,
-                    )
-                    negated = memo[key] = -score
-                if negated <= bar:
-                    kept_scores.append(negated)
-                    kept_partners.append(second)
+            row_partners = sorted(row)
+            kept_scores, kept_partners = scored(
+                first, row_partners, map(row.__getitem__, row_partners)
+            )
             for negated, second in zip(kept_scores, kept_partners):
-                rank = earliest[second]
-                if rank < ranks[first]:
-                    ranks[first] = rank
-                if rank < ranks[second]:
-                    ranks[second] = rank
+                if ranks[second] >= unranked:
+                    # ``first`` is before ``second`` in every list holding
+                    # both, and rows ascend: if ``second``'s first holder
+                    # holds ``first``, this is ``second``'s least rank.
+                    user = holder_users[second][0]
+                    at = holder_positions[second][0]
+                    numbers = users[user]
+                    position = bisect_left(numbers, first, 0, at)
+                    if position < at and numbers[position] == first:
+                        ranks[second] = (user * span + position) * span + at
+                    else:
+                        ranks[second] = unranked
                 column = pending_scores[second]
                 column.append(negated)
                 column_partners = pending_partners[second]
@@ -444,6 +460,10 @@ class CcoTrainer:
             scores = pending_scores[first].tolist() + kept_scores
             partners = pending_partners[first].tolist() + kept_partners
             pending_scores[first] = pending_partners[first] = None
+            if ranks[first] == unranked or (kept_partners and ranks[first] == unpaired):
+                ranks[first] = _least_rank(
+                    first, set(kept_partners), users, holder_users, holder_positions, scored, span
+                )
             order = _smallest(scores, keep)
             # Negation flips the sign bit alone: each weight is its score's bits.
             rows.append((
@@ -490,3 +510,33 @@ def _smallest(scores: List[float], keep: int) -> List[int]:
     del order[keep:]
     return order
 
+
+def _least_rank(
+    item: int,
+    later: Set[int],
+    users: List[List[int]],
+    holder_users: List["array[int]"],
+    holder_positions: List["array[int]"],
+    scored: _Scorer,
+    span: int,
+) -> int:
+    """The least rank of a scored pair naming *item*, which no earlier
+    row ranked: at the first of its holders that holds a scored partner,
+    the first such partner.  *later* are the scored partners after
+    *item*.  In the first holder no partner before *item* is scored (it
+    would have ranked it); in a later one such a partner is scored
+    again, ``both`` counted from the two items' holder sets."""
+    holders = None
+    for index, (user, at) in enumerate(zip(holder_users[item], holder_positions[item])):
+        numbers = users[user]
+        for position, partner in enumerate(numbers):
+            if partner > item:
+                if partner in later:
+                    return (user * span + at) * span + position
+            elif partner < item and index:
+                if holders is None:
+                    holders = set(holder_users[item])
+                both = len(holders.intersection(holder_users[partner]))
+                if scored(partner, (item,), (both,))[0]:
+                    return (user * span + position) * span + at
+    raise AssertionError(f"item {item} has a scored pair no holder holds")

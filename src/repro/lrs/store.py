@@ -29,7 +29,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 __all__ = ["FeedbackEvent", "EventStore"]
 
@@ -64,9 +64,6 @@ class _Events(Sequence):
         if isinstance(sequences, range):
             return list(map(self._store._event, sequences))
         return self._store._event(sequences)
-
-    def __iter__(self) -> Iterator[FeedbackEvent]:
-        return map(self._store._event, range(len(self)))
 
 
 class EventStore:
@@ -137,6 +134,15 @@ class EventStore:
         entry[1].append(item_number)
         return sequence
 
+    def identifier(self, sequence: int, column: str) -> str:
+        """One stored event's ``"user"`` or ``"item"``, read from its
+        column: no record is built."""
+        user = self._users[sequence]
+        if column == "user":
+            return self._names[user]
+        sequences, items = self._by_user[user]
+        return self._names[items[bisect_left(sequences, sequence)]]
+
     def rewrite(
         self, sequence: int, *, user: Optional[str] = None, item: Optional[str] = None
     ) -> None:
@@ -199,7 +205,7 @@ class EventStore:
 
     def dump(self) -> List[FeedbackEvent]:
         """The adversary's view of the database contents."""
-        return list(self.events)
+        return self.events[:]
 
     def clear(self) -> None:
         """Drop everything (breach response option 1 of footnote 1)."""

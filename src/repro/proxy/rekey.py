@@ -61,7 +61,9 @@ class OnlineRekeyer:
     rewrites up to *limit* rows in place and returns how many it
     processed.  The cursor survives between calls, so a coordinator
     can interleave batches with live traffic — or stop entirely (a
-    crash, an overload pause) and resume where it stood.  Rows are
+    crash, an overload pause) and resume where it stood.  A row's one
+    identifier is read by sequence
+    (:meth:`repro.lrs.store.EventStore.identifier`, no record built) and
     rewritten through :meth:`repro.lrs.store.EventStore.rewrite`, which
     keeps the user/item indexes consistent mid-pass: gets served
     between batches see a store that is simply part-old, part-new, and
@@ -117,13 +119,14 @@ class OnlineRekeyer:
     def run_batch(self, limit: int = 64) -> int:
         """Rewrite up to *limit* rows; returns the number processed."""
         processed = 0
+        store = self.store
         while processed < limit and self.cursor < self.target:
-            event = self.store.events[self.cursor]
+            sequence = self.cursor
             if self.layer == "UA":
-                self.store.rewrite(event.sequence, user=self._translate(event.user))
+                store.rewrite(sequence, user=self._translate(store.identifier(sequence, "user")))
                 self.users_rekeyed += 1
             else:
-                self.store.rewrite(event.sequence, item=self._translate(event.item))
+                store.rewrite(sequence, item=self._translate(store.identifier(sequence, "item")))
                 self.items_rekeyed += 1
             self.cursor += 1
             processed += 1

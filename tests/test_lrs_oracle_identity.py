@@ -194,6 +194,56 @@ def test_equal_scores_straddling_a_pending_cut_keep_the_seeds_order():
     assert list(uncut.indicators["z"][1]).count(weights[2]) == 6
 
 
+#: ``z``'s first holder ``w0`` holds ``a`` beside it, a pair under the
+#: default threshold; ``w4`` and ``w5`` hold ``y`` beside it, a pair
+#: over it.  ``m`` and ``n``, held together by ``w2`` and ``w3``, are
+#: placed in between.
+FIRST_HOLDER_UNSCORED = (
+    [("w0", "a"), ("w0", "z"), ("w1", "a")]
+    + [("w2", "n"), ("w2", "m"), ("w3", "m"), ("w3", "n")]
+    + [(f"f{index}", "c") for index in range(3)]
+    + [("w4", "z"), ("w4", "y"), ("w5", "y"), ("w5", "z")]
+)
+
+
+def _assert_keys(trainer: CcoTrainer, events, keys) -> None:
+    model = trainer.train(events)
+    assert list(model.indicators) == keys
+    assert model_in_order(model) == model_in_order(reference_train(trainer, events))
+
+
+def test_an_item_whose_first_holder_holds_no_scored_partner_is_placed_at_a_later_one():
+    """``z`` goes where (y, z) at ``w4`` puts it, after (m, n) at ``w2``:
+    not where its first holder's unscored (a, z) would, and not nowhere.
+    ``y`` comes before ``z`` at ``w4``, so that pair is scored again, its
+    ``both`` counted from the two items' holders."""
+    _assert_keys(CcoTrainer(), FIRST_HOLDER_UNSCORED, ["m", "n", "y", "z"])
+
+
+def test_an_item_in_no_scored_pair_has_no_key():
+    """``a`` and ``b`` share three users, an independent table under the
+    threshold: neither gets a key, though ``b``'s first holder holds
+    ``a``."""
+    events = INDEPENDENT + [("w8", "x"), ("w8", "y"), ("w9", "x"), ("w9", "y")]
+    _assert_keys(CcoTrainer(), events, ["x", "y"])
+
+
+def test_a_scored_partner_before_the_item_in_its_first_holder_outranks_one_after():
+    """One user holds ``a``, ``b`` and ``c``, every pair scored: ``b`` goes
+    where (a, b) puts it, not where (b, c) would - after ``c``, which
+    (a, c) places."""
+    events = [("w0", "c"), ("w0", "b"), ("w0", "a")]
+    _assert_keys(CcoTrainer(llr_threshold=0.0), events, ["a", "b", "c"])
+
+
+def test_two_items_that_tie_on_the_pair_they_share_go_smaller_name_first():
+    """(a, b) at ``w2`` places both - ``b`` through a later holder, as its
+    first one holds nothing else - and ``w2`` names ``b`` first; (c, d)
+    at ``w1`` is one tie more."""
+    events = [("w0", "b"), ("w1", "d"), ("w1", "c"), ("w2", "b"), ("w2", "a")]
+    _assert_keys(CcoTrainer(llr_threshold=0.0), events, ["c", "d", "a", "b"])
+
+
 @st.composite
 def co_occurrences(draw):
     """(users, row item count, column item count, users holding both) of
@@ -216,17 +266,19 @@ def co_occurrences(draw):
 @example(table=(8, 6, 4, 3))
 def test_the_trainers_llr_is_the_oracles_bit_for_bit(table):
     """The trainer's LLR (per-item entropies plus per-training cell
-    terms) is ``llr_score``'s float, zero cells, ``count == users`` (an
-    entropy of ``-0.0``) and an independent table rounding below zero
-    included."""
+    terms, summed inline per pair) is ``llr_score``'s float, zero cells,
+    ``count == users`` (an entropy of ``-0.0``) and an independent table
+    rounding below zero included.  A threshold of ``-inf`` keeps every
+    pair, and a kept pair's weight is its negated score negated back."""
     users, count, other, both = table
     cells = (both, count - both, other - both, users - count - other + both)
-    terms = cco._cell_terms(users)
-    row = cco._entropy(terms, count, users - count)
-    column = cco._entropy(terms, other, users - other)
+    scored = cco._Scorer([count, other], users, float("inf"))
+    row, column = scored.entropies
     assert row.hex() == cco_reference._entropy(count, users - count).hex()
     assert column.hex() == cco_reference._entropy(other, users - other).hex()
-    assert cco._llr(terms, row, column, *cells).hex() == llr_score(*cells).hex()
+    kept_scores, kept_partners = scored(0, [1], [both])
+    assert kept_partners == [1]
+    assert (-kept_scores[0]).hex() == llr_score(*cells).hex()
 
 
 def test_llr_is_scored_per_whole_contingency_table():

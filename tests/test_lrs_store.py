@@ -125,6 +125,9 @@ def _assert_same(store, seed):
     assert store.dump() == seed.dump()
     assert interned_names(store) == named_in(seed.dump())
     assert len(store) == len(store.events) == len(seed)
+    for sequence, event in enumerate(seed.dump()):
+        assert store.identifier(sequence, "user") == event.user
+        assert store.identifier(sequence, "item") == event.item
     for user in NAMES + ["ghost"]:
         for limit in (None, 0, 1, 3):
             assert store.user_history(user, limit=limit) == seed.user_history(user, limit=limit)

@@ -5,11 +5,14 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro.crypto.envelope import EnvelopeCodec, PaddingError, decode_identifier, encode_identifier
 from repro.crypto.keys import KeyFactory
 from repro.crypto.provider import RealCryptoProvider, SimCryptoProvider
+from repro.lrs.store import FeedbackEvent
 from repro.proxy.rekey import OnlineRekeyer
 from tests.test_lrs_store import interned_names, named_in
 from tests.test_privacy_history import FEEDBACK, _stack
@@ -81,6 +84,19 @@ def test_rekey_ua_layer():
     assert len(after_users) == len(before_users)
     # ...and the store keeps no pre-rotation pseudonym beside them.
     assert interned_names(harness.engine.store) == named_in(harness.engine.store.dump())
+
+
+@pytest.mark.parametrize("layer", ["UA", "IA"])
+def test_a_rekey_pass_builds_no_record(layer):
+    """A pass reads the one identifier column it rewrites, by sequence:
+    no ``FeedbackEvent`` (a payload lookup and a bisect) per row."""
+    _, loop, harness, service, client, factory = _rekey_setup()
+    old_keys = service.provisioner.layer_keys[layer]
+    new_keys = service.rotate_layer(layer, factory)
+    with mock.patch("repro.lrs.store.FeedbackEvent", wraps=FeedbackEvent) as built:
+        report = _rekey(harness, client, old_keys, new_keys, layer)
+    assert report.events_processed == len(FEEDBACK)
+    assert built.call_count == 0
 
 
 def test_rekey_defeats_stolen_keys():
