@@ -8,9 +8,9 @@ simulator); run them with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_crypto_micro.py
 
-``benchmarks/run_crypto_bench.py`` distils the same measurements into
-``BENCH_crypto.json`` (package vs. seed-reference speedups) so the
-perf trajectory is regressable across PRs.
+The ``crypto`` suite of ``benchmarks/ledger.py`` distils the same
+measurements into ``BENCH_crypto.json`` (package vs. seed-reference
+speedups, each under a floor) so the perf trajectory is regressable.
 """
 
 from __future__ import annotations

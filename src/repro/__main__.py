@@ -28,7 +28,7 @@ commands:
 
 The paper's tables and figures: python examples/reproduce_figures.py;
 the quickstart: python examples/quickstart.py; the event-loop perf
-floors (BENCH_simnet.json): python benchmarks/run_simnet_bench.py.
+floors (BENCH_simnet.json): python benchmarks/ledger.py simnet.
 """
 
 

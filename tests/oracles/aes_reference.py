@@ -9,7 +9,7 @@ GF(2⁸) tables included, that the package's AES-CTR (OpenSSL's, through
 * **The paper's pseudonym** — :func:`reference_det_encrypt`, ``det_enc``
   under a constant IV (§4.1), lives only here: the closure tests run it
   to show the many-time pad the package's Feistel pseudonym removes.
-* **Perf trajectory** — ``benchmarks/run_crypto_bench.py`` measures
+* **Perf trajectory** — ``benchmarks/ledger.py crypto`` measures
   the package against this baseline and records the speedups in
   ``BENCH_crypto.json`` so later changes can regress against them.
 

@@ -1,6 +1,6 @@
 """The LRS-side kernels as they stood before they were made cheap.
 
-References tests (and ``benchmarks/run_lrs_bench.py``) compare
+References tests (and ``benchmarks/ledger.py lrs``) compare
 :meth:`repro.lrs.cco.CcoTrainer.train`,
 :meth:`repro.lrs.cco.CcoModel.recommend` and
 :class:`repro.workload.movielens.SyntheticMovieLens` against, not

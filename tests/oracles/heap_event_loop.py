@@ -1,6 +1,6 @@
 """The seed's binary-heap event loop, kept as the calendar queue's oracle.
 
-A reference tests (and ``benchmarks/run_simnet_bench.py``) compare
+A reference tests (and ``benchmarks/ledger.py simnet``) compare
 :class:`repro.simnet.clock.EventLoop` against, not product code: one
 ``heapq``, one ``__dict__``-backed handle per event, no fast paths.
 Property tests drive both loops through random schedule/cancel/run

@@ -7,7 +7,7 @@ fixed-size encoded all twenty strings again; the JSON wire base64-coded
 the list one entry at a time and the client decoded it one entry at a
 time.  ``b64decode(validate=True)`` was the one base64 decoder, and
 :func:`seed_decode_identifier` checked the zero tail one byte at a
-time.  Slow and obviously right.  ``benchmarks/run_wire_bench.py``
+time.  Slow and obviously right.  ``benchmarks/ledger.py wire``
 times :func:`seed_json_pack_items` / :func:`seed_json_unpack_items` as
 the denominator of its item-payload floors.
 """

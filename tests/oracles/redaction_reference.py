@@ -1,6 +1,6 @@
 """The redaction walk as it stood before the single-pass scrub.
 
-A reference tests (and ``benchmarks/run_telemetry_bench.py``) compare
+A reference tests (and ``benchmarks/ledger.py telemetry``) compare
 :meth:`repro.telemetry.redaction.RedactionPolicy.scrub` against, not
 product code: a recursive walk that copies every container, builds a
 dotted path for every key and index whether or not anything is

@@ -1,6 +1,6 @@
 """The feedback store as it stood before its identifiers were interned.
 
-A reference tests (and ``benchmarks/run_lrs_bench.py``) compare
+A reference tests (and ``benchmarks/ledger.py lrs``) compare
 :class:`repro.lrs.store.EventStore` against, not product code: one
 frozen :class:`~repro.lrs.store.FeedbackEvent` per post in a list, a
 new one built by every rewrite, and a per-user list of sequences.  The

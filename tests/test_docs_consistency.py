@@ -321,7 +321,7 @@ def test_ci_macro_job_runs_the_macro_leg_under_four_hash_seeds():
     scenario or example runs: its own job runs it under the four hash
     seeds and diffs 2-4 against 1."""
     workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
-    job = workflow[workflow.index("\n  macro:\n"):workflow.index("\n  simnet-perf-floor:\n")]
+    job = workflow[workflow.index("\n  macro:\n"):workflow.index("\n  perf-floor:\n")]
     assert re.findall(r"for seed in ([\d ]+); do", job) == ["1 2 3 4", "2 3 4"]
     assert 'PYTHONHASHSEED=$seed PYTHONPATH=src python -c "$MACRO"' in job
     assert "diff macro-1.txt macro-$seed.txt" in job

@@ -162,9 +162,9 @@ def test_every_allow_list_entry_names_a_function_and_a_reason(package):
     [
         (("no reason at all", ""), "is not a reason"),
         ((reach.BENCH, ""), "a caller goes with"),
-        ((reach.STUB, "benchmarks/run_lrs_bench.py"), "a caller goes with"),
+        ((reach.STUB, "benchmarks/ledger.py"), "a caller goes with"),
         ((reach.BENCH, "tests/test_lrs_cco.py"), "is not a benchmark script"),
-        ((reach.BENCH, "benchmarks/run_wire_bench.py"), "does not mention _cmd_validate"),
+        ((reach.BENCH, "benchmarks/ledger.py"), "does not mention _cmd_validate"),
     ],
 )
 def test_a_malformed_allow_list_entry_is_a_problem(monkeypatch, package, entry, problem):

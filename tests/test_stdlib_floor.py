@@ -66,4 +66,4 @@ def test_what_the_floor_has_passes():
 def test_ci_api_lint_job_runs_the_check():
     workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
     job = workflow[workflow.index("\n  api-lint:\n"):workflow.index("\n  scenario:\n")]
-    assert "run: python tools/check_stdlib_floor.py\n" in job
+    assert "run: python tools/check_stdlib_floor.py src benchmarks\n" in job

@@ -97,10 +97,10 @@ ALLOWED: Dict[str, Tuple[str, str]] = {
     "repro.telemetry.redaction:_join": (SAFETY, ""),
     "repro.telemetry.redaction:_preview": (SAFETY, ""),
     # -- timed by a micro-benchmark or read by the end-to-end ledger.
-    "repro.crypto.envelope:EnvelopeCodec.seal_each": (BENCH, "benchmarks/run_wire_bench.py"),
-    "repro.crypto.envelope:EnvelopeCodec.open_each": (BENCH, "benchmarks/run_wire_bench.py"),
-    "repro.rest.messages:Response.with_fields": (BENCH, "benchmarks/run_wire_bench.py"),
-    "repro.lrs.cco:CcoModel._rescored": (BENCH, "benchmarks/run_lrs_bench.py"),
+    "repro.crypto.envelope:EnvelopeCodec.seal_each": (BENCH, "benchmarks/ledger.py"),
+    "repro.crypto.envelope:EnvelopeCodec.open_each": (BENCH, "benchmarks/ledger.py"),
+    "repro.rest.messages:Response.with_fields": (BENCH, "benchmarks/ledger.py"),
+    "repro.lrs.cco:CcoModel._rescored": (BENCH, "benchmarks/ledger.py"),
     "repro.crypto.provider:CryptoProvider.cache_stats": (BENCH, "benchmarks/e2e/harness.py"),
     # Called by nothing: the traced pass replaces it by name.
     "repro.obs.causal:CausalTracer.annotate": (BENCH, "benchmarks/e2e/harness.py"),
@@ -321,7 +321,7 @@ def allow_list_problems(functions: List[Function]) -> List[str]:
         elif caller:
             name = key.rsplit(":", 1)[1].rsplit(".", 1)[-1]
             where = REPO / caller
-            if not re.match(r"benchmarks/(run_\w+_bench\.py|e2e/\S+)$", caller):
+            if not re.match(r"benchmarks/(ledger\.py|e2e/\S+)$", caller):
                 problems.append(f"allow-listed {key}: {caller} is not a benchmark script")
             elif not where.exists() or not re.search(rf"\b{re.escape(name)}\b", where.read_text()):
                 problems.append(f"allow-listed {key}: {caller} does not mention {name}")
