@@ -26,7 +26,7 @@ depends on process state.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.experiments.rig import DrillRig, print_summary, write_verdict
 from repro.faults import ChaosSpec
@@ -122,10 +122,12 @@ def run_chaos(
     seed: int = 7,
     rps: float = 60.0,
     duration: float = 12.0,
+    out_dir: Optional[str] = None,
 ) -> DrillRig:
     """Run the chaos drill once; returns the finished rig (its
-    ``summary`` and ``verdict``, its ``fault`` events)."""
-    rig = DrillRig("chaos", seed, grace=8.0)
+    ``summary`` and ``verdict``).  Given *out_dir*, the telemetry
+    artifact, its ``fault`` events included, is written there."""
+    rig = DrillRig("chaos", seed, grace=8.0, out_dir=out_dir)
     brownout = BrownoutLrs(inner=rig.lrs, loop=rig.loop, rng=rig.rng.stream("brownout"))
     rig.deploy(
         CHAOS_CONFIG,
@@ -162,7 +164,7 @@ def run_chaos(
         **counters,
         "brownout_rejected": brownout.rejected,
         "brownout_slowed": brownout.slowed,
-        "fault_event_count": len(rig.events("fault")),
+        "fault_event_count": rig.event_count("fault"),
         "availability": completed / issued if issued else 1.0,
     }
     rig.finish(summary, chaos_slo_objectives(), {
@@ -179,7 +181,7 @@ def run_chaos(
 def gate(out_dir: str) -> List[str]:
     """``repro run chaos``: the default drill, its telemetry artifact
     and its ``slo.json`` — the drill's whole verdict."""
-    rig = run_chaos()
+    rig = run_chaos(out_dir=out_dir)
     print_summary("chaos drill summary", rig.summary, (
         "seed", "issued", "completed", "failed", "availability",
         "crashes_injected", "restarts_completed", "failovers", "readmissions",
@@ -187,5 +189,4 @@ def gate(out_dir: str) -> List[str]:
         "brownout_rejected", "brownout_slowed",
         "retries_performed", "hedges_launched", "timeouts", "outcomes",
     ))
-    rig.telemetry.write_artifact(out_dir)
     return write_verdict(rig.verdict, out_dir)

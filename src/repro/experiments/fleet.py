@@ -148,10 +148,12 @@ def run_fleet_drill(
     seed: int = 23,
     rps: float = 360.0,
     duration: float = 10.0,
+    out_dir: Optional[str] = None,
 ) -> DrillRig:
     """Run the shard-loss-mid-split drill once; returns the finished rig
-    (its ``summary`` and ``verdict``, its ``fleet`` events)."""
-    rig = DrillRig("fleet", seed, grace=6.0, frontends=3)
+    (its ``summary`` and ``verdict``).  Given *out_dir*, the telemetry
+    artifact, its ``fleet`` events included, is written there."""
+    rig = DrillRig("fleet", seed, grace=6.0, frontends=3, out_dir=out_dir)
     rig.deploy(
         FLEET_CONFIG,
         shards=SHARDS,
@@ -214,7 +216,7 @@ def run_fleet_drill(
         ),
         "reject_violation_count": len(reject_auditor.violations()),
         "placement_problem_count": len(placement_violations(fleet)),
-        "fleet_event_count": len(rig.events("fleet")),
+        "fleet_event_count": rig.event_count("fleet"),
         # The S*I bound (I = live IA instances per shard).
         "required_anonymity": shuffle_size * max(1, instances_per_shard),
         "goodput": (
@@ -243,7 +245,7 @@ def run_fleet_drill(
 def gate(out_dir: str) -> List[str]:
     """``repro run fleet``: the default drill; writes ``fleet.json``,
     ``slo.json`` and the telemetry artifact."""
-    rig = run_fleet_drill()
+    rig = run_fleet_drill(out_dir=out_dir)
     print_summary("fleet drill summary", rig.summary, (
         "seed", "issued", "completed", "failed", "goodput",
         "crashes_injected", "restarts_completed", "ejections", "readmissions",
@@ -255,5 +257,4 @@ def gate(out_dir: str) -> List[str]:
         "min_effective_anonymity", "required_anonymity", "shed_total", "outcomes",
     ))
     write_json(rig.summary, out_dir, "fleet.json")
-    rig.telemetry.write_artifact(out_dir)
     return write_verdict(rig.verdict, out_dir)

@@ -242,6 +242,7 @@ def _run_point(
     multiplier: float,
     *,
     protected: bool,
+    out_dir: Optional[str] = None,
 ) -> DrillRig:
     """One cell of the sweep, in a fresh simulation context; appended
     to *sweep* before the run is closed so the run-end record carries
@@ -252,6 +253,7 @@ def _run_point(
     rig = DrillRig(
         "overload", sweep["seed"], grace=3.0, costs=overload_cost_model(),
         run_label=f"overload/seed{sweep['seed']}/{variant}/x{multiplier:g}",
+        out_dir=out_dir,
     )
     guard: Optional[GuardedLrs] = None
     if protected:
@@ -332,6 +334,7 @@ def _run_point(
 def run_overload(
     seed: int = 7,
     duration: float = 6.0,
+    out_dir: Optional[str] = None,
 ) -> DrillRig:
     """Run the offered-load sweep; returns the headline cell's finished
     rig, whose ``summary`` holds every cell and whose ``verdict`` judges
@@ -339,7 +342,7 @@ def run_overload(
 
     The headline cell — the protected deployment at the highest
     multiplier, run last — is a real overload episode, and its rig's
-    ``telemetry`` hub is the artifact a gate writes.  Every cell is a
+    ``telemetry`` hub is the artifact written under *out_dir*, if given.  Every cell is a
     separate deployment with a hub of its own (mixing their instruments
     in one registry would alias instance names) and is judged by its
     own engine; only the headline's verdict is the sweep's.
@@ -353,7 +356,10 @@ def run_overload(
     }
     for multiplier in MULTIPLIERS:
         for protected in (False, True):
-            rig = _run_point(sweep, multiplier, protected=protected)
+            headline = protected and multiplier == max(MULTIPLIERS)
+            rig = _run_point(
+                sweep, multiplier, protected=protected, out_dir=out_dir if headline else None
+            )
     return rig
 
 
@@ -361,7 +367,7 @@ def gate(out_dir: str) -> List[str]:
     """``repro run overload``: the default sweep, the headline cell's
     telemetry artifact and ``slo.json``, and the graceful-degradation
     checks."""
-    rig = run_overload()
+    rig = run_overload(out_dir=out_dir)
     sweep = rig.summary
     print("overload sweep summary")
     print("======================")
@@ -382,5 +388,4 @@ def gate(out_dir: str) -> List[str]:
             f" {cell['issued']:7d} {cell['goodput_rps']:8.2f} {cell['p50_seconds']:8.4f}"
             f" {cell['p99_seconds']:8.4f} {cell['shed_total']:6d} {anonymity:>7s}"
         )
-    rig.telemetry.write_artifact(out_dir)
     return write_verdict(rig.verdict, out_dir)

@@ -6,7 +6,8 @@ micro run — follows the paper's §8 methodology: deploy, inject at a
 fixed rate, let it drain, report.  :class:`DrillRig` writes that
 sequence once, as a plain object the drivers call top to bottom::
 
-    rig = DrillRig("chaos", seed, grace=8.0)      # context + telemetry + LRS
+    rig = DrillRig("chaos", seed, grace=8.0,      # context + telemetry + LRS
+                   out_dir=out_dir)               #   (+ its streamed artifact)
     rig.deploy(config, **client_options)          # deployment (or fleet + its supervisor) + client
     rig.observe_wire()                            # optional: adversary + reject auditor
     rig.add_monitor(0.25)                         # optional: health monitor
@@ -144,12 +145,17 @@ class DrillRig:
         frontends: int = 0,
         costs: ProxyCostModel = DEFAULT_COSTS,
         loop: Optional[Any] = None,
+        out_dir: Optional[str] = None,
     ) -> None:
         """Context, telemetry hub and LRS backend.
 
         The rig builds the run's hub and binds it to the run's loop:
-        :attr:`telemetry` is the only hub the run records into, and the
-        one whose artifact a gate writes.
+        :attr:`telemetry` is the only hub the run records into, and
+        every record it emits is built and re-checked by the redaction
+        audit.  Given *out_dir*, the hub streams its records to
+        ``telemetry.jsonl`` there from the first one on, and
+        :meth:`finish` closes that file and writes ``telemetry.prom``;
+        without one, it writes none and keeps none.
 
         *frontends* > 0 puts a real :class:`HarnessService` behind the
         proxy; 0 means the nginx stub.  *grace* is the drain time after
@@ -159,6 +165,11 @@ class DrillRig:
         self.scenario = scenario
         self.grace = grace
         self.telemetry = Telemetry(scrape_interval=1.0)
+        self.out_dir = out_dir
+        if out_dir is not None:
+            self.telemetry.open_artifact(out_dir)
+        else:
+            self.telemetry.stream_to(None)
         self.ctx = SimContext.fresh(seed, costs=costs, telemetry=self.telemetry, loop=loop)
         self.loop = self.ctx.loop
         self.rng = self.ctx.rng
@@ -456,11 +467,9 @@ class DrillRig:
             )
         return {name: sources[name]() for name in names}
 
-    def events(self, kind: str) -> List[Dict[str, Any]]:
-        """The run's structured events of one kind, in emission order."""
-        return [
-            event.to_dict() for event in self.telemetry.event_log.events if event.kind == kind
-        ]
+    def event_count(self, kind: str) -> int:
+        """How many events of one kind the run has emitted."""
+        return self.telemetry.event_log.counts.get(kind, 0)
 
     def finish(
         self,
@@ -476,7 +485,8 @@ class DrillRig:
         is judged by its engine; a run never watched is judged
         statically at the clock's end, under its run label, and its
         record carries that verdict as ``slo`` (no ``slo_verdict`` event
-        holds it).  Keeps :attr:`summary` and :attr:`verdict`.
+        holds it).  Keeps :attr:`summary` and :attr:`verdict`, and
+        closes the telemetry artifact if the rig was given an out-dir.
         """
         values = {**summary, **(checks or {})}
         record = {"scenario": self.scenario, **summary}
@@ -489,6 +499,8 @@ class DrillRig:
             record["slo"] = self.verdict.to_dict()
         self.summary = summary
         self.telemetry.finalize_run(extra=record)
+        if self.out_dir is not None:
+            self.telemetry.close_artifact()
         return self.verdict
 
 

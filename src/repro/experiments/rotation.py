@@ -32,7 +32,7 @@ CI job diffs two separate invocations).
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.crypto.keys import KeyFactory
 from repro.experiments.rig import POST_SHARE, DrillRig, Flush, print_summary, write_verdict
@@ -167,9 +167,11 @@ def run_rotation(
     seed: int = 11,
     rps: float = 140.0,
     duration: float = 10.0,
+    out_dir: Optional[str] = None,
 ) -> DrillRig:
     """Run the live-rotation drill once; returns the finished rig (its
-    ``summary`` and ``verdict``, its ``rotation`` events).
+    ``summary`` and ``verdict``).  Given *out_dir*, the telemetry
+    artifact, its ``rotation`` events included, is written there.
 
     A feedback prefix is stored (and the recommender trained) before
     traffic starts, so the online re-encryption has a real old-epoch
@@ -177,7 +179,7 @@ def run_rotation(
     it.  The SLO engine attaches after preload, so the series behind
     the verdict covers only the drill.
     """
-    rig = DrillRig("rotation", seed, grace=6.0, frontends=3)
+    rig = DrillRig("rotation", seed, grace=6.0, frontends=3, out_dir=out_dir)
     #: epoch_ttl models a stale client population: material is cached
     #: for a second, so requests sealed under the outgoing keys keep
     #: arriving after the announce and the dual window does real work.
@@ -290,7 +292,7 @@ def run_rotation(
         "cross_epoch_user_overlap": len(overlap),
         "pre_announce_pseudonyms": len(before["user"]),
         "post_retire_pseudonyms": len(after["user"]),
-        "rotation_event_count": len(rig.events("rotation")),
+        "rotation_event_count": rig.event_count("rotation"),
         # The S*I bound, and the worst released-batch anonymity inside
         # the window (0 when no batch was released there).
         "required_anonymity": shuffle_size * max(1, ia_instances),
@@ -310,7 +312,7 @@ def gate(out_dir: str) -> List[str]:
     """``repro run rotation``: the default drill, its telemetry
     artifact and its ``slo.json`` — zero downtime, the anonymity floor
     and every linkage check in one verdict."""
-    rig = run_rotation()
+    rig = run_rotation(out_dir=out_dir)
     print_summary("rotation drill summary", rig.summary, (
         "seed", "issued", "completed", "failed",
         "old_epoch", "new_epoch", "final_state", "window_seconds",
@@ -321,5 +323,4 @@ def gate(out_dir: str) -> List[str]:
         "min_window_flush", "effective_anonymity_floor", "required_anonymity",
         "cross_epoch_user_overlap", "outcomes",
     ))
-    rig.telemetry.write_artifact(out_dir)
     return write_verdict(rig.verdict, out_dir)

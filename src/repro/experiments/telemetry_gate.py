@@ -23,8 +23,10 @@ __all__ = ["gate"]
 
 
 def gate(out_dir: str) -> List[str]:
-    """``repro run telemetry``: run, self-check, write the artifact."""
+    """``repro run telemetry``: run into the streamed artifact, then
+    self-check what it holds."""
     telemetry = Telemetry(scrape_interval=1.0)
+    telemetry.open_artifact(out_dir)
     result = run_micro(
         MICRO_CONFIGS["m6"], 40.0, seed=7, runs=1, duration=8.0, trim=2.0,
         telemetry=telemetry,
@@ -37,7 +39,7 @@ def gate(out_dir: str) -> List[str]:
         if count != completed or not completed:
             problems.append(f"{stage}: {count} requests timed, {completed} completed")
 
-    paths = telemetry.write_artifact(out_dir)
+    paths = telemetry.close_artifact()
     with open(paths["events"], "r", encoding="utf-8") as handle:
         records = EventLog.parse_jsonl(handle.read())
     if not records:

@@ -29,7 +29,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 __all__ = ["FeedbackEvent", "EventStore"]
 
@@ -134,22 +134,13 @@ class EventStore:
         entry[1].append(item_number)
         return sequence
 
-    def identifier(self, sequence: int, column: str) -> str:
-        """One stored event's ``"user"`` or ``"item"``, read from its
-        column: no record is built."""
-        user = self._users[sequence]
-        if column == "user":
-            return self._names[user]
-        sequences, items = self._by_user[user]
-        return self._names[items[bisect_left(sequences, sequence)]]
+    def translate(self, sequence: int, column: str, translate: Callable[[str], str]) -> None:
+        """Replace one stored event's ``"user"`` or ``"item"`` with
+        ``translate(old)``, in place.
 
-    def rewrite(
-        self, sequence: int, *, user: Optional[str] = None, item: Optional[str] = None
-    ) -> None:
-        """Replace identifier columns of one stored event, in place.
-
-        Used by the online re-key pass: the record keeps its sequence
-        and payload, only the pseudonymous identifiers change, and the
+        Used by the online re-key pass, row by row: the column is read
+        and rewritten with no record built and one search of the user's
+        sequences, the record keeps its sequence and payload, and the
         per-user index stays consistent so lookups served between re-key
         batches remain correct.  An identifier no event names any more
         is forgotten.
@@ -159,13 +150,12 @@ class EventStore:
         position = bisect_left(sequences, sequence)
         # Hold the new number before releasing the old: a rewrite onto
         # the same identifier never drops it.
-        if item is not None:
+        if column == "item":
             old_item = items[position]
-            items[position] = self._hold(item)
+            items[position] = self._hold(translate(self._names[old_item]))
             self._release(old_item)
-        if user is None:
             return
-        new_user = self._hold(user)
+        new_user = self._hold(translate(self._names[old_user]))
         self._release(old_user)
         if new_user == old_user:
             return

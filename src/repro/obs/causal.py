@@ -57,7 +57,8 @@ class CausalTracer:
 
     ``clock`` is the virtual-time source; ``event_log`` (optional) is
     a :class:`repro.telemetry.events.EventLog` receiving ``cspan`` /
-    ``bspan`` records.  All counters are public for audits.
+    ``bspan`` records.  A log with no sink only counts them, so no
+    record payload is built.  All counters are public for audits.
     """
 
     def __init__(
@@ -125,7 +126,11 @@ class CausalTracer:
         if call is None:
             return
         self.calls_settled += 1
-        if self.event_log is None:
+        log = self.event_log
+        if log is None:
+            return
+        if log.sink is None:
+            log.count("cspan")
             return
         call["ended"] = ended = self.clock()
         call["duration"] = ended - call["started"]
@@ -150,9 +155,13 @@ class CausalTracer:
         fan_in = self._absorbed.pop(instance, 0)
         self.fan_in_total += fan_in
         self.batch_spans += 1
-        if self.event_log is None:
+        log = self.event_log
+        if log is None:
             return
-        self.event_log.emit(
+        if log.sink is None:
+            log.count("bspan")
+            return
+        log.emit(
             "bspan",
             "ua",
             {

@@ -17,8 +17,9 @@ observability stack armed at once:
 
 Everything the run emits into ``profile.json`` / ``profile.folded`` /
 ``trace.jsonl`` / ``slo.json`` is a function of the seed alone (trace
-ids and event ``seq`` numbers restart with the run).  ``python -m
-repro run obs`` (:func:`gate`) writes them; CI runs the gate in two
+ids and event ``seq`` numbers restart with the run).  ``trace.jsonl``
+is streamed as the run emits its records; ``python -m repro run obs``
+(:func:`gate`) writes the rest after it; CI runs the gate in two
 fresh processes and ``diff -r`` the trees.  Host-dependent numbers
 (wall seconds per stack) go to ``profile_meta.json``, which is never
 diffed.
@@ -26,9 +27,9 @@ diffed.
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Any, Dict, List
+from contextlib import ExitStack
+from typing import Any, Dict, List, Optional
 
 from repro.obs.profiler import ProfiledLoop, profile_snapshot, write_profile
 from repro.obs.slo import Objective, run_end_objectives, write_slo
@@ -41,8 +42,7 @@ __all__ = [
 ]
 
 #: Event kinds that belong to the causal/SLO plane and land in
-#: ``trace.jsonl`` (the rest of the event log stays in the telemetry
-#: artifact).
+#: ``trace.jsonl`` (the rest of the event log is only counted).
 TRACE_EVENT_KINDS = ("cspan", "bspan", "slo")
 
 #: Causal stacks the gate prints, by call count.
@@ -101,10 +101,13 @@ def run_obs_scenario(
     seed: int = 7,
     rps: float = 80.0,
     duration: float = 4.0,
+    out_dir: Optional[str] = None,
 ) -> Any:
     """Run the micro deployment with the full observability stack armed;
     returns the finished :class:`~repro.experiments.rig.DrillRig` (its
-    profiled ``loop``, its ``telemetry``, ``summary`` and ``verdict``)."""
+    profiled ``loop``, its ``telemetry``, ``summary`` and ``verdict``).
+    Given *out_dir*, the run streams its ``cspan`` / ``bspan`` / ``slo``
+    records to ``trace.jsonl`` there."""
     # Imports are local so ``repro.obs`` stays importable on its own
     # (the package is also used by tools that never build a service).
     from repro.experiments.rig import DrillRig
@@ -115,67 +118,66 @@ def run_obs_scenario(
     loop = ProfiledLoop(EventLoop())
     rig = DrillRig("obs", seed, grace=2.0, loop=loop)
     hub = rig.telemetry
-    tracer = hub.tracer
-    tracer.attach_metrics(hub.registry)
-    config = PProxConfig(
-        ua_instances=2,
-        ia_instances=2,
-        shuffle_size=4,
-        shuffle_timeout=0.25,
-        balancing="round-robin",
-    )
-    rig.deploy(
-        config,
-        request_timeout=0.5,
-        max_retries=2,
-        causal=tracer,
-    )
-    rig.service.runtime.causal = tracer
-    adversary, _ = rig.observe_wire()
-    # The stack's instruments chain the tracer's batch spans onto the
-    # UA shuffle buffers, behind the flush histogram.
-    rig.instrument()
-    rig.offer(rps, duration, users=60)
+    with ExitStack() as files:
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            trace = files.enter_context(
+                open(os.path.join(out_dir, "trace.jsonl"), "w", encoding="utf-8")
+            )
+            hub.stream_to(trace, kinds=TRACE_EVENT_KINDS)
+        tracer = hub.tracer
+        tracer.attach_metrics(hub.registry)
+        config = PProxConfig(
+            ua_instances=2,
+            ia_instances=2,
+            shuffle_size=4,
+            shuffle_timeout=0.25,
+            balancing="round-robin",
+        )
+        rig.deploy(
+            config,
+            request_timeout=0.5,
+            max_retries=2,
+            causal=tracer,
+        )
+        rig.service.runtime.causal = tracer
+        adversary, _ = rig.observe_wire()
+        # The stack's instruments chain the tracer's batch spans onto the
+        # UA shuffle buffers, behind the flush histogram.
+        rig.instrument()
+        rig.offer(rps, duration, users=60)
 
-    rig.watch({
-        "anonymity_floor": lambda: rig.anonymity_floor(rig.offered_window(layer="UA")),
-    })
-    rig.run()
+        rig.watch({
+            "anonymity_floor": lambda: rig.anonymity_floor(rig.offered_window(layer="UA")),
+        })
+        rig.run()
 
-    link = tracer.link_report()
-    summary = {
-        "seed": seed,
-        **rig.counters_for("issued", "completed", "failed", "audit_violations"),
-        "link": link,
-        "severed_cleanly": tracer.severed_cleanly(),
-        "trace_exposure_count": len(trace_field_exposures(adversary.observations)),
-    }
-    rig.finish(
-        summary,
-        obs_slo_objectives(float(config.shuffle_size * config.ia_instances)),
-        {"batch_spans": link.get("batch_spans", 0)},
-    )
+        link = tracer.link_report()
+        summary = {
+            "seed": seed,
+            **rig.counters_for("issued", "completed", "failed", "audit_violations"),
+            "link": link,
+            "severed_cleanly": tracer.severed_cleanly(),
+            "trace_exposure_count": len(trace_field_exposures(adversary.observations)),
+        }
+        rig.finish(
+            summary,
+            obs_slo_objectives(float(config.shuffle_size * config.ia_instances)),
+            {"batch_spans": link.get("batch_spans", 0)},
+        )
     return rig
 
 
 def write_obs_artifacts(rig: Any, out_dir: str) -> Dict[str, str]:
-    """Write the run's artifact set; returns basename -> path.
-
-    ``trace.jsonl`` holds only the causal/SLO plane (``cspan`` /
-    ``bspan`` / ``slo`` events).
-    """
-    os.makedirs(out_dir, exist_ok=True)
+    """Write the rest of the run's artifact set beside the
+    ``trace.jsonl`` that :func:`run_obs_scenario` streamed into
+    *out_dir*; returns basename -> path."""
     paths = write_profile(rig.loop, out_dir)
-    trace_path = os.path.join(out_dir, "trace.jsonl")
-    with open(trace_path, "w") as fh:
-        for event in rig.telemetry.event_log.events:
-            if event.kind in TRACE_EVENT_KINDS:
-                fh.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
     return {
         "profile.json": paths["profile"],
         "profile.folded": paths["folded"],
         "profile_meta.json": paths["meta"],
-        "trace.jsonl": trace_path,
+        "trace.jsonl": os.path.join(out_dir, "trace.jsonl"),
         "slo.json": write_slo(rig.verdict, out_dir),
     }
 
@@ -183,7 +185,7 @@ def write_obs_artifacts(rig: Any, out_dir: str) -> Dict[str, str]:
 def gate(out_dir: str) -> List[str]:
     """``repro run obs``: the micro scenario's artifacts and its SLO
     verdict, severing checks included."""
-    rig = run_obs_scenario()
+    rig = run_obs_scenario(out_dir=out_dir)
     write_obs_artifacts(rig, out_dir)
     summary = rig.summary
     print(

@@ -62,10 +62,9 @@ class OnlineRekeyer:
     processed.  The cursor survives between calls, so a coordinator
     can interleave batches with live traffic — or stop entirely (a
     crash, an overload pause) and resume where it stood.  A row's one
-    identifier is read by sequence
-    (:meth:`repro.lrs.store.EventStore.identifier`, no record built) and
-    rewritten through :meth:`repro.lrs.store.EventStore.rewrite`, which
-    keeps the user/item indexes consistent mid-pass: gets served
+    identifier is read and rewritten by sequence in one
+    :meth:`repro.lrs.store.EventStore.translate` call, no record built,
+    which keeps the user/item indexes consistent mid-pass: gets served
     between batches see a store that is simply part-old, part-new, and
     the dual-epoch response path resolves both.
     """
@@ -120,13 +119,12 @@ class OnlineRekeyer:
         """Rewrite up to *limit* rows; returns the number processed."""
         processed = 0
         store = self.store
+        column = "user" if self.layer == "UA" else "item"
         while processed < limit and self.cursor < self.target:
-            sequence = self.cursor
+            store.translate(self.cursor, column, self._translate)
             if self.layer == "UA":
-                store.rewrite(sequence, user=self._translate(store.identifier(sequence, "user")))
                 self.users_rekeyed += 1
             else:
-                store.rewrite(sequence, item=self._translate(store.identifier(sequence, "item")))
                 self.items_rekeyed += 1
             self.cursor += 1
             processed += 1

@@ -11,12 +11,12 @@ these calls (never the method) as they travel; the adversary observing
 the wire sees only JSON with base64 blobs of constant size.
 
 Messages are values: nothing mutates ``fields`` in place, every rewrite
-goes through a constructor, :meth:`with_fields` or
+goes through a constructor — directly, in :meth:`with_fields`, or in
 ``dataclasses.replace``.  That is what lets a hop that did *not*
 rewrite a message forward the bytes it arrived in.  ``arrived_as`` —
 ``(codec, data)``, attached by :meth:`repro.rest.codec.WireFrame.decode`
 and by nobody else — is declared ``init=False, compare=False``, so
-every one of those rewrites drops it: a message that still carries it
+every one of those constructions drops it: a message that still carries it
 is, by construction, the message that was parsed from ``data``.  The
 one construction that keeps it is :meth:`Request.readdressed`, because
 the source address is not part of the body.
@@ -24,7 +24,7 @@ the source address is not part of the body.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from json import JSONEncoder
 from typing import Any, Dict, Optional, Tuple
 
@@ -83,7 +83,7 @@ class Request:
                 new_fields.pop(key, None)
             else:
                 new_fields[key] = value
-        return replace(self, fields=new_fields)
+        return Request(self.verb, new_fields, self.request_id, self.client_address)
 
     def body_json(self) -> str:
         """Serialize the JSON body as it would appear on the wire."""
@@ -119,7 +119,7 @@ class Response:
                 new_fields.pop(key, None)
             else:
                 new_fields[key] = value
-        return replace(self, fields=new_fields)
+        return Response(self.status, new_fields, self.request_id)
 
     def body_json(self) -> str:
         """Serialize the JSON body as it would appear on the wire."""

@@ -16,7 +16,9 @@ traffic-correlation adversary of §4:
   instruments with Prometheus-style text exposition and a
   virtual-time scraper;
 * :mod:`repro.telemetry.events` — the fluentd-style structured event
-  log (JSONL artifact per experiment run);
+  log: it counts every record and keeps none, writing each one to its
+  JSONL stream (the artifact of an experiment run), if it has one, as
+  it is emitted;
 * :mod:`repro.telemetry.redaction` — the privacy boundary: UA-origin
   events may never carry item ids, IA-origin events never user ids;
 * :mod:`repro.telemetry.instruments` — wiring helpers that register

@@ -5,24 +5,27 @@ A :class:`Telemetry` owns the tracer (the one
 event log, and the scraper, and survives across the multiple
 ``EventLoop`` instances an experiment sweep creates (one per run):
 :meth:`bind` re-points the virtual clocks at each fresh loop, while
-instruments and accumulated events carry over so the final artifact
+instruments and the event log's stream carry over so the artifact
 covers the whole sweep.
 
-Per-run artifacts land under ``results/`` as a JSONL event log plus a
-Prometheus text-format metrics dump; :meth:`audit` re-checks every
-recorded event against the redaction policy (the adversary's-eye
-pass), and :meth:`render_summary` gives the human-readable digest the
-report module embeds.
+The event log keeps no record.  A hub whose run writes an artifact
+opens it first (:meth:`open_artifact`): each record then goes to the
+JSONL file as it is emitted, and :meth:`close_artifact` adds the
+Prometheus text-format metrics dump and closes the file.  A hub with no
+stream only counts records.  :meth:`audit` returns what the stream's
+re-check of each written record found (the adversary's-eye pass), and
+:meth:`render_summary` gives the human-readable digest the report
+module embeds.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Collection, Dict, List, Optional, TextIO
 
 from repro.obs.causal import PIPELINE_STAGES, CausalTracer
-from repro.telemetry.events import EventLog
-from repro.telemetry.redaction import Violation, audit_events
+from repro.telemetry.events import EventLog, JsonlSink
+from repro.telemetry.redaction import Violation
 from repro.telemetry.registry import MetricRegistry, Scraper
 
 __all__ = ["Telemetry"]
@@ -39,6 +42,8 @@ class Telemetry:
         self.tracer = CausalTracer(clock=self.now, event_log=self.event_log)
         self.scraper: Optional[Scraper] = None
         self.run_label = ""
+        #: Directory of the artifact :meth:`open_artifact` opened.
+        self._artifact_dir = ""
 
     # -- virtual time ----------------------------------------------------
 
@@ -89,22 +94,45 @@ class Telemetry:
     # -- privacy audit ---------------------------------------------------
 
     def audit(self) -> List[Violation]:
-        """Adversary's-eye re-scan of every recorded event.
+        """Adversary's-eye re-check of every record the stream wrote.
 
-        Returns violations found in the *stored* events; a clean
-        pipeline returns ``[]`` even though the boundary would already
-        have scrubbed (and recorded) anything caught at emission time.
+        Each record is re-scanned as it is handed to the sink, written
+        or not, so this covers every record the artifact could hold: a
+        clean pipeline returns ``[]`` even though the boundary already
+        scrubbed (and recorded, in ``event_log.violations``) anything
+        caught at emission time.  A hub with no sink built no record
+        and returns ``[]``.
         """
-        return audit_events(event.to_dict() for event in self.event_log.events)
+        sink = self.event_log.sink
+        return list(sink.leaks) if sink is not None else []
 
     # -- artifacts -------------------------------------------------------
 
-    def write_artifact(self, directory: str, basename: str = "telemetry") -> Dict[str, str]:
-        """Write the JSONL event log + Prometheus dump under *directory*."""
+    def stream_to(
+        self, stream: Optional[TextIO], kinds: Optional[Collection[str]] = None
+    ) -> None:
+        """Build and re-check every record from now on, and write it (of
+        *kinds*, if given) to the text *stream*, one JSONL line each, as
+        it is emitted; with no *stream*, write none.  What an earlier
+        sink's re-check found stays in :meth:`audit`."""
+        earlier = self.event_log.sink
+        self.event_log.sink = sink = JsonlSink(stream, kinds)
+        if earlier is not None:
+            sink.leaks = earlier.leaks
+
+    def open_artifact(self, directory: str) -> None:
+        """Stream the event log to ``telemetry.jsonl`` under *directory*;
+        :meth:`close_artifact` writes ``telemetry.prom`` beside it."""
         os.makedirs(directory, exist_ok=True)
-        jsonl_path = os.path.join(directory, f"{basename}.jsonl")
-        prom_path = os.path.join(directory, f"{basename}.prom")
-        self.event_log.write_jsonl(jsonl_path)
+        self._artifact_dir = directory
+        self.stream_to(open(os.path.join(directory, "telemetry.jsonl"), "w", encoding="utf-8"))
+
+    def close_artifact(self) -> Dict[str, str]:
+        """Close the event stream :meth:`open_artifact` opened and write
+        the Prometheus dump; returns both paths."""
+        self.event_log.sink.stream.close()
+        jsonl_path = os.path.join(self._artifact_dir, "telemetry.jsonl")
+        prom_path = os.path.join(self._artifact_dir, "telemetry.prom")
         with open(prom_path, "w", encoding="utf-8") as handle:
             handle.write(self.registry.render_prometheus())
         return {"events": jsonl_path, "metrics": prom_path}
@@ -138,7 +166,7 @@ class Telemetry:
             if instrument is not None:
                 lines.append(f"{gauge_name} = {instrument.value():.3f}")
         lines.append(
-            f"events: {len(self.event_log)} recorded,"
+            f"events: {len(self.event_log)} emitted,"
             f" {len(self.event_log.violations)} boundary redactions"
         )
         return "\n".join(lines)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import itertools
+import os
 import random
 
 import pytest
@@ -15,6 +17,7 @@ from repro.rest import messages
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
+from repro.telemetry.events import EventLog
 
 
 def tap_flows(network: Network) -> list:
@@ -60,6 +63,28 @@ def constant_size_violations(records) -> list:
 #: Request ids for hand-built test messages (product code draws them
 #: from a context's or a client's own counter).
 _REQUEST_IDS = itertools.count(1)
+
+
+def streamed(telemetry) -> io.StringIO:
+    """An in-memory text stream *telemetry*'s event log writes every
+    record to from now on (read it back with :func:`written`)."""
+    stream = io.StringIO()
+    telemetry.stream_to(stream)
+    return stream
+
+
+def written(stream: io.StringIO, kind=None) -> list:
+    """The records *stream* holds, in emission order; of *kind* only,
+    if given."""
+    records = EventLog.parse_jsonl(stream.getvalue())
+    return [record for record in records if kind is None or record["kind"] == kind]
+
+
+def drill_records(rig, kind=None) -> list:
+    """The records of the ``telemetry.jsonl`` a drill rig streamed into
+    its out-dir, as :func:`written` reads them."""
+    with open(os.path.join(rig.out_dir, "telemetry.jsonl"), encoding="utf-8") as handle:
+        return written(io.StringIO(handle.read()), kind)
 
 
 def make_get(user, client_address="client", request_id=None, **extra):

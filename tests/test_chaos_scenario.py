@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.chaos import run_chaos
 from repro.experiments.registry import EXPERIMENT_INDEX
 from repro.telemetry import EventLog
-from tests.conftest import objective
+from tests.conftest import drill_records, objective
 
 
 @pytest.fixture(scope="module")
-def rig():
-    """One shared short drill (the scenario is deterministic)."""
-    return run_chaos(seed=7, rps=50.0, duration=8.0)
+def rig(tmp_path_factory):
+    """One shared short drill (the scenario is deterministic), its
+    telemetry streamed to an out-dir."""
+    return run_chaos(seed=7, rps=50.0, duration=8.0, out_dir=str(tmp_path_factory.mktemp("chaos")))
 
 
 @pytest.fixture(scope="module")
@@ -67,19 +70,19 @@ def test_redaction_audit_clean_on_error_paths(drill):
     assert drill["audit_violations"] == 0
 
 
-def test_same_seed_runs_are_identical(rig):
-    again = run_chaos(seed=7, rps=50.0, duration=8.0)
-    assert again.events("fault") == rig.events("fault")
+def test_same_seed_runs_are_identical(rig, tmp_path):
+    again = run_chaos(seed=7, rps=50.0, duration=8.0, out_dir=str(tmp_path))
+    assert drill_records(again, "fault") == drill_records(rig, "fault")
     assert again.summary == rig.summary
 
 
-def test_different_seed_runs_differ(rig):
-    other = run_chaos(seed=11, rps=50.0, duration=8.0)
-    assert other.events("fault") != rig.events("fault")
+def test_different_seed_runs_differ(rig, tmp_path):
+    other = run_chaos(seed=11, rps=50.0, duration=8.0, out_dir=str(tmp_path))
+    assert drill_records(other, "fault") != drill_records(rig, "fault")
 
 
 def test_fault_events_cover_injection_and_recovery(rig):
-    names = [event["event"] for event in rig.events("fault")]
+    names = [event["event"] for event in drill_records(rig, "fault")]
     for expected in (
         "instance_crashed", "instance_restarted",
         "instance_ejected", "instance_readmitted",
@@ -88,17 +91,17 @@ def test_fault_events_cover_injection_and_recovery(rig):
         assert expected in names, f"missing fault event {expected!r}"
 
 
-def test_telemetry_artifact_records_the_drill(rig, tmp_path):
-    rig.telemetry.write_artifact(str(tmp_path))
-    content = (tmp_path / "telemetry.jsonl").read_text(encoding="utf-8")
+def test_telemetry_artifact_records_the_drill(rig):
+    out_dir = Path(rig.out_dir)
+    content = (out_dir / "telemetry.jsonl").read_text(encoding="utf-8")
     assert '"instance_crashed"' in content
-    assert rig.events("fault")  # the same events, structured
-    assert (tmp_path / "telemetry.prom").read_text(encoding="utf-8")
+    assert rig.event_count("fault")
+    assert (out_dir / "telemetry.prom").read_text(encoding="utf-8")
     # A reader filtering the artifact on ``kind`` finds exactly the
-    # events the in-memory envelope filter returned: the payload's own
+    # events the log counted under that envelope kind: the payload's own
     # fault kind travels as ``fault_kind`` and never clobbers it.
     lines = [line for line in EventLog.parse_jsonl(content) if line["kind"] == "fault"]
-    assert lines == rig.events("fault")
+    assert len(lines) == rig.event_count("fault")
     assert {"crash", "partition", "brownout"} <= {
         line["fault_kind"] for line in lines if "fault_kind" in line
     }

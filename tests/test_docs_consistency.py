@@ -281,8 +281,8 @@ def test_one_operator_timeline():
 
 
 def test_a_run_owns_its_telemetry_hub():
-    """A drill's hub is the one its rig builds and a gate writes
-    ``rig.telemetry``; ``run_micro`` is the one runner a caller hands a
+    """A drill's hub is the one its rig builds, streaming to the out-dir
+    a gate hands it; ``run_micro`` is the one runner a caller hands a
     hub, and the two-phase scenario records into none."""
     experiments = REPO / "src" / "repro" / "experiments"
     building = sorted(

@@ -30,14 +30,14 @@ from repro.obs.slo import Objective, evaluate_static
 from repro.overload import OverloadPolicy
 from repro.proxy.config import PProxConfig
 from repro.proxy.epochs import RotationCoordinator
+from tests.conftest import drill_records, streamed, written
 
 
-def test_run_drains_with_scraper_and_slo_engine_both_armed():
+def test_run_drains_with_scraper_and_slo_engine_both_armed(tmp_path):
     """The telemetry scraper and the SLO tick each re-arm while the
     loop has pending work; the rig bounds the engine at the drain
     horizon so the pair cannot keep each other alive."""
-    rig = DrillRig("contract", 5, grace=1.0)
-    telemetry = rig.telemetry
+    rig = DrillRig("contract", 5, grace=1.0, out_dir=str(tmp_path))
     rig.deploy(PProxConfig(shuffle_size=2, shuffle_timeout=0.1))
     rig.instrument()
     rig.offer(20.0, 1.0, users=5)
@@ -54,20 +54,16 @@ def test_run_drains_with_scraper_and_slo_engine_both_armed():
         Objective(name="goodput", kind="ratio", target=0.99, good="completed", total="issued"),
     ])
     assert report.ok and report.experiment == "contract"
-    ends = [
-        event for event in telemetry.event_log.events
-        if event.kind == "run" and event.payload.get("phase") == "end"
-    ]
+    ends = [record for record in drill_records(rig, "run") if record.get("phase") == "end"]
     assert len(ends) == 1  # finalize_run ran exactly once
-    assert ends[0].payload["scenario"] == "contract"
+    assert ends[0]["scenario"] == "contract"
 
 
-def test_an_unwatched_finish_is_judged_statically_and_closes_the_run_once():
+def test_an_unwatched_finish_is_judged_statically_and_closes_the_run_once(tmp_path):
     """No engine watched the run (capacity's legs): ``finish`` judges it
     on its run-end values at the clock's end, under its run label, and
     the one run-end record carries that verdict — never the checks."""
-    rig = DrillRig("static", 5, grace=1.0, run_label="static/leg")
-    telemetry = rig.telemetry
+    rig = DrillRig("static", 5, grace=1.0, run_label="static/leg", out_dir=str(tmp_path))
     rig.deploy(PProxConfig(shuffle_size=2, shuffle_timeout=0.1))
     rig.instrument()
     rig.offer(20.0, 1.0, users=5)
@@ -82,14 +78,12 @@ def test_an_unwatched_finish_is_judged_statically_and_closes_the_run_once():
     assert (report.experiment, report.generated_at) == ("static/leg", rig.loop.now)
     assert all(m.burn_long is None and m.burn_short is None for m in report.measurements)
     assert rig.summary == {"issued": 20}
-    ends = [
-        event for event in telemetry.event_log.events
-        if event.kind == "run" and event.payload.get("phase") == "end"
-    ]
+    ends = [record for record in drill_records(rig, "run") if record.get("phase") == "end"]
     assert len(ends) == 1
-    assert ends[0].payload["slo"]["ok"] is True
-    assert ends[0].payload["issued"] == 20 and "completed" not in ends[0].payload
-    assert list(telemetry.event_log.of_kind("slo")) == []  # no engine, no slo events
+    assert ends[0]["slo"]["ok"] is True
+    assert ends[0]["issued"] == 20 and "completed" not in ends[0]
+    # No engine, no slo events.
+    assert drill_records(rig, "slo") == [] and rig.event_count("slo") == 0
 
 
 def _gate_objectives():
@@ -212,6 +206,7 @@ def test_one_plan_arms_faults_and_a_rotation_and_run_stops_every_controller():
     and is stamped, at ``rig.start + at``; with no stop list the run
     drains with every controller stopped."""
     rig = DrillRig("timeline", 5, grace=2.0, frontends=1)
+    stream = streamed(rig.telemetry)
     rig.deploy(ROTATION_CONFIG)
     rig.add_monitor(0.1)
     coordinator = RotationCoordinator(
@@ -233,10 +228,10 @@ def test_one_plan_arms_faults_and_a_rotation_and_run_stops_every_controller():
     rig.run()
 
     assert rig.start > 0  # preload moved the clock; plan times are relative
-    announced = rig.events("rotation")[0]
+    announced = written(stream, "rotation")[0]
     assert announced["event"] == "epoch_announced"
     assert announced["time"] == rig.start + 0.4
-    faults = {event["event"]: event for event in rig.events("fault")}
+    faults = {event["event"]: event for event in written(stream, "fault")}
     for name, at in (("fault_window_open", 0.6), ("instance_crashed", 0.9)):
         assert faults[name]["time"] == faults[name]["at"] == rig.start + at
     assert faults["instance_restarted"]["time"] == rig.start + 0.9 + 0.3

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import random
 from types import SimpleNamespace
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from repro.crypto.envelope import EnvelopeCodec, encode_identifier
 from repro.crypto.keys import KeyFactory
 from repro.crypto.provider import RealCryptoProvider
+from repro.lrs import store as store_module
 from repro.lrs.store import EventStore
 from repro.proxy.epochs import (
     EPOCH_FIELD,
@@ -202,14 +204,14 @@ def test_window_candidates_yield_active_first(provisioner, factory):
     assert candidates[1][0].symmetric_key == active.symmetric_key
 
 
-# -- store rewrite + online rekeyer ------------------------------------
+# -- store translate + online rekeyer ------------------------------------
 
 
 def test_rewrite_keeps_indexes_consistent():
     store = EventStore()
     sequence = store.insert("u-old", "i1", payload="p")
     store.insert("u-other", "i1")
-    store.rewrite(sequence, user="u-new")
+    store.translate(sequence, "user", lambda old: "u-new")
     assert store.user_history("u-new") == ["i1"]
     assert store.user_history("u-old") == []
     assert [event.user for event in store.dump()] == ["u-new", "u-other"]
@@ -224,7 +226,8 @@ def test_rewrite_unchanged_values_is_noop():
     sequence = store.insert("u", "i", payload="p")
     store.insert("v", "j")
     before = store.dump()
-    store.rewrite(sequence, user="u", item="i")
+    store.translate(sequence, "user", lambda old: "u")
+    store.translate(sequence, "item", lambda old: "i")
     assert store.events[sequence] == before[sequence]
     assert store.dump() == before
     assert store.user_history("u") == ["i"]
@@ -262,6 +265,34 @@ def test_online_rekeyer_is_resumable(factory):
     for event in store.events:
         plain = provider.depseudonymize(new_keys.symmetric_key, wire_blob(event.user))
         assert plain.startswith(b"\x00")  # decodes under the NEW key
+
+
+def test_ia_rekey_pass_searches_each_row_once(factory, monkeypatch):
+    """An IA pass reads and replaces a row's item with one search of its
+    user's sequences, and lands every item under the new key."""
+    provider = RealCryptoProvider(rng_bytes=random.Random(6).randbytes)
+    old_keys, new_keys = factory.layer_keys(), factory.layer_keys()
+    rows = [(f"u{i % 3}", f"i{i % 4}") for i in range(12)]
+    store = _pseudonymous_store(provider, old_keys.symmetric_key, rows)
+    searches = []
+
+    def counted(sequences, sequence, *args):
+        searches.append(sequence)
+        return bisect.bisect_left(sequences, sequence, *args)
+
+    monkeypatch.setattr(store_module, "bisect_left", counted)
+    rekeyer = OnlineRekeyer(
+        store=store, provider=provider, old_keys=old_keys, new_keys=new_keys, layer="IA",
+    )
+    assert rekeyer.run_batch(100) == len(rows) and rekeyer.done
+    assert searches == list(range(len(rows)))
+    monkeypatch.undo()
+    expected = _pseudonymous_store(provider, new_keys.symmetric_key, rows)
+    assert [event.item for event in store.events] == [event.item for event in expected.events]
+    assert [event.user for event in store.events] == [
+        wire_text(provider.pseudonymize(old_keys.symmetric_key, encode_identifier(user)))
+        for user, _ in rows
+    ]
 
 
 def test_online_rekeyer_target_excludes_rows_inserted_after_snapshot(factory):

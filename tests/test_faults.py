@@ -22,7 +22,7 @@ from repro.overload import RETRYABLE_STATUS
 from repro.proxy import PProxConfig
 from repro.simnet.rng import RngRegistry
 from repro.telemetry import Telemetry
-from tests.conftest import make_get
+from tests.conftest import make_get, streamed, written
 
 NOSHUF = PProxConfig(
     shuffle_size=0, ua_instances=2, ia_instances=2, balancing="round-robin"
@@ -94,6 +94,7 @@ def test_arm_counts_plan_times_from_now():
     """Plan times are relative: an entry armed at 2.5 fires, and is
     stamped, at 2.5 + at."""
     telemetry = Telemetry()
+    stream = streamed(telemetry)
     ctx, _, deployment = _deployment(telemetry=telemetry)
     victim = deployment.service.ua_instances[0]
     supervisor = FaultSupervisor(
@@ -104,10 +105,8 @@ def test_arm_counts_plan_times_from_now():
     ctx.loop.run_until(2.5)
     supervisor.arm(FaultPlan.from_events([FaultEvent(at=1.0, kind="crash", target=victim.name)]))
     ctx.loop.run()
-    (crashed,) = [
-        e for e in telemetry.event_log.of_kind("fault") if e.payload["event"] == "instance_crashed"
-    ]
-    assert crashed.time == crashed.payload["at"] == 3.5
+    (crashed,) = [e for e in written(stream, "fault") if e["event"] == "instance_crashed"]
+    assert crashed["time"] == crashed["at"] == 3.5
 
 
 def test_chaos_spec_sampling_is_seed_deterministic():
@@ -312,6 +311,7 @@ def test_brownout_end_without_begin_raises():
 
 def test_crash_event_kills_then_restarts_with_fresh_generation():
     telemetry = Telemetry()
+    stream = streamed(telemetry)
     ctx, _, deployment = _deployment(telemetry=telemetry)
     service = deployment.service
     victim = service.ua_instances[0]
@@ -334,7 +334,7 @@ def test_crash_event_kills_then_restarts_with_fresh_generation():
     assert victim.enclave.name.endswith("-g1")
     assert supervisor.crashes_injected == 1
     assert supervisor.restarts_completed == 1
-    events = [e.payload["event"] for e in telemetry.event_log.of_kind("fault")]
+    events = [e["event"] for e in written(stream, "fault")]
     assert "instance_crashed" in events
     assert "instance_restarted" in events
 
@@ -361,6 +361,7 @@ def test_crash_of_dead_instance_is_skipped():
 
 def test_health_monitor_ejects_then_readmits_after_restart():
     telemetry = Telemetry()
+    stream = streamed(telemetry)
     ctx, _, deployment = _deployment(seed=32, telemetry=telemetry)
     service = deployment.service
     victim = service.ua_instances[1]
@@ -385,10 +386,7 @@ def test_health_monitor_ejects_then_readmits_after_restart():
     assert service.ua_balancer.contains(victim)
     assert monitor.readmitted == [victim.name]
     # Readmission only happens after attestation + provisioning.
-    readmit = next(
-        e.payload for e in telemetry.event_log.of_kind("fault")
-        if e.payload["event"] == "instance_readmitted"
-    )
+    readmit = next(e for e in written(stream, "fault") if e["event"] == "instance_readmitted")
     assert readmit["attested"] is True
     assert readmit["generation"] == 1
     assert readmit["recovery_seconds"] > 0
@@ -399,6 +397,7 @@ def test_health_monitor_ejects_then_readmits_after_restart():
 
 def test_window_events_are_emitted_in_pairs():
     telemetry = Telemetry()
+    stream = streamed(telemetry)
     ctx, stub, deployment = _deployment(seed=33, telemetry=telemetry)
     brown = BrownoutLrs(inner=stub, loop=ctx.loop, rng=ctx.rng.stream("brownout"))
     supervisor = FaultSupervisor(
@@ -416,7 +415,7 @@ def test_window_events_are_emitted_in_pairs():
         FaultEvent(at=0.8, kind="brownout", target="lrs", duration=0.5, magnitude=0.5),
     ]))
     ctx.loop.run()
-    events = [e.payload["event"] for e in telemetry.event_log.of_kind("fault")]
+    events = [e["event"] for e in written(stream, "fault")]
     assert events.count("fault_window_open") == 4
     assert events.count("fault_window_closed") == 4
     assert supervisor.windows_opened == 4

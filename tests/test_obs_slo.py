@@ -18,7 +18,7 @@ from repro.obs.slo import (
 from repro.simnet.clock import EventLoop
 from repro.telemetry import Telemetry
 from repro.telemetry.registry import Histogram
-from tests.conftest import objective
+from tests.conftest import objective, streamed, written
 
 
 # -- objective validation ------------------------------------------------
@@ -68,6 +68,7 @@ def test_ratio_burn_alerts_on_a_fast_short_window_burn():
         rows.append((float(t), {"good": float(good), "total": float(10 * t)}))
     engine = fed_engine(rows)
     engine.telemetry = Telemetry()
+    stream = streamed(engine.telemetry)
     report = engine.evaluate(
         [Objective(name="goodput", kind="ratio", target=0.9, good="good", total="total")],
         experiment="unit",
@@ -80,7 +81,7 @@ def test_ratio_burn_alerts_on_a_fast_short_window_burn():
     assert m.alert  # short >= ALERT_BURN (2.0) and long >= 1.0
     # The alert is an ``slo`` event on the wire too: the objective's
     # kind travels as ``objective_kind``, not over the envelope's.
-    alert, verdict = (event.to_dict() for event in engine.telemetry.event_log.of_kind("slo"))
+    alert, verdict = written(stream, "slo")
     assert (alert["kind"], alert["event"], alert["objective_kind"]) == ("slo", "slo_alert", "ratio")
     assert (verdict["kind"], verdict["event"]) == ("slo", "slo_verdict")
 
@@ -167,6 +168,7 @@ def test_run_end_objectives_are_judged_once_on_the_reported_value():
     static, and a missing value fails closed."""
     engine = fed_engine([(0.0, {"n": 1.0}), (1.0, {"n": 2.0})])
     engine.telemetry = Telemetry()
+    stream = streamed(engine.telemetry)
     objectives = [
         Objective(name="crashed", kind="at_least", target=1, value="crashes"),
         Objective(name="leaks", kind="at_most", target=0, value="leaks", description="No leak."),
@@ -184,7 +186,7 @@ def test_run_end_objectives_are_judged_once_on_the_reported_value():
     )
     # evaluate's one final sample, over the one tracked source.
     assert [row for _, row in engine.samples] == [{"n": 1.0}, {"n": 2.0}, {"n": 2.0}]
-    [verdict] = (event.to_dict() for event in engine.telemetry.event_log.of_kind("slo"))
+    [verdict] = written(stream, "slo")
     assert (verdict["event"], verdict["objectives"], verdict["alerts"]) == ("slo_verdict", 4, 0)
     static = evaluate_static(objectives, values, "unit")
     assert [m.to_dict() for m in static.measurements] == [

@@ -2,6 +2,8 @@
 UA boundary, the wire auditor, and the redaction boundary's trace-id
 identifier class."""
 
+import io
+
 import pytest
 
 from repro.obs.causal import CausalTracer
@@ -18,6 +20,8 @@ from repro.privacy.wire import trace_field_exposures
 from repro.rest.header import TRACE, strip
 from repro.rest.messages import Request
 from repro.telemetry import EventLog, RedactionPolicy
+from repro.telemetry.events import JsonlSink
+from tests.conftest import written
 
 
 def make_request(**fields):
@@ -142,7 +146,8 @@ def test_severing_invariant_on_a_clean_exchange():
 
 def test_batch_spans_carry_only_aggregates():
     clock = {"now": 1.0}
-    log = EventLog(clock=lambda: clock["now"])
+    stream = io.StringIO()
+    log = EventLog(clock=lambda: clock["now"], sink=JsonlSink(stream))
     tracer = CausalTracer(clock=lambda: clock["now"], event_log=log)
     for _ in range(3):
         trace_id = tracer.start_call("get")
@@ -150,28 +155,29 @@ def test_batch_spans_carry_only_aggregates():
         tracer.absorb("pprox-ua-1")
     tracer.batch_flush("pprox-ua-1", size=4, timer_fired=True)
 
-    [span] = log.of_kind("bspan")
-    assert span.payload["fan_in"] == 3
-    assert span.payload["size"] == 4
-    assert span.payload["timer_fired"] is True
+    [span] = written(stream, "bspan")
+    assert span["fan_in"] == 3
+    assert span["size"] == 4
+    assert span["timer_fired"] is True
     # No trace id (nor anything shaped like one) in the batch span.
-    assert not any(looks_like_trace_id(v) for v in span.payload.values())
-    assert TRACE_FIELD not in span.payload
+    assert not any(looks_like_trace_id(v) for v in span.values())
+    assert TRACE_FIELD not in span
 
 
 def test_client_spans_record_attempts_and_duration():
     clock = {"now": 2.0}
-    log = EventLog(clock=lambda: clock["now"])
+    stream = io.StringIO()
+    log = EventLog(clock=lambda: clock["now"], sink=JsonlSink(stream))
     tracer = CausalTracer(clock=lambda: clock["now"], event_log=log)
     trace_id = tracer.start_call("get")
     tracer.stamp(make_request(), trace_id)
     tracer.stamp(make_request(), trace_id)  # one retry
     clock["now"] = 2.75
     tracer.settle_call(trace_id, ok=False)
-    [span] = log.of_kind("cspan")
-    assert span.payload["attempts"] == 2
-    assert span.payload["duration"] == pytest.approx(0.75)
-    assert span.payload["ok"] is False
+    [span] = written(stream, "cspan")
+    assert span["attempts"] == 2
+    assert span["duration"] == pytest.approx(0.75)
+    assert span["ok"] is False
     # Settling an unknown id is a no-op, not an error.
     tracer.settle_call("tw:ffffffffffffffff"[:TRACE_WIDTH], ok=True)
     assert tracer.calls_settled == 1

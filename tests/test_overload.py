@@ -35,7 +35,7 @@ from repro.overload import (
 )
 from repro.privacy.wire import hop_of
 from repro.proxy import PProxConfig
-from tests.conftest import make_get
+from tests.conftest import make_get, streamed, written
 
 
 # -- circuit breaker ----------------------------------------------------
@@ -324,6 +324,7 @@ def test_shed_events_pass_role_aware_redaction_audit():
     from repro.telemetry import Telemetry
 
     telemetry = Telemetry()
+    stream = streamed(telemetry)
     ctx = SimContext.fresh(33, telemetry=telemetry)
     telemetry.bind(ctx.loop, run_label="overload-audit-test")
     stub = StubLrs(loop=ctx.loop, rng=ctx.rng.stream("stub"))
@@ -341,7 +342,7 @@ def test_shed_events_pass_role_aware_redaction_audit():
         deployment.service.ia_balancer.eject(instance)
     client.get("alice", on_complete=lambda call: None)
     ctx.loop.run()
-    shed_events = [e for e in telemetry.event_log.events if e.kind == "shed"]
+    shed_events = written(stream, "shed")
     assert shed_events, "shedding emitted no structured event"
     assert telemetry.audit() == []
 
@@ -476,6 +477,7 @@ def test_health_monitor_emits_edge_triggered_overload_events():
     from repro.telemetry import Telemetry
 
     telemetry = Telemetry()
+    stream = streamed(telemetry)
     ctx = SimContext.fresh(38, telemetry=telemetry)
     telemetry.bind(ctx.loop, run_label="overload-health-test")
     stub = StubLrs(loop=ctx.loop, rng=ctx.rng.stream("stub"))
@@ -502,10 +504,9 @@ def test_health_monitor_emits_edge_triggered_overload_events():
     monitor.stop()
     ctx.loop.run()  # drain the final (no-op) probe
     events = [
-        event.payload["event"]
-        for event in telemetry.event_log.events
-        if event.kind == "fault"
-        and event.payload.get("event", "").startswith("instance_overload")
+        record["event"]
+        for record in written(stream, "fault")
+        if record.get("event", "").startswith("instance_overload")
     ]
     # Edge-triggered: one onset despite multiple overloaded probes,
     # then exactly one clear.

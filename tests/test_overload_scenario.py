@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.overload import (
@@ -14,10 +16,10 @@ from tests.conftest import objective
 
 
 @pytest.fixture(scope="module")
-def headline():
+def headline(tmp_path_factory):
     """One shared sweep (the scenario is deterministic): its headline
-    cell's finished rig."""
-    return run_overload(seed=7, duration=6.0)
+    cell's finished rig, its telemetry streamed to an out-dir."""
+    return run_overload(seed=7, duration=6.0, out_dir=str(tmp_path_factory.mktemp("overload")))
 
 
 @pytest.fixture(scope="module")
@@ -94,16 +96,16 @@ def test_same_seed_sweeps_are_identical(sweep):
     assert again.summary == sweep
 
 
-def test_telemetry_artifact_records_the_headline_cell(headline, tmp_path):
-    paths = headline.telemetry.write_artifact(str(tmp_path))
-    prom = (tmp_path / "telemetry.prom").read_text(encoding="utf-8")
+def test_telemetry_artifact_records_the_headline_cell(headline):
+    out_dir = Path(headline.out_dir)
+    prom = (out_dir / "telemetry.prom").read_text(encoding="utf-8")
     assert "pprox_shed_total" in prom
     assert "pprox_queue_sojourn_seconds" in prom
     assert "pprox_breaker_state" in prom
     assert "pprox_deadline_remaining_seconds" in prom
-    events = (tmp_path / "telemetry.jsonl").read_text(encoding="utf-8")
+    events = (out_dir / "telemetry.jsonl").read_text(encoding="utf-8")
     assert '"request_shed"' in events
-    assert paths["events"].endswith("telemetry.jsonl")
+    assert sorted(path.name for path in out_dir.iterdir()) == ["telemetry.jsonl", "telemetry.prom"]
     # The headline cell is the protected 2x point, and the hub written
     # is that cell's.
     cell = sweep_cell(headline.summary, protected=True, multiplier=2.0)

@@ -28,7 +28,8 @@ from repro.proxy.rekey import OnlineRekeyer
 from repro.simnet.clock import EventLoop
 from repro.simnet.network import Network
 from repro.simnet.rng import RngRegistry
-from repro.telemetry import EventLog, Telemetry
+from repro.telemetry import Telemetry
+from tests.conftest import streamed, written
 from tests.oracles.aes_reference import reference_det_encrypt
 
 CATALOG = {"i1", "i2", "i3", "i4", "i5"}
@@ -264,10 +265,11 @@ def test_operator_log_plus_full_wire_and_ia_keys():
     and after the shuffle pairs the client's frame with the frames the
     IA keys open.  The log keeps no such record."""
     telemetry = Telemetry()
+    stream = streamed(telemetry)
     scenario = Scenario(HARDENED, telemetry=telemetry)
     scenario.drive_workload(spacing=LOG_SPACING)
     scenario.compromise("IA")
-    log = EventLog.parse_jsonl(telemetry.event_log.to_jsonl())
+    log = written(stream)
     assert log
     links = scenario.engine().derive_links(
         scenario.adversary.observations, scenario.adversary.lrs_dump(), operator_log=log

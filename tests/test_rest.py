@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.rest.messages import Request, Response, Verb
@@ -59,6 +61,25 @@ def test_response_with_fields():
     response = Response(status=200, fields={"items": ["a"]})
     updated = response.with_fields(blob="x", items=None)
     assert updated.fields == {"blob": "x"}
+
+
+@pytest.mark.parametrize("message", [
+    Request(verb="GET", fields={"user": "u1", "tmpkey": "abc"}, request_id=7, client_address="c-1"),
+    Response(status=503, fields={"items": ["a"], "blob": "b"}, request_id=7),
+], ids=["request", "response"])
+def test_with_fields_builds_what_replace_builds_and_drops_arrived_as(message):
+    """``with_fields`` builds its copy with one constructor call: every
+    field equal to what ``dataclasses.replace`` gives, and no
+    ``arrived_as`` (the copy was not parsed from those bytes)."""
+    object.__setattr__(message, "arrived_as", ("codec", b"frame"))
+    updated = message.with_fields(blob="x", tmpkey=None)
+    fields = {key: value for key, value in message.fields.items() if key != "tmpkey"}
+    expected = dataclasses.replace(message, fields={**fields, "blob": "x"})
+    assert type(updated) is type(message)
+    for field in dataclasses.fields(message):
+        assert getattr(updated, field.name) == getattr(expected, field.name), field.name
+    assert updated.arrived_as is None and expected.arrived_as is None
+    assert message.arrived_as == ("codec", b"frame")
 
 
 def test_routing_register_and_consume():

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.registry import EXPERIMENT_INDEX
 from repro.experiments.rotation import run_rotation
-from tests.conftest import objective
+from tests.conftest import drill_records, objective
 from tests.test_lrs_store import interned_names, named_in
 
 
 @pytest.fixture(scope="module")
-def rig():
-    """One shared drill at the defaults (the scenario is deterministic)."""
-    return run_rotation(seed=11)
+def rig(tmp_path_factory):
+    """One shared drill at the defaults (the scenario is deterministic),
+    its telemetry streamed to an out-dir."""
+    return run_rotation(seed=11, out_dir=str(tmp_path_factory.mktemp("rotation")))
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +105,7 @@ def test_redaction_audit_clean(drill):
 
 
 def test_rotation_events_cover_the_full_lifecycle(rig):
-    names = [event["event"] for event in rig.events("rotation")]
+    names = [event["event"] for event in drill_records(rig, "rotation")]
     for expected in (
         "epoch_announced",
         "rotation_paused",
@@ -116,9 +119,9 @@ def test_rotation_events_cover_the_full_lifecycle(rig):
     assert names[-1] == "epoch_retired"
 
 
-def test_same_seed_runs_are_identical(rig):
-    again = run_rotation(seed=11)
-    assert again.events("rotation") == rig.events("rotation")
+def test_same_seed_runs_are_identical(rig, tmp_path):
+    again = run_rotation(seed=11, out_dir=str(tmp_path))
+    assert drill_records(again, "rotation") == drill_records(rig, "rotation")
     assert again.summary == rig.summary
 
 
@@ -127,13 +130,13 @@ def test_different_seed_runs_differ(rig):
     assert other.summary != rig.summary
 
 
-def test_telemetry_artifact_records_the_drill(rig, tmp_path):
-    rig.telemetry.write_artifact(str(tmp_path))
-    content = (tmp_path / "telemetry.jsonl").read_text(encoding="utf-8")
+def test_telemetry_artifact_records_the_drill(rig):
+    out_dir = Path(rig.out_dir)
+    content = (out_dir / "telemetry.jsonl").read_text(encoding="utf-8")
     assert '"epoch_announced"' in content
     assert '"epoch_retired"' in content
-    assert rig.events("rotation")  # the same events, structured
-    prom = (tmp_path / "telemetry.prom").read_text(encoding="utf-8")
+    assert len(drill_records(rig, "rotation")) == rig.event_count("rotation") > 0
+    prom = (out_dir / "telemetry.prom").read_text(encoding="utf-8")
     assert "pprox_rotation_state" in prom
     assert "pprox_rekey_progress_ratio" in prom
 

@@ -21,7 +21,7 @@ from repro.rest.messages import Response
 from repro.sgx.enclave import Enclave, EnclaveMeasurement
 from repro.simnet.queueing import ConcurrentQueue
 from repro.telemetry import Telemetry
-from tests.conftest import make_get
+from tests.conftest import make_get, streamed, written
 
 ROLES = ("ua", "ia")
 
@@ -148,6 +148,7 @@ def test_previous_generation_callbacks_go_inert(role):
 @pytest.mark.parametrize("role", ROLES)
 def test_count_shed_totals_observer_and_one_event_per_cause(role):
     telemetry = Telemetry()
+    stream = streamed(telemetry)
     _, _, deployment = _stack(overload=OverloadPolicy(), telemetry=telemetry)
     instance = _instance(deployment, role)
     observed = []
@@ -158,12 +159,12 @@ def test_count_shed_totals_observer_and_one_event_per_cause(role):
     assert instance.shed_totals == {("queue", "tail_drop"): 3, ("deadline", "expired"): 1}
     assert instance.sheds == 4
     assert observed == [("queue", "tail_drop")] * 3 + [("deadline", "expired")]
-    events = telemetry.event_log.of_kind("shed")
-    assert [(e.role, e.payload["stage"], e.payload["reason"]) for e in events] == [
+    events = written(stream, "shed")
+    assert [(e["role"], e["stage"], e["reason"]) for e in events] == [
         (role, "queue", "tail_drop"),
         (role, "deadline", "expired"),
     ]
-    assert all(e.payload["instance"] == instance.name for e in events)
+    assert all(e["instance"] == instance.name for e in events)
     assert telemetry.audit() == []
 
 
@@ -377,10 +378,12 @@ def test_e2e_harness_contract_on_an_observed_passthrough_deployment():
     assert {method: calls.get(method, 0) for method in per_request} == {
         method: n * requests for method, n in per_request.items()
     }
-    # 1 cspan per request, + the run-start marker.
+    # 1 cspan per request, + the run-start marker: counted, none built
+    # (the hub has no stream, as the harness's has none).
     assert len(hub.event_log) == requests + 1
     assert len(hub.event_log.of_kind("span")) == 0
     assert len(hub.event_log.of_kind("cspan")) == requests
+    assert hub.event_log.counts == {"run": 1, "cspan": requests}
     assert hub.event_log.violations == [] and hub.audit() == []
 
 

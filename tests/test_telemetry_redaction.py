@@ -1,6 +1,7 @@
 """Redaction boundary tests: the audit must catch a planted leak and
 pass on the real pipeline."""
 
+import io
 from collections import OrderedDict, namedtuple
 from types import MappingProxyType
 
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 from repro.cluster.deployments import MICRO_CONFIGS
 from repro.experiments.runner import run_micro
 from repro.telemetry import EventLog, RedactionPolicy, Telemetry, audit_events
-from repro.telemetry.events import TelemetryEvent
+from repro.telemetry.events import JsonlSink, TelemetryEvent
 from repro.telemetry.redaction import ITEM_MARKERS, TRACE_MARKERS, USER_MARKERS
+from tests.conftest import streamed, written
 from tests.oracles.redaction_reference import reference_scrub
 
 
@@ -71,47 +73,71 @@ def test_bytes_reduced_to_size(policy):
 
 
 def test_event_log_scrubs_at_emission():
-    log = EventLog()
-    event = log.emit("span", "ia", {"user": "user-5"})
-    assert event.payload["user"] == "[redacted:user-id]"
+    stream = io.StringIO()
+    log = EventLog(sink=JsonlSink(stream))
+    log.emit("span", "ia", {"user": "user-5"})
+    [record] = written(stream)
+    assert record["user"] == "[redacted:user-id]"
+    assert "user-5" not in stream.getvalue()
     assert len(log.violations) == 1
 
 
 def test_payload_cannot_overwrite_the_event_envelope():
     """``time`` / ``seq`` / ``kind`` / ``role`` belong to the envelope: a
     payload may repeat one with the envelope's own value, never change
-    it — or the artifact line would file the event under another kind."""
-    log = EventLog()
-    with pytest.raises(ValueError, match="reserved key 'kind'"):
-        log.emit("fault", "chaos", {"event": "instance_crashed", "kind": "crash"})
-    with pytest.raises(ValueError, match="reserved key 'role'"):
-        log.emit("span", "ua", {"role": "client"})
-    with pytest.raises(ValueError, match="reserved key 'seq'"):
-        log.emit("span", "ua", {"seq": 99})
-    assert len(log) == 0 and log.next_seq == 1
-    event = log.emit("span", "ua", {"role": "ua", "kind": "span", "name": "lrs"})
-    assert event.to_dict() == {
-        "time": 0.0, "seq": 1, "kind": "span", "role": "ua", "name": "lrs",
-    }
+    it — or the artifact line would file the event under another kind.
+    A log with no sink refuses the same payloads, so an emitter's slip
+    fails in-process runs too, not only runs that write an artifact."""
+    for sink in (JsonlSink(io.StringIO()), None):
+        log = EventLog(sink=sink)
+        with pytest.raises(ValueError, match="reserved key 'kind'"):
+            log.emit("fault", "chaos", {"event": "instance_crashed", "kind": "crash"})
+        with pytest.raises(ValueError, match="reserved key 'role'"):
+            log.emit("span", "ua", {"role": "client"})
+        with pytest.raises(ValueError, match="reserved key 'seq'"):
+            log.emit("span", "ua", {"seq": 99})
+        with pytest.raises(ValueError, match="reserved key 'time'"):
+            log.emit("span", "ua", {"time": 5.0})
+        assert len(log) == 0 and log.next_seq == 1 and log.counts == {}
+        assert sink is None or sink.stream.getvalue() == ""
+        log.emit("span", "ua", {"role": "ua", "kind": "span", "time": 0.0, "name": "lrs"})
+        assert len(log) == 1 and log.counts == {"span": 1}
+        assert sink is None or written(sink.stream) == [{
+            "time": 0.0, "seq": 1, "kind": "span", "role": "ua", "name": "lrs",
+        }]
 
 
 def test_audit_catches_deliberate_leak():
     telemetry = Telemetry()
+    stream = streamed(telemetry)
     assert telemetry.audit() == []
-    # Plant a leak past the boundary, as a buggy instrument would.
-    telemetry.event_log.events.append(TelemetryEvent(0.0, "span", "ua", {"item": "item-31337"}))
+    # Through the boundary, a planted item id reaches the stream
+    # redacted, and the audit still reports the record: an ``item`` key
+    # on a ``ua`` record is a leak whatever its value.
+    telemetry.event_log.emit("span", "ua", {"item": "item-31337"})
+    assert written(stream)[0]["item"] == "[redacted:item-id]"
+    assert "item-31337" not in stream.getvalue()
+    assert len(telemetry.event_log.violations) == 1
+    [leak] = telemetry.audit()
+    assert (leak.role, leak.kind, leak.path) == ("ua", "item-id", "item")
+    # Plant a leak past the boundary, as a buggy instrument would: the
+    # stream's re-check of what it wrote reports the id itself.
+    telemetry.event_log.sink.write(TelemetryEvent(0.0, "span", "ua", {"item": "item-31337"}))
+    assert written(stream)[1]["item"] == "item-31337"
     leaks = telemetry.audit()
-    assert len(leaks) == 1
-    assert leaks[0].kind == "item-id"
-    assert leaks[0].role == "ua"
+    assert len(leaks) == 2
+    assert leaks[1].kind == "item-id"
+    assert leaks[1].role == "ua"
+    assert leaks[1].value == "'item-31337'"
 
 
 def test_audit_catches_a_trace_id_on_a_post_shuffle_event():
     """A ``trace_id`` of any value on a ``ua`` / ``ia`` / ``lrs`` event
     names one request past the shuffle: a ``trace-id`` violation."""
     telemetry = Telemetry()
+    streamed(telemetry)
     for role in ("ua", "ia", "lrs", "client"):
-        telemetry.event_log.events.append(
+        telemetry.event_log.sink.write(
             TelemetryEvent(0.0, "span", role, {"trace_id": 9, "name": "lrs"})
         )
     leaks = telemetry.audit()
@@ -124,6 +150,7 @@ def test_real_pipeline_passes_audit_and_artifact_round_trips(tmp_path):
     """Acceptance: a full encrypted+shuffled run emits zero identifier
     leaks, and the JSONL artifact re-parses to the same clean verdict."""
     telemetry = Telemetry()
+    telemetry.open_artifact(str(tmp_path))
     result = run_micro(MICRO_CONFIGS["m6"], 25.0, seed=11, runs=1,
                       duration=4.0, trim=1.0, telemetry=telemetry)
     assert sum(report.completed for report in result.reports) > 0
@@ -133,7 +160,7 @@ def test_real_pipeline_passes_audit_and_artifact_round_trips(tmp_path):
     assert telemetry.event_log.violations == []
     assert telemetry.audit() == []
 
-    paths = telemetry.write_artifact(str(tmp_path))
+    paths = telemetry.close_artifact()
     text = open(paths["events"], encoding="utf-8").read()
     records = EventLog.parse_jsonl(text)
     assert len(records) == len(telemetry.event_log)

@@ -15,6 +15,7 @@ from repro.obs import causal
 from repro.obs.causal import PIPELINE_STAGES, CausalTracer
 from repro.telemetry import EventLog, Telemetry
 from repro.workload.injector import Injector
+from tests.conftest import streamed, written
 from tests.oracles.wire_breakdown import STAGES, BreakdownProbe
 
 
@@ -144,6 +145,7 @@ def test_e2e_spans_match_the_wire_breakdown(codec):
     batch, agree on the sum of the two, and agree on every other
     stage."""
     telemetry = Telemetry()
+    stream = streamed(telemetry)
     probe = BreakdownProbe()
     ctx = SimContext.fresh(3000, telemetry=telemetry, codec=codec)
     telemetry.bind(ctx.loop, run_label=f"m6/{codec}")
@@ -175,11 +177,12 @@ def test_e2e_spans_match_the_wire_breakdown(codec):
         sum(sum(wire_values[stage]) for stage in inbound), abs=1e-9
     )
     # No per-request record reaches the log.
-    assert telemetry.event_log.of_kind("span") == []
+    assert written(stream, "span") == [] and "span" not in telemetry.event_log.counts
 
 
 def test_e2e_no_shuffle_config_also_traces():
     telemetry = Telemetry()
+    stream = streamed(telemetry)
     config = MICRO_CONFIGS["m1"]  # no encryption, no shuffle
     result = run_micro(config, 20.0, seed=5, runs=1, duration=4.0, trim=1.0,
                        telemetry=telemetry)
@@ -188,6 +191,5 @@ def test_e2e_no_shuffle_config_also_traces():
     assert counts(telemetry.tracer) == [completed] * len(PIPELINE_STAGES)
     assert f"{completed:8d}" in telemetry.render_summary()
     # The run-end record carries the totals the summary prints.
-    [end] = [event for event in telemetry.event_log.of_kind("run")
-             if event.payload["phase"] == "end"]
-    assert end.payload["stage_totals"] == telemetry.tracer.stage_totals
+    [end] = [record for record in written(stream, "run") if record["phase"] == "end"]
+    assert end["stage_totals"] == telemetry.tracer.stage_totals
