@@ -784,10 +784,12 @@ def telemetry() -> List[Row]:
 
     Ceiling: the written path itself -- ``emit`` through the JSONL sink
     into an in-memory text stream, each record scrubbed, encoded and
-    re-checked, what a run writing its artifact pays -- at most 50 us a
+    re-checked, what a run writing its artifact pays -- at most 40 us a
     record (median of five runs of the same batches, collector off;
-    measured 19.8-24.5 us on a shared 2-vCPU host), the last run
-    checked as above.
+    measured 19.8-24.5 us on a shared 2-vCPU host while the sink walked
+    every record it wrote, 19.3 us once it walks only a record whose
+    line shows a forbidden name or prefix -- here the planted one in
+    each batch; the ceiling was 50), the last run checked as above.
 
     Ceiling: a log with no sink grows by at most 8 bytes per record it
     emits (``tracemalloc``, what it holds once emitting returns): it
@@ -799,7 +801,7 @@ def telemetry() -> List[Row]:
             rounds=7),
         Row("emit_jsonl_us_per_record",
             [(_emitted(RedactionPolicy(), _jsonl), lambda: BATCHES * BATCH)],
-            ceiling=50.0, unit="us", gauge=_us_per_record,
+            ceiling=40.0, unit="us", gauge=_us_per_record,
             same=lambda log, records: len(log) == records and _scrubbed(log, log.sink)),
         Row("sinkless_bytes_per_record", [(_sinkless, lambda: SINKLESS_RECORDS)], ceiling=8,
             unit="B", gauge=_kept_per_record,
@@ -843,20 +845,27 @@ def wire() -> List[Row]:
       ``seal_each``/``open_each`` at the default shuffle size S=16
       (RSA-1024, :class:`RealCryptoProvider` -- the paper's crypto
       configuration);
-    * ``request_frame_roundtrip`` >= 0.9x (a no-regression guard, not a
+    * ``request_frame_roundtrip`` >= 1.0x (a no-regression guard, not a
       speedup claim) on the small request frame: tiny frames are
       dominated by message construction, which both codecs pay, and the
       C-accelerated ``json`` module is genuinely fast there -- the binary
       win on that path is the wire *size* (no base64), which the row
-      also records;
-    * ``hop_forward`` >= 1.5x under both codecs (binary, then json; the
-      floor applies to the codec that gains least; measures 1.7-1.9x):
-      one whole hop of a 20-item response -- :func:`ship`, a real
-      :class:`Network`, the receiver's parse -- for a message the hop
-      left untouched (its bytes are forwarded) against the same message
-      rewritten by ``with_fields`` (encoded again).  The receiver parses
-      in both, and the timed call checks the fields it got: a floor that
-      could be met by skipping the parse would be no floor."""
+      also records.  Raised from 0.9 once the binary decoder read the
+      frame in place and the encoder packed each entry head in one call:
+      1.06-1.10x in 30 of 30 runs of the suite (2 vCPU, CPython 3.11),
+      where both sides also got cheaper (message construction, the
+      compact JSON encoder built once);
+    * ``hop_forward`` >= 1.55x under both codecs (binary, then json; the
+      floor applies to the codec that gains least; measures 1.58-1.65x
+      in 30 of 30 runs, raised from 1.5): one whole hop of a 20-item
+      response -- :func:`ship`, a real :class:`Network`, the receiver's
+      parse -- for a message the hop left untouched (its bytes are
+      forwarded) against the same message rewritten by ``with_fields``
+      (encoded again).  The receiver parses in both, and the timed call
+      checks the fields it got: a floor that could be met by skipping
+      the parse would be no floor.  The ratio read 1.7-1.9x while both
+      the parse and the re-encode cost more; it is lower now because
+      the re-encode it saves got cheaper than the hop it shares."""
     rng = random.Random(20260808)
     item_blobs = EnvelopeCodec.encode_identifiers(pad_item_list([f"item-{index:04d}" for index in range(10)]))
     # Deterministic stand-ins for the crypto-boundary values.
@@ -940,14 +949,14 @@ def wire() -> List[Row]:
             floor=2.5, number=(2000, 500),
             detail=sizes(lambda codec: codec.response_size_bytes(response(codec)))),
         Row("request_frame_roundtrip", [(request_frame(BINARY_WIRE_CODEC), request_frame(JSON_WIRE_CODEC))],
-            floor=0.9, number=(1000, 1000),
+            floor=1.0, number=(1000, 1000),
             detail=sizes(lambda codec: codec.request_size_bytes(request(codec)))),
         Row(f"envelope_flush_S{SHUFFLE_SIZE}_rsa{RSA_BITS}",
             [(lambda: envelopes.open_batch(keys, envelopes.seal_batch(keys.public_material, frames)),
               lambda: envelopes.open_each(keys, envelopes.seal_each(keys.public_material, frames)))],
             floor=3.0, same=lambda batch, each: list(map(bytes, batch)) == each == frames, number=(50, 4)),
         Row("hop_forward", [(hop(codec, False), hop(codec, True)) for codec in (BINARY_WIRE_CODEC, JSON_WIRE_CODEC)],
-            floor=1.5, number=(1000, 500)),
+            floor=1.55, number=(1000, 500)),
     ]
 
 

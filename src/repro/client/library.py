@@ -49,9 +49,14 @@ BACKOFF_BASE = 0.05
 BACKOFF_JITTER = 0.02
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CompletedCall:
-    """Result handed to the application when a call completes."""
+    """Result handed to the application when a call completes.
+
+    One per call, so it fills its slots as :class:`repro.rest.messages.
+    Request` does (see that module's docstring); assigning to a field
+    raises as on any frozen dataclass.
+    """
 
     verb: str
     user: str
@@ -61,10 +66,29 @@ class CompletedCall:
     completed_at: float
     request_id: int
 
+    def __init__(self, verb: str, user: str, ok: bool, items: List[str],
+                 started_at: float, completed_at: float, request_id: int) -> None:
+        _set_verb(self, verb)
+        _set_user(self, user)
+        _set_ok(self, ok)
+        _set_items(self, items)
+        _set_started_at(self, started_at)
+        _set_completed_at(self, completed_at)
+        _set_request_id(self, request_id)
+
     @property
     def latency(self) -> float:
         """Round-trip service latency as the injector measures it."""
         return self.completed_at - self.started_at
+
+
+_set_verb = CompletedCall.verb.__set__  # type: ignore[attr-defined]
+_set_user = CompletedCall.user.__set__  # type: ignore[attr-defined]
+_set_ok = CompletedCall.ok.__set__  # type: ignore[attr-defined]
+_set_items = CompletedCall.items.__set__  # type: ignore[attr-defined]
+_set_started_at = CompletedCall.started_at.__set__  # type: ignore[attr-defined]
+_set_completed_at = CompletedCall.completed_at.__set__  # type: ignore[attr-defined]
+_set_request_id = CompletedCall.request_id.__set__  # type: ignore[attr-defined]
 
 
 class PProxClient:
@@ -343,9 +367,8 @@ class _Call:
                     telemetry.tracer.abandon(loser)
         if self.on_complete is not None:
             self.on_complete(CompletedCall(
-                verb=self.verb, user=self.user, ok=ok, items=items,
-                started_at=self.started_at, completed_at=client.loop.now,
-                request_id=request_id,
+                self.verb, self.user, ok, items, self.started_at, client.loop.now,
+                request_id,
             ))
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import KW_ONLY, dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.crypto.envelope import EnvelopeCodec, decode_identifier
@@ -270,10 +271,9 @@ class _ProxyStage:
         # cover a full flushed batch of S responses too.)
         self._pump_window = max(policy.max_inflight, self.runtime.config.shuffle_size)
 
-    @property
-    def address(self) -> str:
-        """Network address of this instance."""
-        return self.name
+    #: Network address of this instance: its name (read about ten times
+    #: a request, so the getter is C code, not a Python frame).
+    address = property(attrgetter("name"))
 
     @property
     def shuffle_buffer(self) -> Optional[ShuffleBuffer]:

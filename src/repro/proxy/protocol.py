@@ -83,6 +83,11 @@ class CallKeys:
     response_key: Optional[bytes] = None
 
 
+#: The keys of a call that carries none (encryption off, or a post
+#: without the hardened hop); frozen, so every such call shares it.
+_NO_CALL_KEYS = CallKeys()
+
+
 # ---------------------------------------------------------------- client
 
 
@@ -108,7 +113,7 @@ def client_encode_post(
 ) -> Tuple[Request, CallKeys]:
     """User-side transformation of ``post(u, i[, p])`` (Figure 3)."""
     if not config.encryption:
-        return request, CallKeys()
+        return request, _NO_CALL_KEYS
     user = request.fields["user"]
     item = request.fields["item"]
     item_field = codec.wire_value(provider.asym_encrypt(material.ia, encode_identifier(item)))
@@ -127,7 +132,7 @@ def client_encode_post(
         user=codec.wire_value(provider.asym_encrypt(material.ua, encode_identifier(user))),
         item=item_field,
     )
-    return encoded, CallKeys()
+    return encoded, _NO_CALL_KEYS
 
 
 def client_encode_get(
@@ -144,7 +149,7 @@ def client_encode_get(
     decrypt the returned recommendation list.
     """
     if not config.encryption:
-        return request, CallKeys()
+        return request, _NO_CALL_KEYS
     user = request.fields["user"]
     temporary_key = provider.new_temporary_key()
     tmpkey_field = codec.wire_value(provider.asym_encrypt(material.ia, temporary_key))

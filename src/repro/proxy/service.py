@@ -78,6 +78,10 @@ class PProxService:
     #: deployed (a single-pool service adds none): instruments and
     #: drills append here to hook shards born mid-run.
     shard_hooks: List[Callable[[Any], None]] = field(default_factory=list)
+    #: The last :attr:`client_material` built, reused while both
+    #: layers' public material is the same objects.
+    _client_material: Optional[ClientMaterial] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def config(self) -> PProxConfig:
@@ -86,11 +90,14 @@ class PProxService:
 
     @property
     def client_material(self) -> ClientMaterial:
-        """Public keys the user-side library embeds (§4.1)."""
-        return ClientMaterial(
-            ua=self.provisioner.layer_keys["UA"].public_material,
-            ia=self.provisioner.layer_keys["IA"].public_material,
-        )
+        """Public keys the user-side library embeds (§4.1): read live on
+        every client encode, so a rotation shows at once."""
+        keys = self.provisioner.layer_keys
+        ua, ia = keys["UA"].public_material, keys["IA"].public_material
+        material = self._client_material
+        if material is None or material.ua is not ua or material.ia is not ia:
+            material = self._client_material = ClientMaterial(ua=ua, ia=ia)
+        return material
 
     @property
     def wire_epochs(self) -> Optional[Dict[str, int]]:

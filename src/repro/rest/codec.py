@@ -65,6 +65,18 @@ rewritten.  What is saved is the sender's encode — never the
 receiver's parse, which is why the carrier closure in :func:`ship`
 calls ``decode`` on whatever arrives.
 
+**The decode path.**  A get crosses six hops and each receiver parses
+its frame, so the parse is written for the frames a get carries: the
+binary decoder checks the 8-byte head in one unpack and then reads the
+whole frame in place (offsets count the length prefix; no sub-view is
+cut), reads a request's verb and flags, or a response's status and
+field count, in one more, and builds the message positionally.  A
+JSON-typed field (a get's item list) is one C scan when the scan reads
+the whole text, and :func:`_parse_json` otherwise
+(:func:`_parse_json_field`).  The encoder packs each entry head in one
+call and joins the frame once; a frame carries the transport size its
+codec charges (``WireFrame.size``), computed when it is framed.
+
 The delivery closure in :func:`ship` is a plain closure holding its
 continuation as ``on_deliver`` on purpose: ``benchmarks/e2e/tracing.py``
 finds the layer that owns a scheduled callback by walking closures of
@@ -129,18 +141,12 @@ _TYPE_STR = 2
 _TYPE_JSON = 3
 
 # Hot-path lookup tables: one-byte singletons, a dense tag->name table
-# (O(1) without a dict probe), precomputed (tag, type) entry heads and
-# the fixed frame prefixes.  The encoder assembles a frame with a
-# single ``b"".join`` over these.
+# (O(1) without a dict probe) and the fixed frame prefixes.  The encoder
+# assembles a frame with a single ``b"".join`` over these.
 _ONE_BYTE = [bytes((value,)) for value in range(256)]
 _TAG_NAME_TABLE: List[Optional[str]] = [None] * 256
 for _name, _tag in _FIELD_TAGS.items():
     _TAG_NAME_TABLE[_tag] = _name
-_ENTRY_HEADS = {
-    (tag, code): bytes((tag, code))
-    for tag in _FIELD_TAGS.values()
-    for code in (_TYPE_BYTES, _TYPE_STR, _TYPE_JSON)
-}
 _REQ_PREFIX = _MAGIC + bytes((_VERSION, _KIND_REQUEST))
 _RESP_PREFIX = _MAGIC + bytes((_VERSION, _KIND_RESPONSE))
 _VERB_FLAG_BYTES = {
@@ -148,28 +154,43 @@ _VERB_FLAG_BYTES = {
     for verb_code in _VERB_NAMES
     for flags in range(1 << len(HEADER_FIELDS))
 }
-# Entry heads parsed in one call: ``tag type length`` of a tagged entry,
-# ``type length`` after an inline name; and the 8-byte frame head
-# (length prefix, then magic + version + kind read as one word).
+# Entry heads packed and parsed in one call: ``tag type length`` of a
+# tagged entry, ``type length`` after an inline name; the 8-byte frame
+# head (length prefix, then magic + version + kind read as one word);
+# a request's verb + flags; a response's status + field count.
 _TAGGED_HEAD = struct.Struct(">BBI").unpack_from
 _INLINE_HEAD = struct.Struct(">BI").unpack_from
+_PACK_TAGGED_HEAD = struct.Struct(">BBI").pack
+_PACK_INLINE_HEAD = struct.Struct(">BI").pack
 _FRAME_HEAD = struct.Struct(">II").unpack_from
+_VERB_FLAGS = struct.Struct(">BB").unpack_from
+_STATUS_COUNT = struct.Struct(">HB").unpack_from
 _REQ_WORD = int.from_bytes(_REQ_PREFIX, "big")
 _RESP_WORD = int.from_bytes(_RESP_PREFIX, "big")
 
-# Request-frame offsets (after the length prefix); the fixed-width
-# header regions between the flags byte and the field count are
-# repro.rest.header's.
+# Frame offsets after the 4-byte length prefix (the layout above); the
+# fixed-width header regions between the flags byte and the field count
+# are repro.rest.header's.
 _REQ_VERB_OFFSET = 4
-_REQ_FLAGS_OFFSET = 5
 _REQ_COUNT_OFFSET = HEADER_END
 _REQ_HEADER_SIZE = _REQ_COUNT_OFFSET + 1
 _HEADER_NAMES = frozenset(spec.name for spec in HEADER_FIELDS)
 _NO_HEADER = bytes(HEADER_END - HEADER_FIELDS[0].offset)
-
 _RESP_STATUS_OFFSET = 4
-_RESP_COUNT_OFFSET = 6
 _RESP_HEADER_SIZE = 7
+
+# The decoder reads a frame in place, length prefix included, so its
+# offsets are the ones above plus the prefix.
+_LENGTH_PREFIX = 4
+_REQ_VERB_AT = _LENGTH_PREFIX + _REQ_VERB_OFFSET
+_REQ_COUNT_AT = _LENGTH_PREFIX + _REQ_COUNT_OFFSET
+_REQ_ENTRIES_AT = _LENGTH_PREFIX + _REQ_HEADER_SIZE
+_HEADER_REGIONS = tuple(
+    (spec.name, spec.flag, _LENGTH_PREFIX + spec.offset, _LENGTH_PREFIX + spec.end)
+    for spec in HEADER_FIELDS
+)
+_RESP_STATUS_AT = _LENGTH_PREFIX + _RESP_STATUS_OFFSET
+_RESP_ENTRIES_AT = _LENGTH_PREFIX + _RESP_HEADER_SIZE
 
 
 def _unique_keys(pairs: List[Tuple[str, Any]]) -> Dict[str, Any]:
@@ -179,10 +200,34 @@ def _unique_keys(pairs: List[Tuple[str, Any]]) -> Dict[str, Any]:
     return obj
 
 
-#: The one JSON parser of this module.  ``json.loads`` keeps the last
+_JSON_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+#: The one JSON grammar of this module.  ``json.loads`` keeps the last
 #: of two equal keys; here that spelling does not decode, so "one dict,
 #: one encoding" holds on the JSON wire as it does for binary entries.
-_parse_json = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
+_parse_json = _JSON_DECODER.decode
+_scan_json = _JSON_DECODER.scan_once
+
+
+def _parse_json_field(text: str) -> Any:
+    """A JSON-typed binary field value, parsed as :func:`_parse_json`
+    parses it: the same value or the same error.
+
+    ``JSONDecoder.decode`` is a Python wrapper around one C scan that
+    skips whitespace on both sides and rejects trailing data.  A text
+    the scan reads whole from offset 0 has neither, so its value is the
+    scan's; anything else — leading or trailing whitespace, extra data,
+    a malformed or truncated text, a duplicate key — goes to
+    :func:`_parse_json`, which answers it (``tests/test_wire_fast_paths.py``
+    holds the two to each other).  A get's response carries its item
+    list as such a field, parsed once by every hop it crosses.
+    """
+    try:
+        value, end = _scan_json(text, 0)
+    except (StopIteration, ValueError):  # no value at offset 0, or a bad one
+        return _parse_json(text)
+    if end == len(text):
+        return value
+    return _parse_json(text)
 
 
 def _as_text(data: Any) -> str:
@@ -370,8 +415,7 @@ class JsonCodec(WireCodec):
             raise CodecError("request body is not a JSON object")
         if verb is None:
             raise CodecError("JSON frames are not self-describing: verb required")
-        return Request(verb=verb, fields=fields, request_id=request_id,
-                       client_address=client_address)
+        return Request(verb, fields, request_id, client_address)
 
     def encode_response(self, response: Response) -> bytes:
         return response.body_json().encode("utf-8")
@@ -381,7 +425,7 @@ class JsonCodec(WireCodec):
         fields = _parse_json(_as_text(data))
         if not isinstance(fields, dict):
             raise CodecError("response body is not a JSON object")
-        return Response(status=status, fields=fields, request_id=request_id)
+        return Response(status, fields, request_id)
 
     def request_wire_size(self, body: bytes) -> int:
         return 32 + len(body)
@@ -390,41 +434,42 @@ class JsonCodec(WireCodec):
         return 20 + len(body)
 
 
-def _encode_entry(name: str, value: Any) -> bytes:
-    """One binary field entry: tag [name] type length value."""
-    kind = type(value)
-    if kind is bytes:
-        type_code, payload = _TYPE_BYTES, value
-    elif kind is str:
-        type_code, payload = _TYPE_STR, value.encode("utf-8")
-    elif kind is bytearray or kind is memoryview:
-        type_code, payload = _TYPE_BYTES, bytes(value)
-    else:
-        type_code = _TYPE_JSON
-        payload = encode_compact_json(value).encode("utf-8")
-    tag = _FIELD_TAGS.get(name)
-    if tag is not None:
-        return (_ENTRY_HEADS[tag, type_code]
-                + len(payload).to_bytes(4, "big") + payload)
-    raw_name = name.encode("utf-8")
-    if len(raw_name) > 255:
-        raise CodecError(f"field name too long: {name!r}")
-    return (b"\x00" + _ONE_BYTE[len(raw_name)] + raw_name
-            + _ONE_BYTE[type_code]
-            + len(payload).to_bytes(4, "big") + payload)
-
-
 def _encode_entries(fields: Dict[str, Any],
                     skip: Collection[str] = ()) -> Tuple[bytes, int]:
-    """Encode *fields* (minus *skip*) into entries; returns (bytes, count)."""
-    if skip:
-        parts = [_encode_entry(name, value)
-                 for name, value in fields.items() if name not in skip]
-    else:
-        parts = [_encode_entry(name, value) for name, value in fields.items()]
-    if len(parts) > 255:
+    """Encode *fields* (minus *skip*) into entries; returns (bytes, count).
+
+    Each entry is ``tag [namelen name] type length value``: its head
+    packed in one call, its value appended as is, the whole joined once.
+    """
+    parts: List[bytes] = []
+    append = parts.append
+    for name, value in fields.items():
+        if name in skip:
+            continue
+        kind = type(value)
+        if kind is bytes:
+            type_code, payload = _TYPE_BYTES, value
+        elif kind is str:
+            type_code, payload = _TYPE_STR, value.encode("utf-8")
+        elif kind is bytearray or kind is memoryview:
+            type_code, payload = _TYPE_BYTES, bytes(value)
+        else:
+            type_code = _TYPE_JSON
+            payload = encode_compact_json(value).encode("utf-8")
+        tag = _FIELD_TAGS.get(name)
+        if tag is not None:
+            append(_PACK_TAGGED_HEAD(tag, type_code, len(payload)))
+        else:
+            raw_name = name.encode("utf-8")
+            if len(raw_name) > 255:
+                raise CodecError(f"field name too long: {name!r}")
+            append(b"\x00" + _ONE_BYTE[len(raw_name)] + raw_name
+                   + _PACK_INLINE_HEAD(type_code, len(payload)))
+        append(payload)
+    count = len(parts) >> 1
+    if count > 255:
         raise CodecError("more than 255 fields in one frame")
-    return b"".join(parts), len(parts)
+    return b"".join(parts), count
 
 
 def _decode_entries(view: memoryview, offset: int, count: int,
@@ -478,7 +523,7 @@ def _decode_entries(view: memoryview, offset: int, count: int,
             elif type_code == _TYPE_STR:
                 value = str(raw, "utf-8")
             elif type_code == _TYPE_JSON:
-                value = _parse_json(str(raw, "utf-8"))
+                value = _parse_json_field(str(raw, "utf-8"))
             else:
                 raise CodecError(f"unknown field type {type_code}")
             fields[name] = value
@@ -493,7 +538,8 @@ def _decode_entries(view: memoryview, offset: int, count: int,
 
 
 def _check_frame(data: Any, word: int) -> memoryview:
-    """Validate the length prefix + common header; return the frame view.
+    """Validate the length prefix + common header; return a view of the
+    whole frame, length prefix included (offsets are ``_LENGTH_PREFIX`` +).
 
     *word* is the magic + version + kind the caller expects
     (``_REQ_WORD`` / ``_RESP_WORD``).
@@ -511,7 +557,7 @@ def _check_frame(data: Any, word: int) -> memoryview:
         raise CodecError("bad frame magic")
     length, found = _FRAME_HEAD(view)
     if length == total - 4 and found == word:
-        return view[4:]
+        return view
     # The head is wrong; the rest of this function only says how.
     if length != total - 4:
         raise CodecError(
@@ -624,25 +670,25 @@ class BinaryCodec(WireCodec):
     def decode_request(self, data: Any, *, verb: Optional[str] = None,
                        request_id: int = 0, client_address: str = "") -> Request:
         frame = _check_frame(data, _REQ_WORD)
-        if len(frame) < _REQ_HEADER_SIZE:
+        size = len(frame)
+        if size < _REQ_ENTRIES_AT:
             raise CodecError("request frame shorter than its header")
-        wire_verb = _VERB_NAMES.get(frame[_REQ_VERB_OFFSET])
+        verb_code, flags = _VERB_FLAGS(frame, _REQ_VERB_AT)
+        wire_verb = _VERB_NAMES.get(verb_code)
         if wire_verb is None:
-            raise CodecError(f"unknown verb code {frame[_REQ_VERB_OFFSET]}")
-        flags = frame[_REQ_FLAGS_OFFSET]
-        fields, end = _decode_entries(frame, _REQ_HEADER_SIZE,
-                                      frame[_REQ_COUNT_OFFSET], _HEADER_NAMES)
-        if end != len(frame):
+            raise CodecError(f"unknown verb code {verb_code}")
+        fields, end = _decode_entries(frame, _REQ_ENTRIES_AT, frame[_REQ_COUNT_AT],
+                                      _HEADER_NAMES)
+        if end != size:
             raise CodecError("trailing bytes after request fields")
         if flags:
             try:
-                for name, width, flag, offset in HEADER_FIELDS:
+                for name, flag, start, stop in _HEADER_REGIONS:
                     if flags & flag:
-                        fields[name] = str(frame[offset:offset + width], "ascii")
+                        fields[name] = str(frame[start:stop], "ascii")
             except UnicodeDecodeError as exc:
                 raise CodecError(f"non-ASCII bytes in fixed header field: {exc}") from exc
-        return Request(verb=wire_verb, fields=fields, request_id=request_id,
-                       client_address=client_address)
+        return Request(wire_verb, fields, request_id, client_address)
 
     def encode_response(self, response: Response) -> bytes:
         entries, count = _encode_entries(response.fields)
@@ -660,15 +706,13 @@ class BinaryCodec(WireCodec):
     def decode_response(self, data: Any, *, status: int = 200,
                         request_id: int = 0) -> Response:
         frame = _check_frame(data, _RESP_WORD)
-        if len(frame) < _RESP_HEADER_SIZE:
+        if len(frame) < _RESP_ENTRIES_AT:
             raise CodecError("response frame shorter than its header")
-        wire_status = int.from_bytes(
-            frame[_RESP_STATUS_OFFSET:_RESP_STATUS_OFFSET + 2], "big")
-        fields, end = _decode_entries(frame, _RESP_HEADER_SIZE,
-                                      frame[_RESP_COUNT_OFFSET])
+        wire_status, count = _STATUS_COUNT(frame, _RESP_STATUS_AT)
+        fields, end = _decode_entries(frame, _RESP_ENTRIES_AT, count)
         if end != len(frame):
             raise CodecError("trailing bytes after response fields")
-        return Response(status=wire_status, fields=fields, request_id=request_id)
+        return Response(wire_status, fields, request_id)
 
     def request_wire_size(self, body: bytes) -> int:
         return len(body)
@@ -706,11 +750,11 @@ class WireFrame:
     """
 
     __slots__ = ("codec", "data", "kind", "verb", "status",
-                 "request_id", "client_address", "_decoded")
+                 "request_id", "client_address", "size", "_decoded")
 
     def __init__(self, codec: WireCodec, data: bytes, kind: str,
                  verb: Optional[str], status: Optional[int],
-                 request_id: int, client_address: str) -> None:
+                 request_id: int, client_address: str, size: int) -> None:
         self.codec = codec
         self.data = data
         self.kind = kind
@@ -718,6 +762,8 @@ class WireFrame:
         self.status = status
         self.request_id = request_id
         self.client_address = client_address
+        #: Transport size under this frame's codec (what the wire charges).
+        self.size = size
         self._decoded: Any = None
 
     @classmethod
@@ -735,11 +781,12 @@ class WireFrame:
         arrived = message.arrived_as
         forward = arrived is not None and arrived[0] is codec
         if isinstance(message, Request):
-            return cls(codec, arrived[1] if forward else codec.encode_request(message),
-                       "request", message.verb, None, message.request_id,
-                       message.client_address)
-        return cls(codec, arrived[1] if forward else codec.encode_response(message),
-                   "response", None, message.status, message.request_id, "")
+            data = arrived[1] if forward else codec.encode_request(message)
+            return cls(codec, data, "request", message.verb, None, message.request_id,
+                       message.client_address, codec.request_wire_size(data))
+        data = arrived[1] if forward else codec.encode_response(message)
+        return cls(codec, data, "response", None, message.status, message.request_id,
+                   "", codec.response_wire_size(data))
 
     def decode(self) -> Union[Request, Response]:
         """Parse the frame back into a message (once per frame).
@@ -752,15 +799,15 @@ class WireFrame:
         """
         message = self._decoded
         if message is None:
+            codec, data = self.codec, self.data
             if self.kind == "request":
-                message = self.codec.decode_request(
-                    self.data, verb=self.verb, request_id=self.request_id,
+                message = codec.decode_request(
+                    data, verb=self.verb, request_id=self.request_id,
                     client_address=self.client_address)
             else:
-                message = self.codec.decode_response(
-                    self.data, status=self.status or 0,
-                    request_id=self.request_id)
-            object.__setattr__(message, "arrived_as", (self.codec, self.data))
+                message = codec.decode_response(
+                    data, status=self.status or 0, request_id=self.request_id)
+            object.__setattr__(message, "arrived_as", (codec, data))
             self._decoded = message
         return message
 
@@ -778,9 +825,7 @@ class WireFrame:
 
     def size_bytes(self) -> int:
         """Transport size under this frame's codec."""
-        if self.kind == "request":
-            return self.codec.request_wire_size(self.data)
-        return self.codec.response_wire_size(self.data)
+        return self.size
 
 
 class BatchEnvelope:
@@ -820,5 +865,5 @@ def ship(network: Any, codec: WireCodec, source: str,
     sees a message.
     """
     frame = WireFrame.for_message(codec, message)
-    network.send(source, destination, frame, frame.size_bytes(),
+    network.send(source, destination, frame, frame.size,
                  lambda delivered: on_deliver(delivered.decode()))

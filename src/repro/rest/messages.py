@@ -12,7 +12,8 @@ the wire sees only JSON with base64 blobs of constant size.
 
 Messages are values: nothing mutates ``fields`` in place, every rewrite
 goes through a constructor — directly, in :meth:`with_fields`, or in
-``dataclasses.replace``.  That is what lets a hop that did *not*
+``dataclasses.replace`` — and assigning to an attribute raises
+:class:`dataclasses.FrozenInstanceError`.  That is what lets a hop that did *not*
 rewrite a message forward the bytes it arrived in.  ``arrived_as`` —
 ``(codec, data)``, attached by :meth:`repro.rest.codec.WireFrame.decode`
 and by nobody else — is declared ``init=False, compare=False``, so
@@ -20,20 +21,38 @@ every one of those constructions drops it: a message that still carries it
 is, by construction, the message that was parsed from ``data``.  The
 one construction that keeps it is :meth:`Request.readdressed`, because
 the source address is not part of the body.
+
+A message is built about ten times per request, so each class is a
+slotted frozen dataclass with a hand-written ``__init__`` that fills
+its slots through their member descriptors rather than the
+``object.__setattr__`` calls a generated frozen ``__init__`` makes; the
+fields, ``replace``, equality and ``repr`` stay the dataclass's own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from json import JSONEncoder
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from typing import Any, Dict, Optional, Tuple
 
-__all__ = ["Request", "Response", "Verb", "make_get", "make_post"]
+__all__ = ["Request", "Response", "Verb", "encode_compact_json", "make_get", "make_post"]
 
-#: The one compact, key-sorted encoder behind every JSON body and every
-#: JSON-typed binary field (``json.dumps`` with these options builds a
-#: fresh ``JSONEncoder`` per call).
-encode_compact_json = JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_COMPACT = JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: ``JSONEncoder.encode`` builds a fresh C encoder on every call; this
+#: one is built once, with ``_COMPACT``'s options.  It keeps no
+#: circular-reference marks (a message's fields are a tree, and a mark
+#: left behind by a failed encode would outlive the call).
+_encode_compact = c_make_encoder(
+    None, _COMPACT.default, encode_basestring_ascii, None,
+    _COMPACT.key_separator, _COMPACT.item_separator,
+    _COMPACT.sort_keys, _COMPACT.skipkeys, _COMPACT.allow_nan,
+)
+
+
+def encode_compact_json(value: Any) -> str:
+    """The one compact, key-sorted JSON encoding behind every JSON body
+    and every JSON-typed binary field: ``_COMPACT.encode(value)``."""
+    return "".join(_encode_compact(value, 0))
 
 
 class Verb:
@@ -43,7 +62,7 @@ class Verb:
     GET = "GET"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Request:
     """An in-flight API request.
 
@@ -62,6 +81,14 @@ class Request:
     arrived_as: Optional[Tuple[Any, bytes]] = field(
         default=None, init=False, compare=False, repr=False)
 
+    def __init__(self, verb: str, fields: Dict[str, Any], request_id: int,
+                 client_address: str) -> None:
+        _set_verb(self, verb)
+        _set_request_fields(self, fields)
+        _set_request_id(self, request_id)
+        _set_client_address(self, client_address)
+        _set_request_arrival(self, None)
+
     def readdressed(self, address: str) -> "Request":
         """This request, body untouched, sent on from *address*.
 
@@ -71,8 +98,7 @@ class Request:
         still carries them — are exactly what the next hop must get.
         """
         moved = Request(self.verb, self.fields, self.request_id, address)
-        if self.arrived_as is not None:
-            object.__setattr__(moved, "arrived_as", self.arrived_as)
+        _set_request_arrival(moved, self.arrived_as)
         return moved
 
     def with_fields(self, **updates: Any) -> "Request":
@@ -94,7 +120,14 @@ class Request:
         return 32 + len(self.body_json().encode("utf-8"))
 
 
-@dataclass(frozen=True)
+_set_verb = Request.verb.__set__  # type: ignore[attr-defined]
+_set_request_fields = Request.fields.__set__  # type: ignore[attr-defined]
+_set_request_id = Request.request_id.__set__  # type: ignore[attr-defined]
+_set_client_address = Request.client_address.__set__  # type: ignore[attr-defined]
+_set_request_arrival = Request.arrived_as.__set__  # type: ignore[attr-defined]
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Response:
     """An API response travelling the reverse path of its request."""
 
@@ -105,6 +138,13 @@ class Response:
     #: ``None`` on every message built any other way (module docstring).
     arrived_as: Optional[Tuple[Any, bytes]] = field(
         default=None, init=False, compare=False, repr=False)
+
+    def __init__(self, status: int, fields: Optional[Dict[str, Any]] = None,
+                 request_id: int = 0) -> None:
+        _set_status(self, status)
+        _set_response_fields(self, {} if fields is None else fields)
+        _set_response_id(self, request_id)
+        _set_response_arrival(self, None)
 
     @property
     def ok(self) -> bool:
@@ -128,6 +168,12 @@ class Response:
     def size_bytes(self) -> int:
         """Wire size: status line + JSON body."""
         return 20 + len(self.body_json().encode("utf-8"))
+
+
+_set_status = Response.status.__set__  # type: ignore[attr-defined]
+_set_response_fields = Response.fields.__set__  # type: ignore[attr-defined]
+_set_response_id = Response.request_id.__set__  # type: ignore[attr-defined]
+_set_response_arrival = Response.arrived_as.__set__  # type: ignore[attr-defined]
 
 
 def make_post(user_field: Any, item_field: Any, payload: Optional[Any] = None, *,

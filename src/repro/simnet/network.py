@@ -78,9 +78,15 @@ class LatencyModel:
     seconds_per_byte: float = 1.0 / 1_000_000_000  # ~1 GbE payload cost
 
     def sample(self, size_bytes: int, rng: random.Random) -> float:
-        """Draw a delivery latency for a message of *size_bytes*."""
-        jitter = rng.uniform(0, self.jitter_seconds)
-        return self.base_seconds + jitter + size_bytes * self.seconds_per_byte
+        """Draw a delivery latency for a message of *size_bytes*.
+
+        The jitter is ``rng.uniform(0, jitter_seconds)`` without the
+        call: ``uniform(a, b)`` returns ``a + (b - a) * random()``, which
+        for ``a = 0`` is the product below to the last bit
+        (``tests/test_wire_fast_paths.py``).
+        """
+        return (self.base_seconds + self.jitter_seconds * rng.random()
+                + size_bytes * self.seconds_per_byte)
 
 
 @dataclass
@@ -136,8 +142,7 @@ class Network:
         Returns the flow id assigned to this transmission.  Wiretaps
         see it now, at send time — also when a fault then drops it.
         """
-        self._flow_counter += 1
-        flow_id = self._flow_counter
+        flow_id = self._flow_counter = self._flow_counter + 1
         self.messages_sent += 1
         self.bytes_sent += size_bytes
         fault_delay = 0.0

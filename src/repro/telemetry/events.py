@@ -13,7 +13,10 @@ sink costs a counter per record however long the run.
 There is one sink, :class:`JsonlSink`: it re-checks every record it is
 handed against the redaction policy (the adversary's-eye audit) and
 writes it to a text stream as one JSONL line — or to none, for a run
-that is audited but writes no artifact.
+that is audited but writes no artifact.  The re-check of a written
+record reads the line first: when no forbidden field name or prefix of
+the record's role appears in it, the record is clean and the walk that
+would prove it (a scrubbed copy of the whole record) is skipped.
 
 The envelope keys ``time`` / ``seq`` / ``kind`` / ``role`` are reserved:
 a payload may repeat one only with the envelope's own value, so a
@@ -35,6 +38,9 @@ _ENVELOPE_KEYS = frozenset({"time", "seq", "kind", "role"})
 
 #: ``json.dumps(record, sort_keys=True, default=str)``, built once.
 _encode = json.JSONEncoder(sort_keys=True, default=str).encode
+#: The same without ``default``: it refuses a value JSON cannot spell, so
+#: a line it writes shows every key and string of the record.
+_encode_native = json.JSONEncoder(sort_keys=True).encode
 
 
 @dataclass(slots=True)
@@ -63,7 +69,11 @@ class JsonlSink:
     Every record is re-checked against the default redaction policy
     with the role it carries; what the check finds is in :attr:`leaks`,
     so a clean run has none.  Only records of *kinds*, when given, are
-    written, and none when *stream* is ``None``.
+    written, and none when *stream* is ``None``.  A record it writes is
+    walked only if its line may leak
+    (:meth:`~repro.telemetry.redaction.RedactionPolicy.may_leak`); one
+    it does not write, or whose values JSON cannot spell, is always
+    walked.
     """
 
     __slots__ = ("stream", "kinds", "leaks")
@@ -77,10 +87,16 @@ class JsonlSink:
 
     def write(self, event: TelemetryEvent) -> None:
         record = event.to_dict()
-        self.leaks.extend(audit_events((record,)))
         if self.stream is None or (self.kinds is not None and event.kind not in self.kinds):
+            self.leaks.extend(audit_events((record,)))
             return
-        self.stream.write(_encode(record) + "\n")
+        try:
+            line: Optional[str] = _encode_native(record)
+        except (TypeError, ValueError):
+            line = None  # a value written through ``str``, or a cycle
+        if line is None or DEFAULT_POLICY.may_leak(str(record.get("role", "unknown")), line):
+            self.leaks.extend(audit_events((record,)))
+        self.stream.write((_encode(record) if line is None else line) + "\n")
 
 
 @dataclass

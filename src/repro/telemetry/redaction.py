@@ -96,6 +96,23 @@ def _plan(kinds: Tuple[str, ...]) -> Tuple[Dict[str, str], Tuple[str, ...]]:
     return keys, markers
 
 
+@lru_cache(maxsize=None)
+def _needles(kinds: Tuple[str, ...]) -> Tuple[str, ...]:
+    """Substrings one of which the lowercased JSON text of a record that
+    leaks one of *kinds* contains (:meth:`RedactionPolicy.may_leak`).
+
+    Every forbidden field name and value prefix, less those that contain
+    another (``item`` stands for ``items`` and ``static-item-``), and
+    ``\\u``: a key holding a non-ASCII character is written escaped,
+    so its ``lower()`` cannot be read off the text.
+    """
+    keys, markers = _plan(kinds)
+    spelled = set(keys) | set(markers)
+    kept = sorted(word for word in spelled
+                  if not any(other != word and other in word for other in spelled))
+    return tuple(kept) + ("\\u",)
+
+
 def _marker_kind(value: str) -> str:
     """Kind of the identifier prefix *value* is known to start with."""
     return next(kind for kind, (markers, _) in _KINDS.items() if value.startswith(markers))
@@ -121,6 +138,23 @@ class RedactionPolicy:
         if not kinds:
             return dict(payload), violations
         return _scrub_value(role, _plan(kinds), payload, "", violations), violations
+
+    def may_leak(self, role: str, text: str) -> bool:
+        """False only if the record *text* spells finds nothing under *role*.
+
+        *text* must be the record's JSON as ``json.dumps`` writes it with
+        ASCII escapes and no ``default``, so that every key and string of
+        the record is in it.  A leak is a field name whose ``lower()`` is
+        forbidden, or a string that starts with a forbidden prefix; both
+        are ASCII, so each shows in the lowercased text as one of the
+        role's :func:`_needles`.  True is only a maybe: the caller walks
+        the record (:func:`audit_events`) to find what, if anything, leaks.
+        """
+        kinds = self.forbidden.get(role, ())
+        if not kinds:
+            return False
+        lowered = text.lower()
+        return any(needle in lowered for needle in _needles(kinds))
 
 
 def _scrub_value(role: str, plan: tuple, value: Any, path: str, violations: List[Violation]) -> Any:

@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from repro.client.library import CompletedCall
 from repro.rest.messages import Request, Response, Verb
 from repro.rest.routing import RoutingError, RoutingTable
 from tests.conftest import make_get, make_post
@@ -80,6 +81,26 @@ def test_with_fields_builds_what_replace_builds_and_drops_arrived_as(message):
         assert getattr(updated, field.name) == getattr(expected, field.name), field.name
     assert updated.arrived_as is None and expected.arrived_as is None
     assert message.arrived_as == ("codec", b"frame")
+
+
+@pytest.mark.parametrize("message", [
+    Request(verb="GET", fields={"user": "u1"}, request_id=7, client_address="c-1"),
+    Response(status=200, fields={"items": ["a"]}, request_id=7),
+    CompletedCall(verb="GET", user="u1", ok=True, items=["a"], started_at=1.0,
+                  completed_at=1.5, request_id=7),
+], ids=["request", "response", "completed-call"])
+def test_messages_are_frozen_slotted_values(message):
+    """The hand-written constructors keep the dataclass contract: every
+    field is set, assignment raises, there is no ``__dict__`` to write
+    around it, and ``replace`` / ``==`` / ``repr`` are the dataclass's."""
+    names = [field.name for field in dataclasses.fields(message)]
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(message, name, getattr(message, name))
+    assert not hasattr(message, "__dict__")
+    copy = dataclasses.replace(message)
+    assert copy == message and copy is not message and repr(copy) == repr(message)
+    assert [getattr(copy, name) for name in names] == [getattr(message, name) for name in names]
 
 
 def test_routing_register_and_consume():

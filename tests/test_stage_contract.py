@@ -7,6 +7,8 @@ and for an IA alike, so each test is parametrized over the role.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.context import Deployment, SimContext
@@ -433,11 +435,13 @@ M1 = dict(encryption=False, sgx=False, shuffle_size=0)
 M6 = dict(shuffle_size=10)
 
 
-def _gets(requests=20, codec="json", loop=None, **config):
+def _gets(requests=20, codec="json", loop=None, wiretap=None, **config):
     """Open-loop gets through a stub deployment, as the ledger drives them."""
     from repro.workload.injector import Injector
 
     ctx, _, deployment = _stack(seed=7, codec=codec, loop=loop, **config)
+    if wiretap is not None:
+        ctx.network.add_wiretap(wiretap)
     client = deployment.client()
     injector = Injector(ctx.loop, ctx.rng.stream("arrivals"))
     injector.inject(
@@ -477,25 +481,62 @@ def test_carrier_closures_hold_their_continuation_by_name():
     assert sum(fn.__module__ in _CARRIERS for fn in loop.scheduled) == 11 * 20
 
 
+@pytest.mark.parametrize("codec", ("json", "binary"))
 @pytest.mark.parametrize("name, config, events", [("m1", M1, 13), ("m6", M6, 14)])
-def test_a_get_is_a_fixed_number_of_events_sends_and_bytes(monkeypatch, name, config, events):
+def test_a_get_is_a_fixed_number_of_events_sends_and_bytes(monkeypatch, name, config, events,
+                                                           codec):
     """One arrival, six wire latencies, five service times and (with
     encryption) the client's crypto delay: each an RNG draw or a
     queueing decision at its own virtual instant, so the count is a
-    floor.  Forwarding a frame changes none of them, nor a byte."""
+    floor.  Forwarding a frame changes none of them, nor a byte, on
+    either wire (the e2e ledger's ``passthrough_get`` runs binary).
+    With encryption on, the binary wire's UA seals each shuffle flush
+    into one envelope: one UA->IA send and delivery per batch."""
     from dataclasses import replace
 
     requests = 20
-    forwarding = _gets(requests, **config)
-    assert forwarding.loop.events_processed == events * requests
-    assert forwarding.network.messages_sent == 6 * requests
+    batched = codec == "binary" and config.get("encryption", True)
+    folded = requests - requests // config["shuffle_size"] if batched else 0
+    forwarding = _gets(requests, codec=codec, **config)
+    assert forwarding.loop.events_processed == events * requests - folded
+    assert forwarding.network.messages_sent == 6 * requests - folded
 
     framed = WireFrame.for_message.__func__
     monkeypatch.setattr(
         WireFrame, "for_message",
         classmethod(lambda cls, codec, message: framed(cls, codec, replace(message))),
     )
-    encoding = _gets(requests, **config)
+    encoding = _gets(requests, codec=codec, **config)
     assert encoding.network.bytes_sent == forwarding.network.bytes_sent
     assert (encoding.loop.events_processed, encoding.loop.now) == (
         forwarding.loop.events_processed, forwarding.loop.now)
+
+
+#: sha256 over the bytes of every frame a 20-get run puts on the wire,
+#: in send order.  A change to the codec, the message model or the ship
+#: path that moves one byte, or one frame's order, moves the digest.
+#: Recorded from the tree before the decode path was reworked; a change
+#: that means to move the wire updates it and says so.
+WIRE_DIGESTS = {
+    "m1-binary": "cab9200e9af74b2d41d17de0c8b4582202c98af4c1d65c73879e0eb4276af05b",
+    "m6-json": "22a2adb022098b02881a9eec642b023f1c0e51386faab077c57c4d7a73c59662",
+}
+
+
+def _wire_digest(codec, config):
+    digest, frames = hashlib.sha256(), []
+
+    def tap(record, payload):
+        assert isinstance(payload, WireFrame), type(payload)
+        frames.append(payload)
+        digest.update(bytes(payload.data))
+
+    _gets(20, codec=codec, wiretap=tap, **config)
+    assert len(frames) == 6 * 20
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name, codec, config",
+                         [("m1-binary", "binary", M1), ("m6-json", "json", M6)])
+def test_the_wire_of_a_get_run_is_pinned_byte_for_byte(name, codec, config):
+    assert _wire_digest(codec, config) == WIRE_DIGESTS[name]

@@ -2,6 +2,7 @@
 pass on the real pipeline."""
 
 import io
+import json
 from collections import OrderedDict, namedtuple
 from types import MappingProxyType
 
@@ -268,3 +269,72 @@ def test_reference_walk_and_scrub_agree_on_a_planted_leak_in_every_role():
         clean, violations = policy.scrub(role, payload)
         assert (clean, violations) == reference_scrub(policy, role, payload)
         assert [(v.kind, v.path) for v in violations] == [(kind, paths[kind]) for kind in kinds]
+
+
+# -- the sink's line prefilter is a superset of the walk ----------------
+
+_sink_modes = st.sampled_from(["written", "written", "no stream", "another kind"])
+# Records JSON spells without ``default`` (string keys, JSON-native
+# leaves): the ones whose walk the line may let the sink skip.
+_native_keys = st.one_of(
+    st.sampled_from([
+        "user", "User", "USER_ID", "client", "Client_Address", "item", "Items",
+        "ITEM_ID", "item_ids", "trace", "TRACE", "trace_id", "name", "instance",
+        "attributes", "", Tag("user"), Tag("Items"), "\u212aey", "us\u00e9r",
+    ]),
+    st.text(max_size=3),
+)
+_native_leaves = st.one_of(
+    st.sampled_from([None, True, False, 0, 7, -1.5, 1e300, float("inf"), float("nan")]),
+    _strings,
+    _strings.map(Tag),
+)
+_native_payloads = st.dictionaries(
+    _native_keys,
+    st.recursive(_native_leaves, lambda children: st.one_of(
+        st.lists(children, max_size=3), st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_native_keys, children, max_size=3)), max_leaves=5),
+    max_size=4,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(role=_roles, payload=st.one_of(_native_payloads, _native_payloads, _payloads),
+       mode=_sink_modes)
+def test_the_sink_finds_what_the_audit_finds(role, payload, mode):
+    """``JsonlSink.write`` skips the walk of a written record whose line
+    shows no forbidden name or prefix; whatever it skips, ``leaks`` is
+    what ``audit_events`` finds, leaking records included, and the line
+    is the one ``json.dumps(..., default=str)`` writes."""
+    event = TelemetryEvent(1.25, "span", role, payload, 3)
+    record = event.to_dict()
+    expected = audit_events((record,))
+    stream = None if mode == "no stream" else io.StringIO()
+    sink = JsonlSink(stream, kinds=("fault",) if mode == "another kind" else None)
+    try:
+        line = json.dumps(record, sort_keys=True, default=str) + "\n"
+    except TypeError:
+        line = None  # a tuple key, or keys that do not sort: the write raises too
+    if line is None and mode == "written":
+        with pytest.raises(TypeError):
+            sink.write(event)
+    else:
+        sink.write(event)
+        if mode == "written":
+            assert stream.getvalue() == line
+    assert sink.leaks == expected
+
+
+@pytest.mark.parametrize("role, payload, walked", [
+    ("ua", {"name": "ua_inbound", "attributes": {"instance": "pprox-ua-0", "ecalls": 2}}, False),
+    ("ua", {"attributes": {"ITEMS": 3}}, True),
+    ("ua", {"note": ["movie-3"]}, True),
+    ("ia", {"src": "Client-7"}, True),
+    # KELVIN SIGN lowers to an ASCII "k": an escaped key is always walked.
+    ("ia", {"\u212aey": 1}, True),
+    ("client", {"item": "item-1", "user": "user-1"}, False),
+])
+def test_may_leak_reads_the_line_of_a_record(role, payload, walked):
+    record = TelemetryEvent(0.0, "span", role, payload, 1).to_dict()
+    line = json.dumps(record, sort_keys=True)
+    assert RedactionPolicy().may_leak(role, line) is walked
